@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify chaos chaos-restart chaos-net bench bench-sim bench-runstore loadtest loadtest-fleet loadtest-stream examples
+.PHONY: build test vet race verify chaos chaos-restart chaos-net bench bench-sim bench-runstore bench-check perf loadtest loadtest-fleet loadtest-stream examples
 
 build:
 	$(GO) build ./...
@@ -58,12 +58,13 @@ bench:
 
 # DES kernel hot-path benchmarks (DESIGN.md §14): raw event dispatch,
 # coroutine handoffs, batched queue draining, the typed bus round trip, the
-# staging fan-out, and the end-to-end quickstart world. Custom metrics
-# (events/s, steps/s, handoffs/op) land in BENCH_sim.json for the CI
-# artifact (docs/OBSERVABILITY.md).
+# staging fan-out, one DISKSCAN poll against 10/100/1000 files, and the
+# end-to-end quickstart and xgc worlds. Custom metrics (events/s, steps/s,
+# handoffs/op, files/op) land in BENCH_sim.json for the CI artifact
+# (docs/OBSERVABILITY.md).
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem \
-		./internal/sim/ ./internal/msg/ ./internal/stream/ ./internal/exp/ | tee bench_sim.out
+		./internal/sim/ ./internal/msg/ ./internal/stream/ ./internal/core/sensor/ ./internal/exp/ | tee bench_sim.out
 	$(GO) run ./cmd/benchjson < bench_sim.out > BENCH_sim.json
 	@rm bench_sim.out
 	@echo wrote BENCH_sim.json
@@ -77,6 +78,17 @@ bench-runstore:
 	$(GO) run ./cmd/benchjson < bench_runstore.out > BENCH_runstore.json
 	@rm bench_runstore.out
 	@echo wrote BENCH_runstore.json
+
+# bench/ is its own module (`replace dyflow => ../`), so `go build ./...` and
+# `go test ./...` at the root never compile it: this is the gate that an
+# internal API change has not broken the campaign-service benchmark.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# The campaign-service benchmark itself (BENCHMARK.json, bench/README.md):
+# all four workloads, non-race, end-to-end metrics into bench/out/.
+perf:
+	bash bench/run.sh all
 
 # Closed-loop load test of the campaign service (docs/SERVICE.md): an
 # embedded dyflow-serve under the race detector, 8 clients over 4 tenants,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dyflow/internal/core/spec"
+	"dyflow/internal/fsim"
 	"dyflow/internal/msg"
 	"dyflow/internal/obs"
 	"dyflow/internal/sim"
@@ -57,7 +58,11 @@ type Client struct {
 	// states holds each worker's resumable position, keyed by worker name.
 	// It survives Stop/Start cycles and is what Snapshot/Restore carry.
 	states map[string]*WorkerState
-	spawn  func(name string, fn func(*sim.Proc)) *sim.Proc
+	// scans holds the DISKSCAN extractions, one per (pattern, info), shared
+	// by every worker polling that pair. Derived state: rebuilt from the
+	// filesystem on first use, never part of a snapshot.
+	scans map[scanKey]*diskScan
+	spawn func(name string, fn func(*sim.Proc)) *sim.Proc
 
 	mDropped *obs.CounterVec
 }
@@ -119,6 +124,7 @@ func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spe
 		targets:  targets,
 		workload: workload,
 		costs:    costs.withDefaults(),
+		scans:    make(map[scanKey]*diskScan),
 	}
 }
 
@@ -402,21 +408,14 @@ func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.S
 	info := use.Info
 	switch def.Source {
 	case spec.SourceDiskScan:
-		files := c.env.FS.Glob(tg.InfoSource)
-		for _, f := range files {
-			if v, found := f.Vars[info]; found {
-				readings = append(readings, v)
-				if f.MTime > genAt {
-					genAt = f.MTime
-				}
-				if int(f.Vars["step"]) > step {
-					step = int(f.Vars["step"])
-				}
-			}
+		sc := c.scanFor(tg.InfoSource, info)
+		if sc == nil {
+			return nil, 0, 0, false // a malformed pattern matches nothing
 		}
-		return readings, step, genAt, len(readings) > 0
+		sc.refresh()
+		return sc.readings, sc.step, sc.genAt, len(sc.readings) > 0
 	case spec.SourceFile:
-		f := c.env.FS.Stat(tg.InfoSource)
+		f := c.env.FS.Lookup(tg.InfoSource)
 		if f == nil {
 			return nil, 0, 0, false
 		}
@@ -446,7 +445,7 @@ func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.S
 		if info == "" {
 			info = "exitcode"
 		}
-		f := c.env.FS.Stat(path)
+		f := c.env.FS.Lookup(path)
 		if f == nil {
 			return nil, 0, 0, false
 		}
@@ -457,6 +456,67 @@ func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.S
 		return []float64{v}, 0, f.MTime, true
 	}
 	return nil, 0, 0, false
+}
+
+// scanKey identifies one disk-scan extraction: which files, which variable.
+type scanKey struct{ pattern, info string }
+
+// diskScan is the last extraction of one variable from the files matching
+// a watched pattern. It stays valid until the watch's generation moves —
+// the thousands of polls between two output files re-ship it without
+// touching a path. The readings slice is shared with in-flight shipments,
+// so a refresh builds a new one instead of overwriting it.
+type diskScan struct {
+	watch *fsim.Watch
+	info  string
+	// gen is the watch generation the extraction was taken at; it starts
+	// at a value no watch reaches, so the first poll extracts.
+	gen uint64
+
+	readings []float64
+	step     int
+	genAt    sim.Time
+}
+
+// scanFor returns the shared extraction for (pattern, info), registering
+// the pattern's watch on first use. It is nil for a malformed pattern.
+func (c *Client) scanFor(pattern, info string) *diskScan {
+	key := scanKey{pattern, info}
+	sc, ok := c.scans[key]
+	if !ok {
+		if pat, err := fsim.Compile(pattern); err == nil {
+			sc = &diskScan{watch: c.env.FS.Watch(pat), info: info, gen: ^uint64(0)}
+		}
+		c.scans[key] = sc
+	}
+	return sc
+}
+
+// refresh re-extracts the readings if a matching file changed since the
+// last extraction: the variable's value per file in path order, the newest
+// mtime and the highest step among the files carrying it.
+func (sc *diskScan) refresh() {
+	if sc.gen == sc.watch.Gen() {
+		return
+	}
+	readings := make([]float64, 0, len(sc.readings)+1)
+	var step int
+	var genAt sim.Time
+	sc.watch.Visit(func(f *fsim.File) {
+		v, found := f.Vars[sc.info]
+		if !found {
+			return
+		}
+		readings = append(readings, v)
+		if f.MTime > genAt {
+			genAt = f.MTime
+		}
+		if s := int(f.Vars["step"]); s > step {
+			step = s
+		}
+	})
+	sc.readings, sc.step, sc.genAt = readings, step, genAt
+	sc.gen = sc.watch.Gen()
 }
 
 // ship formulates the client-side granularities from per-process readings

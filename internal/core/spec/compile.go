@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"dyflow/internal/fsim"
 	"dyflow/internal/stats"
 )
 
@@ -328,6 +329,14 @@ func compileTargets(m *MonitorX, cfg *Config, errs *errorList) {
 			if sd.Source == SourceDYFLOW && strings.TrimSpace(us.Info) == "" {
 				errs.addf("monitor-task %q: dyflow-source sensor %q requires info naming an orchestrator metric", mt.Name, us.SensorID)
 				continue
+			}
+			// A disk scan globs its info-source; a malformed pattern would
+			// match nothing forever and the policy would silently never fire.
+			if sd.Source == SourceDiskScan {
+				if _, err := fsim.Compile(mt.InfoSource); err != nil {
+					errs.addf("monitor-task %q: sensor %q info-source: %v", mt.Name, us.SensorID, err)
+					continue
+				}
 			}
 			params := make(map[string]string, len(us.Params))
 			for _, p := range us.Params {

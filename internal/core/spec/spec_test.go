@@ -162,10 +162,16 @@ func TestCompileCollectsAllErrors(t *testing.T) {
       <sensor id="S1" type="ADIOS2">
         <group-by><group granularity="task" reduction-operation="MAX"/></group-by>
       </sensor>
+      <sensor id="SCAN" type="DISKSCAN">
+        <group-by><group granularity="task" reduction-operation="MAX"/></group-by>
+      </sensor>
     </sensors>
     <monitor-tasks>
       <monitor-task name="T" workflowId="W">
         <use-sensor sensor-id="UNKNOWN" info="x"/>
+      </monitor-task>
+      <monitor-task name="G" workflowId="W" info-source="out/[.bp">
+        <use-sensor sensor-id="SCAN" info="step"/>
       </monitor-task>
     </monitor-tasks>
   </monitor>
@@ -202,6 +208,7 @@ func TestCompileCollectsAllErrors(t *testing.T) {
 		"unknown granularity",
 		"duplicate sensor id",
 		"unknown sensor \"UNKNOWN\"",
+		"monitor-task \"G\": sensor \"SCAN\" info-source: fsim: pattern \"out/[.bp\": syntax error in pattern",
 		"unknown comparison operation",
 		"no \"workflow\" group",
 		"unknown action",

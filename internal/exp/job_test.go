@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"dyflow/internal/apps"
 	"dyflow/internal/sim"
 )
 
@@ -94,6 +96,12 @@ func TestJobNormalizeAndKey(t *testing.T) {
 	}
 	if _, err := (Job{Scenario: ScenarioQuickstart, XML: "<dyflow"}).Normalized(); err == nil {
 		t.Fatal("malformed XML accepted")
+	}
+	// A disk-scan glob that can never match is a submission error (the
+	// service answers 400), not a policy that silently never fires.
+	badGlob := strings.Replace(XGCXML(apps.Summit), `info-source="out/xgc1.*.bp"`, `info-source="out/[.bp"`, 1)
+	if _, err := (Job{Scenario: ScenarioXGC, XML: badGlob}).Normalized(); err == nil || !strings.Contains(err.Error(), `monitor-task "XGC1"`) {
+		t.Fatalf("malformed disk-scan glob: err = %v, want one naming monitor-task XGC1", err)
 	}
 
 	base := Job{Scenario: ScenarioQuickstart, Machine: "summit", Seed: 1}
