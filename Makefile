@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify chaos chaos-restart chaos-net bench bench-sim bench-runstore bench-check perf loadtest loadtest-fleet loadtest-stream examples
+.PHONY: build test vet race verify chaos chaos-restart restore-soak chaos-net bench bench-sim bench-runstore bench-check perf loadtest loadtest-fleet loadtest-stream examples
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,14 @@ chaos:
 # detector.
 chaos-restart:
 	$(GO) test -race -run 'Ckpt|Checkpoint|Snapshot|Restore|Supervisor|OrchestratorKill|Journal|StopIdempotent|Sanitize' ./internal/...
+
+# The coordinator's kill/restart tests ten times over, non-race, a few
+# seconds: a restore test that fails one run in three (as
+# TestJournalSizeTriggeredSnapshot did for two PRs) shows up here instead
+# of as an unlucky tier-1 run. TestRestoreTornTailEveryByte is left to the
+# suites above: it has no timing in it and is 5 000 restarts on its own.
+restore-soak:
+	$(GO) test -count=10 -run 'Restore|KillRestart|TerminalRunsEvicted' -skip 'TornTailEveryByte' ./internal/server/
 
 # Seeded network-fault sweep over the coordinator↔worker RPC plane
 # (docs/SERVICE.md, "Surviving network faults"): five fault schedules —

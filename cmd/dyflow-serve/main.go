@@ -3,9 +3,8 @@
 //
 //	dyflow-serve [-addr host:port] [-workers N] [-queue-depth N]
 //	             [-tenant-quota N] [-ckpt-dir DIR] [-lease-ttl D]
-//	             [-runstore-segment-bytes N] [-snapshot-journal-bytes N]
-//	             [-retention-max-age D] [-retention-max-bytes N]
-//	             [-retention-interval D]
+//	             [-runstore-segment-bytes N] [-retention-max-age D]
+//	             [-retention-max-bytes N] [-retention-interval D]
 //	dyflow-serve worker -join host:port [-name S] [-slots N]
 //	dyflow-serve loadtest [-addr host:port] [-clients N] [-per-client N]
 //	             [-seeds N] [-scenario S] [-out BENCH_serve.json]
@@ -17,10 +16,11 @@
 // The service accepts campaign submissions over HTTP (POST /v1/runs),
 // executes them on a sharded worker pool of deterministic simulations, and
 // serves status, artifacts, and its own /metrics. With -ckpt-dir it
-// journals every acknowledged submission so a killed server resumes
-// pending work on restart. -addr host:0 binds a free port; the bound
-// address is printed. SIGINT/SIGTERM shut down gracefully: HTTP drains,
-// running simulations abort, and queued work is checkpointed.
+// appends every run-state transition to the run-history log before
+// acknowledging it, so a killed server resumes pending work on restart.
+// -addr host:0 binds a free port; the bound address is printed.
+// SIGINT/SIGTERM shut down gracefully: HTTP drains and running
+// simulations abort back to queued for the next process.
 //
 // worker joins a coordinator's fleet: it claims queued runs under leases,
 // executes them, and uploads artifacts to the coordinator's blob store.
@@ -93,11 +93,10 @@ func serve(args []string) error {
 	workers := fs.Int("workers", 0, "local worker-pool size (0 = GOMAXPROCS, negative = fleet workers only)")
 	queueDepth := fs.Int("queue-depth", 0, "bound on queued runs before 429 backpressure (0 = 64)")
 	tenantQuota := fs.Int("tenant-quota", 0, "per-tenant in-flight run cap (0 = 8, negative = unlimited)")
-	ckptDir := fs.String("ckpt-dir", "", "checkpoint directory: persist the queue and completed runs across restarts")
+	ckptDir := fs.String("ckpt-dir", "", "state directory: persist every run's state (runs/) and artifacts (blobs/) across restarts")
 	leaseTTL := fs.Duration("lease-ttl", 0, "fleet lease TTL before an unheartbeated run is requeued (0 = 10s)")
 	eventBuffer := fs.Int("event-buffer", 0, "per-run event ring size for GET /v1/runs/{id}/events (0 = 256)")
 	segBytes := fs.Int64("runstore-segment-bytes", 0, "run-history segment rotation threshold in bytes (0 = 4MiB)")
-	snapBytes := fs.Int64("snapshot-journal-bytes", 0, "WAL size that triggers a snapshot+journal reset (0 = 4MiB, negative = off)")
 	retMaxAge := fs.Duration("retention-max-age", 0, "delete terminal runs older than this from the history store (0 = keep forever)")
 	retMaxBytes := fs.Int64("retention-max-bytes", 0, "per-tenant artifact byte budget; oldest terminal runs beyond it are deleted (0 = unlimited)")
 	retInterval := fs.Duration("retention-interval", 0, "how often the retention sweep runs (0 = 1m)")
@@ -111,7 +110,6 @@ func serve(args []string) error {
 		LeaseTTL:             *leaseTTL,
 		EventBuffer:          *eventBuffer,
 		RunstoreSegmentBytes: *segBytes,
-		SnapshotJournalBytes: *snapBytes,
 		RetentionMaxAge:      *retMaxAge,
 		RetentionMaxBytes:    *retMaxBytes,
 		RetentionInterval:    *retInterval,
@@ -125,14 +123,14 @@ func serve(args []string) error {
 	}
 	fmt.Printf("dyflow-serve: listening on http://%s (POST /v1/runs, GET /v1/runs, /metrics, /healthz)\n", bound)
 	if *ckptDir != "" {
-		fmt.Printf("dyflow-serve: checkpointing to %s\n", *ckptDir)
+		fmt.Printf("dyflow-serve: persisting run state to %s\n", *ckptDir)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()
 	stop()
-	fmt.Println("dyflow-serve: shutting down (draining HTTP, checkpointing queue)")
+	fmt.Println("dyflow-serve: shutting down (draining HTTP, requeueing running work)")
 	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	return srv.Shutdown(sctx)

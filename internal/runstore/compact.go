@@ -101,7 +101,8 @@ func (s *Store) compactOwned() error {
 	// still its run's latest; a tombstone survives only while its run
 	// could still have records outside the inputs (it cannot — inputs
 	// are all sealed segments and tombstones are final — so registered
-	// tombstones drop here, completing the delete).
+	// tombstones drop here, completing the delete), or while it is the
+	// frame carrying the run-ordinal high-water (Store.maxOrdSeq).
 	s.mu.RLock()
 	seen := make(map[string]bool)
 	var kept []cand
@@ -109,7 +110,7 @@ func (s *Store) compactOwned() error {
 	for _, c := range cands {
 		id := c.fr.meta.ID
 		if c.fr.meta.Tombstone {
-			if tseq, ok := s.tombs[id]; ok && tseq == c.fr.seq && s.runs[id] == nil {
+			if tseq, ok := s.tombs[id]; ok && tseq == c.fr.seq && s.runs[id] == nil && tseq != s.maxOrdSeq {
 				droppedTombs[id] = tseq
 			} else if !seen[id+"\x00tomb"] {
 				seen[id+"\x00tomb"] = true

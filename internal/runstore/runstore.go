@@ -29,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -146,6 +147,13 @@ type Store struct {
 	byScenario map[string][]*runState
 	nextSeq    uint64
 	total      int64 // records across all segments (incl. tombstones)
+	// maxOrd is the greatest run ordinal (the decimal number an ID ends
+	// in) any record ever carried, tombstones included; maxOrdSeq is the
+	// latest record carrying it. Compaction never drops that frame, so the
+	// high-water outlives retention deleting every run and a restarted
+	// coordinator never reissues an ID. -1 = no record yet.
+	maxOrd     int64
+	maxOrdSeq  uint64
 	compacting bool
 	closed     bool
 
@@ -217,6 +225,7 @@ func Open(opt Options) (*Store, error) {
 		byTenant:   map[string][]*runState{},
 		byScenario: map[string][]*runState{},
 		nextSeq:    1,
+		maxOrd:     -1,
 		met:        newStoreMetrics(opt.Metrics),
 	}
 	if s.dir == "" {
@@ -364,6 +373,7 @@ func (s *Store) recover() error {
 		for i := range sf.frames {
 			fr := &sf.frames[i]
 			id := fr.meta.ID
+			s.noteOrdinalLocked(id, fr.seq)
 			if fr.meta.Tombstone {
 				if cur, ok := s.tombs[id]; !ok || fr.seq > cur {
 					s.tombs[id] = fr.seq
@@ -465,6 +475,7 @@ func (s *Store) Append(m Meta, doc []byte) error {
 
 func (s *Store) appendLocked(m Meta, doc []byte) error {
 	if s.closed {
+		s.met.appendErrs.Inc()
 		return ErrClosed
 	}
 	seq := s.nextSeq
@@ -512,6 +523,7 @@ func (s *Store) appendLocked(m Meta, doc []byte) error {
 // applyLocked folds one new record into the indexes.
 func (s *Store) applyLocked(m Meta, seq uint64, seg *segment, off, length int64, memDoc []byte) {
 	id := m.ID
+	s.noteOrdinalLocked(id, seq)
 	if m.Tombstone {
 		if rs := s.runs[id]; rs != nil {
 			s.removeIndexedLocked(rs)
@@ -551,6 +563,38 @@ func (s *Store) applyLocked(m Meta, seq uint64, seg *segment, off, length int64,
 	if m.Scenario != "" {
 		s.byScenario[m.Scenario] = insert(s.byScenario[m.Scenario])
 	}
+}
+
+// ordinalOf returns the decimal number a run ID ends in ("run-000042" →
+// 42), or -1 when it ends in none.
+func ordinalOf(id string) int64 {
+	i := len(id)
+	for i > 0 && id[i-1] >= '0' && id[i-1] <= '9' {
+		i--
+	}
+	n, err := strconv.ParseInt(id[i:], 10, 64)
+	if err != nil {
+		return -1
+	}
+	return n
+}
+
+// noteOrdinalLocked folds one record (a tombstone carries its victim's
+// ID, so its ordinal too) into the ordinal high-water.
+func (s *Store) noteOrdinalLocked(id string, seq uint64) {
+	o := ordinalOf(id)
+	if o < 0 || o < s.maxOrd || (o == s.maxOrd && seq < s.maxOrdSeq) {
+		return
+	}
+	s.maxOrd, s.maxOrdSeq = o, seq
+}
+
+// MaxOrdinal returns the greatest run ordinal ever appended, deleted runs
+// included (-1: none) — the floor for a restarted coordinator's next ID.
+func (s *Store) MaxOrdinal() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.maxOrd
 }
 
 // removeIndexedLocked drops a run from every index (tombstoning).

@@ -2,10 +2,14 @@ package runstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
+
+	"dyflow/internal/obs"
 )
 
 // mkMeta builds a deterministic terminal run meta. Submission times are
@@ -403,10 +407,57 @@ func TestLeftoverTmpRemoved(t *testing.T) {
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {
-	s := openStore(t, t.TempDir(), Options{})
+	reg := obs.NewRegistry()
+	s := openStore(t, t.TempDir(), Options{Metrics: reg})
 	s.Close()
-	if err := s.Append(mkMeta(0, "t0", "quickstart", "done"), nil); err == nil {
-		t.Fatal("append after Close succeeded")
+	if err := s.Append(mkMeta(0, "t0", "quickstart", "done"), nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after Close: %v, want ErrClosed", err)
+	}
+	if v, _ := reg.Value("dyflow_runstore_append_errors_total"); v != 1 {
+		t.Fatalf("append_errors_total = %v after a refused append, want 1", v)
+	}
+}
+
+// TestMaxOrdinalSurvivesRetentionAndCompaction: the run-ordinal
+// high-water is durable even when every run that carried it has been
+// tombstoned and compacted away — the one frame holding it is kept.
+func TestMaxOrdinalSurvivesRetentionAndCompaction(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{SegmentBytes: 512, CompactMinRecords: 1 << 30}
+	s := openStore(t, dir, opt)
+	if got := s.MaxOrdinal(); got != -1 {
+		t.Fatalf("empty store MaxOrdinal = %d, want -1", got)
+	}
+	for i := 0; i < 8; i++ {
+		if err := s.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(s.SweepRetention(Retention{MaxAge: time.Nanosecond}, time.Now())); n != 8 {
+		t.Fatalf("retention deleted %d of 8", n)
+	}
+	// Seal the tombstones behind one ordinal-less record, then compact
+	// until nothing more drops.
+	big, _ := json.Marshal(strings.Repeat("x", 600))
+	if err := s.Append(Meta{ID: "marker", Tenant: "t0", State: "done", Terminal: true}, big); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.LiveRecords != 1 || st.TotalRecords != 2 {
+		t.Fatalf("after compaction: %+v, want the marker plus the one high-water tombstone", st)
+	}
+	s.Close()
+
+	s2 := openStore(t, dir, opt)
+	if got := s2.MaxOrdinal(); got != 7 {
+		t.Fatalf("MaxOrdinal after retention+compaction+reopen = %d, want 7", got)
+	}
+	if _, ok := s2.Get("run-000007"); ok {
+		t.Fatal("the kept high-water tombstone resurrected its run")
 	}
 }
 

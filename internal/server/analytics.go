@@ -1,11 +1,11 @@
 package server
 
 import (
-	"math"
 	"sort"
 	"time"
 
 	"dyflow/internal/runstore"
+	"dyflow/internal/stats"
 )
 
 // GET /v1/analytics — cross-campaign aggregates computed over the full
@@ -313,22 +313,12 @@ func summarize(samples []float64) LatencySummary {
 	for _, v := range samples {
 		sum += v
 	}
-	rank := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(n))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		return samples[i]
-	}
 	return LatencySummary{
 		Count: n,
 		Mean:  sum / float64(n),
-		P50:   rank(0.50),
-		P90:   rank(0.90),
-		P99:   rank(0.99),
+		P50:   stats.NearestRank(samples, 0.50),
+		P90:   stats.NearestRank(samples, 0.90),
+		P99:   stats.NearestRank(samples, 0.99),
 		Max:   samples[n-1],
 	}
 }

@@ -194,73 +194,3 @@ func TestListPaginationAndFilters(t *testing.T) {
 		}
 	}
 }
-
-// TestJournalSizeTriggeredSnapshot pins the WAL-growth satellite: once
-// the journal passes SnapshotJournalBytes, the server snapshots and
-// resets it in place (observable via dyflow_server_snapshot_total
-// {reason="journal_size"}), and a process killed after the reset still
-// restores every acknowledged run.
-func TestJournalSizeTriggeredSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := New(Config{Workers: 2, CkptDir: dir, TenantQuota: -1, SnapshotJournalBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 10
-	var ids []string
-	for i := 0; i < n; i++ {
-		st, err := s1.Submit("alice", quick(int64(3000+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, st.ID)
-	}
-	for _, id := range ids {
-		if st := await(t, s1, id); st.State != StateDone {
-			t.Fatalf("run %s ended %s: %s", id, st.State, st.Error)
-		}
-	}
-
-	// The journal writer snapshots between appends; give it a moment.
-	sizeSnapshots := func() float64 {
-		for _, m := range s1.Registry().Snapshot().Metrics {
-			if m.Name != "dyflow_server_snapshot_total" {
-				continue
-			}
-			for _, sr := range m.Series {
-				if sr.Labels["reason"] == "journal_size" {
-					return sr.Value
-				}
-			}
-		}
-		return 0
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for sizeSnapshots() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("size-triggered snapshot never happened")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if size := s1.store.JournalSize(); size > 512 {
-		t.Fatalf("journal still %d bytes after size-triggered snapshot", size)
-	}
-	s1.Close() // hard stop: no shutdown snapshot
-
-	// The next process restores every acknowledged run.
-	s2, err := New(Config{Workers: 2, CkptDir: dir, TenantQuota: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	for _, id := range ids {
-		st, err := s2.RunStatus(id)
-		if err != nil {
-			t.Fatalf("run %s lost across restart: %v", id, err)
-		}
-		if st.State != StateDone {
-			t.Fatalf("run %s restored as %s", id, st.State)
-		}
-	}
-}

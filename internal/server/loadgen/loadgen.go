@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -24,6 +23,7 @@ import (
 	"dyflow/internal/server"
 	"dyflow/internal/server/events"
 	"dyflow/internal/server/fleet"
+	"dyflow/internal/stats"
 )
 
 // Options shapes a load run.
@@ -200,15 +200,15 @@ func Run(o Options) (*Result, error) {
 		res.JobsPerSec = float64(res.Completed) / res.WallSeconds
 	}
 	sort.Float64s(g.latencies)
-	res.LatencyP50 = quantile(g.latencies, 0.50)
-	res.LatencyP90 = quantile(g.latencies, 0.90)
-	res.LatencyP99 = quantile(g.latencies, 0.99)
+	res.LatencyP50 = stats.NearestRank(g.latencies, 0.50)
+	res.LatencyP90 = stats.NearestRank(g.latencies, 0.90)
+	res.LatencyP99 = stats.NearestRank(g.latencies, 0.99)
 	if n := len(g.latencies); n > 0 {
 		res.LatencyMax = g.latencies[n-1]
 	}
 	sort.Float64s(g.streamLats)
-	res.StreamP50 = quantile(g.streamLats, 0.50)
-	res.StreamP90 = quantile(g.streamLats, 0.90)
+	res.StreamP50 = stats.NearestRank(g.streamLats, 0.50)
+	res.StreamP90 = stats.NearestRank(g.streamLats, 0.90)
 	if n := len(g.streamLats); n > 0 {
 		res.StreamMax = g.streamLats[n-1]
 	}
@@ -547,19 +547,4 @@ func (g *gen) get(path string) ([]byte, error) {
 		return nil, fmt.Errorf("GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(data))
 	}
 	return data, nil
-}
-
-// quantile is the nearest-rank quantile of sorted samples.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

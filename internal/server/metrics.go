@@ -18,17 +18,8 @@ type metrics struct {
 	runSeconds   *obs.Histogram  // wall-clock execution time (non-cached)
 	requeued     *obs.Counter    // pending runs resumed after a restart
 	httpReqs     *obs.CounterVec // {route}
-	journalErrs  *obs.Counter    // WAL appends that failed (durability loss)
-
-	// Degraded-mode observability: when a subsystem sheds work instead of
-	// blocking the API (slow journal appends, failed blob disk writes),
-	// the shed is counted and the mode gauge flips to 1 until it clears.
-	degradedMode  *obs.GaugeVec   // {component} 1 while degraded
-	degradedSheds *obs.CounterVec // {component} operations shed to a degraded path
-	dupResults    *obs.Counter    // retransmitted results deduplicated by lease ID
-
-	snapshots *obs.CounterVec // {reason} snapshot+journal-reset cycles
-	gcBlobs   *obs.Counter    // blobs swept by retention GC
+	dupResults   *obs.Counter    // retransmitted results deduplicated by lease ID
+	gcBlobs      *obs.Counter    // blobs swept by retention GC
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -50,19 +41,11 @@ func newMetrics(reg *obs.Registry) *metrics {
 		runSeconds: reg.Histogram("dyflow_server_run_duration_seconds",
 			"Wall-clock execution time of non-cached runs.", nil).With(),
 		requeued: reg.Counter("dyflow_server_restore_requeued_total",
-			"Pending runs requeued from the checkpoint store after a restart.").With(),
+			"Pending runs requeued from the run-history store after a restart.").With(),
 		httpReqs: reg.Counter("dyflow_server_http_requests_total",
 			"API requests by route.", "route"),
-		journalErrs: reg.Counter("dyflow_server_journal_errors_total",
-			"Checkpoint-journal appends that failed; the affected transition is not durable.").With(),
-		degradedMode: reg.Gauge("dyflow_server_degraded_mode",
-			"1 while the component is operating degraded (shedding work instead of blocking).", "component"),
-		degradedSheds: reg.Counter("dyflow_server_degraded_sheds_total",
-			"Operations shed to a degraded path instead of blocking the API.", "component"),
 		dupResults: reg.Counter("dyflow_server_fleet_duplicate_results_total",
 			"Result uploads retransmitted after a lost acknowledgement, deduplicated by lease ID.").With(),
-		snapshots: reg.Counter("dyflow_server_snapshot_total",
-			"Snapshot+journal-reset cycles by trigger (restore, shutdown, journal_size).", "reason"),
 		gcBlobs: reg.Counter("dyflow_runstore_gc_blobs_total",
 			"Artifact blobs swept because no live history record references them.").With(),
 	}

@@ -1,46 +1,24 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
-	"dyflow/internal/ckpt"
 	"dyflow/internal/exp"
 	"dyflow/internal/runstore"
 )
 
-// Persistence: the service journals every acknowledged state transition
-// through a ckpt.Store — a submission is journaled before its 2xx response
-// is written, completion/cancellation when they happen — and snapshots the
-// whole run table on graceful shutdown and after every restore (compacting
-// the journal). Artifact bytes never enter the WAL: a done run carries
-// name → sha256 references into the content-addressed blob store
-// (CkptDir/blobs), so N runs sharing a result cost one stored copy and
-// replay stays cheap. A killed server therefore restores every
-// acknowledged submission: done runs with their artifact references,
-// queued and running runs back onto the queue.
-const (
-	kindState  = "server.state"  // snapshot: the full run table
-	kindSubmit = "server.submit" // journal: one acknowledged submission
-	kindDone   = "server.done"   // journal: one terminal transition
-	kindCancel = "server.cancel" // journal: one queued-run cancellation
-)
-
-// journalStore is the slice of ckpt.Store the server persists through —
-// an interface so tests can inject append failures and prove they are
-// observable (dyflow_server_journal_errors_total).
-type journalStore interface {
-	Append(kind string, v any) error
-	SaveSnapshot(blob []byte) error
-	LoadSnapshot() ([]byte, error)
-	Replay(fn func(rec ckpt.Record) error) error
-	JournalSize() int64
-}
+// Persistence: the run-history store (CkptDir/runs) is the only durable
+// record of run state. Every transition — queued, running, requeued, each
+// terminal state — is appended there under s.mu (historyAppendLocked)
+// before its event is published and, for a submission, before the 2xx is
+// written; a submission whose append fails is refused. Artifact bytes
+// never enter the log: a done run carries name → sha256 references into
+// the content-addressed blob store (CkptDir/blobs), so N runs sharing a
+// result cost one stored copy. A killed server therefore restores every
+// acknowledged submission from the segments alone: done runs with their
+// artifact references, queued and running runs back onto the queue.
 
 // persistedRun is a Run's durable form. ArtifactRefs are blob digests,
 // not bytes — cheap enough to carry on every done record, cached or not.
@@ -60,12 +38,6 @@ type persistedRun struct {
 	ClaimedAt    time.Time         `json:"claimed_at,omitempty"`
 	StartedAt    time.Time         `json:"started_at,omitempty"`
 	FinishedAt   time.Time         `json:"finished_at,omitempty"`
-}
-
-// persistedState is the snapshot payload: every run in submission order.
-type persistedState struct {
-	NextID int            `json:"next_id"`
-	Runs   []persistedRun `json:"runs"`
 }
 
 func (r *Run) persisted() persistedRun {
@@ -111,232 +83,42 @@ func (s *Server) applyPersisted(p persistedRun) *Run {
 	return r
 }
 
-// journalQueueDepth bounds the single-flight writer's backlog. A full
-// queue means the WAL device has been wedged long enough to pile this
-// many appends behind it; further appends are refused (counted as
-// journal errors) rather than buffered without bound.
-const journalQueueDepth = 1024
-
-// jreq is one append handed to the journal writer goroutine.
-type jreq struct {
-	kind string
-	v    any
-	done chan error
-}
-
-// journalWriter is the single goroutine actually appending to the WAL,
-// preserving call order even when callers shed. Failures are counted in
-// dyflow_server_journal_errors_total and logged here, exactly once per
-// append, whether the caller waited or shed.
-func (s *Server) journalWriter() {
-	defer s.jwg.Done()
-	for req := range s.jq {
-		err := s.store.Append(req.kind, req.v)
-		if err != nil {
-			s.met.journalErrs.Inc()
-			s.logf("server: journal %s: %v", req.kind, err)
-		}
-		req.done <- err
-		// Size-triggered snapshot+reset runs here, between appends on the
-		// sole appender goroutine: SaveSnapshot truncates the journal file
-		// in place, which must never interleave with a concurrent append
-		// (the appended record would land before the fresh header and
-		// corrupt replay). req.done is buffered, so the caller already has
-		// its result and releases s.mu shortly; acquiring it here cannot
-		// deadlock.
-		if err == nil {
-			s.maybeSnapshotBySize()
-		}
-	}
-}
-
-// defaultSnapshotJournalBytes is the WAL size past which a snapshot
-// resets it when Config.SnapshotJournalBytes is 0.
-const defaultSnapshotJournalBytes = 4 << 20
-
-// snapshotThreshold resolves the size trigger (0 = disabled).
-func (s *Server) snapshotThreshold() int64 {
-	if s.cfg.SnapshotJournalBytes < 0 {
-		return 0
-	}
-	if s.cfg.SnapshotJournalBytes == 0 {
-		return defaultSnapshotJournalBytes
-	}
-	return s.cfg.SnapshotJournalBytes
-}
-
-// maybeSnapshotBySize snapshots once the journal passes the threshold,
-// bounding WAL growth between graceful shutdowns. Called without s.mu.
-func (s *Server) maybeSnapshotBySize() {
-	thr := s.snapshotThreshold()
-	if thr == 0 || s.store == nil || s.store.JournalSize() < thr {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopping {
-		return // the shutdown snapshot is about to supersede this one
-	}
-	if err := s.snapshotLocked("journal_size"); err != nil {
-		s.logf("server: size-triggered snapshot: %v", err)
-	}
-}
-
-// drainJournal stops the writer, flushing whatever shed appends are
-// still queued. Handlers racing a hard Close observe jclosed instead of
-// panicking on the closed channel.
-func (s *Server) drainJournal() {
-	if s.jq == nil {
-		return
-	}
-	s.jonce.Do(func() {
-		s.jmu.Lock()
-		s.jclosed = true
-		s.jmu.Unlock()
-		close(s.jq)
-		s.jwg.Wait()
-	})
-}
-
-// enqueueJournal hands one append to the writer. closed=true means the
-// writer has shut down (hard Close mid-request); ok=false with
-// closed=false means the backlog is full.
-func (s *Server) enqueueJournal(req jreq) (ok, closed bool) {
-	s.jmu.RLock()
-	defer s.jmu.RUnlock()
-	if s.jclosed {
-		return false, true
-	}
-	select {
-	case s.jq <- req:
-		return true, false
-	default:
-		return false, false
-	}
-}
-
-// journal appends one entry, if persistence is on, waiting at most the
-// journal budget. An append that *fails* within the budget keeps its
-// synchronous contract — the caller sees the error and can refuse the
-// transition (silent durability loss is the one failure mode a recovery
-// system cannot have). An append that is merely *slow* sheds instead of
-// blocking the API: the caller proceeds, the background writer finishes
-// the append late, and the shed is observable — counted in
-// dyflow_server_degraded_sheds_total{component="journal"} with
-// dyflow_server_degraded_mode{component="journal"} held at 1 until the
-// backlog clears.
-func (s *Server) journal(kind string, v any) error {
-	if s.store == nil {
-		return nil
-	}
-	if s.jq == nil {
-		// No writer goroutine (store injected after construction, tests):
-		// plain synchronous append with the original semantics. The caller
-		// holds s.mu, so the size-triggered snapshot can run inline — no
-		// concurrent appender exists to race the journal reset.
-		err := s.store.Append(kind, v)
-		if err != nil {
-			s.met.journalErrs.Inc()
-			s.logf("server: journal %s: %v", kind, err)
-			return err
-		}
-		if thr := s.snapshotThreshold(); thr > 0 && !s.stopping && s.store.JournalSize() >= thr {
-			if serr := s.snapshotLocked("journal_size"); serr != nil {
-				s.logf("server: size-triggered snapshot: %v", serr)
-			}
-		}
-		return nil
-	}
-	req := jreq{kind: kind, v: v, done: make(chan error, 1)}
-	if ok, closed := s.enqueueJournal(req); !ok {
-		if closed {
-			return nil // hard Close raced this handler; the WAL is gone
-		}
-		// Writer wedged with a full backlog: this append is lost, which is
-		// real durability loss — count it as such, not as a shed.
-		s.met.journalErrs.Inc()
-		s.logf("server: journal %s: writer backlog full; append dropped", kind)
-		s.met.degradedMode.With("journal").Set(1)
-		return nil
-	}
-	budget := s.cfg.JournalBudget
-	if budget <= 0 {
-		budget = 250 * time.Millisecond
-	}
-	t := time.NewTimer(budget)
-	defer t.Stop()
-	select {
-	case err := <-req.done:
-		return err
-	case <-t.C:
-		s.met.degradedSheds.With("journal").Inc()
-		s.met.degradedMode.With("journal").Set(1)
-		s.logf("server: journal %s: append exceeded %s budget; shed to background", kind, budget)
-		s.jsheds.Add(1)
-		go func() {
-			<-req.done // journalWriter counted/logged any error
-			if s.jsheds.Add(-1) == 0 {
-				s.met.degradedMode.With("journal").Set(0)
-			}
-		}()
-		return nil
-	}
-}
-
-// snapshotLocked persists the resident run table (terminal runs live in
-// the runstore segments, so the snapshot stays small), superseding the
-// journal. Successful cycles are counted per trigger reason in
-// dyflow_server_snapshot_total. Caller holds the server mutex.
-func (s *Server) snapshotLocked(reason string) error {
-	if s.store == nil {
-		return nil
-	}
-	st := persistedState{NextID: s.nextID}
-	for _, id := range s.order {
-		st.Runs = append(st.Runs, s.runs[id].persisted())
-	}
-	blob, err := ckpt.Encode(kindState, st)
-	if err != nil {
-		return err
-	}
-	if err := s.store.SaveSnapshot(blob); err != nil {
-		return err
-	}
-	s.met.snapshots.With(reason).Inc()
-	return nil
-}
-
-// restore rebuilds the run table from the snapshot plus the journal tail,
-// requeues every run that had not finished (running runs go back to
-// queued: the simulation is deterministic, so re-executing from the start
-// is safe), and snapshots immediately to compact. Replay is idempotent by
-// run ID, so an entry duplicated across snapshot and journal is harmless.
+// restore rebuilds the coordinator from the run-history store in one pass
+// over its metas (recovery of whatever a crash left mid-rotation or
+// mid-compaction is the store's own job). Three rules:
 //
-// Two recovery rules matter here:
+//   - A terminal run stays evicted; a done one whose artifacts resolve
+//     seeds the result cache. A run recorded done whose references do not
+//     resolve in the blob store — a cached run whose source was caught
+//     mid-execution, or missing blob files — is demoted to queued instead
+//     of serving artifact 404s forever: determinism makes the re-execution
+//     (or a cache hit at claim time, once the source re-completes) produce
+//     the identical bytes.
+//   - Every non-terminal run becomes resident and goes back on the queue
+//     (a run caught mid-execution restarts from scratch), bypassing the
+//     capacity bound (queue.requeue): the bound is admission backpressure
+//     for new submissions, and a server killed with queued+running >
+//     QueueDepth must still be able to restart and drain.
+//   - The next run ID comes from the store's durable ordinal high-water,
+//     which outlives retention and compaction, so an ID is never reissued.
 //
-//   - Requeueing bypasses the queue's capacity bound (queue.requeue): the
-//     bound is admission backpressure for new submissions, and a server
-//     killed with queued+running > QueueDepth must still be able to
-//     restart and drain.
-//   - A run recorded done whose artifact references do not resolve in the
-//     blob store — a cached run whose source's terminal record was lost,
-//     or missing blob files — is restored as queued instead of as a done
-//     run whose artifact GETs would 404 forever. Determinism makes the
-//     re-execution (or a cache hit at claim time, once the source
-//     re-completes) produce the identical bytes.
+// With no dir (persistence off) the store opens memory-only — eviction,
+// filtered listing and analytics behave identically — and holds nothing
+// to restore.
 func (s *Server) restore(dir string) error {
-	store, err := ckpt.NewStore(dir)
-	if err != nil {
-		return err
+	runsDir := ""
+	if dir != "" {
+		runsDir = filepath.Join(dir, "runs")
+		for _, name := range []string{"snapshot.ckpt", "journal.wal"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+				s.logf("server: ignoring %s left by an older version; run state is read from %s only", name, runsDir)
+				break
+			}
+		}
 	}
-	s.store = store
-
-	// The run-history store recovers first: its segments hold every
-	// evicted terminal run (the WAL snapshot only carries resident ones),
-	// and recovery itself handles whatever a crash left mid-rotation or
-	// mid-compaction.
+	var err error
 	s.history, err = runstore.Open(runstore.Options{
-		Dir:          filepath.Join(dir, "runs"),
+		Dir:          runsDir,
 		SegmentBytes: s.cfg.RunstoreSegmentBytes,
 		Metrics:      s.reg,
 		Logger:       s.logger,
@@ -344,162 +126,28 @@ func (s *Server) restore(dir string) error {
 	if err != nil {
 		return err
 	}
+	s.nextID = int(s.history.MaxOrdinal()) + 1
 
-	// Track the highest run ID seen anywhere — snapshot, WAL, history
-	// segments — so restarted ID allocation never collides with an
-	// evicted run.
-	maxID := -1
-	noteID := func(id string) {
-		var n int
-		if _, err := fmt.Sscanf(id, "run-%d", &n); err == nil && n > maxID {
-			maxID = n
-		}
-	}
-
-	blob, err := store.LoadSnapshot()
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	if blob != nil {
-		var st persistedState
-		if err := ckpt.Decode(blob, kindState, &st); err != nil {
-			return err
-		}
-		s.nextID = st.NextID
-		for _, p := range st.Runs {
-			r := s.applyPersisted(p)
-			s.runs[r.ID] = r
-			s.order = append(s.order, r.ID)
-			noteID(r.ID)
-		}
-	}
-	err = store.Replay(func(rec ckpt.Record) error {
-		switch rec.Kind {
-		case kindSubmit:
-			var p persistedRun
-			if err := json.Unmarshal(rec.Data, &p); err != nil {
-				return err
-			}
-			noteID(p.ID)
-			if _, dup := s.runs[p.ID]; dup {
-				return nil
-			}
-			if m, ok := s.history.GetMeta(p.ID); ok && m.Terminal {
-				// Already evicted to the history store with a terminal
-				// record — it does not need a resident entry again.
-				return nil
-			}
-			r := s.applyPersisted(p)
-			s.runs[r.ID] = r
-			s.order = append(s.order, r.ID)
-		case kindDone, kindCancel:
-			var p persistedRun
-			if err := json.Unmarshal(rec.Data, &p); err != nil {
-				return err
-			}
-			r, ok := s.runs[p.ID]
-			if !ok || r.State.Terminal() {
-				return nil
-			}
-			r.State = p.State
-			r.Err = p.Err
-			r.Converged = p.Converged
-			r.SimEnd = time.Duration(p.SimEndNs)
-			r.simNow.Store(p.SimEndNs)
-			r.FinishedAt = p.FinishedAt
-			if p.Worker != "" {
-				r.Worker = p.Worker
-			}
-			if p.ArtifactRefs != nil {
-				r.Artifacts = p.ArtifactRefs
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Collect the history store's metas once: ID continuity, the cache
-	// rebuild, and orphan detection all walk them. The callback must not
-	// take s.mu (lock order), so it only copies.
-	var histMetas []runstore.Meta
+	// The callback must not take s.mu or re-enter the store (lock order),
+	// so it only copies.
+	var metas []runstore.Meta
 	s.history.EachMeta(func(m runstore.Meta) bool {
-		histMetas = append(histMetas, m)
+		metas = append(metas, m)
 		return true
 	})
-	for _, m := range histMetas {
-		noteID(m.ID)
-	}
-	resolvableRefs := func(refs map[string]string) bool {
-		if len(refs) == 0 {
-			return false
-		}
-		for _, digest := range refs {
-			if !s.blobs.Has(digest) {
-				return false
+	for _, m := range metas {
+		done := m.State == string(StateDone)
+		servable := done && s.refsResolvable(m.Artifacts)
+		if servable && !m.Cached && m.Key != "" {
+			if _, have := s.cache[m.Key]; !have {
+				s.cache[m.Key] = cacheEntry{
+					RunID: m.ID, Converged: m.Converged,
+					SimEnd: time.Duration(m.SimEndNs), Artifacts: m.Artifacts,
+				}
 			}
 		}
-		return true
-	}
-
-	// Index completed runs for the cache — resident first (live status
-	// wins), then evicted history runs — then give cached runs persisted
-	// before the reference scheme (no refs of their own) their references
-	// back from the run they duplicated.
-	for _, id := range s.order {
-		r := s.runs[id]
-		if r.State == StateDone && !r.Cached && s.refsResolvable(r) {
-			if _, have := s.cache[r.Job.Key()]; !have {
-				s.cache[r.Job.Key()] = cacheEntryFor(r)
-			}
-		}
-	}
-	for _, m := range histMetas {
-		if m.State != string(StateDone) || m.Cached || m.Key == "" || s.runs[m.ID] != nil {
-			continue
-		}
-		if _, have := s.cache[m.Key]; have || !resolvableRefs(m.Artifacts) {
-			continue
-		}
-		s.cache[m.Key] = cacheEntry{
-			RunID: m.ID, Converged: m.Converged,
-			SimEnd: time.Duration(m.SimEndNs), Artifacts: m.Artifacts,
-		}
-	}
-	for _, id := range s.order {
-		r := s.runs[id]
-		if r.Cached && r.Artifacts == nil {
-			if src, ok := s.cache[r.Job.Key()]; ok {
-				r.Artifacts = src.Artifacts
-			}
-		}
-	}
-
-	// Demote done runs whose artifacts cannot be served — the orphaned
-	// cached run whose source was caught mid-execution by the crash (no
-	// donor to re-link from), or a run whose blob files went missing.
-	// They re-execute (or hit the cache when the source re-completes)
-	// rather than sit "done" with artifact 404s.
-	demote := func(r *Run) {
-		r.State = StateQueued
-		r.Cached = false
-		r.Artifacts = nil
-		r.Converged = false
-		r.SimEnd = 0
-		r.FinishedAt = time.Time{}
-	}
-	for _, id := range s.order {
-		r := s.runs[id]
-		if r.State == StateDone && !s.refsResolvable(r) {
-			demote(r)
-		}
-	}
-	// The same rule for history-only done runs: if their blobs are gone,
-	// resurrect them as resident queued runs so they re-execute instead
-	// of serving artifact 404s forever.
-	for _, m := range histMetas {
-		if m.State != string(StateDone) || s.runs[m.ID] != nil || resolvableRefs(m.Artifacts) {
+		demote := done && !servable
+		if m.Terminal && !demote {
 			continue
 		}
 		p, ok := s.historyPersistedLocked(m.ID)
@@ -507,59 +155,22 @@ func (s *Server) restore(dir string) error {
 			continue
 		}
 		r := s.applyPersisted(p)
-		demote(r)
+		if demote {
+			r.Cached = false
+			r.Artifacts = nil
+			r.Converged = false
+			r.SimEnd = 0
+			r.FinishedAt = time.Time{}
+		}
 		s.runs[r.ID] = r
 		s.order = append(s.order, r.ID)
-	}
-	sort.Strings(s.order) // resurrections append out of submission order
-
-	// Terminal resident runs move to the history store and leave the
-	// resident map — the bounded-heap invariant holds from boot. Evicted
-	// runs' terminal events are synthesized lazily at subscribe time
-	// (stream.go), replacing the eager restore-time republication.
-	for _, id := range append([]string(nil), s.order...) {
-		r := s.runs[id]
-		if r == nil || !r.State.Terminal() {
-			continue
-		}
-		if m, ok := s.history.GetMeta(id); ok && m.Terminal && m.State == string(r.State) {
-			s.evictTerminalLocked(r) // already recorded by the previous process
-		} else if s.historyAppendLocked(r) {
-			s.evictTerminalLocked(r)
-		}
-	}
-
-	// Requeue everything that had not finished. A run caught mid-execution
-	// by the crash restarts from scratch — determinism makes that exact.
-	// requeue bypasses the capacity bound: these runs were all admitted
-	// (and journaled) before the crash, and backpressure applies to new
-	// submissions only — a server killed under full load must restart.
-	for _, id := range s.order {
-		r := s.runs[id]
-		if r.State.Terminal() {
-			continue // history append failed; it stays resident as-is
-		}
 		s.resetToQueuedLocked(r, "restore")
 		s.inflight[r.Tenant]++
-		s.queue.requeue(r.Shard, id)
+		s.queue.requeue(r.Shard, r.ID)
 		s.met.requeued.Inc()
 	}
 
-	if s.nextID < maxID+1 {
-		s.nextID = maxID + 1
-	}
-	if err := s.snapshotLocked("restore"); err != nil {
-		return err
-	}
-
-	// Compact the blob store to what the restored state references —
-	// resident runs plus every live history record.
-	keep := s.history.Digests()
-	for _, r := range s.runs {
-		for _, digest := range r.Artifacts {
-			keep[digest] = true
-		}
-	}
-	s.blobs.GC(keep)
+	// Compact the blob store to what the restored state references.
+	s.blobs.GC(s.history.Digests())
 	return nil
 }

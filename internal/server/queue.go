@@ -77,8 +77,8 @@ func (q *shardedQueue) requeue(shard int, id string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		// Shutting down: the run stays queued in the run table and the
-		// shutdown snapshot (or journal) carries it to the next process.
+		// Shutting down: the run's queued record in the history store
+		// carries it to the next process.
 		return
 	}
 	q.shards[shard] = append([]string{id}, q.shards[shard]...)

@@ -43,7 +43,7 @@ type Run struct {
 	SimEnd    time.Duration
 	// Artifacts maps artifact names to blob digests in the coordinator's
 	// content-addressed store — never inline bytes, so cached runs, the
-	// WAL, and fleet-wide sharing all reference one stored copy.
+	// history log, and fleet-wide sharing all reference one stored copy.
 	Artifacts map[string]string
 
 	// Worker and LeaseID identify the fleet worker holding this run while

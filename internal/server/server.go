@@ -5,7 +5,7 @@
 // world per worker slot — and serves the finished artifacts. Because runs
 // are byte-deterministic in the job value, results are cached by job key
 // and re-submissions are answered without re-simulating; because every
-// acknowledged transition is journaled through internal/ckpt, a killed
+// acknowledged transition is appended to internal/runstore first, a killed
 // server restarts with no acknowledged submission lost. docs/SERVICE.md is
 // the narrative description.
 package server
@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dyflow/internal/exp"
@@ -60,9 +59,9 @@ type Config struct {
 	// TenantQuota caps one tenant's in-flight (queued + running) runs;
 	// submissions beyond it get 429. 0 means 8; negative means unlimited.
 	TenantQuota int
-	// CkptDir, when set, persists the queue and completed-run index
-	// through a ckpt.Store there (artifact blobs under CkptDir/blobs),
-	// surviving kill -9.
+	// CkptDir, when set, persists every run's state in the run-history
+	// store's segments under CkptDir/runs (artifact blobs under
+	// CkptDir/blobs), surviving kill -9.
 	CkptDir string
 	// LeaseTTL is how long a fleet worker's claim on a run stays valid
 	// without a heartbeat before the coordinator requeues the run.
@@ -73,16 +72,8 @@ type Config struct {
 	// consumer misses overwritten events — counted, never blocking the
 	// run.
 	EventBuffer int
-	// JournalBudget bounds how long an API path waits for a WAL append
-	// before shedding it to the background writer (degraded mode: the
-	// transition is acknowledged while its append completes late, counted
-	// in dyflow_server_degraded_sheds_total{component="journal"}). Append
-	// *failures* inside the budget keep their synchronous semantics —
-	// a submission whose journal write fails is still refused. 0 means
-	// 250ms.
-	JournalBudget time.Duration
-	// Logger receives operational messages — journal failures, HTTP serve
-	// errors. Nil means a stderr logger.
+	// Logger receives operational messages — history append failures,
+	// HTTP serve errors. Nil means a stderr logger.
 	Logger *log.Logger
 	// Metrics receives the dyflow_server_* families. Nil means a private
 	// registry (reachable via Registry()).
@@ -90,10 +81,6 @@ type Config struct {
 	// RunstoreSegmentBytes is the run-history store's segment rotation
 	// threshold (0 = runstore.DefaultSegmentBytes).
 	RunstoreSegmentBytes int64
-	// SnapshotJournalBytes triggers a snapshot+journal-reset once the WAL
-	// passes this size, bounding journal growth between graceful
-	// shutdowns (0 = 4 MiB; negative = size-triggered snapshots off).
-	SnapshotJournalBytes int64
 	// RetentionMaxAge deletes terminal runs from the history store once
 	// their FinishedAt is older than this (0 = keep forever).
 	RetentionMaxAge time.Duration
@@ -107,8 +94,8 @@ type Config struct {
 }
 
 // Server is the campaign service's coordinator: admission, quotas, the
-// deterministic result cache, the ckpt WAL, the content-addressed blob
-// store, and the fleet lease manager. Runs execute either on the local
+// deterministic result cache, the run-history log, the content-addressed
+// blob store, and the fleet lease manager. Runs execute either on the local
 // worker pool (cfg.Workers) or on remote fleet workers claiming over the
 // worker API — both drain the same sharded queue.
 type Server struct {
@@ -116,16 +103,17 @@ type Server struct {
 	reg    *obs.Registry
 	met    *metrics
 	queue  *shardedQueue
-	store  journalStore // nil when persistence is off
 	blobs  *fleet.BlobStore
 	fleet  *fleet.Manager
 	events *events.Journal
 	logger *log.Logger
 
-	// history is the durable, indexed run store (internal/runstore):
-	// every state transition is appended, terminal runs are evicted from
-	// the resident map once recorded, and list/filter queries serve from
-	// its indexes. Memory-only when persistence is off (same API). Lock
+	// history is the durable, indexed run store (internal/runstore) and
+	// the only record of run state: every transition is appended before
+	// it is acknowledged or published, terminal runs are evicted from the
+	// resident map once recorded, list/filter queries serve from its
+	// indexes, and restore reads nothing else. Memory-only when
+	// persistence is off (same API). Lock
 	// order: s.mu may be held while calling into history, never the
 	// reverse (EachMeta callbacks must not touch s.mu).
 	history *runstore.Store
@@ -155,16 +143,6 @@ type Server struct {
 	retWg   sync.WaitGroup // background retention sweeper
 	httpSrv *http.Server
 	ln      net.Listener
-
-	// The budgeted journal writer (persist.go): appends run on jq's
-	// single writer goroutine; callers wait up to cfg.JournalBudget
-	// before shedding to degraded mode.
-	jq      chan jreq
-	jwg     sync.WaitGroup
-	jonce   sync.Once
-	jmu     sync.RWMutex // guards jclosed vs enqueues racing a hard Close
-	jclosed bool
-	jsheds  atomic.Int64 // shed appends still in flight
 
 	// beforeRun, when set (tests), runs just before a claimed run starts
 	// executing — it can block to hold the run in the running state.
@@ -219,26 +197,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.blobs = blobs
 	s.fleet = fleet.NewManager(reg, cfg.LeaseTTL, s.onLeaseExpire)
-	if cfg.CkptDir != "" {
-		if err := s.restore(cfg.CkptDir); err != nil {
-			s.fleet.Close()
-			return nil, fmt.Errorf("server: restore: %w", err)
-		}
-	} else {
-		// No persistence: the history store runs memory-only so eviction,
-		// filtered listing, and analytics behave identically.
-		s.history, err = runstore.Open(runstore.Options{
-			SegmentBytes: cfg.RunstoreSegmentBytes, Metrics: reg, Logger: logger,
-		})
-		if err != nil {
-			s.fleet.Close()
-			return nil, fmt.Errorf("server: run store: %w", err)
-		}
-	}
-	if s.store != nil {
-		s.jq = make(chan jreq, journalQueueDepth)
-		s.jwg.Add(1)
-		go s.journalWriter()
+	if err := s.restore(cfg.CkptDir); err != nil {
+		s.fleet.Close()
+		return nil, fmt.Errorf("server: restore: %w", err)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
@@ -324,23 +285,22 @@ func (s *Server) runMetaLocked(r *Run) runstore.Meta {
 }
 
 // historyAppendLocked records r's current state in the run-history
-// store, reporting success. Caller holds the server mutex (the store
-// has its own lock; s.mu → store is the only allowed order). A failed
-// append is logged and counted by the store — the run simply stays
-// resident until a later transition records it.
-func (s *Server) historyAppendLocked(r *Run) bool {
-	if s.history == nil {
-		return false
-	}
+// store — the acknowledging write: callers make it before they publish
+// the transition's event or answer 2xx. Caller holds the server mutex
+// (the store has its own lock; s.mu → store is the only allowed order).
+// A failure is logged here and counted by the store
+// (dyflow_runstore_append_errors_total); Submit refuses on it, every
+// other transition proceeds and the run stays resident until a later
+// append records it.
+func (s *Server) historyAppendLocked(r *Run) error {
 	doc, err := json.Marshal(r.persisted())
 	if err == nil {
 		err = s.history.Append(s.runMetaLocked(r), doc)
 	}
 	if err != nil {
-		s.logf("server: history append %s: %v", r.ID, err)
-		return false
+		s.logf("server: history append %s (%s): %v", r.ID, r.State, err)
 	}
-	return true
+	return err
 }
 
 // evictTerminalLocked drops a terminal run from the resident map once
@@ -492,9 +452,9 @@ func (s *Server) execute(id string) {
 	now := time.Now()
 	r.ClaimedAt = now
 	r.StartedAt = now
+	s.historyAppendLocked(r)
 	s.events.Append(id, events.Event{Type: events.TypeClaimed, Worker: "local"})
 	s.events.Append(id, events.Event{Type: events.TypeRunning, Worker: "local"})
-	s.historyAppendLocked(r)
 	hook := s.beforeRun
 	s.mu.Unlock()
 
@@ -547,8 +507,7 @@ func (s *Server) execute(id string) {
 		s.met.runSeconds.Observe(time.Since(start).Seconds())
 		s.finishLocked(r, StateDone, nil)
 	case errors.Is(err, errShuttingDown):
-		// Put it back: the shutdown snapshot (or the already-journaled
-		// submission) carries it into the next process as queued.
+		// Put it back: its queued record carries it into the next process.
 		s.resetToQueuedLocked(r, "shutdown")
 	case errors.Is(err, errRunCanceled):
 		s.finishLocked(r, StateCanceled, err)
@@ -558,7 +517,7 @@ func (s *Server) execute(id string) {
 }
 
 // finishLocked moves a run to a terminal state, releasing its quota slot
-// and lease and journaling the transition. Caller holds the server mutex.
+// and lease and recording the transition. Caller holds the server mutex.
 func (s *Server) finishLocked(r *Run, state RunState, err error) {
 	r.State = state
 	if err != nil && state == StateFailed {
@@ -572,14 +531,11 @@ func (s *Server) finishLocked(r *Run, state RunState, err error) {
 		delete(s.inflight, r.Tenant)
 	}
 	s.met.runsTotal.With(string(state)).Inc()
-	kind := kindDone
-	if state == StateCanceled {
-		kind = kindCancel
-	}
-	// A failed journal append is not fatal to the run — on restart the run
-	// re-executes, which is deterministic — but it IS durability loss;
-	// journal() counts it in dyflow_server_journal_errors_total and logs.
-	s.journal(kind, r.persisted())
+	// Record first, publish second: a delivered terminal event is always a
+	// durable one. A failed append is not fatal to the run — on restart it
+	// re-executes, which is deterministic — but it IS durability loss
+	// (logged and counted), and the run stays resident, still servable.
+	recorded := s.historyAppendLocked(r) == nil
 	worker := r.Worker
 	if worker == "" && !r.StartedAt.IsZero() {
 		worker = "local" // local-pool execution; never set on Run.Worker
@@ -590,10 +546,9 @@ func (s *Server) finishLocked(r *Run, state RunState, err error) {
 		ev.SimSeconds = r.SimEnd.Seconds()
 	}
 	s.events.Append(r.ID, ev)
-	// Record the terminal state in the history store and release the
-	// resident entry — the run stays fully queryable (status, artifacts,
-	// analytics, result dedup) through the store's indexes.
-	if s.historyAppendLocked(r) {
+	// Release the resident entry — the run stays fully queryable (status,
+	// artifacts, analytics, result dedup) through the store's indexes.
+	if recorded {
 		s.evictTerminalLocked(r)
 	}
 }
@@ -624,8 +579,8 @@ func (s *Server) resetToQueuedLocked(r *Run, reason string) {
 	r.Worker = ""
 	r.LeaseID = ""
 	r.simNow.Store(0)
-	s.events.Append(r.ID, events.Event{Type: events.TypeQueued, Reason: reason})
 	s.historyAppendLocked(r)
+	s.events.Append(r.ID, events.Event{Type: events.TypeQueued, Reason: reason})
 }
 
 // progressEvent publishes a throttled TypeProgress event for a running
@@ -677,13 +632,13 @@ func (s *Server) storeArtifacts(artifacts map[string][]byte) (map[string]string,
 	return refs, nil
 }
 
-// refsResolvable reports whether every artifact reference of a done run
-// resolves in the blob store.
-func (s *Server) refsResolvable(r *Run) bool {
-	if len(r.Artifacts) == 0 {
+// refsResolvable reports whether a done run's artifact references all
+// resolve in the blob store.
+func (s *Server) refsResolvable(refs map[string]string) bool {
+	if len(refs) == 0 {
 		return false
 	}
-	for _, digest := range r.Artifacts {
+	for _, digest := range refs {
 		if !s.blobs.Has(digest) {
 			return false
 		}
@@ -758,20 +713,18 @@ func (s *Server) Submit(tenant string, job exp.Job) (Status, error) {
 		r.simNow.Store(int64(src.SimEnd))
 		r.Artifacts = src.Artifacts
 		r.FinishedAt = time.Now()
+		// The one record of this run, written before the acknowledgement.
+		if err := s.historyAppendLocked(r); err != nil {
+			return Status{}, s.dropRunLocked(r, err)
+		}
 		s.met.submissions.With(tenant).Inc()
 		s.met.cacheHits.With(tenant).Inc()
 		s.met.runsTotal.With(string(StateDone)).Inc()
-		if err := s.journal(kindSubmit, r.persisted()); err != nil {
-			return Status{}, s.dropRunLocked(r, err)
-		}
 		s.events.Append(r.ID, events.Event{Type: events.TypeCacheHit, Reason: src.RunID})
 		s.events.Append(r.ID, events.Event{Type: events.TypeDone, Cached: true,
 			Converged: r.Converged, SimSeconds: r.SimEnd.Seconds()})
-		st := r.status()
-		if s.historyAppendLocked(r) {
-			s.evictTerminalLocked(r)
-		}
-		return st, nil
+		s.evictTerminalLocked(r)
+		return r.status(), nil
 	}
 
 	if s.cfg.TenantQuota > 0 && s.inflight[tenant] >= s.cfg.TenantQuota {
@@ -794,16 +747,15 @@ func (s *Server) Submit(tenant string, job exp.Job) (Status, error) {
 		}
 		return Status{}, s.dropRunLocked(r, err)
 	}
-	// Journal after the push succeeded but before acknowledging: a crash
+	// Record after the push succeeded but before acknowledging: a crash
 	// in the window loses only runs the client never saw accepted.
-	if err := s.journal(kindSubmit, r.persisted()); err != nil {
+	if err := s.historyAppendLocked(r); err != nil {
 		s.queue.remove(r.ID)
 		return Status{}, s.dropRunLocked(r, err)
 	}
 	s.inflight[tenant]++
 	s.met.submissions.With(tenant).Inc()
 	s.events.Append(r.ID, events.Event{Type: events.TypeQueued})
-	s.historyAppendLocked(r)
 	return r.status(), nil
 }
 
@@ -1005,8 +957,8 @@ func (s *Server) Start(addr string) (string, error) {
 
 // Shutdown stops gracefully: the HTTP listener drains, running simulations
 // abort back to queued at their next progress tick, the workers exit, and
-// the full state — queued runs included — is snapshotted so the next
-// process resumes them.
+// runs still leased to the fleet are recorded queued, so the next process
+// resumes every unfinished run from the history store.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.markStopping()
 
@@ -1018,31 +970,25 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.workers.Wait()
 	s.fleet.Close()
 	s.retWg.Wait()
-	s.drainJournal()
 
 	s.mu.Lock()
-	// Runs still leased to fleet workers go back to queued in the
-	// snapshot: the next process re-executes them exactly, and any late
-	// result upload from the old worker is rejected as stale.
+	// Runs still leased to fleet workers go back to queued: the next
+	// process re-executes them exactly, and any late result upload from
+	// the old worker is rejected as stale.
 	for _, id := range s.fleet.LeasedRuns() {
 		s.fleet.Revoke(id)
 		if r := s.runs[id]; r != nil && r.State == StateRunning {
 			s.resetToQueuedLocked(r, "shutdown")
 		}
 	}
-	err := s.snapshotLocked("shutdown")
 	s.mu.Unlock()
-	if s.history != nil {
-		s.history.Close()
-	}
-	if err != nil {
-		return err
-	}
+	s.history.Close()
 	return httpErr
 }
 
-// Close stops hard — no snapshot, simulating a crash: recovery relies on
-// the journal alone. Tests use it to prove the kill+restart path.
+// Close stops hard, simulating a crash: no drain, no lease hand-back —
+// recovery works from whatever the history store already holds. Tests use
+// it to prove the kill+restart path.
 func (s *Server) Close() {
 	s.markStopping()
 	if s.httpSrv != nil {
@@ -1052,10 +998,7 @@ func (s *Server) Close() {
 	s.workers.Wait()
 	s.fleet.Close()
 	s.retWg.Wait()
-	s.drainJournal()
-	if s.history != nil {
-		s.history.Close()
-	}
+	s.history.Close()
 }
 
 // APIError is an error with an HTTP status.

@@ -243,8 +243,7 @@ func TestCancelRunning(t *testing.T) {
 
 // TestKillRestartResumesQueue is the crash acceptance test: hard-kill a
 // server with acknowledged-but-unfinished submissions and verify the next
-// process resumes every one of them from the journal alone (Close takes no
-// snapshot).
+// process resumes every one of them from the history store alone.
 func TestKillRestartResumesQueue(t *testing.T) {
 	dir := t.TempDir()
 
@@ -260,7 +259,7 @@ func TestKillRestartResumesQueue(t *testing.T) {
 		}
 		ids = append(ids, st.ID)
 	}
-	s1.Close() // kill: no snapshot, journal only
+	s1.Close() // kill
 
 	s2, err := New(Config{Workers: 2, CkptDir: dir, TenantQuota: -1})
 	if err != nil {
@@ -322,9 +321,9 @@ func TestKillRestartMidExecution(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownSnapshots verifies Shutdown checkpoints queued work
-// and a successor picks it up from the snapshot.
-func TestGracefulShutdownSnapshots(t *testing.T) {
+// TestRestoreAfterGracefulShutdown verifies queued work survives Shutdown
+// and a successor picks it up from the history store.
+func TestRestoreAfterGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 
 	s1, err := New(Config{Workers: -1, CkptDir: dir})

@@ -322,3 +322,53 @@ func TestStreamCachedRunReplay(t *testing.T) {
 		t.Fatalf("cache_hit reason %q, want source run %s", frames[0].ev.Reason, first.ID)
 	}
 }
+
+// TestStreamEventsFollowTheirRecord pins the order on the one log: a
+// transition's record is appended before its event is published, so a
+// subscriber that has just been handed queued / running / done finds at
+// least that state in the history store — a delivered done is a durable
+// done. Every run after the first is a cache hit, finished inside Submit.
+func TestStreamEventsFollowTheirRecord(t *testing.T) {
+	s, err := New(Config{Workers: 1, TenantQuota: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rank := map[string]int{"queued": 1, "running": 2, "done": 3}
+	for i := 0; i < 50; i++ {
+		id := fmt.Sprintf("run-%06d", i)
+		sub := s.events.Subscribe(id, 0) // before the run exists: the ring is lazy
+		verdict := make(chan error, 1)
+		go func() {
+			defer sub.Close()
+			for range sub.Notify() {
+				evs, _ := sub.Poll()
+				for _, ev := range evs {
+					want, tracked := rank[string(ev.Type)]
+					if !tracked {
+						continue
+					}
+					if m, _ := s.History().GetMeta(id); rank[m.State] < want {
+						verdict <- fmt.Errorf("%s: event %s delivered while the store holds %q", id, ev.Type, m.State)
+						return
+					}
+					if ev.Type == events.TypeDone {
+						verdict <- nil
+						return
+					}
+				}
+			}
+		}()
+		if st, err := s.Submit("alice", quick(5)); err != nil || st.ID != id {
+			t.Fatalf("submit %d: %v (%s)", i, err, st.ID)
+		}
+		select {
+		case err := <-verdict:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: no done event", id)
+		}
+	}
+}

@@ -135,9 +135,9 @@ func (s *Server) leaseRun(workerID, id string) (fleet.ClaimResponse, bool) {
 	r.StartedAt = r.ClaimedAt
 	r.Worker = workerID
 	r.LeaseID = leaseID
+	s.historyAppendLocked(r)
 	s.events.Append(id, events.Event{Type: events.TypeClaimed, Worker: workerID})
 	s.events.Append(id, events.Event{Type: events.TypeRunning, Worker: workerID})
-	s.historyAppendLocked(r)
 	return fleet.ClaimResponse{
 		RunID:      id,
 		Job:        r.Job,

@@ -196,6 +196,26 @@ func reduceStream(op Op, a, b []float64) (float64, bool) {
 	}
 }
 
+// NearestRank returns the nearest-rank q-quantile of samples sorted
+// ascending: the ceil(q·n)-th smallest, its rank clamped to [1, n]. This
+// is the convention obs.Histogram.Quantile uses too: for any n ≤ 100 the
+// 0.99-quantile's rank is n, so P99 of a small sample is its maximum. No
+// samples yield the zero value.
+func NearestRank[T any](sorted []T, q float64) T {
+	if len(sorted) == 0 {
+		var zero T
+		return zero
+	}
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > len(sorted) {
+		rank = len(sorted)
+	}
+	return sorted[rank-1]
+}
+
 // Window is a fixed-capacity sliding window of float64 readings, the
 // backing store for a policy's `<history window="N" operation="...">`
 // element. The zero value is unusable; create windows with NewWindow.

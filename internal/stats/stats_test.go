@@ -202,3 +202,36 @@ func TestSlope(t *testing.T) {
 		t.Fatalf("noisy slope = %v, want ~0.5", v)
 	}
 }
+
+// TestNearestRank pins the rank = ceil(q*n) convention, tiny samples
+// included (the earlier round-half-up formula could land a rank low for
+// small n, reporting P50-ish values as P99), and the clamps at both ends.
+func TestNearestRank(t *testing.T) {
+	cases := []struct {
+		samples  []float64
+		q        float64
+		want     float64
+		describe string
+	}{
+		{nil, 0.50, 0, "empty is the zero value"},
+		{[]float64{7}, 0.50, 7, "n=1 p50"},
+		{[]float64{7}, 0.99, 7, "n=1 p99"},
+		{[]float64{1, 9}, 0.50, 1, "n=2 p50 rank ceil(1)=1"},
+		{[]float64{1, 9}, 0.99, 9, "n=2 p99 is the max"},
+		{[]float64{1, 2, 9}, 0.50, 2, "n=3 p50 rank ceil(1.5)=2"},
+		{[]float64{1, 2, 9}, 0.99, 9, "n=3 p99 is the max"},
+		{[]float64{1, 2, 3, 9}, 0.99, 9, "n=4 p99 is the max"},
+		{[]float64{1, 2, 3, 4}, 0.25, 1, "n=4 p25 rank ceil(1)=1"},
+		{[]float64{1, 2, 3, 4}, 0.50, 2, "n=4 p50 rank 2"},
+		{[]float64{1, 2, 3, 4}, 0, 1, "q=0 clamps to the minimum"},
+		{[]float64{1, 2, 3, 4}, 1.5, 4, "q>1 clamps to the maximum"},
+	}
+	for _, c := range cases {
+		if got := NearestRank(c.samples, c.q); got != c.want {
+			t.Errorf("%s: got %v, want %v", c.describe, got, c.want)
+		}
+	}
+	if got := NearestRank([]string{"a", "b", "c"}, 0.5); got != "b" {
+		t.Errorf("generic over element type: got %q, want b", got)
+	}
+}

@@ -38,6 +38,7 @@ import (
 
 	"dyflow/internal/obs"
 	"dyflow/internal/sim"
+	"dyflow/internal/stats"
 )
 
 // Span is one suggestion's lifecycle across the four stages. Zero
@@ -462,26 +463,6 @@ func stageLag(sp Span, stage string) sim.Time {
 	return 0
 }
 
-// percentile returns the nearest-rank percentile of sorted samples:
-// rank = ceil(q*n), 1-based, so percentile(s, q) = s[ceil(q*n)-1]. This is
-// the standard nearest-rank convention (and the one obs.Histogram.Quantile
-// uses): for any n <= 100, P99's rank is n, i.e. P99 of a small sample is
-// its maximum — the previous round-half-up formula could land a rank low
-// for small n, reporting P50-ish values as P99.
-func percentile(sorted []sim.Time, q float64) sim.Time {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(q * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
 func summarize(label string, samples []sim.Time) LatencyStat {
 	st := LatencyStat{Label: label, Count: len(samples)}
 	if len(samples) == 0 {
@@ -494,8 +475,8 @@ func summarize(label string, samples []sim.Time) LatencyStat {
 		sum += v
 	}
 	st.Mean = sum / sim.Time(len(sorted))
-	st.P50 = percentile(sorted, 0.50)
-	st.P99 = percentile(sorted, 0.99)
+	st.P50 = stats.NearestRank(sorted, 0.50)
+	st.P99 = stats.NearestRank(sorted, 0.99)
 	st.Max = sorted[len(sorted)-1]
 	return st
 }

@@ -116,41 +116,38 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 }
 
+// TestPercentileNearestRank: the latency table's P50/P99 are nearest-rank
+// (stats.NearestRank, whose own table is in stats_test.go), computed over
+// the samples in any order.
 func TestPercentileNearestRank(t *testing.T) {
-	samples := []sim.Time{sec(1), sec(2), sec(3), sec(4)}
-	if got := percentile(samples, 0.50); got != sec(2) {
-		t.Fatalf("p50 = %v, want 2s", got)
+	st := summarize("x", []sim.Time{sec(4), sec(1), sec(3), sec(2)})
+	if st.P50 != sec(2) {
+		t.Fatalf("p50 = %v, want 2s", st.P50)
 	}
-	if got := percentile(samples, 0.99); got != sec(4) {
-		t.Fatalf("p99 = %v, want 4s", got)
+	if st.P99 != sec(4) {
+		t.Fatalf("p99 = %v, want 4s", st.P99)
 	}
-	if got := percentile(nil, 0.50); got != 0 {
-		t.Fatalf("p50 of empty = %v, want 0", got)
+	if st := summarize("x", nil); st.P50 != 0 || st.P99 != 0 {
+		t.Fatalf("percentiles of no samples = %v/%v, want 0", st.P50, st.P99)
 	}
 }
 
-// TestPercentileSmallSamples pins the nearest-rank (rank = ceil(q*n))
-// convention for tiny samples: P99 of any n <= 100 sample is its maximum,
-// and P50 is the ceil(n/2)-th value — no sliding toward lower ranks.
+// TestPercentileSmallSamples pins what a reader of the §4.6 table relies
+// on for tiny samples: P99 of any n <= 100 sample is its maximum, and P50
+// is the ceil(n/2)-th value — no sliding toward lower ranks.
 func TestPercentileSmallSamples(t *testing.T) {
 	cases := []struct {
 		samples  []sim.Time
-		q        float64
-		want     sim.Time
-		describe string
+		p50, p99 sim.Time
 	}{
-		{[]sim.Time{sec(7)}, 0.50, sec(7), "n=1 p50"},
-		{[]sim.Time{sec(7)}, 0.99, sec(7), "n=1 p99"},
-		{[]sim.Time{sec(1), sec(9)}, 0.50, sec(1), "n=2 p50 rank ceil(1)=1"},
-		{[]sim.Time{sec(1), sec(9)}, 0.99, sec(9), "n=2 p99 is the max"},
-		{[]sim.Time{sec(1), sec(2), sec(9)}, 0.50, sec(2), "n=3 p50 rank ceil(1.5)=2"},
-		{[]sim.Time{sec(1), sec(2), sec(9)}, 0.99, sec(9), "n=3 p99 is the max"},
-		{[]sim.Time{sec(1), sec(2), sec(3), sec(9)}, 0.99, sec(9), "n=4 p99 is the max"},
-		{[]sim.Time{sec(1), sec(2), sec(3), sec(4)}, 0.25, sec(1), "n=4 p25 rank ceil(1)=1"},
+		{[]sim.Time{sec(7)}, sec(7), sec(7)},
+		{[]sim.Time{sec(1), sec(9)}, sec(1), sec(9)},
+		{[]sim.Time{sec(1), sec(2), sec(9)}, sec(2), sec(9)},
+		{[]sim.Time{sec(1), sec(2), sec(3), sec(9)}, sec(2), sec(9)},
 	}
 	for _, c := range cases {
-		if got := percentile(c.samples, c.q); got != c.want {
-			t.Errorf("%s: got %v, want %v", c.describe, got, c.want)
+		if st := summarize("x", c.samples); st.P50 != c.p50 || st.P99 != c.p99 {
+			t.Errorf("n=%d: p50/p99 = %v/%v, want %v/%v", len(c.samples), st.P50, st.P99, c.p50, c.p99)
 		}
 	}
 }
