@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify chaos chaos-restart restore-soak chaos-net bench bench-sim bench-runstore bench-check perf loadtest loadtest-fleet loadtest-stream examples
+.PHONY: build test vet race verify chaos chaos-restart restore-soak chaos-net bench bench-sim bench-runstore bench-check mem-gate perf loadtest loadtest-fleet loadtest-stream examples
 
 build:
 	$(GO) build ./...
@@ -67,8 +67,8 @@ bench:
 # DES kernel hot-path benchmarks (DESIGN.md §14): raw event dispatch,
 # coroutine handoffs, batched queue draining, the typed bus round trip, the
 # staging fan-out, one DISKSCAN poll against 10/100/1000 files, and the
-# end-to-end quickstart and xgc worlds. Custom metrics (events/s, steps/s,
-# handoffs/op, files/op) land in BENCH_sim.json for the CI artifact
+# end-to-end quickstart, xgc and grayscott worlds. Custom metrics (events/s,
+# steps/s, handoffs/op, files/op) land in BENCH_sim.json for the CI artifact
 # (docs/OBSERVABILITY.md).
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem \
@@ -92,6 +92,19 @@ bench-runstore:
 # internal API change has not broken the campaign-service benchmark.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# A finished run costs its record and its blobs, nothing else (DESIGN.md
+# §14, "World lifecycle"): a 3-second svc-light pass — some 850 quickstart
+# worlds — must pass its output check and end with less than 16 MB of live
+# heap. It ends with 3.6 MB; with finished worlds retained it ended with
+# 112 MB. The number repeats to a fraction of a percent from run to run, so
+# this is a gate, not a trend.
+mem-gate:
+	@out=$$(bash bench/run.sh svc-light -seconds 3 -trace 0 | tail -n 1); echo "$$out"; \
+	echo "$$out" | grep -q '"correct":true' || { echo "mem-gate: the pass did not end correct:true"; exit 1; }; \
+	heap=$$(echo "$$out" | sed -n 's/.*"live_heap_mb":{"value":\([0-9.e+-]*\).*/\1/p'); \
+	awk -v h="$$heap" 'BEGIN { if (h == "" || h + 0 >= 16) { print "mem-gate: live_heap_mb = " h " MB, want < 16"; exit 1 } \
+		print "mem-gate: live_heap_mb = " h " MB (< 16)" }'
 
 # The campaign-service benchmark itself (BENCHMARK.json, bench/README.md):
 # all four workloads, non-race, end-to-end metrics into bench/out/.

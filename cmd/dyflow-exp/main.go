@@ -139,6 +139,9 @@ func serve() error {
 		return err
 	}
 	s := server.NewSingle()
+	// Closed once the drain is over, and under the lock so that it cannot
+	// land inside a step of the loop below.
+	defer s.Locked(func() error { cr.W.Close(); return nil })
 	s.HandleLocked("/metrics", obs.MetricsHandler(cr.W.Metrics))
 	s.HandleLocked("/metrics.json", obs.JSONHandler(cr.W.Metrics))
 	s.HandleLocked("/trace", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -238,6 +241,7 @@ func figure6() error {
 	if err != nil {
 		return err
 	}
+	defer res.W.Close()
 	if *ganttFlag {
 		res.W.Rec.Gantt(os.Stdout, *widthFlag)
 		fmt.Println()
@@ -250,6 +254,9 @@ func figure6() error {
 	return exportPerfetto(res.W, nil)
 }
 
+// runGS runs Gray-Scott with and without DYFLOW. The baseline's world is
+// closed here — the reports read only its result fields — and the
+// orchestrated one is the caller's to close after its last read.
 func runGS() (*exp.GSResult, *exp.GSResult, error) {
 	res, err := dyflow.RunGrayScott(*seedFlag, machine(), true)
 	if err != nil {
@@ -257,8 +264,10 @@ func runGS() (*exp.GSResult, *exp.GSResult, error) {
 	}
 	base, err := dyflow.RunGrayScott(*seedFlag, machine(), false)
 	if err != nil {
+		res.W.Close()
 		return nil, nil, err
 	}
+	base.W.Close()
 	return res, base, nil
 }
 
@@ -267,6 +276,7 @@ func figure1() error {
 	if err != nil {
 		return err
 	}
+	defer res.W.Close()
 	dyflow.Figure1Report(res).Write(os.Stdout)
 	return nil
 }
@@ -276,6 +286,7 @@ func figure8() error {
 	if err != nil {
 		return err
 	}
+	defer res.W.Close()
 	if *ganttFlag {
 		res.W.Rec.Gantt(os.Stdout, *widthFlag)
 		fmt.Println()
@@ -291,6 +302,7 @@ func figure9() error {
 	if err != nil {
 		return err
 	}
+	defer res.W.Close()
 	fmt.Printf("== Figure 9 — average time per timestep received by Decision (%v) ==\n", machine())
 	var inc, dec float64 = 36, 24
 	if machine() == dyflow.Deepthought2 {
@@ -309,6 +321,7 @@ func figure11() error {
 	if err != nil {
 		return err
 	}
+	defer res.W.Close()
 	if *ganttFlag {
 		res.W.Rec.Gantt(os.Stdout, *widthFlag)
 		fmt.Println()
@@ -334,6 +347,7 @@ func traceExp() error {
 	if err != nil {
 		return err
 	}
+	defer res.W.Close()
 	rep := res.W.Orch.Trace.Report()
 	fmt.Printf("== Flight recorder — Gray-Scott per-stage latency (%v, seed %d) ==\n", machine(), *seedFlag)
 	rep.Write(os.Stdout)
@@ -356,6 +370,7 @@ func overprov() error {
 	if err != nil {
 		return err
 	}
+	defer res.W.Close()
 	if *ganttFlag {
 		res.W.Rec.Gantt(os.Stdout, *widthFlag)
 		fmt.Println()
@@ -383,6 +398,7 @@ func chaos() error {
 	if err != nil {
 		return err
 	}
+	defer res.W.Close()
 	fmt.Printf("== Chaos — fault-injection campaign (%v, seed %d) ==\n", machine(), *seedFlag)
 	res.Write(os.Stdout)
 	fmt.Println()
@@ -410,6 +426,7 @@ func sweep() error {
 		if err != nil {
 			return gsOut{}, err
 		}
+		defer res.W.Close()
 		return gsOut{
 			plans:    len(res.W.Rec.Plans),
 			makespan: res.Makespan.Seconds(),
@@ -440,6 +457,7 @@ func sweep() error {
 		if err != nil {
 			return mdOut{}, err
 		}
+		defer res.W.Close()
 		return mdOut{resume: res.ResumeStep, response: res.RecoveryResponse.Seconds()}, nil
 	})
 	var resp stats.Welford
@@ -459,6 +477,7 @@ func sweep() error {
 		if err != nil {
 			return 0, err
 		}
+		defer res.W.Close()
 		return res.FinalStep, nil
 	})
 	finals := map[int]int{}

@@ -44,6 +44,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	defer sys.Close()
 	if *specPath != "" {
 		opts := dyflow.Options{Arbiter: dyflow.ArbiterConfig{
 			WarmupDelay:  *warmup,

@@ -16,6 +16,7 @@
 // The public surface is a System: a complete simulated deployment.
 //
 //	sys, _ := dyflow.NewSystem(42, dyflow.Summit, 10)
+//	defer sys.Close()
 //	sys.Compose(dyflow.GrayScottWorkflow(dyflow.Summit))
 //	sys.StartOrchestration(xmlSpec, dyflow.Options{})
 //	sys.Launch("GS-WORKFLOW")
@@ -109,6 +110,12 @@ func NewSystem(seed int64, m Machine, nodes int) (*System, error) {
 	}
 	return &System{w: w}, nil
 }
+
+// Close releases the system: the simulation stops and its process
+// goroutines exit, so the system can be garbage-collected. Everything
+// recorded so far stays readable (Gantt, plans, series, trace), but the
+// system does not run again. Idempotent; defer it after NewSystem.
+func (s *System) Close() { s.w.Close() }
 
 // Compose registers a workflow.
 func (s *System) Compose(wf *WorkflowSpec) error { return s.w.SV.Compose(wf) }

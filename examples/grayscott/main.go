@@ -31,6 +31,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer res.W.Close()
 	res.W.Rec.Gantt(os.Stdout, 100)
 	fmt.Println()
 	res.W.Rec.PlanSummary(os.Stdout)
@@ -51,6 +52,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer baseline.W.Close()
 	dyflow.GrayScottReport(res, baseline).Write(os.Stdout)
 	dyflow.Figure1Report(res).Write(os.Stdout)
 }

@@ -31,6 +31,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer res.W.Close()
 	res.W.Rec.Gantt(os.Stdout, 100)
 	fmt.Println()
 	res.W.Rec.PlanSummary(os.Stdout)
@@ -45,5 +46,6 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer base.W.Close()
 	fmt.Printf("  completed without orchestration: %v\n", base.Completed)
 }

@@ -63,6 +63,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer sys.Close()
 	// The simulation degrades: each step costs 6% more than the last
 	// (fragmentation, leak, fill-up...). A restart resumes from the last
 	// checkpoint and resets the degradation — the closure detects the

@@ -64,6 +64,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer sys.Close()
 
 	// Simulation: 10 processes, ~1 s per step, streaming every step.
 	// Analysis: 2 processes, ~20 s per step — the coupling buffer throttles

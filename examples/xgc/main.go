@@ -32,6 +32,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer res.W.Close()
 	res.W.Rec.Gantt(os.Stdout, 100)
 	fmt.Println()
 

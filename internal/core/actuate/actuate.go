@@ -193,6 +193,9 @@ func (ex *Executor) startWithRetry(p *sim.Proc, op arbiter.Op) (attempts int, er
 		ex.tr.Inc("actuate.retries", 1)
 		if backoff > 0 {
 			if serr := p.SleepUninterruptible(backoff); serr != nil {
+				if errors.Is(serr, sim.ErrStopped) {
+					return attempt, serr
+				}
 				return attempt, err
 			}
 			backoff *= 2
@@ -220,6 +223,9 @@ func (ex *Executor) Execute(p *sim.Proc, plan arbiter.Plan) (arbiter.ExecReport,
 			rec.Attempts, err = ex.startWithRetry(p, op)
 		default:
 			err = fmt.Errorf("actuate: unknown op kind %v", op.Kind)
+		}
+		if errors.Is(err, sim.ErrStopped) {
+			return rep, err // sim.Stop mid-op: it neither applied nor failed
 		}
 		rec.EndedAt = p.Now()
 		if err != nil {

@@ -1,6 +1,7 @@
 package arbiter
 
 import (
+	"errors"
 	"time"
 
 	"dyflow/internal/core/decision"
@@ -280,7 +281,13 @@ func (e *Engine) run(p *sim.Proc) {
 		}
 		e.busy = true
 		batch = e.gather(p, batch)
+		if e.s.Stopped() {
+			return // sim.Stop cut the gather short: no round happens
+		}
 		e.arbitrate(p, batch)
+		if e.s.Stopped() {
+			return
+		}
 		e.busy = false
 	}
 }
@@ -415,6 +422,9 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 		}
 
 		rep, err := e.exec.Execute(p, plan)
+		if errors.Is(err, sim.ErrStopped) {
+			return out // sim.Stop mid-plan: the round never finished, so it leaves no record
+		}
 		rec.ExecutedAt = e.s.Now()
 		rec.Plan = plan
 		rec.AppliedOps = rep.Applied

@@ -1,6 +1,7 @@
 package sensor
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -298,12 +299,17 @@ func (c *Client) consume(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, us
 		st.Phase = phaseRecv
 		st.WakeAt = 0
 		rec, err := r.Get(p)
+		if errors.Is(err, sim.ErrStopped) {
+			return false // sim.Stop: the reader stays attached, as it was
+		}
 		if err != nil {
 			break // detached (task ended) or interrupted
 		}
 		if err := c.decodeShip(p, st, tg, use, def, rec); err != nil {
-			r.Close()
-			st.reader = nil
+			if !errors.Is(err, sim.ErrStopped) {
+				r.Close()
+				st.reader = nil
+			}
 			return false
 		}
 	}

@@ -25,6 +25,7 @@ func BenchmarkQuickstartJob(b *testing.B) {
 		dispatched += w.Sim.Dispatched()
 		handoffs += w.Sim.Handoffs()
 		simTime += time.Duration(w.Sim.Now())
+		w.Close()
 	}
 	reportWorldRates(b, dispatched, handoffs, simTime)
 }
@@ -34,13 +35,22 @@ func BenchmarkQuickstartJob(b *testing.B) {
 // poll workers make it the one scenario dominated by sensor polling rather
 // than task work. Same units as BenchmarkQuickstartJob; -benchmem's B/op is
 // the per-run allocation the service pays.
-func BenchmarkXGCJob(b *testing.B) {
+func BenchmarkXGCJob(b *testing.B) { benchmarkJob(b, ScenarioXGC) }
+
+// BenchmarkGrayScottJob is the same for the grayscott job — the world
+// behind the fleet-durable workload, driven by streamed TAU records rather
+// than disk polls.
+func BenchmarkGrayScottJob(b *testing.B) { benchmarkJob(b, ScenarioGrayScott) }
+
+// benchmarkJob runs one scenario through RunJob b.N times, a seed each, and
+// reads the kernel counts off the worlds RunJob has already closed.
+func benchmarkJob(b *testing.B, scenario string) {
 	var dispatched, handoffs uint64
 	var simTime time.Duration
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var w *World
-		if _, err := RunJob(Job{Scenario: ScenarioXGC, Seed: int64(i)}, func(x *World) error { w = x; return nil }); err != nil {
+		if _, err := RunJob(Job{Scenario: scenario, Seed: int64(i)}, func(x *World) error { w = x; return nil }); err != nil {
 			b.Fatal(err)
 		}
 		dispatched += w.Sim.Dispatched()

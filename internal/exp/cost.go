@@ -32,10 +32,12 @@ func RunCostAnalysis(seed int64, m apps.Machine) (*CostResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer gs.W.Close()
 	xgc, err := RunXGC(seed, m)
 	if err != nil {
 		return nil, err
 	}
+	defer xgc.W.Close()
 	res := &CostResult{
 		StreamLagMean: time.Duration(gs.W.Orch.Server.Lag("PACE").Mean() * float64(time.Second)),
 		DiskLagMean:   time.Duration(xgc.W.Orch.Server.Lag("NSTEPS").Mean() * float64(time.Second)),

@@ -77,7 +77,7 @@ func (r *Recorder) Dump() *TraceDump {
 		}
 		d.Plans = append(d.Plans, pd)
 	}
-	for _, m := range r.Metrics {
+	r.EachMetric(func(m MetricPoint) {
 		d.Metrics = append(d.Metrics, MetricDump{
 			AtNS:     int64(m.At),
 			Workflow: m.Key.Workflow,
@@ -86,7 +86,7 @@ func (r *Recorder) Dump() *TraceDump {
 			Gran:     m.Key.Granularity.String(),
 			Value:    m.Value,
 		})
-	}
+	})
 	return d
 }
 

@@ -228,9 +228,9 @@ func paceBeforeAfter(rec *Recorder, workflow string) (before, after float64) {
 	}
 	var pre []float64
 	var na int
-	for _, m := range rec.Metrics {
+	rec.EachMetric(func(m MetricPoint) {
 		if m.Key.Workflow != workflow || m.Key.Sensor != "PACE" {
-			continue
+			return
 		}
 		switch {
 		case firstPlan == 0 || m.At < firstPlan:
@@ -239,7 +239,7 @@ func paceBeforeAfter(rec *Recorder, workflow string) (before, after float64) {
 			after += m.Value
 			na++
 		}
-	}
+	})
 	const steady = 6
 	if len(pre) > steady {
 		pre = pre[len(pre)-steady:]

@@ -123,6 +123,11 @@ type JobOutcome struct {
 // invoked on the world before the run starts — the campaign service uses it
 // to attach World.OnProgress for live progress and cancellation. The
 // returned outcome's artifacts are byte-deterministic in the job value.
+//
+// RunJob owns the world it builds and closes it on every return — finished,
+// cancelled through OnProgress, or failed — so a caller that kept the
+// pointer from configure may read the world afterwards but never has to
+// release it.
 func RunJob(j Job, configure func(*World) error) (*JobOutcome, error) {
 	j, err := j.Normalized()
 	if err != nil {
@@ -135,32 +140,47 @@ func RunJob(j Job, configure func(*World) error) (*JobOutcome, error) {
 		rep    *Report
 		conv   bool
 	)
+	// Every runner hands its world to the configure hook before anything
+	// runs. RunJob takes the world from there and not from the runner's
+	// result, because a runner that fails returns none.
+	hook := func(built *World) error {
+		w = built
+		if configure == nil {
+			return nil
+		}
+		return configure(built)
+	}
+	defer func() {
+		if w != nil {
+			w.Close()
+		}
+	}()
 	switch j.Scenario {
 	case ScenarioQuickstart:
-		w, rep, conv, err = runQuickstartJob(j, configure)
+		_, rep, conv, err = runQuickstartJob(j, hook)
 	case ScenarioGrayScott:
 		var res *GSResult
-		res, err = RunGrayScottVariant(j.Seed, m, true, GSVariant{XML: j.XML, Configure: configure})
+		res, err = RunGrayScottVariant(j.Seed, m, true, GSVariant{XML: j.XML, Configure: hook})
 		if err == nil {
-			w, rep, conv = res.W, GrayScottReport(res, nil), res.Completed
+			rep, conv = GrayScottReport(res, nil), res.Completed
 		}
 	case ScenarioOverprov:
 		var res *GSResult
-		res, err = RunGrayScottOverProvisionedVariant(j.Seed, m, GSVariant{XML: j.XML, Configure: configure})
+		res, err = RunGrayScottOverProvisionedVariant(j.Seed, m, GSVariant{XML: j.XML, Configure: hook})
 		if err == nil {
-			w, rep, conv = res.W, OverProvisionReport(res), res.Completed
+			rep, conv = OverProvisionReport(res), res.Completed
 		}
 	case ScenarioXGC:
 		var res *XGCResult
-		res, err = RunXGCVariant(j.Seed, m, XGCVariant{XML: j.XML, Configure: configure})
+		res, err = RunXGCVariant(j.Seed, m, XGCVariant{XML: j.XML, Configure: hook})
 		if err == nil {
-			w, rep, conv = res.W, XGCReport(res, 0), res.FinalStep > 500
+			rep, conv = XGCReport(res, 0), res.FinalStep > 500
 		}
 	case ScenarioLAMMPS:
 		var res *LAMMPSResult
-		res, err = RunLAMMPSVariant(j.Seed, m, true, LAMMPSVariant{XML: j.XML, Configure: configure})
+		res, err = RunLAMMPSVariant(j.Seed, m, true, LAMMPSVariant{XML: j.XML, Configure: hook})
 		if err == nil {
-			w, rep, conv = res.W, LAMMPSReport(res), res.Completed
+			rep, conv = LAMMPSReport(res), res.Completed
 		}
 	case ScenarioChaos:
 		opts := DefaultChaosOptions()
@@ -168,9 +188,7 @@ func RunJob(j Job, configure func(*World) error) (*JobOutcome, error) {
 		var cr *ChaosRun
 		cr, err = NewChaosRun(j.Seed, m, opts)
 		if err == nil {
-			if configure != nil {
-				err = configure(cr.W)
-			}
+			err = hook(cr.W)
 			for err == nil {
 				var done bool
 				done, err = cr.Step(5 * time.Second)
@@ -180,7 +198,7 @@ func RunJob(j Job, configure func(*World) error) (*JobOutcome, error) {
 			}
 			if err == nil {
 				res := cr.Result()
-				w, rep, conv, events = res.W, chaosReport(res), res.Converged, res.Events
+				rep, conv, events = chaosReport(res), res.Converged, res.Events
 			}
 		}
 	}

@@ -43,6 +43,16 @@ type MetricPoint struct {
 	Step  int
 }
 
+// point is a MetricPoint as the recorder stores it: 32 bytes, the series
+// key replaced by its index in Recorder.keys. An xgc run forwards eleven
+// thousand points over six series, and a sensor.Key is four strings.
+type point struct {
+	at    sim.Time
+	value float64
+	step  int
+	key   uint32
+}
+
 // Recorder accumulates the observable history of a run: task incarnation
 // intervals, arbitration rounds, and the metric series the Decision stage
 // received. Everything the Gantt charts and experiment reports print comes
@@ -52,12 +62,20 @@ type Recorder struct {
 	Intervals []Interval
 	open      map[string]int // instance key -> index into Intervals
 	Plans     []arbiter.Record
-	Metrics   []MetricPoint
+
+	// The forwarded metrics in arrival order, read through EachMetric. They
+	// are held in chunks of pointChunk so that recording one more never
+	// copies the ones already held.
+	points [][]point
+	keys   []sensor.Key          // distinct series keys, in first-arrival order
+	keyIdx map[sensor.Key]uint32 // key -> its index in keys
 }
+
+const pointChunk = 512 // 16 KB
 
 // NewRecorder creates an empty recorder.
 func NewRecorder(s *sim.Sim) *Recorder {
-	return &Recorder{s: s, open: make(map[string]int)}
+	return &Recorder{s: s, open: make(map[string]int), keyIdx: make(map[sensor.Key]uint32)}
 }
 
 // AttachWMS subscribes to Savanna lifecycle events.
@@ -94,11 +112,34 @@ func (r *Recorder) AttachWMS(sv *wms.Savanna) {
 // metrics.
 func (r *Recorder) AttachOrchestrator(o *core.Orchestrator) {
 	o.Arbiter.OnPlan(func(rec arbiter.Record) { r.Plans = append(r.Plans, rec) })
-	o.Server.OnForward(func(ms []sensor.Metric) {
-		for _, m := range ms {
-			r.Metrics = append(r.Metrics, MetricPoint{At: m.ObservedAt, Key: m.Key, Value: m.Value, Step: m.Step})
+	o.Server.OnForward(r.forwarded)
+}
+
+// forwarded records one batch the Monitor server sent to Decision.
+func (r *Recorder) forwarded(ms []sensor.Metric) {
+	for _, m := range ms {
+		k, ok := r.keyIdx[m.Key]
+		if !ok {
+			k = uint32(len(r.keys))
+			r.keys = append(r.keys, m.Key)
+			r.keyIdx[m.Key] = k
 		}
-	})
+		last := len(r.points) - 1
+		if last < 0 || len(r.points[last]) == pointChunk {
+			r.points = append(r.points, make([]point, 0, pointChunk))
+			last++
+		}
+		r.points[last] = append(r.points[last], point{at: m.ObservedAt, value: m.Value, step: m.Step, key: k})
+	}
+}
+
+// EachMetric calls fn with every forwarded metric, in arrival order.
+func (r *Recorder) EachMetric(fn func(MetricPoint)) {
+	for _, chunk := range r.points {
+		for _, pt := range chunk {
+			fn(MetricPoint{At: pt.at, Key: r.keys[pt.key], Value: pt.value, Step: pt.step})
+		}
+	}
 }
 
 // CloseOpen marks still-running intervals as ending now (for reporting at
@@ -126,11 +167,11 @@ func (r *Recorder) TaskIntervals(workflow, taskName string) []Interval {
 // empty task for workflow-level series).
 func (r *Recorder) Series(workflow, taskName, sensorID string) []MetricPoint {
 	var out []MetricPoint
-	for _, m := range r.Metrics {
+	r.EachMetric(func(m MetricPoint) {
 		if m.Key.Workflow == workflow && m.Key.Task == taskName && m.Key.Sensor == sensorID {
 			out = append(out, m)
 		}
-	}
+	})
 	return out
 }
 

@@ -5,6 +5,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -143,11 +144,23 @@ func (w *World) RestoreOrchestrator() error {
 	return nil
 }
 
+// Close ends the world's life: the simulation is stopped and every process
+// goroutine parked in it exits, which is what lets the garbage collector
+// take the world once its owner drops it. Whoever built the world — or was
+// handed it by a runner — calls Close after its last Run. Closing changes
+// nothing a reader can see (sim.Stop is inert), so a closed world still
+// renders its Gantt chart, artifacts and counters. Idempotent.
+func (w *World) Close() { w.Sim.Stop() }
+
 // Launch starts the named workflows from a driver process.
 func (w *World) Launch(workflows ...string) {
 	w.Sim.Spawn("driver", func(p *sim.Proc) {
 		for _, wf := range workflows {
-			if err := w.SV.Launch(p, wf); err != nil {
+			err := w.SV.Launch(p, wf)
+			if errors.Is(err, sim.ErrStopped) {
+				return // the world was closed mid-launch
+			}
+			if err != nil {
 				panic(fmt.Sprintf("launch %s: %v", wf, err))
 			}
 		}

@@ -269,6 +269,7 @@ func RunXGCBaseline(seed int64, m apps.Machine, totalSteps int) (sim.Time, error
 	if err != nil {
 		return 0, err
 	}
+	defer w.Close() // only the makespan leaves this function
 	wf := apps.XGCWorkflow(m)
 	var only *task.Spec
 	for i := range wf.Tasks {
@@ -282,9 +283,5 @@ func RunXGCBaseline(seed int64, m apps.Machine, totalSteps int) (sim.Time, error
 		return 0, err
 	}
 	w.Launch(apps.XGCWorkflowID)
-	end, err := w.RunUntilWorkflowDone(apps.XGCWorkflowID, 12*time.Hour)
-	if err != nil {
-		return 0, err
-	}
-	return end, nil
+	return w.RunUntilWorkflowDone(apps.XGCWorkflowID, 12*time.Hour)
 }

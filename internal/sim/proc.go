@@ -77,7 +77,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p.parked = true
 	if s.stopped {
 		// No further events run; release the goroutine immediately.
-		p.forceWake(ErrStopped)
+		p.unwind()
 		return p
 	}
 	e := s.newEvent(s.now)
@@ -127,15 +127,21 @@ func (p *Proc) run() {
 	p.yield <- true
 }
 
-// handoff passes the baton to the process and blocks until it yields. It
-// must run in kernel context (from an event callback or Stop).
+// handoff passes the baton to the process as the schedule's next step and
+// blocks until it yields. It must run in kernel context (from an event).
 func (p *Proc) handoff(err error) {
 	if p.done {
 		return
 	}
+	p.sim.handoffs++
+	p.resumeWith(err)
+}
+
+// resumeWith is the baton transfer itself: wake the process goroutine with
+// err and wait for it to park again or exit.
+func (p *Proc) resumeWith(err error) {
 	prev := p.sim.current
 	p.sim.current = p
-	p.sim.handoffs++
 	p.resume <- err
 	<-p.yield
 	p.sim.current = prev
@@ -174,10 +180,13 @@ func (p *Proc) scheduleWake(err error, bySignal bool) {
 	p.pendingWake = e
 }
 
-// forceWake synchronously wakes a parked process with err, bypassing the
-// event queue. Used by Stop, after which no further events execute.
-func (p *Proc) forceWake(err error) {
-	if p.done || !p.parked {
+// unwind synchronously resumes a blocked process — parked on a wait
+// structure, or claimed by a wake event that will now never run — with
+// ErrStopped, bypassing the event queue, and waits for its goroutine to
+// park again or exit. Used by Stop (and by Spawn after it), when no
+// further events execute; it is teardown, so Handoffs does not count it.
+func (p *Proc) unwind() {
+	if p.done || (!p.parked && p.pendingWake == nil) {
 		return
 	}
 	if p.cancelWait != nil {
@@ -193,7 +202,7 @@ func (p *Proc) forceWake(err error) {
 		p.pendingWake = nil
 	}
 	p.parked = false
-	p.handoff(err)
+	p.resumeWith(ErrStopped)
 }
 
 // timerFire resumes a parked process whose timer elapsed. It runs in kernel

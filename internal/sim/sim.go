@@ -163,9 +163,11 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // Dispatched returns the number of events the kernel has executed.
 func (s *Sim) Dispatched() uint64 { return s.dispatched }
 
-// Handoffs returns the number of kernel→process baton transfers performed.
-// A burst of N same-instant deliveries drained in one wake costs one
-// handoff; the ratio Dispatched/Handoffs is the batching win.
+// Handoffs returns the number of kernel→process baton transfers the
+// schedule performed. A burst of N same-instant deliveries drained in one
+// wake costs one handoff; the ratio Dispatched/Handoffs is the batching win.
+// The resumes Stop uses to unwind blocked processes are teardown, not
+// schedule, and are not counted.
 func (s *Sim) Handoffs() uint64 { return s.handoffs }
 
 // logf emits a kernel trace line if tracing is enabled.
@@ -423,33 +425,35 @@ func (s *Sim) RunUntilIdle() error {
 	return s.failure
 }
 
-// Stop halts the simulation: no further events execute, and every process
-// still blocked is woken with ErrStopped so its goroutine can exit.
+// Stop halts the simulation for good: no further events execute, and every
+// process still blocked is resumed with ErrStopped, in PID order, so that
+// its goroutine exits. Stop returns once they all have, after which nothing
+// but the caller references the simulation and it is ordinary garbage.
+//
+// Stop is inert: whatever the simulated world looked like when it was
+// called is what it looks like afterwards, so a stopped simulation can
+// still be read. The kernel keeps its half of that (the clock and the
+// Dispatched and Handoffs counts do not move); process bodies must keep
+// theirs. A process that receives ErrStopped from a blocking call — or
+// finds Stopped true after a call whose error it does not look at — returns
+// without touching anything outside its own stack: no filesystem write,
+// message send, stream close, metric update, resource release or event
+// emission. Deferred end-of-life work needs the same check. A body that
+// ignores ErrStopped and loops makes Stop spin forever.
+//
+// Stop is idempotent, and also unwinds what a failed simulation left parked.
 func (s *Sim) Stop() {
-	if s.stopped {
-		return
-	}
 	s.stopped = true
-	// Wake every parked or wake-claimed process so its goroutine
-	// terminates. Resume order is by PID for determinism (not that it
-	// matters post-stop).
 	for pid := uint64(0); pid < s.nextPID; pid++ {
-		p, ok := s.procs[pid]
-		if !ok || p.done {
-			continue
+		if p, ok := s.procs[pid]; ok {
+			p.unwind()
 		}
-		if p.pendingWake != nil {
-			// Claimed but its wake event will never run now; deliver the
-			// stop directly.
-			s.cancelInternal(p.pendingWake)
-			p.pendingWake = nil
-			p.parked = false
-			p.handoff(ErrStopped)
-			continue
-		}
-		p.forceWake(ErrStopped)
 	}
 }
+
+// Stopped reports whether the simulation has been halted, by Stop or by a
+// failed process.
+func (s *Sim) Stopped() bool { return s.stopped }
 
 // fail records a fatal simulation error (e.g. a panicking process) and
 // prevents further events from executing.

@@ -628,6 +628,65 @@ func TestStopIdempotent(t *testing.T) {
 	}
 }
 
+// TestStopIsTeardownNotSchedule: the resumes Stop performs to unwind
+// blocked processes — parked on a timer, on a signal, in a queue, and one
+// spawned but not yet started — leave the clock and both kernel counts
+// where the schedule left them, and every process is gone afterwards.
+func TestStopIsTeardownNotSchedule(t *testing.T) {
+	s := New(1)
+	sig := NewSignal(s)
+	q := NewQueue[int](s, 0)
+	procs := []*Proc{
+		s.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Hour) }),
+		s.Spawn("waiter", func(p *Proc) { p.Wait(sig) }),
+		s.Spawn("getter", func(p *Proc) { q.Get(p) }),
+	}
+	if err := s.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	procs = append(procs, s.Spawn("unstarted", func(p *Proc) { t.Error("body ran after Stop") }))
+	now, dispatched, handoffs := s.Now(), s.Dispatched(), s.Handoffs()
+	if handoffs != 3 {
+		t.Fatalf("handoffs before Stop = %d, want 3 (one first wake each)", handoffs)
+	}
+	s.Stop()
+	if !s.Stopped() {
+		t.Fatal("Stopped() is false after Stop")
+	}
+	if s.Now() != now || s.Dispatched() != dispatched || s.Handoffs() != handoffs {
+		t.Fatalf("Stop moved the kernel: now %v→%v dispatched %d→%d handoffs %d→%d",
+			now, s.Now(), dispatched, s.Dispatched(), handoffs, s.Handoffs())
+	}
+	for _, p := range procs {
+		if !p.Done() {
+			t.Errorf("%s still alive after Stop", p.Name())
+		}
+	}
+}
+
+// TestStopAfterFailureUnwinds: a panicking process halts the simulation
+// without waking anyone, so Stop must still unwind what it left parked —
+// the run that failed is exactly the one whose owner closes it next.
+func TestStopAfterFailureUnwinds(t *testing.T) {
+	s := New(1)
+	var gotErr error
+	stuck := s.Spawn("stuck", func(p *Proc) { gotErr = p.Sleep(time.Hour) })
+	s.Spawn("boom", func(p *Proc) {
+		p.Sleep(time.Second)
+		panic("kaboom")
+	})
+	if err := s.RunUntilIdle(); err == nil {
+		t.Fatal("expected the panic to fail the simulation")
+	}
+	if !s.Stopped() || stuck.Done() {
+		t.Fatalf("after the failure: Stopped=%v, parked proc done=%v; want true, false", s.Stopped(), stuck.Done())
+	}
+	s.Stop()
+	if !stuck.Done() || !errors.Is(gotErr, ErrStopped) {
+		t.Fatalf("after Stop: done=%v err=%v, want done with ErrStopped", stuck.Done(), gotErr)
+	}
+}
+
 func TestSpawnAfterStop(t *testing.T) {
 	s := New(1)
 	s.After(time.Second, func() { s.Stop() })

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"testing"
 
 	"dyflow/internal/obs"
@@ -63,5 +64,36 @@ func TestStreamMetrics(t *testing.T) {
 	}
 	if val("dyflow_stream_produced_total") != 5 {
 		t.Fatalf("produced across streams = %v, want 5", val("dyflow_stream_produced_total"))
+	}
+}
+
+// TestStoppedPutPublishesNothing: a producer blocked on its second reader
+// has already staged the record with the first, unpublished. sim.Stop ends
+// the Put with ErrStopped and the backlog gauge stays where it was — a
+// stopped simulation must read as it did the instant before.
+func TestStoppedPutPublishesNothing(t *testing.T) {
+	s := sim.New(1)
+	r := NewRegistry(s)
+	reg := obs.NewRegistry()
+	r.SetMetrics(reg)
+	st := r.Open("gs.out")
+	st.Attach(2, Block) // room for both records
+	st.Attach(1, Block) // full after the first
+	var err error
+	s.Spawn("producer", func(p *sim.Proc) {
+		for i := 0; i < 2 && err == nil; i++ {
+			err = st.Put(p, Step{Index: i})
+		}
+	})
+	if e := s.RunUntilIdle(); e != nil {
+		t.Fatal(e)
+	}
+	before, _ := reg.Value("dyflow_stream_backlog_records")
+	s.Stop()
+	if !errors.Is(err, sim.ErrStopped) {
+		t.Fatalf("blocked Put returned %v, want ErrStopped", err)
+	}
+	if after, _ := reg.Value("dyflow_stream_backlog_records"); before != 2 || after != before {
+		t.Fatalf("backlog gauge %v before Stop, %v after; want 2 both times", before, after)
 	}
 }

@@ -237,7 +237,9 @@ func (st *Stream) Put(p *sim.Proc, step Step) error {
 				if errors.Is(err, sim.ErrClosed) {
 					continue // reader detached while we were blocked
 				}
-				st.backlogChanged()
+				if !errors.Is(err, sim.ErrStopped) { // sim.Stop: publish nothing
+					st.backlogChanged()
+				}
 				return err
 			}
 		case DropOldest:

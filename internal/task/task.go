@@ -337,10 +337,31 @@ func (in *Instance) setState(st State) {
 	}
 }
 
-// main is the incarnation's process body.
+// main is the incarnation's process body: the step loop, then the end of
+// the incarnation's life — its streams close (instrumentation first, input
+// last) and the terminal state and exit-status file are recorded. When the
+// loop was cut short by sim.Stop instead, the incarnation did not end:
+// everything stays as it stands.
 func (in *Instance) main(p *sim.Proc) {
-	defer in.finish()
+	in.steps(p)
+	if in.env.Sim.Stopped() {
+		return
+	}
+	if in.probe != nil {
+		in.probe.Close()
+	}
+	if in.producer != nil {
+		in.producer.Close()
+	}
+	if in.consumer != nil {
+		in.consumer.Close()
+	}
+	in.finish()
+}
 
+// steps attaches the incarnation's streams and runs its timestep loop until
+// the work is done, the input ends, or a stop or crash is delivered.
+func (in *Instance) steps(p *sim.Proc) {
 	// MPI launch + init.
 	if in.Spec.StartupDelay > 0 {
 		if err := p.SleepUninterruptible(in.Spec.StartupDelay); err != nil {
@@ -377,15 +398,12 @@ func (in *Instance) main(p *sim.Proc) {
 		}
 		st := in.env.Streams.OpenRead(in.Spec.ConsumesFrom)
 		in.consumer = st.Attach(buf, stream.Block)
-		defer in.consumer.Close()
 	}
 	if in.Spec.ProducesTo != "" {
 		in.producer = in.env.Streams.Open(in.Spec.ProducesTo)
-		defer in.producer.Close()
 	}
 	if in.Spec.Profile {
 		in.probe = profiler.Attach(in.env.Streams, in.Spec.Name, in.Spec.ProfileRankSpread, in.env.Sim.Rand())
-		defer in.probe.Close()
 	}
 
 	in.setState(Running)

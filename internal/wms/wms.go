@@ -9,6 +9,7 @@
 package wms
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -305,7 +306,9 @@ func (sv *Savanna) StartTask(p *sim.Proc, workflowID, taskName string, rs resmgr
 	if script != "" {
 		if cost, ok := sv.scripts[script]; ok && cost > 0 {
 			if err := p.SleepUninterruptible(cost); err != nil {
-				sv.rm.Release(k)
+				if !errors.Is(err, sim.ErrStopped) { // sim.Stop: leave the world as it stands
+					sv.rm.Release(k)
+				}
 				return err
 			}
 		}
@@ -347,7 +350,9 @@ func (sv *Savanna) StartTask(p *sim.Proc, workflowID, taskName string, rs resmgr
 	// Watcher: when the incarnation ends for any reason, return its
 	// resources exactly once and report the end.
 	sv.env.Sim.Spawn(fmt.Sprintf("savanna-watch/%s/%s#%d", workflowID, taskName, inc), func(wp *sim.Proc) {
-		wp.Join(inst.Proc())
+		if err := wp.Join(inst.Proc()); errors.Is(err, sim.ErrStopped) {
+			return // the simulation ended first (sim.Stop): nothing ended, nothing to report
+		}
 		if rt.inst == inst && !rt.released {
 			sv.rm.Release(key(workflowID, taskName))
 			rt.released = true
