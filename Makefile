@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify chaos chaos-restart restore-soak chaos-net bench bench-sim bench-runstore bench-check mem-gate perf loadtest loadtest-fleet loadtest-stream examples
+.PHONY: build test vet race verify chaos chaos-restart restore-soak chaos-net bench bench-sim bench-runstore bench-check mem-gate read-gate perf loadtest loadtest-fleet loadtest-stream examples
 
 build:
 	$(GO) build ./...
@@ -93,18 +93,31 @@ bench-runstore:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
+# A ledger gate: a 3-second pass of workload $(2) must pass its output check
+# and end with metric $(3) below $(4) MB. Both gated metrics repeat to a
+# fraction of a percent from run to run, so these are gates, not trends.
+define ledger-gate
+	@out=$$(bash bench/run.sh $(2) -seconds 3 -trace 0 | tail -n 1); echo "$$out"; \
+	echo "$$out" | grep -q '"correct":true' || { echo "$(1): the pass did not end correct:true"; exit 1; }; \
+	v=$$(echo "$$out" | sed -n 's/.*"$(3)":{"value":\([0-9.e+-]*\).*/\1/p'); \
+	awk -v v="$$v" 'BEGIN { if (v == "" || v + 0 >= $(4)) { print "$(1): $(3) = " v " MB, want < $(4)"; exit 1 } \
+		print "$(1): $(3) = " v " MB (< $(4))" }'
+endef
+
 # A finished run costs its record and its blobs, nothing else (DESIGN.md
-# §14, "World lifecycle"): a 3-second svc-light pass — some 850 quickstart
-# worlds — must pass its output check and end with less than 16 MB of live
-# heap. It ends with 3.6 MB; with finished worlds retained it ended with
-# 112 MB. The number repeats to a fraction of a percent from run to run, so
-# this is a gate, not a trend.
+# §14, "World lifecycle"): svc-light — some 850 quickstart worlds — ends
+# with 3.0 MB of live heap; with finished worlds retained it ended with
+# 112 MB.
 mem-gate:
-	@out=$$(bash bench/run.sh svc-light -seconds 3 -trace 0 | tail -n 1); echo "$$out"; \
-	echo "$$out" | grep -q '"correct":true' || { echo "mem-gate: the pass did not end correct:true"; exit 1; }; \
-	heap=$$(echo "$$out" | sed -n 's/.*"live_heap_mb":{"value":\([0-9.e+-]*\).*/\1/p'); \
-	awk -v h="$$heap" 'BEGIN { if (h == "" || h + 0 >= 16) { print "mem-gate: live_heap_mb = " h " MB, want < 16"; exit 1 } \
-		print "mem-gate: live_heap_mb = " h " MB (< 16)" }'
+	$(call ledger-gate,mem-gate,svc-light,live_heap_mb,16)
+
+# A read costs what it returns (docs/SERVICE.md, "Querying run history"):
+# history-query — cached submits beside filtered list pages, evicted-run
+# status, artifact and analytics reads over a 10 000-run durable history —
+# allocates 0.79 MB per script step; when every listed run was read back
+# from disk and JSON-decoded it allocated 2.58 MB.
+read-gate:
+	$(call ledger-gate,read-gate,history-query,alloc_mb_per_run,1.5)
 
 # The campaign-service benchmark itself (BENCHMARK.json, bench/README.md):
 # all four workloads, non-race, end-to-end metrics into bench/out/.

@@ -14,8 +14,8 @@
 //
 // In-memory secondary indexes (tenant, scenario, submission-time order)
 // serve filtered, cursor-paginated queries without touching disk except
-// to read the selected records' payloads. With no directory the store
-// is memory-only: same API, no files, no compaction.
+// to read back the documents of the selected records that carry one. With
+// no directory the store is memory-only: same API, no files, no compaction.
 package runstore
 
 import (
@@ -72,13 +72,16 @@ type Options struct {
 	Logger *log.Logger
 }
 
-// Meta is the indexed summary of a run's latest record — everything the
-// secondary indexes and list queries need without reading the full
-// document back from disk.
+// Meta is a run's latest record, resident in the index: everything the
+// secondary indexes, a listing, a status and the analytics fold need. A
+// caller whose run has more to say than these fields (the campaign
+// service: a job's XML override) appends a document beside it.
 type Meta struct {
 	ID       string `json:"id"`
 	Tenant   string `json:"tenant"`
 	Scenario string `json:"scenario,omitempty"`
+	Machine  string `json:"machine,omitempty"`
+	Seed     int64  `json:"seed,omitempty"`
 	// Key is the job's deterministic cache key (result-cache rebuilds).
 	Key       string `json:"key,omitempty"`
 	State     string `json:"state"`
@@ -88,6 +91,9 @@ type Meta struct {
 	// Tombstone marks a retention deletion: the run is dropped from all
 	// indexes and its older records become compactable garbage.
 	Tombstone bool `json:"tombstone,omitempty"`
+	// Error is a failed run's message; Worker the fleet worker that ran it.
+	Error  string `json:"error,omitempty"`
+	Worker string `json:"worker,omitempty"`
 
 	SubmittedAtNs int64 `json:"submitted_at_ns,omitempty"`
 	QueuedAtNs    int64 `json:"queued_at_ns,omitempty"`
@@ -98,6 +104,8 @@ type Meta struct {
 
 	// Artifacts maps artifact names to blob digests; ArtifactBytes is
 	// their total stored size (retention's per-tenant byte accounting).
+	// The store keeps the map it is handed and shares it between index
+	// entries, so neither side may write to it after Append.
 	Artifacts     map[string]string `json:"artifacts,omitempty"`
 	ArtifactBytes int64             `json:"artifact_bytes,omitempty"`
 }
@@ -121,14 +129,15 @@ type segment struct {
 }
 
 // runState is a run's in-memory index entry: its latest record's meta
-// plus where the full document lives.
+// plus where that record's frame lives and whether it carries a document.
 type runState struct {
 	meta   Meta
 	seq    uint64
 	seg    *segment // nil in memory-only mode
 	off    int64
 	length int64
-	memDoc []byte // memory-only mode keeps the doc resident
+	hasDoc bool
+	memDoc []byte // memory-only mode keeps a document resident
 }
 
 // Store is the run-history store. All methods are safe for concurrent
@@ -254,10 +263,11 @@ func segPath(dir string, index int) string {
 
 // frame holds one parsed record's location during recovery/compaction.
 type frame struct {
-	seq  uint64
-	meta Meta
-	off  int64
-	len  int64
+	seq    uint64
+	meta   Meta
+	hasDoc bool
+	off    int64
+	len    int64
 }
 
 // scanSegment parses every well-framed record in data, returning the
@@ -284,7 +294,7 @@ func scanSegment(data []byte) (frames []frame, good int64, torn bool) {
 			off = end
 			continue
 		}
-		frames = append(frames, frame{seq: e.Seq, meta: e.Meta, off: off, len: end - off})
+		frames = append(frames, frame{seq: e.Seq, meta: e.Meta, hasDoc: len(e.Doc) > 0, off: off, len: end - off})
 		off = end
 	}
 }
@@ -380,9 +390,14 @@ func (s *Store) recover() error {
 				}
 				continue
 			}
-			if cur := s.runs[id]; cur == nil || fr.seq > cur.seq {
-				s.runs[id] = &runState{meta: fr.meta, seq: fr.seq, seg: sf.seg, off: fr.off, length: fr.len}
+			cur := s.runs[id]
+			if cur == nil {
+				cur = &runState{}
+				s.runs[id] = cur
+			} else if fr.seq <= cur.seq {
+				continue
 			}
+			*cur = runState{meta: fr.meta, seq: fr.seq, seg: sf.seg, off: fr.off, length: fr.len, hasDoc: fr.hasDoc}
 		}
 	}
 	// A tombstone supersedes every older record of its run.
@@ -400,6 +415,7 @@ func (s *Store) recover() error {
 	for _, rs := range s.runs {
 		rs.seg.live++
 	}
+	shareRepeatedValues(s.runs)
 
 	// Build the ordered indexes in one sort instead of n insertions.
 	s.order = make([]*runState, 0, len(s.runs))
@@ -420,6 +436,52 @@ func (s *Store) recover() error {
 		}
 	}
 	return nil
+}
+
+// shareRepeatedValues makes a recovered index share what a live one
+// shares. Decoding gave every frame its own copy of each string and its
+// own artifact map; live, a cache hit's artifact map is its source's map
+// and the low-cardinality strings are few. The tables die with the call:
+// a long-lived one would cost a population of distinct runs more than it
+// saves, and the live path already shares without it.
+func shareRepeatedValues(runs map[string]*runState) {
+	strs := map[string]string{}
+	maps := map[string]map[string]string{}
+	var names []string
+	var sig []byte
+	for _, rs := range runs {
+		m := &rs.meta
+		for _, p := range [...]*string{&m.Tenant, &m.Scenario, &m.State, &m.Machine, &m.Worker, &m.Key} {
+			if v, ok := strs[*p]; ok {
+				*p = v
+			} else {
+				strs[*p] = *p
+			}
+		}
+		if len(m.Artifacts) == 0 {
+			continue
+		}
+		// The signature is length-prefixed, so no choice of names and
+		// digests makes two different maps read alike.
+		names = names[:0]
+		for name := range m.Artifacts {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		sig = sig[:0]
+		for _, name := range names {
+			for _, v := range [...]string{name, m.Artifacts[name]} {
+				sig = strconv.AppendInt(sig, int64(len(v)), 10)
+				sig = append(sig, ':')
+				sig = append(sig, v...)
+			}
+		}
+		if shared, ok := maps[string(sig)]; ok {
+			m.Artifacts = shared
+		} else {
+			maps[string(sig)] = m.Artifacts
+		}
+	}
 }
 
 // headerSize is the ckpt file header's length (magic + version).
@@ -483,7 +545,7 @@ func (s *Store) appendLocked(m Meta, doc []byte) error {
 	if s.dir == "" {
 		s.met.appends.Inc()
 		s.total++
-		s.applyLocked(m, seq, nil, 0, 0, append([]byte(nil), doc...))
+		s.applyLocked(runState{meta: m, seq: seq, hasDoc: len(doc) > 0, memDoc: append([]byte(nil), doc...)})
 		s.updateGaugesLocked()
 		return nil
 	}
@@ -515,42 +577,35 @@ func (s *Store) appendLocked(m Meta, doc []byte) error {
 	active.records++
 	s.total++
 	s.met.appends.Inc()
-	s.applyLocked(m, seq, active, off, int64(buf.Len()), nil)
+	s.applyLocked(runState{meta: m, seq: seq, seg: active, off: off, length: int64(buf.Len()), hasDoc: len(doc) > 0})
 	s.updateGaugesLocked()
 	return nil
 }
 
 // applyLocked folds one new record into the indexes.
-func (s *Store) applyLocked(m Meta, seq uint64, seg *segment, off, length int64, memDoc []byte) {
-	id := m.ID
-	s.noteOrdinalLocked(id, seq)
-	if m.Tombstone {
+func (s *Store) applyLocked(rec runState) {
+	id := rec.meta.ID
+	s.noteOrdinalLocked(id, rec.seq)
+	if rec.meta.Tombstone {
 		if rs := s.runs[id]; rs != nil {
 			s.removeIndexedLocked(rs)
 		}
-		s.tombs[id] = seq
+		s.tombs[id] = rec.seq
 		return
+	}
+	if rec.seg != nil {
+		rec.seg.live++
 	}
 	if rs := s.runs[id]; rs != nil {
 		if rs.seg != nil {
 			rs.seg.live--
 		}
-		rs.meta = m
-		rs.seq = seq
-		rs.seg = seg
-		rs.off = off
-		rs.length = length
-		rs.memDoc = memDoc
-		if seg != nil {
-			seg.live++
-		}
+		*rs = rec
 		return
 	}
-	rs := &runState{meta: m, seq: seq, seg: seg, off: off, length: length, memDoc: memDoc}
+	rs := new(runState) // not &rec: superseding appends must not allocate
+	*rs = rec
 	s.runs[id] = rs
-	if seg != nil {
-		seg.live++
-	}
 	insert := func(list []*runState) []*runState {
 		i := sort.Search(len(list), func(i int) bool { return !stateLess(list[i], rs) })
 		list = append(list, nil)
@@ -559,9 +614,9 @@ func (s *Store) applyLocked(m Meta, seq uint64, seg *segment, off, length int64,
 		return list
 	}
 	s.order = insert(s.order)
-	s.byTenant[m.Tenant] = insert(s.byTenant[m.Tenant])
-	if m.Scenario != "" {
-		s.byScenario[m.Scenario] = insert(s.byScenario[m.Scenario])
+	s.byTenant[rs.meta.Tenant] = insert(s.byTenant[rs.meta.Tenant])
+	if rs.meta.Scenario != "" {
+		s.byScenario[rs.meta.Scenario] = insert(s.byScenario[rs.meta.Scenario])
 	}
 }
 
@@ -639,12 +694,27 @@ func (s *Store) updateGaugesLocked() {
 	s.met.deadRecords.Set(float64(s.total - live))
 }
 
-// readDocLocked reads a run's full document back. Caller holds at least
-// the read lock (segment handles are closed only under the write lock).
-func (s *Store) readDocLocked(rs *runState) ([]byte, error) {
-	if rs.seg == nil {
-		return append([]byte(nil), rs.memDoc...), nil
+// itemOf renders an index entry as a query result, reading its document
+// back when it has one. Caller holds at least the read lock (segment
+// handles are closed only under the write lock).
+func itemOf(rs *runState) Item {
+	it := Item{Meta: rs.meta}
+	switch {
+	case !rs.hasDoc:
+	case rs.seg == nil:
+		it.Doc = append([]byte(nil), rs.memDoc...)
+	default:
+		it.Doc, it.Err = readDoc(rs)
+		if it.Err != nil {
+			it.Err = fmt.Errorf("runstore: read %s: %w", rs.meta.ID, it.Err)
+		}
 	}
+	return it
+}
+
+// readDoc reads a record's frame back from its segment, verifies it and
+// returns the document inside.
+func readDoc(rs *runState) ([]byte, error) {
 	buf := make([]byte, rs.length)
 	if _, err := rs.seg.f.ReadAt(buf, rs.off); err != nil {
 		return nil, err
@@ -660,10 +730,14 @@ func (s *Store) readDocLocked(rs *runState) ([]byte, error) {
 	return e.Doc, nil
 }
 
-// Item is one query result: the indexed meta plus the full document.
+// Item is one query result. A record appended without a document has a
+// nil Doc and a nil Err: its meta is the whole record. A record that has
+// a document the store could not read back (I/O error, checksum mismatch)
+// has a nil Doc and a non-nil Err, so the two never look alike.
 type Item struct {
 	Meta Meta
 	Doc  []byte
+	Err  error
 }
 
 // Get returns a run's latest record (ok=false: unknown or tombstoned).
@@ -674,12 +748,7 @@ func (s *Store) Get(id string) (Item, bool) {
 	if rs == nil {
 		return Item{}, false
 	}
-	doc, err := s.readDocLocked(rs)
-	if err != nil {
-		s.logf("runstore: read %s: %v", id, err)
-		return Item{Meta: rs.meta}, true
-	}
-	return Item{Meta: rs.meta, Doc: doc}, true
+	return itemOf(rs), true
 }
 
 // GetMeta returns a run's indexed meta without touching disk.
@@ -701,12 +770,14 @@ func (s *Store) Len() int {
 }
 
 // EachMeta calls fn for every live run in submission order until fn
-// returns false. fn must not call back into the store's locked methods.
-func (s *Store) EachMeta(fn func(Meta) bool) {
+// returns false. The pointer is the index entry itself: valid for that
+// call of fn only, and read-only (a caller that keeps anything copies
+// it). fn must not call back into the store's locked methods.
+func (s *Store) EachMeta(fn func(*Meta) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, rs := range s.order {
-		if !fn(rs.meta) {
+		if !fn(&rs.meta) {
 			return
 		}
 	}
@@ -870,7 +941,13 @@ func (s *Store) Query(q Query) (Page, error) {
 		return true
 	}
 
-	var page Page
+	// Select first, render second: the page's items are allocated once, at
+	// their final count, however sparse the filter's matches are.
+	var matched []*runState
+	if q.Limit > 0 {
+		matched = make([]*runState, 0, min(q.Limit, len(src)-i))
+	}
+	more := false
 	for ; i < len(src); i++ {
 		rs := src[i]
 		if untilNs != 0 && rs.meta.SubmittedAtNs > untilNs {
@@ -879,17 +956,22 @@ func (s *Store) Query(q Query) (Page, error) {
 		if !match(rs) {
 			continue
 		}
-		if q.Limit > 0 && len(page.Items) == q.Limit {
-			// One more match exists past the full page: hand out a cursor.
-			last := page.Items[len(page.Items)-1].Meta
-			page.NextPageToken = encodePageToken(last.SubmittedAtNs, last.ID)
-			return page, nil
+		if q.Limit > 0 && len(matched) == q.Limit {
+			more = true // one more match past the full page: hand out a cursor
+			break
 		}
-		doc, err := s.readDocLocked(rs)
-		if err != nil {
-			s.logf("runstore: read %s: %v", rs.meta.ID, err)
+		matched = append(matched, rs)
+	}
+	var page Page
+	if len(matched) > 0 {
+		page.Items = make([]Item, len(matched))
+		for i, rs := range matched {
+			page.Items[i] = itemOf(rs)
 		}
-		page.Items = append(page.Items, Item{Meta: rs.meta, Doc: doc})
+	}
+	if more {
+		last := &matched[len(matched)-1].meta
+		page.NextPageToken = encodePageToken(last.SubmittedAtNs, last.ID)
 	}
 	return page, nil
 }

@@ -166,8 +166,10 @@ func (s *Server) AnalyticsWithTrends(bucket time.Duration, buckets int) Analytic
 // already evicted. Resident runs also have history records; the
 // resident copy wins.
 func (s *Server) analyticsSamples() []runSample {
+	// Every resident run has a history record too, so the store's count is
+	// the population's.
+	samples := make([]runSample, 0, s.history.Len())
 	s.mu.Lock()
-	samples := make([]runSample, 0, len(s.order))
 	resident := make(map[string]bool, len(s.order))
 	for _, id := range s.order {
 		r := s.runs[id]
@@ -187,26 +189,24 @@ func (s *Server) analyticsSamples() []runSample {
 	}
 	s.mu.Unlock()
 
-	if s.history != nil {
-		s.history.EachMeta(func(m runstore.Meta) bool {
-			if resident[m.ID] {
-				return true
-			}
-			sm := runSample{
-				tenant: m.Tenant, scenario: m.Scenario,
-				state: RunState(m.State), cached: m.Cached,
-				submittedNs: m.SubmittedAtNs, qw: -1, ex: -1,
-			}
-			if m.ClaimedAtNs > 0 && m.QueuedAtNs > 0 {
-				sm.qw = time.Duration(m.ClaimedAtNs - m.QueuedAtNs).Seconds()
-			}
-			if m.FinishedAtNs > 0 && m.StartedAtNs > 0 {
-				sm.ex = time.Duration(m.FinishedAtNs - m.StartedAtNs).Seconds()
-			}
-			samples = append(samples, sm)
+	s.history.EachMeta(func(m *runstore.Meta) bool {
+		if resident[m.ID] {
 			return true
-		})
-	}
+		}
+		sm := runSample{
+			tenant: m.Tenant, scenario: m.Scenario,
+			state: RunState(m.State), cached: m.Cached,
+			submittedNs: m.SubmittedAtNs, qw: -1, ex: -1,
+		}
+		if m.ClaimedAtNs > 0 && m.QueuedAtNs > 0 {
+			sm.qw = time.Duration(m.ClaimedAtNs - m.QueuedAtNs).Seconds()
+		}
+		if m.FinishedAtNs > 0 && m.StartedAtNs > 0 {
+			sm.ex = time.Duration(m.FinishedAtNs - m.StartedAtNs).Seconds()
+		}
+		samples = append(samples, sm)
+		return true
+	})
 	return samples
 }
 

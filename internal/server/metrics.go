@@ -20,6 +20,7 @@ type metrics struct {
 	httpReqs     *obs.CounterVec // {route}
 	dupResults   *obs.Counter    // retransmitted results deduplicated by lease ID
 	gcBlobs      *obs.Counter    // blobs swept by retention GC
+	readErrs     *obs.Counter    // history documents that could not be read back or decoded
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -48,5 +49,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Result uploads retransmitted after a lost acknowledgement, deduplicated by lease ID.").With(),
 		gcBlobs: reg.Counter("dyflow_runstore_gc_blobs_total",
 			"Artifact blobs swept because no live history record references them.").With(),
+		readErrs: reg.Counter("dyflow_runstore_read_errors_total",
+			"Run-history documents that could not be read back or decoded; the run was served from its index entry.").With(),
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"time"
@@ -19,9 +20,14 @@ import (
 // result cost one stored copy. A killed server therefore restores every
 // acknowledged submission from the segments alone: done runs with their
 // artifact references, queued and running runs back onto the queue.
+//
+// A record is a runstore.Meta and, only for a run whose job overrides the
+// scenario's XML, a persistedRun document beside it: historyAppendLocked
+// writes that, Server.storedRun is the one reader of it.
 
-// persistedRun is a Run's durable form. ArtifactRefs are blob digests,
-// not bytes — cheap enough to carry on every done record, cached or not.
+// persistedRun is a Run's whole durable form: what a record's document
+// holds when it has one, and what storedRun builds from the meta when it
+// has none. ArtifactRefs are blob digests, not bytes.
 type persistedRun struct {
 	ID           string            `json:"id"`
 	Tenant       string            `json:"tenant"`
@@ -83,6 +89,11 @@ func (s *Server) applyPersisted(p persistedRun) *Run {
 	return r
 }
 
+// errJobDocumentLost fails a restored run whose record has a job document
+// that can no longer be read: its meta cannot say what the XML override
+// was, so requeueing from it would execute a different job under the ID.
+var errJobDocumentLost = errors.New("server: the run's job document was unreadable at restart, so it cannot be re-executed; resubmit it")
+
 // restore rebuilds the coordinator from the run-history store in one pass
 // over its metas (recovery of whatever a crash left mid-rotation or
 // mid-compaction is the store's own job). Three rules:
@@ -98,7 +109,9 @@ func (s *Server) applyPersisted(p persistedRun) *Run {
 //     (a run caught mid-execution restarts from scratch), bypassing the
 //     capacity bound (queue.requeue): the bound is admission backpressure
 //     for new submissions, and a server killed with queued+running >
-//     QueueDepth must still be able to restart and drain.
+//     QueueDepth must still be able to restart and drain. The one run that
+//     does not go back is one whose job document is unreadable: it fails
+//     with errJobDocumentLost.
 //   - The next run ID comes from the store's durable ordinal high-water,
 //     which outlives retention and compaction, so an ID is never reissued.
 //
@@ -128,14 +141,11 @@ func (s *Server) restore(dir string) error {
 	}
 	s.nextID = int(s.history.MaxOrdinal()) + 1
 
-	// The callback must not take s.mu or re-enter the store (lock order),
-	// so it only copies.
-	var metas []runstore.Meta
-	s.history.EachMeta(func(m runstore.Meta) bool {
-		metas = append(metas, m)
-		return true
-	})
-	for _, m := range metas {
+	// The callback must not take s.mu or re-enter the store (lock order):
+	// it seeds the cache from the metas in place and keeps only the IDs of
+	// the runs that come back.
+	var requeue []string
+	s.history.EachMeta(func(m *runstore.Meta) bool {
 		done := m.State == string(StateDone)
 		servable := done && s.refsResolvable(m.Artifacts)
 		if servable && !m.Cached && m.Key != "" {
@@ -146,16 +156,18 @@ func (s *Server) restore(dir string) error {
 				}
 			}
 		}
-		demote := done && !servable
-		if m.Terminal && !demote {
-			continue
+		if !m.Terminal || (done && !servable) {
+			requeue = append(requeue, m.ID)
 		}
-		p, ok := s.historyPersistedLocked(m.ID)
+		return true
+	})
+	for _, id := range requeue {
+		p, intact, ok := s.evictedRun(id)
 		if !ok {
 			continue
 		}
 		r := s.applyPersisted(p)
-		if demote {
+		if r.State == StateDone { // recorded done, artifacts unresolvable: demoted
 			r.Cached = false
 			r.Artifacts = nil
 			r.Converged = false
@@ -164,8 +176,12 @@ func (s *Server) restore(dir string) error {
 		}
 		s.runs[r.ID] = r
 		s.order = append(s.order, r.ID)
-		s.resetToQueuedLocked(r, "restore")
 		s.inflight[r.Tenant]++
+		if !intact {
+			s.finishLocked(r, StateFailed, errJobDocumentLost)
+			continue
+		}
+		s.resetToQueuedLocked(r, "restore")
 		s.queue.requeue(r.Shard, r.ID)
 		s.met.requeued.Inc()
 	}

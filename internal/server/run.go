@@ -107,39 +107,49 @@ type Status struct {
 
 // status renders the run's JSON view. Caller holds the server mutex.
 func (r *Run) status() Status {
-	st := Status{
-		ID:          r.ID,
-		Tenant:      r.Tenant,
-		Job:         r.Job,
-		State:       r.State,
-		Shard:       r.Shard,
-		Cached:      r.Cached,
-		Error:       r.Err,
-		SimSeconds:  time.Duration(r.simNow.Load()).Seconds(),
-		Converged:   r.Converged,
-		Worker:      r.Worker,
-		SubmittedAt: r.SubmittedAt,
+	p := r.persisted()
+	st := p.status(r.Shard)
+	if r.State != StateDone {
+		st.SimSeconds = time.Duration(r.simNow.Load()).Seconds()
 	}
-	if r.State == StateDone {
-		st.SimSeconds = r.SimEnd.Seconds()
-	}
-	for _, ts := range []struct {
-		at  time.Time
-		dst **time.Time
-	}{
-		{r.QueuedAt, &st.QueuedAt},
-		{r.ClaimedAt, &st.ClaimedAt},
-		{r.StartedAt, &st.StartedAt},
-		{r.FinishedAt, &st.FinishedAt},
-	} {
-		if !ts.at.IsZero() {
-			t := ts.at
-			*ts.dst = &t
-		}
-	}
-	for name := range r.Artifacts {
-		st.Artifacts = append(st.Artifacts, name)
-	}
-	sort.Strings(st.Artifacts)
 	return st
+}
+
+// status renders a run record's JSON view: the one renderer, for a
+// resident run's current state (Run.status) and an evicted run's record.
+func (p *persistedRun) status(shard int) Status {
+	st := Status{
+		ID:          p.ID,
+		Tenant:      p.Tenant,
+		Job:         p.Job,
+		State:       p.State,
+		Shard:       shard,
+		Cached:      p.Cached,
+		Error:       p.Err,
+		SimSeconds:  time.Duration(p.SimEndNs).Seconds(),
+		Converged:   p.Converged,
+		Worker:      p.Worker,
+		SubmittedAt: p.SubmittedAt,
+		QueuedAt:    timePtr(p.QueuedAt),
+		ClaimedAt:   timePtr(p.ClaimedAt),
+		StartedAt:   timePtr(p.StartedAt),
+		FinishedAt:  timePtr(p.FinishedAt),
+	}
+	if len(p.ArtifactRefs) > 0 {
+		st.Artifacts = make([]string, 0, len(p.ArtifactRefs))
+		for name := range p.ArtifactRefs {
+			st.Artifacts = append(st.Artifacts, name)
+		}
+		sort.Strings(st.Artifacts)
+	}
+	return st
+}
+
+// timePtr renders a phase timestamp for Status: a phase that never
+// happened is omitted.
+func timePtr(t time.Time) *time.Time {
+	if t.IsZero() {
+		return nil
+	}
+	return &t
 }

@@ -11,6 +11,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -111,8 +112,8 @@ type Server struct {
 	// history is the durable, indexed run store (internal/runstore) and
 	// the only record of run state: every transition is appended before
 	// it is acknowledged or published, terminal runs are evicted from the
-	// resident map once recorded, list/filter queries serve from its
-	// indexes, and restore reads nothing else. Memory-only when
+	// resident map once recorded, every read of an evicted run goes
+	// through storedRun, and restore reads nothing else. Memory-only when
 	// persistence is off (same API). Lock
 	// order: s.mu may be held while calling into history, never the
 	// reverse (EachMeta callbacks must not touch s.mu).
@@ -250,7 +251,8 @@ const maxTerminalRings = 1024
 // terminal lease ID).
 const maxRecentDone = 4096
 
-// unixNs renders a phase timestamp for the history index (zero time → 0).
+// unixNs renders a phase timestamp for the history index (zero time → 0);
+// nsTime is its inverse.
 func unixNs(t time.Time) int64 {
 	if t.IsZero() {
 		return 0
@@ -258,18 +260,29 @@ func unixNs(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// runMetaLocked builds the history store's indexed summary of r. Caller
-// holds the server mutex.
+func nsTime(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns)
+}
+
+// runMetaLocked builds r's history record: everything about the run but
+// its job's XML override. Caller holds the server mutex.
 func (s *Server) runMetaLocked(r *Run) runstore.Meta {
 	m := runstore.Meta{
 		ID:            r.ID,
 		Tenant:        r.Tenant,
 		Scenario:      r.Job.Scenario,
+		Machine:       r.Job.Machine,
+		Seed:          r.Job.Seed,
 		Key:           r.Job.Key(),
 		State:         string(r.State),
 		Terminal:      r.State.Terminal(),
 		Cached:        r.Cached,
 		Converged:     r.Converged,
+		Error:         r.Err,
+		Worker:        r.Worker,
 		SubmittedAtNs: unixNs(r.SubmittedAt),
 		QueuedAtNs:    unixNs(r.QueuedAt),
 		ClaimedAtNs:   unixNs(r.ClaimedAt),
@@ -292,8 +305,15 @@ func (s *Server) runMetaLocked(r *Run) runstore.Meta {
 // (dyflow_runstore_append_errors_total); Submit refuses on it, every
 // other transition proceeds and the run stays resident until a later
 // append records it.
+//
+// The meta is the record. Only an XML override does not fit in it, and
+// only such a run carries a persistedRun document beside its meta.
 func (s *Server) historyAppendLocked(r *Run) error {
-	doc, err := json.Marshal(r.persisted())
+	var doc []byte
+	var err error
+	if r.Job.XML != "" {
+		doc, err = json.Marshal(r.persisted())
+	}
 	if err == nil {
 		err = s.history.Append(s.runMetaLocked(r), doc)
 	}
@@ -336,22 +356,62 @@ func (s *Server) retainRingLocked(id string) {
 	}
 }
 
-// historyPersistedLocked fetches an evicted run's full document from the
-// history store. Caller holds the server mutex.
-func (s *Server) historyPersistedLocked(id string) (persistedRun, bool) {
-	if s.history == nil {
-		return persistedRun{}, false
+// storedRun is the one reader of history records. A record that carries a
+// document is that document: every XML run, and every record written
+// before the meta held machine, seed, error and worker. A record that
+// carries none is its meta. intact is false when a document exists but
+// could not be read back or is not this run's persistedRun; that is logged
+// and counted, and p then holds what the meta knows — enough to list and
+// serve the run, not enough to execute it (the XML is what was lost).
+func (s *Server) storedRun(it runstore.Item) (p persistedRun, intact bool) {
+	err := it.Err
+	if err == nil && it.Doc != nil {
+		var doc persistedRun // not p: Unmarshal would move it to the heap for the meta path too
+		if err = json.Unmarshal(it.Doc, &doc); err == nil && doc.ID != it.Meta.ID {
+			err = fmt.Errorf("document describes run %q", doc.ID)
+		}
+		if err == nil {
+			return doc, true
+		}
 	}
-	it, ok := s.history.Get(id)
-	if !ok {
-		return persistedRun{}, false
+	if err != nil {
+		s.met.readErrs.Inc()
+		s.logf("server: history document of %s unusable, serving its index entry: %v", it.Meta.ID, err)
 	}
-	var p persistedRun
-	if err := json.Unmarshal(it.Doc, &p); err != nil {
-		s.logf("server: decode history doc %s: %v", id, err)
-		return persistedRun{}, false
+	m := &it.Meta
+	return persistedRun{
+		ID:           m.ID,
+		Tenant:       m.Tenant,
+		Job:          exp.Job{Scenario: m.Scenario, Machine: m.Machine, Seed: m.Seed},
+		State:        RunState(m.State),
+		Cached:       m.Cached,
+		Err:          m.Error,
+		Converged:    m.Converged,
+		SimEndNs:     m.SimEndNs,
+		Worker:       m.Worker,
+		ArtifactRefs: m.Artifacts,
+		SubmittedAt:  nsTime(m.SubmittedAtNs),
+		QueuedAt:     nsTime(m.QueuedAtNs),
+		ClaimedAt:    nsTime(m.ClaimedAtNs),
+		StartedAt:    nsTime(m.StartedAtNs),
+		FinishedAt:   nsTime(m.FinishedAtNs),
+	}, err == nil
+}
+
+// evictedRun reads a run that is not resident from the history store
+// (found=false: no such run). It takes no server lock.
+func (s *Server) evictedRun(id string) (p persistedRun, intact, found bool) {
+	it, found := s.history.Get(id)
+	if !found {
+		return persistedRun{}, false, false
 	}
-	return p, true
+	p, intact = s.storedRun(it)
+	return p, intact, true
+}
+
+// statusOf renders a stored run the way a resident one renders itself.
+func (s *Server) statusOf(p *persistedRun) Status {
+	return p.status(s.queue.shardFor(p.Tenant))
 }
 
 // retentionLoop sweeps the retention policy until shutdown.
@@ -798,8 +858,8 @@ func (s *Server) Cancel(id string) (Status, error) {
 	r, ok := s.runs[id]
 	if !ok {
 		// Evicted terminal runs cancel as the no-op they always were.
-		if p, ok := s.historyPersistedLocked(id); ok {
-			return s.applyPersisted(p).status(), nil
+		if p, _, ok := s.evictedRun(id); ok {
+			return s.statusOf(&p), nil
 		}
 		return Status{}, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
 	}
@@ -814,15 +874,18 @@ func (s *Server) Cancel(id string) (Status, error) {
 }
 
 // RunStatus returns one run's status — resident runs live, evicted
-// terminal runs from their history store document.
+// terminal runs from their history record, read after the server mutex is
+// released (a run leaves the resident map only once its record is in).
 func (s *Server) RunStatus(id string) (Status, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.runs[id]; ok {
-		return r.status(), nil
+	if r := s.runs[id]; r != nil {
+		st := r.status()
+		s.mu.Unlock()
+		return st, nil
 	}
-	if p, ok := s.historyPersistedLocked(id); ok {
-		return s.applyPersisted(p).status(), nil
+	s.mu.Unlock()
+	if p, _, ok := s.evictedRun(id); ok {
+		return s.statusOf(&p), nil
 	}
 	return Status{}, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
 }
@@ -850,7 +913,9 @@ type RunPage struct {
 // QueryRuns serves the filtered, paginated run listing from the history
 // store's indexes. Every admitted run has a history record (appended at
 // submission), so the store is the authoritative listing; resident runs
-// render their live status instead of the recorded document.
+// render their live status instead of the recorded one. The server mutex
+// is held for those lookups only — never across the store's reads or a
+// document decode — so a page costs its items and delays no submit.
 func (s *Server) QueryRuns(q RunQuery) (RunPage, error) {
 	page, err := s.history.Query(runstore.Query{
 		Tenant: q.Tenant, Scenario: q.Scenario, State: q.State,
@@ -860,20 +925,19 @@ func (s *Server) QueryRuns(q RunQuery) (RunPage, error) {
 	if err != nil {
 		return RunPage{}, &APIError{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
+	out := RunPage{Runs: make([]Status, len(page.Items)), NextPageToken: page.NextPageToken}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := RunPage{Runs: make([]Status, 0, len(page.Items)), NextPageToken: page.NextPageToken}
-	for _, it := range page.Items {
-		if r := s.runs[it.Meta.ID]; r != nil {
-			out.Runs = append(out.Runs, r.status())
-			continue
+	for i := range page.Items {
+		if r := s.runs[page.Items[i].Meta.ID]; r != nil {
+			out.Runs[i] = r.status()
 		}
-		var p persistedRun
-		if err := json.Unmarshal(it.Doc, &p); err != nil {
-			s.logf("server: decode history doc %s: %v", it.Meta.ID, err)
-			continue
+	}
+	s.mu.Unlock()
+	for i := range page.Items {
+		if out.Runs[i].ID == "" { // not resident
+			p, _ := s.storedRun(page.Items[i])
+			out.Runs[i] = s.statusOf(&p)
 		}
-		out.Runs = append(out.Runs, s.applyPersisted(p).status())
 	}
 	return out, nil
 }
@@ -910,17 +974,20 @@ func (s *Server) Runs() []Status {
 // Artifact returns one artifact of a finished run, resident or evicted.
 func (s *Server) Artifact(id, name string) ([]byte, error) {
 	s.mu.Lock()
+	r, resident := s.runs[id]
 	var state RunState
 	var refs map[string]string
-	if r, ok := s.runs[id]; ok {
+	if resident {
 		state, refs = r.State, r.Artifacts
-	} else if p, ok := s.historyPersistedLocked(id); ok {
-		state, refs = p.State, p.ArtifactRefs
-	} else {
-		s.mu.Unlock()
-		return nil, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
 	}
 	s.mu.Unlock()
+	if !resident {
+		p, _, ok := s.evictedRun(id)
+		if !ok {
+			return nil, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
+		}
+		state, refs = p.State, p.ArtifactRefs
+	}
 	if state != StateDone {
 		return nil, &APIError{Code: http.StatusConflict, Msg: fmt.Sprintf("run is %s, artifacts exist once it is done", state)}
 	}
@@ -1023,24 +1090,30 @@ func httpError(w http.ResponseWriter, err error) {
 	http.Error(w, api.Msg, api.Code)
 }
 
-// writeJSON marshals first and writes with an explicit Content-Length so
+// jsonBufs recycles writeJSON's encode buffers across requests.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes first and writes with an explicit Content-Length so
 // failures are never silent half-truths: an encode error surfaces as a
 // clean 500 (nothing of the 2xx was written yet), and a connection torn
 // mid-body leaves the client a short read against the advertised length —
 // io.ErrUnexpectedEOF, which retrying clients treat as transient. The
-// fleet Worker and faultnet's truncation mode both rely on this.
+// fleet Worker and faultnet's truncation mode both rely on this. The body
+// is compact JSON ending in a newline; a reader who wants it indented
+// pipes it through `jq .`.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		s.logf("server: encode json response: %v", err)
 		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	data = append(data, '\n')
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	if _, err := w.Write(data); err != nil {
+	if _, err := w.Write(buf.Bytes()); err != nil {
 		s.logf("server: write json response: %v", err)
 	}
 }

@@ -137,21 +137,20 @@ func (s *Server) ensureTerminalEvent(id string) {
 	if s.runs[id] != nil || s.events.Len(id) > 0 {
 		return
 	}
-	m, ok := s.history.GetMeta(id)
-	if !ok || !m.Terminal {
+	p, _, ok := s.evictedRun(id)
+	if !ok || !p.State.Terminal() {
 		return
 	}
 	ev := events.Event{
-		Type:      terminalEventType(RunState(m.State)),
+		Type:      terminalEventType(p.State),
 		Reason:    "restore",
-		At:        time.Unix(0, m.FinishedAtNs),
-		Cached:    m.Cached,
-		Converged: m.Converged,
+		At:        p.FinishedAt,
+		Cached:    p.Cached,
+		Converged: p.Converged,
+		Error:     p.Err,
 	}
-	if m.State == string(StateDone) {
-		ev.SimSeconds = time.Duration(m.SimEndNs).Seconds()
-	} else if p, ok := s.historyPersistedLocked(id); ok {
-		ev.Error = p.Err
+	if p.State == StateDone {
+		ev.SimSeconds = time.Duration(p.SimEndNs).Seconds()
 	}
 	s.events.Append(id, ev)
 	s.retainRingLocked(id)
