@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify chaos chaos-restart restore-soak chaos-net bench bench-sim bench-runstore bench-check mem-gate read-gate perf loadtest loadtest-fleet loadtest-stream examples
+.PHONY: build test vet race verify chaos chaos-restart restore-soak suites-check suites-golden chaos-net bench bench-sim bench-runstore bench-check mem-gate exec-gate read-gate perf loadtest loadtest-fleet loadtest-stream examples
 
 build:
 	$(GO) build ./...
@@ -21,17 +21,49 @@ race:
 
 verify: vet build test race
 
+# The three suites below select their tests by name, so a rename can drop
+# a test from a suite without anyone deciding it should: testdata/suites/
+# holds each suite's selection as a committed list, `make suites-check`
+# (CI) fails when a selection is no longer its list, and `make
+# suites-golden` rewrites the lists when the change was meant.
+CHAOS_RUN         = Chaos|Campaign|Fault|Retr|Requeue|Recover|NodeDies
+CHAOS_RESTART_RUN = Ckpt|Checkpoint|Snapshot|Restore|Supervisor|OrchestratorKill|Journal|StopIdempotent|Sanitize
+RESTORE_SOAK_RUN  = Restore|KillRestart|TerminalRunsEvicted
+RESTORE_SOAK_SKIP = TornTailEveryByte
+
+# suite-list prints the tests of packages $(2) that pattern $(1) selects
+# (minus those matching $(3)), as package:Test lines.
+define suite-list
+$(GO) test -json -list '$(1)' $(2) \
+	| sed -n 's/.*"Package":"\([^"]*\)".*"Output":"\(Test[^\\]*\)\\n".*/\1:\2/p' \
+	| grep -v -E ':.*($(if $(3),$(3),^$$))' | sort
+endef
+
+define suites
+	@mkdir -p testdata/suites
+	@$(call suite-list,$(CHAOS_RUN),./internal/...) | $(1) testdata/suites/chaos.txt $(2)
+	@$(call suite-list,$(CHAOS_RESTART_RUN),./internal/...) | $(1) testdata/suites/chaos-restart.txt $(2)
+	@$(call suite-list,$(RESTORE_SOAK_RUN),./internal/server/,$(RESTORE_SOAK_SKIP)) | $(1) testdata/suites/restore-soak.txt $(2)
+endef
+
+suites-check:
+	$(call suites,diff -u,-)
+	@echo "suites-check: chaos, chaos-restart and restore-soak select what testdata/suites/ lists"
+
+suites-golden:
+	$(call suites,tee,>/dev/null)
+
 # The fault-injection suite (DESIGN.md §10): seeded kill/heal campaigns,
 # flaky carves, retry/requeue recovery — under the race detector.
 chaos:
-	$(GO) test -race -run 'Chaos|Campaign|Fault|Retr|Requeue|Recover|NodeDies' ./internal/...
+	$(GO) test -race -run '$(CHAOS_RUN)' ./internal/...
 
 # Crash-safety suite (DESIGN.md §12, docs/RECOVERY.md): checkpoint/restore
 # round-trips, the orchestrator-kill campaign with its golden determinism
 # check, and stage-supervisor panic/stall recovery — under the race
 # detector.
 chaos-restart:
-	$(GO) test -race -run 'Ckpt|Checkpoint|Snapshot|Restore|Supervisor|OrchestratorKill|Journal|StopIdempotent|Sanitize' ./internal/...
+	$(GO) test -race -run '$(CHAOS_RESTART_RUN)' ./internal/...
 
 # The coordinator's kill/restart tests ten times over, non-race, a few
 # seconds: a restore test that fails one run in three (as
@@ -39,7 +71,7 @@ chaos-restart:
 # of as an unlucky tier-1 run. TestRestoreTornTailEveryByte is left to the
 # suites above: it has no timing in it and is 5 000 restarts on its own.
 restore-soak:
-	$(GO) test -count=10 -run 'Restore|KillRestart|TerminalRunsEvicted' -skip 'TornTailEveryByte' ./internal/server/
+	$(GO) test -count=10 -run '$(RESTORE_SOAK_RUN)' -skip '$(RESTORE_SOAK_SKIP)' ./internal/server/
 
 # Seeded network-fault sweep over the coordinator↔worker RPC plane
 # (docs/SERVICE.md, "Surviving network faults"): five fault schedules —
@@ -94,7 +126,7 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # A ledger gate: a 3-second pass of workload $(2) must pass its output check
-# and end with metric $(3) below $(4) MB. Both gated metrics repeat to a
+# and end with metric $(3) below $(4) MB. The gated metrics repeat to a
 # fraction of a percent from run to run, so these are gates, not trends.
 define ledger-gate
 	@out=$$(bash bench/run.sh $(2) -seconds 3 -trace 0 | tail -n 1); echo "$$out"; \
@@ -110,6 +142,14 @@ endef
 # 112 MB.
 mem-gate:
 	$(call ledger-gate,mem-gate,svc-light,live_heap_mb,16)
+
+# The in-process worker never grows a wire (docs/SERVICE.md, "Workers"):
+# `-workers N` calls the coordinator's worker API as plain methods, and a
+# quickstart run through it allocates 0.618 MB — what the worker pool it
+# replaced allocated. Reaching the same handlers through an in-process
+# http.RoundTripper (requests, JSON both ways) read 0.665 MB.
+exec-gate:
+	$(call ledger-gate,exec-gate,svc-light,alloc_mb_per_run,0.63)
 
 # A read costs what it returns (docs/SERVICE.md, "Querying run history"):
 # history-query — cached submits beside filtered list pages, evicted-run
@@ -134,8 +174,8 @@ loadtest:
 		-clients 8 -tenants 4 -per-client 4 -seeds 6 -tenant-quota 1 \
 		-out BENCH_serve.json
 
-# The same closed loop through the worker fleet (docs/SERVICE.md, "The
-# worker fleet"): the embedded coordinator keeps no local pool, three
+# The same closed loop through the worker fleet (docs/SERVICE.md,
+# "Workers"): the embedded coordinator runs no worker of its own, three
 # spawned workers execute everything over the lease-based worker API, and
 # one worker is hard-killed mid-lease — every job must still complete via
 # lease-expiry requeue. Overwrites BENCH_serve.json with the fleet-mode

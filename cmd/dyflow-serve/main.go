@@ -14,23 +14,24 @@
 //	             [-min-jobs-per-sec F] [-out BENCH_chaosnet.json]
 //
 // The service accepts campaign submissions over HTTP (POST /v1/runs),
-// executes them on a sharded worker pool of deterministic simulations, and
+// leases them to workers — -workers N is one with N slots inside this
+// process, listed as `local` — each slot a deterministic simulation, and
 // serves status, artifacts, and its own /metrics. With -ckpt-dir it
 // appends every run-state transition to the run-history log before
 // acknowledging it, so a killed server resumes pending work on restart.
 // -addr host:0 binds a free port; the bound address is printed.
 // SIGINT/SIGTERM shut down gracefully: HTTP drains and running
-// simulations abort back to queued for the next process.
+// simulations abort back to queued (never canceled) for the next process.
 //
-// worker joins a coordinator's fleet: it claims queued runs under leases,
-// executes them, and uploads artifacts to the coordinator's blob store.
-// Run the coordinator with -workers -1 to make the fleet do all the
-// executing.
+// worker joins a coordinator's fleet from another process: the same worker
+// as -workers N, claiming queued runs under leases, executing them and
+// uploading artifacts to the coordinator's blob store, but over HTTP. Run
+// the coordinator with -workers -1 to make the fleet do all the executing.
 //
 // loadtest drives closed-loop load — by default against an embedded
 // in-process server so one command measures the whole stack — and writes
 // throughput and latency percentiles as JSON. -fleet N spawns N in-process
-// fleet workers (the coordinator then runs with no local pool), and
+// fleet workers (the coordinator then runs no worker of its own), and
 // -kill-worker hard-kills one mid-lease to drill lease-expiry recovery.
 //
 // chaosnet is the network-chaos drill (`make chaos-net`): it sweeps
@@ -90,7 +91,7 @@ func fatal(err error) {
 func serve(args []string) error {
 	fs := flag.NewFlagSet("dyflow-serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address (host:0 picks a free port)")
-	workers := fs.Int("workers", 0, "local worker-pool size (0 = GOMAXPROCS, negative = fleet workers only)")
+	workers := fs.Int("workers", 0, "slots of the in-process worker (0 = GOMAXPROCS, negative = none: joined workers only)")
 	queueDepth := fs.Int("queue-depth", 0, "bound on queued runs before 429 backpressure (0 = 64)")
 	tenantQuota := fs.Int("tenant-quota", 0, "per-tenant in-flight run cap (0 = 8, negative = unlimited)")
 	ckptDir := fs.String("ckpt-dir", "", "state directory: persist every run's state (runs/) and artifacts (blobs/) across restarts")
@@ -248,7 +249,7 @@ func loadtest(args []string) error {
 	queueDepth := fs.Int("queue-depth", 0, "embedded server: queue bound (0 = 64)")
 	tenantQuota := fs.Int("tenant-quota", 0, "embedded server: per-tenant quota (0 = 8)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "embedded server: fleet lease TTL (0 = 10s)")
-	fleetN := fs.Int("fleet", 0, "spawn this many in-process fleet workers (embedded server runs with no local pool)")
+	fleetN := fs.Int("fleet", 0, "spawn this many fleet workers over loopback HTTP (the embedded server then runs none of its own)")
 	workerSlots := fs.Int("worker-slots", 0, "concurrent runs per fleet worker (0 = 1)")
 	killWorker := fs.Bool("kill-worker", false, "hard-kill one fleet worker mid-lease (chaos drill)")
 	stream := fs.Bool("stream", false, "tail each run's SSE event stream instead of polling status")
@@ -261,7 +262,7 @@ func loadtest(args []string) error {
 		embeddedWorkers := *workers
 		if *fleetN > 0 {
 			// The fleet does all the executing; the embedded coordinator
-			// keeps no local pool.
+			// runs no worker of its own.
 			embeddedWorkers = -1
 		}
 		var err error

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"dyflow/internal/exp"
 )
 
 // The read path's benchmarks (ISSUE 19): a durable coordinator holding
@@ -84,3 +86,36 @@ func BenchmarkAnalytics10k(b *testing.B) {
 	h := benchHistory(b)
 	benchGet(b, h, func(int) string { return "/v1/analytics" })
 }
+
+// The execution path's benchmarks (ISSUE 20): distinct jobs, one at a time,
+// from Submit to the run's eviction at its terminal transition, on the one
+// slot of Config{Workers: 1}. Like the ones above the file uses nothing a
+// parent commit lacks — the wait is a look at the resident map, which
+// allocates nothing, so B/op is the run's own.
+
+func benchLocalRun(b *testing.B, scenario string) {
+	b.Helper()
+	s, err := New(Config{Workers: 1, TenantQuota: -1, Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := s.Submit("bench", exp.Job{Scenario: scenario, Machine: "dt2", Seed: int64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for resident := true; resident; {
+			time.Sleep(20 * time.Microsecond)
+			s.mu.Lock()
+			_, resident = s.runs[st.ID]
+			s.mu.Unlock()
+		}
+	}
+}
+
+func BenchmarkLocalRunQuickstart(b *testing.B) { benchLocalRun(b, exp.ScenarioQuickstart) }
+
+func BenchmarkLocalRunXGC(b *testing.B) { benchLocalRun(b, exp.ScenarioXGC) }

@@ -91,9 +91,9 @@ func TestFaultResultRetransmitDeduplicated(t *testing.T) {
 
 	// The lease the run completed under. The terminal run has been
 	// evicted to the history store, so the (run, lease) pair lives in
-	// the recentDone dedup window handleResult consults.
+	// the doneRings dedup window Result consults.
 	s.mu.Lock()
-	doneLease := s.recentDone[st.ID]
+	doneLease := s.doneRings[len(s.doneRings)-1].lease
 	s.mu.Unlock()
 	if doneLease == "" {
 		t.Fatal("terminal run recorded no completing lease")

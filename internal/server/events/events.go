@@ -32,7 +32,7 @@ type Type string
 // The event types, in rough lifecycle order.
 const (
 	TypeQueued       Type = "queued"        // entered the queue (Reason: "", "restore", "lease_expired", "missing_blob", "shutdown", "result_upload_failed")
-	TypeClaimed      Type = "claimed"       // a worker (or the local pool) took the run
+	TypeClaimed      Type = "claimed"       // a worker took the run
 	TypeRunning      Type = "running"       // execution started
 	TypeProgress     Type = "progress"      // simulated time advanced (throttled)
 	TypeSpan         Type = "span"          // a flight-recorder suggestion span completed

@@ -17,7 +17,7 @@ type backoff struct {
 
 	mu   sync.Mutex
 	cur  time.Duration // next attempt's ceiling
-	rng  *rand.Rand
+	rng  *rand.Rand    // built by the first next(): a backoff never needed costs no 5 KB source
 	seed int64
 }
 
@@ -33,7 +33,7 @@ func newBackoff(base, max time.Duration, seed int64) *backoff {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	return &backoff{base: base, max: max, cur: base, rng: rand.New(rand.NewSource(seed)), seed: seed}
+	return &backoff{base: base, max: max, cur: base, seed: seed}
 }
 
 // next returns this attempt's jittered delay and doubles the ceiling
@@ -42,6 +42,9 @@ func newBackoff(base, max time.Duration, seed int64) *backoff {
 func (b *backoff) next() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(b.seed))
+	}
 	ceiling := b.cur
 	if b.cur < b.max {
 		b.cur *= 2

@@ -1,10 +1,11 @@
-// Package fleet is the campaign service's scale-out substrate: a lease
-// manager the coordinator uses to hand queued runs to remote workers (and
-// reclaim them when a worker dies), a content-addressed blob store the
-// finished artifacts live in (so N runs with identical bytes cost one
-// copy, fleet-wide), and the HTTP worker client that registers with a
-// coordinator, claims runs, heartbeats its leases, and uploads results.
-// docs/SERVICE.md ("The worker fleet") is the narrative description.
+// Package fleet is the campaign service's execution substrate: a lease
+// manager the coordinator uses to hand queued runs to workers (and reclaim
+// them when a worker dies), a content-addressed blob store the finished
+// artifacts live in (so N runs with identical bytes cost one copy,
+// fleet-wide), and the Worker — the service's only executor — that
+// registers with a Coordinator, claims runs, heartbeats its leases, and
+// uploads results, over HTTP or from inside the coordinator's process.
+// docs/SERVICE.md ("Workers") is the narrative description.
 package fleet
 
 import (

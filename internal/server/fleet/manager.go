@@ -141,12 +141,20 @@ func (m *Manager) sweep() {
 	}
 }
 
-// Register adds a worker and returns its ID.
+// Register adds a worker under a newly minted ID and returns it.
 func (m *Manager) Register(name string, slots int) string {
+	return m.RegisterAs("", name, slots)
+}
+
+// RegisterAs adds a worker under the ID its caller reserved ("" mints the
+// next worker-NNNN) and returns the ID.
+func (m *Manager) RegisterAs(id, name string, slots int) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id := fmt.Sprintf("worker-%04d", m.nextW)
-	m.nextW++
+	if id == "" {
+		id = fmt.Sprintf("worker-%04d", m.nextW)
+		m.nextW++
+	}
 	if name == "" {
 		name = id
 	}
@@ -250,13 +258,15 @@ func (m *Manager) LeasedRuns() []string {
 }
 
 // Touch marks a worker alive without any lease activity — empty-queue
-// claim polls still prove liveness.
-func (m *Manager) Touch(workerID string) {
+// claim polls still prove liveness — and reports whether it is registered.
+func (m *Manager) Touch(workerID string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if w := m.workers[workerID]; w != nil {
+	w := m.workers[workerID]
+	if w != nil {
 		w.LastSeen = time.Now()
 	}
+	return w != nil
 }
 
 // NoteOutcome records one finished run against the worker that uploaded

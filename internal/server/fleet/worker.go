@@ -1,12 +1,9 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -27,7 +24,7 @@ var (
 
 // WorkerOptions shapes one fleet worker.
 type WorkerOptions struct {
-	// Coordinator is the coordinator's host:port.
+	// Coordinator is the coordinator's host:port (JoinFleet, Dial).
 	Coordinator string
 	// Name labels the worker in the coordinator's fleet view.
 	Name string
@@ -37,12 +34,12 @@ type WorkerOptions struct {
 	// ClaimWait is the long-poll window a claim blocks for when the queue
 	// is empty. 0 means 500ms.
 	ClaimWait time.Duration
-	// CallTimeout is the per-RPC deadline: no single coordinator call may
-	// block longer than this (heartbeats use a tighter bound derived from
-	// the lease TTL; claims add the long-poll window on top). 0 means 10s.
+	// CallTimeout is the per-RPC deadline over HTTP: no single coordinator
+	// call may block longer than this (heartbeats use a tighter bound derived
+	// from the lease TTL; claims add the long-poll window on top). 0 means 10s.
 	CallTimeout time.Duration
-	// RegisterWait bounds how long JoinFleet retries registration against
-	// an unreachable coordinator before giving up. 0 means 10s.
+	// RegisterWait bounds how long registration is retried against an
+	// unreachable coordinator before giving up. 0 means 10s.
 	RegisterWait time.Duration
 	// MaxSpanBuffer caps the flight-recorder spans buffered while the
 	// coordinator is unreachable; beyond it the oldest spans are dropped
@@ -51,7 +48,7 @@ type WorkerOptions struct {
 	// BackoffSeed seeds retry jitter for reproducible tests. 0 seeds from
 	// the clock.
 	BackoffSeed int64
-	// Client overrides the HTTP client (tests, fault injection).
+	// Client overrides the HTTP client (JoinFleet, Dial: tests, fault injection).
 	Client *http.Client
 	// OnClaim, when set (tests, chaos), is called with each claimed run ID
 	// before execution starts — it can block to hold the lease mid-claim.
@@ -65,28 +62,27 @@ type WorkerOptions struct {
 	MetricsEvery time.Duration
 }
 
-// Worker is one fleet member: it registers with the coordinator, then
-// each slot loops claim → execute (exp.RunJob, heartbeating the lease on
+// Worker is one fleet member: it registers with its coordinator, then each
+// slot loops claim → execute (exp.RunJob, heartbeating the lease on
 // wall-clock cadence) → upload blobs → report the result. Determinism
 // makes abandoning work safe at any point: the coordinator's lease expiry
 // requeues the run and its re-execution is byte-identical.
 //
-// Every RPC carries a per-call deadline and survives a hostile network
-// (see internal/server/faultnet): transient failures — transport errors,
-// 5xx, truncated responses — are retried with capped exponential backoff
-// and full jitter, counted in dyflow_worker_rpc_retries_total. Result
-// POSTs are idempotent: the lease ID is the attempt-stable idempotency
-// key, so a retried completion whose first 200 was lost is deduplicated
-// by the coordinator instead of counted stale.
+// It is the service's only executor and reaches the coordinator through a
+// Coordinator: over HTTP when it joined a fleet (JoinFleet), by plain method
+// calls when the coordinator started it inside its own process (Start).
+// Over a hostile network (see internal/server/faultnet) a call fails
+// transiently — transport errors, 5xx, truncated responses — and is
+// repeated with capped exponential backoff and full jitter, counted in
+// dyflow_worker_rpc_retries_total. Result delivery is idempotent: the lease
+// ID is the attempt-stable idempotency key, so a retried completion whose
+// first acknowledgement was lost is deduplicated by the coordinator instead
+// of counted stale.
 type Worker struct {
-	o           WorkerOptions
-	id          string
-	base        string
-	client      *http.Client
-	hbEach      time.Duration
-	hbTimeout   time.Duration
-	callTimeout time.Duration
-	maxSpans    int
+	o      WorkerOptions
+	c      Coordinator
+	id     string
+	hbEach time.Duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -95,7 +91,6 @@ type Worker struct {
 	killed   atomic.Bool
 	claiming atomic.Bool // false once Stop was called: finish in-flight, claim no more
 
-	claimed   atomic.Int64
 	completed atomic.Int64
 
 	reg      *obs.Registry
@@ -111,17 +106,27 @@ type Worker struct {
 	metSpanDrops *obs.Counter    // dyflow_worker_span_drops_total
 }
 
-// JoinFleet registers a worker with the coordinator and starts its slot
-// loops. Stop drains it gracefully; Kill abandons everything mid-lease.
+// JoinFleet registers a worker with the coordinator at o.Coordinator and
+// starts its slot loops. Stop drains it gracefully; Kill abandons
+// everything mid-lease.
 func JoinFleet(o WorkerOptions) (*Worker, error) {
+	w, err := Start(Dial(o), o)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: join %s: %w", o.Coordinator, err)
+	}
+	return w, nil
+}
+
+// Start registers a worker with c and starts its slot loops: what JoinFleet
+// does once it has a connection, and all a coordinator does to run
+// `-workers N` (c is then the coordinator itself; o.Coordinator,
+// o.CallTimeout and o.Client describe a connection and go unused).
+func Start(c Coordinator, o WorkerOptions) (*Worker, error) {
 	if o.Slots <= 0 {
 		o.Slots = 1
 	}
 	if o.ClaimWait <= 0 {
 		o.ClaimWait = 500 * time.Millisecond
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 10 * time.Second
 	}
 	if o.RegisterWait <= 0 {
 		o.RegisterWait = 10 * time.Second
@@ -129,17 +134,11 @@ func JoinFleet(o WorkerOptions) (*Worker, error) {
 	if o.MaxSpanBuffer <= 0 {
 		o.MaxSpanBuffer = 1024
 	}
-	client := o.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
 	mreg := o.Metrics
 	if mreg == nil {
 		mreg = obs.NewRegistry()
 	}
-	w := &Worker{o: o, base: "http://" + o.Coordinator, client: client,
-		callTimeout: o.CallTimeout, maxSpans: o.MaxSpanBuffer,
-		reg: mreg, pushDone: make(chan struct{})}
+	w := &Worker{o: o, c: c, reg: mreg, pushDone: make(chan struct{})}
 	w.metClaims = mreg.Counter("dyflow_worker_claims_total",
 		"Runs this worker claimed from the coordinator.").With()
 	w.metRuns = mreg.Counter("dyflow_worker_runs_total",
@@ -162,34 +161,21 @@ func JoinFleet(o WorkerOptions) (*Worker, error) {
 	// Registration retries through a flaky network: workers are often
 	// started alongside (or before) the coordinator.
 	var reg RegisterResponse
-	err := w.postRetry("register", "/v1/workers/register",
-		RegisterRequest{Name: o.Name, Slots: o.Slots}, &reg, time.Now().Add(o.RegisterWait))
+	err := w.retry("register", time.Now().Add(o.RegisterWait), func() (err error) {
+		reg, err = c.Register(w.ctx, RegisterRequest{Name: o.Name, Slots: o.Slots})
+		return err
+	})
 	if err != nil {
 		w.cancel()
 		close(w.pushDone)
-		return nil, fmt.Errorf("fleet: register with %s: %w", o.Coordinator, err)
+		return nil, fmt.Errorf("register: %w", err)
 	}
 	w.id = reg.WorkerID
-	w.hbEach = time.Duration(reg.HeartbeatMs) * time.Millisecond
-	if w.hbEach <= 0 {
-		w.hbEach = time.Duration(reg.LeaseTTLMs/3) * time.Millisecond
-	}
-	if w.hbEach <= 0 {
-		w.hbEach = time.Second
-	}
-	// A heartbeat that blocks past TTL/3 is as good as lost: bound it so
-	// a hung coordinator cannot stall the progress hook into lease loss.
-	w.hbTimeout = w.hbEach
-	if w.hbTimeout < 50*time.Millisecond {
-		w.hbTimeout = 50 * time.Millisecond
-	}
-	if w.hbTimeout > w.callTimeout {
-		w.hbTimeout = w.callTimeout
-	}
+	w.hbEach = heartbeatEvery(reg)
 
 	for i := 0; i < o.Slots; i++ {
 		w.wg.Add(1)
-		go w.slot(int64(i))
+		go w.slot(i)
 	}
 	every := o.MetricsEvery
 	if every <= 0 {
@@ -253,17 +239,18 @@ func (w *Worker) pushMetrics() {
 	if w.killed.Load() {
 		return // crashed workers push nothing
 	}
-	_, _ = w.postCode("/v1/workers/"+w.id+"/metrics", w.reg.Snapshot(), nil, w.callTimeout)
+	_ = w.c.PushMetrics(w.ctx, w.id, w.reg.Snapshot())
 }
 
 // slot is one claim-execute-upload loop. Claim failures back off with
 // full jitter (workers outlive coordinator restarts without stampeding
 // the restarted process) and reset on the first success.
-func (w *Worker) slot(n int64) {
+func (w *Worker) slot(n int) {
 	defer w.wg.Done()
-	b := newBackoff(10*time.Millisecond, time.Second, mixSeed(w.o.BackoffSeed, n))
+	b := newBackoff(10*time.Millisecond, time.Second, mixSeed(w.o.BackoffSeed, int64(n)))
 	for w.claiming.Load() {
-		claim, ok, err := w.claim()
+		// ok=false: the queue stayed empty for the whole window.
+		claim, ok, err := w.c.Claim(w.ctx, w.id, n, w.o.ClaimWait)
 		if err != nil {
 			if w.ctx.Err() != nil {
 				return
@@ -276,9 +263,8 @@ func (w *Worker) slot(n int64) {
 		}
 		b.reset()
 		if !ok {
-			continue // empty queue after the long-poll window
+			continue
 		}
-		w.claimed.Add(1)
 		w.metClaims.Inc()
 		if w.o.OnClaim != nil {
 			w.o.OnClaim(claim.RunID)
@@ -298,21 +284,25 @@ func mixSeed(seed, n int64) int64 {
 	return seed*31 + n + 1
 }
 
-// claim asks the coordinator for a run. ok=false means the queue stayed
-// empty for the poll window. The per-call deadline covers the long-poll
-// window plus the normal RPC budget.
-func (w *Worker) claim() (ClaimResponse, bool, error) {
-	var resp ClaimResponse
-	code, err := w.postCode("/v1/workers/"+w.id+"/claim",
-		ClaimRequest{WaitMs: w.o.ClaimWait.Milliseconds()}, &resp,
-		w.o.ClaimWait+w.callTimeout)
-	if err != nil {
-		return resp, false, err
+// retry makes one coordinator call until it succeeds, is answered with a
+// refusal, the worker is gone, or the deadline has passed — always at least
+// once. Repeats wait out a capped exponential backoff with full jitter and
+// are counted per call label in dyflow_worker_rpc_retries_total.
+func (w *Worker) retry(label string, deadline time.Time, call func() error) error {
+	var b *backoff
+	for {
+		err := call()
+		if err == nil || errors.As(err, new(answered)) || w.ctx.Err() != nil || !time.Now().Before(deadline) {
+			return err
+		}
+		if b == nil {
+			b = newBackoff(10*time.Millisecond, time.Second, mixSeed(w.o.BackoffSeed, 1<<20+int64(len(label))))
+		}
+		w.metRetries.With(label).Inc()
+		if !sleepCtx(w.ctx, b.next()) {
+			return err
+		}
 	}
-	if code == http.StatusNoContent {
-		return resp, false, nil
-	}
-	return resp, true, nil
 }
 
 // spanBuffer accumulates completed flight-recorder spans between
@@ -378,18 +368,12 @@ func (w *Worker) execute(claim ClaimResponse) {
 	ttl := time.Duration(claim.LeaseTTLMs) * time.Millisecond
 	lastOK := time.Now() // last heartbeat the coordinator accepted (claim counts)
 	hbNext := lastOK.Add(w.hbEach)
-	hbRetry := w.hbEach / 2
-	if hbRetry > 200*time.Millisecond {
-		hbRetry = 200 * time.Millisecond
-	}
-	if hbRetry <= 0 {
-		hbRetry = 50 * time.Millisecond
-	}
+	hbRetry := min(w.hbEach/2, 200*time.Millisecond)
 	w.metActive.Add(1)
 	defer w.metActive.Add(-1)
 	started := time.Now()
 
-	spans := &spanBuffer{cap: w.maxSpans, drops: w.metSpanDrops}
+	spans := &spanBuffer{cap: w.o.MaxSpanBuffer, drops: w.metSpanDrops}
 
 	out, err := exp.RunJob(claim.Job, func(world *exp.World) error {
 		if world.Orch != nil {
@@ -405,10 +389,8 @@ func (w *Worker) execute(claim ClaimResponse) {
 				return nil
 			}
 			batch := spans.take()
-			var hb HeartbeatResponse
-			_, err := w.postCode("/v1/workers/"+w.id+"/heartbeat",
-				HeartbeatRequest{RunID: claim.RunID, LeaseID: claim.LeaseID,
-					SimNs: int64(now), Spans: batch}, &hb, w.hbTimeout)
+			hb, err := w.c.Heartbeat(w.ctx, w.id, HeartbeatRequest{RunID: claim.RunID,
+				LeaseID: claim.LeaseID, SimNs: int64(now), Spans: batch})
 			if err != nil {
 				spans.restore(batch) // retry the batch with the next heartbeat
 				// Coordinator slow, partitioned, or restarting: survivable
@@ -474,73 +456,33 @@ func (w *Worker) execute(claim ClaimResponse) {
 
 // uploadArtifacts pushes each artifact blob the coordinator does not
 // already hold (content addressing makes re-executions and shared cache
-// hits free) and returns the name → digest reference map. Each blob op
-// retries with backoff until the horizon; the digest probe doubles as
-// upload resume — a PUT whose 201 was lost verifies on the next HEAD and
-// is never re-sent.
+// hits free) and returns the name → digest reference map. Each blob is
+// retried until the horizon; the digest probe doubles as upload resume — a
+// put whose acknowledgement was lost verifies on the next probe and is
+// never re-sent.
 func (w *Worker) uploadArtifacts(artifacts map[string][]byte, horizon time.Time) (map[string]string, error) {
-	b := newBackoff(10*time.Millisecond, time.Second, mixSeed(w.o.BackoffSeed, 1<<20))
 	refs := make(map[string]string, len(artifacts))
 	for name, data := range artifacts {
 		digest := Digest(data)
 		refs[name] = digest
-		for {
-			if w.hasBlob(digest) {
-				break
+		err := w.retry("blob", horizon, func() error {
+			if w.c.HasBlob(w.ctx, digest) {
+				return nil
 			}
-			err := w.putBlob(digest, data)
+			err := w.c.PutBlob(w.ctx, digest, data)
 			if err == nil {
 				w.metArtifacts.Add(int64(len(data)))
-				break
 			}
-			if w.ctx.Err() != nil || !time.Now().Before(horizon) {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			w.metRetries.With("blob").Inc()
-			if !sleepCtx(w.ctx, b.next()) {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return refs, nil
 }
 
-func (w *Worker) hasBlob(digest string) bool {
-	ctx, cancel := context.WithTimeout(w.ctx, w.callTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, w.base+"/v1/blobs/"+digest, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
-func (w *Worker) putBlob(digest string, data []byte) error {
-	ctx, cancel := context.WithTimeout(w.ctx, w.callTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, w.base+"/v1/blobs/"+digest, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("PUT blob %s: %s: %s", digest[:12], resp.Status, bytes.TrimSpace(body))
-	}
-	return nil
-}
-
-// report posts the result, retrying transient failures until the lease
+// report delivers the result, retrying transient failures until the lease
 // horizon. The retry is safe because the coordinator deduplicates by
 // lease ID: a second delivery of an already-applied result is answered
 // Accepted without re-finishing the run. A rejected (stale) upload is
@@ -557,85 +499,14 @@ func (w *Worker) report(res ResultRequest, horizon time.Time) {
 		w.metRuns.With("done").Inc()
 	}
 	var resp ResultResponse
-	if err := w.postRetry("result", "/v1/workers/"+w.id+"/result", res, &resp, horizon); err != nil {
+	err := w.retry("result", horizon, func() (err error) {
+		resp, err = w.c.Result(w.ctx, w.id, res)
+		return err
+	})
+	if err != nil {
 		return // coordinator gone past the lease horizon; expiry handles the run
 	}
 	if resp.Accepted && !res.Requeue && res.Error == "" && !res.Canceled {
 		w.completed.Add(1)
 	}
-}
-
-// retryable reports whether a failed RPC attempt is worth repeating:
-// transport errors (code 0), 5xx, and torn 2xx bodies are; a 3xx/4xx is
-// a semantic answer, not a network accident.
-func retryable(code int, err error) bool {
-	if err == nil {
-		return false
-	}
-	return code == 0 || code >= 500 || code < 300
-}
-
-// postRetry sends a JSON request with capped exponential backoff and
-// full jitter until it succeeds, fails non-retryably, or passes the
-// deadline. Retries are counted per call label in
-// dyflow_worker_rpc_retries_total.
-func (w *Worker) postRetry(label, path string, body, out any, deadline time.Time) error {
-	b := newBackoff(10*time.Millisecond, time.Second, mixSeed(w.o.BackoffSeed, int64(len(path))))
-	for {
-		code, err := w.postCode(path, body, out, w.callTimeout)
-		if err == nil {
-			return nil
-		}
-		if !retryable(code, err) || w.ctx.Err() != nil || !time.Now().Before(deadline) {
-			return err
-		}
-		w.metRetries.With(label).Inc()
-		if !sleepCtx(w.ctx, b.next()) {
-			return err
-		}
-	}
-}
-
-// post sends a JSON request once with the default per-call deadline.
-func (w *Worker) post(path string, body, out any) error {
-	_, err := w.postCode(path, body, out, w.callTimeout)
-	return err
-}
-
-// postCode sends one JSON request under a per-call deadline and decodes
-// the JSON response. A response shorter than its Content-Length — a torn
-// connection, faultnet truncation — surfaces as an unexpected-EOF read
-// error, which retryable() classifies as transient.
-func (w *Worker) postCode(path string, body, out any, timeout time.Duration) (int, error) {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
-	}
-	ctx := w.ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(w.ctx, timeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(data))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, err
-	}
-	if resp.StatusCode >= 300 {
-		return resp.StatusCode, fmt.Errorf("POST %s: %s: %s", path, resp.Status, bytes.TrimSpace(raw))
-	}
-	if resp.StatusCode == http.StatusNoContent || out == nil || len(raw) == 0 {
-		return resp.StatusCode, nil
-	}
-	return resp.StatusCode, json.Unmarshal(raw, out)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // ChaosNetOptions shapes a seeded network-fault sweep: for each seed, an
-// in-process coordinator (no local pool) serves a fleet of workers whose
+// in-process coordinator (no worker of its own) serves a fleet of workers whose
 // every RPC crosses a faultnet transport derived from that seed, while
 // clean-network clients drive jobs closed-loop and verify outcomes. The
 // client plane is deliberately fault-free so its observations are ground

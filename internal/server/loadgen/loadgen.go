@@ -55,7 +55,7 @@ type Options struct {
 
 	// FleetWorkers, when positive, spawns that many in-process fleet
 	// workers against Addr for the duration of the run — the coordinator
-	// should then run with no local pool (-workers -1) so the fleet does
+	// should then run no worker of its own (-workers -1) so the fleet does
 	// all the executing.
 	FleetWorkers int
 	// WorkerSlots is each fleet worker's concurrent-claim count. 0 means 1.

@@ -13,7 +13,7 @@ type metrics struct {
 	quotaRejects *obs.CounterVec // {tenant} 429s from the per-tenant quota
 	queueRejects *obs.Counter    // 429s from queue backpressure
 	queueDepth   *obs.GaugeVec   // {shard}
-	active       *obs.Gauge      // worker slots currently simulating
+	active       *obs.Gauge      // runs executing under a lease, on any worker
 	runsTotal    *obs.CounterVec // {state} terminal transitions
 	runSeconds   *obs.Histogram  // wall-clock execution time (non-cached)
 	requeued     *obs.Counter    // pending runs resumed after a restart
@@ -36,7 +36,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		queueDepth: reg.Gauge("dyflow_server_queue_depth",
 			"Queued runs per queue shard.", "shard"),
 		active: reg.Gauge("dyflow_server_active_runs",
-			"Worker slots currently executing a simulation.").With(),
+			"Runs currently executing under a lease, on any worker.").With(),
 		runsTotal: reg.Counter("dyflow_server_runs_total",
 			"Runs reaching a terminal state.", "state"),
 		runSeconds: reg.Histogram("dyflow_server_run_duration_seconds",

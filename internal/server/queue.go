@@ -13,29 +13,25 @@ import (
 // submission handler turns it into 429 backpressure.
 var errQueueFull = errors.New("server: run queue full")
 
-// shardedQueue is the bounded run queue behind the worker pool: one FIFO
-// shard per worker slot, submissions hashed by tenant to a shard (so one
-// tenant's runs execute in submission order), workers draining their own
-// shard first and stealing from the others when it is empty. The capacity
-// bound is global — when the queue is full, submissions are rejected with
-// backpressure rather than buffered without limit.
+// shardedQueue is the bounded run queue claims are served from: one FIFO
+// shard per in-process worker slot, submissions hashed by tenant to a shard
+// (so one tenant's runs execute in submission order), a claim draining the
+// shard it names first and stealing from the others when that is empty. The
+// capacity bound is global — when the queue is full, submissions are
+// rejected with backpressure rather than buffered without limit.
 type shardedQueue struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	shards [][]string // run IDs, FIFO per shard
 	size   int
 	max    int
-	closed bool
-	depth  *obs.GaugeVec // dyflow_server_queue_depth{shard}
+	// wake is closed by the next enqueue; nil until a claim finds the queue
+	// empty and asks for it.
+	wake  chan struct{}
+	depth *obs.GaugeVec // dyflow_server_queue_depth{shard}
 }
 
-func newShardedQueue(shards, max int, depth *obs.GaugeVec) *shardedQueue {
-	if shards < 1 {
-		shards = 1
-	}
-	q := &shardedQueue{shards: make([][]string, shards), max: max, depth: depth}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+func newShardedQueue(shards, bound int, depth *obs.GaugeVec) *shardedQueue {
+	return &shardedQueue{shards: make([][]string, max(shards, 1)), max: bound, depth: depth}
 }
 
 // shardFor hashes a tenant to its home shard.
@@ -53,17 +49,23 @@ func (q *shardedQueue) gauge(shard int) {
 func (q *shardedQueue) push(shard int, id string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return errors.New("server: queue closed")
-	}
 	if q.size >= q.max {
 		return errQueueFull
 	}
 	q.shards[shard] = append(q.shards[shard], id)
+	q.enqueuedLocked(shard)
+	return nil
+}
+
+// enqueuedLocked accounts for one run just added to shard and wakes every
+// parked claim.
+func (q *shardedQueue) enqueuedLocked(shard int) {
 	q.size++
 	q.gauge(shard)
-	q.cond.Signal()
-	return nil
+	if q.wake != nil {
+		close(q.wake)
+		q.wake = nil
+	}
 }
 
 // requeue reinserts a run at the front of its shard, bypassing the
@@ -76,56 +78,33 @@ func (q *shardedQueue) push(shard int, id string) error {
 func (q *shardedQueue) requeue(shard int, id string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		// Shutting down: the run's queued record in the history store
-		// carries it to the next process.
-		return
-	}
 	q.shards[shard] = append([]string{id}, q.shards[shard]...)
-	q.size++
-	q.gauge(shard)
-	q.cond.Signal()
+	q.enqueuedLocked(shard)
 }
 
-// pop blocks until a run is available (the worker's own shard first, then
-// stealing round-robin from the others) or the queue is closed (ok=false).
-func (q *shardedQueue) pop(worker int) (string, bool) {
+// tryPop takes the first queued run, scanning the shards from shard
+// from mod their count, and never blocks. When every shard is empty it
+// returns instead the channel the next enqueue closes — taken under the
+// lock the scan ran under, so a claim that parks on it cannot miss a push
+// that raced its scan.
+func (q *shardedQueue) tryPop(from int) (id string, wake <-chan struct{}) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		n := len(q.shards)
-		for i := 0; i < n; i++ {
-			s := (worker + i) % n
-			if len(q.shards[s]) > 0 {
-				id := q.shards[s][0]
-				q.shards[s] = q.shards[s][1:]
-				q.size--
-				q.gauge(s)
-				return id, true
-			}
-		}
-		if q.closed {
-			return "", false
-		}
-		q.cond.Wait()
-	}
-}
-
-// tryPopAny pops from the first non-empty shard without blocking — the
-// fleet claim handler polls it inside its own bounded wait loop.
-func (q *shardedQueue) tryPopAny() (string, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for s := range q.shards {
+	n := len(q.shards)
+	for i := 0; i < n; i++ {
+		s := (from + i) % n
 		if len(q.shards[s]) > 0 {
 			id := q.shards[s][0]
 			q.shards[s] = q.shards[s][1:]
 			q.size--
 			q.gauge(s)
-			return id, true
+			return id, nil
 		}
 	}
-	return "", false
+	if q.wake == nil {
+		q.wake = make(chan struct{})
+	}
+	return "", q.wake
 }
 
 // remove deletes a queued run (cancellation), reporting whether it was
@@ -151,12 +130,4 @@ func (q *shardedQueue) depthTotal() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.size
-}
-
-// close wakes every blocked worker and makes pop return ok=false.
-func (q *shardedQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
 }

@@ -15,6 +15,7 @@ import (
 
 	"dyflow/internal/exp"
 	"dyflow/internal/runstore"
+	"dyflow/internal/server/fleet"
 )
 
 // TestRestoreOverCapacityQueue is the restore-backpressure regression: a
@@ -26,15 +27,17 @@ import (
 func TestRestoreOverCapacityQueue(t *testing.T) {
 	dir := t.TempDir()
 
-	s1, err := New(Config{Workers: 2, QueueDepth: 2, TenantQuota: -1, CkptDir: dir})
+	s1, err := New(Config{Workers: -1, QueueDepth: 2, TenantQuota: -1, CkptDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	started := make(chan *Run, 2)
+	started := make(chan string, 2)
 	release := make(chan struct{})
-	s1.beforeRun = func(r *Run) {
-		started <- r
+	if err := s1.startLocal(fleet.WorkerOptions{Slots: 2, OnClaim: func(id string) {
+		started <- id
 		<-release
+	}}); err != nil {
+		t.Fatal(err)
 	}
 
 	// 2 running (held by the hook) + 2 queued = 4 unfinished > depth 2. The
@@ -65,13 +68,16 @@ func TestRestoreOverCapacityQueue(t *testing.T) {
 	if depth := s1.QueueDepth(); depth != 2 {
 		t.Fatalf("queue depth %d with 2 runs held running", depth)
 	}
-	// Kill: flag shutdown first so the released runs abort at their next
-	// progress tick instead of completing, then let Close reap the workers.
-	s1.mu.Lock()
-	s1.stopping = true
-	s1.mu.Unlock()
+	// Kill: Close flags the worker killed before it waits for the slots, so
+	// the runs released after that are abandoned instead of executed.
+	closed := make(chan struct{})
+	go func() {
+		s1.Close()
+		close(closed)
+	}()
+	time.Sleep(20 * time.Millisecond)
 	close(release)
-	s1.Close()
+	<-closed
 
 	s2, err := New(Config{Workers: 2, QueueDepth: 2, TenantQuota: -1, CkptDir: dir})
 	if err != nil {
@@ -235,7 +241,7 @@ func (b *syncBuf) String() string {
 // acknowledged without durability.
 func TestRestoreAppendFailuresObservable(t *testing.T) {
 	sink := &syncBuf{}
-	s, err := New(Config{Workers: 1, Logger: log.New(sink, "", 0)})
+	s, err := New(Config{Workers: -1, Logger: log.New(sink, "", 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +250,9 @@ func TestRestoreAppendFailuresObservable(t *testing.T) {
 
 	// Terminal-path failure: the store dies while the run executes (its
 	// queued and running records are already in), so the done append fails.
-	s.beforeRun = func(*Run) { s.History().Close() }
+	if err := s.startLocal(fleet.WorkerOptions{OnClaim: func(string) { s.History().Close() }}); err != nil {
+		t.Fatal(err)
+	}
 	st, err := s.Submit("alice", quick(2))
 	if err != nil {
 		t.Fatal(err)

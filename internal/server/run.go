@@ -28,8 +28,7 @@ func (s RunState) Terminal() bool {
 }
 
 // Run is one tracked campaign submission. Mutable fields are guarded by
-// the server mutex except simNow and cancel, which the worker's progress
-// hook touches without it.
+// the server mutex except the atomics at the end.
 type Run struct {
 	ID     string
 	Tenant string
@@ -46,8 +45,8 @@ type Run struct {
 	// history log, and fleet-wide sharing all reference one stored copy.
 	Artifacts map[string]string
 
-	// Worker and LeaseID identify the fleet worker holding this run while
-	// it executes remotely ("" for local worker-pool execution).
+	// Worker and LeaseID identify the worker holding this run while it
+	// executes, and the lease it holds it under.
 	Worker  string
 	LeaseID string
 	// doneLease remembers the lease under which the run reached its
@@ -61,8 +60,8 @@ type Run struct {
 	// the first admission, reset on every requeue (lease expiry, restore,
 	// shutdown), so ClaimedAt−QueuedAt is the run's latest queue wait.
 	QueuedAt time.Time
-	// ClaimedAt is when a worker (local slot or fleet) took the run;
-	// zeroed when the run returns to the queue.
+	// ClaimedAt is when a worker took the run; zeroed when the run returns
+	// to the queue.
 	ClaimedAt  time.Time
 	StartedAt  time.Time
 	FinishedAt time.Time
@@ -85,8 +84,8 @@ type Status struct {
 	// running, the final makespan once done.
 	SimSeconds float64 `json:"sim_seconds"`
 	Converged  bool    `json:"converged,omitempty"`
-	// Worker is the fleet worker executing the run ("" when the
-	// coordinator's local pool runs it).
+	// Worker is the worker executing the run (localWorkerID: the one inside
+	// the coordinator's process).
 	Worker string `json:"worker,omitempty"`
 
 	// Phase timestamps: SubmittedAt is admission; QueuedAt the latest

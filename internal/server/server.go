@@ -1,13 +1,13 @@
 // Package server is the multi-tenant campaign service: it accepts workflow
 // submissions (scenario + optional XML orchestration document + seed +
 // machine) over HTTP, admits them through per-tenant quotas and a bounded
-// sharded queue, executes each on a worker pool — one deterministic DES
-// world per worker slot — and serves the finished artifacts. Because runs
-// are byte-deterministic in the job value, results are cached by job key
-// and re-submissions are answered without re-simulating; because every
-// acknowledged transition is appended to internal/runstore first, a killed
-// server restarts with no acknowledged submission lost. docs/SERVICE.md is
-// the narrative description.
+// sharded queue, leases each to a worker — one deterministic DES world per
+// worker slot, the worker in this process or on the network — and serves
+// the finished artifacts. Because runs are byte-deterministic in the job
+// value, results are cached by job key and re-submissions are answered
+// without re-simulating; because every acknowledged transition is appended
+// to internal/runstore first, a killed server restarts with no acknowledged
+// submission lost. docs/SERVICE.md is the narrative description.
 package server
 
 import (
@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dyflow/internal/exp"
@@ -32,26 +33,23 @@ import (
 	"dyflow/internal/runstore"
 	"dyflow/internal/server/events"
 	"dyflow/internal/server/fleet"
-	"dyflow/internal/sim"
-	"dyflow/internal/trace"
 )
 
-// progressEventEvery throttles TypeProgress events per run: the
-// progress hook fires every simulated second (microseconds of wall
-// time), far too fast to journal each tick.
+// progressEventEvery throttles TypeProgress events per run, and is how
+// often the in-process worker heartbeats (Register): often enough to watch
+// a run live, far rarer than its world's progress hook, which fires every
+// simulated second — microseconds of wall time.
 const progressEventEvery = 10 * time.Millisecond
 
-// The sentinel errors a worker's progress hook aborts a run with.
-var (
-	errRunCanceled  = errors.New("server: run canceled")
-	errShuttingDown = errors.New("server: shutting down")
-)
+// errRunCanceled is what a canceled run is finished with.
+var errRunCanceled = errors.New("server: run canceled")
 
 // Config sizes the service.
 type Config struct {
-	// Workers is the worker-pool size (one concurrent simulation each).
-	// 0 means GOMAXPROCS; negative means no workers at all — submissions
-	// queue but never execute (tests use this to observe queue states
+	// Workers is the slot count (one concurrent simulation each) of the
+	// worker the coordinator runs in its own process. 0 means GOMAXPROCS;
+	// negative means no such worker — submissions queue until a worker
+	// joins over the network (tests also use this to observe queue states
 	// deterministically).
 	Workers int
 	// QueueDepth bounds the total queued-run count across all shards;
@@ -96,9 +94,10 @@ type Config struct {
 
 // Server is the campaign service's coordinator: admission, quotas, the
 // deterministic result cache, the run-history log, the content-addressed
-// blob store, and the fleet lease manager. Runs execute either on the local
-// worker pool (cfg.Workers) or on remote fleet workers claiming over the
-// worker API — both drain the same sharded queue.
+// blob store, and the fleet lease manager. It executes nothing itself: a
+// run is leased to a fleet.Worker through the worker API (worker_api.go),
+// whether that worker joined over HTTP or is the one New starts in this
+// process (cfg.Workers slots, calling the same API as plain methods).
 type Server struct {
 	cfg    Config
 	reg    *obs.Registry
@@ -130,28 +129,26 @@ type Server struct {
 	cache    map[string]cacheEntry // job key → first completed run's result
 	inflight map[string]int        // tenant → queued+running runs
 	stopping bool
-	// recentDone remembers evicted runs' terminal lease IDs (run ID →
-	// lease ID, FIFO-bounded) so a fleet worker retransmitting a result
-	// after its run left the resident map still deduplicates.
-	recentDone  map[string]string
-	recentDoneQ []string
-	// doneRings tracks which evicted terminal runs still hold their SSE
-	// event rings (FIFO-bounded; older rings drop and reconnecting
-	// clients get a synthesized terminal event from history instead).
-	doneRings []string
+	// doneRings lists the evicted terminal runs the coordinator still holds
+	// something of besides their record (FIFO, the last maxTerminalRings):
+	// their SSE event ring — once it drops, a reconnecting client gets a
+	// terminal event synthesized from history instead — and the lease each
+	// finished under, so a worker retransmitting a result after its run
+	// left the resident map still deduplicates.
+	doneRings []doneRing
 
-	workers sync.WaitGroup
+	// local is the worker sharing this process (nil when cfg.Workers < 0).
+	local *fleet.Worker
+	// claimCursor rotates the shard a claim off the network scans first.
+	claimCursor atomic.Uint32
+
 	retWg   sync.WaitGroup // background retention sweeper
 	httpSrv *http.Server
 	ln      net.Listener
-
-	// beforeRun, when set (tests), runs just before a claimed run starts
-	// executing — it can block to hold the run in the running state.
-	beforeRun func(*Run)
 }
 
 // New builds the service, restores any persisted state from cfg.CkptDir,
-// and starts the worker pool.
+// and starts the in-process worker.
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -166,27 +163,22 @@ func New(cfg Config) (*Server, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	shards := cfg.Workers
-	if shards < 1 {
-		shards = 1
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = log.New(os.Stderr, "dyflow-serve: ", log.LstdFlags)
 	}
 	met := newMetrics(reg)
 	s := &Server{
-		cfg:        cfg,
-		reg:        reg,
-		met:        met,
-		logger:     logger,
-		queue:      newShardedQueue(shards, cfg.QueueDepth, met.queueDepth),
-		events:     events.NewJournal(cfg.EventBuffer, reg),
-		stopped:    make(chan struct{}),
-		runs:       map[string]*Run{},
-		cache:      map[string]cacheEntry{},
-		inflight:   map[string]int{},
-		recentDone: map[string]string{},
+		cfg:      cfg,
+		reg:      reg,
+		met:      met,
+		logger:   logger,
+		queue:    newShardedQueue(cfg.Workers, cfg.QueueDepth, met.queueDepth),
+		events:   events.NewJournal(cfg.EventBuffer, reg),
+		stopped:  make(chan struct{}),
+		runs:     map[string]*Run{},
+		cache:    map[string]cacheEntry{},
+		inflight: map[string]int{},
 	}
 	blobDir := ""
 	if cfg.CkptDir != "" {
@@ -202,9 +194,11 @@ func New(cfg Config) (*Server, error) {
 		s.fleet.Close()
 		return nil, fmt.Errorf("server: restore: %w", err)
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.workers.Add(1)
-		go s.worker(i)
+	if cfg.Workers > 0 {
+		if err := s.startLocal(fleet.WorkerOptions{Slots: cfg.Workers}); err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
 	if cfg.RetentionMaxAge > 0 || cfg.RetentionMaxBytes > 0 {
 		interval := cfg.RetentionInterval
@@ -215,6 +209,17 @@ func New(cfg Config) (*Server, error) {
 		go s.retentionLoop(interval)
 	}
 	return s, nil
+}
+
+// startLocal starts the worker that shares the coordinator's process: a
+// fleet.Worker like any other, whose Coordinator is s itself. Its registry
+// is its own, pushed like a remote worker's but no more often than one is:
+// a snapshot is not worth taking at the in-process heartbeat's cadence.
+func (s *Server) startLocal(o fleet.WorkerOptions) (err error) {
+	o.Name = localWorkerID
+	o.MetricsEvery = s.fleet.TTL() / 3
+	s.local, err = fleet.Start(s, o)
+	return err
 }
 
 // logf writes one operational message through the configured logger.
@@ -243,13 +248,8 @@ func cacheEntryFor(r *Run) cacheEntry {
 }
 
 // maxTerminalRings bounds how many evicted terminal runs keep their SSE
-// event rings for replay; older rings drop and reconnecting clients get
-// a terminal event synthesized from the history store instead.
+// event rings for replay and their completing lease for result dedup.
 const maxTerminalRings = 1024
-
-// maxRecentDone bounds the evicted-run result-dedup memory (run ID →
-// terminal lease ID).
-const maxRecentDone = 4096
 
 // unixNs renders a phase timestamp for the history index (zero time → 0);
 // nsTime is its inverse.
@@ -335,23 +335,19 @@ func (s *Server) evictTerminalLocked(r *Run) {
 			break
 		}
 	}
-	if r.doneLease != "" {
-		s.recentDone[r.ID] = r.doneLease
-		s.recentDoneQ = append(s.recentDoneQ, r.ID)
-		for len(s.recentDoneQ) > maxRecentDone {
-			delete(s.recentDone, s.recentDoneQ[0])
-			s.recentDoneQ = s.recentDoneQ[1:]
-		}
-	}
-	s.retainRingLocked(r.ID)
+	s.retainRingLocked(doneRing{run: r.ID, lease: r.doneLease})
 }
+
+// doneRing is one evicted run whose SSE ring is still held, and the lease
+// it reached its terminal state under ("" when it held none).
+type doneRing struct{ run, lease string }
 
 // retainRingLocked keeps an evicted run's SSE ring within the bounded
 // retention window, dropping the oldest ring past it.
-func (s *Server) retainRingLocked(id string) {
-	s.doneRings = append(s.doneRings, id)
+func (s *Server) retainRingLocked(d doneRing) {
+	s.doneRings = append(s.doneRings, d)
 	for len(s.doneRings) > maxTerminalRings {
-		s.events.Drop(s.doneRings[0])
+		s.events.Drop(s.doneRings[0].run)
 		s.doneRings = s.doneRings[1:]
 	}
 }
@@ -456,7 +452,6 @@ func (s *Server) SweepRetention() int {
 		if ce, ok := s.cache[m.Key]; ok && ce.RunID == m.ID {
 			delete(s.cache, m.Key)
 		}
-		delete(s.recentDone, m.ID)
 		s.events.Drop(m.ID)
 	}
 	for _, r := range s.runs {
@@ -474,108 +469,6 @@ func (s *Server) SweepRetention() int {
 	return len(victims)
 }
 
-// worker drains its queue shard (stealing when empty) until the queue
-// closes.
-func (s *Server) worker(slot int) {
-	defer s.workers.Done()
-	for {
-		id, ok := s.queue.pop(slot)
-		if !ok {
-			return
-		}
-		s.execute(id)
-	}
-}
-
-// execute runs one claimed queued run to a terminal state — or back to
-// queued if the server is shutting down underneath it.
-func (s *Server) execute(id string) {
-	s.mu.Lock()
-	r := s.runs[id]
-	if r == nil || r.State != StateQueued {
-		s.mu.Unlock()
-		return
-	}
-	if r.cancel.Load() {
-		// Canceled after the queue pop but before execution.
-		s.finishLocked(r, StateCanceled, errRunCanceled)
-		s.mu.Unlock()
-		return
-	}
-	if s.finishFromCacheLocked(r) {
-		// An identical run completed while this one sat queued (or it was
-		// requeued with orphaned artifacts) — answer from the cache.
-		s.mu.Unlock()
-		return
-	}
-	r.State = StateRunning
-	now := time.Now()
-	r.ClaimedAt = now
-	r.StartedAt = now
-	s.historyAppendLocked(r)
-	s.events.Append(id, events.Event{Type: events.TypeClaimed, Worker: "local"})
-	s.events.Append(id, events.Event{Type: events.TypeRunning, Worker: "local"})
-	hook := s.beforeRun
-	s.mu.Unlock()
-
-	if hook != nil {
-		hook(r)
-	}
-	s.met.active.Add(1)
-	start := time.Now()
-	out, err := exp.RunJob(r.Job, func(w *exp.World) error {
-		w.OnProgress = func(now sim.Time) error {
-			r.simNow.Store(int64(now))
-			s.progressEvent(r, "local", int64(now))
-			if r.cancel.Load() {
-				return errRunCanceled
-			}
-			if s.isStopping() {
-				return errShuttingDown
-			}
-			return nil
-		}
-		// Forward completed flight-recorder spans into the run's event
-		// stream — the same live view a fleet worker ships via heartbeats.
-		if w.Orch != nil {
-			w.Orch.Trace.SetOnComplete(func(sp trace.Span) {
-				s.events.Append(id, events.Event{Type: events.TypeSpan, Worker: "local", Span: &sp})
-			})
-		}
-		return nil
-	})
-	s.met.active.Add(-1)
-
-	// Store the artifacts content-addressed before taking the run lock:
-	// blob writes may hit disk, and identical re-executions dedup to the
-	// already-stored copy.
-	var refs map[string]string
-	if err == nil {
-		refs, err = s.storeArtifacts(out.Artifacts)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case err == nil:
-		r.Converged = out.Converged
-		r.SimEnd = out.SimEnd
-		r.Artifacts = refs
-		if _, have := s.cache[r.Job.Key()]; !have {
-			s.cache[r.Job.Key()] = cacheEntryFor(r)
-		}
-		s.met.runSeconds.Observe(time.Since(start).Seconds())
-		s.finishLocked(r, StateDone, nil)
-	case errors.Is(err, errShuttingDown):
-		// Put it back: its queued record carries it into the next process.
-		s.resetToQueuedLocked(r, "shutdown")
-	case errors.Is(err, errRunCanceled):
-		s.finishLocked(r, StateCanceled, err)
-	default:
-		s.finishLocked(r, StateFailed, err)
-	}
-}
-
 // finishLocked moves a run to a terminal state, releasing its quota slot
 // and lease and recording the transition. Caller holds the server mutex.
 func (s *Server) finishLocked(r *Run, state RunState, err error) {
@@ -584,7 +477,7 @@ func (s *Server) finishLocked(r *Run, state RunState, err error) {
 		r.Err = err.Error()
 	}
 	r.FinishedAt = time.Now()
-	r.LeaseID = ""
+	s.unleaseLocked(r)
 	s.fleet.Revoke(r.ID)
 	s.inflight[r.Tenant]--
 	if s.inflight[r.Tenant] <= 0 {
@@ -596,11 +489,7 @@ func (s *Server) finishLocked(r *Run, state RunState, err error) {
 	// re-executes, which is deterministic — but it IS durability loss
 	// (logged and counted), and the run stays resident, still servable.
 	recorded := s.historyAppendLocked(r) == nil
-	worker := r.Worker
-	if worker == "" && !r.StartedAt.IsZero() {
-		worker = "local" // local-pool execution; never set on Run.Worker
-	}
-	ev := events.Event{Type: terminalEventType(state), Worker: worker,
+	ev := events.Event{Type: terminalEventType(state), Worker: r.Worker,
 		Cached: r.Cached, Converged: r.Converged, Error: r.Err}
 	if state == StateDone {
 		ev.SimSeconds = r.SimEnd.Seconds()
@@ -637,15 +526,24 @@ func (s *Server) resetToQueuedLocked(r *Run, reason string) {
 	r.ClaimedAt = time.Time{}
 	r.StartedAt = time.Time{}
 	r.Worker = ""
-	r.LeaseID = ""
+	s.unleaseLocked(r)
 	r.simNow.Store(0)
 	s.historyAppendLocked(r)
 	s.events.Append(r.ID, events.Event{Type: events.TypeQueued, Reason: reason})
 }
 
+// unleaseLocked ends r's execution, if it has one in this process: the one
+// place dyflow_server_active_runs comes down (leaseRun is where it goes
+// up). A run restored as running has no lease and was never counted.
+func (s *Server) unleaseLocked(r *Run) {
+	if r.LeaseID != "" {
+		r.LeaseID = ""
+		s.met.active.Add(-1)
+	}
+}
+
 // progressEvent publishes a throttled TypeProgress event for a running
-// run. Called from progress hooks (local pool) and heartbeat handlers
-// (fleet) without the server mutex.
+// run, from its worker's heartbeat.
 func (s *Server) progressEvent(r *Run, worker string, simNs int64) {
 	now := time.Now().UnixNano()
 	last := r.lastProgress.Load()
@@ -676,20 +574,6 @@ func (s *Server) finishFromCacheLocked(r *Run) bool {
 	s.events.Append(r.ID, events.Event{Type: events.TypeCacheHit, Reason: src.RunID})
 	s.finishLocked(r, StateDone, nil)
 	return true
-}
-
-// storeArtifacts puts a finished run's artifact bytes into the
-// content-addressed blob store and returns the name → digest references.
-func (s *Server) storeArtifacts(artifacts map[string][]byte) (map[string]string, error) {
-	refs := make(map[string]string, len(artifacts))
-	for name, data := range artifacts {
-		digest, err := s.blobs.Put(data)
-		if err != nil {
-			return nil, fmt.Errorf("server: store artifact %s: %w", name, err)
-		}
-		refs[name] = digest
-	}
-	return refs, nil
 }
 
 // refsResolvable reports whether a done run's artifact references all
@@ -725,12 +609,6 @@ func (s *Server) onLeaseExpire(runID, workerID string) {
 	s.events.Append(runID, events.Event{Type: events.TypeLeaseExpired, Worker: workerID})
 	s.resetToQueuedLocked(r, "lease_expired")
 	s.queue.requeue(r.Shard, runID)
-}
-
-func (s *Server) isStopping() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopping
 }
 
 // markStopping flags shutdown and closes the stopped channel exactly
@@ -1022,10 +900,12 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Shutdown stops gracefully: the HTTP listener drains, running simulations
-// abort back to queued at their next progress tick, the workers exit, and
-// runs still leased to the fleet are recorded queued, so the next process
-// resumes every unfinished run from the history store.
+// Shutdown stops gracefully: no run is leased any more, every heartbeat is
+// answered Cancel and the run it aborts is recorded queued when its result
+// comes back, the HTTP listener drains, the in-process worker stops — its
+// runs are back within one heartbeat — and runs still leased to the fleet
+// are recorded queued too, so the next process resumes every unfinished run
+// from the history store.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.markStopping()
 
@@ -1033,8 +913,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.httpSrv != nil {
 		httpErr = s.httpSrv.Shutdown(ctx)
 	}
-	s.queue.close()
-	s.workers.Wait()
+	if s.local != nil {
+		s.local.Stop()
+	}
 	s.fleet.Close()
 	s.retWg.Wait()
 
@@ -1053,16 +934,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return httpErr
 }
 
-// Close stops hard, simulating a crash: no drain, no lease hand-back —
-// recovery works from whatever the history store already holds. Tests use
-// it to prove the kill+restart path.
+// Close stops hard, simulating a crash: the in-process worker is killed —
+// its runs report nothing and stay recorded running — no drain, no lease
+// hand-back: recovery works from whatever the history store already holds.
+// Tests use it to prove the kill+restart path.
 func (s *Server) Close() {
+	if s.local != nil {
+		s.local.Kill()
+	}
 	s.markStopping()
 	if s.httpSrv != nil {
 		s.httpSrv.Close()
 	}
-	s.queue.close()
-	s.workers.Wait()
 	s.fleet.Close()
 	s.retWg.Wait()
 	s.history.Close()

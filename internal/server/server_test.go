@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dyflow/internal/exp"
+	"dyflow/internal/server/fleet"
 )
 
 // quick is the cheap deterministic job the tests submit.
@@ -213,17 +214,22 @@ func TestCancelQueued(t *testing.T) {
 	}
 }
 
+// TestCancelRunning cancels a run its worker is executing. The worker
+// learns of it from its next heartbeat, so the run is an xgc world: many
+// heartbeats long, where a quickstart world is over before its first.
 func TestCancelRunning(t *testing.T) {
-	s, err := New(Config{Workers: 1})
+	s, err := New(Config{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	started := make(chan *Run, 1)
-	s.beforeRun = func(r *Run) { started <- r }
+	started := make(chan string, 1)
+	if err := s.startLocal(fleet.WorkerOptions{OnClaim: func(id string) { started <- id }}); err != nil {
+		t.Fatal(err)
+	}
 
-	st, err := s.Submit("alice", quick(1))
+	st, err := s.Submit("alice", exp.Job{Scenario: exp.ScenarioXGC, Machine: "dt2", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

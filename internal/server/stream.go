@@ -153,14 +153,14 @@ func (s *Server) ensureTerminalEvent(id string) {
 		ev.SimSeconds = time.Duration(p.SimEndNs).Seconds()
 	}
 	s.events.Append(id, ev)
-	s.retainRingLocked(id)
+	s.retainRingLocked(doneRing{run: id})
 }
 
-// appendWorkerSpans publishes flight-recorder spans a fleet worker
-// forwarded (in a heartbeat or result upload) into the run's stream.
+// appendWorkerSpans publishes the flight-recorder spans a worker forwarded
+// (in a heartbeat or with its result) into the run's stream. The events
+// point into spans: a forwarded batch is the coordinator's to keep.
 func (s *Server) appendWorkerSpans(runID, workerID string, spans []trace.Span) {
 	for i := range spans {
-		sp := spans[i]
-		s.events.Append(runID, events.Event{Type: events.TypeSpan, Worker: workerID, Span: &sp})
+		s.events.Append(runID, events.Event{Type: events.TypeSpan, Worker: workerID, Span: &spans[i]})
 	}
 }

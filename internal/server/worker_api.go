@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,20 +12,34 @@ import (
 	"dyflow/internal/server/fleet"
 )
 
-// The coordinator side of the fleet worker API (docs/SERVICE.md, "The
-// worker fleet"). Wire types live in internal/server/fleet so the Worker
-// client and these handlers cannot drift apart.
+// The coordinator side of the worker API (docs/SERVICE.md, "Workers"), in
+// the shape of the client API: one method per call holding all of its logic
+// — together they make *Server a fleet.Coordinator, which is how the worker
+// sharing this process calls them — and one handler per route that decodes,
+// calls the method and encodes what it returned, so nothing is written to a
+// connection under s.mu. Wire types live in internal/server/fleet so the
+// two sides cannot drift apart.
 //
 //	POST /v1/workers/register           join the fleet
 //	POST /v1/workers/{id}/claim         lease one queued run (204 = empty)
 //	POST /v1/workers/{id}/heartbeat     renew a lease, learn of cancellation
 //	POST /v1/workers/{id}/result        upload an outcome (lease-gated)
+//	POST /v1/workers/{id}/metrics       push a registry snapshot
 //	PUT  /v1/blobs/{digest}             upload one artifact blob
 //	GET  /v1/blobs/{digest}             fetch a blob (HEAD probes existence)
 //	GET  /v1/fleet                      workers + leases view
 
+var _ fleet.Coordinator = (*Server)(nil)
+
+// localWorkerID is the reserved ID of the worker that shares the
+// coordinator's process (cfg.Workers slots).
+const localWorkerID = "local"
+
 // maxBlobBytes bounds one artifact upload.
 const maxBlobBytes = 128 << 20
+
+// maxClaimWait bounds one claim's wait for a run to be enqueued.
+const maxClaimWait = 30 * time.Second
 
 // fleetRoutes mounts the worker API on the coordinator's mux. route is
 // Handler's counting registrar.
@@ -40,101 +55,131 @@ func (s *Server) fleetRoutes(route func(pattern, name string, h http.HandlerFunc
 	route("GET /v1/fleet/metrics", "fleet_metrics", s.handleFleetMetrics)
 }
 
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req fleet.RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, &APIError{Code: http.StatusBadRequest, Msg: "bad register body: " + err.Error()})
-		return
+// decodeBody reads a worker call's JSON body into v, answering 400 itself
+// when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, call string, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		httpError(w, &APIError{Code: http.StatusBadRequest, Msg: "bad " + call + " body: " + err.Error()})
+		return false
 	}
-	id := s.fleet.Register(req.Name, req.Slots)
-	ttl := s.fleet.TTL()
-	s.writeJSON(w, http.StatusOK, fleet.RegisterResponse{
-		WorkerID:    id,
-		LeaseTTLMs:  ttl.Milliseconds(),
-		HeartbeatMs: (ttl / 3).Milliseconds(),
-	})
+	return true
 }
 
-// handleClaim hands the worker one queued run under a fresh lease,
-// long-polling up to the requested wait when the queue is empty.
-func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	workerID := r.PathValue("id")
-	var req fleet.ClaimRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, &APIError{Code: http.StatusBadRequest, Msg: "bad claim body: " + err.Error()})
-		return
+// Register is the register call made from inside the process, which is what
+// calling it as a method means: the worker gets the reserved ID, and is told
+// to heartbeat as often as progress events are published — a heartbeat that
+// is a method call costs two uncontended mutexes — so a run on `-workers N`
+// shows its progress, and sees a cancel or a shutdown, within 10 ms.
+func (s *Server) Register(_ context.Context, req fleet.RegisterRequest) (fleet.RegisterResponse, error) {
+	return s.register(localWorkerID, req, min(progressEventEvery, s.fleet.TTL()/3)), nil
+}
+
+// register admits a worker under id ("" mints one) and tells it its lease
+// discipline.
+func (s *Server) register(id string, req fleet.RegisterRequest, heartbeat time.Duration) fleet.RegisterResponse {
+	return fleet.RegisterResponse{
+		WorkerID:    s.fleet.RegisterAs(id, req.Name, req.Slots),
+		LeaseTTLMs:  s.fleet.TTL().Milliseconds(),
+		HeartbeatMs: heartbeat.Milliseconds(),
 	}
-	s.fleet.Touch(workerID) // an empty-queue poll still proves liveness
-	wait := time.Duration(req.WaitMs) * time.Millisecond
-	if wait < 0 {
-		wait = 0
+}
+
+// handleRegister admits a worker from the network: a minted ID, a heartbeat
+// every third of the TTL.
+func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+	var req fleet.RegisterRequest
+	if decodeBody(w, r, "register", &req) {
+		s.writeJSON(w, http.StatusOK, s.register("", req, s.fleet.TTL()/3))
 	}
-	if wait > 30*time.Second {
-		wait = 30 * time.Second
+}
+
+// Claim hands the worker one queued run under a fresh lease, parked up to
+// wait while the queue is empty: it wakes on the enqueue, not on a timer.
+// The scan starts at shard slot mod the shard count — its own index for an
+// in-process slot, a rotating cursor for a claim off the network.
+func (s *Server) Claim(ctx context.Context, workerID string, slot int, wait time.Duration) (fleet.ClaimResponse, bool, error) {
+	if !s.fleet.Touch(workerID) { // an empty-queue poll still proves liveness
+		return fleet.ClaimResponse{}, false, &APIError{Code: http.StatusNotFound, Msg: "unknown worker " + workerID}
 	}
-	deadline := time.NewTimer(wait)
+	deadline := time.NewTimer(min(max(wait, 0), maxClaimWait))
 	defer deadline.Stop()
-	poll := time.NewTicker(2 * time.Millisecond)
-	defer poll.Stop()
 	for {
-		if id, ok := s.queue.tryPopAny(); ok {
-			if resp, ok := s.leaseRun(workerID, id); ok {
-				s.writeJSON(w, http.StatusOK, resp)
-				return
+		select {
+		case <-s.stopped:
+			return fleet.ClaimResponse{}, false, nil
+		default:
+		}
+		id, wake := s.queue.tryPop(slot)
+		if id != "" {
+			if resp, ok, err := s.leaseRun(workerID, id); ok || err != nil {
+				return resp, ok, err
 			}
 			continue // that run finished at claim time (canceled/cached); try the next
 		}
-		if s.isStopping() {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		// Block on whichever comes first: the next poll tick, the long-poll
-		// window closing, the client disconnecting (a partitioned or killed
-		// worker must not pin a handler goroutine for the full window), or
-		// shutdown.
+		// Parked until whichever comes first: the next enqueue, the window
+		// closing, the caller going away (a partitioned or killed worker must
+		// not pin a handler goroutine for the full window), or shutdown.
 		select {
-		case <-poll.C:
+		case <-wake:
 		case <-deadline.C:
-			w.WriteHeader(http.StatusNoContent)
-			return
-		case <-r.Context().Done():
-			w.WriteHeader(http.StatusNoContent)
-			return
+			return fleet.ClaimResponse{}, false, nil
+		case <-ctx.Done():
+			return fleet.ClaimResponse{}, false, nil
 		case <-s.stopped:
-			w.WriteHeader(http.StatusNoContent)
-			return
+			return fleet.ClaimResponse{}, false, nil
 		}
+	}
+}
+
+func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
+	var req fleet.ClaimRequest
+	if !decodeBody(w, r, "claim", &req) {
+		return
+	}
+	resp, ok, err := s.Claim(r.Context(), r.PathValue("id"), int(s.claimCursor.Add(1)),
+		time.Duration(req.WaitMs)*time.Millisecond)
+	switch {
+	case err != nil:
+		httpError(w, err)
+	case !ok:
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		s.writeJSON(w, http.StatusOK, resp)
 	}
 }
 
 // leaseRun moves one popped run to running under a lease for workerID.
 // ok=false means the run was consumed without needing a worker (canceled
-// while queued, or completable from the result cache) — claim again.
-func (s *Server) leaseRun(workerID, id string) (fleet.ClaimResponse, bool) {
+// while queued, or completable from the result cache) — claim again —
+// unless the lease was refused, which puts the run back and is the error.
+func (s *Server) leaseRun(workerID, id string) (claim fleet.ClaimResponse, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.runs[id]
 	if r == nil || r.State != StateQueued {
-		return fleet.ClaimResponse{}, false
+		return claim, false, nil
 	}
 	if r.cancel.Load() {
+		// Canceled after the queue pop but before the lease.
 		s.finishLocked(r, StateCanceled, errRunCanceled)
-		return fleet.ClaimResponse{}, false
+		return claim, false, nil
 	}
 	if s.finishFromCacheLocked(r) {
-		return fleet.ClaimResponse{}, false
+		// An identical run completed while this one sat queued (or it was
+		// requeued with orphaned artifacts) — answered from the cache.
+		return claim, false, nil
 	}
 	leaseID, err := s.fleet.Grant(workerID, id)
 	if err != nil {
-		// Unknown worker: put the run back for someone legitimate.
 		s.queue.requeue(r.Shard, id)
-		return fleet.ClaimResponse{}, false
+		return claim, false, err
 	}
 	r.State = StateRunning
 	r.ClaimedAt = time.Now()
 	r.StartedAt = r.ClaimedAt
 	r.Worker = workerID
 	r.LeaseID = leaseID
+	s.met.active.Add(1)
 	s.historyAppendLocked(r)
 	s.events.Append(id, events.Event{Type: events.TypeClaimed, Worker: workerID})
 	s.events.Append(id, events.Event{Type: events.TypeRunning, Worker: workerID})
@@ -143,71 +188,64 @@ func (s *Server) leaseRun(workerID, id string) (fleet.ClaimResponse, bool) {
 		Job:        r.Job,
 		LeaseID:    leaseID,
 		LeaseTTLMs: s.fleet.TTL().Milliseconds(),
-	}, true
+	}, true, nil
+}
+
+// Heartbeat renews a lease, records the run's progress and the spans that
+// completed since the last one, and tells the worker whether to go on.
+// Cancel is also what a stopping coordinator says to every run: the result
+// that comes back for it is requeued, not canceled (Result).
+func (s *Server) Heartbeat(_ context.Context, workerID string, req fleet.HeartbeatRequest) (fleet.HeartbeatResponse, error) {
+	resp := fleet.HeartbeatResponse{Valid: s.fleet.Heartbeat(workerID, req.RunID, req.LeaseID)}
+	if !resp.Valid {
+		return resp, nil
+	}
+	s.mu.Lock()
+	resp.Cancel = s.stopping
+	if run := s.runs[req.RunID]; run != nil {
+		run.simNow.Store(req.SimNs)
+		resp.Cancel = resp.Cancel || run.cancel.Load()
+		s.progressEvent(run, workerID, req.SimNs)
+	}
+	s.mu.Unlock()
+	s.appendWorkerSpans(req.RunID, workerID, req.Spans)
+	return resp, nil
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	workerID := r.PathValue("id")
 	var req fleet.HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, &APIError{Code: http.StatusBadRequest, Msg: "bad heartbeat body: " + err.Error()})
-		return
+	if decodeBody(w, r, "heartbeat", &req) {
+		resp, _ := s.Heartbeat(r.Context(), r.PathValue("id"), req)
+		s.writeJSON(w, http.StatusOK, resp)
 	}
-	resp := fleet.HeartbeatResponse{Valid: s.fleet.Heartbeat(workerID, req.RunID, req.LeaseID)}
-	if resp.Valid {
-		s.mu.Lock()
-		if run := s.runs[req.RunID]; run != nil {
-			run.simNow.Store(req.SimNs)
-			resp.Cancel = run.cancel.Load()
-			s.progressEvent(run, workerID, req.SimNs)
-		}
-		cancelAll := s.stopping
-		s.mu.Unlock()
-		s.appendWorkerSpans(req.RunID, workerID, req.Spans)
-		if cancelAll {
-			resp.Cancel = true
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleResult applies a worker's outcome — if and only if the worker
-// still holds the run's live lease. A lapsed, revoked, or superseded
-// lease means the coordinator already requeued (or canceled) the run;
-// the upload is counted stale and ignored, which is what makes
-// completion at-most-once *observable* even though a run may execute
-// more than once.
+// Result applies a worker's outcome — if and only if the worker still holds
+// the run's live lease. A lapsed, revoked, or superseded lease means the
+// coordinator already requeued (or canceled) the run; the upload is counted
+// stale and ignored, which is what makes completion at-most-once
+// *observable* even though a run may execute more than once.
 //
 // The lease ID doubles as the result's idempotency key: when a worker
-// retransmits a completion whose 200 was lost in flight, the run is
-// already terminal under that very lease — the retry is acknowledged
+// retransmits a completion whose acknowledgement was lost in flight, the
+// run is already terminal under that very lease — the retry is acknowledged
 // Accepted (Reason "duplicate") and counted in
 // dyflow_server_fleet_duplicate_results_total instead of stale.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	workerID := r.PathValue("id")
-	var req fleet.ResultRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, &APIError{Code: http.StatusBadRequest, Msg: "bad result body: " + err.Error()})
-		return
-	}
+func (s *Server) Result(_ context.Context, workerID string, req fleet.ResultRequest) (fleet.ResultResponse, error) {
 	if s.isDuplicateResult(&req) {
 		s.met.dupResults.Inc()
-		s.writeJSON(w, http.StatusOK, fleet.ResultResponse{Accepted: true, Reason: "duplicate"})
-		return
+		return fleet.ResultResponse{Accepted: true, Reason: "duplicate"}, nil
 	}
 	if !s.fleet.Release(workerID, req.RunID, req.LeaseID) {
-		s.writeJSON(w, http.StatusOK, fleet.ResultResponse{Reason: "lease not current; result ignored"})
-		return
+		return fleet.ResultResponse{Reason: "lease not current; result ignored"}, nil
 	}
-
 	s.appendWorkerSpans(req.RunID, workerID, req.Spans)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	run := s.runs[req.RunID]
 	if run == nil || run.State != StateRunning || run.Worker != workerID {
-		s.writeJSON(w, http.StatusOK, fleet.ResultResponse{Reason: "run not executing under this worker"})
-		return
+		return fleet.ResultResponse{Reason: "run not executing under this worker"}, nil
 	}
 	switch {
 	case req.Requeue:
@@ -218,8 +256,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.resetToQueuedLocked(run, "result_upload_failed")
 		s.queue.requeue(run.Shard, run.ID)
 		s.fleet.NoteOutcome(workerID, "requeued")
-		s.writeJSON(w, http.StatusOK, fleet.ResultResponse{Accepted: true, Reason: "requeued"})
-		return
+		return fleet.ResultResponse{Accepted: true, Reason: "requeued"}, nil
+	case req.Canceled && !run.cancel.Load():
+		// Nobody canceled this run: the worker was told to stop because the
+		// coordinator is stopping. The run's queued record carries it into
+		// the next process; it is not pushed for this one to claim again.
+		s.resetToQueuedLocked(run, "shutdown")
+		return fleet.ResultResponse{Accepted: true, Reason: "requeued"}, nil
 	case req.Canceled:
 		run.doneLease = req.LeaseID
 		s.finishLocked(run, StateCanceled, errRunCanceled)
@@ -233,11 +276,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		// the "done" run would 404 its artifacts, so requeue instead.
 		for name, digest := range req.Artifacts {
 			if !s.blobs.Has(digest) {
-				s.logf("server: result for %s references missing blob %s (%s); requeued", req.RunID, digest[:12], name)
+				s.logf("server: result for %s references missing blob %.12s (%s); requeued", req.RunID, digest, name)
 				s.resetToQueuedLocked(run, "missing_blob")
 				s.queue.requeue(run.Shard, run.ID)
-				s.writeJSON(w, http.StatusOK, fleet.ResultResponse{Reason: "artifact blob missing; run requeued"})
-				return
+				return fleet.ResultResponse{Reason: "artifact blob missing; run requeued"}, nil
 			}
 		}
 		run.Converged = req.Converged
@@ -247,14 +289,20 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		if _, have := s.cache[run.Job.Key()]; !have {
 			s.cache[run.Job.Key()] = cacheEntryFor(run)
 		}
-		if !run.StartedAt.IsZero() {
-			s.met.runSeconds.Observe(time.Since(run.StartedAt).Seconds())
-		}
+		s.met.runSeconds.Observe(time.Since(run.StartedAt).Seconds())
 		run.doneLease = req.LeaseID
 		s.finishLocked(run, StateDone, nil)
 		s.fleet.NoteOutcome(workerID, "done")
 	}
-	s.writeJSON(w, http.StatusOK, fleet.ResultResponse{Accepted: true})
+	return fleet.ResultResponse{Accepted: true}, nil
+}
+
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	var req fleet.ResultRequest
+	if decodeBody(w, r, "result", &req) {
+		resp, _ := s.Result(r.Context(), r.PathValue("id"), req)
+		s.writeJSON(w, http.StatusOK, resp)
+	}
 }
 
 // isDuplicateResult reports whether this upload is a retransmission of a
@@ -266,24 +314,40 @@ func (s *Server) isDuplicateResult(req *fleet.ResultRequest) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	run := s.runs[req.RunID]
-	if run != nil {
+	if run := s.runs[req.RunID]; run != nil {
 		return run.State.Terminal() && run.doneLease == req.LeaseID
 	}
-	// Terminal runs are evicted to the history store; recentDone keeps the
-	// (run, completing lease) pairs so a late retransmission still dedupes.
-	return s.recentDone[req.RunID] == req.LeaseID
+	// Terminal runs are evicted to the history store; doneRings keeps the
+	// (run, completing lease) pairs of the latest, so a late retransmission
+	// still dedupes. Newest first: a retransmission follows its original by
+	// a backoff, not by a thousand runs.
+	for i := len(s.doneRings) - 1; i >= 0; i-- {
+		if d := s.doneRings[i]; d.run == req.RunID {
+			return d.lease == req.LeaseID
+		}
+	}
+	return false
+}
+
+// HasBlob is the probe a worker makes before uploading an artifact.
+func (s *Server) HasBlob(_ context.Context, digest string) bool { return s.blobs.Has(digest) }
+
+// PutBlob stores one artifact under the digest its bytes must hash to.
+func (s *Server) PutBlob(_ context.Context, digest string, data []byte) error {
+	if err := s.blobs.PutAs(digest, data); err != nil {
+		return &APIError{Code: http.StatusBadRequest, Msg: err.Error()}
+	}
+	return nil
 }
 
 func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBlobBytes))
 	if err != nil {
 		httpError(w, &APIError{Code: http.StatusRequestEntityTooLarge, Msg: err.Error()})
 		return
 	}
-	if err := s.blobs.PutAs(digest, data); err != nil {
-		httpError(w, &APIError{Code: http.StatusBadRequest, Msg: err.Error()})
+	if err := s.PutBlob(r.Context(), r.PathValue("digest"), data); err != nil {
+		httpError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusCreated)
@@ -311,18 +375,23 @@ func (s *Server) handleFleetView(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleWorkerMetrics accepts a worker's pushed registry snapshot. The
-// coordinator folds the latest snapshot per worker into /metrics (with a
-// worker label) and serves them raw on GET /v1/fleet/metrics.
+// PushMetrics accepts a worker's registry snapshot. The coordinator folds
+// the latest snapshot per worker into /metrics (with a worker label) and
+// serves them raw on GET /v1/fleet/metrics.
+func (s *Server) PushMetrics(_ context.Context, workerID string, snap obs.Snapshot) error {
+	if !s.fleet.SetWorkerMetrics(workerID, snap) {
+		return &APIError{Code: http.StatusNotFound, Msg: "unknown worker " + workerID}
+	}
+	return nil
+}
+
 func (s *Server) handleWorkerMetrics(w http.ResponseWriter, r *http.Request) {
-	workerID := r.PathValue("id")
 	var snap obs.Snapshot
-	if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {
-		httpError(w, &APIError{Code: http.StatusBadRequest, Msg: "bad metrics body: " + err.Error()})
+	if !decodeBody(w, r, "metrics", &snap) {
 		return
 	}
-	if !s.fleet.SetWorkerMetrics(workerID, snap) {
-		httpError(w, &APIError{Code: http.StatusNotFound, Msg: "unknown worker " + workerID})
+	if err := s.PushMetrics(r.Context(), r.PathValue("id"), snap); err != nil {
+		httpError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
