@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify chaos chaos-restart restore-soak suites-check suites-golden chaos-net bench bench-sim bench-runstore bench-check mem-gate exec-gate read-gate perf loadtest loadtest-fleet loadtest-stream examples
+.PHONY: build test vet race verify chaos chaos-restart restore-soak suites-check suites-golden chaos-net bench bench-check mem-gate exec-gate read-gate perf examples
 
 build:
 	$(GO) build ./...
@@ -73,51 +73,23 @@ chaos-restart:
 restore-soak:
 	$(GO) test -count=10 -run '$(RESTORE_SOAK_RUN)' -skip '$(RESTORE_SOAK_SKIP)' ./internal/server/
 
-# Seeded network-fault sweep over the coordinator↔worker RPC plane
-# (docs/SERVICE.md, "Surviving network faults"): five fault schedules —
-# each emphasizing a different mode (latency, drops, 5xx, truncation,
-# lost replies) — injected into a 3-worker fleet's every RPC, under the
-# race detector. Asserts zero lost runs, exactly one terminal state per
-# run, and a throughput floor; then a 10s mid-run outbound partition
-# under a 30s lease TTL that must complete without a requeue. Writes
-# BENCH_chaosnet.json for the CI artifact.
+# The network-fault drills on their own, under the race detector (`make
+# verify` runs them too; docs/SERVICE.md, "Surviving network faults"): five
+# seeded fault schedules — each emphasizing a different mode (latency,
+# drops, 5xx, truncation, lost replies) — injected into a 3-worker fleet's
+# every RPC, asserting zero lost runs, exactly one terminal state per run
+# and a throughput floor; then a mid-run outbound partition shorter than
+# the lease TTL that must complete without a requeue.
 chaos-net:
-	$(GO) run -race ./cmd/dyflow-serve chaosnet \
-		-seeds 5 -workers 3 -clients 4 -per-client 4 -lease-ttl 2s \
-		-partition 10s -partition-ttl 30s -min-jobs-per-sec 0.5 \
-		-out BENCH_chaosnet.json
+	$(GO) test -race -count=1 -run 'TestChaosNet' ./internal/server/loadgen/
 
-# Micro-benchmarks on the observability hot paths (registry handles, label
-# resolution, exposition) and the bus round trip, exported as JSON for the
-# CI artifact (docs/OBSERVABILITY.md).
+# Every micro-benchmark in the tree, as plain `go test -bench` output: the
+# observability hot paths, the DES kernel (DESIGN.md §14), the bus, the
+# staging fan-out, DISKSCAN polls, the end-to-end worlds, the run-history
+# store, the arbiter and the coordinator's read path. Numbers that are kept
+# and compared live in bench/ (`make perf`), not here.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/obs/ ./internal/msg/ | tee bench.out
-	$(GO) run ./cmd/benchjson < bench.out > BENCH_obs.json
-	@rm bench.out
-	@echo wrote BENCH_obs.json
-
-# DES kernel hot-path benchmarks (DESIGN.md §14): raw event dispatch,
-# coroutine handoffs, batched queue draining, the typed bus round trip, the
-# staging fan-out, one DISKSCAN poll against 10/100/1000 files, and the
-# end-to-end quickstart, xgc and grayscott worlds. Custom metrics (events/s,
-# steps/s, handoffs/op, files/op) land in BENCH_sim.json for the CI artifact
-# (docs/OBSERVABILITY.md).
-bench-sim:
-	$(GO) test -run '^$$' -bench . -benchmem \
-		./internal/sim/ ./internal/msg/ ./internal/stream/ ./internal/core/sensor/ ./internal/exp/ | tee bench_sim.out
-	$(GO) run ./cmd/benchjson < bench_sim.out > BENCH_sim.json
-	@rm bench_sim.out
-	@echo wrote BENCH_sim.json
-
-# Run-history store benchmarks (docs/SERVICE.md, "Querying run history"):
-# ingest rate, indexed filtered-query latency over a 100k-run population,
-# and compaction throughput — appends/s, queries/s, records/s land in
-# BENCH_runstore.json for the CI artifact.
-bench-runstore:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/runstore/ | tee bench_runstore.out
-	$(GO) run ./cmd/benchjson < bench_runstore.out > BENCH_runstore.json
-	@rm bench_runstore.out
-	@echo wrote BENCH_runstore.json
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
 # bench/ is its own module (`replace dyflow => ../`), so `go build ./...` and
 # `go test ./...` at the root never compile it: this is the gate that an
@@ -163,41 +135,6 @@ read-gate:
 # all four workloads, non-race, end-to-end metrics into bench/out/.
 perf:
 	bash bench/run.sh all
-
-# Closed-loop load test of the campaign service (docs/SERVICE.md): an
-# embedded dyflow-serve under the race detector, 8 clients over 4 tenants,
-# a seed space small enough to exercise the result cache and a quota tight
-# enough to exercise backpressure. Writes throughput and latency
-# percentiles to BENCH_serve.json for the CI artifact.
-loadtest:
-	$(GO) run -race ./cmd/dyflow-serve loadtest \
-		-clients 8 -tenants 4 -per-client 4 -seeds 6 -tenant-quota 1 \
-		-out BENCH_serve.json
-
-# The same closed loop through the worker fleet (docs/SERVICE.md,
-# "Workers"): the embedded coordinator runs no worker of its own, three
-# spawned workers execute everything over the lease-based worker API, and
-# one worker is hard-killed mid-lease — every job must still complete via
-# lease-expiry requeue. Overwrites BENCH_serve.json with the fleet-mode
-# result (mode/lease_expiries fields record the provenance).
-loadtest-fleet:
-	$(GO) run -race ./cmd/dyflow-serve loadtest \
-		-clients 8 -tenants 4 -per-client 8 -seeds 6 -tenant-quota -1 \
-		-fleet 3 -worker-slots 1 -lease-ttl 400ms -kill-worker \
-		-out BENCH_serve.json
-
-# The fleet closed loop observed live (docs/SERVICE.md, "Watching a run
-# live"): clients tail each run's SSE event stream instead of polling
-# status, so the run counts as done only when its terminal event arrives.
-# Exercises the whole observability plane — per-run event journals, SSE
-# delivery, worker span forwarding — under the race detector. Overwrites
-# BENCH_serve.json with the streaming result (streamed_runs /
-# events_received / stream_latency_* record the provenance).
-loadtest-stream:
-	$(GO) run -race ./cmd/dyflow-serve loadtest \
-		-clients 8 -tenants 4 -per-client 8 -seeds 6 -tenant-quota -1 \
-		-fleet 2 -worker-slots 2 -stream \
-		-out BENCH_serve.json
 
 # Build every example and run the quickstart end-to-end (CI smoke).
 examples:

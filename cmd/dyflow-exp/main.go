@@ -20,9 +20,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -31,7 +33,6 @@ import (
 	"dyflow/internal/cluster"
 	"dyflow/internal/exp"
 	"dyflow/internal/obs"
-	"dyflow/internal/server"
 	"dyflow/internal/stats"
 )
 
@@ -126,30 +127,41 @@ func exportPerfetto(w *exp.World, chaos []cluster.CampaignEvent) error {
 }
 
 // serve steps a chaos campaign (seed/machine from the shared flags) while
-// exposing the unified observability surface over HTTP via the campaign
-// service's single-campaign mode (server.Single): /metrics is the
+// exposing the unified observability surface over HTTP: /metrics is the
 // Prometheus text exposition, /metrics.json the JSON snapshot, /trace the
 // Perfetto timeline of the run so far. The simulation is single-threaded,
-// so Single's lock serializes sim stepping against handler reads. -addr
-// host:0 binds a free port (the bound address is printed); SIGINT/SIGTERM
-// shut down gracefully with in-flight requests drained.
+// so one mutex serializes sim stepping against handler reads. -addr host:0
+// binds a free port (the bound address is printed); SIGINT/SIGTERM shut
+// down gracefully with in-flight requests drained.
 func serve() error {
 	cr, err := exp.NewChaosRun(*seedFlag, machine(), dyflow.DefaultChaosOptions())
 	if err != nil {
 		return err
 	}
-	s := server.NewSingle()
+	var mu sync.Mutex // held around every step and every handler
+	locked := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			defer mu.Unlock()
+			h.ServeHTTP(w, r)
+		})
+	}
 	// Closed once the drain is over, and under the lock so that it cannot
 	// land inside a step of the loop below.
-	defer s.Locked(func() error { cr.W.Close(); return nil })
-	s.HandleLocked("/metrics", obs.MetricsHandler(cr.W.Metrics))
-	s.HandleLocked("/metrics.json", obs.JSONHandler(cr.W.Metrics))
-	s.HandleLocked("/trace", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		cr.W.Close()
+	}()
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", locked(obs.MetricsHandler(cr.W.Metrics)))
+	mux.Handle("/metrics.json", locked(obs.JSONHandler(cr.W.Metrics)))
+	mux.Handle("/trace", locked(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := exp.WritePerfetto(w, cr.W, cr.Events()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
-	}))
+	})))
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -157,43 +169,41 @@ func serve() error {
 		// ~5 simulated seconds per 50ms of wall clock, so a scraper watches
 		// the campaign unfold instead of finding it already over.
 		for ctx.Err() == nil {
-			err := s.Locked(func() error {
-				done, err := cr.Step(5 * time.Second)
-				if err != nil {
-					return err
-				}
-				if done {
-					cr.Result().Write(os.Stdout)
-					return errCampaignDone
-				}
-				return nil
-			})
+			mu.Lock()
+			done, err := cr.Step(5 * time.Second)
+			if done && err == nil {
+				cr.Result().Write(os.Stdout)
+			}
+			mu.Unlock()
 			if err != nil {
-				if err != errCampaignDone {
-					fmt.Fprintln(os.Stderr, "dyflow-exp: serve:", err)
-				}
+				fmt.Fprintln(os.Stderr, "dyflow-exp: serve:", err)
+			}
+			if done || err != nil {
 				return
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
 	}()
 
-	bound, err := s.Start(*addrFlag)
+	ln, err := net.Listen("tcp", *addrFlag)
 	if err != nil {
 		return err
 	}
+	srv := &http.Server{Handler: mux}
+	go func() {
+		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintln(os.Stderr, "dyflow-exp: serve:", err)
+		}
+	}()
 	fmt.Printf("serving /metrics /metrics.json /trace on http://%s (chaos campaign, seed %d, %v)\n",
-		bound, *seedFlag, machine())
+		ln.Addr(), *seedFlag, machine())
 	<-ctx.Done()
 	stop()
 	fmt.Println("dyflow-exp: serve: shutting down")
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	return s.Shutdown(sctx)
+	return srv.Shutdown(sctx)
 }
-
-// errCampaignDone ends the stepping loop once the campaign converges.
-var errCampaignDone = errors.New("campaign done")
 
 func table1() error {
 	cfg := apps.XGCConfigFor(machine())

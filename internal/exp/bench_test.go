@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkQuickstartJob runs the campaign service's cheap quickstart
-// scenario end to end — the same world `make loadtest` hammers — and
-// reports the kernel-level rates behind BENCH_sim.json: steps/s is event
+// scenario end to end — the same world the service's load drills hammer —
+// and reports the kernel-level rates: steps/s is event
 // dispatches per wall-clock second across the whole pipeline (tasks,
 // sensors, decision, arbitration), handoffs/op is baton transfers per job.
 func BenchmarkQuickstartJob(b *testing.B) {

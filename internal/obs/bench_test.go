@@ -7,8 +7,7 @@ import (
 
 // The registry sits on every hot path the orchestrator has — bus sends,
 // sensor ships, stage counters — so the handle operations must stay
-// allocation-free and the label resolution cheap. `make bench` exports
-// these numbers to BENCH_obs.json.
+// allocation-free and the label resolution cheap (`make bench`).
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_total", "", "k").With("v")

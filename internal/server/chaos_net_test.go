@@ -18,7 +18,7 @@ import (
 	"dyflow/internal/server/fleet"
 )
 
-// Coordinator-side companions to the faultnet sweep (loadgen.ChaosNet):
+// Coordinator-side companions to the faultnet sweep (loadgen.TestChaosNetSweep):
 // each test here pins one specific degraded-network contract the sweep
 // exercises statistically — result idempotency, the upload-failure
 // requeue path, and long-poll disconnects.

@@ -67,7 +67,7 @@ func TestClaimWakesOnEnqueue(t *testing.T) {
 			var waits []time.Duration
 			for i := 0; i < 200; i++ {
 				go func() {
-					claim, ok, err := c.Claim(ctx, reg.WorkerID, 0, 10*time.Second)
+					claim, ok, err := c.Claim(ctx, reg.WorkerID, 10*time.Second)
 					if err != nil || !ok {
 						t.Errorf("parked claim: %v %v", err, ok)
 					}
@@ -113,7 +113,7 @@ func TestClaimNoLostWakeup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				claim, ok, err := s.Claim(ctx, reg.WorkerID, slot, maxClaimWait)
+				claim, ok, err := s.Claim(ctx, reg.WorkerID, maxClaimWait)
 				if err != nil {
 					t.Error(err)
 					return
@@ -183,7 +183,7 @@ func TestClaimWakesOnRequeueAndStop(t *testing.T) {
 	}
 	claimRun := func() outcome {
 		t0 := time.Now()
-		claim, ok, err := s.Claim(ctx, reg.WorkerID, 0, 10*time.Second)
+		claim, ok, err := s.Claim(ctx, reg.WorkerID, 10*time.Second)
 		if err != nil {
 			t.Error(err)
 		}
@@ -219,38 +219,54 @@ func TestClaimWakesOnRequeueAndStop(t *testing.T) {
 	}
 }
 
-// TestClaimRotatesShards: claims off the network start their scan at a
-// rotating shard, so two shards that both hold work are both drained.
-// Scanning from shard 0 every time starved the second for as long as the
-// first was busy.
-func TestClaimRotatesShards(t *testing.T) {
-	s := newCoordinator(t, Config{})
-	s.queue = newShardedQueue(2, 64, s.met.queueDepth) // as under -workers 2
-	addr := listen(t, s)
-	tenants := map[int]string{}
-	for i := 0; len(tenants) < 2; i++ {
-		name := fmt.Sprint("tenant-", i)
-		tenants[s.queue.shardFor(name)] = name
-	}
-	for i := 0; i < 6; i++ {
-		if _, err := s.Submit(tenants[i%2], quick(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var reg fleet.RegisterResponse
-	postFleetJSON(t, addr, "/v1/workers/register", fleet.RegisterRequest{Name: "by-hand"}, &reg)
-	drained := map[int]int{}
-	for i := 0; i < 4; i++ {
-		var claim fleet.ClaimResponse
-		if code := postFleetJSON(t, addr, "/v1/workers/"+reg.WorkerID+"/claim", fleet.ClaimRequest{}, &claim); code != http.StatusOK {
-			t.Fatalf("claim %d: %d", i, code)
-		}
-		s.mu.Lock()
-		drained[s.runs[claim.RunID].Shard]++
-		s.mu.Unlock()
-	}
-	if drained[0] != 2 || drained[1] != 2 {
-		t.Fatalf("four claims over two busy shards drained them %v, want 2 and 2", drained)
+// TestClaimsInAdmissionOrder: the queue is one FIFO, so claims hand runs
+// out in the order they were admitted whichever tenant submitted them, and
+// a run that comes back — here handed back by its worker — goes out again
+// ahead of everything admitted after it.
+func TestClaimsInAdmissionOrder(t *testing.T) {
+	ctx := context.Background()
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			s := newCoordinator(t, Config{})
+			c := tr.dial(t, s)
+			reg, err := c.Register(ctx, fleet.RegisterRequest{Name: "by-hand", Slots: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			submit := func(i int) string {
+				st, err := s.Submit(fmt.Sprint("tenant-", i%3), quick(int64(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st.ID
+			}
+			claim := func() fleet.ClaimResponse {
+				cl, ok, err := c.Claim(ctx, reg.WorkerID, 10*time.Second)
+				if err != nil || !ok {
+					t.Fatalf("claim: %v %v", err, ok)
+				}
+				return cl
+			}
+			var want []string
+			for i := 0; i < 6; i++ {
+				want = append(want, submit(i))
+			}
+			first := claim()
+			if res, err := c.Result(ctx, reg.WorkerID, fleet.ResultRequest{RunID: first.RunID, LeaseID: first.LeaseID,
+				Requeue: true, Error: "blob plane degraded"}); err != nil || !res.Accepted {
+				t.Fatalf("handing %s back: %v %+v", first.RunID, err, res)
+			}
+			want = append(want, submit(6)) // admitted after the requeue: still last
+			var got []string
+			for range want {
+				cl := claim()
+				got = append(got, cl.RunID)
+				failRun(t, c, reg.WorkerID, cl)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("claims came back %v, want admission order %v", got, want)
+			}
+		})
 	}
 }
 

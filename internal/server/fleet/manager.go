@@ -283,7 +283,7 @@ func (m *Manager) NoteOutcome(workerID, outcome string) {
 		w.Failed++
 	case "canceled":
 		w.Canceled++
-	default:
+	case "done":
 		w.Completed++
 	}
 }

@@ -27,10 +27,8 @@ import (
 type Coordinator interface {
 	Register(ctx context.Context, req RegisterRequest) (RegisterResponse, error)
 	// Claim leases the worker one queued run, waiting up to wait for one to
-	// be enqueued; ok=false means none was. slot is the index of the
-	// claiming slot: an in-process slot drains the queue shard of its own
-	// index first (the wire does not carry it).
-	Claim(ctx context.Context, workerID string, slot int, wait time.Duration) (claim ClaimResponse, ok bool, err error)
+	// be enqueued; ok=false means none was.
+	Claim(ctx context.Context, workerID string, wait time.Duration) (claim ClaimResponse, ok bool, err error)
 	Heartbeat(ctx context.Context, workerID string, req HeartbeatRequest) (HeartbeatResponse, error)
 	HasBlob(ctx context.Context, digest string) bool
 	PutBlob(ctx context.Context, digest string, data []byte) error
@@ -89,7 +87,7 @@ func (c *httpCoordinator) Register(ctx context.Context, req RegisterRequest) (re
 }
 
 // Claim's deadline covers the long-poll window plus the normal call budget.
-func (c *httpCoordinator) Claim(ctx context.Context, workerID string, _ int, wait time.Duration) (claim ClaimResponse, ok bool, err error) {
+func (c *httpCoordinator) Claim(ctx context.Context, workerID string, wait time.Duration) (claim ClaimResponse, ok bool, err error) {
 	code, err := c.post(ctx, "/v1/workers/"+workerID+"/claim",
 		ClaimRequest{WaitMs: wait.Milliseconds()}, &claim, wait+c.callTimeout)
 	return claim, err == nil && code != http.StatusNoContent, err

@@ -250,7 +250,7 @@ func (w *Worker) slot(n int) {
 	b := newBackoff(10*time.Millisecond, time.Second, mixSeed(w.o.BackoffSeed, int64(n)))
 	for w.claiming.Load() {
 		// ok=false: the queue stayed empty for the whole window.
-		claim, ok, err := w.c.Claim(w.ctx, w.id, n, w.o.ClaimWait)
+		claim, ok, err := w.c.Claim(w.ctx, w.id, w.o.ClaimWait)
 		if err != nil {
 			if w.ctx.Err() != nil {
 				return

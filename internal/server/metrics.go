@@ -12,7 +12,7 @@ type metrics struct {
 	cacheHits    *obs.CounterVec // {tenant} submissions served from the result cache
 	quotaRejects *obs.CounterVec // {tenant} 429s from the per-tenant quota
 	queueRejects *obs.Counter    // 429s from queue backpressure
-	queueDepth   *obs.GaugeVec   // {shard}
+	queueDepth   *obs.Gauge      // queued runs
 	active       *obs.Gauge      // runs executing under a lease, on any worker
 	runsTotal    *obs.CounterVec // {state} terminal transitions
 	runSeconds   *obs.Histogram  // wall-clock execution time (non-cached)
@@ -34,7 +34,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		queueRejects: reg.Counter("dyflow_server_queue_rejections_total",
 			"Submissions rejected because the run queue was full.").With(),
 		queueDepth: reg.Gauge("dyflow_server_queue_depth",
-			"Queued runs per queue shard.", "shard"),
+			"Runs waiting in the queue for a claim.").With(),
 		active: reg.Gauge("dyflow_server_active_runs",
 			"Runs currently executing under a lease, on any worker.").With(),
 		runsTotal: reg.Counter("dyflow_server_runs_total",

@@ -71,7 +71,6 @@ func (s *Server) applyPersisted(p persistedRun) *Run {
 		ID:          p.ID,
 		Tenant:      p.Tenant,
 		Job:         p.Job,
-		Shard:       s.queue.shardFor(p.Tenant),
 		State:       p.State,
 		Cached:      p.Cached,
 		Err:         p.Err,
@@ -161,6 +160,7 @@ func (s *Server) restore(dir string) error {
 		}
 		return true
 	})
+	var queued []string // oldest first
 	for _, id := range requeue {
 		p, intact, ok := s.evictedRun(id)
 		if !ok {
@@ -182,8 +182,13 @@ func (s *Server) restore(dir string) error {
 			continue
 		}
 		s.resetToQueuedLocked(r, "restore")
-		s.queue.requeue(r.Shard, r.ID)
+		queued = append(queued, r.ID)
 		s.met.requeued.Inc()
+	}
+	// Each goes in at the front, so the newest goes first and the oldest
+	// ends up at the head: the next process claims in admission order too.
+	for i := len(queued) - 1; i >= 0; i-- {
+		s.queue.requeue(queued[i])
 	}
 
 	// Compact the blob store to what the restored state references.

@@ -2,8 +2,6 @@ package server
 
 import (
 	"errors"
-	"hash/fnv"
-	"strconv"
 	"sync"
 
 	"dyflow/internal/obs"
@@ -13,93 +11,72 @@ import (
 // submission handler turns it into 429 backpressure.
 var errQueueFull = errors.New("server: run queue full")
 
-// shardedQueue is the bounded run queue claims are served from: one FIFO
-// shard per in-process worker slot, submissions hashed by tenant to a shard
-// (so one tenant's runs execute in submission order), a claim draining the
-// shard it names first and stealing from the others when that is empty. The
-// capacity bound is global — when the queue is full, submissions are
-// rejected with backpressure rather than buffered without limit.
-type shardedQueue struct {
-	mu     sync.Mutex
-	shards [][]string // run IDs, FIFO per shard
-	size   int
-	max    int
+// runQueue is the bounded FIFO claims are served from: runs leave in the
+// order they were admitted, so one tenant's runs execute in submission
+// order. When the queue is full, submissions are rejected with backpressure
+// rather than buffered without limit.
+type runQueue struct {
+	mu  sync.Mutex
+	ids []string // run IDs, oldest first
+	max int
 	// wake is closed by the next enqueue; nil until a claim finds the queue
 	// empty and asks for it.
 	wake  chan struct{}
-	depth *obs.GaugeVec // dyflow_server_queue_depth{shard}
+	depth *obs.Gauge // dyflow_server_queue_depth
 }
 
-func newShardedQueue(shards, bound int, depth *obs.GaugeVec) *shardedQueue {
-	return &shardedQueue{shards: make([][]string, max(shards, 1)), max: bound, depth: depth}
+func newRunQueue(bound int, depth *obs.Gauge) *runQueue {
+	return &runQueue{max: bound, depth: depth}
 }
 
-// shardFor hashes a tenant to its home shard.
-func (q *shardedQueue) shardFor(tenant string) int {
-	h := fnv.New32a()
-	h.Write([]byte(tenant))
-	return int(h.Sum32() % uint32(len(q.shards)))
-}
-
-func (q *shardedQueue) gauge(shard int) {
-	q.depth.With(strconv.Itoa(shard)).Set(float64(len(q.shards[shard])))
-}
-
-// push appends a run to the shard, failing with errQueueFull at capacity.
-func (q *shardedQueue) push(shard int, id string) error {
+// push appends a run, failing with errQueueFull at capacity.
+func (q *runQueue) push(id string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.size >= q.max {
+	if len(q.ids) >= q.max {
 		return errQueueFull
 	}
-	q.shards[shard] = append(q.shards[shard], id)
-	q.enqueuedLocked(shard)
+	q.ids = append(q.ids, id)
+	q.enqueuedLocked()
 	return nil
 }
 
-// enqueuedLocked accounts for one run just added to shard and wakes every
-// parked claim.
-func (q *shardedQueue) enqueuedLocked(shard int) {
-	q.size++
-	q.gauge(shard)
+// enqueuedLocked accounts for one run just added and wakes every parked
+// claim.
+func (q *runQueue) enqueuedLocked() {
+	q.depth.Set(float64(len(q.ids)))
 	if q.wake != nil {
 		close(q.wake)
 		q.wake = nil
 	}
 }
 
-// requeue reinserts a run at the front of its shard, bypassing the
-// capacity bound: the bound is admission backpressure for *new*
-// submissions, while a requeued run was already admitted once — restore
-// after a crash, a lapsed fleet lease, a rejected result upload. Front
-// insertion keeps a requeued run ahead of work submitted after it. The
-// queue may transiently exceed max; push keeps rejecting new submissions
-// until it drains below the bound again.
-func (q *shardedQueue) requeue(shard int, id string) {
+// requeue reinserts a run at the front, bypassing the capacity bound: the
+// bound is admission backpressure for *new* submissions, while a requeued
+// run was already admitted once — restore after a crash, a lapsed fleet
+// lease, a rejected result upload. Front insertion keeps a requeued run
+// ahead of work submitted after it. The queue may transiently exceed max;
+// push keeps rejecting new submissions until it drains below the bound
+// again.
+func (q *runQueue) requeue(id string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.shards[shard] = append([]string{id}, q.shards[shard]...)
-	q.enqueuedLocked(shard)
+	q.ids = append([]string{id}, q.ids...)
+	q.enqueuedLocked()
 }
 
-// tryPop takes the first queued run, scanning the shards from shard
-// from mod their count, and never blocks. When every shard is empty it
-// returns instead the channel the next enqueue closes — taken under the
-// lock the scan ran under, so a claim that parks on it cannot miss a push
-// that raced its scan.
-func (q *shardedQueue) tryPop(from int) (id string, wake <-chan struct{}) {
+// tryPop takes the oldest queued run and never blocks. When the queue is
+// empty it returns instead the channel the next enqueue closes — taken
+// under the lock the check ran under, so a claim that parks on it cannot
+// miss a push that raced its check.
+func (q *runQueue) tryPop() (id string, wake <-chan struct{}) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	n := len(q.shards)
-	for i := 0; i < n; i++ {
-		s := (from + i) % n
-		if len(q.shards[s]) > 0 {
-			id := q.shards[s][0]
-			q.shards[s] = q.shards[s][1:]
-			q.size--
-			q.gauge(s)
-			return id, nil
-		}
+	if len(q.ids) > 0 {
+		id := q.ids[0]
+		q.ids = q.ids[1:]
+		q.depth.Set(float64(len(q.ids)))
+		return id, nil
 	}
 	if q.wake == nil {
 		q.wake = make(chan struct{})
@@ -109,25 +86,22 @@ func (q *shardedQueue) tryPop(from int) (id string, wake <-chan struct{}) {
 
 // remove deletes a queued run (cancellation), reporting whether it was
 // still queued.
-func (q *shardedQueue) remove(id string) bool {
+func (q *runQueue) remove(id string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for s := range q.shards {
-		for i, have := range q.shards[s] {
-			if have == id {
-				q.shards[s] = append(q.shards[s][:i], q.shards[s][i+1:]...)
-				q.size--
-				q.gauge(s)
-				return true
-			}
+	for i, have := range q.ids {
+		if have == id {
+			q.ids = append(q.ids[:i], q.ids[i+1:]...)
+			q.depth.Set(float64(len(q.ids)))
+			return true
 		}
 	}
 	return false
 }
 
 // depthTotal returns the number of queued runs.
-func (q *shardedQueue) depthTotal() int {
+func (q *runQueue) depthTotal() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.size
+	return len(q.ids)
 }

@@ -32,7 +32,6 @@ func refStatus(r *Run) Status {
 		Tenant:      r.Tenant,
 		Job:         r.Job,
 		State:       r.State,
-		Shard:       r.Shard,
 		Cached:      r.Cached,
 		Error:       r.Err,
 		SimSeconds:  time.Duration(r.simNow.Load()).Seconds(),

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -565,5 +566,46 @@ func TestRestoreTornTailEveryByte(t *testing.T) {
 	}
 	if at != firstStage {
 		t.Fatalf("truncating to the tail's start restored stage %d, want %d", at, firstStage)
+	}
+}
+
+// TestRestoreKeepsAdmissionOrder: the runs a killed coordinator left queued
+// are claimed from the next process in the order they were admitted. Each
+// re-enters at the front of the queue, and requeueing them oldest first
+// handed them out newest first.
+func TestRestoreKeepsAdmissionOrder(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s1, err := New(Config{Workers: -1, TenantQuota: -1, CkptDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 0; i < 5; i++ {
+		st, err := s1.Submit(fmt.Sprint("tenant-", i%2), quick(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, st.ID)
+	}
+	s1.Close()
+
+	s2, err := New(Config{Workers: -1, TenantQuota: -1, CkptDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	reg, _ := s2.Register(ctx, fleet.RegisterRequest{Slots: 1})
+	var got []string
+	for range want {
+		claim, ok, err := s2.Claim(ctx, reg.WorkerID, 10*time.Second)
+		if err != nil || !ok {
+			t.Fatalf("claim: %v %v", err, ok)
+		}
+		got = append(got, claim.RunID)
+		failRun(t, s2, reg.WorkerID, claim)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("restored runs were claimed %v, want admission order %v", got, want)
 	}
 }

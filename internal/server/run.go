@@ -33,7 +33,6 @@ type Run struct {
 	ID     string
 	Tenant string
 	Job    exp.Job
-	Shard  int
 
 	State     RunState
 	Cached    bool
@@ -77,7 +76,6 @@ type Status struct {
 	Tenant string   `json:"tenant"`
 	Job    exp.Job  `json:"job"`
 	State  RunState `json:"state"`
-	Shard  int      `json:"shard"`
 	Cached bool     `json:"cached,omitempty"`
 	Error  string   `json:"error,omitempty"`
 	// SimSeconds is the run's progress in virtual time: live while
@@ -107,7 +105,7 @@ type Status struct {
 // status renders the run's JSON view. Caller holds the server mutex.
 func (r *Run) status() Status {
 	p := r.persisted()
-	st := p.status(r.Shard)
+	st := p.status()
 	if r.State != StateDone {
 		st.SimSeconds = time.Duration(r.simNow.Load()).Seconds()
 	}
@@ -116,13 +114,12 @@ func (r *Run) status() Status {
 
 // status renders a run record's JSON view: the one renderer, for a
 // resident run's current state (Run.status) and an evicted run's record.
-func (p *persistedRun) status(shard int) Status {
+func (p *persistedRun) status() Status {
 	st := Status{
 		ID:          p.ID,
 		Tenant:      p.Tenant,
 		Job:         p.Job,
 		State:       p.State,
-		Shard:       shard,
 		Cached:      p.Cached,
 		Error:       p.Err,
 		SimSeconds:  time.Duration(p.SimEndNs).Seconds(),

@@ -1,7 +1,7 @@
 // Package server is the multi-tenant campaign service: it accepts workflow
 // submissions (scenario + optional XML orchestration document + seed +
 // machine) over HTTP, admits them through per-tenant quotas and a bounded
-// sharded queue, leases each to a worker — one deterministic DES world per
+// queue, leases each to a worker — one deterministic DES world per
 // worker slot, the worker in this process or on the network — and serves
 // the finished artifacts. Because runs are byte-deterministic in the job
 // value, results are cached by job key and re-submissions are answered
@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dyflow/internal/exp"
@@ -52,7 +51,7 @@ type Config struct {
 	// joins over the network (tests also use this to observe queue states
 	// deterministically).
 	Workers int
-	// QueueDepth bounds the total queued-run count across all shards;
+	// QueueDepth bounds the queued-run count;
 	// submissions beyond it get 429 backpressure. 0 means 64.
 	QueueDepth int
 	// TenantQuota caps one tenant's in-flight (queued + running) runs;
@@ -102,7 +101,7 @@ type Server struct {
 	cfg    Config
 	reg    *obs.Registry
 	met    *metrics
-	queue  *shardedQueue
+	queue  *runQueue
 	blobs  *fleet.BlobStore
 	fleet  *fleet.Manager
 	events *events.Journal
@@ -139,8 +138,6 @@ type Server struct {
 
 	// local is the worker sharing this process (nil when cfg.Workers < 0).
 	local *fleet.Worker
-	// claimCursor rotates the shard a claim off the network scans first.
-	claimCursor atomic.Uint32
 
 	retWg   sync.WaitGroup // background retention sweeper
 	httpSrv *http.Server
@@ -173,7 +170,7 @@ func New(cfg Config) (*Server, error) {
 		reg:      reg,
 		met:      met,
 		logger:   logger,
-		queue:    newShardedQueue(cfg.Workers, cfg.QueueDepth, met.queueDepth),
+		queue:    newRunQueue(cfg.QueueDepth, met.queueDepth),
 		events:   events.NewJournal(cfg.EventBuffer, reg),
 		stopped:  make(chan struct{}),
 		runs:     map[string]*Run{},
@@ -405,11 +402,6 @@ func (s *Server) evictedRun(id string) (p persistedRun, intact, found bool) {
 	return p, intact, true
 }
 
-// statusOf renders a stored run the way a resident one renders itself.
-func (s *Server) statusOf(p *persistedRun) Status {
-	return p.status(s.queue.shardFor(p.Tenant))
-}
-
 // retentionLoop sweeps the retention policy until shutdown.
 func (s *Server) retentionLoop(interval time.Duration) {
 	defer s.retWg.Done()
@@ -608,7 +600,7 @@ func (s *Server) onLeaseExpire(runID, workerID string) {
 	s.logf("server: lease on %s lapsed at %s; requeued", runID, workerID)
 	s.events.Append(runID, events.Event{Type: events.TypeLeaseExpired, Worker: workerID})
 	s.resetToQueuedLocked(r, "lease_expired")
-	s.queue.requeue(r.Shard, runID)
+	s.queue.requeue(runID)
 }
 
 // markStopping flags shutdown and closes the stopped channel exactly
@@ -674,7 +666,7 @@ func (s *Server) Submit(tenant string, job exp.Job) (Status, error) {
 	}
 
 	r := s.newRunLocked(tenant, job)
-	if err := s.queue.push(r.Shard, r.ID); err != nil {
+	if err := s.queue.push(r.ID); err != nil {
 		if errors.Is(err, errQueueFull) {
 			s.met.queueRejects.Inc()
 			return Status{}, s.dropRunLocked(r, &APIError{
@@ -707,7 +699,6 @@ func (s *Server) newRunLocked(tenant string, job exp.Job) *Run {
 		ID:          id,
 		Tenant:      tenant,
 		Job:         job,
-		Shard:       s.queue.shardFor(tenant),
 		State:       StateQueued,
 		SubmittedAt: now,
 		QueuedAt:    now,
@@ -737,7 +728,7 @@ func (s *Server) Cancel(id string) (Status, error) {
 	if !ok {
 		// Evicted terminal runs cancel as the no-op they always were.
 		if p, _, ok := s.evictedRun(id); ok {
-			return s.statusOf(&p), nil
+			return p.status(), nil
 		}
 		return Status{}, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
 	}
@@ -763,7 +754,7 @@ func (s *Server) RunStatus(id string) (Status, error) {
 	}
 	s.mu.Unlock()
 	if p, _, ok := s.evictedRun(id); ok {
-		return s.statusOf(&p), nil
+		return p.status(), nil
 	}
 	return Status{}, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
 }
@@ -814,7 +805,7 @@ func (s *Server) QueryRuns(q RunQuery) (RunPage, error) {
 	for i := range page.Items {
 		if out.Runs[i].ID == "" { // not resident
 			p, _ := s.storedRun(page.Items[i])
-			out.Runs[i] = s.statusOf(&p)
+			out.Runs[i] = p.status()
 		}
 	}
 	return out, nil

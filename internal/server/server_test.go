@@ -443,43 +443,3 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("bad scenario: %s", resp.Status)
 	}
 }
-
-// TestSingleLockedServe covers the single-campaign mode dyflow-exp serve
-// runs on: locked handlers, ephemeral bind, graceful shutdown.
-func TestSingleLockedServe(t *testing.T) {
-	s := NewSingle()
-	hits := 0
-	s.HandleLocked("/ping", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits++ // safe: Locked and HandleLocked share the mutex
-		fmt.Fprint(w, "pong")
-	}))
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.HasSuffix(addr, ":0") {
-		t.Fatalf("unbound address %s", addr)
-	}
-	resp, err := http.Get("http://" + addr + "/ping")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "pong" {
-		t.Fatalf("ping returned %q", body)
-	}
-	if err := s.Locked(func() error {
-		if hits != 1 {
-			t.Errorf("hits = %d", hits)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-}

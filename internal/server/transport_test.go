@@ -268,7 +268,7 @@ func TestLifecycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			id, _ := s.queue.tryPop(0)
+			id, _ := s.queue.tryPop()
 			if id != st.ID {
 				t.Fatalf("popped %q, want %s", id, st.ID)
 			}
@@ -337,7 +337,7 @@ func TestLifecycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			claim, ok, err := c.Claim(ctx, reg.WorkerID, 0, 10*time.Second)
+			claim, ok, err := c.Claim(ctx, reg.WorkerID, 10*time.Second)
 			if err != nil || !ok || claim.RunID != st.ID {
 				t.Fatalf("claim: %v %v %+v", err, ok, claim)
 			}
@@ -524,7 +524,7 @@ func TestShutdownAbortIsNotACancel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			claim, ok, err := c.Claim(ctx, reg.WorkerID, 0, 10*time.Second)
+			claim, ok, err := c.Claim(ctx, reg.WorkerID, 10*time.Second)
 			if err != nil || !ok || claim.RunID != st.ID {
 				t.Fatalf("claim: %v %v %+v", err, ok, claim)
 			}
@@ -557,5 +557,50 @@ func TestShutdownAbortIsNotACancel(t *testing.T) {
 			t.Fatalf("aborted run's stream: %v", aborted.Events)
 		}
 		return []observed{aborted, observe(t, s, ids[1])}
+	})
+}
+
+// TestRequeueIsNotAnOutcome: a worker that hands its lease back because it
+// cannot deliver the artifacts has not finished the run, so GET /v1/fleet
+// counts a claim for it and no outcome — its `completed` used to climb by
+// one per hand-back.
+func TestRequeueIsNotAnOutcome(t *testing.T) {
+	ctx := context.Background()
+	forEachTransport(t, func(t *testing.T, tr transport) []observed {
+		s := newCoordinator(t, Config{})
+		c := tr.dial(t, s)
+		reg, err := c.Register(ctx, fleet.RegisterRequest{Name: "by-hand", Slots: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.Submit("alice", quick(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const handBacks = 3
+		for i := 0; i <= handBacks; i++ {
+			claim, ok, err := c.Claim(ctx, reg.WorkerID, 10*time.Second)
+			if err != nil || !ok || claim.RunID != st.ID {
+				t.Fatalf("claim %d: %v %v %+v", i, err, ok, claim)
+			}
+			if i == handBacks {
+				failRun(t, c, reg.WorkerID, claim)
+				break
+			}
+			res, err := c.Result(ctx, reg.WorkerID, fleet.ResultRequest{RunID: claim.RunID, LeaseID: claim.LeaseID,
+				Requeue: true, Error: "blob plane degraded"})
+			if err != nil || !res.Accepted || res.Reason != "requeued" {
+				t.Fatalf("hand-back %d: %v %+v", i, err, res)
+			}
+		}
+		workers := s.fleet.Workers()
+		if len(workers) != 1 {
+			t.Fatalf("fleet lists %d workers", len(workers))
+		}
+		if w := workers[0]; w.Claims != handBacks+1 || w.Completed != 0 || w.Canceled != 0 || w.Failed != 1 {
+			t.Fatalf("after %d hand-backs and one failure the fleet view reads claims %d, completed %d, failed %d, canceled %d",
+				handBacks, w.Claims, w.Completed, w.Failed, w.Canceled)
+		}
+		return []observed{observe(t, s, st.ID)}
 	})
 }

@@ -95,9 +95,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 // Claim hands the worker one queued run under a fresh lease, parked up to
 // wait while the queue is empty: it wakes on the enqueue, not on a timer.
-// The scan starts at shard slot mod the shard count — its own index for an
-// in-process slot, a rotating cursor for a claim off the network.
-func (s *Server) Claim(ctx context.Context, workerID string, slot int, wait time.Duration) (fleet.ClaimResponse, bool, error) {
+func (s *Server) Claim(ctx context.Context, workerID string, wait time.Duration) (fleet.ClaimResponse, bool, error) {
 	if !s.fleet.Touch(workerID) { // an empty-queue poll still proves liveness
 		return fleet.ClaimResponse{}, false, &APIError{Code: http.StatusNotFound, Msg: "unknown worker " + workerID}
 	}
@@ -109,7 +107,7 @@ func (s *Server) Claim(ctx context.Context, workerID string, slot int, wait time
 			return fleet.ClaimResponse{}, false, nil
 		default:
 		}
-		id, wake := s.queue.tryPop(slot)
+		id, wake := s.queue.tryPop()
 		if id != "" {
 			if resp, ok, err := s.leaseRun(workerID, id); ok || err != nil {
 				return resp, ok, err
@@ -136,8 +134,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "claim", &req) {
 		return
 	}
-	resp, ok, err := s.Claim(r.Context(), r.PathValue("id"), int(s.claimCursor.Add(1)),
-		time.Duration(req.WaitMs)*time.Millisecond)
+	resp, ok, err := s.Claim(r.Context(), r.PathValue("id"), time.Duration(req.WaitMs)*time.Millisecond)
 	switch {
 	case err != nil:
 		httpError(w, err)
@@ -171,7 +168,7 @@ func (s *Server) leaseRun(workerID, id string) (claim fleet.ClaimResponse, ok bo
 	}
 	leaseID, err := s.fleet.Grant(workerID, id)
 	if err != nil {
-		s.queue.requeue(r.Shard, id)
+		s.queue.requeue(id)
 		return claim, false, err
 	}
 	r.State = StateRunning
@@ -254,8 +251,7 @@ func (s *Server) Result(_ context.Context, workerID string, req fleet.ResultRequ
 		// the run returns to the queue rather than failing.
 		s.logf("server: worker %s requeued %s: %s", workerID, req.RunID, req.Error)
 		s.resetToQueuedLocked(run, "result_upload_failed")
-		s.queue.requeue(run.Shard, run.ID)
-		s.fleet.NoteOutcome(workerID, "requeued")
+		s.queue.requeue(run.ID)
 		return fleet.ResultResponse{Accepted: true, Reason: "requeued"}, nil
 	case req.Canceled && !run.cancel.Load():
 		// Nobody canceled this run: the worker was told to stop because the
@@ -278,7 +274,7 @@ func (s *Server) Result(_ context.Context, workerID string, req fleet.ResultRequ
 			if !s.blobs.Has(digest) {
 				s.logf("server: result for %s references missing blob %.12s (%s); requeued", req.RunID, digest, name)
 				s.resetToQueuedLocked(run, "missing_blob")
-				s.queue.requeue(run.Shard, run.ID)
+				s.queue.requeue(run.ID)
 				return fleet.ResultResponse{Reason: "artifact blob missing; run requeued"}, nil
 			}
 		}

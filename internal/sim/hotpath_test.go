@@ -256,7 +256,8 @@ func TestQueueGetAllDrainsBurstInOneHandoff(t *testing.T) {
 	}
 }
 
-// TestDispatchHandoffCounters: the kernel accounting behind BENCH_sim.json
+// TestDispatchHandoffCounters: the kernel accounting behind events/s and
+// handoffs/op
 // — every executed event counts once, every baton transfer once.
 func TestDispatchHandoffCounters(t *testing.T) {
 	s := New(1)
