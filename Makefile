@@ -12,6 +12,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l prints:"; echo "$$out"; exit 1; }
 
 # The simulation substrate is single-threaded by design, but the experiment
 # sweeps (internal/exp) run whole worlds in parallel goroutines — the race

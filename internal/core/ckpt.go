@@ -31,13 +31,13 @@ const (
 
 // Snapshot is the orchestrator's full checkpointable state.
 type Snapshot struct {
-	At       sim.Time                 `json:"at"`
-	Decision decision.Snapshot        `json:"decision"`
-	Arbiter  arbiter.Snapshot         `json:"arbiter"`
-	Server   sensor.ServerSnapshot    `json:"server"`
-	Clients  []sensor.ClientSnapshot  `json:"clients,omitempty"`
-	Trace    trace.State              `json:"trace"`
-	Bus      msg.BusSnapshot          `json:"bus"`
+	At       sim.Time                `json:"at"`
+	Decision decision.Snapshot       `json:"decision"`
+	Arbiter  arbiter.Snapshot        `json:"arbiter"`
+	Server   sensor.ServerSnapshot   `json:"server"`
+	Clients  []sensor.ClientSnapshot `json:"clients,omitempty"`
+	Trace    trace.State             `json:"trace"`
+	Bus      msg.BusSnapshot         `json:"bus"`
 }
 
 // Snapshot captures the orchestrator's state. Take it from driver context

@@ -36,12 +36,12 @@ type BindingSnap struct {
 // windows, staleness/everEval gates, the suggestion ID counter, the
 // evaluator's tick grid, and the receiver's out-of-order filter.
 type Snapshot struct {
-	Seq         int                  `json:"seq"`
-	Evaluations int                  `json:"evaluations"`
-	Suggestions int                  `json:"suggestions"`
-	NextEval    sim.Time             `json:"next_eval"`
-	Filter      map[string]uint64    `json:"filter,omitempty"`
-	Bindings    []BindingSnap        `json:"bindings"`
+	Seq         int               `json:"seq"`
+	Evaluations int               `json:"evaluations"`
+	Suggestions int               `json:"suggestions"`
+	NextEval    sim.Time          `json:"next_eval"`
+	Filter      map[string]uint64 `json:"filter,omitempty"`
+	Bindings    []BindingSnap     `json:"bindings"`
 }
 
 // Snapshot exports the engine state. Call while the engine is quiescent

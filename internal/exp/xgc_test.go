@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"bytes"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,6 +67,30 @@ func TestXGCSummitReproducesFigure6(t *testing.T) {
 			if ev.Response > 4*time.Second {
 				t.Errorf("stop response = %v, want ~2s", ev.Response)
 			}
+		}
+	}
+
+	// EXPERIMENTS.md's Figure 6 table quotes this run: each row of the
+	// report is a row there, under the same metric, with the same measured
+	// string in it.
+	base, err := RunXGCBaseline(1, apps.Summit, res.FinalStep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := string(doc[bytes.Index(doc, []byte("## Figure 6")):])
+	measured := map[string]string{}
+	for _, line := range strings.Split(section[:strings.Index(section, "\n## Table 2")], "\n") {
+		if cells := strings.Split(line, " | "); len(cells) == 4 {
+			measured[strings.TrimPrefix(cells[0], "| ")] = cells[2]
+		}
+	}
+	for _, row := range XGCReport(res, time.Duration(base)).Rows {
+		if !strings.Contains(measured[row.Metric], row.Measured) {
+			t.Errorf("EXPERIMENTS.md, Figure 6, %q: the table says %q, this run measured %q", row.Metric, measured[row.Metric], row.Measured)
 		}
 	}
 }

@@ -277,7 +277,7 @@ func TestFaultClaimLongPollHonorsDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	id := s.fleet.Register("lurker", 1)
+	id := s.fleet.RegisterAs("", "lurker", 1)
 
 	body, _ := json.Marshal(fleet.ClaimRequest{WaitMs: 25000})
 	req := httptest.NewRequest(http.MethodPost, "/v1/workers/"+id+"/claim", bytes.NewReader(body))

@@ -38,7 +38,6 @@ const (
 	TypeSpan         Type = "span"          // a flight-recorder suggestion span completed
 	TypeCacheHit     Type = "cache_hit"     // answered from the deterministic result cache
 	TypeLeaseExpired Type = "lease_expired" // the executing worker's lease lapsed
-	TypeDegraded     Type = "degraded"      // a coordinator subsystem shed work on this run (Reason: "journal_slow")
 	TypeDone         Type = "done"          // terminal: success
 	TypeFailed       Type = "failed"        // terminal: error
 	TypeCanceled     Type = "canceled"      // terminal: canceled
@@ -116,7 +115,9 @@ func NewJournal(capacity int, reg *obs.Registry) *Journal {
 func (j *Journal) Epoch() int64 { return j.epoch }
 
 // log resolves (or lazily creates) a run's ring — lazily so a client
-// may subscribe before the run exists and still see its first event.
+// may subscribe before the run exists and still see its first event —
+// and returns it locked, the lock taken before the journal's is let go:
+// Sub.Close retires an empty ring under both, so never one in use.
 func (j *Journal) log(run string) *runLog {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -125,6 +126,7 @@ func (j *Journal) log(run string) *runLog {
 		l = &runLog{next: 1, subs: make(map[*Sub]struct{})}
 		j.runs[run] = l
 	}
+	l.mu.Lock()
 	return l
 }
 
@@ -133,7 +135,6 @@ func (j *Journal) log(run string) *runLog {
 // on a consumer. The stored event is returned.
 func (j *Journal) Append(run string, ev Event) Event {
 	l := j.log(run)
-	l.mu.Lock()
 	ev.ID = l.next
 	l.next++
 	ev.Run = run
@@ -191,6 +192,7 @@ func (j *Journal) Drop(run string) {
 // Sub is one cursor-based subscription to a run's journal.
 type Sub struct {
 	j      *Journal
+	run    string
 	l      *runLog
 	cursor uint64
 	notify chan struct{}
@@ -206,8 +208,7 @@ type Sub struct {
 // waiting forever. Close the subscription when done.
 func (j *Journal) Subscribe(run string, after uint64) *Sub {
 	l := j.log(run)
-	s := &Sub{j: j, l: l, cursor: after, notify: make(chan struct{}, 1)}
-	l.mu.Lock()
+	s := &Sub{j: j, run: run, l: l, cursor: after, notify: make(chan struct{}, 1)}
 	if after >= l.next {
 		s.cursor = 0
 	}
@@ -250,12 +251,19 @@ func (s *Sub) Poll() (evs []Event, missed uint64) {
 	return evs, missed
 }
 
-// Close detaches the subscription. Safe to call more than once.
+// Close detaches the subscription and, if it was the last one on a ring
+// that never held an event, retires the ring: a stream on a run ID that
+// never comes to exist costs the journal nothing. Safe to call twice.
 func (s *Sub) Close() {
 	s.closeOnce.Do(func() {
+		s.j.mu.Lock()
 		s.l.mu.Lock()
 		delete(s.l.subs, s)
+		if len(s.l.subs) == 0 && len(s.l.buf) == 0 && s.j.runs[s.run] == s.l {
+			delete(s.j.runs, s.run)
+		}
 		s.l.mu.Unlock()
+		s.j.mu.Unlock()
 		s.j.subscribers.Add(-1)
 	})
 }

@@ -187,3 +187,79 @@ func TestConcurrentAppendPoll(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseRetiresEmptyRing: a stream on a run ID that never comes to exist
+// costs the journal nothing once it is closed — any client can name any ID,
+// so a ring per name would grow without bound. A ring somebody still
+// listens on, or that holds an event, stays.
+func TestCloseRetiresEmptyRing(t *testing.T) {
+	j := NewJournal(8, obs.NewRegistry())
+	rings := func() int {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return len(j.runs)
+	}
+	for i := 0; i < 10000; i++ {
+		j.Subscribe(fmt.Sprint("no-such-run-", i), 0).Close()
+	}
+	if n := rings(); n != 0 {
+		t.Fatalf("10000 subscribe+close on unknown runs left %d rings", n)
+	}
+
+	first, second := j.Subscribe("shared", 0), j.Subscribe("shared", 0)
+	first.Close()
+	first.Close()
+	if n := rings(); n != 1 {
+		t.Fatalf("a ring with a subscriber left was retired (%d rings)", n)
+	}
+	j.Append("shared", Event{Type: TypeQueued})
+	if evs, _ := second.Poll(); len(evs) != 1 {
+		t.Fatalf("the remaining subscriber saw %d events, want 1", len(evs))
+	}
+	second.Close()
+	if n := rings(); n != 1 {
+		t.Fatalf("a ring holding an event was retired (%d rings)", n)
+	}
+}
+
+// TestRetirementNeverLosesAnEvent: subscribers come and go on a run that
+// does not exist yet while its first event is appended. Whichever ring the
+// append and the retirements raced over, a subscriber arriving afterwards
+// replays the event, and one that was attached when it landed was poked.
+func TestRetirementNeverLosesAnEvent(t *testing.T) {
+	j := NewJournal(8, obs.NewRegistry())
+	for i := 0; i < 2000; i++ {
+		run := fmt.Sprint("run-", i)
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					s := j.Subscribe(run, 0)
+					select {
+					case <-stop:
+						evs, _ := s.Poll()
+						s.Close()
+						if len(evs) != 1 {
+							t.Errorf("%s: a subscriber open once the append had returned polled %d events", run, len(evs))
+						}
+						return
+					default:
+						s.Close()
+					}
+				}
+			}()
+		}
+		j.Append(run, Event{Type: TypeQueued})
+		close(stop)
+		wg.Wait()
+		later := j.Subscribe(run, 0)
+		evs, _ := later.Poll()
+		later.Close()
+		if len(evs) != 1 || evs[0].ID != 1 {
+			t.Fatalf("%s: a later subscriber replayed %v, want the one event", run, evs)
+		}
+	}
+}

@@ -1,6 +1,7 @@
-// Package fleet is the campaign service's execution substrate: a lease
-// manager the coordinator uses to hand queued runs to workers (and reclaim
-// them when a worker dies), a content-addressed blob store the finished
+// Package fleet is the campaign service's execution substrate: the
+// registry of workers that have joined the coordinator (Manager — it holds
+// no lease: which worker holds which run is the run's state, kept by
+// internal/server), a content-addressed blob store the finished
 // artifacts live in (so N runs with identical bytes cost one copy,
 // fleet-wide), and the Worker — the service's only executor — that
 // registers with a Coordinator, claims runs, heartbeats its leases, and

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"dyflow/internal/obs"
 )
@@ -85,91 +83,5 @@ func TestBlobStoreDurabilityAndGC(t *testing.T) {
 	}
 	if !b2.Has(keepDigest) {
 		t.Fatal("referenced blob dropped by GC")
-	}
-}
-
-func TestManagerLeaseLifecycle(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewManager(reg, time.Minute, nil)
-	defer m.Close()
-
-	wid := m.Register("w", 1)
-	lease, err := m.Grant(wid, "run-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Grant(wid, "run-1"); err == nil {
-		t.Fatal("double-granted a leased run")
-	}
-	if _, err := m.Grant("worker-nope", "run-2"); err == nil {
-		t.Fatal("granted to an unregistered worker")
-	}
-	if !m.Heartbeat(wid, "run-1", lease) {
-		t.Fatal("live lease rejected a heartbeat")
-	}
-	if m.Heartbeat(wid, "run-1", "lease-999999") {
-		t.Fatal("wrong lease ID accepted")
-	}
-
-	// Release is the at-most-once gate: it consumes the lease exactly once.
-	if !m.Release(wid, "run-1", lease) {
-		t.Fatal("live lease rejected its result")
-	}
-	if m.Release(wid, "run-1", lease) {
-		t.Fatal("released lease accepted a second result")
-	}
-	if v, _ := reg.Value("dyflow_server_fleet_results_total"); v != 1 {
-		t.Fatalf("results_total = %v", v)
-	}
-	if v, _ := reg.Value("dyflow_server_fleet_stale_results_total"); v != 1 {
-		t.Fatalf("stale_results_total = %v", v)
-	}
-
-	// Revoke (cancellation path) also invalidates the lease.
-	lease2, err := m.Grant(wid, "run-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Revoke("run-2")
-	if m.Release(wid, "run-2", lease2) {
-		t.Fatal("revoked lease accepted a result")
-	}
-}
-
-func TestManagerLeaseExpiry(t *testing.T) {
-	reg := obs.NewRegistry()
-	var mu sync.Mutex
-	var expired []string
-	m := NewManager(reg, 30*time.Millisecond, func(runID, workerID string) {
-		mu.Lock()
-		expired = append(expired, runID+"@"+workerID)
-		mu.Unlock()
-	})
-	defer m.Close()
-
-	wid := m.Register("w", 1)
-	lease, err := m.Grant(wid, "run-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Leased("run-1") {
-		if time.Now().After(deadline) {
-			t.Fatal("lease never expired without heartbeats")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	mu.Lock()
-	got := append([]string(nil), expired...)
-	mu.Unlock()
-	if len(got) != 1 || got[0] != "run-1@"+wid {
-		t.Fatalf("expiry callbacks = %v", got)
-	}
-	if v, _ := reg.Value("dyflow_server_fleet_lease_expiries_total"); v != 1 {
-		t.Fatalf("lease_expiries_total = %v", v)
-	}
-	// The dead worker's late upload is stale.
-	if m.Release(wid, "run-1", lease) {
-		t.Fatal("expired lease accepted a result")
 	}
 }

@@ -21,6 +21,13 @@ type metrics struct {
 	dupResults   *obs.Counter    // retransmitted results deduplicated by lease ID
 	gcBlobs      *obs.Counter    // blobs swept by retention GC
 	readErrs     *obs.Counter    // history documents that could not be read back or decoded
+	illegal      *obs.CounterVec // {from,to} transitions the lifecycle table refused
+	// The lease's own counters.
+	fleetClaims     *obs.Counter
+	fleetHeartbeats *obs.Counter
+	leaseExpiries   *obs.Counter
+	fleetResults    *obs.Counter
+	staleResults    *obs.Counter
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -51,5 +58,17 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Artifact blobs swept because no live history record references them.").With(),
 		readErrs: reg.Counter("dyflow_runstore_read_errors_total",
 			"Run-history documents that could not be read back or decoded; the run was served from its index entry.").With(),
+		illegal: reg.Counter("dyflow_server_illegal_transitions_total",
+			"Run state transitions refused because the lifecycle table has no such edge: each one is a bug.", "from", "to"),
+		fleetClaims: reg.Counter("dyflow_server_fleet_claims_total",
+			"Runs claimed by fleet workers.").With(),
+		fleetHeartbeats: reg.Counter("dyflow_server_fleet_heartbeats_total",
+			"Lease heartbeats accepted from fleet workers.").With(),
+		leaseExpiries: reg.Counter("dyflow_server_fleet_lease_expiries_total",
+			"Leases that lapsed without a result, requeueing the run.").With(),
+		fleetResults: reg.Counter("dyflow_server_fleet_results_total",
+			"Results accepted from fleet workers under a valid lease.").With(),
+		staleResults: reg.Counter("dyflow_server_fleet_stale_results_total",
+			"Result uploads ignored because the lease was no longer current.").With(),
 	}
 }

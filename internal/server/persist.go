@@ -167,18 +167,9 @@ func (s *Server) restore(dir string) error {
 			continue
 		}
 		r := s.applyPersisted(p)
-		if r.State == StateDone { // recorded done, artifacts unresolvable: demoted
-			r.Cached = false
-			r.Artifacts = nil
-			r.Converged = false
-			r.SimEnd = 0
-			r.FinishedAt = time.Time{}
-		}
-		s.runs[r.ID] = r
-		s.order = append(s.order, r.ID)
-		s.inflight[r.Tenant]++
+		s.admitLocked(r)
 		if !intact {
-			s.finishLocked(r, StateFailed, errJobDocumentLost)
+			s.finishLocked(r, StateFailed, "document_lost", errJobDocumentLost.Error())
 			continue
 		}
 		s.resetToQueuedLocked(r, "restore")
@@ -194,4 +185,18 @@ func (s *Server) restore(dir string) error {
 	// Compact the blob store to what the restored state references.
 	s.blobs.GC(s.history.Digests())
 	return nil
+}
+
+// refsResolvable reports whether a done run's artifact references all
+// resolve in the blob store.
+func (s *Server) refsResolvable(refs map[string]string) bool {
+	if len(refs) == 0 {
+		return false
+	}
+	for _, digest := range refs {
+		if !s.blobs.Has(digest) {
+			return false
+		}
+	}
+	return true
 }

@@ -45,9 +45,12 @@ type Run struct {
 	Artifacts map[string]string
 
 	// Worker and LeaseID identify the worker holding this run while it
-	// executes, and the lease it holds it under.
-	Worker  string
-	LeaseID string
+	// executes, and the lease it holds it under — LeaseID is set exactly
+	// while the run is running in this process — until expireLeasesLocked
+	// sees an instant past leaseExpires, a TTL after the last heartbeat.
+	Worker       string
+	LeaseID      string
+	leaseExpires time.Time
 	// doneLease remembers the lease under which the run reached its
 	// terminal state. It is the result POST's idempotency check: a worker
 	// retransmitting a completion whose 200 was lost matches doneLease and

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dyflow/internal/obs"
-	"dyflow/internal/server/events"
 	"dyflow/internal/server/fleet"
 )
 
@@ -71,7 +70,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, call string, v any) bool
 // is a method call costs two uncontended mutexes — so a run on `-workers N`
 // shows its progress, and sees a cancel or a shutdown, within 10 ms.
 func (s *Server) Register(_ context.Context, req fleet.RegisterRequest) (fleet.RegisterResponse, error) {
-	return s.register(localWorkerID, req, min(progressEventEvery, s.fleet.TTL()/3)), nil
+	return s.register(localWorkerID, req, min(progressEventEvery, s.cfg.LeaseTTL/3)), nil
 }
 
 // register admits a worker under id ("" mints one) and tells it its lease
@@ -79,7 +78,7 @@ func (s *Server) Register(_ context.Context, req fleet.RegisterRequest) (fleet.R
 func (s *Server) register(id string, req fleet.RegisterRequest, heartbeat time.Duration) fleet.RegisterResponse {
 	return fleet.RegisterResponse{
 		WorkerID:    s.fleet.RegisterAs(id, req.Name, req.Slots),
-		LeaseTTLMs:  s.fleet.TTL().Milliseconds(),
+		LeaseTTLMs:  s.cfg.LeaseTTL.Milliseconds(),
 		HeartbeatMs: heartbeat.Milliseconds(),
 	}
 }
@@ -89,7 +88,7 @@ func (s *Server) register(id string, req fleet.RegisterRequest, heartbeat time.D
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req fleet.RegisterRequest
 	if decodeBody(w, r, "register", &req) {
-		s.writeJSON(w, http.StatusOK, s.register("", req, s.fleet.TTL()/3))
+		s.writeJSON(w, http.StatusOK, s.register("", req, s.cfg.LeaseTTL/3))
 	}
 }
 
@@ -145,66 +144,24 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// leaseRun moves one popped run to running under a lease for workerID.
-// ok=false means the run was consumed without needing a worker (canceled
-// while queued, or completable from the result cache) — claim again —
-// unless the lease was refused, which puts the run back and is the error.
-func (s *Server) leaseRun(workerID, id string) (claim fleet.ClaimResponse, ok bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.runs[id]
-	if r == nil || r.State != StateQueued {
-		return claim, false, nil
-	}
-	if r.cancel.Load() {
-		// Canceled after the queue pop but before the lease.
-		s.finishLocked(r, StateCanceled, errRunCanceled)
-		return claim, false, nil
-	}
-	if s.finishFromCacheLocked(r) {
-		// An identical run completed while this one sat queued (or it was
-		// requeued with orphaned artifacts) — answered from the cache.
-		return claim, false, nil
-	}
-	leaseID, err := s.fleet.Grant(workerID, id)
-	if err != nil {
-		s.queue.requeue(id)
-		return claim, false, err
-	}
-	r.State = StateRunning
-	r.ClaimedAt = time.Now()
-	r.StartedAt = r.ClaimedAt
-	r.Worker = workerID
-	r.LeaseID = leaseID
-	s.met.active.Add(1)
-	s.historyAppendLocked(r)
-	s.events.Append(id, events.Event{Type: events.TypeClaimed, Worker: workerID})
-	s.events.Append(id, events.Event{Type: events.TypeRunning, Worker: workerID})
-	return fleet.ClaimResponse{
-		RunID:      id,
-		Job:        r.Job,
-		LeaseID:    leaseID,
-		LeaseTTLMs: s.fleet.TTL().Milliseconds(),
-	}, true, nil
-}
-
 // Heartbeat renews a lease, records the run's progress and the spans that
 // completed since the last one, and tells the worker whether to go on.
 // Cancel is also what a stopping coordinator says to every run: the result
 // that comes back for it is requeued, not canceled (Result).
 func (s *Server) Heartbeat(_ context.Context, workerID string, req fleet.HeartbeatRequest) (fleet.HeartbeatResponse, error) {
-	resp := fleet.HeartbeatResponse{Valid: s.fleet.Heartbeat(workerID, req.RunID, req.LeaseID)}
-	if !resp.Valid {
-		return resp, nil
-	}
 	s.mu.Lock()
-	resp.Cancel = s.stopping
-	if run := s.runs[req.RunID]; run != nil {
-		run.simNow.Store(req.SimNs)
-		resp.Cancel = resp.Cancel || run.cancel.Load()
-		s.progressEvent(run, workerID, req.SimNs)
+	run := s.runs[req.RunID]
+	if !run.leasedTo(workerID, req.LeaseID) {
+		s.mu.Unlock()
+		return fleet.HeartbeatResponse{}, nil
 	}
+	s.renewLeaseLocked(run)
+	s.met.fleetHeartbeats.Inc()
+	run.simNow.Store(req.SimNs)
+	resp := fleet.HeartbeatResponse{Valid: true, Cancel: s.stopping || run.cancel.Load()}
+	s.progressEvent(run, workerID, req.SimNs)
 	s.mu.Unlock()
+	s.fleet.Touch(workerID)
 	s.appendWorkerSpans(req.RunID, workerID, req.Spans)
 	return resp, nil
 }
@@ -229,21 +186,22 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // Accepted (Reason "duplicate") and counted in
 // dyflow_server_fleet_duplicate_results_total instead of stale.
 func (s *Server) Result(_ context.Context, workerID string, req fleet.ResultRequest) (fleet.ResultResponse, error) {
-	if s.isDuplicateResult(&req) {
-		s.met.dupResults.Inc()
-		return fleet.ResultResponse{Accepted: true, Reason: "duplicate"}, nil
-	}
-	if !s.fleet.Release(workerID, req.RunID, req.LeaseID) {
-		return fleet.ResultResponse{Reason: "lease not current; result ignored"}, nil
-	}
-	s.appendWorkerSpans(req.RunID, workerID, req.Spans)
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	run := s.runs[req.RunID]
-	if run == nil || run.State != StateRunning || run.Worker != workerID {
-		return fleet.ResultResponse{Reason: "run not executing under this worker"}, nil
+	if !run.leasedTo(workerID, req.LeaseID) {
+		if s.duplicateResultLocked(run, &req) {
+			s.met.dupResults.Inc()
+			return fleet.ResultResponse{Accepted: true, Reason: "duplicate"}, nil
+		}
+		s.met.staleResults.Inc()
+		return fleet.ResultResponse{Reason: "lease not current; result ignored"}, nil
 	}
+	s.met.fleetResults.Inc()
+	s.appendWorkerSpans(req.RunID, workerID, req.Spans)
+
+	// The run is leased, so it is running: every edge below is in the table.
+	state := StateDone
 	switch {
 	case req.Requeue:
 		// The worker executed the run but could not deliver its artifacts
@@ -252,21 +210,19 @@ func (s *Server) Result(_ context.Context, workerID string, req fleet.ResultRequ
 		s.logf("server: worker %s requeued %s: %s", workerID, req.RunID, req.Error)
 		s.resetToQueuedLocked(run, "result_upload_failed")
 		s.queue.requeue(run.ID)
+		s.fleet.Touch(workerID)
 		return fleet.ResultResponse{Accepted: true, Reason: "requeued"}, nil
 	case req.Canceled && !run.cancel.Load():
 		// Nobody canceled this run: the worker was told to stop because the
 		// coordinator is stopping. The run's queued record carries it into
 		// the next process; it is not pushed for this one to claim again.
 		s.resetToQueuedLocked(run, "shutdown")
+		s.fleet.Touch(workerID)
 		return fleet.ResultResponse{Accepted: true, Reason: "requeued"}, nil
 	case req.Canceled:
-		run.doneLease = req.LeaseID
-		s.finishLocked(run, StateCanceled, errRunCanceled)
-		s.fleet.NoteOutcome(workerID, "canceled")
+		state = StateCanceled
 	case req.Error != "":
-		run.doneLease = req.LeaseID
-		s.finishLocked(run, StateFailed, errRemote(req.Error))
-		s.fleet.NoteOutcome(workerID, "failed")
+		state = StateFailed
 	default:
 		// Every referenced blob must already be in the store; otherwise
 		// the "done" run would 404 its artifacts, so requeue instead.
@@ -275,6 +231,7 @@ func (s *Server) Result(_ context.Context, workerID string, req fleet.ResultRequ
 				s.logf("server: result for %s references missing blob %.12s (%s); requeued", req.RunID, digest, name)
 				s.resetToQueuedLocked(run, "missing_blob")
 				s.queue.requeue(run.ID)
+				s.fleet.Touch(workerID)
 				return fleet.ResultResponse{Reason: "artifact blob missing; run requeued"}, nil
 			}
 		}
@@ -286,10 +243,9 @@ func (s *Server) Result(_ context.Context, workerID string, req fleet.ResultRequ
 			s.cache[run.Job.Key()] = cacheEntryFor(run)
 		}
 		s.met.runSeconds.Observe(time.Since(run.StartedAt).Seconds())
-		run.doneLease = req.LeaseID
-		s.finishLocked(run, StateDone, nil)
-		s.fleet.NoteOutcome(workerID, "done")
 	}
+	s.finishLocked(run, state, "result", req.Error)
+	s.fleet.NoteOutcome(workerID, string(state))
 	return fleet.ResultResponse{Accepted: true}, nil
 }
 
@@ -301,16 +257,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// isDuplicateResult reports whether this upload is a retransmission of a
-// result already applied: the run reached its terminal state under
-// exactly the lease this request carries.
-func (s *Server) isDuplicateResult(req *fleet.ResultRequest) bool {
+// duplicateResultLocked reports whether this upload is a retransmission of
+// a result already applied: the run (nil when it is no longer resident)
+// reached its terminal state under exactly the lease this request carries.
+func (s *Server) duplicateResultLocked(run *Run, req *fleet.ResultRequest) bool {
 	if req.LeaseID == "" {
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if run := s.runs[req.RunID]; run != nil {
+	if run != nil {
 		return run.State.Terminal() && run.doneLease == req.LeaseID
 	}
 	// Terminal runs are evicted to the history store; doneRings keeps the
@@ -364,10 +318,24 @@ func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFleetView(w http.ResponseWriter, r *http.Request) {
 	workers := s.fleet.Workers()
+	leases := 0 // counted, like each worker's, from the runs
+	s.mu.Lock()
+	for _, r := range s.runs {
+		if r.LeaseID == "" {
+			continue
+		}
+		leases++
+		for i := range workers {
+			if workers[i].ID == r.Worker {
+				workers[i].Active++
+			}
+		}
+	}
+	s.mu.Unlock()
 	s.writeJSON(w, http.StatusOK, fleet.View{
-		LeaseTTLMs: s.fleet.TTL().Milliseconds(),
+		LeaseTTLMs: s.cfg.LeaseTTL.Milliseconds(),
 		Workers:    workers,
-		Leases:     len(s.fleet.LeasedRuns()),
+		Leases:     leases,
 	})
 }
 
@@ -401,8 +369,3 @@ func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 		Merged:  s.mergedSnapshot(),
 	})
 }
-
-// errRemote wraps a worker-reported failure string as an error.
-type errRemote string
-
-func (e errRemote) Error() string { return string(e) }

@@ -71,7 +71,7 @@ type Event struct {
 	index int    // heap index, -1 when not scheduled
 
 	kind     uint8
-	bySignal bool  // evWake: wake was caused by a Signal broadcast
+	bySignal bool // evWake: wake was caused by a Signal broadcast
 	fn       func()
 	fn1      func(any)
 	arg      any
