@@ -13,6 +13,10 @@ test:
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l prints:"; echo "$$out"; exit 1; }
+	@out=$$(grep -ohE '`make [^`]*`' README.md DESIGN.md docs/*.md $$(find .claude/skills -name '*.md' 2>/dev/null) \
+		| tr -d '`' | tr ' ' '\n' | grep -vE '^(make|-.*|.*=.*)?$$' | sort -u \
+		| while read -r t; do grep -qE "^$$t:" Makefile || echo "$$t"; done); \
+	[ -z "$$out" ] || { echo "the docs name make targets the Makefile does not define:"; echo "$$out"; exit 1; }
 
 # The simulation substrate is single-threaded by design, but the experiment
 # sweeps (internal/exp) run whole worlds in parallel goroutines — the race
@@ -118,8 +122,9 @@ mem-gate:
 
 # The in-process worker never grows a wire (docs/SERVICE.md, "Workers"):
 # `-workers N` calls the coordinator's worker API as plain methods, and a
-# quickstart run through it allocates 0.618 MB — what the worker pool it
-# replaced allocated. Reaching the same handlers through an in-process
+# quickstart run through it allocated 0.618 MB — what the worker pool it
+# replaced allocated — and 0.504 MB since PR 25 cut the world's Monitor
+# allocations. Reaching the same handlers through an in-process
 # http.RoundTripper (requests, JSON both ways) read 0.665 MB.
 exec-gate:
 	$(call ledger-gate,exec-gate,svc-light,alloc_mb_per_run,0.63)

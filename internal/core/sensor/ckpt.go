@@ -65,13 +65,15 @@ func (sv *Server) Snapshot() ServerSnapshot {
 		Repolled:  sv.repolled,
 		Dropped:   sv.dropped,
 	}
-	for k, m := range sv.last {
-		snap.Last = append(snap.Last, SeriesEntry{Key: k, Metric: m})
+	for k, s := range sv.series {
+		if s.hasM {
+			snap.Last = append(snap.Last, SeriesEntry{Key: k, Metric: s.m})
+		}
+		if s.hasGen {
+			snap.LastGen = append(snap.LastGen, GenEntry{Key: k, At: s.gen})
+		}
 	}
 	sort.Slice(snap.Last, func(i, j int) bool { return keyLess(snap.Last[i].Key, snap.Last[j].Key) })
-	for k, at := range sv.lastGen {
-		snap.LastGen = append(snap.LastGen, GenEntry{Key: k, At: at})
-	}
 	sort.Slice(snap.LastGen, func(i, j int) bool { return keyLess(snap.LastGen[i].Key, snap.LastGen[j].Key) })
 	for id, w := range sv.lags {
 		snap.Lags = append(snap.Lags, LagEntry{Sensor: id, Lag: w.State()})
@@ -80,19 +82,21 @@ func (sv *Server) Snapshot() ServerSnapshot {
 	return snap
 }
 
-// Restore replaces the server state with the snapshot. Call before Start.
+// Restore replaces the server state with the snapshot, rebuilding the
+// series and derivation-group indexes from it. Call before Start.
 func (sv *Server) Restore(snap ServerSnapshot) {
 	sv.filter.RestoreState(snap.Filter)
 	sv.forwarded = snap.Forwarded
 	sv.repolled = snap.Repolled
 	sv.dropped = snap.Dropped
-	sv.last = make(map[Key]Metric, len(snap.Last))
+	sv.series = make(map[Key]*series, len(snap.Last))
+	sv.groups = make(map[groupKey]*group)
 	for _, e := range snap.Last {
-		sv.last[e.Key] = e.Metric
+		sv.record(sv.lookup(e.Key), e.Metric)
 	}
-	sv.lastGen = make(map[Key]sim.Time, len(snap.LastGen))
 	for _, e := range snap.LastGen {
-		sv.lastGen[e.Key] = e.At
+		s := sv.lookup(e.Key)
+		s.gen, s.hasGen = e.At, true
 	}
 	sv.lags = make(map[string]*stats.Welford, len(snap.Lags))
 	for _, e := range snap.Lags {

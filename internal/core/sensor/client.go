@@ -539,7 +539,7 @@ func (c *Client) ship(tg spec.MonitorTarget, def *spec.SensorDef, readings []flo
 			readings = []float64{v}
 		}
 	}
-	var updates []Update
+	updates := make([]Update, 0, len(def.Groups))
 	for _, g := range def.Groups {
 		switch g.Granularity {
 		case spec.GranTask, spec.GranWorkflow:
@@ -644,18 +644,18 @@ func groupByNode(readings []float64, pl task.Placement) map[string][]float64 {
 	return out
 }
 
-// dedupUpdates collapses duplicate (granularity, node) entries, keeping the
-// last.
+// dedupUpdates collapses duplicate (granularity, node) entries in place,
+// keeping the last value at the first one's position.
 func dedupUpdates(updates []Update) []Update {
-	seen := make(map[string]int, len(updates))
-	var out []Update
+	out := updates[:0]
+next:
 	for _, u := range updates {
-		k := u.Granularity + "|" + u.Node
-		if idx, ok := seen[k]; ok {
-			out[idx] = u
-			continue
+		for i := range out {
+			if out[i].Granularity == u.Granularity && out[i].Node == u.Node {
+				out[i] = u
+				continue next
+			}
 		}
-		seen[k] = len(out)
 		out = append(out, u)
 	}
 	return out

@@ -1,7 +1,8 @@
 package sensor
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"dyflow/internal/core/spec"
 	"dyflow/internal/msg"
@@ -22,14 +23,23 @@ type Server struct {
 	cfg    *spec.Config
 	filter *msg.OrderFilter
 
-	last map[Key]Metric // latest value per series
+	// series holds every metric series' state; groups indexes the task and
+	// node-task series the cross-task granularities reduce, so a derivation
+	// reads its contributors instead of walking every series.
+	series map[Key]*series
+	groups map[groupKey]*group
 
 	// lag accounting per sensor (paper §4.6 cost analysis). Lag samples
 	// are taken only when a series' underlying data is fresh (a new
 	// generation time): periodic re-polls of unchanged files measure
 	// nothing.
-	lags    map[string]*stats.Welford
-	lastGen map[Key]sim.Time
+	lags map[string]*stats.Welford
+
+	// Scratch reused by every process call: the metrics forwarded, their
+	// series, and a derivation's values.
+	fwd     []Metric
+	fwdS    []*series
+	scratch []float64
 
 	forwarded int
 	repolled  int
@@ -40,18 +50,45 @@ type Server struct {
 	spawn     func(name string, fn func(*sim.Proc)) *sim.Proc
 }
 
+// series is one metric series' server-side state.
+type series struct {
+	m    Metric // latest value (valid when hasM)
+	hasM bool
+	// gen is the generation time of the series' last detection (valid when
+	// hasGen): a metric carrying it again is a stale re-poll.
+	gen    sim.Time
+	hasGen bool
+	lag    *stats.Welford // the sensor's lag accumulator, once it detected
+	group  *group         // a task or node-task series' derivation group
+}
+
+// groupKey names the series one derivation reduces: a workflow's task
+// series of one sensor (node empty), or its node-task series on one node.
+type groupKey struct {
+	workflow, sensor string
+	gran             spec.Granularity
+	node             string
+}
+
+// group is one derivation's contributors, sorted by task name — the order
+// the reduction folds them in — and the series it derives.
+type group struct {
+	members []*series
+	derived *series
+}
+
 // NewServer creates the Monitor server reading from its own endpoint and
 // forwarding metric batches to the out endpoint.
 func NewServer(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config) *Server {
 	return &Server{
-		env:     s,
-		ep:      bus.Endpoint(name),
-		out:     out,
-		cfg:     cfg,
-		filter:  msg.NewOrderFilter(),
-		last:    make(map[Key]Metric),
-		lags:    make(map[string]*stats.Welford),
-		lastGen: make(map[Key]sim.Time),
+		env:    s,
+		ep:     bus.Endpoint(name),
+		out:    out,
+		cfg:    cfg,
+		filter: msg.NewOrderFilter(),
+		series: make(map[Key]*series),
+		groups: make(map[groupKey]*group),
+		lags:   make(map[string]*stats.Welford),
 	}
 }
 
@@ -71,7 +108,8 @@ func (sv *Server) SetTracer(tr *trace.Recorder) { sv.tr = tr }
 
 // OnForward registers an observer for every metric batch forwarded to the
 // Decision stage (the experiment harness records metric series from here —
-// "as Decision receives them", Figure 9).
+// "as Decision receives them", Figure 9). The slice is the server's scratch:
+// it is valid only during the call, so fn copies what it keeps.
 func (sv *Server) OnForward(fn func([]Metric)) { sv.onForward = fn }
 
 // Dropped returns the number of stale batches discarded by the
@@ -89,8 +127,10 @@ func (sv *Server) Lag(sensorID string) *stats.Welford {
 
 // Latest returns the most recent metric for a series (ok=false if none).
 func (sv *Server) Latest(k Key) (Metric, bool) {
-	m, ok := sv.last[k]
-	return m, ok
+	if s := sv.series[k]; s != nil && s.hasM {
+		return s.m, true
+	}
+	return Metric{}, false
 }
 
 // SetSpawner overrides how the server spawns its process (the supervisor
@@ -143,7 +183,7 @@ func (sv *Server) run(p *sim.Proc) {
 // process ingests one admitted batch and forwards the resulting metrics.
 func (sv *Server) process(batch Batch) {
 	now := sv.env.Now()
-	var out []Metric
+	out, outS := sv.fwd[:0], sv.fwdS[:0]
 
 	for _, u := range batch.Updates {
 		g, err := spec.ParseGranularity(u.Granularity)
@@ -168,53 +208,49 @@ func (sv *Server) process(batch Batch) {
 			ObservedAt:  now,
 		}
 		m = sv.applyJoin(def, m)
-		sv.last[m.Key] = m
+		s := sv.lookup(m.Key)
+		sv.record(s, m)
 		if def.HasGranularity(g) {
-			out = append(out, m)
+			out, outS = append(out, m), append(outS, s)
 		}
 
 		// Derive cross-task granularities declared on the sensor.
 		for _, grp := range def.Groups {
-			switch grp.Granularity {
-			case spec.GranWorkflow:
-				if g == spec.GranTask {
-					if dm, ok := sv.deriveWorkflow(def, grp, m); ok {
-						sv.last[dm.Key] = dm
-						out = append(out, dm)
-					}
-				}
-			case spec.GranNodeWorkflow:
-				if g == spec.GranNodeTask {
-					if dm, ok := sv.deriveNodeWorkflow(def, grp, m); ok {
-						sv.last[dm.Key] = dm
-						out = append(out, dm)
-					}
+			if grp.Granularity == spec.GranWorkflow && g == spec.GranTask ||
+				grp.Granularity == spec.GranNodeWorkflow && g == spec.GranNodeTask {
+				if dm, ds, ok := sv.derive(s, grp.Reduction); ok {
+					sv.record(ds, dm)
+					out, outS = append(out, dm), append(outS, ds)
 				}
 			}
 		}
 	}
+	sv.fwd, sv.fwdS = out, outS
 	if len(out) == 0 {
 		return
 	}
+	// msgs is fresh per send: the bus hands it to Decision by reference.
 	msgs := make([]MetricMsg, len(out))
 	detections := 0
 	for i, m := range out {
 		msgs[i] = m.ToMsg()
-		if prev, seen := sv.lastGen[m.Key]; seen && prev == m.GeneratedAt {
+		s := outS[i]
+		if s.hasGen && s.gen == m.GeneratedAt {
 			// Stale re-poll: not a detection event, for the forwarded
 			// counter exactly as for the lag accounting.
 			sv.repolled++
 			continue
 		}
 		detections++
-		sv.lastGen[m.Key] = m.GeneratedAt
-		w, ok := sv.lags[m.Key.Sensor]
-		if !ok {
-			w = &stats.Welford{}
-			sv.lags[m.Key.Sensor] = w
+		s.gen, s.hasGen = m.GeneratedAt, true
+		if s.lag == nil {
+			if s.lag = sv.lags[m.Key.Sensor]; s.lag == nil {
+				s.lag = &stats.Welford{}
+				sv.lags[m.Key.Sensor] = s.lag
+			}
 		}
 		if m.ObservedAt >= m.GeneratedAt {
-			w.Add((m.ObservedAt - m.GeneratedAt).Seconds())
+			s.lag.Add((m.ObservedAt - m.GeneratedAt).Seconds())
 			sv.tr.SensorLag(m.Key.Sensor, m.ObservedAt-m.GeneratedAt)
 		}
 	}
@@ -225,6 +261,52 @@ func (sv *Server) process(batch Batch) {
 		sv.onForward(out)
 	}
 	sv.ep.Send(sv.out, msgs)
+}
+
+// lookup returns the series for k, creating an empty one on first use.
+func (sv *Server) lookup(k Key) *series {
+	s := sv.series[k]
+	if s == nil {
+		s = &series{}
+		sv.series[k] = s
+	}
+	return s
+}
+
+// record makes m the series' latest value. A task or node-task series
+// joins its derivation group the first time it holds one.
+func (sv *Server) record(s *series, m Metric) {
+	s.m = m
+	if !s.hasM {
+		s.hasM = true
+		sv.index(s)
+	}
+}
+
+// index files a series that now holds a value into its derivation group,
+// if its granularity has one, keeping the members in (task, node) order.
+func (sv *Server) index(s *series) {
+	k := s.m.Key
+	if k.Granularity != spec.GranTask && k.Granularity != spec.GranNodeTask {
+		return
+	}
+	gk := groupKey{k.Workflow, k.Sensor, k.Granularity, ""}
+	if k.Granularity == spec.GranNodeTask {
+		gk.node = k.Node
+	}
+	g := sv.groups[gk]
+	if g == nil {
+		g = &group{}
+		sv.groups[gk] = g
+	}
+	i, _ := slices.BinarySearchFunc(g.members, k, func(e *series, k Key) int {
+		if c := strings.Compare(e.m.Key.Task, k.Task); c != 0 {
+			return c
+		}
+		return strings.Compare(e.m.Key.Node, k.Node)
+	})
+	g.members = slices.Insert(g.members, i, s)
+	s.group = g
 }
 
 // applyJoin combines the metric with the joined sensor's latest value. By
@@ -251,7 +333,7 @@ func (sv *Server) applyJoin(def *spec.SensorDef, m Metric) Metric {
 			ok.Task = ""
 		}
 	}
-	other, found := sv.last[ok]
+	other, found := sv.Latest(ok)
 	if !found {
 		return m
 	}
@@ -259,82 +341,48 @@ func (sv *Server) applyJoin(def *spec.SensorDef, m Metric) Metric {
 	return m
 }
 
-// deriveWorkflow reduces the latest task-level values of the sensor across
-// all tasks of the workflow.
-func (sv *Server) deriveWorkflow(def *spec.SensorDef, grp spec.GroupDef, trigger Metric) (Metric, bool) {
-	var vals []float64
-	var keys []Key
-	for k := range sv.last {
-		if k.Workflow == trigger.Key.Workflow && k.Sensor == def.ID && k.Granularity == spec.GranTask {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Task < keys[j].Task })
+// derive reduces the latest values of the trigger series' group, in task
+// order, into the workflow series (from a task series) or the node's
+// node-workflow series (from a node-task series). The trigger's sensor is
+// the derived series' sensor: the server looks the definition up by it.
+func (sv *Server) derive(trigger *series, op stats.Op) (Metric, *series, bool) {
+	g, t := trigger.group, trigger.m
+	vals := sv.scratch[:0]
 	maxStep := 0
 	var genAt sim.Time
-	for _, k := range keys {
-		m := sv.last[k]
-		vals = append(vals, m.Value)
-		if m.Step > maxStep {
-			maxStep = m.Step
+	for _, s := range g.members {
+		vals = append(vals, s.m.Value)
+		if s.m.Step > maxStep {
+			maxStep = s.m.Step
 		}
 		// The derived metric is as fresh as the freshest contributor; a
-		// stale re-poll of one task must not stamp the workflow front old.
-		if m.GeneratedAt > genAt {
-			genAt = m.GeneratedAt
+		// stale re-poll of one task must not stamp the front old.
+		if s.m.GeneratedAt > genAt {
+			genAt = s.m.GeneratedAt
 		}
 	}
-	v, ok := stats.Reduce(grp.Reduction, vals)
+	sv.scratch = vals
+	v, ok := stats.Reduce(op, vals)
 	if !ok {
-		return Metric{}, false
+		return Metric{}, nil, false
 	}
-	return Metric{
+	dm := Metric{
 		Key: Key{
-			Workflow:    trigger.Key.Workflow,
-			Sensor:      def.ID,
+			Workflow:    t.Key.Workflow,
+			Sensor:      t.Key.Sensor,
 			Granularity: spec.GranWorkflow,
 		},
 		Value:       v,
 		Step:        maxStep,
 		GeneratedAt: genAt,
-		ObservedAt:  trigger.ObservedAt,
-	}, true
-}
-
-// deriveNodeWorkflow reduces the latest node-task values across all tasks
-// sharing the triggering update's node.
-func (sv *Server) deriveNodeWorkflow(def *spec.SensorDef, grp spec.GroupDef, trigger Metric) (Metric, bool) {
-	var vals []float64
-	var keys []Key
-	for k := range sv.last {
-		if k.Workflow == trigger.Key.Workflow && k.Sensor == def.ID &&
-			k.Granularity == spec.GranNodeTask && k.Node == trigger.Key.Node {
-			keys = append(keys, k)
-		}
+		ObservedAt:  t.ObservedAt,
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Task < keys[j].Task })
-	var genAt sim.Time
-	for _, k := range keys {
-		m := sv.last[k]
-		vals = append(vals, m.Value)
-		if m.GeneratedAt > genAt {
-			genAt = m.GeneratedAt
-		}
+	if t.Key.Granularity == spec.GranNodeTask {
+		// A node's front carries the trigger's step, not the maximum.
+		dm.Key.Granularity, dm.Key.Node, dm.Step = spec.GranNodeWorkflow, t.Key.Node, t.Step
 	}
-	v, ok := stats.Reduce(grp.Reduction, vals)
-	if !ok {
-		return Metric{}, false
+	if g.derived == nil {
+		g.derived = sv.lookup(dm.Key)
 	}
-	return Metric{
-		Key: Key{
-			Workflow:    trigger.Key.Workflow,
-			Sensor:      def.ID,
-			Granularity: spec.GranNodeWorkflow,
-			Node:        trigger.Key.Node,
-		},
-		Value:       v,
-		Step:        trigger.Step,
-		GeneratedAt: genAt,
-		ObservedAt:  trigger.ObservedAt,
-	}, true
+	return dm, g.derived, true
 }

@@ -92,13 +92,7 @@ func TestXGCShapeAcrossSeeds(t *testing.T) {
 // before disk-scan polling was indexed and cached (PR 14). The scan path is
 // pure bookkeeping: any drift here means it changed what a sensor read or
 // when, which would also change the campaign service's cache identity.
-var xgcGolden = []struct {
-	machine    string
-	seed       int64
-	dispatched uint64
-	handoffs   uint64
-	sha        map[string]string
-}{
+var xgcGolden = []jobGolden{
 	{"summit", 1, 45564, 28958, map[string]string{
 		ArtifactReport:   "c6b4056f24c4c3becd300a788caca55a30f90efc6252cb2f56dc363d4d24ea83",
 		ArtifactGantt:    "630b1a225bae03e4206a1e816e3f74ba2abea70b2c3c79f30fecd0dd90853a95",
@@ -124,6 +118,101 @@ var xgcGolden = []struct {
 		ArtifactMetrics:  "4aef0df88fd402ba8c1fc81fcf2999a52111bf05f7919259cf1d401327385e01",
 	}},
 }
+
+// jobGolden is one (machine, seed) run of a scenario pinned by its
+// artifacts' sha256 and the kernel's event and handoff counts.
+type jobGolden struct {
+	machine    string
+	seed       int64
+	dispatched uint64
+	handoffs   uint64
+	sha        map[string]string
+}
+
+// quickstartGolden and grayscottGolden pin the other two worlds the same
+// way, recorded at the commit before the Monitor server's per-series index
+// (PR 25): every world's TAUADIOS2 updates go through that server, so its
+// reduction order shows up here first. Quickstart's world ignores the seed.
+var quickstartGolden = []jobGolden{
+	{"summit", 1, 3549, 3061, map[string]string{
+		ArtifactReport:   "e5e1d13ec637f7f103b9d60c2fa77527730e2f4fbeb2f0e46166e4430050f55a",
+		ArtifactGantt:    "f59f1acbd24a68ce3d01a563839405de5dcee190890301ef51bdc939e235c737",
+		ArtifactPerfetto: "2e1c7b5a6b1fbef78117df60f0fa287000fcab41a284e935d99b455b7b070028",
+		ArtifactMetrics:  "b5d01b50093bf6f6620db02e83c50a1617097a568757eef1a8a7114a0bbf9535",
+	}},
+	{"summit", 2, 3549, 3061, map[string]string{
+		ArtifactReport:   "e5e1d13ec637f7f103b9d60c2fa77527730e2f4fbeb2f0e46166e4430050f55a",
+		ArtifactGantt:    "f59f1acbd24a68ce3d01a563839405de5dcee190890301ef51bdc939e235c737",
+		ArtifactPerfetto: "2e1c7b5a6b1fbef78117df60f0fa287000fcab41a284e935d99b455b7b070028",
+		ArtifactMetrics:  "b5d01b50093bf6f6620db02e83c50a1617097a568757eef1a8a7114a0bbf9535",
+	}},
+	{"dt2", 1, 3549, 3061, map[string]string{
+		ArtifactReport:   "e5e1d13ec637f7f103b9d60c2fa77527730e2f4fbeb2f0e46166e4430050f55a",
+		ArtifactGantt:    "f59f1acbd24a68ce3d01a563839405de5dcee190890301ef51bdc939e235c737",
+		ArtifactPerfetto: "2e1c7b5a6b1fbef78117df60f0fa287000fcab41a284e935d99b455b7b070028",
+		ArtifactMetrics:  "1f4c33cb240794889dbf61625fcc766e000ba502b345ac953c0560aa0acd0c28",
+	}},
+	{"dt2", 2, 3549, 3061, map[string]string{
+		ArtifactReport:   "e5e1d13ec637f7f103b9d60c2fa77527730e2f4fbeb2f0e46166e4430050f55a",
+		ArtifactGantt:    "f59f1acbd24a68ce3d01a563839405de5dcee190890301ef51bdc939e235c737",
+		ArtifactPerfetto: "2e1c7b5a6b1fbef78117df60f0fa287000fcab41a284e935d99b455b7b070028",
+		ArtifactMetrics:  "1f4c33cb240794889dbf61625fcc766e000ba502b345ac953c0560aa0acd0c28",
+	}},
+}
+
+var grayscottGolden = []jobGolden{
+	{"summit", 1, 6536, 6170, map[string]string{
+		ArtifactReport:   "37a3c517d999023dda0a820946cb2ddffdd663933900e64d9a801822ab2415ed",
+		ArtifactGantt:    "74ded42add0f13aa43f9775fb9dd4f7331881bb57abb3aa1fb217854bdd93e28",
+		ArtifactPerfetto: "6d52d021f8841e2febb9599aec906fc5ab39a08ded0dde867212d9fe2e4e1d3b",
+		ArtifactMetrics:  "12ed2f2a01359aeaaa59361ec35cf5d38dee8c1bb742e49c4cfa38685e66f173",
+	}},
+	{"summit", 2, 6565, 6186, map[string]string{
+		ArtifactReport:   "ad40de3cb8b1be707cb24aa90fa733e4237297e571a331217a4c9bd0289bcea8",
+		ArtifactGantt:    "4071b9b5daaf2a90856f09c0622a72fb2d3722cc87c42e2d21a72e37dd329bf2",
+		ArtifactPerfetto: "6fda762aa3211987a61e48cd47f943756498376f0a70f4523d009ca3b61b7611",
+		ArtifactMetrics:  "d49ebda95679056a554cc6bb95a813e9f45aeafa7b899832017d815180c211e0",
+	}},
+	{"dt2", 1, 8981, 8529, map[string]string{
+		ArtifactReport:   "29617bd6eeffeaf6885f1943f401012a4af97f71041f483993e27da2795a4b4b",
+		ArtifactGantt:    "1560b2056fb12671f61183f387c934ba8988b7cd2ddd386469877073c26e22db",
+		ArtifactPerfetto: "704392cb8100cd7a07947dd952bc81cfb8f4b1ffe018de465c32519ac1fb8dd9",
+		ArtifactMetrics:  "2168edd71607a2ee70bfad4128fb850fcc085d845de5275f168ce72f3a13c2f8",
+	}},
+	{"dt2", 2, 8276, 7796, map[string]string{
+		ArtifactReport:   "70625ff4d61620d29ba8d45132eb4474629ba96ad46ff7a0b856bfa15ff8d173",
+		ArtifactGantt:    "192c7e22106df8225cdb6573494211d05f69e63557594c81c333cf25c27008b7",
+		ArtifactPerfetto: "4e60081ae8b15427fd92b3dff314e168a4b94b24ff8da314e301f83ba9e3d8ea",
+		ArtifactMetrics:  "e10953aa0d050eb01772f68f4d070b83d0df9ac4d1569df6ead712bc54397aa9",
+	}},
+}
+
+// checkGoldens runs scenario for every golden and compares.
+func checkGoldens(t *testing.T, scenario string, goldens []jobGolden) {
+	t.Helper()
+	for _, g := range goldens {
+		var w *World
+		out, err := RunJob(Job{Scenario: scenario, Machine: g.machine, Seed: g.seed},
+			func(x *World) error { w = x; return nil })
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", g.machine, g.seed, err)
+		}
+		if d, h := w.Sim.Dispatched(), w.Sim.Handoffs(); d != g.dispatched || h != g.handoffs {
+			t.Errorf("%s seed %d: dispatched=%d handoffs=%d, golden %d/%d", g.machine, g.seed, d, h, g.dispatched, g.handoffs)
+		}
+		if got := artifactSums(out.Artifacts); !reflect.DeepEqual(got, g.sha) {
+			t.Errorf("%s seed %d: artifact sha256 = %v, golden %v", g.machine, g.seed, got, g.sha)
+		}
+	}
+}
+
+// TestQuickstartGoldenArtifacts and TestGrayScottGoldenArtifacts: the two
+// cheap worlds reproduce their recorded bytes and schedules.
+func TestQuickstartGoldenArtifacts(t *testing.T) {
+	checkGoldens(t, ScenarioQuickstart, quickstartGolden)
+}
+
+func TestGrayScottGoldenArtifacts(t *testing.T) { checkGoldens(t, ScenarioGrayScott, grayscottGolden) }
 
 func artifactSums(arts map[string][]byte) map[string]string {
 	sums := make(map[string]string, len(arts))

@@ -150,7 +150,7 @@ func RunLAMMPSVariant(seed int64, m apps.Machine, withDyflow bool, v LAMMPSVaria
 		}
 		inst := w.SV.Instance(apps.LAMMPSWorkflowID, "LAMMPS")
 		if inst != nil && inst.State() == task.Completed && inst.GlobalStep() >= cfg.TotalSteps &&
-			len(w.SV.RunningTasks(apps.LAMMPSWorkflowID)) == 0 {
+			!w.SV.AnyRunning(apps.LAMMPSWorkflowID) {
 			break
 		}
 		if w.Sim.Pending() == 0 {

@@ -181,7 +181,7 @@ func (w *World) progress() error {
 // WorkflowDone reports whether every composed task of the workflow has
 // terminated (none running).
 func (w *World) WorkflowDone(workflowID string) bool {
-	return len(w.SV.RunningTasks(workflowID)) == 0
+	return !w.SV.AnyRunning(workflowID)
 }
 
 // RunUntilWorkflowDone advances until the workflow has had no running
@@ -202,7 +202,7 @@ func (w *World) RunUntilWorkflowDone(workflowID string, horizon time.Duration) (
 		if err := w.progress(); err != nil {
 			return 0, err
 		}
-		running := len(w.SV.RunningTasks(workflowID)) > 0
+		running := w.SV.AnyRunning(workflowID)
 		switch {
 		case running:
 			started = true

@@ -236,7 +236,7 @@ func RunXGCVariant(seed int64, m apps.Machine, v XGCVariant) (*XGCResult, error)
 			return nil, err
 		}
 		step, _ := w.Env.FS.ReadVar(apps.XGCProgressKey, "step")
-		if step > 500 && len(w.SV.RunningTasks(apps.XGCWorkflowID)) == 0 {
+		if step > 500 && !w.SV.AnyRunning(apps.XGCWorkflowID) {
 			break
 		}
 		if w.Sim.Pending() == 0 {

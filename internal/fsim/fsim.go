@@ -7,11 +7,12 @@
 // as the paper's NSTEPS and STATUS sensors do.
 //
 // Ordering: the filesystem keeps its entries in an index sorted by path,
-// maintained by Write and Remove. Every scan — Glob, Count, RemoveGlob and
-// Watch.Visit — walks that index, so results always come out in ascending
-// path order, and a pattern's literal prefix ("out/xgc1." of
-// "out/xgc1.*.bp") selects its index range by binary search instead of a
-// walk over every file.
+// maintained by Write and Remove. Glob, Count and RemoveGlob walk that
+// index, so results always come out in ascending path order, and a
+// pattern's literal prefix ("out/xgc1." of "out/xgc1.*.bp") selects its
+// index range by binary search instead of a walk over every file. A Watch
+// keeps its own path-sorted list of the entries its pattern matches,
+// maintained by the same mutations, so Watch.Visit matches no path at all.
 //
 // Copies: Stat and Glob return defensive copies the caller owns. Lookup and
 // the scan visitor hand out the live entry instead: it is read-only, must
@@ -66,17 +67,36 @@ func New(s *sim.Sim) *FS {
 	return &FS{sim: s, files: make(map[string]*File)}
 }
 
-// search returns the index position of the first entry whose path is >= p.
-func (fs *FS) search(p string) int {
-	i, _ := slices.BinarySearchFunc(fs.index, p, func(f *File, p string) int { return strings.Compare(f.Path, p) })
+// search returns the position of the first entry of the path-sorted list
+// whose path is >= p.
+func search(list []*File, p string) int {
+	i, _ := slices.BinarySearchFunc(list, p, func(f *File, p string) int { return strings.Compare(f.Path, p) })
 	return i
 }
 
-// touch advances the generation of every watch whose pattern matches p.
-func (fs *FS) touch(p string) {
+// change is what a mutation did to the entry it names.
+type change int8
+
+const (
+	updated change = iota
+	created
+	removed
+)
+
+// touch advances the generation of every watch whose pattern matches f's
+// path, and adds f to (created) or cuts it from (removed) their lists.
+func (fs *FS) touch(f *File, c change) {
 	for _, w := range fs.watches {
-		if w.pat.Match(p) {
-			w.gen++
+		if !w.pat.Match(f.Path) {
+			continue
+		}
+		w.gen++
+		switch c {
+		case created:
+			w.files = slices.Insert(w.files, search(w.files, f.Path), f)
+		case removed:
+			i := search(w.files, f.Path)
+			w.files = slices.Delete(w.files, i, i+1)
 		}
 	}
 }
@@ -88,7 +108,7 @@ func (fs *FS) Write(p string, size int64, vars map[string]float64) {
 	if !ok {
 		f = &File{Path: p}
 		fs.files[p] = f
-		fs.index = slices.Insert(fs.index, fs.search(p), f)
+		fs.index = slices.Insert(fs.index, search(fs.index, p), f)
 	}
 	f.Size = size
 	f.MTime = fs.sim.Now()
@@ -96,7 +116,11 @@ func (fs *FS) Write(p string, size int64, vars map[string]float64) {
 	for k, v := range vars {
 		f.Vars[k] = v
 	}
-	fs.touch(p)
+	c := updated
+	if !ok {
+		c = created
+	}
+	fs.touch(f, c)
 }
 
 // WriteVar creates or updates the file at p, setting a single variable and
@@ -109,18 +133,19 @@ func (fs *FS) WriteVar(p, name string, value float64) {
 	}
 	f.Vars[name] = value
 	f.MTime = fs.sim.Now()
-	fs.touch(p)
+	fs.touch(f, updated)
 }
 
 // Remove deletes the file at p (no-op if absent).
 func (fs *FS) Remove(p string) {
-	if _, ok := fs.files[p]; !ok {
+	f, ok := fs.files[p]
+	if !ok {
 		return
 	}
 	delete(fs.files, p)
-	i := fs.search(p)
+	i := search(fs.index, p)
 	fs.index = slices.Delete(fs.index, i, i+1)
-	fs.touch(p)
+	fs.touch(f, removed)
 }
 
 // RemoveGlob deletes every file matching pattern and returns the count.
@@ -191,7 +216,7 @@ func (fs *FS) visit(pattern string, fn func(*File)) {
 // matching pat, in ascending path order. Only the index range sharing the
 // pattern's literal prefix is walked.
 func (fs *FS) scan(pat *Pattern, fn func(*File)) {
-	for i := fs.search(pat.prefix); i < len(fs.index); i++ {
+	for i := search(fs.index, pat.prefix); i < len(fs.index); i++ {
 		f := fs.index[i]
 		if !strings.HasPrefix(f.Path, pat.prefix) {
 			return
@@ -283,11 +308,14 @@ func matchSegs(segs []string, name string) (bool, error) {
 // Watch is a scan pattern registered with a filesystem. Its generation
 // advances whenever a file the pattern matches is written, updated or
 // removed, so a poller can tell "nothing I read has changed" without
-// rescanning.
+// rescanning; and it holds the live entries the pattern matches, so a
+// poller that must re-read walks exactly those.
 type Watch struct {
-	fs  *FS
 	pat *Pattern
 	gen uint64
+	// files holds the live entries pat matches, sorted by path: filled by
+	// one scan at registration, then kept by touch.
+	files []*File
 }
 
 // Watch registers pat and returns its watch; registering an equal pattern
@@ -298,7 +326,8 @@ func (fs *FS) Watch(pat *Pattern) *Watch {
 			return w
 		}
 	}
-	w := &Watch{fs: fs, pat: pat}
+	w := &Watch{pat: pat}
+	fs.scan(pat, func(f *File) { w.files = append(w.files, f) })
 	fs.watches = append(fs.watches, w)
 	return w
 }
@@ -309,4 +338,8 @@ func (w *Watch) Gen() uint64 { return w.gen }
 // Visit calls fn with the live entry of every file matching the watched
 // pattern, in ascending path order. See the package comment for what fn
 // may do with the entry.
-func (w *Watch) Visit(fn func(*File)) { w.fs.scan(w.pat, fn) }
+func (w *Watch) Visit(fn func(*File)) {
+	for _, f := range w.files {
+		fn(f)
+	}
+}

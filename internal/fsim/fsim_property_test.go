@@ -258,17 +258,34 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 			view []*File
 		}
 		var watches []*watched
-		for _, pattern := range patterns {
-			if pat, err := Compile(pattern); err == nil {
-				w := fs.Watch(pat)
-				if again := fs.Watch(pat); again != w {
-					t.Fatalf("Watch(%q) registered twice", pattern)
-				}
-				watches = append(watches, &watched{w: w})
+		register := func(pattern string) {
+			pat, err := Compile(pattern)
+			if err != nil {
+				return
 			}
+			w := fs.Watch(pat)
+			if again := fs.Watch(pat); again != w {
+				t.Fatalf("Watch(%q) registered twice", pattern)
+			}
+			for _, wd := range watches {
+				if wd.w == w {
+					return // an equal pattern is already watched
+				}
+			}
+			// A watch registered over files that already exist starts out
+			// holding them: its first Visit must see the current view.
+			watches = append(watches, &watched{w: w, gen: w.Gen(), view: ref.glob(pattern)})
 		}
+		for _, pattern := range patterns {
+			register(pattern)
+		}
+		late := []string{"*", "*/**", "out/*", "a/*/**", "a/**"}
 
 		for op := 0; op < 300; op++ {
+			if op%50 == 25 {
+				register(late[op/50%len(late)])
+				register(genPattern(rng))
+			}
 			// Advance the clock so mtimes differ between operations.
 			now := sim.Time(op+1) * time.Second
 			if err := s.Run(now); err != nil {

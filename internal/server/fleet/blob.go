@@ -207,23 +207,22 @@ func (b *BlobStore) Len() int {
 
 // GC drops every blob whose digest is not in keep — the coordinator calls
 // it after a restore, once the run table says which artifacts are still
-// referenced, so re-executed runs' superseded bytes do not accumulate.
+// referenced, so re-executed runs' superseded bytes do not accumulate. It
+// returns the number of blobs dropped, each counted once whether it was in
+// memory, on disk or both.
 func (b *BlobStore) GC(keep map[string]bool) int {
+	removed := map[string]bool{}
 	b.mu.Lock()
-	var drop []string
-	for digest := range b.mem {
+	for digest, data := range b.mem {
 		if !keep[digest] {
-			drop = append(drop, digest)
+			b.size.Add(-float64(len(data)))
+			b.count.Add(-1)
+			delete(b.mem, digest)
+			removed[digest] = true
 		}
-	}
-	for _, digest := range drop {
-		b.size.Add(-float64(len(b.mem[digest])))
-		b.count.Add(-1)
-		delete(b.mem, digest)
 	}
 	b.mu.Unlock()
 
-	removed := len(drop)
 	if b.dir != "" {
 		prefixes, _ := os.ReadDir(b.dir)
 		for _, pre := range prefixes {
@@ -234,11 +233,11 @@ func (b *BlobStore) GC(keep map[string]bool) int {
 			for _, e := range entries {
 				if !keep[e.Name()] {
 					if os.Remove(filepath.Join(b.dir, pre.Name(), e.Name())) == nil {
-						removed++
+						removed[e.Name()] = true
 					}
 				}
 			}
 		}
 	}
-	return removed
+	return len(removed)
 }

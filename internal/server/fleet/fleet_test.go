@@ -85,3 +85,26 @@ func TestBlobStoreDurabilityAndGC(t *testing.T) {
 		t.Fatal("referenced blob dropped by GC")
 	}
 }
+
+// TestBlobStoreGCCountsEachBlobOnce: a blob this process wrote sits both in
+// memory and on disk, and GC reports it swept once, not once per copy.
+func TestBlobStoreGCCountsEachBlobOnce(t *testing.T) {
+	b, err := NewBlobStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var digests []string
+	for _, s := range []string{"one", "two", "three"} {
+		d, err := b.Put([]byte(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, d)
+	}
+	if n := b.GC(map[string]bool{digests[0]: true}); n != 2 {
+		t.Fatalf("GC of 3 blobs keeping 1 reports %d swept, want 2", n)
+	}
+	if b.Len() != 1 || !b.Has(digests[0]) || b.Has(digests[1]) || b.Has(digests[2]) {
+		t.Fatal("GC kept the wrong blobs")
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -192,5 +194,52 @@ func TestListPaginationAndFilters(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("GET /v1/runs%s: %s, want 400", q, resp.Status)
 		}
+	}
+}
+
+// TestSweepRetentionCountsEachBlobOnce: a blob the coordinator wrote sits
+// in its memory and in CkptDir/blobs, and dyflow_runstore_gc_blobs_total
+// counts the blobs a sweep removed, not their copies.
+func TestSweepRetentionCountsEachBlobOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{
+		Workers: 1, TenantQuota: -1, CkptDir: dir,
+		RetentionMaxAge: time.Nanosecond, RetentionInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for seed := int64(1); seed <= 2; seed++ {
+		st, err := s.Submit("alice", quick(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = await(t, s, st.ID); st.State != StateDone {
+			t.Fatalf("run %s ended %s: %s", st.ID, st.State, st.Error)
+		}
+	}
+	blobFiles := func() int {
+		n := 0
+		filepath.WalkDir(filepath.Join(dir, "blobs"), func(_ string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				n++
+			}
+			return nil
+		})
+		return n
+	}
+	held := blobFiles()
+	if held == 0 || held != s.blobs.Len() {
+		t.Fatalf("%d blob files for %d blobs in memory", held, s.blobs.Len())
+	}
+	if n := s.SweepRetention(); n != 2 {
+		t.Fatalf("retention deleted %d of 2 runs", n)
+	}
+	if left := blobFiles(); left != 0 {
+		t.Fatalf("%d blob files left after every run was deleted", left)
+	}
+	if v := counter(t, s, "dyflow_runstore_gc_blobs_total"); v != float64(held) {
+		t.Fatalf("dyflow_runstore_gc_blobs_total = %v after sweeping %d blobs", v, held)
 	}
 }

@@ -11,7 +11,6 @@ package wms
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"dyflow/internal/cluster"
@@ -114,7 +113,8 @@ type Savanna struct {
 	rm  *resmgr.Manager
 
 	workflows map[string]*WorkflowSpec
-	tasks     map[string]*taskRT // key: workflow + "/" + task
+	tasks     map[string]*taskRT   // key: workflow + "/" + task
+	wfTasks   map[string][]*taskRT // per workflow, in composition order
 	scripts   map[string]time.Duration
 	subs      []func(Event)
 	onState   []func(in *task.Instance, from, to task.State)
@@ -147,6 +147,7 @@ func New(env *task.Env, rm *resmgr.Manager) *Savanna {
 		rm:        rm,
 		workflows: make(map[string]*WorkflowSpec),
 		tasks:     make(map[string]*taskRT),
+		wfTasks:   make(map[string][]*taskRT),
 		scripts:   make(map[string]time.Duration),
 	}
 	rm.OnResourceLoss(sv.resourceLost)
@@ -199,7 +200,9 @@ func (sv *Savanna) Compose(spec *WorkflowSpec) error {
 	}
 	sv.workflows[spec.ID] = spec
 	for _, cfg := range spec.Tasks {
-		sv.tasks[key(spec.ID, cfg.Spec.Name)] = &taskRT{cfg: cfg}
+		rt := &taskRT{cfg: cfg}
+		sv.tasks[key(spec.ID, cfg.Spec.Name)] = rt
+		sv.wfTasks[spec.ID] = append(sv.wfTasks[spec.ID], rt)
 	}
 	return nil
 }
@@ -258,20 +261,16 @@ func (sv *Savanna) TaskRunning(workflowID, taskName string) bool {
 	return in != nil && in.Alive()
 }
 
-// RunningTasks lists the workflow's live tasks in sorted order.
-func (sv *Savanna) RunningTasks(workflowID string) []string {
-	var out []string
-	spec := sv.workflows[workflowID]
-	if spec == nil {
-		return nil
-	}
-	for _, cfg := range spec.Tasks {
-		if sv.TaskRunning(workflowID, cfg.Spec.Name) {
-			out = append(out, cfg.Spec.Name)
+// AnyRunning reports whether any task of the workflow has a live
+// incarnation. Experiment drivers poll it every simulated second, so it
+// does not allocate.
+func (sv *Savanna) AnyRunning(workflowID string) bool {
+	for _, rt := range sv.wfTasks[workflowID] {
+		if rt.inst != nil && rt.inst.Alive() {
+			return true
 		}
 	}
-	sort.Strings(out)
-	return out
+	return false
 }
 
 // Assigned returns the task's current resource assignment.

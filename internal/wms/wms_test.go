@@ -316,7 +316,11 @@ func TestCoresPerProcPlacement(t *testing.T) {
 	b.s.RunUntilIdle()
 }
 
-func TestRunningTasksSorted(t *testing.T) {
+// TestAnyRunning: AnyRunning reads true while any task of the workflow
+// has a live incarnation — one stopped task leaves it true — and false
+// before launch, after the last stop and for an unknown workflow; the poll
+// costs no allocation.
+func TestAnyRunning(t *testing.T) {
 	b := newBench(t, 2)
 	b.sv.Compose(&WorkflowSpec{
 		ID: "WF",
@@ -327,17 +331,28 @@ func TestRunningTasksSorted(t *testing.T) {
 				Procs: 2, AutoStart: true},
 		},
 	})
+	check := func(when string, want bool) {
+		t.Helper()
+		if got := b.sv.AnyRunning("WF"); got != want {
+			t.Fatalf("%s: AnyRunning = %v, want %v", when, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { b.sv.AnyRunning("WF") }); n != 0 {
+			t.Fatalf("%s: AnyRunning allocates %v times per call", when, n)
+		}
+	}
+	check("before launch", false)
+	if b.sv.AnyRunning("nope") {
+		t.Fatal("an unknown workflow reads as running")
+	}
 	b.s.Spawn("driver", func(p *sim.Proc) { b.sv.Launch(p, "WF") })
 	b.s.Run(time.Second)
-	got := b.sv.RunningTasks("WF")
-	if len(got) != 2 || got[0] != "Abel" || got[1] != "Zed" {
-		t.Fatalf("running = %v, want sorted", got)
-	}
-	b.s.Spawn("stopper", func(p *sim.Proc) {
-		b.sv.StopTask(p, "WF", "Abel", false)
-		b.sv.StopTask(p, "WF", "Zed", false)
-	})
+	check("both running", true)
+	b.s.Spawn("stopper", func(p *sim.Proc) { b.sv.StopTask(p, "WF", "Abel", false) })
+	b.s.Run(2 * time.Second)
+	check("Zed still running", true)
+	b.s.Spawn("stopper", func(p *sim.Proc) { b.sv.StopTask(p, "WF", "Zed", false) })
 	b.s.RunUntilIdle()
+	check("both stopped", false)
 }
 
 func TestSignalTask(t *testing.T) {
