@@ -232,14 +232,22 @@ func TestCompileSpecFacade(t *testing.T) {
 
 // TestPaperWorkflowBuilders sanity-checks the re-exported builders.
 func TestPaperWorkflowBuilders(t *testing.T) {
+	has := func(wf *WorkflowSpec, name string) bool {
+		for _, tc := range wf.Tasks {
+			if tc.Spec.Name == name {
+				return true
+			}
+		}
+		return false
+	}
 	for _, m := range []Machine{Summit, Deepthought2} {
-		if XGCWorkflow(m).TaskConfigByName("XGC1") == nil {
+		if !has(XGCWorkflow(m), "XGC1") {
 			t.Fatalf("%v XGC workflow missing XGC1", m)
 		}
-		if GrayScottWorkflow(m).TaskConfigByName("Isosurface") == nil {
+		if !has(GrayScottWorkflow(m), "Isosurface") {
 			t.Fatalf("%v Gray-Scott workflow missing Isosurface", m)
 		}
-		if LAMMPSWorkflow(m).TaskConfigByName("LAMMPS") == nil {
+		if !has(LAMMPSWorkflow(m), "LAMMPS") {
 			t.Fatalf("%v LAMMPS workflow missing LAMMPS", m)
 		}
 	}

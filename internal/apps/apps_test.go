@@ -100,7 +100,7 @@ func TestGrayScottIsosurfaceCalibration(t *testing.T) {
 	// The Summit Isosurface cost must land the three operating points of
 	// Figure 8: >36 s at 20 procs, >36 s at 40, inside [24, 36] at 60.
 	wf := GrayScottWorkflow(Summit)
-	iso := wf.TaskConfigByName("Isosurface")
+	iso := taskConfig(t, wf, "Isosurface")
 	s := sim.New(1)
 	at := func(procs int) float64 {
 		c := iso.Spec.Cost
@@ -120,7 +120,7 @@ func TestGrayScottIsosurfaceCalibration(t *testing.T) {
 
 func TestGrayScottDT2Calibration(t *testing.T) {
 	wf := GrayScottWorkflow(Deepthought2)
-	iso := wf.TaskConfigByName("Isosurface")
+	iso := taskConfig(t, wf, "Isosurface")
 	s := sim.New(1)
 	at := func(procs int) float64 {
 		c := iso.Spec.Cost
@@ -187,4 +187,16 @@ func TestGrayScottWorkflowGatedBySlowestAnalysis(t *testing.T) {
 	if gs.StepsDone() < 8 {
 		t.Fatalf("GrayScott did only %d steps; pipeline stalled", gs.StepsDone())
 	}
+}
+
+// taskConfig returns the composed config of the named task.
+func taskConfig(t *testing.T, wf *wms.WorkflowSpec, name string) *wms.TaskConfig {
+	t.Helper()
+	for i := range wf.Tasks {
+		if wf.Tasks[i].Spec.Name == name {
+			return &wf.Tasks[i]
+		}
+	}
+	t.Fatalf("workflow %s has no task %s", wf.ID, name)
+	return nil
 }

@@ -247,16 +247,6 @@ func (st *Store) Append(kind string, v any) error {
 	return WriteRecord(f, Record{Kind: kind, Data: data})
 }
 
-// JournalSize returns the journal file's current size in bytes (0 when
-// missing) — the size-triggered snapshot threshold reads it per append.
-func (st *Store) JournalSize() int64 {
-	fi, err := os.Stat(st.journalPath())
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
-}
-
 // Replay streams the journal entries written since the last snapshot, in
 // write order. A corrupt or torn tail ends the replay at the last good
 // record instead of failing: a crash mid-append loses at most the entry

@@ -133,19 +133,3 @@ func (cp *Campaign) scheduleKill(at sim.Time, id NodeID) {
 
 // Events returns the kill/heal events that actually fired, in order.
 func (cp *Campaign) Events() []CampaignEvent { return cp.events }
-
-// Kills returns the number of kill events that fired.
-func (cp *Campaign) Kills() int { return cp.count("kill") }
-
-// Heals returns the number of heal events that fired.
-func (cp *Campaign) Heals() int { return cp.count("heal") }
-
-func (cp *Campaign) count(kind string) int {
-	n := 0
-	for _, e := range cp.events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}

@@ -148,17 +148,6 @@ func (c *Cluster) HealthyNodes() []*Node {
 	return out
 }
 
-// TotalCores returns the sum of cores across healthy nodes.
-func (c *Cluster) TotalCores() int {
-	total := 0
-	for _, n := range c.nodes {
-		if n.healthy {
-			total += n.Cores
-		}
-	}
-	return total
-}
-
 // OnHealthChange registers a listener for node health transitions.
 func (c *Cluster) OnHealthChange(fn HealthListener) { c.subs = append(c.subs, fn) }
 

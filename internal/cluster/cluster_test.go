@@ -22,8 +22,8 @@ func TestPresets(t *testing.T) {
 	if n2.Cores != 20 || n2.ThreadsPerCore != 2 || n2.MemGB != 128 || n2.GPUs != 0 {
 		t.Fatalf("Deepthought2 node = %+v", n2)
 	}
-	if dt2.TotalCores() != 100 {
-		t.Fatalf("TotalCores = %d, want 100", dt2.TotalCores())
+	if healthyCores(dt2) != 100 {
+		t.Fatalf("healthy cores = %d, want 100", healthyCores(dt2))
 	}
 }
 
@@ -52,8 +52,8 @@ func TestFailRestoreNotifies(t *testing.T) {
 	})
 	c.FailNode("node001")
 	c.FailNode("node001") // idempotent
-	if c.TotalCores() != 40 {
-		t.Fatalf("TotalCores after failure = %d, want 40", c.TotalCores())
+	if healthyCores(c) != 40 {
+		t.Fatalf("healthy cores after failure = %d, want 40", healthyCores(c))
 	}
 	if len(c.HealthyNodes()) != 2 {
 		t.Fatalf("healthy = %d, want 2", len(c.HealthyNodes()))
@@ -86,4 +86,13 @@ func TestFailUnknownNode(t *testing.T) {
 	if c.Size() != 1 {
 		t.Fatal("size changed")
 	}
+}
+
+// healthyCores sums the cores of the in-service nodes.
+func healthyCores(c *Cluster) int {
+	total := 0
+	for _, n := range c.HealthyNodes() {
+		total += n.Cores
+	}
+	return total
 }

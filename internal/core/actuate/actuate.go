@@ -133,7 +133,6 @@ type Executor struct {
 	plugin  Plugin
 	retry   RetryPolicy
 	records []OpRecord
-	onOp    func(OpRecord)
 	tr      *trace.Recorder
 }
 
@@ -150,9 +149,6 @@ func (ex *Executor) SetRetryPolicy(p RetryPolicy) {
 	}
 	ex.retry = p
 }
-
-// OnOp registers an observer invoked after each executed operation.
-func (ex *Executor) OnOp(fn func(OpRecord)) { ex.onOp = fn }
 
 // SetTracer attaches the flight recorder for per-operation latency.
 func (ex *Executor) SetTracer(tr *trace.Recorder) { ex.tr = tr }
@@ -235,9 +231,6 @@ func (ex *Executor) Execute(p *sim.Proc, plan arbiter.Plan) (arbiter.ExecReport,
 		ex.tr.OpExecuted(op.Kind.String(), rec.StartedAt, rec.EndedAt)
 		ex.tr.Inc("actuate.ops", 1)
 		ex.records = append(ex.records, rec)
-		if ex.onOp != nil {
-			ex.onOp(rec)
-		}
 		if err != nil {
 			// The failed op and everything after it never applied; collect
 			// the START ops among them for the engine's recovery queue.

@@ -53,8 +53,6 @@ func newRig(t *testing.T) *rig {
 
 func TestExecutePlanInOrder(t *testing.T) {
 	r := newRig(t)
-	var ops []OpRecord
-	r.ex.OnOp(func(rec OpRecord) { ops = append(ops, rec) })
 
 	r.s.Spawn("driver", func(p *sim.Proc) {
 		if err := r.sv.Launch(p, "WF"); err != nil {
@@ -81,6 +79,7 @@ func TestExecutePlanInOrder(t *testing.T) {
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
+	ops := r.ex.Records()
 	if len(ops) != 3 {
 		t.Fatalf("ops = %d, want 3", len(ops))
 	}

@@ -14,15 +14,13 @@ type WaitingSnap struct {
 
 // Snapshot is the Arbitration stage's checkpointable state: T_waiting (with
 // Recovery flags), the warm-up origin, the settle/FailureCooldown deadline,
-// and the round accounting. Take it only while the engine is not Busy().
+// and the executed rounds. Take it only while the engine is not Busy().
 type Snapshot struct {
 	StartedAt   sim.Time      `json:"started_at"`
 	SettleUntil sim.Time      `json:"settle_until"`
 	Started     bool          `json:"started"`
-	Discarded   int           `json:"discarded"`
 	Waiting     []WaitingSnap `json:"waiting,omitempty"`
 	Records     []Record      `json:"records,omitempty"`
-	Empty       []Record      `json:"empty,omitempty"`
 }
 
 // Snapshot exports the engine state, workflows sorted by name.
@@ -31,9 +29,7 @@ func (e *Engine) Snapshot() Snapshot {
 		StartedAt:   e.startedAt,
 		SettleUntil: e.settleUntil,
 		Started:     e.started,
-		Discarded:   e.discarded,
 		Records:     append([]Record(nil), e.records...),
-		Empty:       append([]Record(nil), e.empty...),
 	}
 	wfs := make([]string, 0, len(e.waiting))
 	for wf := range e.waiting {
@@ -51,18 +47,16 @@ func (e *Engine) Snapshot() Snapshot {
 
 // ApplyRound re-applies one journaled arbitration round on top of a
 // restored snapshot: the round's post-state T_waiting queue (Recovery
-// entries included), the settle/FailureCooldown deadline it armed, and the
-// round accounting. Replaying every round journaled since the snapshot
-// brings the engine to the pre-crash state.
+// entries included), the settle/FailureCooldown deadline it armed, and,
+// for an executed round, its record. Replaying every round journaled since
+// the snapshot brings the engine to the pre-crash state.
 func (e *Engine) ApplyRound(ev RoundEvent) {
 	if e.waiting == nil {
 		e.waiting = make(map[string][]WaitingTask)
 	}
 	e.waiting[ev.Record.Workflow] = append([]WaitingTask(nil), ev.Waiting...)
 	e.settleUntil = ev.SettleUntil
-	if ev.Empty {
-		e.empty = append(e.empty, ev.Record)
-	} else {
+	if !ev.Empty {
 		e.records = append(e.records, ev.Record)
 	}
 }
@@ -74,9 +68,7 @@ func (e *Engine) Restore(snap Snapshot) {
 	e.startedAt = snap.StartedAt
 	e.settleUntil = snap.SettleUntil
 	e.started = snap.Started
-	e.discarded = snap.Discarded
 	e.records = append([]Record(nil), snap.Records...)
-	e.empty = append([]Record(nil), snap.Empty...)
 	e.waiting = make(map[string][]WaitingTask, len(snap.Waiting))
 	for _, ws := range snap.Waiting {
 		e.waiting[ws.Workflow] = append([]WaitingTask(nil), ws.Tasks...)

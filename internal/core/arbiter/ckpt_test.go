@@ -88,6 +88,7 @@ func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 		}
 		r.eng.Stop()
 		eng2 := New(r.s, r.bus, "arbiter", r.cfg, r.rules, r.view, r.exec)
+		eng2.SetTracer(r.tr) // the orchestrator's recorder outlives the engine
 		eng2.Restore(early)
 		for _, ev := range journal {
 			eng2.ApplyRound(ev)
@@ -108,7 +109,7 @@ func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := r.eng.Discarded(); got != 1 {
+	if got := r.tr.Counter("arbiter.discarded_batches"); got != 1 {
 		t.Fatalf("discarded = %d, want 1 (the in-cooldown batch, honoring the restored deadline)", got)
 	}
 	recs := r.eng.Records()

@@ -135,17 +135,15 @@ type Engine struct {
 	settleUntil sim.Time
 	started     bool
 
+	// records lists executed rounds only, which is what the experiment
+	// reports count; an empty round reaches the OnRound observers, the
+	// arbiter.empty_rounds counter and its spans' "empty-plan" drop.
 	records []Record
-	// empty documents rounds whose plan came out empty (infeasible or
-	// nothing to do); kept separate so Records() still lists only executed
-	// rounds, which is what the experiment reports count.
-	empty     []Record
-	discarded int
-	onPlan    []func(Record)
-	onRound   []func(RoundEvent)
-	proc      *sim.Proc
-	tr        *trace.Recorder
-	spawn     func(name string, fn func(*sim.Proc)) *sim.Proc
+	onPlan  []func(Record)
+	onRound []func(RoundEvent)
+	proc    *sim.Proc
+	tr      *trace.Recorder
+	spawn   func(name string, fn func(*sim.Proc)) *sim.Proc
 	// busy is true from the moment a suggestion batch passes the guards
 	// until its round completes. Checkpoints must not be taken while busy:
 	// the gather window and the executing plan live on the proc stack and
@@ -210,18 +208,6 @@ func (e *Engine) SetTracer(tr *trace.Recorder) { e.tr = tr }
 // Records returns all executed arbitration rounds so far.
 func (e *Engine) Records() []Record { return e.records }
 
-// EmptyRecords returns the rounds whose plan was empty (infeasible or
-// nothing to do); previously these were silently dropped, hiding
-// infeasible rounds from all accounting.
-func (e *Engine) EmptyRecords() []Record { return e.empty }
-
-// EmptyRounds returns the number of empty-plan rounds.
-func (e *Engine) EmptyRounds() int { return len(e.empty) }
-
-// Discarded returns the number of suggestion batches dropped by the
-// warm-up/settle guards.
-func (e *Engine) Discarded() int { return e.discarded }
-
 // Waiting returns the current T_waiting queue for a workflow.
 func (e *Engine) Waiting(workflow string) []WaitingTask { return e.waiting[workflow] }
 
@@ -268,7 +254,6 @@ func (e *Engine) run(p *sim.Proc) {
 		now := e.s.Now()
 		// Warm-up and settle guards.
 		if now-e.startedAt < e.cfg.WarmupDelay || now < e.settleUntil {
-			e.discarded++
 			reason := "settle"
 			if now-e.startedAt < e.cfg.WarmupDelay {
 				reason = "warmup"
@@ -397,7 +382,6 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			// Nothing feasible or nothing to do: no settle window, but the
 			// round must stay visible to the accounting.
 			rec.PlannedAt = e.s.Now()
-			e.empty = append(e.empty, rec)
 			e.tr.Inc("arbiter.empty_rounds", 1)
 			for _, id := range ids {
 				e.tr.Drop(id, "empty-plan", rec.PlannedAt)

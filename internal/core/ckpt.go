@@ -112,7 +112,7 @@ func (o *Orchestrator) Checkpoint() error {
 // Restore loads the last snapshot from the store into the freshly built
 // orchestrator and replays the journal on top: arbitration rounds recorded
 // after the snapshot re-apply their T_waiting queues (Recovery entries
-// included), settle/cooldown deadlines, and round accounting. A torn
+// included), settle/cooldown deadlines, and executed-round records. A torn
 // journal tail (the crash cut a write short) is dropped by the store.
 func Restore(o *Orchestrator, st *ckpt.Store) error {
 	blob, err := st.LoadSnapshot()

@@ -11,9 +11,10 @@ import (
 
 // runPace drives the pace-adaptation world to the horizon, killing the
 // orchestrator at killAt (0 = never) and restoring a fresh instance from
-// its checkpoint store in place. Returns the orchestrator that finished the
-// run.
-func runPace(t *testing.T, killAt, horizon time.Duration) *Orchestrator {
+// its checkpoint store in place; rewrite, when set, replaces the stored
+// snapshot blob before the restore reads it. Returns the orchestrator that
+// finished the run.
+func runPace(t *testing.T, killAt, horizon time.Duration, rewrite func(blob []byte, o *Orchestrator) []byte) *Orchestrator {
 	t.Helper()
 	w := newWorld(t, 2)
 	composePaceWorkflow(t, w)
@@ -46,6 +47,15 @@ func runPace(t *testing.T, killAt, horizon time.Duration) *Orchestrator {
 		if err := o.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
+		if rewrite != nil {
+			blob, err := st.LoadSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.SaveSnapshot(rewrite(blob, o)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		o.Detach()
 		o.Stop()
 		o2 := newPaceOrchestrator(t, w, Options{})
@@ -68,8 +78,8 @@ func runPace(t *testing.T, killAt, horizon time.Duration) *Orchestrator {
 // seed: the snapshot+journal captures everything decision-relevant.
 func TestCheckpointRestoreDeterminism(t *testing.T) {
 	const horizon = 10 * time.Minute
-	base := runPace(t, 0, horizon)
-	killed := runPace(t, 3*time.Minute, horizon)
+	base := runPace(t, 0, horizon, nil)
+	killed := runPace(t, 3*time.Minute, horizon, nil)
 
 	wantRecs, err := json.Marshal(base.Arbiter.Records())
 	if err != nil {
@@ -124,5 +134,76 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	a, b := take(), take()
 	if string(a) != string(b) {
 		t.Fatalf("snapshot bytes differ between identical runs (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
+// withDeletedCounters rewrites a snapshot blob the way earlier versions
+// wrote it: every stage kept its own copy of its counters (and the arbiter
+// its empty rounds) inside its slice of the snapshot.
+func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator) []byte {
+	t.Helper()
+	var snap map[string]any
+	if err := ckpt.Decode(blob, SnapshotKind, &snap); err != nil {
+		t.Fatal(err)
+	}
+	slice := func(name string) map[string]any { return snap[name].(map[string]any) }
+	n := func(counter string) int64 { return o.Trace.Counter(counter) }
+	server := slice("server")
+	server["forwarded"], server["repolled"], server["dropped"] =
+		n("monitor.forwarded"), n("monitor.repolled"), n("monitor.dropped_batches")
+	dec := slice("decision")
+	dec["evaluations"], dec["suggestions"] = n("decision.evaluations"), n("decision.suggestions")
+	for _, b := range dec["bindings"].([]any) {
+		b.(map[string]any)["fired"] = 1
+	}
+	arb := slice("arbiter")
+	arb["discarded"] = n("arbiter.discarded_batches")
+	arb["empty"] = []any{map[string]any{"Workflow": "WF", "ReceivedAt": int64(time.Minute),
+		"PlannedAt": int64(time.Minute), "SuggestionIDs": []string{"WF/INC_ON_PACE#1"}}}
+	for _, c := range snap["clients"].([]any) {
+		c.(map[string]any)["sent"] = 42
+	}
+	out, err := ckpt.Encode(SnapshotKind, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// A snapshot written before the stage counters had one owner still carries
+// them in every stage's slice; it must restore, and the run must end with
+// the counters, spans and plan records of a run that was never
+// interrupted. (Latency histograms are not checkpointed, so the report's
+// sensor-lag and op rows restart empty either way.)
+func TestRestoreSnapshotCarryingDeletedCounters(t *testing.T) {
+	const horizon = 10 * time.Minute
+	base := runPace(t, 0, horizon, nil)
+	killed := runPace(t, 3*time.Minute, horizon, func(blob []byte, o *Orchestrator) []byte {
+		return withDeletedCounters(t, blob, o)
+	})
+	want, got := base.Trace.Report(), killed.Trace.Report()
+	if len(base.Arbiter.Records()) == 0 || len(want.Counters) == 0 {
+		t.Fatal("base run produced no plans or counters; the comparison is vacuous")
+	}
+	for _, c := range []struct {
+		name      string
+		base, got any
+	}{
+		{"counters", want.Counters, got.Counters},
+		{"spans", want.Spans, got.Spans},
+		{"stage latencies", want.Stages, got.Stages},
+		{"plan records", base.Arbiter.Records(), killed.Arbiter.Records()},
+	} {
+		want, err := json.Marshal(c.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(c.got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(want) != string(got) {
+			t.Fatalf("%s diverged after restoring an old-format snapshot:\nbase:     %s\nrestored: %s", c.name, want, got)
+		}
 	}
 }

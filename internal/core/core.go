@@ -52,12 +52,6 @@ type Options struct {
 	// into; nil creates a private one (always available on the
 	// Orchestrator).
 	Metrics *obs.Registry
-	// Supervisor tunes stage supervision (panic recovery, stall watchdog,
-	// restart backoff); zero fields take DefaultSupervisorConfig.
-	Supervisor SupervisorConfig
-	// NoSupervisor disables stage supervision entirely: stages run on plain
-	// processes and a stage panic fails the simulation.
-	NoSupervisor bool
 }
 
 // Orchestrator is a running DYFLOW service bound to one Savanna runtime.
@@ -76,7 +70,7 @@ type Orchestrator struct {
 	// Metrics is the unified metrics registry: flight-recorder mirrors plus
 	// whatever substrate packages the harness wired in. Serves /metrics.
 	Metrics *obs.Registry
-	// Supervisor guards the stage processes (nil with NoSupervisor).
+	// Supervisor guards the stage processes.
 	Supervisor *Supervisor
 
 	env      *task.Env
@@ -150,15 +144,13 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orches
 
 	// Stage supervision: every stage process runs panic-guarded so a stage
 	// crash is absorbed and restarted instead of failing the simulation.
-	if !opts.NoSupervisor {
-		o.Supervisor = newSupervisor(o, opts.Supervisor)
-		o.Server.SetSpawner(o.Supervisor.spawner(StageMonitorServer))
-		for _, cl := range o.Clients {
-			cl.SetSpawner(o.Supervisor.spawner(StageMonitorClient))
-		}
-		o.Decision.SetSpawner(o.Supervisor.spawner(StageDecision))
-		o.Arbiter.SetSpawner(o.Supervisor.spawner(StageArbiter))
+	o.Supervisor = newSupervisor(o)
+	o.Server.SetSpawner(o.Supervisor.spawner(StageMonitorServer))
+	for _, cl := range o.Clients {
+		cl.SetSpawner(o.Supervisor.spawner(StageMonitorClient))
 	}
+	o.Decision.SetSpawner(o.Supervisor.spawner(StageDecision))
+	o.Arbiter.SetSpawner(o.Supervisor.spawner(StageArbiter))
 
 	// Keep Decision consistent with runtime changes: a (re)started task's
 	// stale history must not immediately re-trigger policies. Detached
@@ -185,9 +177,7 @@ func (o *Orchestrator) Start() {
 	}
 	o.Decision.Start()
 	o.Arbiter.Start()
-	if o.Supervisor != nil {
-		o.Supervisor.Start()
-	}
+	o.Supervisor.Start()
 }
 
 // Stop interrupts all stage services. Idempotent: a second Stop — or a
@@ -198,9 +188,7 @@ func (o *Orchestrator) Stop() {
 	}
 	o.stopped = true
 	// Supervisor first, so stage teardown is not mistaken for a crash.
-	if o.Supervisor != nil {
-		o.Supervisor.Stop()
-	}
+	o.Supervisor.Stop()
 	for _, c := range o.Clients {
 		c.Stop()
 	}

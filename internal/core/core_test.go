@@ -376,12 +376,17 @@ func TestMonitorClientSharding(t *testing.T) {
 	if err := w.s.Run(8 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	// Both shards shipped updates.
-	if o.Clients[0].Sent() == 0 || o.Clients[1].Sent() == 0 {
-		t.Fatalf("shard sends = %d, %d", o.Clients[0].Sent(), o.Clients[1].Sent())
+	// Both shards shipped updates: a client endpoint's sequence number
+	// counts the batches it sent.
+	sent := map[string]uint64{}
+	for _, ep := range o.Bus.Snapshot().Endpoints {
+		sent[ep.Name] = ep.Seq
 	}
-	if o.Clients[2].Sent() != 0 {
-		t.Fatalf("idle client sent %d", o.Clients[2].Sent())
+	if sent["monitor-client-0"] == 0 || sent["monitor-client-1"] == 0 {
+		t.Fatalf("shard sends = %d, %d", sent["monitor-client-0"], sent["monitor-client-1"])
+	}
+	if sent["monitor-client-2"] != 0 {
+		t.Fatalf("idle client sent %d", sent["monitor-client-2"])
 	}
 	// The adaptation still happened for the bottleneck analysis.
 	if got := w.sv.Instance("WF", "Ana").Placement.Procs(); got < 8 {
@@ -607,7 +612,7 @@ func TestAdaptationUnderBusJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Jitter caused at least some reordering, which the filter screened.
-	if o.Server.Dropped() == 0 {
+	if o.Trace.Counter("monitor.dropped_batches") == 0 {
 		t.Log("note: no out-of-order batches this seed (jitter may not have inverted any pair)")
 	}
 	if got := w.sv.Instance("WF", "Ana").Placement.Procs(); got < 8 {

@@ -28,7 +28,6 @@ type BindingSnap struct {
 	LastEval   sim.Time     `json:"last_eval"`
 	EverEval   bool         `json:"ever_eval"`
 	ResetAt    sim.Time     `json:"reset_at"`
-	Fired      int          `json:"fired"`
 	Series     []SeriesSnap `json:"series,omitempty"`
 }
 
@@ -36,12 +35,10 @@ type BindingSnap struct {
 // windows, staleness/everEval gates, the suggestion ID counter, the
 // evaluator's tick grid, and the receiver's out-of-order filter.
 type Snapshot struct {
-	Seq         int               `json:"seq"`
-	Evaluations int               `json:"evaluations"`
-	Suggestions int               `json:"suggestions"`
-	NextEval    sim.Time          `json:"next_eval"`
-	Filter      map[string]uint64 `json:"filter,omitempty"`
-	Bindings    []BindingSnap     `json:"bindings"`
+	Seq      int               `json:"seq"`
+	NextEval sim.Time          `json:"next_eval"`
+	Filter   map[string]uint64 `json:"filter,omitempty"`
+	Bindings []BindingSnap     `json:"bindings"`
 }
 
 // Snapshot exports the engine state. Call while the engine is quiescent
@@ -49,11 +46,9 @@ type Snapshot struct {
 // runs, which is where checkpoints are taken.
 func (e *Engine) Snapshot() Snapshot {
 	snap := Snapshot{
-		Seq:         e.seq,
-		Evaluations: e.evaluations,
-		Suggestions: e.suggestions,
-		NextEval:    e.nextEval,
-		Filter:      e.filter.State(),
+		Seq:      e.seq,
+		NextEval: e.nextEval,
+		Filter:   e.filter.State(),
 	}
 	for _, b := range e.bindings {
 		bs := BindingSnap{
@@ -63,7 +58,6 @@ func (e *Engine) Snapshot() Snapshot {
 			LastEval:   b.lastEval,
 			EverEval:   b.everEval,
 			ResetAt:    b.resetAt,
-			Fired:      b.fired,
 		}
 		for _, k := range b.order {
 			st := b.series[k]
@@ -92,8 +86,6 @@ func (e *Engine) Snapshot() Snapshot {
 // before Start.
 func (e *Engine) Restore(snap Snapshot) {
 	e.seq = snap.Seq
-	e.evaluations = snap.Evaluations
-	e.suggestions = snap.Suggestions
 	e.nextEval = snap.NextEval
 	e.filter.RestoreState(snap.Filter)
 
@@ -109,7 +101,6 @@ func (e *Engine) Restore(snap Snapshot) {
 		b.lastEval = bs.LastEval
 		b.everEval = bs.EverEval
 		b.resetAt = bs.ResetAt
-		b.fired = bs.Fired
 		b.series = make(map[sensor.Key]*seriesState, len(bs.Series))
 		b.order = b.order[:0]
 		for _, ss := range bs.Series {

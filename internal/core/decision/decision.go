@@ -95,7 +95,6 @@ type binding struct {
 	// resetAt is the last ResetTask instant; metrics generated before it
 	// describe the previous incarnation and are dropped.
 	resetAt sim.Time
-	fired   int
 }
 
 // anyLive reports whether any series can feed an evaluation at now.
@@ -183,9 +182,7 @@ type Engine struct {
 	tr       *trace.Recorder
 	spawn    func(name string, fn func(*sim.Proc)) *sim.Proc
 
-	evaluations int
-	suggestions int
-	seq         int // suggestion ID counter
+	seq int // suggestion ID counter
 	// nextEval is the evaluator's next scheduled tick; checkpointed so a
 	// restored engine keeps the same evaluation grid (a shifted grid changes
 	// which gather window suggestions land in).
@@ -217,7 +214,9 @@ func New(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config) *Engine {
 }
 
 // SetTracer attaches the flight recorder; suggestions emitted afterwards
-// open lifecycle spans on it.
+// open lifecycle spans on it. The recorder owns the stage's counters:
+// decision.evaluations, decision.suggestions and
+// decision.metrics_ingested.
 func (e *Engine) SetTracer(tr *trace.Recorder) { e.tr = tr }
 
 // SetSpawner overrides how the engine spawns its processes (the supervisor
@@ -232,12 +231,6 @@ func (e *Engine) spawnProc(name string, fn func(*sim.Proc)) *sim.Proc {
 	}
 	return e.s.Spawn(name, fn)
 }
-
-// Evaluations returns the number of policy evaluations performed.
-func (e *Engine) Evaluations() int { return e.evaluations }
-
-// Suggestions returns the number of suggestions emitted.
-func (e *Engine) Suggestions() int { return e.suggestions }
 
 // Start spawns the engine processes.
 func (e *Engine) Start() {
@@ -327,7 +320,6 @@ func (e *Engine) evalLoop(p *sim.Proc) {
 		e.nextEval = 0
 		round := e.EvaluateDue()
 		if len(round) > 0 {
-			e.suggestions += len(round)
 			e.tr.Inc("decision.suggestions", int64(len(round)))
 			e.ep.Send(e.out, round)
 		}
@@ -379,7 +371,6 @@ func (e *Engine) EvaluateDue() []Suggestion {
 		}
 		b.lastEval = now
 		b.everEval = true
-		e.evaluations++
 		e.tr.Inc("decision.evaluations", 1)
 		sg, ok := e.evaluate(b, now)
 		// The round consumed the binding's pending data; liveness now rests
@@ -409,7 +400,6 @@ func (e *Engine) evaluate(b *binding, now sim.Time) (Suggestion, bool) {
 		if !b.def.Eval.Compare(v, b.def.Threshold) {
 			continue
 		}
-		b.fired++
 		e.seq++
 		id := fmt.Sprintf("%s/%s#%d", b.bind.Workflow, b.def.ID, e.seq)
 		e.tr.Suggested(id, b.bind.Workflow, b.def.ID, b.def.Action.String(), k.Sensor, st.genAt, st.lastAt, now)
@@ -442,13 +432,4 @@ func copyParams(m map[string]string) map[string]string {
 		out[k] = v
 	}
 	return out
-}
-
-// FrequencyOf exposes a policy's effective evaluation period (helper for
-// experiment accounting).
-func (e *Engine) FrequencyOf(policyID string) time.Duration {
-	if def, ok := e.cfg.Policies[policyID]; ok {
-		return def.Frequency
-	}
-	return spec.DefaultFrequency
 }

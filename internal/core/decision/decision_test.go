@@ -8,6 +8,7 @@ import (
 	"dyflow/internal/core/spec"
 	"dyflow/internal/msg"
 	"dyflow/internal/sim"
+	"dyflow/internal/trace"
 )
 
 const cfgXML = `
@@ -146,11 +147,13 @@ func TestFrequencyGating(t *testing.T) {
 
 func TestNoEvaluationWithoutData(t *testing.T) {
 	_, e := newEngine(t)
+	tr := trace.New()
+	e.SetTracer(tr)
 	if got := e.EvaluateDue(); len(got) != 0 {
 		t.Fatalf("suggestions with no data = %+v", got)
 	}
-	if e.Evaluations() != 0 {
-		t.Fatalf("evaluations = %d, want 0 (no series yet)", e.Evaluations())
+	if got := tr.Counter("decision.evaluations"); got != 0 {
+		t.Fatalf("evaluations = %d, want 0 (no series yet)", got)
 	}
 }
 
@@ -232,6 +235,8 @@ func TestEndToEndOverBus(t *testing.T) {
 	bus := msg.NewBus(s)
 	arb := bus.Endpoint("arbiter")
 	e := New(s, bus, "decision", "arbiter", cfg)
+	tr := trace.New()
+	e.SetTracer(tr)
 	e.Start()
 
 	mon := bus.Endpoint("monitor-server")
@@ -253,8 +258,8 @@ func TestEndToEndOverBus(t *testing.T) {
 	if len(batch) != 1 || batch[0].Action != "ADDCPU" {
 		t.Fatalf("batch = %+v", batch)
 	}
-	if e.Suggestions() < 1 {
-		t.Fatalf("Suggestions() = %d", e.Suggestions())
+	if got := tr.Counter("decision.suggestions"); got < 1 {
+		t.Fatalf("decision.suggestions = %d", got)
 	}
 	e.Stop()
 	s.RunUntilIdle()

@@ -28,17 +28,15 @@ type LagEntry struct {
 
 // ServerSnapshot is the Monitor server's checkpointable state: the
 // out-of-order filter marks, the latest value per series (the join and
-// group-by working set), the per-series generation cursors, per-sensor lag
-// accumulators, and the forwarding counters. Map-keyed state is exported
-// as sorted slices so snapshots are byte-stable.
+// group-by working set), the per-series generation cursors and per-sensor
+// lag accumulators. Map-keyed state is exported as sorted slices so
+// snapshots are byte-stable. The forwarding counters are the flight
+// recorder's, checkpointed with it.
 type ServerSnapshot struct {
-	Filter    map[string]uint64 `json:"filter,omitempty"`
-	Last      []SeriesEntry     `json:"last,omitempty"`
-	LastGen   []GenEntry        `json:"last_gen,omitempty"`
-	Lags      []LagEntry        `json:"lags,omitempty"`
-	Forwarded int               `json:"forwarded"`
-	Repolled  int               `json:"repolled"`
-	Dropped   int               `json:"dropped"`
+	Filter  map[string]uint64 `json:"filter,omitempty"`
+	Last    []SeriesEntry     `json:"last,omitempty"`
+	LastGen []GenEntry        `json:"last_gen,omitempty"`
+	Lags    []LagEntry        `json:"lags,omitempty"`
 }
 
 func keyLess(a, b Key) bool {
@@ -59,12 +57,7 @@ func keyLess(a, b Key) bool {
 
 // Snapshot exports the server state.
 func (sv *Server) Snapshot() ServerSnapshot {
-	snap := ServerSnapshot{
-		Filter:    sv.filter.State(),
-		Forwarded: sv.forwarded,
-		Repolled:  sv.repolled,
-		Dropped:   sv.dropped,
-	}
+	snap := ServerSnapshot{Filter: sv.filter.State()}
 	for k, s := range sv.series {
 		if s.hasM {
 			snap.Last = append(snap.Last, SeriesEntry{Key: k, Metric: s.m})
@@ -86,9 +79,6 @@ func (sv *Server) Snapshot() ServerSnapshot {
 // series and derivation-group indexes from it. Call before Start.
 func (sv *Server) Restore(snap ServerSnapshot) {
 	sv.filter.RestoreState(snap.Filter)
-	sv.forwarded = snap.Forwarded
-	sv.repolled = snap.Repolled
-	sv.dropped = snap.Dropped
 	sv.series = make(map[Key]*series, len(snap.Last))
 	sv.groups = make(map[groupKey]*group)
 	for _, e := range snap.Last {
@@ -110,12 +100,11 @@ type WorkerSnap struct {
 	State WorkerState `json:"state"`
 }
 
-// ClientSnapshot is one Monitor client's checkpointable state: the batch
-// counter and every worker's resumable position (phase, wake instant,
-// pending shipment, reader backlog).
+// ClientSnapshot is one Monitor client's checkpointable state: every
+// worker's resumable position (phase, wake instant, pending shipment,
+// reader backlog).
 type ClientSnapshot struct {
 	Name    string       `json:"name"`
-	Sent    int          `json:"sent"`
 	Workers []WorkerSnap `json:"workers,omitempty"`
 }
 
@@ -123,7 +112,7 @@ type ClientSnapshot struct {
 // blocked on a live stream reader the snapshot folds the reader's buffered
 // backlog in behind any replay-pending records, preserving delivery order.
 func (c *Client) Snapshot() ClientSnapshot {
-	snap := ClientSnapshot{Name: c.name, Sent: c.sent}
+	snap := ClientSnapshot{Name: c.name}
 	names := make([]string, 0, len(c.states))
 	for n := range c.states {
 		names = append(names, n)
@@ -149,7 +138,6 @@ func (c *Client) Snapshot() ClientSnapshot {
 // Restore replaces the client's worker states with the snapshot. Call
 // before Start; the spawned workers resume from the restored positions.
 func (c *Client) Restore(snap ClientSnapshot) {
-	c.sent = snap.Sent
 	c.states = make(map[string]*WorkerState, len(snap.Workers))
 	for _, w := range snap.Workers {
 		ws := w.State

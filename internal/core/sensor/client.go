@@ -52,7 +52,6 @@ type Client struct {
 	costs    Costs
 	self     SelfSource
 	procs    []*sim.Proc
-	sent     int
 	// stopping marks a deliberate Stop so interrupted workers exit instead
 	// of treating the interrupt as a detached stream and re-probing.
 	stopping bool
@@ -128,9 +127,6 @@ func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spe
 		scans:    make(map[scanKey]*diskScan),
 	}
 }
-
-// Sent returns the number of update batches shipped (for tests).
-func (c *Client) Sent() int { return c.sent }
 
 // SetSpawner overrides how the client spawns worker processes (the
 // supervisor injects a panic-guarded spawner here). Call before Start.
@@ -579,7 +575,6 @@ func (c *Client) ship(tg spec.MonitorTarget, def *spec.SensorDef, readings []flo
 	if len(updates) == 0 {
 		return
 	}
-	c.sent++
 	c.ep.Send(c.server, Batch{Client: c.name, Updates: updates})
 }
 

@@ -27,7 +27,8 @@ type rig struct {
 	env    *task.Env
 	bus    *msg.Bus
 	server *Server
-	dec    *msg.Endpoint // decision endpoint capturing metrics
+	tr     *trace.Recorder // the server's flight recorder: its counters
+	dec    *msg.Endpoint   // decision endpoint capturing metrics
 	wl     *fakeWorkload
 }
 
@@ -38,9 +39,11 @@ func newRig(t *testing.T, cfg *spec.Config) *rig {
 	bus := msg.NewBus(s)
 	dec := bus.Endpoint("decision")
 	server := NewServer(s, bus, "monitor-server", "decision", cfg)
+	tr := trace.New()
+	server.SetTracer(tr)
 	server.Start()
 	wl := &fakeWorkload{placements: map[string]task.Placement{}, running: map[string]bool{}}
-	return &rig{s: s, env: env, bus: bus, server: server, dec: dec, wl: wl}
+	return &rig{s: s, env: env, bus: bus, server: server, tr: tr, dec: dec, wl: wl}
 }
 
 // drainMetrics collects all metrics delivered to the decision endpoint.
@@ -432,8 +435,8 @@ func TestServerDropsStaleBatches(t *testing.T) {
 	if err := r.s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if r.server.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", r.server.Dropped())
+	if got := r.tr.Counter("monitor.dropped_batches"); got != 1 {
+		t.Fatalf("dropped = %d, want 1", got)
 	}
 	metrics := r.drainMetrics(t)
 	if len(metrics) != 1 || metrics[0].Value != 2 {
@@ -708,8 +711,6 @@ func TestDBSourceSensor(t *testing.T) {
 func TestForwardedCountsDetectionsNotRepolls(t *testing.T) {
 	cfg := compile(t, paceCfg)
 	r := newRig(t, cfg)
-	tr := trace.New()
-	r.server.SetTracer(tr)
 
 	client := r.bus.Endpoint("client0")
 	send := func(genAt time.Duration, v float64) {
@@ -731,17 +732,10 @@ func TestForwardedCountsDetectionsNotRepolls(t *testing.T) {
 	if got := len(r.drainMetrics(t)); got != 4 {
 		t.Fatalf("metrics delivered = %d, want 4", got)
 	}
-	if r.server.Forwarded() != 2 {
-		t.Fatalf("forwarded = %d, want 2 detections (stale re-polls counted)", r.server.Forwarded())
-	}
-	if r.server.Repolled() != 2 {
-		t.Fatalf("repolled = %d, want 2", r.server.Repolled())
-	}
 	if lag := r.server.Lag("PACE"); lag.N() != 2 {
 		t.Fatalf("lag samples = %d, want 2 (one per detection)", lag.N())
 	}
-	if tr.Counter("monitor.forwarded") != 2 || tr.Counter("monitor.repolled") != 2 {
-		t.Fatalf("trace counters = forwarded %d repolled %d, want 2 and 2",
-			tr.Counter("monitor.forwarded"), tr.Counter("monitor.repolled"))
+	if fw, rp := r.tr.Counter("monitor.forwarded"), r.tr.Counter("monitor.repolled"); fw != 2 || rp != 2 {
+		t.Fatalf("counters = forwarded %d repolled %d, want 2 detections and 2 re-polls", fw, rp)
 	}
 }

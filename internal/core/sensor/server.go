@@ -41,9 +41,6 @@ type Server struct {
 	fwdS    []*series
 	scratch []float64
 
-	forwarded int
-	repolled  int
-	dropped   int
 	proc      *sim.Proc
 	onForward func([]Metric)
 	tr        *trace.Recorder
@@ -92,18 +89,12 @@ func NewServer(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config) *Se
 	}
 }
 
-// Forwarded returns the number of fresh metric detections forwarded to
-// Decision — metrics carrying a new generation time. Stale re-polls of
-// unchanged data (counted by Repolled) still travel on the wire but are
-// not detections, matching the lag accounting.
-func (sv *Server) Forwarded() int { return sv.forwarded }
-
-// Repolled returns the number of stale re-polls forwarded: metrics whose
-// underlying data had already been seen (same generation time).
-func (sv *Server) Repolled() int { return sv.repolled }
-
 // SetTracer attaches the flight recorder for stage counters and
-// per-sensor lag samples.
+// per-sensor lag samples. The recorder is the counters' only owner:
+// monitor.forwarded counts fresh detections (metrics carrying a new
+// generation time), monitor.repolled the stale re-polls of unchanged data
+// that still travel on the wire, and monitor.dropped_batches the batches
+// the out-of-order filter discarded.
 func (sv *Server) SetTracer(tr *trace.Recorder) { sv.tr = tr }
 
 // OnForward registers an observer for every metric batch forwarded to the
@@ -111,10 +102,6 @@ func (sv *Server) SetTracer(tr *trace.Recorder) { sv.tr = tr }
 // "as Decision receives them", Figure 9). The slice is the server's scratch:
 // it is valid only during the call, so fn copies what it keeps.
 func (sv *Server) OnForward(fn func([]Metric)) { sv.onForward = fn }
-
-// Dropped returns the number of stale batches discarded by the
-// out-of-order filter.
-func (sv *Server) Dropped() int { return sv.dropped }
 
 // Lag returns the accumulated detection-lag statistics for a sensor: the
 // time between data generation and the metric being forwarded to Decision.
@@ -167,7 +154,6 @@ func (sv *Server) run(p *sim.Proc) {
 		buf = batch
 		for _, env := range batch {
 			if !sv.filter.Admit(env) {
-				sv.dropped++
 				sv.tr.Inc("monitor.dropped_batches", 1)
 				continue
 			}
@@ -238,7 +224,6 @@ func (sv *Server) process(batch Batch) {
 		if s.hasGen && s.gen == m.GeneratedAt {
 			// Stale re-poll: not a detection event, for the forwarded
 			// counter exactly as for the lag accounting.
-			sv.repolled++
 			continue
 		}
 		detections++
@@ -254,7 +239,6 @@ func (sv *Server) process(batch Batch) {
 			sv.tr.SensorLag(m.Key.Sensor, m.ObservedAt-m.GeneratedAt)
 		}
 	}
-	sv.forwarded += detections
 	sv.tr.Inc("monitor.forwarded", int64(detections))
 	sv.tr.Inc("monitor.repolled", int64(len(out)-detections))
 	if sv.onForward != nil {

@@ -13,6 +13,7 @@ import (
 	"dyflow/internal/msg"
 	"dyflow/internal/sim"
 	"dyflow/internal/stats"
+	"dyflow/internal/trace"
 )
 
 // refServer is the Monitor server's bookkeeping exactly as it stood before
@@ -179,7 +180,7 @@ func (sv *refServer) deriveNodeWorkflow(def *spec.SensorDef, grp spec.GroupDef, 
 
 // snapshot renders the reference state as the server's snapshot would.
 func (sv *refServer) snapshot() ServerSnapshot {
-	snap := ServerSnapshot{Forwarded: sv.forwarded, Repolled: sv.repolled}
+	var snap ServerSnapshot
 	for k, m := range sv.last {
 		snap.Last = append(snap.Last, SeriesEntry{Key: k, Metric: m})
 	}
@@ -309,7 +310,11 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 		s := sim.New(seed)
 		bus := msg.NewBus(s)
 		dec := bus.Endpoint("decision")
+		// The recorder outlives the server swap below, as the
+		// orchestrator's does: the counters are its.
+		tr := trace.New()
 		sv := NewServer(s, bus, "monitor-server", "decision", cfg)
+		sv.SetTracer(tr)
 		var got []Metric
 		sv.OnForward(func(ms []Metric) { got = append(got, ms...) })
 		ref := newRefServer(cfg)
@@ -335,6 +340,7 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 					t.Fatal(err)
 				}
 				sv = NewServer(s, bus, "monitor-server", "decision", cfg)
+				sv.SetTracer(tr)
 				sv.OnForward(func(ms []Metric) { got = append(got, ms...) })
 				sv.Restore(snap)
 				if after, _ := json.Marshal(sv.Snapshot()); string(after) != string(before) {
@@ -373,9 +379,8 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 			wantMsgs = wantMsgs[:0]
 		}
 
-		if sv.Forwarded() != ref.forwarded || sv.Repolled() != ref.repolled {
-			t.Fatalf("seed %d: forwarded/repolled = %d/%d, reference %d/%d",
-				seed, sv.Forwarded(), sv.Repolled(), ref.forwarded, ref.repolled)
+		if fw, rp := tr.Counter("monitor.forwarded"), tr.Counter("monitor.repolled"); fw != int64(ref.forwarded) || rp != int64(ref.repolled) {
+			t.Fatalf("seed %d: forwarded/repolled = %d/%d, reference %d/%d", seed, fw, rp, ref.forwarded, ref.repolled)
 		}
 		for _, id := range []string{"A", "B", "C", "D", "E", "X"} {
 			want := (&stats.Welford{}).State()

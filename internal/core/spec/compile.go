@@ -95,14 +95,6 @@ type PolicyBinding struct {
 	Params     map[string]string
 }
 
-// Param returns a binding parameter with a default.
-func (b *PolicyBinding) Param(key, def string) string {
-	if v, ok := b.Params[key]; ok {
-		return v
-	}
-	return def
-}
-
 // IntParam returns an integer binding parameter with a default.
 func (b *PolicyBinding) IntParam(key string, def int) int {
 	if v, ok := b.Params[key]; ok {
@@ -182,9 +174,6 @@ type Config struct {
 	Bindings []PolicyBinding
 	Rules    map[string]*WorkflowRules
 }
-
-// RulesFor returns the rules for a workflow (nil if none declared).
-func (c *Config) RulesFor(workflow string) *WorkflowRules { return c.Rules[workflow] }
 
 // errorList accumulates validation problems so users see all of them at
 // once.

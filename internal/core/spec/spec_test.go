@@ -126,11 +126,11 @@ func TestCompilePaperExample(t *testing.T) {
 	if b.IntParam("adjust-by", 0) != 20 {
 		t.Fatalf("adjust-by = %v", b.Params)
 	}
-	if b.IntParam("missing", 7) != 7 || b.Param("missing", "x") != "x" {
+	if b.IntParam("missing", 7) != 7 {
 		t.Fatal("param defaults broken")
 	}
 
-	rules := cfg.RulesFor("GS-WORKFLOW")
+	rules := cfg.Rules["GS-WORKFLOW"]
 	if rules.TaskPriority("GrayScott") != 0 || rules.TaskPriority("Isosurface") != 1 {
 		t.Fatalf("task priorities = %+v", rules.TaskPriorities)
 	}

@@ -17,33 +17,22 @@ const (
 	StageArbiter       = "arbiter"
 )
 
-// SupervisorConfig tunes stage supervision.
-type SupervisorConfig struct {
-	// WatchEvery is the watchdog's sampling cadence.
-	WatchEvery time.Duration
-	// StallAfter is how long a stage's inbound queue may sit non-empty
+// The supervision policy.
+const (
+	// watchEvery is the watchdog's sampling cadence.
+	watchEvery = 30 * time.Second
+	// stallAfter is how long a stage's inbound queue may sit non-empty
 	// without draining before the watchdog declares the stage stalled and
 	// restarts it.
-	StallAfter time.Duration
-	// BackoffBase is the delay before the first restart of a stage;
-	// subsequent restarts double it up to BackoffMax.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// MaxRestarts bounds restarts per stage; past it the supervisor gives
+	stallAfter = 2 * time.Minute
+	// backoffBase is the delay before the first restart of a stage;
+	// subsequent restarts double it up to backoffMax.
+	backoffBase = time.Second
+	backoffMax  = 2 * time.Minute
+	// maxRestarts bounds restarts per stage; past it the supervisor gives
 	// up and leaves the stage down (a crash loop must not spin forever).
-	MaxRestarts int
-}
-
-// DefaultSupervisorConfig returns the default supervision policy.
-func DefaultSupervisorConfig() SupervisorConfig {
-	return SupervisorConfig{
-		WatchEvery:  30 * time.Second,
-		StallAfter:  2 * time.Minute,
-		BackoffBase: time.Second,
-		BackoffMax:  2 * time.Minute,
-		MaxRestarts: 8,
-	}
-}
+	maxRestarts = 8
+)
 
 // stageGuard tracks one stage's supervision state.
 type stageGuard struct {
@@ -63,33 +52,15 @@ type stageGuard struct {
 // stage mid-mutation, and the checkpoint is the last consistent state.
 type Supervisor struct {
 	o        *Orchestrator
-	cfg      SupervisorConfig
 	stages   map[string]*stageGuard
 	proc     *sim.Proc
 	stopped  bool
 	restarts *obs.CounterVec // dyflow_stage_restarts_total{stage,reason}
 }
 
-func newSupervisor(o *Orchestrator, cfg SupervisorConfig) *Supervisor {
-	def := DefaultSupervisorConfig()
-	if cfg.WatchEvery <= 0 {
-		cfg.WatchEvery = def.WatchEvery
-	}
-	if cfg.StallAfter <= 0 {
-		cfg.StallAfter = def.StallAfter
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = def.BackoffBase
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = def.BackoffMax
-	}
-	if cfg.MaxRestarts <= 0 {
-		cfg.MaxRestarts = def.MaxRestarts
-	}
-	s := &Supervisor{
-		o:   o,
-		cfg: cfg,
+func newSupervisor(o *Orchestrator) *Supervisor {
+	return &Supervisor{
+		o: o,
 		stages: map[string]*stageGuard{
 			StageMonitorServer: {},
 			StageMonitorClient: {},
@@ -99,7 +70,6 @@ func newSupervisor(o *Orchestrator, cfg SupervisorConfig) *Supervisor {
 		restarts: o.Metrics.Counter("dyflow_stage_restarts_total",
 			"Supervised stage restarts by stage and reason (panic, stall).", "stage", "reason"),
 	}
-	return s
 }
 
 // logf writes to the simulation's debug log (inert without one).
@@ -107,14 +77,6 @@ func (s *Supervisor) logf(format string, args ...any) {
 	if s.o.env.Sim.Logf != nil {
 		s.o.env.Sim.Logf("[%12s] supervisor: %s", s.o.env.Sim.Now(), fmt.Sprintf(format, args...))
 	}
-}
-
-// Restarts returns how many times a stage has been restarted.
-func (s *Supervisor) Restarts(stage string) int {
-	if g, ok := s.stages[stage]; ok {
-		return g.restarts
-	}
-	return 0
 }
 
 // spawner returns the guarded spawner injected into a stage: a panic in
@@ -142,17 +104,17 @@ func (s *Supervisor) scheduleRestart(stage, reason string) {
 	if g == nil || g.down {
 		return
 	}
-	if g.restarts >= s.cfg.MaxRestarts {
+	if g.restarts >= maxRestarts {
 		if !g.gaveUp {
 			g.gaveUp = true
 			g.down = true
-			s.logf("stage %q exceeded %d restarts, giving up", stage, s.cfg.MaxRestarts)
+			s.logf("stage %q exceeded %d restarts, giving up", stage, maxRestarts)
 		}
 		return
 	}
-	delay := s.cfg.BackoffBase << g.restarts
-	if delay > s.cfg.BackoffMax || delay <= 0 {
-		delay = s.cfg.BackoffMax
+	delay := backoffBase << g.restarts
+	if delay > backoffMax || delay <= 0 {
+		delay = backoffMax
 	}
 	g.down = true
 	g.restarts++
@@ -187,11 +149,11 @@ func (s *Supervisor) Stop() {
 
 // watch is the watchdog process: it samples each endpoint-fed stage's
 // inbound queue and restarts a stage whose queue sits non-empty without
-// draining for StallAfter — the liveness heartbeat of a stage is that it
+// draining for stallAfter — the liveness heartbeat of a stage is that it
 // consumes its input.
 func (s *Supervisor) watch(p *sim.Proc) {
 	for {
-		if err := p.Sleep(s.cfg.WatchEvery); err != nil {
+		if err := p.Sleep(watchEvery); err != nil {
 			return
 		}
 		if s.stopped {
@@ -210,7 +172,7 @@ func (s *Supervisor) check(stage string, pending int, busy bool) {
 	now := s.o.env.Sim.Now()
 	if g.lastProgress == 0 || pending == 0 || pending < g.lastPending || busy || g.down {
 		g.lastProgress = now
-	} else if now-g.lastProgress >= s.cfg.StallAfter {
+	} else if now-g.lastProgress >= stallAfter {
 		s.scheduleRestart(stage, "stall")
 		g.lastProgress = now
 	}

@@ -77,15 +77,5 @@ func (svc *Service) Since(key string, afterStep int) []Record {
 	return out
 }
 
-// Keys returns all keys with data, sorted.
-func (svc *Service) Keys() []string {
-	out := make([]string, 0, len(svc.series))
-	for k := range svc.series {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Stats reports lifetime write and query counts.
 func (svc *Service) Stats() (writes, queries int) { return svc.writes, svc.queries }

@@ -66,6 +66,13 @@ func TestGrayScottSummitReproducesFigure8(t *testing.T) {
 	if res.PaceAfter < 24 || res.PaceAfter > 36 {
 		t.Fatalf("pace after = %.1f, want inside [24, 36]", res.PaceAfter)
 	}
+
+	// EXPERIMENTS.md's Figures 8 & 9 table quotes this run.
+	base, err := RunGrayScott(1, apps.Summit, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTableQuotes(t, "## Figures 8 & 9", "## Figure 1", GrayScottReport(res, base))
 }
 
 // TestGrayScottBaselineOverrunsLimit: without DYFLOW the run exceeds the

@@ -70,27 +70,38 @@ func TestXGCSummitReproducesFigure6(t *testing.T) {
 		}
 	}
 
-	// EXPERIMENTS.md's Figure 6 table quotes this run: each row of the
-	// report is a row there, under the same metric, with the same measured
-	// string in it.
+	// EXPERIMENTS.md's Figure 6 table quotes this run.
 	base, err := RunXGCBaseline(1, apps.Summit, res.FinalStep)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireTableQuotes(t, "## Figure 6", "## Table 2", XGCReport(res, time.Duration(base)))
+}
+
+// requireTableQuotes checks that EXPERIMENTS.md's table under the heading
+// from (and above the heading to) quotes the report: each report row is a
+// row there, under the same metric, with the measured string in its
+// Measured cell.
+func requireTableQuotes(t *testing.T, from, to string, rep *Report) {
+	t.Helper()
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	section := string(doc[bytes.Index(doc, []byte("## Figure 6")):])
+	start := bytes.Index(doc, []byte("\n"+from))
+	end := bytes.Index(doc[max(start, 0):], []byte("\n"+to))
+	if start < 0 || end < 0 {
+		t.Fatalf("EXPERIMENTS.md has no section from %q to %q", from, to)
+	}
 	measured := map[string]string{}
-	for _, line := range strings.Split(section[:strings.Index(section, "\n## Table 2")], "\n") {
+	for _, line := range strings.Split(string(doc[start:start+end]), "\n") {
 		if cells := strings.Split(line, " | "); len(cells) == 4 {
 			measured[strings.TrimPrefix(cells[0], "| ")] = cells[2]
 		}
 	}
-	for _, row := range XGCReport(res, time.Duration(base)).Rows {
+	for _, row := range rep.Rows {
 		if !strings.Contains(measured[row.Metric], row.Measured) {
-			t.Errorf("EXPERIMENTS.md, Figure 6, %q: the table says %q, this run measured %q", row.Metric, measured[row.Metric], row.Measured)
+			t.Errorf("EXPERIMENTS.md, %s, %q: the table says %q, this run measured %q", from, row.Metric, measured[row.Metric], row.Measured)
 		}
 	}
 }

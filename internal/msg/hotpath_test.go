@@ -96,7 +96,7 @@ func TestRestoredEnvelopeDecode(t *testing.T) {
 	if !ok {
 		t.Fatal("restored queue empty")
 	}
-	if env.Payload() != nil {
+	if env.payload != nil {
 		t.Fatal("restored envelope should not carry a typed payload")
 	}
 	var got hotPayload

@@ -43,10 +43,6 @@ type Envelope struct {
 	payload any
 }
 
-// Payload returns the live typed payload, or nil for envelopes restored
-// from a checkpoint (whose payload exists only as JSON in Data).
-func (e *Envelope) Payload() any { return e.payload }
-
 // Decode extracts the payload into v (a non-nil pointer). For live
 // envelopes whose payload type matches *v exactly, this is a zero-copy
 // assignment; a type mismatch falls back to a JSON round trip (preserving

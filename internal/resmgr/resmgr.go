@@ -252,12 +252,6 @@ func (m *Manager) Allocate(n int) ([]cluster.NodeID, error) {
 	return granted, nil
 }
 
-// RequestNodes asks for extra whole nodes beyond the current allocation
-// (the paper notes on-demand allocation "is not commonplace on
-// supercomputers"; experiments therefore pre-allocate spares, but the
-// operation exists for completeness). It returns the granted node IDs.
-func (m *Manager) RequestNodes(n int) ([]cluster.NodeID, error) { return m.Allocate(n) }
-
 // ReleaseNodes returns whole nodes to the cluster. Nodes with assigned
 // cores cannot be released, and neither can nodes that were never part of
 // the allocation — silently "releasing" a foreign node would hide a

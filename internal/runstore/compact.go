@@ -36,11 +36,7 @@ func (s *Store) needCompactLocked() bool {
 	if min <= 0 {
 		min = DefaultCompactMinRecords
 	}
-	frac := s.opt.CompactFraction
-	if frac <= 0 {
-		frac = DefaultCompactFraction
-	}
-	return dead >= min && float64(dead) > frac*float64(records)
+	return dead >= min && float64(dead) > compactFraction*float64(records)
 }
 
 // Compact runs one compaction synchronously (no-op when there is

@@ -42,8 +42,11 @@ import (
 const (
 	DefaultSegmentBytes      = 4 << 20
 	DefaultCompactMinRecords = 1024
-	DefaultCompactFraction   = 0.5
 )
+
+// compactFraction is the dead/total fraction of sealed records past which
+// auto-compaction triggers.
+const compactFraction = 0.5
 
 // recordKind tags every framed record in a segment file.
 const recordKind = "run"
@@ -63,9 +66,6 @@ type Options struct {
 	// CompactMinRecords is the minimum count of dead sealed records
 	// before auto-compaction triggers (0 = DefaultCompactMinRecords).
 	CompactMinRecords int
-	// CompactFraction is the dead/total fraction of sealed records that
-	// triggers auto-compaction (0 = DefaultCompactFraction).
-	CompactFraction float64
 	// Metrics receives the dyflow_runstore_* families (nil = private).
 	Metrics *obs.Registry
 	// Logger receives recovery and compaction notes (nil = stderr).

@@ -198,13 +198,6 @@ func (b *BlobStore) Size(digest string) int64 {
 	return fi.Size()
 }
 
-// Len returns the number of in-memory blobs (tests).
-func (b *BlobStore) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.mem)
-}
-
 // GC drops every blob whose digest is not in keep — the coordinator calls
 // it after a restore, once the run table says which artifacts are still
 // referenced, so re-executed runs' superseded bytes do not accumulate. It

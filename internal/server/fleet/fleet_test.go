@@ -35,8 +35,8 @@ func TestBlobStoreContentAddressing(t *testing.T) {
 	if _, err := b.Put(data); err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 1 {
-		t.Fatalf("%d blobs after duplicate Put", b.Len())
+	if v, _ := reg.Value("dyflow_server_fleet_blobs"); v != 1 {
+		t.Fatalf("%v blobs after duplicate Put", v)
 	}
 	if v, _ := reg.Value("dyflow_server_fleet_blob_dedup_total"); v != 1 {
 		t.Fatalf("dedup counter = %v", v)
@@ -104,7 +104,7 @@ func TestBlobStoreGCCountsEachBlobOnce(t *testing.T) {
 	if n := b.GC(map[string]bool{digests[0]: true}); n != 2 {
 		t.Fatalf("GC of 3 blobs keeping 1 reports %d swept, want 2", n)
 	}
-	if b.Len() != 1 || !b.Has(digests[0]) || b.Has(digests[1]) || b.Has(digests[2]) {
+	if len(b.mem) != 1 || !b.Has(digests[0]) || b.Has(digests[1]) || b.Has(digests[2]) {
 		t.Fatal("GC kept the wrong blobs")
 	}
 }

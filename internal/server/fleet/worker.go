@@ -41,10 +41,6 @@ type WorkerOptions struct {
 	// RegisterWait bounds how long registration is retried against an
 	// unreachable coordinator before giving up. 0 means 10s.
 	RegisterWait time.Duration
-	// MaxSpanBuffer caps the flight-recorder spans buffered while the
-	// coordinator is unreachable; beyond it the oldest spans are dropped
-	// and counted in dyflow_worker_span_drops_total. 0 means 1024.
-	MaxSpanBuffer int
 	// BackoffSeed seeds retry jitter for reproducible tests. 0 seeds from
 	// the clock.
 	BackoffSeed int64
@@ -53,14 +49,12 @@ type WorkerOptions struct {
 	// OnClaim, when set (tests, chaos), is called with each claimed run ID
 	// before execution starts — it can block to hold the lease mid-claim.
 	OnClaim func(runID string)
-	// Metrics is the worker's registry; a fresh one is created when nil.
-	// The worker registers its dyflow_worker_* families here and pushes
-	// snapshots to the coordinator on MetricsEvery cadence.
-	Metrics *obs.Registry
-	// MetricsEvery is the push cadence for registry snapshots. 0 means
-	// the heartbeat cadence.
-	MetricsEvery time.Duration
 }
+
+// maxSpanBuffer caps the flight-recorder spans a worker buffers while the
+// coordinator is unreachable; beyond it the oldest spans are dropped and
+// counted in dyflow_worker_span_drops_total.
+const maxSpanBuffer = 1024
 
 // Worker is one fleet member: it registers with its coordinator, then each
 // slot loops claim → execute (exp.RunJob, heartbeating the lease on
@@ -86,13 +80,20 @@ type Worker struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	// claimCtx is ctx for claiming alone: once Stop cancels it the slots
+	// claim no more, and one parked in a long-poll returns at once, while
+	// executions and their uploads go on under ctx.
+	claimCtx     context.Context
+	cancelClaims context.CancelFunc
+	wg           sync.WaitGroup
 
-	killed   atomic.Bool
-	claiming atomic.Bool // false once Stop was called: finish in-flight, claim no more
+	killed atomic.Bool
 
 	completed atomic.Int64
 
+	// reg holds the worker's dyflow_worker_* families; its snapshots are
+	// pushed to the coordinator once per third of the lease TTL, and once
+	// more by Stop.
 	reg      *obs.Registry
 	pushDone chan struct{}
 
@@ -131,13 +132,7 @@ func Start(c Coordinator, o WorkerOptions) (*Worker, error) {
 	if o.RegisterWait <= 0 {
 		o.RegisterWait = 10 * time.Second
 	}
-	if o.MaxSpanBuffer <= 0 {
-		o.MaxSpanBuffer = 1024
-	}
-	mreg := o.Metrics
-	if mreg == nil {
-		mreg = obs.NewRegistry()
-	}
+	mreg := obs.NewRegistry()
 	w := &Worker{o: o, c: c, reg: mreg, pushDone: make(chan struct{})}
 	w.metClaims = mreg.Counter("dyflow_worker_claims_total",
 		"Runs this worker claimed from the coordinator.").With()
@@ -156,7 +151,7 @@ func Start(c Coordinator, o WorkerOptions) (*Worker, error) {
 	w.metSpanDrops = mreg.Counter("dyflow_worker_span_drops_total",
 		"Flight-recorder spans dropped because the buffer filled while the coordinator was unreachable.").With()
 	w.ctx, w.cancel = context.WithCancel(context.Background())
-	w.claiming.Store(true)
+	w.claimCtx, w.cancelClaims = context.WithCancel(w.ctx)
 
 	// Registration retries through a flaky network: workers are often
 	// started alongside (or before) the coordinator.
@@ -177,11 +172,9 @@ func Start(c Coordinator, o WorkerOptions) (*Worker, error) {
 		w.wg.Add(1)
 		go w.slot(i)
 	}
-	every := o.MetricsEvery
-	if every <= 0 {
-		every = w.hbEach
-	}
-	go w.metricsLoop(every)
+	// A snapshot is not worth taking at the heartbeat cadence of an
+	// in-process worker, so pushes keep the remote cadence, TTL/3.
+	go w.metricsLoop(heartbeatEvery(RegisterResponse{LeaseTTLMs: reg.LeaseTTLMs}))
 	return w, nil
 }
 
@@ -194,10 +187,11 @@ func (w *Worker) Registry() *obs.Registry { return w.reg }
 // Completed returns how many runs this worker finished and uploaded.
 func (w *Worker) Completed() int64 { return w.completed.Load() }
 
-// Stop drains the worker: no new claims, in-flight runs finish and
-// upload, a final metrics snapshot is pushed, then the loops exit.
+// Stop drains the worker: no new claims and a parked claim returns at
+// once, in-flight runs finish and upload, a final metrics snapshot is
+// pushed, then the loops exit.
 func (w *Worker) Stop() {
-	w.claiming.Store(false)
+	w.cancelClaims()
 	w.wg.Wait()
 	w.pushMetrics()
 	w.cancel()
@@ -211,7 +205,6 @@ func (w *Worker) Stop() {
 // whatever this worker held.
 func (w *Worker) Kill() {
 	w.killed.Store(true)
-	w.claiming.Store(false)
 	w.cancel()
 	w.wg.Wait()
 	<-w.pushDone
@@ -248,15 +241,15 @@ func (w *Worker) pushMetrics() {
 func (w *Worker) slot(n int) {
 	defer w.wg.Done()
 	b := newBackoff(10*time.Millisecond, time.Second, mixSeed(w.o.BackoffSeed, int64(n)))
-	for w.claiming.Load() {
+	for w.claimCtx.Err() == nil {
 		// ok=false: the queue stayed empty for the whole window.
-		claim, ok, err := w.c.Claim(w.ctx, w.id, w.o.ClaimWait)
+		claim, ok, err := w.c.Claim(w.claimCtx, w.id, w.o.ClaimWait)
 		if err != nil {
-			if w.ctx.Err() != nil {
+			if w.claimCtx.Err() != nil {
 				return
 			}
 			w.metRetries.With("claim").Inc()
-			if !sleepCtx(w.ctx, b.next()) {
+			if !sleepCtx(w.claimCtx, b.next()) {
 				return
 			}
 			continue
@@ -373,7 +366,7 @@ func (w *Worker) execute(claim ClaimResponse) {
 	defer w.metActive.Add(-1)
 	started := time.Now()
 
-	spans := &spanBuffer{cap: w.o.MaxSpanBuffer, drops: w.metSpanDrops}
+	spans := &spanBuffer{cap: maxSpanBuffer, drops: w.metSpanDrops}
 
 	out, err := exp.RunJob(claim.Job, func(world *exp.World) error {
 		if world.Orch != nil {

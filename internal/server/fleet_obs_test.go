@@ -38,15 +38,13 @@ func TestFleetMetricsAggregation(t *testing.T) {
 	var workers []*fleet.Worker
 	for i := 0; i < 2; i++ {
 		w, err := fleet.JoinFleet(fleet.WorkerOptions{
-			Coordinator:  addr,
-			Name:         fmt.Sprintf("obs-%d", i),
-			ClaimWait:    50 * time.Millisecond,
-			MetricsEvery: 10 * time.Millisecond,
+			Coordinator: addr,
+			Name:        fmt.Sprintf("obs-%d", i),
+			ClaimWait:   50 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer w.Stop()
 		workers = append(workers, w)
 	}
 
@@ -60,21 +58,17 @@ func TestFleetMetricsAggregation(t *testing.T) {
 		}
 	}
 
-	// Both workers push on a 10ms cadence; wait for both snapshots to
-	// arrive and surface in the merged Prometheus exposition.
+	// Stop pushes each worker's final snapshot, so the merged exposition
+	// and the fleet view hold every outcome without waiting on a cadence.
+	for _, w := range workers {
+		w.Stop()
+	}
 	ids := []string{workers[0].ID(), workers[1].ID()}
-	deadline := time.Now().Add(10 * time.Second)
-	var text string
-	for {
-		text = string(httpGet(t, addr, "/metrics"))
-		if strings.Contains(text, fmt.Sprintf(`dyflow_worker_claims_total{worker=%q}`, ids[0])) &&
-			strings.Contains(text, fmt.Sprintf(`dyflow_worker_claims_total{worker=%q}`, ids[1])) {
-			break
+	text := string(httpGet(t, addr, "/metrics"))
+	for _, id := range ids {
+		if !strings.Contains(text, fmt.Sprintf(`dyflow_worker_claims_total{worker=%q}`, id)) {
+			t.Fatalf("worker %s's families missing from /metrics:\n%s", id, text)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker-labeled families never appeared in /metrics:\n%s", text)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	// Coordinator families share the same scrape.
 	if !strings.Contains(text, "dyflow_server_fleet_claims_total") ||
@@ -82,30 +76,22 @@ func TestFleetMetricsAggregation(t *testing.T) {
 		t.Fatal("merged /metrics is missing coordinator families")
 	}
 
-	// The final outcome increment rides the next 10ms push; poll the view
-	// until both workers' run totals have landed.
 	var mv fleet.MetricsView
-	for {
-		if err := json.Unmarshal(httpGet(t, addr, "/v1/fleet/metrics"), &mv); err != nil {
-			t.Fatal(err)
-		}
-		var totalRuns float64
-		for _, snap := range mv.Workers {
-			for _, m := range snap.Metrics {
-				if m.Name == "dyflow_worker_runs_total" {
-					for _, series := range m.Series {
-						totalRuns += series.Value
-					}
+	if err := json.Unmarshal(httpGet(t, addr, "/v1/fleet/metrics"), &mv); err != nil {
+		t.Fatal(err)
+	}
+	var totalRuns float64
+	for _, snap := range mv.Workers {
+		for _, m := range snap.Metrics {
+			if m.Name == "dyflow_worker_runs_total" {
+				for _, series := range m.Series {
+					totalRuns += series.Value
 				}
 			}
 		}
-		if len(mv.Workers) == 2 && totalRuns == 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet metrics view never converged: %d workers, %v finished runs (want 2, 4)", len(mv.Workers), totalRuns)
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if len(mv.Workers) != 2 || totalRuns != 4 {
+		t.Fatalf("fleet metrics view: %d workers, %v finished runs (want 2, 4)", len(mv.Workers), totalRuns)
 	}
 	if len(mv.Merged.Metrics) == 0 {
 		t.Fatal("merged snapshot empty")

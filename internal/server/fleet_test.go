@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -275,5 +277,38 @@ func TestFleetStaleResultIgnored(t *testing.T) {
 	}
 	if v := counter(t, s, "dyflow_server_runs_total"); v != 1 {
 		t.Fatalf("runs_total = %v for 1 submission", v)
+	}
+}
+
+// claimSeen is an http.RoundTripper that closes sent when the worker's
+// first claim request goes out.
+type claimSeen struct {
+	once sync.Once
+	sent chan struct{}
+}
+
+func (c *claimSeen) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, "/claim") {
+		c.once.Do(func() { close(c.sent) })
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestWorkerStopCancelsParkedClaim: a worker draining on an empty queue
+// does not wait out its claim's long-poll window — Stop cancels the
+// parked claim.
+func TestWorkerStopCancelsParkedClaim(t *testing.T) {
+	_, addr := startFleetCoordinator(t, 2*time.Second)
+	seen := &claimSeen{sent: make(chan struct{})}
+	w, err := fleet.JoinFleet(fleet.WorkerOptions{Coordinator: addr, Name: "idle",
+		ClaimWait: 5 * time.Second, Client: &http.Client{Transport: seen}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-seen.sent
+	start := time.Now()
+	w.Stop()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Stop took %v with a claim parked on an empty queue, want < 1s", d)
 	}
 }

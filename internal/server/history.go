@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"dyflow/internal/exp"
@@ -219,33 +218,4 @@ func (s *Server) QueryRuns(q RunQuery) (RunPage, error) {
 		}
 	}
 	return out, nil
-}
-
-// Runs lists every run in submission order (internal and test callers;
-// the HTTP listing paginates through QueryRuns).
-func (s *Server) Runs() []Status {
-	page, err := s.QueryRuns(RunQuery{})
-	if err != nil {
-		return nil
-	}
-	out := page.Runs
-	// Robustness: a resident run whose history append failed still lists.
-	seen := make(map[string]bool, len(out))
-	for _, st := range out {
-		seen[st.ID] = true
-	}
-	s.mu.Lock()
-	for _, id := range s.order {
-		if !seen[id] {
-			out = append(out, s.runs[id].status())
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].SubmittedAt.Equal(out[j].SubmittedAt) {
-			return out[i].SubmittedAt.Before(out[j].SubmittedAt)
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }

@@ -51,8 +51,8 @@ func TestTerminalRunsEvicted(t *testing.T) {
 	}
 
 	// Every read path still answers for evicted runs.
-	if all := s.Runs(); len(all) != n {
-		t.Fatalf("Runs() lists %d, want %d", len(all), n)
+	if all := listRuns(t, s); len(all) != n {
+		t.Fatalf("the run listing holds %d, want %d", len(all), n)
 	}
 	st, err := s.RunStatus(ids[0])
 	if err != nil || st.State != StateDone {
@@ -230,8 +230,8 @@ func TestSweepRetentionCountsEachBlobOnce(t *testing.T) {
 		return n
 	}
 	held := blobFiles()
-	if held == 0 || held != s.blobs.Len() {
-		t.Fatalf("%d blob files for %d blobs in memory", held, s.blobs.Len())
+	if mem := counter(t, s, "dyflow_server_fleet_blobs"); held == 0 || float64(held) != mem {
+		t.Fatalf("%d blob files for %v blobs in memory", held, mem)
 	}
 	if n := s.SweepRetention(); n != 2 {
 		t.Fatalf("retention deleted %d of 2 runs", n)
@@ -242,4 +242,14 @@ func TestSweepRetentionCountsEachBlobOnce(t *testing.T) {
 	if v := counter(t, s, "dyflow_runstore_gc_blobs_total"); v != float64(held) {
 		t.Fatalf("dyflow_runstore_gc_blobs_total = %v after sweeping %d blobs", v, held)
 	}
+}
+
+// listRuns lists every run through the read path GET /v1/runs serves.
+func listRuns(t *testing.T, s *Server) []Status {
+	t.Helper()
+	page, err := s.QueryRuns(RunQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return page.Runs
 }

@@ -85,7 +85,7 @@ func TestRestoreOverCapacityQueue(t *testing.T) {
 		t.Fatalf("restart with unfinished runs over QueueDepth: %v", err)
 	}
 	defer s2.Close()
-	if got := len(s2.Runs()); got != 4 {
+	if got := len(listRuns(t, s2)); got != 4 {
 		t.Fatalf("restored %d of 4 runs", got)
 	}
 	for _, id := range ids {
@@ -151,7 +151,7 @@ func TestRestoreOrphanedCachedRun(t *testing.T) {
 
 	// The moment restore finishes, no run may sit done with unservable
 	// artifacts.
-	for _, st := range s.Runs() {
+	for _, st := range listRuns(t, s) {
 		if st.State == StateDone {
 			if _, err := s.Artifact(st.ID, exp.ArtifactReport); err != nil {
 				t.Fatalf("restored run %s is done but its artifacts 404: %v", st.ID, err)
@@ -284,7 +284,7 @@ func TestRestoreAppendFailuresObservable(t *testing.T) {
 			t.Fatalf("%s = %v after refused submit %d", series, v, i)
 		}
 	}
-	if n := len(s.Runs()); n != 1 {
+	if n := len(listRuns(t, s)); n != 1 {
 		t.Fatalf("%d runs listed after two refused submissions, want 1", n)
 	}
 	if s.QueueDepth() != 0 {
@@ -335,7 +335,7 @@ func TestRestoreRunIDsNeverReuseAfterRetentionCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if n := len(s2.Runs()); n != 0 {
+	if n := len(listRuns(t, s2)); n != 0 {
 		t.Fatalf("%d runs listed after retention deleted all of them", n)
 	}
 	st, err := s2.Submit("alice", quick(9))
@@ -511,7 +511,7 @@ func TestRestoreTornTailEveryByte(t *testing.T) {
 		next := s.nextID
 		s.mu.Unlock()
 		got := map[string]RunState{}
-		for _, st := range s.Runs() {
+		for _, st := range listRuns(t, s) {
 			got[st.ID] = st.State
 			if st.State == StateDone {
 				if blob, err := s.Artifact(st.ID, exp.ArtifactReport); err != nil || len(blob) == 0 {

@@ -223,11 +223,9 @@ func (s *Server) every(interval time.Duration, fn func()) {
 
 // startLocal starts the worker that shares the coordinator's process: a
 // fleet.Worker like any other, whose Coordinator is s itself. Its registry
-// is its own, pushed like a remote worker's but no more often than one is:
-// a snapshot is not worth taking at the in-process heartbeat's cadence.
+// is its own, pushed like a remote worker's.
 func (s *Server) startLocal(o fleet.WorkerOptions) (err error) {
 	o.Name = localWorkerID
-	o.MetricsEvery = s.cfg.LeaseTTL / 3
 	s.local, err = fleet.Start(s, o)
 	return err
 }

@@ -272,7 +272,7 @@ func TestKillRestartResumesQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := len(s2.Runs()); got != 6 {
+	if got := len(listRuns(t, s2)); got != 6 {
 		t.Fatalf("restored %d of 6 runs", got)
 	}
 	for _, id := range ids {
@@ -313,7 +313,7 @@ func TestKillRestartMidExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := len(s2.Runs()); got != 8 {
+	if got := len(listRuns(t, s2)); got != 8 {
 		t.Fatalf("restored %d of 8 runs", got)
 	}
 	for _, id := range ids {

@@ -25,7 +25,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 // BenchmarkCancelHeavy measures schedule/cancel churn: every iteration
-// schedules a far-future timer and cancels it, the WaitTimeout pattern.
+// schedules a far-future timer and cancels it, as an interrupted Sleep does.
 // Eager removal keeps the heap at depth ~1 instead of accumulating
 // tombstones.
 func BenchmarkCancelHeavy(b *testing.B) {

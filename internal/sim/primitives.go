@@ -1,9 +1,8 @@
 package sim
 
 // This file provides the synchronization primitives simulated processes
-// coordinate with: broadcast Signals, bounded FIFO Queues, and counting
-// Resources. All of them wake waiters in FIFO order through the event queue,
-// preserving determinism.
+// coordinate with: broadcast Signals and bounded FIFO Queues. Both wake
+// waiters in FIFO order through the event queue, preserving determinism.
 
 // Signal is a broadcast condition: processes Wait on it and every waiter is
 // woken by the next Broadcast. There is no memory — a Broadcast with no
@@ -43,16 +42,13 @@ func (sig *Signal) Broadcast() {
 		sig.waiters = nil
 	}
 	for _, w := range waiters {
-		w.scheduleWake(nil, true)
+		w.scheduleWake(nil)
 	}
 	for i := range waiters {
 		waiters[i] = nil
 	}
 	sig.scratch = waiters[:0]
 }
-
-// Waiters reports how many processes are currently waiting on the signal.
-func (sig *Signal) Waiters() int { return len(sig.waiters) }
 
 // Queue is a FIFO channel between simulated processes. A capacity of zero or
 // less means unbounded. Put blocks while the queue is full; Get blocks while
@@ -79,9 +75,6 @@ func NewQueue[T any](s *Sim, capacity int) *Queue[T] {
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return len(q.items) }
 
-// Cap returns the queue capacity (<= 0 means unbounded).
-func (q *Queue[T]) Cap() int { return q.cap }
-
 func (q *Queue[T]) full() bool { return q.cap > 0 && len(q.items) >= q.cap }
 
 // ErrClosed is returned by queue operations on a closed queue.
@@ -101,9 +94,6 @@ func (q *Queue[T]) Close() {
 	q.notEmpty.Broadcast()
 	q.notFull.Broadcast()
 }
-
-// Closed reports whether the queue has been closed.
-func (q *Queue[T]) Closed() bool { return q.closed }
 
 // Put appends v, blocking the calling process while the queue is full. It
 // returns ErrClosed if the queue is (or becomes) closed, or the
@@ -200,102 +190,4 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 // consuming them (checkpoint inspection; the live queue is untouched).
 func (q *Queue[T]) Items() []T {
 	return append([]T(nil), q.items...)
-}
-
-// Drain removes and returns all buffered items without blocking.
-func (q *Queue[T]) Drain() []T {
-	items := q.items
-	q.items = nil
-	if len(items) > 0 {
-		q.notFull.Broadcast()
-	}
-	return items
-}
-
-// Resource is a counting semaphore over identical units (e.g. CPU cores in
-// a coarse model). Acquire blocks until the requested units are available.
-// Waiters are served strictly FIFO, so a large request is not starved by a
-// stream of small ones.
-type Resource struct {
-	sim      *Sim
-	capacity int
-	inUse    int
-	changed  *Signal
-	pending  []*resWaiter // FIFO of outstanding Acquire requests
-}
-
-type resWaiter struct{ n int }
-
-// NewResource creates a resource with capacity total units.
-func NewResource(s *Sim, capacity int) *Resource {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Resource{sim: s, capacity: capacity, changed: NewSignal(s)}
-}
-
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of currently acquired units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Available returns the number of free units.
-func (r *Resource) Available() int { return r.capacity - r.inUse }
-
-// Acquire blocks the calling process until n units are available and claims
-// them. Requests are served FIFO. It returns the interrupt/stop error
-// delivered while blocked; on error no units are held.
-func (r *Resource) Acquire(p *Proc, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	if n > r.capacity {
-		return errorString("sim: resource request exceeds capacity")
-	}
-	w := &resWaiter{n: n}
-	r.pending = append(r.pending, w)
-	for {
-		if len(r.pending) > 0 && r.pending[0] == w && r.capacity-r.inUse >= n {
-			r.inUse += n
-			r.pending = r.pending[1:]
-			r.changed.Broadcast() // later waiters may also fit
-			return nil
-		}
-		if err := p.Wait(r.changed); err != nil {
-			for i, pw := range r.pending {
-				if pw == w {
-					r.pending = append(r.pending[:i], r.pending[i+1:]...)
-					break
-				}
-			}
-			r.changed.Broadcast() // our departure may unblock the new head
-			return err
-		}
-	}
-}
-
-// TryAcquire claims n units if they are immediately available and no earlier
-// request is waiting. It reports whether the units were claimed.
-func (r *Resource) TryAcquire(n int) bool {
-	if n <= 0 {
-		return true
-	}
-	if len(r.pending) > 0 || r.capacity-r.inUse < n {
-		return false
-	}
-	r.inUse += n
-	return true
-}
-
-// Release returns n units to the resource and wakes waiters.
-func (r *Resource) Release(n int) {
-	if n <= 0 {
-		return
-	}
-	r.inUse -= n
-	if r.inUse < 0 {
-		panic("sim: Resource.Release below zero")
-	}
-	r.changed.Broadcast()
 }

@@ -34,16 +34,9 @@ type Proc struct {
 	// Stop) can supersede the scheduled wake instead of double-resuming.
 	parked      bool
 	cancelWait  func() // deregisters the proc from whatever it waits on
-	wakeEvent   *Event // pending timer wake (Sleep / WaitTimeout), if any
+	wakeEvent   *Event // pending timer wake (Sleep), if any
 	pendingWake *Event // scheduled wake event claiming this proc, if any
 	pending     error  // interrupt delivered while the proc was runnable
-
-	// Interrupt-loss accounting: a runnable process retains at most one
-	// pending interrupt; later causes are counted and the last one kept.
-	droppedInterrupts int
-	lastDropped       error
-
-	lastWakeBySignal bool // set when the wake came from a Signal broadcast
 
 	doneSig *Signal
 	body    func(*Proc)
@@ -152,7 +145,7 @@ func (p *Proc) resumeWith(err error) {
 // context or from another running process; calling it on a process that is
 // not parked (already claimed, runnable, or done) is a no-op — except that
 // an Interrupt may supersede an existing claim (see Interrupt).
-func (p *Proc) scheduleWake(err error, bySignal bool) {
+func (p *Proc) scheduleWake(err error) {
 	if p.done || !p.parked {
 		return
 	}
@@ -176,7 +169,6 @@ func (p *Proc) scheduleWake(err error, bySignal bool) {
 	e.kind = evWake
 	e.proc = p
 	e.werr = err
-	e.bySignal = bySignal
 	p.pendingWake = e
 }
 
@@ -214,7 +206,6 @@ func (p *Proc) timerFire() {
 		p.cancelWait = nil
 	}
 	p.parked = false
-	p.lastWakeBySignal = false
 	p.handoff(nil)
 }
 
@@ -244,9 +235,6 @@ func (p *Proc) block(register func(), cancel func()) error {
 	err := <-p.resume // parked until a wake handoff
 	return err
 }
-
-// Sim returns the simulation the process belongs to.
-func (p *Proc) Sim() *Sim { return p.sim }
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
@@ -313,10 +301,8 @@ func (p *Proc) SleepUninterruptible(d time.Duration) error {
 //
 // At-most-one semantics: a runnable process retains only ONE pending
 // interrupt — the first. Later causes delivered before the process blocks
-// again are NOT queued; Interrupt reports the loss by returning false, and
-// the dropped cause is recorded (deterministically, in delivery order) and
-// readable via DroppedInterrupts/LastDroppedInterrupt. Interrupting a
-// terminated process is also a drop (returns false).
+// again are NOT queued; Interrupt reports the loss by returning false.
+// Interrupting a terminated process is also a drop (returns false).
 func (p *Proc) Interrupt(cause error) bool {
 	if p.done {
 		return false
@@ -326,25 +312,15 @@ func (p *Proc) Interrupt(cause error) bool {
 		err = fmt.Errorf("%w: %w", ErrInterrupted, cause)
 	}
 	if p.parked {
-		p.scheduleWake(err, false)
+		p.scheduleWake(err)
 		return true
 	}
 	if p.pending == nil {
 		p.pending = err
 		return true
 	}
-	p.droppedInterrupts++
-	p.lastDropped = err
 	return false
 }
-
-// DroppedInterrupts returns the number of interrupt causes dropped because
-// the process was runnable and already had a pending interrupt.
-func (p *Proc) DroppedInterrupts() int { return p.droppedInterrupts }
-
-// LastDroppedInterrupt returns the most recently dropped interrupt error
-// (already ErrInterrupted-wrapped), or nil if none was dropped.
-func (p *Proc) LastDroppedInterrupt() error { return p.lastDropped }
 
 // Join blocks until other terminates. It returns nil once other has
 // terminated, or the interrupt/stop error delivered while waiting.
@@ -362,28 +338,4 @@ func (p *Proc) Wait(sig *Signal) error {
 		func() { sig.enqueue(p) },
 		func() { sig.dequeue(p) },
 	)
-}
-
-// WaitTimeout blocks until sig is broadcast or d elapses. It returns
-// (true, nil) on a broadcast wake, (false, nil) on timeout, and (false, err)
-// if interrupted or stopped. Whichever side loses the race is canceled
-// eagerly: a signal wake removes the timer event from the heap immediately,
-// so cancel-heavy loops do not grow the schedule.
-func (p *Proc) WaitTimeout(sig *Signal, d time.Duration) (bool, error) {
-	err := p.block(
-		func() {
-			sig.enqueue(p)
-			e := p.sim.newEvent(p.sim.now + d)
-			e.kind = evTimer
-			e.proc = p
-			p.wakeEvent = e
-		},
-		func() { sig.dequeue(p) },
-	)
-	if err != nil {
-		return false, err
-	}
-	fired := p.lastWakeBySignal
-	p.lastWakeBySignal = false
-	return fired, nil
 }

@@ -56,7 +56,7 @@ const (
 	evFunc  = iota // plain callback
 	evCall         // callback taking one argument (closure-free scheduling)
 	evWake         // resume a claimed process (scheduleWake)
-	evTimer        // timer wake of a parked process (Sleep / WaitTimeout)
+	evTimer        // timer wake of a parked process (Sleep)
 )
 
 // Event is a pooled, scheduled kernel event. Events are owned by the kernel
@@ -70,13 +70,12 @@ type Event struct {
 	gen   uint64 // bumped on release; EventIDs with an older gen are stale
 	index int    // heap index, -1 when not scheduled
 
-	kind     uint8
-	bySignal bool // evWake: wake was caused by a Signal broadcast
-	fn       func()
-	fn1      func(any)
-	arg      any
-	proc     *Proc // evWake / evTimer target
-	werr     error // evWake value
+	kind uint8
+	fn   func()
+	fn1  func(any)
+	arg  any
+	proc *Proc // evWake / evTimer target
+	werr error // evWake value
 }
 
 // EventID is a cancelable handle to a scheduled event. The zero value is a
@@ -94,19 +93,10 @@ func (id EventID) Active() bool {
 	return id.e != nil && id.e.gen == id.gen && id.e.index >= 0
 }
 
-// Time returns the virtual instant the event is scheduled to fire at, or 0
-// if the handle is stale.
-func (id EventID) Time() Time {
-	if !id.Active() {
-		return 0
-	}
-	return id.e.at
-}
-
 // Cancel removes the event from the schedule. Canceling an event that
 // already fired (or was already canceled) is a no-op. Unlike a lazy
 // tombstone, cancellation removes the event from the heap immediately, so
-// cancel-heavy workloads (WaitTimeout under frequent broadcasts) keep the
+// cancel-heavy workloads (timers armed and canceled over and over) keep the
 // heap bounded.
 func (id EventID) Cancel() {
 	e := id.e
@@ -296,7 +286,6 @@ func (s *Sim) newEvent(at Time) *Event {
 func (s *Sim) release(e *Event) {
 	e.gen++
 	e.kind = 0
-	e.bySignal = false
 	e.fn = nil
 	e.fn1 = nil
 	e.arg = nil
@@ -374,7 +363,7 @@ func (s *Sim) step() bool {
 		s.release(e)
 		fn(arg)
 	case evWake:
-		p, err, bySignal := e.proc, e.werr, e.bySignal
+		p, err := e.proc, e.werr
 		stale := p.pendingWake != e
 		s.release(e)
 		if stale || p.done {
@@ -385,7 +374,6 @@ func (s *Sim) step() bool {
 		}
 		p.pendingWake = nil
 		p.parked = false
-		p.lastWakeBySignal = bySignal
 		p.handoff(err)
 	case evTimer:
 		p := e.proc

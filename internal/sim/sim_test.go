@@ -291,36 +291,6 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 	}
 }
 
-func TestWaitTimeout(t *testing.T) {
-	s := New(1)
-	sig := NewSignal(s)
-	var fired1, fired2 bool
-	s.Spawn("timeout", func(p *Proc) {
-		ok, err := p.WaitTimeout(sig, 2*time.Second)
-		if err != nil {
-			t.Errorf("WaitTimeout: %v", err)
-		}
-		fired1 = ok
-	})
-	s.Spawn("signaled", func(p *Proc) {
-		ok, err := p.WaitTimeout(sig, 10*time.Second)
-		if err != nil {
-			t.Errorf("WaitTimeout: %v", err)
-		}
-		fired2 = ok
-	})
-	s.After(5*time.Second, func() { sig.Broadcast() })
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if fired1 {
-		t.Fatal("first waiter should have timed out")
-	}
-	if !fired2 {
-		t.Fatal("second waiter should have been signaled")
-	}
-}
-
 func TestQueueFIFO(t *testing.T) {
 	s := New(1)
 	q := NewQueue[int](s, 0)
@@ -415,79 +385,6 @@ func TestQueueClose(t *testing.T) {
 	}
 }
 
-func TestResourceFIFONoStarvation(t *testing.T) {
-	s := New(1)
-	r := NewResource(s, 4)
-	var order []string
-	// Hold all 4 units, then queue a big request followed by small ones.
-	s.Spawn("holder", func(p *Proc) {
-		r.Acquire(p, 4)
-		p.Sleep(10 * time.Second)
-		r.Release(4)
-	})
-	s.Spawn("big", func(p *Proc) {
-		p.Sleep(time.Second)
-		if err := r.Acquire(p, 3); err != nil {
-			t.Errorf("big acquire: %v", err)
-			return
-		}
-		order = append(order, "big")
-		p.Sleep(5 * time.Second)
-		r.Release(3)
-	})
-	s.Spawn("small", func(p *Proc) {
-		p.Sleep(2 * time.Second)
-		if err := r.Acquire(p, 1); err != nil {
-			t.Errorf("small acquire: %v", err)
-			return
-		}
-		order = append(order, "small")
-		r.Release(1)
-	})
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
-		t.Fatalf("order = %v, want [big small] (FIFO service)", order)
-	}
-	if r.InUse() != 0 {
-		t.Fatalf("InUse = %d after all releases, want 0", r.InUse())
-	}
-}
-
-func TestResourceInterruptedWaiterLeavesQueue(t *testing.T) {
-	s := New(1)
-	r := NewResource(s, 2)
-	var blocked *Proc
-	s.Spawn("holder", func(p *Proc) {
-		r.Acquire(p, 2)
-		p.Sleep(10 * time.Second)
-		r.Release(2)
-	})
-	blocked = s.Spawn("blocked", func(p *Proc) {
-		if err := r.Acquire(p, 1); !Interrupted(err) {
-			t.Errorf("acquire err = %v, want interrupted", err)
-		}
-	})
-	acquired := false
-	s.Spawn("next", func(p *Proc) {
-		p.Sleep(time.Second)
-		if err := r.Acquire(p, 1); err != nil {
-			t.Errorf("next acquire: %v", err)
-			return
-		}
-		acquired = true
-		r.Release(1)
-	})
-	s.After(2*time.Second, func() { blocked.Interrupt(errors.New("cancel")) })
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if !acquired {
-		t.Fatal("waiter behind an interrupted request never acquired")
-	}
-}
-
 func TestStopWakesBlockedProcs(t *testing.T) {
 	s := New(1)
 	var gotErr error
@@ -556,9 +453,10 @@ func TestTryPutTryGetDrain(t *testing.T) {
 		t.Fatalf("TryGet = %v, %v", v, ok)
 	}
 	q.TryPut(3)
-	got := q.Drain()
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("Drain = %v", got)
+	for _, want := range []int{2, 3} {
+		if v, ok := q.TryGet(); !ok || v != want {
+			t.Fatalf("TryGet = %v, %v; want %d", v, ok, want)
+		}
 	}
 	if _, ok := q.TryGet(); ok {
 		t.Fatal("TryGet on empty should fail")
@@ -567,40 +465,6 @@ func TestTryPutTryGetDrain(t *testing.T) {
 	if q.TryPut(4) {
 		t.Fatal("TryPut on closed queue should fail")
 	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	s := New(1)
-	r := NewResource(s, 4)
-	if !r.TryAcquire(3) {
-		t.Fatal("TryAcquire within capacity")
-	}
-	if r.TryAcquire(2) {
-		t.Fatal("TryAcquire over availability should fail")
-	}
-	if !r.TryAcquire(0) {
-		t.Fatal("TryAcquire(0) is trivially true")
-	}
-	r.Release(3)
-	if r.InUse() != 0 || r.Available() != 4 {
-		t.Fatalf("in use = %d, available = %d", r.InUse(), r.Available())
-	}
-	// A pending blocking waiter blocks TryAcquire (FIFO fairness).
-	hold := s.Spawn("holder", func(p *Proc) {
-		r.Acquire(p, 4)
-		p.Sleep(10 * time.Second)
-		r.Release(4)
-	})
-	s.Spawn("waiter", func(p *Proc) { r.Acquire(p, 1); r.Release(1) })
-	s.After(time.Second, func() {
-		if r.TryAcquire(1) {
-			t.Error("TryAcquire must not jump the FIFO queue")
-		}
-	})
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	_ = hold
 }
 
 func TestInterruptTerminatedProcIsNoop(t *testing.T) {

@@ -254,9 +254,6 @@ func (w *Window) Len() int { return w.count }
 // Size returns the window capacity.
 func (w *Window) Size() int { return w.size }
 
-// Full reports whether the window holds Size readings.
-func (w *Window) Full() bool { return w.count == w.size }
-
 // Values returns the readings in arrival order (oldest first).
 func (w *Window) Values() []float64 {
 	out := make([]float64, w.count)

@@ -89,7 +89,7 @@ func TestWindowEviction(t *testing.T) {
 			t.Fatalf("Values = %v, want %v", got, want)
 		}
 	}
-	if !w.Full() {
+	if w.Len() != w.Size() {
 		t.Fatal("window should be full")
 	}
 	if avg, _ := w.Reduce(OpAvg); !almostEq(avg, 4) {

@@ -55,13 +55,11 @@ var ErrDetached = errors.New("stream: detached")
 
 // Reader is one attached consumer with a private bounded buffer.
 type Reader struct {
-	stream   *Stream
-	id       int
-	mode     Mode
-	buf      *sim.Queue[Step]
-	dropped  int
-	received int
-	closed   bool
+	stream *Stream
+	id     int
+	mode   Mode
+	buf    *sim.Queue[Step]
+	closed bool
 }
 
 // Get returns the next staged record, blocking the calling process while
@@ -75,7 +73,6 @@ func (r *Reader) Get(p *sim.Proc) (Step, error) {
 		}
 		return Step{}, err
 	}
-	r.received++
 	r.stream.backlogChanged()
 	return st, nil
 }
@@ -95,12 +92,6 @@ func (r *Reader) Len() int { return r.buf.Len() }
 // Buffered returns a copy of the records currently buffered, in delivery
 // order, without consuming them (checkpoint inspection).
 func (r *Reader) Buffered() []Step { return r.buf.Items() }
-
-// Dropped returns the number of records discarded in DropOldest mode.
-func (r *Reader) Dropped() int { return r.dropped }
-
-// Received returns the number of records delivered via Get.
-func (r *Reader) Received() int { return r.received }
 
 // Close detaches the reader: the producer stops delivering to (and stops
 // blocking on) this reader. Pending Gets fail after the buffer drains.
@@ -160,9 +151,6 @@ func (st *Stream) Name() string { return st.name }
 
 // Produced returns the number of records written so far.
 func (st *Stream) Produced() int { return st.produced }
-
-// Readers returns the number of attached readers.
-func (st *Stream) Readers() int { return len(st.readers) }
 
 // Closed reports whether the producer closed the stream.
 func (st *Stream) Closed() bool { return st.closed }
@@ -248,7 +236,6 @@ func (st *Stream) Put(p *sim.Proc, step Step) error {
 					break
 				}
 				if _, ok := r.buf.TryGet(); ok {
-					r.dropped++
 					st.mDropped.Inc()
 				} else {
 					break

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 )
 
@@ -103,6 +104,8 @@ func TestDropOldestNeverBlocks(t *testing.T) {
 	s := sim.New(1)
 	reg := NewRegistry(s)
 	st := reg.Open("tau")
+	met := obs.NewRegistry()
+	reg.SetMetrics(met)
 	r := st.Attach(3, DropOldest)
 
 	s.Spawn("producer", func(p *sim.Proc) {
@@ -116,8 +119,8 @@ func TestDropOldestNeverBlocks(t *testing.T) {
 	if err := s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if r.Dropped() != 7 {
-		t.Fatalf("dropped = %d, want 7", r.Dropped())
+	if v, _ := met.Value("dyflow_stream_dropped_total"); v != 7 {
+		t.Fatalf("dropped = %v, want 7", v)
 	}
 	// The survivors are the newest three, in order.
 	var got []int
@@ -287,7 +290,7 @@ func TestAccessorsAndReopen(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 	r := st.Attach(2, Block)
-	if st.Readers() != 1 || st.Name() != "a" {
+	if len(st.readers) != 1 || st.Name() != "a" {
 		t.Fatalf("stream = %v", st)
 	}
 	s.Spawn("p", func(p *sim.Proc) {
@@ -297,8 +300,8 @@ func TestAccessorsAndReopen(t *testing.T) {
 	if err := s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Produced() != 2 || r.Len() != 2 || r.Received() != 0 {
-		t.Fatalf("produced=%d len=%d received=%d", st.Produced(), r.Len(), r.Received())
+	if st.Produced() != 2 || r.Len() != 2 {
+		t.Fatalf("produced=%d len=%d", st.Produced(), r.Len())
 	}
 	if got := st.String(); got != "stream(a, 1 readers, 2 produced)" {
 		t.Fatalf("String = %q", got)
@@ -310,8 +313,8 @@ func TestAccessorsAndReopen(t *testing.T) {
 		t.Fatal("closed")
 	}
 	st2 := reg.Open("a")
-	if st2 != st || st2.Closed() || st2.Readers() != 0 {
-		t.Fatalf("reopen: closed=%v readers=%d", st2.Closed(), st2.Readers())
+	if st2 != st || st2.Closed() || len(st2.readers) != 0 {
+		t.Fatalf("reopen: closed=%v readers=%d", st2.Closed(), len(st2.readers))
 	}
 	// Puts on a closed stream fail.
 	st3 := reg.Open("c")
@@ -331,12 +334,12 @@ func TestReaderDoubleCloseAndZeroCapacity(t *testing.T) {
 	reg := NewRegistry(s)
 	st := reg.Open("x")
 	r := st.Attach(0, Block) // clamps to 1
-	if r.buf.Cap() != 1 {
-		t.Fatalf("cap = %d, want clamp to 1", r.buf.Cap())
+	if !r.buf.TryPut(Step{}) || r.buf.TryPut(Step{}) {
+		t.Fatal("capacity did not clamp to 1")
 	}
 	r.Close()
 	r.Close() // no-op
-	if st.Readers() != 0 {
+	if len(st.readers) != 0 {
 		t.Fatal("reader not detached")
 	}
 }

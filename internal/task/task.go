@@ -237,24 +237,22 @@ type Instance struct {
 	crashCode     int
 	deliberate    bool // the stop came from the WMS, not a failure
 
-	startedAt   sim.Time
-	endedAt     sim.Time
-	stepsDone   int
-	globalStep  int // last completed global step number
-	exitCode    int
-	consumer    *stream.Reader
-	producer    *stream.Stream
-	probe       *profiler.Probe
-	onStateFunc func(in *Instance, from, to State)
+	startedAt  sim.Time
+	endedAt    sim.Time
+	stepsDone  int
+	globalStep int // last completed global step number
+	exitCode   int
+	consumer   *stream.Reader
+	producer   *stream.Stream
+	probe      *profiler.Probe
 }
 
 // errAbort terminates the step loop immediately (crash path).
 var errAbort = errors.New("task: aborted")
 
 // Launch starts a new incarnation of spec on placement. incarnation numbers
-// restarts of the same task (0 for the first launch). onState, if non-nil,
-// observes lifecycle transitions (used by the trace recorder and the WMS).
-func Launch(env *Env, spec Spec, placement Placement, incarnation int, onState func(in *Instance, from, to State)) *Instance {
+// restarts of the same task (0 for the first launch).
+func Launch(env *Env, spec Spec, placement Placement, incarnation int) *Instance {
 	in := &Instance{
 		Spec:        spec,
 		Placement:   placement,
@@ -262,7 +260,6 @@ func Launch(env *Env, spec Spec, placement Placement, incarnation int, onState f
 		env:         env,
 		state:       Launching,
 		startedAt:   env.Sim.Now(),
-		onStateFunc: onState,
 	}
 	// A fresh incarnation clears the previous exit status so failure
 	// sensors do not re-observe a stale code.
@@ -324,17 +321,6 @@ func (in *Instance) Crash(code int) {
 	in.crashSignaled = true
 	in.crashCode = code
 	in.proc.Interrupt(fmt.Errorf("crash with code %d", code))
-}
-
-func (in *Instance) setState(st State) {
-	if in.state == st {
-		return
-	}
-	from := in.state
-	in.state = st
-	if in.onStateFunc != nil {
-		in.onStateFunc(in, from, st)
-	}
 }
 
 // main is the incarnation's process body: the step loop, then the end of
@@ -406,7 +392,7 @@ func (in *Instance) steps(p *sim.Proc) {
 		in.probe = profiler.Attach(in.env.Streams, in.Spec.Name, in.Spec.ProfileRankSpread, in.env.Sim.Rand())
 	}
 
-	in.setState(Running)
+	in.state = Running
 	rng := in.env.Sim.Rand()
 	procs := in.Placement.Procs()
 
@@ -477,7 +463,7 @@ func (in *Instance) computePhase(p *sim.Proc, d time.Duration) error {
 		return errAbort
 	}
 	// Graceful: finish the current timestep, then let the loop exit.
-	in.setState(Draining)
+	in.state = Draining
 	remaining := d - (p.Now() - start)
 	if err := p.SleepUninterruptible(remaining); err != nil && !sim.Interrupted(err) {
 		return err
@@ -525,10 +511,10 @@ func (in *Instance) finish() {
 	switch {
 	case in.crashSignaled && !in.deliberate:
 		in.exitCode = in.crashCode
-		in.setState(Failed)
+		in.state = Failed
 	default:
 		in.exitCode = 0
-		in.setState(Completed)
+		in.state = Completed
 	}
 	in.env.FS.Write(StatusPath(in.Spec.Workflow, in.Spec.Name), 0, map[string]float64{
 		"exitcode":    float64(in.exitCode),

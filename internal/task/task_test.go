@@ -70,7 +70,7 @@ func TestInstanceRunsToCompletion(t *testing.T) {
 		TotalSteps:   5,
 		StartupDelay: 2 * time.Second,
 	}
-	in := Launch(env, spec, Placement{"node000": 10}, 0, nil)
+	in := Launch(env, spec, Placement{"node000": 10}, 0)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestGracefulStopFinishesCurrentStep(t *testing.T) {
 		Cost:       Cost{Work: 10 * time.Second}, // 1 proc -> 10s/step
 		TotalSteps: 100,
 	}
-	in := Launch(env, spec, Placement{"node000": 1}, 0, nil)
+	in := Launch(env, spec, Placement{"node000": 1}, 0)
 	// SIGTERM mid-step 3 (t=25s): the task must finish step 3 (t=30s).
 	env.Sim.At(25*time.Second, func() { in.Stop(true) })
 	if err := env.Sim.RunUntilIdle(); err != nil {
@@ -123,7 +123,7 @@ func TestCrashAbortsImmediately(t *testing.T) {
 		Cost:       Cost{Work: 10 * time.Second},
 		TotalSteps: 100,
 	}
-	in := Launch(env, spec, Placement{"node000": 1}, 0, nil)
+	in := Launch(env, spec, Placement{"node000": 1}, 0)
 	env.Sim.At(25*time.Second, func() { in.Crash(137) })
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -153,8 +153,8 @@ func TestCouplingBackpressureThrottlesProducer(t *testing.T) {
 		ConsumesFrom: "gs.out",
 		ConsumeBuf:   1,
 	}
-	p := Launch(env, producer, Placement{"node000": 10}, 0, nil)
-	c := Launch(env, consumer, Placement{"node001": 10}, 0, nil)
+	p := Launch(env, producer, Placement{"node000": 10}, 0)
+	c := Launch(env, consumer, Placement{"node001": 10}, 0)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,14 +185,14 @@ func TestProgressAccumulatesAcrossIncarnations(t *testing.T) {
 		TotalSteps:  100,
 		ProgressKey: "progress/fusion",
 	}
-	in0 := Launch(env, spec, Placement{"node000": 1}, 0, nil)
+	in0 := Launch(env, spec, Placement{"node000": 1}, 0)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if in0.GlobalStep() != 100 {
 		t.Fatalf("first incarnation global step = %d, want 100", in0.GlobalStep())
 	}
-	in1 := Launch(env, spec, Placement{"node000": 1}, 1, nil)
+	in1 := Launch(env, spec, Placement{"node000": 1}, 1)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCheckpointResume(t *testing.T) {
 		CheckpointKey:        "ckpt/lammps",
 		ResumeFromCheckpoint: true,
 	}
-	in := Launch(env, spec, Placement{"node000": 1}, 0, nil)
+	in := Launch(env, spec, Placement{"node000": 1}, 0)
 	env.Sim.At(450*time.Second, func() { in.Crash(137) })
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatalf("checkpoint = %v, want 448 (last multiple of 4 before crash)", ck)
 	}
 	// Restart resumes from the checkpointed step, repeating the lost ones.
-	in2 := Launch(env, spec, Placement{"node000": 1}, 1, nil)
+	in2 := Launch(env, spec, Placement{"node000": 1}, 1)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestOutputFilesForDiskScan(t *testing.T) {
 		OutputEvery:   2,
 		OutputPattern: "out/xgc1.%05d.bp",
 	}
-	Launch(env, spec, Placement{"node000": 1}, 0, nil)
+	Launch(env, spec, Placement{"node000": 1}, 0)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestProfileStreamCarriesPerRankLoopTimes(t *testing.T) {
 	}
 	tau := env.Streams.Open(ProfileStreamName("Isosurface"))
 	r := tau.Attach(16, stream.DropOldest)
-	Launch(env, spec, Placement{"node000": 2, "node001": 2}, 0, nil)
+	Launch(env, spec, Placement{"node000": 2, "node001": 2}, 0)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +315,8 @@ func TestConsumerCompletesWhenProducerStops(t *testing.T) {
 		Name: "Ana", Workflow: "WF",
 		Cost: Cost{Work: 500 * time.Millisecond}, ConsumesFrom: "wf.out", ConsumeBuf: 2,
 	}
-	p := Launch(env, producer, Placement{"n": 1}, 0, nil)
-	c := Launch(env, consumer, Placement{"n": 1}, 0, nil)
+	p := Launch(env, producer, Placement{"n": 1}, 0)
+	c := Launch(env, consumer, Placement{"n": 1}, 0)
 	env.Sim.At(10500*time.Millisecond, func() { p.Stop(true) })
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -331,25 +331,32 @@ func TestConsumerCompletesWhenProducerStops(t *testing.T) {
 
 func TestStateTransitionsObserved(t *testing.T) {
 	env := newEnv(1)
-	var transitions []string
 	spec := Spec{
 		Name: "T", Workflow: "WF",
 		Cost: Cost{Work: 10 * time.Second}, TotalSteps: 5,
 	}
-	in := Launch(env, spec, Placement{"n": 1}, 0, func(in *Instance, from, to State) {
-		transitions = append(transitions, from.String()+">"+to.String())
-	})
+	in := Launch(env, spec, Placement{"n": 1}, 0)
+	states := []string{in.State().String()}
+	sample := func() {
+		if st := in.State().String(); st != states[len(states)-1] {
+			states = append(states, st)
+		}
+	}
+	for at := time.Second; at <= 30*time.Second; at += time.Second {
+		env.Sim.At(at, sample)
+	}
 	env.Sim.At(15*time.Second, func() { in.Stop(true) })
+	env.Sim.At(15*time.Second, sample)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"Launching>Running", "Running>Draining", "Draining>Completed"}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions = %v", transitions)
+	want := []string{"Launching", "Running", "Draining", "Completed"}
+	if len(states) != len(want) {
+		t.Fatalf("states = %v, want %v", states, want)
 	}
 	for i := range want {
-		if transitions[i] != want[i] {
-			t.Fatalf("transitions = %v, want %v", transitions, want)
+		if states[i] != want[i] {
+			t.Fatalf("states = %v, want %v", states, want)
 		}
 	}
 }
@@ -368,7 +375,7 @@ func TestProduceVarsAndStride(t *testing.T) {
 	}
 	st := env.Streams.Open("f.out")
 	r := st.Attach(16, stream.DropOldest)
-	Launch(env, spec, Placement{"n": 1}, 0, nil)
+	Launch(env, spec, Placement{"n": 1}, 0)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +413,7 @@ func TestOutputVarsMergeIntoFiles(t *testing.T) {
 			return map[string]float64{"extra": float64(g * 10)}
 		},
 	}
-	Launch(env, spec, Placement{"n": 2}, 0, nil)
+	Launch(env, spec, Placement{"n": 2}, 0)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +445,7 @@ func TestPublishDBKey(t *testing.T) {
 		TotalSteps:   5,
 		PublishDBKey: "pace/sim",
 	}
-	Launch(env, spec, Placement{"n": 10}, 0, nil)
+	Launch(env, spec, Placement{"n": 10}, 0)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}

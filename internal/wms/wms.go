@@ -3,9 +3,11 @@
 // role (workflow composition) is covered by WorkflowSpec/TaskConfig;
 // Savanna's role (talking to the cluster scheduler, allocating resources,
 // spawning tasks on compute nodes, saving exit status) is covered by
-// Savanna, whose methods are exactly the low-level operations DYFLOW's
-// Actuation stage invokes: start_task_with_resources, stop_task,
-// signal_task, request_resources, release_resources, get_resource_status.
+// Savanna, whose methods are the low-level operations of the paper's
+// Savanna API: start_task_with_resources, stop_task, signal_task,
+// release_resources, get_resource_status. Its request_resources is the
+// resource manager's Allocate: on-demand nodes are not commonplace on
+// supercomputers, so experiments pre-allocate spares.
 package wms
 
 import (
@@ -49,16 +51,6 @@ type TaskConfig struct {
 type WorkflowSpec struct {
 	ID    string
 	Tasks []TaskConfig
-}
-
-// TaskConfigByName returns the config for a task, or nil.
-func (w *WorkflowSpec) TaskConfigByName(name string) *TaskConfig {
-	for i := range w.Tasks {
-		if w.Tasks[i].Spec.Name == name {
-			return &w.Tasks[i]
-		}
-	}
-	return nil
 }
 
 // EventKind classifies task lifecycle events reported by Savanna.
@@ -117,7 +109,6 @@ type Savanna struct {
 	wfTasks   map[string][]*taskRT // per workflow, in composition order
 	scripts   map[string]time.Duration
 	subs      []func(Event)
-	onState   []func(in *task.Instance, from, to task.State)
 
 	mStarts          *obs.CounterVec // dyflow_wms_task_starts_total{task}
 	mStops           *obs.CounterVec // dyflow_wms_task_stops_total{task}
@@ -163,19 +154,6 @@ func (sv *Savanna) Manager() *resmgr.Manager { return sv.rm }
 
 // OnEvent subscribes to task lifecycle events.
 func (sv *Savanna) OnEvent(fn func(Event)) { sv.subs = append(sv.subs, fn) }
-
-// OnStateChange registers an observer for instance state transitions
-// (start, drain, completion), used by the experiment trace recorder.
-func (sv *Savanna) OnStateChange(fn func(in *task.Instance, from, to task.State)) {
-	sv.onState = append(sv.onState, fn)
-}
-
-// fanOutState dispatches a transition to every registered observer.
-func (sv *Savanna) fanOutState(in *task.Instance, from, to task.State) {
-	for _, fn := range sv.onState {
-		fn(in, from, to)
-	}
-}
 
 // RegisterScript declares the runtime cost of a user script referenced by
 // start actions (the paper's restart-xgc1.sh accounts for XGC1's longer
@@ -340,7 +318,7 @@ func (sv *Savanna) StartTask(p *sim.Proc, workflowID, taskName string, rs resmgr
 	inc := rt.incarnation
 	rt.incarnation++
 	rt.released = false
-	inst := task.Launch(sv.env, rt.cfg.Spec, placement, inc, sv.fanOutState)
+	inst := task.Launch(sv.env, rt.cfg.Spec, placement, inc)
 	rt.inst = inst
 	sv.mStarts.With(k).Inc()
 	sv.mRunning.Add(1)
@@ -396,11 +374,6 @@ func (sv *Savanna) SignalTask(workflowID, taskName string, cause error) error {
 	}
 	inst.Proc().Interrupt(cause)
 	return nil
-}
-
-// RequestResources implements request_resources (extra whole nodes).
-func (sv *Savanna) RequestResources(n int) ([]cluster.NodeID, error) {
-	return sv.rm.RequestNodes(n)
 }
 
 // ReleaseResources implements release_resources.
