@@ -187,6 +187,91 @@ var grayscottGolden = []jobGolden{
 	}},
 }
 
+// overprovGolden, lammpsGolden and chaosGolden pin the remaining three
+// scenarios the same way, recorded at the commit before the scenario worlds
+// were moved onto one driver loop: that loop decides when each world stops
+// and so what its artifacts hold.
+var overprovGolden = []jobGolden{
+	{"summit", 1, 3764, 3251, map[string]string{
+		ArtifactReport:   "aabc88ec2695d609ffd750cca55e96b1155dee676146425b447baa6b4acdeb98",
+		ArtifactGantt:    "8c7d546c4ea35463514355dd39a5eb4977b659fcdccdd376f358a767e60a507c",
+		ArtifactPerfetto: "b29b77bce01d0f27064ad3a784a6ee3d7adb6f63a1ea2e11d148b27d39193224",
+		ArtifactMetrics:  "5898b8587782297beeb257f9f05f8e76c1d69562a8335f1081ad5898fdd3464c",
+	}},
+	{"summit", 2, 3674, 3187, map[string]string{
+		ArtifactReport:   "aabc88ec2695d609ffd750cca55e96b1155dee676146425b447baa6b4acdeb98",
+		ArtifactGantt:    "dd755085a4d14b1e25a7d836bef273beeecbe1ca94f4c79ce3ea69eddd2ca097",
+		ArtifactPerfetto: "199a3652b99478a5bd1c3515aa4a344ecda433ca8dfa824522538c5265afa8c7",
+		ArtifactMetrics:  "6ddfab365a7bacd3db8969e6d08b8093e6ae8378f6a133c1253fa1e27dac55ce",
+	}},
+	{"dt2", 1, 4969, 3774, map[string]string{
+		ArtifactReport:   "3bb257b670b3fba431e3b6da4453c51b8cc2bfde9640885f9e3f78024c6c6c0e",
+		ArtifactGantt:    "830292f761b8297ce8ade90a671e319ae053762b0717994db2f75ec4582d55e5",
+		ArtifactPerfetto: "19d45716e547291353322995979b1a636abc18e68990e83b0833cc569b468ca3",
+		ArtifactMetrics:  "c82d44b327592489672d7b96ee5519631f7d76d8fe26c2c75882f603e7d8a834",
+	}},
+	{"dt2", 2, 5015, 3799, map[string]string{
+		ArtifactReport:   "3bb257b670b3fba431e3b6da4453c51b8cc2bfde9640885f9e3f78024c6c6c0e",
+		ArtifactGantt:    "a0990775eef16ac3c62f4398cfa98ebc02958a6ad803b6c3ef6c84413a3252bf",
+		ArtifactPerfetto: "68de604dd90c74bbc322adda5c67a528480b474db428281adc313b46a3674436",
+		ArtifactMetrics:  "112720d53da0c9cb2683d4b367d730a07ac4c697b68dc495871c4f6bd978aa2c",
+	}},
+}
+
+var lammpsGolden = []jobGolden{
+	{"summit", 1, 9186, 9071, map[string]string{
+		ArtifactReport:   "2b4478679b51b50e40caa3b04f4494684645ba7ad34e9704fc3367041dae0e2f",
+		ArtifactGantt:    "9716869d0db8182d29f13a713998c6a6c64360d0c22b225b280e8b9cec779338",
+		ArtifactPerfetto: "c0676ddb4b70f3071da63f120fd2f83fa6105df69cf9adb86cf753337e19bb90",
+		ArtifactMetrics:  "3935ab660d03dcc5956c61aacd2475be69ec2ec73fba88500b8c7040d9d72dd3",
+	}},
+	{"summit", 2, 9202, 9079, map[string]string{
+		ArtifactReport:   "2b4478679b51b50e40caa3b04f4494684645ba7ad34e9704fc3367041dae0e2f",
+		ArtifactGantt:    "667180bf77023ac79157f557abedef4feecd5d71ac4843d48190c959eb92b0ac",
+		ArtifactPerfetto: "53d3560636091354d02a1fbcef97a956cc0066adbb3beb8d4283ecd3c1e2ae18",
+		ArtifactMetrics:  "cd8b06a07bb5172f361028c4d00c818664b9f2100d3990f8817e93a62ec0b1f1",
+	}},
+	{"dt2", 1, 18440, 18311, map[string]string{
+		ArtifactReport:   "57449a603cd9604d9b39cd9f7489d2936f5925bdf3c993df36a554a9d7e1db05",
+		ArtifactGantt:    "bcc9d13958ed39f232b26cce93a6fafc201c9f99b6bf02a832909d456cc33d01",
+		ArtifactPerfetto: "054d8371939bc97bef13b93a57048f2d16adc607e9d9f4b3ea1e7ff5dc3a58d4",
+		ArtifactMetrics:  "0beaf96b1702ae8ab39057fac48489059cf98abe0f6e8f84ad39125006e836ae",
+	}},
+	{"dt2", 2, 18261, 18192, map[string]string{
+		ArtifactReport:   "57449a603cd9604d9b39cd9f7489d2936f5925bdf3c993df36a554a9d7e1db05",
+		ArtifactGantt:    "64c21aa1cd2221ebe65e5511f402343af053daa9794eeffcb0ef01afafb6d232",
+		ArtifactPerfetto: "ebf4852e911856f1293b8d8477700078289184fc9c7d0578a1f57d1ce01d7c50",
+		ArtifactMetrics:  "2b0ec9be381df2674d38d29a2004b40f8f9f5c4ade400ca5b64f52c2cbf9b754",
+	}},
+}
+
+var chaosGolden = []jobGolden{
+	{"summit", 1, 48707, 37361, map[string]string{
+		ArtifactReport:   "b9e11d8265c69fcf4377b9f57815fe5a8227cb265cfb2d44a517e97026676f3b",
+		ArtifactGantt:    "dbc189abcc2f9d96117a054e9f419f07b9fe1fb7f4416a442ed1a6364e5ee3eb",
+		ArtifactPerfetto: "1b32b1c7c78d89505e00d98f7ebc85f3fbe0ffe4eb33977a0026c5d8d7ed804c",
+		ArtifactMetrics:  "056a00e2a2494dd8f7324d45590d30f408848a4ac51543431e991c4010bfc4bb",
+	}},
+	{"summit", 2, 57081, 42897, map[string]string{
+		ArtifactReport:   "88b84f888d71a8ecea1636cf4b3368f9c75efc8dc6ebca8f9e2ba5ee5874b5b0",
+		ArtifactGantt:    "6bd2fb3cec1fb1f6ff8f0cddb20374217408e05b3997a44ee07fb9c79324bd79",
+		ArtifactPerfetto: "ab61a0ee3a5dd2a9ad556d32bda0bd04d3b5b02f5e057e38db3c6e9fd56e378b",
+		ArtifactMetrics:  "4a43f32ce35bd050932ff05d659d81c4f0f096d8cb4110cbe4fa21f852c8627e",
+	}},
+	{"dt2", 1, 66546, 50856, map[string]string{
+		ArtifactReport:   "71f534688549c60078c0351dd9af546a5d1a42745116d6db6822a2d84eb5bee3",
+		ArtifactGantt:    "7bd2a7f44a3d86221960960e408ce533d77e032529837c97439125799d39a206",
+		ArtifactPerfetto: "6fe7c6fe63ca713085cf09c0140f4eb6348bc6f8898e6ee4531a9c6abb84cc3b",
+		ArtifactMetrics:  "6e0c8abead1ca362c0c2666d516114ee0f950955ffc84a735015dde664c81ae6",
+	}},
+	{"dt2", 2, 61024, 48096, map[string]string{
+		ArtifactReport:   "6c0226a33807b32cde4da537485be6b8d07ca9223b2bfc14385e105869304815",
+		ArtifactGantt:    "3b24ab0d34d0c4383c1aeeac7d14e43b4480bb5b958e6ebdccac193b3dc11d07",
+		ArtifactPerfetto: "4255f2288d70f1f5f86ea30a5707406abe02d8f71a6f248eb17b51778c8d8976",
+		ArtifactMetrics:  "5350713e5286021f6313f3a2e37c820c3d40526aca68ed7519d5f65e67288063",
+	}},
+}
+
 // checkGoldens runs scenario for every golden and compares.
 func checkGoldens(t *testing.T, scenario string, goldens []jobGolden) {
 	t.Helper()
@@ -213,6 +298,17 @@ func TestQuickstartGoldenArtifacts(t *testing.T) {
 }
 
 func TestGrayScottGoldenArtifacts(t *testing.T) { checkGoldens(t, ScenarioGrayScott, grayscottGolden) }
+
+// TestOverprovGoldenArtifacts, TestLAMMPSGoldenArtifacts and
+// TestChaosGoldenArtifacts: the three worlds whose run loops stop on their
+// own predicates — a grace window, a completed checkpointed restart, a
+// campaign that kills and heals nodes — reproduce their recorded bytes and
+// schedules.
+func TestOverprovGoldenArtifacts(t *testing.T) { checkGoldens(t, ScenarioOverprov, overprovGolden) }
+
+func TestLAMMPSGoldenArtifacts(t *testing.T) { checkGoldens(t, ScenarioLAMMPS, lammpsGolden) }
+
+func TestChaosGoldenArtifacts(t *testing.T) { checkGoldens(t, ScenarioChaos, chaosGolden) }
 
 func artifactSums(arts map[string][]byte) map[string]string {
 	sums := make(map[string]string, len(arts))

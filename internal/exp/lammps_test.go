@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +51,12 @@ func TestLAMMPSSummitReproducesFigure11(t *testing.T) {
 	// LAMMPS resumed from checkpoint 412 and repeated the lost steps.
 	if res.ResumeStep != 412 {
 		t.Fatalf("resume step = %d, want 412", res.ResumeStep)
+	}
+
+	// EXPERIMENTS.md's Figure 11 table quotes this run.
+	requireTableQuotes(t, "## Figure 11", "## §4.6", LAMMPSReport(res))
+	if want := fmt.Sprintf("makespan %v", res.Makespan.Round(time.Second)); !strings.Contains(experimentsSection(t, "## Figure 11", "## §4.6"), want) {
+		t.Errorf("EXPERIMENTS.md, Figure 11: no %q", want)
 	}
 }
 

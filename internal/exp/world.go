@@ -13,6 +13,7 @@ import (
 	"dyflow/internal/ckpt"
 	"dyflow/internal/cluster"
 	"dyflow/internal/core"
+	"dyflow/internal/core/arbiter"
 	"dyflow/internal/core/spec"
 	"dyflow/internal/db"
 	"dyflow/internal/fsim"
@@ -176,6 +177,16 @@ func (w *World) progress() error {
 		return nil
 	}
 	return w.OnProgress(w.Sim.Now())
+}
+
+// Plans returns the arbitration rounds the world's orchestrator has
+// executed, those it inherited through a checkpoint restore included, in
+// execution order; nil for a baseline world that runs no orchestrator.
+func (w *World) Plans() []arbiter.Record {
+	if w.Orch == nil {
+		return nil
+	}
+	return w.Orch.Arbiter.Records()
 }
 
 // WorkflowDone reports whether every composed task of the workflow has

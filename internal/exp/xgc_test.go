@@ -84,17 +84,8 @@ func TestXGCSummitReproducesFigure6(t *testing.T) {
 // Measured cell.
 func requireTableQuotes(t *testing.T, from, to string, rep *Report) {
 	t.Helper()
-	doc, err := os.ReadFile("../../EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := bytes.Index(doc, []byte("\n"+from))
-	end := bytes.Index(doc[max(start, 0):], []byte("\n"+to))
-	if start < 0 || end < 0 {
-		t.Fatalf("EXPERIMENTS.md has no section from %q to %q", from, to)
-	}
 	measured := map[string]string{}
-	for _, line := range strings.Split(string(doc[start:start+end]), "\n") {
+	for _, line := range strings.Split(experimentsSection(t, from, to), "\n") {
 		if cells := strings.Split(line, " | "); len(cells) == 4 {
 			measured[strings.TrimPrefix(cells[0], "| ")] = cells[2]
 		}
@@ -104,6 +95,22 @@ func requireTableQuotes(t *testing.T, from, to string, rep *Report) {
 			t.Errorf("EXPERIMENTS.md, %s, %q: the table says %q, this run measured %q", from, row.Metric, measured[row.Metric], row.Measured)
 		}
 	}
+}
+
+// experimentsSection returns EXPERIMENTS.md from the heading from up to the
+// heading to.
+func experimentsSection(t *testing.T, from, to string) string {
+	t.Helper()
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := bytes.Index(doc, []byte("\n"+from))
+	end := bytes.Index(doc[max(start, 0):], []byte("\n"+to))
+	if start < 0 || end < 0 {
+		t.Fatalf("EXPERIMENTS.md has no section from %q to %q", from, to)
+	}
+	return string(doc[start : start+end])
 }
 
 // TestXGCBaselineTakesLonger: completing the same number of global steps
