@@ -10,6 +10,7 @@ package dyflow
 // is the reproduction target (see EXPERIMENTS.md).
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -143,11 +144,11 @@ func BenchmarkFigure8UnderProvisioning(b *testing.B) {
 			b.Fatal("Figure 8 shape does not hold")
 		}
 		var resp time.Duration
-		for _, p := range res.W.Rec.Plans {
+		for _, p := range res.W.Plans() {
 			resp += p.ResponseTime()
 		}
-		b.ReportMetric(float64(len(res.W.Rec.Plans)), "adaptations")
-		b.ReportMetric(resp.Seconds()/float64(len(res.W.Rec.Plans)), "response-s")
+		b.ReportMetric(float64(len(res.W.Plans())), "adaptations")
+		b.ReportMetric(resp.Seconds()/float64(len(res.W.Plans())), "response-s")
 		b.ReportMetric(res.Makespan.Seconds(), "makespan-s")
 		b.ReportMetric(base.Makespan.Seconds(), "baseline-s")
 	}
@@ -249,12 +250,12 @@ func BenchmarkAblationSettleGuard(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		without, err := exp.RunGrayScottVariant(int64(i+1), benchMachine, true, exp.GSVariant{Arbiter: &noSettle})
+		without, err := exp.RunGrayScottVariant(int64(i+1), benchMachine, true, exp.Variant{Arbiter: &noSettle})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(len(withGuard.W.Rec.Plans)), "plans-guarded")
-		b.ReportMetric(float64(len(without.W.Rec.Plans)), "plans-unguarded")
+		b.ReportMetric(float64(len(withGuard.W.Plans())), "plans-guarded")
+		b.ReportMetric(float64(len(without.W.Plans())), "plans-unguarded")
 		b.ReportMetric(withGuard.Makespan.Seconds(), "makespan-guarded-s")
 		b.ReportMetric(without.Makespan.Seconds(), "makespan-unguarded-s")
 	}
@@ -264,17 +265,22 @@ func BenchmarkAblationSettleGuard(b *testing.B) {
 // instantaneous values: noise makes single-step readings cross thresholds
 // spuriously.
 func BenchmarkAblationHistoryWindow(b *testing.B) {
+	noHistory := strings.ReplaceAll(exp.GrayScottXML(benchMachine), `
+        <history window="10" operation="AVG"/>`, "")
+	if strings.Contains(noHistory, "<history") {
+		b.Fatal("the Gray-Scott document's <history> elements changed shape")
+	}
 	for i := 0; i < b.N; i++ {
 		windowed, err := exp.RunGrayScott(int64(i+1), benchMachine, true)
 		if err != nil {
 			b.Fatal(err)
 		}
-		instant, err := exp.RunGrayScottVariant(int64(i+1), benchMachine, true, exp.GSVariant{NoHistory: true})
+		instant, err := exp.RunGrayScottVariant(int64(i+1), benchMachine, true, exp.Variant{XML: noHistory})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(len(windowed.W.Rec.Plans)), "plans-windowed")
-		b.ReportMetric(float64(len(instant.W.Rec.Plans)), "plans-instant")
+		b.ReportMetric(float64(len(windowed.W.Plans())), "plans-windowed")
+		b.ReportMetric(float64(len(instant.W.Plans())), "plans-instant")
 	}
 }
 
@@ -289,7 +295,7 @@ func BenchmarkAblationVictimSelection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		without, err := exp.RunGrayScottVariant(int64(i+1), benchMachine, true, exp.GSVariant{Arbiter: &noVictims})
+		without, err := exp.RunGrayScottVariant(int64(i+1), benchMachine, true, exp.Variant{Arbiter: &noVictims})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -311,21 +317,21 @@ func BenchmarkAblationGracefulKill(b *testing.B) {
 	immediate := arbiter.DefaultConfig()
 	immediate.ImmediateKill = true
 	meanResp := func(res *exp.GSResult) float64 {
-		if len(res.W.Rec.Plans) == 0 {
+		if len(res.W.Plans()) == 0 {
 			return 0
 		}
 		var d time.Duration
-		for _, p := range res.W.Rec.Plans {
+		for _, p := range res.W.Plans() {
 			d += p.ResponseTime()
 		}
-		return (d / time.Duration(len(res.W.Rec.Plans))).Seconds()
+		return (d / time.Duration(len(res.W.Plans()))).Seconds()
 	}
 	for i := 0; i < b.N; i++ {
 		graceful, err := exp.RunGrayScott(int64(i+1), benchMachine, true)
 		if err != nil {
 			b.Fatal(err)
 		}
-		killed, err := exp.RunGrayScottVariant(int64(i+1), benchMachine, true, exp.GSVariant{Arbiter: &immediate})
+		killed, err := exp.RunGrayScottVariant(int64(i+1), benchMachine, true, exp.Variant{Arbiter: &immediate})
 		if err != nil {
 			b.Fatal(err)
 		}

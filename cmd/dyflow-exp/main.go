@@ -9,9 +9,9 @@
 // figure11 cost trace overprov chaos all
 //
 // -perfetto writes a Chrome trace-event timeline of the (last) run with a
-// recorded world — load it at ui.perfetto.dev. serve steps a chaos
-// campaign while exposing /metrics (Prometheus text), /metrics.json, and
-// /trace (Perfetto JSON) over HTTP.
+// recorded world — load it at ui.perfetto.dev. serve runs a chaos
+// campaign at a watchable pace while exposing /metrics (Prometheus text),
+// /metrics.json, and /trace (Perfetto JSON) over HTTP.
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 
 	"dyflow"
 	"dyflow/internal/apps"
-	"dyflow/internal/cluster"
 	"dyflow/internal/exp"
 	"dyflow/internal/obs"
 	"dyflow/internal/stats"
@@ -107,10 +106,10 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// exportPerfetto writes the run's timeline when -perfetto is set. chaos is
-// nil for fault-free experiments. Experiments call it after their run, so
-// with several experiments in one invocation the last one wins.
-func exportPerfetto(w *exp.World, chaos []cluster.CampaignEvent) error {
+// exportPerfetto writes the run's timeline when -perfetto is set.
+// Experiments call it after their run, so with several experiments in one
+// invocation the last one wins.
+func exportPerfetto(w *exp.World) error {
 	if *perfettoFlag == "" || w == nil {
 		return nil
 	}
@@ -119,26 +118,59 @@ func exportPerfetto(w *exp.World, chaos []cluster.CampaignEvent) error {
 		return err
 	}
 	defer f.Close()
-	if err := exp.WritePerfetto(f, w, chaos); err != nil {
+	if err := exp.WritePerfetto(f, w); err != nil {
 		return err
 	}
 	fmt.Printf("  wrote %s\n\n", *perfettoFlag)
 	return nil
 }
 
-// serve steps a chaos campaign (seed/machine from the shared flags) while
+// serve runs a chaos campaign (seed/machine from the shared flags) while
 // exposing the unified observability surface over HTTP: /metrics is the
 // Prometheus text exposition, /metrics.json the JSON snapshot, /trace the
 // Perfetto timeline of the run so far. The simulation is single-threaded,
-// so one mutex serializes sim stepping against handler reads. -addr host:0
+// so one mutex serializes the campaign against handler reads: the campaign
+// holds it except inside its OnProgress hook, between ticks. -addr host:0
 // binds a free port (the bound address is printed); SIGINT/SIGTERM shut
 // down gracefully with in-flight requests drained.
 func serve() error {
-	cr, err := exp.NewChaosRun(*seedFlag, machine(), dyflow.DefaultChaosOptions())
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	var (
+		mu    sync.Mutex
+		world *exp.World // set by the Configure hook before ready fires
+	)
+	ready := make(chan error, 1)
+	go func() {
+		mu.Lock()
+		defer mu.Unlock()
+		res, err := exp.RunChaosVariant(*seedFlag, machine(), dyflow.DefaultChaosOptions(), exp.Variant{
+			Configure: func(w *exp.World) error {
+				world = w
+				w.OnProgress = func(time.Duration) error {
+					// ~5 simulated seconds per 50ms of wall clock, so a scraper
+					// watches the campaign unfold instead of finding it over.
+					mu.Unlock()
+					time.Sleep(50 * time.Millisecond)
+					mu.Lock()
+					return ctx.Err()
+				}
+				ready <- nil
+				return nil
+			},
+		})
+		switch {
+		case world == nil:
+			ready <- err
+		case err == nil:
+			res.Write(os.Stdout)
+		case ctx.Err() == nil:
+			fmt.Fprintln(os.Stderr, "dyflow-exp: serve:", err)
+		}
+	}()
+	if err := <-ready; err != nil {
 		return err
 	}
-	var mu sync.Mutex // held around every step and every handler
 	locked := func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			mu.Lock()
@@ -147,43 +179,21 @@ func serve() error {
 		})
 	}
 	// Closed once the drain is over, and under the lock so that it cannot
-	// land inside a step of the loop below.
+	// land inside a tick of the campaign.
 	defer func() {
 		mu.Lock()
 		defer mu.Unlock()
-		cr.W.Close()
+		world.Close()
 	}()
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", locked(obs.MetricsHandler(cr.W.Metrics)))
-	mux.Handle("/metrics.json", locked(obs.JSONHandler(cr.W.Metrics)))
+	mux.Handle("/metrics", locked(obs.MetricsHandler(world.Metrics)))
+	mux.Handle("/metrics.json", locked(obs.JSONHandler(world.Metrics)))
 	mux.Handle("/trace", locked(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if err := exp.WritePerfetto(w, cr.W, cr.Events()); err != nil {
+		if err := exp.WritePerfetto(w, world); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})))
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		// ~5 simulated seconds per 50ms of wall clock, so a scraper watches
-		// the campaign unfold instead of finding it already over.
-		for ctx.Err() == nil {
-			mu.Lock()
-			done, err := cr.Step(5 * time.Second)
-			if done && err == nil {
-				cr.Result().Write(os.Stdout)
-			}
-			mu.Unlock()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dyflow-exp: serve:", err)
-			}
-			if done || err != nil {
-				return
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}()
 
 	ln, err := net.Listen("tcp", *addrFlag)
 	if err != nil {
@@ -261,7 +271,7 @@ func figure6() error {
 		return err
 	}
 	dyflow.XGCReport(res, time.Duration(base)).Write(os.Stdout)
-	return exportPerfetto(res.W, nil)
+	return exportPerfetto(res.W)
 }
 
 // runGS runs Gray-Scott with and without DYFLOW. The baseline's world is
@@ -304,7 +314,7 @@ func figure8() error {
 		fmt.Println()
 	}
 	dyflow.GrayScottReport(res, base).Write(os.Stdout)
-	return exportPerfetto(res.W, nil)
+	return exportPerfetto(res.W)
 }
 
 func figure9() error {
@@ -337,7 +347,7 @@ func figure11() error {
 		fmt.Println()
 	}
 	dyflow.LAMMPSReport(res).Write(os.Stdout)
-	return exportPerfetto(res.W, nil)
+	return exportPerfetto(res.W)
 }
 
 func cost() error {
@@ -372,7 +382,7 @@ func traceExp() error {
 		}
 		fmt.Printf("  wrote %s\n\n", *traceJSONFlag)
 	}
-	return exportPerfetto(res.W, nil)
+	return exportPerfetto(res.W)
 }
 
 func overprov() error {
@@ -386,7 +396,7 @@ func overprov() error {
 		fmt.Println()
 	}
 	dyflow.OverProvisionReport(res).Write(os.Stdout)
-	return exportPerfetto(res.W, nil)
+	return exportPerfetto(res.W)
 }
 
 // chaos runs the seeded fault-injection campaign: Gray-Scott with restart
@@ -415,7 +425,7 @@ func chaos() error {
 	if !res.Converged {
 		return fmt.Errorf("chaos campaign did not converge (seed %d)", *seedFlag)
 	}
-	return exportPerfetto(res.W, res.Events)
+	return exportPerfetto(res.W)
 }
 
 // sweep runs the three headline experiments across many seeds in parallel
@@ -438,7 +448,7 @@ func sweep() error {
 		}
 		defer res.W.Close()
 		return gsOut{
-			plans:    len(res.W.Rec.Plans),
+			plans:    len(res.W.Plans()),
 			makespan: res.Makespan.Seconds(),
 			before:   res.PaceBefore,
 			after:    res.PaceAfter,

@@ -139,7 +139,6 @@ type Engine struct {
 	// reports count; an empty round reaches the OnRound observers, the
 	// arbiter.empty_rounds counter and its spans' "empty-plan" drop.
 	records []Record
-	onPlan  []func(Record)
 	onRound []func(RoundEvent)
 	proc    *sim.Proc
 	tr      *trace.Recorder
@@ -182,10 +181,6 @@ func New(s *sim.Sim, bus *msg.Bus, name string, cfg Config, rules map[string]*sp
 		waiting: make(map[string][]WaitingTask),
 	}
 }
-
-// OnPlan registers an observer for executed arbitration rounds. Observers
-// accumulate — registering never displaces an earlier observer.
-func (e *Engine) OnPlan(fn func(Record)) { e.onPlan = append(e.onPlan, fn) }
 
 // OnRound registers an observer fired after every round, executed or empty,
 // with the post-round state a journal needs (see RoundEvent).
@@ -437,9 +432,6 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			e.settleUntil = e.s.Now() + e.cfg.SettleDelay
 		}
 		e.records = append(e.records, rec)
-		for _, fn := range e.onPlan {
-			fn(rec)
-		}
 		e.fireRound(RoundEvent{
 			Record:      rec,
 			Waiting:     append([]WaitingTask(nil), e.waiting[wf]...),

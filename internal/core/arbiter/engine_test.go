@@ -272,7 +272,11 @@ func TestEngineRecordsResponseDecomposition(t *testing.T) {
 func TestEngineDirectArbitrateAndStop(t *testing.T) {
 	r := newEngineRig(t, DefaultConfig())
 	var observed []Record
-	r.eng.OnPlan(func(rec Record) { observed = append(observed, rec) })
+	r.eng.OnRound(func(ev RoundEvent) {
+		if !ev.Empty {
+			observed = append(observed, ev.Record)
+		}
+	})
 	r.s.Spawn("driver", func(p *sim.Proc) {
 		// Direct synchronous round, bypassing guards (test/tooling entry).
 		recs := r.eng.Arbitrate(p, []decision.Suggestion{

@@ -3,6 +3,8 @@ package exp
 import (
 	"testing"
 	"time"
+
+	"dyflow/internal/apps"
 )
 
 // BenchmarkQuickstartJob runs the campaign service's cheap quickstart
@@ -14,12 +16,8 @@ func BenchmarkQuickstartJob(b *testing.B) {
 	var dispatched, handoffs uint64
 	var simTime time.Duration
 	for i := 0; i < b.N; i++ {
-		j, err := Job{Scenario: ScenarioQuickstart, Seed: int64(i)}.Normalized()
-		if err != nil {
-			b.Fatal(err)
-		}
-		w, _, _, err := runQuickstartJob(j, nil)
-		if err != nil {
+		var w *World
+		if _, _, err := runQuickstart(int64(i), apps.Summit, Variant{Configure: func(x *World) error { w = x; return nil }}); err != nil {
 			b.Fatal(err)
 		}
 		dispatched += w.Sim.Dispatched()

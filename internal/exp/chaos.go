@@ -11,6 +11,7 @@ import (
 	"dyflow/internal/core"
 	"dyflow/internal/resmgr"
 	"dyflow/internal/sim"
+	"dyflow/internal/task"
 )
 
 // ChaosOptions tunes the seeded fault-injection campaign RunChaos drives
@@ -34,15 +35,12 @@ type ChaosOptions struct {
 	// OrchKills tears the orchestrator itself down this many times during
 	// the campaign window, restoring each time from its checkpoint store
 	// (CkptDir must be set). Kills are spread evenly across
-	// [KillStart, KillEnd] and deferred to the next step boundary where the
+	// [KillStart, KillEnd] and deferred to the next tick boundary where the
 	// arbiter is not mid-round.
 	OrchKills int
 	// CkptDir is the checkpoint store directory. When set, the orchestrator
 	// journals arbitration rounds there and OrchKills become possible.
 	CkptDir string
-	// XML, when non-empty, replaces the generated orchestration document
-	// (used as-is: no recovery policies are spliced in).
-	XML string
 	// Horizon bounds the run.
 	Horizon time.Duration
 }
@@ -125,29 +123,20 @@ func countEvents(evs []cluster.CampaignEvent, kind string) int {
 	return n
 }
 
-// ChaosRun is an in-flight chaos campaign that can be advanced
-// incrementally — `dyflow-exp serve` steps it between HTTP scrapes so
-// /metrics and /trace show a live run. RunChaos drives one to completion.
-type ChaosRun struct {
-	W        *World
-	seed     int64
-	m        apps.Machine
-	opts     ChaosOptions
-	campaign *cluster.Campaign
-	faults   *resmgr.Faults
-
-	scheduled  int
-	orchKillAt []sim.Time // pending orchestrator-kill deadlines, ascending
-	orchKills  int
-	end        sim.Time
-	done       bool
+// RunChaos runs the Gray-Scott scenario with restart policies under a
+// seeded kill/heal campaign and flaky-carve injection, and checks that the
+// workflow still converges with no leaked resource assignment. The same
+// seed replays the same campaign.
+func RunChaos(seed int64, m apps.Machine, opts ChaosOptions) (*ChaosResult, error) {
+	return RunChaosVariant(seed, m, opts, Variant{})
 }
 
-// NewChaosRun builds the Gray-Scott chaos world — restart policies spliced
-// into the orchestration, seeded kill/heal campaign scheduled, flaky
-// carves injected — and launches the workflow. The same seed replays the
-// same campaign.
-func NewChaosRun(seed int64, m apps.Machine, opts ChaosOptions) (*ChaosRun, error) {
+// RunChaosVariant is RunChaos with the variant applied. A variant document
+// is used as-is: no recovery policies are spliced into it.
+func RunChaosVariant(seed int64, m apps.Machine, opts ChaosOptions, v Variant) (*ChaosResult, error) {
+	if opts.OrchKills > 0 && opts.CkptDir == "" {
+		return nil, fmt.Errorf("chaos: OrchKills=%d requires CkptDir", opts.OrchKills)
+	}
 	cfg := apps.GrayScottConfigFor(m)
 	w, err := NewWorld(seed, m, cfg.Nodes+opts.SpareNodes)
 	if err != nil {
@@ -156,11 +145,7 @@ func NewChaosRun(seed int64, m apps.Machine, opts ChaosOptions) (*ChaosRun, erro
 	if err := w.SV.Compose(apps.GrayScottWorkflow(m)); err != nil {
 		return nil, err
 	}
-	xml := opts.XML
-	if xml == "" {
-		xml = spliceRecovery(GrayScottXML(m))
-	}
-	if err := w.StartOrchestration(xml, core.Options{}); err != nil {
+	if err := w.orchestrate(v, spliceRecovery(GrayScottXML(m)), core.Options{}); err != nil {
 		return nil, err
 	}
 
@@ -169,7 +154,7 @@ func NewChaosRun(seed int64, m apps.Machine, opts ChaosOptions) (*ChaosRun, erro
 	// whole campaign replays for a fixed seed.
 	faults := resmgr.NewFaults(seed+1<<32, opts.CarveFailProb)
 	w.RM.InjectFaults(faults)
-	campaign := cluster.NewCampaign(w.Cluster, cluster.CampaignConfig{
+	w.campaign = cluster.NewCampaign(w.Cluster, cluster.CampaignConfig{
 		Seed:        seed,
 		Start:       opts.KillStart,
 		End:         opts.KillEnd,
@@ -177,13 +162,8 @@ func NewChaosRun(seed int64, m apps.Machine, opts ChaosOptions) (*ChaosRun, erro
 		HealAfter:   opts.HealAfter,
 		MaxDown:     opts.MaxDown,
 	})
-	campaign.SetMetrics(w.Metrics)
-	cr := &ChaosRun{
-		W: w, seed: seed, m: m, opts: opts,
-		campaign:  campaign,
-		faults:    faults,
-		scheduled: campaign.Schedule(),
-	}
+	w.campaign.SetMetrics(w.Metrics)
+	res := &ChaosResult{Seed: seed, Machine: m, Opts: opts, ScheduledKills: w.campaign.Schedule(), W: w}
 
 	// Orchestrator kills: checkpoint store plus evenly spread deadlines
 	// (deterministic for a fixed option set, so killed and uninterrupted
@@ -193,120 +173,65 @@ func NewChaosRun(seed int64, m apps.Machine, opts ChaosOptions) (*ChaosRun, erro
 			return nil, err
 		}
 	}
-	if opts.OrchKills > 0 {
-		if opts.CkptDir == "" {
-			return nil, fmt.Errorf("chaos: OrchKills=%d requires CkptDir", opts.OrchKills)
-		}
-		span := opts.KillEnd - opts.KillStart
-		for i := 0; i < opts.OrchKills; i++ {
-			at := opts.KillStart + span*time.Duration(i+1)/time.Duration(opts.OrchKills+1)
-			cr.orchKillAt = append(cr.orchKillAt, sim.Time(at))
-		}
+	var orchKillAt []sim.Time // pending deadlines, ascending
+	span := opts.KillEnd - opts.KillStart
+	for i := 0; i < opts.OrchKills; i++ {
+		orchKillAt = append(orchKillAt, opts.KillStart+span*time.Duration(i+1)/time.Duration(opts.OrchKills+1))
 	}
-	w.Launch(apps.GrayScottWorkflowID)
-	return cr, nil
-}
+	if err := w.launch(v, apps.GrayScottWorkflowID); err != nil {
+		return nil, err
+	}
 
-// Events returns the kill/heal events fired so far.
-func (cr *ChaosRun) Events() []cluster.CampaignEvent { return cr.campaign.Events() }
-
-// Step advances the simulation by dt (bounded by the horizon) and reports
-// whether the campaign has finished. RunUntilWorkflowDone's short idle
-// grace would read a crash-recovery gap (which can span the whole settle
-// window) as completion; under chaos, completion means the simulation
-// actually finished its steps and every task wound down.
-func (cr *ChaosRun) Step(dt time.Duration) (bool, error) {
-	if cr.done {
-		return true, nil
-	}
-	w := cr.W
-	if w.Sim.Now() >= cr.opts.Horizon {
-		cr.done = true
-		return true, nil
-	}
-	if err := w.Sim.Run(w.Sim.Now() + sim.Time(dt)); err != nil {
-		return false, err
-	}
-	if err := w.progress(); err != nil {
-		return false, err
-	}
-	// Orchestrator kill: at a step boundary every process is parked, so the
-	// snapshot is quiescent — except a mid-round arbiter (parked in a settle
-	// or plan-cost sleep with un-serializable state on its stack). Defer the
-	// kill to the next boundary in that case; the deadline stays armed.
-	if len(cr.orchKillAt) > 0 && w.Sim.Now() >= cr.orchKillAt[0] && !w.Orch.Arbiter.Busy() {
-		cr.orchKillAt = cr.orchKillAt[1:]
-		if err := w.CrashOrchestrator(); err != nil {
-			return false, err
+	// RunUntilWorkflowDone's short idle grace would read a crash-recovery
+	// gap (which can span the whole settle window) as completion; under
+	// chaos, completion means the simulation actually finished its steps
+	// and every task wound down.
+	err = w.drive(opts.Horizon, 5*time.Second, func() (bool, error) {
+		// Orchestrator kill: at a tick boundary every process is parked, so
+		// the snapshot is quiescent — except a mid-round arbiter (parked in a
+		// settle or plan-cost sleep with un-serializable state on its stack).
+		// Defer the kill to the next boundary in that case; the deadline
+		// stays armed.
+		if len(orchKillAt) > 0 && w.Sim.Now() >= orchKillAt[0] && !w.Orch.Arbiter.Busy() {
+			orchKillAt = orchKillAt[1:]
+			if err := w.CrashOrchestrator(); err != nil {
+				return false, err
+			}
+			if err := w.RestoreOrchestrator(); err != nil {
+				return false, err
+			}
+			res.OrchKills++
 		}
-		if err := w.RestoreOrchestrator(); err != nil {
-			return false, err
+		gs := w.SV.Instance(apps.GrayScottWorkflowID, "GrayScott")
+		if gs != nil && gs.State() == task.Completed && w.WorkflowDone(apps.GrayScottWorkflowID) {
+			res.End = w.Sim.Now()
+			return true, nil
 		}
-		cr.orchKills++
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	gs := w.SV.Instance(apps.GrayScottWorkflowID, "GrayScott")
-	if gs != nil && gs.State().String() == "Completed" && w.WorkflowDone(apps.GrayScottWorkflowID) {
-		cr.end = w.Sim.Now()
-		cr.done = true
-	} else if w.Sim.Pending() == 0 {
-		cr.done = true
+	if res.End == 0 {
+		res.End = w.Sim.Now()
 	}
-	return cr.done, nil
-}
 
-// Result summarizes the campaign as run so far (call after Step reports
-// done for the final verdict).
-func (cr *ChaosRun) Result() *ChaosResult {
-	w := cr.W
-	end := cr.end
-	if end == 0 {
-		end = w.Sim.Now()
-	}
 	tr := w.Orch.Trace
-	res := &ChaosResult{
-		Seed:           cr.seed,
-		Machine:        cr.m,
-		Opts:           cr.opts,
-		ScheduledKills: cr.scheduled,
-		Events:         cr.campaign.Events(),
-		InjectedCarves: cr.faults.Injected(),
-		OrchKills:      cr.orchKills,
-		Rounds:         tr.Counter("arbiter.rounds"),
-		FailedRounds:   tr.Counter("arbiter.failed_rounds"),
-		Retries:        tr.Counter("actuate.retries"),
-		RecoveredOps:   tr.Counter("actuate.recovered_ops"),
-		RequeuedTasks:  tr.Counter("arbiter.requeued_tasks"),
-		Leaked:         LeakedOwners(w),
-		End:            end,
-		W:              w,
-	}
-	gs := w.SV.Instance(apps.GrayScottWorkflowID, "GrayScott")
-	if gs != nil {
+	res.Events = w.campaign.Events()
+	res.InjectedCarves = faults.Injected()
+	res.Rounds = tr.Counter("arbiter.rounds")
+	res.FailedRounds = tr.Counter("arbiter.failed_rounds")
+	res.Retries = tr.Counter("actuate.retries")
+	res.RecoveredOps = tr.Counter("actuate.recovered_ops")
+	res.RequeuedTasks = tr.Counter("arbiter.requeued_tasks")
+	res.Leaked = LeakedOwners(w)
+	if gs := w.SV.Instance(apps.GrayScottWorkflowID, "GrayScott"); gs != nil {
 		res.GSState = gs.State().String()
 		res.GSIncarnation = gs.Incarnation
 	}
 	res.Converged = res.GSState == "Completed" &&
 		w.WorkflowDone(apps.GrayScottWorkflowID) && len(res.Leaked) == 0
-	return res
-}
-
-// RunChaos runs the Gray-Scott scenario with restart policies under a
-// seeded kill/heal campaign and flaky-carve injection, and checks that the
-// workflow still converges with no leaked resource assignment.
-func RunChaos(seed int64, m apps.Machine, opts ChaosOptions) (*ChaosResult, error) {
-	cr, err := NewChaosRun(seed, m, opts)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		done, err := cr.Step(5 * time.Second)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return cr.Result(), nil
-		}
-	}
+	return res, nil
 }
 
 // LeakedOwners returns resource-manager owners whose task is not running —

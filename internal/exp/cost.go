@@ -43,7 +43,7 @@ func RunCostAnalysis(seed int64, m apps.Machine) (*CostResult, error) {
 		DiskLagMean:   time.Duration(xgc.W.Orch.Server.Lag("NSTEPS").Mean() * float64(time.Second)),
 		StopShare:     gs.W.Orch.Executor.StopShare(),
 	}
-	plans := append(append([]arbiter.Record(nil), gs.W.Rec.Plans...), xgc.W.Rec.Plans...)
+	plans := append(append([]arbiter.Record(nil), gs.W.Plans()...), xgc.W.Plans()...)
 	if len(plans) > 0 {
 		var resp, plan time.Duration
 		for _, p := range plans {

@@ -24,9 +24,9 @@ func TestGrayScottDeepthought2SingleAdaptation(t *testing.T) {
 	if !res.Completed {
 		t.Fatalf("workflow did not complete (makespan %v)", res.Makespan)
 	}
-	if len(res.W.Rec.Plans) != 1 {
+	if len(res.W.Plans()) != 1 {
 		res.W.Rec.PlanSummary(os.Stderr)
-		t.Fatalf("plans = %d, want 1", len(res.W.Rec.Plans))
+		t.Fatalf("plans = %d, want 1", len(res.W.Plans()))
 	}
 	// One adaptation: Isosurface 20 -> 60, victims PDF_Calc and FFT.
 	if len(res.IsoSizes) != 2 || res.IsoSizes[0] != 20 || res.IsoSizes[1] != 60 {
@@ -44,7 +44,7 @@ func TestGrayScottDeepthought2SingleAdaptation(t *testing.T) {
 		t.Fatalf("Rendering incarnations = %d, want 2", n)
 	}
 	// Response in the tens of seconds (paper: 87 s).
-	resp := res.W.Rec.Plans[0].ResponseTime()
+	resp := res.W.Plans()[0].ResponseTime()
 	if resp < 20*time.Second || resp > 4*time.Minute {
 		t.Fatalf("response = %v, want tens of seconds (paper 87 s)", resp)
 	}
@@ -95,8 +95,8 @@ func TestLAMMPSDeepthought2(t *testing.T) {
 	if !res.Completed {
 		t.Fatalf("workflow did not complete after recovery (makespan %v)", res.Makespan)
 	}
-	if len(res.W.Rec.Plans) != 1 {
-		t.Fatalf("plans = %d, want 1", len(res.W.Rec.Plans))
+	if len(res.W.Plans()) != 1 {
+		t.Fatalf("plans = %d, want 1", len(res.W.Plans()))
 	}
 	if res.RecoveryResponse > time.Second {
 		t.Fatalf("recovery response = %v, want sub-second", res.RecoveryResponse)

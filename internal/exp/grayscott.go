@@ -26,18 +26,8 @@ func gsThresholds(m apps.Machine) (inc, dec float64, adjust int) {
 
 // GrayScottXML is the orchestration document for the Gray-Scott workflow —
 // the complete version of paper Figures 3, 4, and 5.
-func GrayScottXML(m apps.Machine) string { return grayScottXML(m, true) }
-
-// grayScottXML optionally drops the <history> element (the ablation of
-// window-averaged evaluation: instantaneous values make noisy single steps
-// trigger adaptations).
-func grayScottXML(m apps.Machine, withHistory bool) string {
+func GrayScottXML(m apps.Machine) string {
 	inc, dec, adjust := gsThresholds(m)
-	history := `
-        <history window="10" operation="AVG"/>`
-	if !withHistory {
-		history = ""
-	}
 	monitor := ""
 	applies := ""
 	for _, name := range []string{"Isosurface", "Rendering", "FFT", "PDF_Calc"} {
@@ -75,13 +65,15 @@ func grayScottXML(m apps.Machine, withHistory bool) string {
       <policy id="INC_ON_PACE">
         <eval operation="GT" threshold="%g"/>
         <sensors-to-use><use-sensor id="PACE" granularity="task"/></sensors-to-use>
-        <action>ADDCPU</action>%s
+        <action>ADDCPU</action>
+        <history window="10" operation="AVG"/>
         <frequency seconds="5"/>
       </policy>
       <policy id="DEC_ON_PACE">
         <eval operation="LT" threshold="%g"/>
         <sensors-to-use><use-sensor id="PACE" granularity="task"/></sensors-to-use>
-        <action>RMCPU</action>%s
+        <action>RMCPU</action>
+        <history window="10" operation="AVG"/>
         <frequency seconds="5"/>
       </policy>
     </policies>
@@ -107,7 +99,7 @@ func grayScottXML(m apps.Machine, withHistory bool) string {
       </rule-for>
     </rules>
   </arbitration>
-</dyflow>`, monitor, inc, history, dec, history, applies)
+</dyflow>`, monitor, inc, dec, applies)
 }
 
 // GSResult is the outcome of a Gray-Scott run.
@@ -132,29 +124,15 @@ type GSResult struct {
 	PaceBefore, PaceAfter float64
 }
 
-// GSVariant parameterizes ablation runs of the Gray-Scott experiment.
-type GSVariant struct {
-	// Arbiter overrides the arbitration guards (nil = paper defaults).
-	Arbiter *arbiter.Config
-	// NoHistory drops the policies' sliding-window pre-analysis so they
-	// evaluate instantaneous values.
-	NoHistory bool
-	// XML, when non-empty, replaces the generated orchestration document —
-	// the campaign service threads user-submitted specs through here.
-	XML string
-	// Configure, when set, is called on the freshly built world before the
-	// run starts (the campaign service attaches its progress/cancel hook).
-	Configure func(*World) error
-}
-
 // RunGrayScott executes the under-provisioning experiment (Figures 8 and
 // 9); withDyflow=false runs the no-orchestration baseline.
 func RunGrayScott(seed int64, m apps.Machine, withDyflow bool) (*GSResult, error) {
-	return RunGrayScottVariant(seed, m, withDyflow, GSVariant{})
+	return RunGrayScottVariant(seed, m, withDyflow, Variant{})
 }
 
-// RunGrayScottVariant executes the experiment with ablation knobs.
-func RunGrayScottVariant(seed int64, m apps.Machine, withDyflow bool, v GSVariant) (*GSResult, error) {
+// RunGrayScottVariant executes the experiment with the variant applied —
+// the ablation benchmarks' entry.
+func RunGrayScottVariant(seed int64, m apps.Machine, withDyflow bool, v Variant) (*GSResult, error) {
 	cfg := apps.GrayScottConfigFor(m)
 	w, err := NewWorld(seed, m, cfg.Nodes)
 	if err != nil {
@@ -164,27 +142,14 @@ func RunGrayScottVariant(seed int64, m apps.Machine, withDyflow bool, v GSVarian
 		return nil, err
 	}
 	if withDyflow {
-		opts := core.Options{}
-		if v.Arbiter != nil {
-			opts.Arbiter = *v.Arbiter
-		}
-		xml := v.XML
-		if xml == "" {
-			xml = grayScottXML(m, !v.NoHistory)
-		}
-		if err := w.StartOrchestration(xml, opts); err != nil {
+		if err := w.orchestrate(v, GrayScottXML(m), core.Options{}); err != nil {
 			return nil, err
 		}
 	}
-	if v.Configure != nil {
-		if err := v.Configure(w); err != nil {
-			return nil, err
-		}
+	if err := w.launch(v, apps.GrayScottWorkflowID); err != nil {
+		return nil, err
 	}
-	w.Launch(apps.GrayScottWorkflowID)
-
-	horizon := 4 * cfg.TimeLimit
-	end, err := w.RunUntilWorkflowDone(apps.GrayScottWorkflowID, horizon)
+	end, err := w.RunUntilWorkflowDone(apps.GrayScottWorkflowID, 4*cfg.TimeLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +168,7 @@ func RunGrayScottVariant(seed int64, m apps.Machine, withDyflow bool, v GSVarian
 	for _, iv := range w.Rec.TaskIntervals(apps.GrayScottWorkflowID, "Isosurface") {
 		res.IsoSizes = append(res.IsoSizes, iv.Procs)
 	}
-	for _, p := range w.Rec.Plans {
+	for _, p := range w.Plans() {
 		var victims []string
 		for _, op := range p.Plan.Ops {
 			if op.Victim {
@@ -212,7 +177,7 @@ func RunGrayScottVariant(seed int64, m apps.Machine, withDyflow bool, v GSVarian
 		}
 		res.Victims = append(res.Victims, victims)
 	}
-	res.PaceBefore, res.PaceAfter = paceBeforeAfter(w.Rec, apps.GrayScottWorkflowID)
+	res.PaceBefore, res.PaceAfter = paceBeforeAfter(w.Rec, w.Plans(), apps.GrayScottWorkflowID)
 	return res, nil
 }
 
@@ -220,11 +185,11 @@ func RunGrayScottVariant(seed int64, m apps.Machine, withDyflow bool, v GSVarian
 // steady state immediately preceding the first adaptation (the last few
 // values, skipping pipeline warm-up), "after" the average once the last
 // adaptation completed.
-func paceBeforeAfter(rec *Recorder, workflow string) (before, after float64) {
+func paceBeforeAfter(rec *Recorder, plans []arbiter.Record, workflow string) (before, after float64) {
 	var firstPlan, lastDone sim.Time
-	if len(rec.Plans) > 0 {
-		firstPlan = rec.Plans[0].ReceivedAt
-		lastDone = rec.Plans[len(rec.Plans)-1].ExecutedAt
+	if len(plans) > 0 {
+		firstPlan = plans[0].ReceivedAt
+		lastDone = plans[len(plans)-1].ExecutedAt
 	}
 	var pre []float64
 	var na int
@@ -261,12 +226,10 @@ func paceBeforeAfter(rec *Recorder, workflow string) (before, after float64) {
 // every task paces below the release floor and DEC_ON_PACE shrinks the
 // analyses until the pace re-enters the desired band.
 func RunGrayScottOverProvisioned(seed int64, m apps.Machine) (*GSResult, error) {
-	return RunGrayScottOverProvisionedVariant(seed, m, GSVariant{})
+	return runOverProvisioned(seed, m, Variant{})
 }
 
-// RunGrayScottOverProvisionedVariant executes the over-provisioning variant
-// with the GSVariant hooks (XML override, world configuration) applied.
-func RunGrayScottOverProvisionedVariant(seed int64, m apps.Machine, v GSVariant) (*GSResult, error) {
+func runOverProvisioned(seed int64, m apps.Machine, v Variant) (*GSResult, error) {
 	cfg := apps.GrayScottConfigFor(m)
 	w, err := NewWorld(seed, m, cfg.Nodes+4)
 	if err != nil {
@@ -305,19 +268,12 @@ func RunGrayScottOverProvisionedVariant(seed int64, m apps.Machine, v GSVariant)
 	// before evaluation resumes.
 	acfg := arbiter.DefaultConfig()
 	acfg.SettleDelay = 4 * time.Minute
-	xml := v.XML
-	if xml == "" {
-		xml = GrayScottXML(m)
-	}
-	if err := w.StartOrchestration(xml, core.Options{Arbiter: acfg}); err != nil {
+	if err := w.orchestrate(v, GrayScottXML(m), core.Options{Arbiter: acfg}); err != nil {
 		return nil, err
 	}
-	if v.Configure != nil {
-		if err := v.Configure(w); err != nil {
-			return nil, err
-		}
+	if err := w.launch(v, apps.GrayScottWorkflowID); err != nil {
+		return nil, err
 	}
-	w.Launch(apps.GrayScottWorkflowID)
 	end, err := w.RunUntilWorkflowDone(apps.GrayScottWorkflowID, 4*cfg.TimeLimit)
 	if err != nil {
 		return nil, err
@@ -329,7 +285,7 @@ func RunGrayScottOverProvisionedVariant(seed int64, m apps.Machine, v GSVariant)
 	for _, iv := range w.Rec.TaskIntervals(apps.GrayScottWorkflowID, "Isosurface") {
 		res.IsoSizes = append(res.IsoSizes, iv.Procs)
 	}
-	res.PaceBefore, res.PaceAfter = paceBeforeAfter(w.Rec, apps.GrayScottWorkflowID)
+	res.PaceBefore, res.PaceAfter = paceBeforeAfter(w.Rec, w.Plans(), apps.GrayScottWorkflowID)
 	return res, nil
 }
 

@@ -24,9 +24,9 @@ func TestGrayScottSummitReproducesFigure8(t *testing.T) {
 	if !res.Completed {
 		t.Fatalf("workflow did not complete (makespan %v)", res.Makespan)
 	}
-	if len(res.W.Rec.Plans) != 2 {
+	if len(res.W.Plans()) != 2 {
 		res.W.Rec.PlanSummary(os.Stderr)
-		t.Fatalf("plans = %d, want 2 adaptations", len(res.W.Rec.Plans))
+		t.Fatalf("plans = %d, want 2 adaptations", len(res.W.Plans()))
 	}
 	// Isosurface grows 20 -> 40 -> 60.
 	want := []int{20, 40, 60}

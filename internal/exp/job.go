@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dyflow/internal/apps"
-	"dyflow/internal/cluster"
 	"dyflow/internal/core"
 	"dyflow/internal/core/arbiter"
 	"dyflow/internal/core/spec"
@@ -45,10 +44,73 @@ const (
 	ScenarioChaos      = "chaos"
 )
 
-// Scenarios lists the supported scenario names.
+// A scenario is one entry of the scenario table: a job scenario's name and
+// its runner. The runner builds the world, hands it to v.Configure before
+// anything runs in it, drives it to its end, and frames the outcome as the
+// job's report with its convergence verdict.
+type scenario struct {
+	name string
+	run  func(seed int64, m apps.Machine, v Variant) (rep *Report, converged bool, err error)
+}
+
+// scenarios is the scenario table: RunJob, job validation and Scenarios all
+// read it, so a scenario added here is a job scenario everywhere.
+var scenarios = []scenario{
+	{ScenarioQuickstart, runQuickstart},
+	{ScenarioGrayScott, func(seed int64, m apps.Machine, v Variant) (*Report, bool, error) {
+		res, err := RunGrayScottVariant(seed, m, true, v)
+		if err != nil {
+			return nil, false, err
+		}
+		return GrayScottReport(res, nil), res.Completed, nil
+	}},
+	{ScenarioOverprov, func(seed int64, m apps.Machine, v Variant) (*Report, bool, error) {
+		res, err := runOverProvisioned(seed, m, v)
+		if err != nil {
+			return nil, false, err
+		}
+		return OverProvisionReport(res), res.Completed, nil
+	}},
+	{ScenarioXGC, func(seed int64, m apps.Machine, v Variant) (*Report, bool, error) {
+		res, err := runXGC(seed, m, v)
+		if err != nil {
+			return nil, false, err
+		}
+		return XGCReport(res, 0), res.FinalStep > 500, nil
+	}},
+	{ScenarioLAMMPS, func(seed int64, m apps.Machine, v Variant) (*Report, bool, error) {
+		res, err := runLAMMPS(seed, m, true, v)
+		if err != nil {
+			return nil, false, err
+		}
+		return LAMMPSReport(res), res.Completed, nil
+	}},
+	{ScenarioChaos, func(seed int64, m apps.Machine, v Variant) (*Report, bool, error) {
+		res, err := RunChaosVariant(seed, m, DefaultChaosOptions(), v)
+		if err != nil {
+			return nil, false, err
+		}
+		return chaosReport(res), res.Converged, nil
+	}},
+}
+
+// Scenarios lists the supported scenario names, in table order.
 func Scenarios() []string {
-	return []string{ScenarioQuickstart, ScenarioGrayScott, ScenarioOverprov,
-		ScenarioXGC, ScenarioLAMMPS, ScenarioChaos}
+	names := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		names[i] = sc.name
+	}
+	return names
+}
+
+// lookup returns the named scenario's table entry, or nil.
+func lookup(name string) *scenario {
+	for i := range scenarios {
+		if scenarios[i].name == name {
+			return &scenarios[i]
+		}
+	}
+	return nil
 }
 
 // Normalized canonicalizes the job (case, machine aliases, defaults) and
@@ -65,14 +127,7 @@ func (j Job) Normalized() (Job, error) {
 	default:
 		return j, fmt.Errorf("exp: unknown machine %q (want summit or dt2)", j.Machine)
 	}
-	ok := false
-	for _, s := range Scenarios() {
-		if j.Scenario == s {
-			ok = true
-			break
-		}
-	}
-	if !ok {
+	if lookup(j.Scenario) == nil {
 		return j, fmt.Errorf("exp: unknown scenario %q (want one of %s)", j.Scenario, strings.Join(Scenarios(), ", "))
 	}
 	if j.XML != "" {
@@ -133,79 +188,26 @@ func RunJob(j Job, configure func(*World) error) (*JobOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := j.machine()
-	var (
-		w      *World
-		events []cluster.CampaignEvent
-		rep    *Report
-		conv   bool
-	)
 	// Every runner hands its world to the configure hook before anything
 	// runs. RunJob takes the world from there and not from the runner's
 	// result, because a runner that fails returns none.
-	hook := func(built *World) error {
-		w = built
-		if configure == nil {
-			return nil
-		}
-		return configure(built)
-	}
+	var w *World
 	defer func() {
 		if w != nil {
 			w.Close()
 		}
 	}()
-	switch j.Scenario {
-	case ScenarioQuickstart:
-		_, rep, conv, err = runQuickstartJob(j, hook)
-	case ScenarioGrayScott:
-		var res *GSResult
-		res, err = RunGrayScottVariant(j.Seed, m, true, GSVariant{XML: j.XML, Configure: hook})
-		if err == nil {
-			rep, conv = GrayScottReport(res, nil), res.Completed
+	rep, conv, err := lookup(j.Scenario).run(j.Seed, j.machine(), Variant{XML: j.XML, Configure: func(built *World) error {
+		w = built
+		if configure == nil {
+			return nil
 		}
-	case ScenarioOverprov:
-		var res *GSResult
-		res, err = RunGrayScottOverProvisionedVariant(j.Seed, m, GSVariant{XML: j.XML, Configure: hook})
-		if err == nil {
-			rep, conv = OverProvisionReport(res), res.Completed
-		}
-	case ScenarioXGC:
-		var res *XGCResult
-		res, err = RunXGCVariant(j.Seed, m, XGCVariant{XML: j.XML, Configure: hook})
-		if err == nil {
-			rep, conv = XGCReport(res, 0), res.FinalStep > 500
-		}
-	case ScenarioLAMMPS:
-		var res *LAMMPSResult
-		res, err = RunLAMMPSVariant(j.Seed, m, true, LAMMPSVariant{XML: j.XML, Configure: hook})
-		if err == nil {
-			rep, conv = LAMMPSReport(res), res.Completed
-		}
-	case ScenarioChaos:
-		opts := DefaultChaosOptions()
-		opts.XML = j.XML
-		var cr *ChaosRun
-		cr, err = NewChaosRun(j.Seed, m, opts)
-		if err == nil {
-			err = hook(cr.W)
-			for err == nil {
-				var done bool
-				done, err = cr.Step(5 * time.Second)
-				if done {
-					break
-				}
-			}
-			if err == nil {
-				res := cr.Result()
-				rep, conv, events = chaosReport(res), res.Converged, res.Events
-			}
-		}
-	}
+		return configure(built)
+	}})
 	if err != nil {
 		return nil, err
 	}
-	arts, err := jobArtifacts(w, events, rep)
+	arts, err := jobArtifacts(w, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +221,7 @@ func RunJob(j Job, configure func(*World) error) (*JobOutcome, error) {
 }
 
 // jobArtifacts renders the outcome's artifact set from the finished world.
-func jobArtifacts(w *World, events []cluster.CampaignEvent, rep *Report) (map[string][]byte, error) {
+func jobArtifacts(w *World, rep *Report) (map[string][]byte, error) {
 	w.Rec.CloseOpen()
 	report, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -227,7 +229,7 @@ func jobArtifacts(w *World, events []cluster.CampaignEvent, rep *Report) (map[st
 	}
 	var gantt, perfetto, metrics bytes.Buffer
 	w.Rec.Gantt(&gantt, 100)
-	if err := WritePerfetto(&perfetto, w, events); err != nil {
+	if err := WritePerfetto(&perfetto, w); err != nil {
 		return nil, err
 	}
 	if err := w.Metrics.WriteJSON(&metrics); err != nil {
@@ -305,11 +307,11 @@ const quickstartXML = `
   </arbitration>
 </dyflow>`
 
-func runQuickstartJob(j Job, configure func(*World) error) (*World, *Report, bool, error) {
+func runQuickstart(seed int64, m apps.Machine, v Variant) (*Report, bool, error) {
 	const steps = 240
-	w, err := NewWorld(j.Seed, j.machine(), 2)
+	w, err := NewWorld(seed, m, 2)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	err = w.SV.Compose(&wms.WorkflowSpec{
 		ID: quickstartWorkflowID,
@@ -335,11 +337,7 @@ func runQuickstartJob(j Job, configure func(*World) error) (*World, *Report, boo
 		},
 	})
 	if err != nil {
-		return nil, nil, false, err
-	}
-	xml := j.XML
-	if xml == "" {
-		xml = quickstartXML
+		return nil, false, err
 	}
 	opts := core.Options{Arbiter: arbiter.Config{
 		WarmupDelay:  time.Minute,
@@ -347,18 +345,15 @@ func runQuickstartJob(j Job, configure func(*World) error) (*World, *Report, boo
 		PlanCost:     100 * time.Millisecond,
 		GatherWindow: 5 * time.Second,
 	}}
-	if err := w.StartOrchestration(xml, opts); err != nil {
-		return nil, nil, false, err
+	if err := w.orchestrate(v, quickstartXML, opts); err != nil {
+		return nil, false, err
 	}
-	if configure != nil {
-		if err := configure(w); err != nil {
-			return nil, nil, false, err
-		}
+	if err := w.launch(v, quickstartWorkflowID); err != nil {
+		return nil, false, err
 	}
-	w.Launch(quickstartWorkflowID)
 	end, err := w.RunUntilWorkflowDone(quickstartWorkflowID, 4*time.Hour)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	w.Rec.CloseOpen()
 
@@ -370,8 +365,9 @@ func runQuickstartJob(j Job, configure func(*World) error) (*World, *Report, boo
 	}
 	rep := &Report{ID: "Quickstart", Title: "In situ pace adaptation (demo workflow)"}
 	rep.Add("simulation completes", fmt.Sprintf("%d steps", steps), fmt.Sprint(completed), completed)
-	rep.Add("adaptations", ">= 1", fmt.Sprint(len(w.Rec.Plans)), len(w.Rec.Plans) >= 1)
+	plans := len(w.Plans())
+	rep.Add("adaptations", ">= 1", fmt.Sprint(plans), plans >= 1)
 	rep.Add("analysis grown", "> 2 procs", fmt.Sprint(finalProcs), finalProcs > 2)
 	rep.Add("makespan", "bounded", time.Duration(end).Round(time.Second).String(), true)
-	return w, rep, completed, nil
+	return rep, completed, nil
 }

@@ -95,22 +95,10 @@ type LAMMPSResult struct {
 // withDyflow=false runs the baseline, where the failed workflow just stays
 // down.
 func RunLAMMPS(seed int64, m apps.Machine, withDyflow bool) (*LAMMPSResult, error) {
-	return RunLAMMPSVariant(seed, m, withDyflow, LAMMPSVariant{})
+	return runLAMMPS(seed, m, withDyflow, Variant{})
 }
 
-// LAMMPSVariant parameterizes RunLAMMPSVariant — the reusable-job form of
-// the failure-resilience experiment.
-type LAMMPSVariant struct {
-	// XML, when non-empty, replaces the generated orchestration document.
-	XML string
-	// Configure, when set, is called on the freshly built world before the
-	// run starts.
-	Configure func(*World) error
-}
-
-// RunLAMMPSVariant executes the failure-resilience experiment with the
-// variant hooks applied.
-func RunLAMMPSVariant(seed int64, m apps.Machine, withDyflow bool, v LAMMPSVariant) (*LAMMPSResult, error) {
+func runLAMMPS(seed int64, m apps.Machine, withDyflow bool, v Variant) (*LAMMPSResult, error) {
 	cfg := apps.LAMMPSConfigFor(m)
 	w, err := NewWorld(seed, m, cfg.Nodes)
 	if err != nil {
@@ -120,54 +108,41 @@ func RunLAMMPSVariant(seed int64, m apps.Machine, withDyflow bool, v LAMMPSVaria
 		return nil, err
 	}
 	if withDyflow {
-		xml := v.XML
-		if xml == "" {
-			xml = LAMMPSXML(m)
-		}
-		if err := w.StartOrchestration(xml, core.Options{}); err != nil {
+		if err := w.orchestrate(v, LAMMPSXML(m), core.Options{}); err != nil {
 			return nil, err
 		}
 	}
-	if v.Configure != nil {
-		if err := v.Configure(w); err != nil {
-			return nil, err
-		}
+	if err := w.launch(v, apps.LAMMPSWorkflowID); err != nil {
+		return nil, err
 	}
-	w.Launch(apps.LAMMPSWorkflowID)
 
 	res := &LAMMPSResult{W: w, Machine: m, FailureAt: 10 * time.Minute}
 	// Fail a node in the middle of the allocation 10 minutes in.
 	res.FailedNode = "node003"
 	w.Cluster.FailNodeAt(res.FailureAt, res.FailedNode)
 
-	horizon := 3 * time.Hour
-	for w.Sim.Now() < horizon {
-		if err := w.Run(w.Sim.Now() + 10*time.Second); err != nil {
-			return nil, err
-		}
-		if err := w.progress(); err != nil {
-			return nil, err
-		}
+	completed := func() bool {
 		inst := w.SV.Instance(apps.LAMMPSWorkflowID, "LAMMPS")
-		if inst != nil && inst.State() == task.Completed && inst.GlobalStep() >= cfg.TotalSteps &&
-			!w.SV.AnyRunning(apps.LAMMPSWorkflowID) {
-			break
+		return inst != nil && inst.State() == task.Completed && inst.GlobalStep() >= cfg.TotalSteps
+	}
+	err = w.drive(3*time.Hour, 10*time.Second, func() (bool, error) {
+		if completed() && !w.SV.AnyRunning(apps.LAMMPSWorkflowID) {
+			return true, nil
 		}
-		if w.Sim.Pending() == 0 {
-			break
-		}
-		if !withDyflow && w.Sim.Now() > res.FailureAt+5*time.Minute {
-			break // baseline: nothing will ever restart it
-		}
+		// The baseline has nothing that will ever restart the workflow.
+		return !withDyflow && w.Sim.Now() > res.FailureAt+5*time.Minute, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	w.Rec.CloseOpen()
 	res.Makespan = w.Sim.Now()
 
-	inst := w.SV.Instance(apps.LAMMPSWorkflowID, "LAMMPS")
-	res.Completed = inst != nil && inst.State() == task.Completed && inst.GlobalStep() >= cfg.TotalSteps
-	if len(w.Rec.Plans) > 0 {
-		res.RecoveryResponse = w.Rec.Plans[0].ResponseTime()
+	res.Completed = completed()
+	if plans := w.Plans(); len(plans) > 0 {
+		res.RecoveryResponse = plans[0].ResponseTime()
 	}
+	inst := w.SV.Instance(apps.LAMMPSWorkflowID, "LAMMPS")
 	// The resume step is the checkpoint the second incarnation started
 	// from: its global step history begins there.
 	if ivs := w.Rec.TaskIntervals(apps.LAMMPSWorkflowID, "LAMMPS"); len(ivs) > 1 && inst != nil {

@@ -42,8 +42,8 @@ func TestLAMMPSSummitReproducesFigure11(t *testing.T) {
 		}
 	}
 	// One recovery plan, sub-second response (nothing to drain: all dead).
-	if len(res.W.Rec.Plans) != 1 {
-		t.Fatalf("plans = %d, want 1 recovery round", len(res.W.Rec.Plans))
+	if len(res.W.Plans()) != 1 {
+		t.Fatalf("plans = %d, want 1 recovery round", len(res.W.Plans()))
 	}
 	if res.RecoveryResponse > time.Second {
 		t.Fatalf("recovery response = %v, want sub-second (paper ~0.2s)", res.RecoveryResponse)

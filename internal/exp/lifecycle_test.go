@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dyflow/internal/apps"
-	"dyflow/internal/cluster"
 	"dyflow/internal/core/sensor"
 	"dyflow/internal/sim"
 )
@@ -90,28 +89,21 @@ func TestRunJobReleasesWorld(t *testing.T) {
 	}
 }
 
-// closeAt builds the scenario's world and runs it with one extra event in
-// the schedule: at exactly the given instant — wherever that falls, between
-// two events of a plan as readily as on a driver-loop boundary — the world
-// is observed, closed, observed again, closed again and observed a third
-// time, and the driver loop is told to give up. A run that ends before the
-// instant gets the same after it returns. The three observations must be
-// one, and Close must come back.
+// closeAt builds the scenario's world with the scenario table's runner and
+// runs it with one extra event in the schedule: at exactly the given
+// instant — wherever that falls, between two events of a plan as readily
+// as on a driver-loop boundary — the world is observed, closed, observed
+// again, closed again and observed a third time, and the driver loop is
+// told to give up. A run that ends before the instant gets the same after
+// it returns. The three observations must be one, and Close must come back.
 func closeAt(t *testing.T, scenario string, seed int64, at time.Duration) {
 	t.Helper()
 	var (
 		w      *World
-		cr     *ChaosRun
 		closed bool
 	)
-	look := func() string {
-		if cr != nil {
-			return observe(t, w, cr.Events())
-		}
-		return observe(t, w, nil)
-	}
 	closeNow := func() {
-		before := look()
+		before := observe(t, w)
 		done := make(chan struct{})
 		go func() { w.Close(); close(done) }()
 		select {
@@ -120,11 +112,11 @@ func closeAt(t *testing.T, scenario string, seed int64, at time.Duration) {
 			t.Fatalf("%s seed %d @%v: Close has not returned: a process is ignoring ErrStopped", scenario, seed, at)
 		}
 		closed = true
-		if after := look(); after != before {
+		if after := observe(t, w); after != before {
 			t.Fatalf("%s seed %d @%v: Close changed the world, %s", scenario, seed, at, firstDifference(before, after))
 		}
 		w.Close()
-		if again := look(); again != before {
+		if again := observe(t, w); again != before {
 			t.Fatalf("%s seed %d @%v: the second Close changed the world, %s", scenario, seed, at, firstDifference(before, again))
 		}
 	}
@@ -139,29 +131,7 @@ func closeAt(t *testing.T, scenario string, seed int64, at time.Duration) {
 		}
 		return nil
 	}
-	var err error
-	switch scenario {
-	case ScenarioQuickstart:
-		_, _, _, err = runQuickstartJob(Job{Scenario: scenario, Machine: "summit", Seed: seed}, configure)
-	case ScenarioGrayScott:
-		_, err = RunGrayScottVariant(seed, apps.Summit, true, GSVariant{Configure: configure})
-	case ScenarioOverprov:
-		_, err = RunGrayScottOverProvisionedVariant(seed, apps.Summit, GSVariant{Configure: configure})
-	case ScenarioXGC:
-		_, err = RunXGCVariant(seed, apps.Summit, XGCVariant{Configure: configure})
-	case ScenarioLAMMPS:
-		_, err = RunLAMMPSVariant(seed, apps.Summit, true, LAMMPSVariant{Configure: configure})
-	case ScenarioChaos:
-		if cr, err = NewChaosRun(seed, apps.Summit, DefaultChaosOptions()); err != nil {
-			break
-		}
-		configure(cr.W)
-		for done := false; err == nil && !done; {
-			done, err = cr.Step(5 * time.Second)
-		}
-	default:
-		t.Fatalf("unknown scenario %q", scenario)
-	}
+	_, _, err := lookup(scenario).run(seed, apps.Summit, Variant{Configure: configure})
 	if err != nil && !errors.Is(err, errHalt) {
 		t.Fatalf("%s seed %d: %v", scenario, seed, err)
 	}
@@ -172,12 +142,12 @@ func closeAt(t *testing.T, scenario string, seed int64, at time.Duration) {
 
 // observe renders everything about a world that a reader, a checkpoint or
 // an artifact could see, one item a line.
-func observe(t *testing.T, w *World, events []cluster.CampaignEvent) string {
+func observe(t *testing.T, w *World) string {
 	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "now %v dispatched %d handoffs %d\n", w.Sim.Now(), w.Sim.Dispatched(), w.Sim.Handoffs())
 
-	arts, err := jobArtifacts(w, events, &Report{ID: "observe"})
+	arts, err := jobArtifacts(w, &Report{ID: "observe"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +178,7 @@ func observe(t *testing.T, w *World, events []cluster.CampaignEvent) string {
 	for _, iv := range w.Rec.Intervals {
 		fmt.Fprintf(&b, "interval %+v\n", iv)
 	}
-	for _, p := range w.Rec.Plans {
+	for _, p := range w.Plans() {
 		fmt.Fprintf(&b, "plan %+v\n", p)
 	}
 	keys := map[sensor.Key]string{}
@@ -283,7 +253,7 @@ func TestProperty_WorldClose_IsInert(t *testing.T) {
 		// drawn over the whole run and a little past its end, so a finished
 		// world is among them, on alternating seeds.
 		stops := []stop{{1, time.Second}, {1, 200 * time.Second}}
-		for i, p := range ran.Rec.Plans {
+		for i, p := range ran.Plans() {
 			if i < plans {
 				span := p.ExecutedAt - p.ReceivedAt
 				stops = append(stops, stop{1, p.PlannedAt + time.Second}, stop{1, p.ReceivedAt + span/2}, stop{1, p.ReceivedAt + span*9/10})

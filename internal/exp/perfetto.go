@@ -63,12 +63,16 @@ func meta(pid, tid int, kind, name string) perfettoEvent {
 }
 
 // WritePerfetto renders the world's recorded run as a Chrome trace-event
-// JSON timeline. chaos lists the kill/heal campaign events to annotate
-// (nil for fault-free runs). Still-open intervals are drawn to the current
-// simulation instant. The output is deterministic for a deterministic run.
-func WritePerfetto(out io.Writer, w *World, chaos []cluster.CampaignEvent) error {
+// JSON timeline, with the chaos campaign's kill/heal events where the world
+// ran one. Still-open intervals are drawn to the current simulation
+// instant. The output is deterministic for a deterministic run.
+func WritePerfetto(out io.Writer, w *World) error {
 	now := w.Sim.Now()
 	var evs []perfettoEvent
+	var chaos []cluster.CampaignEvent
+	if w.campaign != nil {
+		chaos = w.campaign.Events()
+	}
 
 	// Node tracks: deterministic tid assignment in sorted node order over
 	// every node that appears in the run (placements and chaos events).
@@ -135,7 +139,7 @@ func WritePerfetto(out io.Writer, w *World, chaos []cluster.CampaignEvent) error
 	}
 
 	// Plan windows: suggestion-batch arrival to actuation completion.
-	for _, p := range w.Rec.Plans {
+	for _, p := range w.Plans() {
 		var ops []string
 		for _, op := range p.Plan.Ops {
 			ops = append(ops, op.String())

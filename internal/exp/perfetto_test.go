@@ -23,7 +23,7 @@ func TestPerfettoChaosTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, res.W, res.Events); err != nil {
+	if err := WritePerfetto(&buf, res.W); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +82,7 @@ func TestPerfettoChaosTrace(t *testing.T) {
 	for _, iv := range res.W.Rec.Intervals {
 		wantTask += len(iv.Nodes)
 	}
-	wantPlans := len(res.W.Rec.Plans)
+	wantPlans := len(res.W.Plans())
 	wantOps := len(res.W.Orch.Executor.Records())
 	wantSugg := len(res.W.Orch.Trace.Spans())
 	if got := counts["span:plans"]; got != wantPlans {
@@ -106,7 +106,7 @@ func TestPerfettoChaosTrace(t *testing.T) {
 
 	// Byte-identical re-render: the exporter is deterministic.
 	var again bytes.Buffer
-	if err := WritePerfetto(&again, res.W, res.Events); err != nil {
+	if err := WritePerfetto(&again, res.W); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {

@@ -123,9 +123,9 @@ func GrayScottReport(res *GSResult, baseline *GSResult) *Report {
 		victims := fmt.Sprint(res.Victims)
 		r.Add("victims per adaptation", "[[PDF_Calc] [FFT]]", victims,
 			victims == fmt.Sprint([][]string{{"PDF_Calc"}, {"FFT"}}))
-		r.Add("adaptations", "2", fmt.Sprint(len(res.W.Rec.Plans)), len(res.W.Rec.Plans) == 2)
+		r.Add("adaptations", "2", fmt.Sprint(len(res.W.Plans())), len(res.W.Plans()) == 2)
 	} else {
-		r.Add("adaptations", "1 (resources from PDF_Calc and FFT)", fmt.Sprint(len(res.W.Rec.Plans)), len(res.W.Rec.Plans) == 1)
+		r.Add("adaptations", "1 (resources from PDF_Calc and FFT)", fmt.Sprint(len(res.W.Plans())), len(res.W.Plans()) == 1)
 		if len(res.Victims) > 0 {
 			victims := fmt.Sprint(res.Victims[0])
 			r.Add("victims", "[FFT PDF_Calc]", victims, strings.Contains(victims, "PDF_Calc") && strings.Contains(victims, "FFT"))
@@ -135,11 +135,11 @@ func GrayScottReport(res *GSResult, baseline *GSResult) *Report {
 	r.Add("Rendering restarted with each adaptation",
 		"yes (runtime dependency)",
 		fmt.Sprintf("%d incarnations", len(rend)),
-		len(rend) == len(res.W.Rec.Plans)+1)
+		len(rend) == len(res.W.Plans())+1)
 
 	var responses []string
-	ok := len(res.W.Rec.Plans) > 0
-	for _, p := range res.W.Rec.Plans {
+	ok := len(res.W.Plans()) > 0
+	for _, p := range res.W.Plans() {
 		responses = append(responses, fmtDur(p.ResponseTime()))
 		if p.ResponseTime() < 10*time.Second || p.ResponseTime() > 4*time.Minute {
 			ok = false
@@ -175,7 +175,7 @@ func Figure1Report(res *GSResult) *Report {
 		gain := (res.PaceBefore/res.PaceAfter - 1) * 100
 		r.Add("throughput improvement", "visible step-rate increase", fmt.Sprintf("+%.0f%%", gain), gain > 10)
 	}
-	r.Add("response windows", "short red bars between phases", fmt.Sprintf("%d windows", len(res.W.Rec.Plans)), len(res.W.Rec.Plans) > 0)
+	r.Add("response windows", "short red bars between phases", fmt.Sprintf("%d windows", len(res.W.Plans())), len(res.W.Plans()) > 0)
 	return r
 }
 

@@ -21,7 +21,7 @@ func TestSweepParallelGrayScott(t *testing.T) {
 		if err != nil {
 			return outcome{}, err
 		}
-		return outcome{plans: len(res.W.Rec.Plans), makespan: res.Makespan.Seconds()}, nil
+		return outcome{plans: len(res.W.Plans()), makespan: res.Makespan.Seconds()}, nil
 	})
 	if len(results) != 8 {
 		t.Fatalf("results = %d", len(results))

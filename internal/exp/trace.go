@@ -54,14 +54,17 @@ type point struct {
 }
 
 // Recorder accumulates the observable history of a run: task incarnation
-// intervals, arbitration rounds, and the metric series the Decision stage
-// received. Everything the Gantt charts and experiment reports print comes
-// from here.
+// intervals and the metric series the Decision stage received. With the
+// arbitration rounds, which the arbiter keeps (World.Plans), that is
+// everything the Gantt charts and experiment reports print.
 type Recorder struct {
 	s         *sim.Sim
 	Intervals []Interval
 	open      map[string]int // instance key -> index into Intervals
-	Plans     []arbiter.Record
+	// arb is the attached orchestrator's arbiter, which keeps the run's
+	// executed rounds (World.Plans reads the same log); nil for a baseline
+	// run or a recorder rebuilt from a dump.
+	arb *arbiter.Engine
 
 	// The forwarded metrics in arrival order, read through EachMetric. They
 	// are held in chunks of pointChunk so that recording one more never
@@ -108,11 +111,19 @@ func (r *Recorder) AttachWMS(sv *wms.Savanna) {
 	})
 }
 
-// AttachOrchestrator subscribes to arbitration rounds and forwarded
-// metrics.
+// AttachOrchestrator subscribes to the metrics the orchestrator's Monitor
+// server forwards and reads executed rounds from its arbiter from now on.
 func (r *Recorder) AttachOrchestrator(o *core.Orchestrator) {
-	o.Arbiter.OnPlan(func(rec arbiter.Record) { r.Plans = append(r.Plans, rec) })
 	o.Server.OnForward(r.forwarded)
+	r.arb = o.Arbiter
+}
+
+// rounds returns the run's executed arbitration rounds.
+func (r *Recorder) rounds() []arbiter.Record {
+	if r.arb == nil {
+		return nil
+	}
+	return r.arb.Records()
 }
 
 // forwarded records one batch the Monitor server sent to Decision.
@@ -242,9 +253,9 @@ func (r *Recorder) Gantt(w io.Writer, width int) {
 		}
 		fmt.Fprintf(w, "%*s  %s  %s\n", nameW, k[1], string(row), strings.Join(notes, ", "))
 	}
-	if len(r.Plans) > 0 {
+	if plans := r.rounds(); len(plans) > 0 {
 		row := []rune(strings.Repeat(" ", width))
-		for _, p := range r.Plans {
+		for _, p := range plans {
 			for c := col(p.ReceivedAt); c <= col(p.ExecutedAt); c++ {
 				row[c] = '▼'
 			}
@@ -255,12 +266,13 @@ func (r *Recorder) Gantt(w io.Writer, width int) {
 
 // PlanSummary formats the arbitration rounds as a table.
 func (r *Recorder) PlanSummary(w io.Writer) {
-	if len(r.Plans) == 0 {
+	plans := r.rounds()
+	if len(plans) == 0 {
 		fmt.Fprintln(w, "(no arbitration rounds)")
 		return
 	}
 	fmt.Fprintf(w, "%-4s %-10s %-12s %-12s %-12s %s\n", "#", "received", "plan", "response", "status", "ops")
-	for i, p := range r.Plans {
+	for i, p := range plans {
 		status := "ok"
 		if p.Err != "" {
 			status = "FAILED"

@@ -39,17 +39,35 @@ type World struct {
 	// into it. Serves `dyflow-exp serve`'s /metrics.
 	Metrics *obs.Registry
 
-	// OnProgress, when set, is invoked after every incremental advance of
-	// the driver loops (RunUntilWorkflowDone, the scenario step loops,
-	// ChaosRun.Step) with the current virtual time. Returning a non-nil
-	// error aborts the run with that error — the campaign service uses this
-	// for live progress reporting and cooperative cancellation.
+	// OnProgress, when set, is called after every tick of the driver loop
+	// that advances the world, with the current virtual time, and is the
+	// only way a caller interleaves with a running world: the campaign
+	// service reports progress and cancels through it, and `dyflow-exp
+	// serve` hands the world to its HTTP handlers between ticks. Returning a
+	// non-nil error aborts the run with that error.
 	OnProgress func(now sim.Time) error
 
 	// The compiled spec and options are retained so a crashed orchestrator
 	// can be rebuilt for checkpoint restore.
 	orchCfg  *spec.Config
 	orchOpts core.Options
+	// campaign is the chaos scenario's node kill/heal campaign, nil in the
+	// other worlds; its events are drawn on the Perfetto timeline.
+	campaign *cluster.Campaign
+}
+
+// Variant adjusts one scenario run without changing what the scenario is.
+// The zero value runs the scenario as the paper's experiment does.
+type Variant struct {
+	// XML, when non-empty, replaces the scenario's orchestration document —
+	// the campaign service threads user-submitted specs through here.
+	XML string
+	// Arbiter, when set, replaces the scenario's arbitration guards (the
+	// ablation benchmarks switch guards off here).
+	Arbiter *arbiter.Config
+	// Configure, when set, is called on the freshly built world before
+	// anything runs in it; the campaign service attaches OnProgress here.
+	Configure func(*World) error
 }
 
 // NewWorld builds a world on the given machine with nodes allocated to the
@@ -145,6 +163,31 @@ func (w *World) RestoreOrchestrator() error {
 	return nil
 }
 
+// orchestrate starts DYFLOW on the world with the scenario's document and
+// orchestrator options, or the variant's document and guards where it sets
+// them.
+func (w *World) orchestrate(v Variant, xml string, opts core.Options) error {
+	if v.XML != "" {
+		xml = v.XML
+	}
+	if v.Arbiter != nil {
+		opts.Arbiter = *v.Arbiter
+	}
+	return w.StartOrchestration(xml, opts)
+}
+
+// launch hands the world to the variant's Configure hook and then launches
+// the workflow, so nothing has run in the world when the hook sees it.
+func (w *World) launch(v Variant, workflowID string) error {
+	if v.Configure != nil {
+		if err := v.Configure(w); err != nil {
+			return err
+		}
+	}
+	w.Launch(workflowID)
+	return nil
+}
+
 // Close ends the world's life: the simulation is stopped and every process
 // goroutine parked in it exits, which is what lets the garbage collector
 // take the world once its owner drops it. Whoever built the world — or was
@@ -171,12 +214,30 @@ func (w *World) Launch(workflows ...string) {
 // Run advances the world to the horizon.
 func (w *World) Run(horizon time.Duration) error { return w.Sim.Run(horizon) }
 
-// progress fires the OnProgress hook (when set) with the current time.
-func (w *World) progress() error {
-	if w.OnProgress == nil {
-		return nil
+// drive is the loop every scenario runner advances its world with. It runs
+// the simulation one tick at a time up to the horizon and, after every
+// tick, calls OnProgress and then check. It returns once check reports the
+// run done, once OnProgress or check fails, or once nothing is left to
+// happen. Each scenario keeps its own tick and horizon: where a run ends,
+// and so what its artifacts hold, depends on both.
+func (w *World) drive(horizon, tick time.Duration, check func() (done bool, err error)) error {
+	for w.Sim.Now() < horizon {
+		if err := w.Sim.Run(w.Sim.Now() + tick); err != nil {
+			return err
+		}
+		if w.OnProgress != nil {
+			if err := w.OnProgress(w.Sim.Now()); err != nil {
+				return err
+			}
+		}
+		if done, err := check(); done || err != nil {
+			return err
+		}
+		if w.Sim.Pending() == 0 {
+			return nil
+		}
 	}
-	return w.OnProgress(w.Sim.Now())
+	return nil
 }
 
 // Plans returns the arbitration rounds the world's orchestrator has
@@ -195,27 +256,18 @@ func (w *World) WorkflowDone(workflowID string) bool {
 	return !w.SV.AnyRunning(workflowID)
 }
 
-// RunUntilWorkflowDone advances until the workflow has had no running
-// tasks for a 30-second grace window (so restart gaps — a failed task
-// waiting for its RESTART plan, or an alternation handover — do not read
-// as completion) or the horizon passes. It returns the instant the
+// RunUntilWorkflowDone advances, one second a tick, until the workflow has
+// had no running tasks for a 30-second grace window (so restart gaps — a
+// failed task waiting for its RESTART plan, or an alternation handover — do
+// not read as completion) or the horizon passes. It returns the instant the
 // workflow was first observed idle.
 func (w *World) RunUntilWorkflowDone(workflowID string, horizon time.Duration) (sim.Time, error) {
-	const poll = time.Second
 	const grace = 30 * time.Second
 	started := false
-	idleSince := sim.Time(-1)
-	for w.Sim.Now() < horizon {
-		next := w.Sim.Now() + poll
-		if err := w.Sim.Run(next); err != nil {
-			return 0, err
-		}
-		if err := w.progress(); err != nil {
-			return 0, err
-		}
-		running := w.SV.AnyRunning(workflowID)
+	idleSince, end := sim.Time(-1), sim.Time(-1)
+	err := w.drive(horizon, time.Second, func() (bool, error) {
 		switch {
-		case running:
+		case w.SV.AnyRunning(workflowID):
 			started = true
 			idleSince = -1
 		case started:
@@ -223,12 +275,16 @@ func (w *World) RunUntilWorkflowDone(workflowID string, horizon time.Duration) (
 				idleSince = w.Sim.Now()
 			}
 			if w.Sim.Now()-idleSince >= grace {
-				return idleSince, nil
+				end = idleSince
 			}
 		}
-		if w.Sim.Pending() == 0 {
-			break
-		}
+		return end >= 0, nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	return w.Sim.Now(), nil
+	if end < 0 {
+		end = w.Sim.Now()
+	}
+	return end, nil
 }

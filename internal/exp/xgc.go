@@ -170,24 +170,10 @@ func classifyXGCPlan(rec arbiter.Record) string {
 	return "other"
 }
 
-// XGCVariant parameterizes RunXGCVariant — the reusable-job form of the
-// alternation experiment.
-type XGCVariant struct {
-	// XML, when non-empty, replaces the generated orchestration document.
-	XML string
-	// Configure, when set, is called on the freshly built world before the
-	// run starts.
-	Configure func(*World) error
-}
-
 // RunXGC executes the science-driven alternation experiment (Figure 6).
-func RunXGC(seed int64, m apps.Machine) (*XGCResult, error) {
-	return RunXGCVariant(seed, m, XGCVariant{})
-}
+func RunXGC(seed int64, m apps.Machine) (*XGCResult, error) { return runXGC(seed, m, Variant{}) }
 
-// RunXGCVariant executes the alternation experiment with the variant hooks
-// applied.
-func RunXGCVariant(seed int64, m apps.Machine, v XGCVariant) (*XGCResult, error) {
+func runXGC(seed int64, m apps.Machine, v Variant) (*XGCResult, error) {
 	cfg := apps.XGCConfigFor(m)
 	w, err := NewWorld(seed, m, cfg.Nodes)
 	if err != nil {
@@ -211,37 +197,21 @@ func RunXGCVariant(seed int64, m apps.Machine, v XGCVariant) (*XGCResult, error)
 		PlanCost:     100 * time.Millisecond,
 		GatherWindow: 5 * time.Second,
 	}}
-	xml := v.XML
-	if xml == "" {
-		xml = XGCXML(m)
-	}
-	if err := w.StartOrchestration(xml, opts); err != nil {
+	if err := w.orchestrate(v, XGCXML(m), opts); err != nil {
 		return nil, err
 	}
-	if v.Configure != nil {
-		if err := v.Configure(w); err != nil {
-			return nil, err
-		}
+	if err := w.launch(v, apps.XGCWorkflowID); err != nil {
+		return nil, err
 	}
-	w.Launch(apps.XGCWorkflowID)
 
 	// Run until the experiment completes: the global step passes 500 and
 	// no task is running.
-	horizon := 6 * time.Hour
-	for w.Sim.Now() < horizon {
-		if err := w.Run(w.Sim.Now() + 10*time.Second); err != nil {
-			return nil, err
-		}
-		if err := w.progress(); err != nil {
-			return nil, err
-		}
+	err = w.drive(6*time.Hour, 10*time.Second, func() (bool, error) {
 		step, _ := w.Env.FS.ReadVar(apps.XGCProgressKey, "step")
-		if step > 500 && !w.SV.AnyRunning(apps.XGCWorkflowID) {
-			break
-		}
-		if w.Sim.Pending() == 0 {
-			break
-		}
+		return step > 500 && !w.SV.AnyRunning(apps.XGCWorkflowID), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	w.Rec.CloseOpen()
 
@@ -249,7 +219,7 @@ func RunXGCVariant(seed int64, m apps.Machine, v XGCVariant) (*XGCResult, error)
 	if v, err := w.Env.FS.ReadVar(apps.XGCProgressKey, "step"); err == nil {
 		res.FinalStep = int(v)
 	}
-	for _, rec := range w.Rec.Plans {
+	for _, rec := range w.Plans() {
 		res.Events = append(res.Events, XGCEvent{
 			Kind:     classifyXGCPlan(rec),
 			At:       rec.ReceivedAt,

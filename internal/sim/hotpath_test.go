@@ -12,8 +12,9 @@ import (
 )
 
 // TestRunAdvancesToHorizonOnDrain: when the event queue drains before the
-// horizon, the clock must still advance to until — stepped drivers
-// (exp.ChaosRun.Step) otherwise under-report sim time during idle windows.
+// horizon, the clock must still advance to until — a tick-stepped driver
+// loop (exp's World.drive) otherwise under-reports sim time during idle
+// windows.
 func TestRunAdvancesToHorizonOnDrain(t *testing.T) {
 	s := New(1)
 	fired := false

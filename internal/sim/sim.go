@@ -391,8 +391,8 @@ func (s *Sim) step() bool {
 // Run executes events until the event queue drains, the virtual clock would
 // pass until, or a process fails. A process failure (panic) is returned as
 // an error. On return the clock is at until (if until is in the future),
-// even when the queue drained before the horizon — stepped drivers like
-// exp.ChaosRun.Step rely on idle windows still advancing sim time.
+// even when the queue drained before the horizon — a tick-stepped driver
+// loop (exp's World.drive) relies on idle windows still advancing sim time.
 func (s *Sim) Run(until Time) error {
 	for !s.stopped && s.failure == nil {
 		if len(s.events) == 0 || s.events[0].at > until {
