@@ -322,8 +322,8 @@ func TestLocalWorkerIsAFleetWorker(t *testing.T) {
 	if st = await(t, s, st.ID); st.State != StateDone || st.Worker != localWorkerID {
 		t.Fatalf("run ended %+v, want done on %s", st, localWorkerID)
 	}
-	if it, ok := s.History().Get(st.ID); !ok || it.Meta.Worker != localWorkerID {
-		t.Fatalf("record names worker %q", it.Meta.Worker)
+	if m, ok := s.History().GetMeta(st.ID); !ok || m.Worker != localWorkerID {
+		t.Fatalf("record names worker %q", m.Worker)
 	}
 	for _, f := range tailSSE(t, addr, st.ID, "") {
 		if (f.typ == "claimed" || f.typ == "running" || f.typ == "done") && f.ev.Worker != localWorkerID {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,8 @@ import (
 	"net/url"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,11 +22,75 @@ import (
 	"dyflow/internal/runstore"
 )
 
-// The read path serves an evicted run from its index entry (the meta) and
-// decodes a persistedRun document only for a record that has one. These
-// tests hold that against the implementation it replaced, kept below as
-// the reference: every record carried a full document, and list, status
-// and analytics decoded it (or copied every meta).
+// The read path serves an evicted run from its index entry (the meta).
+// These tests hold that against the implementation it replaced, kept below
+// as the reference: every record carried a full document, and list, status
+// and analytics decoded it (or copied every meta). The reference reads the
+// documents the test wrote, never the store.
+
+// refDoc is the document a record carried beside its meta while the meta
+// did not hold the whole run: the reference format, as the coordinator
+// marshaled it. ArtifactRefs are blob digests, not bytes.
+type refDoc struct {
+	ID           string            `json:"id"`
+	Tenant       string            `json:"tenant"`
+	Job          exp.Job           `json:"job"`
+	State        RunState          `json:"state"`
+	Cached       bool              `json:"cached,omitempty"`
+	Err          string            `json:"error,omitempty"`
+	Converged    bool              `json:"converged,omitempty"`
+	SimEndNs     int64             `json:"sim_end_ns,omitempty"`
+	Worker       string            `json:"worker,omitempty"`
+	ArtifactRefs map[string]string `json:"artifact_refs,omitempty"`
+	SubmittedAt  time.Time         `json:"submitted_at"`
+	QueuedAt     time.Time         `json:"queued_at,omitempty"`
+	ClaimedAt    time.Time         `json:"claimed_at,omitempty"`
+	StartedAt    time.Time         `json:"started_at,omitempty"`
+	FinishedAt   time.Time         `json:"finished_at,omitempty"`
+}
+
+func refDocOf(r *Run) refDoc {
+	return refDoc{
+		ID:           r.ID,
+		Tenant:       r.Tenant,
+		Job:          r.Job,
+		State:        r.State,
+		Cached:       r.Cached,
+		Err:          r.Err,
+		Converged:    r.Converged,
+		SimEndNs:     int64(r.SimEnd),
+		Worker:       r.Worker,
+		ArtifactRefs: r.Artifacts,
+		SubmittedAt:  r.SubmittedAt,
+		QueuedAt:     r.QueuedAt,
+		ClaimedAt:    r.ClaimedAt,
+		StartedAt:    r.StartedAt,
+		FinishedAt:   r.FinishedAt,
+	}
+}
+
+// run is the *Run a document described.
+func (p refDoc) run() *Run {
+	r := &Run{
+		ID:          p.ID,
+		Tenant:      p.Tenant,
+		Job:         p.Job,
+		State:       p.State,
+		Cached:      p.Cached,
+		Err:         p.Err,
+		Converged:   p.Converged,
+		SimEnd:      time.Duration(p.SimEndNs),
+		Worker:      p.Worker,
+		Artifacts:   p.ArtifactRefs,
+		SubmittedAt: p.SubmittedAt,
+		QueuedAt:    p.QueuedAt,
+		ClaimedAt:   p.ClaimedAt,
+		StartedAt:   p.StartedAt,
+		FinishedAt:  p.FinishedAt,
+	}
+	r.simNow.Store(p.SimEndNs)
+	return r
+}
 
 // refStatus is Run.status as it was when every Status came from a *Run.
 func refStatus(r *Run) Status {
@@ -64,53 +131,97 @@ func refStatus(r *Run) Status {
 }
 
 // refEvicted is the old reader: the document is the record, always.
-func refEvicted(t *testing.T, s *Server, it runstore.Item) Status {
+func refEvicted(t *testing.T, docs map[string][]byte, id string) Status {
 	t.Helper()
-	var p persistedRun
-	if err := json.Unmarshal(it.Doc, &p); err != nil {
-		t.Fatalf("reference: decode %s: %v", it.Meta.ID, err)
+	doc, ok := docs[id]
+	if !ok {
+		t.Fatalf("reference: no run %s", id)
 	}
-	return refStatus(s.applyPersisted(p))
+	var p refDoc
+	if err := json.Unmarshal(doc, &p); err != nil {
+		t.Fatalf("reference: decode %s: %v", id, err)
+	}
+	return refStatus(p.run())
 }
 
-// refQueryRuns is QueryRuns as it was: decode every item's document under
-// the server mutex.
-func refQueryRuns(t *testing.T, s *Server, q RunQuery) RunPage {
+// refPageToken is the list cursor's wire form: the last delivered run's
+// (SubmittedAt ns, ID).
+func refPageToken(ns int64, id string) string {
+	return base64.RawURLEncoding.EncodeToString([]byte(fmt.Sprintf("%d|%s", ns, id)))
+}
+
+// refQueryRuns is QueryRuns as it was, over the runs the test wrote: filter,
+// order by (SubmittedAt, ID), resume strictly after the cursor, cut at the
+// limit, and render each run resident or from its document, under the
+// server mutex.
+func refQueryRuns(t *testing.T, s *Server, pop []popRun, docs map[string][]byte, q RunQuery) RunPage {
 	t.Helper()
-	page, err := s.history.Query(runstore.Query{
-		Tenant: q.Tenant, Scenario: q.Scenario, State: q.State,
-		Since: q.Since, Until: q.Until,
-		Limit: q.Limit, PageToken: q.PageToken,
+	var curNs int64
+	var curID string
+	if q.PageToken != "" {
+		raw, err := base64.RawURLEncoding.DecodeString(q.PageToken)
+		parts := strings.SplitN(string(raw), "|", 2)
+		if err != nil || len(parts) != 2 {
+			t.Fatalf("reference: page token %q", q.PageToken)
+		}
+		if curNs, err = strconv.ParseInt(parts[0], 10, 64); err != nil {
+			t.Fatalf("reference: page token %q", q.PageToken)
+		}
+		curID = parts[1]
+	}
+	sorted := make([]refDoc, len(pop))
+	for i, g := range pop {
+		sorted[i] = g.p
+	}
+	sort.Slice(sorted, func(i, j int) bool {
+		a, b := sorted[i].SubmittedAt.UnixNano(), sorted[j].SubmittedAt.UnixNano()
+		return a < b || (a == b && sorted[i].ID < sorted[j].ID)
 	})
-	if err != nil {
-		t.Fatalf("reference query %+v: %v", q, err)
+	var matched []refDoc
+	more := false
+	for _, p := range sorted {
+		ns := p.SubmittedAt.UnixNano()
+		switch {
+		case q.Tenant != "" && p.Tenant != q.Tenant,
+			q.Scenario != "" && p.Job.Scenario != q.Scenario,
+			q.State != "" && string(p.State) != q.State,
+			!q.Since.IsZero() && ns < q.Since.UnixNano(),
+			!q.Until.IsZero() && ns > q.Until.UnixNano(),
+			q.PageToken != "" && (ns < curNs || (ns == curNs && p.ID <= curID)):
+			continue
+		}
+		if q.Limit > 0 && len(matched) == q.Limit {
+			more = true
+			break
+		}
+		matched = append(matched, p)
+	}
+	out := RunPage{Runs: make([]Status, 0, len(matched))}
+	if more {
+		last := matched[len(matched)-1]
+		out.NextPageToken = refPageToken(last.SubmittedAt.UnixNano(), last.ID)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := RunPage{Runs: make([]Status, 0, len(page.Items)), NextPageToken: page.NextPageToken}
-	for _, it := range page.Items {
-		if r := s.runs[it.Meta.ID]; r != nil {
+	for _, p := range matched {
+		if r := s.runs[p.ID]; r != nil {
 			out.Runs = append(out.Runs, refStatus(r))
 			continue
 		}
-		out.Runs = append(out.Runs, refEvicted(t, s, it))
+		out.Runs = append(out.Runs, refEvicted(t, docs, p.ID))
 	}
 	return out
 }
 
 // refRunStatus is RunStatus as it was.
-func refRunStatus(t *testing.T, s *Server, id string) Status {
+func refRunStatus(t *testing.T, s *Server, docs map[string][]byte, id string) Status {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r := s.runs[id]; r != nil {
 		return refStatus(r)
 	}
-	it, ok := s.history.Get(id)
-	if !ok {
-		t.Fatalf("reference: no run %s", id)
-	}
-	return refEvicted(t, s, it)
+	return refEvicted(t, docs, id)
 }
 
 // refSamples is analyticsSamples as it was: a slice sized for the resident
@@ -167,7 +278,7 @@ const xmlOverride = `<dyflow><monitor/><decision/><arbitration/></dyflow>`
 // popRun is one generated run: its record, its live progress if it is
 // running, and whether a live coordinator would hold it resident.
 type popRun struct {
-	p        persistedRun
+	p        refDoc
 	simNow   int64
 	resident bool
 }
@@ -193,7 +304,7 @@ func genPopulation(rng *rand.Rand, n int, digests []string) []popRun {
 		at := func(ms int) time.Time {
 			return sub.Add(time.Duration(ms)*time.Millisecond + time.Duration(rng.Intn(1000)))
 		}
-		p := persistedRun{
+		p := refDoc{
 			ID:     fmt.Sprintf("run-%06d", i),
 			Tenant: fmt.Sprintf("tenant-%d", rng.Intn(3)),
 			Job: exp.Job{
@@ -257,11 +368,16 @@ func genPopulation(rng *rand.Rand, n int, digests []string) []popRun {
 	return pop
 }
 
-// parentMeta is the meta as the parent commit wrote it: without the four
+// parentMeta is the meta as the parent format wrote it: without the
 // fields that made a document unnecessary.
 func parentMeta(m runstore.Meta) runstore.Meta {
-	m.Machine, m.Seed, m.Error, m.Worker = "", 0, "", ""
-	return m
+	return runstore.Meta{
+		ID: m.ID, Tenant: m.Tenant, Scenario: m.Scenario, Key: m.Key,
+		State: m.State, Terminal: m.Terminal, Cached: m.Cached, Converged: m.Converged,
+		SubmittedAtNs: m.SubmittedAtNs, QueuedAtNs: m.QueuedAtNs, ClaimedAtNs: m.ClaimedAtNs,
+		StartedAtNs: m.StartedAtNs, FinishedAtNs: m.FinishedAtNs, SimEndNs: m.SimEndNs,
+		Artifacts: m.Artifacts, ArtifactBytes: m.ArtifactBytes,
+	}
 }
 
 // propServer opens a coordinator (workers < 0: none) holding propBlobs.
@@ -286,13 +402,15 @@ func propServer(t *testing.T, dir string, workers int) (*Server, []string) {
 // inject records the population in s the way a live coordinator would
 // have — resident runs in the run table, every run in the history store —
 // in this commit's format, or in the parent's (meta without the new
-// fields, a full document on every record).
-func inject(t *testing.T, s *Server, pop []popRun, parentFormat bool) {
+// fields, a full document on every record). It returns the documents it
+// wrote, by run ID.
+func inject(t *testing.T, s *Server, pop []popRun, parentFormat bool) map[string][]byte {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	docs := map[string][]byte{}
 	for _, g := range pop {
-		r := s.applyPersisted(g.p)
+		r := g.p.run()
 		if g.simNow != 0 {
 			r.simNow.Store(g.simNow)
 		}
@@ -303,7 +421,8 @@ func inject(t *testing.T, s *Server, pop []popRun, parentFormat bool) {
 		var err error
 		if parentFormat {
 			var doc []byte
-			if doc, err = json.Marshal(r.persisted()); err == nil {
+			if doc, err = json.Marshal(refDocOf(r)); err == nil {
+				docs[r.ID] = doc
 				err = s.history.Append(parentMeta(s.runMetaLocked(r)), doc)
 			}
 		} else {
@@ -314,6 +433,7 @@ func inject(t *testing.T, s *Server, pop []popRun, parentFormat bool) {
 		}
 	}
 	s.nextID = len(pop)
+	return docs
 }
 
 // getJSON serves one GET through the handler and decodes the 200 body.
@@ -465,7 +585,7 @@ func TestProperty_StatusFromMeta_EqualsDocPath(t *testing.T) {
 			defer ref.Close()
 			pop := genPopulation(rand.New(rand.NewSource(19)), n, digests)
 			inject(t, cur, pop, false)
-			inject(t, ref, pop, true)
+			refDocs := inject(t, ref, pop, true)
 			curH, refH := cur.Handler(), ref.Handler()
 			inPop := func(sts []Status) []Status {
 				var out []Status
@@ -479,7 +599,7 @@ func TestProperty_StatusFromMeta_EqualsDocPath(t *testing.T) {
 
 			// Fetched one by one.
 			for _, g := range pop {
-				want := viaJSON(t, refRunStatus(t, ref, g.p.ID))
+				want := viaJSON(t, refRunStatus(t, ref, refDocs, g.p.ID))
 				for name, h := range map[string]http.Handler{"new format": curH, "parent format": refH} {
 					var got Status
 					getJSON(t, h, "/v1/runs/"+g.p.ID, &got)
@@ -491,7 +611,7 @@ func TestProperty_StatusFromMeta_EqualsDocPath(t *testing.T) {
 			for _, q := range propQueries(pop) {
 				var want []RunPage
 				for rq := q; ; {
-					page := viaJSON(t, refQueryRuns(t, ref, rq))
+					page := viaJSON(t, refQueryRuns(t, ref, pop, refDocs, rq))
 					want = append(want, page)
 					if rq.PageToken = page.NextPageToken; rq.PageToken == "" {
 						break

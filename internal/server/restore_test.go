@@ -124,7 +124,7 @@ func TestRestoreOrphanedCachedRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	put := func(p persistedRun) {
+	put := func(p refDoc) {
 		t.Helper()
 		doc, err := json.Marshal(p)
 		must(err)
@@ -134,10 +134,10 @@ func TestRestoreOrphanedCachedRun(t *testing.T) {
 			SubmittedAtNs: unixNs(p.SubmittedAt), FinishedAtNs: unixNs(p.FinishedAt),
 		}, doc))
 	}
-	put(persistedRun{
+	put(refDoc{
 		ID: "run-000000", Tenant: "alice", Job: job, State: StateQueued, SubmittedAt: now,
 	})
-	put(persistedRun{
+	put(refDoc{
 		ID: "run-000001", Tenant: "bob", Job: job, State: StateDone, Cached: true,
 		Converged: true, SubmittedAt: now, FinishedAt: now,
 	})

@@ -487,8 +487,8 @@ func TestShutdownRequeuesRunningRun(t *testing.T) {
 		if last := evs[len(evs)-1]; last.Type != events.TypeQueued || last.Reason != "shutdown" {
 			t.Fatalf("stream ends in %s/%s, want queued/shutdown", last.Type, last.Reason)
 		}
-		if it, ok := s.History().Get(st.ID); !ok || it.Meta.State != string(StateQueued) {
-			t.Fatalf("record reads %+v, want queued", it.Meta)
+		if m, ok := s.History().GetMeta(st.ID); !ok || m.State != string(StateQueued) {
+			t.Fatalf("record reads %+v, want queued", m)
 		}
 
 		s2, err := New(Config{Workers: 1, CkptDir: dir, EventBuffer: 1 << 14})
