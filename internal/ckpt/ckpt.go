@@ -121,8 +121,8 @@ func ReadRecord(r io.Reader) (Record, error) {
 	if err := binary.Read(r, binary.LittleEndian, &sum); err != nil {
 		return Record{}, fmt.Errorf("%w: checksum: %v", ErrCorrupt, err)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return Record{}, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
@@ -136,6 +136,29 @@ func ReadRecord(r io.Reader) (Record, error) {
 		Kind: string(payload[1 : 1+kindLen]),
 		Data: payload[1+kindLen:],
 	}, nil
+}
+
+// payloadChunk is readPayload's first allocation: every record the
+// coordinator writes fits in it.
+const payloadChunk = 16 << 10
+
+// readPayload reads exactly n bytes. The length prefix it comes from is
+// not verified until the checksum is, so the buffer grows as bytes arrive,
+// doubling from payloadChunk: a corrupt prefix costs at most about twice
+// what the stream actually holds, never what the prefix claims.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, payloadChunk))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, buf[got:])
+		got += m
+		if err != nil {
+			return nil, err
+		}
+		if got == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-got, got))...)
+	}
 }
 
 // Encode frames a single JSON-marshaled record as a standalone checkpoint

@@ -2,11 +2,14 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
@@ -204,4 +207,75 @@ func TestAppendBeforeSnapshotReplays(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("replayed %d records, want 1", n)
 	}
+}
+
+// allocated is the heap the process has allocated so far, in bytes.
+func allocated() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// TestReadRecordBoundsAllocationByInput: the length prefix is unverified
+// until the checksum is, so a 16-byte input claiming a 250 MB record must
+// cost what it holds, not what it claims, and a record larger than the
+// first buffer still reads back whole however the reader splits it.
+func TestReadRecordBoundsAllocationByInput(t *testing.T) {
+	lie := binary.LittleEndian.AppendUint32(nil, 250_000_000)
+	lie = binary.LittleEndian.AppendUint32(lie, 0)
+	lie = append(lie, "run{}xyz"...)
+	before := allocated()
+	_, err := ReadRecord(bytes.NewReader(lie))
+	if got := allocated() - before; got >= 64<<10 {
+		t.Fatalf("a %d-byte input claiming 250 MB allocated %d bytes", len(lie), got)
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+
+	big := Record{Kind: "round", Data: bytes.Repeat([]byte("0123456789"), 10_000)}
+	var buf bytes.Buffer
+	if err := WriteRecord(&buf, big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadRecord(iotest.HalfReader(bytes.NewReader(buf.Bytes())))
+	if err != nil || got.Kind != big.Kind || !bytes.Equal(got.Data, big.Data) {
+		t.Fatalf("a %d-byte record read back as %q (%d bytes), %v", len(big.Data), got.Kind, len(got.Data), err)
+	}
+}
+
+// FuzzReadRecord: no input panics, none allocates more than a small
+// multiple of its own size, and every record that reads back re-encodes
+// to exactly the bytes it was read from.
+func FuzzReadRecord(f *testing.F) {
+	var buf bytes.Buffer
+	for _, rec := range []Record{{Kind: "run", Data: []byte(`{"seq":1}`)}, {Kind: "mark"}, {Kind: "", Data: []byte{0}}} {
+		buf.Reset()
+		if err := WriteRecord(&buf, rec); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), buf.Bytes()...))
+		f.Add(append(append([]byte(nil), buf.Bytes()...), buf.Bytes()[:5]...))
+		f.Add(append([]byte(nil), buf.Bytes()[:len(buf.Bytes())-1]...))
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 'r', 'u', 'n'})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		before := allocated()
+		rec, err := ReadRecord(r)
+		if got := allocated() - before; got > 64<<10+4*uint64(len(data)) {
+			t.Fatalf("a %d-byte input allocated %d bytes", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteRecord(&out, rec); err != nil {
+			t.Fatal(err)
+		}
+		if read := data[:len(data)-r.Len()]; !bytes.Equal(out.Bytes(), read) {
+			t.Fatalf("record read from %x re-encodes as %x", read, out.Bytes())
+		}
+	})
 }
