@@ -6,7 +6,8 @@ import (
 	"time"
 )
 
-// benchDoc approximates a real persistedRun document (~300 bytes).
+// benchDoc approximates the document an older coordinator wrote beside
+// every record (~300 bytes).
 func benchDoc(i int) []byte {
 	return []byte(fmt.Sprintf(`{"id":"run-%06d","tenant":"t%d","state":"done","job":{"scenario":"quickstart","machine":"small","seed":%d},"artifacts":{"report":"sha256:%064d","gantt":"sha256:%064d"},"sim_end_ns":120000000000,"submitted_at":"2026-08-08T00:00:00Z","finished_at":"2026-08-08T00:02:00Z"}`,
 		i, i%8, i, i, i+1))

@@ -86,7 +86,7 @@ func (s *Store) compactOwned() error {
 		if err != nil {
 			return err
 		}
-		frames, _, _ := scanSegment(data)
+		frames, _, _, _ := scanSegment(data)
 		inputRecords += int64(len(frames))
 		for _, fr := range frames {
 			cands = append(cands, cand{fr: fr, data: data[fr.off : fr.off+fr.len]})
@@ -135,18 +135,7 @@ func (s *Store) compactOwned() error {
 		os.Remove(tmp)
 		return err
 	}
-	type placed struct {
-		id  string
-		seq uint64
-		off int64
-		len int64
-	}
-	places := make([]placed, 0, len(kept))
 	for _, c := range kept {
-		places = append(places, placed{
-			id: c.fr.meta.ID, seq: c.fr.seq,
-			off: int64(buf.Len()), len: int64(len(c.data)),
-		})
 		buf.Write(c.data)
 	}
 	if _, err := f.Write(buf.Bytes()); err != nil {
@@ -180,19 +169,17 @@ func (s *Store) compactOwned() error {
 		path:    outPath,
 		f:       f,
 		size:    int64(buf.Len()),
-		records: int64(len(places)),
+		records: int64(len(kept)),
 	}
-	for _, p := range places {
-		if rs := s.runs[p.id]; rs != nil && rs.seq == p.seq {
+	for _, c := range kept {
+		if rs := s.runs[c.fr.meta.ID]; rs != nil && rs.seq == c.fr.seq {
 			rs.seg = ns
-			rs.off = p.off
-			rs.length = p.len
 			ns.live++
 		}
 	}
 	rest := s.segs[len(inputs):]
 	s.segs = append([]*segment{ns}, rest...)
-	dropped := inputRecords - int64(len(places))
+	dropped := inputRecords - int64(len(kept))
 	s.total -= dropped
 	for id := range droppedTombs {
 		if tseq, ok := s.tombs[id]; ok && tseq == droppedTombs[id] {

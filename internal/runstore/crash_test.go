@@ -14,29 +14,28 @@ import (
 // recovers every acknowledged run with its committed latest state.
 
 // seedSegments fills a store with n runs across several small segments
-// plus one superseding rewrite of each, then closes it and returns the
-// expected latest docs.
-func seedSegments(t *testing.T, dir string, n int) map[string]string {
+// plus one superseding rewrite of each, then closes it and returns each
+// run's latest seed (its document's).
+func seedSegments(t *testing.T, dir string, n int) map[string]int64 {
 	t.Helper()
 	s, err := Open(Options{Dir: dir, SegmentBytes: 1024, CompactMinRecords: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[string]string)
+	want := make(map[string]int64)
 	for i := 0; i < n; i++ {
 		m := mkMeta(i, "t0", "quickstart", "running")
 		m.Terminal = false
-		if err := s.Append(m, []byte(fmt.Sprintf(`{"gen":1,"i":%d}`, i))); err != nil {
+		if err := s.Append(m, mkDoc(i, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i++ {
 		m := mkMeta(i, "t0", "quickstart", "done")
-		doc := fmt.Sprintf(`{"gen":2,"i":%d}`, i)
-		if err := s.Append(m, []byte(doc)); err != nil {
+		if err := s.Append(m, mkDoc(i, int64(1000+i))); err != nil {
 			t.Fatal(err)
 		}
-		want[m.ID] = doc
+		want[m.ID] = int64(1000 + i)
 	}
 	if s.Stats().Segments < 3 {
 		t.Fatalf("seed produced only %d segments; lower SegmentBytes", s.Stats().Segments)
@@ -45,7 +44,7 @@ func seedSegments(t *testing.T, dir string, n int) map[string]string {
 	return want
 }
 
-func verifyRecovered(t *testing.T, dir string, want map[string]string) {
+func verifyRecovered(t *testing.T, dir string, want map[string]int64) {
 	t.Helper()
 	s, err := Open(Options{Dir: dir, SegmentBytes: 1024})
 	if err != nil {
@@ -55,22 +54,19 @@ func verifyRecovered(t *testing.T, dir string, want map[string]string) {
 	if s.Len() != len(want) {
 		t.Fatalf("recovered %d runs, want %d", s.Len(), len(want))
 	}
-	for id, doc := range want {
-		it, ok := s.Get(id)
+	for id, seed := range want {
+		m, ok := s.GetMeta(id)
 		if !ok {
 			t.Fatalf("run %s lost", id)
 		}
-		if string(it.Doc) != doc {
-			t.Fatalf("run %s: doc = %s, want %s", id, it.Doc, doc)
-		}
-		if it.Meta.State != "done" {
-			t.Fatalf("run %s: state = %s, want done", id, it.Meta.State)
+		if m.Seed != seed || m.State != "done" {
+			t.Fatalf("run %s: %s with seed %d, want done with seed %d", id, m.State, m.Seed, seed)
 		}
 	}
 	// The recovered store must still accept writes and survive another
 	// reopen (recovery leaves a consistent, appendable log).
 	m := mkMeta(9999, "t0", "quickstart", "done")
-	if err := s.Append(m, []byte(`{"post":true}`)); err != nil {
+	if err := s.Append(m, nil); err != nil {
 		t.Fatalf("post-recovery append: %v", err)
 	}
 }

@@ -40,7 +40,7 @@ func TestQueryMatchesNaiveFilter(t *testing.T) {
 				State:         states[rng.Intn(len(states))],
 				SubmittedAtNs: int64(1_000_000_000 + rng.Intn(50)*1_000_000),
 			}
-			if err := s.Append(m, []byte(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
+			if err := s.Append(m, mkDoc(i, int64(i))); err != nil {
 				t.Fatal(err)
 			}
 			live[m.ID] = m
@@ -49,7 +49,7 @@ func TestQueryMatchesNaiveFilter(t *testing.T) {
 			id := fmt.Sprintf("run-%06d", rng.Intn(n))
 			m := live[id]
 			m.State = states[rng.Intn(len(states))]
-			if err := s.Append(m, []byte(`{"superseded":true}`)); err != nil {
+			if err := s.Append(m, nil); err != nil {
 				t.Fatal(err)
 			}
 			live[id] = m
@@ -139,9 +139,7 @@ func TestQueryMatchesNaiveFilter(t *testing.T) {
 				if len(page.Items) > limit {
 					t.Fatalf("trial %d query %d: page of %d exceeds limit %d", trial, qi, len(page.Items), limit)
 				}
-				for _, it := range page.Items {
-					got = append(got, it.Meta)
-				}
+				got = append(got, page.Items...)
 				pages++
 				if page.NextPageToken == "" {
 					break

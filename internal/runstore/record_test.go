@@ -1,77 +1,18 @@
 package runstore
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+
+	"dyflow/internal/ckpt"
 )
-
-// TestNoDocumentNeverLooksLikeUnreadable pins the Item contract the
-// coordinator's reader rule rests on: a record appended without a document
-// reads back as (nil Doc, nil Err) from memory alone, and a record whose
-// document cannot be read back is (nil Doc, non-nil Err) — in Get and in a
-// Query page, which stays as long as its limit.
-func TestNoDocumentNeverLooksLikeUnreadable(t *testing.T) {
-	for _, dir := range []string{"", t.TempDir()} {
-		s := openStore(t, dir, Options{})
-		bare, full := mkMeta(0, "t0", "quickstart", "done"), mkMeta(1, "t0", "quickstart", "done")
-		if err := s.Append(bare, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Append(full, mkDoc(1)); err != nil {
-			t.Fatal(err)
-		}
-		if it, ok := s.Get(bare.ID); !ok || it.Doc != nil || it.Err != nil {
-			t.Fatalf("dir %q: document-less record read back as %q / %v", dir, it.Doc, it.Err)
-		}
-		if it, ok := s.Get(full.ID); !ok || string(it.Doc) != string(mkDoc(1)) || it.Err != nil {
-			t.Fatalf("dir %q: document read back as %q / %v", dir, it.Doc, it.Err)
-		}
-		if dir == "" {
-			continue
-		}
-
-		// Overwrite the tail of the last frame — the document-bearing one —
-		// under the open store: its checksum no longer matches.
-		fi, err := os.Stat(segPath(dir, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.OpenFile(segPath(dir, 1), os.O_WRONLY, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt([]byte("overwritten!"), fi.Size()-12); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-
-		it, ok := s.Get(full.ID)
-		if !ok || it.Doc != nil || it.Err == nil || it.Meta.ID != full.ID {
-			t.Fatalf("overwritten frame read back as %q / %v (ok=%v)", it.Doc, it.Err, ok)
-		}
-		page, err := s.Query(Query{Tenant: "t0", Limit: 2})
-		if err != nil || len(page.Items) != 2 {
-			t.Fatalf("page over an unreadable record: %d items, %v", len(page.Items), err)
-		}
-		if page.Items[0].Err != nil || page.Items[1].Err == nil || page.Items[1].Meta.State != "done" {
-			t.Fatalf("page items: %+v", page.Items)
-		}
-
-		// Reopened, a document-less record still has none, and the scan
-		// drops the overwritten frame as the torn tail it now is.
-		s.Close()
-		s2 := openStore(t, dir, Options{})
-		if it, ok := s2.Get(bare.ID); !ok || it.Doc != nil || it.Err != nil {
-			t.Fatalf("after reopen: document-less record read back as %q / %v", it.Doc, it.Err)
-		}
-		if _, ok := s2.Get(full.ID); ok {
-			t.Fatal("after reopen: the overwritten frame survived the scan")
-		}
-	}
-}
 
 func FuzzPageToken(f *testing.F) {
 	s, err := Open(Options{})
@@ -109,8 +50,7 @@ func FuzzPageToken(f *testing.F) {
 			t.Fatalf("token %q: page of %d over limit 7", tok, len(page.Items))
 		}
 		prevNs, prevID := ns, id
-		for i, it := range page.Items {
-			m := it.Meta
+		for i, m := range page.Items {
 			after := m.SubmittedAtNs > prevNs || (m.SubmittedAtNs == prevNs && m.ID > prevID)
 			if (i > 0 || tok != "") && !after {
 				t.Fatalf("token %q: item %d (%d, %s) not after (%d, %s)", tok, i, m.SubmittedAtNs, m.ID, prevNs, prevID)
@@ -126,15 +66,88 @@ func FuzzPageToken(f *testing.F) {
 	})
 }
 
+// TestUndecodableDocumentIsDeadBytes: a frame whose document does not
+// decode, or describes another run, is dead bytes like a frame whose payload
+// does not decode. The run's previous record wins and recovery logs the
+// skip; Append refuses to write such a frame, so a live store and a
+// reopened one agree.
+func TestUndecodableDocumentIsDeadBytes(t *testing.T) {
+	bad := []string{`[1,2,3]`, `{"id":7}`, string(mkDoc(99, 1))}
+	check := func(what string, s *Store) {
+		t.Helper()
+		for i := range bad {
+			if m, ok := s.GetMeta(fmt.Sprintf("run-%06d", i)); !ok || m.State != "queued" || m.Seed != int64(i) {
+				t.Fatalf("%s: run %d reads %+v (ok=%v), want its queued record", what, i, m, ok)
+			}
+		}
+	}
+	for _, dir := range []string{"", t.TempDir()} {
+		s := openStore(t, dir, Options{})
+		for i, doc := range bad {
+			m := mkMeta(i, "t0", "quickstart", "queued")
+			if err := s.Append(m, mkDoc(i, int64(i))); err != nil {
+				t.Fatal(err)
+			}
+			m.State, m.Terminal = "done", true
+			if err := s.Append(m, []byte(doc)); err == nil {
+				t.Fatalf("dir %q: Append took run %d's document %s", dir, i, doc)
+			}
+		}
+		check(fmt.Sprintf("dir %q", dir), s)
+		if dir == "" {
+			continue
+		}
+		s.Close()
+
+		// A coordinator that wrote documents beside every record could have
+		// left such frames: checksummed and well framed, behind the good ones.
+		f, err := os.OpenFile(segPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, doc := range bad {
+			data, err := json.Marshal(entry{Seq: uint64(100 + i), Meta: mkMeta(i, "t0", "quickstart", "done"), Doc: json.RawMessage(doc)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ckpt.WriteRecord(f, ckpt.Record{Kind: recordKind, Data: data}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var logged bytes.Buffer
+		s2 := openStore(t, dir, Options{Logger: log.New(&logged, "", 0)})
+		check("reopened", s2)
+		if !strings.Contains(logged.String(), "skipped 3 records") {
+			t.Fatalf("recovery did not log the skipped frames:\n%s", logged.String())
+		}
+		// The frames stay dead bytes behind the records appended after them.
+		if err := s2.Append(mkMeta(3, "t0", "quickstart", "done"), nil); err != nil {
+			t.Fatal(err)
+		}
+		s2.Close()
+		s3 := openStore(t, dir, Options{})
+		check("reopened again", s3)
+		if s3.Len() != 4 {
+			t.Fatalf("reopened again with %d runs, want 4", s3.Len())
+		}
+	}
+}
+
 // sharedPopulation appends n done runs over 16 distinct jobs the way the
 // coordinator records a campaign of cache hits: 8 tenants, one scenario,
-// one machine, and per job one key and one four-artifact digest set.
-func sharedPopulation(t *testing.T, s *Store, n int) {
+// one machine, per job one key and one four-artifact digest set, and, when
+// xml is set, one XML override that each run holds its own copy of (as each
+// submission decodes its own).
+func sharedPopulation(t *testing.T, s *Store, n int, xml string) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		job := i % 16
 		m := mkMeta(i, fmt.Sprintf("tenant-%d", i%8), "quickstart", "done")
 		m.Machine, m.Seed, m.Cached, m.Converged = "summit", int64(job), i >= 16, true
+		m.XML = strings.Clone(xml)
 		m.Key = fmt.Sprintf("%064x", job)
 		m.QueuedAtNs, m.ClaimedAtNs, m.StartedAtNs = m.SubmittedAtNs, m.SubmittedAtNs+1, m.SubmittedAtNs+2
 		m.SimEndNs, m.ArtifactBytes = 3_600_000_000_000, 40_000
@@ -148,46 +161,62 @@ func sharedPopulation(t *testing.T, s *Store, n int) {
 	}
 }
 
-// restoredBytesPerRun bounds a recovered index entry. Measured on this
-// population, race detector on or off: 376 B/run with the repeated values
-// shared (the 288-byte entry, its ID, its three index slots and its map
-// slot), 1 095 B/run when every entry keeps the strings and the artifact
-// map its frame was decoded into.
+// restoredBytesPerRun bounds a recovered index entry. Measured on these
+// populations, race detector on or off: 328 B/run with the repeated values
+// shared (the 240-byte entry, its ID, its three index slots and its map
+// slot), against 1 000 B/run live, where every entry keeps the strings and
+// the artifact map it was appended with; with a 2.4 KB XML override on
+// every run, 352 B/run restored (one copy) and 3 699 B/run live.
 const restoredBytesPerRun = 500
 
+// heapInUse is the live heap after two collections.
+func heapInUse() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 func TestRecoverSharesRepeatedValues(t *testing.T) {
-	const n = 10000
-	dir := t.TempDir()
-	func() { // the writing store is garbage before the baseline is read
-		s, err := Open(Options{Dir: dir})
+	override := "<dyflow>" + strings.Repeat(`<sensor name="s" type="DISKSCAN" path="/gpfs/run/out/*.bp"/>`, 40) + "</dyflow>"
+	var s *Store
+	for _, pop := range []struct {
+		name string
+		n    int
+		xml  string
+	}{{"plain", 10000, ""}, {"xml", 1000, override}} {
+		dir := t.TempDir()
+		before := heapInUse()
+		live, err := Open(Options{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharedPopulation(t, s, n)
-		s.Close()
-	}()
+		sharedPopulation(t, live, pop.n, pop.xml)
+		livePerRun := float64(heapInUse()-before) / float64(pop.n)
+		live.Close() // and garbage before the restored baseline is read
 
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		before = heapInUse()
+		restored, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perRun := float64(heapInUse()-before) / float64(pop.n)
+		t.Logf("%s (%d runs, %d B of XML each): live %.0f B/run, restored %.0f B/run", pop.name, pop.n, len(pop.xml), livePerRun, perRun)
+		if restored.Len() != pop.n {
+			t.Fatalf("%s: reopened with %d runs, want %d", pop.name, restored.Len(), pop.n)
+		}
+		if perRun > restoredBytesPerRun {
+			t.Fatalf("%s: restored index holds %.0f B/run, want <= %d: repeated strings or artifact maps are not shared", pop.name, perRun, restoredBytesPerRun)
+		}
+		if pop.xml == "" {
+			s = restored
+			defer s.Close()
+		} else {
+			restored.Close()
+		}
 	}
-	before := heap()
-	s, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	perRun := float64(heap()-before) / n
-	t.Logf("restored index: %.0f B/run", perRun)
-	if s.Len() != n {
-		t.Fatalf("reopened with %d runs, want %d", s.Len(), n)
-	}
-	if perRun > restoredBytesPerRun {
-		t.Fatalf("restored index holds %.0f B/run, want <= %d: repeated strings or artifact maps are not shared", perRun, restoredBytesPerRun)
-	}
+	const n = 10000
 
 	// Sharing is safe because nobody writes: appends that hand the store a
 	// map the index already shares run beside readers of that map (-race).
@@ -222,4 +251,77 @@ func TestRecoverSharesRepeatedValues(t *testing.T) {
 	if s.Len() != n+800 {
 		t.Fatalf("after concurrent appends: %d runs, want %d", s.Len(), n+800)
 	}
+}
+
+// FuzzScanSegment: no segment image panics the scan or makes it allocate
+// more than a small multiple of its size; the good prefix never passes the
+// end (and is the end unless the tail is torn); frames are ascending,
+// disjoint and inside it; and every frame re-encodes to exactly its bytes.
+func FuzzScanSegment(f *testing.F) {
+	frame := func(kind string, seq uint64, m Meta, doc string) []byte {
+		data, err := json.Marshal(entry{Seq: seq, Meta: m, Doc: json.RawMessage(doc)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ckpt.WriteRecord(&buf, ckpt.Record{Kind: kind, Data: data}); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var seg bytes.Buffer
+	if err := ckpt.WriteHeader(&seg); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), seg.Bytes()...))
+	withArts := mkMeta(1, "t1", "grayscott", "done")
+	withArts.Artifacts = map[string]string{"report": "aa", "gantt": "bb"}
+	for _, fr := range [][]byte{
+		frame(recordKind, 1, mkMeta(0, "t0", "quickstart", "queued"), ""),
+		frame(recordKind, 2, mkMeta(0, "t0", "quickstart", "done"), string(mkDoc(0, 9))),
+		frame(recordKind, 3, withArts, `{"id":"run-000099"}`),
+		frame("other", 4, mkMeta(2, "t0", "xgc", "done"), ""),
+		frame(recordKind, 5, Meta{ID: "run-000000", Tenant: "t0", Tombstone: true}, ""),
+	} {
+		seg.Write(fr)
+		f.Add(append([]byte(nil), seg.Bytes()...))
+	}
+	full := seg.Bytes()
+	f.Add(append(append([]byte(nil), full...), 0xde, 0xad, 0xbe, 0xef, 0x01))
+	f.Add(append([]byte(nil), full[:len(full)-3]...))
+	f.Add(append(append([]byte(nil), full[:headerSize]...), 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0))
+	f.Add([]byte("DYCK"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := heapAllocated()
+		frames, good, torn, _ := scanSegment(data)
+		if got := heapAllocated() - before; got > 64<<10+64*uint64(len(data)) {
+			t.Fatalf("a %d-byte segment allocated %d bytes", len(data), got)
+		}
+		if good > int64(len(data)) || (!torn && good != int64(len(data))) {
+			t.Fatalf("good prefix %d of %d bytes (torn=%v)", good, len(data), torn)
+		}
+		end := int64(headerSize)
+		for i, fr := range frames {
+			if fr.off < end || fr.len <= 0 || fr.off+fr.len > good {
+				t.Fatalf("frame %d at [%d,+%d) overlaps its predecessor (ends %d) or passes the good prefix %d", i, fr.off, fr.len, end, good)
+			}
+			end = fr.off + fr.len
+			raw := data[fr.off:end]
+			rec, err := ckpt.ReadRecord(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatalf("frame %d does not read back: %v", i, err)
+			}
+			var out bytes.Buffer
+			if err := ckpt.WriteRecord(&out, rec); err != nil || !bytes.Equal(out.Bytes(), raw) {
+				t.Fatalf("frame %d re-encodes as %x, read from %x (%v)", i, out.Bytes(), raw, err)
+			}
+		}
+	})
+}
+
+// heapAllocated is the heap the process has allocated so far, in bytes.
+func heapAllocated() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }

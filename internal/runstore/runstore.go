@@ -12,10 +12,14 @@
 // window (tmp leftover, renamed-but-not-deleted inputs, torn active
 // tail) recovers to the pre-crash committed state.
 //
-// In-memory secondary indexes (tenant, scenario, submission-time order)
-// serve filtered, cursor-paginated queries without touching disk except
-// to read back the documents of the selected records that carry one. With
-// no directory the store is memory-only: same API, no files, no compaction.
+// A record is a Meta, and the index holds every run's latest one, so the
+// in-memory secondary indexes (tenant, scenario, submission-time order)
+// serve lookups and filtered, cursor-paginated queries without touching
+// disk. A frame an older coordinator wrote may carry a document beside its
+// meta; that is decoded once, when the frame is folded into the index (on
+// Append and on Open alike), and nothing reads a frame again except
+// compaction's verbatim copy. With no directory the store is memory-only:
+// same API, no files, no compaction.
 package runstore
 
 import (
@@ -73,15 +77,16 @@ type Options struct {
 }
 
 // Meta is a run's latest record, resident in the index: everything the
-// secondary indexes, a listing, a status and the analytics fold need. A
-// caller whose run has more to say than these fields (the campaign
-// service: a job's XML override) appends a document beside it.
+// secondary indexes, a listing, a status, the analytics fold and a restart
+// need.
 type Meta struct {
 	ID       string `json:"id"`
 	Tenant   string `json:"tenant"`
 	Scenario string `json:"scenario,omitempty"`
 	Machine  string `json:"machine,omitempty"`
 	Seed     int64  `json:"seed,omitempty"`
+	// XML is the job's orchestration-document override ("" = none).
+	XML string `json:"xml,omitempty"`
 	// Key is the job's deterministic cache key (result-cache rebuilds).
 	Key       string `json:"key,omitempty"`
 	State     string `json:"state"`
@@ -117,6 +122,39 @@ type entry struct {
 	Doc  json.RawMessage `json:"doc,omitempty"`
 }
 
+// docFields is what a record's document says that its meta may not. Until
+// the meta held the whole run, the coordinator wrote the run's full record
+// as a document beside it: on every record at first, then only for a run
+// with an XML override. Only these fields are read.
+type docFields struct {
+	ID  string `json:"id"`
+	Job struct {
+		Machine string `json:"machine"`
+		Seed    int64  `json:"seed"`
+		XML     string `json:"xml"`
+	} `json:"job"`
+	Error  string `json:"error"`
+	Worker string `json:"worker"`
+}
+
+// withDoc completes m from the document beside it, if there is one. A
+// document that does not decode, or describes another run, is an error: a
+// frame carrying one is dead bytes.
+func withDoc(m Meta, doc []byte) (Meta, error) {
+	if len(doc) == 0 {
+		return m, nil
+	}
+	var d docFields
+	if err := json.Unmarshal(doc, &d); err != nil {
+		return m, fmt.Errorf("runstore: document of %s: %w", m.ID, err)
+	}
+	if d.ID != m.ID {
+		return m, fmt.Errorf("runstore: document of %s describes run %q", m.ID, d.ID)
+	}
+	m.Machine, m.Seed, m.XML, m.Error, m.Worker = d.Job.Machine, d.Job.Seed, d.Job.XML, d.Error, d.Worker
+	return m, nil
+}
+
 // segment is one log file. The last segment is active (appended to);
 // all others are sealed and immutable until compaction replaces them.
 type segment struct {
@@ -128,16 +166,12 @@ type segment struct {
 	live    int64
 }
 
-// runState is a run's in-memory index entry: its latest record's meta
-// plus where that record's frame lives and whether it carries a document.
+// runState is a run's in-memory index entry: its latest record and the
+// segment holding that record's frame (the segments' live counts).
 type runState struct {
-	meta   Meta
-	seq    uint64
-	seg    *segment // nil in memory-only mode
-	off    int64
-	length int64
-	hasDoc bool
-	memDoc []byte // memory-only mode keeps a document resident
+	meta Meta
+	seq  uint64
+	seg  *segment // nil in memory-only mode
 }
 
 // Store is the run-history store. All methods are safe for concurrent
@@ -263,38 +297,44 @@ func segPath(dir string, index int) string {
 
 // frame holds one parsed record's location during recovery/compaction.
 type frame struct {
-	seq    uint64
-	meta   Meta
-	hasDoc bool
-	off    int64
-	len    int64
+	seq  uint64
+	meta Meta
+	off  int64
+	len  int64
 }
 
 // scanSegment parses every well-framed record in data, returning the
-// frames and the offset past the last good one (torn tails end there).
-func scanSegment(data []byte) (frames []frame, good int64, torn bool) {
+// frames (each meta completed from its document), the offset past the last
+// good one (torn tails end there), and how many checksummed frames it
+// skipped as dead bytes because their payload did not decode.
+func scanSegment(data []byte) (frames []frame, good int64, torn bool, dead int) {
 	br := bytes.NewReader(data)
 	if err := ckpt.ReadHeader(br); err != nil {
-		return nil, 0, len(data) > 0
+		return nil, 0, len(data) > 0, 0
 	}
 	off := int64(len(data)) - int64(br.Len())
 	for {
 		rec, err := ckpt.ReadRecord(br)
 		end := int64(len(data)) - int64(br.Len())
 		if errors.Is(err, io.EOF) {
-			return frames, off, false
+			return frames, off, false, dead
 		}
 		if err != nil {
-			return frames, off, true
+			return frames, off, true, dead
 		}
 		var e entry
-		if rec.Kind != recordKind || json.Unmarshal(rec.Data, &e) != nil {
-			// A checksummed frame with an unparseable payload: skip it as
+		ok := rec.Kind == recordKind && json.Unmarshal(rec.Data, &e) == nil
+		if ok {
+			e.Meta, err = withDoc(e.Meta, e.Doc)
+		}
+		if !ok || err != nil {
+			// A checksummed frame with an unusable payload: skip it as
 			// dead bytes rather than truncating good records behind it.
+			dead++
 			off = end
 			continue
 		}
-		frames = append(frames, frame{seq: e.Seq, meta: e.Meta, hasDoc: len(e.Doc) > 0, off: off, len: end - off})
+		frames = append(frames, frame{seq: e.Seq, meta: e.Meta, off: off, len: end - off})
 		off = end
 	}
 }
@@ -337,7 +377,10 @@ func (s *Store) recover() error {
 		if err != nil {
 			return err
 		}
-		frames, good, torn := scanSegment(data)
+		frames, good, torn, dead := scanSegment(data)
+		if dead > 0 {
+			s.logf("runstore: %s: skipped %d records whose payload does not decode", filepath.Base(path), dead)
+		}
 		if torn {
 			s.logf("runstore: %s: torn tail; truncating %d -> %d bytes", filepath.Base(path), len(data), good)
 			if good == 0 {
@@ -397,7 +440,7 @@ func (s *Store) recover() error {
 			} else if fr.seq <= cur.seq {
 				continue
 			}
-			*cur = runState{meta: fr.meta, seq: fr.seq, seg: sf.seg, off: fr.off, length: fr.len, hasDoc: fr.hasDoc}
+			*cur = runState{meta: fr.meta, seq: fr.seq, seg: sf.seg}
 		}
 	}
 	// A tombstone supersedes every older record of its run.
@@ -451,7 +494,7 @@ func shareRepeatedValues(runs map[string]*runState) {
 	var sig []byte
 	for _, rs := range runs {
 		m := &rs.meta
-		for _, p := range [...]*string{&m.Tenant, &m.Scenario, &m.State, &m.Machine, &m.Worker, &m.Key} {
+		for _, p := range [...]*string{&m.Tenant, &m.Scenario, &m.State, &m.Machine, &m.Worker, &m.Key, &m.XML} {
 			if v, ok := strs[*p]; ok {
 				*p = v
 			} else {
@@ -519,7 +562,9 @@ func (s *Store) addSegmentLocked(index int) error {
 }
 
 // Append records a run's current state. The latest append per run ID
-// wins; older records become compactable garbage.
+// wins; older records become compactable garbage. doc, when not empty, is
+// written beside the meta in the older coordinators' format and completes
+// it (withDoc); one that does not is refused.
 func (s *Store) Append(m Meta, doc []byte) error {
 	s.mu.Lock()
 	err := s.appendLocked(m, doc)
@@ -540,12 +585,17 @@ func (s *Store) appendLocked(m Meta, doc []byte) error {
 		s.met.appendErrs.Inc()
 		return ErrClosed
 	}
+	m, err := withDoc(m, doc)
+	if err != nil {
+		s.met.appendErrs.Inc()
+		return err
+	}
 	seq := s.nextSeq
 	s.nextSeq++
 	if s.dir == "" {
 		s.met.appends.Inc()
 		s.total++
-		s.applyLocked(runState{meta: m, seq: seq, hasDoc: len(doc) > 0, memDoc: append([]byte(nil), doc...)})
+		s.applyLocked(runState{meta: m, seq: seq})
 		s.updateGaugesLocked()
 		return nil
 	}
@@ -568,8 +618,7 @@ func (s *Store) appendLocked(m Meta, doc []byte) error {
 		s.met.rotations.Inc()
 		active = s.segs[len(s.segs)-1]
 	}
-	off := active.size
-	if _, err := active.f.WriteAt(buf.Bytes(), off); err != nil {
+	if _, err := active.f.WriteAt(buf.Bytes(), active.size); err != nil {
 		s.met.appendErrs.Inc()
 		return err
 	}
@@ -577,7 +626,7 @@ func (s *Store) appendLocked(m Meta, doc []byte) error {
 	active.records++
 	s.total++
 	s.met.appends.Inc()
-	s.applyLocked(runState{meta: m, seq: seq, seg: active, off: off, length: int64(buf.Len()), hasDoc: len(doc) > 0})
+	s.applyLocked(runState{meta: m, seq: seq, seg: active})
 	s.updateGaugesLocked()
 	return nil
 }
@@ -694,64 +743,7 @@ func (s *Store) updateGaugesLocked() {
 	s.met.deadRecords.Set(float64(s.total - live))
 }
 
-// itemOf renders an index entry as a query result, reading its document
-// back when it has one. Caller holds at least the read lock (segment
-// handles are closed only under the write lock).
-func itemOf(rs *runState) Item {
-	it := Item{Meta: rs.meta}
-	switch {
-	case !rs.hasDoc:
-	case rs.seg == nil:
-		it.Doc = append([]byte(nil), rs.memDoc...)
-	default:
-		it.Doc, it.Err = readDoc(rs)
-		if it.Err != nil {
-			it.Err = fmt.Errorf("runstore: read %s: %w", rs.meta.ID, it.Err)
-		}
-	}
-	return it
-}
-
-// readDoc reads a record's frame back from its segment, verifies it and
-// returns the document inside.
-func readDoc(rs *runState) ([]byte, error) {
-	buf := make([]byte, rs.length)
-	if _, err := rs.seg.f.ReadAt(buf, rs.off); err != nil {
-		return nil, err
-	}
-	rec, err := ckpt.ReadRecord(bytes.NewReader(buf))
-	if err != nil {
-		return nil, err
-	}
-	var e entry
-	if err := json.Unmarshal(rec.Data, &e); err != nil {
-		return nil, err
-	}
-	return e.Doc, nil
-}
-
-// Item is one query result. A record appended without a document has a
-// nil Doc and a nil Err: its meta is the whole record. A record that has
-// a document the store could not read back (I/O error, checksum mismatch)
-// has a nil Doc and a non-nil Err, so the two never look alike.
-type Item struct {
-	Meta Meta
-	Doc  []byte
-	Err  error
-}
-
-// Get returns a run's latest record (ok=false: unknown or tombstoned).
-func (s *Store) Get(id string) (Item, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rs := s.runs[id]
-	if rs == nil {
-		return Item{}, false
-	}
-	return itemOf(rs), true
-}
-
-// GetMeta returns a run's indexed meta without touching disk.
+// GetMeta returns a run's latest record (ok=false: unknown or tombstoned).
 func (s *Store) GetMeta(id string) (Meta, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -853,7 +845,7 @@ type Query struct {
 
 // Page is one query result page. NextPageToken is "" on the last page.
 type Page struct {
-	Items         []Item
+	Items         []Meta
 	NextPageToken string
 }
 
@@ -964,9 +956,9 @@ func (s *Store) Query(q Query) (Page, error) {
 	}
 	var page Page
 	if len(matched) > 0 {
-		page.Items = make([]Item, len(matched))
+		page.Items = make([]Meta, len(matched))
 		for i, rs := range matched {
-			page.Items[i] = itemOf(rs)
+			page.Items[i] = rs.meta
 		}
 	}
 	if more {

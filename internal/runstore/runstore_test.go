@@ -31,8 +31,17 @@ func mkMeta(i int, tenant, scenario, state string) Meta {
 	return m
 }
 
-func mkDoc(i int) []byte {
-	doc, _ := json.Marshal(map[string]any{"id": fmt.Sprintf("run-%06d", i), "payload": i})
+// mkDoc is run i's document as a coordinator that wrote one beside every
+// record did, with seed as its job's seed: it holds three fields mkMeta's
+// meta does not.
+func mkDoc(i int, seed int64) []byte {
+	doc, _ := json.Marshal(map[string]any{
+		"id":     fmt.Sprintf("run-%06d", i),
+		"tenant": "t0",
+		"job":    map[string]any{"scenario": "quickstart", "machine": "dt2", "seed": seed},
+		"state":  "done",
+		"worker": "w-1",
+	})
 	return doc
 }
 
@@ -56,21 +65,18 @@ func TestAppendGetRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := openStore(t, dir, Options{})
 			for i := 0; i < 10; i++ {
-				if err := s.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i)); err != nil {
+				if err := s.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i, int64(i))); err != nil {
 					t.Fatalf("Append: %v", err)
 				}
 			}
-			it, ok := s.Get("run-000007")
+			m, ok := s.GetMeta("run-000007")
 			if !ok {
 				t.Fatal("run-000007 missing")
 			}
-			if string(it.Doc) != string(mkDoc(7)) {
-				t.Fatalf("doc mismatch: %s", it.Doc)
+			if m.Tenant != "t0" || m.State != "done" || m.Machine != "dt2" || m.Seed != 7 || m.Worker != "w-1" {
+				t.Fatalf("meta not completed from its document: %+v", m)
 			}
-			if it.Meta.Tenant != "t0" || it.Meta.State != "done" {
-				t.Fatalf("meta mismatch: %+v", it.Meta)
-			}
-			if _, ok := s.Get("run-999999"); ok {
+			if _, ok := s.GetMeta("run-999999"); ok {
 				t.Fatal("nonexistent run found")
 			}
 			if s.Len() != 10 {
@@ -85,20 +91,19 @@ func TestLatestRecordWins(t *testing.T) {
 	s := openStore(t, dir, Options{})
 	m := mkMeta(0, "t0", "quickstart", "queued")
 	m.Terminal = false
-	if err := s.Append(m, []byte(`{"v":1}`)); err != nil {
+	if err := s.Append(m, mkDoc(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	m.State, m.Terminal = "running", false
-	if err := s.Append(m, []byte(`{"v":2}`)); err != nil {
+	if err := s.Append(m, mkDoc(0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	m.State, m.Terminal = "done", true
-	if err := s.Append(m, []byte(`{"v":3}`)); err != nil {
+	if err := s.Append(m, mkDoc(0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	it, _ := s.Get(m.ID)
-	if it.Meta.State != "done" || string(it.Doc) != `{"v":3}` {
-		t.Fatalf("latest record not served: %+v %s", it.Meta, it.Doc)
+	if got, _ := s.GetMeta(m.ID); got.State != "done" || got.Seed != 3 {
+		t.Fatalf("latest record not served: %+v", got)
 	}
 	st := s.Stats()
 	if st.LiveRecords != 1 || st.DeadRecords != 2 {
@@ -108,9 +113,9 @@ func TestLatestRecordWins(t *testing.T) {
 
 	// Recovery must also pick the latest record.
 	s2 := openStore(t, dir, Options{})
-	it, ok := s2.Get(m.ID)
-	if !ok || it.Meta.State != "done" || string(it.Doc) != `{"v":3}` {
-		t.Fatalf("after reopen: %+v %s (ok=%v)", it.Meta, it.Doc, ok)
+	got, ok := s2.GetMeta(m.ID)
+	if !ok || got.State != "done" || got.Seed != 3 {
+		t.Fatalf("after reopen: %+v (ok=%v)", got, ok)
 	}
 }
 
@@ -118,7 +123,7 @@ func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{SegmentBytes: 2048})
 	for i := 0; i < 100; i++ {
-		if err := s.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i)); err != nil {
+		if err := s.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,8 +138,8 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatalf("after reopen Len = %d, want 100", s2.Len())
 	}
 	for i := 0; i < 100; i++ {
-		it, ok := s2.Get(fmt.Sprintf("run-%06d", i))
-		if !ok || string(it.Doc) != string(mkDoc(i)) {
+		m, ok := s2.GetMeta(fmt.Sprintf("run-%06d", i))
+		if !ok || m.Seed != int64(i) {
 			t.Fatalf("run %d lost or corrupt after rotation+reopen", i)
 		}
 	}
@@ -147,7 +152,7 @@ func TestCompactionReclaimsDeadRecords(t *testing.T) {
 	for gen := 0; gen < 3; gen++ {
 		for i := 0; i < 40; i++ {
 			m := mkMeta(i, "t0", "quickstart", "done")
-			if err := s.Append(m, mkDoc(i+gen*1000)); err != nil {
+			if err := s.Append(m, mkDoc(i, int64(i+gen*1000))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -169,11 +174,11 @@ func TestCompactionReclaimsDeadRecords(t *testing.T) {
 	if after.DiskBytes >= before.DiskBytes {
 		t.Fatalf("compaction reclaimed no bytes: %d -> %d", before.DiskBytes, after.DiskBytes)
 	}
-	// Every run still serves its latest doc.
+	// Every run still serves its latest record.
 	for i := 0; i < 40; i++ {
-		it, ok := s.Get(fmt.Sprintf("run-%06d", i))
-		if !ok || string(it.Doc) != string(mkDoc(i+2000)) {
-			t.Fatalf("run %d wrong after compaction: %s", i, it.Doc)
+		m, ok := s.GetMeta(fmt.Sprintf("run-%06d", i))
+		if !ok || m.Seed != int64(i+2000) {
+			t.Fatalf("run %d wrong after compaction: %+v", i, m)
 		}
 	}
 	s.Close()
@@ -187,20 +192,20 @@ func TestTombstoneDeletesAcrossReopenAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{SegmentBytes: 1024, CompactMinRecords: 1 << 30})
 	for i := 0; i < 20; i++ {
-		if err := s.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i)); err != nil {
+		if err := s.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.Append(Meta{ID: "run-000003", Tenant: "t0", Tombstone: true}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get("run-000003"); ok {
+	if _, ok := s.GetMeta("run-000003"); ok {
 		t.Fatal("tombstoned run still served")
 	}
 	s.Close()
 
 	s2 := openStore(t, dir, Options{SegmentBytes: 1024, CompactMinRecords: 1 << 30})
-	if _, ok := s2.Get("run-000003"); ok {
+	if _, ok := s2.GetMeta("run-000003"); ok {
 		t.Fatal("tombstoned run resurrected by reopen")
 	}
 	if s2.Len() != 19 {
@@ -209,19 +214,19 @@ func TestTombstoneDeletesAcrossReopenAndCompaction(t *testing.T) {
 	// Force rotation so the tombstone seals, then compact: the
 	// tombstone and the deleted run's records all vanish.
 	for i := 100; i < 140; i++ {
-		if err := s2.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i)); err != nil {
+		if err := s2.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s2.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s2.Get("run-000003"); ok {
+	if _, ok := s2.GetMeta("run-000003"); ok {
 		t.Fatal("tombstoned run back after compaction")
 	}
 	s2.Close()
 	s3 := openStore(t, dir, Options{})
-	if _, ok := s3.Get("run-000003"); ok {
+	if _, ok := s3.GetMeta("run-000003"); ok {
 		t.Fatal("tombstoned run back after compaction+reopen")
 	}
 	if s3.Len() != 59 {
@@ -239,7 +244,7 @@ func TestSweepRetentionMaxAge(t *testing.T) {
 	pending := mkMeta(2, "t0", "quickstart", "running")
 	pending.Terminal = false
 	for _, m := range []Meta{old, fresh, pending} {
-		if err := s.Append(m, mkDoc(0)); err != nil {
+		if err := s.Append(m, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,13 +252,13 @@ func TestSweepRetentionMaxAge(t *testing.T) {
 	if len(victims) != 1 || victims[0].ID != old.ID {
 		t.Fatalf("victims = %+v, want just %s", victims, old.ID)
 	}
-	if _, ok := s.Get(old.ID); ok {
+	if _, ok := s.GetMeta(old.ID); ok {
 		t.Fatal("aged-out run still served")
 	}
-	if _, ok := s.Get(fresh.ID); !ok {
+	if _, ok := s.GetMeta(fresh.ID); !ok {
 		t.Fatal("fresh run deleted")
 	}
-	if _, ok := s.Get(pending.ID); !ok {
+	if _, ok := s.GetMeta(pending.ID); !ok {
 		t.Fatal("non-terminal run deleted by retention")
 	}
 }
@@ -266,21 +271,21 @@ func TestSweepRetentionMaxBytesPerTenant(t *testing.T) {
 		m := mkMeta(i, "t0", "quickstart", "done")
 		m.ArtifactBytes = 100
 		m.FinishedAtNs = int64(10_000_000_000 + i*1_000_000_000)
-		if err := s.Append(m, mkDoc(i)); err != nil {
+		if err := s.Append(m, mkDoc(i, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m := mkMeta(10, "t1", "quickstart", "done")
 	m.ArtifactBytes = 100
 	m.FinishedAtNs = 1
-	if err := s.Append(m, mkDoc(10)); err != nil {
+	if err := s.Append(m, mkDoc(10, 10)); err != nil {
 		t.Fatal(err)
 	}
 	victims := s.SweepRetention(Retention{MaxBytes: 250}, time.Unix(1000, 0))
 	if len(victims) != 1 || victims[0].ID != "run-000000" {
 		t.Fatalf("victims = %+v, want just run-000000 (the oldest-finished over budget)", victims)
 	}
-	if _, ok := s.Get("run-000010"); !ok {
+	if _, ok := s.GetMeta("run-000010"); !ok {
 		t.Fatal("under-budget tenant's run deleted")
 	}
 }
@@ -291,7 +296,7 @@ func TestQueryFiltersAndPagination(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		tenant := fmt.Sprintf("t%d", i%2)
 		scenario := []string{"quickstart", "grayscott"}[i%2]
-		if err := s.Append(mkMeta(i, tenant, scenario, states[i%4]), mkDoc(i)); err != nil {
+		if err := s.Append(mkMeta(i, tenant, scenario, states[i%4]), mkDoc(i, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,8 +321,8 @@ func TestQueryFiltersAndPagination(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, it := range p.Items {
-			all = append(all, it.Meta.ID)
+		for _, m := range p.Items {
+			all = append(all, m.ID)
 		}
 		pages++
 		if p.NextPageToken == "" {
@@ -358,7 +363,7 @@ func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
 	for i := 0; i < 5; i++ {
-		if err := s.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i)); err != nil {
+		if err := s.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -378,7 +383,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("Len = %d after torn tail, want 5", s2.Len())
 	}
 	// The truncation must leave the file appendable again.
-	if err := s2.Append(mkMeta(5, "t0", "quickstart", "done"), mkDoc(5)); err != nil {
+	if err := s2.Append(mkMeta(5, "t0", "quickstart", "done"), mkDoc(5, 5)); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
@@ -391,7 +396,7 @@ func TestTornTailTruncated(t *testing.T) {
 func TestLeftoverTmpRemoved(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
-	s.Append(mkMeta(0, "t0", "quickstart", "done"), mkDoc(0))
+	s.Append(mkMeta(0, "t0", "quickstart", "done"), mkDoc(0, 0))
 	s.Close()
 	tmp := segPath(dir, 1) + ".tmp"
 	if err := os.WriteFile(tmp, []byte("partial compaction output"), 0o644); err != nil {
@@ -429,7 +434,7 @@ func TestMaxOrdinalSurvivesRetentionAndCompaction(t *testing.T) {
 		t.Fatalf("empty store MaxOrdinal = %d, want -1", got)
 	}
 	for i := 0; i < 8; i++ {
-		if err := s.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i)); err != nil {
+		if err := s.Append(mkMeta(i, "t0", "quickstart", "done"), mkDoc(i, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -438,8 +443,7 @@ func TestMaxOrdinalSurvivesRetentionAndCompaction(t *testing.T) {
 	}
 	// Seal the tombstones behind one ordinal-less record, then compact
 	// until nothing more drops.
-	big, _ := json.Marshal(strings.Repeat("x", 600))
-	if err := s.Append(Meta{ID: "marker", Tenant: "t0", State: "done", Terminal: true}, big); err != nil {
+	if err := s.Append(Meta{ID: "marker", Tenant: "t0", State: "done", Terminal: true, XML: strings.Repeat("x", 600)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -456,7 +460,7 @@ func TestMaxOrdinalSurvivesRetentionAndCompaction(t *testing.T) {
 	if got := s2.MaxOrdinal(); got != 7 {
 		t.Fatalf("MaxOrdinal after retention+compaction+reopen = %d, want 7", got)
 	}
-	if _, ok := s2.Get("run-000007"); ok {
+	if _, ok := s2.GetMeta("run-000007"); ok {
 		t.Fatal("the kept high-water tombstone resurrected its run")
 	}
 }
@@ -465,10 +469,10 @@ func TestDigests(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{})
 	m := mkMeta(0, "t0", "quickstart", "done")
 	m.Artifacts = map[string]string{"report": "aaa", "gantt": "bbb"}
-	s.Append(m, mkDoc(0))
+	s.Append(m, mkDoc(0, 0))
 	m2 := mkMeta(1, "t0", "quickstart", "done")
 	m2.Artifacts = map[string]string{"report": "aaa"}
-	s.Append(m2, mkDoc(1))
+	s.Append(m2, mkDoc(1, 1))
 	d := s.Digests()
 	if !d["aaa"] || !d["bbb"] || len(d) != 2 {
 		t.Fatalf("digests = %v", d)

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
-	"dyflow/internal/exp"
 	"dyflow/internal/runstore"
 )
 
@@ -30,30 +27,13 @@ func nsTime(ns int64) time.Time {
 	return time.Unix(0, ns)
 }
 
-// runMetaLocked builds r's history record: everything about the run but
-// its job's XML override. Caller holds the server mutex.
+// runMetaLocked builds r's history record: r.record plus the two fields
+// only the store reads, the cache key and the artifact bytes, which cost a
+// hash and a blob-store lookup and so stay off the status path. Caller
+// holds the server mutex.
 func (s *Server) runMetaLocked(r *Run) runstore.Meta {
-	m := runstore.Meta{
-		ID:            r.ID,
-		Tenant:        r.Tenant,
-		Scenario:      r.Job.Scenario,
-		Machine:       r.Job.Machine,
-		Seed:          r.Job.Seed,
-		Key:           r.Job.Key(),
-		State:         string(r.State),
-		Terminal:      r.State.Terminal(),
-		Cached:        r.Cached,
-		Converged:     r.Converged,
-		Error:         r.Err,
-		Worker:        r.Worker,
-		SubmittedAtNs: unixNs(r.SubmittedAt),
-		QueuedAtNs:    unixNs(r.QueuedAt),
-		ClaimedAtNs:   unixNs(r.ClaimedAt),
-		StartedAtNs:   unixNs(r.StartedAt),
-		FinishedAtNs:  unixNs(r.FinishedAt),
-		SimEndNs:      int64(r.SimEnd),
-		Artifacts:     r.Artifacts,
-	}
+	m := r.record()
+	m.Key = r.Job.Key()
 	for _, digest := range r.Artifacts {
 		m.ArtifactBytes += s.blobs.Size(digest)
 	}
@@ -68,18 +48,8 @@ func (s *Server) runMetaLocked(r *Run) runstore.Meta {
 // (dyflow_runstore_append_errors_total); Submit refuses on it, every
 // other transition proceeds and the run stays resident until a later
 // append records it.
-//
-// The meta is the record. Only an XML override does not fit in it, and
-// only such a run carries a persistedRun document beside its meta.
 func (s *Server) historyAppendLocked(r *Run) error {
-	var doc []byte
-	var err error
-	if r.Job.XML != "" {
-		doc, err = json.Marshal(r.persisted())
-	}
-	if err == nil {
-		err = s.history.Append(s.runMetaLocked(r), doc)
-	}
+	err := s.history.Append(s.runMetaLocked(r), nil)
 	if err != nil {
 		s.logf("server: history append %s (%s): %v", r.ID, r.State, err)
 	}
@@ -115,59 +85,6 @@ func (s *Server) retainRingLocked(d doneRing) {
 	}
 }
 
-// storedRun is the one reader of history records. A record that carries a
-// document is that document: every XML run, and every record written
-// before the meta held machine, seed, error and worker. A record that
-// carries none is its meta. intact is false when a document exists but
-// could not be read back or is not this run's persistedRun; that is logged
-// and counted, and p then holds what the meta knows — enough to list and
-// serve the run, not enough to execute it (the XML is what was lost).
-func (s *Server) storedRun(it runstore.Item) (p persistedRun, intact bool) {
-	err := it.Err
-	if err == nil && it.Doc != nil {
-		var doc persistedRun // not p: Unmarshal would move it to the heap for the meta path too
-		if err = json.Unmarshal(it.Doc, &doc); err == nil && doc.ID != it.Meta.ID {
-			err = fmt.Errorf("document describes run %q", doc.ID)
-		}
-		if err == nil {
-			return doc, true
-		}
-	}
-	if err != nil {
-		s.met.readErrs.Inc()
-		s.logf("server: history document of %s unusable, serving its index entry: %v", it.Meta.ID, err)
-	}
-	m := &it.Meta
-	return persistedRun{
-		ID:           m.ID,
-		Tenant:       m.Tenant,
-		Job:          exp.Job{Scenario: m.Scenario, Machine: m.Machine, Seed: m.Seed},
-		State:        RunState(m.State),
-		Cached:       m.Cached,
-		Err:          m.Error,
-		Converged:    m.Converged,
-		SimEndNs:     m.SimEndNs,
-		Worker:       m.Worker,
-		ArtifactRefs: m.Artifacts,
-		SubmittedAt:  nsTime(m.SubmittedAtNs),
-		QueuedAt:     nsTime(m.QueuedAtNs),
-		ClaimedAt:    nsTime(m.ClaimedAtNs),
-		StartedAt:    nsTime(m.StartedAtNs),
-		FinishedAt:   nsTime(m.FinishedAtNs),
-	}, err == nil
-}
-
-// evictedRun reads a run that is not resident from the history store
-// (found=false: no such run). It takes no server lock.
-func (s *Server) evictedRun(id string) (p persistedRun, intact, found bool) {
-	it, found := s.history.Get(id)
-	if !found {
-		return persistedRun{}, false, false
-	}
-	p, intact = s.storedRun(it)
-	return p, intact, true
-}
-
 // RunQuery filters GET /v1/runs; zero fields match everything.
 type RunQuery struct {
 	Tenant   string
@@ -192,8 +109,8 @@ type RunPage struct {
 // store's indexes. Every admitted run has a history record (appended at
 // submission), so the store is the authoritative listing; resident runs
 // render their live status instead of the recorded one. The server mutex
-// is held for those lookups only — never across the store's reads or a
-// document decode — so a page costs its items and delays no submit.
+// is held for those lookups only, never across the store's query, so a
+// page costs its items and delays no submit.
 func (s *Server) QueryRuns(q RunQuery) (RunPage, error) {
 	page, err := s.history.Query(runstore.Query{
 		Tenant: q.Tenant, Scenario: q.Scenario, State: q.State,
@@ -206,15 +123,14 @@ func (s *Server) QueryRuns(q RunQuery) (RunPage, error) {
 	out := RunPage{Runs: make([]Status, len(page.Items)), NextPageToken: page.NextPageToken}
 	s.mu.Lock()
 	for i := range page.Items {
-		if r := s.runs[page.Items[i].Meta.ID]; r != nil {
+		if r := s.runs[page.Items[i].ID]; r != nil {
 			out.Runs[i] = r.status()
 		}
 	}
 	s.mu.Unlock()
 	for i := range page.Items {
 		if out.Runs[i].ID == "" { // not resident
-			p, _ := s.storedRun(page.Items[i])
-			out.Runs[i] = p.status()
+			out.Runs[i] = recordStatus(&page.Items[i])
 		}
 	}
 	return out, nil

@@ -46,12 +46,9 @@ var lifecycle = map[edge]bool{
 	{StateRunning, StateQueued, "result_upload_failed"}: true,
 	{StateRunning, StateQueued, "shutdown"}:             true,
 
-	{StateQueued, StateQueued, "restore"}:        true,
-	{StateRunning, StateQueued, "restore"}:       true,
-	{StateDone, StateQueued, "restore"}:          true, // recorded done, artifacts gone: demoted
-	{StateQueued, StateFailed, "document_lost"}:  true, // errJobDocumentLost, whatever the record said
-	{StateRunning, StateFailed, "document_lost"}: true,
-	{StateDone, StateFailed, "document_lost"}:    true,
+	{StateQueued, StateQueued, "restore"}:  true,
+	{StateRunning, StateQueued, "restore"}: true,
+	{StateDone, StateQueued, "restore"}:    true, // recorded done, artifacts gone: demoted
 }
 
 // legalLocked is the table check every transition starts with: an edge that

@@ -20,7 +20,6 @@ type metrics struct {
 	httpReqs     *obs.CounterVec // {route}
 	dupResults   *obs.Counter    // retransmitted results deduplicated by lease ID
 	gcBlobs      *obs.Counter    // blobs swept by retention GC
-	readErrs     *obs.Counter    // history documents that could not be read back or decoded
 	illegal      *obs.CounterVec // {from,to} transitions the lifecycle table refused
 	// The lease's own counters.
 	fleetClaims     *obs.Counter
@@ -56,8 +55,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Result uploads retransmitted after a lost acknowledgement, deduplicated by lease ID.").With(),
 		gcBlobs: reg.Counter("dyflow_runstore_gc_blobs_total",
 			"Artifact blobs swept because no live history record references them.").With(),
-		readErrs: reg.Counter("dyflow_runstore_read_errors_total",
-			"Run-history documents that could not be read back or decoded; the run was served from its index entry.").With(),
 		illegal: reg.Counter("dyflow_server_illegal_transitions_total",
 			"Run state transitions refused because the lifecycle table has no such edge: each one is a bug.", "from", "to"),
 		fleetClaims: reg.Counter("dyflow_server_fleet_claims_total",

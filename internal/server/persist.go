@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"time"
@@ -21,77 +20,23 @@ import (
 // acknowledged submission from the segments alone: done runs with their
 // artifact references, queued and running runs back onto the queue.
 //
-// A record is a runstore.Meta and, only for a run whose job overrides the
-// scenario's XML, a persistedRun document beside it: historyAppendLocked
-// writes that, Server.storedRun is the one reader of it.
+// A record is the run's runstore.Meta, its job's XML override included
+// (Run.record). Records an older coordinator wrote with a document beside
+// the meta reach the server already completed from it: the store decodes
+// the document when it folds the frame.
 
-// persistedRun is a Run's whole durable form: what a record's document
-// holds when it has one, and what storedRun builds from the meta when it
-// has none. ArtifactRefs are blob digests, not bytes.
-type persistedRun struct {
-	ID           string            `json:"id"`
-	Tenant       string            `json:"tenant"`
-	Job          exp.Job           `json:"job"`
-	State        RunState          `json:"state"`
-	Cached       bool              `json:"cached,omitempty"`
-	Err          string            `json:"error,omitempty"`
-	Converged    bool              `json:"converged,omitempty"`
-	SimEndNs     int64             `json:"sim_end_ns,omitempty"`
-	Worker       string            `json:"worker,omitempty"`
-	ArtifactRefs map[string]string `json:"artifact_refs,omitempty"`
-	SubmittedAt  time.Time         `json:"submitted_at"`
-	QueuedAt     time.Time         `json:"queued_at,omitempty"`
-	ClaimedAt    time.Time         `json:"claimed_at,omitempty"`
-	StartedAt    time.Time         `json:"started_at,omitempty"`
-	FinishedAt   time.Time         `json:"finished_at,omitempty"`
-}
-
-func (r *Run) persisted() persistedRun {
-	return persistedRun{
-		ID:           r.ID,
-		Tenant:       r.Tenant,
-		Job:          r.Job,
-		State:        r.State,
-		Cached:       r.Cached,
-		Err:          r.Err,
-		Converged:    r.Converged,
-		SimEndNs:     int64(r.SimEnd),
-		Worker:       r.Worker,
-		ArtifactRefs: r.Artifacts,
-		SubmittedAt:  r.SubmittedAt,
-		QueuedAt:     r.QueuedAt,
-		ClaimedAt:    r.ClaimedAt,
-		StartedAt:    r.StartedAt,
-		FinishedAt:   r.FinishedAt,
+// restoredRun is the *Run a record of an unfinished run describes: enough
+// to requeue it, since the requeue resets everything else.
+func restoredRun(m *runstore.Meta) *Run {
+	return &Run{
+		ID:          m.ID,
+		Tenant:      m.Tenant,
+		Job:         exp.Job{Scenario: m.Scenario, Machine: m.Machine, Seed: m.Seed, XML: m.XML},
+		State:       RunState(m.State),
+		Err:         m.Error,
+		SubmittedAt: nsTime(m.SubmittedAtNs),
 	}
 }
-
-func (s *Server) applyPersisted(p persistedRun) *Run {
-	r := &Run{
-		ID:          p.ID,
-		Tenant:      p.Tenant,
-		Job:         p.Job,
-		State:       p.State,
-		Cached:      p.Cached,
-		Err:         p.Err,
-		Converged:   p.Converged,
-		SimEnd:      time.Duration(p.SimEndNs),
-		Worker:      p.Worker,
-		Artifacts:   p.ArtifactRefs,
-		SubmittedAt: p.SubmittedAt,
-		QueuedAt:    p.QueuedAt,
-		ClaimedAt:   p.ClaimedAt,
-		StartedAt:   p.StartedAt,
-		FinishedAt:  p.FinishedAt,
-	}
-	r.simNow.Store(p.SimEndNs)
-	return r
-}
-
-// errJobDocumentLost fails a restored run whose record has a job document
-// that can no longer be read: its meta cannot say what the XML override
-// was, so requeueing from it would execute a different job under the ID.
-var errJobDocumentLost = errors.New("server: the run's job document was unreadable at restart, so it cannot be re-executed; resubmit it")
 
 // restore rebuilds the coordinator from the run-history store in one pass
 // over its metas (recovery of whatever a crash left mid-rotation or
@@ -108,9 +53,7 @@ var errJobDocumentLost = errors.New("server: the run's job document was unreadab
 //     (a run caught mid-execution restarts from scratch), bypassing the
 //     capacity bound (queue.requeue): the bound is admission backpressure
 //     for new submissions, and a server killed with queued+running >
-//     QueueDepth must still be able to restart and drain. The one run that
-//     does not go back is one whose job document is unreadable: it fails
-//     with errJobDocumentLost.
+//     QueueDepth must still be able to restart and drain.
 //   - The next run ID comes from the store's durable ordinal high-water,
 //     which outlives retention and compaction, so an ID is never reissued.
 //
@@ -141,9 +84,9 @@ func (s *Server) restore(dir string) error {
 	s.nextID = int(s.history.MaxOrdinal()) + 1
 
 	// The callback must not take s.mu or re-enter the store (lock order):
-	// it seeds the cache from the metas in place and keeps only the IDs of
-	// the runs that come back.
-	var requeue []string
+	// it seeds the cache from the metas in place and builds the runs that
+	// come back, which are admitted after it.
+	var requeue []*Run
 	s.history.EachMeta(func(m *runstore.Meta) bool {
 		done := m.State == string(StateDone)
 		servable := done && s.refsResolvable(m.Artifacts)
@@ -156,30 +99,19 @@ func (s *Server) restore(dir string) error {
 			}
 		}
 		if !m.Terminal || (done && !servable) {
-			requeue = append(requeue, m.ID)
+			requeue = append(requeue, restoredRun(m))
 		}
 		return true
 	})
-	var queued []string // oldest first
-	for _, id := range requeue {
-		p, intact, ok := s.evictedRun(id)
-		if !ok {
-			continue
-		}
-		r := s.applyPersisted(p)
+	for _, r := range requeue {
 		s.admitLocked(r)
-		if !intact {
-			s.finishLocked(r, StateFailed, "document_lost", errJobDocumentLost.Error())
-			continue
-		}
 		s.resetToQueuedLocked(r, "restore")
-		queued = append(queued, r.ID)
 		s.met.requeued.Inc()
 	}
 	// Each goes in at the front, so the newest goes first and the oldest
 	// ends up at the head: the next process claims in admission order too.
-	for i := len(queued) - 1; i >= 0; i-- {
-		s.queue.requeue(queued[i])
+	for i := len(requeue) - 1; i >= 0; i-- {
+		s.queue.requeue(requeue[i].ID)
 	}
 
 	// Compact the blob store to what the restored state references.

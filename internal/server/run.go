@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dyflow/internal/exp"
+	"dyflow/internal/runstore"
 )
 
 // RunState is a run's lifecycle state.
@@ -105,38 +106,65 @@ type Status struct {
 	Artifacts []string `json:"artifacts,omitempty"`
 }
 
+// record is the run's state as a history record, less the two fields only
+// the store reads (Server.runMetaLocked adds them). Caller holds the server
+// mutex.
+func (r *Run) record() runstore.Meta {
+	return runstore.Meta{
+		ID:            r.ID,
+		Tenant:        r.Tenant,
+		Scenario:      r.Job.Scenario,
+		Machine:       r.Job.Machine,
+		Seed:          r.Job.Seed,
+		XML:           r.Job.XML,
+		State:         string(r.State),
+		Terminal:      r.State.Terminal(),
+		Cached:        r.Cached,
+		Converged:     r.Converged,
+		Error:         r.Err,
+		Worker:        r.Worker,
+		SubmittedAtNs: unixNs(r.SubmittedAt),
+		QueuedAtNs:    unixNs(r.QueuedAt),
+		ClaimedAtNs:   unixNs(r.ClaimedAt),
+		StartedAtNs:   unixNs(r.StartedAt),
+		FinishedAtNs:  unixNs(r.FinishedAt),
+		SimEndNs:      int64(r.SimEnd),
+		Artifacts:     r.Artifacts,
+	}
+}
+
 // status renders the run's JSON view. Caller holds the server mutex.
 func (r *Run) status() Status {
-	p := r.persisted()
-	st := p.status()
+	m := r.record()
+	st := recordStatus(&m)
 	if r.State != StateDone {
 		st.SimSeconds = time.Duration(r.simNow.Load()).Seconds()
 	}
 	return st
 }
 
-// status renders a run record's JSON view: the one renderer, for a
+// recordStatus renders a run record's JSON view: the one renderer, for a
 // resident run's current state (Run.status) and an evicted run's record.
-func (p *persistedRun) status() Status {
+func recordStatus(m *runstore.Meta) Status {
 	st := Status{
-		ID:          p.ID,
-		Tenant:      p.Tenant,
-		Job:         p.Job,
-		State:       p.State,
-		Cached:      p.Cached,
-		Error:       p.Err,
-		SimSeconds:  time.Duration(p.SimEndNs).Seconds(),
-		Converged:   p.Converged,
-		Worker:      p.Worker,
-		SubmittedAt: p.SubmittedAt,
-		QueuedAt:    timePtr(p.QueuedAt),
-		ClaimedAt:   timePtr(p.ClaimedAt),
-		StartedAt:   timePtr(p.StartedAt),
-		FinishedAt:  timePtr(p.FinishedAt),
+		ID:          m.ID,
+		Tenant:      m.Tenant,
+		Job:         exp.Job{Scenario: m.Scenario, Machine: m.Machine, Seed: m.Seed, XML: m.XML},
+		State:       RunState(m.State),
+		Cached:      m.Cached,
+		Error:       m.Error,
+		SimSeconds:  time.Duration(m.SimEndNs).Seconds(),
+		Converged:   m.Converged,
+		Worker:      m.Worker,
+		SubmittedAt: nsTime(m.SubmittedAtNs),
+		QueuedAt:    timePtr(m.QueuedAtNs),
+		ClaimedAt:   timePtr(m.ClaimedAtNs),
+		StartedAt:   timePtr(m.StartedAtNs),
+		FinishedAt:  timePtr(m.FinishedAtNs),
 	}
-	if len(p.ArtifactRefs) > 0 {
-		st.Artifacts = make([]string, 0, len(p.ArtifactRefs))
-		for name := range p.ArtifactRefs {
+	if len(m.Artifacts) > 0 {
+		st.Artifacts = make([]string, 0, len(m.Artifacts))
+		for name := range m.Artifacts {
 			st.Artifacts = append(st.Artifacts, name)
 		}
 		sort.Strings(st.Artifacts)
@@ -145,10 +173,11 @@ func (p *persistedRun) status() Status {
 }
 
 // timePtr renders a phase timestamp for Status: a phase that never
-// happened is omitted.
-func timePtr(t time.Time) *time.Time {
-	if t.IsZero() {
+// happened (0) is omitted.
+func timePtr(ns int64) *time.Time {
+	if ns == 0 {
 		return nil
 	}
+	t := time.Unix(0, ns)
 	return &t
 }

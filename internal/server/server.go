@@ -98,8 +98,8 @@ type Server struct {
 	// history is the durable, indexed run store (internal/runstore) and
 	// the only record of run state: every transition is appended before
 	// it is acknowledged or published, terminal runs are evicted from the
-	// resident map once recorded, every read of an evicted run goes
-	// through storedRun, and restore reads nothing else. Memory-only when
+	// resident map once recorded, an evicted run is read from its record
+	// (a runstore.Meta), and restore reads nothing else. Memory-only when
 	// persistence is off (same API). Lock
 	// order: s.mu may be held while calling into history, never the
 	// reverse (EachMeta callbacks must not touch s.mu).
@@ -334,8 +334,8 @@ func (s *Server) Cancel(id string) (Status, error) {
 	r, ok := s.runs[id]
 	if !ok {
 		// Evicted terminal runs cancel as the no-op they always were.
-		if p, _, ok := s.evictedRun(id); ok {
-			return p.status(), nil
+		if m, ok := s.history.GetMeta(id); ok {
+			return recordStatus(&m), nil
 		}
 		return Status{}, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
 	}
@@ -360,8 +360,8 @@ func (s *Server) RunStatus(id string) (Status, error) {
 		return st, nil
 	}
 	s.mu.Unlock()
-	if p, _, ok := s.evictedRun(id); ok {
-		return p.status(), nil
+	if m, ok := s.history.GetMeta(id); ok {
+		return recordStatus(&m), nil
 	}
 	return Status{}, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
 }
@@ -377,11 +377,11 @@ func (s *Server) Artifact(id, name string) ([]byte, error) {
 	}
 	s.mu.Unlock()
 	if !resident {
-		p, _, ok := s.evictedRun(id)
+		m, ok := s.history.GetMeta(id)
 		if !ok {
 			return nil, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
 		}
-		state, refs = p.State, p.ArtifactRefs
+		state, refs = RunState(m.State), m.Artifacts
 	}
 	if state != StateDone {
 		return nil, &APIError{Code: http.StatusConflict, Msg: fmt.Sprintf("run is %s, artifacts exist once it is done", state)}

@@ -137,20 +137,21 @@ func (s *Server) ensureTerminalEvent(id string) {
 	if s.runs[id] != nil || s.events.Len(id) > 0 {
 		return
 	}
-	p, _, ok := s.evictedRun(id)
-	if !ok || !p.State.Terminal() {
+	m, ok := s.history.GetMeta(id)
+	if !ok || !m.Terminal {
 		return
 	}
+	state := RunState(m.State)
 	ev := events.Event{
-		Type:      terminalEventType(p.State),
+		Type:      terminalEventType(state),
 		Reason:    "restore",
-		At:        p.FinishedAt,
-		Cached:    p.Cached,
-		Converged: p.Converged,
-		Error:     p.Err,
+		At:        nsTime(m.FinishedAtNs),
+		Cached:    m.Cached,
+		Converged: m.Converged,
+		Error:     m.Error,
 	}
-	if p.State == StateDone {
-		ev.SimSeconds = time.Duration(p.SimEndNs).Seconds()
+	if state == StateDone {
+		ev.SimSeconds = time.Duration(m.SimEndNs).Seconds()
 	}
 	s.events.Append(id, ev)
 	s.retainRingLocked(doneRing{run: id})
