@@ -562,9 +562,9 @@ func (s *Store) addSegmentLocked(index int) error {
 }
 
 // Append records a run's current state. The latest append per run ID
-// wins; older records become compactable garbage. doc, when not empty, is
-// written beside the meta in the older coordinators' format and completes
-// it (withDoc); one that does not is refused.
+// wins; older records become compactable garbage. A non-empty doc is
+// written beside the meta, as older coordinators wrote one, and completes
+// it the way recovery would (withDoc); a doc withDoc rejects is refused.
 func (s *Store) Append(m Meta, doc []byte) error {
 	s.mu.Lock()
 	err := s.appendLocked(m, doc)
