@@ -43,7 +43,6 @@ var (
 	traceJSONFlag = flag.String("trace-json", "", "write the trace experiment's report as JSON to this file")
 	perfettoFlag  = flag.String("perfetto", "", "write a Chrome trace-event (Perfetto) timeline of the run to this file")
 	addrFlag      = flag.String("addr", "127.0.0.1:8080", "serve: HTTP listen address")
-	ckptDirFlag   = flag.String("ckpt-dir", "", "chaos: checkpoint store directory (rounds are journaled there; temp dir if empty and -orch-kills > 0)")
 	orchKillsFlag = flag.Int("orch-kills", 0, "chaos: tear the orchestrator down this many times mid-campaign, restoring from checkpoint")
 )
 
@@ -404,16 +403,7 @@ func overprov() error {
 // counters and whether the workflow still converged (DESIGN.md §10).
 func chaos() error {
 	opts := dyflow.DefaultChaosOptions()
-	opts.CkptDir = *ckptDirFlag
 	opts.OrchKills = *orchKillsFlag
-	if opts.OrchKills > 0 && opts.CkptDir == "" {
-		dir, err := os.MkdirTemp("", "dyflow-ckpt-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		opts.CkptDir = dir
-	}
 	res, err := dyflow.RunChaos(*seedFlag, machine(), opts)
 	if err != nil {
 		return err

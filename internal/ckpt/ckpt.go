@@ -1,24 +1,31 @@
-// Package ckpt is DYFLOW's checkpoint substrate: a deterministic snapshot
-// format plus a write-ahead journal, used by the core orchestrator to make
-// the four-stage control loop restartable (DESIGN.md §12). The paper's
-// stages run "continuously" for the lifetime of a campaign; everything the
-// orchestrator cannot recompute from the workflow itself — policy history
-// windows, staleness gates, T_waiting (including recovery entries),
-// in-flight suggestion lifecycles, sensor join cursors — is serialized
-// here so a crashed or restarted orchestrator resumes steering instead of
-// forgetting the campaign.
+// Package ckpt is DYFLOW's record framing: a versioned header plus
+// self-checksummed records. It has two users.
 //
-// The on-disk/in-memory format is deliberately simple and self-verifying:
+//   - The core orchestrator's checkpoint blob (Encode/Decode, DESIGN.md
+//     §12): everything the orchestrator cannot recompute from the workflow
+//     itself — policy history windows, staleness gates, T_waiting
+//     (including recovery entries), in-flight suggestion lifecycles, sensor
+//     join cursors — is serialized into one record, so an orchestrator
+//     killed mid-campaign hands its state to its successor in memory and
+//     the successor resumes steering instead of forgetting the campaign.
+//     The blob never touches disk.
+//   - The run-history store (internal/runstore), whose segment files are
+//     sequences of these records (WriteHeader/WriteRecord/ReadRecord).
 //
-//	file   := magic("DYCK") version(u16) record*
+// The format is deliberately simple and self-verifying:
+//
+//	stream := magic("DYCK") version(u16) record*
 //	record := payloadLen(u32) crc32(u32, IEEE, of payload) payload
 //	payload:= kindLen(u8) kind data
 //
 // Every record carries its own checksum, so a torn write (crash mid-append)
-// is detected and the journal's corrupt tail is dropped instead of
-// poisoning the replay — the journal analogue of "monitoring pipelines must
-// tolerate corrupt and missing samples". Snapshots are a single record;
-// journals are an append-only sequence replayed in write order.
+// is detected and a reader stops at the last good record instead of
+// reading garbage — the file analogue of "monitoring pipelines must
+// tolerate corrupt and missing samples".
+//
+// Store is not part of either use. Nothing in the module writes one: it
+// stays only because the campaign-service benchmark's ckpt.append_s_p50
+// probe (bench/probes.go) times Append, and goes with that probe.
 package ckpt
 
 import (
@@ -196,21 +203,15 @@ func Decode(blob []byte, kind string, v any) error {
 	return json.Unmarshal(rec.Data, v)
 }
 
-// Store persists one orchestrator's checkpoints in a directory: a snapshot
-// file plus an append-only journal of entries written since that snapshot.
-// SaveSnapshot is atomic (temp file + rename) and truncates the journal,
-// so the pair is always mutually consistent: journal entries apply on top
-// of the snapshot they follow.
+// Store is an append-only record file in a directory, kept only for the
+// benchmark probe that times Append (see the package doc).
 type Store struct {
 	dir string
 }
 
-const (
-	snapshotFile = "snapshot.ckpt"
-	journalFile  = "journal.wal"
-)
+const journalFile = "journal.wal"
 
-// NewStore opens (creating if needed) a checkpoint directory.
+// NewStore opens (creating if needed) a store directory.
 func NewStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -221,45 +222,17 @@ func NewStore(dir string) (*Store, error) {
 // Dir returns the store directory.
 func (st *Store) Dir() string { return st.dir }
 
-func (st *Store) snapshotPath() string { return filepath.Join(st.dir, snapshotFile) }
-func (st *Store) journalPath() string  { return filepath.Join(st.dir, journalFile) }
-
-// SaveSnapshot writes blob (an Encode result) as the current snapshot and
-// resets the journal: entries logged before the snapshot are superseded by
-// it.
-func (st *Store) SaveSnapshot(blob []byte) error {
-	tmp := st.snapshotPath() + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, st.snapshotPath()); err != nil {
-		return err
-	}
-	// A fresh journal begins after every snapshot.
-	f, err := os.Create(st.journalPath())
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return WriteHeader(f)
-}
-
-// LoadSnapshot returns the current snapshot blob (nil, os.ErrNotExist when
-// none has been saved).
-func (st *Store) LoadSnapshot() ([]byte, error) {
-	return os.ReadFile(st.snapshotPath())
-}
-
-// Append logs one journal entry (JSON-marshaled) after the last snapshot.
+// Append frames v (JSON-marshaled) as one record at the end of the
+// store's file, writing the header first when the file is new.
 func (st *Store) Append(kind string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(st.journalPath(), os.O_WRONLY|os.O_APPEND, 0o644)
+	path := filepath.Join(st.dir, journalFile)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if errors.Is(err, os.ErrNotExist) {
-		// Journal before any snapshot: start one so replay-from-zero works.
-		if f, err = os.Create(st.journalPath()); err == nil {
+		if f, err = os.Create(path); err == nil {
 			err = WriteHeader(f)
 		}
 	}
@@ -268,37 +241,4 @@ func (st *Store) Append(kind string, v any) error {
 	}
 	defer f.Close()
 	return WriteRecord(f, Record{Kind: kind, Data: data})
-}
-
-// Replay streams the journal entries written since the last snapshot, in
-// write order. A corrupt or torn tail ends the replay at the last good
-// record instead of failing: a crash mid-append loses at most the entry
-// being written. A missing journal replays nothing.
-func (st *Store) Replay(fn func(rec Record) error) error {
-	f, err := os.Open(st.journalPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := ReadHeader(f); err != nil {
-		return nil // empty or torn header: nothing to replay
-	}
-	for {
-		rec, err := ReadRecord(f)
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if errors.Is(err, ErrCorrupt) {
-			return nil // torn tail: stop at the last good record
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -107,105 +108,34 @@ func TestRecordStreamRoundtrip(t *testing.T) {
 	}
 }
 
-func TestStoreSnapshotAndJournal(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewStore(dir)
+// TestAppendWritesFramedRecords: Append starts the store's file with a
+// header and adds one framed record per call, in call order.
+func TestAppendWritesFramedRecords(t *testing.T) {
+	st, err := NewStore(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
-	}
-	if _, err := st.LoadSnapshot(); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("LoadSnapshot on empty store: %v", err)
-	}
-
-	blob, _ := Encode("core", map[string]int{"at": 100})
-	if err := st.SaveSnapshot(blob); err != nil {
-		t.Fatalf("SaveSnapshot: %v", err)
 	}
 	for i := 1; i <= 3; i++ {
 		if err := st.Append("round", map[string]int{"n": i}); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
-
-	got, err := st.LoadSnapshot()
+	f, err := os.Open(filepath.Join(st.Dir(), journalFile))
 	if err != nil {
-		t.Fatalf("LoadSnapshot: %v", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, blob) {
-		t.Fatal("snapshot blob mismatch")
+	defer f.Close()
+	if err := ReadHeader(f); err != nil {
+		t.Fatalf("ReadHeader: %v", err)
 	}
-	var seen []string
-	if err := st.Replay(func(rec Record) error {
-		seen = append(seen, rec.Kind+":"+string(rec.Data))
-		return nil
-	}); err != nil {
-		t.Fatalf("Replay: %v", err)
+	for i := 1; i <= 3; i++ {
+		rec, err := ReadRecord(f)
+		if want := fmt.Sprintf(`{"n":%d}`, i); err != nil || rec.Kind != "round" || string(rec.Data) != want {
+			t.Fatalf("record %d = %q %s, %v; want round %s", i, rec.Kind, rec.Data, err, want)
+		}
 	}
-	if len(seen) != 3 || seen[0] != `round:{"n":1}` || seen[2] != `round:{"n":3}` {
-		t.Fatalf("replayed %v", seen)
-	}
-
-	// A new snapshot supersedes the journal.
-	if err := st.SaveSnapshot(blob); err != nil {
-		t.Fatalf("SaveSnapshot 2: %v", err)
-	}
-	seen = nil
-	if err := st.Replay(func(rec Record) error { seen = append(seen, rec.Kind); return nil }); err != nil {
-		t.Fatalf("Replay after snapshot: %v", err)
-	}
-	if len(seen) != 0 {
-		t.Fatalf("journal not reset: %v", seen)
-	}
-}
-
-func TestReplayDropsTornTail(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewStore(dir)
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
-	}
-	blob, _ := Encode("core", 0)
-	if err := st.SaveSnapshot(blob); err != nil {
-		t.Fatalf("SaveSnapshot: %v", err)
-	}
-	if err := st.Append("round", map[string]int{"n": 1}); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	if err := st.Append("round", map[string]int{"n": 2}); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	// Simulate a crash mid-append: truncate the journal inside the last record.
-	jp := filepath.Join(dir, "journal.wal")
-	data, err := os.ReadFile(jp)
-	if err != nil {
-		t.Fatalf("read journal: %v", err)
-	}
-	if err := os.WriteFile(jp, data[:len(data)-3], 0o644); err != nil {
-		t.Fatalf("truncate journal: %v", err)
-	}
-	var seen []string
-	if err := st.Replay(func(rec Record) error { seen = append(seen, string(rec.Data)); return nil }); err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if len(seen) != 1 || seen[0] != `{"n":1}` {
-		t.Fatalf("torn tail not dropped: %v", seen)
-	}
-}
-
-func TestAppendBeforeSnapshotReplays(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
-	}
-	if err := st.Append("round", map[string]int{"n": 7}); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	var n int
-	if err := st.Replay(func(rec Record) error { n++; return nil }); err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("replayed %d records, want 1", n)
+	if _, err := ReadRecord(f); !errors.Is(err, io.EOF) {
+		t.Fatalf("after three records: %v, want io.EOF", err)
 	}
 }
 

@@ -45,22 +45,6 @@ func (e *Engine) Snapshot() Snapshot {
 	return snap
 }
 
-// ApplyRound re-applies one journaled arbitration round on top of a
-// restored snapshot: the round's post-state T_waiting queue (Recovery
-// entries included), the settle/FailureCooldown deadline it armed, and,
-// for an executed round, its record. Replaying every round journaled since
-// the snapshot brings the engine to the pre-crash state.
-func (e *Engine) ApplyRound(ev RoundEvent) {
-	if e.waiting == nil {
-		e.waiting = make(map[string][]WaitingTask)
-	}
-	e.waiting[ev.Record.Workflow] = append([]WaitingTask(nil), ev.Waiting...)
-	e.settleUntil = ev.SettleUntil
-	if !ev.Empty {
-		e.records = append(e.records, ev.Record)
-	}
-}
-
 // Restore replaces the engine state with the snapshot. Call before Start;
 // with Started set, the subsequent Start keeps the restored warm-up origin
 // instead of re-arming the warm-up window.

@@ -46,10 +46,10 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 }
 
 // A failed round's recovery T_waiting entry and FailureCooldown deadline
-// must reach a replacement engine via snapshot + journal replay, and the
-// replacement must honor both: the in-cooldown batch is discarded, and the
-// next round past the cooldown restarts the stranded task from free
-// capacity.
+// must reach a replacement engine through the snapshot taken at the crash,
+// and the replacement must honor both: the in-cooldown batch is discarded,
+// and the next round past the cooldown restarts the stranded task from
+// free capacity.
 func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 	r := newEngineRig(t, Config{WarmupDelay: time.Second, SettleDelay: 2 * time.Minute,
 		FailureCooldown: 30 * time.Second, GatherWindow: time.Second})
@@ -68,31 +68,22 @@ func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 		}
 	}
 
-	// Snapshot before the failure; journal every round after it (the
-	// orchestrator's write-ahead journal does exactly this via OnRound).
-	var early Snapshot
-	var journal []RoundEvent
-	r.s.At(5*time.Second, func() { early = r.eng.Snapshot() })
-	r.eng.OnRound(func(ev RoundEvent) { journal = append(journal, ev) })
-
 	// Failed round: the stop applies, the start doesn't -> A is stranded,
 	// requeued as a recovery entry, cooldown armed until ~41s.
 	sendSuggestions(r, 10*time.Second,
 		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "RESTART", AssessTask: "A", ActOnTasks: []string{"A"}})
 
-	// Crash at 20s: kill the engine and restore a replacement from the
-	// pre-failure snapshot plus the journaled rounds.
+	// Crash at 20s: snapshot the engine, kill it and restore a replacement
+	// from that snapshot.
 	r.s.At(20*time.Second, func() {
-		if len(journal) != 1 {
-			t.Fatalf("journal = %+v, want the one failed round", journal)
+		if recs := r.eng.Records(); len(recs) != 1 {
+			t.Fatalf("records = %+v, want the one failed round", recs)
 		}
+		snap := r.eng.Snapshot()
 		r.eng.Stop()
 		eng2 := New(r.s, r.bus, "arbiter", r.cfg, r.rules, r.view, r.exec)
 		eng2.SetTracer(r.tr) // the orchestrator's recorder outlives the engine
-		eng2.Restore(early)
-		for _, ev := range journal {
-			eng2.ApplyRound(ev)
-		}
+		eng2.Restore(snap)
 		eng2.Start()
 		r.eng = eng2
 	})
@@ -114,10 +105,10 @@ func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 	}
 	recs := r.eng.Records()
 	if len(recs) != 2 {
-		t.Fatalf("records = %+v, want journaled failed round + live recovery round", recs)
+		t.Fatalf("records = %+v, want the restored failed round + live recovery round", recs)
 	}
 	if recs[0].Err == "" {
-		t.Fatalf("restored round = %+v, want the journaled failure", recs[0])
+		t.Fatalf("restored round = %+v, want the restored failure", recs[0])
 	}
 	if recs[1].Err != "" || recs[1].AppliedOps != 1 {
 		t.Fatalf("recovery round = %+v, want the restart applied", recs[1])

@@ -136,10 +136,9 @@ type Engine struct {
 	started     bool
 
 	// records lists executed rounds only, which is what the experiment
-	// reports count; an empty round reaches the OnRound observers, the
-	// arbiter.empty_rounds counter and its spans' "empty-plan" drop.
+	// reports count; an empty round reaches the arbiter.empty_rounds
+	// counter and its spans' "empty-plan" drop.
 	records []Record
-	onRound []func(RoundEvent)
 	proc    *sim.Proc
 	tr      *trace.Recorder
 	spawn   func(name string, fn func(*sim.Proc)) *sim.Proc
@@ -147,22 +146,8 @@ type Engine struct {
 	// until its round completes. Checkpoints must not be taken while busy:
 	// the gather window and the executing plan live on the proc stack and
 	// cannot be serialized. Drivers defer the checkpoint to the next
-	// quiescent instant instead (the WAL-commit-at-round-boundary rule).
+	// instant the engine is between rounds instead.
 	busy bool
-}
-
-// RoundEvent describes one completed arbitration round — executed or empty —
-// together with the post-round engine state a write-ahead journal needs to
-// replay it: the updated T_waiting queue for the round's workflow and the
-// settle/cooldown deadline the round armed.
-type RoundEvent struct {
-	Record Record
-	// Empty marks rounds whose plan came out empty.
-	Empty bool
-	// Waiting is the workflow's T_waiting queue after the round.
-	Waiting []WaitingTask
-	// SettleUntil is the guard deadline after the round (zero if unarmed).
-	SettleUntil sim.Time
 }
 
 // New creates the Arbitration engine reading suggestion batches from its
@@ -181,10 +166,6 @@ func New(s *sim.Sim, bus *msg.Bus, name string, cfg Config, rules map[string]*sp
 		waiting: make(map[string][]WaitingTask),
 	}
 }
-
-// OnRound registers an observer fired after every round, executed or empty,
-// with the post-round state a journal needs (see RoundEvent).
-func (e *Engine) OnRound(fn func(RoundEvent)) { e.onRound = append(e.onRound, fn) }
 
 // SetSpawner overrides how the engine spawns its process (the supervisor
 // injects a panic-guarded spawner here). Call before Start.
@@ -381,12 +362,6 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			for _, id := range ids {
 				e.tr.Drop(id, "empty-plan", rec.PlannedAt)
 			}
-			e.fireRound(RoundEvent{
-				Record:      rec,
-				Empty:       true,
-				Waiting:     append([]WaitingTask(nil), e.waiting[wf]...),
-				SettleUntil: e.settleUntil,
-			})
 			continue
 		}
 		// Protocol computation cost.
@@ -432,20 +407,9 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			e.settleUntil = e.s.Now() + e.cfg.SettleDelay
 		}
 		e.records = append(e.records, rec)
-		e.fireRound(RoundEvent{
-			Record:      rec,
-			Waiting:     append([]WaitingTask(nil), e.waiting[wf]...),
-			SettleUntil: e.settleUntil,
-		})
 		out = append(out, rec)
 	}
 	return out
-}
-
-func (e *Engine) fireRound(ev RoundEvent) {
-	for _, fn := range e.onRound {
-		fn(ev)
-	}
 }
 
 // requeue converts the unapplied START operations of a failed round into

@@ -271,29 +271,22 @@ func TestEngineRecordsResponseDecomposition(t *testing.T) {
 
 func TestEngineDirectArbitrateAndStop(t *testing.T) {
 	r := newEngineRig(t, DefaultConfig())
-	var observed []Record
-	r.eng.OnRound(func(ev RoundEvent) {
-		if !ev.Empty {
-			observed = append(observed, ev.Record)
-		}
-	})
+	var returned []Record
 	r.s.Spawn("driver", func(p *sim.Proc) {
 		// Direct synchronous round, bypassing guards (test/tooling entry).
-		recs := r.eng.Arbitrate(p, []decision.Suggestion{
+		returned = r.eng.Arbitrate(p, []decision.Suggestion{
 			{Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}},
 		})
-		if len(recs) != 1 {
-			t.Errorf("records = %d", len(recs))
-		}
 	})
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if len(observed) != 1 || observed[0].Plan.Empty() {
-		t.Fatalf("observed = %+v", observed)
+	recs := r.eng.Records()
+	if len(returned) != 1 || len(recs) != 1 || recs[0].Plan.Empty() {
+		t.Fatalf("returned = %+v, records = %+v, want one executed round", returned, recs)
 	}
-	if observed[0].ResponseTime() <= 0 {
-		t.Fatal("response time must be positive")
+	if recs[0].ResponseTime() <= 0 || returned[0].ExecutedAt != recs[0].ExecutedAt {
+		t.Fatalf("response time must be positive and the returned round the recorded one: %+v vs %+v", returned[0], recs[0])
 	}
 	r.eng.Stop()
 	r.s.RunUntilIdle()
@@ -333,8 +326,6 @@ func TestEmptyPlanRoundRecordedAndWaitingResolved(t *testing.T) {
 	r.view.tasks["W"]["B"] = TaskState{Running: true, Procs: 10}
 	sg := decision.Suggestion{ID: "W/P#1", Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}}
 	r.tr.Suggested(sg.ID, "W", "P", "START", "PACE", 0, 0, sim.Time(10*time.Second))
-	var rounds []RoundEvent
-	r.eng.OnRound(func(ev RoundEvent) { rounds = append(rounds, ev) })
 	sendSuggestions(r, 10*time.Second, sg)
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
@@ -350,18 +341,10 @@ func TestEmptyPlanRoundRecordedAndWaitingResolved(t *testing.T) {
 	if got := r.tr.Counter("arbiter.empty_rounds"); got != 1 {
 		t.Fatalf("empty rounds = %d, want 1", got)
 	}
-	if sp, _ := r.tr.Span(sg.ID); sp.Dropped != "empty-plan" {
-		t.Fatalf("span = %+v, want dropped as empty-plan", sp)
-	}
-	if len(rounds) != 1 || !rounds[0].Empty {
-		t.Fatalf("rounds observed = %+v, want one empty round", rounds)
-	}
-	er := rounds[0].Record
-	if er.Workflow != "W" || er.PlannedAt == 0 || er.ExecutedAt != 0 {
-		t.Fatalf("empty record = %+v", er)
-	}
-	if len(er.SuggestionIDs) != 1 || er.SuggestionIDs[0] != "W/P#1" {
-		t.Fatalf("empty record suggestion IDs = %v", er.SuggestionIDs)
+	// The round arbitrated the suggestion and planned nothing: its span was
+	// received and dropped, never planned or executed.
+	if sp, _ := r.tr.Span(sg.ID); sp.Dropped != "empty-plan" || sp.ReceivedAt == 0 || sp.PlannedAt != 0 || sp.ExecutedAt != 0 {
+		t.Fatalf("span = %+v, want received and then dropped as empty-plan", sp)
 	}
 	if w := r.eng.Waiting("W"); len(w) != 0 {
 		t.Fatalf("waiting = %+v, want the stale entry resolved on the empty round", w)

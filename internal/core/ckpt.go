@@ -1,17 +1,13 @@
 // Checkpoint/restore for the orchestrator: a deterministic snapshot of the
 // full orchestration state — Decision history windows and gates, T_waiting
 // with Recovery flags and cooldown deadlines, open suggestion lifecycle
-// records, sensor worker cursors, and the bus's in-flight queues — plus a
-// write-ahead journal of arbitration rounds appended between snapshots.
-// Together they make an orchestrator crash at a round boundary lossless: a
-// rebuilt orchestrator restored from the snapshot (with the journal
-// replayed on top) continues the campaign as if never killed.
+// records, sensor worker cursors, and the bus's in-flight queues — encoded
+// as one checkpoint blob. A kill at a round boundary is lossless: the killed
+// orchestrator's blob, restored into a rebuilt orchestrator, continues the
+// campaign as if never killed.
 package core
 
 import (
-	"encoding/json"
-	"errors"
-
 	"dyflow/internal/ckpt"
 	"dyflow/internal/core/arbiter"
 	"dyflow/internal/core/decision"
@@ -21,13 +17,8 @@ import (
 	"dyflow/internal/trace"
 )
 
-// Record kinds in the checkpoint store.
-const (
-	// SnapshotKind tags the full-orchestrator snapshot blob.
-	SnapshotKind = "dyflow-core"
-	// RoundKind tags one arbitration-round journal entry.
-	RoundKind = "arbiter-round"
-)
+// SnapshotKind tags the full-orchestrator checkpoint record.
+const SnapshotKind = "dyflow-core"
 
 // Snapshot is the orchestrator's full checkpointable state.
 type Snapshot struct {
@@ -60,12 +51,22 @@ func (o *Orchestrator) Snapshot() Snapshot {
 	return snap
 }
 
-// Restore replaces the orchestrator's state with the snapshot. Call on a
-// freshly built (not yet started) orchestrator over the same compiled
-// spec; the subsequent Start resumes every stage exactly where the
-// snapshot left it — including mid-sleep sensor workers and the arbiter's
-// warm-up origin.
-func (o *Orchestrator) Restore(snap Snapshot) {
+// Checkpoint encodes the orchestrator's Snapshot as a checkpoint blob. The
+// same rules as Snapshot apply: driver context, arbiter not Busy().
+func (o *Orchestrator) Checkpoint() ([]byte, error) {
+	return ckpt.Encode(SnapshotKind, o.Snapshot())
+}
+
+// Restore replaces the orchestrator's state with the one a Checkpoint blob
+// holds. Call on a freshly built (not yet started) orchestrator over the
+// same compiled spec; the subsequent Start resumes every stage exactly where
+// the checkpoint left it — including mid-sleep sensor workers and the
+// arbiter's warm-up origin.
+func (o *Orchestrator) Restore(blob []byte) error {
+	var snap Snapshot
+	if err := ckpt.Decode(blob, SnapshotKind, &snap); err != nil {
+		return err
+	}
 	o.Bus.Restore(snap.Bus)
 	o.Decision.Restore(snap.Decision)
 	o.Arbiter.Restore(snap.Arbiter)
@@ -76,63 +77,5 @@ func (o *Orchestrator) Restore(snap Snapshot) {
 		}
 	}
 	o.Trace.Restore(snap.Trace)
-}
-
-// SetStore attaches a checkpoint store: Checkpoint() saves snapshots to it
-// and every completed arbitration round — executed or empty — is appended
-// to its write-ahead journal as it happens.
-func (o *Orchestrator) SetStore(st *ckpt.Store) {
-	o.store = st
-	o.Arbiter.OnRound(func(ev arbiter.RoundEvent) {
-		if o.detached || o.store == nil {
-			return
-		}
-		// Journal write failures must not take the round down with them;
-		// the next full snapshot re-covers the state.
-		_ = o.store.Append(RoundKind, ev)
-	})
-}
-
-// Store returns the attached checkpoint store (nil if none).
-func (o *Orchestrator) Store() *ckpt.Store { return o.store }
-
-// Checkpoint writes a full snapshot to the attached store, resetting the
-// journal (a snapshot subsumes every round journaled before it).
-func (o *Orchestrator) Checkpoint() error {
-	if o.store == nil {
-		return errors.New("core: no checkpoint store attached (SetStore)")
-	}
-	blob, err := ckpt.Encode(SnapshotKind, o.Snapshot())
-	if err != nil {
-		return err
-	}
-	return o.store.SaveSnapshot(blob)
-}
-
-// Restore loads the last snapshot from the store into the freshly built
-// orchestrator and replays the journal on top: arbitration rounds recorded
-// after the snapshot re-apply their T_waiting queues (Recovery entries
-// included), settle/cooldown deadlines, and executed-round records. A torn
-// journal tail (the crash cut a write short) is dropped by the store.
-func Restore(o *Orchestrator, st *ckpt.Store) error {
-	blob, err := st.LoadSnapshot()
-	if err != nil {
-		return err
-	}
-	var snap Snapshot
-	if err := ckpt.Decode(blob, SnapshotKind, &snap); err != nil {
-		return err
-	}
-	o.Restore(snap)
-	return st.Replay(func(rec ckpt.Record) error {
-		if rec.Kind != RoundKind {
-			return nil
-		}
-		var ev arbiter.RoundEvent
-		if err := json.Unmarshal(rec.Data, &ev); err != nil {
-			return err
-		}
-		o.Arbiter.ApplyRound(ev)
-		return nil
-	})
+	return nil
 }

@@ -6,25 +6,25 @@ import (
 	"time"
 
 	"dyflow/internal/ckpt"
+	"dyflow/internal/core/decision"
 	"dyflow/internal/sim"
 )
 
 // runPace drives the pace-adaptation world to the horizon, killing the
 // orchestrator at killAt (0 = never) and restoring a fresh instance from
-// its checkpoint store in place; rewrite, when set, replaces the stored
-// snapshot blob before the restore reads it. Returns the orchestrator that
+// its checkpoint blob in place; rewrite, when set, replaces the blob before
+// the restore reads it, and started, when set, sees every orchestrator the
+// run starts — the first and a restored one. Returns the orchestrator that
 // finished the run.
-func runPace(t *testing.T, killAt, horizon time.Duration, rewrite func(blob []byte, o *Orchestrator) []byte) *Orchestrator {
+func runPace(t *testing.T, killAt, horizon time.Duration, rewrite func(blob []byte, o *Orchestrator) []byte, started func(w *world, o *Orchestrator)) *Orchestrator {
 	t.Helper()
 	w := newWorld(t, 2)
 	composePaceWorkflow(t, w)
 	o := newPaceOrchestrator(t, w, Options{})
-	st, err := ckpt.NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.SetStore(st)
 	o.Start()
+	if started != nil {
+		started(w, o)
+	}
 	w.s.Spawn("driver", func(p *sim.Proc) {
 		if err := w.sv.Launch(p, "WF"); err != nil {
 			t.Errorf("launch: %v", err)
@@ -44,26 +44,23 @@ func runPace(t *testing.T, killAt, horizon time.Duration, rewrite func(blob []by
 			}
 			next += time.Second
 		}
-		if err := o.Checkpoint(); err != nil {
+		blob, err := o.Checkpoint()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if rewrite != nil {
-			blob, err := st.LoadSnapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.SaveSnapshot(rewrite(blob, o)); err != nil {
-				t.Fatal(err)
-			}
+			blob = rewrite(blob, o)
 		}
 		o.Detach()
 		o.Stop()
 		o2 := newPaceOrchestrator(t, w, Options{})
-		if err := Restore(o2, st); err != nil {
+		if err := o2.Restore(blob); err != nil {
 			t.Fatal(err)
 		}
-		o2.SetStore(st)
 		o2.Start()
+		if started != nil {
+			started(w, o2)
+		}
 		o = o2
 	}
 	if err := w.s.Run(horizon); err != nil {
@@ -75,11 +72,11 @@ func runPace(t *testing.T, killAt, horizon time.Duration, rewrite func(blob []by
 
 // An orchestrator killed mid-campaign and restored from its checkpoint must
 // converge to the same plan sequence as an uninterrupted run with the same
-// seed: the snapshot+journal captures everything decision-relevant.
+// seed: the checkpoint captures everything decision-relevant.
 func TestCheckpointRestoreDeterminism(t *testing.T) {
 	const horizon = 10 * time.Minute
-	base := runPace(t, 0, horizon, nil)
-	killed := runPace(t, 3*time.Minute, horizon, nil)
+	base := runPace(t, 0, horizon, nil, nil)
+	killed := runPace(t, 3*time.Minute, horizon, nil, nil)
 
 	wantRecs, err := json.Marshal(base.Arbiter.Records())
 	if err != nil {
@@ -177,10 +174,10 @@ func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator) []byte {
 // sensor-lag and op rows restart empty either way.)
 func TestRestoreSnapshotCarryingDeletedCounters(t *testing.T) {
 	const horizon = 10 * time.Minute
-	base := runPace(t, 0, horizon, nil)
+	base := runPace(t, 0, horizon, nil, nil)
 	killed := runPace(t, 3*time.Minute, horizon, func(blob []byte, o *Orchestrator) []byte {
 		return withDeletedCounters(t, blob, o)
-	})
+	}, nil)
 	want, got := base.Trace.Report(), killed.Trace.Report()
 	if len(base.Arbiter.Records()) == 0 || len(want.Counters) == 0 {
 		t.Fatal("base run produced no plans or counters; the comparison is vacuous")
@@ -205,5 +202,74 @@ func TestRestoreSnapshotCarryingDeletedCounters(t *testing.T) {
 		if string(want) != string(got) {
 			t.Fatalf("%s diverged after restoring an old-format snapshot:\nbase:     %s\nrestored: %s", c.name, want, got)
 		}
+	}
+}
+
+// A stage restart after a restore restarts the stage on the state it has:
+// the arbiter, restarted by a panic minutes after its orchestrator was
+// killed and restored, keeps the rounds it executed since the restore, and
+// the run ends with the plan records of the same run without the kill.
+func TestStageRestartAfterRestoreKeepsRounds(t *testing.T) {
+	const horizon = 10 * time.Minute
+	run := func(killAt time.Duration) *Orchestrator {
+		var live *Orchestrator
+		seen := 0
+		return runPace(t, killAt, horizon, nil, func(w *world, o *Orchestrator) {
+			if live == nil {
+				// Once a second, Records() of whichever orchestrator is live
+				// must hold at least what it held the second before.
+				var watch func()
+				watch = func() {
+					n := len(live.Arbiter.Records())
+					if n < seen {
+						t.Errorf("kill at %v: arbiter records shrank from %d to %d at %v", killAt, seen, n, w.s.Now())
+					}
+					seen = n
+					w.s.After(time.Second, watch)
+				}
+				w.s.After(time.Second, watch)
+				// A second round, after the restore when there is one:
+				// Decision asks for more analysis cores once more.
+				w.s.At(4*time.Minute, func() {
+					now := int64(w.s.Now())
+					live.Bus.Endpoint(EndpointDecision).Send(EndpointArbiter, []decision.Suggestion{{
+						Workflow: "WF", PolicyID: "INC_ON_PACE", Action: "ADDCPU",
+						AssessTask: "Ana", ActOnTasks: []string{"Ana"},
+						Params:      map[string]string{"adjust-by": "6"},
+						GeneratedAt: now, DecidedAt: now,
+					}})
+				})
+				// Detonate inside the arbiter's process slot after that round.
+				w.s.At(6*time.Minute, func() {
+					live.Supervisor.spawner(StageArbiter)("arbiter-bomb", func(p *sim.Proc) {
+						if err := p.Sleep(time.Second); err != nil {
+							return
+						}
+						panic("injected stage fault")
+					})
+				})
+			}
+			live = o
+		})
+	}
+	base, killed := run(0), run(3*time.Minute)
+	for _, o := range []*Orchestrator{base, killed} {
+		if n := len(o.Arbiter.Records()); n != 2 {
+			t.Fatalf("arbiter records = %d, want the policy's round and the one at 4m", n)
+		}
+		if v, _ := o.Metrics.Value("dyflow_stage_restarts_total"); v != 1 {
+			t.Fatalf("dyflow_stage_restarts_total = %v, want 1", v)
+		}
+	}
+	want, err := json.Marshal(base.Arbiter.Records())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(killed.Arbiter.Records())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(want) != string(got) {
+		t.Fatalf("plan records diverged after kill+restore and a stage restart:\nbase:   %s\nkilled: %s", want, got)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"dyflow/internal/ckpt"
 	"dyflow/internal/core/actuate"
 	"dyflow/internal/core/arbiter"
 	"dyflow/internal/core/decision"
@@ -74,7 +73,6 @@ type Orchestrator struct {
 	Supervisor *Supervisor
 
 	env      *task.Env
-	store    *ckpt.Store
 	detached bool
 	stopped  bool
 }
@@ -197,10 +195,9 @@ func (o *Orchestrator) Stop() {
 	o.Arbiter.Stop()
 }
 
-// Detach permanently disconnects the orchestrator from shared substrate
-// callbacks (Savanna events, the checkpoint journal). The chaos harness
-// calls it on a "crashed" orchestrator so the instance restored in its
-// place is the only one reacting.
+// Detach permanently disconnects the orchestrator from the shared Savanna's
+// event callbacks. The chaos harness calls it on a "crashed" orchestrator
+// so the instance restored in its place is the only one reacting.
 func (o *Orchestrator) Detach() {
 	o.detached = true
 }

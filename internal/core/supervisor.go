@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"dyflow/internal/ckpt"
 	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 )
@@ -47,9 +46,8 @@ type stageGuard struct {
 // and a liveness watchdog. A panicking stage process is absorbed (the
 // simulation does not fail) and the stage is restarted after a bounded
 // exponential backoff; a stage whose inbound queue stops draining is
-// restarted the same way. When a checkpoint store is attached, restarts
-// reload the stage's slice of the last snapshot — a panic can interrupt a
-// stage mid-mutation, and the checkpoint is the last consistent state.
+// restarted the same way. A restart is Stop + Start on the stage's live
+// state.
 type Supervisor struct {
 	o        *Orchestrator
 	stages   map[string]*stageGuard
@@ -179,56 +177,24 @@ func (s *Supervisor) check(stage string, pending int, busy bool) {
 	g.lastPending = pending
 }
 
-// restartStage stops and restarts one stage. With a checkpoint store
-// attached, the stage's slice of the last snapshot is reloaded first: a
-// panic can leave in-memory stage state mid-mutation, and the snapshot is
-// the last state known consistent. Bus queues are left live — messages
-// queued since the snapshot still get consumed.
+// restartStage stops and restarts one stage on its live state. Bus queues
+// are left live too, so messages queued while the stage was down still get
+// consumed.
 func (o *Orchestrator) restartStage(stage string) {
-	snap, ok := o.loadStageSnapshot()
 	switch stage {
 	case StageMonitorServer:
 		o.Server.Stop()
-		if ok {
-			o.Server.Restore(snap.Server)
-		}
 		o.Server.Start()
 	case StageMonitorClient:
-		for i, c := range o.Clients {
+		for _, c := range o.Clients {
 			c.Stop()
-			if ok && i < len(snap.Clients) {
-				c.Restore(snap.Clients[i])
-			}
 			c.Start()
 		}
 	case StageDecision:
 		o.Decision.Stop()
-		if ok {
-			o.Decision.Restore(snap.Decision)
-		}
 		o.Decision.Start()
 	case StageArbiter:
 		o.Arbiter.Stop()
-		if ok {
-			o.Arbiter.Restore(snap.Arbiter)
-		}
 		o.Arbiter.Start()
 	}
-}
-
-// loadStageSnapshot loads the last on-disk snapshot for a stage restart
-// (ok=false without a store or snapshot).
-func (o *Orchestrator) loadStageSnapshot() (Snapshot, bool) {
-	if o.store == nil {
-		return Snapshot{}, false
-	}
-	blob, err := o.store.LoadSnapshot()
-	if err != nil {
-		return Snapshot{}, false
-	}
-	var snap Snapshot
-	if err := ckpt.Decode(blob, SnapshotKind, &snap); err != nil {
-		return Snapshot{}, false
-	}
-	return snap, true
 }

@@ -33,14 +33,10 @@ type ChaosOptions struct {
 	// this per-call probability (exercising Actuation's retry path).
 	CarveFailProb float64
 	// OrchKills tears the orchestrator itself down this many times during
-	// the campaign window, restoring each time from its checkpoint store
-	// (CkptDir must be set). Kills are spread evenly across
-	// [KillStart, KillEnd] and deferred to the next tick boundary where the
-	// arbiter is not mid-round.
+	// the campaign window, restoring a successor from its checkpoint each
+	// time. Kills are spread evenly across [KillStart, KillEnd] and
+	// deferred to the next tick boundary where the arbiter is not mid-round.
 	OrchKills int
-	// CkptDir is the checkpoint store directory. When set, the orchestrator
-	// journals arbitration rounds there and OrchKills become possible.
-	CkptDir string
 	// Horizon bounds the run.
 	Horizon time.Duration
 }
@@ -134,9 +130,6 @@ func RunChaos(seed int64, m apps.Machine, opts ChaosOptions) (*ChaosResult, erro
 // RunChaosVariant is RunChaos with the variant applied. A variant document
 // is used as-is: no recovery policies are spliced into it.
 func RunChaosVariant(seed int64, m apps.Machine, opts ChaosOptions, v Variant) (*ChaosResult, error) {
-	if opts.OrchKills > 0 && opts.CkptDir == "" {
-		return nil, fmt.Errorf("chaos: OrchKills=%d requires CkptDir", opts.OrchKills)
-	}
 	cfg := apps.GrayScottConfigFor(m)
 	w, err := NewWorld(seed, m, cfg.Nodes+opts.SpareNodes)
 	if err != nil {
@@ -165,14 +158,9 @@ func RunChaosVariant(seed int64, m apps.Machine, opts ChaosOptions, v Variant) (
 	w.campaign.SetMetrics(w.Metrics)
 	res := &ChaosResult{Seed: seed, Machine: m, Opts: opts, ScheduledKills: w.campaign.Schedule(), W: w}
 
-	// Orchestrator kills: checkpoint store plus evenly spread deadlines
-	// (deterministic for a fixed option set, so killed and uninterrupted
-	// runs of the same seed stay comparable).
-	if opts.CkptDir != "" {
-		if err := w.AttachCheckpointStore(opts.CkptDir); err != nil {
-			return nil, err
-		}
-	}
+	// Orchestrator kills: evenly spread deadlines (deterministic for a fixed
+	// option set, so killed and uninterrupted runs of the same seed stay
+	// comparable).
 	var orchKillAt []sim.Time // pending deadlines, ascending
 	span := opts.KillEnd - opts.KillStart
 	for i := 0; i < opts.OrchKills; i++ {
@@ -194,10 +182,7 @@ func RunChaosVariant(seed int64, m apps.Machine, opts ChaosOptions, v Variant) (
 		// stays armed.
 		if len(orchKillAt) > 0 && w.Sim.Now() >= orchKillAt[0] && !w.Orch.Arbiter.Busy() {
 			orchKillAt = orchKillAt[1:]
-			if err := w.CrashOrchestrator(); err != nil {
-				return false, err
-			}
-			if err := w.RestoreOrchestrator(); err != nil {
+			if err := w.RestartOrchestrator(); err != nil {
 				return false, err
 			}
 			res.OrchKills++

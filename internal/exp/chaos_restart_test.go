@@ -49,7 +49,6 @@ func TestOrchestratorKillRestoreDeterminism(t *testing.T) {
 
 	killed := opts
 	killed.OrchKills = 2
-	killed.CkptDir = t.TempDir()
 	kres, err := RunChaos(seed, apps.Summit, killed)
 	if err != nil {
 		t.Fatal(err)
@@ -70,28 +69,5 @@ func TestOrchestratorKillRestoreDeterminism(t *testing.T) {
 	if base.End != kres.End || base.Rounds != kres.Rounds || base.RequeuedTasks != kres.RequeuedTasks {
 		t.Fatalf("counters diverged: base end=%v rounds=%d requeued=%d, killed end=%v rounds=%d requeued=%d",
 			base.End, base.Rounds, base.RequeuedTasks, kres.End, kres.Rounds, kres.RequeuedTasks)
-	}
-}
-
-// Attaching a checkpoint store (journaling every round) must not perturb
-// the campaign at all — the journal is write-only during a healthy run.
-func TestChaosJournalingIsInert(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full chaos campaign is slow")
-	}
-	const seed = 2
-	opts := DefaultChaosOptions()
-	base, err := RunChaos(seed, apps.Summit, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	journaled := opts
-	journaled.CkptDir = t.TempDir()
-	jres, err := RunChaos(seed, apps.Summit, journaled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, got := renderChaos(t, base), renderChaos(t, jres); want != got {
-		t.Fatalf("journaling perturbed the run:\n--- base ---\n%s\n--- journaled ---\n%s", want, got)
 	}
 }

@@ -347,12 +347,8 @@ func TestXGCGoldenArtifacts(t *testing.T) {
 // ends in the same artifacts as it did before the cache existed.
 func TestXGCCheckpointColdScanCache(t *testing.T) {
 	g := xgcGolden[0]
-	dir := t.TempDir()
 	var warm, cold []byte
 	out, err := RunJob(Job{Scenario: ScenarioXGC, Machine: g.machine, Seed: g.seed}, func(w *World) error {
-		if err := w.AttachCheckpointStore(dir); err != nil {
-			return err
-		}
 		w.OnProgress = func(now time.Duration) error {
 			// Mid-run: XGC1's second incarnation is writing output files
 			// and every DISKSCAN worker has polled for minutes.
@@ -363,10 +359,7 @@ func TestXGCCheckpointColdScanCache(t *testing.T) {
 			if warm, err = json.Marshal(w.Orch.Snapshot()); err != nil {
 				return err
 			}
-			if err := w.CrashOrchestrator(); err != nil {
-				return err
-			}
-			if err := w.RestoreOrchestrator(); err != nil {
+			if err := w.RestartOrchestrator(); err != nil {
 				return err
 			}
 			cold, err = json.Marshal(w.Orch.Snapshot())

@@ -1,14 +1,11 @@
 package exp
 
 import (
-	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
-	"dyflow/internal/apps"
-	"dyflow/internal/core"
 	"dyflow/internal/core/arbiter"
 	"dyflow/internal/core/sensor"
 	"dyflow/internal/core/spec"
@@ -176,87 +173,4 @@ func TestRecorderPointSize(t *testing.T) {
 	if size := reflect.TypeOf(point{}).Size(); size != 32 {
 		t.Fatalf("a recorded point is %d bytes, want 32", size)
 	}
-}
-
-// roundObserver is the reference plan log: every executed round as the
-// arbiter announces it to OnRound, empty rounds skipped. An orchestrator
-// killed and restored mid-run is a new arbiter, so the observer checks at
-// the first instant of every driver tick — before any process of that tick
-// runs — which orchestrator the world holds, and attaches to a new one.
-type roundObserver struct {
-	w        *World
-	attached *core.Orchestrator
-	plans    []arbiter.Record
-}
-
-func (r *roundObserver) attach() {
-	if r.w.Orch == nil || r.w.Orch == r.attached {
-		return
-	}
-	r.attached = r.w.Orch
-	r.w.Orch.Arbiter.OnRound(func(ev arbiter.RoundEvent) {
-		if !ev.Empty {
-			r.plans = append(r.plans, ev.Record)
-		}
-	})
-}
-
-// configure is a RunJob configure hook that starts the observer on the
-// world.
-func (r *roundObserver) configure(w *World) error {
-	r.w = w
-	r.attach()
-	w.OnProgress = func(now sim.Time) error {
-		w.Sim.At(now, r.attach)
-		return nil
-	}
-	return nil
-}
-
-// TestProperty_WorldPlans_EqualsRoundObserver: World.Plans — the arbiter's
-// own record of executed rounds, carried through checkpoint and journal
-// across a restore — is exactly the list an outside observer of every round
-// rebuilds, for every scenario and for a campaign whose orchestrator is
-// killed and restored twice.
-func TestProperty_WorldPlans_EqualsRoundObserver(t *testing.T) {
-	// A restored arbiter's records come back from the checkpoint's JSON, in
-	// which an empty map and a nil one are the same, so the two lists are
-	// compared in that form.
-	encode := func(plans []arbiter.Record) string {
-		b, err := json.Marshal(plans)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	check := func(name string, w *World, ref *roundObserver) {
-		t.Helper()
-		if got, want := encode(w.Plans()), encode(ref.plans); got != want {
-			t.Errorf("%s: World.Plans has %d rounds, the round observer %d:\n%s\n%s", name, len(w.Plans()), len(ref.plans), got, want)
-		}
-	}
-	for _, scenario := range Scenarios() {
-		ref := &roundObserver{}
-		if _, err := RunJob(Job{Scenario: scenario, Seed: 1}, ref.configure); err != nil {
-			t.Fatalf("%s: %v", scenario, err)
-		}
-		if len(ref.plans) == 0 {
-			t.Errorf("%s: no round executed", scenario)
-		}
-		check(scenario, ref.w, ref)
-	}
-
-	opts := DefaultChaosOptions()
-	opts.OrchKills = 2
-	opts.CkptDir = t.TempDir()
-	ref := &roundObserver{}
-	res, err := RunChaosVariant(1, apps.Summit, opts, Variant{Configure: ref.configure})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.W.Close()
-	if res.OrchKills != 2 {
-		t.Fatalf("orchestrator kills fired = %d, want 2", res.OrchKills)
-	}
-	check("chaos with two orchestrator kills", res.W, ref)
 }

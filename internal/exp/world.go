@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dyflow/internal/apps"
-	"dyflow/internal/ckpt"
 	"dyflow/internal/cluster"
 	"dyflow/internal/core"
 	"dyflow/internal/core/arbiter"
@@ -119,44 +118,26 @@ func (w *World) StartOrchestration(xml string, opts core.Options) error {
 	return nil
 }
 
-// AttachCheckpointStore opens (or creates) a checkpoint store in dir and
-// attaches it to the running orchestrator: Checkpoint() saves there and
-// arbitration rounds are journaled as they complete.
-func (w *World) AttachCheckpointStore(dir string) error {
-	st, err := ckpt.NewStore(dir)
+// RestartOrchestrator kills the orchestrator and restores its successor
+// from its checkpoint. The killed instance is checkpointed, detached from
+// shared substrate callbacks and stopped — the checkpoint is taken before
+// Stop, because teardown closes stream readers and their buffered backlog
+// must make it into the snapshot. A fresh orchestrator over the same
+// compiled spec is restored from that blob and started; it takes over the
+// recorder's plan/metric feeds, and the shared metrics registry keeps its
+// accumulated series. Call from driver context (between Sim.Run calls)
+// while the arbiter is not mid-round.
+func (w *World) RestartOrchestrator() error {
+	blob, err := w.Orch.Checkpoint()
 	if err != nil {
-		return err
-	}
-	w.Orch.SetStore(st)
-	return nil
-}
-
-// CrashOrchestrator checkpoints the orchestrator and then kills it:
-// detached from shared substrate callbacks and stopped. The checkpoint is
-// taken before Stop — teardown closes stream readers, and their buffered
-// backlog must make it into the snapshot. Call from driver context (between
-// Sim.Run calls) while the arbiter is not mid-round.
-func (w *World) CrashOrchestrator() error {
-	if err := w.Orch.Checkpoint(); err != nil {
 		return err
 	}
 	w.Orch.Detach()
 	w.Orch.Stop()
-	return nil
-}
-
-// RestoreOrchestrator builds a fresh orchestrator over the same compiled
-// spec, restores it from the crashed instance's checkpoint store (snapshot
-// plus journal replay), and starts it. The restored instance takes over the
-// recorder's plan/metric feeds; the shared metrics registry keeps its
-// accumulated series.
-func (w *World) RestoreOrchestrator() error {
-	store := w.Orch.Store()
 	o := core.New(w.Env, w.SV, w.orchCfg, w.orchOpts)
-	if err := core.Restore(o, store); err != nil {
+	if err := o.Restore(blob); err != nil {
 		return err
 	}
-	o.SetStore(store)
 	w.Orch = o
 	w.Rec.AttachOrchestrator(o)
 	o.Start()

@@ -118,10 +118,10 @@ func TestRestoredEnvelopeDecode(t *testing.T) {
 	}
 }
 
-// TestDecodeTypedMismatchFallsBackToJSON: a Decode target whose type
-// differs from the payload still works via the JSON round trip, preserving
-// shape-based decoding semantics.
-func TestDecodeTypedMismatchFallsBackToJSON(t *testing.T) {
+// TestDecodeTypedMismatchIsError: a live payload is handed over as-is, so a
+// Decode target of another type is refused and left untouched, while the
+// same envelope, restored from its JSON form, decodes by shape.
+func TestDecodeTypedMismatchIsError(t *testing.T) {
 	s := sim.New(1)
 	bus := NewBus(s)
 	a := bus.Endpoint("a")
@@ -132,13 +132,21 @@ func TestDecodeTypedMismatchFallsBackToJSON(t *testing.T) {
 	if err := s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
+	snap := bus.Snapshot()
 	env, _ := bus.Endpoint("b").TryRecv()
 	var loose map[string]any
+	if err := env.Decode(&loose); err == nil || loose != nil {
+		t.Fatalf("mismatched decode = %v, %v; want an error and no value", loose, err)
+	}
+
+	restored := NewBus(s)
+	restored.Restore(snap)
+	env, _ = restored.Endpoint("b").TryRecv()
 	if err := env.Decode(&loose); err != nil {
 		t.Fatal(err)
 	}
 	if loose["sensor"] != "PACE" || loose["step"] != float64(7) {
-		t.Fatalf("fallback decode = %v", loose)
+		t.Fatalf("restored decode = %v", loose)
 	}
 }
 

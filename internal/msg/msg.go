@@ -4,13 +4,13 @@
 // filtering has something to filter.
 //
 // The paper's services exchange JSON-formatted messages; this reproduction
-// keeps the JSON wire format exactly at the durability boundary (checkpoint
+// keeps the JSON wire format exactly at the checkpoint boundary (checkpoint
 // snapshots encode queued envelopes as JSON, byte-identically to the old
 // per-send encoding) but moves live delivery to a typed zero-copy path: the
 // payload value crosses the simulated wire as-is and Decode hands it to a
-// matching typed destination without a marshal/unmarshal round trip. This
+// destination of the same type without a marshal/unmarshal round trip. This
 // removes the dominant cost of the simulation hot path (see DESIGN.md §14)
-// without changing what a checkpoint looks like on disk.
+// without changing what a checkpoint holds.
 package msg
 
 import (
@@ -43,11 +43,10 @@ type Envelope struct {
 	payload any
 }
 
-// Decode extracts the payload into v (a non-nil pointer). For live
-// envelopes whose payload type matches *v exactly, this is a zero-copy
-// assignment; a type mismatch falls back to a JSON round trip (preserving
-// the old shape-based decoding semantics). Restored envelopes decode from
-// their JSON Data.
+// Decode extracts the payload into v (a non-nil pointer). A live
+// envelope's payload is assigned to *v as-is, zero-copy, so *v must be of
+// the type the sender sent: a mismatch is an error. Restored envelopes
+// decode from their JSON Data.
 func (e *Envelope) Decode(v any) error {
 	if e.payload == nil {
 		return json.Unmarshal(e.Data, v)
@@ -57,15 +56,11 @@ func (e *Envelope) Decode(v any) error {
 		return fmt.Errorf("msg: Decode target must be a non-nil pointer, got %T", v)
 	}
 	pv := reflect.ValueOf(e.payload)
-	if pv.Type().AssignableTo(rv.Type().Elem()) {
-		rv.Elem().Set(pv)
-		return nil
+	if !pv.Type().AssignableTo(rv.Type().Elem()) {
+		return fmt.Errorf("msg: payload from %q is %T, not %s", e.From, e.payload, rv.Type().Elem())
 	}
-	data, err := json.Marshal(e.payload)
-	if err != nil {
-		return fmt.Errorf("msg: marshal payload from %q: %w", e.From, err)
-	}
-	return json.Unmarshal(data, v)
+	rv.Elem().Set(pv)
+	return nil
 }
 
 // encoded returns a copy of the envelope with Data materialized (the

@@ -81,7 +81,7 @@ type TrendBucket struct {
 const maxTrendBuckets = 500
 
 // runSample is the per-run tuple the aggregates fold over — built from
-// a resident *Run or an evicted history Meta, whichever is live.
+// a run record, a resident run's or an evicted run's, whichever is live.
 type runSample struct {
 	tenant, scenario string
 	state            RunState
@@ -162,9 +162,9 @@ func (s *Server) AnalyticsWithTrends(bucket time.Duration, buckets int) Analytic
 }
 
 // analyticsSamples folds the full run population into flat samples:
-// resident runs (live state) first, then history metas for everything
-// already evicted. Resident runs also have history records; the
-// resident copy wins.
+// resident runs (live state, rendered through Run.record) first, then
+// history metas for everything already evicted. Resident runs also have
+// history records; the resident copy wins.
 func (s *Server) analyticsSamples() []runSample {
 	// Every resident run has a history record too, so the store's count is
 	// the population's.
@@ -172,42 +172,35 @@ func (s *Server) analyticsSamples() []runSample {
 	s.mu.Lock()
 	resident := make(map[string]bool, len(s.order))
 	for _, id := range s.order {
-		r := s.runs[id]
 		resident[id] = true
-		sm := runSample{
-			tenant: r.Tenant, scenario: r.Job.Scenario,
-			state: r.State, cached: r.Cached,
-			submittedNs: unixNs(r.SubmittedAt), qw: -1, ex: -1,
-		}
-		if !r.ClaimedAt.IsZero() && !r.QueuedAt.IsZero() {
-			sm.qw = r.ClaimedAt.Sub(r.QueuedAt).Seconds()
-		}
-		if !r.FinishedAt.IsZero() && !r.StartedAt.IsZero() {
-			sm.ex = r.FinishedAt.Sub(r.StartedAt).Seconds()
-		}
-		samples = append(samples, sm)
+		m := s.runs[id].record()
+		samples = append(samples, metaSample(&m))
 	}
 	s.mu.Unlock()
 
 	s.history.EachMeta(func(m *runstore.Meta) bool {
-		if resident[m.ID] {
-			return true
+		if !resident[m.ID] {
+			samples = append(samples, metaSample(m))
 		}
-		sm := runSample{
-			tenant: m.Tenant, scenario: m.Scenario,
-			state: RunState(m.State), cached: m.Cached,
-			submittedNs: m.SubmittedAtNs, qw: -1, ex: -1,
-		}
-		if m.ClaimedAtNs > 0 && m.QueuedAtNs > 0 {
-			sm.qw = time.Duration(m.ClaimedAtNs - m.QueuedAtNs).Seconds()
-		}
-		if m.FinishedAtNs > 0 && m.StartedAtNs > 0 {
-			sm.ex = time.Duration(m.FinishedAtNs - m.StartedAtNs).Seconds()
-		}
-		samples = append(samples, sm)
 		return true
 	})
 	return samples
+}
+
+// metaSample is the one runSample builder: a run record's tuple.
+func metaSample(m *runstore.Meta) runSample {
+	sm := runSample{
+		tenant: m.Tenant, scenario: m.Scenario,
+		state: RunState(m.State), cached: m.Cached,
+		submittedNs: m.SubmittedAtNs, qw: -1, ex: -1,
+	}
+	if m.ClaimedAtNs > 0 && m.QueuedAtNs > 0 {
+		sm.qw = time.Duration(m.ClaimedAtNs - m.QueuedAtNs).Seconds()
+	}
+	if m.FinishedAtNs > 0 && m.StartedAtNs > 0 {
+		sm.ex = time.Duration(m.FinishedAtNs - m.StartedAtNs).Seconds()
+	}
+	return sm
 }
 
 // trendBuckets groups samples into bucket-aligned windows by submission
