@@ -56,6 +56,21 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 	b.ReportMetric(float64(s.Dispatched())/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkSpawn measures a process's fixed cost: spawn, first wake and
+// exit, with nothing in between.
+func BenchmarkSpawn(b *testing.B) {
+	s := New(1)
+	body := func(p *Proc) {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Spawn("p", body)
+		if err := s.RunUntilIdle(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(s.Handoffs())/float64(b.N), "handoffs/op")
+}
+
 // BenchmarkQueueHandoff measures producer/consumer rendezvous through a
 // bounded queue.
 func BenchmarkQueueHandoff(b *testing.B) {

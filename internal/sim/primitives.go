@@ -132,10 +132,7 @@ func (q *Queue[T]) Get(p *Proc) (T, error) {
 	var zero T
 	for {
 		if len(q.items) > 0 {
-			v := q.items[0]
-			q.items = q.items[1:]
-			q.notFull.Broadcast()
-			return v, nil
+			return q.pop(), nil
 		}
 		if q.closed {
 			return zero, ErrClosed
@@ -176,14 +173,21 @@ func (q *Queue[T]) GetAll(p *Proc, buf []T) ([]T, error) {
 // TryGet removes and returns the oldest item without blocking. ok is false
 // when the queue is empty.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	var zero T
 	if len(q.items) == 0 {
-		return zero, false
+		return v, false
 	}
-	v = q.items[0]
+	return q.pop(), true
+}
+
+// pop removes and returns the oldest item. Its slot is zeroed before the
+// reslice so the backing array stops referencing it.
+func (q *Queue[T]) pop() T {
+	v := q.items[0]
+	var zero T
+	q.items[0] = zero
 	q.items = q.items[1:]
 	q.notFull.Broadcast()
-	return v, true
+	return v
 }
 
 // Items returns a copy of the buffered items in delivery order without

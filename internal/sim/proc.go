@@ -1,15 +1,25 @@
+// iter.Pull is Go 1.23 API, and the module's go line says 1.22: bench/go.mod
+// pins the same version and may not depend on a module that declares a newer
+// one. This constraint raises this file's language version to 1.23, which
+// go vet requires before it accepts the call.
+
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"time"
 )
 
-// Proc is a simulated process: a goroutine that advances only while it holds
-// the kernel's baton. Exactly one process runs at any moment; a process that
-// blocks (Sleep, Wait, queue operations, ...) yields the baton back to the
-// kernel, which resumes it later in event order.
+// Proc is a simulated process: a runtime coroutine (iter.Pull) that advances
+// only while it holds the kernel's baton. Exactly one process runs at any
+// moment; a process that blocks (Sleep, Wait, queue operations, ...) yields
+// the baton back to the kernel, which resumes it later in event order. A
+// baton transfer is a direct coroutine switch: the running goroutine hands
+// its thread to the other one without going through the scheduler.
 //
 // All Proc methods except Interrupt, Done, Err and Name must be called from
 // the process's own goroutine (i.e. from inside the function passed to
@@ -20,8 +30,9 @@ type Proc struct {
 	pid  uint64
 	name string
 
-	resume chan error // kernel -> proc: wake value (nil, or the wake error)
-	yield  chan bool  // proc -> kernel: true when the process has terminated
+	next  func() (struct{}, bool) // kernel -> proc: run until the next block or exit
+	yield func(struct{}) bool     // proc -> kernel: give the baton back
+	wake  error                   // the value the next resume delivers
 
 	done bool
 	err  error // panic converted to error, nil on normal exit
@@ -48,20 +59,25 @@ type Proc struct {
 // Spawn creates a process named name running fn and schedules it to start at
 // the current instant. The returned Proc can be joined, interrupted, and
 // inspected.
+//
+// A body that calls runtime.Goexit (as t.Fatal does) ends the goroutine that
+// resumed it — the one calling Run, RunUntilIdle or Stop — as well; the Sim
+// is unusable afterwards.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		sim:    s,
-		pid:    s.nextPID,
-		name:   name,
-		resume: make(chan error),
-		yield:  make(chan bool),
-		body:   fn,
+		sim:  s,
+		pid:  s.nextPID,
+		name: name,
+		body: fn,
 	}
 	p.doneSig = NewSignal(s)
 	s.nextPID++
 	s.procs[p.pid] = p
 
-	go p.run()
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.run()
+	})
 
 	// The new process starts parked; its first wake is a normal wake event.
 	// parked stays true while the claim is outstanding so an Interrupt
@@ -69,7 +85,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	// the claimed event) instead of being lost.
 	p.parked = true
 	if s.stopped {
-		// No further events run; release the goroutine immediately.
+		// No further events run; end the coroutine immediately.
 		p.unwind()
 		return p
 	}
@@ -91,11 +107,11 @@ func (s *Sim) SpawnGuarded(name string, fn func(p *Proc), onPanic func(recovered
 	return p
 }
 
-// run is the goroutine body: it parks until the kernel's first wake, runs
-// the body, and reports termination.
+// run is the coroutine body: it starts at the kernel's first wake, runs the
+// body, and reports termination. Returning ends the coroutine, which hands
+// the baton back for the last time.
 func (p *Proc) run() {
-	err := <-p.resume // first wake; non-nil only if stopped before starting
-	if err == nil {
+	if p.wake == nil { // the first wake is non-nil only if stopped before starting
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -117,11 +133,11 @@ func (p *Proc) run() {
 	p.sim.logf("proc %q exits", p.name)
 	delete(p.sim.procs, p.pid)
 	p.doneSig.Broadcast()
-	p.yield <- true
 }
 
 // handoff passes the baton to the process as the schedule's next step and
-// blocks until it yields. It must run in kernel context (from an event).
+// returns once the process yields it back. It must run in kernel context
+// (from an event).
 func (p *Proc) handoff(err error) {
 	if p.done {
 		return
@@ -130,13 +146,13 @@ func (p *Proc) handoff(err error) {
 	p.resumeWith(err)
 }
 
-// resumeWith is the baton transfer itself: wake the process goroutine with
-// err and wait for it to park again or exit.
+// resumeWith is the baton transfer itself: switch to the process's
+// coroutine with wake value err, and return once it blocks again or exits.
 func (p *Proc) resumeWith(err error) {
 	prev := p.sim.current
 	p.sim.current = p
-	p.resume <- err
-	<-p.yield
+	p.wake = err
+	p.next()
 	p.sim.current = prev
 }
 
@@ -174,8 +190,8 @@ func (p *Proc) scheduleWake(err error) {
 
 // unwind synchronously resumes a blocked process — parked on a wait
 // structure, or claimed by a wake event that will now never run — with
-// ErrStopped, bypassing the event queue, and waits for its goroutine to
-// park again or exit. Used by Stop (and by Spawn after it), when no
+// ErrStopped, bypassing the event queue, and returns once its coroutine
+// blocks again or exits. Used by Stop (and by Spawn after it), when no
 // further events execute; it is teardown, so Handoffs does not count it.
 func (p *Proc) unwind() {
 	if p.done || (!p.parked && p.pendingWake == nil) {
@@ -209,12 +225,14 @@ func (p *Proc) timerFire() {
 	p.handoff(nil)
 }
 
-// block parks the process until a wake arrives. register runs in process
-// context before yielding and must arrange a future wake (a timer via
-// p.wakeEvent, or a wait-list entry whose waker calls scheduleWake); cancel
-// (which may be nil) must undo the wait-list registration. block returns
-// the wake value: nil for a normal wake, an ErrInterrupted-wrapped error
-// for interrupts, or ErrStopped at shutdown.
+// block parks the process until a wake arrives: it yields the coroutine to
+// the kernel, and the kernel's next resumeWith switches back with the wake
+// value in p.wake. register runs in process context before yielding and
+// must arrange a future wake (a timer via p.wakeEvent, or a wait-list entry
+// whose waker calls scheduleWake); cancel (which may be nil) must undo the
+// wait-list registration. block returns the wake value: nil for a normal
+// wake, an ErrInterrupted-wrapped error for interrupts, or ErrStopped at
+// shutdown.
 func (p *Proc) block(register func(), cancel func()) error {
 	if p.sim.current != p {
 		panic(fmt.Sprintf("sim: blocking call on process %q from outside its goroutine", p.name))
@@ -231,9 +249,8 @@ func (p *Proc) block(register func(), cancel func()) error {
 	p.parked = true
 	p.cancelWait = cancel
 	p.sim.current = nil
-	p.yield <- false  // give the baton back to the kernel
-	err := <-p.resume // parked until a wake handoff
-	return err
+	p.yield(struct{}{}) // give the baton back; returns at the next wake
+	return p.wake
 }
 
 // Name returns the process name given at Spawn.

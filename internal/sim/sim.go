@@ -8,10 +8,12 @@
 //
 //   - plain events: callbacks scheduled at an absolute or relative virtual
 //     time, executed in the kernel goroutine;
-//   - processes (Proc): goroutines that run in strict handoff with the
-//     kernel — exactly one process runs at a time, and a blocked process is
-//     resumed in event-heap order — giving SimPy-style readable process code
-//     while keeping every run fully deterministic.
+//   - processes (Proc): runtime coroutines (iter.Pull) that run in strict
+//     handoff with the kernel — exactly one process runs at a time, a
+//     blocked process is resumed in event-heap order, and each handoff is a
+//     direct goroutine switch that bypasses the scheduler's run queues —
+//     giving SimPy-style readable process code while keeping every run
+//     fully deterministic.
 //
 // All time is virtual. Time is an absolute instant (a Duration since the
 // start of the run); durations are time.Duration. Events that fire at the

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -481,14 +482,83 @@ func TestInterruptTerminatedProcIsNoop(t *testing.T) {
 
 func TestStopIdempotent(t *testing.T) {
 	s := New(1)
-	s.Spawn("stuck", func(p *Proc) { p.Sleep(time.Hour) })
+	var gotErr error
+	stuck := s.Spawn("stuck", func(p *Proc) { gotErr = p.Sleep(time.Hour) })
 	s.After(time.Second, func() {
 		s.Stop()
+		now, dispatched, handoffs := s.Now(), s.Dispatched(), s.Handoffs()
 		s.Stop() // second stop is a no-op
+		if s.Now() != now || s.Dispatched() != dispatched || s.Handoffs() != handoffs {
+			t.Errorf("second Stop moved the kernel: now %v→%v dispatched %d→%d handoffs %d→%d",
+				now, s.Now(), dispatched, s.Dispatched(), handoffs, s.Handoffs())
+		}
 	})
 	s.RunUntilIdle()
-	if s.Pending() != 0 && !true {
-		t.Fatal("unreachable")
+	if got := s.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after Stop, want 0 (the sleeper's timer is canceled)", got)
+	}
+	if !stuck.Done() || !errors.Is(gotErr, ErrStopped) {
+		t.Fatalf("stuck process: done=%v err=%v, want done with ErrStopped", stuck.Done(), gotErr)
+	}
+}
+
+// TestProcGoexitEndsRunner: a body that calls runtime.Goexit (t.Fatal does)
+// ends the goroutine running the simulation too, instead of leaving it
+// waiting for a handoff that never comes.
+func TestProcGoexitEndsRunner(t *testing.T) {
+	s := New(1)
+	s.Spawn("quitter", func(p *Proc) {
+		p.Sleep(time.Second)
+		runtime.Goexit()
+	})
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		s.RunUntilIdle()
+	}()
+	select {
+	case <-ended:
+	case <-time.After(2 * time.Second):
+		t.Fatal("RunUntilIdle still running 2s after the process called runtime.Goexit")
+	}
+}
+
+// TestQueuePopReleasesItem: Get and TryGet drop the queue's reference to
+// the item they return, so it is collectable while the queue lives on.
+func TestQueuePopReleasesItem(t *testing.T) {
+	type payload struct{ buf [64]byte }
+	for _, name := range []string{"Get", "TryGet"} {
+		s := New(1)
+		q := NewQueue[*payload](s, 0)
+		freed := make(chan struct{})
+		v := &payload{}
+		runtime.SetFinalizer(v, func(*payload) { close(freed) })
+		q.TryPut(v)
+		q.TryPut(&payload{})
+		v = nil
+		if name == "Get" {
+			s.Spawn("getter", func(p *Proc) { q.Get(p) })
+			if err := s.RunUntilIdle(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			q.TryGet()
+		}
+		collected := false
+		for i := 0; i < 10 && !collected; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				collected = true
+			case <-time.After(50 * time.Millisecond):
+			}
+		}
+		if !collected {
+			t.Errorf("%s: the popped item was not collected while the queue is live", name)
+		}
+		if q.Len() != 1 {
+			t.Fatalf("%s: queue holds %d items, want 1", name, q.Len())
+		}
 	}
 }
 
