@@ -223,8 +223,8 @@ func (e *Engine) run(p *sim.Proc) {
 		if err != nil {
 			return
 		}
-		var batch []decision.Suggestion
-		if err := env.Decode(&batch); err != nil || len(batch) == 0 {
+		batch, err := msg.Payload[[]decision.Suggestion](&env)
+		if err != nil || len(batch) == 0 {
 			continue
 		}
 		now := e.s.Now()
@@ -277,8 +277,7 @@ func (e *Engine) gather(p *sim.Proc, batch []decision.Suggestion) []decision.Sug
 			if !ok {
 				break
 			}
-			var more []decision.Suggestion
-			if err := env.Decode(&more); err == nil {
+			if more, err := msg.Payload[[]decision.Suggestion](&env); err == nil {
 				batch = append(batch, more...)
 			}
 		}

@@ -282,21 +282,29 @@ func (e *Engine) run(p *sim.Proc) {
 			return
 		}
 		buf = batch
-		for _, env := range batch {
-			if !e.filter.Admit(env) {
+		for i := range batch {
+			env := &batch[i]
+			if !e.filter.Admit(*env) {
 				continue
 			}
-			var msgs []sensor.MetricMsg
-			if err := env.Decode(&msgs); err != nil {
+			msgs, err := msg.Payload[[]sensor.MetricMsg](env)
+			if err != nil {
 				continue
 			}
+			ingested := 0
 			for _, w := range msgs {
 				m, err := sensor.FromMsg(w)
 				if err != nil {
 					continue
 				}
 				e.Ingest(m)
-				e.tr.Inc("decision.metrics_ingested", 1)
+				ingested++
+			}
+			// One count per envelope, not per metric: each Inc takes the
+			// recorder's lock. An envelope that ingests nothing records
+			// nothing, as no per-metric Inc did.
+			if ingested > 0 {
+				e.tr.Inc("decision.metrics_ingested", int64(ingested))
 			}
 		}
 	}

@@ -251,8 +251,8 @@ func TestEndToEndOverBus(t *testing.T) {
 	if !ok {
 		t.Fatal("no suggestion batch delivered to arbiter")
 	}
-	var batch []Suggestion
-	if err := env.Decode(&batch); err != nil {
+	batch, err := msg.Payload[[]Suggestion](&env)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(batch) != 1 || batch[0].Action != "ADDCPU" {

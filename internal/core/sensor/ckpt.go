@@ -108,7 +108,8 @@ type ClientSnapshot struct {
 	Workers []WorkerSnap `json:"workers,omitempty"`
 }
 
-// Snapshot exports the client state, workers sorted by name. For a worker
+// Snapshot exports the client state, workers sorted by name. It aliases no
+// live worker state: a pending shipment is copied. For a worker
 // blocked on a live stream reader the snapshot folds the reader's buffered
 // backlog in behind any replay-pending records, preserving delivery order.
 func (c *Client) Snapshot() ClientSnapshot {
@@ -121,10 +122,13 @@ func (c *Client) Snapshot() ClientSnapshot {
 	for _, n := range names {
 		st := c.states[n]
 		ws := WorkerState{
-			Phase:   st.Phase,
-			WakeAt:  st.WakeAt,
-			Step:    st.Step,
-			Pending: st.Pending,
+			Phase:  st.Phase,
+			WakeAt: st.WakeAt,
+			Step:   st.Step,
+		}
+		if st.Pending != nil {
+			// A copy: the live one is the worker's reused pend.
+			ws.Pending = &PendingShip{Readings: st.Pending.Readings, Step: st.Pending.Step, GenAt: st.Pending.GenAt}
 		}
 		ws.Buffered = append(ws.Buffered, st.Buffered...)
 		if st.reader != nil {

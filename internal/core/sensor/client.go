@@ -90,21 +90,48 @@ type PendingShip struct {
 	Readings []float64 `json:"readings"`
 	Step     int       `json:"step"`
 	GenAt    sim.Time  `json:"gen_at"`
+
+	// scan and gen name the DISKSCAN extraction Readings is, at its watch
+	// generation: what ship compares to decide a re-send. scan is nil for
+	// every other source and for a shipment restored from a checkpoint.
+	scan *diskScan
+	gen  uint64
 }
 
 // WorkerState is one worker's resumable position: which phase it is parked
 // in, the absolute wake instant of its current sleep, the self-poll step
 // counter, a mid-read/mid-decode pending shipment, and — for stream
 // workers — the reader backlog captured at checkpoint, replayed before
-// reattaching.
+// reattaching. Only the exported fields are checkpointed: a restored
+// worker starts without a reader and without a last shipment.
 type WorkerState struct {
-	Phase    string        `json:"phase,omitempty"`
-	WakeAt   sim.Time      `json:"wake_at,omitempty"`
-	Step     int           `json:"step,omitempty"`
+	Phase  string   `json:"phase,omitempty"`
+	WakeAt sim.Time `json:"wake_at,omitempty"`
+	Step   int      `json:"step,omitempty"`
+	// Pending is nil or, while a shipment is owed, points at pend (or, on a
+	// restored worker, at the checkpoint's copy).
 	Pending  *PendingShip  `json:"pending,omitempty"`
 	Buffered []stream.Step `json:"buffered,omitempty"`
 
-	reader *stream.Reader // live attachment; not serialized
+	reader *stream.Reader // live attachment
+	// pend is the worker's one pending shipment, reused by every poll and
+	// decode instead of allocated by each.
+	pend PendingShip
+	// last is what ship last sent for a DISKSCAN extraction.
+	last shipment
+}
+
+// shipment is the batch a poll worker last sent for a DISKSCAN extraction:
+// the extraction (scan, watch generation, step, generation instant), the
+// boxed Batch, nil when the readings formulated nothing, and the NaN and
+// Inf readings sanitize dropped building it.
+type shipment struct {
+	scan     *diskScan
+	gen      uint64
+	step     int
+	genAt    sim.Time
+	batch    any
+	nan, inf int64
 }
 
 // SetSelfSource attaches the orchestrator self-metric resolver used by
@@ -239,12 +266,10 @@ func (c *Client) streamWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.Senso
 			st.reader = stm.Attach(4, stream.DropOldest)
 		}
 		if st.Pending != nil {
-			pend := *st.Pending
 			if err := c.sleepPhase(p, st, phaseDecode, st.WakeAt); err != nil {
 				return
 			}
-			st.Pending = nil
-			c.ship(tg, def, pend.Readings, pend.Step, pend.GenAt)
+			c.shipPending(st, tg, def)
 		}
 		for len(st.Buffered) > 0 {
 			rec := st.Buffered[0]
@@ -320,13 +345,12 @@ func (c *Client) decodeShip(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget,
 	// Decoding cost scales with the record's per-rank payload.
 	cost := c.costs.StreamBase + time.Duration(len(rec.Array))*c.costs.StreamPerValue
 	readings, step, genAt := recordReadings(rec, use)
-	st.Pending = &PendingShip{Readings: readings, Step: step, GenAt: genAt}
+	st.pend = PendingShip{Readings: readings, Step: step, GenAt: genAt}
+	st.Pending = &st.pend
 	if err := c.sleepPhase(p, st, phaseDecode, c.env.Sim.Now()+cost); err != nil {
 		return err
 	}
-	pend := *st.Pending
-	st.Pending = nil
-	c.ship(tg, def, pend.Readings, pend.Step, pend.GenAt)
+	c.shipPending(st, tg, def)
 	return nil
 }
 
@@ -349,12 +373,10 @@ func (c *Client) pollWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorU
 	// Finish a restored mid-read poll first: the readings were already
 	// taken, only the remaining disk-read time and the shipment are owed.
 	if st.Phase == phaseRead && st.Pending != nil {
-		pend := *st.Pending
 		if err := c.sleepPhase(p, st, phaseRead, st.WakeAt); err != nil {
 			return
 		}
-		st.Pending = nil
-		c.ship(tg, def, pend.Readings, pend.Step, pend.GenAt)
+		c.shipPending(st, tg, def)
 	}
 	for {
 		wake := c.env.Sim.Now() + c.costs.PollInterval
@@ -364,19 +386,26 @@ func (c *Client) pollWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorU
 		if err := c.sleepPhase(p, st, phaseInterval, wake); err != nil {
 			return
 		}
-		readings, step, genAt, ok := c.pollOnce(tg, use, def)
+		pend, ok := c.pollOnce(tg, use, def)
 		if !ok {
 			continue
 		}
 		// Reading from disk costs real time before the update can ship.
-		st.Pending = &PendingShip{Readings: readings, Step: step, GenAt: genAt}
+		st.pend = pend
+		st.Pending = &st.pend
 		if err := c.sleepPhase(p, st, phaseRead, c.env.Sim.Now()+c.costs.DiskRead); err != nil {
 			return
 		}
-		pend := *st.Pending
-		st.Pending = nil
-		c.ship(tg, def, pend.Readings, pend.Step, pend.GenAt)
+		c.shipPending(st, tg, def)
 	}
+}
+
+// shipPending ships the worker's pending shipment, which it then no longer
+// owes.
+func (c *Client) shipPending(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDef) {
+	pend := *st.Pending
+	st.Pending = nil
+	c.ship(st, tg, def, pend)
 }
 
 // selfWorker polls an orchestrator self-metric (sensor lag, queue depth,
@@ -401,34 +430,35 @@ func (c *Client) selfWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorU
 			continue
 		}
 		st.Step++
-		c.ship(tg, def, []float64{v}, st.Step, c.env.Sim.Now())
+		c.ship(st, tg, def, PendingShip{Readings: []float64{v}, Step: st.Step, GenAt: c.env.Sim.Now()})
 	}
 }
 
-// pollOnce reads the current state of a disk-based source.
-func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef) (readings []float64, step int, genAt sim.Time, ok bool) {
+// pollOnce reads the current state of a disk-based source. A DISKSCAN
+// reading names the extraction it is.
+func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef) (PendingShip, bool) {
 	info := use.Info
 	switch def.Source {
 	case spec.SourceDiskScan:
 		sc := c.scanFor(tg.InfoSource, info)
 		if sc == nil {
-			return nil, 0, 0, false // a malformed pattern matches nothing
+			return PendingShip{}, false // a malformed pattern matches nothing
 		}
 		sc.refresh()
-		return sc.readings, sc.step, sc.genAt, len(sc.readings) > 0
+		return PendingShip{Readings: sc.readings, Step: sc.step, GenAt: sc.genAt, scan: sc, gen: sc.gen}, len(sc.readings) > 0
 	case spec.SourceFile:
 		f := c.env.FS.Lookup(tg.InfoSource)
 		if f == nil {
-			return nil, 0, 0, false
+			return PendingShip{}, false
 		}
 		v, found := f.Vars[info]
 		if !found {
-			return nil, 0, 0, false
+			return PendingShip{}, false
 		}
-		return []float64{v}, int(f.Vars["step"]), f.MTime, true
+		return PendingShip{Readings: []float64{v}, Step: int(f.Vars["step"]), GenAt: f.MTime}, true
 	case spec.SourceDB:
 		if c.env.DB == nil {
-			return nil, 0, 0, false
+			return PendingShip{}, false
 		}
 		key := tg.InfoSource
 		if key == "" {
@@ -436,9 +466,9 @@ func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.S
 		}
 		rec, found := c.env.DB.Latest(key)
 		if !found {
-			return nil, 0, 0, false
+			return PendingShip{}, false
 		}
-		return []float64{rec.Value}, rec.Step, rec.At, true
+		return PendingShip{Readings: []float64{rec.Value}, Step: rec.Step, GenAt: rec.At}, true
 	case spec.SourceErrorStatus:
 		path := tg.InfoSource
 		if path == "" {
@@ -449,15 +479,15 @@ func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.S
 		}
 		f := c.env.FS.Lookup(path)
 		if f == nil {
-			return nil, 0, 0, false
+			return PendingShip{}, false
 		}
 		v, found := f.Vars[info]
 		if !found {
-			return nil, 0, 0, false
+			return PendingShip{}, false
 		}
-		return []float64{v}, 0, f.MTime, true
+		return PendingShip{Readings: []float64{v}, GenAt: f.MTime}, true
 	}
-	return nil, 0, 0, false
+	return PendingShip{}, false
 }
 
 // scanKey identifies one disk-scan extraction: which files, which variable.
@@ -466,8 +496,9 @@ type scanKey struct{ pattern, info string }
 // diskScan is the last extraction of one variable from the files matching
 // a watched pattern. It stays valid until the watch's generation moves —
 // the thousands of polls between two output files re-ship it without
-// touching a path. The readings slice is shared with in-flight shipments,
-// so a refresh builds a new one instead of overwriting it.
+// touching a path, and each worker re-sends the batch it built from it (see
+// ship). The readings slice is shared with in-flight shipments, so a
+// refresh builds a new one instead of overwriting it.
 type diskScan struct {
 	watch *fsim.Watch
 	info  string
@@ -521,12 +552,46 @@ func (sc *diskScan) refresh() {
 	sc.gen = sc.watch.Gen()
 }
 
-// ship formulates the client-side granularities from per-process readings
-// and sends them to the server.
-func (c *Client) ship(tg spec.MonitorTarget, def *spec.SensorDef, readings []float64, step int, genAt sim.Time) {
-	readings = c.sanitize(readings)
-	if len(readings) == 0 {
+// ship formulates the client-side granularities from a pending shipment's
+// per-process readings and sends them to the server.
+//
+// A DISKSCAN poll of unchanged files — most polls: the files change once
+// per output step, the poll runs every second — re-sends the batch the
+// worker built from the same extraction instead of building an equal one.
+// The bus lets one payload ride in several envelopes, and the sanitize
+// drops it counted are counted again, so the server and the metrics see
+// exactly what a rebuild would give them. Every other reading is built
+// afresh: streamed, self and FILE/DB/ERRORSTATUS readings carry no
+// extraction to compare.
+func (c *Client) ship(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDef, pend PendingShip) {
+	last := &st.last
+	if pend.scan != nil && pend.scan == last.scan && pend.gen == last.gen &&
+		pend.Step == last.step && pend.GenAt == last.genAt {
+		c.countDropped(last.nan, last.inf)
+		if last.batch != nil {
+			c.ep.Send(c.server, last.batch)
+		}
 		return
+	}
+	batch, nan, inf := c.build(tg, def, pend.Readings, pend.Step, pend.GenAt)
+	// A node-task or node-workflow group reads Workload.Placement, which
+	// moves with the task (a restart, an added CPU) while the files — and
+	// so the watch generation — stay put: such a batch is never reused.
+	if pend.scan != nil && !def.HasGranularity(spec.GranNodeTask) && !def.HasGranularity(spec.GranNodeWorkflow) {
+		*last = shipment{scan: pend.scan, gen: pend.gen, step: pend.Step, genAt: pend.GenAt, batch: batch, nan: nan, inf: inf}
+	}
+	if batch != nil {
+		c.ep.Send(c.server, batch)
+	}
+}
+
+// build formulates the batch ship sends, boxed for the bus, or nil when the
+// readings formulate no update. nan and inf count the readings sanitize
+// dropped.
+func (c *Client) build(tg spec.MonitorTarget, def *spec.SensorDef, readings []float64, step int, genAt sim.Time) (batch any, nan, inf int64) {
+	readings, nan, inf = c.sanitize(readings)
+	if len(readings) == 0 {
+		return nil, nan, inf
 	}
 	// Preprocess distills the staged array into a single reading before
 	// metric formulation.
@@ -573,38 +638,47 @@ func (c *Client) ship(tg spec.MonitorTarget, def *spec.SensorDef, readings []flo
 	}
 	updates = dedupUpdates(updates)
 	if len(updates) == 0 {
-		return
+		return nil, nan, inf
 	}
-	c.ep.Send(c.server, Batch{Client: c.name, Updates: updates})
+	return Batch{Client: c.name, Updates: updates}, nan, inf
 }
 
 // sanitize drops NaN and ±Inf readings before preprocessing: one poisoned
 // reading would otherwise contaminate every reduction downstream of it and
 // sit in policy history windows for a full window length. Dropped samples
-// are counted in dyflow_sensor_dropped_samples_total by reason. The input
-// slice may alias a shared staged array, so filtering copies.
-func (c *Client) sanitize(readings []float64) []float64 {
-	bad := 0
-	for _, v := range readings {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			bad++
-		}
-	}
-	if bad == 0 {
-		return readings
-	}
-	clean := make([]float64, 0, len(readings)-bad)
+// are counted in dyflow_sensor_dropped_samples_total by reason, and
+// returned. The input slice may alias a shared staged array, so filtering
+// copies.
+func (c *Client) sanitize(readings []float64) (clean []float64, nan, inf int64) {
 	for _, v := range readings {
 		switch {
 		case math.IsNaN(v):
-			c.mDropped.With("nan").Inc()
+			nan++
 		case math.IsInf(v, 0):
-			c.mDropped.With("inf").Inc()
-		default:
+			inf++
+		}
+	}
+	if nan+inf == 0 {
+		return readings, 0, 0
+	}
+	clean = make([]float64, 0, len(readings)-int(nan+inf))
+	for _, v := range readings {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
 			clean = append(clean, v)
 		}
 	}
-	return clean
+	c.countDropped(nan, inf)
+	return clean, nan, inf
+}
+
+// countDropped adds dropped readings to dyflow_sensor_dropped_samples_total.
+func (c *Client) countDropped(nan, inf int64) {
+	if nan > 0 {
+		c.mDropped.With("nan").Add(nan)
+	}
+	if inf > 0 {
+		c.mDropped.With("inf").Add(inf)
+	}
 }
 
 // taskReduction picks the reduction op declared for task granularity,

@@ -19,6 +19,7 @@ import (
 type scanRig struct {
 	s   *sim.Sim
 	fs  *fsim.FS
+	bus *msg.Bus
 	c   *Client
 	tg  spec.MonitorTarget
 	use spec.SensorUse
@@ -34,9 +35,10 @@ func newScanRig(tb testing.TB) *scanRig {
 	s := sim.New(1)
 	fs := fsim.New(s)
 	env := &task.Env{Sim: s, FS: fs}
-	c := NewClient("client0", env, msg.NewBus(s), "monitor-server", cfg, cfg.Targets, &fakeWorkload{}, Costs{})
+	bus := msg.NewBus(s)
+	c := NewClient("client0", env, bus, "monitor-server", cfg, cfg.Targets, &fakeWorkload{}, Costs{})
 	tg := cfg.Targets[0] // XGC1 over out/xgc1.*.bp
-	return &scanRig{s: s, fs: fs, c: c, tg: tg, use: tg.Sensors[0], def: cfg.Sensors[tg.Sensors[0].SensorID]}
+	return &scanRig{s: s, fs: fs, bus: bus, c: c, tg: tg, use: tg.Sensors[0], def: cfg.Sensors[tg.Sensors[0].SensorID]}
 }
 
 // populate writes n files the scan matches among 2n it does not.
@@ -49,7 +51,12 @@ func (r *scanRig) populate(n int) {
 }
 
 func (r *scanRig) poll() ([]float64, int, sim.Time, bool) {
-	return r.c.pollOnce(r.tg, r.use, r.def)
+	return r.pollUse(r.use)
+}
+
+func (r *scanRig) pollUse(use spec.SensorUse) ([]float64, int, sim.Time, bool) {
+	pend, ok := r.c.pollOnce(r.tg, use, r.def)
+	return pend.Readings, pend.Step, pend.GenAt, ok
 }
 
 // fullScanPoll is the disk-scan poll as it stood before the cache: glob
@@ -95,7 +102,7 @@ func TestDiskScanPollEqualsFullScan(t *testing.T) {
 		default: // nothing changed: the poll answers from the cache
 		}
 		for _, use := range []spec.SensorUse{r.use, errUse} {
-			gotR, gotStep, gotAt, gotOK := r.c.pollOnce(r.tg, use, r.def)
+			gotR, gotStep, gotAt, gotOK := r.pollUse(use)
 			wantR, wantStep, wantAt, wantOK := fullScanPoll(r.fs, r.tg.InfoSource, use.Info)
 			if len(gotR) == 0 {
 				gotR = nil
@@ -119,7 +126,7 @@ func TestDiskScanPollSharedByWorkers(t *testing.T) {
 	r.populate(3)
 	lag := spec.SensorUse{SensorID: "LAG", Info: r.use.Info}
 	a, _, _, _ := r.poll()
-	b, _, _, _ := r.c.pollOnce(r.tg, lag, r.def)
+	b, _, _, _ := r.pollUse(lag)
 	if len(r.c.scans) != 1 || &a[0] != &b[0] {
 		t.Fatalf("two workers on one (pattern, info) made %d extractions", len(r.c.scans))
 	}

@@ -30,7 +30,7 @@ func TestSanitizeDropsNonFiniteReadings(t *testing.T) {
 	c.SetMetrics(reg)
 
 	in := []float64{1, math.NaN(), 2, math.Inf(1), math.Inf(-1), 3}
-	out := c.sanitize(in)
+	out, nan, inf := c.sanitize(in)
 	want := []float64{1, 2, 3}
 	if len(out) != len(want) {
 		t.Fatalf("sanitize(%v) = %v, want %v", in, out, want)
@@ -40,8 +40,8 @@ func TestSanitizeDropsNonFiniteReadings(t *testing.T) {
 			t.Fatalf("sanitize(%v) = %v, want %v", in, out, want)
 		}
 	}
-	if got, _ := reg.Value("dyflow_sensor_dropped_samples_total"); got != 3 {
-		t.Fatalf("dyflow_sensor_dropped_samples_total = %v, want 3", got)
+	if got, _ := reg.Value("dyflow_sensor_dropped_samples_total"); got != 3 || nan != 1 || inf != 2 {
+		t.Fatalf("dyflow_sensor_dropped_samples_total = %v (nan %d, inf %d), want 3 (1, 2)", got, nan, inf)
 	}
 	// The shared staged array must not be mutated: dirty input is filtered
 	// into a copy.
@@ -55,11 +55,11 @@ func TestSanitizeDropsNonFiniteReadings(t *testing.T) {
 func TestSanitizeCleanAndUnmetered(t *testing.T) {
 	c := newSanitizeClient(t)
 	clean := []float64{4, 5}
-	if out := c.sanitize(clean); len(out) != 2 || out[0] != 4 || out[1] != 5 {
+	if out, _, _ := c.sanitize(clean); len(out) != 2 || out[0] != 4 || out[1] != 5 {
 		t.Fatalf("sanitize(%v) = %v", clean, out)
 	}
 	// No SetMetrics: the drop counter is nil and must be a no-op.
-	if out := c.sanitize([]float64{math.NaN(), 7}); len(out) != 1 || out[0] != 7 {
+	if out, _, _ := c.sanitize([]float64{math.NaN(), 7}); len(out) != 1 || out[0] != 7 {
 		t.Fatalf("unmetered sanitize = %v, want [7]", out)
 	}
 }

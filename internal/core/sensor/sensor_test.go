@@ -55,8 +55,8 @@ func (r *rig) drainMetrics(t *testing.T) []Metric {
 		if !ok {
 			return out
 		}
-		var msgs []MetricMsg
-		if err := env.Decode(&msgs); err != nil {
+		msgs, err := msg.Payload[[]MetricMsg](&env)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range msgs {

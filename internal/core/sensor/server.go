@@ -152,13 +152,14 @@ func (sv *Server) run(p *sim.Proc) {
 			return
 		}
 		buf = batch
-		for _, env := range batch {
-			if !sv.filter.Admit(env) {
+		for i := range batch {
+			env := &batch[i]
+			if !sv.filter.Admit(*env) {
 				sv.tr.Inc("monitor.dropped_batches", 1)
 				continue
 			}
-			var b Batch
-			if err := env.Decode(&b); err != nil {
+			b, err := msg.Payload[Batch](env)
+			if err != nil {
 				continue
 			}
 			sv.process(b)

@@ -367,8 +367,8 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 				if !ok {
 					break
 				}
-				var ms []MetricMsg
-				if err := env.Decode(&ms); err != nil {
+				ms, err := msg.Payload[[]MetricMsg](&env)
+				if err != nil {
 					t.Fatal(err)
 				}
 				wire = append(wire, ms...)

@@ -80,7 +80,8 @@ const (
 	GranNodeWorkflow
 )
 
-var granNames = map[Granularity]string{
+// granNames is indexed by Granularity.
+var granNames = [...]string{
 	GranTask:         "task",
 	GranNodeTask:     "node-task",
 	GranWorkflow:     "workflow",
@@ -88,17 +89,33 @@ var granNames = map[Granularity]string{
 }
 
 // String returns the XML name.
-func (g Granularity) String() string { return granNames[g] }
+func (g Granularity) String() string {
+	if g < 0 || int(g) >= len(granNames) {
+		return ""
+	}
+	return granNames[g]
+}
 
-// ParseGranularity converts an XML granularity name.
+// ParseGranularity converts an XML granularity name. The Monitor server and
+// Decision parse one per update, and those carry the canonical name, so an
+// exact match is tried before case folding and trimming.
 func ParseGranularity(name string) (Granularity, error) {
-	lo := strings.ToLower(strings.TrimSpace(name))
-	for g, n := range granNames {
-		if n == lo {
-			return g, nil
-		}
+	if g, ok := granularityNamed(name); ok {
+		return g, nil
+	}
+	if g, ok := granularityNamed(strings.ToLower(strings.TrimSpace(name))); ok {
+		return g, nil
 	}
 	return 0, fmt.Errorf("spec: unknown granularity %q", name)
+}
+
+func granularityNamed(name string) (Granularity, bool) {
+	for g, n := range granNames {
+		if n == name {
+			return Granularity(g), true
+		}
+	}
+	return 0, false
 }
 
 // Action is a high-level operation a policy suggests in response to an

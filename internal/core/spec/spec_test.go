@@ -302,6 +302,37 @@ func TestEnumRoundTrips(t *testing.T) {
 	}
 }
 
+// TestParseGranularityNames: canonical names parse without allocating,
+// mixed-case and padded names still parse, and anything else is an error.
+func TestParseGranularityNames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Granularity
+		ok   bool
+	}{
+		{"task", GranTask, true},
+		{"node-task", GranNodeTask, true},
+		{"workflow", GranWorkflow, true},
+		{"node-workflow", GranNodeWorkflow, true},
+		{"Task", GranTask, true},
+		{"NODE-TASK", GranNodeTask, true},
+		{" workflow ", GranWorkflow, true},
+		{"\tNode-Workflow\n", GranNodeWorkflow, true},
+		{"", 0, false},
+		{"node", 0, false},
+		{"tasks", 0, false},
+		{"node task", 0, false},
+	} {
+		got, err := ParseGranularity(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseGranularity(%q) = %v, %v; want %v, ok %v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ParseGranularity("node-workflow") }); n != 0 {
+		t.Errorf("exact-match ParseGranularity allocates %v times, want 0", n)
+	}
+}
+
 func TestJoinUnknownSensor(t *testing.T) {
 	xmlDoc := `
 <dyflow>

@@ -23,13 +23,12 @@ func BenchmarkSendRecv(b *testing.B) {
 	payload := benchPayload{Sensor: "PACE", Values: make([]float64, 64)}
 
 	s.Spawn("receiver", func(p *sim.Proc) {
-		var out benchPayload
 		for {
 			env, err := dst.Recv(p)
 			if err != nil {
 				return
 			}
-			if err := env.Decode(&out); err != nil {
+			if _, err := Payload[benchPayload](&env); err != nil {
 				b.Error(err)
 				return
 			}
@@ -63,7 +62,6 @@ func BenchmarkSendRecvBatch(b *testing.B) {
 
 	s.Spawn("receiver", func(p *sim.Proc) {
 		var buf []Envelope
-		var out benchPayload
 		for {
 			batch, err := dst.RecvBatch(p, buf[:0])
 			if err != nil {
@@ -71,7 +69,7 @@ func BenchmarkSendRecvBatch(b *testing.B) {
 			}
 			buf = batch
 			for i := range batch {
-				if err := batch[i].Decode(&out); err != nil {
+				if _, err := Payload[benchPayload](&batch[i]); err != nil {
 					b.Error(err)
 					return
 				}

@@ -75,7 +75,7 @@ func TestSnapshotByteDeterminism(t *testing.T) {
 }
 
 // TestRestoredEnvelopeDecode: envelopes re-queued by Restore carry only
-// JSON Data; Decode must fall back to unmarshalling, and the typed and
+// JSON Data; Payload must fall back to unmarshalling, and the typed and
 // restored paths must agree.
 func TestRestoredEnvelopeDecode(t *testing.T) {
 	s := sim.New(1)
@@ -99,8 +99,8 @@ func TestRestoredEnvelopeDecode(t *testing.T) {
 	if env.payload != nil {
 		t.Fatal("restored envelope should not carry a typed payload")
 	}
-	var got hotPayload
-	if err := env.Decode(&got); err != nil {
+	got, err := Payload[hotPayload](&env)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Sensor != sent.Sensor || got.Step != sent.Step || len(got.Values) != 2 {
@@ -119,7 +119,7 @@ func TestRestoredEnvelopeDecode(t *testing.T) {
 }
 
 // TestDecodeTypedMismatchIsError: a live payload is handed over as-is, so a
-// Decode target of another type is refused and left untouched, while the
+// Payload of another type is refused and left untouched, while the
 // same envelope, restored from its JSON form, decodes by shape.
 func TestDecodeTypedMismatchIsError(t *testing.T) {
 	s := sim.New(1)
@@ -134,15 +134,15 @@ func TestDecodeTypedMismatchIsError(t *testing.T) {
 	}
 	snap := bus.Snapshot()
 	env, _ := bus.Endpoint("b").TryRecv()
-	var loose map[string]any
-	if err := env.Decode(&loose); err == nil || loose != nil {
+	loose, err := Payload[map[string]any](&env)
+	if err == nil || loose != nil {
 		t.Fatalf("mismatched decode = %v, %v; want an error and no value", loose, err)
 	}
 
 	restored := NewBus(s)
 	restored.Restore(snap)
 	env, _ = restored.Endpoint("b").TryRecv()
-	if err := env.Decode(&loose); err != nil {
+	if loose, err = Payload[map[string]any](&env); err != nil {
 		t.Fatal(err)
 	}
 	if loose["sensor"] != "PACE" || loose["step"] != float64(7) {
@@ -218,8 +218,8 @@ func TestRecvBatchDrainsBurst(t *testing.T) {
 		}
 		handoffs = s.Handoffs() - before
 		for _, env := range batch {
-			var pl hotPayload
-			if err := env.Decode(&pl); err != nil {
+			pl, err := Payload[hotPayload](&env)
+			if err != nil {
 				t.Error(err)
 				return
 			}
@@ -276,8 +276,7 @@ func TestTypedPayloadRaceGuard(t *testing.T) {
 					}
 					buf = batch
 					for _, env := range batch {
-						var pl hotPayload
-						if env.Decode(&pl) == nil {
+						if _, err := Payload[hotPayload](&env); err == nil {
 							got++
 						}
 					}
@@ -291,4 +290,22 @@ func TestTypedPayloadRaceGuard(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
+}
+
+// TestPayloadTypedPathAllocatesNothing: handing a live payload to its
+// receiver is a type assertion — no reflect, no copy to the heap.
+func TestPayloadTypedPathAllocatesNothing(t *testing.T) {
+	env := Envelope{From: "a", payload: hotPayload{Sensor: "PACE", Step: 3, Values: []float64{1, 2}}}
+	slice := Envelope{From: "a", payload: []hotPayload{{Step: 1}, {Step: 2}}}
+	n := testing.AllocsPerRun(100, func() {
+		if p, err := Payload[hotPayload](&env); err != nil || p.Step != 3 {
+			t.Fatalf("Payload = %+v, %v", p, err)
+		}
+		if ps, err := Payload[[]hotPayload](&slice); err != nil || len(ps) != 2 {
+			t.Fatalf("Payload = %+v, %v", ps, err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("the typed Payload path allocates %v times, want 0", n)
+	}
 }

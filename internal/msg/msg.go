@@ -7,16 +7,19 @@
 // keeps the JSON wire format exactly at the checkpoint boundary (checkpoint
 // snapshots encode queued envelopes as JSON, byte-identically to the old
 // per-send encoding) but moves live delivery to a typed zero-copy path: the
-// payload value crosses the simulated wire as-is and Decode hands it to a
-// destination of the same type without a marshal/unmarshal round trip. This
-// removes the dominant cost of the simulation hot path (see DESIGN.md §14)
-// without changing what a checkpoint holds.
+// payload value crosses the simulated wire as-is and Payload[T] hands it to
+// the receiver by type assertion — no reflect, no marshal/unmarshal round
+// trip, no allocation. This removes the dominant cost of the simulation hot
+// path (see DESIGN.md §14) without changing what a checkpoint holds.
+//
+// A payload is immutable once sent, so a sender may send one payload value
+// in several envelopes (the Monitor client re-sends the batch it built for
+// an unchanged disk scan); each receiver gets the same value.
 package msg
 
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"sort"
 	"time"
 
@@ -43,24 +46,29 @@ type Envelope struct {
 	payload any
 }
 
-// Decode extracts the payload into v (a non-nil pointer). A live
-// envelope's payload is assigned to *v as-is, zero-copy, so *v must be of
-// the type the sender sent: a mismatch is an error. Restored envelopes
-// decode from their JSON Data.
-func (e *Envelope) Decode(v any) error {
-	if e.payload == nil {
-		return json.Unmarshal(e.Data, v)
+// Payload returns the envelope's payload as a T. A live payload is handed
+// over as-is, zero-copy, by type assertion, so T must be the type the sender
+// sent: a mismatch is an error. A restored envelope decodes its JSON Data
+// into a fresh T.
+func Payload[T any](e *Envelope) (T, error) {
+	if v, ok := e.payload.(T); ok {
+		return v, nil
 	}
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return fmt.Errorf("msg: Decode target must be a non-nil pointer, got %T", v)
+	return decodePayload[T](e)
+}
+
+// decodePayload is Payload's slow path: a restored envelope's JSON, or a
+// mismatch. It is kept out of line so the T it decodes into escapes here,
+// not on the typed path.
+//
+//go:noinline
+func decodePayload[T any](e *Envelope) (T, error) {
+	var v T
+	if e.payload != nil {
+		return v, fmt.Errorf("msg: payload from %q is %T, not %T", e.From, e.payload, v)
 	}
-	pv := reflect.ValueOf(e.payload)
-	if !pv.Type().AssignableTo(rv.Type().Elem()) {
-		return fmt.Errorf("msg: payload from %q is %T, not %s", e.From, e.payload, rv.Type().Elem())
-	}
-	rv.Elem().Set(pv)
-	return nil
+	err := json.Unmarshal(e.Data, &v)
+	return v, err
 }
 
 // encoded returns a copy of the envelope with Data materialized (the
@@ -109,8 +117,9 @@ func (e *Endpoint) TryRecv() (Envelope, bool) { return e.in.TryGet() }
 func (e *Endpoint) Pending() int { return e.in.Len() }
 
 // Send delivers payload to the named endpoint after the bus's configured
-// latency. The payload travels typed and unserialized: the sender must not
-// mutate it after Send, and it must be JSON-marshalable by the time a
+// latency. The payload travels typed and unserialized: neither the sender nor
+// any receiver may mutate it after Send (a sender may send the same value
+// again), and it must be JSON-marshalable by the time a
 // checkpoint snapshot is taken (a non-marshalable payload is a stage bug
 // and surfaces as a panic at Snapshot). Sending to an unknown endpoint
 // returns an error.

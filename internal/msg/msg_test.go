@@ -26,8 +26,8 @@ func TestSendRecvJSONRoundTrip(t *testing.T) {
 			t.Errorf("Recv: %v", err)
 			return
 		}
-		if err := env.Decode(&got); err != nil {
-			t.Errorf("Decode: %v", err)
+		if got, err = Payload[reading](&env); err != nil {
+			t.Errorf("Payload: %v", err)
 		}
 		at = p.Now()
 		if env.From != "client0" || env.Seq != 1 {
@@ -141,8 +141,7 @@ func TestOutOfOrderDeliveryAndFilter(t *testing.T) {
 			if !filter.Admit(env) {
 				continue
 			}
-			var r reading
-			env.Decode(&r)
+			r, _ := Payload[reading](&env)
 			admitted = append(admitted, r.Value)
 		}
 	})

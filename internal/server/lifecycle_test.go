@@ -50,8 +50,9 @@ func TestServerReleasesFinishedWorlds(t *testing.T) {
 			cfg := Config{Workers: 2, TenantQuota: -1}
 			if mode == "fleet" {
 				// A worker learns of a cancel from its next heartbeat, a
-				// third of the TTL away: this one comes inside the run.
-				cfg = Config{Workers: -1, TenantQuota: -1, LeaseTTL: 300 * time.Millisecond}
+				// third of the TTL away: this one comes well inside the run
+				// (a dt2 xgc world takes about 100–150 ms on one core).
+				cfg = Config{Workers: -1, TenantQuota: -1, LeaseTTL: 150 * time.Millisecond}
 			}
 			s, err := New(cfg)
 			if err != nil {

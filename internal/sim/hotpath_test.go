@@ -271,3 +271,32 @@ func TestDispatchHandoffCounters(t *testing.T) {
 		t.Fatalf("Handoffs() = %d, want 3", got)
 	}
 }
+
+// TestWaitBroadcastAllocatesNothing: a Wait registers the process on the
+// signal itself, not through a cancel closure, so a Wait/Broadcast round
+// trip — what every blocking Queue.Get/GetAll pays — allocates nothing.
+func TestWaitBroadcastAllocatesNothing(t *testing.T) {
+	s := New(1)
+	sig := NewSignal(s)
+	wakes := 0
+	s.Spawn("waiter", func(p *Proc) {
+		for p.Wait(sig) == nil {
+			wakes++
+		}
+	})
+	if err := s.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		sig.Broadcast()
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("Wait/Broadcast round trip allocates %v times, want 0", n)
+	}
+	if wakes != 101 {
+		t.Fatalf("waiter woke %d times, want 101", wakes)
+	}
+}

@@ -44,10 +44,10 @@ type Proc struct {
 	// claim is recorded in pendingWake so a later claimant (Interrupt,
 	// Stop) can supersede the scheduled wake instead of double-resuming.
 	parked      bool
-	cancelWait  func() // deregisters the proc from whatever it waits on
-	wakeEvent   *Event // pending timer wake (Sleep), if any
-	pendingWake *Event // scheduled wake event claiming this proc, if any
-	pending     error  // interrupt delivered while the proc was runnable
+	waitSig     *Signal // the signal a Wait is registered on, if any
+	wakeEvent   *Event  // pending timer wake (Sleep), if any
+	pendingWake *Event  // scheduled wake event claiming this proc, if any
+	pending     error   // interrupt delivered while the proc was runnable
 
 	doneSig *Signal
 	body    func(*Proc)
@@ -165,9 +165,9 @@ func (p *Proc) scheduleWake(err error) {
 	if p.done || !p.parked {
 		return
 	}
-	if p.cancelWait != nil {
-		p.cancelWait()
-		p.cancelWait = nil
+	if p.waitSig != nil {
+		p.waitSig.dequeue(p)
+		p.waitSig = nil
 	}
 	if p.wakeEvent != nil {
 		p.sim.cancelInternal(p.wakeEvent)
@@ -197,9 +197,9 @@ func (p *Proc) unwind() {
 	if p.done || (!p.parked && p.pendingWake == nil) {
 		return
 	}
-	if p.cancelWait != nil {
-		p.cancelWait()
-		p.cancelWait = nil
+	if p.waitSig != nil {
+		p.waitSig.dequeue(p)
+		p.waitSig = nil
 	}
 	if p.wakeEvent != nil {
 		p.sim.cancelInternal(p.wakeEvent)
@@ -217,9 +217,9 @@ func (p *Proc) unwind() {
 // context, directly from step: a Sleep costs one pooled event and one
 // handoff, with no trampoline closure or second wake event.
 func (p *Proc) timerFire() {
-	if p.cancelWait != nil {
-		p.cancelWait()
-		p.cancelWait = nil
+	if p.waitSig != nil {
+		p.waitSig.dequeue(p)
+		p.waitSig = nil
 	}
 	p.parked = false
 	p.handoff(nil)
@@ -227,13 +227,12 @@ func (p *Proc) timerFire() {
 
 // block parks the process until a wake arrives: it yields the coroutine to
 // the kernel, and the kernel's next resumeWith switches back with the wake
-// value in p.wake. register runs in process context before yielding and
-// must arrange a future wake (a timer via p.wakeEvent, or a wait-list entry
-// whose waker calls scheduleWake); cancel (which may be nil) must undo the
-// wait-list registration. block returns the wake value: nil for a normal
-// wake, an ErrInterrupted-wrapped error for interrupts, or ErrStopped at
-// shutdown.
-func (p *Proc) block(register func(), cancel func()) error {
+// value in p.wake. The wake it arranges is sig's next Broadcast (a Wait),
+// or — sig nil — a timer d from now (a Sleep). Every wake path dequeues the
+// process from p.waitSig, so a Wait registers no closure and allocates
+// nothing. block returns the wake value: nil for a normal wake, an
+// ErrInterrupted-wrapped error for interrupts, or ErrStopped at shutdown.
+func (p *Proc) block(sig *Signal, d time.Duration) error {
 	if p.sim.current != p {
 		panic(fmt.Sprintf("sim: blocking call on process %q from outside its goroutine", p.name))
 	}
@@ -245,9 +244,16 @@ func (p *Proc) block(register func(), cancel func()) error {
 		p.pending = nil
 		return err
 	}
-	register()
+	if sig != nil {
+		sig.enqueue(p)
+		p.waitSig = sig
+	} else {
+		e := p.sim.newEvent(p.sim.now + d)
+		e.kind = evTimer
+		e.proc = p
+		p.wakeEvent = e
+	}
 	p.parked = true
-	p.cancelWait = cancel
 	p.sim.current = nil
 	p.yield(struct{}{}) // give the baton back; returns at the next wake
 	return p.wake
@@ -273,15 +279,7 @@ func (p *Proc) Sleep(d time.Duration) error {
 	if d < 0 {
 		d = 0
 	}
-	return p.block(
-		func() {
-			e := p.sim.newEvent(p.sim.now + d)
-			e.kind = evTimer
-			e.proc = p
-			p.wakeEvent = e
-		},
-		nil,
-	)
+	return p.block(nil, d)
 }
 
 // SleepUninterruptible suspends the process for d of virtual time, absorbing
@@ -351,8 +349,5 @@ func (p *Proc) Join(other *Proc) error {
 // Wait blocks until sig is broadcast. It returns nil on a broadcast wake, or
 // the interrupt/stop error delivered while waiting.
 func (p *Proc) Wait(sig *Signal) error {
-	return p.block(
-		func() { sig.enqueue(p) },
-		func() { sig.dequeue(p) },
-	)
+	return p.block(sig, 0)
 }
