@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify chaos chaos-restart restore-soak suites-check suites-golden chaos-net bench bench-check mem-gate exec-gate read-gate perf examples
+.PHONY: build test vet race verify chaos chaos-restart restore-soak suites-check suites-golden chaos-net fuzz-smoke bench bench-check mem-gate exec-gate read-gate perf examples
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,19 @@ restore-soak:
 # the lease TTL that must complete without a requeue.
 chaos-net:
 	$(GO) test -race -count=1 -run 'TestChaosNet' ./internal/server/loadgen/
+
+# Every fuzz target under internal/ for five seconds each, beyond the seed
+# corpus `go test` already runs: a short search for a new input, not a
+# campaign. Targets are listed with `go test -list`, so a new Fuzz* function
+# is picked up without touching this rule; an input that fails is written to
+# its package's testdata/fuzz/ as `go test -fuzz` does.
+fuzz-smoke:
+	@set -e; for pkg in $$($(GO) list ./internal/...); do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "fuzz-smoke: $$pkg $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 5s $$pkg; \
+		done; \
+	done
 
 # Every micro-benchmark in the tree, as plain `go test -bench` output: the
 # observability hot paths, the DES kernel (DESIGN.md §14), the bus, the

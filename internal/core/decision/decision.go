@@ -293,7 +293,7 @@ func (e *Engine) run(p *sim.Proc) {
 			}
 			ingested := 0
 			for _, w := range msgs {
-				m, err := sensor.FromMsg(w)
+				m, err := sensor.FromMsg(w, env.SentAt)
 				if err != nil {
 					continue
 				}

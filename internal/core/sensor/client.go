@@ -87,9 +87,9 @@ const (
 // a worker is sleeping out a read/decode cost for. Checkpointed so a
 // restored worker ships it at the original instant instead of losing it.
 type PendingShip struct {
-	Readings []float64 `json:"readings"`
-	Step     int       `json:"step"`
-	GenAt    sim.Time  `json:"gen_at"`
+	Readings Readings `json:"readings"`
+	Step     int      `json:"step"`
+	GenAt    sim.Time `json:"gen_at"`
 
 	// scan and gen name the DISKSCAN extraction Readings is, at its watch
 	// generation: what ship compares to decide a re-send. scan is nil for
@@ -497,15 +497,22 @@ type scanKey struct{ pattern, info string }
 // a watched pattern. It stays valid until the watch's generation moves —
 // the thousands of polls between two output files re-ship it without
 // touching a path, and each worker re-sends the batch it built from it (see
-// ship). The readings slice is shared with in-flight shipments, so a
-// refresh builds a new one instead of overwriting it.
+// ship). When the watch only gained files at the tail since the extraction,
+// refresh extends it over the new files alone.
+//
+// readings is shared with in-flight shipments: it is handed out as
+// buf[:n:n], an extension appends past n into buf, and a full rebuild
+// starts a new buf, so no reading a shipment holds is ever overwritten.
 type diskScan struct {
 	watch *fsim.Watch
 	info  string
 	// gen is the watch generation the extraction was taken at; it starts
 	// at a value no watch reaches, so the first poll extracts.
 	gen uint64
+	// seen is the number of watched files the extraction covers.
+	seen int
 
+	buf      []float64
 	readings []float64
 	step     int
 	genAt    sim.Time
@@ -525,31 +532,37 @@ func (c *Client) scanFor(pattern, info string) *diskScan {
 	return sc
 }
 
-// refresh re-extracts the readings if a matching file changed since the
-// last extraction: the variable's value per file in path order, the newest
-// mtime and the highest step among the files carrying it.
+// refresh brings the extraction up to the watch's generation: the
+// variable's value per file in path order, the newest mtime and the highest
+// step among the files carrying it. If every mutation since the extraction
+// was a tail append, the files it covers are unchanged and only the new
+// ones are read; any other mutation re-reads every file.
 func (sc *diskScan) refresh() {
-	if sc.gen == sc.watch.Gen() {
+	w := sc.watch
+	if sc.gen == w.Gen() {
 		return
 	}
-	readings := make([]float64, 0, len(sc.readings)+1)
-	var step int
-	var genAt sim.Time
-	sc.watch.Visit(func(f *fsim.File) {
+	if sc.gen > w.Gen() || sc.gen < w.Rewritten() {
+		// The first extraction, or a file it covers changed: re-read all
+		// into a new array, leaving the old one to the shipments holding it.
+		sc.buf, sc.seen, sc.step, sc.genAt = make([]float64, 0, len(sc.buf)+1), 0, 0, 0
+	}
+	w.Visit(sc.seen, func(f *fsim.File) {
 		v, found := f.Vars[sc.info]
 		if !found {
 			return
 		}
-		readings = append(readings, v)
-		if f.MTime > genAt {
-			genAt = f.MTime
+		sc.buf = append(sc.buf, v)
+		if f.MTime > sc.genAt {
+			sc.genAt = f.MTime
 		}
-		if s := int(f.Vars["step"]); s > step {
-			step = s
+		if s := int(f.Vars["step"]); s > sc.step {
+			sc.step = s
 		}
 	})
-	sc.readings, sc.step, sc.genAt = readings, step, genAt
-	sc.gen = sc.watch.Gen()
+	n := len(sc.buf)
+	sc.readings = sc.buf[:n:n]
+	sc.seen, sc.gen = w.Len(), w.Gen()
 }
 
 // ship formulates the client-side granularities from a pending shipment's

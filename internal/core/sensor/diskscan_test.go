@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -76,29 +77,45 @@ func fullScanPoll(fs *fsim.FS, pattern, info string) (readings []float64, step i
 	return readings, step, genAt, len(readings) > 0
 }
 
-// TestDiskScanPollEqualsFullScan: under a seeded interleaving of writes,
-// variable updates and removals — on matching and non-matching paths, with
-// idle stretches in between — every poll returns exactly what a full scan
-// would, for both variables polled over the same pattern.
-func TestDiskScanPollEqualsFullScan(t *testing.T) {
+// diskScanDrive runs ops seeded filesystem operations, one per virtual
+// second, drawing each from next(n) ∈ [0, n), and after each checks that a
+// poll of both variables read over the same pattern returns exactly what a
+// full scan would. The operations are writes, variable updates and
+// removals on a fixed set of matching and non-matching paths — which sort
+// before the files appended later, so a write there creates or rewrites
+// mid-list — and appends at the tail: files of rising "%05d" step carrying
+// one variable, the other, or neither, and non-matching files beside
+// them. Most steps change nothing and the poll answers from its extraction.
+func diskScanDrive(t testing.TB, ops int, next func(n int) int) {
 	r := newScanRig(t)
-	rng := rand.New(rand.NewSource(14))
 	errUse := spec.SensorUse{SensorID: r.use.SensorID, Info: "errnorm"}
 	paths := []string{"out/xgc1.00001.bp", "out/xgc1.00002.bp", "out/xgc1.00003.bp", "out/xgca.00001.bp", "out/xgc1.bp", "progress/fusion"}
-	for op := 0; op < 2000; op++ {
+	tail := 10 // the next appended step; every fixed path sorts before it
+	for op := 0; op < ops; op++ {
 		if err := r.s.Run(sim.Time(op+1) * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		p := paths[rng.Intn(len(paths))]
-		switch rng.Intn(8) {
+		p := paths[next(len(paths))]
+		switch next(12) {
 		case 0:
-			r.fs.Write(p, 1, map[string]float64{"step": float64(rng.Intn(500))})
+			r.fs.Write(p, 1, map[string]float64{"step": float64(next(500))})
 		case 1:
-			r.fs.Write(p, 1, map[string]float64{"errnorm": rng.Float64()})
+			r.fs.Write(p, 1, map[string]float64{"errnorm": float64(next(1000)) / 1000})
 		case 2:
 			r.fs.WriteVar(p, "step", float64(op))
 		case 3:
 			r.fs.Remove(p)
+		case 4, 5:
+			vars := []map[string]float64{
+				{"step": float64(tail)},
+				{"step": float64(tail), "errnorm": float64(next(1000)) / 1000},
+				{"errnorm": float64(next(1000)) / 1000},
+				{"size": 1},
+			}[next(4)]
+			r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", tail), 1, vars)
+			tail += 1 + next(3)
+		case 6:
+			r.fs.Write(fmt.Sprintf("out/xgca.%05d.bp", tail), 1, map[string]float64{"step": float64(tail)})
 		default: // nothing changed: the poll answers from the cache
 		}
 		for _, use := range []spec.SensorUse{r.use, errUse} {
@@ -116,6 +133,38 @@ func TestDiskScanPollEqualsFullScan(t *testing.T) {
 	if len(r.c.scans) != 2 {
 		t.Fatalf("client holds %d extractions, want one per (pattern, info) = 2", len(r.c.scans))
 	}
+}
+
+// TestDiskScanPollEqualsFullScan: under a seeded interleaving of writes,
+// variable updates and removals — on matching and non-matching paths, mid-
+// list and appended at the tail, with idle stretches in between — every
+// poll returns exactly what a full scan would, for both variables polled
+// over the same pattern.
+func TestDiskScanPollEqualsFullScan(t *testing.T) {
+	for seed := int64(14); seed < 17; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		diskScanDrive(t, 1500, rng.Intn)
+	}
+}
+
+// FuzzDiskScanPoll is the same comparison over fuzzer-chosen operations:
+// each input byte is one draw, and an exhausted input draws n-1, which
+// changes nothing.
+func FuzzDiskScanPoll(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 4, 1, 5, 2, 4, 0, 0, 3, 5, 1, 2, 4, 3, 0, 6, 5, 0, 1, 1})
+	f.Add([]byte("\x00\x04\x00\x00\x02\x03\x05\x01\x01\x00\x00\x04\x02\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func(n int) int {
+			if len(data) == 0 {
+				return n - 1
+			}
+			v := int(data[0]) % n
+			data = data[1:]
+			return v
+		}
+		diskScanDrive(t, 200, next)
+	})
 }
 
 // TestDiskScanPollSharedByWorkers: NSTEPS and LAG read the same variable
@@ -141,9 +190,11 @@ func TestDiskScanPollSharedByWorkers(t *testing.T) {
 }
 
 // TestDiskScanPollAllocations pins the cost model: a poll over an unchanged
-// filesystem allocates at most the readings it hands to ship, and a poll
-// after a change allocates a constant amount whatever the file count.
+// filesystem allocates at most the readings it hands to ship, a poll after
+// a change allocates a constant number of times whatever the file count,
+// and a poll after a tail append allocates bytes that do not grow with it.
 func TestDiskScanPollAllocations(t *testing.T) {
+	perPoll := map[int]float64{}
 	for _, files := range []int{10, 1000} {
 		r := newScanRig(t)
 		r.populate(files)
@@ -164,20 +215,44 @@ func TestDiskScanPollAllocations(t *testing.T) {
 		}); n > 2 {
 			t.Errorf("files=%d: poll after a change allocates %v times, want O(1)", files, n)
 		}
+		// A poll after each of 512 appended output files: only the new
+		// file is read, and its reading lands in the extraction's backing
+		// array, which grows geometrically.
+		r.poll()
+		const appends = 512
+		var ms runtime.MemStats
+		var bytes uint64
+		for i := 0; i < appends; i++ {
+			r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", files+i), 1, map[string]float64{"step": float64(files + i)})
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if readings, _, _, _ := r.poll(); len(readings) != files+i+1 {
+				t.Fatalf("files=%d: poll after append %d read %d files", files, i, len(readings))
+			}
+			runtime.ReadMemStats(&ms)
+			bytes += ms.TotalAlloc - before
+		}
+		perPoll[files] = float64(bytes) / appends
 	}
+	// A full re-read of 1 000 files allocates 8 KB; the appended polls are
+	// bounded by the same small constant at both sizes.
+	for files, b := range perPoll {
+		if b > 64 {
+			t.Errorf("files=%d: a poll after a tail append allocates %.1f B, want <= 64 whatever the file count", files, b)
+		}
+	}
+	t.Logf("bytes per poll after a tail append: %v", perPoll)
 }
 
 // BenchmarkDiskScanPoll measures one DISKSCAN poll against filesystems of
 // growing size: "unchanged" is the steady state between two output files,
-// "changed" re-extracts after a matching file was rewritten. files/op is
-// the number of files the pattern matches (a third of the filesystem).
+// "changed" re-extracts after a matching file was rewritten, "appended"
+// writes a new output file that sorts after every other and polls — the
+// write's own cost included. files/op is the number of files the pattern
+// matches (a third of the filesystem) before the run.
 func BenchmarkDiskScanPoll(b *testing.B) {
 	for _, files := range []int{10, 100, 1000} {
-		for _, changed := range []bool{false, true} {
-			mode := "unchanged"
-			if changed {
-				mode = "changed"
-			}
+		for _, mode := range []string{"unchanged", "changed", "appended"} {
 			b.Run(fmt.Sprintf("files=%d/%s", files, mode), func(b *testing.B) {
 				r := newScanRig(b)
 				r.populate(files)
@@ -185,11 +260,17 @@ func BenchmarkDiskScanPoll(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if changed {
+					want := files
+					switch mode {
+					case "changed":
 						r.fs.WriteVar("out/xgc1.00000.bp", "step", float64(i))
+					case "appended":
+						// "x" sorts after every populated "%05d" step.
+						r.fs.Write(fmt.Sprintf("out/xgc1.x%09d.bp", i), 1, map[string]float64{"step": float64(files + i)})
+						want = files + i + 1
 					}
-					if readings, _, _, ok := r.poll(); !ok || len(readings) != files {
-						b.Fatalf("poll read %d files, want %d", len(readings), files)
+					if readings, _, _, ok := r.poll(); !ok || len(readings) != want {
+						b.Fatalf("poll read %d files, want %d", len(readings), want)
 					}
 				}
 				b.ReportMetric(float64(files), "files/op")

@@ -1,6 +1,7 @@
 package sensor
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -61,5 +62,48 @@ func TestSanitizeCleanAndUnmetered(t *testing.T) {
 	// No SetMetrics: the drop counter is nil and must be a no-op.
 	if out, _, _ := c.sanitize([]float64{math.NaN(), 7}); len(out) != 1 || out[0] != 7 {
 		t.Fatalf("unmetered sanitize = %v, want [7]", out)
+	}
+}
+
+// TestPendingShipEncodesNonFiniteReadings: a pending shipment's raw
+// readings survive a JSON round trip bit for bit, NaN and ±Inf included,
+// and finite readings encode exactly as a []float64 does — so a checkpoint
+// without a non-finite reading is byte for byte what it was.
+func TestPendingShipEncodesNonFiniteReadings(t *testing.T) {
+	for _, rs := range []Readings{nil, {}, {1, -0.5, 1e300, 3}, {math.NaN(), 2, math.Inf(1), math.Inf(-1), -0.0}} {
+		data, err := json.Marshal(PendingShip{Readings: rs, Step: 4, GenAt: 5})
+		if err != nil {
+			t.Fatalf("%v: %v", rs, err)
+		}
+		finite := true
+		for _, v := range rs {
+			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+		}
+		if finite {
+			plain, _ := json.Marshal(struct {
+				Readings []float64 `json:"readings"`
+				Step     int       `json:"step"`
+				GenAt    sim.Time  `json:"gen_at"`
+			}{rs, 4, 5})
+			if string(data) != string(plain) {
+				t.Errorf("finite readings encode as %s, a []float64 as %s", data, plain)
+			}
+		}
+		var back PendingShip
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("%s: %v", data, err)
+		}
+		if (back.Readings == nil) != (rs == nil) || len(back.Readings) != len(rs) {
+			t.Fatalf("%s decoded to %v, want %v", data, back.Readings, rs)
+		}
+		for i := range rs {
+			if math.Float64bits(back.Readings[i]) != math.Float64bits(rs[i]) && !(math.IsNaN(rs[i]) && math.IsNaN(back.Readings[i])) {
+				t.Fatalf("%s decoded to %v, want %v", data, back.Readings, rs)
+			}
+		}
+	}
+	var r Readings
+	if err := json.Unmarshal([]byte(`[1,"inf"]`), &r); err == nil {
+		t.Errorf(`a reading "inf" decoded to %v, want an error`, r)
 	}
 }

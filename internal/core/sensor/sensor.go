@@ -73,7 +73,9 @@ type Metric struct {
 	ObservedAt  sim.Time // when the server forwarded the metric
 }
 
-// MetricMsg is the JSON form of a Metric on the server->decision link.
+// MetricMsg is the JSON form of a Metric on the server->decision link. It
+// carries no ObservedAt: the server stamps every metric it forwards with
+// the instant it sends them, which the envelope carries as SentAt.
 type MetricMsg struct {
 	Workflow    string  `json:"workflow"`
 	Task        string  `json:"task,omitempty"`
@@ -83,7 +85,6 @@ type MetricMsg struct {
 	Value       float64 `json:"value"`
 	Step        int     `json:"step,omitempty"`
 	GeneratedAt int64   `json:"generated_at"`
-	ObservedAt  int64   `json:"observed_at"`
 }
 
 // ToMsg converts a Metric for the wire.
@@ -97,12 +98,12 @@ func (m Metric) ToMsg() MetricMsg {
 		Value:       m.Value,
 		Step:        m.Step,
 		GeneratedAt: int64(m.GeneratedAt),
-		ObservedAt:  int64(m.ObservedAt),
 	}
 }
 
-// FromMsg converts a wire message back to a Metric.
-func FromMsg(w MetricMsg) (Metric, error) {
+// FromMsg converts a wire message back to a Metric observed at sentAt, the
+// SentAt of the envelope that carried it.
+func FromMsg(w MetricMsg, sentAt sim.Time) (Metric, error) {
 	g, err := spec.ParseGranularity(w.Granularity)
 	if err != nil {
 		return Metric{}, err
@@ -118,7 +119,7 @@ func FromMsg(w MetricMsg) (Metric, error) {
 		Value:       w.Value,
 		Step:        w.Step,
 		GeneratedAt: sim.Time(w.GeneratedAt),
-		ObservedAt:  sim.Time(w.ObservedAt),
+		ObservedAt:  sentAt,
 	}, nil
 }
 

@@ -60,7 +60,7 @@ func (r *rig) drainMetrics(t *testing.T) []Metric {
 			t.Fatal(err)
 		}
 		for _, w := range msgs {
-			m, err := FromMsg(w)
+			m, err := FromMsg(w, env.SentAt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package sensor
 
 import (
+	"math"
 	"slices"
 	"strings"
 
@@ -57,6 +58,9 @@ type series struct {
 	hasGen bool
 	lag    *stats.Welford // the sensor's lag accumulator, once it detected
 	group  *group         // a task or node-task series' derivation group
+	// sent is the []MetricMsg process last sent for a forward list headed
+	// by this series, boxed for the bus.
+	sent any
 }
 
 // groupKey names the series one derivation reduces: a workflow's task
@@ -216,11 +220,8 @@ func (sv *Server) process(batch Batch) {
 	if len(out) == 0 {
 		return
 	}
-	// msgs is fresh per send: the bus hands it to Decision by reference.
-	msgs := make([]MetricMsg, len(out))
 	detections := 0
 	for i, m := range out {
-		msgs[i] = m.ToMsg()
 		s := outS[i]
 		if s.hasGen && s.gen == m.GeneratedAt {
 			// Stale re-poll: not a detection event, for the forwarded
@@ -245,7 +246,43 @@ func (sv *Server) process(batch Batch) {
 	if sv.onForward != nil {
 		sv.onForward(out)
 	}
-	sv.ep.Send(sv.out, msgs)
+	sv.ep.Send(sv.out, sv.payload(out, outS[0]))
+}
+
+// payload returns the wire form of a forward list. The payload the list's
+// first series last headed is sent again when every message of it equals
+// the list element by element — a stale re-poll of unchanged data, most
+// forwards of a disk-scanned world — and a changed list gets a fresh
+// []MetricMsg, which the bus hands to Decision by reference. The wire
+// carries no ObservedAt: Decision takes it from the envelope's SentAt,
+// which is the instant the server stamps every metric with.
+func (sv *Server) payload(out []Metric, head *series) any {
+	if prev, _ := head.sent.([]MetricMsg); len(prev) == len(out) {
+		same := true
+		for i := range out {
+			if !sameMsg(out[i].ToMsg(), prev[i]) {
+				same = false
+				break
+			}
+		}
+		if same {
+			return head.sent
+		}
+	}
+	msgs := make([]MetricMsg, len(out))
+	for i, m := range out {
+		msgs[i] = m.ToMsg()
+	}
+	head.sent = msgs
+	return head.sent
+}
+
+// sameMsg reports whether two wire messages encode alike: equal fields,
+// and values of equal bits (a -0 is not a 0 on the wire).
+func sameMsg(a, b MetricMsg) bool {
+	va, vb := math.Float64bits(a.Value), math.Float64bits(b.Value)
+	a.Value, b.Value = 0, 0
+	return a == b && va == vb
 }
 
 // lookup returns the series for k, creating an empty one on first use.

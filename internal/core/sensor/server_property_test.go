@@ -294,17 +294,21 @@ func genBatch(rng *rand.Rand, now sim.Time, prevGen map[string]time.Duration) Ba
 }
 
 // TestProperty_ServerDerive_EqualsScan: over seeded batch sequences —
-// tasks, nodes, joins, stale re-polls, and a snapshot/restore midway — the
+// tasks, nodes, joins, stale re-polls, batches re-sent unchanged as a
+// client re-sends a stale disk scan's, and a snapshot/restore midway — the
 // indexed server forwards what the walk-every-series reference forwards,
-// puts the same messages on the wire, and ends with the same counters, lag
-// statistics and snapshot bytes. Decision is drained only every few
-// batches, so messages sent earlier are still in its queue when the server
-// builds the next ones.
+// puts the same messages on the wire, Decision reads the reference's
+// metrics off them (ObservedAt from the envelope's SentAt), and the server
+// ends with the same counters, lag statistics and snapshot bytes. Decision
+// is drained only every few batches, so messages sent earlier are still in
+// its queue when the server builds the next ones — and when it re-sends
+// one of them.
 func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 	cfg, err := spec.CompileString(deriveCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	envelopes, resent := 0, 0
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := sim.New(seed)
@@ -319,7 +323,10 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 		sv.OnForward(func(ms []Metric) { got = append(got, ms...) })
 		ref := newRefServer(cfg)
 		var wantMsgs []MetricMsg
+		var wantMetrics []Metric
 		prevGen := map[string]time.Duration{}
+		var batch Batch
+		sent := map[*MetricMsg]bool{} // the payloads Decision received
 
 		const batches = 80
 		for i := 0; i < batches; i++ {
@@ -347,10 +354,13 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 					t.Fatalf("%s: snapshot after restore differs:\n%s\nwas\n%s", step, after, before)
 				}
 			}
-			batch := genBatch(rng, s.Now(), prevGen)
+			if i == 0 || rng.Intn(3) != 0 {
+				batch = genBatch(rng, s.Now(), prevGen)
+			} // else the client re-sends its last batch, unchanged
 			sv.process(batch)
 			out, msgs := ref.process(batch, s.Now())
 			wantMsgs = append(wantMsgs, msgs...)
+			wantMetrics = append(wantMetrics, out...)
 			if (len(got) > 0 || len(out) > 0) && !reflect.DeepEqual(got, out) {
 				t.Fatalf("%s: forwarded %v, reference %v", step, got, out)
 			}
@@ -362,6 +372,7 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			var wire []MetricMsg
+			var metrics []Metric
 			for {
 				env, ok := dec.TryRecv()
 				if !ok {
@@ -371,12 +382,27 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				envelopes++
+				if sent[&ms[0]] {
+					resent++
+				}
+				sent[&ms[0]] = true
 				wire = append(wire, ms...)
+				for _, w := range ms {
+					m, err := FromMsg(w, env.SentAt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					metrics = append(metrics, m)
+				}
 			}
 			if (len(wire) > 0 || len(wantMsgs) > 0) && !reflect.DeepEqual(wire, wantMsgs) {
 				t.Fatalf("%s: Decision received %v, reference sent %v", step, wire, wantMsgs)
 			}
-			wantMsgs = wantMsgs[:0]
+			if (len(metrics) > 0 || len(wantMetrics) > 0) && !reflect.DeepEqual(metrics, wantMetrics) {
+				t.Fatalf("%s: Decision read %v, reference forwarded %v", step, metrics, wantMetrics)
+			}
+			wantMsgs, wantMetrics = wantMsgs[:0], wantMetrics[:0]
 		}
 
 		if fw, rp := tr.Counter("monitor.forwarded"), tr.Counter("monitor.repolled"); fw != int64(ref.forwarded) || rp != int64(ref.repolled) {
@@ -402,5 +428,61 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 		if string(gotSnap) != string(wantSnap) {
 			t.Fatalf("seed %d: snapshot\n%s\nreference\n%s", seed, gotSnap, wantSnap)
 		}
+	}
+	if resent == 0 || resent >= envelopes {
+		t.Fatalf("%d of %d envelopes re-sent a payload; the drive must exercise both paths", resent, envelopes)
+	}
+	t.Logf("%d envelopes, %d re-sent", envelopes, resent)
+}
+
+// TestStaleForwardAllocatesNothing: the server side of a stale re-poll —
+// a client re-sending the batch of an unchanged disk scan, whose task
+// series and derived workflow series both forward the values they last
+// did — re-sends the payload it built then: processing the batch, the
+// counters and the delivery to Decision make no allocation.
+func TestStaleForwardAllocatesNothing(t *testing.T) {
+	cfg, err := spec.CompileString(nstepsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New(1)
+	bus := msg.NewBus(s)
+	dec := bus.Endpoint("decision")
+	var buf []msg.Envelope
+	s.Spawn("decision", func(p *sim.Proc) {
+		for {
+			batch, err := dec.RecvBatch(p, buf[:0])
+			if err != nil {
+				return
+			}
+			buf = batch
+		}
+	})
+	sv := NewServer(s, bus, "monitor-server", "decision", cfg)
+	sv.SetTracer(trace.New())
+	batch := Batch{Client: "client0", Updates: []Update{{
+		Workflow: "FUSION", Task: "XGC1", Sensor: "NSTEPS", Granularity: "task",
+		Value: 374, Step: 374, GeneratedAt: time.Second,
+	}}}
+	forward := func() {
+		sv.process(batch)
+		if err := s.Run(s.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forward()
+	forward()
+	if n := testing.AllocsPerRun(100, forward); n != 0 {
+		t.Errorf("a stale forward allocates %v times, want 0", n)
+	}
+	if got := len(buf); got != 1 {
+		t.Fatalf("Decision drained %d envelopes in the last wake, want 1", got)
+	}
+	ms, err := msg.Payload[[]MetricMsg](&buf[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 2 || ms[0].Granularity != "task" || ms[1].Granularity != "workflow" || ms[1].Value != 374 {
+		t.Fatalf("the stale forward carried %+v, want the task and the workflow series at 374", ms)
 	}
 }

@@ -332,12 +332,10 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 			running = false
 		case 2, 3:
 			// Mid-read whenever a shipment is owed: the restored worker
-			// ships the checkpoint's copy. JSON has no NaN or ±Inf, so an
-			// owed shipment holding one cannot be checkpointed; that step
-			// restores nothing.
+			// ships the checkpoint's copy, NaN and ±Inf readings included.
 			data, err := json.Marshal(c.Snapshot())
 			if err != nil {
-				continue
+				t.Fatal(err)
 			}
 			var snap ClientSnapshot
 			if err := json.Unmarshal(data, &snap); err != nil {

@@ -14,6 +14,13 @@
 // keeps its own path-sorted list of the entries its pattern matches,
 // maintained by the same mutations, so Watch.Visit matches no path at all.
 //
+// Appends: a watch also tells a tail append — a created file that sorts
+// after every file it already holds, as rising "%05d" output steps do —
+// apart from every other mutation. Between two generations joined only by
+// tail appends, the files the watch held at the first are its first files
+// at the second, unchanged, so a poller that extracted them once reads only
+// the new ones (Watch.Rewritten, Watch.Visit's from).
+//
 // Copies: Stat and Glob return defensive copies the caller owns. Lookup and
 // the scan visitor hand out the live entry instead: it is read-only, must
 // not be retained, and is valid only until the next Write, WriteVar or
@@ -84,7 +91,8 @@ const (
 )
 
 // touch advances the generation of every watch whose pattern matches f's
-// path, and adds f to (created) or cuts it from (removed) their lists.
+// path, and adds f to (created) or cuts it from (removed) their lists. Any
+// mutation but a creation at the end of a list marks that watch rewritten.
 func (fs *FS) touch(f *File, c change) {
 	for _, w := range fs.watches {
 		if !w.pat.Match(f.Path) {
@@ -93,10 +101,17 @@ func (fs *FS) touch(f *File, c change) {
 		w.gen++
 		switch c {
 		case created:
-			w.files = slices.Insert(w.files, search(w.files, f.Path), f)
+			i := search(w.files, f.Path)
+			if i < len(w.files) {
+				w.rewritten = w.gen
+			}
+			w.files = slices.Insert(w.files, i, f)
 		case removed:
 			i := search(w.files, f.Path)
 			w.files = slices.Delete(w.files, i, i+1)
+			w.rewritten = w.gen
+		default:
+			w.rewritten = w.gen
 		}
 	}
 }
@@ -308,11 +323,17 @@ func matchSegs(segs []string, name string) (bool, error) {
 // Watch is a scan pattern registered with a filesystem. Its generation
 // advances whenever a file the pattern matches is written, updated or
 // removed, so a poller can tell "nothing I read has changed" without
-// rescanning; and it holds the live entries the pattern matches, so a
-// poller that must re-read walks exactly those.
+// rescanning; it holds the live entries the pattern matches, so a poller
+// that must re-read walks exactly those; and it records the generation of
+// its last mutation that was not a tail append, so a poller whose read is
+// at least that recent re-reads only the files added since.
 type Watch struct {
 	pat *Pattern
 	gen uint64
+	// rewritten is the generation of the last mutation that was not a tail
+	// append: an update, a removal, or a creation that sorts before the
+	// last entry. 0 until the first such mutation.
+	rewritten uint64
 	// files holds the live entries pat matches, sorted by path: filled by
 	// one scan at registration, then kept by touch.
 	files []*File
@@ -335,11 +356,20 @@ func (fs *FS) Watch(pat *Pattern) *Watch {
 // Gen returns the watch's current generation.
 func (w *Watch) Gen() uint64 { return w.gen }
 
-// Visit calls fn with the live entry of every file matching the watched
-// pattern, in ascending path order. See the package comment for what fn
-// may do with the entry.
-func (w *Watch) Visit(fn func(*File)) {
-	for _, f := range w.files {
+// Rewritten returns the generation of the watch's last mutation that was
+// not a tail append. A read taken at generation g >= Rewritten() saw the
+// files that are still the watch's first ones, unchanged: every mutation
+// since g appended a file after them.
+func (w *Watch) Rewritten() uint64 { return w.rewritten }
+
+// Len returns the number of files the watched pattern matches.
+func (w *Watch) Len() int { return len(w.files) }
+
+// Visit calls fn with the live entry of every matching file from the
+// from-th on (0 for all of them), in ascending path order. See the package
+// comment for what fn may do with the entry.
+func (w *Watch) Visit(from int, fn func(*File)) {
+	for _, f := range w.files[from:] {
 		fn(f)
 	}
 }

@@ -230,6 +230,11 @@ func checkAgainstReference(t *testing.T, step string, fs *FS, ref refFS, pattern
 	}
 }
 
+// sameFiles is reflect.DeepEqual that takes a nil list for an empty one.
+func sameFiles(a, b []*File) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
+}
+
 func paths(files []*File) []string {
 	out := make([]string, len(files))
 	for i, f := range files {
@@ -239,6 +244,7 @@ func paths(files []*File) []string {
 }
 
 func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
+	appends := 0 // tail appends a watch saw
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := sim.New(seed)
@@ -251,11 +257,14 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 		}
 		// Watches over the well-formed patterns, with the reference view
 		// each last agreed with: the generation must move whenever that
-		// view does, and only when an operation named a matching path.
+		// view does, and only when an operation named a matching path. The
+		// rewritten generation moves with it unless the operation created
+		// a file sorting after every one the view held.
 		type watched struct {
-			w    *Watch
-			gen  uint64
-			view []*File
+			w         *Watch
+			gen       uint64
+			rewritten uint64
+			view      []*File
 		}
 		var watches []*watched
 		register := func(pattern string) {
@@ -274,7 +283,7 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 			}
 			// A watch registered over files that already exist starts out
 			// holding them: its first Visit must see the current view.
-			watches = append(watches, &watched{w: w, gen: w.Gen(), view: ref.glob(pattern)})
+			watches = append(watches, &watched{w: w, gen: w.Gen(), rewritten: w.Rewritten(), view: ref.glob(pattern)})
 		}
 		for _, pattern := range patterns {
 			register(pattern)
@@ -293,7 +302,10 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 			}
 			var step string
 			var touched func(p string) bool // did the operation name path p?
-			switch p := genPath(rng); rng.Intn(6) {
+			p := genPath(rng)
+			_, existed := ref[p]
+			created := !existed // a Write or WriteVar creates p
+			switch rng.Intn(6) {
 			case 0, 1:
 				vars := map[string]float64{"step": float64(rng.Intn(9))}
 				if rng.Intn(2) == 0 {
@@ -309,11 +321,13 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 				ref.writeVar(p, "step", float64(op), now)
 				touched = func(q string) bool { return q == p }
 			case 4:
+				created = false
 				step = fmt.Sprintf("seed %d op %d: Remove(%q)", seed, op, p)
 				fs.Remove(p)
 				delete(ref, p)
 				touched = func(q string) bool { return q == p }
 			case 5:
+				created = false
 				pattern := patterns[rng.Intn(len(patterns))]
 				step = fmt.Sprintf("seed %d op %d: RemoveGlob(%q)", seed, op, pattern)
 				doomed := ref.glob(pattern)
@@ -333,9 +347,12 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 				pattern := wd.w.pat.src
 				view := ref.glob(pattern)
 				var visited []*File
-				wd.w.Visit(func(f *File) { visited = append(visited, f.clone()) })
+				wd.w.Visit(0, func(f *File) { visited = append(visited, f.clone()) })
 				if !reflect.DeepEqual(visited, view) {
 					t.Fatalf("%s: Visit(%q) = %v, reference %v", step, pattern, paths(visited), paths(view))
+				}
+				if wd.w.Len() != len(view) {
+					t.Fatalf("%s: Len(%q) = %d, reference %d", step, pattern, wd.w.Len(), len(view))
 				}
 				gen := wd.w.Gen()
 				if !reflect.DeepEqual(view, wd.view) && gen == wd.gen {
@@ -350,8 +367,41 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 				if !hit && gen != wd.gen {
 					t.Fatalf("%s: no file matching %q was touched but the watch generation moved %d -> %d", step, pattern, wd.gen, gen)
 				}
-				wd.gen, wd.view = gen, view
+				// A tail append leaves the rewritten generation alone; any
+				// other mutation of a matching file sets it to the new one.
+				appended := created && wd.w.pat.Match(p) &&
+					(len(wd.view) == 0 || p > wd.view[len(wd.view)-1].Path)
+				want := wd.rewritten
+				if gen != wd.gen && !appended {
+					want = gen
+				}
+				if appended {
+					appends++
+				}
+				rewritten := wd.w.Rewritten()
+				if rewritten != want {
+					t.Fatalf("%s: Rewritten(%q) = %d, want %d (generation %d -> %d, tail append %v)", step, pattern, rewritten, want, wd.gen, gen, appended)
+				}
+				// What an incremental reader relies on: while the rewritten
+				// generation has not passed its read, the files it read are
+				// still the first ones, and Visit from their count yields
+				// exactly the rest.
+				if rewritten <= wd.gen {
+					if len(view) < len(wd.view) || !sameFiles(view[:len(wd.view)], wd.view) {
+						t.Fatalf("%s: %q rewritten at %d <= %d, but the files read then changed: %v, were %v", step, pattern, rewritten, wd.gen, paths(view), paths(wd.view))
+					}
+					var added []*File
+					wd.w.Visit(len(wd.view), func(f *File) { added = append(added, f.clone()) })
+					if !sameFiles(added, view[len(wd.view):]) {
+						t.Fatalf("%s: Visit(%q) from %d = %v, reference %v", step, pattern, len(wd.view), paths(added), paths(view[len(wd.view):]))
+					}
+				}
+				wd.gen, wd.rewritten, wd.view = gen, rewritten, view
 			}
 		}
 	}
+	if appends == 0 {
+		t.Fatal("no operation appended at a watch's tail; the drive must exercise it")
+	}
+	t.Logf("%d tail appends", appends)
 }

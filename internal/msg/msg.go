@@ -13,8 +13,12 @@
 // path (see DESIGN.md §14) without changing what a checkpoint holds.
 //
 // A payload is immutable once sent, so a sender may send one payload value
-// in several envelopes (the Monitor client re-sends the batch it built for
-// an unchanged disk scan); each receiver gets the same value.
+// in several envelopes; each receiver gets the same value. Both Monitor
+// halves do: the client re-sends the batch it built for an unchanged disk
+// scan, and the server re-sends the metrics it forwarded last when a batch
+// forwards them again unchanged. What a re-sent payload cannot carry is
+// the instant it was sent, so that travels on the envelope: SentAt is the
+// Monitor server's ObservedAt, which its metric messages no longer hold.
 package msg
 
 import (
@@ -33,7 +37,8 @@ type Envelope struct {
 	// Seq is the per-sender sequence number (1, 2, ...). Receivers use it
 	// to detect stale or duplicated traffic.
 	Seq uint64
-	// SentAt is the virtual send time.
+	// SentAt is the virtual send time. Decision reads a forwarded metric's
+	// ObservedAt from it.
 	SentAt sim.Time
 	// Data is the JSON-encoded payload. On the live path it is nil — the
 	// payload travels typed — and is materialized only when the envelope

@@ -33,7 +33,7 @@ func (r *Recorder) State() State {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, name := range sortedKeys(r.counters) {
-		st.Counters = append(st.Counters, CounterValue{Name: name, Value: r.counters[name]})
+		st.Counters = append(st.Counters, CounterValue{Name: name, Value: r.counters[name].v})
 	}
 	for _, ep := range sortedKeys(r.queues) {
 		q := r.queues[ep]
@@ -48,8 +48,10 @@ func (r *Recorder) State() State {
 // replayed through Inc — because the metrics registry (when shared with
 // the pre-crash recorder, as in an in-process restore) already holds the
 // mirrored dyflow_stage_events_total series; replaying would double-count.
-// Latency histograms are re-resolved by key so registry-backed
-// distributions keep their samples.
+// Their registry handles, and the queue-depth gauges, are re-resolved by
+// name on each one's next sample, so a restore creates no series the
+// recorder has not since written. Latency histograms are re-resolved by
+// key so registry-backed distributions keep their samples.
 func (r *Recorder) Restore(st State) {
 	if r == nil {
 		return
@@ -63,9 +65,9 @@ func (r *Recorder) Restore(st State) {
 		r.spans[sp.ID] = &sp
 		r.order = append(r.order, sp.ID)
 	}
-	r.counters = make(map[string]int64, len(st.Counters))
+	r.counters = make(map[string]*counterAcc, len(st.Counters))
 	for _, c := range st.Counters {
-		r.counters[c.Name] = c.Value
+		r.counters[c.Name] = &counterAcc{v: c.Value}
 	}
 	r.queues = make(map[string]*queueAcc, len(st.Queues))
 	for _, q := range st.Queues {

@@ -82,11 +82,21 @@ func (sp Span) Monotone() bool {
 	return true
 }
 
-// queueAcc accumulates depth samples for one bus endpoint.
+// queueAcc accumulates depth samples for one bus endpoint. g is the
+// endpoint's dyflow_bus_queue_depth gauge, resolved on its first sample.
 type queueAcc struct {
 	samples int
 	sum     int64
 	max     int
+	g       *obs.Gauge
+}
+
+// counterAcc is one stage counter. c is its dyflow_stage_events_total
+// series, resolved on its first positive increment: a counter only ever
+// incremented by zero has none.
+type counterAcc struct {
+	v int64
+	c *obs.Counter
 }
 
 // Recorder is the flight recorder shared by one orchestrator's stages.
@@ -103,7 +113,9 @@ type Recorder struct {
 	spans map[string]*Span
 	order []string // span IDs in creation order
 
-	counters map[string]int64
+	// counters and queues keep each name's registry handle beside its
+	// value, so a sample takes one lock and one map lookup.
+	counters map[string]*counterAcc
 
 	sensorLags map[string]*obs.Histogram // sensor ID -> detection-lag histogram (seconds)
 	opLats     map[string]*obs.Histogram // op kind -> execution-latency histogram (seconds)
@@ -121,7 +133,7 @@ type Recorder struct {
 func New() *Recorder {
 	return &Recorder{
 		spans:      make(map[string]*Span),
-		counters:   make(map[string]int64),
+		counters:   make(map[string]*counterAcc),
 		sensorLags: make(map[string]*obs.Histogram),
 		opLats:     make(map[string]*obs.Histogram),
 		queues:     make(map[string]*queueAcc),
@@ -148,6 +160,19 @@ func (r *Recorder) SetMetrics(reg *obs.Registry) {
 		"Actuation operation execution latency.", nil, "op")
 	r.queueVec = reg.Gauge("dyflow_bus_queue_depth",
 		"Bus queue depth sampled at enqueue.", "endpoint")
+	r.dropHandles()
+}
+
+// dropHandles forgets every resolved registry handle, so the next sample
+// of each name resolves it from the families attached now. Caller holds
+// r.mu.
+func (r *Recorder) dropHandles() {
+	for _, a := range r.counters {
+		a.c = nil
+	}
+	for _, q := range r.queues {
+		q.g = nil
+	}
 }
 
 // Inc adds delta to a named stage counter.
@@ -157,9 +182,17 @@ func (r *Recorder) Inc(name string, delta int64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counters[name] += delta
+	a := r.counters[name]
+	if a == nil {
+		a = &counterAcc{}
+		r.counters[name] = a
+	}
+	a.v += delta
 	if delta > 0 {
-		r.events.With(name).Add(delta)
+		if a.c == nil {
+			a.c = r.events.With(name)
+		}
+		a.c.Add(delta)
 	}
 }
 
@@ -170,7 +203,10 @@ func (r *Recorder) Counter(name string) int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.counters[name]
+	if a := r.counters[name]; a != nil {
+		return a.v
+	}
+	return 0
 }
 
 // Suggested opens a span: Decision emitted a suggestion.
@@ -347,7 +383,10 @@ func (r *Recorder) QueueDepth(endpoint string, depth int) {
 	if depth > q.max {
 		q.max = depth
 	}
-	r.queueVec.With(endpoint).Set(float64(depth))
+	if q.g == nil {
+		q.g = r.queueVec.With(endpoint)
+	}
+	q.g.Set(float64(depth))
 }
 
 // QueueMaxDepth returns the largest depth sampled for an endpoint (0 if
@@ -543,7 +582,7 @@ func (r *Recorder) Report() *Report {
 		rep.Ops = append(rep.Ops, summarizeHist(k, r.opLats[k]))
 	}
 	for _, name := range sortedKeys(r.counters) {
-		rep.Counters = append(rep.Counters, CounterValue{Name: name, Value: r.counters[name]})
+		rep.Counters = append(rep.Counters, CounterValue{Name: name, Value: r.counters[name].v})
 	}
 	for _, ep := range sortedKeys(r.queues) {
 		q := r.queues[ep]

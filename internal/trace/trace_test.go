@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -345,5 +346,72 @@ func TestReportDeterministicAndJSON(t *testing.T) {
 	}
 	if len(back.Spans) != 3 || len(back.Counters) != 2 {
 		t.Fatalf("JSON round-trip lost data: %+v", back)
+	}
+}
+
+// TestRecorderRestoreResolvesHandles: the registry handles a recorder keeps
+// beside its counters and queue accumulators follow the registry attached
+// now. A restore onto the pre-crash registry continues its series; one onto
+// a fresh registry creates none until the recorder writes again, and then
+// only the deltas since; a registry attached after the first samples gets
+// the samples after it; a counter only ever bumped by zero has no series.
+func TestRecorderRestoreResolvesHandles(t *testing.T) {
+	prom := func(reg *obs.Registry) string {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	reg := obs.NewRegistry()
+	r := New()
+	r.SetMetrics(reg)
+	r.Inc("a", 2)
+	r.Inc("z", 0)
+	r.QueueDepth("ep", 3)
+	st := r.State()
+
+	same := New()
+	same.SetMetrics(reg)
+	same.Restore(st)
+	same.Inc("a", 1)
+	same.QueueDepth("ep", 5)
+	if v, _ := reg.Value("dyflow_stage_events_total"); v != 3 {
+		t.Errorf("restored onto the same registry: stage events = %v, want 3", v)
+	}
+	if v, _ := reg.Value("dyflow_bus_queue_depth"); v != 5 {
+		t.Errorf("restored onto the same registry: queue depth = %v, want 5", v)
+	}
+	if got := same.Report().Counters; len(got) != 2 || got[0] != (CounterValue{"a", 3}) || got[1] != (CounterValue{"z", 0}) {
+		t.Errorf("restored counters = %+v, want a=3 z=0", got)
+	}
+	if strings.Contains(prom(reg), `event="z"`) {
+		t.Error("a counter only bumped by zero has a dyflow_stage_events_total series")
+	}
+
+	fresh := obs.NewRegistry()
+	cold := New()
+	cold.SetMetrics(fresh)
+	cold.Restore(st)
+	if text := prom(fresh); strings.Contains(text, "event=") || strings.Contains(text, "endpoint=") {
+		t.Errorf("a restore alone wrote series to a fresh registry:\n%s", text)
+	}
+	cold.Inc("a", 4)
+	if v, _ := fresh.Value("dyflow_stage_events_total"); v != 4 {
+		t.Errorf("restored onto a fresh registry: stage events = %v, want the 4 since", v)
+	}
+
+	late := New()
+	late.Inc("a", 1)
+	late.QueueDepth("ep", 1)
+	lateReg := obs.NewRegistry()
+	late.SetMetrics(lateReg)
+	late.Inc("a", 2)
+	late.QueueDepth("ep", 7)
+	if v, _ := lateReg.Value("dyflow_stage_events_total"); v != 2 {
+		t.Errorf("registry attached late: stage events = %v, want 2", v)
+	}
+	if v, _ := lateReg.Value("dyflow_bus_queue_depth"); v != 7 {
+		t.Errorf("registry attached late: queue depth = %v, want 7", v)
 	}
 }
