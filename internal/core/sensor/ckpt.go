@@ -1,13 +1,11 @@
 package sensor
 
 import (
-	"encoding/json"
-	"fmt"
-	"math"
 	"sort"
 
 	"dyflow/internal/sim"
 	"dyflow/internal/stats"
+	"dyflow/internal/stream"
 )
 
 // SeriesEntry is one (key, latest metric) pair in a server snapshot.
@@ -98,72 +96,10 @@ func (sv *Server) Restore(snap ServerSnapshot) {
 }
 
 // Readings are a pending shipment's raw per-process values. Until ship
-// sanitizes them they may hold NaN or ±Inf, which JSON has no number for:
-// those encode as the strings "NaN", "+Inf" and "-Inf", so a client that
-// owes such a shipment can still be checkpointed. Finite readings encode
-// exactly as a []float64 does.
-type Readings []float64
-
-// MarshalJSON implements json.Marshaler.
-func (r Readings) MarshalJSON() ([]byte, error) {
-	if r == nil {
-		return []byte("null"), nil
-	}
-	out := []byte{'['}
-	for i, v := range r {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		switch {
-		case math.IsNaN(v):
-			out = append(out, `"NaN"`...)
-		case math.IsInf(v, 1):
-			out = append(out, `"+Inf"`...)
-		case math.IsInf(v, -1):
-			out = append(out, `"-Inf"`...)
-		default:
-			b, err := json.Marshal(v)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, b...)
-		}
-	}
-	return append(out, ']'), nil
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *Readings) UnmarshalJSON(data []byte) error {
-	var elems []json.RawMessage
-	if err := json.Unmarshal(data, &elems); err != nil {
-		return err
-	}
-	if elems == nil {
-		*r = nil
-		return nil
-	}
-	out := make(Readings, len(elems))
-	for i, e := range elems {
-		if e[0] != '"' {
-			if err := json.Unmarshal(e, &out[i]); err != nil {
-				return err
-			}
-			continue
-		}
-		switch string(e) {
-		case `"NaN"`:
-			out[i] = math.NaN()
-		case `"+Inf"`:
-			out[i] = math.Inf(1)
-		case `"-Inf"`:
-			out[i] = math.Inf(-1)
-		default:
-			return fmt.Errorf("sensor: reading %s is not a number", e)
-		}
-	}
-	*r = out
-	return nil
-}
+// sanitizes them they may hold NaN or ±Inf: they encode as a staged
+// record's values do (stream.Floats), so a client that owes such a
+// shipment can still be checkpointed.
+type Readings = stream.Floats
 
 // WorkerSnap is one client worker's checkpointed position.
 type WorkerSnap struct {

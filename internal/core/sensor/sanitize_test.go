@@ -107,3 +107,69 @@ func TestPendingShipEncodesNonFiniteReadings(t *testing.T) {
 		t.Errorf(`a reading "inf" decoded to %v, want an error`, r)
 	}
 }
+
+// TestClientSnapshotEncodesNonFiniteBacklog: a stream worker's buffered
+// records are raw staged values too. A backlog holding NaN or ±Inf in a
+// record's Array or Vars checkpoints and restores bit for bit, and finite
+// values encode exactly as a []float64 and a map[string]float64 do.
+func TestClientSnapshotEncodesNonFiniteBacklog(t *testing.T) {
+	backlog := []stream.Step{
+		{Index: 3, Size: 64, Vars: map[string]float64{"step": 3, "err": math.NaN(), "mem": math.Inf(1)},
+			Array: []float64{1, math.NaN(), math.Inf(-1), -0.0}, Produced: 5},
+		{Index: 4, Vars: map[string]float64{"step": 4, "a<b": 0.25}, Array: []float64{2, 1e300}, Produced: 6},
+		{Index: 5},
+	}
+	c := newSanitizeClient(t)
+	c.Restore(ClientSnapshot{Name: "mc", Workers: []WorkerSnap{{Name: "mc/wf.task.tau", State: WorkerState{Phase: phaseRecv, Buffered: backlog}}}})
+	data, err := json.Marshal(c.Snapshot())
+	if err != nil {
+		t.Fatalf("checkpoint with a non-finite backlog: %v", err)
+	}
+	var snap ClientSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("%s: %v", data, err)
+	}
+	restored := newSanitizeClient(t)
+	restored.Restore(snap)
+	again, err := json.Marshal(restored.Snapshot())
+	if err != nil || string(again) != string(data) {
+		t.Fatalf("restored client checkpoints as %s (%v), want %s", again, err, data)
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	got := snap.Workers[0].State.Buffered
+	for i, want := range backlog {
+		g := got[i]
+		if g.Index != want.Index || g.Size != want.Size || g.Produced != want.Produced ||
+			len(g.Array) != len(want.Array) || len(g.Vars) != len(want.Vars) || (g.Vars == nil) != (want.Vars == nil) {
+			t.Fatalf("record %d restored as %+v, want %+v", i, g, want)
+		}
+		for j := range want.Array {
+			if !same(g.Array[j], want.Array[j]) {
+				t.Fatalf("record %d Array restored as %v, want %v", i, g.Array, want.Array)
+			}
+		}
+		for k, v := range want.Vars {
+			if w, ok := g.Vars[k]; !ok || !same(w, v) {
+				t.Fatalf("record %d Vars restored as %v, want %v", i, g.Vars, want.Vars)
+			}
+		}
+	}
+
+	finite := backlog[1]
+	plain, _ := json.Marshal(struct {
+		Index    int
+		Size     int64
+		Vars     map[string]float64
+		Array    []float64
+		Produced sim.Time
+	}{finite.Index, finite.Size, finite.Vars, finite.Array, finite.Produced})
+	if enc, _ := json.Marshal(finite); string(enc) != string(plain) {
+		t.Errorf("a finite record encodes as %s, with plain types as %s", enc, plain)
+	}
+	var bad stream.Step
+	if err := json.Unmarshal([]byte(`{"Array":[1,"inf"]}`), &bad); err == nil {
+		t.Errorf(`a value "inf" decoded to %v, want an error`, bad.Array)
+	}
+}

@@ -227,9 +227,10 @@ func jobArtifacts(w *World, rep *Report) (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var gantt, perfetto, metrics bytes.Buffer
+	var gantt, metrics bytes.Buffer
 	w.Rec.Gantt(&gantt, 100)
-	if err := WritePerfetto(&perfetto, w); err != nil {
+	perfetto, err := perfettoJSON(w)
+	if err != nil {
 		return nil, err
 	}
 	if err := w.Metrics.WriteJSON(&metrics); err != nil {
@@ -238,7 +239,7 @@ func jobArtifacts(w *World, rep *Report) (map[string][]byte, error) {
 	return map[string][]byte{
 		ArtifactReport:   append(report, '\n'),
 		ArtifactGantt:    gantt.Bytes(),
-		ArtifactPerfetto: perfetto.Bytes(),
+		ArtifactPerfetto: perfetto,
 		ArtifactMetrics:  metrics.Bytes(),
 	}, nil
 }

@@ -26,39 +26,63 @@ const (
 )
 
 // perfettoEvent is one trace-event record. Ph "X" is a complete span
-// (ts+dur), "i" an instant, "M" metadata.
+// (ts+dur), "i" an instant, "M" metadata. A span's Dur is at least 1, so
+// omitempty drops it from instants and metadata only.
 type perfettoEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  *int64         `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string `json:"name"`
+	Cat  string `json:"cat,omitempty"`
+	Ph   string `json:"ph"`
+	Ts   int64  `json:"ts"`
+	Dur  int64  `json:"dur,omitempty"`
+	Pid  int    `json:"pid"`
+	Tid  int    `json:"tid"`
+	S    string `json:"s,omitempty"`
+	Args any    `json:"args,omitempty"`
 }
 
-// perfettoDoc is the trace-event JSON object form.
-type perfettoDoc struct {
-	TraceEvents     []perfettoEvent `json:"traceEvents"`
-	DisplayTimeUnit string          `json:"displayTimeUnit"`
-}
+// The args of each event kind. Their fields are in key order, so they
+// encode as the map with those keys would.
+type (
+	metaArgs struct {
+		Name string `json:"name"`
+	}
+	taskArgs struct {
+		ExitCode    *int   `json:"exit_code,omitempty"` // failed incarnations only
+		Final       string `json:"final"`
+		Incarnation int    `json:"incarnation"`
+		Procs       int    `json:"procs"`
+		Workflow    string `json:"workflow"`
+	}
+	planArgs struct {
+		Aborted  int      `json:"aborted"`
+		Applied  int      `json:"applied"`
+		Error    string   `json:"error,omitempty"`
+		Ops      []string `json:"ops"`
+		Workflow string   `json:"workflow"`
+	}
+	actuationArgs struct {
+		Attempts int    `json:"attempts"`
+		Error    string `json:"error,omitempty"`
+		Workflow string `json:"workflow"`
+	}
+	suggestionArgs struct {
+		Complete bool   `json:"complete"`
+		Dropped  string `json:"dropped,omitempty"`
+		Sensor   string `json:"sensor"`
+		Workflow string `json:"workflow"`
+	}
+)
 
 func usec(t sim.Time) int64 { return int64(t / sim.Time(time.Microsecond)) }
 
-func dur(start, end sim.Time) *int64 {
-	d := usec(end) - usec(start)
-	if d < 1 {
-		d = 1 // zero-width spans render invisible; clamp to one tick
-	}
-	return &d
+func dur(start, end sim.Time) int64 {
+	return max(usec(end)-usec(start), 1) // zero-width spans render invisible; clamp to one tick
 }
 
 func meta(pid, tid int, kind, name string) perfettoEvent {
 	return perfettoEvent{
 		Name: kind, Ph: "M", Pid: pid, Tid: tid,
-		Args: map[string]any{"name": name},
+		Args: &metaArgs{Name: name},
 	}
 }
 
@@ -67,6 +91,26 @@ func meta(pid, tid int, kind, name string) perfettoEvent {
 // ran one. Still-open intervals are drawn to the current simulation
 // instant. The output is deterministic for a deterministic run.
 func WritePerfetto(out io.Writer, w *World) error {
+	doc, err := perfettoJSON(w)
+	if err != nil {
+		return err
+	}
+	_, err = out.Write(doc)
+	return err
+}
+
+// perfettoJSON is WritePerfetto's document, the trace-event object form
+// {"traceEvents":[...],"displayTimeUnit":"ms"} and a newline, as
+// json.Encoder writes it.
+//
+// The events are encoded one at a time, twice: once to count the bytes,
+// once into a slice of exactly that size. One call for the whole document
+// (≈ 100 KB for an xgc run) would grow one of encoding/json's pooled
+// buffers to its size, and whether the next run found that buffer again
+// would be up to the scheduler and the GC, so a run's allocation would
+// vary by ≈ 0.25 MB. An event's buffer is a few hundred bytes, and with
+// struct args an event encodes without allocating.
+func perfettoJSON(w *World) ([]byte, error) {
 	now := w.Sim.Now()
 	var evs []perfettoEvent
 	var chaos []cluster.CampaignEvent
@@ -111,14 +155,11 @@ func WritePerfetto(out io.Writer, w *World) error {
 			end = now
 		}
 		name := iv.Task
-		args := map[string]any{
-			"workflow":    iv.Workflow,
-			"incarnation": iv.Incarnation,
-			"procs":       iv.Procs,
-			"final":       iv.Final.String(),
-		}
+		args := &taskArgs{Workflow: iv.Workflow, Incarnation: iv.Incarnation,
+			Procs: iv.Procs, Final: iv.Final.String()}
 		if iv.Final == task.Failed {
-			args["exit_code"] = iv.ExitCode
+			code := iv.ExitCode
+			args.ExitCode = &code
 		}
 		for _, n := range iv.Nodes {
 			evs = append(evs, perfettoEvent{
@@ -144,36 +185,23 @@ func WritePerfetto(out io.Writer, w *World) error {
 		for _, op := range p.Plan.Ops {
 			ops = append(ops, op.String())
 		}
-		args := map[string]any{
-			"workflow": p.Workflow,
-			"ops":      ops,
-			"applied":  p.AppliedOps,
-			"aborted":  p.AbortedOps,
-		}
-		if p.Err != "" {
-			args["error"] = p.Err
-		}
 		evs = append(evs, perfettoEvent{
 			Name: p.Workflow + " plan", Cat: "plan", Ph: "X",
 			Ts: usec(p.ReceivedAt), Dur: dur(p.ReceivedAt, p.ExecutedAt),
-			Pid: pidOrchestrator, Tid: tidPlans, Args: args,
+			Pid: pidOrchestrator, Tid: tidPlans,
+			Args: &planArgs{Workflow: p.Workflow, Ops: ops,
+				Applied: p.AppliedOps, Aborted: p.AbortedOps, Error: p.Err},
 		})
 	}
 
 	// Actuation operation spans (the stop/start decomposition of §4.6).
 	if w.Orch != nil {
 		for _, rec := range w.Orch.Executor.Records() {
-			args := map[string]any{
-				"workflow": rec.Op.Workflow,
-				"attempts": rec.Attempts,
-			}
-			if rec.Err != "" {
-				args["error"] = rec.Err
-			}
 			evs = append(evs, perfettoEvent{
 				Name: rec.Op.Kind.String() + " " + rec.Op.Task, Cat: "actuation", Ph: "X",
 				Ts: usec(rec.StartedAt), Dur: dur(rec.StartedAt, rec.EndedAt),
-				Pid: pidOrchestrator, Tid: tidActuation, Args: args,
+				Pid: pidOrchestrator, Tid: tidActuation,
+				Args: &actuationArgs{Workflow: rec.Op.Workflow, Attempts: rec.Attempts, Error: rec.Err},
 			})
 		}
 
@@ -190,22 +218,48 @@ func WritePerfetto(out io.Writer, w *World) error {
 					end = t
 				}
 			}
-			args := map[string]any{
-				"workflow": sp.Workflow,
-				"sensor":   sp.Sensor,
-				"complete": sp.Complete(),
-			}
-			if sp.Dropped != "" {
-				args["dropped"] = sp.Dropped
-			}
 			evs = append(evs, perfettoEvent{
 				Name: sp.Policy + ":" + sp.Action, Cat: "suggestion", Ph: "X",
 				Ts: usec(start), Dur: dur(start, end),
-				Pid: pidOrchestrator, Tid: tidSuggestions, Args: args,
+				Pid: pidOrchestrator, Tid: tidSuggestions,
+				Args: &suggestionArgs{Workflow: sp.Workflow, Sensor: sp.Sensor,
+					Complete: sp.Complete(), Dropped: sp.Dropped},
 			})
 		}
 	}
 
-	enc := json.NewEncoder(out)
-	return enc.Encode(perfettoDoc{TraceEvents: evs, DisplayTimeUnit: "ms"})
+	const head, tail = `{"traceEvents":[`, "],\"displayTimeUnit\":\"ms\"}\n"
+	var size byteCount
+	enc := json.NewEncoder(&size)
+	for i := range evs {
+		if err := enc.Encode(&evs[i]); err != nil {
+			return nil, err
+		}
+	}
+	doc := joinWriter(make([]byte, 0, len(head)+int(size)-1+len(tail))) // n events: n newlines, n-1 commas
+	doc = append(doc, head...)
+	enc = json.NewEncoder(&doc)
+	for i := range evs {
+		if err := enc.Encode(&evs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return append(doc[:len(doc)-1], tail...), nil // the last event's comma
+}
+
+// byteCount counts what is written to it.
+type byteCount int
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
+}
+
+// joinWriter appends the values a json.Encoder writes to it, each one's
+// trailing newline made the comma that separates it from the next.
+type joinWriter []byte
+
+func (w *joinWriter) Write(p []byte) (int, error) {
+	*w = append(append(*w, p[:len(p)-1]...), ',')
+	return len(p), nil
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"dyflow/internal/apps"
@@ -111,5 +112,43 @@ func TestPerfettoChaosTrace(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatal("re-render differs")
+	}
+}
+
+// TestPerfettoAllocationIgnoresJSONPool renders xgc's document, the
+// des-heavy workload's artifact, with encoding/json's buffer pools warm and
+// then emptied by two GCs: the two renders must allocate about the same.
+// Encoding the document in one call allocated ≈ 250 KB more when the pool
+// had lost its buffer. The document itself is allocated once, at its size.
+func TestPerfettoAllocationIgnoresJSONPool(t *testing.T) {
+	var w *World
+	if _, err := runXGC(1, apps.Summit, Variant{Configure: func(x *World) error { w = x; return nil }}); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	render := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		doc, err := perfettoJSON(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(doc) != len(doc) {
+			t.Fatalf("document has capacity %d for %d bytes, want it exactly sized", cap(doc), len(doc))
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	render()
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops items at random")
+	}
+	warm := render()
+	runtime.GC()
+	runtime.GC()
+	cold := render()
+	if diff := int64(cold) - int64(warm); diff > 16<<10 || diff < -16<<10 {
+		t.Fatalf("render allocated %d B with a warm pool and %d B with an empty one", warm, cold)
 	}
 }

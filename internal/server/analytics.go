@@ -12,10 +12,8 @@ import (
 // run history: per-tenant and per-scenario counts and outcomes,
 // queue-wait vs execution latency percentiles from the per-run phase
 // timestamps, cache hit rates, the lease-expiry/requeue counters, and
-// (on request) time-bucketed submission trends. Terminal runs are
-// evicted from the resident table into the runstore segments, so the
-// aggregate folds history metas first and overlays the resident
-// (live) runs on top.
+// (on request) time-bucketed submission trends. The aggregate folds the
+// history index, each run's current state read through viewLocked.
 
 // LatencySummary is a nearest-rank percentile summary over a sample
 // set, in seconds.
@@ -80,8 +78,8 @@ type TrendBucket struct {
 // maxTrendBuckets bounds one trends response.
 const maxTrendBuckets = 500
 
-// runSample is the per-run tuple the aggregates fold over — built from
-// a run record, a resident run's or an evicted run's, whichever is live.
+// runSample is the per-run tuple the aggregates fold over, built from a
+// run's current record.
 type runSample struct {
 	tenant, scenario string
 	state            RunState
@@ -161,27 +159,16 @@ func (s *Server) AnalyticsWithTrends(bucket time.Duration, buckets int) Analytic
 	return a
 }
 
-// analyticsSamples folds the full run population into flat samples:
-// resident runs (live state, rendered through Run.record) first, then
-// history metas for everything already evicted. Resident runs also have
-// history records; the resident copy wins.
+// analyticsSamples folds the full run population into flat samples, in
+// the index's order: every admitted run has a history record, and
+// viewLocked makes each sample the run's current state.
 func (s *Server) analyticsSamples() []runSample {
-	// Every resident run has a history record too, so the store's count is
-	// the population's.
 	samples := make([]runSample, 0, s.history.Len())
 	s.mu.Lock()
-	resident := make(map[string]bool, len(s.order))
-	for _, id := range s.order {
-		resident[id] = true
-		m := s.runs[id].record()
-		samples = append(samples, metaSample(&m))
-	}
-	s.mu.Unlock()
-
+	defer s.mu.Unlock()
 	s.history.EachMeta(func(m *runstore.Meta) bool {
-		if !resident[m.ID] {
-			samples = append(samples, metaSample(m))
-		}
+		cur, _, _ := s.viewLocked(m.ID, m)
+		samples = append(samples, metaSample(cur))
 		return true
 	})
 	return samples

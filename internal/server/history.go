@@ -11,15 +11,7 @@ import (
 // event rings for replay and their completing lease for result dedup.
 const maxTerminalRings = 1024
 
-// unixNs renders a phase timestamp for the history index (zero time → 0);
-// nsTime is its inverse.
-func unixNs(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
-	}
-	return t.UnixNano()
-}
-
+// nsTime renders a record's phase timestamp (0: never happened).
 func nsTime(ns int64) time.Time {
 	if ns == 0 {
 		return time.Time{}
@@ -27,29 +19,17 @@ func nsTime(ns int64) time.Time {
 	return time.Unix(0, ns)
 }
 
-// runMetaLocked builds r's history record: r.record plus the two fields
-// only the store reads, the cache key and the artifact bytes, which cost a
-// hash and a blob-store lookup and so stay off the status path. Caller
-// holds the server mutex.
-func (s *Server) runMetaLocked(r *Run) runstore.Meta {
-	m := r.record()
-	m.Key = r.Job.Key()
-	for _, digest := range r.Artifacts {
-		m.ArtifactBytes += s.blobs.Size(digest)
-	}
-	return m
-}
-
-// historyAppendLocked records r's current state in the run-history
-// store — the acknowledging write: callers make it before they publish
-// the transition's event or answer 2xx. Caller holds the server mutex
-// (the store has its own lock; s.mu → store is the only allowed order).
-// A failure is logged here and counted by the store
+// historyAppendLocked records r's current state, its Meta, in the
+// run-history store — the acknowledging write: callers make it before they
+// publish the transition's event or answer 2xx. Caller holds the server
+// mutex (the store has its own lock; s.mu → store is the only allowed
+// order). A failure is logged here and counted by the store
 // (dyflow_runstore_append_errors_total); Submit refuses on it, every
-// other transition proceeds and the run stays resident until a later
-// append records it.
+// other transition proceeds and the run stays resident — its Meta still
+// the current state, which viewLocked reads first — until a later append
+// records it.
 func (s *Server) historyAppendLocked(r *Run) error {
-	err := s.history.Append(s.runMetaLocked(r), nil)
+	err := s.history.Append(r.Meta, nil)
 	if err != nil {
 		s.logf("server: history append %s (%s): %v", r.ID, r.State, err)
 	}
@@ -62,12 +42,6 @@ func (s *Server) historyAppendLocked(r *Run) error {
 // holds the server mutex.
 func (s *Server) evictTerminalLocked(r *Run) {
 	delete(s.runs, r.ID)
-	for i := len(s.order) - 1; i >= 0; i-- {
-		if s.order[i] == r.ID {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
 	s.retainRingLocked(doneRing{run: r.ID, lease: r.doneLease})
 }
 
@@ -105,11 +79,32 @@ type RunPage struct {
 	NextPageToken string   `json:"next_page_token,omitempty"`
 }
 
+// viewLocked is the one read of a run's state that knows both tables: the
+// run's current record and the virtual progress its status shows. The
+// resident map comes first — a resident run's Meta is its current state by
+// construction, even when its last append failed — and any other run is
+// what the index holds: indexed, the entry a caller folding the index
+// already has, or a lookup when that is nil. ok=false: no such run. The
+// record is read-only, and valid while the caller holds the server mutex.
+func (s *Server) viewLocked(id string, indexed *runstore.Meta) (m *runstore.Meta, simNs int64, ok bool) {
+	if r := s.runs[id]; r != nil {
+		return &r.Meta, r.progressNs(), true
+	}
+	if indexed == nil {
+		found, ok := s.history.GetMeta(id)
+		if !ok {
+			return nil, 0, false
+		}
+		indexed = &found
+	}
+	return indexed, indexed.SimEndNs, true
+}
+
 // QueryRuns serves the filtered, paginated run listing from the history
 // store's indexes. Every admitted run has a history record (appended at
-// submission), so the store is the authoritative listing; resident runs
-// render their live status instead of the recorded one. The server mutex
-// is held for those lookups only, never across the store's query, so a
+// submission), so the store is the authoritative listing, and viewLocked
+// overlays each item's current state. The server mutex is held for those
+// lookups only — never across the store's query or the rendering — so a
 // page costs its items and delays no submit.
 func (s *Server) QueryRuns(q RunQuery) (RunPage, error) {
 	page, err := s.history.Query(runstore.Query{
@@ -120,18 +115,16 @@ func (s *Server) QueryRuns(q RunQuery) (RunPage, error) {
 	if err != nil {
 		return RunPage{}, &APIError{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
-	out := RunPage{Runs: make([]Status, len(page.Items)), NextPageToken: page.NextPageToken}
+	sims := make([]int64, len(page.Items))
 	s.mu.Lock()
 	for i := range page.Items {
-		if r := s.runs[page.Items[i].ID]; r != nil {
-			out.Runs[i] = r.status()
-		}
+		m, simNs, _ := s.viewLocked(page.Items[i].ID, &page.Items[i])
+		page.Items[i], sims[i] = *m, simNs
 	}
 	s.mu.Unlock()
+	out := RunPage{Runs: make([]Status, len(page.Items)), NextPageToken: page.NextPageToken}
 	for i := range page.Items {
-		if out.Runs[i].ID == "" { // not resident
-			out.Runs[i] = recordStatus(&page.Items[i])
-		}
+		out.Runs[i] = recordStatus(&page.Items[i], sims[i])
 	}
 	return out, nil
 }

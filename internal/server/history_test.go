@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"dyflow/internal/exp"
+	"dyflow/internal/runstore"
+	"dyflow/internal/server/fleet"
 )
 
 // TestTerminalRunsEvicted pins the bounded-heap contract: a run that
@@ -241,6 +244,55 @@ func TestSweepRetentionCountsEachBlobOnce(t *testing.T) {
 	}
 	if v := counter(t, s, "dyflow_runstore_gc_blobs_total"); v != float64(held) {
 		t.Fatalf("dyflow_runstore_gc_blobs_total = %v after sweeping %d blobs", v, held)
+	}
+}
+
+// TestCacheReadsItsSource: the result cache names a run, and an answer is
+// read from that run's record. Once the record is gone — here retention in
+// the store deleted it, without the server's own cleanup — an identical
+// submission queues instead of answering done, and the entry is dropped.
+func TestCacheReadsItsSource(t *testing.T) {
+	ctx := context.Background()
+	s, err := New(Config{Workers: -1, TenantQuota: -1, Logger: quietLogger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	worker := s.register("", fleet.RegisterRequest{Name: "by-hand", Slots: 1}, time.Second).WorkerID
+	src, err := s.Submit("alice", quick(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim, ok, err := s.Claim(ctx, worker, 0)
+	if err != nil || !ok || claim.RunID != src.ID {
+		t.Fatalf("claim: %+v %v %v", claim, ok, err)
+	}
+	report := []byte("report of quick(1)")
+	if err := s.PutBlob(ctx, fleet.Digest(report), report); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Result(ctx, worker, fleet.ResultRequest{RunID: claim.RunID, LeaseID: claim.LeaseID, Converged: true,
+		SimEndNs: int64(time.Second), Artifacts: map[string]string{exp.ArtifactReport: fleet.Digest(report)}})
+	if err != nil || !res.Accepted {
+		t.Fatalf("result: %+v %v", res, err)
+	}
+	if hit, err := s.Submit("alice", quick(1)); err != nil || hit.State != StateDone || !hit.Cached {
+		t.Fatalf("identical submit answered %+v, %v; want a cache hit", hit, err)
+	}
+
+	victims := s.History().SweepRetention(runstore.Retention{MaxAge: time.Nanosecond}, time.Now().Add(time.Hour))
+	if len(victims) != 2 {
+		t.Fatalf("retention deleted %d runs, want the source and its cache hit", len(victims))
+	}
+	st, err := s.Submit("alice", quick(1))
+	if err != nil || st.State != StateQueued || st.Cached {
+		t.Fatalf("submit after the source was deleted answered %+v, %v; want queued", st, err)
+	}
+	s.mu.Lock()
+	entries := len(s.cache)
+	s.mu.Unlock()
+	if entries != 0 {
+		t.Fatalf("%d cache entries left; the one naming %s should be gone", entries, src.ID)
 	}
 }
 

@@ -1,10 +1,15 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"dyflow/internal/exp"
+	"dyflow/internal/runstore"
 	"dyflow/internal/server/events"
 	"dyflow/internal/server/fleet"
 )
@@ -12,10 +17,12 @@ import (
 // The run lifecycle (DESIGN.md §13). A run changes state only along an edge
 // of the table below, and only through leaseRun, resetToQueuedLocked and
 // finishLocked, which look the edge up first. They are also the only
-// writers of a run's phase timestamps, of its lease (Worker, LeaseID,
-// leaseExpires, doneLease; a heartbeat renews it, renewLeaseLocked), of its
-// tenant's in-flight count and of dyflow_server_active_runs: who holds a
-// run is answered in one place, under s.mu.
+// writers of a run's state and phase timestamps, of its lease (Worker,
+// LeaseID, leaseExpires, doneLease; a heartbeat renews it,
+// renewLeaseLocked), of its tenant's in-flight count and of
+// dyflow_server_active_runs: who holds a run is answered in one place,
+// under s.mu. Each of them ends by appending the run's Meta, so a resident
+// run's record is the one the index holds unless that append failed.
 
 // stateNew is the state of a run that has none yet: between newRunLocked
 // and the edge that admits it, inside one critical section.
@@ -54,13 +61,18 @@ var lifecycle = map[edge]bool{
 // legalLocked is the table check every transition starts with: an edge that
 // is not there is refused, logged and counted.
 func (s *Server) legalLocked(r *Run, to RunState, cause string) error {
-	if lifecycle[edge{r.State, to, cause}] {
+	if lifecycle[edge{r.state(), to, cause}] {
 		return nil
 	}
-	s.met.illegal.With(string(r.State), string(to)).Inc()
+	s.met.illegal.With(r.State, string(to)).Inc()
 	err := fmt.Errorf("server: illegal transition of %s: %q → %q (%s)", r.ID, r.State, to, cause)
 	s.logf("%v; refused", err)
 	return err
+}
+
+// setState moves r to state, keeping its record's Terminal flag in step.
+func (r *Run) setState(state RunState) {
+	r.State, r.Terminal = string(state), state.Terminal()
 }
 
 // progressEventEvery throttles TypeProgress events per run, and is how
@@ -70,35 +82,42 @@ func (s *Server) legalLocked(r *Run, to RunState, cause string) error {
 const progressEventEvery = 10 * time.Millisecond
 
 // newRunLocked allocates and registers the next run, in no state yet: the
-// caller takes it along an edge out of stateNew or drops it. Caller holds
-// the server mutex.
-func (s *Server) newRunLocked(tenant string, job exp.Job) *Run {
-	id := fmt.Sprintf("run-%06d", s.nextID)
+// caller takes it along an edge out of stateNew or drops it. key is the
+// job's cache key, which the run's record carries from here on. Caller
+// holds the server mutex.
+func (s *Server) newRunLocked(tenant string, job exp.Job, key string) *Run {
+	r := &Run{Meta: runstore.Meta{
+		ID:            fmt.Sprintf("run-%06d", s.nextID),
+		Tenant:        tenant,
+		Scenario:      job.Scenario,
+		Machine:       job.Machine,
+		Seed:          job.Seed,
+		XML:           job.XML,
+		Key:           key,
+		SubmittedAtNs: time.Now().UnixNano(),
+	}}
 	s.nextID++
-	r := &Run{
-		ID:          id,
-		Tenant:      tenant,
-		Job:         job,
-		SubmittedAt: time.Now(),
-	}
 	s.admitLocked(r)
 	return r
+}
+
+// runOrdinal is the admission number a run ID carries ("run-000042" → 42):
+// IDs are issued in admission order.
+func runOrdinal(id string) int {
+	n, _ := strconv.Atoi(strings.TrimPrefix(id, "run-"))
+	return n
 }
 
 // admitLocked makes r resident and counts it against its tenant's quota
 // until finishLocked — or dropRunLocked — takes it off again.
 func (s *Server) admitLocked(r *Run) {
 	s.runs[r.ID] = r
-	s.order = append(s.order, r.ID)
 	s.inflight[r.Tenant]++
 }
 
 // dropRunLocked unregisters a run that failed admission and returns err.
 func (s *Server) dropRunLocked(r *Run, err error) error {
 	delete(s.runs, r.ID)
-	if n := len(s.order); n > 0 && s.order[n-1] == r.ID {
-		s.order = s.order[:n-1]
-	}
 	s.nextID--
 	s.releaseQuotaLocked(r)
 	return err
@@ -126,21 +145,22 @@ func (s *Server) leaseRun(workerID, id string) (claim fleet.ClaimResponse, ok bo
 		// Canceled after the queue pop but before the lease.
 		return claim, false, s.finishLocked(r, StateCanceled, "cancel", "")
 	}
-	if hit, err := s.finishFromCacheLocked(r); hit || err != nil {
+	if src, hit := s.cachedLocked(r.Key); hit && src.ID != r.ID {
 		// An identical run completed while this one sat queued (or it was
 		// requeued with orphaned artifacts) — answered from the cache.
-		return claim, false, err
+		return claim, false, s.finishFromCacheLocked(r, src)
 	}
 	if err := s.legalLocked(r, StateRunning, "claim"); err != nil {
 		return claim, false, err
 	}
-	r.State = StateRunning
-	r.ClaimedAt = time.Now()
-	r.StartedAt = r.ClaimedAt
+	now := time.Now()
+	r.setState(StateRunning)
+	r.ClaimedAtNs = now.UnixNano()
+	r.StartedAtNs = r.ClaimedAtNs
 	r.Worker = workerID
 	r.LeaseID = fmt.Sprintf("lease-%06d", s.nextLease)
 	s.nextLease++
-	r.leaseExpires = r.ClaimedAt.Add(s.cfg.LeaseTTL)
+	r.leaseExpires = now.Add(s.cfg.LeaseTTL)
 	s.met.active.Add(1)
 	s.met.fleetClaims.Inc()
 	s.fleet.NoteOutcome(workerID, "claimed")
@@ -149,7 +169,7 @@ func (s *Server) leaseRun(workerID, id string) (claim fleet.ClaimResponse, ok bo
 	s.events.Append(id, events.Event{Type: events.TypeRunning, Worker: workerID})
 	return fleet.ClaimResponse{
 		RunID:      id,
-		Job:        r.Job,
+		Job:        r.job(),
 		LeaseID:    r.LeaseID,
 		LeaseTTLMs: s.cfg.LeaseTTL.Milliseconds(),
 	}, true, nil
@@ -188,17 +208,15 @@ func (s *Server) resetToQueuedLocked(r *Run, cause string) error {
 	if err := s.legalLocked(r, StateQueued, cause); err != nil {
 		return err
 	}
-	from := r.State
+	from := r.state()
 	ev := events.Event{Type: events.TypeQueued, Reason: cause}
-	r.State = StateQueued
-	r.QueuedAt = time.Now()
+	r.setState(StateQueued)
+	r.QueuedAtNs = time.Now().UnixNano()
 	if from == stateNew {
 		// First admission: the run enters the queue as it is submitted.
-		r.QueuedAt, ev.Reason = r.SubmittedAt, ""
+		r.QueuedAtNs, ev.Reason = r.SubmittedAtNs, ""
 	}
-	r.ClaimedAt = time.Time{}
-	r.StartedAt = time.Time{}
-	r.FinishedAt = time.Time{}
+	r.ClaimedAtNs, r.StartedAtNs, r.FinishedAtNs = 0, 0, 0
 	r.Worker = ""
 	s.unleaseLocked(r)
 	r.clearResult()
@@ -212,7 +230,18 @@ func (s *Server) resetToQueuedLocked(r *Run, cause string) error {
 
 // clearResult forgets what a finished execution reported.
 func (r *Run) clearResult() {
-	r.Cached, r.Converged, r.SimEnd, r.Artifacts = false, false, 0, nil
+	r.Cached, r.Converged, r.SimEndNs, r.Artifacts, r.ArtifactBytes = false, false, 0, nil, 0
+}
+
+// applyResultLocked records a finished execution's outcome on r — its
+// worker's, or for a cache hit its source run's — with the artifact bytes
+// retention accounts, summed here once. Caller holds the server mutex.
+func (s *Server) applyResultLocked(r *Run, converged bool, simEndNs int64, artifacts map[string]string) {
+	r.Converged, r.SimEndNs, r.Artifacts, r.ArtifactBytes = converged, simEndNs, artifacts, 0
+	for _, digest := range artifacts {
+		r.ArtifactBytes += s.blobs.Size(digest)
+	}
+	r.simNow.Store(simEndNs)
 }
 
 // finishLocked moves a run to a terminal state — failed with failure as its
@@ -223,15 +252,15 @@ func (s *Server) finishLocked(r *Run, state RunState, cause, failure string, fir
 	if err := s.legalLocked(r, state, cause); err != nil {
 		return err
 	}
-	from := r.State
-	r.State = state
+	from := r.state()
+	r.setState(state)
 	if state == StateFailed {
-		r.Err = failure
+		r.Error = failure
 	}
 	if state != StateDone {
 		r.clearResult()
 	}
-	r.FinishedAt = time.Now()
+	r.FinishedAtNs = time.Now().UnixNano()
 	if cause == "result" {
 		// The result POST's idempotency key: a retransmission names it.
 		r.doneLease = r.LeaseID
@@ -251,9 +280,9 @@ func (s *Server) finishLocked(r *Run, state RunState, cause, failure string, fir
 		s.events.Append(r.ID, ev)
 	}
 	ev := events.Event{Type: terminalEventType(state), Worker: r.Worker,
-		Cached: r.Cached, Converged: r.Converged, Error: r.Err}
+		Cached: r.Cached, Converged: r.Converged, Error: r.Error}
 	if state == StateDone {
-		ev.SimSeconds = r.SimEnd.Seconds()
+		ev.SimSeconds = time.Duration(r.SimEndNs).Seconds()
 	}
 	s.events.Append(r.ID, ev)
 	// Release the resident entry — the run stays fully queryable (status,
@@ -276,43 +305,54 @@ func terminalEventType(state RunState) events.Type {
 	}
 }
 
-// finishFromCacheLocked completes a run from the result cache when an
-// identical job has finished: at submission, or at claim time when it
-// finished after this run was admitted. Reports whether it did. Caller
-// holds the server mutex.
-func (s *Server) finishFromCacheLocked(r *Run) (hit bool, err error) {
-	src, ok := s.cache[r.Job.Key()]
-	if !ok || src.RunID == r.ID {
-		return false, nil
+// cachedLocked returns the record of the run whose result answers key, the
+// first run of that job to finish done, read through viewLocked. An entry
+// whose source is in neither table — retention deleted it — is a miss, and
+// is deleted. Caller holds the server mutex.
+func (s *Server) cachedLocked(key string) (*runstore.Meta, bool) {
+	id, ok := s.cache[key]
+	if !ok {
+		return nil, false
 	}
+	src, _, ok := s.viewLocked(id, nil)
+	if !ok {
+		delete(s.cache, key)
+	}
+	return src, ok
+}
+
+// finishFromCacheLocked completes a run from src, the record cachedLocked
+// found for its job: at submission, or at claim time when an identical run
+// finished after this one was admitted. Caller holds the server mutex.
+func (s *Server) finishFromCacheLocked(r *Run, src *runstore.Meta) error {
 	if err := s.legalLocked(r, StateDone, "cache_hit"); err != nil {
-		return true, err // before the result is copied in: a refusal changes nothing
+		return err // before the result is copied in: a refusal changes nothing
 	}
 	r.Cached = true
-	r.Converged = src.Converged
-	r.SimEnd = src.SimEnd
-	r.simNow.Store(int64(src.SimEnd))
-	r.Artifacts = src.Artifacts
+	s.applyResultLocked(r, src.Converged, src.SimEndNs, src.Artifacts)
 	if err := s.finishLocked(r, StateDone, "cache_hit", "",
-		events.Event{Type: events.TypeCacheHit, Reason: src.RunID}); err != nil {
-		return true, err
+		events.Event{Type: events.TypeCacheHit, Reason: src.ID}); err != nil {
+		return err
 	}
 	s.met.cacheHits.With(r.Tenant).Inc()
-	return true, nil
+	return nil
 }
 
 // expireLeasesLocked ends every lease that now is past: the worker holding
 // the run died or stalled, so the run goes back to the queue for exact
 // re-execution. It is the only place a lease lapses — Heartbeat and Result
 // compare no clock — so a lease is good until this says otherwise. Newest
-// run first: each goes back in at the front, so the oldest is claimed first
-// (and finishLocked may cut s.order at i). Caller holds the server mutex.
+// run first: each goes back in at the front, so the oldest is claimed first.
+// Caller holds the server mutex.
 func (s *Server) expireLeasesLocked(now time.Time) {
-	for i := len(s.order) - 1; i >= 0; i-- {
-		r := s.runs[s.order[i]]
-		if r.LeaseID == "" || !now.After(r.leaseExpires) {
-			continue
+	var lapsed []*Run
+	for _, r := range s.runs {
+		if r.LeaseID != "" && now.After(r.leaseExpires) {
+			lapsed = append(lapsed, r)
 		}
+	}
+	slices.SortFunc(lapsed, func(a, b *Run) int { return cmp.Compare(runOrdinal(b.ID), runOrdinal(a.ID)) })
+	for _, r := range lapsed {
 		s.met.leaseExpiries.Inc()
 		if r.cancel.Load() {
 			// The worker died before observing the cancel; finish it here.

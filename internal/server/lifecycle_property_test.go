@@ -422,7 +422,9 @@ func (d *lifeDriver) check() {
 
 	// History ∪ resident = acknowledged, resident = unfinished, and every
 	// run is in the state the model has it in: a terminal state is left by
-	// no step of the model, so a run ends exactly once.
+	// no step of the model, so a run ends exactly once. No append fails
+	// here, so the two tables never disagree: a resident run's record is
+	// the one its last transition appended.
 	known := map[string]RunState{}
 	s.History().EachMeta(func(meta *runstore.Meta) bool { known[meta.ID] = RunState(meta.State); return true })
 	type resident struct {
@@ -436,7 +438,11 @@ func (d *lifeDriver) check() {
 		inflight[tenant] = n
 	}
 	for id, r := range s.runs {
-		residents = append(residents, resident{id, r.Worker, r.LeaseID, r.State})
+		residents = append(residents, resident{id, r.Worker, r.LeaseID, r.state()})
+		if indexed, ok := s.History().GetMeta(id); !ok || !reflect.DeepEqual(r.Meta, indexed) {
+			s.mu.Unlock()
+			d.fail("%s is resident as %+v, the index holds %+v (found %v)", id, r.Meta, indexed, ok)
+		}
 	}
 	s.mu.Unlock()
 	leased := 0

@@ -3,9 +3,7 @@ package server
 import (
 	"os"
 	"path/filepath"
-	"time"
 
-	"dyflow/internal/exp"
 	"dyflow/internal/runstore"
 )
 
@@ -20,23 +18,10 @@ import (
 // acknowledged submission from the segments alone: done runs with their
 // artifact references, queued and running runs back onto the queue.
 //
-// A record is the run's runstore.Meta, its job's XML override included
-// (Run.record). Records an older coordinator wrote with a document beside
-// the meta reach the server already completed from it: the store decodes
-// the document when it folds the frame.
-
-// restoredRun is the *Run a record of an unfinished run describes: enough
-// to requeue it, since the requeue resets everything else.
-func restoredRun(m *runstore.Meta) *Run {
-	return &Run{
-		ID:          m.ID,
-		Tenant:      m.Tenant,
-		Job:         exp.Job{Scenario: m.Scenario, Machine: m.Machine, Seed: m.Seed, XML: m.XML},
-		State:       RunState(m.State),
-		Err:         m.Error,
-		SubmittedAt: nsTime(m.SubmittedAtNs),
-	}
-}
+// A record is the run's runstore.Meta, its job's XML override included:
+// the Meta a resident Run embeds. Records an older coordinator wrote with a
+// document beside the meta reach the server already completed from it: the
+// store decodes the document when it folds the frame.
 
 // restore rebuilds the coordinator from the run-history store in one pass
 // over its metas (recovery of whatever a crash left mid-rotation or
@@ -85,21 +70,19 @@ func (s *Server) restore(dir string) error {
 
 	// The callback must not take s.mu or re-enter the store (lock order):
 	// it seeds the cache from the metas in place and builds the runs that
-	// come back, which are admitted after it.
+	// come back — each its record, since the requeue resets the rest —
+	// which are admitted after it.
 	var requeue []*Run
 	s.history.EachMeta(func(m *runstore.Meta) bool {
 		done := m.State == string(StateDone)
 		servable := done && s.refsResolvable(m.Artifacts)
 		if servable && !m.Cached && m.Key != "" {
 			if _, have := s.cache[m.Key]; !have {
-				s.cache[m.Key] = cacheEntry{
-					RunID: m.ID, Converged: m.Converged,
-					SimEnd: time.Duration(m.SimEndNs), Artifacts: m.Artifacts,
-				}
+				s.cache[m.Key] = m.ID
 			}
 		}
 		if !m.Terminal || (done && !servable) {
-			requeue = append(requeue, restoredRun(m))
+			requeue = append(requeue, &Run{Meta: *m})
 		}
 		return true
 	})

@@ -53,77 +53,91 @@ func refDocOf(r *Run) refDoc {
 	return refDoc{
 		ID:           r.ID,
 		Tenant:       r.Tenant,
-		Job:          r.Job,
-		State:        r.State,
+		Job:          r.job(),
+		State:        r.state(),
 		Cached:       r.Cached,
-		Err:          r.Err,
+		Err:          r.Error,
 		Converged:    r.Converged,
-		SimEndNs:     int64(r.SimEnd),
+		SimEndNs:     r.SimEndNs,
 		Worker:       r.Worker,
 		ArtifactRefs: r.Artifacts,
-		SubmittedAt:  r.SubmittedAt,
-		QueuedAt:     r.QueuedAt,
-		ClaimedAt:    r.ClaimedAt,
-		StartedAt:    r.StartedAt,
-		FinishedAt:   r.FinishedAt,
+		SubmittedAt:  nsTime(r.SubmittedAtNs),
+		QueuedAt:     nsTime(r.QueuedAtNs),
+		ClaimedAt:    nsTime(r.ClaimedAtNs),
+		StartedAt:    nsTime(r.StartedAtNs),
+		FinishedAt:   nsTime(r.FinishedAtNs),
 	}
+}
+
+// unixNs is a phase timestamp as a record holds it (zero time → 0).
+func unixNs(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
 }
 
 // run is the *Run a document described.
 func (p refDoc) run() *Run {
-	r := &Run{
-		ID:          p.ID,
-		Tenant:      p.Tenant,
-		Job:         p.Job,
-		State:       p.State,
-		Cached:      p.Cached,
-		Err:         p.Err,
-		Converged:   p.Converged,
-		SimEnd:      time.Duration(p.SimEndNs),
-		Worker:      p.Worker,
-		Artifacts:   p.ArtifactRefs,
-		SubmittedAt: p.SubmittedAt,
-		QueuedAt:    p.QueuedAt,
-		ClaimedAt:   p.ClaimedAt,
-		StartedAt:   p.StartedAt,
-		FinishedAt:  p.FinishedAt,
-	}
+	r := &Run{Meta: runstore.Meta{
+		ID:            p.ID,
+		Tenant:        p.Tenant,
+		Scenario:      p.Job.Scenario,
+		Machine:       p.Job.Machine,
+		Seed:          p.Job.Seed,
+		XML:           p.Job.XML,
+		Key:           p.Job.Key(),
+		State:         string(p.State),
+		Terminal:      p.State.Terminal(),
+		Cached:        p.Cached,
+		Error:         p.Err,
+		Converged:     p.Converged,
+		SimEndNs:      p.SimEndNs,
+		Worker:        p.Worker,
+		Artifacts:     p.ArtifactRefs,
+		SubmittedAtNs: unixNs(p.SubmittedAt),
+		QueuedAtNs:    unixNs(p.QueuedAt),
+		ClaimedAtNs:   unixNs(p.ClaimedAt),
+		StartedAtNs:   unixNs(p.StartedAt),
+		FinishedAtNs:  unixNs(p.FinishedAt),
+	}}
 	r.simNow.Store(p.SimEndNs)
 	return r
 }
 
 // refStatus is Run.status as it was when every Status came from a *Run.
 func refStatus(r *Run) Status {
+	p := refDocOf(r)
 	st := Status{
-		ID:          r.ID,
-		Tenant:      r.Tenant,
-		Job:         r.Job,
-		State:       r.State,
-		Cached:      r.Cached,
-		Error:       r.Err,
+		ID:          p.ID,
+		Tenant:      p.Tenant,
+		Job:         p.Job,
+		State:       p.State,
+		Cached:      p.Cached,
+		Error:       p.Err,
 		SimSeconds:  time.Duration(r.simNow.Load()).Seconds(),
-		Converged:   r.Converged,
-		Worker:      r.Worker,
-		SubmittedAt: r.SubmittedAt,
+		Converged:   p.Converged,
+		Worker:      p.Worker,
+		SubmittedAt: p.SubmittedAt,
 	}
-	if r.State == StateDone {
-		st.SimSeconds = r.SimEnd.Seconds()
+	if p.State == StateDone {
+		st.SimSeconds = time.Duration(p.SimEndNs).Seconds()
 	}
 	for _, ts := range []struct {
 		at  time.Time
 		dst **time.Time
 	}{
-		{r.QueuedAt, &st.QueuedAt},
-		{r.ClaimedAt, &st.ClaimedAt},
-		{r.StartedAt, &st.StartedAt},
-		{r.FinishedAt, &st.FinishedAt},
+		{p.QueuedAt, &st.QueuedAt},
+		{p.ClaimedAt, &st.ClaimedAt},
+		{p.StartedAt, &st.StartedAt},
+		{p.FinishedAt, &st.FinishedAt},
 	} {
 		if !ts.at.IsZero() {
 			t := ts.at
 			*ts.dst = &t
 		}
 	}
-	for name := range r.Artifacts {
+	for name := range p.ArtifactRefs {
 		st.Artifacts = append(st.Artifacts, name)
 	}
 	sort.Strings(st.Artifacts)
@@ -225,13 +239,14 @@ func refRunStatus(t *testing.T, s *Server, docs map[string][]byte, id string) St
 }
 
 // refSamples is analyticsSamples as it was: a slice sized for the resident
-// runs, every meta copied out of the store.
+// runs, every meta copied out of the store. The resident runs come in map
+// order, so the samples are a multiset.
 func refSamples(s *Server) []runSample {
 	s.mu.Lock()
-	samples := make([]runSample, 0, len(s.order))
-	resident := make(map[string]bool, len(s.order))
-	for _, id := range s.order {
-		r := s.runs[id]
+	samples := make([]runSample, 0, len(s.runs))
+	resident := make(map[string]bool, len(s.runs))
+	for id, run := range s.runs {
+		r := refDocOf(run)
 		resident[id] = true
 		sm := runSample{
 			tenant: r.Tenant, scenario: r.Job.Scenario,
@@ -414,16 +429,18 @@ func inject(t *testing.T, s *Server, pop []popRun, parentFormat bool) map[string
 		if g.simNow != 0 {
 			r.simNow.Store(g.simNow)
 		}
+		for _, digest := range r.Artifacts {
+			r.ArtifactBytes += s.blobs.Size(digest)
+		}
 		if g.resident {
 			s.runs[r.ID] = r
-			s.order = append(s.order, r.ID)
 		}
 		var err error
 		if parentFormat {
 			var doc []byte
 			if doc, err = json.Marshal(refDocOf(r)); err == nil {
 				docs[r.ID] = doc
-				err = s.history.Append(parentMeta(s.runMetaLocked(r)), doc)
+				err = s.history.Append(parentMeta(r.Meta), doc)
 			}
 		} else {
 			err = s.historyAppendLocked(r)
@@ -495,6 +512,24 @@ func sameStatuses(t *testing.T, what string, got, want []Status) {
 			t.Fatalf("%s: run %d differs\n got  %s\n want %s", what, i, gj, wj)
 		}
 	}
+}
+
+// sameSamples compares two folds' samples as multisets: the order a fold
+// visits runs in is not observable in /v1/analytics.
+func sameSamples(got, want []runSample) bool {
+	n := map[runSample]int{}
+	for _, sm := range got {
+		n[sm]++
+	}
+	for _, sm := range want {
+		n[sm]--
+	}
+	for _, c := range n {
+		if c != 0 {
+			return false
+		}
+	}
+	return len(got) == len(want)
 }
 
 // listTarget renders q as a GET /v1/runs URL.
@@ -633,7 +668,7 @@ func TestProperty_StatusFromMeta_EqualsDocPath(t *testing.T) {
 
 			// Aggregated: the fold's input is the old fold's input, and the
 			// two formats aggregate alike.
-			if got, want := cur.analyticsSamples(), refSamples(cur); !reflect.DeepEqual(got, want) {
+			if got, want := cur.analyticsSamples(), refSamples(cur); !sameSamples(got, want) {
 				t.Fatalf("analytics samples differ from the copying fold's (%d vs %d)", len(got), len(want))
 			}
 			var curA, refA Analytics
@@ -698,7 +733,12 @@ func TestProperty_StatusFromMeta_EqualsDocPath(t *testing.T) {
 			residents := func(s *Server) ([]string, int) {
 				s.mu.Lock()
 				defer s.mu.Unlock()
-				return append([]string(nil), s.order...), s.nextID
+				var ids []string
+				for id := range s.runs {
+					ids = append(ids, id)
+				}
+				sort.Strings(ids)
+				return ids, s.nextID
 			}
 			ao, an := residents(a)
 			bo, bn := residents(b)
@@ -748,8 +788,8 @@ func TestProperty_StatusFromMeta_EqualsDocPath(t *testing.T) {
 				b.mu.Lock()
 				br := b.runs[st.ID]
 				b.mu.Unlock()
-				if ar != nil && ar.Job != br.Job {
-					t.Fatalf("%s: %s would re-execute %+v vs %+v", what, st.ID, ar.Job, br.Job)
+				if ar != nil && ar.job() != br.job() {
+					t.Fatalf("%s: %s would re-execute %+v vs %+v", what, st.ID, ar.job(), br.job())
 				}
 			}
 			if aa, ba := a.Analytics(), b.Analytics(); !reflect.DeepEqual(aa, ba) {
@@ -775,7 +815,7 @@ func TestProperty_StatusFromMeta_EqualsDocPath(t *testing.T) {
 			a.mu.Lock()
 			r := a.runs[g.p.ID]
 			a.mu.Unlock()
-			if (r != nil) != back || (back && (r.State != StateQueued || r.Job != g.p.Job)) {
+			if (r != nil) != back || (back && (r.state() != StateQueued || r.job() != g.p.Job)) {
 				t.Fatalf("%s (%s, xml=%v): restored as %+v", g.p.ID, g.p.State, g.p.Job.XML != "", r)
 			}
 		}

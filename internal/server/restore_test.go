@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -237,9 +239,11 @@ func (b *syncBuf) String() string {
 // TestRestoreAppendFailuresObservable is the durability-observability
 // regression on the single log: a failed history append must be counted
 // (dyflow_runstore_append_errors_total) and reach the configured logger.
-// On a terminal transition the run still finishes and stays resident and
-// servable; on either Submit path the submission is refused — never
-// acknowledged without durability.
+// On a terminal transition the run still finishes and stays resident, and
+// every reader answers its current state although the index still holds
+// the running record: status, artifact, list page, analytics, the SSE
+// terminal event and a retransmitted result. On either Submit path the
+// submission is refused — never acknowledged without durability.
 func TestRestoreAppendFailuresObservable(t *testing.T) {
 	sink := &syncBuf{}
 	s, err := New(Config{Workers: -1, Logger: log.New(sink, "", 0)})
@@ -269,6 +273,33 @@ func TestRestoreAppendFailuresObservable(t *testing.T) {
 	}
 	if blob, err := s.Artifact(st.ID, exp.ArtifactReport); err != nil || len(blob) == 0 {
 		t.Fatalf("resident done run not servable: %v (%d bytes)", err, len(blob))
+	}
+	if m, _ := s.History().GetMeta(st.ID); m.State != string(StateRunning) {
+		t.Fatalf("the index holds %s's %q record, want the running one", st.ID, m.State)
+	}
+	if runs := listRuns(t, s); len(runs) != 1 || runs[0].ID != st.ID || runs[0].State != StateDone {
+		t.Fatalf("list page %+v, want %s done", runs, st.ID)
+	}
+	var a Analytics
+	getJSON(t, s.Handler(), "/v1/analytics", &a)
+	if a.Runs != 1 || a.ByState[StateDone] != 1 {
+		t.Fatalf("analytics counts %d runs by state %v, want 1 done", a.Runs, a.ByState)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+st.ID+"/events", nil))
+	body := rec.Body.String()
+	if i := strings.LastIndex(body, "event: "); i < 0 || !strings.HasPrefix(body[i:], "event: done\n") {
+		t.Fatalf("event stream does not end in done:\n%s", body)
+	}
+	s.mu.Lock()
+	lease := s.runs[st.ID].doneLease
+	s.mu.Unlock()
+	res, err := s.Result(context.Background(), localWorkerID, fleet.ResultRequest{RunID: st.ID, LeaseID: lease, Converged: true})
+	if err != nil || !res.Accepted || res.Reason != "duplicate" {
+		t.Fatalf("retransmitted result answered %+v, %v; want a duplicate", res, err)
+	}
+	if again, err := s.RunStatus(st.ID); err != nil || again.State != StateDone || again.SimSeconds != st.SimSeconds {
+		t.Fatalf("after the retransmission the run reads %+v, %v", again, err)
 	}
 	if v := counter(t, s, series); v != 1 {
 		t.Fatalf("%s = %v after failed done append", series, v)

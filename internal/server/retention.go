@@ -30,7 +30,7 @@ func (s *Server) SweepRetention() int {
 	keep := map[string]bool{}
 	s.mu.Lock()
 	for _, m := range victims {
-		if ce, ok := s.cache[m.Key]; ok && ce.RunID == m.ID {
+		if s.cache[m.Key] == m.ID {
 			delete(s.cache, m.Key)
 		}
 		s.events.Drop(m.ID)

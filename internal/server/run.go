@@ -28,28 +28,20 @@ func (s RunState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Run is one tracked campaign submission. Mutable fields are guarded by
-// the server mutex except the atomics at the end.
+// Run is one resident campaign submission: its record, the runstore.Meta
+// its latest history append wrote, and what the index cannot hold — its
+// lease and live progress. A resident run's Meta is its current state: the
+// lifecycle (lifecycle.go) writes it and appends it in one critical
+// section, and a failed append leaves the run resident, so a reader never
+// needs another copy. Mutable fields are guarded by the server mutex
+// except the atomics at the end.
 type Run struct {
-	ID     string
-	Tenant string
-	Job    exp.Job
+	runstore.Meta
 
-	State     RunState
-	Cached    bool
-	Err       string
-	Converged bool
-	SimEnd    time.Duration
-	// Artifacts maps artifact names to blob digests in the coordinator's
-	// content-addressed store — never inline bytes, so cached runs, the
-	// history log, and fleet-wide sharing all reference one stored copy.
-	Artifacts map[string]string
-
-	// Worker and LeaseID identify the worker holding this run while it
-	// executes, and the lease it holds it under — LeaseID is set exactly
-	// while the run is running in this process — until expireLeasesLocked
-	// sees an instant past leaseExpires, a TTL after the last heartbeat.
-	Worker       string
+	// LeaseID identifies the lease the run's Worker holds it under — set
+	// exactly while the run is running in this process — until
+	// expireLeasesLocked sees an instant past leaseExpires, a TTL after
+	// the last heartbeat.
 	LeaseID      string
 	leaseExpires time.Time
 	// doneLease remembers the lease under which the run reached its
@@ -58,20 +50,29 @@ type Run struct {
 	// is acknowledged as a duplicate instead of counted stale.
 	doneLease string
 
-	SubmittedAt time.Time
-	// QueuedAt is when the run last entered the queue — SubmittedAt for
-	// the first admission, reset on every requeue (lease expiry, restore,
-	// shutdown), so ClaimedAt−QueuedAt is the run's latest queue wait.
-	QueuedAt time.Time
-	// ClaimedAt is when a worker took the run; zeroed when the run returns
-	// to the queue.
-	ClaimedAt  time.Time
-	StartedAt  time.Time
-	FinishedAt time.Time
-
 	simNow       atomic.Int64 // virtual ns, live progress while running
 	cancel       atomic.Bool  // cooperative-cancel flag read by the progress hook
 	lastProgress atomic.Int64 // wall ns of the last published progress event
+}
+
+// state is the run's lifecycle state.
+func (r *Run) state() RunState { return RunState(r.State) }
+
+// job is the job the run executes.
+func (r *Run) job() exp.Job { return metaJob(&r.Meta) }
+
+// metaJob is the job a run record describes.
+func metaJob(m *runstore.Meta) exp.Job {
+	return exp.Job{Scenario: m.Scenario, Machine: m.Machine, Seed: m.Seed, XML: m.XML}
+}
+
+// progressNs is the virtual time r's status shows: live while it is not
+// done, its makespan once it is.
+func (r *Run) progressNs() int64 {
+	if r.state() == StateDone {
+		return r.SimEndNs
+	}
+	return r.simNow.Load()
 }
 
 // Status is the JSON view of a run served by GET /v1/runs/{id}.
@@ -106,54 +107,20 @@ type Status struct {
 	Artifacts []string `json:"artifacts,omitempty"`
 }
 
-// record is the run's state as a history record, less the two fields only
-// the store reads (Server.runMetaLocked adds them). Caller holds the server
-// mutex.
-func (r *Run) record() runstore.Meta {
-	return runstore.Meta{
-		ID:            r.ID,
-		Tenant:        r.Tenant,
-		Scenario:      r.Job.Scenario,
-		Machine:       r.Job.Machine,
-		Seed:          r.Job.Seed,
-		XML:           r.Job.XML,
-		State:         string(r.State),
-		Terminal:      r.State.Terminal(),
-		Cached:        r.Cached,
-		Converged:     r.Converged,
-		Error:         r.Err,
-		Worker:        r.Worker,
-		SubmittedAtNs: unixNs(r.SubmittedAt),
-		QueuedAtNs:    unixNs(r.QueuedAt),
-		ClaimedAtNs:   unixNs(r.ClaimedAt),
-		StartedAtNs:   unixNs(r.StartedAt),
-		FinishedAtNs:  unixNs(r.FinishedAt),
-		SimEndNs:      int64(r.SimEnd),
-		Artifacts:     r.Artifacts,
-	}
-}
-
 // status renders the run's JSON view. Caller holds the server mutex.
-func (r *Run) status() Status {
-	m := r.record()
-	st := recordStatus(&m)
-	if r.State != StateDone {
-		st.SimSeconds = time.Duration(r.simNow.Load()).Seconds()
-	}
-	return st
-}
+func (r *Run) status() Status { return recordStatus(&r.Meta, r.progressNs()) }
 
-// recordStatus renders a run record's JSON view: the one renderer, for a
-// resident run's current state (Run.status) and an evicted run's record.
-func recordStatus(m *runstore.Meta) Status {
+// recordStatus renders a run record's JSON view, showing simNs of virtual
+// progress: the one renderer.
+func recordStatus(m *runstore.Meta, simNs int64) Status {
 	st := Status{
 		ID:          m.ID,
 		Tenant:      m.Tenant,
-		Job:         exp.Job{Scenario: m.Scenario, Machine: m.Machine, Seed: m.Seed, XML: m.XML},
+		Job:         metaJob(m),
 		State:       RunState(m.State),
 		Cached:      m.Cached,
 		Error:       m.Error,
-		SimSeconds:  time.Duration(m.SimEndNs).Seconds(),
+		SimSeconds:  time.Duration(simNs).Seconds(),
 		Converged:   m.Converged,
 		Worker:      m.Worker,
 		SubmittedAt: nsTime(m.SubmittedAtNs),

@@ -81,10 +81,12 @@ type Config struct {
 // Server is the campaign service's coordinator: admission, quotas, the
 // deterministic result cache, the run-history log, the content-addressed
 // blob store, and the run lifecycle with its leases (lifecycle.go). It
-// executes nothing itself: a
-// run is leased to a fleet.Worker through the worker API (worker_api.go),
-// whether that worker joined over HTTP or is the one New starts in this
-// process (cfg.Workers slots, calling the same API as plain methods).
+// executes nothing itself: a run is leased to a fleet.Worker through the
+// worker API (worker_api.go), whether that worker joined over HTTP or is
+// the one New starts in this process (cfg.Workers slots, calling the same
+// API as plain methods). It keeps one run table, the history store's
+// index: a resident run is its record plus a lease, and every reader goes
+// through viewLocked.
 type Server struct {
 	cfg    Config
 	reg    *obs.Registry
@@ -100,22 +102,24 @@ type Server struct {
 	// it is acknowledged or published, terminal runs are evicted from the
 	// resident map once recorded, an evicted run is read from its record
 	// (a runstore.Meta), and restore reads nothing else. Memory-only when
-	// persistence is off (same API). Lock
-	// order: s.mu may be held while calling into history, never the
-	// reverse (EachMeta callbacks must not touch s.mu).
+	// persistence is off (same API). Lock order: s.mu may be held while
+	// calling into history, never the reverse (EachMeta callbacks must not
+	// take s.mu).
 	history *runstore.Store
 
 	// stopped closes when shutdown begins, waking SSE streams so they
 	// end instead of pinning http.Server.Shutdown to its deadline.
 	stopped chan struct{}
 
-	mu        sync.Mutex
-	runs      map[string]*Run // resident runs: non-terminal + terminal not yet in history
-	order     []string        // resident run IDs in submission order
+	mu sync.Mutex
+	// runs is the resident map: the runs a worker or the queue can still
+	// touch, and a terminal run whose last append failed. Each one's Meta
+	// is its current record.
+	runs      map[string]*Run
 	nextID    int
 	nextLease int
-	cache     map[string]cacheEntry // job key → first completed run's result
-	inflight  map[string]int        // tenant → queued+running runs
+	cache     map[string]string // job key → ID of the first run of it to finish done
+	inflight  map[string]int    // tenant → queued+running runs
 	stopping  bool
 	// doneRings lists the evicted terminal runs the coordinator still holds
 	// something of besides their record (FIFO, the last maxTerminalRings):
@@ -166,7 +170,7 @@ func New(cfg Config) (*Server, error) {
 		events:   events.NewJournal(cfg.EventBuffer, reg),
 		stopped:  make(chan struct{}),
 		runs:     map[string]*Run{},
-		cache:    map[string]cacheEntry{},
+		cache:    map[string]string{},
 		inflight: map[string]int{},
 	}
 	blobDir := ""
@@ -241,20 +245,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // History returns the run-history store (tests and diagnostics).
 func (s *Server) History() *runstore.Store { return s.history }
 
-// cacheEntry is the result cache's value: just enough of a completed
-// run to answer an identical submission without keeping its *Run
-// resident. Existence implies the source run finished StateDone.
-type cacheEntry struct {
-	RunID     string
-	Converged bool
-	SimEnd    time.Duration
-	Artifacts map[string]string
-}
-
-func cacheEntryFor(r *Run) cacheEntry {
-	return cacheEntry{RunID: r.ID, Converged: r.Converged, SimEnd: r.SimEnd, Artifacts: r.Artifacts}
-}
-
 // markStopping flags shutdown and closes the stopped channel exactly
 // once, releasing any blocked SSE streams.
 func (s *Server) markStopping() {
@@ -285,10 +275,11 @@ func (s *Server) Submit(tenant string, job exp.Job) (Status, error) {
 
 	// Cache fast path: an identical job already completed — answer from
 	// its artifacts without touching the queue or the quota.
-	if _, hit := s.cache[job.Key()]; hit {
-		r := s.newRunLocked(tenant, job)
+	key := job.Key()
+	if src, hit := s.cachedLocked(key); hit {
+		r := s.newRunLocked(tenant, job, key)
 		// The one record of this run, written before the acknowledgement.
-		if _, err := s.finishFromCacheLocked(r); err != nil {
+		if err := s.finishFromCacheLocked(r, src); err != nil {
 			return Status{}, s.dropRunLocked(r, err)
 		}
 		s.met.submissions.With(tenant).Inc()
@@ -303,7 +294,7 @@ func (s *Server) Submit(tenant string, job exp.Job) (Status, error) {
 		}
 	}
 
-	r := s.newRunLocked(tenant, job)
+	r := s.newRunLocked(tenant, job, key)
 	if err := s.queue.push(r.ID); err != nil {
 		if errors.Is(err, errQueueFull) {
 			s.met.queueRejects.Inc()
@@ -331,57 +322,44 @@ func (s *Server) Submit(tenant string, job exp.Job) (Status, error) {
 func (s *Server) Cancel(id string) (Status, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.runs[id]
-	if !ok {
-		// Evicted terminal runs cancel as the no-op they always were.
-		if m, ok := s.history.GetMeta(id); ok {
-			return recordStatus(&m), nil
+	if r := s.runs[id]; r != nil && !r.Terminal {
+		r.cancel.Store(true)
+		if r.state() == StateQueued && s.queue.remove(id) {
+			s.finishLocked(r, StateCanceled, "cancel", "")
 		}
-		return Status{}, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
 	}
-	if r.State.Terminal() {
-		return r.status(), nil
-	}
-	r.cancel.Store(true)
-	if r.State == StateQueued && s.queue.remove(id) {
-		s.finishLocked(r, StateCanceled, "cancel", "")
-	}
-	return r.status(), nil
+	return s.statusLocked(id)
 }
 
-// RunStatus returns one run's status — resident runs live, evicted
-// terminal runs from their history record, read after the server mutex is
-// released (a run leaves the resident map only once its record is in).
+// RunStatus returns one run's status.
 func (s *Server) RunStatus(id string) (Status, error) {
 	s.mu.Lock()
-	if r := s.runs[id]; r != nil {
-		st := r.status()
-		s.mu.Unlock()
-		return st, nil
-	}
-	s.mu.Unlock()
-	if m, ok := s.history.GetMeta(id); ok {
-		return recordStatus(&m), nil
-	}
-	return Status{}, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
+	defer s.mu.Unlock()
+	return s.statusLocked(id)
 }
 
-// Artifact returns one artifact of a finished run, resident or evicted.
+// statusLocked renders run id's current state. Caller holds the server
+// mutex.
+func (s *Server) statusLocked(id string) (Status, error) {
+	m, simNs, ok := s.viewLocked(id, nil)
+	if !ok {
+		return Status{}, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
+	}
+	return recordStatus(m, simNs), nil
+}
+
+// Artifact returns one artifact of a finished run.
 func (s *Server) Artifact(id, name string) ([]byte, error) {
 	s.mu.Lock()
-	r, resident := s.runs[id]
+	m, _, ok := s.viewLocked(id, nil)
 	var state RunState
 	var refs map[string]string
-	if resident {
-		state, refs = r.State, r.Artifacts
+	if ok {
+		state, refs = RunState(m.State), m.Artifacts
 	}
 	s.mu.Unlock()
-	if !resident {
-		m, ok := s.history.GetMeta(id)
-		if !ok {
-			return nil, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
-		}
-		state, refs = RunState(m.State), m.Artifacts
+	if !ok {
+		return nil, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
 	}
 	if state != StateDone {
 		return nil, &APIError{Code: http.StatusConflict, Msg: fmt.Sprintf("run is %s, artifacts exist once it is done", state)}

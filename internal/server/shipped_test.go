@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -101,9 +102,13 @@ func servedBodies(t *testing.T, s *Server) shippedBodies {
 	h := s.Handler()
 	out := shippedBodies{Lists: map[string][]json.RawMessage{}, Statuses: map[string]json.RawMessage{}, Artifacts: map[string]string{}}
 	s.mu.Lock()
-	for _, id := range s.order {
-		r := s.runs[id]
-		out.Resident = append(out.Resident, mustJSON(t, map[string]any{"id": r.ID, "state": r.State, "job": r.Job}))
+	resident := make([]*Run, 0, len(s.runs))
+	for _, r := range s.runs {
+		resident = append(resident, r)
+	}
+	sort.Slice(resident, func(i, j int) bool { return runOrdinal(resident[i].ID) < runOrdinal(resident[j].ID) })
+	for _, r := range resident {
+		out.Resident = append(out.Resident, mustJSON(t, map[string]any{"id": r.ID, "state": r.State, "job": r.job()}))
 	}
 	out.NextID = s.nextID
 	s.mu.Unlock()

@@ -112,15 +112,11 @@ func (s *Server) parseEventCursor(v string) uint64 {
 	return seq
 }
 
-// runTerminal reports whether a run exists and is in a terminal state —
-// resident, or already evicted to the history store.
+// runTerminal reports whether a run exists and is in a terminal state.
 func (s *Server) runTerminal(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r := s.runs[id]; r != nil {
-		return r.State.Terminal()
-	}
-	m, ok := s.history.GetMeta(id)
+	m, _, ok := s.viewLocked(id, nil)
 	return ok && m.Terminal
 }
 
@@ -129,15 +125,15 @@ func (s *Server) runTerminal(id string) bool {
 // into the history store, so no ring exists). A subscriber arriving
 // across the restart still receives the terminal frame — synthesized
 // from the history record with Reason "restore" — instead of waiting
-// forever. Runs with a live ring (resident, or evicted this process
-// with the ring retained) are untouched.
+// forever. Runs with a live ring — every resident run, and an evicted
+// one while its ring is retained — are untouched.
 func (s *Server) ensureTerminalEvent(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.runs[id] != nil || s.events.Len(id) > 0 {
+	if s.events.Len(id) > 0 {
 		return
 	}
-	m, ok := s.history.GetMeta(id)
+	m, _, ok := s.viewLocked(id, nil)
 	if !ok || !m.Terminal {
 		return
 	}

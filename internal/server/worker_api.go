@@ -235,14 +235,11 @@ func (s *Server) Result(_ context.Context, workerID string, req fleet.ResultRequ
 				return fleet.ResultResponse{Reason: "artifact blob missing; run requeued"}, nil
 			}
 		}
-		run.Converged = req.Converged
-		run.SimEnd = time.Duration(req.SimEndNs)
-		run.simNow.Store(req.SimEndNs)
-		run.Artifacts = req.Artifacts
-		if _, have := s.cache[run.Job.Key()]; !have {
-			s.cache[run.Job.Key()] = cacheEntryFor(run)
+		s.applyResultLocked(run, req.Converged, req.SimEndNs, req.Artifacts)
+		if _, have := s.cachedLocked(run.Key); !have {
+			s.cache[run.Key] = run.ID
 		}
-		s.met.runSeconds.Observe(time.Since(run.StartedAt).Seconds())
+		s.met.runSeconds.Observe(time.Since(nsTime(run.StartedAtNs)).Seconds())
 	}
 	s.finishLocked(run, state, "result", req.Error)
 	s.fleet.NoteOutcome(workerID, string(state))
@@ -265,7 +262,7 @@ func (s *Server) duplicateResultLocked(run *Run, req *fleet.ResultRequest) bool 
 		return false
 	}
 	if run != nil {
-		return run.State.Terminal() && run.doneLease == req.LeaseID
+		return run.Terminal && run.doneLease == req.LeaseID
 	}
 	// Terminal runs are evicted to the history store; doneRings keeps the
 	// (run, completing lease) pairs of the latest, so a late retransmission

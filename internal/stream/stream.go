@@ -30,11 +30,11 @@ type Step struct {
 	// Size is the staged payload size in bytes (informational).
 	Size int64
 	// Vars carries named numeric variables for sensors and analyses.
-	Vars map[string]float64
+	Vars FloatMap
 	// Array carries one value per producer rank (e.g. TAU's per-process
 	// loop times, or a staged output vector). Sensor preprocessing reduces
 	// it before metric formulation.
-	Array []float64
+	Array Floats
 	// Produced is the virtual time the record was staged.
 	Produced sim.Time
 }
