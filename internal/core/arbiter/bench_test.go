@@ -3,9 +3,12 @@ package arbiter
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"dyflow/internal/core/decision"
 	"dyflow/internal/core/spec"
+	"dyflow/internal/msg"
+	"dyflow/internal/sim"
 )
 
 // BenchmarkBuildPlan measures Algorithm 1's planning cost on a workflow
@@ -51,6 +54,44 @@ func BenchmarkBuildPlan(b *testing.B) {
 				if plan.Empty() {
 					b.Fatal("plan unexpectedly empty")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkArbitrateRound measures one warm Engine round end to end —
+// snapshot, stale screening, planning — for a one-suggestion batch whose
+// plan comes out empty, the shape of most rounds of an xgc run. Its
+// allocations should not grow with the task count.
+func BenchmarkArbitrateRound(b *testing.B) {
+	for _, n := range []int{5, 20, 100} {
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			tasks := make(map[string]TaskState, n)
+			rules := &spec.WorkflowRules{Workflow: "W", TaskPriorities: map[string]int{}}
+			for i := 0; i < n; i++ {
+				name := fmt.Sprintf("task%03d", i)
+				rules.TaskPriorities[name] = i
+				tasks[name] = TaskState{Running: true, Procs: 20, StartedAt: sim.Time(time.Second)}
+			}
+			tasks["idle"] = TaskState{Procs: 4}
+			s := sim.New(1)
+			view := &fakeView{tasks: map[string]map[string]TaskState{"W": tasks}, free: n * 5}
+			eng := New(s, msg.NewBus(s), "arbiter", DefaultConfig(), map[string]*spec.WorkflowRules{"W": rules}, view, &fakeExec{s: s, failAfter: -1})
+			batch := []decision.Suggestion{{Workflow: "W", PolicyID: "STOP_IDLE", Action: "STOP",
+				AssessTask: "idle", ActOnTasks: []string{"idle"}, DecidedAt: int64(2 * time.Second)}}
+			s.Spawn("driver", func(p *sim.Proc) {
+				eng.Arbitrate(p, batch)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if recs := eng.Arbitrate(p, batch); len(recs) != 0 {
+						b.Error("round unexpectedly executed a plan")
+						return
+					}
+				}
+			})
+			if err := s.Run(time.Second); err != nil {
+				b.Fatal(err)
 			}
 		})
 	}

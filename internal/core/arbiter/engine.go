@@ -2,6 +2,7 @@ package arbiter
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"dyflow/internal/core/decision"
@@ -14,9 +15,12 @@ import (
 // View is the arbiter's window onto the live workflow state, implemented by
 // the orchestrator over the WMS and resource manager.
 type View interface {
-	// Snapshot returns the current TaskState of every composed task of the
-	// workflow plus the free healthy core count.
-	Snapshot(workflow string) (map[string]TaskState, int)
+	// Snapshot fills into, which the caller owns, with the current
+	// TaskState of every composed task of the workflow, deleting any other
+	// key, and returns the free healthy core count. The engine hands the
+	// same map back every round, so a warm round whose task set has not
+	// changed allocates nothing here; the view keeps no reference to it.
+	Snapshot(workflow string, into map[string]TaskState) (free int)
 }
 
 // ExecReport describes how much of a plan Actuation applied. Failed rounds
@@ -148,6 +152,16 @@ type Engine struct {
 	// cannot be serialized. Drivers defer the checkpoint to the next
 	// instant the engine is between rounds instead.
 	busy bool
+
+	// tasks holds each workflow's task view, filled in place by the View
+	// every round. The buffers below are a round's scratch space: the
+	// batch's distinct workflows in first-seen order, one workflow's
+	// screened suggestions and their span IDs. None of them outlives its
+	// round; an executed round copies what its Record keeps.
+	tasks map[string]map[string]TaskState
+	wfs   []string
+	sgBuf []decision.Suggestion
+	idBuf []string
 }
 
 // New creates the Arbitration engine reading suggestion batches from its
@@ -164,6 +178,7 @@ func New(s *sim.Sim, bus *msg.Bus, name string, cfg Config, rules map[string]*sp
 		exec:    exec,
 		rules:   rules,
 		waiting: make(map[string][]WaitingTask),
+		tasks:   make(map[string]map[string]TaskState),
 	}
 }
 
@@ -285,7 +300,8 @@ func (e *Engine) gather(p *sim.Proc, batch []decision.Suggestion) []decision.Sug
 }
 
 // Arbitrate runs one round synchronously for the given suggestions; used by
-// the engine loop and directly by tests.
+// the engine loop and directly by tests. Rounds share the engine's scratch
+// buffers, so at most one may be in flight per engine.
 func (e *Engine) Arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 	return e.arbitrate(p, batch)
 }
@@ -294,43 +310,50 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 	received := e.s.Now()
 	var out []Record
 
-	// Group suggestions by workflow; each workflow plans independently.
-	byWF := map[string][]decision.Suggestion{}
-	var order []string
+	// Each workflow plans independently, in first-seen order. The batch is
+	// the sender's payload: screening copies into e.sgBuf, never into it.
+	e.wfs = e.wfs[:0]
 	for _, sg := range batch {
-		if _, seen := byWF[sg.Workflow]; !seen {
-			order = append(order, sg.Workflow)
+		if !slices.Contains(e.wfs, sg.Workflow) {
+			e.wfs = append(e.wfs, sg.Workflow)
 		}
-		byWF[sg.Workflow] = append(byWF[sg.Workflow], sg)
 	}
 
-	for _, wf := range order {
-		sgs := byWF[wf]
-		tasks, free := e.view.Snapshot(wf)
+	for _, wf := range e.wfs {
+		tasks := e.tasks[wf]
+		if tasks == nil {
+			tasks = make(map[string]TaskState)
+			e.tasks[wf] = tasks
+		}
+		free := e.view.Snapshot(wf, tasks)
 		// Screen out stale suggestions: anything decided before the
 		// assessed task's current incarnation launched describes a state
 		// that no longer exists (the in-flight analogue of Decision's
 		// post-restart metric screening).
-		fresh := sgs[:0]
-		for _, sg := range sgs {
+		sgs := e.sgBuf[:0]
+		for _, sg := range batch {
+			if sg.Workflow != wf {
+				continue
+			}
 			if st, ok := tasks[sg.AssessTask]; ok && st.StartedAt > 0 && sim.Time(sg.DecidedAt) < st.StartedAt {
 				e.tr.Drop(sg.ID, "stale", received)
 				e.tr.Inc("arbiter.stale_suggestions", 1)
 				continue
 			}
-			fresh = append(fresh, sg)
+			sgs = append(sgs, sg)
 		}
-		sgs = fresh
+		e.sgBuf = sgs
 		if len(sgs) == 0 {
 			continue
 		}
-		ids := make([]string, 0, len(sgs))
+		ids := e.idBuf[:0]
 		for _, sg := range sgs {
 			if sg.ID != "" {
 				ids = append(ids, sg.ID)
 			}
 			e.tr.Received(sg.ID, received)
 		}
+		e.idBuf = ids
 		in := PlanInput{
 			Workflow:      wf,
 			Suggestions:   sgs,
@@ -347,21 +370,25 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 		// came out empty, so the queue update must happen on every round.
 		e.waiting[wf] = stillWaiting
 
+		if plan.Empty() {
+			// Nothing feasible or nothing to do: no settle window, but the
+			// round must stay visible to the accounting.
+			plannedAt := e.s.Now()
+			e.tr.Inc("arbiter.empty_rounds", 1)
+			for _, id := range ids {
+				e.tr.Drop(id, "empty-plan", plannedAt)
+			}
+			continue
+		}
+		// The round executes, so its Record is kept (and checkpointed):
+		// it gets its own copies of the round's buffers before anything
+		// yields. An ID-less batch keeps a non-nil, empty SuggestionIDs.
+		plan.Trigger = slices.Clone(sgs)
 		rec := Record{
 			Workflow:      wf,
 			ReceivedAt:    received,
 			EventAt:       earliestEvent(sgs),
-			SuggestionIDs: ids,
-		}
-		if plan.Empty() {
-			// Nothing feasible or nothing to do: no settle window, but the
-			// round must stay visible to the accounting.
-			rec.PlannedAt = e.s.Now()
-			e.tr.Inc("arbiter.empty_rounds", 1)
-			for _, id := range ids {
-				e.tr.Drop(id, "empty-plan", rec.PlannedAt)
-			}
-			continue
+			SuggestionIDs: append(make([]string, 0, len(ids)), ids...),
 		}
 		// Protocol computation cost.
 		if e.cfg.PlanCost > 0 {
@@ -370,7 +397,7 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			}
 		}
 		rec.PlannedAt = e.s.Now()
-		for _, id := range ids {
+		for _, id := range rec.SuggestionIDs {
 			e.tr.Planned(id, rec.PlannedAt)
 		}
 
@@ -382,7 +409,7 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 		rec.Plan = plan
 		rec.AppliedOps = rep.Applied
 		rec.AbortedOps = rep.Aborted
-		for _, id := range ids {
+		for _, id := range rec.SuggestionIDs {
 			e.tr.Executed(id, rec.ExecutedAt)
 		}
 		e.tr.Inc("arbiter.rounds", 1)

@@ -18,12 +18,12 @@ type fakeView struct {
 	free  int
 }
 
-func (v *fakeView) Snapshot(wf string) (map[string]TaskState, int) {
-	out := make(map[string]TaskState, len(v.tasks[wf]))
+func (v *fakeView) Snapshot(wf string, into map[string]TaskState) int {
+	clear(into)
 	for k, st := range v.tasks[wf] {
-		out[k] = st
+		into[k] = st
 	}
-	return out, v.free
+	return v.free
 }
 
 // fakeExec records executed plans and applies optional per-op latency.

@@ -252,14 +252,15 @@ func (w *savannaWorkload) TaskRunning(workflow, taskName string) bool {
 }
 
 // savannaView adapts Savanna to the arbiter's View: the snapshot of every
-// composed task plus free healthy cores.
+// composed task plus free healthy cores. It keeps no state of its own; the
+// engine owns the map it fills.
 type savannaView struct{ sv *wms.Savanna }
 
-func (v *savannaView) Snapshot(workflow string) (map[string]arbiter.TaskState, int) {
-	out := make(map[string]arbiter.TaskState)
+func (v *savannaView) Snapshot(workflow string, into map[string]arbiter.TaskState) int {
+	clear(into)
 	wf := v.sv.Workflow(workflow)
 	if wf == nil {
-		return out, v.sv.Manager().Free().Total()
+		return v.sv.Manager().FreeCores()
 	}
 	for _, cfg := range wf.Tasks {
 		name := cfg.Spec.Name
@@ -281,7 +282,7 @@ func (v *savannaView) Snapshot(workflow string) (map[string]arbiter.TaskState, i
 				st.PerNode = 0
 			}
 		}
-		out[name] = st
+		into[name] = st
 	}
-	return out, v.sv.Manager().Free().Total()
+	return v.sv.Manager().FreeCores()
 }

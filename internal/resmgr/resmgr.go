@@ -168,7 +168,7 @@ func (m *Manager) publishGauges() {
 	}
 	mm.allocated.Set(float64(len(m.alloc)))
 	mm.unhealthy.Set(float64(unhealthy))
-	mm.freeCores.Set(float64(m.Free().Total()))
+	mm.freeCores.Set(float64(m.FreeCores()))
 	mm.assignedCores.Set(float64(assignedTotal))
 	// Publish every allocated node (zeroing nodes whose cores were
 	// released) so stale per-node values never linger.
@@ -305,6 +305,39 @@ func (m *Manager) Free() ResourceSet {
 	return free
 }
 
+// FreeCores returns Free().Total() without building the set: the sum over
+// healthy allocated nodes of max(0, cores - assigned). The arbiter reads it
+// every round and publishGauges on every mutation.
+func (m *Manager) FreeCores() int {
+	total := 0
+	for id := range m.alloc {
+		node := m.cluster.Node(id)
+		if node == nil || !node.Healthy() {
+			continue
+		}
+		free := node.Cores
+		for _, rs := range m.assigned {
+			free -= rs[id]
+		}
+		if free > 0 {
+			total += free
+		}
+	}
+	return total
+}
+
+// checkCounts rejects a negative core count: Assign would shrink the
+// owner's assignment past what it holds and ReleasePartial would grow it
+// unchecked, both inflating or overcommitting capacity silently.
+func checkCounts(rs ResourceSet) error {
+	for id, n := range rs {
+		if n < 0 {
+			return fmt.Errorf("resmgr: negative core count %d on %s", n, id)
+		}
+	}
+	return nil
+}
+
 // Assigned returns a copy of the owner's current assignment (nil if none).
 func (m *Manager) Assigned(owner string) ResourceSet {
 	rs, ok := m.assigned[owner]
@@ -327,10 +360,17 @@ func (m *Manager) Owners() []string {
 }
 
 // Assign marks rs as in use by owner, on top of any existing assignment.
-// Every core must be free, healthy, and inside the allocation.
+// Every core must be free, healthy, and inside the allocation; a negative
+// count is an error and a zero count is skipped.
 func (m *Manager) Assign(owner string, rs ResourceSet) error {
+	if err := checkCounts(rs); err != nil {
+		return err
+	}
 	free := m.Free()
 	for id, n := range rs {
+		if n == 0 {
+			continue
+		}
 		if !m.alloc[id] {
 			return fmt.Errorf("resmgr: node %s is outside the allocation", id)
 		}
@@ -343,7 +383,11 @@ func (m *Manager) Assign(owner string, rs ResourceSet) error {
 		cur = make(ResourceSet)
 		m.assigned[owner] = cur
 	}
-	cur.Add(rs)
+	for id, n := range rs {
+		if n > 0 {
+			cur[id] += n
+		}
+	}
 	m.publishGauges()
 	return nil
 }
@@ -354,8 +398,12 @@ func (m *Manager) Release(owner string) {
 	m.publishGauges()
 }
 
-// ReleasePartial returns rs of owner's cores to the free pool.
+// ReleasePartial returns rs of owner's cores to the free pool; a negative
+// count is an error.
 func (m *Manager) ReleasePartial(owner string, rs ResourceSet) error {
+	if err := checkCounts(rs); err != nil {
+		return err
+	}
 	cur, ok := m.assigned[owner]
 	if !ok {
 		return fmt.Errorf("resmgr: owner %q has no assignment", owner)

@@ -261,6 +261,41 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
+// A negative count used to pass Assign's `free < n` check and shrink the
+// owner's assignment below zero, inflating free capacity; ReleasePartial
+// grew the assignment past what was ever assigned. Both now refuse it and
+// leave the manager untouched, and zero counts are not stored.
+func TestAssignAndReleasePartialRejectNegativeCounts(t *testing.T) {
+	_, _, m := newDT2(t, 2)
+	if _, err := m.Allocate(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Assign("a", ResourceSet{"node000": 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Assign("b", ResourceSet{"node000": -5}); err == nil {
+		t.Fatal("Assign accepted a negative core count")
+	}
+	if err := m.ReleasePartial("a", ResourceSet{"node000": -5}); err == nil {
+		t.Fatal("ReleasePartial accepted a negative core count")
+	}
+	if got := m.Assigned("a"); got.Total() != 10 || len(got) != 1 {
+		t.Fatalf("a's assignment = %v, want node000:10 untouched", got)
+	}
+	if m.Assigned("b") != nil {
+		t.Fatalf("b's assignment = %v, want none", m.Assigned("b"))
+	}
+	if free := m.Free().Total(); free != 30 {
+		t.Fatalf("free = %d, want 30", free)
+	}
+	if err := m.Assign("b", ResourceSet{"node000": 0, "node001": 4}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Assigned("b"); len(got) != 1 || got["node001"] != 4 {
+		t.Fatalf("b's assignment = %v, want node001:4 only (zero entry skipped)", got)
+	}
+}
+
 // ReleaseNodes must refuse node IDs that were never part of the allocation
 // — silently "releasing" a foreign node hides caller bookkeeping bugs.
 func TestReleaseNodesRejectsForeignNode(t *testing.T) {
