@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify chaos chaos-restart restore-soak race-soak suites-check suites-golden chaos-net fuzz-smoke bench bench-check mem-gate exec-gate read-gate perf examples
+.PHONY: build test vet race verify chaos chaos-restart restore-soak race-soak suites-check suites-golden chaos-net fuzz-smoke bench scale-curve bench-check mem-gate exec-gate read-gate perf examples
 
 build:
 	$(GO) build ./...
@@ -119,6 +119,14 @@ fuzz-smoke:
 # and compared live in bench/ (`make perf`), not here.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
+
+# The orchestration-cost curve (DESIGN.md §14, ROADMAP item 13): the scale
+# world — N quickstart-shaped pairs in one workflow — at N = 1, 4, 16 and 64,
+# with CPU, bytes, allocations, arbitration rounds and handoffs per simulated
+# hour, and each metric's fitted exponent in N on the log line. About half a
+# minute; not a CI step.
+scale-curve:
+	$(GO) test -run '^$$' -bench BenchmarkScaleWorld -benchtime 5x -v ./internal/exp
 
 # bench/ is its own module (`replace dyflow => ../`), so `go build ./...` and
 # `go test ./...` at the root never compile it: this is the gate that an

@@ -19,6 +19,7 @@ var exportedForTests = map[string]string{
 	// kernel counts the goldens pin.
 	"internal/core/arbiter.Engine.Arbitrate":      "runs one round on the production path without the engine process",
 	"internal/core/arbiter.Engine.EnqueueWaiting": "seeds T_waiting the way a composed waiting task would",
+	"internal/core/arbiter.BuildPlan":             "runs the engine's planner code on a fresh planner, one plan at a time",
 	"internal/core.NewArbiterView":                "builds the orchestrator's arbiter view over a bare WMS",
 	"internal/msg.UniformJitterLatency":           "feeds seeded jitter into the bus's delivery path",
 	"internal/sim.Sim.Dispatched":                 "the goldens pin the kernel's event count",

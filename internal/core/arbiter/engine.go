@@ -155,13 +155,16 @@ type Engine struct {
 
 	// tasks holds each workflow's task view, filled in place by the View
 	// every round. The buffers below are a round's scratch space: the
-	// batch's distinct workflows in first-seen order, one workflow's
-	// screened suggestions and their span IDs. None of them outlives its
-	// round; an executed round copies what its Record keeps.
-	tasks map[string]map[string]TaskState
-	wfs   []string
-	sgBuf []decision.Suggestion
-	idBuf []string
+	// gathered batches, the batch's distinct workflows in first-seen
+	// order, one workflow's screened suggestions and their span IDs, and
+	// the planner's. None of them outlives its round; an executed round
+	// copies what its Record keeps.
+	tasks    map[string]map[string]TaskState
+	gathered []decision.Suggestion
+	wfs      []string
+	sgBuf    []decision.Suggestion
+	idBuf    []string
+	planner  planner
 }
 
 // New creates the Arbitration engine reading suggestion batches from its
@@ -269,11 +272,14 @@ func (e *Engine) run(p *sim.Proc) {
 }
 
 // gather collects further suggestion batches for the configured window, so
-// same-period policy responses are arbitrated jointly.
+// same-period policy responses are arbitrated jointly. The received
+// payloads are the senders' slices and are never written: once a second
+// batch arrives, the batches are combined in e.gathered.
 func (e *Engine) gather(p *sim.Proc, batch []decision.Suggestion) []decision.Suggestion {
 	if e.cfg.GatherWindow <= 0 {
 		return batch
 	}
+	owned := false
 	deadline := e.s.Now() + e.cfg.GatherWindow
 	for {
 		remaining := deadline - e.s.Now()
@@ -292,8 +298,13 @@ func (e *Engine) gather(p *sim.Proc, batch []decision.Suggestion) []decision.Sug
 			if !ok {
 				break
 			}
-			if more, err := msg.Payload[[]decision.Suggestion](&env); err == nil {
+			if more, err := msg.Payload[[]decision.Suggestion](&env); err == nil && len(more) > 0 {
+				if !owned {
+					batch = append(e.gathered[:0], batch...)
+					owned = true
+				}
 				batch = append(batch, more...)
+				e.gathered = batch
 			}
 		}
 	}
@@ -364,8 +375,8 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			NoVictims:     e.cfg.NoVictims,
 			ImmediateKill: e.cfg.ImmediateKill,
 		}
-		plan, stillWaiting := BuildPlan(in)
-		// BuildPlan may have consumed Waiting entries (dedup, entries
+		plan, stillWaiting := e.planner.build(in)
+		// The planner may have consumed Waiting entries (dedup, entries
 		// resolved by tasks coming back on their own) even when the plan
 		// came out empty, so the queue update must happen on every round.
 		e.waiting[wf] = stillWaiting

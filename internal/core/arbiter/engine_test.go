@@ -181,6 +181,31 @@ func TestEngineGatherCombinesBatches(t *testing.T) {
 	}
 }
 
+// TestEngineGatherLeavesPayloadUntouched: the gather window combines the
+// batches it receives in an engine-owned buffer. The first payload has
+// spare capacity with a sentinel past its length; appending the second
+// batch onto it would overwrite the sentinel in the sender's array.
+func TestEngineGatherLeavesPayloadUntouched(t *testing.T) {
+	r := newEngineRig(t, Config{WarmupDelay: time.Second, SettleDelay: time.Minute, GatherWindow: 5 * time.Second})
+	sgB := decision.Suggestion{Workflow: "W", PolicyID: "P1", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}, DecidedAt: int64(10 * time.Second)}
+	sgA := decision.Suggestion{Workflow: "W", PolicyID: "P2", Action: "ADDCPU", AssessTask: "A", ActOnTasks: []string{"A"},
+		Params: map[string]string{"adjust-by": "5"}, DecidedAt: int64(12 * time.Second)}
+	sentinel := decision.Suggestion{Workflow: "sentinel", PolicyID: "sentinel"}
+	first := make([]decision.Suggestion, 2)
+	first[0], first[1] = sgB, sentinel
+	r.s.At(10*time.Second, func() { r.dec.Send("arbiter", first[:1]) })
+	r.s.At(12*time.Second, func() { r.dec.Send("arbiter", []decision.Suggestion{sgA}) })
+	if err := r.s.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.exec.plans) != 1 || len(r.exec.plans[0].Trigger) != 2 {
+		t.Fatalf("plans = %+v, want one plan triggered by both batches", r.exec.plans)
+	}
+	if first[1].Workflow != "sentinel" || first[1].PolicyID != "sentinel" {
+		t.Fatalf("gather wrote into the first payload's spare capacity: %+v", first[1])
+	}
+}
+
 func TestEnginePlansPerWorkflow(t *testing.T) {
 	r := newEngineRig(t, Config{WarmupDelay: time.Second, SettleDelay: time.Minute, GatherWindow: time.Second})
 	sendSuggestions(r, 10*time.Second,

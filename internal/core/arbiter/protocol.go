@@ -13,8 +13,10 @@
 package arbiter
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"dyflow/internal/core/decision"
 	"dyflow/internal/core/spec"
@@ -158,6 +160,7 @@ type PlanInput struct {
 type intent struct {
 	action    spec.Action
 	task      string
+	pri       int // the task's priority
 	policy    string
 	policyPri int
 	params    map[string]string
@@ -165,33 +168,80 @@ type intent struct {
 	parent    string // the disrupted task a dependent intent derives from
 }
 
+// taskOps is one task's low-level operations in the plan being built: a
+// stop, a start, or both (a resize or restart). The operations themselves
+// are built when the plan is emitted.
+type taskOps struct {
+	task     string
+	policy   string // the motivating policy ("" for victims and waiting starts)
+	parent   string // set for dependency-derived entries
+	script   string // the start's script
+	procs    int    // the start's shape
+	perNode  int
+	need     int // cores acquired by start
+	freed    int // cores released by stop
+	pri      int
+	group    int // the victim group that preempted the task (1-based), 0 otherwise
+	stops    bool
+	starts   bool
+	acquires bool
+	// dependent marks operations added through task inter-dependencies.
+	dependent bool
+}
+
+// stopOp and startOp are the entry's operations in workflow wf.
+func (e *taskOps) stopOp(wf string) Op {
+	return Op{Kind: OpStop, Workflow: wf, Task: e.task, Graceful: true, Policy: e.policy, Victim: e.group > 0, Dependent: e.dependent}
+}
+
+func (e *taskOps) startOp(wf string) Op {
+	return Op{Kind: OpStart, Workflow: wf, Task: e.task, Procs: e.procs, PerNode: e.perNode, Script: e.script, Policy: e.policy, Dependent: e.dependent}
+}
+
+// planner is BuildPlan's scratch space. The engine keeps one and reuses it
+// every round, so a warm round allocates only its plan's outputs: Ops,
+// Denied and the returned waiting queue. Those are always fresh slices;
+// nothing the planner returns is a view of these buffers, and nothing in
+// them is read before the round that fills it has reset it.
+type planner struct {
+	index   map[string]int // task -> its intent in intents
+	intents []intent
+	queue   []string      // addDependents' breadth-first queue
+	entries []taskOps     // the plan being built, one entry per task
+	waiting []WaitingTask // T_waiting as the round updates it
+	names   []string      // every task, sorted; filled by the round's first victim search
+	deps    []string      // one disrupted task's tight dependents
+	group   []string      // one preemption's running tight dependents
+}
+
 // BuildPlan runs the arbitration protocol and returns the ordered plan and
-// the updated waiting queue.
+// the updated waiting queue. It runs a fresh planner; the engine runs the
+// same code on the planner it keeps.
 func BuildPlan(in PlanInput) (Plan, []WaitingTask) {
+	var p planner
+	return p.build(in)
+}
+
+// build runs the arbitration protocol on the planner's scratch space.
+func (p *planner) build(in PlanInput) (Plan, []WaitingTask) {
 	plan := Plan{Workflow: in.Workflow, Trigger: in.Suggestions}
 
 	// --- Line 2: resolve conflicts in A_sugg using policy priorities. ---
-	intents := resolveConflicts(in, &plan)
+	p.resolveConflicts(in, &plan)
 
 	// --- Line 3: add dependent actions via task dependencies. ---
-	addDependents(in, intents)
+	p.addDependents(in)
 
 	// --- Lines 4-5: map to low-level operations; compute resource needs.
-	type taskOps struct {
-		task     string
-		stop     *Op
-		start    *Op
-		need     int // cores acquired by start
-		freed    int // cores released by stop
-		acquires bool
-		pri      int
-		policy   string
-		parent   string // set for dependency-derived entries
+	slices.SortFunc(p.intents, func(a, b intent) int { return byPriority(a.pri, a.task, b.pri, b.task) })
+	if cap(p.entries) < len(p.intents) {
+		p.entries = make([]taskOps, 0, len(p.intents))
 	}
-	var entries []*taskOps
-	for _, it := range sortedIntents(in, intents) {
+	p.entries = p.entries[:0]
+	for i := range p.intents {
+		it := &p.intents[i]
 		st := in.Tasks[it.task]
-		e := &taskOps{task: it.task, pri: taskPri(in, it.task), policy: it.policy, parent: it.parent}
+		e := taskOps{task: it.task, pri: it.pri, policy: it.policy, parent: it.parent, dependent: it.dependent}
 		switch it.action {
 		case spec.ActionAddCPU, spec.ActionRmCPU:
 			if !st.Running {
@@ -213,8 +263,8 @@ func BuildPlan(in PlanInput) (Plan, []WaitingTask) {
 			// incarnation takes cores wherever the plan released them —
 			// e.g. Isosurface growing 20->40 absorbs PDF_Calc's 2-per-node
 			// cores in Figure 8.
-			e.stop = &Op{Kind: OpStop, Workflow: in.Workflow, Task: it.task, Graceful: true, Policy: it.policy, Dependent: it.dependent}
-			e.start = &Op{Kind: OpStart, Workflow: in.Workflow, Task: it.task, Procs: newProcs, PerNode: 0, Script: scriptFor(it, st), Policy: it.policy, Dependent: it.dependent}
+			e.stops = true
+			e.starts, e.procs, e.perNode, e.script = true, newProcs, 0, scriptFor(it, st)
 			e.freed = st.Procs * st.cpp()
 			e.need = newProcs * st.cpp()
 			e.acquires = newProcs > st.Procs
@@ -224,17 +274,17 @@ func BuildPlan(in PlanInput) (Plan, []WaitingTask) {
 				continue
 			}
 			if st.Running {
-				e.stop = &Op{Kind: OpStop, Workflow: in.Workflow, Task: it.task, Graceful: true, Policy: it.policy, Dependent: it.dependent}
+				e.stops = true
 				e.freed = procs * st.cpp()
 			}
-			e.start = &Op{Kind: OpStart, Workflow: in.Workflow, Task: it.task, Procs: procs, PerNode: st.PerNode, Script: scriptFor(it, st), Policy: it.policy, Dependent: it.dependent}
+			e.starts, e.procs, e.perNode, e.script = true, procs, st.PerNode, scriptFor(it, st)
 			e.need = procs * st.cpp()
 			e.acquires = !st.Running
 		case spec.ActionStop:
 			if !st.Running {
 				continue
 			}
-			e.stop = &Op{Kind: OpStop, Workflow: in.Workflow, Task: it.task, Graceful: true, Policy: it.policy, Dependent: it.dependent}
+			e.stops = true
 			e.freed = st.Procs * st.cpp()
 		case spec.ActionStart:
 			if st.Running {
@@ -244,153 +294,125 @@ func BuildPlan(in PlanInput) (Plan, []WaitingTask) {
 			if procs <= 0 {
 				continue
 			}
-			e.start = &Op{Kind: OpStart, Workflow: in.Workflow, Task: it.task, Procs: procs, PerNode: st.PerNode, Script: scriptFor(it, st), Policy: it.policy, Dependent: it.dependent}
+			e.starts, e.procs, e.perNode, e.script = true, procs, st.PerNode, scriptFor(it, st)
 			e.need = procs * st.cpp()
 			e.acquires = true
 		default:
 			continue
 		}
-		if e.stop == nil && e.start == nil {
-			continue
-		}
-		entries = append(entries, e)
+		p.entries = append(p.entries, e)
 	}
 
 	// --- Lines 6-15: make the plan feasible. ---
 	// Deduplicate the incoming waiting queue by task (first entry wins) so
 	// a task can never be started from one entry while another lingers.
-	var waiting []WaitingTask
+	p.waiting = p.waiting[:0]
 	for _, w := range in.Waiting {
-		if !isWaiting(waiting, w.Task) {
-			waiting = append(waiting, w)
+		if !isWaiting(p.waiting, w.Task) {
+			p.waiting = append(p.waiting, w)
 		}
 	}
-	var victimsAdded []*taskOps
-	inPlan := func(task string) bool {
-		for _, e := range entries {
-			if e.task == task {
-				return true
-			}
-		}
-		return false
-	}
-	balance := func() int {
-		need := 0
-		for _, e := range entries {
-			need += e.need - e.freed
-		}
-		return need - in.FreeCores
-	}
-	// bestAcquirerPri is the numerically smallest (most important) priority
-	// among operations that acquire resources; a victim must be strictly
-	// less important, so equal-priority tasks never preempt each other
-	// (e.g. XGC1 is never killed to start XGCa — XGCa waits instead).
-	bestAcquirerPri := func() (int, bool) {
-		best, any := 0, false
-		for _, e := range entries {
-			if e.acquires && (!any || e.pri < best) {
-				best, any = e.pri, true
-			}
-		}
-		return best, any
-	}
-	for balance() > 0 {
+	groups := 0
+	p.names = p.names[:0]
+	for p.balance(in) > 0 {
 		// Find the lowest-priority running task (plus tight dependents)
 		// that can shed resources.
 		victim := ""
 		victimPri := -1
-		floor, anyAcquirer := bestAcquirerPri()
+		floor, anyAcquirer := p.bestAcquirerPri()
 		if !in.NoVictims {
-			for _, name := range sortedTaskNames(in.Tasks) {
+			if len(p.names) == 0 {
+				for name := range in.Tasks {
+					p.names = append(p.names, name)
+				}
+				slices.Sort(p.names)
+			}
+			for _, name := range p.names {
 				st := in.Tasks[name]
-				if !st.Running || st.Procs <= 0 || inPlan(name) || isWaiting(waiting, name) {
+				if !st.Running || st.Procs <= 0 || p.inPlan(name) || isWaiting(p.waiting, name) {
 					continue
 				}
-				p := taskPri(in, name)
-				if anyAcquirer && p <= floor {
+				pri := taskPri(in, name)
+				if anyAcquirer && pri <= floor {
 					continue // never preempt an equal-or-higher-priority task
 				}
-				if p > victimPri {
-					victim, victimPri = name, p
+				if pri > victimPri {
+					victim, victimPri = name, pri
 				}
 			}
 		}
 		if victim != "" {
-			group := append([]string{victim}, runningTightDependents(in, victim, inPlan)...)
-			for _, v := range group {
-				st := in.Tasks[v]
-				e := &taskOps{
-					task:  v,
-					stop:  &Op{Kind: OpStop, Workflow: in.Workflow, Task: v, Graceful: true, Victim: true},
-					freed: st.Procs * st.cpp(),
-					pri:   taskPri(in, v),
-				}
-				entries = append(entries, e)
-				victimsAdded = append(victimsAdded, e)
-				waiting = append(waiting, WaitingTask{
-					Workflow: in.Workflow, Task: v,
-					Procs: st.Procs, PerNode: st.PerNode,
-					CoresPerProc: st.cpp(), Script: st.Script,
-				})
+			// The victim's running tight dependents not already in the
+			// plan go with it, as one group.
+			tight := spec.DepTight
+			p.group = in.Rules.AppendDependents(p.group[:0], victim, &tight)
+			p.group = slices.DeleteFunc(p.group, func(dep string) bool { return !in.Tasks[dep].Running || p.inPlan(dep) })
+			slices.Sort(p.group)
+			groups++
+			p.preempt(in, victim, groups)
+			for _, v := range p.group {
+				p.preempt(in, v, groups)
 			}
 			continue
 		}
 		// No victim: discard the least significant acquiring operation.
 		dropIdx := -1
-		for i, e := range entries {
+		for i := range p.entries {
+			e := &p.entries[i]
 			if !e.acquires {
 				continue
 			}
-			if dropIdx == -1 || e.pri > entries[dropIdx].pri {
+			if dropIdx == -1 || e.pri > p.entries[dropIdx].pri {
 				dropIdx = i
 			}
 		}
 		if dropIdx == -1 {
 			break // nothing acquires; should not happen with balance > 0
 		}
-		dropped := entries[dropIdx].task
-		plan.Denied = append(plan.Denied, fmt.Sprintf("%s (policy %s): insufficient resources", dropped, entries[dropIdx].policy))
-		entries = append(entries[:dropIdx], entries[dropIdx+1:]...)
+		dropped := p.entries[dropIdx].task
+		plan.Denied = append(plan.Denied, dropped+" (policy "+p.entries[dropIdx].policy+"): insufficient resources")
 		// Dependency-derived entries of the dropped operation are
 		// pointless without it.
-		kept := entries[:0]
-		for _, e := range entries {
-			if e.parent != dropped {
+		kept := p.entries[:0]
+		for i, e := range p.entries {
+			if i != dropIdx && e.parent != dropped {
 				kept = append(kept, e)
 			}
 		}
-		entries = kept
+		p.entries = kept
 	}
 
 	// Retract victims that became unnecessary: if the acquiring operation
 	// that motivated a preemption was itself dropped, the victim must not
-	// be stopped for nothing. Remove victims (most recent first) while the
-	// plan stays feasible without them.
-	for i := len(victimsAdded) - 1; i >= 0; i-- {
-		v := victimsAdded[i]
-		idx := -1
-		for j, e := range entries {
-			if e == v {
-				idx = j
-				break
+	// be stopped for nothing. Remove victim groups (most recent first)
+	// while the plan stays feasible without them. A group goes as a unit:
+	// retracting a tight dependent alone would leave it running on its
+	// stopped parent.
+	for g := groups; g > 0; g-- {
+		delta := 0
+		for i := range p.entries {
+			if e := &p.entries[i]; e.group == g {
+				delta += e.need - e.freed
 			}
 		}
-		if idx < 0 {
-			continue
+		if p.balance(in)-delta > 0 {
+			continue // still needed
 		}
-		entries = append(entries[:idx], entries[idx+1:]...)
-		if balance() > 0 {
-			// Still needed: put it back.
-			entries = append(entries, v)
-			continue
-		}
-		// Retracted for good; drop its waiting entry too.
-		for j := len(waiting) - 1; j >= 0; j-- {
-			if waiting[j].Task == v.task {
-				waiting = append(waiting[:j], waiting[j+1:]...)
-				break
+		// Retracted for good; drop the group's waiting entries too.
+		kept := p.entries[:0]
+		for _, e := range p.entries {
+			if e.group != g {
+				kept = append(kept, e)
+				continue
+			}
+			for j := len(p.waiting) - 1; j >= 0; j-- {
+				if p.waiting[j].Task == e.task {
+					p.waiting = slices.Delete(p.waiting, j, j+1)
+					break
+				}
 			}
 		}
+		p.entries = kept
 	}
 
 	// --- Lines 16-18: start waiting tasks (highest priority first) while
@@ -403,8 +425,8 @@ func BuildPlan(in PlanInput) (Plan, []WaitingTask) {
 	// after the plan — their resources were already released by the plan
 	// that failed to restart them.
 	surplus := 0
-	for _, e := range entries {
-		surplus += e.freed - e.need
+	for i := range p.entries {
+		surplus += p.entries[i].freed - p.entries[i].need
 	}
 	avail := in.FreeCores + surplus
 	if surplus < 0 {
@@ -413,35 +435,17 @@ func BuildPlan(in PlanInput) (Plan, []WaitingTask) {
 	if avail < 0 {
 		avail = 0
 	}
-	sort.SliceStable(waiting, func(i, j int) bool {
-		pi, pj := taskPri(in, waiting[i].Task), taskPri(in, waiting[j].Task)
-		if pi != pj {
-			return pi < pj
-		}
-		return waiting[i].Task < waiting[j].Task
+	slices.SortStableFunc(p.waiting, func(a, b WaitingTask) int {
+		return byPriority(taskPri(in, a.Task), a.Task, taskPri(in, b.Task), b.Task)
 	})
-	startsInPlan := func(task string) bool {
-		for _, e := range entries {
-			if e.task == task && e.start != nil {
-				return true
-			}
-		}
-		return false
-	}
-	stopsInPlan := func(task string) bool {
-		for _, e := range entries {
-			if e.task == task && e.stop != nil {
-				return true
-			}
-		}
-		return false
-	}
-	var stillWaiting []WaitingTask
-	for _, w := range waiting {
-		if startsInPlan(w.Task) {
+	// Entries that stay waiting are compacted to the front of p.waiting
+	// as the loop reads past them.
+	still := p.waiting[:0]
+	for _, w := range p.waiting {
+		if p.startsInPlan(w.Task) {
 			continue // resolved by the plan itself (e.g. a START suggestion)
 		}
-		if in.Tasks[w.Task].Running && !stopsInPlan(w.Task) {
+		if in.Tasks[w.Task].Running && !p.stopsInPlan(w.Task) {
 			continue // stale entry: the task is back without our help
 		}
 		cpp := w.CoresPerProc
@@ -453,12 +457,12 @@ func BuildPlan(in PlanInput) (Plan, []WaitingTask) {
 		if w.Recovery {
 			budget = avail
 		}
-		if cores <= budget && !inPlan(w.Task) && !in.Tasks[w.Task].Running {
-			entries = append(entries, &taskOps{
-				task:  w.Task,
-				start: &Op{Kind: OpStart, Workflow: in.Workflow, Task: w.Task, Procs: w.Procs, PerNode: w.PerNode, Script: w.Script},
-				need:  cores,
-				pri:   taskPri(in, w.Task),
+		if cores <= budget && !p.inPlan(w.Task) && !in.Tasks[w.Task].Running {
+			p.entries = append(p.entries, taskOps{
+				task:   w.Task,
+				starts: true, procs: w.Procs, perNode: w.PerNode, script: w.Script,
+				need: cores,
+				pri:  taskPri(in, w.Task),
 			})
 			surplus -= cores
 			if surplus < 0 {
@@ -467,24 +471,35 @@ func BuildPlan(in PlanInput) (Plan, []WaitingTask) {
 			avail -= cores
 			continue
 		}
-		stillWaiting = append(stillWaiting, w)
+		still = append(still, w)
+	}
+	var stillWaiting []WaitingTask
+	if len(still) > 0 {
+		stillWaiting = slices.Clone(still)
 	}
 
 	// --- Line 19: order operations — releases before acquisitions. ---
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].pri != entries[j].pri {
-			return entries[i].pri < entries[j].pri
+	slices.SortStableFunc(p.entries, func(a, b taskOps) int { return byPriority(a.pri, a.task, b.pri, b.task) })
+	n := 0
+	for i := range p.entries {
+		if p.entries[i].stops {
+			n++
 		}
-		return entries[i].task < entries[j].task
-	})
-	for _, e := range entries {
-		if e.stop != nil {
-			plan.Ops = append(plan.Ops, *e.stop)
+		if p.entries[i].starts {
+			n++
 		}
 	}
-	for _, e := range entries {
-		if e.start != nil {
-			plan.Ops = append(plan.Ops, *e.start)
+	if n > 0 {
+		plan.Ops = make([]Op, 0, n)
+	}
+	for i := range p.entries {
+		if p.entries[i].stops {
+			plan.Ops = append(plan.Ops, p.entries[i].stopOp(in.Workflow))
+		}
+	}
+	for i := range p.entries {
+		if p.entries[i].starts {
+			plan.Ops = append(plan.Ops, p.entries[i].startOp(in.Workflow))
 		}
 	}
 	if in.ImmediateKill {
@@ -495,27 +510,88 @@ func BuildPlan(in PlanInput) (Plan, []WaitingTask) {
 	return plan, stillWaiting
 }
 
+// preempt adds a victim stop for a running task to the plan, in victim
+// group g, and queues the task to come back once resources allow.
+func (p *planner) preempt(in PlanInput, task string, g int) {
+	st := in.Tasks[task]
+	p.entries = append(p.entries, taskOps{
+		task:  task,
+		stops: true,
+		freed: st.Procs * st.cpp(),
+		pri:   taskPri(in, task),
+		group: g,
+	})
+	p.waiting = append(p.waiting, WaitingTask{
+		Workflow: in.Workflow, Task: task,
+		Procs: st.Procs, PerNode: st.PerNode,
+		CoresPerProc: st.cpp(), Script: st.Script,
+	})
+}
+
+// balance is the plan's net core demand beyond the free capacity.
+func (p *planner) balance(in PlanInput) int {
+	need := 0
+	for i := range p.entries {
+		e := &p.entries[i]
+		need += e.need - e.freed
+	}
+	return need - in.FreeCores
+}
+
+// bestAcquirerPri is the numerically smallest (most important) priority
+// among operations that acquire resources; a victim must be strictly less
+// important, so equal-priority tasks never preempt each other (e.g. XGC1 is
+// never killed to start XGCa — XGCa waits instead).
+func (p *planner) bestAcquirerPri() (int, bool) {
+	best, any := 0, false
+	for i := range p.entries {
+		e := &p.entries[i]
+		if e.acquires && (!any || e.pri < best) {
+			best, any = e.pri, true
+		}
+	}
+	return best, any
+}
+
+func (p *planner) inPlan(task string) bool {
+	for i := range p.entries {
+		e := &p.entries[i]
+		if e.task == task {
+			return true
+		}
+	}
+	return false
+}
+
+func (p *planner) startsInPlan(task string) bool {
+	for i := range p.entries {
+		e := &p.entries[i]
+		if e.task == task && e.starts {
+			return true
+		}
+	}
+	return false
+}
+
+func (p *planner) stopsInPlan(task string) bool {
+	for i := range p.entries {
+		e := &p.entries[i]
+		if e.task == task && e.stops {
+			return true
+		}
+	}
+	return false
+}
+
 // resolveConflicts expands suggestions into per-task intents, resolving
 // STOP-START, STOP-RESTART, and RMCPU-ADDCPU style conflicts with policy
 // priorities (lower value wins; first seen wins ties).
-func resolveConflicts(in PlanInput, plan *Plan) map[string]*intent {
-	intents := make(map[string]*intent)
-	consider := func(it *intent) {
-		cur, ok := intents[it.task]
-		if !ok {
-			intents[it.task] = it
-			return
-		}
-		if cur.action == it.action {
-			return // duplicate suggestion
-		}
-		if it.policyPri < cur.policyPri {
-			plan.Denied = append(plan.Denied, fmt.Sprintf("%s on %s (policy %s): conflicts with higher-priority %s", cur.action, cur.task, cur.policy, it.action))
-			intents[it.task] = it
-		} else {
-			plan.Denied = append(plan.Denied, fmt.Sprintf("%s on %s (policy %s): conflicts with higher-priority %s", it.action, it.task, it.policy, cur.action))
-		}
+func (p *planner) resolveConflicts(in PlanInput, plan *Plan) {
+	if p.index == nil {
+		p.index = make(map[string]int)
 	}
+	clear(p.index)
+	p.intents = p.intents[:0]
 	for _, sg := range in.Suggestions {
 		act, err := sg.ParsedAction()
 		if err != nil {
@@ -524,17 +600,38 @@ func resolveConflicts(in PlanInput, plan *Plan) map[string]*intent {
 		pri := in.Rules.PolicyPriority(sg.PolicyID)
 		if act == spec.ActionSwitch {
 			// SWITCH = stop the assessed task, start the act-on tasks.
-			consider(&intent{action: spec.ActionStop, task: sg.AssessTask, policy: sg.PolicyID, policyPri: pri, params: sg.Params})
+			p.consider(in, plan, intent{action: spec.ActionStop, task: sg.AssessTask, policy: sg.PolicyID, policyPri: pri, params: sg.Params})
 			for _, t := range sg.ActOnTasks {
-				consider(&intent{action: spec.ActionStart, task: t, policy: sg.PolicyID, policyPri: pri, params: sg.Params})
+				p.consider(in, plan, intent{action: spec.ActionStart, task: t, policy: sg.PolicyID, policyPri: pri, params: sg.Params})
 			}
 			continue
 		}
 		for _, t := range sg.ActOnTasks {
-			consider(&intent{action: act, task: t, policy: sg.PolicyID, policyPri: pri, params: sg.Params})
+			p.consider(in, plan, intent{action: act, task: t, policy: sg.PolicyID, policyPri: pri, params: sg.Params})
 		}
 	}
-	return intents
+}
+
+// consider adds it as its task's intent, or resolves it against the
+// task's current one.
+func (p *planner) consider(in PlanInput, plan *Plan, it intent) {
+	it.pri = taskPri(in, it.task)
+	i, ok := p.index[it.task]
+	if !ok {
+		p.index[it.task] = len(p.intents)
+		p.intents = append(p.intents, it)
+		return
+	}
+	cur := &p.intents[i]
+	if cur.action == it.action {
+		return // duplicate suggestion
+	}
+	if it.policyPri < cur.policyPri {
+		plan.Denied = append(plan.Denied, fmt.Sprintf("%s on %s (policy %s): conflicts with higher-priority %s", cur.action, cur.task, cur.policy, it.action))
+		*cur = it
+	} else {
+		plan.Denied = append(plan.Denied, fmt.Sprintf("%s on %s (policy %s): conflicts with higher-priority %s", it.action, it.task, it.policy, cur.action))
+	}
 }
 
 // addDependents pulls in tightly coupled dependents of disrupted tasks:
@@ -543,16 +640,16 @@ func resolveConflicts(in PlanInput, plan *Plan) map[string]*intent {
 // — consistency with the parent outranks an opportunistic ADDCPU/RMCPU, so
 // Rendering is restarted at its current size when Isosurface resizes
 // (Figure 8), even while Rendering's own INC_ON_PACE fired too.
-func addDependents(in PlanInput, intents map[string]*intent) {
-	queue := make([]string, 0, len(intents))
-	for t := range intents {
-		queue = append(queue, t)
+func (p *planner) addDependents(in PlanInput) {
+	p.queue = p.queue[:0]
+	for i := range p.intents {
+		p.queue = append(p.queue, p.intents[i].task)
 	}
-	sort.Strings(queue)
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		it := intents[t]
+	slices.Sort(p.queue)
+	tight := spec.DepTight
+	for k := 0; k < len(p.queue); k++ {
+		t := p.queue[k]
+		it := p.intents[p.index[t]]
 		var depAction spec.Action
 		switch it.action {
 		case spec.ActionAddCPU, spec.ActionRmCPU, spec.ActionRestart:
@@ -562,14 +659,14 @@ func addDependents(in PlanInput, intents map[string]*intent) {
 		default:
 			continue // START does not disrupt running dependents
 		}
-		tight := spec.DepTight
-		for _, dep := range in.Rules.Dependents(t, &tight) {
-			if cur, exists := intents[dep]; exists {
+		p.deps = in.Rules.AppendDependents(p.deps[:0], t, &tight)
+		for _, dep := range p.deps {
+			if i, exists := p.index[dep]; exists {
 				// Override resizes with the dependency restart; leave
 				// stops and existing restarts alone.
-				if depAction == spec.ActionRestart && (cur.action == spec.ActionAddCPU || cur.action == spec.ActionRmCPU) {
-					intents[dep] = &intent{
-						action: spec.ActionRestart, task: dep,
+				if cur := &p.intents[i]; depAction == spec.ActionRestart && (cur.action == spec.ActionAddCPU || cur.action == spec.ActionRmCPU) {
+					*cur = intent{
+						action: spec.ActionRestart, task: dep, pri: cur.pri,
 						policy: it.policy, policyPri: it.policyPri,
 						dependent: true, parent: t,
 					}
@@ -579,58 +676,26 @@ func addDependents(in PlanInput, intents map[string]*intent) {
 			if !in.Tasks[dep].Running {
 				continue
 			}
-			intents[dep] = &intent{
-				action: depAction, task: dep,
+			p.index[dep] = len(p.intents)
+			p.intents = append(p.intents, intent{
+				action: depAction, task: dep, pri: taskPri(in, dep),
 				policy: it.policy, policyPri: it.policyPri,
 				dependent: true, parent: t,
-			}
-			queue = append(queue, dep)
+			})
+			p.queue = append(p.queue, dep)
 		}
 	}
-}
-
-// runningTightDependents returns the running tight dependents of task (in
-// sorted order) that are not already in the plan.
-func runningTightDependents(in PlanInput, taskName string, inPlan func(string) bool) []string {
-	var out []string
-	tight := spec.DepTight
-	for _, dep := range in.Rules.Dependents(taskName, &tight) {
-		if in.Tasks[dep].Running && !inPlan(dep) {
-			out = append(out, dep)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 func taskPri(in PlanInput, taskName string) int { return in.Rules.TaskPriority(taskName) }
 
-func sortedIntents(in PlanInput, intents map[string]*intent) []*intent {
-	names := make([]string, 0, len(intents))
-	for t := range intents {
-		names = append(names, t)
+// byPriority orders task a of priority pa before task b of priority pb
+// when a is more important, and by name between equals.
+func byPriority(pa int, a string, pb int, b string) int {
+	if c := cmp.Compare(pa, pb); c != 0 {
+		return c
 	}
-	sort.Slice(names, func(i, j int) bool {
-		pi, pj := taskPri(in, names[i]), taskPri(in, names[j])
-		if pi != pj {
-			return pi < pj
-		}
-		return names[i] < names[j]
-	})
-	out := make([]*intent, len(names))
-	for i, n := range names {
-		out[i] = intents[n]
-	}
-	return out
-}
-
-func sortedTaskNames(tasks map[string]TaskState) []string {
-	names := make([]string, 0, len(tasks))
-	for t := range tasks {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	return names
+	return strings.Compare(a, b)
 }
 
 func isWaiting(waiting []WaitingTask, taskName string) bool {

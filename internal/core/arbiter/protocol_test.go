@@ -439,6 +439,46 @@ func TestVictimTakesTightDependentsAlong(t *testing.T) {
 	}
 }
 
+// TestVictimRetractionKeepsTightGroup: a victim and the running tight
+// dependents preempted with it are retracted as one group. B is picked as
+// the victim and brings C (tight on B) along; B alone frees enough, so
+// retracting the group must fail and both stay stopped — retracting C on
+// its own would leave it running on a stopped parent.
+func TestVictimRetractionKeepsTightGroup(t *testing.T) {
+	rules := &spec.WorkflowRules{
+		Workflow:       "W",
+		TaskPriorities: map[string]int{"A": 0, "B": 2, "C": 1},
+		Deps:           []spec.TaskDep{{Task: "C", Parent: "B", Type: spec.DepTight}},
+	}
+	in := PlanInput{
+		Workflow: "W",
+		Suggestions: []decision.Suggestion{
+			{Workflow: "W", PolicyID: "P", Action: "START", ActOnTasks: []string{"A"}, Params: map[string]string{"procs": "10"}},
+		},
+		Tasks: map[string]TaskState{
+			"A": {Procs: 10},
+			"B": {Running: true, Procs: 12},
+			"C": {Running: true, Procs: 8},
+		},
+		FreeCores: 0,
+		Rules:     rules,
+	}
+	plan, waiting := BuildPlan(in)
+	if len(findOps(plan, OpStop, "B")) != 1 || len(findOps(plan, OpStart, "A")) != 1 {
+		t.Fatalf("plan = %v, want B stopped for A", plan.Ops)
+	}
+	if len(findOps(plan, OpStop, "C")) != 1 {
+		t.Fatalf("plan = %v: C keeps running on its stopped tight parent B", plan.Ops)
+	}
+	wn := map[string]bool{}
+	for _, w := range waiting {
+		wn[w.Task] = true
+	}
+	if !wn["B"] || !wn["C"] {
+		t.Fatalf("waiting = %+v, want B and C queued to come back", waiting)
+	}
+}
+
 // TestFigure8AllAnalysesSuggest reproduces the paper's exact first round:
 // INC_ON_PACE fires for all four analyses at once (they all pace above 36 s
 // because the workflow is gated by Isosurface). Arbitration must enable

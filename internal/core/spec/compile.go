@@ -143,13 +143,13 @@ func (r *WorkflowRules) PolicyPriority(policy string) int {
 	return UnsetPriority
 }
 
-// Dependents returns the tasks directly depending on parent with the given
-// type filter (pass nil for any type).
-func (r *WorkflowRules) Dependents(parent string, filter *DepType) []string {
+// AppendDependents appends to dst the tasks directly depending on parent
+// with the given type filter (pass nil for any type), in rule order, and
+// returns the extended slice; a caller that reuses dst allocates nothing.
+func (r *WorkflowRules) AppendDependents(dst []string, parent string, filter *DepType) []string {
 	if r == nil {
-		return nil
+		return dst
 	}
-	var out []string
 	for _, d := range r.Deps {
 		if d.Parent != parent {
 			continue
@@ -157,9 +157,9 @@ func (r *WorkflowRules) Dependents(parent string, filter *DepType) []string {
 		if filter != nil && d.Type != *filter {
 			continue
 		}
-		out = append(out, d.Task)
+		dst = append(dst, d.Task)
 	}
-	return out
+	return dst
 }
 
 // UnsetPriority is the effective priority of tasks/policies without an
@@ -437,6 +437,19 @@ func compileBindings(d *DecisionX, cfg *Config, errs *errorList) {
 			}
 			for _, p := range ap.Params {
 				b.Params[p.Key] = p.Value
+			}
+			// The arbiter reads a resize step and a START's size as process
+			// counts through IntParam, which falls back to its default on
+			// a parse error: a typo would silently become another size,
+			// and a negative adjust-by would invert ADDCPU and RMCPU.
+			for _, key := range [...]string{"adjust-by", "procs"} {
+				v, ok := b.Params[key]
+				if !ok {
+					continue
+				}
+				if n, err := strconv.Atoi(strings.TrimSpace(v)); err != nil || n < 1 {
+					errs.addf("apply-policy %q on workflow %q: %s %q is not an integer >= 1", ap.PolicyID, ao.WorkflowID, key, v)
+				}
 			}
 			cfg.Bindings = append(cfg.Bindings, b)
 		}

@@ -18,6 +18,9 @@ func FuzzCompileString(f *testing.F) {
 	f.Add(strings.Repeat("<dyflow>", 50))
 	f.Add("<dyflow><monitor><sensors><sensor id='S' type='DISKSCAN'><group-by><group granularity='task' reduction-operation='MAX'/></group-by></sensor></sensors><monitor-tasks><monitor-task name='T' workflowId='W' info-source='out/[.bp'><use-sensor sensor-id='S' info='step'/></monitor-task></monitor-tasks></monitor></dyflow>")
 
+	f.Add(strings.Replace(paceXML, `value="20"`, `value="abc"`, 1))
+	f.Add(strings.Replace(paceXML, `<param key="adjust-by" value="20"/>`, `<param key="procs" value="-4"/>`, 1))
+
 	f.Fuzz(func(t *testing.T, xml string) {
 		cfg, err := CompileString(xml)
 		if err != nil {
@@ -53,6 +56,11 @@ func FuzzCompileString(f *testing.F) {
 			}
 			if len(b.ActOnTasks) == 0 {
 				t.Fatalf("binding with empty act-on accepted")
+			}
+			for _, key := range []string{"adjust-by", "procs"} {
+				if _, ok := b.Params[key]; ok && b.IntParam(key, 0) < 1 {
+					t.Fatalf("binding %q accepted with %s %q", b.PolicyID, key, b.Params[key])
+				}
 			}
 		}
 		for _, pd := range cfg.Policies {

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -137,16 +138,16 @@ func TestCompilePaperExample(t *testing.T) {
 	if rules.TaskPriority("FFT") != UnsetPriority {
 		t.Fatal("unset task priority should be lowest")
 	}
-	deps := rules.Dependents("Isosurface", nil)
+	deps := rules.AppendDependents(nil, "Isosurface", nil)
 	if len(deps) != 1 || deps[0] != "Rendering" {
 		t.Fatalf("dependents = %v", deps)
 	}
 	tight := DepTight
-	if got := rules.Dependents("Isosurface", &tight); len(got) != 1 {
+	if got := rules.AppendDependents(nil, "Isosurface", &tight); len(got) != 1 {
 		t.Fatalf("tight dependents = %v", got)
 	}
 	loose := DepLoose
-	if got := rules.Dependents("Isosurface", &loose); len(got) != 0 {
+	if got := rules.AppendDependents(nil, "Isosurface", &loose); len(got) != 0 {
 		t.Fatalf("loose dependents = %v", got)
 	}
 }
@@ -220,6 +221,47 @@ func TestCompileCollectsAllErrors(t *testing.T) {
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error message missing %q:\n%s", want, msg)
+		}
+	}
+}
+
+// TestCompileRejectsBadCountParams: adjust-by and procs are process
+// counts. A present value that is not an integer >= 1 is a compile error
+// naming the policy and workflow, not a silent fallback to the arbiter's
+// default (adjust-by "abc" used to become 20, and "-20" turned ADDCPU into
+// a shrink and RMCPU into a growth).
+func TestCompileRejectsBadCountParams(t *testing.T) {
+	bind := func(policy, key, value string) string {
+		xml := strings.Replace(paceXML, `policyId="INC_ON_PACE"`, `policyId="`+policy+`"`, 1)
+		return strings.Replace(xml, `<param key="adjust-by" value="20"/>`, `<param key="`+key+`" value="`+value+`"/>`, 1)
+	}
+	for _, tc := range []struct {
+		name, policy, key, value string
+	}{
+		{"adjust-by not a number", "INC_ON_PACE", "adjust-by", "abc"},
+		{"negative adjust-by on ADDCPU", "INC_ON_PACE", "adjust-by", "-20"},
+		{"negative adjust-by on RMCPU", "DEC_ON_PACE", "adjust-by", "-20"},
+		{"zero adjust-by", "INC_ON_PACE", "adjust-by", "0"},
+		{"empty adjust-by", "INC_ON_PACE", "adjust-by", ""},
+		{"fractional adjust-by", "DEC_ON_PACE", "adjust-by", "2.5"},
+		{"procs not a number", "INC_ON_PACE", "procs", "many"},
+		{"zero procs", "INC_ON_PACE", "procs", "0"},
+		{"negative procs", "DEC_ON_PACE", "procs", "-4"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := CompileString(bind(tc.policy, tc.key, tc.value))
+			if err == nil {
+				t.Fatalf("%s=%q compiled", tc.key, tc.value)
+			}
+			want := fmt.Sprintf("apply-policy %q on workflow %q: %s %q is not an integer >= 1", tc.policy, "GS-WORKFLOW", tc.key, tc.value)
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error = %v, want it to contain %s", err, want)
+			}
+		})
+	}
+	for _, ok := range []struct{ key, value string }{{"adjust-by", "20"}, {"adjust-by", " 6 "}, {"procs", "1"}, {"restart-script", "x"}} {
+		if _, err := CompileString(bind("INC_ON_PACE", ok.key, ok.value)); err != nil {
+			t.Errorf("%s=%q rejected: %v", ok.key, ok.value, err)
 		}
 	}
 }

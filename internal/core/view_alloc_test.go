@@ -15,9 +15,9 @@ import (
 
 // warmRoundAllocs composes a workflow of n running tasks plus one never
 // started, and counts the allocations of a warm arbitration round through
-// the Savanna view: a one-suggestion batch (STOP on the idle task) whose
+// the Savanna view: a one-suggestion batch acting on the idle task whose
 // plan comes out empty, the shape of most rounds of an xgc run.
-func warmRoundAllocs(t *testing.T, n int) float64 {
+func warmRoundAllocs(t *testing.T, n int, action string, params map[string]string) float64 {
 	t.Helper()
 	w := newWorld(t, (n+19)/20+1)
 	tasks := []wms.TaskConfig{{Spec: task.Spec{Name: "idle", Workflow: "WF",
@@ -37,8 +37,8 @@ func warmRoundAllocs(t *testing.T, n int) float64 {
 			return
 		}
 		p.Sleep(time.Second)
-		batch := []decision.Suggestion{{Workflow: "WF", PolicyID: "P", Action: "STOP",
-			AssessTask: "idle", ActOnTasks: []string{"idle"}, DecidedAt: int64(p.Now())}}
+		batch := []decision.Suggestion{{Workflow: "WF", PolicyID: "P", Action: action,
+			AssessTask: "idle", ActOnTasks: []string{"idle"}, Params: params, DecidedAt: int64(p.Now())}}
 		round := func() {
 			if recs := eng.Arbitrate(p, batch); len(recs) != 0 {
 				t.Errorf("round executed %+v, want an empty plan", recs)
@@ -60,8 +60,23 @@ func TestWarmRoundAllocationsIndependentOfTaskCount(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	small, large := warmRoundAllocs(t, 4), warmRoundAllocs(t, 64)
+	small, large := warmRoundAllocs(t, 4, "STOP", nil), warmRoundAllocs(t, 64, "STOP", nil)
 	if small != large {
 		t.Fatalf("warm round allocates %v times at 4 tasks, %v at 64", small, large)
+	}
+}
+
+// A warm round whose START is denied for insufficient resources — xgc's
+// common round — allocates only the denial it reports: the planner's
+// scratch is reused, so the round makes 2 allocations, the Denied string
+// and its slice, at 4 composed tasks and at 64.
+func TestWarmDeniedRoundAllocationsIndependentOfTaskCount(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	params := map[string]string{"procs": "100000"}
+	small, large := warmRoundAllocs(t, 4, "START", params), warmRoundAllocs(t, 64, "START", params)
+	if small != large || small != 2 {
+		t.Fatalf("warm denied round allocates %v times at 4 tasks, %v at 64; want 2 at both", small, large)
 	}
 }
