@@ -26,13 +26,12 @@ var exportedForTests = map[string]string{
 	"internal/sim.Sim.Handoffs":                   "the goldens pin the kernel's goroutine handoffs",
 
 	// Kept for now: deleting each takes a whole test with it.
-	"internal/fsim.FS.Glob":                  "TestProperty_WorldClose_IsInert's view of the filesystem",
-	"internal/stream.Registry.Names":         "TestProperty_WorldClose_IsInert's view of the staging streams",
-	"internal/fsim.FS.RemoveGlob":            "TestRemoveGlob",
-	"internal/resmgr.Manager.ReleasePartial": "TestReleasePartial",
-	"internal/trace.Span.Monotone":           "TestMonotoneDetectsRegression",
-	"internal/wms.Savanna.SignalTask":        "TestSignalTask",
-	"internal/wms.Savanna.ReleaseResources":  "resmgr.ReleaseNodes, TestReleaseNodesGuard and TestReleaseNodesRejectsForeignNode",
+	"internal/fsim.FS.Glob":                 "TestProperty_WorldClose_IsInert's view of the filesystem",
+	"internal/stream.Registry.Names":        "TestProperty_WorldClose_IsInert's view of the staging streams",
+	"internal/fsim.FS.RemoveGlob":           "TestRemoveGlob",
+	"internal/trace.Span.Monotone":          "TestMonotoneDetectsRegression",
+	"internal/wms.Savanna.SignalTask":       "TestSignalTask",
+	"internal/wms.Savanna.ReleaseResources": "resmgr.ReleaseNodes, TestReleaseNodesGuard and TestReleaseNodesRejectsForeignNode",
 }
 
 // exemptDirs and exemptFiles are exempt as a whole: the fault-injecting

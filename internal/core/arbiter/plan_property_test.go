@@ -15,7 +15,8 @@ import (
 // The reference below is BuildPlan as it was before it ran on a reused
 // planner: one heap object per intent, entry and operation, reflect-based
 // sorts, the task-name list sorted on every victim search — with victim
-// groups already retracted as units. TestProperty_BuildPlan_EqualsParent
+// groups already retracted as units, and a victim's group absorbing the
+// earlier group of a tight dependent. TestProperty_BuildPlan_EqualsParent
 // and FuzzBuildPlan check the planner against it.
 
 // parentIntent is a per-task resolved high-level action.
@@ -182,8 +183,19 @@ func parentBuildPlan(in PlanInput) (Plan, []WaitingTask) {
 			}
 		}
 		if victim != "" {
-			group := append([]string{victim}, parentRunningTightDependents(in, victim, inPlan)...)
+			// A tight dependent preempted earlier as a victim brings its
+			// whole group into this one.
 			var added []*taskOps
+			tight := spec.DepTight
+			for _, dep := range in.Rules.AppendDependents(nil, victim, &tight) {
+				for k, g := range victimGroups {
+					if slices.ContainsFunc(g, func(e *taskOps) bool { return e.task == dep }) {
+						added = append(added, g...)
+						victimGroups[k] = nil
+					}
+				}
+			}
+			group := append([]string{victim}, parentRunningTightDependents(in, victim, inPlan)...)
 			for _, v := range group {
 				st := in.Tasks[v]
 				e := &taskOps{

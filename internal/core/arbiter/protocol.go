@@ -343,12 +343,18 @@ func (p *planner) build(in PlanInput) (Plan, []WaitingTask) {
 		}
 		if victim != "" {
 			// The victim's running tight dependents not already in the
-			// plan go with it, as one group.
+			// plan go with it, as one group. A dependent preempted
+			// earlier as a victim brings its whole group into this one,
+			// so retraction never leaves it running on its stopped
+			// parent.
 			tight := spec.DepTight
 			p.group = in.Rules.AppendDependents(p.group[:0], victim, &tight)
+			groups++
+			for _, dep := range p.group {
+				p.absorb(dep, groups)
+			}
 			p.group = slices.DeleteFunc(p.group, func(dep string) bool { return !in.Tasks[dep].Running || p.inPlan(dep) })
 			slices.Sort(p.group)
-			groups++
 			p.preempt(in, victim, groups)
 			for _, v := range p.group {
 				p.preempt(in, v, groups)
@@ -526,6 +532,24 @@ func (p *planner) preempt(in PlanInput, task string, g int) {
 		Procs: st.Procs, PerNode: st.PerNode,
 		CoresPerProc: st.cpp(), Script: st.Script,
 	})
+}
+
+// absorb moves the victim group that preempted task, if any, into group g.
+func (p *planner) absorb(task string, g int) {
+	old := 0
+	for i := range p.entries {
+		if p.entries[i].task == task {
+			old = p.entries[i].group
+		}
+	}
+	if old == 0 {
+		return
+	}
+	for i := range p.entries {
+		if p.entries[i].group == old {
+			p.entries[i].group = g
+		}
+	}
 }
 
 // balance is the plan's net core demand beyond the free capacity.

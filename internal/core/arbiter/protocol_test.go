@@ -479,6 +479,46 @@ func TestVictimRetractionKeepsTightGroup(t *testing.T) {
 	}
 }
 
+// TestVictimGroupAbsorbsEarlierDependentVictim: E (tight on D) is the
+// least important running task, so it is preempted first, as a group of
+// its own; D is preempted next. E's group alone is not needed once D is
+// stopped, so retracting it by itself would leave E running on its
+// stopped parent. D's group absorbs E's, and the two stay stopped together.
+func TestVictimGroupAbsorbsEarlierDependentVictim(t *testing.T) {
+	rules := &spec.WorkflowRules{
+		Workflow:       "W",
+		TaskPriorities: map[string]int{"A": 0, "D": 2, "E": 3},
+		Deps:           []spec.TaskDep{{Task: "E", Parent: "D", Type: spec.DepTight}},
+	}
+	in := PlanInput{
+		Workflow: "W",
+		Suggestions: []decision.Suggestion{
+			{Workflow: "W", PolicyID: "P", Action: "START", ActOnTasks: []string{"A"}, Params: map[string]string{"procs": "10"}},
+		},
+		Tasks: map[string]TaskState{
+			"A": {Procs: 10},
+			"D": {Running: true, Procs: 12},
+			"E": {Running: true, Procs: 4},
+		},
+		FreeCores: 0,
+		Rules:     rules,
+	}
+	plan, waiting := BuildPlan(in)
+	if len(findOps(plan, OpStop, "D")) != 1 || len(findOps(plan, OpStart, "A")) != 1 {
+		t.Fatalf("plan = %v, want D stopped for A", plan.Ops)
+	}
+	if len(findOps(plan, OpStop, "E")) != 1 {
+		t.Fatalf("plan = %v: E keeps running on its stopped tight parent D", plan.Ops)
+	}
+	wn := map[string]bool{}
+	for _, w := range waiting {
+		wn[w.Task] = true
+	}
+	if !wn["D"] || !wn["E"] {
+		t.Fatalf("waiting = %+v, want D and E queued to come back", waiting)
+	}
+}
+
 // TestFigure8AllAnalysesSuggest reproduces the paper's exact first round:
 // INC_ON_PACE fires for all four analyses at once (they all pace above 36 s
 // because the workflow is gated by Isosurface). Arbitration must enable

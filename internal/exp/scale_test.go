@@ -167,9 +167,9 @@ func TestScaleWorldGrowsEveryAnalysis(t *testing.T) {
 // per run, each metric per simulated hour — CPU (wall time of the
 // single-threaded run), bytes and allocations, arbitration rounds
 // (executed plus empty) and kernel handoffs. After the four sizes it logs
-// each metric's exponent k, fitted by least squares to metric ∝ pairs^k:
-// 1 is a cost that grows with the work, above 1 is orchestration that
-// grows faster than what it steers.
+// each metric's exponent k, fitted by least squares to metric ∝ pairs^k,
+// over all sizes and over 16→64 alone: 1 is a cost that grows with the
+// work, above 1 is orchestration that grows faster than what it steers.
 func BenchmarkScaleWorld(b *testing.B) {
 	sizes := []int{1, 4, 16, 64}
 	names := []string{"cpu-ms/simh", "MB/simh", "allocs/simh", "rounds/simh", "handoffs/simh"}
@@ -223,11 +223,23 @@ func BenchmarkScaleWorld(b *testing.B) {
 	if len(xs) < 2 {
 		return
 	}
-	var fit strings.Builder
-	for j, name := range names {
-		fmt.Fprintf(&fit, " %s %.2f", name, exponent(xs, ys[j]))
+	logFit := func(xs []float64, ys [][]float64) {
+		var fit strings.Builder
+		for j, name := range names {
+			fmt.Fprintf(&fit, " %s %.2f", name, exponent(xs, ys[j]))
+		}
+		b.Logf("exponents over pairs=%v:%s", xs, fit.String())
 	}
-	b.Logf("exponents over pairs=%v:%s", xs, fit.String())
+	logFit(xs, ys)
+	// The slope between the two largest sizes is where a super-linear
+	// term shows first; DESIGN.md §14 and ROADMAP quote it.
+	if lo, hi := curve["16"], curve["64"]; lo != nil && hi != nil && len(xs) > 2 {
+		tail := make([][]float64, len(names))
+		for j := range names {
+			tail[j] = []float64{lo[j], hi[j]}
+		}
+		logFit([]float64{16, 64}, tail)
+	}
 }
 
 // exponent is the least-squares slope of log y against log x.

@@ -7,13 +7,20 @@
 // (LSF/Slurm) and Savanna; here both halves are provided by Manager so that
 // Arbitration's low-level operations (`request_resources`,
 // `release_resources`, `get_resource_status`) have a concrete backend.
+//
+// Manager keeps one per-node core ledger: for every allocated node, the
+// cores assigned there summed over owners. Every reader of "what is
+// allocated" or "what is free" reads it, and every change to an
+// assignment goes through one helper that moves the owner's set, the
+// node's total and the node's gauge together, so no query re-derives a
+// node's use from the owners' sets.
 package resmgr
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"dyflow/internal/cluster"
@@ -51,24 +58,6 @@ func (rs ResourceSet) Add(other ResourceSet) ResourceSet {
 	return rs
 }
 
-// Sub removes other from rs (rs -= other), deleting emptied nodes. It
-// returns an error if other exceeds rs anywhere; rs is modified only on
-// success.
-func (rs ResourceSet) Sub(other ResourceSet) error {
-	for k, v := range other {
-		if rs[k] < v {
-			return fmt.Errorf("resmgr: cannot remove %d cores from %s (have %d)", v, k, rs[k])
-		}
-	}
-	for k, v := range other {
-		rs[k] -= v
-		if rs[k] == 0 {
-			delete(rs, k)
-		}
-	}
-	return nil
-}
-
 // Nodes returns the node IDs in sorted order.
 func (rs ResourceSet) Nodes() []cluster.NodeID {
 	ids := make([]cluster.NodeID, 0, len(rs))
@@ -98,9 +87,15 @@ var ErrInsufficient = errors.New("resmgr: insufficient resources")
 // assignment of that allocation to named owners (workflow task instances).
 type Manager struct {
 	cluster *cluster.Cluster
-	// alloc is the set of nodes granted to the job (whole nodes).
-	alloc map[cluster.NodeID]bool
-	// assigned[owner] is the owner's current ResourceSet.
+	// used is the core ledger: used[id] is the cores assigned on node id,
+	// summed over owners. A node is in the job's allocation (whole nodes)
+	// exactly when it has an entry.
+	used map[cluster.NodeID]int
+	// nodes is the allocation's node IDs, sorted when nodes are allocated
+	// or released.
+	nodes []cluster.NodeID
+	// assigned[owner] is the owner's current ResourceSet. Its entries
+	// change only through shift, which keeps used in step.
 	assigned map[string]ResourceSet
 	// onResourceLoss, if set, is invoked when a node in the allocation
 	// fails, once per owner that held cores on it.
@@ -142,44 +137,49 @@ func (m *Manager) SetMetrics(reg *obs.Registry) {
 		carveFailures: reg.Counter("dyflow_resmgr_carve_failures_total", "Carve operations that failed for lack of resources.").With(),
 		injected:      reg.Counter("dyflow_resmgr_injected_faults_total", "Chaos-injected transient carve faults.").With(),
 	}
+	for _, id := range m.nodes {
+		m.publishNode(id)
+	}
 	m.publishGauges()
 }
 
-// publishGauges pushes the current allocation/assignment state into the
-// registry. Called after every mutation; cheap no-op when detached.
+// publishGauges pushes the allocation-wide gauges. Called after every
+// mutation; cheap no-op when detached. Per-node gauges are pushed by
+// publishNode as each node's ledger entry changes.
 func (m *Manager) publishGauges() {
 	mm := m.metrics
 	if mm == nil {
 		return
 	}
-	unhealthy := 0
-	for id := range m.alloc {
+	unhealthy, assigned := 0, 0
+	for _, id := range m.nodes {
 		if n := m.cluster.Node(id); n == nil || !n.Healthy() {
 			unhealthy++
 		}
+		assigned += m.used[id]
 	}
-	assignedTotal := 0
-	perNode := make(map[cluster.NodeID]int)
-	for _, rs := range m.assigned {
-		for id, n := range rs {
-			assignedTotal += n
-			perNode[id] += n
-		}
-	}
-	mm.allocated.Set(float64(len(m.alloc)))
+	mm.allocated.Set(float64(len(m.nodes)))
 	mm.unhealthy.Set(float64(unhealthy))
 	mm.freeCores.Set(float64(m.FreeCores()))
-	mm.assignedCores.Set(float64(assignedTotal))
-	// Publish every allocated node (zeroing nodes whose cores were
-	// released) so stale per-node values never linger.
-	for id := range m.alloc {
-		mm.nodeAssigned.With(string(id)).Set(float64(perNode[id]))
+	mm.assignedCores.Set(float64(assigned))
+}
+
+// publishNode pushes node id's ledger entry to its gauge.
+func (m *Manager) publishNode(id cluster.NodeID) {
+	if mm := m.metrics; mm != nil {
+		mm.nodeAssigned.With(string(id)).Set(float64(m.used[id]))
 	}
-	for id, n := range perNode {
-		if !m.alloc[id] {
-			mm.nodeAssigned.With(string(id)).Set(float64(n))
-		}
+}
+
+// shift changes owner set cur's cores on node id by delta, together with
+// the node's ledger entry and gauge. It is the only way an assignment
+// changes, so the ledger always equals the owners' sets summed per node.
+func (m *Manager) shift(cur ResourceSet, id cluster.NodeID, delta int) {
+	if cur[id] += delta; cur[id] == 0 {
+		delete(cur, id)
 	}
+	m.used[id] += delta
+	m.publishNode(id)
 }
 
 // New creates a manager over c with an empty allocation and subscribes to
@@ -187,7 +187,7 @@ func (m *Manager) publishGauges() {
 func New(c *cluster.Cluster) *Manager {
 	m := &Manager{
 		cluster:  c,
-		alloc:    make(map[cluster.NodeID]bool),
+		used:     make(map[cluster.NodeID]int),
 		assigned: make(map[string]ResourceSet),
 	}
 	c.OnHealthChange(m.healthChanged)
@@ -203,12 +203,29 @@ func (m *Manager) OnResourceLoss(fn func(owner string, node cluster.NodeID, lost
 	m.onResourceLoss = fn
 }
 
+// allocated reports whether node id is in the job's allocation.
+func (m *Manager) allocated(id cluster.NodeID) bool {
+	_, ok := m.used[id]
+	return ok
+}
+
+// freeOn returns the healthy unassigned cores on allocated node id: none
+// on a node out of service.
+func (m *Manager) freeOn(id cluster.NodeID) int {
+	n := m.cluster.Node(id)
+	if n == nil || !n.Healthy() {
+		return 0
+	}
+	return max(0, n.Cores-m.used[id])
+}
+
 func (m *Manager) healthChanged(n *cluster.Node, healthy bool) {
-	if !m.alloc[n.ID] {
+	used, ok := m.used[n.ID]
+	if !ok {
 		return
 	}
 	defer m.publishGauges()
-	if healthy {
+	if healthy || used == 0 {
 		return
 	}
 	// A node in our allocation died: every owner with cores there loses
@@ -219,10 +236,13 @@ func (m *Manager) healthChanged(n *cluster.Node, healthy bool) {
 			owners = append(owners, owner)
 		}
 	}
-	sort.Strings(owners)
+	slices.Sort(owners)
 	for _, owner := range owners {
-		lost := m.assigned[owner][n.ID]
-		delete(m.assigned[owner], n.ID)
+		cur := m.assigned[owner]
+		lost := cur[n.ID]
+		if lost > 0 { // an earlier owner's callback may have released this one
+			m.shift(cur, n.ID, -lost)
+		}
 		if m.onResourceLoss != nil {
 			m.onResourceLoss(owner, n.ID, lost)
 		}
@@ -233,12 +253,15 @@ func (m *Manager) healthChanged(n *cluster.Node, healthy bool) {
 // modelling the initial batch-scheduler allocation. It returns the granted
 // node IDs in deterministic order.
 func (m *Manager) Allocate(n int) ([]cluster.NodeID, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("resmgr: cannot allocate %d nodes", n)
+	}
 	var granted []cluster.NodeID
 	for _, node := range m.cluster.HealthyNodes() {
 		if len(granted) == n {
 			break
 		}
-		if !m.alloc[node.ID] {
+		if !m.allocated(node.ID) {
 			granted = append(granted, node.ID)
 		}
 	}
@@ -246,8 +269,11 @@ func (m *Manager) Allocate(n int) ([]cluster.NodeID, error) {
 		return nil, fmt.Errorf("%w: requested %d nodes, %d available", ErrInsufficient, n, len(granted))
 	}
 	for _, id := range granted {
-		m.alloc[id] = true
+		m.used[id] = 0
+		m.publishNode(id)
 	}
+	m.nodes = append(m.nodes, granted...)
+	slices.Sort(m.nodes)
 	m.publishGauges()
 	return granted, nil
 }
@@ -259,76 +285,50 @@ func (m *Manager) Allocate(n int) ([]cluster.NodeID, error) {
 // every requested node is releasable.
 func (m *Manager) ReleaseNodes(ids []cluster.NodeID) error {
 	for _, id := range ids {
-		if !m.alloc[id] {
+		used, ok := m.used[id]
+		if !ok {
 			return fmt.Errorf("resmgr: node %s is not in the allocation", id)
 		}
-		for owner, rs := range m.assigned {
-			if rs[id] > 0 {
-				return fmt.Errorf("resmgr: node %s still assigned to %q", id, owner)
-			}
+		if used > 0 {
+			return fmt.Errorf("resmgr: node %s still has %d cores assigned", id, used)
 		}
 	}
 	for _, id := range ids {
-		delete(m.alloc, id)
+		delete(m.used, id)
 	}
+	m.nodes = slices.DeleteFunc(m.nodes, func(id cluster.NodeID) bool { return !m.allocated(id) })
 	m.publishGauges()
 	return nil
 }
 
 // AllocatedNodes returns the job's node IDs in sorted order.
 func (m *Manager) AllocatedNodes() []cluster.NodeID {
-	ids := make([]cluster.NodeID, 0, len(m.alloc))
-	for id := range m.alloc {
-		ids = append(ids, id)
-	}
-	return cluster.SortNodeIDs(ids)
+	return append(make([]cluster.NodeID, 0, len(m.nodes)), m.nodes...)
 }
 
 // Free returns the healthy, unassigned cores within the allocation.
 func (m *Manager) Free() ResourceSet {
 	free := make(ResourceSet)
-	for id := range m.alloc {
-		node := m.cluster.Node(id)
-		if node == nil || !node.Healthy() {
-			continue
-		}
-		free[id] = node.Cores
-	}
-	for _, rs := range m.assigned {
-		for id, n := range rs {
-			free[id] -= n
-			if free[id] <= 0 {
-				delete(free, id)
-			}
+	for _, id := range m.nodes {
+		if n := m.freeOn(id); n > 0 {
+			free[id] = n
 		}
 	}
 	return free
 }
 
-// FreeCores returns Free().Total() without building the set: the sum over
-// healthy allocated nodes of max(0, cores - assigned). The arbiter reads it
-// every round and publishGauges on every mutation.
+// FreeCores returns Free().Total() without building the set. The arbiter
+// reads it every round and publishGauges on every mutation.
 func (m *Manager) FreeCores() int {
 	total := 0
-	for id := range m.alloc {
-		node := m.cluster.Node(id)
-		if node == nil || !node.Healthy() {
-			continue
-		}
-		free := node.Cores
-		for _, rs := range m.assigned {
-			free -= rs[id]
-		}
-		if free > 0 {
-			total += free
-		}
+	for _, id := range m.nodes {
+		total += m.freeOn(id)
 	}
 	return total
 }
 
 // checkCounts rejects a negative core count: Assign would shrink the
-// owner's assignment past what it holds and ReleasePartial would grow it
-// unchecked, both inflating or overcommitting capacity silently.
+// owner's assignment past what it holds, silently inflating capacity.
 func checkCounts(rs ResourceSet) error {
 	for id, n := range rs {
 		if n < 0 {
@@ -351,11 +351,11 @@ func (m *Manager) Assigned(owner string) ResourceSet {
 func (m *Manager) Owners() []string {
 	var out []string
 	for owner, rs := range m.assigned {
-		if rs.Total() > 0 {
+		if len(rs) > 0 {
 			out = append(out, owner)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -366,16 +366,15 @@ func (m *Manager) Assign(owner string, rs ResourceSet) error {
 	if err := checkCounts(rs); err != nil {
 		return err
 	}
-	free := m.Free()
 	for id, n := range rs {
 		if n == 0 {
 			continue
 		}
-		if !m.alloc[id] {
+		if !m.allocated(id) {
 			return fmt.Errorf("resmgr: node %s is outside the allocation", id)
 		}
-		if free[id] < n {
-			return fmt.Errorf("%w: %d cores on %s requested, %d free", ErrInsufficient, n, id, free[id])
+		if free := m.freeOn(id); free < n {
+			return fmt.Errorf("%w: %d cores on %s requested, %d free", ErrInsufficient, n, id, free)
 		}
 	}
 	cur, ok := m.assigned[owner]
@@ -385,7 +384,7 @@ func (m *Manager) Assign(owner string, rs ResourceSet) error {
 	}
 	for id, n := range rs {
 		if n > 0 {
-			cur[id] += n
+			m.shift(cur, id, n)
 		}
 	}
 	m.publishGauges()
@@ -394,28 +393,12 @@ func (m *Manager) Assign(owner string, rs ResourceSet) error {
 
 // Release returns all of owner's cores to the free pool.
 func (m *Manager) Release(owner string) {
+	cur := m.assigned[owner]
+	for id, n := range cur {
+		m.shift(cur, id, -n)
+	}
 	delete(m.assigned, owner)
 	m.publishGauges()
-}
-
-// ReleasePartial returns rs of owner's cores to the free pool; a negative
-// count is an error.
-func (m *Manager) ReleasePartial(owner string, rs ResourceSet) error {
-	if err := checkCounts(rs); err != nil {
-		return err
-	}
-	cur, ok := m.assigned[owner]
-	if !ok {
-		return fmt.Errorf("resmgr: owner %q has no assignment", owner)
-	}
-	if err := cur.Sub(rs); err != nil {
-		return err
-	}
-	if cur.Total() == 0 {
-		delete(m.assigned, owner)
-	}
-	m.publishGauges()
-	return nil
 }
 
 // Faults injects deterministic, seeded transient failures into the manager
@@ -471,76 +454,52 @@ func (m *Manager) Carve(total, perNode int, exclude []cluster.NodeID) (ResourceS
 	if total <= 0 {
 		return ResourceSet{}, nil
 	}
+	mm := m.metrics
 	if m.faults.tripCarve() {
-		if mm := m.metrics; mm != nil {
+		if mm != nil {
 			mm.injected.Inc()
 			mm.carveFailures.Inc()
 		}
 		return nil, fmt.Errorf("%w: injected carve fault", ErrInsufficient)
 	}
-	skip := make(map[cluster.NodeID]bool, len(exclude))
-	for _, id := range exclude {
-		skip[id] = true
-	}
-	free := m.Free()
-	var nodes []cluster.NodeID
-	for _, id := range free.Nodes() {
-		if !skip[id] {
-			nodes = append(nodes, id)
-		}
-	}
 	out := make(ResourceSet)
 	remaining := total
 	if perNode > 0 {
-		for _, id := range nodes {
-			n := free[id]
-			if n > perNode {
-				n = perNode
-			}
-			if n > remaining {
-				n = remaining
-			}
-			if n <= 0 {
-				continue
-			}
-			out[id] = n
-			remaining -= n
+		for _, id := range m.nodes {
 			if remaining == 0 {
-				if mm := m.metrics; mm != nil {
-					mm.carves.Inc()
-				}
-				return out, nil
+				break
+			}
+			if n := min(m.freeOn(id), perNode, remaining); n > 0 && !slices.Contains(exclude, id) {
+				out[id] = n
+				remaining -= n
 			}
 		}
 	} else {
 		// Round-robin spread: one core per node per round.
-		for remaining > 0 {
-			progressed := false
-			for _, id := range nodes {
+		for progressed := true; remaining > 0 && progressed; {
+			progressed = false
+			for _, id := range m.nodes {
 				if remaining == 0 {
 					break
 				}
-				if out[id] < free[id] {
+				if out[id] < m.freeOn(id) && !slices.Contains(exclude, id) {
 					out[id]++
 					remaining--
 					progressed = true
 				}
 			}
-			if !progressed {
-				break
-			}
-		}
-		if remaining == 0 {
-			if mm := m.metrics; mm != nil {
-				mm.carves.Inc()
-			}
-			return out, nil
 		}
 	}
-	if mm := m.metrics; mm != nil {
-		mm.carveFailures.Inc()
+	if remaining > 0 {
+		if mm != nil {
+			mm.carveFailures.Inc()
+		}
+		return nil, fmt.Errorf("%w: carve %d cores (per-node %d), %d short", ErrInsufficient, total, perNode, remaining)
 	}
-	return nil, fmt.Errorf("%w: carve %d cores (per-node %d), %d short", ErrInsufficient, total, perNode, remaining)
+	if mm != nil {
+		mm.carves.Inc()
+	}
+	return out, nil
 }
 
 // Status summarizes resource health for Arbitration's bookkeeping — the
@@ -561,9 +520,9 @@ func (m *Manager) Status() Status {
 	st := Status{
 		AllocatedNodes: m.AllocatedNodes(),
 		FreeCores:      m.Free(),
-		AssignedCores:  make(map[string]ResourceSet),
+		AssignedCores:  make(map[string]ResourceSet, len(m.assigned)),
 	}
-	for _, id := range st.AllocatedNodes {
+	for _, id := range m.nodes {
 		if n := m.cluster.Node(id); n != nil && !n.Healthy() {
 			st.UnhealthyNodes = append(st.UnhealthyNodes, id)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"dyflow/internal/cluster"
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 )
 
@@ -30,6 +31,18 @@ func TestAllocateAndFree(t *testing.T) {
 	free := m.Free()
 	if free.Total() != 3*20 {
 		t.Fatalf("free = %d cores, want 60", free.Total())
+	}
+}
+
+// Allocate(n) with n < 0 used to grant every healthy node: the loop's
+// `len(granted) == n` stop never held.
+func TestAllocateRejectsNegativeCount(t *testing.T) {
+	_, _, m := newDT2(t, 4)
+	if ids, err := m.Allocate(-1); err == nil {
+		t.Fatalf("Allocate(-1) granted %v", ids)
+	}
+	if got := m.AllocatedNodes(); len(got) != 0 {
+		t.Fatalf("allocation = %v after Allocate(-1), want empty", got)
 	}
 }
 
@@ -81,27 +94,6 @@ func TestAssignOutsideAllocation(t *testing.T) {
 	m.Allocate(1)
 	if err := m.Assign("a", ResourceSet{"node001": 1}); err == nil {
 		t.Fatal("assigning outside the allocation should fail")
-	}
-}
-
-func TestReleasePartial(t *testing.T) {
-	_, _, m := newDT2(t, 1)
-	m.Allocate(1)
-	m.Assign("a", ResourceSet{"node000": 10})
-	if err := m.ReleasePartial("a", ResourceSet{"node000": 4}); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Assigned("a").Total(); got != 6 {
-		t.Fatalf("assigned = %d, want 6", got)
-	}
-	if err := m.ReleasePartial("a", ResourceSet{"node000": 7}); err == nil {
-		t.Fatal("over-release should fail")
-	}
-	if err := m.ReleasePartial("a", ResourceSet{"node000": 6}); err != nil {
-		t.Fatal(err)
-	}
-	if m.Assigned("a") != nil {
-		t.Fatal("fully released owner should vanish")
 	}
 }
 
@@ -219,7 +211,7 @@ func TestConservationProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for _, op := range opsRaw {
 			owner := owners[int(op)%len(owners)]
-			switch (op / 8) % 3 {
+			switch (op / 8) % 2 {
 			case 0: // assign a random carve
 				total := rng.Intn(10) + 1
 				rs, err := m.Carve(total, 0, nil)
@@ -230,14 +222,6 @@ func TestConservationProperty(t *testing.T) {
 				}
 			case 1:
 				m.Release(owner)
-			case 2:
-				cur := m.Assigned(owner)
-				if cur.Total() > 0 {
-					id := cur.Nodes()[0]
-					if err := m.ReleasePartial(owner, ResourceSet{id: 1}); err != nil {
-						return false
-					}
-				}
 			}
 			// Invariants.
 			capacity := 4 * 20
@@ -262,10 +246,10 @@ func TestConservationProperty(t *testing.T) {
 }
 
 // A negative count used to pass Assign's `free < n` check and shrink the
-// owner's assignment below zero, inflating free capacity; ReleasePartial
-// grew the assignment past what was ever assigned. Both now refuse it and
-// leave the manager untouched, and zero counts are not stored.
-func TestAssignAndReleasePartialRejectNegativeCounts(t *testing.T) {
+// owner's assignment below zero, inflating free capacity. Assign now
+// refuses it and leaves the manager untouched, and zero counts are not
+// stored.
+func TestAssignRejectsNegativeCounts(t *testing.T) {
 	_, _, m := newDT2(t, 2)
 	if _, err := m.Allocate(2); err != nil {
 		t.Fatal(err)
@@ -275,9 +259,6 @@ func TestAssignAndReleasePartialRejectNegativeCounts(t *testing.T) {
 	}
 	if err := m.Assign("b", ResourceSet{"node000": -5}); err == nil {
 		t.Fatal("Assign accepted a negative core count")
-	}
-	if err := m.ReleasePartial("a", ResourceSet{"node000": -5}); err == nil {
-		t.Fatal("ReleasePartial accepted a negative core count")
 	}
 	if got := m.Assigned("a"); got.Total() != 10 || len(got) != 1 {
 		t.Fatalf("a's assignment = %v, want node000:10 untouched", got)
@@ -360,5 +341,35 @@ func TestFaultsDeterministicAcrossRuns(t *testing.T) {
 	}
 	if fired == 0 || fired == len(a) {
 		t.Fatalf("fired = %d/50, want a nontrivial mix at prob 0.3", fired)
+	}
+}
+
+// The ledger's cost does not grow with the allocation: with metrics
+// attached, a warm Assign and Release of a fixed two-node set makes two
+// allocations (the owner's set) at 8 allocated nodes and at 256, and
+// FreeCores makes none. Before the ledger, every Assign and Release built
+// a per-node map of the whole allocation for its gauges, and Assign the
+// whole Free() set: 2 allocations at 8 nodes, 15 at 256.
+func TestLedgerAllocationsIndependentOfAllocationSize(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, nodes := range []int{8, 256} {
+		_, _, m := newDT2(t, nodes)
+		m.SetMetrics(obs.NewRegistry())
+		if _, err := m.Allocate(nodes); err != nil {
+			t.Fatal(err)
+		}
+		rs := ResourceSet{"node000": 4, "node001": 4}
+		ar := testing.AllocsPerRun(100, func() {
+			if err := m.Assign("a", rs); err != nil {
+				t.Fatal(err)
+			}
+			m.Release("a")
+		})
+		fc := testing.AllocsPerRun(100, func() { m.FreeCores() })
+		if ar != 2 || fc != 0 {
+			t.Fatalf("at %d nodes: Assign+Release makes %v allocations, FreeCores %v; want 2 and 0", nodes, ar, fc)
+		}
 	}
 }
