@@ -1,0 +1,171 @@
+package exp
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"dyflow/internal/ckpt"
+	"dyflow/internal/core"
+	"dyflow/internal/core/sensor"
+	"dyflow/internal/msg"
+)
+
+var updateCkpt = flag.Bool("update-ckpt", false, "rewrite the checkpoint goldens in testdata/ckpt")
+
+// ckptGolden returns the committed checkpoint name holds, or — run with
+// -update-ckpt — records got as it.
+func ckptGolden(t *testing.T, name string, got []byte) []byte {
+	t.Helper()
+	path := filepath.Join("testdata", "ckpt", name)
+	if *updateCkpt {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestXGCCheckpointBytesGolden pins what an orchestrator checkpoint of xgc
+// seed 1 on summit holds, byte for byte, against blobs recorded in
+// testdata/ckpt, and restores them.
+//
+// A driver-context checkpoint (between two ticks) is taken when no stage
+// is mid-round, so every bus queue in it is empty: the stages drain each
+// delivery within the instant it lands. The only checkpoints that hold an
+// envelope on a Monitor link are taken inside an instant, between a
+// delivery and its receiver's wake — the bus's OnDepth hook runs there.
+// The test takes one at the first delivery onto each Monitor endpoint, so
+// the client's update batch and the server's metric messages are pinned in
+// their checkpoint encoding, and restores each into a fresh orchestrator:
+// the restored one must checkpoint to the same bytes, and each queued
+// envelope must decode into the type its receiver reads and encode back to
+// the bytes it was restored from.
+//
+// A restore inside an instant does not resume the run exactly (a timer due
+// at that instant is re-armed a period later), so the run-level check is
+// made at a driver-context instant: the first tick at or after one minute.
+// The orchestrator is killed there and its successor restored from the
+// committed blob, and the run's four artifacts must equal the
+// uninterrupted run's (xgcGolden[0]).
+func TestXGCCheckpointBytesGolden(t *testing.T) {
+	g := xgcGolden[0]
+	links := []string{core.EndpointMonitorServer, core.EndpointDecision}
+	inInstant := map[string][]byte{}
+	var tick []byte
+	var world *World
+	out, err := RunJob(Job{Scenario: ScenarioXGC, Machine: g.machine, Seed: g.seed}, func(w *World) error {
+		world = w
+		o := w.Orch
+		depth := o.Bus.OnDepth
+		o.Bus.OnDepth = func(to string, n int) {
+			depth(to, n)
+			if inInstant[to] != nil || (to != links[0] && to != links[1]) || o != w.Orch || o.Arbiter.Busy() {
+				return
+			}
+			blob, err := o.Checkpoint()
+			if err != nil {
+				t.Error(err)
+			}
+			inInstant[to] = blob
+		}
+		w.OnProgress = func(now time.Duration) error {
+			if tick != nil || now < time.Minute || w.Orch.Arbiter.Busy() {
+				return nil
+			}
+			var err error
+			if tick, err = w.Orch.Checkpoint(); err != nil {
+				return err
+			}
+			return w.restartFrom(ckptGolden(t, "xgc-summit-1-tick.ckpt", tick))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tick == nil {
+		t.Fatal("the run ended before the one-minute checkpoint")
+	}
+	if want := ckptGolden(t, "xgc-summit-1-tick.ckpt", tick); !bytes.Equal(tick, want) {
+		t.Errorf("checkpoint at the one-minute tick differs from testdata:\n%s\nwant\n%s", tick, want)
+	}
+	if got := artifactSums(out.Artifacts); !reflect.DeepEqual(got, g.sha) {
+		t.Errorf("run restored from the committed checkpoint: artifact sha256 = %v, uninterrupted %v", got, g.sha)
+	}
+
+	for _, link := range links {
+		got := inInstant[link]
+		if got == nil {
+			t.Fatalf("no delivery onto %s was checkpointed", link)
+		}
+		name := "xgc-summit-1-" + link + ".ckpt"
+		want := ckptGolden(t, name, got)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: checkpoint differs from testdata:\n%s\nwant\n%s", link, got, want)
+		}
+		var snap core.Snapshot
+		if err := ckpt.Decode(want, core.SnapshotKind, &snap); err != nil {
+			t.Fatal(err)
+		}
+		// The world has run on, so the restored orchestrator's clock is
+		// not the checkpoint's: its snapshot is compared at the
+		// checkpoint's instant.
+		o := core.New(world.Env, world.SV, world.orchCfg, world.orchOpts)
+		if err := o.Restore(want); err != nil {
+			t.Fatalf("%s: %v", link, err)
+		}
+		restored := o.Snapshot()
+		restored.At = snap.At
+		again, err := ckpt.Encode(core.SnapshotKind, restored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, want) {
+			t.Errorf("%s: restored orchestrator checkpoints to\n%s\nwant\n%s", link, again, want)
+		}
+		queued := 0
+		for _, ep := range snap.Bus.Endpoints {
+			for i := range ep.Queue {
+				env := &ep.Queue[i]
+				var payload any
+				switch ep.Name {
+				case core.EndpointMonitorServer:
+					payload, err = msg.Payload[sensor.Batch](env)
+				case core.EndpointDecision:
+					payload, err = msg.Payload[[]sensor.MetricMsg](env)
+				default:
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: queued envelope on %s: %v", link, ep.Name, err)
+				}
+				data, err := json.Marshal(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(data, env.Data) {
+					t.Errorf("%s: envelope on %s re-encodes to\n%s\nrestored from\n%s", link, ep.Name, data, env.Data)
+				}
+				if ep.Name == link {
+					queued++
+				}
+			}
+		}
+		if queued == 0 {
+			t.Errorf("%s: the checkpoint holds no envelope queued on the link", link)
+		}
+	}
+}

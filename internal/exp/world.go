@@ -132,6 +132,13 @@ func (w *World) RestartOrchestrator() error {
 	if err != nil {
 		return err
 	}
+	return w.restartFrom(blob)
+}
+
+// restartFrom kills the orchestrator and starts a successor restored from
+// blob, as RestartOrchestrator does with the killed instance's own
+// checkpoint.
+func (w *World) restartFrom(blob []byte) error {
 	w.Orch.Detach()
 	w.Orch.Stop()
 	o := core.New(w.Env, w.SV, w.orchCfg, w.orchOpts)
