@@ -446,11 +446,15 @@ func parentAddDependents(in PlanInput, intents map[string]*parentIntent) {
 		tight := spec.DepTight
 		for _, dep := range in.Rules.AppendDependents(nil, t, &tight) {
 			if cur, exists := intents[dep]; exists {
-				// Override resizes with the dependency restart; leave
-				// stops and existing restarts alone.
-				if depAction == spec.ActionRestart && (cur.action == spec.ActionAddCPU || cur.action == spec.ActionRmCPU) {
+				// Override resizes with the dependency restart, and a
+				// START of a running dependent — which starts nothing —
+				// with the dependency's stop or restart; leave stops and
+				// existing restarts alone.
+				resize := cur.action == spec.ActionAddCPU || cur.action == spec.ActionRmCPU
+				noopStart := cur.action == spec.ActionStart && in.Tasks[dep].Running
+				if depAction == spec.ActionRestart && resize || noopStart {
 					intents[dep] = &parentIntent{
-						action: spec.ActionRestart, task: dep,
+						action: depAction, task: dep,
 						policy: it.policy, policyPri: it.policyPri,
 						dependent: true, parent: t,
 					}

@@ -686,11 +686,16 @@ func (p *planner) addDependents(in PlanInput) {
 		p.deps = in.Rules.AppendDependents(p.deps[:0], t, &tight)
 		for _, dep := range p.deps {
 			if i, exists := p.index[dep]; exists {
-				// Override resizes with the dependency restart; leave
-				// stops and existing restarts alone.
-				if cur := &p.intents[i]; depAction == spec.ActionRestart && (cur.action == spec.ActionAddCPU || cur.action == spec.ActionRmCPU) {
+				// Override resizes with the dependency restart, and a
+				// START of a running dependent — which starts nothing —
+				// with the dependency's stop or restart; leave stops and
+				// existing restarts alone.
+				cur := &p.intents[i]
+				resize := cur.action == spec.ActionAddCPU || cur.action == spec.ActionRmCPU
+				noopStart := cur.action == spec.ActionStart && in.Tasks[dep].Running
+				if depAction == spec.ActionRestart && resize || noopStart {
 					*cur = intent{
-						action: spec.ActionRestart, task: dep, pri: cur.pri,
+						action: depAction, task: dep, pri: cur.pri,
 						policy: it.policy, policyPri: it.policyPri,
 						dependent: true, parent: t,
 					}

@@ -737,3 +737,27 @@ func TestRecoveryWaitingRespectsFreeCapacity(t *testing.T) {
 		t.Fatalf("waiting = %+v, want the recovery entry kept", waiting)
 	}
 }
+
+// TestStoppedParentStopsRunningDependentItStarts: genInput seed 534. A
+// SWITCH stops D and starts E, which runs tight on D. Starting a running
+// task changes nothing, so that START must not shield E from its parent's
+// stop: E is stopped with D.
+func TestStoppedParentStopsRunningDependentItStarts(t *testing.T) {
+	in := genInput(534)
+	var switched bool
+	for _, sg := range in.Suggestions {
+		if sg.Action == "SWITCH" && sg.AssessTask == "D" && len(sg.ActOnTasks) == 1 && sg.ActOnTasks[0] == "E" {
+			switched = true
+		}
+	}
+	if !switched || !in.Tasks["D"].Running || !in.Tasks["E"].Running || len(in.Rules.Deps) == 0 {
+		t.Fatalf("genInput(534) no longer draws a SWITCH from a running D to its running tight dependent E: %+v", in)
+	}
+	plan, _ := BuildPlan(in)
+	if len(findOps(plan, OpStop, "D")) != 1 {
+		t.Fatalf("plan = %v, want D stopped", plan.Ops)
+	}
+	if len(findOps(plan, OpStop, "E")) != 1 {
+		t.Fatalf("plan = %v: E keeps running on its stopped tight parent D", plan.Ops)
+	}
+}
