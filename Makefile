@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify chaos chaos-restart restore-soak race-soak suites-check suites-golden chaos-net fuzz-smoke bench scale-curve bench-check mem-gate exec-gate read-gate perf examples
+.PHONY: build test vet race verify chaos chaos-restart restore-soak race-soak suites-check suites-golden chaos-net fuzz-smoke exp-diff bench scale-curve bench-check mem-gate exec-gate read-gate perf examples
 
 build:
 	$(GO) build ./...
@@ -111,6 +111,30 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 5s $$pkg; \
 		done; \
 	done
+
+# The experiments' output at another commit against this tree's, byte for
+# byte: `make exp-diff REV=<rev>` builds cmd/dyflow-exp at REV from the
+# local git objects (`git archive`, no network) and from the working tree,
+# runs the default set, `chaos` and `-orch-kills 2 chaos` for seeds 1-3 on
+# summit and dt2 with both, and fails on the first output that differs. A
+# change that must not move any result (a refactor, a perf change) runs it
+# against its parent. About a minute on a 2-vCPU host; not a CI step.
+exp-diff:
+	@[ -n "$(REV)" ] || { echo "exp-diff: set REV, e.g. make exp-diff REV=HEAD~1"; exit 1; }
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	mkdir "$$dir/rev"; git archive "$(REV)" | tar -x -C "$$dir/rev"; \
+	(cd "$$dir/rev" && $(GO) build -o "$$dir/exp-rev" ./cmd/dyflow-exp); \
+	$(GO) build -o "$$dir/exp-tree" ./cmd/dyflow-exp; \
+	for m in summit dt2; do for seed in 1 2 3; do \
+		for run in "" "chaos" "-orch-kills 2 chaos"; do \
+			"$$dir/exp-rev" -machine $$m -seed $$seed $$run > "$$dir/rev.out"; \
+			"$$dir/exp-tree" -machine $$m -seed $$seed $$run > "$$dir/tree.out"; \
+			cmp -s "$$dir/rev.out" "$$dir/tree.out" || { \
+				echo "exp-diff: -machine $$m -seed $$seed $${run:-all} differs from $(REV):"; \
+				diff "$$dir/rev.out" "$$dir/tree.out" | head -n 40; exit 1; }; \
+			echo "exp-diff: -machine $$m -seed $$seed $${run:-all}: identical ($$(wc -c < "$$dir/tree.out") bytes)"; \
+		done; \
+	done; done
 
 # Every micro-benchmark in the tree, as plain `go test -bench` output: the
 # observability hot paths, the DES kernel (DESIGN.md §14), the bus, the
