@@ -59,10 +59,9 @@ func (e *Engine) Snapshot() Snapshot {
 			EverEval:   b.everEval,
 			ResetAt:    b.resetAt,
 		}
-		for _, k := range b.order {
-			st := b.series[k]
+		for i, st := range b.series {
 			ss := SeriesSnap{
-				Key:      k,
+				Key:      b.order[i],
 				Last:     st.last,
 				LastAt:   st.lastAt,
 				GenAt:    st.genAt,
@@ -88,6 +87,9 @@ func (e *Engine) Restore(snap Snapshot) {
 	e.seq = snap.Seq
 	e.nextEval = snap.NextEval
 	e.filter.RestoreState(snap.Filter)
+	// The routes hold the states being replaced: each is rebuilt on its
+	// series' next metric.
+	e.routes = nil
 
 	byID := make(map[[3]string]*binding, len(e.bindings))
 	for _, b := range e.bindings {
@@ -101,8 +103,7 @@ func (e *Engine) Restore(snap Snapshot) {
 		b.lastEval = bs.LastEval
 		b.everEval = bs.EverEval
 		b.resetAt = bs.ResetAt
-		b.series = make(map[sensor.Key]*seriesState, len(bs.Series))
-		b.order = b.order[:0]
+		b.order, b.series = b.order[:0], b.series[:0]
 		for _, ss := range bs.Series {
 			st := &seriesState{
 				last:     ss.Last,
@@ -116,8 +117,8 @@ func (e *Engine) Restore(snap Snapshot) {
 				st.window = stats.NewWindow(b.def.History.Window)
 				st.window.Restore(ss.Window)
 			}
-			b.series[ss.Key] = st
 			b.order = append(b.order, ss.Key)
+			b.series = append(b.series, st)
 		}
 	}
 }

@@ -83,10 +83,13 @@ func (st *seriesState) live(now sim.Time) bool {
 
 // binding is one policy applied to one assess-task.
 type binding struct {
-	def      *spec.PolicyDef
-	bind     spec.PolicyBinding
-	series   map[sensor.Key]*seriesState
-	order    []sensor.Key // deterministic evaluation order
+	def  *spec.PolicyDef
+	bind spec.PolicyBinding
+	// order holds the keys of the series feeding the binding in arrival
+	// order, the order it evaluates them in, and series their states,
+	// index for index.
+	order    []sensor.Key
+	series   []*seriesState
 	lastEval sim.Time
 	// everEval distinguishes "never evaluated" from "evaluated at t=0":
 	// lastEval alone cannot, and treating t=0 as never makes the binding
@@ -99,26 +102,26 @@ type binding struct {
 
 // anyLive reports whether any series can feed an evaluation at now.
 func (b *binding) anyLive(now sim.Time) bool {
-	for _, k := range b.order {
-		if b.series[k].live(now) {
+	for _, st := range b.series {
+		if st.live(now) {
 			return true
 		}
 	}
 	return false
 }
 
-// matches reports whether the metric belongs to this binding.
-func (b *binding) matches(m sensor.Metric) bool {
-	if m.Key.Workflow != b.bind.Workflow {
+// matches reports whether series k feeds this binding.
+func (b *binding) matches(k sensor.Key) bool {
+	if k.Workflow != b.bind.Workflow {
 		return false
 	}
 	for _, ref := range b.def.Sensors {
-		if ref.SensorID != m.Key.Sensor || ref.Granularity != m.Key.Granularity {
+		if ref.SensorID != k.Sensor || ref.Granularity != k.Granularity {
 			continue
 		}
-		switch m.Key.Granularity {
+		switch k.Granularity {
 		case spec.GranTask, spec.GranNodeTask:
-			if m.Key.Task == b.bind.AssessTask {
+			if k.Task == b.bind.AssessTask {
 				return true
 			}
 		case spec.GranWorkflow, spec.GranNodeWorkflow:
@@ -128,20 +131,35 @@ func (b *binding) matches(m sensor.Metric) bool {
 	return false
 }
 
-func (b *binding) ingest(m sensor.Metric) {
+// state returns the binding's state for series k, creating it — last in
+// evaluation order — on first use.
+func (b *binding) state(k sensor.Key) *seriesState {
+	for i := range b.order {
+		if b.order[i] == k {
+			return b.series[i]
+		}
+	}
+	st := &seriesState{}
+	if b.def.History != nil {
+		st.window = stats.NewWindow(b.def.History.Window)
+	}
+	b.order = append(b.order, k)
+	b.series = append(b.series, st)
+	return st
+}
+
+// ingest stores m in st, the binding's state for m's series, and returns
+// it. A nil st — the series' route has not yet stored a metric here — is
+// looked up by key, or created, first. A dropped metric leaves st as it
+// was.
+func (b *binding) ingest(st *seriesState, m sensor.Metric) *seriesState {
 	if b.resetAt > 0 && m.GeneratedAt <= b.resetAt {
 		// In-flight data from before the assessed task's restart: acting
 		// on it would re-trigger the action that caused the restart.
-		return
+		return st
 	}
-	st, ok := b.series[m.Key]
-	if !ok {
-		st = &seriesState{}
-		if b.def.History != nil {
-			st.window = stats.NewWindow(b.def.History.Window)
-		}
-		b.series[m.Key] = st
-		b.order = append(b.order, m.Key)
+	if st == nil {
+		st = b.state(m.Key)
 	}
 	if st.window != nil {
 		st.window.Push(m.Value)
@@ -154,6 +172,22 @@ func (b *binding) ingest(m sensor.Metric) {
 	st.genAt = m.GeneratedAt
 	st.step = m.Step
 	st.fresh = true
+	return st
+}
+
+// route is where one series' metrics go: the bindings the series feeds,
+// each with the state it keeps for the series once it stored a metric of
+// it. series is the descriptor the route was built for.
+type route struct {
+	series *sensor.Series
+	feeds  []feed
+}
+
+// feed is one binding a route's series feeds, and its state for the
+// series (nil until the binding stores a metric of it).
+type feed struct {
+	b  *binding
+	st *seriesState
 }
 
 // value computes the series' evaluation input: the pre-analyzed history
@@ -177,6 +211,8 @@ type Engine struct {
 	cfg      *spec.Config
 	filter   *msg.OrderFilter
 	bindings []*binding
+	// routes is indexed by Series.ID (see Ingest).
+	routes   []route
 	recvProc *sim.Proc
 	evalProc *sim.Proc
 	tr       *trace.Recorder
@@ -204,11 +240,7 @@ func New(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config) *Engine {
 		if def == nil {
 			continue
 		}
-		e.bindings = append(e.bindings, &binding{
-			def:    def,
-			bind:   pb,
-			series: make(map[sensor.Key]*seriesState),
-		})
+		e.bindings = append(e.bindings, &binding{def: def, bind: pb})
 	}
 	return e
 }
@@ -257,15 +289,13 @@ func (e *Engine) ResetTask(workflow, taskName string) {
 			continue
 		}
 		b.resetAt = e.s.Now()
-		for _, k := range b.order {
-			if st := b.series[k]; st != nil {
-				if st.window != nil {
-					st.window.Reset()
-				}
-				st.fresh = false
-				st.lastAt = 0
-				st.interval = 0
+		for _, st := range b.series {
+			if st.window != nil {
+				st.window.Reset()
 			}
+			st.fresh = false
+			st.lastAt = 0
+			st.interval = 0
 		}
 	}
 }
@@ -349,15 +379,37 @@ func (e *Engine) tickInterval() time.Duration {
 	return tick
 }
 
-// Ingest stores one metric on every matching binding (no evaluation —
-// updates between evaluations are stored for history or replace the latest
-// value).
+// Ingest stores one metric on every binding its series feeds (no
+// evaluation — updates between evaluations are stored for history or
+// replace the latest value). The metric names its series by descriptor,
+// m.Series, which must be set: the route at the descriptor's ID serves it
+// when it was built for that descriptor, and is rebuilt from the key
+// otherwise — on first sight, for a metric decoded from a checkpoint (ID
+// 0), and after a restored Monitor server renumbered its series.
 func (e *Engine) Ingest(m sensor.Metric) {
-	for _, b := range e.bindings {
-		if b.matches(m) {
-			b.ingest(m)
+	r := e.route(m.Series)
+	for i := range r.feeds {
+		f := &r.feeds[i]
+		f.st = f.b.ingest(f.st, m)
+	}
+}
+
+// route returns the route built for descriptor s, building it in s's slot
+// if that slot holds another's.
+func (e *Engine) route(s *sensor.Series) *route {
+	for int(s.ID) >= len(e.routes) {
+		e.routes = append(e.routes, route{})
+	}
+	r := &e.routes[s.ID]
+	if r.series != s {
+		r.series, r.feeds = s, r.feeds[:0]
+		for _, b := range e.bindings {
+			if b.matches(s.Key) {
+				r.feeds = append(r.feeds, feed{b: b})
+			}
 		}
 	}
+	return r
 }
 
 // EvaluateDue runs the evaluation condition of every binding whose
@@ -383,8 +435,8 @@ func (e *Engine) EvaluateDue() []Suggestion {
 		sg, ok := e.evaluate(b, now)
 		// The round consumed the binding's pending data; liveness now rests
 		// on the arrival cadence until the next value lands.
-		for _, k := range b.order {
-			b.series[k].fresh = false
+		for _, st := range b.series {
+			st.fresh = false
 		}
 		if ok {
 			out = append(out, sg)
@@ -396,8 +448,7 @@ func (e *Engine) EvaluateDue() []Suggestion {
 // evaluate applies the binding's condition over its series (in arrival
 // order); the first satisfied live series produces the suggestion.
 func (e *Engine) evaluate(b *binding, now sim.Time) (Suggestion, bool) {
-	for _, k := range b.order {
-		st := b.series[k]
+	for i, st := range b.series {
 		if !st.live(now) {
 			continue // stale series: its producer stopped updating it
 		}
@@ -410,7 +461,7 @@ func (e *Engine) evaluate(b *binding, now sim.Time) (Suggestion, bool) {
 		}
 		e.seq++
 		id := fmt.Sprintf("%s/%s#%d", b.bind.Workflow, b.def.ID, e.seq)
-		e.tr.Suggested(id, b.bind.Workflow, b.def.ID, b.def.Action.String(), k.Sensor, st.genAt, st.lastAt, now)
+		e.tr.Suggested(id, b.bind.Workflow, b.def.ID, b.def.Action.String(), b.order[i].Sensor, st.genAt, st.lastAt, now)
 		return Suggestion{
 			ID:         id,
 			Workflow:   b.bind.Workflow,

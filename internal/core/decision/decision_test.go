@@ -60,8 +60,10 @@ const cfgXML = `
 </dyflow>`
 
 func metric(wf, tsk, sens string, g spec.Granularity, v float64, at sim.Time) sensor.Metric {
+	k := sensor.Key{Workflow: wf, Task: tsk, Sensor: sens, Granularity: g}
 	return sensor.Metric{
-		Key:         sensor.Key{Workflow: wf, Task: tsk, Sensor: sens, Granularity: g},
+		Key:         k,
+		Series:      &sensor.Series{Key: k},
 		Value:       v,
 		GeneratedAt: at,
 		ObservedAt:  at,
@@ -387,10 +389,8 @@ func TestNodeTaskGranularityBinding(t *testing.T) {
 	e := New(s, bus, "decision", "arbiter", cfg)
 
 	mk := func(node string, v float64) sensor.Metric {
-		return sensor.Metric{
-			Key:   sensor.Key{Workflow: "W", Task: "Sim", Sensor: "MEM", Granularity: spec.GranNodeTask, Node: node},
-			Value: v,
-		}
+		k := sensor.Key{Workflow: "W", Task: "Sim", Sensor: "MEM", Granularity: spec.GranNodeTask, Node: node}
+		return sensor.Metric{Key: k, Series: &sensor.Series{Key: k}, Value: v}
 	}
 	e.Ingest(mk("node000", 50))
 	e.Ingest(mk("node001", 60))

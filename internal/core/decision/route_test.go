@@ -1,0 +1,77 @@
+package decision
+
+import (
+	"testing"
+	"time"
+
+	"dyflow/internal/core/sensor"
+	"dyflow/internal/core/spec"
+)
+
+// TestIngestRoutesByDescriptor: a series' metrics reach the same binding
+// state whichever descriptor names it — the server's, one decoded from a
+// checkpoint (ID 0), or a renumbered server's taking another series' slot —
+// and a slot rebuilt for another series routes that series' metrics, not
+// the first's.
+func TestIngestRoutesByDescriptor(t *testing.T) {
+	_, e := newEngine(t)
+	pace := sensor.Key{Workflow: "GS", Task: "Iso", Sensor: "PACE", Granularity: spec.GranTask}
+	steps := sensor.Key{Workflow: "GS", Sensor: "NSTEPS", Granularity: spec.GranWorkflow}
+	ingest := func(s *sensor.Series, v float64) {
+		e.Ingest(sensor.Metric{Key: s.Key, Series: s, Value: v, GeneratedAt: time.Second, ObservedAt: time.Second})
+	}
+	ingest(&sensor.Series{ID: 1, Key: pace}, 30)
+	ingest(&sensor.Series{Key: pace}, 40)          // decoded from a checkpoint
+	ingest(&sensor.Series{ID: 1, Key: steps}, 374) // a renumbered server's slot 1
+	ingest(&sensor.Series{ID: 2, Key: pace}, 50)   // and its PACE series
+
+	for _, b := range e.bindings {
+		var want []sensor.Key
+		var last float64
+		switch b.def.ID {
+		case "INC_ON_PACE":
+			want, last = []sensor.Key{pace}, 50
+		case "SWITCH_ON_COND":
+			want, last = []sensor.Key{steps}, 374
+		default:
+			continue
+		}
+		if len(b.order) != 1 || b.order[0] != want[0] || len(b.series) != 1 {
+			t.Fatalf("%s holds series %v, want %v", b.def.ID, b.order, want)
+		}
+		if st := b.series[0]; st.last != last {
+			t.Fatalf("%s: latest value %v, want %v", b.def.ID, st.last, last)
+		}
+	}
+	inc := e.bindings[0]
+	if vals := inc.series[0].window.Values(); len(vals) != 3 || vals[0] != 30 || vals[1] != 40 || vals[2] != 50 {
+		t.Fatalf("INC_ON_PACE's history = %v, want [30 40 50]", vals)
+	}
+}
+
+// TestKnownSeriesIngestAllocatesNothing: ingesting a metric of a series
+// Decision has routed before — the Monitor server's descriptor, already
+// stored on its binding — indexes the route and compares one pointer: it
+// allocates nothing.
+func TestKnownSeriesIngestAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	_, e := newEngine(t)
+	k := sensor.Key{Workflow: "GS", Task: "Iso", Sensor: "PACE", Granularity: spec.GranTask}
+	m := sensor.Metric{Key: k, Series: &sensor.Series{ID: 3, Key: k}, Value: 30}
+	ingest := func() {
+		m.GeneratedAt += time.Second
+		m.ObservedAt += time.Second
+		m.Value++
+		e.Ingest(m)
+	}
+	ingest()
+	ingest()
+	if n := testing.AllocsPerRun(100, ingest); n != 0 {
+		t.Errorf("a known series' ingest allocates %v times, want 0", n)
+	}
+	if st := e.bindings[0].series[0]; st.last != m.Value || st.lastAt != m.ObservedAt {
+		t.Fatalf("the binding holds %v at %v, want %v at %v", st.last, st.lastAt, m.Value, m.ObservedAt)
+	}
+}

@@ -83,7 +83,9 @@ func (sv *Server) Restore(snap ServerSnapshot) {
 	sv.series = make(map[Key]*series, len(snap.Last))
 	sv.groups = make(map[groupKey]*group)
 	for _, e := range snap.Last {
-		sv.record(sv.lookup(e.Key), e.Metric)
+		s := sv.lookup(e.Key)
+		e.Metric.Series = s.desc
+		sv.record(s, e.Metric)
 	}
 	for _, e := range snap.LastGen {
 		s := sv.lookup(e.Key)

@@ -119,6 +119,24 @@ type WorkerState struct {
 	pend PendingShip
 	// last is what ship last sent for a DISKSCAN extraction.
 	last shipment
+	// series are the descriptors the worker's updates name, interned the
+	// first time it ships each: its task series, and a node-task series
+	// per node.
+	series []*Series
+}
+
+// seriesFor returns the worker's descriptor for its target's series at
+// granularity g on node, interning it on first use. A worker ships a
+// handful of series, so the scan compares a node name or two.
+func (st *WorkerState) seriesFor(tg spec.MonitorTarget, def *spec.SensorDef, g spec.Granularity, node string) *Series {
+	for _, s := range st.series {
+		if s.Key.Granularity == g && s.Key.Node == node {
+			return s
+		}
+	}
+	s := &Series{Key: Key{Workflow: tg.Workflow, Task: tg.Task, Sensor: def.ID, Granularity: g, Node: node}}
+	st.series = append(st.series, s)
+	return s
 }
 
 // shipment is the batch a poll worker last sent for a DISKSCAN extraction:
@@ -586,7 +604,7 @@ func (c *Client) ship(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDe
 		}
 		return
 	}
-	batch, nan, inf := c.build(tg, def, pend.Readings, pend.Step, pend.GenAt)
+	batch, nan, inf := c.build(st, tg, def, pend.Readings, pend.Step, pend.GenAt)
 	// A node-task or node-workflow group reads Workload.Placement, which
 	// moves with the task (a restart, an added CPU) while the files — and
 	// so the watch generation — stay put: such a batch is never reused.
@@ -598,10 +616,10 @@ func (c *Client) ship(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDe
 	}
 }
 
-// build formulates the batch ship sends, boxed for the bus, or nil when the
-// readings formulate no update. nan and inf count the readings sanitize
-// dropped.
-func (c *Client) build(tg spec.MonitorTarget, def *spec.SensorDef, readings []float64, step int, genAt sim.Time) (batch any, nan, inf int64) {
+// build formulates the batch ship sends for worker st, boxed for the bus,
+// or nil when the readings formulate no update. nan and inf count the
+// readings sanitize dropped.
+func (c *Client) build(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDef, readings []float64, step int, genAt sim.Time) (batch any, nan, inf int64) {
 	readings, nan, inf = c.sanitize(readings)
 	if len(readings) == 0 {
 		return nil, nan, inf
@@ -627,9 +645,8 @@ func (c *Client) build(tg spec.MonitorTarget, def *spec.SensorDef, readings []fl
 				continue
 			}
 			updates = append(updates, Update{
-				Workflow: tg.Workflow, Task: tg.Task, Sensor: def.ID,
-				Granularity: spec.GranTask.String(), Value: v, Step: step,
-				GeneratedAt: genAt,
+				Series: st.seriesFor(tg, def, spec.GranTask, ""),
+				Value:  v, Step: step, GeneratedAt: genAt,
 			})
 		case spec.GranNodeTask, spec.GranNodeWorkflow:
 			pl := c.workload.Placement(tg.Workflow, tg.Task)
@@ -642,9 +659,8 @@ func (c *Client) build(tg spec.MonitorTarget, def *spec.SensorDef, readings []fl
 					continue
 				}
 				updates = append(updates, Update{
-					Workflow: tg.Workflow, Task: tg.Task, Sensor: def.ID,
-					Granularity: spec.GranNodeTask.String(), Node: node,
-					Value: v, Step: step, GeneratedAt: genAt,
+					Series: st.seriesFor(tg, def, spec.GranNodeTask, node),
+					Value:  v, Step: step, GeneratedAt: genAt,
 				})
 			}
 		}
@@ -726,14 +742,14 @@ func groupByNode(readings []float64, pl task.Placement) map[string][]float64 {
 	return out
 }
 
-// dedupUpdates collapses duplicate (granularity, node) entries in place,
-// keeping the last value at the first one's position.
+// dedupUpdates collapses duplicate series entries in place, keeping the
+// last value at the first one's position.
 func dedupUpdates(updates []Update) []Update {
 	out := updates[:0]
 next:
 	for _, u := range updates {
 		for i := range out {
-			if out[i].Granularity == u.Granularity && out[i].Node == u.Node {
+			if out[i].Series == u.Series {
 				out[i] = u
 				continue next
 			}

@@ -5,15 +5,24 @@
 // streams, raw ADIOS2 streams, disk scans, files, scheduler exit-status
 // files), distill sizeable per-process inputs with the preprocess
 // operation, apply the group-by/reduction pipeline at task and node-task
-// granularity, and ship sensor updates to the server as JSON messages.
+// granularity, and ship sensor updates to the server in batches.
 //
 // The server manages the clients: it filters out-of-order updates, derives
 // the cross-task granularities (workflow and node-workflow) from the
 // task-level updates, computes joined metrics, and forwards the resulting
 // metric values to the Decision stage.
+//
+// Every message names its series by reference, a *Series descriptor, not
+// by its five-field key: an update is 32 bytes on the client->server link
+// and a metric message 32 bytes on the server->decision link, and a
+// consumer indexes its per-series state by the descriptor instead of
+// hashing the key. The key is spelled out only where a message is encoded
+// as JSON, at the checkpoint boundary.
 package sensor
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -42,20 +51,95 @@ func (k Key) String() string {
 	return s
 }
 
-// Update is one client-side sensor reading, shipped to the server as JSON.
+// Series is a Monitor series' descriptor: its key, named once, that every
+// message and metric of the series points at instead of spelling the key
+// out. A descriptor is immutable once made, so whoever receives one may
+// keep it. Three parties make them:
+//
+//   - the Monitor server, one per series it keeps, when lookup first makes
+//     the series (derived series included). Only the server numbers
+//     descriptors: densely, from 1, in creation order, so a consumer can
+//     index its per-series state by ID. A restored server renumbers.
+//   - a Monitor client, one per (target, sensor, granularity, node) it
+//     ships, interned on the worker that ships it. ID 0.
+//   - JSON decoding: a message read back from a checkpoint gets a fresh
+//     descriptor. ID 0.
+//
+// An ID therefore names a slot, not a series: a consumer holding state at
+// Series.ID keeps the descriptor it built the state for and compares
+// pointers. A different pointer at that ID — first sight, a decoded message
+// (ID 0), a renumbered server — is a miss, resolved by the key.
+type Series struct {
+	ID  uint32
+	Key Key
+}
+
+// decodedSeries is the descriptor a decoded message names, or nil when its
+// granularity does not parse: such a message names no series, and its
+// receiver skips it.
+func decodedSeries(workflow, task, sensor, granularity, node string) *Series {
+	g, err := spec.ParseGranularity(granularity)
+	if err != nil {
+		return nil
+	}
+	return &Series{Key: Key{Workflow: workflow, Task: task, Sensor: sensor, Granularity: g, Node: node}}
+}
+
+// errNoSeries reports a message that names no series: one decoded with a
+// granularity that does not parse.
+var errNoSeries = errors.New("sensor: message names no series")
+
+// Update is one client-side sensor reading, shipped to the server. Its
+// series travels by reference, as the shipping worker interned it (always
+// a task or node-task series); its JSON spells the key out (updateJSON).
 type Update struct {
-	Workflow    string  `json:"workflow"`
-	Task        string  `json:"task"`
-	Sensor      string  `json:"sensor"`
-	Granularity string  `json:"granularity"` // "task" or "node-task"
-	Node        string  `json:"node,omitempty"`
-	Value       float64 `json:"value"`
+	Series *Series
+	Value  float64
 	// Step is the source timestep/index when available.
-	Step int `json:"step,omitempty"`
+	Step int
 	// GeneratedAt is the virtual time the underlying data was produced
 	// (stream record production or file mtime); the server derives the
 	// monitoring lag from it.
+	GeneratedAt time.Duration
+}
+
+// updateJSON is an Update's JSON form: the key's fields, then the reading.
+type updateJSON struct {
+	Workflow    string        `json:"workflow"`
+	Task        string        `json:"task"`
+	Sensor      string        `json:"sensor"`
+	Granularity string        `json:"granularity"` // "task" or "node-task"
+	Node        string        `json:"node,omitempty"`
+	Value       float64       `json:"value"`
+	Step        int           `json:"step,omitempty"`
 	GeneratedAt time.Duration `json:"generated_at"`
+}
+
+// MarshalJSON encodes the update with its series' key spelled out.
+func (u Update) MarshalJSON() ([]byte, error) {
+	if u.Series == nil {
+		return nil, errNoSeries
+	}
+	k := u.Series.Key
+	return json.Marshal(updateJSON{
+		Workflow: k.Workflow, Task: k.Task, Sensor: k.Sensor,
+		Granularity: k.Granularity.String(), Node: k.Node,
+		Value: u.Value, Step: u.Step, GeneratedAt: u.GeneratedAt,
+	})
+}
+
+// UnmarshalJSON decodes an update onto a fresh descriptor — none when its
+// granularity does not parse.
+func (u *Update) UnmarshalJSON(data []byte) error {
+	var w updateJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*u = Update{
+		Series: decodedSeries(w.Workflow, w.Task, w.Sensor, w.Granularity, w.Node),
+		Value:  w.Value, Step: w.Step, GeneratedAt: w.GeneratedAt,
+	}
+	return nil
 }
 
 // Batch is the client->server wire message.
@@ -65,18 +149,32 @@ type Batch struct {
 }
 
 // Metric is a server-side metric value forwarded to the Decision stage.
+// Key is the series' key and Series its descriptor; the server and FromMsg
+// set both, and a checkpoint spells out only the key.
 type Metric struct {
 	Key         Key
+	Series      *Series `json:"-"`
 	Value       float64
 	Step        int
 	GeneratedAt sim.Time // when the underlying data was produced
 	ObservedAt  sim.Time // when the server forwarded the metric
 }
 
-// MetricMsg is the JSON form of a Metric on the server->decision link. It
-// carries no ObservedAt: the server stamps every metric it forwards with
-// the instant it sends them, which the envelope carries as SentAt.
+// MetricMsg is a Metric on the server->decision link: its series by
+// reference, the server's descriptor. It carries no ObservedAt: the server
+// stamps every metric it forwards with the instant it sends them, which
+// the envelope carries as SentAt. Its JSON spells the key out
+// (metricMsgJSON).
 type MetricMsg struct {
+	Series      *Series
+	Value       float64
+	Step        int
+	GeneratedAt int64
+}
+
+// metricMsgJSON is a MetricMsg's JSON form: the key's fields, then the
+// value.
+type metricMsgJSON struct {
 	Workflow    string  `json:"workflow"`
 	Task        string  `json:"task,omitempty"`
 	Sensor      string  `json:"sensor"`
@@ -87,35 +185,49 @@ type MetricMsg struct {
 	GeneratedAt int64   `json:"generated_at"`
 }
 
-// ToMsg converts a Metric for the wire.
-func (m Metric) ToMsg() MetricMsg {
-	return MetricMsg{
-		Workflow:    m.Key.Workflow,
-		Task:        m.Key.Task,
-		Sensor:      m.Key.Sensor,
-		Granularity: m.Key.Granularity.String(),
-		Node:        m.Key.Node,
-		Value:       m.Value,
-		Step:        m.Step,
-		GeneratedAt: int64(m.GeneratedAt),
+// MarshalJSON encodes the message with its series' key spelled out.
+func (w MetricMsg) MarshalJSON() ([]byte, error) {
+	if w.Series == nil {
+		return nil, errNoSeries
 	}
+	k := w.Series.Key
+	return json.Marshal(metricMsgJSON{
+		Workflow: k.Workflow, Task: k.Task, Sensor: k.Sensor,
+		Granularity: k.Granularity.String(), Node: k.Node,
+		Value: w.Value, Step: w.Step, GeneratedAt: w.GeneratedAt,
+	})
+}
+
+// UnmarshalJSON decodes a message onto a fresh descriptor — none when its
+// granularity does not parse.
+func (w *MetricMsg) UnmarshalJSON(data []byte) error {
+	var j metricMsgJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	*w = MetricMsg{
+		Series: decodedSeries(j.Workflow, j.Task, j.Sensor, j.Granularity, j.Node),
+		Value:  j.Value, Step: j.Step, GeneratedAt: j.GeneratedAt,
+	}
+	return nil
+}
+
+// ToMsg converts a Metric for the wire, naming its series by its
+// descriptor.
+func (m Metric) ToMsg() MetricMsg {
+	return MetricMsg{Series: m.Series, Value: m.Value, Step: m.Step, GeneratedAt: int64(m.GeneratedAt)}
 }
 
 // FromMsg converts a wire message back to a Metric observed at sentAt, the
-// SentAt of the envelope that carried it.
+// SentAt of the envelope that carried it. A message that names no series
+// is an error.
 func FromMsg(w MetricMsg, sentAt sim.Time) (Metric, error) {
-	g, err := spec.ParseGranularity(w.Granularity)
-	if err != nil {
-		return Metric{}, err
+	if w.Series == nil {
+		return Metric{}, errNoSeries
 	}
 	return Metric{
-		Key: Key{
-			Workflow:    w.Workflow,
-			Task:        w.Task,
-			Sensor:      w.Sensor,
-			Granularity: g,
-			Node:        w.Node,
-		},
+		Key:         w.Series.Key,
+		Series:      w.Series,
 		Value:       w.Value,
 		Step:        w.Step,
 		GeneratedAt: sim.Time(w.GeneratedAt),

@@ -424,13 +424,10 @@ func TestServerDropsStaleBatches(t *testing.T) {
 		return d
 	}
 	client := r.bus.Endpoint("client0")
+	pace := &Series{Key: Key{Workflow: "GS", Task: "Iso", Sensor: "PACE", Granularity: spec.GranTask}}
 	r.s.Spawn("sender", func(p *sim.Proc) {
-		client.Send("monitor-server", Batch{Client: "client0", Updates: []Update{
-			{Workflow: "GS", Task: "Iso", Sensor: "PACE", Granularity: "task", Value: 1},
-		}})
-		client.Send("monitor-server", Batch{Client: "client0", Updates: []Update{
-			{Workflow: "GS", Task: "Iso", Sensor: "PACE", Granularity: "task", Value: 2},
-		}})
+		client.Send("monitor-server", Batch{Client: "client0", Updates: []Update{{Series: pace, Value: 1}}})
+		client.Send("monitor-server", Batch{Client: "client0", Updates: []Update{{Series: pace, Value: 2}}})
 	})
 	if err := r.s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -713,10 +710,10 @@ func TestForwardedCountsDetectionsNotRepolls(t *testing.T) {
 	r := newRig(t, cfg)
 
 	client := r.bus.Endpoint("client0")
+	pace := &Series{Key: Key{Workflow: "GS", Task: "Iso", Sensor: "PACE", Granularity: spec.GranTask}}
 	send := func(genAt time.Duration, v float64) {
 		client.Send("monitor-server", Batch{Client: "client0", Updates: []Update{
-			{Workflow: "GS", Task: "Iso", Sensor: "PACE", Granularity: "task",
-				Value: v, GeneratedAt: sim.Time(genAt)},
+			{Series: pace, Value: v, GeneratedAt: sim.Time(genAt)},
 		}})
 	}
 	r.s.At(1*time.Second, func() { send(1*time.Second, 10) }) // detection

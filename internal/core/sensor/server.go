@@ -50,7 +50,8 @@ type Server struct {
 
 // series is one metric series' server-side state.
 type series struct {
-	m    Metric // latest value (valid when hasM)
+	desc *Series // the series' descriptor, numbered by lookup
+	m    Metric  // latest value (valid when hasM)
 	hasM bool
 	// gen is the generation time of the series' last detection (valid when
 	// hasGen): a metric carrying it again is a stale re-poll.
@@ -177,29 +178,25 @@ func (sv *Server) process(batch Batch) {
 	out, outS := sv.fwd[:0], sv.fwdS[:0]
 
 	for _, u := range batch.Updates {
-		g, err := spec.ParseGranularity(u.Granularity)
-		if err != nil {
-			continue
+		if u.Series == nil {
+			continue // decoded with a granularity that does not parse
 		}
-		def := sv.cfg.Sensors[u.Sensor]
+		k := u.Series.Key
+		def := sv.cfg.Sensors[k.Sensor]
 		if def == nil {
 			continue
 		}
+		g := k.Granularity
+		s := sv.lookup(k)
 		m := Metric{
-			Key: Key{
-				Workflow:    u.Workflow,
-				Task:        u.Task,
-				Sensor:      u.Sensor,
-				Granularity: g,
-				Node:        u.Node,
-			},
+			Key:         k,
+			Series:      s.desc,
 			Value:       u.Value,
 			Step:        u.Step,
 			GeneratedAt: sim.Time(u.GeneratedAt),
 			ObservedAt:  now,
 		}
 		m = sv.applyJoin(def, m)
-		s := sv.lookup(m.Key)
 		sv.record(s, m)
 		if def.HasGranularity(g) {
 			out, outS = append(out, m), append(outS, s)
@@ -253,14 +250,16 @@ func (sv *Server) process(batch Batch) {
 // first series last headed is sent again when every message of it equals
 // the list element by element — a stale re-poll of unchanged data, most
 // forwards of a disk-scanned world — and a changed list gets a fresh
-// []MetricMsg, which the bus hands to Decision by reference. The wire
-// carries no ObservedAt: Decision takes it from the envelope's SentAt,
-// which is the instant the server stamps every metric with.
+// []MetricMsg, which the bus hands to Decision by reference. A message
+// names its series by the server's descriptor, so equal series are equal
+// pointers. The wire carries no ObservedAt: Decision takes it from the
+// envelope's SentAt, which is the instant the server stamps every metric
+// with.
 func (sv *Server) payload(out []Metric, head *series) any {
 	if prev, _ := head.sent.([]MetricMsg); len(prev) == len(out) {
 		same := true
 		for i := range out {
-			if !sameMsg(out[i].ToMsg(), prev[i]) {
+			if !sameMsg(&out[i], &prev[i]) {
 				same = false
 				break
 			}
@@ -270,26 +269,27 @@ func (sv *Server) payload(out []Metric, head *series) any {
 		}
 	}
 	msgs := make([]MetricMsg, len(out))
-	for i, m := range out {
-		msgs[i] = m.ToMsg()
+	for i := range out {
+		msgs[i] = out[i].ToMsg()
 	}
 	head.sent = msgs
 	return head.sent
 }
 
-// sameMsg reports whether two wire messages encode alike: equal fields,
-// and values of equal bits (a -0 is not a 0 on the wire).
-func sameMsg(a, b MetricMsg) bool {
-	va, vb := math.Float64bits(a.Value), math.Float64bits(b.Value)
-	a.Value, b.Value = 0, 0
-	return a == b && va == vb
+// sameMsg reports whether m would go on the wire as w: the same series,
+// step and generation time, and a value of equal bits (a -0 is not a 0 on
+// the wire).
+func sameMsg(m *Metric, w *MetricMsg) bool {
+	return m.Series == w.Series && m.Step == w.Step && int64(m.GeneratedAt) == w.GeneratedAt &&
+		math.Float64bits(m.Value) == math.Float64bits(w.Value)
 }
 
-// lookup returns the series for k, creating an empty one on first use.
+// lookup returns the series for k, creating an empty one, with the next
+// descriptor, on first use.
 func (sv *Server) lookup(k Key) *series {
 	s := sv.series[k]
 	if s == nil {
-		s = &series{}
+		s = &series{desc: &Series{ID: uint32(len(sv.series)) + 1, Key: k}}
 		sv.series[k] = s
 	}
 	return s
@@ -406,5 +406,6 @@ func (sv *Server) derive(trigger *series, op stats.Op) (Metric, *series, bool) {
 	if g.derived == nil {
 		g.derived = sv.lookup(dm.Key)
 	}
+	dm.Series = g.derived.desc
 	return dm, g.derived, true
 }

@@ -4,8 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func newRefServer(cfg *spec.Config) *refServer {
 }
 
 // process returns the metrics the batch forwards and the wire messages.
-func (sv *refServer) process(batch Batch, now sim.Time) ([]Metric, []MetricMsg) {
+func (sv *refServer) process(batch parentBatch, now sim.Time) ([]Metric, []parentMetricMsg) {
 	var out []Metric
 	for _, u := range batch.Updates {
 		g, err := spec.ParseGranularity(u.Granularity)
@@ -76,9 +77,13 @@ func (sv *refServer) process(batch Batch, now sim.Time) ([]Metric, []MetricMsg) 
 	if len(out) == 0 {
 		return nil, nil
 	}
-	msgs := make([]MetricMsg, len(out))
+	msgs := make([]parentMetricMsg, len(out))
 	for i, m := range out {
-		msgs[i] = m.ToMsg()
+		msgs[i] = parentMetricMsg{
+			Workflow: m.Key.Workflow, Task: m.Key.Task, Sensor: m.Key.Sensor,
+			Granularity: m.Key.Granularity.String(), Node: m.Key.Node,
+			Value: m.Value, Step: m.Step, GeneratedAt: int64(m.GeneratedAt),
+		}
 		if prev, seen := sv.lastGen[m.Key]; seen && prev == m.GeneratedAt {
 			sv.repolled++
 			continue
@@ -260,10 +265,10 @@ const deriveCfg = `
 // genBatch draws one batch: updates over two workflows, five tasks, three
 // nodes and the five sensors (plus an unknown one and a bad granularity),
 // about a third of them stale re-polls of the series' previous data.
-func genBatch(rng *rand.Rand, now sim.Time, prevGen map[string]time.Duration) Batch {
-	b := Batch{Client: "c0"}
+func genBatch(rng *rand.Rand, now sim.Time, prevGen map[string]time.Duration) parentBatch {
+	b := parentBatch{Client: "c0"}
 	for n := 1 + rng.Intn(6); n > 0; n-- {
-		u := Update{
+		u := parentUpdate{
 			Workflow: []string{"W1", "W2"}[rng.Intn(2)],
 			Task:     fmt.Sprintf("t%d", rng.Intn(5)),
 			Sensor:   []string{"A", "B", "C", "D", "E", "A", "B", "X"}[rng.Intn(8)],
@@ -293,6 +298,28 @@ func genBatch(rng *rand.Rand, now sim.Time, prevGen map[string]time.Duration) Ba
 	return b
 }
 
+// jsonOf returns v's JSON encoding. Metrics and messages are compared by
+// it: the server's carry its descriptors, the reference's none, and the
+// encoding spells out the key either way.
+func jsonOf(t testing.TB, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// decodeJSON returns v encoded as JSON and decoded into a T.
+func decodeJSON[T any](t testing.TB, v any) T {
+	t.Helper()
+	var out T
+	if err := json.Unmarshal([]byte(jsonOf(t, v)), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestProperty_ServerDerive_EqualsScan: over seeded batch sequences —
 // tasks, nodes, joins, stale re-polls, batches re-sent unchanged as a
 // client re-sends a stale disk scan's, and a snapshot/restore midway — the
@@ -302,7 +329,8 @@ func genBatch(rng *rand.Rand, now sim.Time, prevGen map[string]time.Duration) Ba
 // ends with the same counters, lag statistics and snapshot bytes. Decision
 // is drained only every few batches, so messages sent earlier are still in
 // its queue when the server builds the next ones — and when it re-sends
-// one of them.
+// one of them. The server reads each batch decoded from the reference
+// batch's JSON, a bad granularity among its updates.
 func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 	cfg, err := spec.CompileString(deriveCfg)
 	if err != nil {
@@ -322,10 +350,11 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 		var got []Metric
 		sv.OnForward(func(ms []Metric) { got = append(got, ms...) })
 		ref := newRefServer(cfg)
-		var wantMsgs []MetricMsg
+		var wantMsgs []parentMetricMsg
 		var wantMetrics []Metric
 		prevGen := map[string]time.Duration{}
-		var batch Batch
+		var batch parentBatch
+		var live Batch                // batch as the server receives it, decoded from its JSON
 		sent := map[*MetricMsg]bool{} // the payloads Decision received
 
 		const batches = 80
@@ -356,12 +385,13 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 			}
 			if i == 0 || rng.Intn(3) != 0 {
 				batch = genBatch(rng, s.Now(), prevGen)
+				live = decodeJSON[Batch](t, batch)
 			} // else the client re-sends its last batch, unchanged
-			sv.process(batch)
+			sv.process(live)
 			out, msgs := ref.process(batch, s.Now())
 			wantMsgs = append(wantMsgs, msgs...)
 			wantMetrics = append(wantMetrics, out...)
-			if (len(got) > 0 || len(out) > 0) && !reflect.DeepEqual(got, out) {
+			if (len(got) > 0 || len(out) > 0) && jsonOf(t, got) != jsonOf(t, out) {
 				t.Fatalf("%s: forwarded %v, reference %v", step, got, out)
 			}
 			got = got[:0]
@@ -396,10 +426,10 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 					metrics = append(metrics, m)
 				}
 			}
-			if (len(wire) > 0 || len(wantMsgs) > 0) && !reflect.DeepEqual(wire, wantMsgs) {
+			if (len(wire) > 0 || len(wantMsgs) > 0) && jsonOf(t, wire) != jsonOf(t, wantMsgs) {
 				t.Fatalf("%s: Decision received %v, reference sent %v", step, wire, wantMsgs)
 			}
-			if (len(metrics) > 0 || len(wantMetrics) > 0) && !reflect.DeepEqual(metrics, wantMetrics) {
+			if (len(metrics) > 0 || len(wantMetrics) > 0) && jsonOf(t, metrics) != jsonOf(t, wantMetrics) {
 				t.Fatalf("%s: Decision read %v, reference forwarded %v", step, metrics, wantMetrics)
 			}
 			wantMsgs, wantMetrics = wantMsgs[:0], wantMetrics[:0]
@@ -461,8 +491,8 @@ func TestStaleForwardAllocatesNothing(t *testing.T) {
 	sv := NewServer(s, bus, "monitor-server", "decision", cfg)
 	sv.SetTracer(trace.New())
 	batch := Batch{Client: "client0", Updates: []Update{{
-		Workflow: "FUSION", Task: "XGC1", Sensor: "NSTEPS", Granularity: "task",
-		Value: 374, Step: 374, GeneratedAt: time.Second,
+		Series: &Series{Key: Key{Workflow: "FUSION", Task: "XGC1", Sensor: "NSTEPS", Granularity: spec.GranTask}},
+		Value:  374, Step: 374, GeneratedAt: time.Second,
 	}}}
 	forward := func() {
 		sv.process(batch)
@@ -482,7 +512,97 @@ func TestStaleForwardAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 2 || ms[0].Granularity != "task" || ms[1].Granularity != "workflow" || ms[1].Value != 374 {
+	if len(ms) != 2 || ms[0].Series.Key.Granularity != spec.GranTask || ms[1].Series.Key.Granularity != spec.GranWorkflow || ms[1].Value != 374 {
 		t.Fatalf("the stale forward carried %+v, want the task and the workflow series at 374", ms)
 	}
+}
+
+// TestChangedForwardAllocatesOnlyItsList: a warm forward of one metric
+// whose value changed builds the one-message list it sends — 32 bytes —
+// and the interface box the bus carries it in, and nothing else; neither
+// count grows with the lengths of the series' key strings.
+func TestChangedForwardAllocatesOnlyItsList(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	long := strings.Repeat("SENSOR", 40)
+	cfg, err := spec.CompileString(strings.ReplaceAll(`
+<dyflow>
+  <monitor>
+    <sensors>
+      <sensor id="S" type="DISKSCAN">
+        <group-by><group granularity="task" reduction-operation="MAX"/></group-by>
+      </sensor>
+      <sensor id="LONG" type="DISKSCAN">
+        <group-by><group granularity="task" reduction-operation="MAX"/></group-by>
+      </sensor>
+    </sensors>
+  </monitor>
+  <decision>
+    <policies>
+      <policy id="P"><eval operation="GT" threshold="1e9"/>
+        <sensors-to-use><use-sensor id="S" granularity="task"/></sensors-to-use>
+        <action>STOP</action>
+      </policy>
+    </policies>
+    <apply-on workflowId="W"><apply-policy policyId="P" assess-task="t"><act-on-tasks>t</act-on-tasks></apply-policy></apply-on>
+  </decision>
+</dyflow>`, "LONG", long))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwardCost := func(k Key) (allocs float64, bytes uint64) {
+		s := sim.New(1)
+		bus := msg.NewBus(s)
+		dec := bus.Endpoint("decision")
+		var buf []msg.Envelope
+		s.Spawn("decision", func(p *sim.Proc) {
+			for {
+				batch, err := dec.RecvBatch(p, buf[:0])
+				if err != nil {
+					return
+				}
+				buf = batch
+			}
+		})
+		sv := NewServer(s, bus, "monitor-server", "decision", cfg)
+		sv.SetTracer(trace.New())
+		batch := Batch{Client: "client0", Updates: []Update{{Series: &Series{Key: k}}}}
+		forward := func() {
+			u := &batch.Updates[0]
+			u.Value++
+			u.Step++
+			u.GeneratedAt += time.Second
+			sv.process(batch)
+			if err := s.Run(s.Now()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		forward()
+		forward()
+		allocs = testing.AllocsPerRun(100, forward)
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			forward()
+		}
+		runtime.ReadMemStats(&after)
+		if ms, err := msg.Payload[[]MetricMsg](&buf[len(buf)-1]); err != nil || len(ms) != 1 || ms[0].Series.Key != k {
+			t.Fatalf("the forward carried %+v (%v), want one message of %v", ms, err, k)
+		}
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	short := Key{Workflow: "W", Task: "t", Sensor: "S", Granularity: spec.GranTask}
+	longKey := Key{Workflow: strings.Repeat("W", 300), Task: strings.Repeat("t", 300), Sensor: long, Granularity: spec.GranTask}
+	a1, b1 := forwardCost(short)
+	a2, b2 := forwardCost(longKey)
+	// The list is one 32-byte message; its box a 24-byte slice header.
+	if a1 > 2 || b1 > 32+24 {
+		t.Errorf("a changed one-metric forward allocates %v times, %d bytes; want at most the 32-byte list and its box", a1, b1)
+	}
+	if a2 != a1 || b2 != b1 {
+		t.Errorf("with long key strings a changed forward allocates %v times, %d bytes; with short ones %v, %d", a2, b2, a1, b1)
+	}
+	t.Logf("a changed one-metric forward: %v allocations, %d bytes", a1, b1)
 }

@@ -19,10 +19,11 @@ import (
 )
 
 // refShip is ship as it stood before a poll worker re-sent its last batch:
-// every shipment is sanitized, preprocessed, reduced and grouped afresh. It
-// returns the batch ship sends (nil for none) and the NaN and Inf readings
-// it drops, which ship counts in dyflow_sensor_dropped_samples_total.
-func refShip(c *Client, tg spec.MonitorTarget, def *spec.SensorDef, readings []float64, step int, genAt sim.Time) (batch *Batch, nan, inf int64) {
+// every shipment is sanitized, preprocessed, reduced and grouped afresh,
+// into the wire type that spelled each update's key out. It returns the
+// batch ship sends (nil for none) and the NaN and Inf readings it drops,
+// which ship counts in dyflow_sensor_dropped_samples_total.
+func refShip(c *Client, tg spec.MonitorTarget, def *spec.SensorDef, readings []float64, step int, genAt sim.Time) (batch *parentBatch, nan, inf int64) {
 	clean := make([]float64, 0, len(readings))
 	for _, v := range readings {
 		switch {
@@ -43,7 +44,7 @@ func refShip(c *Client, tg spec.MonitorTarget, def *spec.SensorDef, readings []f
 			readings = []float64{v}
 		}
 	}
-	updates := make([]Update, 0, len(def.Groups))
+	updates := make([]parentUpdate, 0, len(def.Groups))
 	for _, g := range def.Groups {
 		switch g.Granularity {
 		case spec.GranTask, spec.GranWorkflow:
@@ -54,7 +55,7 @@ func refShip(c *Client, tg spec.MonitorTarget, def *spec.SensorDef, readings []f
 			if !ok {
 				continue
 			}
-			updates = append(updates, Update{
+			updates = append(updates, parentUpdate{
 				Workflow: tg.Workflow, Task: tg.Task, Sensor: def.ID,
 				Granularity: spec.GranTask.String(), Value: v, Step: step,
 				GeneratedAt: genAt,
@@ -69,7 +70,7 @@ func refShip(c *Client, tg spec.MonitorTarget, def *spec.SensorDef, readings []f
 				if !ok {
 					continue
 				}
-				updates = append(updates, Update{
+				updates = append(updates, parentUpdate{
 					Workflow: tg.Workflow, Task: tg.Task, Sensor: def.ID,
 					Granularity: spec.GranNodeTask.String(), Node: node,
 					Value: v, Step: step, GeneratedAt: genAt,
@@ -77,11 +78,23 @@ func refShip(c *Client, tg spec.MonitorTarget, def *spec.SensorDef, readings []f
 			}
 		}
 	}
-	updates = dedupUpdates(updates)
-	if len(updates) == 0 {
+	// Collapse duplicate (granularity, node) entries, keeping the last
+	// value at the first one's position.
+	dedup := updates[:0]
+next:
+	for _, u := range updates {
+		for i := range dedup {
+			if dedup[i].Granularity == u.Granularity && dedup[i].Node == u.Node {
+				dedup[i] = u
+				continue next
+			}
+		}
+		dedup = append(dedup, u)
+	}
+	if len(dedup) == 0 {
 		return nil, nan, inf
 	}
-	return &Batch{Client: c.name, Updates: updates}, nan, inf
+	return &parentBatch{Client: c.name, Updates: dedup}, nan, inf
 }
 
 // shipCfg polls two file sets: task A's variables through four DISKSCAN
@@ -141,12 +154,12 @@ const shipCfg = `
   </decision>
 </dyflow>`
 
-// canonicalJSON renders a batch with its updates in (granularity, node)
-// order: groupByNode walks a map, so the node updates of one build come in
-// no fixed order.
-func canonicalJSON(t testing.TB, b Batch) string {
+// canonicalJSON renders a batch — a Batch or a reference parentBatch —
+// with its updates in (granularity, node) order: groupByNode walks a map,
+// so the node updates of one build come in no fixed order.
+func canonicalJSON(t testing.TB, v any) string {
 	t.Helper()
-	b.Updates = append([]Update(nil), b.Updates...)
+	b := decodeJSON[parentBatch](t, v)
 	sort.Slice(b.Updates, func(i, j int) bool {
 		if b.Updates[i].Granularity != b.Updates[j].Granularity {
 			return b.Updates[i].Granularity < b.Updates[j].Granularity
@@ -239,7 +252,7 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 			if err != nil {
 				fail("%v", err)
 			}
-			u := b.Updates[0]
+			u := b.Updates[0].Series.Key
 			name := fmt.Sprintf("%s/%s.%s.%s", b.Client, u.Workflow, u.Task, u.Sensor)
 			if len(want[name]) == 0 {
 				fail("%s sent %s, the reference owes nothing", name, canonicalJSON(t, b))

@@ -3,6 +3,7 @@ package exp
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // The reference: the metric half of Recorder exactly as it stood before
 // keys were interned — one MetricPoint, key and all, appended to one slice
 // per observation, and three readers that each walked that slice. Whatever
-// the chunked, interned store does must be indistinguishable from this.
+// the chunked store of descriptors does must be indistinguishable from this.
 
 type refRecorder struct {
 	Plans   []arbiter.Record
@@ -90,8 +91,8 @@ func (r *refRecorder) paceBeforeAfter(workflow string) (before, after float64) {
 }
 
 // The generator's vocabulary: few enough values that series repeat, and
-// every field of a key varies so that none can be dropped from the intern
-// table's identity unnoticed.
+// every field of a key varies so that none can be dropped from what a
+// point records unnoticed.
 var (
 	genWorkflows = []string{"GS-WORKFLOW", "MD-WORKFLOW"}
 	genTasks     = []string{"", "Isosurface", "FFT"}
@@ -123,7 +124,8 @@ func checkRecorder(t *testing.T, rng *rand.Rand, points int) {
 			batch = batch[:points-n]
 		}
 		for i := range batch {
-			batch[i] = sensor.Metric{Key: genKey(rng), Value: rng.Float64() * 50, Step: rng.Intn(500), ObservedAt: now}
+			k := genKey(rng)
+			batch[i] = sensor.Metric{Key: k, Series: &sensor.Series{Key: k}, Value: rng.Float64() * 50, Step: rng.Intn(500), ObservedAt: now}
 		}
 		n += len(batch)
 		rec.forwarded(batch)
@@ -172,5 +174,31 @@ func TestProperty_RecorderSeries_EqualsReference(t *testing.T) {
 func TestRecorderPointSize(t *testing.T) {
 	if size := reflect.TypeOf(point{}).Size(); size != 32 {
 		t.Fatalf("a recorded point is %d bytes, want 32", size)
+	}
+}
+
+// TestRecorderChunkAllocation: a chunk of points is one allocation that
+// fits the 16 KB size class — 16 KB of heap per chunk, not the 18 KB class
+// a header-carrying 512-point chunk lands in. It is measured as bytes
+// allocated by a run of full chunks.
+func TestRecorderChunkAllocation(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("allocation accounting")
+	}
+	s := &sensor.Series{}
+	batch := make([]sensor.Metric, pointChunk)
+	for i := range batch {
+		batch[i] = sensor.Metric{Series: s}
+	}
+	const chunks = 64
+	var before, after runtime.MemStats
+	rec := NewRecorder(sim.New(0))
+	runtime.ReadMemStats(&before)
+	for i := 0; i < chunks; i++ {
+		rec.forwarded(batch)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / chunks; per > 16384+256 {
+		t.Fatalf("a chunk of %d points allocates %d bytes, want the 16 KB size class", pointChunk, per)
 	}
 }

@@ -44,13 +44,14 @@ type MetricPoint struct {
 }
 
 // point is a MetricPoint as the recorder stores it: 32 bytes, the series
-// key replaced by its index in Recorder.keys. An xgc run forwards eleven
-// thousand points over six series, and a sensor.Key is four strings.
+// key replaced by the series' descriptor, which the Monitor server made
+// and never changes. An xgc run forwards eleven thousand points over six
+// series, and a sensor.Key is five fields.
 type point struct {
-	at    sim.Time
-	value float64
-	step  int
-	key   uint32
+	at     sim.Time
+	value  float64
+	step   int
+	series *sensor.Series
 }
 
 // Recorder accumulates the observable history of a run: task incarnation
@@ -70,15 +71,16 @@ type Recorder struct {
 	// are held in chunks of pointChunk so that recording one more never
 	// copies the ones already held.
 	points [][]point
-	keys   []sensor.Key          // distinct series keys, in first-arrival order
-	keyIdx map[sensor.Key]uint32 // key -> its index in keys
 }
 
-const pointChunk = 512 // 16 KB
+// pointChunk fills a 16 KB size class: a point holds a pointer, and the
+// runtime heads such an object of more than 512 bytes with an 8-byte
+// header, which would push 512 points (16 384 bytes) into the 18 KB class.
+const pointChunk = 511
 
 // NewRecorder creates an empty recorder.
 func NewRecorder(s *sim.Sim) *Recorder {
-	return &Recorder{s: s, open: make(map[string]int), keyIdx: make(map[sensor.Key]uint32)}
+	return &Recorder{s: s, open: make(map[string]int)}
 }
 
 // AttachWMS subscribes to Savanna lifecycle events.
@@ -129,18 +131,12 @@ func (r *Recorder) rounds() []arbiter.Record {
 // forwarded records one batch the Monitor server sent to Decision.
 func (r *Recorder) forwarded(ms []sensor.Metric) {
 	for _, m := range ms {
-		k, ok := r.keyIdx[m.Key]
-		if !ok {
-			k = uint32(len(r.keys))
-			r.keys = append(r.keys, m.Key)
-			r.keyIdx[m.Key] = k
-		}
 		last := len(r.points) - 1
 		if last < 0 || len(r.points[last]) == pointChunk {
 			r.points = append(r.points, make([]point, 0, pointChunk))
 			last++
 		}
-		r.points[last] = append(r.points[last], point{at: m.ObservedAt, value: m.Value, step: m.Step, key: k})
+		r.points[last] = append(r.points[last], point{at: m.ObservedAt, value: m.Value, step: m.Step, series: m.Series})
 	}
 }
 
@@ -148,7 +144,7 @@ func (r *Recorder) forwarded(ms []sensor.Metric) {
 func (r *Recorder) EachMetric(fn func(MetricPoint)) {
 	for _, chunk := range r.points {
 		for _, pt := range chunk {
-			fn(MetricPoint{At: pt.at, Key: r.keys[pt.key], Value: pt.value, Step: pt.step})
+			fn(MetricPoint{At: pt.at, Key: pt.series.Key, Value: pt.value, Step: pt.step})
 		}
 	}
 }

@@ -19,6 +19,13 @@
 // forwards them again unchanged. What a re-sent payload cannot carry is
 // the instant it was sent, so that travels on the envelope: SentAt is the
 // Monitor server's ObservedAt, which its metric messages no longer hold.
+//
+// A live payload may also point at values the receiver keeps: a Monitor
+// update or metric message names its series by a *sensor.Series
+// descriptor, which Decision and the experiment recorder index their
+// per-series state by. The descriptor's key is spelled out only in the
+// JSON a snapshot writes, and a restored envelope decodes onto fresh
+// descriptors, which its receiver resolves by key.
 package msg
 
 import (
