@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"dyflow/internal/ckpt"
 	"dyflow/internal/core"
+	"dyflow/internal/core/decision"
 	"dyflow/internal/core/sensor"
 	"dyflow/internal/msg"
 )
@@ -45,11 +47,13 @@ func ckptGolden(t *testing.T, name string, got []byte) []byte {
 // A driver-context checkpoint (between two ticks) is taken when no stage
 // is mid-round, so every bus queue in it is empty: the stages drain each
 // delivery within the instant it lands. The only checkpoints that hold an
-// envelope on a Monitor link are taken inside an instant, between a
-// delivery and its receiver's wake — the bus's OnDepth hook runs there.
-// The test takes one at the first delivery onto each Monitor endpoint, so
-// the client's update batch and the server's metric messages are pinned in
-// their checkpoint encoding, and restores each into a fresh orchestrator:
+// envelope on a link are taken inside an instant, between a delivery and
+// its receiver's wake — the bus's OnDepth hook runs there. The test takes
+// one at the first delivery onto each Monitor endpoint and onto the
+// Arbiter while it is between rounds, so the client's update batch, the
+// server's metric messages and Decision's suggestion batch (with the span
+// log its suggestions opened) are pinned in their checkpoint encoding,
+// and restores each into a fresh orchestrator:
 // the restored one must checkpoint to the same bytes, and each queued
 // envelope must decode into the type its receiver reads and encode back to
 // the bytes it was restored from.
@@ -62,7 +66,7 @@ func ckptGolden(t *testing.T, name string, got []byte) []byte {
 // uninterrupted run's (xgcGolden[0]).
 func TestXGCCheckpointBytesGolden(t *testing.T) {
 	g := xgcGolden[0]
-	links := []string{core.EndpointMonitorServer, core.EndpointDecision}
+	links := []string{core.EndpointMonitorServer, core.EndpointDecision, core.EndpointArbiter}
 	inInstant := map[string][]byte{}
 	var tick []byte
 	var world *World
@@ -72,7 +76,7 @@ func TestXGCCheckpointBytesGolden(t *testing.T) {
 		depth := o.Bus.OnDepth
 		o.Bus.OnDepth = func(to string, n int) {
 			depth(to, n)
-			if inInstant[to] != nil || (to != links[0] && to != links[1]) || o != w.Orch || o.Arbiter.Busy() {
+			if inInstant[to] != nil || !slices.Contains(links, to) || o != w.Orch || o.Arbiter.Busy() {
 				return
 			}
 			blob, err := o.Checkpoint()
@@ -146,6 +150,8 @@ func TestXGCCheckpointBytesGolden(t *testing.T) {
 					payload, err = msg.Payload[sensor.Batch](env)
 				case core.EndpointDecision:
 					payload, err = msg.Payload[[]sensor.MetricMsg](env)
+				case core.EndpointArbiter:
+					payload, err = msg.Payload[[]decision.Suggestion](env)
 				default:
 					continue
 				}
