@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -310,5 +311,57 @@ func TestWorkerStopCancelsParkedClaim(t *testing.T) {
 	w.Stop()
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("Stop took %v with a claim parked on an empty queue, want < 1s", d)
+	}
+}
+
+// TestBlobHeadLeavesDurableBlobOnDisk: a worker's HEAD probe of a blob a
+// previous process wrote is answered from the store's index — 200 with the
+// blob's Content-Length — without reading it, so the blob stays on disk
+// and dyflow_server_fleet_blobs does not move. A GET still serves its
+// bytes.
+func TestBlobHeadLeavesDurableBlobOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := New(Config{Workers: 1, TenantQuota: -1, CkptDir: dir, Logger: quietLogger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s1.Submit("alice", quick(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = await(t, s1, st.ID); st.State != StateDone || len(st.Artifacts) == 0 {
+		t.Fatalf("run %s ended %s with artifacts %v", st.ID, st.State, st.Artifacts)
+	}
+	want, err := s1.Artifact(st.ID, st.Artifacts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := fleet.Digest(want)
+	s1.Close()
+
+	s2, err := New(Config{Workers: -1, TenantQuota: -1, CkptDir: dir, Logger: quietLogger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	h := s2.Handler()
+	resident := counter(t, s2, "dyflow_server_fleet_blobs")
+	head := httptest.NewRecorder()
+	h.ServeHTTP(head, httptest.NewRequest(http.MethodHead, "/v1/blobs/"+digest, nil))
+	if head.Code != http.StatusOK || head.Header().Get("Content-Length") != fmt.Sprint(len(want)) {
+		t.Fatalf("HEAD answered %d with Content-Length %q, want 200 and %d", head.Code, head.Header().Get("Content-Length"), len(want))
+	}
+	if v := counter(t, s2, "dyflow_server_fleet_blobs"); v != resident {
+		t.Fatalf("a HEAD moved dyflow_server_fleet_blobs from %v to %v", resident, v)
+	}
+	missing := httptest.NewRecorder()
+	h.ServeHTTP(missing, httptest.NewRequest(http.MethodHead, "/v1/blobs/"+fleet.Digest([]byte("absent")), nil))
+	if missing.Code != http.StatusNotFound {
+		t.Fatalf("HEAD of an absent blob answered %d, want 404", missing.Code)
+	}
+	get := httptest.NewRecorder()
+	h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/v1/blobs/"+digest, nil))
+	if get.Code != http.StatusOK || !bytes.Equal(get.Body.Bytes(), want) {
+		t.Fatalf("GET answered %d with %d bytes, want 200 and the blob's %d", get.Code, get.Body.Len(), len(want))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"dyflow/internal/obs"
@@ -300,11 +301,22 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusCreated)
 }
 
-// handleBlobGet serves a blob; Go's mux and server make the same handler
-// answer HEAD with headers only, which is how workers probe before
-// uploading.
+// handleBlobGet serves a blob. Go's mux routes HEAD here too, which is
+// how workers probe before uploading; a HEAD is answered from the store's
+// index (Has, and Size for its Content-Length) and reads no bytes, so a
+// probe does not fault a blob a previous process wrote into memory.
 func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
-	data, ok := s.blobs.Get(r.PathValue("digest"))
+	digest := r.PathValue("digest")
+	if r.Method == http.MethodHead {
+		if !s.blobs.Has(digest) {
+			httpError(w, &APIError{Code: http.StatusNotFound, Msg: "no such blob"})
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.FormatInt(s.blobs.Size(digest), 10))
+		return
+	}
+	data, ok := s.blobs.Get(digest)
 	if !ok {
 		httpError(w, &APIError{Code: http.StatusNotFound, Msg: "no such blob"})
 		return
