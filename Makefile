@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify chaos chaos-restart restore-soak race-soak suites-check suites-golden chaos-net fuzz-smoke exp-diff bench scale-curve bench-check mem-gate exec-gate read-gate perf examples
+.PHONY: build test vet race verify chaos chaos-restart restore-soak race-soak suites-check suites-golden chaos-net fuzz-smoke exp-diff prof bench scale-curve bench-check mem-gate exec-gate read-gate perf examples
 
 build:
 	$(GO) build ./...
@@ -135,6 +135,28 @@ exp-diff:
 			echo "exp-diff: -machine $$m -seed $$seed $${run:-all}: identical ($$(wc -c < "$$dir/tree.out") bytes)"; \
 		done; \
 	done; done
+
+# Where a job's bytes and CPU go: `make prof SCENARIO=xgc` (or grayscott,
+# quickstart) runs Benchmark<Scenario>Job twice, once with every allocation
+# sampled (-memprofilerate 1) and once under the CPU profiler, writes both
+# profiles and the test binary into .bench_build/prof/, and prints the top
+# 15 sites by alloc_space and by flat CPU time. The passes are separate so
+# the allocation sampling does not weigh on the CPU profile. About 10 s for
+# xgc on a 2-vCPU host; not a CI step.
+SCENARIO ?= xgc
+PROF_RUNS ?= 20
+prof:
+	@set -e; case "$(SCENARIO)" in \
+		xgc) b=XGC;; grayscott) b=GrayScott;; quickstart) b=Quickstart;; \
+		*) echo "prof: SCENARIO is xgc, grayscott or quickstart, not $(SCENARIO)"; exit 1;; esac; \
+	out=.bench_build/prof; mkdir -p $$out; \
+	$(GO) test -c -o $$out/exp.test ./internal/exp; \
+	$$out/exp.test -test.run '^$$' -test.bench "^Benchmark$${b}Job$$" -test.benchtime $(PROF_RUNS)x -test.benchmem \
+		-test.memprofilerate 1 -test.memprofile $$out/$(SCENARIO).mem.pprof; \
+	$$out/exp.test -test.run '^$$' -test.bench "^Benchmark$${b}Job$$" -test.benchtime $(PROF_RUNS)x \
+		-test.cpuprofile $$out/$(SCENARIO).cpu.pprof; \
+	$(GO) tool pprof -top -nodecount 15 -sample_index alloc_space $$out/exp.test $$out/$(SCENARIO).mem.pprof; \
+	$(GO) tool pprof -top -nodecount 15 $$out/exp.test $$out/$(SCENARIO).cpu.pprof
 
 # Every micro-benchmark in the tree, as plain `go test -bench` output: the
 # observability hot paths, the DES kernel (DESIGN.md §14), the bus, the
