@@ -32,11 +32,7 @@ func BenchmarkBuildPlan(b *testing.B) {
 				rules.TaskPriorities[name] = i
 				tasks[name] = TaskState{Running: true, Procs: 20}
 				if i%2 == 1 {
-					sgs = append(sgs, decision.Suggestion{
-						Workflow: "W", PolicyID: "INC", Action: "ADDCPU",
-						AssessTask: name, ActOnTasks: []string{name},
-						Params: map[string]string{"adjust-by": "10"},
-					})
+					sgs = append(sgs, decision.Suggestion{Rule: decision.NewRule("W", "INC", "ADDCPU", name, []string{name}, map[string]string{"adjust-by": "10"})})
 				}
 				if i > 0 && i%3 == 0 {
 					rules.Deps = append(rules.Deps, spec.TaskDep{
@@ -92,8 +88,7 @@ func BenchmarkArbitrateRound(b *testing.B) {
 			s := sim.New(1)
 			view := &fakeView{tasks: map[string]map[string]TaskState{"W": tasks}, free: n * 5}
 			eng := New(s, msg.NewBus(s), "arbiter", DefaultConfig(), map[string]*spec.WorkflowRules{"W": rules}, view, &fakeExec{s: s, failAfter: -1})
-			batch := []decision.Suggestion{{Workflow: "W", PolicyID: "STOP_IDLE", Action: "STOP",
-				AssessTask: "idle", ActOnTasks: []string{"idle"}, DecidedAt: int64(2 * time.Second)}}
+			batch := []decision.Suggestion{{Rule: decision.NewRule("W", "STOP_IDLE", "STOP", "idle", []string{"idle"}, nil), DecidedAt: int64(2 * time.Second)}}
 			s.Spawn("driver", func(p *sim.Proc) {
 				eng.Arbitrate(p, batch)
 				b.ReportAllocs()

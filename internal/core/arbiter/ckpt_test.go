@@ -15,7 +15,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		FailureCooldown: 10 * time.Second, GatherWindow: time.Second})
 	r.exec.failAfter = 0 // every op fails -> recovery requeue
 	sendSuggestions(r, 10*time.Second,
-		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}})
+		decision.Suggestion{Rule: decision.NewRule("W", "P", "START", "B", []string{"B"}, nil)})
 	if err := r.s.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 	// Failed round: the stop applies, the start doesn't -> A is stranded,
 	// requeued as a recovery entry, cooldown armed until ~41s.
 	sendSuggestions(r, 10*time.Second,
-		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "RESTART", AssessTask: "A", ActOnTasks: []string{"A"}})
+		decision.Suggestion{Rule: decision.NewRule("W", "P", "RESTART", "A", []string{"A"}, nil)})
 
 	// Crash at 20s: snapshot the engine, kill it and restore a replacement
 	// from that snapshot.
@@ -90,12 +90,12 @@ func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 
 	// Inside the restored cooldown: must be discarded without planning.
 	sendSuggestions(r, 25*time.Second,
-		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "STOP", AssessTask: "B", ActOnTasks: []string{"B"}})
+		decision.Suggestion{Rule: decision.NewRule("W", "P", "STOP", "B", []string{"B"}, nil)})
 	// Past the cooldown: actuation healthy again; the round must pick up
 	// the restored recovery entry.
 	r.s.At(59*time.Second, func() { r.exec.failAfter = -1 })
 	sendSuggestions(r, time.Minute,
-		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "STOP", AssessTask: "B", ActOnTasks: []string{"B"}})
+		decision.Suggestion{Rule: decision.NewRule("W", "P", "STOP", "B", []string{"B"}, nil)})
 	if err := r.s.Run(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}

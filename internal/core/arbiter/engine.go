@@ -156,14 +156,13 @@ type Engine struct {
 	// tasks holds each workflow's task view, filled in place by the View
 	// every round. The buffers below are a round's scratch space: the
 	// gathered batches, the batch's distinct workflows in first-seen
-	// order, one workflow's screened suggestions and their span IDs, and
-	// the planner's. None of them outlives its round; an executed round
-	// copies what its Record keeps.
+	// order, one workflow's screened suggestions, and the planner's. None
+	// of them outlives its round; an executed round copies what its Record
+	// keeps.
 	tasks    map[string]map[string]TaskState
 	gathered []decision.Suggestion
 	wfs      []string
 	sgBuf    []decision.Suggestion
-	idBuf    []string
 	planner  planner
 }
 
@@ -253,8 +252,8 @@ func (e *Engine) run(p *sim.Proc) {
 				reason = "warmup"
 			}
 			e.tr.Inc("arbiter.discarded_batches", 1)
-			for _, sg := range batch {
-				e.tr.Drop(sg.ID, reason, now)
+			for i := range batch {
+				e.tr.Drop(batch[i].Seq, reason, now)
 			}
 			continue
 		}
@@ -324,9 +323,9 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 	// Each workflow plans independently, in first-seen order. The batch is
 	// the sender's payload: screening copies into e.sgBuf, never into it.
 	e.wfs = e.wfs[:0]
-	for _, sg := range batch {
-		if !slices.Contains(e.wfs, sg.Workflow) {
-			e.wfs = append(e.wfs, sg.Workflow)
+	for i := range batch {
+		if wf := batch[i].Rule.Workflow; !slices.Contains(e.wfs, wf) {
+			e.wfs = append(e.wfs, wf)
 		}
 	}
 
@@ -342,29 +341,25 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 		// that no longer exists (the in-flight analogue of Decision's
 		// post-restart metric screening).
 		sgs := e.sgBuf[:0]
-		for _, sg := range batch {
-			if sg.Workflow != wf {
+		for i := range batch {
+			sg := &batch[i]
+			if sg.Rule.Workflow != wf {
 				continue
 			}
-			if st, ok := tasks[sg.AssessTask]; ok && st.StartedAt > 0 && sim.Time(sg.DecidedAt) < st.StartedAt {
-				e.tr.Drop(sg.ID, "stale", received)
+			if st, ok := tasks[sg.Rule.AssessTask]; ok && st.StartedAt > 0 && sim.Time(sg.DecidedAt) < st.StartedAt {
+				e.tr.Drop(sg.Seq, "stale", received)
 				e.tr.Inc("arbiter.stale_suggestions", 1)
 				continue
 			}
-			sgs = append(sgs, sg)
+			sgs = append(sgs, *sg)
 		}
 		e.sgBuf = sgs
 		if len(sgs) == 0 {
 			continue
 		}
-		ids := e.idBuf[:0]
-		for _, sg := range sgs {
-			if sg.ID != "" {
-				ids = append(ids, sg.ID)
-			}
-			e.tr.Received(sg.ID, received)
+		for i := range sgs {
+			e.tr.Received(sgs[i].Seq, received)
 		}
-		e.idBuf = ids
 		in := PlanInput{
 			Workflow:      wf,
 			Suggestions:   sgs,
@@ -386,20 +381,26 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			// round must stay visible to the accounting.
 			plannedAt := e.s.Now()
 			e.tr.Inc("arbiter.empty_rounds", 1)
-			for _, id := range ids {
-				e.tr.Drop(id, "empty-plan", plannedAt)
+			for i := range sgs {
+				e.tr.Drop(sgs[i].Seq, "empty-plan", plannedAt)
 			}
 			continue
 		}
 		// The round executes, so its Record is kept (and checkpointed):
 		// it gets its own copies of the round's buffers before anything
-		// yields. An ID-less batch keeps a non-nil, empty SuggestionIDs.
+		// yields, and its suggestions' IDs are formatted. An ID-less batch
+		// keeps a non-nil, empty SuggestionIDs.
 		plan.Trigger = slices.Clone(sgs)
 		rec := Record{
 			Workflow:      wf,
 			ReceivedAt:    received,
 			EventAt:       earliestEvent(sgs),
-			SuggestionIDs: append(make([]string, 0, len(ids)), ids...),
+			SuggestionIDs: make([]string, 0, len(sgs)),
+		}
+		for i := range sgs {
+			if id := sgs[i].ID(); id != "" {
+				rec.SuggestionIDs = append(rec.SuggestionIDs, id)
+			}
 		}
 		// Protocol computation cost.
 		if e.cfg.PlanCost > 0 {
@@ -408,8 +409,8 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			}
 		}
 		rec.PlannedAt = e.s.Now()
-		for _, id := range rec.SuggestionIDs {
-			e.tr.Planned(id, rec.PlannedAt)
+		for i := range plan.Trigger {
+			e.tr.Planned(plan.Trigger[i].Seq, rec.PlannedAt)
 		}
 
 		rep, err := e.exec.Execute(p, plan)
@@ -420,8 +421,8 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 		rec.Plan = plan
 		rec.AppliedOps = rep.Applied
 		rec.AbortedOps = rep.Aborted
-		for _, id := range rec.SuggestionIDs {
-			e.tr.Executed(id, rec.ExecutedAt)
+		for i := range plan.Trigger {
+			e.tr.Executed(plan.Trigger[i].Seq, rec.ExecutedAt)
 		}
 		e.tr.Inc("arbiter.rounds", 1)
 		if err != nil {

@@ -114,7 +114,7 @@ func sendSuggestions(r *engineRig, at time.Duration, sgs ...decision.Suggestion)
 
 func TestEngineWarmupDiscards(t *testing.T) {
 	r := newEngineRig(t, Config{WarmupDelay: time.Minute, SettleDelay: time.Minute, GatherWindow: time.Second})
-	sg := decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}}
+	sg := decision.Suggestion{Rule: decision.NewRule("W", "P", "START", "B", []string{"B"}, nil)}
 	sendSuggestions(r, 10*time.Second, sg) // inside warm-up
 	sendSuggestions(r, 2*time.Minute, sg)  // after warm-up
 	if err := r.s.Run(5 * time.Minute); err != nil {
@@ -139,7 +139,7 @@ func TestEngineSettleDiscards(t *testing.T) {
 	r.exec.apply = func(Plan) {
 		r.view.tasks["W"]["B"] = TaskState{Running: true, Procs: 10}
 	}
-	sg := decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}}
+	sg := decision.Suggestion{Rule: decision.NewRule("W", "P", "START", "B", []string{"B"}, nil)}
 	sendSuggestions(r, 10*time.Second, sg)
 	sendSuggestions(r, 30*time.Second, sg) // inside settle: discarded
 	if err := r.s.Run(5 * time.Minute); err != nil {
@@ -155,9 +155,8 @@ func TestEngineSettleDiscards(t *testing.T) {
 
 func TestEngineGatherCombinesBatches(t *testing.T) {
 	r := newEngineRig(t, Config{WarmupDelay: time.Second, SettleDelay: time.Minute, GatherWindow: 5 * time.Second})
-	sgB := decision.Suggestion{Workflow: "W", PolicyID: "P1", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}}
-	sgA := decision.Suggestion{Workflow: "W", PolicyID: "P2", Action: "ADDCPU", AssessTask: "A", ActOnTasks: []string{"A"},
-		Params: map[string]string{"adjust-by": "5"}}
+	sgB := decision.Suggestion{Rule: decision.NewRule("W", "P1", "START", "B", []string{"B"}, nil)}
+	sgA := decision.Suggestion{Rule: decision.NewRule("W", "P2", "ADDCPU", "A", []string{"A"}, map[string]string{"adjust-by": "5"})}
 	sendSuggestions(r, 10*time.Second, sgB)
 	sendSuggestions(r, 12*time.Second, sgA) // lands inside the gather window
 	if err := r.s.Run(time.Minute); err != nil {
@@ -187,10 +186,9 @@ func TestEngineGatherCombinesBatches(t *testing.T) {
 // batch onto it would overwrite the sentinel in the sender's array.
 func TestEngineGatherLeavesPayloadUntouched(t *testing.T) {
 	r := newEngineRig(t, Config{WarmupDelay: time.Second, SettleDelay: time.Minute, GatherWindow: 5 * time.Second})
-	sgB := decision.Suggestion{Workflow: "W", PolicyID: "P1", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}, DecidedAt: int64(10 * time.Second)}
-	sgA := decision.Suggestion{Workflow: "W", PolicyID: "P2", Action: "ADDCPU", AssessTask: "A", ActOnTasks: []string{"A"},
-		Params: map[string]string{"adjust-by": "5"}, DecidedAt: int64(12 * time.Second)}
-	sentinel := decision.Suggestion{Workflow: "sentinel", PolicyID: "sentinel"}
+	sgB := decision.Suggestion{Rule: decision.NewRule("W", "P1", "START", "B", []string{"B"}, nil), DecidedAt: int64(10 * time.Second)}
+	sgA := decision.Suggestion{Rule: decision.NewRule("W", "P2", "ADDCPU", "A", []string{"A"}, map[string]string{"adjust-by": "5"}), DecidedAt: int64(12 * time.Second)}
+	sentinel := decision.Suggestion{Rule: decision.NewRule("sentinel", "sentinel", "", "", nil, nil)}
 	first := make([]decision.Suggestion, 2)
 	first[0], first[1] = sgB, sentinel
 	r.s.At(10*time.Second, func() { r.dec.Send("arbiter", first[:1]) })
@@ -201,7 +199,7 @@ func TestEngineGatherLeavesPayloadUntouched(t *testing.T) {
 	if len(r.exec.plans) != 1 || len(r.exec.plans[0].Trigger) != 2 {
 		t.Fatalf("plans = %+v, want one plan triggered by both batches", r.exec.plans)
 	}
-	if first[1].Workflow != "sentinel" || first[1].PolicyID != "sentinel" {
+	if first[1].Rule.Workflow != "sentinel" || first[1].Rule.PolicyID != "sentinel" {
 		t.Fatalf("gather wrote into the first payload's spare capacity: %+v", first[1])
 	}
 }
@@ -209,8 +207,8 @@ func TestEngineGatherLeavesPayloadUntouched(t *testing.T) {
 func TestEnginePlansPerWorkflow(t *testing.T) {
 	r := newEngineRig(t, Config{WarmupDelay: time.Second, SettleDelay: time.Minute, GatherWindow: time.Second})
 	sendSuggestions(r, 10*time.Second,
-		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}},
-		decision.Suggestion{Workflow: "V", PolicyID: "Q", Action: "STOP", AssessTask: "X", ActOnTasks: []string{"X"}},
+		decision.Suggestion{Rule: decision.NewRule("W", "P", "START", "B", []string{"B"}, nil)},
+		decision.Suggestion{Rule: decision.NewRule("V", "Q", "STOP", "X", []string{"X"}, nil)},
 	)
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
@@ -227,11 +225,7 @@ func TestEngineStaleSuggestionScreened(t *testing.T) {
 	r := newEngineRig(t, Config{WarmupDelay: time.Second, SettleDelay: time.Second, GatherWindow: time.Second})
 	// A restarted at t=30s; a suggestion decided at t=10s about A is stale.
 	r.view.tasks["W"]["A"] = TaskState{Running: true, Procs: 10, StartedAt: 30 * time.Second}
-	stale := decision.Suggestion{
-		Workflow: "W", PolicyID: "P", Action: "RESTART",
-		AssessTask: "A", ActOnTasks: []string{"A"},
-		DecidedAt: int64(10 * time.Second),
-	}
+	stale := decision.Suggestion{Rule: decision.NewRule("W", "P", "RESTART", "A", []string{"A"}, nil), DecidedAt: int64(10 * time.Second)}
 	sendSuggestions(r, 40*time.Second, stale)
 	if err := r.s.Run(2 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -249,7 +243,7 @@ func TestEngineSeededWaitingStartsOnPlanSurplus(t *testing.T) {
 	}
 	// Stopping A frees 10 cores; B (8) starts from the plan's surplus.
 	sendSuggestions(r, 10*time.Second,
-		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "STOP", AssessTask: "A", ActOnTasks: []string{"A"}})
+		decision.Suggestion{Rule: decision.NewRule("W", "P", "STOP", "A", []string{"A"}, nil)})
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +268,7 @@ func TestEngineRecordsResponseDecomposition(t *testing.T) {
 	r := newEngineRig(t, Config{WarmupDelay: time.Second, SettleDelay: time.Minute, GatherWindow: time.Second, PlanCost: 200 * time.Millisecond})
 	r.exec.opDur = 3 * time.Second
 	sendSuggestions(r, 10*time.Second,
-		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}})
+		decision.Suggestion{Rule: decision.NewRule("W", "P", "START", "B", []string{"B"}, nil)})
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +294,7 @@ func TestEngineDirectArbitrateAndStop(t *testing.T) {
 	r.s.Spawn("driver", func(p *sim.Proc) {
 		// Direct synchronous round, bypassing guards (test/tooling entry).
 		returned = r.eng.Arbitrate(p, []decision.Suggestion{
-			{Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}},
+			{Rule: decision.NewRule("W", "P", "START", "B", []string{"B"}, nil)},
 		})
 	})
 	if err := r.s.Run(time.Minute); err != nil {
@@ -349,8 +343,8 @@ func TestEmptyPlanRoundRecordedAndWaitingResolved(t *testing.T) {
 	r.eng.EnqueueWaiting(WaitingTask{Workflow: "W", Task: "A", Procs: 10})
 	// START for a task that is already running is a no-op: empty plan.
 	r.view.tasks["W"]["B"] = TaskState{Running: true, Procs: 10}
-	sg := decision.Suggestion{ID: "W/P#1", Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}}
-	r.tr.Suggested(sg.ID, "W", "P", "START", "PACE", 0, 0, sim.Time(10*time.Second))
+	sg := decision.Suggestion{Rule: decision.NewRule("W", "P", "START", "B", []string{"B"}, nil), Seq: 1}
+	r.tr.Suggested(sg.Seq, "W", "P", "START", "PACE", 0, 0, sim.Time(10*time.Second))
 	sendSuggestions(r, 10*time.Second, sg)
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
@@ -368,7 +362,7 @@ func TestEmptyPlanRoundRecordedAndWaitingResolved(t *testing.T) {
 	}
 	// The round arbitrated the suggestion and planned nothing: its span was
 	// received and dropped, never planned or executed.
-	if sp, _ := r.tr.Span(sg.ID); sp.Dropped != "empty-plan" || sp.ReceivedAt == 0 || sp.PlannedAt != 0 || sp.ExecutedAt != 0 {
+	if sp, _ := r.tr.Span(sg.Seq); sp.Dropped != "empty-plan" || sp.ReceivedAt == 0 || sp.PlannedAt != 0 || sp.ExecutedAt != 0 {
 		t.Fatalf("span = %+v, want received and then dropped as empty-plan", sp)
 	}
 	if w := r.eng.Waiting("W"); len(w) != 0 {
@@ -380,21 +374,22 @@ func TestEngineStampsTraceSpans(t *testing.T) {
 	r := newEngineRig(t, Config{WarmupDelay: 30 * time.Second, SettleDelay: time.Minute, GatherWindow: time.Second})
 	tr := r.tr
 	// Spans are minted by Decision; mirror that here for two suggestions.
-	tr.Suggested("W/P#1", "W", "P", "START", "PACE", 0, 0, sim.Time(10*time.Second))
-	tr.Suggested("W/P#2", "W", "P", "START", "PACE", 0, 0, sim.Time(40*time.Second))
+	tr.Suggested(1, "W", "P", "START", "PACE", 0, 0, sim.Time(10*time.Second))
+	tr.Suggested(2, "W", "P", "START", "PACE", 0, 0, sim.Time(40*time.Second))
 
-	warm := decision.Suggestion{ID: "W/P#1", Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}}
-	live := decision.Suggestion{ID: "W/P#2", Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}}
+	rule := decision.NewRule("W", "P", "START", "B", []string{"B"}, nil)
+	warm := decision.Suggestion{Rule: rule, Seq: 1}
+	live := decision.Suggestion{Rule: rule, Seq: 2}
 	sendSuggestions(r, 10*time.Second, warm) // inside warm-up: dropped
 	sendSuggestions(r, 40*time.Second, live) // arbitrated and executed
 	if err := r.s.Run(2 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	dropped, ok := tr.Span("W/P#1")
+	dropped, ok := tr.Span(1)
 	if !ok || dropped.Dropped != "warmup" {
 		t.Fatalf("warm-up span = %+v, want dropped with reason warmup", dropped)
 	}
-	done, ok := tr.Span("W/P#2")
+	done, ok := tr.Span(2)
 	if !ok || !done.Complete() {
 		t.Fatalf("executed span = %+v, want complete", done)
 	}
@@ -434,15 +429,15 @@ func TestEngineRequeuesUnappliedStartsAndRecoversNextRound(t *testing.T) {
 		}
 	}
 	sendSuggestions(r, 10*time.Second,
-		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "RESTART", AssessTask: "A", ActOnTasks: []string{"A"}})
+		decision.Suggestion{Rule: decision.NewRule("W", "P", "RESTART", "A", []string{"A"}, nil)})
 	// Inside the failure cooldown: discarded without planning.
 	sendSuggestions(r, 25*time.Second,
-		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "STOP", AssessTask: "B", ActOnTasks: []string{"B"}})
+		decision.Suggestion{Rule: decision.NewRule("W", "P", "STOP", "B", []string{"B"}, nil)})
 	// Past the cooldown: actuation is healthy again, and a round that
 	// contributes no operations of its own picks up the recovery entry.
 	r.s.At(59*time.Second, func() { r.exec.failAfter = -1 })
 	sendSuggestions(r, time.Minute,
-		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "STOP", AssessTask: "B", ActOnTasks: []string{"B"}})
+		decision.Suggestion{Rule: decision.NewRule("W", "P", "STOP", "B", []string{"B"}, nil)})
 	if err := r.s.Run(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -484,9 +479,9 @@ func TestEngineRequeueDedupesWaiting(t *testing.T) {
 		FailureCooldown: 10 * time.Second, GatherWindow: time.Second})
 	r.exec.failAfter = 0 // every op fails
 	sendSuggestions(r, 10*time.Second,
-		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}})
+		decision.Suggestion{Rule: decision.NewRule("W", "P", "START", "B", []string{"B"}, nil)})
 	sendSuggestions(r, 30*time.Second,
-		decision.Suggestion{Workflow: "W", PolicyID: "P", Action: "START", AssessTask: "B", ActOnTasks: []string{"B"}})
+		decision.Suggestion{Rule: decision.NewRule("W", "P", "START", "B", []string{"B"}, nil)})
 	if err := r.s.Run(2 * time.Minute); err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func parentBuildPlan(in PlanInput) (Plan, []WaitingTask) {
 			if !st.Running {
 				continue // nothing to resize
 			}
-			delta := intParam(it.params, "adjust-by", 20)
+			delta := parentIntParam(it.params, "adjust-by", 20)
 			newProcs := st.Procs + delta
 			if it.action == spec.ActionRmCPU {
 				newProcs = st.Procs - delta
@@ -105,7 +105,7 @@ func parentBuildPlan(in PlanInput) (Plan, []WaitingTask) {
 			if st.Running {
 				continue
 			}
-			procs := intParam(it.params, "procs", st.Procs)
+			procs := parentIntParam(it.params, "procs", st.Procs)
 			if procs <= 0 {
 				continue
 			}
@@ -397,8 +397,9 @@ func parentResolveConflicts(in PlanInput, plan *Plan) map[string]*parentIntent {
 			plan.Denied = append(plan.Denied, fmt.Sprintf("%s on %s (policy %s): conflicts with higher-priority %s", it.action, it.task, it.policy, cur.action))
 		}
 	}
-	for _, sg := range in.Suggestions {
-		act, err := sg.ParsedAction()
+	for _, s := range in.Suggestions {
+		sg := asParentSuggestion(s)
+		act, err := spec.ParseAction(sg.Action)
 		if err != nil {
 			continue
 		}
@@ -516,6 +517,39 @@ func parentSortedTaskNames(tasks map[string]TaskState) []string {
 	return names
 }
 
+// parentSuggestion is decision.Suggestion as it was before it named its
+// rule by descriptor. The reference reads a suggestion's fields from its
+// JSON, which has that layout.
+type parentSuggestion struct {
+	ID         string            `json:"id,omitempty"`
+	Workflow   string            `json:"workflow"`
+	PolicyID   string            `json:"policy"`
+	Action     string            `json:"action"`
+	AssessTask string            `json:"assess_task"`
+	ActOnTasks []string          `json:"act_on_tasks"`
+	Params     map[string]string `json:"params,omitempty"`
+}
+
+func asParentSuggestion(sg decision.Suggestion) parentSuggestion {
+	data, err := json.Marshal(sg)
+	if err != nil {
+		panic(err)
+	}
+	var p parentSuggestion
+	if err := json.Unmarshal(data, &p); err != nil {
+		panic(err)
+	}
+	return p
+}
+
+func parentIntParam(params map[string]string, key string, def int) int {
+	if params == nil {
+		return def
+	}
+	b := spec.PolicyBinding{Params: params}
+	return b.IntParam(key, def)
+}
+
 func parentScriptFor(it *parentIntent, st TaskState) string {
 	if it.params != nil {
 		if s, ok := it.params["restart-script"]; ok {
@@ -576,26 +610,22 @@ func genPlanRound(rng *rand.Rand) PlanInput {
 	}
 	actions := []string{"ADDCPU", "RMCPU", "STOP", "START", "RESTART", "SWITCH", "ADDCPU", "START", "BOGUS"}
 	for i, k := 0, rng.Intn(7); i < k; i++ {
-		sg := decision.Suggestion{
-			Workflow:   wf,
-			PolicyID:   fmt.Sprintf("P%d", rng.Intn(4)),
-			Action:     actions[rng.Intn(len(actions))],
-			AssessTask: pick(),
-			ActOnTasks: []string{pick()},
-		}
+		policy, action, assess := fmt.Sprintf("P%d", rng.Intn(4)), actions[rng.Intn(len(actions))], pick()
+		actOn := []string{pick()}
 		if rng.Intn(3) == 0 {
-			sg.ActOnTasks = append(sg.ActOnTasks, pick())
+			actOn = append(actOn, pick())
 		}
+		var params map[string]string
 		switch rng.Intn(5) {
 		case 0:
 		case 1:
-			sg.Params = map[string]string{"procs": fmt.Sprint(1 + rng.Intn(40))}
+			params = map[string]string{"procs": fmt.Sprint(1 + rng.Intn(40))}
 		case 2:
-			sg.Params = map[string]string{"adjust-by": fmt.Sprint(1 + rng.Intn(15)), "restart-script": "again"}
+			params = map[string]string{"adjust-by": fmt.Sprint(1 + rng.Intn(15)), "restart-script": "again"}
 		default:
-			sg.Params = map[string]string{"adjust-by": fmt.Sprint(1 + rng.Intn(15))}
+			params = map[string]string{"adjust-by": fmt.Sprint(1 + rng.Intn(15))}
 		}
-		in.Suggestions = append(in.Suggestions, sg)
+		in.Suggestions = append(in.Suggestions, decision.Suggestion{Rule: decision.NewRule(wf, policy, action, assess, actOn, params)})
 	}
 	for i, k := 0, rng.Intn(5); i < k; i++ {
 		in.Waiting = append(in.Waiting, WaitingTask{
@@ -676,7 +706,7 @@ func TestProperty_BuildPlan_EqualsParent(t *testing.T) {
 	for _, in := range inputs {
 		plan, waiting := BuildPlan(in)
 		for _, sg := range in.Suggestions {
-			if sg.Action == "SWITCH" {
+			if sg.Rule.Action == "SWITCH" {
 				switches++
 				break
 			}

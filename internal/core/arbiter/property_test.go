@@ -38,14 +38,7 @@ func genInput(seed int64) PlanInput {
 	var sgs []decision.Suggestion
 	for i := 0; i < rng.Intn(6); i++ {
 		target := names[rng.Intn(len(names))]
-		sgs = append(sgs, decision.Suggestion{
-			Workflow:   "W",
-			PolicyID:   "P" + target,
-			Action:     actions[rng.Intn(len(actions))],
-			AssessTask: names[rng.Intn(len(names))],
-			ActOnTasks: []string{target},
-			Params:     map[string]string{"adjust-by": "10"},
-		})
+		sgs = append(sgs, decision.Suggestion{Rule: decision.NewRule("W", "P"+target, actions[rng.Intn(len(actions))], names[rng.Intn(len(names))], []string{target}, map[string]string{"adjust-by": "10"})})
 	}
 	var waiting []WaitingTask
 	for i := 0; i < rng.Intn(3); i++ {

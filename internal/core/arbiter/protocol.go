@@ -163,7 +163,7 @@ type intent struct {
 	pri       int // the task's priority
 	policy    string
 	policyPri int
-	params    map[string]string
+	rule      *decision.Rule // the suggested rule (nil for dependents): its params shape the operation
 	dependent bool
 	parent    string // the disrupted task a dependent intent derives from
 }
@@ -247,7 +247,7 @@ func (p *planner) build(in PlanInput) (Plan, []WaitingTask) {
 			if !st.Running {
 				continue // nothing to resize
 			}
-			delta := intParam(it.params, "adjust-by", 20)
+			delta := it.rule.IntParam("adjust-by", 20)
 			newProcs := st.Procs + delta
 			if it.action == spec.ActionRmCPU {
 				newProcs = st.Procs - delta
@@ -290,7 +290,7 @@ func (p *planner) build(in PlanInput) (Plan, []WaitingTask) {
 			if st.Running {
 				continue
 			}
-			procs := intParam(it.params, "procs", st.Procs)
+			procs := it.rule.IntParam("procs", st.Procs)
 			if procs <= 0 {
 				continue
 			}
@@ -616,22 +616,20 @@ func (p *planner) resolveConflicts(in PlanInput, plan *Plan) {
 	}
 	clear(p.index)
 	p.intents = p.intents[:0]
-	for _, sg := range in.Suggestions {
-		act, err := sg.ParsedAction()
+	for i := range in.Suggestions {
+		r := in.Suggestions[i].Rule
+		act, err := r.ParsedAction()
 		if err != nil {
 			continue
 		}
-		pri := in.Rules.PolicyPriority(sg.PolicyID)
+		pri := in.Rules.PolicyPriority(r.PolicyID)
 		if act == spec.ActionSwitch {
 			// SWITCH = stop the assessed task, start the act-on tasks.
-			p.consider(in, plan, intent{action: spec.ActionStop, task: sg.AssessTask, policy: sg.PolicyID, policyPri: pri, params: sg.Params})
-			for _, t := range sg.ActOnTasks {
-				p.consider(in, plan, intent{action: spec.ActionStart, task: t, policy: sg.PolicyID, policyPri: pri, params: sg.Params})
-			}
-			continue
+			p.consider(in, plan, intent{action: spec.ActionStop, task: r.AssessTask, policy: r.PolicyID, policyPri: pri, rule: r})
+			act = spec.ActionStart
 		}
-		for _, t := range sg.ActOnTasks {
-			p.consider(in, plan, intent{action: act, task: t, policy: sg.PolicyID, policyPri: pri, params: sg.Params})
+		for j := 0; j < r.NumActOnTasks(); j++ {
+			p.consider(in, plan, intent{action: act, task: r.ActOnTask(j), policy: r.PolicyID, policyPri: pri, rule: r})
 		}
 	}
 }
@@ -736,19 +734,9 @@ func isWaiting(waiting []WaitingTask, taskName string) bool {
 	return false
 }
 
-func intParam(params map[string]string, key string, def int) int {
-	if params == nil {
-		return def
-	}
-	b := spec.PolicyBinding{Params: params}
-	return b.IntParam(key, def)
-}
-
 func scriptFor(it *intent, st TaskState) string {
-	if it.params != nil {
-		if s, ok := it.params["restart-script"]; ok {
-			return s
-		}
+	if s, ok := it.rule.Param("restart-script"); ok {
+		return s
 	}
 	return st.Script
 }

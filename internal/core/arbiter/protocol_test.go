@@ -36,10 +36,7 @@ func gsTasks() map[string]TaskState {
 }
 
 func suggest(policy, action, assess string, actOn []string, params map[string]string) decision.Suggestion {
-	return decision.Suggestion{
-		Workflow: "GS", PolicyID: policy, Action: action,
-		AssessTask: assess, ActOnTasks: actOn, Params: params,
-	}
+	return decision.Suggestion{Rule: decision.NewRule("GS", policy, action, assess, actOn, params)}
 }
 
 func findOps(plan Plan, kind OpKind, task string) []Op {
@@ -154,8 +151,8 @@ func TestConflictResolutionStopBeatsStart(t *testing.T) {
 	in := PlanInput{
 		Workflow: "FUSION",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "FUSION", PolicyID: "RESTART_UNTIL_COND", Action: "START", AssessTask: "XGC1", ActOnTasks: []string{"XGCA"}},
-			{Workflow: "FUSION", PolicyID: "STOP_ON_COND", Action: "STOP", AssessTask: "XGCA", ActOnTasks: []string{"XGCA"}},
+			{Rule: decision.NewRule("FUSION", "RESTART_UNTIL_COND", "START", "XGC1", []string{"XGCA"}, nil)},
+			{Rule: decision.NewRule("FUSION", "STOP_ON_COND", "STOP", "XGCA", []string{"XGCA"}, nil)},
 		},
 		Tasks:     tasks,
 		FreeCores: 0,
@@ -184,7 +181,7 @@ func TestSwitchExpandsToStopAndStart(t *testing.T) {
 	in := PlanInput{
 		Workflow: "FUSION",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "FUSION", PolicyID: "SWITCH_ON_COND", Action: "SWITCH", AssessTask: "XGCA", ActOnTasks: []string{"XGC1"}},
+			{Rule: decision.NewRule("FUSION", "SWITCH_ON_COND", "SWITCH", "XGCA", []string{"XGC1"}, nil)},
 		},
 		Tasks:     tasks,
 		FreeCores: 0,
@@ -216,8 +213,8 @@ func TestDenyWhenNoVictim(t *testing.T) {
 	in := PlanInput{
 		Workflow: "W",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "W", PolicyID: "P1", Action: "ADDCPU", ActOnTasks: []string{"A"}, Params: map[string]string{"adjust-by": "5"}},
-			{Workflow: "W", PolicyID: "P2", Action: "START", ActOnTasks: []string{"B"}},
+			{Rule: decision.NewRule("W", "P1", "ADDCPU", "", []string{"A"}, map[string]string{"adjust-by": "5"})},
+			{Rule: decision.NewRule("W", "P2", "START", "", []string{"B"}, nil)},
 		},
 		Tasks:     tasks,
 		FreeCores: 5,
@@ -252,7 +249,7 @@ func TestWaitingTaskRestartsOnSurplus(t *testing.T) {
 	in := PlanInput{
 		Workflow: "W",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "W", PolicyID: "P", Action: "STOP", ActOnTasks: []string{"A"}},
+			{Rule: decision.NewRule("W", "P", "STOP", "", []string{"A"}, nil)},
 		},
 		Tasks:     tasks,
 		FreeCores: 0,
@@ -286,7 +283,7 @@ func TestRestartOfFailedTask(t *testing.T) {
 	in := PlanInput{
 		Workflow: "MD",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "MD", PolicyID: "RESTART_ON_FAILURE", Action: "RESTART", ActOnTasks: []string{"LAMMPS"}},
+			{Rule: decision.NewRule("MD", "RESTART_ON_FAILURE", "RESTART", "", []string{"LAMMPS"}, nil)},
 		},
 		Tasks:     tasks,
 		FreeCores: 1600,
@@ -331,7 +328,7 @@ func TestRmCPUFreesResources(t *testing.T) {
 	in := PlanInput{
 		Workflow: "W",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "W", PolicyID: "DEC", Action: "RMCPU", ActOnTasks: []string{"A"}, Params: map[string]string{"adjust-by": "10"}},
+			{Rule: decision.NewRule("W", "DEC", "RMCPU", "", []string{"A"}, map[string]string{"adjust-by": "10"})},
 		},
 		Tasks:     tasks,
 		FreeCores: 0,
@@ -357,7 +354,7 @@ func TestRmCPUSkipsWhenItWouldZeroTask(t *testing.T) {
 	in := PlanInput{
 		Workflow: "W",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "W", PolicyID: "DEC", Action: "RMCPU", ActOnTasks: []string{"A"}, Params: map[string]string{"adjust-by": "100"}},
+			{Rule: decision.NewRule("W", "DEC", "RMCPU", "", []string{"A"}, map[string]string{"adjust-by": "100"})},
 		},
 		Tasks:     map[string]TaskState{"A": {Running: true, Procs: 10}},
 		FreeCores: 0,
@@ -374,8 +371,8 @@ func TestNoopSuggestionsYieldEmptyPlan(t *testing.T) {
 	in := PlanInput{
 		Workflow: "W",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "W", PolicyID: "P", Action: "START", ActOnTasks: []string{"A"}}, // already running
-			{Workflow: "W", PolicyID: "P", Action: "STOP", ActOnTasks: []string{"B"}},  // already down
+			{Rule: decision.NewRule("W", "P", "START", "", []string{"A"}, nil)}, // already running
+			{Rule: decision.NewRule("W", "P", "STOP", "", []string{"B"}, nil)},  // already down
 		},
 		Tasks: map[string]TaskState{
 			"A": {Running: true, Procs: 4},
@@ -409,7 +406,7 @@ func TestVictimTakesTightDependentsAlong(t *testing.T) {
 	in := PlanInput{
 		Workflow: "W",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "W", PolicyID: "P", Action: "START", ActOnTasks: []string{"New"}},
+			{Rule: decision.NewRule("W", "P", "START", "", []string{"New"}, nil)},
 		},
 		Tasks:     tasks,
 		FreeCores: 0,
@@ -453,7 +450,7 @@ func TestVictimRetractionKeepsTightGroup(t *testing.T) {
 	in := PlanInput{
 		Workflow: "W",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "W", PolicyID: "P", Action: "START", ActOnTasks: []string{"A"}, Params: map[string]string{"procs": "10"}},
+			{Rule: decision.NewRule("W", "P", "START", "", []string{"A"}, map[string]string{"procs": "10"})},
 		},
 		Tasks: map[string]TaskState{
 			"A": {Procs: 10},
@@ -493,7 +490,7 @@ func TestVictimGroupAbsorbsEarlierDependentVictim(t *testing.T) {
 	in := PlanInput{
 		Workflow: "W",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "W", PolicyID: "P", Action: "START", ActOnTasks: []string{"A"}, Params: map[string]string{"procs": "10"}},
+			{Rule: decision.NewRule("W", "P", "START", "", []string{"A"}, map[string]string{"procs": "10"})},
 		},
 		Tasks: map[string]TaskState{
 			"A": {Procs: 10},
@@ -631,7 +628,7 @@ func TestLooseDependentsUndisturbed(t *testing.T) {
 	in := PlanInput{
 		Workflow: "W",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "W", PolicyID: "P", Action: "RESTART", ActOnTasks: []string{"Parent"}},
+			{Rule: decision.NewRule("W", "P", "RESTART", "", []string{"Parent"}, nil)},
 		},
 		Tasks:     tasks,
 		FreeCores: 0,
@@ -660,7 +657,7 @@ func TestTransitiveDependentRestart(t *testing.T) {
 	in := PlanInput{
 		Workflow: "W",
 		Suggestions: []decision.Suggestion{
-			{Workflow: "W", PolicyID: "P", Action: "RESTART", ActOnTasks: []string{"A"}},
+			{Rule: decision.NewRule("W", "P", "RESTART", "", []string{"A"}, nil)},
 		},
 		Tasks: map[string]TaskState{
 			"A": {Running: true, Procs: 8},
@@ -687,10 +684,7 @@ func TestRecoveryWaitingStartsFromFreeCapacity(t *testing.T) {
 		Workflow: "W",
 		// A STOP on a task that is not running contributes nothing to the
 		// plan; only the waiting queue can produce operations.
-		Suggestions: []decision.Suggestion{{
-			Workflow: "W", PolicyID: "P", Action: "STOP",
-			AssessTask: "C", ActOnTasks: []string{"C"},
-		}},
+		Suggestions: []decision.Suggestion{{Rule: decision.NewRule("W", "P", "STOP", "C", []string{"C"}, nil)}},
 		Tasks: map[string]TaskState{
 			"C":  {Running: false, Procs: 4},
 			"W1": {Running: false, Procs: 5},
@@ -717,11 +711,8 @@ func TestRecoveryWaitingStartsFromFreeCapacity(t *testing.T) {
 // Free capacity is finite: a recovery entry larger than it stays queued.
 func TestRecoveryWaitingRespectsFreeCapacity(t *testing.T) {
 	in := PlanInput{
-		Workflow: "W",
-		Suggestions: []decision.Suggestion{{
-			Workflow: "W", PolicyID: "P", Action: "STOP",
-			AssessTask: "C", ActOnTasks: []string{"C"},
-		}},
+		Workflow:    "W",
+		Suggestions: []decision.Suggestion{{Rule: decision.NewRule("W", "P", "STOP", "C", []string{"C"}, nil)}},
 		Tasks: map[string]TaskState{
 			"C":  {Running: false, Procs: 4},
 			"W2": {Running: false, Procs: 50},
@@ -746,7 +737,7 @@ func TestStoppedParentStopsRunningDependentItStarts(t *testing.T) {
 	in := genInput(534)
 	var switched bool
 	for _, sg := range in.Suggestions {
-		if sg.Action == "SWITCH" && sg.AssessTask == "D" && len(sg.ActOnTasks) == 1 && sg.ActOnTasks[0] == "E" {
+		if r := sg.Rule; r.Action == "SWITCH" && r.AssessTask == "D" && r.NumActOnTasks() == 1 && r.ActOnTask(0) == "E" {
 			switched = true
 		}
 	}

@@ -20,7 +20,8 @@ import (
 // buffers: the batch grouped per workflow through a map of appended
 // copies, a fresh task map per snapshot, and a Record that takes the
 // round's slices as they are. It is the reference TestProperty_ArbiterRound
-// checks the engine against.
+// checks the engine against. It finds spans by the suggestion IDs it
+// formats, as the parent did, through the number each ends in.
 func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Record {
 	received := e.s.Now()
 	var out []Record
@@ -28,10 +29,11 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 	byWF := map[string][]decision.Suggestion{}
 	var order []string
 	for _, sg := range batch {
-		if _, seen := byWF[sg.Workflow]; !seen {
-			order = append(order, sg.Workflow)
+		wf := sg.Rule.Workflow
+		if _, seen := byWF[wf]; !seen {
+			order = append(order, wf)
 		}
-		byWF[sg.Workflow] = append(byWF[sg.Workflow], sg)
+		byWF[wf] = append(byWF[wf], sg)
 	}
 
 	for _, wf := range order {
@@ -40,8 +42,8 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 		free := e.view.Snapshot(wf, tasks)
 		fresh := sgs[:0]
 		for _, sg := range sgs {
-			if st, ok := tasks[sg.AssessTask]; ok && st.StartedAt > 0 && sim.Time(sg.DecidedAt) < st.StartedAt {
-				e.tr.Drop(sg.ID, "stale", received)
+			if st, ok := tasks[sg.Rule.AssessTask]; ok && st.StartedAt > 0 && sim.Time(sg.DecidedAt) < st.StartedAt {
+				e.tr.Drop(trace.ParseSeq(sg.ID()), "stale", received)
 				e.tr.Inc("arbiter.stale_suggestions", 1)
 				continue
 			}
@@ -53,10 +55,10 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 		}
 		ids := make([]string, 0, len(sgs))
 		for _, sg := range sgs {
-			if sg.ID != "" {
-				ids = append(ids, sg.ID)
+			if sg.ID() != "" {
+				ids = append(ids, sg.ID())
 			}
-			e.tr.Received(sg.ID, received)
+			e.tr.Received(trace.ParseSeq(sg.ID()), received)
 		}
 		in := PlanInput{
 			Workflow:      wf,
@@ -81,7 +83,7 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 			rec.PlannedAt = e.s.Now()
 			e.tr.Inc("arbiter.empty_rounds", 1)
 			for _, id := range ids {
-				e.tr.Drop(id, "empty-plan", rec.PlannedAt)
+				e.tr.Drop(trace.ParseSeq(id), "empty-plan", rec.PlannedAt)
 			}
 			continue
 		}
@@ -92,7 +94,7 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 		}
 		rec.PlannedAt = e.s.Now()
 		for _, id := range ids {
-			e.tr.Planned(id, rec.PlannedAt)
+			e.tr.Planned(trace.ParseSeq(id), rec.PlannedAt)
 		}
 
 		rep, err := e.exec.Execute(p, plan)
@@ -104,7 +106,7 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 		rec.AppliedOps = rep.Applied
 		rec.AbortedOps = rep.Aborted
 		for _, id := range ids {
-			e.tr.Executed(id, rec.ExecutedAt)
+			e.tr.Executed(trace.ParseSeq(id), rec.ExecutedAt)
 		}
 		e.tr.Inc("arbiter.rounds", 1)
 		if err != nil {
@@ -176,12 +178,9 @@ func genRoundScenario(rng *rand.Rand) roundScenario {
 			wf := wfs[rng.Intn(len(wfs))]
 			names := roundWorkflows[wf]
 			sg := decision.Suggestion{
-				Workflow:    wf,
-				PolicyID:    fmt.Sprintf("P%d", rng.Intn(3)),
-				Action:      actions[rng.Intn(len(actions))],
-				AssessTask:  names[rng.Intn(len(names))],
-				ActOnTasks:  []string{names[rng.Intn(len(names))]},
-				Params:      map[string]string{"adjust-by": fmt.Sprint(1 + rng.Intn(12))},
+				Rule: decision.NewRule(wf, fmt.Sprintf("P%d", rng.Intn(3)), actions[rng.Intn(len(actions))],
+					names[rng.Intn(len(names))], []string{names[rng.Intn(len(names))]},
+					map[string]string{"adjust-by": fmt.Sprint(1 + rng.Intn(12))}),
 				GeneratedAt: int64(at - time.Duration(rng.Intn(60))*time.Second),
 				// Up to 3 minutes before arrival: a task (re)started since
 				// makes the suggestion stale.
@@ -189,7 +188,7 @@ func genRoundScenario(rng *rand.Rand) roundScenario {
 			}
 			if rng.Intn(3) > 0 {
 				seq++
-				sg.ID = fmt.Sprintf("%s/%s#%d", wf, sg.PolicyID, seq)
+				sg.Seq = seq
 			}
 			batch = append(batch, sg)
 		}
@@ -301,7 +300,7 @@ func runRounds(t *testing.T, sc roundScenario, arbitrate func(*Engine, *sim.Proc
 			b := make([]decision.Suggestion, len(batch), len(batch)+4)
 			copy(b, batch)
 			for _, sg := range b {
-				tr.Suggested(sg.ID, sg.Workflow, sg.PolicyID, sg.Action, "", sim.Time(sg.GeneratedAt), sim.Time(sg.GeneratedAt), sim.Time(sg.DecidedAt))
+				tr.Suggested(sg.Seq, sg.Rule.Workflow, sg.Rule.PolicyID, sg.Rule.Action, "", sim.Time(sg.GeneratedAt), sim.Time(sg.GeneratedAt), sim.Time(sg.DecidedAt))
 			}
 			out.Returned = append(out.Returned, arbitrate(eng, p, b))
 			out.Batches = append(out.Batches, b[:cap(b)])

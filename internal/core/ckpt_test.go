@@ -232,12 +232,7 @@ func TestStageRestartAfterRestoreKeepsRounds(t *testing.T) {
 				// Decision asks for more analysis cores once more.
 				w.s.At(4*time.Minute, func() {
 					now := int64(w.s.Now())
-					live.Bus.Endpoint(EndpointDecision).Send(EndpointArbiter, []decision.Suggestion{{
-						Workflow: "WF", PolicyID: "INC_ON_PACE", Action: "ADDCPU",
-						AssessTask: "Ana", ActOnTasks: []string{"Ana"},
-						Params:      map[string]string{"adjust-by": "6"},
-						GeneratedAt: now, DecidedAt: now,
-					}})
+					live.Bus.Endpoint(EndpointDecision).Send(EndpointArbiter, []decision.Suggestion{{Rule: decision.NewRule("WF", "INC_ON_PACE", "ADDCPU", "Ana", []string{"Ana"}, map[string]string{"adjust-by": "6"}), GeneratedAt: now, DecidedAt: now}})
 				})
 				// Detonate inside the arbiter's process slot after that round.
 				w.s.At(6*time.Minute, func() {

@@ -32,7 +32,7 @@ type BindingSnap struct {
 }
 
 // Snapshot is the Decision stage's full checkpointable state: history
-// windows, staleness/everEval gates, the suggestion ID counter, the
+// windows, staleness/everEval gates, the suggestion counter, the
 // evaluator's tick grid, and the receiver's out-of-order filter.
 type Snapshot struct {
 	Seq      int               `json:"seq"`

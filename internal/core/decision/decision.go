@@ -6,7 +6,6 @@
 package decision
 
 import (
-	"fmt"
 	"time"
 
 	"dyflow/internal/core/sensor"
@@ -16,33 +15,6 @@ import (
 	"dyflow/internal/stats"
 	"dyflow/internal/trace"
 )
-
-// Suggestion is one suggested high-level action (Decision -> Arbitration).
-type Suggestion struct {
-	// ID correlates this suggestion's lifecycle span across the stages
-	// (minted here, carried through Arbitration and Actuation records).
-	ID         string            `json:"id,omitempty"`
-	Workflow   string            `json:"workflow"`
-	PolicyID   string            `json:"policy"`
-	Action     string            `json:"action"`
-	AssessTask string            `json:"assess_task"`
-	ActOnTasks []string          `json:"act_on_tasks"`
-	Params     map[string]string `json:"params,omitempty"`
-	// MetricValue is the (pre-analyzed) value that satisfied the condition.
-	MetricValue float64 `json:"metric_value"`
-	// Step is the source timestep associated with the triggering metric.
-	Step int `json:"step,omitempty"`
-	// GeneratedAt is when the underlying data was produced; ObservedAt is
-	// when the Monitor server forwarded the triggering metric; DecidedAt is
-	// when the policy fired. Their differences plus transport are the
-	// event-to-response-initiation lags of §4.6.
-	GeneratedAt int64 `json:"generated_at"`
-	ObservedAt  int64 `json:"observed_at,omitempty"`
-	DecidedAt   int64 `json:"decided_at"`
-}
-
-// ParsedAction returns the typed action.
-func (s *Suggestion) ParsedAction() (spec.Action, error) { return spec.ParseAction(s.Action) }
 
 // staleFactor is how many missed arrival intervals a series survives before
 // it is considered stale and stops feeding evaluations.
@@ -85,6 +57,9 @@ func (st *seriesState) live(now sim.Time) bool {
 type binding struct {
 	def  *spec.PolicyDef
 	bind spec.PolicyBinding
+	// rule is the binding's descriptor, named by every suggestion it
+	// makes.
+	rule *Rule
 	// order holds the keys of the series feeding the binding in arrival
 	// order, the order it evaluates them in, and series their states,
 	// index for index.
@@ -218,7 +193,7 @@ type Engine struct {
 	tr       *trace.Recorder
 	spawn    func(name string, fn func(*sim.Proc)) *sim.Proc
 
-	seq int // suggestion ID counter
+	seq int // the last suggestion's Seq
 	// nextEval is the evaluator's next scheduled tick; checkpointed so a
 	// restored engine keeps the same evaluation grid (a shifted grid changes
 	// which gather window suggestions land in).
@@ -240,7 +215,8 @@ func New(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config) *Engine {
 		if def == nil {
 			continue
 		}
-		e.bindings = append(e.bindings, &binding{def: def, bind: pb})
+		rule := NewRule(pb.Workflow, def.ID, def.Action.String(), pb.AssessTask, pb.ActOnTasks, pb.Params)
+		e.bindings = append(e.bindings, &binding{def: def, bind: pb, rule: rule})
 	}
 	return e
 }
@@ -460,18 +436,11 @@ func (e *Engine) evaluate(b *binding, now sim.Time) (Suggestion, bool) {
 			continue
 		}
 		e.seq++
-		id := fmt.Sprintf("%s/%s#%d", b.bind.Workflow, b.def.ID, e.seq)
-		e.tr.Suggested(id, b.bind.Workflow, b.def.ID, b.def.Action.String(), b.order[i].Sensor, st.genAt, st.lastAt, now)
+		r := b.rule
+		e.tr.Suggested(e.seq, r.Workflow, r.PolicyID, r.Action, b.order[i].Sensor, st.genAt, st.lastAt, now)
 		return Suggestion{
-			ID:         id,
-			Workflow:   b.bind.Workflow,
-			PolicyID:   b.def.ID,
-			Action:     b.def.Action.String(),
-			AssessTask: b.bind.AssessTask,
-			ActOnTasks: append([]string(nil), b.bind.ActOnTasks...),
-			// Copied: the compiled spec's map must not be aliased into the
-			// suggestion, where downstream stages may mutate it.
-			Params:      copyParams(b.bind.Params),
+			Rule:        r,
+			Seq:         e.seq,
 			MetricValue: v,
 			Step:        st.step,
 			GeneratedAt: int64(st.genAt),
@@ -480,15 +449,4 @@ func (e *Engine) evaluate(b *binding, now sim.Time) (Suggestion, bool) {
 		}, true
 	}
 	return Suggestion{}, false
-}
-
-func copyParams(m map[string]string) map[string]string {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

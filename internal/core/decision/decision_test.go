@@ -1,6 +1,7 @@
 package decision
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -87,7 +88,7 @@ func newEngine(t *testing.T) (*sim.Sim, *Engine) {
 func filterPolicy(sgs []Suggestion, policy string) []Suggestion {
 	var out []Suggestion
 	for _, sg := range sgs {
-		if sg.PolicyID == policy {
+		if sg.Rule.PolicyID == policy {
 			out = append(out, sg)
 		}
 	}
@@ -115,14 +116,14 @@ func TestHistoryAveragedEvaluation(t *testing.T) {
 		t.Fatalf("suggestions = %+v, want exactly 1", got)
 	}
 	sg := got[0]
-	if sg.PolicyID != "INC_ON_PACE" || sg.Action != "ADDCPU" {
+	if sg.Rule.PolicyID != "INC_ON_PACE" || sg.Rule.Action != "ADDCPU" {
 		t.Fatalf("suggestion = %+v", sg)
 	}
 	if sg.MetricValue != 40 {
 		t.Fatalf("metric value = %v, want window average 40", sg.MetricValue)
 	}
-	if sg.Params["adjust-by"] != "20" {
-		t.Fatalf("params = %v", sg.Params)
+	if v, _ := sg.Rule.Param("adjust-by"); v != "20" {
+		t.Fatalf("adjust-by = %q", v)
 	}
 }
 
@@ -177,11 +178,11 @@ func TestEQConditionOnWorkflowMetric(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("suggestions = %+v, want 1 (only the EQ match)", got)
 	}
-	if got[0].PolicyID != "SWITCH_ON_COND" || got[0].MetricValue != 374 {
+	if got[0].Rule.PolicyID != "SWITCH_ON_COND" || got[0].MetricValue != 374 {
 		t.Fatalf("suggestion = %+v", got[0])
 	}
-	if len(got[0].ActOnTasks) != 1 || got[0].ActOnTasks[0] != "XGC1" {
-		t.Fatalf("act-on = %v", got[0].ActOnTasks)
+	if r := got[0].Rule; r.NumActOnTasks() != 1 || r.ActOnTask(0) != "XGC1" {
+		t.Fatalf("act-on = %+v", r)
 	}
 }
 
@@ -257,7 +258,7 @@ func TestEndToEndOverBus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != 1 || batch[0].Action != "ADDCPU" {
+	if len(batch) != 1 || batch[0].Rule.Action != "ADDCPU" {
 		t.Fatalf("batch = %+v", batch)
 	}
 	if got := tr.Counter("decision.suggestions"); got < 1 {
@@ -342,7 +343,7 @@ func TestPredictiveSlopePolicy(t *testing.T) {
 	if len(fired) == 0 {
 		t.Fatal("growing memory never fired the predictive policy")
 	}
-	if fired[0].Action != "RESTART" {
+	if fired[0].Rule.Action != "RESTART" {
 		t.Fatalf("suggestion = %+v", fired[0])
 	}
 }
@@ -410,16 +411,24 @@ func TestNodeTaskGranularityBinding(t *testing.T) {
 	}
 }
 
+// TestParamsNotAliasedIntoSuggestion: a suggestion names its binding's
+// rule, and nothing it exposes can change what a later round suggests:
+// no exported field reachable from a Suggestion is a map or a slice (a
+// rule's params and act-on tasks are read through accessors), and a later
+// round still reads the spec's adjust-by=20 from the same descriptor.
 func TestParamsNotAliasedIntoSuggestion(t *testing.T) {
+	if got := mutableFields(reflect.TypeOf(Suggestion{}), "Suggestion", map[reflect.Type]bool{}); len(got) > 0 {
+		t.Fatalf("exported maps or slices a downstream stage could write: %v", got)
+	}
 	s, e := newEngine(t)
 	e.Ingest(metric("GS", "Iso", "PACE", spec.GranTask, 100, s.Now()))
 	got := filterPolicy(e.EvaluateDue(), "INC_ON_PACE")
-	if len(got) != 1 || got[0].Params["adjust-by"] != "20" {
-		t.Fatalf("priming suggestion = %+v", got)
+	if len(got) != 1 {
+		t.Fatalf("priming round = %+v, want 1 suggestion", got)
 	}
-	// A downstream stage scribbling on the suggestion's params must not
-	// corrupt the compiled spec for later rounds.
-	got[0].Params["adjust-by"] = "corrupted"
+	if v, _ := got[0].Rule.Param("adjust-by"); v != "20" {
+		t.Fatalf("priming suggestion's adjust-by = %q", v)
+	}
 
 	s.At(6*time.Second, func() {
 		e.Ingest(metric("GS", "Iso", "PACE", spec.GranTask, 100, s.Now()))
@@ -427,13 +436,42 @@ func TestParamsNotAliasedIntoSuggestion(t *testing.T) {
 		if len(next) != 1 {
 			t.Fatalf("second round = %+v, want 1 suggestion", next)
 		}
-		if next[0].Params["adjust-by"] != "20" {
-			t.Fatalf("params = %v, want the spec's adjust-by=20 (map was aliased)", next[0].Params)
+		if v, _ := next[0].Rule.Param("adjust-by"); v != "20" {
+			t.Fatalf("adjust-by = %q, want the spec's 20", v)
+		}
+		if next[0].Rule != got[0].Rule || next[0].Seq != got[0].Seq+1 {
+			t.Fatalf("second suggestion names rule %p #%d, want the binding's %p #%d", next[0].Rule, next[0].Seq, got[0].Rule, got[0].Seq+1)
 		}
 	})
 	if err := s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mutableFields lists the exported fields reachable from typ, through
+// exported pointer and struct fields, that are maps or slices.
+func mutableFields(typ reflect.Type, path string, seen map[reflect.Type]bool) []string {
+	for typ.Kind() == reflect.Pointer {
+		typ = typ.Elem()
+	}
+	if typ.Kind() != reflect.Struct || seen[typ] {
+		return nil
+	}
+	seen[typ] = true
+	var out []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		switch f.Type.Kind() {
+		case reflect.Map, reflect.Slice:
+			out = append(out, path+"."+f.Name)
+		default:
+			out = append(out, mutableFields(f.Type, path+"."+f.Name, seen)...)
+		}
+	}
+	return out
 }
 
 func TestStaleSeriesStopsFiring(t *testing.T) {

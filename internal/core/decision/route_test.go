@@ -1,11 +1,14 @@
 package decision
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"dyflow/internal/core/sensor"
 	"dyflow/internal/core/spec"
+	"dyflow/internal/msg"
+	"dyflow/internal/sim"
 )
 
 // TestIngestRoutesByDescriptor: a series' metrics reach the same binding
@@ -73,5 +76,66 @@ func TestKnownSeriesIngestAllocatesNothing(t *testing.T) {
 	}
 	if st := e.bindings[0].series[0]; st.last != m.Value || st.lastAt != m.ObservedAt {
 		t.Fatalf("the binding holds %v at %v, want %v at %v", st.last, st.lastAt, m.Value, m.ObservedAt)
+	}
+}
+
+// TestFiringRoundAllocatesOnlyItsBatch: a warm evaluation round whose one
+// due binding fires names the binding's rule and allocates only the batch
+// it sends — one 56-byte suggestion in a 64-byte object — and the
+// interface box the bus carries it in: no ID, no copy of the act-on tasks
+// or the parameters. (The flight recorder's span log, which a traced
+// round appends to, is trace's test.)
+func TestFiringRoundAllocatesOnlyItsBatch(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	cfg, err := spec.CompileString(cfgXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New(1)
+	bus := msg.NewBus(s)
+	in := bus.Endpoint("arbiter")
+	e := New(s, bus, "decision", "arbiter", cfg)
+	var buf []msg.Envelope
+	var got []Suggestion
+	s.Spawn("arbiter", func(p *sim.Proc) {
+		for {
+			batch, err := in.RecvBatch(p, buf[:0])
+			if err != nil {
+				return
+			}
+			buf = batch
+			got, _ = msg.Payload[[]Suggestion](&batch[len(batch)-1])
+		}
+	})
+	// One arrival, at a nonzero instant: the series stays live.
+	e.Ingest(metric("GS", "Iso", "PACE", spec.GranTask, 100, time.Second))
+	round := func() {
+		for _, b := range e.bindings {
+			b.everEval = false // due again, on the same live series
+		}
+		if sgs := e.EvaluateDue(); len(sgs) > 0 {
+			e.ep.Send(e.out, sgs)
+		}
+		if err := s.Run(s.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	round()
+	allocs := testing.AllocsPerRun(100, round)
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if len(got) != 1 || got[0].Rule != e.bindings[0].rule || got[0].Seq != e.seq {
+		t.Fatalf("the round sent %+v, want one suggestion #%d of the binding's rule", got, e.seq)
+	}
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; allocs != 2 || bytes != 64+24 {
+		t.Errorf("a warm firing round allocates %v times, %d bytes; want the 64-byte batch and its 24-byte box", allocs, bytes)
 	}
 }

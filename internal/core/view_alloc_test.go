@@ -37,8 +37,7 @@ func warmRoundAllocs(t *testing.T, n int, action string, params map[string]strin
 			return
 		}
 		p.Sleep(time.Second)
-		batch := []decision.Suggestion{{Workflow: "WF", PolicyID: "P", Action: action,
-			AssessTask: "idle", ActOnTasks: []string{"idle"}, Params: params, DecidedAt: int64(p.Now())}}
+		batch := []decision.Suggestion{{Rule: decision.NewRule("WF", "P", action, "idle", []string{"idle"}, params), DecidedAt: int64(p.Now())}}
 		round := func() {
 			if recs := eng.Arbitrate(p, batch); len(recs) != 0 {
 				t.Errorf("round executed %+v, want an empty plan", recs)

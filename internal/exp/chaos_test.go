@@ -181,15 +181,13 @@ func newChaosBench(t *testing.T, nodes int) *chaosBench {
 }
 
 func restartB(now sim.Time) []decision.Suggestion {
-	return []decision.Suggestion{{Workflow: "CH", PolicyID: "P", Action: "RESTART",
-		AssessTask: "B", ActOnTasks: []string{"B"}, DecidedAt: int64(now)}}
+	return []decision.Suggestion{{Rule: decision.NewRule("CH", "P", "RESTART", "B", []string{"B"}, nil), DecidedAt: int64(now)}}
 }
 
 // noop produces a non-empty batch that contributes no operations (STOP on
 // the never-started C), so a round picks up only the recovery queue.
 func noop(now sim.Time) []decision.Suggestion {
-	return []decision.Suggestion{{Workflow: "CH", PolicyID: "P", Action: "STOP",
-		AssessTask: "C", ActOnTasks: []string{"C"}, DecidedAt: int64(now)}}
+	return []decision.Suggestion{{Rule: decision.NewRule("CH", "P", "STOP", "C", []string{"C"}, nil), DecidedAt: int64(now)}}
 }
 
 // TestChaosMidScriptNodeDeathRetriesOntoSpareNode: the node carrying B's

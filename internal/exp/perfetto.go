@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"dyflow/internal/cluster"
+	"dyflow/internal/core/actuate"
 	"dyflow/internal/sim"
 	"dyflow/internal/task"
+	"dyflow/internal/trace"
 )
 
 // The Perfetto export lays a run out as a Chrome trace-event JSON document
@@ -110,12 +112,20 @@ func WritePerfetto(out io.Writer, w *World) error {
 // would be up to the scheduler and the GC, so a run's allocation would
 // vary by ≈ 0.25 MB. An event's buffer is a few hundred bytes, and with
 // struct args an event encodes without allocating.
+//
+// The event list is sized exactly before it is filled, and the suggestion
+// spans are read in place in the flight recorder, not copied out of it.
 func perfettoJSON(w *World) ([]byte, error) {
 	now := w.Sim.Now()
-	var evs []perfettoEvent
 	var chaos []cluster.CampaignEvent
 	if w.campaign != nil {
 		chaos = w.campaign.Events()
+	}
+	plans := w.Plans()
+	var tr *trace.Recorder
+	var acts []actuate.OpRecord
+	if w.Orch != nil {
+		tr, acts = w.Orch.Trace, w.Orch.Executor.Records()
 	}
 
 	// Node tracks: deterministic tid assignment in sorted node order over
@@ -135,6 +145,12 @@ func perfettoJSON(w *World) ([]byte, error) {
 	}
 	sort.Strings(nodes)
 	nodeTid := make(map[string]int, len(nodes))
+	placed := 0
+	for _, iv := range w.Rec.Intervals {
+		placed += len(iv.Nodes)
+	}
+	nspans := tr.NumSpans()
+	evs := make([]perfettoEvent, 0, 1+len(nodes)+4+placed+len(chaos)+len(plans)+len(acts)+nspans)
 	evs = append(evs, meta(pidCluster, 0, "process_name", "cluster"))
 	for i, n := range nodes {
 		nodeTid[n] = i + 1
@@ -180,7 +196,7 @@ func perfettoJSON(w *World) ([]byte, error) {
 	}
 
 	// Plan windows: suggestion-batch arrival to actuation completion.
-	for _, p := range w.Plans() {
+	for _, p := range plans {
 		var ops []string
 		for _, op := range p.Plan.Ops {
 			ops = append(ops, op.String())
@@ -195,38 +211,42 @@ func perfettoJSON(w *World) ([]byte, error) {
 	}
 
 	// Actuation operation spans (the stop/start decomposition of §4.6).
-	if w.Orch != nil {
-		for _, rec := range w.Orch.Executor.Records() {
-			evs = append(evs, perfettoEvent{
-				Name: rec.Op.Kind.String() + " " + rec.Op.Task, Cat: "actuation", Ph: "X",
-				Ts: usec(rec.StartedAt), Dur: dur(rec.StartedAt, rec.EndedAt),
-				Pid: pidOrchestrator, Tid: tidActuation,
-				Args: &actuationArgs{Workflow: rec.Op.Workflow, Attempts: rec.Attempts, Error: rec.Err},
-			})
-		}
-
-		// Suggestion lifecycle spans: data generation to actuation (or to
-		// the last stamped stage for dropped/incomplete suggestions).
-		for _, sp := range w.Orch.Trace.Spans() {
-			start := sp.GeneratedAt
-			if start == 0 {
-				start = sp.DecidedAt
-			}
-			end := sp.DecidedAt
-			for _, t := range []sim.Time{sp.ReceivedAt, sp.PlannedAt, sp.ExecutedAt} {
-				if t > end {
-					end = t
-				}
-			}
-			evs = append(evs, perfettoEvent{
-				Name: sp.Policy + ":" + sp.Action, Cat: "suggestion", Ph: "X",
-				Ts: usec(start), Dur: dur(start, end),
-				Pid: pidOrchestrator, Tid: tidSuggestions,
-				Args: &suggestionArgs{Workflow: sp.Workflow, Sensor: sp.Sensor,
-					Complete: sp.Complete(), Dropped: sp.Dropped},
-			})
-		}
+	for _, rec := range acts {
+		evs = append(evs, perfettoEvent{
+			Name: rec.Op.Kind.String() + " " + rec.Op.Task, Cat: "actuation", Ph: "X",
+			Ts: usec(rec.StartedAt), Dur: dur(rec.StartedAt, rec.EndedAt),
+			Pid: pidOrchestrator, Tid: tidActuation,
+			Args: &actuationArgs{Workflow: rec.Op.Workflow, Attempts: rec.Attempts, Error: rec.Err},
+		})
 	}
+
+	// Suggestion lifecycle spans: data generation to actuation (or to the
+	// last stamped stage for dropped/incomplete suggestions). A span's
+	// args live in one slice, and its name is joined once per policy and
+	// action.
+	args := make([]suggestionArgs, 0, nspans)
+	names := map[[2]string]string{}
+	tr.VisitSpans(func(sp *trace.Span) {
+		start := sp.GeneratedAt
+		if start == 0 {
+			start = sp.DecidedAt
+		}
+		end := max(sp.DecidedAt, sp.ReceivedAt, sp.PlannedAt, sp.ExecutedAt)
+		key := [2]string{sp.Policy, sp.Action}
+		name, ok := names[key]
+		if !ok {
+			name = sp.Policy + ":" + sp.Action
+			names[key] = name
+		}
+		args = append(args, suggestionArgs{Workflow: sp.Workflow, Sensor: sp.Sensor,
+			Complete: sp.Complete(), Dropped: sp.Dropped})
+		evs = append(evs, perfettoEvent{
+			Name: name, Cat: "suggestion", Ph: "X",
+			Ts: usec(start), Dur: dur(start, end),
+			Pid: pidOrchestrator, Tid: tidSuggestions,
+			Args: &args[len(args)-1],
+		})
+	})
 
 	const head, tail = `{"traceEvents":[`, "],\"displayTimeUnit\":\"ms\"}\n"
 	var size byteCount

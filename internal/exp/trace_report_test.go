@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dyflow/internal/apps"
+	"dyflow/internal/trace"
 )
 
 // TestTraceReportDeterministic: the flight recorder's rendered §4.6-style
@@ -47,7 +48,7 @@ func TestTraceSpansCorrelateAcrossStages(t *testing.T) {
 			t.Fatalf("record %+v carries no suggestion IDs", rec)
 		}
 		for _, id := range rec.SuggestionIDs {
-			sp, ok := tr.Span(id)
+			sp, ok := tr.Span(trace.ParseSeq(id))
 			if !ok {
 				t.Fatalf("record references unknown span %q", id)
 			}
@@ -65,10 +66,10 @@ func TestTraceSpansCorrelateAcrossStages(t *testing.T) {
 	// Every span the recorder holds — executed or dropped — is monotone.
 	for _, sp := range tr.Spans() {
 		if !sp.Monotone() {
-			t.Errorf("span %q non-monotone: %+v", sp.ID, sp)
+			t.Errorf("span %q non-monotone: %+v", sp.ID(), sp)
 		}
 		if !sp.Complete() && sp.Dropped == "" {
-			t.Errorf("span %q neither completed nor dropped: %+v", sp.ID, sp)
+			t.Errorf("span %q neither completed nor dropped: %+v", sp.ID(), sp)
 		}
 	}
 }

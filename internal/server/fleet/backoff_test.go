@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -112,12 +111,12 @@ func TestSpanBufferCapsAndCounts(t *testing.T) {
 	reg := obs.NewRegistry()
 	drops := reg.Counter("dyflow_worker_span_drops_total", "test").With()
 	sb := &spanBuffer{cap: 4, drops: drops}
-	mk := func(id int) trace.Span { return trace.Span{ID: fmt.Sprintf("s%02d", id)} }
+	mk := func(seq int) trace.Span { return trace.Span{Seq: seq} }
 
 	sb.add(mk(1), mk(2), mk(3))
 	sb.restore([]trace.Span{mk(0)}) // failed batch goes back to the front
 	got := sb.take()
-	if len(got) != 4 || got[0].ID != "s00" || got[3].ID != "s03" {
+	if len(got) != 4 || got[0].Seq != 0 || got[3].Seq != 3 {
 		t.Fatalf("restore order wrong: %+v", got)
 	}
 
@@ -128,7 +127,7 @@ func TestSpanBufferCapsAndCounts(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("buffer holds %d spans, cap 4", len(got))
 	}
-	if got[0].ID != "s06" || got[3].ID != "s09" {
+	if got[0].Seq != 6 || got[3].Seq != 9 {
 		t.Fatalf("expected oldest dropped, newest kept: %+v", got)
 	}
 	if v, _ := reg.Value("dyflow_worker_span_drops_total"); v != 6 {

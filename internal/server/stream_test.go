@@ -260,7 +260,7 @@ func TestStreamSlowConsumerDrops(t *testing.T) {
 	// lifecycle events through the worker-span ingestion path.
 	spans := make([]trace.Span, 8)
 	for i := range spans {
-		spans[i] = trace.Span{ID: fmt.Sprintf("sugg-%d", i)}
+		spans[i] = trace.Span{Workflow: "W", Policy: "P", Seq: i + 1}
 	}
 	s.appendWorkerSpans(st.ID, "w-test", spans)
 

@@ -300,3 +300,38 @@ func TestWaitBroadcastAllocatesNothing(t *testing.T) {
 		t.Fatalf("waiter woke %d times, want 101", wakes)
 	}
 }
+
+// TestDrainedQueueReusesArray: a queue read one item at a time — a put,
+// then a take that empties it — reuses its array: taking the last item
+// restarts the queue at the array's front instead of leaving it no room,
+// so the next put does not grow a fresh array.
+func TestDrainedQueueReusesArray(t *testing.T) {
+	s := New(1)
+	q := NewQueue[int](s, 0)
+	got := 0
+	s.Spawn("reader", func(p *Proc) {
+		for {
+			v, err := q.Get(p)
+			if err != nil {
+				return
+			}
+			got = v
+		}
+	})
+	put := func() {
+		q.TryPut(got + 1)
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := q.TryGet(); ok {
+			t.Fatal("the reader left an item queued")
+		}
+	}
+	put()
+	if n := testing.AllocsPerRun(100, put); n != 0 {
+		t.Errorf("a put and the take that drains it allocate %v times, want 0", n)
+	}
+	if got != 102 {
+		t.Fatalf("reader took %d items, want 102", got)
+	}
+}

@@ -185,7 +185,13 @@ func (q *Queue[T]) pop() T {
 	v := q.items[0]
 	var zero T
 	q.items[0] = zero
-	q.items = q.items[1:]
+	if len(q.items) == 1 {
+		// Drained: the next put reuses the array from its start instead
+		// of growing a fresh one past the consumed slot.
+		q.items = q.items[:0]
+	} else {
+		q.items = q.items[1:]
+	}
 	q.notFull.Broadcast()
 	return v
 }

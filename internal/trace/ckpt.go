@@ -51,19 +51,18 @@ func (r *Recorder) State() State {
 // Their registry handles, and the queue-depth gauges, are re-resolved by
 // name on each one's next sample, so a restore creates no series the
 // recorder has not since written. Latency histograms are re-resolved by
-// key so registry-backed distributions keep their samples.
+// key so registry-backed distributions keep their samples. Spans are
+// found by Seq again (a decoded span takes it from its ID), so a log
+// numbered consecutively, as Decision numbers it, is stamped as before.
 func (r *Recorder) Restore(st State) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.spans = make(map[string]*Span, len(st.Spans))
-	r.order = r.order[:0]
+	r.spans = spanLog{}
 	for _, sp := range st.Spans {
-		sp := sp
-		r.spans[sp.ID] = &sp
-		r.order = append(r.order, sp.ID)
+		r.spans.add(sp)
 	}
 	r.counters = make(map[string]*counterAcc, len(st.Counters))
 	for _, c := range st.Counters {

@@ -5,10 +5,12 @@
 // measurable end to end instead of being scattered across per-stage
 // counters.
 //
-// The unit of correlation is the suggestion lifecycle Span: Decision mints
-// a per-suggestion ID when a policy fires, and every later stage stamps
-// its timestamp onto the same span (ObservedAt and GeneratedAt ride in on
-// the triggering metric). A completed span therefore decomposes the full
+// The unit of correlation is the suggestion lifecycle Span: Decision
+// numbers its suggestions 1, 2, 3, … as policies fire, and every later
+// stage stamps its timestamp onto the span of the suggestion's number, its
+// Seq (ObservedAt and GeneratedAt ride in on the triggering metric). A
+// span's ID, "workflow/policy#seq", is formatted only when it is read or
+// encoded. A completed span therefore decomposes the full
 // event-to-actuation path:
 //
 //	GeneratedAt  — the underlying data was produced by the task
@@ -28,10 +30,13 @@
 package trace
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -43,9 +48,13 @@ import (
 
 // Span is one suggestion's lifecycle across the four stages. Zero
 // timestamps mean the span never reached that stage; Dropped names the
-// reason when Arbitration discarded it.
+// reason when Arbitration discarded it. Its JSON (MarshalJSON) carries
+// the ID in place of Seq.
 type Span struct {
-	ID       string `json:"id"`
+	// Seq is the number Decision gave the suggestion; the recorder finds
+	// the span by it. A span decoded from JSON takes it from its ID
+	// (ParseSeq).
+	Seq      int    `json:"-"`
 	Workflow string `json:"workflow"`
 	Policy   string `json:"policy"`
 	Action   string `json:"action"`
@@ -61,6 +70,74 @@ type Span struct {
 	// Dropped is the discard reason ("warmup", "settle", "stale",
 	// "empty-plan") when the suggestion never reached actuation.
 	Dropped string `json:"dropped,omitempty"`
+
+	// id is the ID a decoded span carried when it is not the one its
+	// Workflow, Policy and Seq format to; "" otherwise.
+	id string
+}
+
+// ID returns the span's ID: SpanID(Workflow, Policy, Seq), or the ID it
+// was decoded with when that differs.
+func (sp Span) ID() string {
+	if sp.id != "" {
+		return sp.id
+	}
+	return SpanID(sp.Workflow, sp.Policy, sp.Seq)
+}
+
+// SpanID formats the ID of suggestion seq of a workflow's policy,
+// "workflow/policy#seq"; seq 0 numbers no suggestion and has the empty
+// ID.
+func SpanID(workflow, policy string, seq int) string {
+	if seq == 0 {
+		return ""
+	}
+	return workflow + "/" + policy + "#" + strconv.Itoa(seq)
+}
+
+// ParseSeq returns the suggestion number an ID ends in: the decimal after
+// its last '#', written as SpanID writes it (positive, no sign, no leading
+// zero). It returns 0 for an ID that ends in none.
+func ParseSeq(id string) int {
+	i := strings.LastIndexByte(id, '#')
+	if i < 0 {
+		return 0
+	}
+	n, err := strconv.Atoi(id[i+1:])
+	if err != nil || n < 1 || strconv.Itoa(n) != id[i+1:] {
+		return 0
+	}
+	return n
+}
+
+// spanFields is Span without its methods, so its fields encode as
+// encoding/json encodes a struct.
+type spanFields Span
+
+// MarshalJSON encodes the span with its ID first.
+func (sp Span) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		ID string `json:"id"`
+		spanFields
+	}{sp.ID(), spanFields(sp)})
+}
+
+// UnmarshalJSON decodes a span as into a zero value: Seq is its ID's
+// number, and an ID SpanID would not format is kept as it was.
+func (sp *Span) UnmarshalJSON(data []byte) error {
+	var w struct {
+		ID string `json:"id"`
+		spanFields
+	}
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*sp = Span(w.spanFields)
+	sp.Seq = ParseSeq(w.ID)
+	if w.ID != sp.ID() {
+		sp.id = w.ID
+	}
+	return nil
 }
 
 // Complete reports whether the span traversed every stage.
@@ -110,8 +187,7 @@ type counterAcc struct {
 type Recorder struct {
 	mu sync.Mutex
 
-	spans map[string]*Span
-	order []string // span IDs in creation order
+	spans spanLog
 
 	// counters and queues keep each name's registry handle beside its
 	// value, so a sample takes one lock and one map lookup.
@@ -132,7 +208,6 @@ type Recorder struct {
 // New creates an empty recorder.
 func New() *Recorder {
 	return &Recorder{
-		spans:      make(map[string]*Span),
 		counters:   make(map[string]*counterAcc),
 		sensorLags: make(map[string]*obs.Histogram),
 		opLats:     make(map[string]*obs.Histogram),
@@ -209,18 +284,81 @@ func (r *Recorder) Counter(name string) int64 {
 	return 0
 }
 
-// Suggested opens a span: Decision emitted a suggestion.
-func (r *Recorder) Suggested(id, workflow, policy, action, sensorID string, generatedAt, observedAt, decidedAt sim.Time) {
-	if r == nil || id == "" {
+// spanLog holds spans as values in creation order, in chunks that are
+// never reallocated — the first holds spanChunkMin spans, each next one
+// twice the last, up to spanChunkMax — so recording a span never copies
+// the ones already held.
+type spanLog struct {
+	chunks [][]Span
+	n      int
+}
+
+const (
+	spanChunkMin       = 8
+	spanChunkDoublings = 3
+	spanChunkMax       = spanChunkMin << spanChunkDoublings
+	// spanChunkHead is how many spans the chunks before the first
+	// spanChunkMax-sized one hold.
+	spanChunkHead = spanChunkMax - spanChunkMin
+)
+
+// locate returns the chunk holding span i and its offset there.
+func locate(i int) (chunk, off int) {
+	if i >= spanChunkHead {
+		i -= spanChunkHead
+		return spanChunkDoublings + i/spanChunkMax, i % spanChunkMax
+	}
+	chunk = bits.Len(uint(i/spanChunkMin+1)) - 1
+	return chunk, i - spanChunkMin*(1<<chunk-1)
+}
+
+// at returns span i, which must be held.
+func (l *spanLog) at(i int) *Span {
+	c, off := locate(i)
+	return &l.chunks[c][off]
+}
+
+// add appends a span.
+func (l *spanLog) add(sp Span) {
+	c, off := locate(l.n)
+	if c == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]Span, min(spanChunkMin<<c, spanChunkMax)))
+	}
+	l.chunks[c][off] = sp
+	l.n++
+}
+
+// span returns the span of suggestion seq, or nil. Decision numbers its
+// suggestions consecutively and Suggested opens spans only in that order,
+// so the span of seq sits at seq's distance from the first one's.
+func (r *Recorder) span(seq int) *Span {
+	if seq < 1 || r.spans.n == 0 {
+		return nil
+	}
+	i := seq - r.spans.at(0).Seq
+	if i < 0 || i >= r.spans.n {
+		return nil
+	}
+	if sp := r.spans.at(i); sp.Seq == seq {
+		return sp
+	}
+	return nil
+}
+
+// Suggested opens the span of suggestion seq: Decision emitted it. It
+// opens spans in Decision's numbering only: the first span, or the one
+// numbered one past the last; any other seq (0, a repeat) opens none.
+func (r *Recorder) Suggested(seq int, workflow, policy, action, sensorID string, generatedAt, observedAt, decidedAt sim.Time) {
+	if r == nil || seq < 1 {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.spans[id]; ok {
+	if r.spans.n > 0 && seq != r.spans.at(r.spans.n-1).Seq+1 {
 		return
 	}
-	r.spans[id] = &Span{
-		ID:          id,
+	r.spans.add(Span{
+		Seq:         seq,
 		Workflow:    workflow,
 		Policy:      policy,
 		Action:      action,
@@ -228,30 +366,29 @@ func (r *Recorder) Suggested(id, workflow, policy, action, sensorID string, gene
 		GeneratedAt: generatedAt,
 		ObservedAt:  observedAt,
 		DecidedAt:   decidedAt,
-	}
-	r.order = append(r.order, id)
+	})
 }
 
 // Received stamps the span's arrival at Arbitration.
-func (r *Recorder) Received(id string, at sim.Time) {
+func (r *Recorder) Received(seq int, at sim.Time) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sp, ok := r.spans[id]; ok {
+	if sp := r.span(seq); sp != nil {
 		sp.ReceivedAt = at
 	}
 }
 
 // Planned stamps the plan-finalization instant.
-func (r *Recorder) Planned(id string, at sim.Time) {
+func (r *Recorder) Planned(seq int, at sim.Time) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sp, ok := r.spans[id]; ok {
+	if sp := r.span(seq); sp != nil {
 		sp.PlannedAt = at
 	}
 }
@@ -272,14 +409,14 @@ func (r *Recorder) SetOnComplete(fn func(Span)) {
 }
 
 // Executed stamps the actuation-complete instant.
-func (r *Recorder) Executed(id string, at sim.Time) {
+func (r *Recorder) Executed(seq int, at sim.Time) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	var done Span
 	fn := r.onComplete
-	if sp, ok := r.spans[id]; ok {
+	if sp := r.span(seq); sp != nil {
 		sp.ExecutedAt = at
 		done = *sp
 	} else {
@@ -292,13 +429,13 @@ func (r *Recorder) Executed(id string, at sim.Time) {
 }
 
 // Drop marks the span discarded at Arbitration with a reason.
-func (r *Recorder) Drop(id, reason string, at sim.Time) {
+func (r *Recorder) Drop(seq int, reason string, at sim.Time) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sp, ok := r.spans[id]; ok {
+	if sp := r.span(seq); sp != nil {
 		sp.Dropped = reason
 		if sp.ReceivedAt == 0 {
 			sp.ReceivedAt = at
@@ -403,29 +540,53 @@ func (r *Recorder) QueueMaxDepth(endpoint string) int {
 	return 0
 }
 
-// Spans returns all spans in creation order.
+// Spans returns a copy of every span, in creation order.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, *r.spans[id])
+	out := make([]Span, r.spans.n)
+	for i := range out {
+		out[i] = *r.spans.at(i)
 	}
 	return out
 }
 
-// Span returns one span by ID.
-func (r *Recorder) Span(id string) (Span, bool) {
+// NumSpans returns how many spans the recorder holds.
+func (r *Recorder) NumSpans() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.spans.n
+}
+
+// VisitSpans calls fn with every span, in creation order, under the
+// recorder's lock: fn reads the span in place, so it must not keep or
+// change it, nor call the recorder.
+func (r *Recorder) VisitSpans(fn func(sp *Span)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := 0; i < r.spans.n; i++ {
+		fn(r.spans.at(i))
+	}
+}
+
+// Span returns the span of suggestion seq.
+func (r *Recorder) Span(seq int) (Span, bool) {
 	if r == nil {
 		return Span{}, false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sp, ok := r.spans[id]
-	if !ok {
+	sp := r.span(seq)
+	if sp == nil {
 		return Span{}, false
 	}
 	return *sp, true

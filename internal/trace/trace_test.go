@@ -18,18 +18,18 @@ func sec(n int) sim.Time { return sim.Time(n) * sim.Time(time.Second) }
 // fill records a small but fully populated run: two completed spans, one
 // dropped span, sensor lags, op latencies, counters, and queue samples.
 func fill(r *Recorder) {
-	r.Suggested("W/P1#1", "W", "P1", "ADDCPU", "PACE", sec(1), sec(2), sec(3))
-	r.Received("W/P1#1", sec(4))
-	r.Planned("W/P1#1", sec(5))
-	r.Executed("W/P1#1", sec(9))
+	r.Suggested(1, "W", "P1", "ADDCPU", "PACE", sec(1), sec(2), sec(3))
+	r.Received(1, sec(4))
+	r.Planned(1, sec(5))
+	r.Executed(1, sec(9))
 
-	r.Suggested("W/P2#2", "W", "P2", "RMCPU", "PACE", sec(2), sec(3), sec(4))
-	r.Drop("W/P2#2", "warmup", sec(5))
+	r.Suggested(2, "W", "P2", "RMCPU", "PACE", sec(2), sec(3), sec(4))
+	r.Drop(2, "warmup", sec(5))
 
-	r.Suggested("W/P1#3", "W", "P1", "ADDCPU", "PACE", sec(10), sec(11), sec(12))
-	r.Received("W/P1#3", sec(13))
-	r.Planned("W/P1#3", sec(14))
-	r.Executed("W/P1#3", sec(20))
+	r.Suggested(3, "W", "P1", "ADDCPU", "PACE", sec(10), sec(11), sec(12))
+	r.Received(3, sec(13))
+	r.Planned(3, sec(14))
+	r.Executed(3, sec(20))
 
 	r.SensorLag("PACE", sec(1))
 	r.SensorLag("PACE", sec(2))
@@ -50,17 +50,17 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}
 	// Creation order preserved.
-	if spans[0].ID != "W/P1#1" || spans[1].ID != "W/P2#2" || spans[2].ID != "W/P1#3" {
-		t.Fatalf("span order = %v %v %v", spans[0].ID, spans[1].ID, spans[2].ID)
+	if spans[0].ID() != "W/P1#1" || spans[1].ID() != "W/P2#2" || spans[2].ID() != "W/P1#3" {
+		t.Fatalf("span order = %v %v %v", spans[0].ID(), spans[1].ID(), spans[2].ID())
 	}
-	sp, ok := r.Span("W/P1#1")
+	sp, ok := r.Span(1)
 	if !ok || !sp.Complete() || !sp.Monotone() {
 		t.Fatalf("span = %+v, want complete and monotone", sp)
 	}
 	if sp.ExecutedAt != sec(9) {
 		t.Fatalf("ExecutedAt = %v, want 9s", sp.ExecutedAt)
 	}
-	dropped, ok := r.Span("W/P2#2")
+	dropped, ok := r.Span(2)
 	if !ok || dropped.Dropped != "warmup" || dropped.Complete() {
 		t.Fatalf("dropped span = %+v", dropped)
 	}
@@ -97,18 +97,18 @@ func TestCounters(t *testing.T) {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Inc("x", 1)
-	r.Suggested("id", "w", "p", "a", "s", 0, 0, 0)
-	r.Received("id", 0)
-	r.Planned("id", 0)
-	r.Executed("id", 0)
-	r.Drop("id", "warmup", 0)
+	r.Suggested(1, "w", "p", "a", "s", 0, 0, 0)
+	r.Received(1, 0)
+	r.Planned(1, 0)
+	r.Executed(1, 0)
+	r.Drop(1, "warmup", 0)
 	r.SensorLag("s", 0)
 	r.OpExecuted("stop", 0, 0)
 	r.QueueDepth("ep", 0)
 	if r.Counter("x") != 0 || r.Spans() != nil {
 		t.Fatal("nil recorder retained state")
 	}
-	if _, ok := r.Span("id"); ok {
+	if _, ok := r.Span(1); ok {
 		t.Fatal("nil recorder returned a span")
 	}
 	rep := r.Report()
@@ -212,17 +212,24 @@ func TestRecorderConcurrentAccess(t *testing.T) {
 	reg := obs.NewRegistry()
 	r.SetMetrics(reg)
 
+	// Suggestions are numbered by one minter, as Decision numbers them:
+	// each writer takes the next number and opens its span under mint.
 	var wg sync.WaitGroup
+	var mint sync.Mutex
+	last := 0
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				id := sec(w*1000 + i).String()
-				r.Suggested(id, "W", "P", "ADDCPU", "PACE", sec(1), sec(2), sec(3))
-				r.Received(id, sec(4))
-				r.Planned(id, sec(5))
-				r.Executed(id, sec(6))
+				mint.Lock()
+				last++
+				seq := last
+				r.Suggested(seq, "W", "P", "ADDCPU", "PACE", sec(1), sec(2), sec(3))
+				mint.Unlock()
+				r.Received(seq, sec(4))
+				r.Planned(seq, sec(5))
+				r.Executed(seq, sec(6))
 				r.Inc("decision.suggestions", 1)
 				r.SensorLag("PACE", sec(i%5))
 				r.OpExecuted("start", sec(0), sec(i%3))
