@@ -141,7 +141,7 @@ exp-diff:
 # sampled (-memprofilerate 1) and once under the CPU profiler, writes both
 # profiles and the test binary into .bench_build/prof/, and prints the top
 # 15 sites by alloc_space and by flat CPU time. The passes are separate so
-# the allocation sampling does not weigh on the CPU profile. About 10 s for
+# the allocation sampling does not weigh on the CPU profile. About 5 s for
 # xgc on a 2-vCPU host; not a CI step.
 SCENARIO ?= xgc
 PROF_RUNS ?= 20
