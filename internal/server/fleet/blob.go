@@ -77,6 +77,22 @@ func NewBlobStore(dir string, reg *obs.Registry) (*BlobStore, error) {
 	}, nil
 }
 
+// validDigest reports whether digest is a content address: 64 lowercase
+// hex characters. Get, Has and Size answer "absent" for anything else
+// before touching the disk, so a digest taken from a request path (where
+// the mux has already unescaped %2F) can never name a file outside dir.
+func validDigest(digest string) bool {
+	if len(digest) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(digest); i++ {
+		if c := digest[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // path is the blob's on-disk location, fanned out by digest prefix.
 func (b *BlobStore) path(digest string) string {
 	return filepath.Join(b.dir, digest[:2], digest)
@@ -150,7 +166,7 @@ func (b *BlobStore) Get(digest string) ([]byte, bool) {
 	if ok {
 		return data, true
 	}
-	if b.dir == "" || len(digest) < 2 {
+	if b.dir == "" || !validDigest(digest) {
 		return nil, false
 	}
 	data, err := os.ReadFile(b.path(digest))
@@ -167,12 +183,14 @@ func (b *BlobStore) Get(digest string) ([]byte, bool) {
 	return data, true
 }
 
-// Has reports whether a blob is resident (memory or disk).
+// Has reports whether a blob is resident (memory or disk). A file on disk
+// counts as present without being read, so unlike Get it does not check
+// that the bytes still hash to digest.
 func (b *BlobStore) Has(digest string) bool {
 	b.mu.Lock()
 	_, ok := b.mem[digest]
 	b.mu.Unlock()
-	if ok || b.dir == "" || len(digest) < 2 {
+	if ok || b.dir == "" || !validDigest(digest) {
 		return ok
 	}
 	_, err := os.Stat(b.path(digest))
@@ -188,7 +206,7 @@ func (b *BlobStore) Size(digest string) int64 {
 	if ok {
 		return int64(len(data))
 	}
-	if b.dir == "" || len(digest) < 2 {
+	if b.dir == "" || !validDigest(digest) {
 		return 0
 	}
 	fi, err := os.Stat(b.path(digest))

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -363,5 +365,36 @@ func TestBlobHeadLeavesDurableBlobOnDisk(t *testing.T) {
 	h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/v1/blobs/"+digest, nil))
 	if get.Code != http.StatusOK || !bytes.Equal(get.Body.Bytes(), want) {
 		t.Fatalf("GET answered %d with %d bytes, want 200 and the blob's %d", get.Code, get.Body.Len(), len(want))
+	}
+}
+
+// TestBlobDigestOutsideStoreIsNotFound: a digest that is not 64 lowercase
+// hex characters names no blob. A path-escaping one (`..%2F`, unescaped by
+// the mux into the path value) gets 404 on HEAD and GET alike, even though
+// the file it would reach outside the blob directory exists.
+func TestBlobDigestOutsideStoreIsNotFound(t *testing.T) {
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "secret"), []byte("not a blob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workers: -1, TenantQuota: -1, CkptDir: filepath.Join(root, "ckpt"), Logger: quietLogger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	for _, digest := range []string{
+		"..%2Fsecret", // blobs/.. then ../secret: root/secret
+		strings.ToUpper(fleet.Digest([]byte("x"))),
+		fleet.Digest([]byte("x"))[:63],
+	} {
+		for _, method := range []string{http.MethodHead, http.MethodGet} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, "/v1/blobs/"+digest, nil))
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("%s /v1/blobs/%s answered %d with Content-Length %q, want 404",
+					method, digest, rec.Code, rec.Header().Get("Content-Length"))
+			}
+		}
 	}
 }

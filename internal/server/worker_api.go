@@ -304,7 +304,10 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 // handleBlobGet serves a blob. Go's mux routes HEAD here too, which is
 // how workers probe before uploading; a HEAD is answered from the store's
 // index (Has, and Size for its Content-Length) and reads no bytes, so a
-// probe does not fault a blob a previous process wrote into memory.
+// probe does not fault a blob a previous process wrote into memory. It
+// therefore does not check the blob's hash either: a file on disk that no
+// longer hashes to its digest answers HEAD 200 and GET 404. Either way a
+// digest that is not 64 lowercase hex characters answers 404.
 func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	if r.Method == http.MethodHead {
