@@ -52,8 +52,8 @@ func (r *Recorder) State() State {
 // name on each one's next sample, so a restore creates no series the
 // recorder has not since written. Latency histograms are re-resolved by
 // key so registry-backed distributions keep their samples. Spans are
-// found by Seq again (a decoded span takes it from its ID), so a log
-// numbered consecutively, as Decision numbers it, is stamped as before.
+// found by Seq again (a decoded span takes it from its ID), in whatever
+// order the log holds them, so they are stamped as before.
 func (r *Recorder) Restore(st State) {
 	if r == nil {
 		return

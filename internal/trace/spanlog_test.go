@@ -8,7 +8,7 @@ import (
 // TestSpanLogKeepsSpansInPlace: the recorder holds spans as values in
 // chunks it never reallocates, and finds each by its Seq. A span recorded
 // first is at the same address after a thousand more; every span is found
-// by its number; a repeated or out-of-sequence number opens none.
+// by its number with one index; a repeated number opens none.
 func TestSpanLogKeepsSpansInPlace(t *testing.T) {
 	r := New()
 	r.Suggested(1, "W", "P", "ADDCPU", "PACE", 1, 2, 3)
@@ -28,11 +28,14 @@ func TestSpanLogKeepsSpansInPlace(t *testing.T) {
 			t.Fatalf("Span(%d) = %+v, %v", seq, sp, ok)
 		}
 	}
-	for _, seq := range []int{0, -1, 5, 1000, 1002} {
+	if r.spans.moved != nil {
+		t.Fatalf("consecutive spans were indexed out of order: %v", r.spans.moved)
+	}
+	for _, seq := range []int{0, -1, 5, 1000} {
 		r.Suggested(seq, "W", "P", "ADDCPU", "PACE", 0, 0, 0)
 	}
 	if n := r.NumSpans(); n != 1000 {
-		t.Fatalf("%d spans after repeated and out-of-sequence numbers, want 1000", n)
+		t.Fatalf("%d spans after repeated numbers, want 1000", n)
 	}
 	if _, ok := r.Span(1001); ok {
 		t.Fatal("found a span no suggestion opened")
@@ -45,6 +48,37 @@ func TestSpanLogKeepsSpansInPlace(t *testing.T) {
 	})
 	if n != 1000 {
 		t.Fatalf("visited %d spans, want 1000", n)
+	}
+}
+
+// TestSpanLogFindsSpansOutOfOrder: numbers that do not follow the last
+// span — a gap, a lower number, a restored log that starts past 1 or
+// holds a span with no number — are all opened and stamped, and a
+// repeated one still opens none.
+func TestSpanLogFindsSpansOutOfOrder(t *testing.T) {
+	r := New()
+	r.Restore(State{Spans: []Span{{Seq: 7, Workflow: "W", Policy: "P"}, {Workflow: "W", Policy: "P", id: "odd"}, {Seq: 9, Workflow: "W", Policy: "P"}}})
+	order := []int{8, 20, 10, 3, 21, 1, 22}
+	for _, seq := range order {
+		r.Suggested(seq, "W", "P", "ADDCPU", "PACE", 1, 2, 3)
+	}
+	for _, seq := range append([]int{7, 9, 20, 3}, order...) {
+		r.Suggested(seq, "W", "P", "ADDCPU", "PACE", 0, 0, 0)
+	}
+	if n := r.NumSpans(); n != 3+len(order) {
+		t.Fatalf("%d spans, want %d", n, 3+len(order))
+	}
+	for _, seq := range append([]int{7, 9}, order...) {
+		r.Received(seq, 4)
+		r.Executed(seq, 6)
+		if sp, ok := r.Span(seq); !ok || sp.Seq != seq || sp.ReceivedAt != 4 || !sp.Complete() {
+			t.Fatalf("Span(%d) = %+v, %v, want it found and stamped", seq, sp, ok)
+		}
+	}
+	for _, seq := range []int{0, 2, 11, 23} {
+		if sp, ok := r.Span(seq); ok {
+			t.Fatalf("Span(%d) found %+v, which no suggestion opened", seq, sp)
+		}
 	}
 }
 

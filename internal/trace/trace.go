@@ -288,9 +288,17 @@ func (r *Recorder) Counter(name string) int64 {
 // never reallocated — the first holds spanChunkMin spans, each next one
 // twice the last, up to spanChunkMax — so recording a span never copies
 // the ones already held.
+//
+// A span is found by its Seq. Decision numbers its suggestions
+// consecutively, so span i is normally the one numbered i past span 0 and
+// find reads it with one index. A span that is not where that rule puts
+// it (opened out of order, after a gap, or restored from a log that was)
+// is indexed in moved instead, which stays nil while spans arrive in
+// order.
 type spanLog struct {
 	chunks [][]Span
 	n      int
+	moved  map[int]int // Seq → index, for spans not at Seq − span 0's Seq
 }
 
 const (
@@ -318,8 +326,15 @@ func (l *spanLog) at(i int) *Span {
 	return &l.chunks[c][off]
 }
 
-// add appends a span.
+// add appends a span. A numbered span the log already finds by its Seq is
+// still held, but find keeps returning the first one.
 func (l *spanLog) add(sp Span) {
+	if sp.Seq >= 1 && l.n > 0 && sp.Seq-l.at(0).Seq != l.n && l.find(sp.Seq) == nil {
+		if l.moved == nil {
+			l.moved = make(map[int]int)
+		}
+		l.moved[sp.Seq] = l.n
+	}
 	c, off := locate(l.n)
 	if c == len(l.chunks) {
 		l.chunks = append(l.chunks, make([]Span, min(spanChunkMin<<c, spanChunkMax)))
@@ -328,33 +343,31 @@ func (l *spanLog) add(sp Span) {
 	l.n++
 }
 
-// span returns the span of suggestion seq, or nil. Decision numbers its
-// suggestions consecutively and Suggested opens spans only in that order,
-// so the span of seq sits at seq's distance from the first one's.
-func (r *Recorder) span(seq int) *Span {
-	if seq < 1 || r.spans.n == 0 {
+// find returns the span of suggestion seq, or nil.
+func (l *spanLog) find(seq int) *Span {
+	if seq < 1 || l.n == 0 {
 		return nil
 	}
-	i := seq - r.spans.at(0).Seq
-	if i < 0 || i >= r.spans.n {
-		return nil
+	if i := seq - l.at(0).Seq; i >= 0 && i < l.n {
+		if sp := l.at(i); sp.Seq == seq {
+			return sp
+		}
 	}
-	if sp := r.spans.at(i); sp.Seq == seq {
-		return sp
+	if i, ok := l.moved[seq]; ok {
+		return l.at(i)
 	}
 	return nil
 }
 
-// Suggested opens the span of suggestion seq: Decision emitted it. It
-// opens spans in Decision's numbering only: the first span, or the one
-// numbered one past the last; any other seq (0, a repeat) opens none.
+// Suggested opens the span of suggestion seq: Decision emitted it. A seq
+// below 1, or one that already has a span, opens none.
 func (r *Recorder) Suggested(seq int, workflow, policy, action, sensorID string, generatedAt, observedAt, decidedAt sim.Time) {
 	if r == nil || seq < 1 {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.spans.n > 0 && seq != r.spans.at(r.spans.n-1).Seq+1 {
+	if r.spans.find(seq) != nil {
 		return
 	}
 	r.spans.add(Span{
@@ -376,7 +389,7 @@ func (r *Recorder) Received(seq int, at sim.Time) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sp := r.span(seq); sp != nil {
+	if sp := r.spans.find(seq); sp != nil {
 		sp.ReceivedAt = at
 	}
 }
@@ -388,7 +401,7 @@ func (r *Recorder) Planned(seq int, at sim.Time) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sp := r.span(seq); sp != nil {
+	if sp := r.spans.find(seq); sp != nil {
 		sp.PlannedAt = at
 	}
 }
@@ -416,7 +429,7 @@ func (r *Recorder) Executed(seq int, at sim.Time) {
 	r.mu.Lock()
 	var done Span
 	fn := r.onComplete
-	if sp := r.span(seq); sp != nil {
+	if sp := r.spans.find(seq); sp != nil {
 		sp.ExecutedAt = at
 		done = *sp
 	} else {
@@ -435,7 +448,7 @@ func (r *Recorder) Drop(seq int, reason string, at sim.Time) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sp := r.span(seq); sp != nil {
+	if sp := r.spans.find(seq); sp != nil {
 		sp.Dropped = reason
 		if sp.ReceivedAt == 0 {
 			sp.ReceivedAt = at
@@ -585,7 +598,7 @@ func (r *Recorder) Span(seq int) (Span, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sp := r.span(seq)
+	sp := r.spans.find(seq)
 	if sp == nil {
 		return Span{}, false
 	}

@@ -212,21 +212,14 @@ func TestRecorderConcurrentAccess(t *testing.T) {
 	reg := obs.NewRegistry()
 	r.SetMetrics(reg)
 
-	// Suggestions are numbered by one minter, as Decision numbers them:
-	// each writer takes the next number and opens its span under mint.
 	var wg sync.WaitGroup
-	var mint sync.Mutex
-	last := 0
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				mint.Lock()
-				last++
-				seq := last
+				seq := w*1000 + i + 1
 				r.Suggested(seq, "W", "P", "ADDCPU", "PACE", sec(1), sec(2), sec(3))
-				mint.Unlock()
 				r.Received(seq, sec(4))
 				r.Planned(seq, sec(5))
 				r.Executed(seq, sec(6))
@@ -258,6 +251,11 @@ func TestRecorderConcurrentAccess(t *testing.T) {
 	}
 	if len(r.Spans()) != 800 {
 		t.Fatalf("spans = %d, want 800", len(r.Spans()))
+	}
+	for _, sp := range r.Spans() {
+		if !sp.Complete() {
+			t.Fatalf("span %d was not stamped: %+v", sp.Seq, sp)
+		}
 	}
 }
 
