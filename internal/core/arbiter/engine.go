@@ -324,7 +324,7 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 	// the sender's payload: screening copies into e.sgBuf, never into it.
 	e.wfs = e.wfs[:0]
 	for i := range batch {
-		if wf := batch[i].Rule.Workflow; !slices.Contains(e.wfs, wf) {
+		if wf := batch[i].Rule.Workflow(); !slices.Contains(e.wfs, wf) {
 			e.wfs = append(e.wfs, wf)
 		}
 	}
@@ -343,10 +343,10 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 		sgs := e.sgBuf[:0]
 		for i := range batch {
 			sg := &batch[i]
-			if sg.Rule.Workflow != wf {
+			if sg.Rule.Workflow() != wf {
 				continue
 			}
-			if st, ok := tasks[sg.Rule.AssessTask]; ok && st.StartedAt > 0 && sim.Time(sg.DecidedAt) < st.StartedAt {
+			if st, ok := tasks[sg.Rule.AssessTask()]; ok && st.StartedAt > 0 && sim.Time(sg.DecidedAt) < st.StartedAt {
 				e.tr.Drop(sg.Seq, "stale", received)
 				e.tr.Inc("arbiter.stale_suggestions", 1)
 				continue

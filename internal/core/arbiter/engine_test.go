@@ -199,7 +199,7 @@ func TestEngineGatherLeavesPayloadUntouched(t *testing.T) {
 	if len(r.exec.plans) != 1 || len(r.exec.plans[0].Trigger) != 2 {
 		t.Fatalf("plans = %+v, want one plan triggered by both batches", r.exec.plans)
 	}
-	if first[1].Rule.Workflow != "sentinel" || first[1].Rule.PolicyID != "sentinel" {
+	if first[1].Rule.Workflow() != "sentinel" || first[1].Rule.PolicyID() != "sentinel" {
 		t.Fatalf("gather wrote into the first payload's spare capacity: %+v", first[1])
 	}
 }

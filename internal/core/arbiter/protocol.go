@@ -622,14 +622,14 @@ func (p *planner) resolveConflicts(in PlanInput, plan *Plan) {
 		if err != nil {
 			continue
 		}
-		pri := in.Rules.PolicyPriority(r.PolicyID)
+		pri := in.Rules.PolicyPriority(r.PolicyID())
 		if act == spec.ActionSwitch {
 			// SWITCH = stop the assessed task, start the act-on tasks.
-			p.consider(in, plan, intent{action: spec.ActionStop, task: r.AssessTask, policy: r.PolicyID, policyPri: pri, rule: r})
+			p.consider(in, plan, intent{action: spec.ActionStop, task: r.AssessTask(), policy: r.PolicyID(), policyPri: pri, rule: r})
 			act = spec.ActionStart
 		}
 		for j := 0; j < r.NumActOnTasks(); j++ {
-			p.consider(in, plan, intent{action: act, task: r.ActOnTask(j), policy: r.PolicyID, policyPri: pri, rule: r})
+			p.consider(in, plan, intent{action: act, task: r.ActOnTask(j), policy: r.PolicyID(), policyPri: pri, rule: r})
 		}
 	}
 }

@@ -737,7 +737,7 @@ func TestStoppedParentStopsRunningDependentItStarts(t *testing.T) {
 	in := genInput(534)
 	var switched bool
 	for _, sg := range in.Suggestions {
-		if r := sg.Rule; r.Action == "SWITCH" && r.AssessTask == "D" && r.NumActOnTasks() == 1 && r.ActOnTask(0) == "E" {
+		if r := sg.Rule; r.Action() == "SWITCH" && r.AssessTask() == "D" && r.NumActOnTasks() == 1 && r.ActOnTask(0) == "E" {
 			switched = true
 		}
 	}

@@ -29,7 +29,7 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 	byWF := map[string][]decision.Suggestion{}
 	var order []string
 	for _, sg := range batch {
-		wf := sg.Rule.Workflow
+		wf := sg.Rule.Workflow()
 		if _, seen := byWF[wf]; !seen {
 			order = append(order, wf)
 		}
@@ -42,7 +42,7 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 		free := e.view.Snapshot(wf, tasks)
 		fresh := sgs[:0]
 		for _, sg := range sgs {
-			if st, ok := tasks[sg.Rule.AssessTask]; ok && st.StartedAt > 0 && sim.Time(sg.DecidedAt) < st.StartedAt {
+			if st, ok := tasks[sg.Rule.AssessTask()]; ok && st.StartedAt > 0 && sim.Time(sg.DecidedAt) < st.StartedAt {
 				e.tr.Drop(trace.ParseSeq(sg.ID()), "stale", received)
 				e.tr.Inc("arbiter.stale_suggestions", 1)
 				continue
@@ -300,7 +300,7 @@ func runRounds(t *testing.T, sc roundScenario, arbitrate func(*Engine, *sim.Proc
 			b := make([]decision.Suggestion, len(batch), len(batch)+4)
 			copy(b, batch)
 			for _, sg := range b {
-				tr.Suggested(sg.Seq, sg.Rule.Workflow, sg.Rule.PolicyID, sg.Rule.Action, "", sim.Time(sg.GeneratedAt), sim.Time(sg.GeneratedAt), sim.Time(sg.DecidedAt))
+				tr.Suggested(sg.Seq, sg.Rule.Workflow(), sg.Rule.PolicyID(), sg.Rule.Action(), "", sim.Time(sg.GeneratedAt), sim.Time(sg.GeneratedAt), sim.Time(sg.DecidedAt))
 			}
 			out.Returned = append(out.Returned, arbitrate(eng, p, b))
 			out.Batches = append(out.Batches, b[:cap(b)])

@@ -437,7 +437,7 @@ func (e *Engine) evaluate(b *binding, now sim.Time) (Suggestion, bool) {
 		}
 		e.seq++
 		r := b.rule
-		e.tr.Suggested(e.seq, r.Workflow, r.PolicyID, r.Action, b.order[i].Sensor, st.genAt, st.lastAt, now)
+		e.tr.Suggested(e.seq, r.workflow, r.policyID, r.action, b.order[i].Sensor, st.genAt, st.lastAt, now)
 		return Suggestion{
 			Rule:        r,
 			Seq:         e.seq,

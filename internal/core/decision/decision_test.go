@@ -88,7 +88,7 @@ func newEngine(t *testing.T) (*sim.Sim, *Engine) {
 func filterPolicy(sgs []Suggestion, policy string) []Suggestion {
 	var out []Suggestion
 	for _, sg := range sgs {
-		if sg.Rule.PolicyID == policy {
+		if sg.Rule.PolicyID() == policy {
 			out = append(out, sg)
 		}
 	}
@@ -116,7 +116,7 @@ func TestHistoryAveragedEvaluation(t *testing.T) {
 		t.Fatalf("suggestions = %+v, want exactly 1", got)
 	}
 	sg := got[0]
-	if sg.Rule.PolicyID != "INC_ON_PACE" || sg.Rule.Action != "ADDCPU" {
+	if sg.Rule.PolicyID() != "INC_ON_PACE" || sg.Rule.Action() != "ADDCPU" {
 		t.Fatalf("suggestion = %+v", sg)
 	}
 	if sg.MetricValue != 40 {
@@ -178,7 +178,7 @@ func TestEQConditionOnWorkflowMetric(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("suggestions = %+v, want 1 (only the EQ match)", got)
 	}
-	if got[0].Rule.PolicyID != "SWITCH_ON_COND" || got[0].MetricValue != 374 {
+	if got[0].Rule.PolicyID() != "SWITCH_ON_COND" || got[0].MetricValue != 374 {
 		t.Fatalf("suggestion = %+v", got[0])
 	}
 	if r := got[0].Rule; r.NumActOnTasks() != 1 || r.ActOnTask(0) != "XGC1" {
@@ -258,7 +258,7 @@ func TestEndToEndOverBus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != 1 || batch[0].Rule.Action != "ADDCPU" {
+	if len(batch) != 1 || batch[0].Rule.Action() != "ADDCPU" {
 		t.Fatalf("batch = %+v", batch)
 	}
 	if got := tr.Counter("decision.suggestions"); got < 1 {
@@ -343,7 +343,7 @@ func TestPredictiveSlopePolicy(t *testing.T) {
 	if len(fired) == 0 {
 		t.Fatal("growing memory never fired the predictive policy")
 	}
-	if fired[0].Rule.Action != "RESTART" {
+	if fired[0].Rule.Action() != "RESTART" {
 		t.Fatalf("suggestion = %+v", fired[0])
 	}
 }
@@ -413,12 +413,18 @@ func TestNodeTaskGranularityBinding(t *testing.T) {
 
 // TestParamsNotAliasedIntoSuggestion: a suggestion names its binding's
 // rule, and nothing it exposes can change what a later round suggests:
-// no exported field reachable from a Suggestion is a map or a slice (a
-// rule's params and act-on tasks are read through accessors), and a later
-// round still reads the spec's adjust-by=20 from the same descriptor.
+// no exported field reachable from a Suggestion is a map or a slice, a
+// Rule has no exported field at all (every suggestion of a binding shares
+// it, and it is read through accessors), and a later round still reads
+// the spec's adjust-by=20 from the same descriptor.
 func TestParamsNotAliasedIntoSuggestion(t *testing.T) {
 	if got := mutableFields(reflect.TypeOf(Suggestion{}), "Suggestion", map[reflect.Type]bool{}); len(got) > 0 {
 		t.Fatalf("exported maps or slices a downstream stage could write: %v", got)
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Rule{})) {
+		if f.IsExported() {
+			t.Fatalf("Rule.%s is exported: a write to it would change every suggestion of the binding", f.Name)
+		}
 	}
 	s, e := newEngine(t)
 	e.Ingest(metric("GS", "Iso", "PACE", spec.GranTask, 100, s.Now()))

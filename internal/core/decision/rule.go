@@ -11,13 +11,14 @@ import (
 // assess-task it is bound to, its action, the tasks it acts on and its
 // parameters. The engine builds one per binding when it is built, and
 // every suggestion the binding makes names it by pointer. A rule is
-// immutable: the act-on tasks and parameters are read through accessors,
-// so nothing a suggestion reaches can change what a later round suggests.
+// immutable: it has no exported field, every part of it is read through
+// an accessor, so nothing a suggestion reaches can change what that
+// binding's other suggestions say.
 type Rule struct {
-	Workflow   string
-	PolicyID   string
-	Action     string
-	AssessTask string
+	workflow   string
+	policyID   string
+	action     string
+	assessTask string
 
 	actOn  []string
 	params map[string]string
@@ -31,10 +32,10 @@ type Rule struct {
 // act-on tasks and parameters.
 func NewRule(workflow, policyID, action, assessTask string, actOnTasks []string, params map[string]string) *Rule {
 	r := &Rule{
-		Workflow:   workflow,
-		PolicyID:   policyID,
-		Action:     action,
-		AssessTask: assessTask,
+		workflow:   workflow,
+		policyID:   policyID,
+		action:     action,
+		assessTask: assessTask,
 		actOn:      append([]string(nil), actOnTasks...),
 	}
 	if params != nil {
@@ -45,6 +46,18 @@ func NewRule(workflow, policyID, action, assessTask string, actOnTasks []string,
 	}
 	return r
 }
+
+// Workflow returns the workflow the binding belongs to.
+func (r *Rule) Workflow() string { return r.workflow }
+
+// PolicyID returns the bound policy's ID.
+func (r *Rule) PolicyID() string { return r.policyID }
+
+// Action returns the policy's action, as the spec writes it.
+func (r *Rule) Action() string { return r.action }
+
+// AssessTask returns the task whose metrics the policy assesses.
+func (r *Rule) AssessTask() string { return r.assessTask }
 
 // NumActOnTasks returns how many tasks the rule acts on.
 func (r *Rule) NumActOnTasks() int { return len(r.actOn) }
@@ -74,7 +87,7 @@ func (r *Rule) IntParam(key string, def int) int {
 }
 
 // ParsedAction returns the typed action.
-func (r *Rule) ParsedAction() (spec.Action, error) { return spec.ParseAction(r.Action) }
+func (r *Rule) ParsedAction() (spec.Action, error) { return spec.ParseAction(r.action) }
 
 // Suggestion is one suggested high-level action (Decision -> Arbitration):
 // the rule that fired, the suggestion's number and what it fired on. It
@@ -111,7 +124,7 @@ func (s Suggestion) ID() string {
 	if s.Rule.id != "" {
 		return s.Rule.id
 	}
-	return trace.SpanID(s.Rule.Workflow, s.Rule.PolicyID, s.Seq)
+	return trace.SpanID(s.Rule.workflow, s.Rule.policyID, s.Seq)
 }
 
 // suggestionJSON is a Suggestion's JSON layout.
@@ -141,7 +154,7 @@ func (s Suggestion) MarshalJSON() ([]byte, error) {
 		DecidedAt:   s.DecidedAt,
 	}
 	if r := s.Rule; r != nil {
-		w.Workflow, w.PolicyID, w.Action, w.AssessTask = r.Workflow, r.PolicyID, r.Action, r.AssessTask
+		w.Workflow, w.PolicyID, w.Action, w.AssessTask = r.workflow, r.policyID, r.action, r.assessTask
 		w.ActOnTasks, w.Params = r.actOn, r.params
 	}
 	return json.Marshal(w)
@@ -158,10 +171,10 @@ func (s *Suggestion) UnmarshalJSON(data []byte) error {
 	}
 	*s = Suggestion{
 		Rule: &Rule{
-			Workflow:   w.Workflow,
-			PolicyID:   w.PolicyID,
-			Action:     w.Action,
-			AssessTask: w.AssessTask,
+			workflow:   w.Workflow,
+			policyID:   w.PolicyID,
+			action:     w.Action,
+			assessTask: w.AssessTask,
 			actOn:      w.ActOnTasks,
 			params:     w.Params,
 		},

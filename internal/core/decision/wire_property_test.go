@@ -152,8 +152,8 @@ func checkWire(t *testing.T, p parentSuggestion) {
 		t.Fatal(err)
 	}
 	r := d.Rule
-	if d.ID() != back.ID || d.Seq != trace.ParseSeq(back.ID) || r.Workflow != back.Workflow || r.PolicyID != back.PolicyID ||
-		r.Action != back.Action || r.AssessTask != back.AssessTask || r.NumActOnTasks() != len(back.ActOnTasks) ||
+	if d.ID() != back.ID || d.Seq != trace.ParseSeq(back.ID) || r.Workflow() != back.Workflow || r.PolicyID() != back.PolicyID ||
+		r.Action() != back.Action || r.AssessTask() != back.AssessTask || r.NumActOnTasks() != len(back.ActOnTasks) ||
 		math.Float64bits(d.MetricValue) != math.Float64bits(back.MetricValue) || d.Step != back.Step ||
 		d.GeneratedAt != back.GeneratedAt || d.ObservedAt != back.ObservedAt || d.DecidedAt != back.DecidedAt {
 		t.Fatalf("%s decodes to %+v (rule %+v), the parent's decode is %+v", want, d, *r, back)
