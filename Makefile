@@ -137,23 +137,23 @@ exp-diff:
 	done; done
 
 # Where a job's bytes and CPU go: `make prof SCENARIO=xgc` (or grayscott,
-# quickstart) runs Benchmark<Scenario>Job twice, once with every allocation
-# sampled (-memprofilerate 1) and once under the CPU profiler, writes both
-# profiles and the test binary into .bench_build/prof/, and prints the top
-# 15 sites by alloc_space and by flat CPU time. The passes are separate so
+# quickstart) runs Benchmark<Scenario>Job twice, 20 iterations each, once
+# with every allocation sampled (-memprofilerate 1) and once under the CPU
+# profiler, writes both profiles and the test binary into
+# .bench_build/prof/, and prints the top 15 sites by alloc_space and by
+# flat CPU time. The passes are separate so
 # the allocation sampling does not weigh on the CPU profile. About 5 s for
 # xgc on a 2-vCPU host; not a CI step.
 SCENARIO ?= xgc
-PROF_RUNS ?= 20
 prof:
 	@set -e; case "$(SCENARIO)" in \
 		xgc) b=XGC;; grayscott) b=GrayScott;; quickstart) b=Quickstart;; \
 		*) echo "prof: SCENARIO is xgc, grayscott or quickstart, not $(SCENARIO)"; exit 1;; esac; \
 	out=.bench_build/prof; mkdir -p $$out; \
 	$(GO) test -c -o $$out/exp.test ./internal/exp; \
-	$$out/exp.test -test.run '^$$' -test.bench "^Benchmark$${b}Job$$" -test.benchtime $(PROF_RUNS)x -test.benchmem \
+	$$out/exp.test -test.run '^$$' -test.bench "^Benchmark$${b}Job$$" -test.benchtime 20x -test.benchmem \
 		-test.memprofilerate 1 -test.memprofile $$out/$(SCENARIO).mem.pprof; \
-	$$out/exp.test -test.run '^$$' -test.bench "^Benchmark$${b}Job$$" -test.benchtime $(PROF_RUNS)x \
+	$$out/exp.test -test.run '^$$' -test.bench "^Benchmark$${b}Job$$" -test.benchtime 20x \
 		-test.cpuprofile $$out/$(SCENARIO).cpu.pprof; \
 	$(GO) tool pprof -top -nodecount 15 -sample_index alloc_space $$out/exp.test $$out/$(SCENARIO).mem.pprof; \
 	$(GO) tool pprof -top -nodecount 15 $$out/exp.test $$out/$(SCENARIO).cpu.pprof
