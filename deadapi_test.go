@@ -73,25 +73,7 @@ func TestExportedFuncsHaveNonTestCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	var decls []decl
 	uses := map[string][]token.Pos{} // identifier -> where it appears, declaration names excluded
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
+	walkSources(t, fset, func(path, dir string, f *ast.File) {
 		declNames := map[*ast.Ident]bool{}
 		for _, fd := range f.Decls {
 			fn, ok := fd.(*ast.FuncDecl)
@@ -117,11 +99,7 @@ func TestExportedFuncsHaveNonTestCallers(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	declared := map[string]bool{}
 	var unused []string
@@ -147,6 +125,37 @@ func TestExportedFuncsHaveNonTestCallers(t *testing.T) {
 		if !declared[key] {
 			t.Errorf("exportedForTests names %s, which is not declared", key)
 		}
+	}
+}
+
+// walkSources parses every non-test Go file of the repository — bench/
+// and cmd/ included, testdata and dot directories not — and calls fn with
+// its path, its directory relative to the module root and its syntax.
+func walkSources(t *testing.T, fset *token.FileSet, fn func(path, dir string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(path, filepath.ToSlash(filepath.Dir(path)), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -77,8 +77,8 @@ type (
 	// StageReport is the flight recorder's §4.6-style per-stage latency
 	// breakdown (see System.TraceReport).
 	StageReport = trace.Report
-	// StageSpan is one suggestion's lifecycle across the four stages.
-	StageSpan = trace.Span
+	// StageSpan is one suggestion's lifecycle, as StageReport holds it.
+	StageSpan = trace.SpanRecord
 )
 
 // Paper workflow builders (Tables 1-3).

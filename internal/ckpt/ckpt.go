@@ -242,3 +242,32 @@ func (st *Store) Append(kind string, v any) error {
 	defer f.Close()
 	return WriteRecord(f, Record{Kind: kind, Data: data})
 }
+
+// Map converts each element of a list. A nil list stays nil and an empty
+// one empty, so the result encodes as the list it was converted from.
+func Map[A, B any](as []A, conv func(A) B) []B {
+	if as == nil {
+		return nil
+	}
+	bs := make([]B, len(as))
+	for i, a := range as {
+		bs[i] = conv(a)
+	}
+	return bs
+}
+
+// TryMap is Map for a conversion that can fail: the first error is
+// returned.
+func TryMap[A, B any](as []A, conv func(A) (B, error)) ([]B, error) {
+	if as == nil {
+		return nil, nil
+	}
+	bs := make([]B, len(as))
+	for i, a := range as {
+		var err error
+		if bs[i], err = conv(a); err != nil {
+			return nil, err
+		}
+	}
+	return bs, nil
+}

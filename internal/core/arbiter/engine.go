@@ -387,10 +387,10 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			continue
 		}
 		// The round executes, so its Record is kept (and checkpointed):
-		// it gets its own copies of the round's buffers before anything
-		// yields, and its suggestions' IDs are formatted. An ID-less batch
-		// keeps a non-nil, empty SuggestionIDs.
-		plan.Trigger = slices.Clone(sgs)
+		// its suggestions' IDs are formatted into it. An ID-less batch
+		// keeps a non-nil, empty SuggestionIDs. sgs stays the round's own
+		// across the yields below: e.sgBuf is only refilled by the next
+		// round.
 		rec := Record{
 			Workflow:      wf,
 			ReceivedAt:    received,
@@ -409,8 +409,8 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			}
 		}
 		rec.PlannedAt = e.s.Now()
-		for i := range plan.Trigger {
-			e.tr.Planned(plan.Trigger[i].Seq, rec.PlannedAt)
+		for i := range sgs {
+			e.tr.Planned(sgs[i].Seq, rec.PlannedAt)
 		}
 
 		rep, err := e.exec.Execute(p, plan)
@@ -421,8 +421,8 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 		rec.Plan = plan
 		rec.AppliedOps = rep.Applied
 		rec.AbortedOps = rep.Aborted
-		for i := range plan.Trigger {
-			e.tr.Executed(plan.Trigger[i].Seq, rec.ExecutedAt)
+		for i := range sgs {
+			e.tr.Executed(sgs[i].Seq, rec.ExecutedAt)
 		}
 		e.tr.Inc("arbiter.rounds", 1)
 		if err != nil {

@@ -2,6 +2,7 @@ package arbiter
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -186,8 +187,8 @@ func TestEngineGatherCombinesBatches(t *testing.T) {
 // batch onto it would overwrite the sentinel in the sender's array.
 func TestEngineGatherLeavesPayloadUntouched(t *testing.T) {
 	r := newEngineRig(t, Config{WarmupDelay: time.Second, SettleDelay: time.Minute, GatherWindow: 5 * time.Second})
-	sgB := decision.Suggestion{Rule: decision.NewRule("W", "P1", "START", "B", []string{"B"}, nil), DecidedAt: int64(10 * time.Second)}
-	sgA := decision.Suggestion{Rule: decision.NewRule("W", "P2", "ADDCPU", "A", []string{"A"}, map[string]string{"adjust-by": "5"}), DecidedAt: int64(12 * time.Second)}
+	sgB := decision.Suggestion{Rule: decision.NewRule("W", "P1", "START", "B", []string{"B"}, nil), Seq: 1, DecidedAt: int64(10 * time.Second)}
+	sgA := decision.Suggestion{Rule: decision.NewRule("W", "P2", "ADDCPU", "A", []string{"A"}, map[string]string{"adjust-by": "5"}), Seq: 2, DecidedAt: int64(12 * time.Second)}
 	sentinel := decision.Suggestion{Rule: decision.NewRule("sentinel", "sentinel", "", "", nil, nil)}
 	first := make([]decision.Suggestion, 2)
 	first[0], first[1] = sgB, sentinel
@@ -196,8 +197,9 @@ func TestEngineGatherLeavesPayloadUntouched(t *testing.T) {
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.exec.plans) != 1 || len(r.exec.plans[0].Trigger) != 2 {
-		t.Fatalf("plans = %+v, want one plan triggered by both batches", r.exec.plans)
+	recs := r.eng.Records()
+	if len(r.exec.plans) != 1 || len(recs) != 1 || !slices.Equal(recs[0].SuggestionIDs, []string{"W/P1#1", "W/P2#2"}) {
+		t.Fatalf("plans = %+v, records %+v, want one plan triggered by both batches", r.exec.plans, recs)
 	}
 	if first[1].Rule.Workflow() != "sentinel" || first[1].Rule.PolicyID() != "sentinel" {
 		t.Fatalf("gather wrote into the first payload's spare capacity: %+v", first[1])

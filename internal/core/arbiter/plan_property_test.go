@@ -33,7 +33,7 @@ type parentIntent struct {
 // parentBuildPlan runs the arbitration protocol and returns the ordered plan and
 // the updated waiting queue.
 func parentBuildPlan(in PlanInput) (Plan, []WaitingTask) {
-	plan := Plan{Workflow: in.Workflow, Trigger: in.Suggestions}
+	plan := Plan{Workflow: in.Workflow}
 
 	// --- Line 2: resolve conflicts in A_sugg using policy priorities. ---
 	intents := parentResolveConflicts(in, &plan)
@@ -519,7 +519,7 @@ func parentSortedTaskNames(tasks map[string]TaskState) []string {
 
 // parentSuggestion is decision.Suggestion as it was before it named its
 // rule by descriptor. The reference reads a suggestion's fields from its
-// JSON, which has that layout.
+// record's JSON, which has that layout.
 type parentSuggestion struct {
 	ID         string            `json:"id,omitempty"`
 	Workflow   string            `json:"workflow"`
@@ -531,7 +531,7 @@ type parentSuggestion struct {
 }
 
 func asParentSuggestion(sg decision.Suggestion) parentSuggestion {
-	data, err := json.Marshal(sg)
+	data, err := json.Marshal(sg.Record())
 	if err != nil {
 		panic(err)
 	}
@@ -665,17 +665,14 @@ func planRounds(t testing.TB, inputs []PlanInput) {
 	}
 	var kept []returned
 	for i, in := range inputs {
-		before, err := json.Marshal(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		before := inputJSON(t, in)
 		plan, waiting := p.build(in)
 		got := planJSON(t, plan, waiting)
 		wantPlan, wantWaiting := parentBuildPlan(in)
 		if want := planJSON(t, wantPlan, wantWaiting); got != want {
 			t.Fatalf("round %d: plan diverges from the reference\ninput: %s\n  got: %s\n want: %s", i, before, got, want)
 		}
-		if after, _ := json.Marshal(in); string(after) != string(before) {
+		if after := inputJSON(t, in); after != before {
 			t.Fatalf("round %d: the planner wrote into its input\nbefore: %s\n after: %s", i, before, after)
 		}
 		kept = append(kept, returned{plan, waiting, got})
@@ -685,6 +682,23 @@ func planRounds(t testing.TB, inputs []PlanInput) {
 			t.Fatalf("round %d's output changed after later rounds\n then: %s\n  now: %s", i, r.json, now)
 		}
 	}
+}
+
+// inputJSON is in's JSON, its suggestions as their records.
+func inputJSON(t testing.TB, in PlanInput) string {
+	t.Helper()
+	recs := make([]decision.SuggestionRecord, len(in.Suggestions))
+	for i, sg := range in.Suggestions {
+		recs[i] = sg.Record()
+	}
+	data, err := json.Marshal(struct {
+		PlanInput
+		Suggestions []decision.SuggestionRecord
+	}{in, recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // TestProperty_BuildPlan_EqualsParent: one planner, reused over 400

@@ -82,8 +82,6 @@ func (o Op) String() string {
 type Plan struct {
 	Workflow string
 	Ops      []Op
-	// Trigger records the suggestions that produced the plan.
-	Trigger []decision.Suggestion
 	// Denied lists suggested actions discarded for infeasibility.
 	Denied []string
 }
@@ -224,7 +222,7 @@ func BuildPlan(in PlanInput) (Plan, []WaitingTask) {
 
 // build runs the arbitration protocol on the planner's scratch space.
 func (p *planner) build(in PlanInput) (Plan, []WaitingTask) {
-	plan := Plan{Workflow: in.Workflow, Trigger: in.Suggestions}
+	plan := Plan{Workflow: in.Workflow}
 
 	// --- Line 2: resolve conflicts in A_sugg using policy priorities. ---
 	p.resolveConflicts(in, &plan)

@@ -5,9 +5,16 @@
 // as one checkpoint blob. A kill at a round boundary is lossless: the killed
 // orchestrator's blob, restored into a rebuilt orchestrator, continues the
 // campaign as if never killed.
+//
+// This file owns the blob's schema: what lives as a descriptor — a queued
+// message's series or rule, a span's number — is held as its record type,
+// turned back into a live value on Restore, or rejected.
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+
 	"dyflow/internal/ckpt"
 	"dyflow/internal/core/arbiter"
 	"dyflow/internal/core/decision"
@@ -61,13 +68,21 @@ func (o *Orchestrator) Checkpoint() ([]byte, error) {
 // holds. Call on a freshly built (not yet started) orchestrator over the
 // same compiled spec; the subsequent Start resumes every stage exactly where
 // the checkpoint left it — including mid-sleep sensor workers and the
-// arbiter's warm-up origin.
+// arbiter's warm-up origin. A blob holding a record no live value can
+// represent — a queued message whose granularity does not parse, a
+// suggestion or span whose ID is not its own — is an error; the
+// orchestrator must then not be started.
 func (o *Orchestrator) Restore(blob []byte) error {
 	var snap Snapshot
 	if err := ckpt.Decode(blob, SnapshotKind, &snap); err != nil {
 		return err
 	}
-	o.Bus.Restore(snap.Bus)
+	if err := o.Bus.Restore(snap.Bus); err != nil {
+		return err
+	}
+	if err := o.Trace.Restore(snap.Trace); err != nil {
+		return err
+	}
 	o.Decision.Restore(snap.Decision)
 	o.Arbiter.Restore(snap.Arbiter)
 	o.Server.Restore(snap.Server)
@@ -76,6 +91,46 @@ func (o *Orchestrator) Restore(blob []byte) error {
 			o.Clients[i].Restore(cs)
 		}
 	}
-	o.Trace.Restore(snap.Trace)
 	return nil
+}
+
+// encodePayload encodes a payload queued on endpoint to as its record's
+// JSON. The stages send three payload types, one to each receiver.
+func encodePayload(to string, payload any) ([]byte, error) {
+	switch p := payload.(type) {
+	case sensor.Batch:
+		return json.Marshal(p.Record())
+	case []sensor.MetricMsg:
+		return json.Marshal(ckpt.Map(p, sensor.MetricMsg.Record))
+	case []decision.Suggestion:
+		return json.Marshal(ckpt.Map(p, decision.Suggestion.Record))
+	}
+	return nil, fmt.Errorf("core: no record holds a %T queued on %q", payload, to)
+}
+
+// decodePayload decodes a payload queued on endpoint to from its record's
+// JSON into the type its receiver reads.
+func decodePayload(to string, data []byte) (any, error) {
+	switch to {
+	case EndpointMonitorServer:
+		return decode(data, sensor.BatchRecord.Live)
+	case EndpointDecision:
+		return decode(data, func(rs []sensor.MetricMsgRecord) ([]sensor.MetricMsg, error) {
+			return ckpt.TryMap(rs, sensor.MetricMsgRecord.Live)
+		})
+	case EndpointArbiter:
+		return decode(data, func(rs []decision.SuggestionRecord) ([]decision.Suggestion, error) {
+			return ckpt.TryMap(rs, decision.SuggestionRecord.Live)
+		})
+	}
+	return nil, fmt.Errorf("core: nothing is sent to endpoint %q", to)
+}
+
+// decode decodes data as a record R and returns the live value it holds.
+func decode[R, H any](data []byte, live func(R) (H, error)) (any, error) {
+	var r R
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, err
+	}
+	return live(r)
 }

@@ -103,6 +103,7 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orches
 	}
 	o.Trace.SetMetrics(o.Metrics)
 	bus.OnDepth = o.Trace.QueueDepth
+	bus.Encode, bus.Decode = encodePayload, decodePayload
 
 	// Monitor: server plus sharded clients.
 	o.Server = sensor.NewServer(env.Sim, bus, EndpointMonitorServer, EndpointDecision, cfg)

@@ -297,20 +297,14 @@ func (e *Engine) run(p *sim.Proc) {
 			if err != nil {
 				continue
 			}
-			ingested := 0
 			for _, w := range msgs {
-				m, err := sensor.FromMsg(w, env.SentAt)
-				if err != nil {
-					continue
-				}
-				e.Ingest(m)
-				ingested++
+				e.Ingest(sensor.FromMsg(w, env.SentAt))
 			}
 			// One count per envelope, not per metric: each Inc takes the
 			// recorder's lock. An envelope that ingests nothing records
 			// nothing, as no per-metric Inc did.
-			if ingested > 0 {
-				e.tr.Inc("decision.metrics_ingested", int64(ingested))
+			if len(msgs) > 0 {
+				e.tr.Inc("decision.metrics_ingested", int64(len(msgs)))
 			}
 		}
 	}
@@ -360,7 +354,7 @@ func (e *Engine) tickInterval() time.Duration {
 // replace the latest value). The metric names its series by descriptor,
 // m.Series, which must be set: the route at the descriptor's ID serves it
 // when it was built for that descriptor, and is rebuilt from the key
-// otherwise — on first sight, for a metric decoded from a checkpoint (ID
+// otherwise — on first sight, for a metric restored from a checkpoint (ID
 // 0), and after a restored Monitor server renumbered its series.
 func (e *Engine) Ingest(m sensor.Metric) {
 	r := e.route(m.Series)

@@ -1,8 +1,6 @@
 package decision
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -16,9 +14,8 @@ import (
 
 // TestMetricsIngestedCountsMetrics: decision.metrics_ingested counts the
 // metrics Decision ingested, not the envelopes that carried them — in the
-// flight recorder and in dyflow_stage_events_total alike — and a metric
-// that does not parse is skipped, uncounted, while the rest of its envelope
-// is ingested.
+// flight recorder and in dyflow_stage_events_total alike — restored and
+// live envelopes alike, and an empty envelope counts nothing.
 func TestMetricsIngestedCountsMetrics(t *testing.T) {
 	cfg, err := spec.CompileString(cfgXML)
 	if err != nil {
@@ -34,25 +31,15 @@ func TestMetricsIngestedCountsMetrics(t *testing.T) {
 	e.SetTracer(tr)
 
 	good := metric("GS", "Iso", "PACE", spec.GranTask, 30, 0).ToMsg()
-	// A message whose granularity does not parse names no series, so it
-	// cannot be sent typed: it comes in envelopes restored from a
-	// checkpoint, which carry their JSON.
-	goodJSON, err := json.Marshal(good)
+	// An envelope restored from a checkpoint is ingested as a live one.
+	bus.Decode = func(string, []byte) (any, error) { return []sensor.MetricMsg{good, good}, nil }
+	err = bus.Restore(msg.BusSnapshot{Endpoints: []msg.EndpointSnapshot{
+		{Name: "monitor-server", Seq: 1},
+		{Name: "decision", Queue: []msg.QueuedEnvelope{{From: "monitor-server", To: "decision", Seq: 1}}},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	badJSON := bytes.Replace(goodJSON, []byte(`"granularity":"task"`), []byte(`"granularity":"bogus"`), 1)
-	restored := func(seq uint64, msgs ...[]byte) msg.Envelope {
-		data := append([]byte("["), bytes.Join(msgs, []byte(","))...)
-		return msg.Envelope{From: "monitor-server", To: "decision", Seq: seq, Data: append(data, ']')}
-	}
-	bus.Restore(msg.BusSnapshot{Endpoints: []msg.EndpointSnapshot{
-		{Name: "monitor-server", Seq: 2},
-		{Name: "decision", Queue: []msg.Envelope{
-			restored(1, goodJSON, badJSON, goodJSON),
-			restored(2, badJSON),
-		}},
-	}})
 	e.Start()
 
 	mon := bus.Endpoint("monitor-server")

@@ -1,7 +1,9 @@
 package decision
 
 import (
-	"encoding/json"
+	"fmt"
+	"maps"
+	"slices"
 
 	"dyflow/internal/core/spec"
 	"dyflow/internal/trace"
@@ -22,10 +24,6 @@ type Rule struct {
 
 	actOn  []string
 	params map[string]string
-	// id is the ID a suggestion decoded with this rule carried when it is
-	// not the one the rule and the suggestion's Seq format to; "" on
-	// every rule the engine builds.
-	id string
 }
 
 // NewRule returns the descriptor of a binding, with its own copies of the
@@ -91,11 +89,11 @@ func (r *Rule) ParsedAction() (spec.Action, error) { return spec.ParseAction(r.a
 
 // Suggestion is one suggested high-level action (Decision -> Arbitration):
 // the rule that fired, the suggestion's number and what it fired on. It
-// is 56 bytes and copies nothing of its rule; its JSON (MarshalJSON) is the
-// rule's fields and the suggestion's ID beside the values below.
+// is 56 bytes and copies nothing of its rule; its encoded form is
+// SuggestionRecord.
 type Suggestion struct {
 	// Rule is the binding that fired. It is set on every suggestion the
-	// engine makes or JSON decodes.
+	// engine makes or a record holds.
 	Rule *Rule
 	// Seq numbers the suggestion, 1, 2, 3, … in the order Decision made
 	// them; it correlates the suggestion's lifecycle span across the
@@ -115,20 +113,12 @@ type Suggestion struct {
 }
 
 // ID returns the suggestion's lifecycle-span ID, "workflow/policy#seq"
-// (trace.SpanID), or the ID it was decoded with when that differs. It is
-// formatted on each call.
-func (s Suggestion) ID() string {
-	if s.Rule == nil {
-		return trace.SpanID("", "", s.Seq)
-	}
-	if s.Rule.id != "" {
-		return s.Rule.id
-	}
-	return trace.SpanID(s.Rule.workflow, s.Rule.policyID, s.Seq)
-}
+// (trace.SpanID). It is formatted on each call.
+func (s Suggestion) ID() string { return trace.SpanID(s.Rule.workflow, s.Rule.policyID, s.Seq) }
 
-// suggestionJSON is a Suggestion's JSON layout.
-type suggestionJSON struct {
+// SuggestionRecord is a Suggestion's encoded form: its rule's fields and
+// its ID beside the suggestion's values.
+type SuggestionRecord struct {
 	ID          string            `json:"id,omitempty"`
 	Workflow    string            `json:"workflow"`
 	PolicyID    string            `json:"policy"`
@@ -143,50 +133,21 @@ type suggestionJSON struct {
 	DecidedAt   int64             `json:"decided_at"`
 }
 
-// MarshalJSON encodes the suggestion with its rule's fields and its ID.
-func (s Suggestion) MarshalJSON() ([]byte, error) {
-	w := suggestionJSON{
-		ID:          s.ID(),
-		MetricValue: s.MetricValue,
-		Step:        s.Step,
-		GeneratedAt: s.GeneratedAt,
-		ObservedAt:  s.ObservedAt,
-		DecidedAt:   s.DecidedAt,
-	}
-	if r := s.Rule; r != nil {
-		w.Workflow, w.PolicyID, w.Action, w.AssessTask = r.workflow, r.policyID, r.action, r.assessTask
-		w.ActOnTasks, w.Params = r.actOn, r.params
-	}
-	return json.Marshal(w)
+// Record returns the suggestion's record, sharing its rule's lists.
+func (s Suggestion) Record() SuggestionRecord {
+	r := s.Rule
+	return SuggestionRecord{s.ID(), r.workflow, r.policyID, r.action, r.assessTask, r.actOn, r.params,
+		s.MetricValue, s.Step, s.GeneratedAt, s.ObservedAt, s.DecidedAt}
 }
 
-// UnmarshalJSON decodes a suggestion as into a zero value, with a fresh
-// rule of its own. Seq is its ID's number (trace.ParseSeq), and an ID its
-// rule and Seq would not format to is kept as it was, so the suggestion
-// encodes back to the same bytes.
-func (s *Suggestion) UnmarshalJSON(data []byte) error {
-	var w suggestionJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
+// Live returns the suggestion a record holds, on a rule of its own (nil and
+// empty lists kept apart), numbered by its ID. An ID that is not SpanID of
+// its rule and that number is no suggestion's and is an error.
+func (rec SuggestionRecord) Live() (Suggestion, error) {
+	seq := trace.ParseSeq(rec.ID)
+	if id := trace.SpanID(rec.Workflow, rec.PolicyID, seq); id != rec.ID {
+		return Suggestion{}, fmt.Errorf("decision: suggestion ID %q is not %q", rec.ID, id)
 	}
-	*s = Suggestion{
-		Rule: &Rule{
-			workflow:   w.Workflow,
-			policyID:   w.PolicyID,
-			action:     w.Action,
-			assessTask: w.AssessTask,
-			actOn:      w.ActOnTasks,
-			params:     w.Params,
-		},
-		Seq:         trace.ParseSeq(w.ID),
-		MetricValue: w.MetricValue,
-		Step:        w.Step,
-		GeneratedAt: w.GeneratedAt,
-		ObservedAt:  w.ObservedAt,
-		DecidedAt:   w.DecidedAt,
-	}
-	if w.ID != s.ID() {
-		s.Rule.id = w.ID
-	}
-	return nil
+	r := &Rule{rec.Workflow, rec.PolicyID, rec.Action, rec.AssessTask, slices.Clone(rec.ActOnTasks), maps.Clone(rec.Params)}
+	return Suggestion{r, seq, rec.MetricValue, rec.Step, rec.GeneratedAt, rec.ObservedAt, rec.DecidedAt}, nil
 }

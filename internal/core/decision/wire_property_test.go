@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
-	"unicode/utf8"
 
 	"dyflow/internal/trace"
 )
@@ -108,7 +108,8 @@ func genParentSuggestion(rng *rand.Rand) parentSuggestion {
 // fromParent is the suggestion Decision would send for p: p's fields as
 // its rule, numbered by p's ID. ok is false when no Decision sends one —
 // an ID that is not its rule's numbering, or an empty (not nil) act-on
-// list — such suggestions are only reached by decoding.
+// list, which NewRule does not keep — such suggestions are only reached
+// by restoring a record.
 func fromParent(p parentSuggestion) (s Suggestion, ok bool) {
 	seq := trace.ParseSeq(p.ID)
 	if trace.SpanID(p.Workflow, p.PolicyID, seq) != p.ID || (p.ActOnTasks != nil && len(p.ActOnTasks) == 0) {
@@ -125,76 +126,59 @@ func fromParent(p parentSuggestion) (s Suggestion, ok bool) {
 	}, true
 }
 
-// checkWire holds a suggestion's JSON to the parent's: the suggestion
-// Decision would send for p encodes to p's bytes (or fails where p's
-// encoding does, on NaN and ±Inf), and p's bytes decode into a
-// suggestion that reads as the parent's decode of them and encodes to
-// what that encodes to — the same bytes, but where invalid UTF-8 was
-// escaped as \ufffd on the way out and is now U+FFFD itself.
-func checkWire(t *testing.T, p parentSuggestion) {
-	t.Helper()
-	want, perr := json.Marshal(p)
-	if s, ok := fromParent(p); ok {
-		got, err := json.Marshal(s)
-		if (err == nil) != (perr == nil) || !bytes.Equal(got, want) {
-			t.Fatalf("%+v encodes to %s (%v), the parent's to %s (%v)", p, got, err, want, perr)
-		}
+// sameRecord and sameSuggestion compare field by field — nil and empty
+// act-on lists and params apart, a NaN metric value equal to itself.
+func sameRecord(a, b SuggestionRecord) bool {
+	if math.Float64bits(a.MetricValue) != math.Float64bits(b.MetricValue) {
+		return false
 	}
-	if perr != nil {
-		return
-	}
-	var d Suggestion
-	if err := json.Unmarshal(want, &d); err != nil {
-		t.Fatalf("decoding %s: %v", want, err)
-	}
-	var back parentSuggestion
-	if err := json.Unmarshal(want, &back); err != nil {
-		t.Fatal(err)
-	}
-	r := d.Rule
-	if d.ID() != back.ID || d.Seq != trace.ParseSeq(back.ID) || r.Workflow() != back.Workflow || r.PolicyID() != back.PolicyID ||
-		r.Action() != back.Action || r.AssessTask() != back.AssessTask || r.NumActOnTasks() != len(back.ActOnTasks) ||
-		math.Float64bits(d.MetricValue) != math.Float64bits(back.MetricValue) || d.Step != back.Step ||
-		d.GeneratedAt != back.GeneratedAt || d.ObservedAt != back.ObservedAt || d.DecidedAt != back.DecidedAt {
-		t.Fatalf("%s decodes to %+v (rule %+v), the parent's decode is %+v", want, d, *r, back)
-	}
-	for i, task := range back.ActOnTasks {
-		if r.ActOnTask(i) != task {
-			t.Fatalf("%s: act-on task %d is %q, want %q", want, i, r.ActOnTask(i), task)
-		}
-	}
-	for k, v := range back.Params {
-		if got, ok := r.Param(k); !ok || got != v {
-			t.Fatalf("%s: param %q is %q (%v), want %q", want, k, got, ok, v)
-		}
-	}
-	again, err := json.Marshal(d)
-	parentAgain, _ := json.Marshal(back)
-	if err != nil || !bytes.Equal(again, parentAgain) {
-		t.Fatalf("%s decodes and encodes back to %s (%v), the parent's to %s", want, again, err, parentAgain)
-	}
-	if utf8Strings(p) && !bytes.Equal(again, want) {
-		t.Fatalf("%s decodes and encodes back to %s", want, again)
-	}
-	var d2 Suggestion
-	if err := json.Unmarshal(again, &d2); err != nil {
-		t.Fatal(err)
-	}
-	if third, err := json.Marshal(d2); err != nil || !bytes.Equal(third, again) {
-		t.Fatalf("%s is not a fixed point of decode and encode: %s (%v)", again, third, err)
-	}
+	a.MetricValue, b.MetricValue = 0, 0
+	return reflect.DeepEqual(a, b)
 }
 
-// utf8Strings reports whether every string p holds is valid UTF-8, so its
-// encoding escapes none of them as \ufffd.
-func utf8Strings(p parentSuggestion) bool {
-	ss := append([]string{p.ID, p.Workflow, p.PolicyID, p.Action, p.AssessTask}, p.ActOnTasks...)
-	for k, v := range p.Params {
-		ss = append(ss, k, v)
+func sameSuggestion(a, b Suggestion) bool {
+	if math.Float64bits(a.MetricValue) != math.Float64bits(b.MetricValue) || !reflect.DeepEqual(*a.Rule, *b.Rule) {
+		return false
 	}
-	for _, s := range ss {
-		if !utf8.ValidString(s) {
-			return false
+	a.MetricValue, b.MetricValue = 0, 0
+	a.Rule, b.Rule = nil, nil
+	return a == b
+}
+
+// checkRecord holds one parent suggestion to the record properties: the
+// record of the same fields encodes to the parent's bytes (or fails where
+// the parent's encoding does, on NaN and ±Inf); Live accepts it exactly
+// when its ID is its rule's numbering, and then the suggestion's record
+// is the record again and turns back into the same suggestion; and the
+// suggestion Decision would send for p has p's record.
+func checkRecord(t *testing.T, p parentSuggestion) (accepted bool) {
+	t.Helper()
+	rec := SuggestionRecord(p)
+	want, werr := json.Marshal(p)
+	got, err := json.Marshal(rec)
+	if (err == nil) != (werr == nil) || !bytes.Equal(got, want) {
+		t.Fatalf("%+v encodes to %s (%v), the parent to %s (%v)", rec, got, err, want, werr)
+	}
+	s, err := rec.Live()
+	canonical := trace.SpanID(p.Workflow, p.PolicyID, trace.ParseSeq(p.ID)) == p.ID
+	if (err == nil) != canonical {
+		t.Fatalf("%+v: Live err = %v, yet its ID canonical = %v", rec, err, canonical)
+	}
+	if err != nil {
+		return false
+	}
+	if back := s.Record(); !sameRecord(back, rec) || s.ID() != p.ID {
+		t.Fatalf("%+v: Live gives %+v (rule %+v), whose record is %+v", rec, s, *s.Rule, back)
+	}
+	if again, err := s.Record().Live(); err != nil || !sameSuggestion(again, s) {
+		t.Fatalf("%+v turns into its record and back into %+v (%v)", s, again, err)
+	}
+	if sent, ok := fromParent(p); ok {
+		if !sameRecord(sent.Record(), rec) {
+			t.Fatalf("%+v has record %+v, want %+v", sent, sent.Record(), rec)
+		}
+		if again, err := sent.Record().Live(); err != nil || !sameSuggestion(again, sent) {
+			t.Fatalf("%+v turns into its record and back into %+v (%v)", sent, again, err)
 		}
 	}
 	return true
@@ -203,19 +187,18 @@ func utf8Strings(p parentSuggestion) bool {
 // TestProperty_SuggestionWire_EqualsParentJSON: over seeded suggestions —
 // empty, canonical and odd IDs, nil, empty and several act-on tasks, nil,
 // empty and several params, −0, NaN, ±Inf and random strings — a
-// suggestion's JSON is the parent's byte for byte, one by one and in a
-// batch, and decoding it and encoding the result gives the bytes the
-// parent's decode encodes to.
+// suggestion record's JSON is the parent's byte for byte, one by one and
+// in a batch; a suggestion turns into its record and back into itself;
+// and a record turns into a suggestion and back into itself exactly when
+// restore accepts it (its ID is its own), the rest being rejected.
 func TestProperty_SuggestionWire_EqualsParentJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
-	var batch []Suggestion
+	var batch []SuggestionRecord
 	var parents []parentSuggestion
-	var sent, odd, failed int
+	var sent, odd, failed, emptyActOn, emptyParams int
 	for i := 0; i < 5000; i++ {
 		p := genParentSuggestion(rng)
-		checkWire(t, p)
-		s, ok := fromParent(p)
-		if !ok {
+		if !checkRecord(t, p) {
 			odd++
 			continue
 		}
@@ -224,7 +207,13 @@ func TestProperty_SuggestionWire_EqualsParentJSON(t *testing.T) {
 			continue
 		}
 		sent++
-		batch, parents = append(batch, s), append(parents, p)
+		if p.ActOnTasks != nil && len(p.ActOnTasks) == 0 {
+			emptyActOn++
+		}
+		if p.Params != nil && len(p.Params) == 0 {
+			emptyParams++
+		}
+		batch, parents = append(batch, SuggestionRecord(p)), append(parents, p)
 	}
 	got, err := json.Marshal(batch)
 	if err != nil {
@@ -237,30 +226,16 @@ func TestProperty_SuggestionWire_EqualsParentJSON(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("a batch encodes to\n%s\nthe parent's to\n%s", got, want)
 	}
-	var decoded []Suggestion
-	var parentDecoded []parentSuggestion
-	if err := json.Unmarshal(want, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(want, &parentDecoded); err != nil {
-		t.Fatal(err)
-	}
-	again, err := json.Marshal(decoded)
-	parentAgain, _ := json.Marshal(parentDecoded)
-	if err != nil || !bytes.Equal(again, parentAgain) {
-		t.Fatalf("a decoded batch encodes back to other bytes than the parent's (%v)", err)
-	}
 	// The generator must reach every case the property is about.
-	if sent < 1000 || odd < 1000 || failed < 300 {
-		t.Fatalf("generator coverage: %d sendable, %d decode-only, %d unencodable", sent, odd, failed)
+	if sent < 1000 || odd < 1000 || failed < 300 || emptyActOn < 100 || emptyParams < 100 {
+		t.Fatalf("generator coverage: %d accepted, %d rejected, %d unencodable, %d empty act-on lists, %d empty params",
+			sent, odd, failed, emptyActOn, emptyParams)
 	}
 }
 
-// FuzzSuggestionWireJSON: any JSON document decodes into a Suggestion
-// exactly when it decodes into the parent's, and then encodes to the
-// parent decode's bytes (or fails where that does); decoding that
-// encoding and encoding the result gives the bytes the parent's type
-// does.
+// FuzzSuggestionWireJSON: any JSON document decodes into a
+// SuggestionRecord exactly when it decodes into the parent's, into the
+// same fields, and then holds to checkRecord.
 func FuzzSuggestionWireJSON(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20; i++ {
@@ -275,35 +250,18 @@ func FuzzSuggestionWireJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p parentSuggestion
 		perr := json.Unmarshal(data, &p)
-		var s Suggestion
-		serr := json.Unmarshal(data, &s)
-		if (perr == nil) != (serr == nil) {
-			t.Fatalf("%q: the parent's decode fails with %v, the descriptor's with %v", data, perr, serr)
+		var rec SuggestionRecord
+		rerr := json.Unmarshal(data, &rec)
+		if (perr == nil) != (rerr == nil) {
+			t.Fatalf("%q: the parent's decode fails with %v, the record's with %v", data, perr, rerr)
 		}
 		if perr != nil {
 			return
 		}
-		want, werr := json.Marshal(p)
-		got, gerr := json.Marshal(s)
-		if (werr == nil) != (gerr == nil) || !bytes.Equal(got, want) {
-			t.Fatalf("%q encodes to %s (%v), the parent's decode to %s (%v)", data, got, gerr, want, werr)
+		if !sameRecord(rec, SuggestionRecord(p)) {
+			t.Fatalf("%q decodes to %+v, the parent's to %+v", data, rec, p)
 		}
-		if werr != nil {
-			return
-		}
-		var again Suggestion
-		if err := json.Unmarshal(got, &again); err != nil {
-			t.Fatal(err)
-		}
-		var parentAgain parentSuggestion
-		if err := json.Unmarshal(want, &parentAgain); err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(again)
-		pb, _ := json.Marshal(parentAgain)
-		if err != nil || !bytes.Equal(b, pb) {
-			t.Fatalf("%s decodes and encodes back to %s (%v), the parent's to %s", got, b, err, pb)
-		}
+		checkRecord(t, p)
 	})
 }
 

@@ -16,13 +16,11 @@
 // by its five-field key: an update is 32 bytes on the client->server link
 // and a metric message 32 bytes on the server->decision link, and a
 // consumer indexes its per-series state by the descriptor instead of
-// hashing the key. The key is spelled out only where a message is encoded
-// as JSON, at the checkpoint boundary.
+// hashing the key. The key is spelled out only in a message's record
+// (record.go), which a checkpoint holds.
 package sensor
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -62,36 +60,21 @@ func (k Key) String() string {
 //     index its per-series state by ID. A restored server renumbers.
 //   - a Monitor client, one per (target, sensor, granularity, node) it
 //     ships, interned on the worker that ships it. ID 0.
-//   - JSON decoding: a message read back from a checkpoint gets a fresh
-//     descriptor. ID 0.
+//   - a message record (record.go): a message restored from a checkpoint
+//     gets a fresh descriptor. ID 0.
 //
 // An ID therefore names a slot, not a series: a consumer holding state at
 // Series.ID keeps the descriptor it built the state for and compares
-// pointers. A different pointer at that ID — first sight, a decoded message
-// (ID 0), a renumbered server — is a miss, resolved by the key.
+// pointers. A different pointer at that ID — first sight, a restored
+// message (ID 0), a renumbered server — is a miss, resolved by the key.
 type Series struct {
 	ID  uint32
 	Key Key
 }
 
-// decodedSeries is the descriptor a decoded message names, or nil when its
-// granularity does not parse: such a message names no series, and its
-// receiver skips it.
-func decodedSeries(workflow, task, sensor, granularity, node string) *Series {
-	g, err := spec.ParseGranularity(granularity)
-	if err != nil {
-		return nil
-	}
-	return &Series{Key: Key{Workflow: workflow, Task: task, Sensor: sensor, Granularity: g, Node: node}}
-}
-
-// errNoSeries reports a message that names no series: one decoded with a
-// granularity that does not parse.
-var errNoSeries = errors.New("sensor: message names no series")
-
 // Update is one client-side sensor reading, shipped to the server. Its
 // series travels by reference, as the shipping worker interned it (always
-// a task or node-task series); its JSON spells the key out (updateJSON).
+// a task or node-task series). Its encoded form is UpdateRecord.
 type Update struct {
 	Series *Series
 	Value  float64
@@ -103,49 +86,10 @@ type Update struct {
 	GeneratedAt time.Duration
 }
 
-// updateJSON is an Update's JSON form: the key's fields, then the reading.
-type updateJSON struct {
-	Workflow    string        `json:"workflow"`
-	Task        string        `json:"task"`
-	Sensor      string        `json:"sensor"`
-	Granularity string        `json:"granularity"` // "task" or "node-task"
-	Node        string        `json:"node,omitempty"`
-	Value       float64       `json:"value"`
-	Step        int           `json:"step,omitempty"`
-	GeneratedAt time.Duration `json:"generated_at"`
-}
-
-// MarshalJSON encodes the update with its series' key spelled out.
-func (u Update) MarshalJSON() ([]byte, error) {
-	if u.Series == nil {
-		return nil, errNoSeries
-	}
-	k := u.Series.Key
-	return json.Marshal(updateJSON{
-		Workflow: k.Workflow, Task: k.Task, Sensor: k.Sensor,
-		Granularity: k.Granularity.String(), Node: k.Node,
-		Value: u.Value, Step: u.Step, GeneratedAt: u.GeneratedAt,
-	})
-}
-
-// UnmarshalJSON decodes an update onto a fresh descriptor — none when its
-// granularity does not parse.
-func (u *Update) UnmarshalJSON(data []byte) error {
-	var w updateJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*u = Update{
-		Series: decodedSeries(w.Workflow, w.Task, w.Sensor, w.Granularity, w.Node),
-		Value:  w.Value, Step: w.Step, GeneratedAt: w.GeneratedAt,
-	}
-	return nil
-}
-
-// Batch is the client->server wire message.
+// Batch is the client->server wire message; its encoded form is BatchRecord.
 type Batch struct {
-	Client  string   `json:"client"`
-	Updates []Update `json:"updates"`
+	Client  string
+	Updates []Update
 }
 
 // Metric is a server-side metric value forwarded to the Decision stage.
@@ -163,53 +107,12 @@ type Metric struct {
 // MetricMsg is a Metric on the server->decision link: its series by
 // reference, the server's descriptor. It carries no ObservedAt: the server
 // stamps every metric it forwards with the instant it sends them, which
-// the envelope carries as SentAt. Its JSON spells the key out
-// (metricMsgJSON).
+// the envelope carries as SentAt. Its encoded form is MetricMsgRecord.
 type MetricMsg struct {
 	Series      *Series
 	Value       float64
 	Step        int
 	GeneratedAt int64
-}
-
-// metricMsgJSON is a MetricMsg's JSON form: the key's fields, then the
-// value.
-type metricMsgJSON struct {
-	Workflow    string  `json:"workflow"`
-	Task        string  `json:"task,omitempty"`
-	Sensor      string  `json:"sensor"`
-	Granularity string  `json:"granularity"`
-	Node        string  `json:"node,omitempty"`
-	Value       float64 `json:"value"`
-	Step        int     `json:"step,omitempty"`
-	GeneratedAt int64   `json:"generated_at"`
-}
-
-// MarshalJSON encodes the message with its series' key spelled out.
-func (w MetricMsg) MarshalJSON() ([]byte, error) {
-	if w.Series == nil {
-		return nil, errNoSeries
-	}
-	k := w.Series.Key
-	return json.Marshal(metricMsgJSON{
-		Workflow: k.Workflow, Task: k.Task, Sensor: k.Sensor,
-		Granularity: k.Granularity.String(), Node: k.Node,
-		Value: w.Value, Step: w.Step, GeneratedAt: w.GeneratedAt,
-	})
-}
-
-// UnmarshalJSON decodes a message onto a fresh descriptor — none when its
-// granularity does not parse.
-func (w *MetricMsg) UnmarshalJSON(data []byte) error {
-	var j metricMsgJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	*w = MetricMsg{
-		Series: decodedSeries(j.Workflow, j.Task, j.Sensor, j.Granularity, j.Node),
-		Value:  j.Value, Step: j.Step, GeneratedAt: j.GeneratedAt,
-	}
-	return nil
 }
 
 // ToMsg converts a Metric for the wire, naming its series by its
@@ -219,12 +122,8 @@ func (m Metric) ToMsg() MetricMsg {
 }
 
 // FromMsg converts a wire message back to a Metric observed at sentAt, the
-// SentAt of the envelope that carried it. A message that names no series
-// is an error.
-func FromMsg(w MetricMsg, sentAt sim.Time) (Metric, error) {
-	if w.Series == nil {
-		return Metric{}, errNoSeries
-	}
+// SentAt of the envelope that carried it.
+func FromMsg(w MetricMsg, sentAt sim.Time) Metric {
 	return Metric{
 		Key:         w.Series.Key,
 		Series:      w.Series,
@@ -232,7 +131,7 @@ func FromMsg(w MetricMsg, sentAt sim.Time) (Metric, error) {
 		Step:        w.Step,
 		GeneratedAt: sim.Time(w.GeneratedAt),
 		ObservedAt:  sentAt,
-	}, nil
+	}
 }
 
 // Costs models the client-side cost of acquiring and distilling one sensor

@@ -178,9 +178,6 @@ func (sv *Server) process(batch Batch) {
 	out, outS := sv.fwd[:0], sv.fwdS[:0]
 
 	for _, u := range batch.Updates {
-		if u.Series == nil {
-			continue // decoded with a granularity that does not parse
-		}
 		k := u.Series.Key
 		def := sv.cfg.Sensors[k.Sensor]
 		if def == nil {

@@ -154,7 +154,7 @@ const shipCfg = `
   </decision>
 </dyflow>`
 
-// canonicalJSON renders a batch — a Batch or a reference parentBatch —
+// canonicalJSON renders a batch — a BatchRecord or a reference parentBatch —
 // with its updates in (granularity, node) order: groupByNode walks a map,
 // so the node updates of one build come in no fixed order.
 func canonicalJSON(t testing.TB, v any) string {
@@ -255,9 +255,9 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 			u := b.Updates[0].Series.Key
 			name := fmt.Sprintf("%s/%s.%s.%s", b.Client, u.Workflow, u.Task, u.Sensor)
 			if len(want[name]) == 0 {
-				fail("%s sent %s, the reference owes nothing", name, canonicalJSON(t, b))
+				fail("%s sent %s, the reference owes nothing", name, canonicalJSON(t, b.Record()))
 			}
-			if got := canonicalJSON(t, b); got != want[name][0] {
+			if got := canonicalJSON(t, b.Record()); got != want[name][0] {
 				fail("%s sent\n%s\nreference\n%s", name, got, want[name][0])
 			}
 			want[name] = want[name][1:]

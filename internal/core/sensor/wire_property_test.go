@@ -60,82 +60,84 @@ func (c wireCase) parentMsg() parentMetricMsg {
 	return parentMetricMsg{c.workflow, c.task, c.sensor, c.gran, c.node, c.value, c.step, c.genAt}
 }
 
-// checkWire holds both wire types to their parent's JSON for one case:
-// encoding a message whose key parses gives the parent's bytes (or fails
-// where the parent's fails), and decoding the parent's bytes gives a fresh
-// unnumbered descriptor with the key the parent type decodes and the same
-// reading — or, for a granularity that does not parse, no descriptor.
+// canonicalGran reports whether gran is a granularity as
+// spec.Granularity writes it — what a record must name to be restored.
+func canonicalGran(gran string) bool {
+	g, err := spec.ParseGranularity(gran)
+	return err == nil && g.String() == gran
+}
+
+// sameBits compares two values of a comparable type, their float field
+// (value picks it) bit for bit: NaN equals itself.
+func sameBits[T comparable](a, b T, value func(*T) *float64) bool {
+	fa, fb := value(&a), value(&b)
+	if math.Float64bits(*fa) != math.Float64bits(*fb) {
+		return false
+	}
+	*fa, *fb = 0, 0
+	return a == b
+}
+
+func updateValue(u *UpdateRecord) *float64 { return &u.Value }
+func msgValue(m *MetricMsgRecord) *float64 { return &m.Value }
+func hotUpdateValue(u *Update) *float64    { return &u.Value }
+func hotMsgValue(m *MetricMsg) *float64    { return &m.Value }
+
+// checkWire holds both message types' records to the parents for one
+// case: a record of the parent's fields encodes to the parent's bytes (or
+// fails where the parent's encoding does); Live accepts it exactly when
+// its granularity is canonical, on a fresh unnumbered descriptor of its
+// key, and then the message's record is the record again; and a message
+// the server would send turns into its record and back into itself.
 func checkWire(t *testing.T, c wireCase) {
 	t.Helper()
 	refU, refM := c.parentUpdate(), c.parentMsg()
-	wantU, errU := json.Marshal(refU)
-	wantM, errM := json.Marshal(refM)
-	g, gerr := spec.ParseGranularity(c.gran)
-	if gerr == nil && g.String() == c.gran {
-		s := &Series{ID: 7, Key: Key{Workflow: c.workflow, Task: c.task, Sensor: c.sensor, Granularity: g, Node: c.node}}
-		gotU, err := json.Marshal(Update{Series: s, Value: c.value, Step: c.step, GeneratedAt: time.Duration(c.genAt)})
-		if (err != nil) != (errU != nil) || !bytes.Equal(gotU, wantU) {
-			t.Fatalf("%+v: Update encodes as %s (%v), parent %s (%v)", c, gotU, err, wantU, errU)
+	recU, recM := UpdateRecord(refU), MetricMsgRecord(refM)
+	for _, pair := range [][2]any{{refU, recU}, {refM, recM}} {
+		want, werr := json.Marshal(pair[0])
+		got, err := json.Marshal(pair[1])
+		if (err == nil) != (werr == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("%+v encodes as %s (%v), parent %s (%v)", pair[1], got, err, want, werr)
 		}
-		gotM, err := json.Marshal(MetricMsg{Series: s, Value: c.value, Step: c.step, GeneratedAt: c.genAt})
-		if (err != nil) != (errM != nil) || !bytes.Equal(gotM, wantM) {
-			t.Fatalf("%+v: MetricMsg encodes as %s (%v), parent %s (%v)", c, gotM, err, wantM, errM)
-		}
-	}
-	if errU != nil || errM != nil {
-		return // a NaN or an Inf: nothing was encoded to decode
 	}
 
-	var pu parentUpdate
-	var u Update
-	if err := json.Unmarshal(wantU, &pu); err != nil {
-		t.Fatal(err)
+	u, errU := recU.Live()
+	m, errM := recM.Live()
+	if ok := canonicalGran(c.gran); (errU == nil) != ok || (errM == nil) != ok {
+		t.Fatalf("%+v: Live errs %v, %v; granularity canonical = %v", c, errU, errM, ok)
 	}
-	if err := json.Unmarshal(wantU, &u); err != nil {
-		t.Fatalf("%+v: decoding %s: %v", c, wantU, err)
-	}
-	checkDecoded(t, wantU, u.Series, pu.Workflow, pu.Task, pu.Sensor, pu.Granularity, pu.Node)
-	if math.Float64bits(u.Value) != math.Float64bits(pu.Value) || u.Step != pu.Step || u.GeneratedAt != pu.GeneratedAt {
-		t.Fatalf("%s decodes to %+v, parent %+v", wantU, u, pu)
-	}
-
-	var pm parentMetricMsg
-	var m MetricMsg
-	if err := json.Unmarshal(wantM, &pm); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(wantM, &m); err != nil {
-		t.Fatalf("%+v: decoding %s: %v", c, wantM, err)
-	}
-	checkDecoded(t, wantM, m.Series, pm.Workflow, pm.Task, pm.Sensor, pm.Granularity, pm.Node)
-	if math.Float64bits(m.Value) != math.Float64bits(pm.Value) || m.Step != pm.Step || m.GeneratedAt != pm.GeneratedAt {
-		t.Fatalf("%s decodes to %+v, parent %+v", wantM, m, pm)
-	}
-	if m.Series != nil {
-		got, err := FromMsg(m, 5)
-		if err != nil || got.Key != m.Series.Key || got.Series != m.Series || got.ObservedAt != 5 {
-			t.Fatalf("%s: FromMsg = %+v, %v", wantM, got, err)
-		}
-	} else if _, err := FromMsg(m, 5); err == nil {
-		t.Fatalf("%s: FromMsg of a message naming no series succeeded", wantM)
-	}
-}
-
-// checkDecoded: a decoded descriptor is fresh and unnumbered, with the key
-// the parent type decoded; a granularity that does not parse decodes to
-// none.
-func checkDecoded(t *testing.T, data []byte, s *Series, workflow, task, sensor, gran, node string) {
-	t.Helper()
-	g, err := spec.ParseGranularity(gran)
-	if err != nil {
-		if s != nil {
-			t.Fatalf("%s: granularity %q does not parse, yet decodes to %+v", data, gran, s)
-		}
+	if errU != nil {
 		return
 	}
-	want := Key{Workflow: workflow, Task: task, Sensor: sensor, Granularity: g, Node: node}
-	if s == nil || s.ID != 0 || s.Key != want {
-		t.Fatalf("%s decodes to %+v, want a fresh descriptor of %+v", data, s, want)
+	want := Key{Workflow: c.workflow, Task: c.task, Sensor: c.sensor, Granularity: u.Series.Key.Granularity, Node: c.node}
+	if u.Series.ID != 0 || u.Series.Key != want || m.Series.ID != 0 || m.Series.Key != want || u.Series == m.Series {
+		t.Fatalf("%+v: restored onto %+v and %+v, want fresh descriptors of %+v", c, *u.Series, *m.Series, want)
+	}
+	if back := u.Record(); !sameBits(back, recU, updateValue) {
+		t.Fatalf("%+v: restored update's record is %+v", recU, back)
+	}
+	if back := m.Record(); !sameBits(back, recM, msgValue) {
+		t.Fatalf("%+v: restored message's record is %+v", recM, back)
+	}
+
+	s := &Series{ID: 7, Key: want}
+	hotU := Update{Series: s, Value: c.value, Step: c.step, GeneratedAt: time.Duration(c.genAt)}
+	hotM := MetricMsg{Series: s, Value: c.value, Step: c.step, GeneratedAt: c.genAt}
+	u, err := hotU.Record().Live()
+	if err != nil || *u.Series != (Series{Key: want}) {
+		t.Fatalf("%+v turns into its record and back onto %+v (%v)", hotU, u.Series, err)
+	}
+	u.Series = s
+	if !sameBits(u, hotU, hotUpdateValue) {
+		t.Fatalf("%+v turns into its record and back into %+v", hotU, u)
+	}
+	m, err = hotM.Record().Live()
+	if err != nil || *m.Series != (Series{Key: want}) {
+		t.Fatalf("%+v turns into its record and back onto %+v (%v)", hotM, m.Series, err)
+	}
+	m.Series = s
+	if !sameBits(m, hotM, hotMsgValue) {
+		t.Fatalf("%+v turns into its record and back into %+v", hotM, m)
 	}
 }
 
@@ -169,11 +171,13 @@ func genWireString(rng *rand.Rand) string {
 }
 
 // TestProperty_MonitorWire_EqualsParentJSON: over seeded cases — all four
-// granularities and some that do not parse, empty tasks and nodes, -0,
+// granularities and some that are not one, empty tasks and nodes, -0,
 // NaN and ±Inf, large and negative steps and times, and random strings —
-// both wire types encode byte for byte as their parents did and decode what
-// their parents encoded. A whole batch does too, and a batch holding an
-// update whose granularity does not parse decodes its other updates.
+// both message records encode byte for byte as their parents did, turn
+// into messages and back into themselves exactly when restore accepts
+// them, and a message turns into its record and back into itself. A
+// whole batch does too, its nil and empty update lists kept apart, and a
+// batch holding an update whose granularity does not parse is rejected.
 func TestProperty_MonitorWire_EqualsParentJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x3217E))
 	values := []float64{0, math.Copysign(0, -1), 1, -2.5, 1e300, 5e-324, math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -199,45 +203,93 @@ func TestProperty_MonitorWire_EqualsParentJSON(t *testing.T) {
 
 	ref := parentBatch{Client: "monitor-client-0", Updates: []parentUpdate{
 		{Workflow: "W", Task: "A", Sensor: "S", Granularity: "task", Value: 1, Step: 2, GeneratedAt: 3},
-		{Workflow: "W", Task: "A", Sensor: "S", Granularity: "bogus", Value: 4},
 		{Workflow: "W", Task: "A", Sensor: "S", Granularity: "node-task", Node: "n1", Value: math.Copysign(0, -1)},
 	}}
-	data, err := json.Marshal(ref)
-	if err != nil {
-		t.Fatal(err)
+	for _, updates := range [][]parentUpdate{ref.Updates, {}, nil} {
+		ref.Updates = updates
+		data, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec BatchRecord
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		b, err := rec.Live()
+		if err != nil || b.Client != ref.Client || len(b.Updates) != len(updates) || (b.Updates == nil) != (updates == nil) {
+			t.Fatalf("%s restores to %+v (%v)", data, b, err)
+		}
+		for i, u := range b.Updates {
+			if u.Series.Key.Node != updates[i].Node || u.Series.Key.Granularity.String() != updates[i].Granularity {
+				t.Fatalf("%s: update %d restores onto %+v", data, i, *u.Series)
+			}
+		}
+		got, err := json.Marshal(b.Record())
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("batch %s restores and encodes back to %s (%v)", data, got, err)
+		}
 	}
-	var b Batch
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Updates) != 3 || b.Client != ref.Client || b.Updates[1].Series != nil ||
-		b.Updates[0].Series.Key != (Key{Workflow: "W", Task: "A", Sensor: "S", Granularity: spec.GranTask}) ||
-		b.Updates[2].Series.Key != (Key{Workflow: "W", Task: "A", Sensor: "S", Granularity: spec.GranNodeTask, Node: "n1"}) {
-		t.Fatalf("%s decodes to %+v", data, b)
-	}
-	b.Updates = append(b.Updates[:1], b.Updates[2])
-	ref.Updates = append(ref.Updates[:1], ref.Updates[2])
-	got, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := json.Marshal(ref); !bytes.Equal(got, want) {
-		t.Fatalf("batch encodes as %s, parent %s", got, want)
+	bad := BatchRecord{Client: "c", Updates: []UpdateRecord{
+		{Workflow: "W", Task: "A", Sensor: "S", Granularity: "task"},
+		{Workflow: "W", Task: "A", Sensor: "S", Granularity: "bogus"},
+	}}
+	if b, err := bad.Live(); err == nil {
+		t.Fatalf("a batch naming granularity %q restored to %+v", "bogus", b)
 	}
 }
 
-// FuzzMonitorWireJSON is the same property over fuzzer-chosen content.
+// FuzzMonitorWireJSON: any JSON document decodes into each Monitor record
+// type exactly when it decodes into that type's parent, into the same
+// fields; a decoded message record holds to checkWire, and a decoded
+// batch restores exactly when each of its updates does.
 func FuzzMonitorWireJSON(f *testing.F) {
-	f.Add("FUSION-WORKFLOW", "XGC1", "NSTEPS", uint8(0), "", 374.0, int64(374), int64(time.Second))
-	f.Add("GS", "", "PACE", uint8(2), "", math.Copysign(0, -1), int64(0), int64(0))
-	f.Add("W", "t", "MEM", uint8(1), "node003", 1e300, int64(math.MaxInt64), int64(math.MinInt64))
-	f.Add("W", "", "MEM", uint8(3), "n<1>", -2.5, int64(-1), int64(-1))
-	f.Add(" \"", "\x00", "\xff", uint8(4), "&", 0.0, int64(1), int64(1))
-	f.Fuzz(func(t *testing.T, workflow, task, sensor string, gran uint8, node string, value float64, step, genAt int64) {
-		checkWire(t, wireCase{
-			workflow: workflow, task: task, sensor: sensor, node: node,
-			gran:  wireGrans[int(gran)%len(wireGrans)],
-			value: value, step: int(step), genAt: genAt,
-		})
+	for _, c := range []wireCase{
+		{"FUSION-WORKFLOW", "XGC1", "NSTEPS", "task", "", 374.0, 374, int64(time.Second)},
+		{"GS", "", "PACE", "workflow", "", math.Copysign(0, -1), 0, 0},
+		{"W", "t", "MEM", "node-task", "node003", 1e300, math.MaxInt64, math.MinInt64},
+		{"W", "", "MEM", "node-workflow", "n<1>", -2.5, -1, -1},
+		{" \"", "\x00", "\xff", "bogus", "&", 0.0, 1, 1},
+	} {
+		data, err := json.Marshal(c.parentMsg())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"client":"c","updates":[{"workflow":"W","granularity":"task"},{"granularity":" Task"}]}`))
+	f.Add([]byte(`{"client":"c","updates":[]}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var pm parentMetricMsg
+		var rm MetricMsgRecord
+		perr, rerr := json.Unmarshal(data, &pm), json.Unmarshal(data, &rm)
+		if (perr == nil) != (rerr == nil) || perr == nil && !sameBits(rm, MetricMsgRecord(pm), msgValue) {
+			t.Fatalf("%q decodes to message record %+v (%v), parent %+v (%v)", data, rm, rerr, pm, perr)
+		}
+		var pu parentUpdate
+		var ru UpdateRecord
+		perr, rerr = json.Unmarshal(data, &pu), json.Unmarshal(data, &ru)
+		if (perr == nil) != (rerr == nil) || perr == nil && !sameBits(ru, UpdateRecord(pu), updateValue) {
+			t.Fatalf("%q decodes to update record %+v (%v), parent %+v (%v)", data, ru, rerr, pu, perr)
+		}
+		if perr == nil {
+			checkWire(t, wireCase{pu.Workflow, pu.Task, pu.Sensor, pu.Granularity, pu.Node, pu.Value, pu.Step, int64(pu.GeneratedAt)})
+		}
+		var pb parentBatch
+		var rb BatchRecord
+		perr, rerr = json.Unmarshal(data, &pb), json.Unmarshal(data, &rb)
+		if (perr == nil) != (rerr == nil) {
+			t.Fatalf("%q: the parent batch's decode fails with %v, the record's with %v", data, perr, rerr)
+		}
+		if perr != nil {
+			return
+		}
+		restorable := true
+		for _, u := range pb.Updates {
+			restorable = restorable && canonicalGran(u.Granularity)
+		}
+		if b, err := rb.Live(); (err == nil) != restorable {
+			t.Fatalf("%q: batch restores to %+v (%v), yet its updates restorable = %v", data, b, err, restorable)
+		}
 	})
 }

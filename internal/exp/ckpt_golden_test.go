@@ -15,7 +15,6 @@ import (
 	"dyflow/internal/core"
 	"dyflow/internal/core/decision"
 	"dyflow/internal/core/sensor"
-	"dyflow/internal/msg"
 )
 
 var updateCkpt = flag.Bool("update-ckpt", false, "rewrite the checkpoint goldens in testdata/ckpt")
@@ -55,8 +54,8 @@ func ckptGolden(t *testing.T, name string, got []byte) []byte {
 // log its suggestions opened) are pinned in their checkpoint encoding,
 // and restores each into a fresh orchestrator:
 // the restored one must checkpoint to the same bytes, and each queued
-// envelope must decode into the type its receiver reads and encode back to
-// the bytes it was restored from.
+// envelope's record must turn into the payload its receiver reads and back
+// into a record that encodes to the bytes it was restored from.
 //
 // A restore inside an instant does not resume the run exactly (a timer due
 // at that instant is re-armed a period later), so the run-level check is
@@ -144,26 +143,22 @@ func TestXGCCheckpointBytesGolden(t *testing.T) {
 		for _, ep := range snap.Bus.Endpoints {
 			for i := range ep.Queue {
 				env := &ep.Queue[i]
-				var payload any
+				var again []byte
 				switch ep.Name {
 				case core.EndpointMonitorServer:
-					payload, err = msg.Payload[sensor.Batch](env)
+					again, err = throughLive(env.Data, sensor.BatchRecord.Live, sensor.Batch.Record)
 				case core.EndpointDecision:
-					payload, err = msg.Payload[[]sensor.MetricMsg](env)
+					again, err = throughLiveEach(env.Data, sensor.MetricMsgRecord.Live, sensor.MetricMsg.Record)
 				case core.EndpointArbiter:
-					payload, err = msg.Payload[[]decision.Suggestion](env)
+					again, err = throughLiveEach(env.Data, decision.SuggestionRecord.Live, decision.Suggestion.Record)
 				default:
 					continue
 				}
 				if err != nil {
 					t.Fatalf("%s: queued envelope on %s: %v", link, ep.Name, err)
 				}
-				data, err := json.Marshal(payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(data, env.Data) {
-					t.Errorf("%s: envelope on %s re-encodes to\n%s\nrestored from\n%s", link, ep.Name, data, env.Data)
+				if !bytes.Equal(again, env.Data) {
+					t.Errorf("%s: envelope on %s re-encodes to\n%s\nrestored from\n%s", link, ep.Name, again, env.Data)
 				}
 				if ep.Name == link {
 					queued++
@@ -174,4 +169,34 @@ func TestXGCCheckpointBytesGolden(t *testing.T) {
 			t.Errorf("%s: the checkpoint holds no envelope queued on the link", link)
 		}
 	}
+}
+
+// throughLive decodes data as a record R, turns it into its live value
+// and back into a record, and encodes that.
+func throughLive[R, H any](data []byte, live func(R) (H, error), record func(H) R) ([]byte, error) {
+	var r R
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, err
+	}
+	h, err := live(r)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(record(h))
+}
+
+// throughLiveEach is throughLive over a list of records.
+func throughLiveEach[R, H any](data []byte, live func(R) (H, error), record func(H) R) ([]byte, error) {
+	var rs []R
+	if err := json.Unmarshal(data, &rs); err != nil {
+		return nil, err
+	}
+	for i := range rs {
+		h, err := live(rs[i])
+		if err != nil {
+			return nil, err
+		}
+		rs[i] = record(h)
+	}
+	return json.Marshal(rs)
 }

@@ -93,11 +93,11 @@ func BenchmarkSendRecvBatch(b *testing.B) {
 }
 
 // BenchmarkSnapshot measures the checkpoint-boundary cost: JSON-encoding
-// the queued typed payloads of a bus snapshot. This is the one place the
-// wire codec still runs.
+// the queued typed payloads of a bus snapshot. This is the one place a
+// payload is encoded.
 func BenchmarkSnapshot(b *testing.B) {
 	s := sim.New(1)
-	bus := NewBus(s)
+	bus := jsonBus(s)
 	src := bus.Endpoint("client")
 	bus.Endpoint("server")
 	payload := benchPayload{Sensor: "PACE", Values: make([]float64, 64)}

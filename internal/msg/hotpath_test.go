@@ -8,6 +8,7 @@ package msg
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -21,15 +22,33 @@ type hotPayload struct {
 	Values []float64 `json:"values"`
 }
 
-// TestSnapshotByteDeterminism: the snapshot-boundary JSON encoding of a
-// typed payload must be byte-identical to the old per-send codec
-// (json.Marshal at Send time), and two identical runs must snapshot to
-// identical bytes — the property the cache-key identity and restore layers
-// depend on.
+// jsonBus returns a bus whose checkpoint codec encodes every payload as
+// JSON and decodes every payload as a hotPayload.
+func jsonBus(s *sim.Sim) *Bus {
+	bus := NewBus(s)
+	bus.Encode = func(_ string, payload any) ([]byte, error) { return json.Marshal(payload) }
+	bus.Decode = func(_ string, data []byte) (any, error) {
+		var v hotPayload
+		err := json.Unmarshal(data, &v)
+		return v, err
+	}
+	return bus
+}
+
+// TestSnapshotByteDeterminism: a snapshot holds each queued payload as the
+// bytes the bus's Encode gives it, handed the endpoint it is queued on,
+// and two identical runs must snapshot to identical bytes — the property
+// the cache-key identity and restore layers depend on.
 func TestSnapshotByteDeterminism(t *testing.T) {
 	build := func() BusSnapshot {
 		s := sim.New(7)
 		bus := NewBus(s)
+		bus.Encode = func(to string, payload any) ([]byte, error) {
+			if to != "server" {
+				t.Errorf("payload queued on %q encoded for %q", "server", to)
+			}
+			return json.Marshal(payload)
+		}
 		a := bus.Endpoint("client")
 		bus.Endpoint("server")
 		s.Spawn("sender", func(p *sim.Proc) {
@@ -55,7 +74,6 @@ func TestSnapshotByteDeterminism(t *testing.T) {
 		t.Fatalf("same-seed snapshots differ:\n%s\n%s", snap1, snap2)
 	}
 
-	// The envelope Data must equal what the old codec wrote at Send time.
 	snap := build()
 	var server *EndpointSnapshot
 	for i := range snap.Endpoints {
@@ -68,18 +86,19 @@ func TestSnapshotByteDeterminism(t *testing.T) {
 	}
 	for i, env := range server.Queue {
 		want, _ := json.Marshal(hotPayload{Sensor: "PACE", Step: i, Values: []float64{1.5, 2.5}})
-		if !bytes.Equal(env.Data, want) {
-			t.Fatalf("envelope %d Data = %s, want %s", i, env.Data, want)
+		if env.From != "client" || env.To != "server" || env.Seq != uint64(i+1) || !bytes.Equal(env.Data, want) {
+			t.Fatalf("envelope %d = %+v (Data %s), want Data %s", i, env, env.Data, want)
 		}
 	}
 }
 
-// TestRestoredEnvelopeDecode: envelopes re-queued by Restore carry only
-// JSON Data; Payload must fall back to unmarshalling, and the typed and
-// restored paths must agree.
+// TestRestoredEnvelopeDecode: Restore decodes every queued payload up
+// front with the bus's Decode, handed the endpoint it is queued on, so a
+// restored envelope is handed over by Payload as a live one is. A payload
+// Decode refuses is an error.
 func TestRestoredEnvelopeDecode(t *testing.T) {
 	s := sim.New(1)
-	bus := NewBus(s)
+	bus := jsonBus(s)
 	a := bus.Endpoint("a")
 	bus.Endpoint("b")
 	sent := hotPayload{Sensor: "MEMORYHWM", Step: 42, Values: []float64{3, 4}}
@@ -89,22 +108,33 @@ func TestRestoredEnvelopeDecode(t *testing.T) {
 	}
 	snap := bus.Snapshot()
 
+	refused := errors.New("refused")
+	bus.Decode = func(string, []byte) (any, error) { return nil, refused }
+	if err := bus.Restore(snap); !errors.Is(err, refused) {
+		t.Fatalf("Restore with a refusing Decode = %v", err)
+	}
+
 	s2 := sim.New(1)
-	bus2 := NewBus(s2)
-	bus2.Restore(snap)
+	bus2 := jsonBus(s2)
+	decode := bus2.Decode
+	var decodedFor []string
+	bus2.Decode = func(to string, data []byte) (any, error) {
+		decodedFor = append(decodedFor, to)
+		return decode(to, data)
+	}
+	if err := bus2.Restore(snap); err != nil || len(decodedFor) != 1 || decodedFor[0] != "b" {
+		t.Fatalf("Restore = %v, decoded for %v", err, decodedFor)
+	}
 	env, ok := bus2.Endpoint("b").TryRecv()
 	if !ok {
 		t.Fatal("restored queue empty")
-	}
-	if env.payload != nil {
-		t.Fatal("restored envelope should not carry a typed payload")
 	}
 	got, err := Payload[hotPayload](&env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Sensor != sent.Sensor || got.Step != sent.Step || len(got.Values) != 2 {
-		t.Fatalf("restored decode = %+v, want %+v", got, sent)
+		t.Fatalf("restored payload = %+v, want %+v", got, sent)
 	}
 	// Sequence counters continue: the next send from "a" is Seq 2.
 	a2 := bus2.Endpoint("a")
@@ -118,12 +148,12 @@ func TestRestoredEnvelopeDecode(t *testing.T) {
 	}
 }
 
-// TestDecodeTypedMismatchIsError: a live payload is handed over as-is, so a
-// Payload of another type is refused and left untouched, while the
-// same envelope, restored from its JSON form, decodes by shape.
+// TestDecodeTypedMismatchIsError: a payload is handed over as-is, so a
+// Payload of another type is refused and yields no value — for a live
+// envelope and a restored one alike.
 func TestDecodeTypedMismatchIsError(t *testing.T) {
 	s := sim.New(1)
-	bus := NewBus(s)
+	bus := jsonBus(s)
 	a := bus.Endpoint("a")
 	bus.Endpoint("b")
 	s.Spawn("sender", func(p *sim.Proc) {
@@ -136,17 +166,19 @@ func TestDecodeTypedMismatchIsError(t *testing.T) {
 	env, _ := bus.Endpoint("b").TryRecv()
 	loose, err := Payload[map[string]any](&env)
 	if err == nil || loose != nil {
-		t.Fatalf("mismatched decode = %v, %v; want an error and no value", loose, err)
+		t.Fatalf("mismatched payload = %v, %v; want an error and no value", loose, err)
 	}
 
-	restored := NewBus(s)
-	restored.Restore(snap)
-	env, _ = restored.Endpoint("b").TryRecv()
-	if loose, err = Payload[map[string]any](&env); err != nil {
+	restored := jsonBus(s)
+	if err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if loose["sensor"] != "PACE" || loose["step"] != float64(7) {
-		t.Fatalf("restored decode = %v", loose)
+	env, _ = restored.Endpoint("b").TryRecv()
+	if loose, err = Payload[map[string]any](&env); err == nil || loose != nil {
+		t.Fatalf("mismatched restored payload = %v, %v; want an error and no value", loose, err)
+	}
+	if got, err := Payload[hotPayload](&env); err != nil || got.Step != 7 {
+		t.Fatalf("restored payload = %+v, %v", got, err)
 	}
 }
 

@@ -4,13 +4,14 @@
 // filtering has something to filter.
 //
 // The paper's services exchange JSON-formatted messages; this reproduction
-// keeps the JSON wire format exactly at the checkpoint boundary (checkpoint
-// snapshots encode queued envelopes as JSON, byte-identically to the old
-// per-send encoding) but moves live delivery to a typed zero-copy path: the
-// payload value crosses the simulated wire as-is and Payload[T] hands it to
-// the receiver by type assertion — no reflect, no marshal/unmarshal round
-// trip, no allocation. This removes the dominant cost of the simulation hot
-// path (see DESIGN.md §14) without changing what a checkpoint holds.
+// delivers typed payloads instead. The payload value crosses the simulated
+// wire as-is and Payload[T] hands it to the receiver by type assertion —
+// no reflect, no marshal/unmarshal round trip, no allocation (see
+// DESIGN.md §14). The bus encodes nothing itself: a snapshot holds each
+// queued payload as the bytes the checkpoint owner's codec (Bus.Encode)
+// gives it, and a restore decodes each back (Bus.Decode) into the payload
+// its receiver reads before re-queuing it, so a restored envelope is a
+// live one.
 //
 // A payload is immutable once sent, so a sender may send one payload value
 // in several envelopes; each receiver gets the same value. Both Monitor
@@ -23,13 +24,11 @@
 // A live payload may also point at values the receiver keeps: a Monitor
 // update or metric message names its series by a *sensor.Series
 // descriptor, which Decision and the experiment recorder index their
-// per-series state by. The descriptor's key is spelled out only in the
-// JSON a snapshot writes, and a restored envelope decodes onto fresh
-// descriptors, which its receiver resolves by key.
+// per-series state by. A restored payload names fresh descriptors, which
+// its receiver resolves by key.
 package msg
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -47,56 +46,20 @@ type Envelope struct {
 	// SentAt is the virtual send time. Decision reads a forwarded metric's
 	// ObservedAt from it.
 	SentAt sim.Time
-	// Data is the JSON-encoded payload. On the live path it is nil — the
-	// payload travels typed — and is materialized only when the envelope
-	// crosses the checkpoint boundary (Bus.Snapshot). Envelopes re-queued
-	// by Bus.Restore carry Data only.
-	Data []byte
 
-	// payload is the live typed payload (zero-copy delivery). It is not
-	// serialized; Snapshot converts it to Data.
+	// payload is the typed payload, handed over as-is (zero-copy).
 	payload any
 }
 
-// Payload returns the envelope's payload as a T. A live payload is handed
-// over as-is, zero-copy, by type assertion, so T must be the type the sender
-// sent: a mismatch is an error. A restored envelope decodes its JSON Data
-// into a fresh T.
+// Payload returns the envelope's payload as a T. The payload is handed
+// over as-is, zero-copy, by type assertion, so T must be the type the
+// sender sent: a mismatch is an error.
 func Payload[T any](e *Envelope) (T, error) {
-	if v, ok := e.payload.(T); ok {
-		return v, nil
-	}
-	return decodePayload[T](e)
-}
-
-// decodePayload is Payload's slow path: a restored envelope's JSON, or a
-// mismatch. It is kept out of line so the T it decodes into escapes here,
-// not on the typed path.
-//
-//go:noinline
-func decodePayload[T any](e *Envelope) (T, error) {
-	var v T
-	if e.payload != nil {
+	v, ok := e.payload.(T)
+	if !ok {
 		return v, fmt.Errorf("msg: payload from %q is %T, not %T", e.From, e.payload, v)
 	}
-	err := json.Unmarshal(e.Data, &v)
-	return v, err
-}
-
-// encoded returns a copy of the envelope with Data materialized (the
-// checkpoint representation). Byte determinism: encoding json.Marshal of
-// the unchanged payload value here produces exactly the bytes the old
-// send-time codec produced.
-func (e Envelope) encoded() (Envelope, error) {
-	if e.Data == nil && e.payload != nil {
-		data, err := json.Marshal(e.payload)
-		if err != nil {
-			return e, fmt.Errorf("msg: marshal payload %s->%s seq %d: %w", e.From, e.To, e.Seq, err)
-		}
-		e.Data = data
-	}
-	e.payload = nil
-	return e, nil
+	return v, nil
 }
 
 // Endpoint is a named mailbox on the bus.
@@ -131,10 +94,9 @@ func (e *Endpoint) Pending() int { return e.in.Len() }
 // Send delivers payload to the named endpoint after the bus's configured
 // latency. The payload travels typed and unserialized: neither the sender nor
 // any receiver may mutate it after Send (a sender may send the same value
-// again), and it must be JSON-marshalable by the time a
-// checkpoint snapshot is taken (a non-marshalable payload is a stage bug
-// and surfaces as a panic at Snapshot). Sending to an unknown endpoint
-// returns an error.
+// again), and the bus's Encode must encode it by the time a checkpoint
+// snapshot is taken (one it cannot is a stage bug and surfaces as a panic
+// at Snapshot). Sending to an unknown endpoint returns an error.
 func (e *Endpoint) Send(to string, payload any) error {
 	return e.bus.send(e, to, payload)
 }
@@ -172,6 +134,11 @@ type Bus struct {
 	// OnDepth, if set, observes the destination queue depth after each
 	// delivery (the flight recorder's queue-depth sampling hook).
 	OnDepth func(to string, depth int)
+	// Encode and Decode are the checkpoint owner's payload codec, each
+	// handed the endpoint a payload is queued on: Snapshot holds a queued
+	// payload as Encode's bytes, Restore re-queues what Decode returns.
+	Encode func(to string, payload any) ([]byte, error)
+	Decode func(to string, data []byte) (any, error)
 }
 
 // NewBus creates an empty bus.
@@ -276,12 +243,21 @@ func (f *OrderFilter) RestoreState(marks map[string]uint64) {
 	}
 }
 
+// QueuedEnvelope is an envelope as a checkpoint holds it: Data is its
+// payload, as the bus's Encode gave it.
+type QueuedEnvelope struct {
+	From, To string
+	Seq      uint64
+	SentAt   sim.Time
+	Data     []byte
+}
+
 // EndpointSnapshot is one endpoint's checkpointable state: its outgoing
 // sequence counter and the envelopes delivered but not yet consumed.
 type EndpointSnapshot struct {
 	Name  string
 	Seq   uint64
-	Queue []Envelope
+	Queue []QueuedEnvelope
 }
 
 // BusSnapshot is the bus's checkpointable state, endpoints sorted by name.
@@ -290,29 +266,24 @@ type BusSnapshot struct {
 }
 
 // Snapshot captures every endpoint's sequence counter and queued
-// envelopes. Queued typed payloads are JSON-encoded here — the one place
-// the wire format is materialized — producing byte-identical envelopes to
-// the old per-send codec. A payload that cannot be marshaled is a stage
-// bug and panics. In-flight deliveries (scheduled but not yet enqueued)
-// are not captured; with zero bus latency none exist at an event-boundary
-// instant, and with modeled latency a crash loses at most the messages on
-// the wire — which the retry/repoll layers above already tolerate.
+// envelopes, each payload encoded by Encode. A payload Encode fails on is
+// a stage bug and panics. In-flight deliveries (scheduled but not yet
+// enqueued) are not captured; with zero bus latency none exist at an
+// event-boundary instant, and with modeled latency a crash loses at most
+// the messages on the wire — which the retry/repoll layers above already
+// tolerate.
 func (b *Bus) Snapshot() BusSnapshot {
 	var snap BusSnapshot
 	for name, ep := range b.endpoints {
-		queue := ep.in.Items()
-		for i := range queue {
-			enc, err := queue[i].encoded()
+		es := EndpointSnapshot{Name: name, Seq: ep.seq}
+		for _, env := range ep.in.Items() {
+			data, err := b.Encode(name, env.payload)
 			if err != nil {
-				panic(err)
+				panic(fmt.Errorf("msg: payload %s->%s seq %d: %w", env.From, env.To, env.Seq, err))
 			}
-			queue[i] = enc
+			es.Queue = append(es.Queue, QueuedEnvelope{env.From, env.To, env.Seq, env.SentAt, data})
 		}
-		snap.Endpoints = append(snap.Endpoints, EndpointSnapshot{
-			Name:  name,
-			Seq:   ep.seq,
-			Queue: queue,
-		})
+		snap.Endpoints = append(snap.Endpoints, es)
 	}
 	sort.Slice(snap.Endpoints, func(i, j int) bool {
 		return snap.Endpoints[i].Name < snap.Endpoints[j].Name
@@ -322,13 +293,20 @@ func (b *Bus) Snapshot() BusSnapshot {
 
 // Restore re-creates the snapshot's endpoints on this bus: sequence
 // counters continue where they left off and undelivered envelopes are
-// re-queued in order. Call before starting the stage processes.
-func (b *Bus) Restore(snap BusSnapshot) {
+// re-queued in order, each carrying the payload Decode returns for it, as
+// a live one does. A payload Decode fails on is an error. Call before
+// starting the stage processes.
+func (b *Bus) Restore(snap BusSnapshot) error {
 	for _, es := range snap.Endpoints {
 		ep := b.Endpoint(es.Name)
 		ep.seq = es.Seq
-		for _, env := range es.Queue {
-			ep.in.TryPut(env) // endpoint queues are unbounded: always accepted
+		for _, q := range es.Queue {
+			payload, err := b.Decode(es.Name, q.Data)
+			if err != nil {
+				return fmt.Errorf("msg: payload %s->%s seq %d: %w", q.From, q.To, q.Seq, err)
+			}
+			ep.in.TryPut(Envelope{q.From, q.To, q.Seq, q.SentAt, payload}) // endpoint queues are unbounded
 		}
 	}
+	return nil
 }

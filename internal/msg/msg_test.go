@@ -61,11 +61,11 @@ func TestSendUnknownEndpoint(t *testing.T) {
 }
 
 func TestUnmarshalablePayloadSurfacesAtSnapshot(t *testing.T) {
-	// Marshalling moved from Send to the checkpoint boundary: the typed
-	// hot path delivers any payload zero-copy, and a payload JSON cannot
-	// represent is a stage bug that surfaces as a panic at Snapshot.
+	// Encoding happens only at the checkpoint boundary: the typed hot
+	// path delivers any payload zero-copy, and a payload the bus's Encode
+	// cannot represent is a stage bug that surfaces as a panic at Snapshot.
 	s := sim.New(1)
-	bus := NewBus(s)
+	bus := jsonBus(s)
 	a := bus.Endpoint("a")
 	bus.Endpoint("b")
 	if err := a.Send("b", func() {}); err != nil {

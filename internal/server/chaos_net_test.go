@@ -299,3 +299,69 @@ func TestFaultClaimLongPollHonorsDisconnect(t *testing.T) {
 		t.Fatalf("handler held the goroutine %s after the client disconnected (25s window)", held)
 	}
 }
+
+// lostHeartbeatReplies is the coordinator of a worker whose heartbeat
+// replies are all lost: the coordinator applies each heartbeat — its
+// spans are published — and the worker is answered with an error.
+type lostHeartbeatReplies struct {
+	*Server
+	lost atomic.Int64 // spans in heartbeats whose reply was lost
+}
+
+func (c *lostHeartbeatReplies) Heartbeat(ctx context.Context, workerID string, req fleet.HeartbeatRequest) (fleet.HeartbeatResponse, error) {
+	if _, err := c.Server.Heartbeat(ctx, workerID, req); err != nil {
+		return fleet.HeartbeatResponse{}, err
+	}
+	c.lost.Add(int64(len(req.Spans)))
+	return fleet.HeartbeatResponse{}, fmt.Errorf("heartbeat reply lost")
+}
+
+// TestLostHeartbeatReplyDoesNotDuplicateSpans: a heartbeat whose reply is
+// lost was applied, so the worker does not send its spans again — each
+// span is published on the run's stream at most once — and counts them as
+// dropped in dyflow_worker_span_drops_total.
+func TestLostHeartbeatReplyDoesNotDuplicateSpans(t *testing.T) {
+	s := newCoordinator(t, Config{LeaseTTL: time.Minute})
+	c := &lostHeartbeatReplies{Server: s}
+	w, err := fleet.Start(c, quickWorker())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Stop()
+	st, err := s.Submit("alice", xgc(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = await(t, s, st.ID); st.State != StateDone {
+		t.Fatalf("run ended %s: %s", st.State, st.Error)
+	}
+	sub := s.events.Subscribe(st.ID, 0)
+	defer sub.Close()
+	evs, missed := sub.Poll()
+	if missed > 0 {
+		t.Fatalf("ring overran by %d events", missed)
+	}
+	seen := map[string]int{}
+	for _, ev := range evs {
+		if ev.Type != events.TypeSpan {
+			continue
+		}
+		var span struct{ ID string }
+		if data, err := json.Marshal(ev.Span); err != nil || json.Unmarshal(data, &span) != nil {
+			t.Fatalf("span event %+v does not encode: %v", ev, err)
+		}
+		seen[span.ID]++
+	}
+	for id, n := range seen {
+		if n > 1 {
+			t.Errorf("span %q published %d times", id, n)
+		}
+	}
+	lost := c.lost.Load()
+	if lost == 0 {
+		t.Fatal("no heartbeat carried a span: nothing was tested")
+	}
+	if v, _ := w.Registry().Value("dyflow_worker_span_drops_total"); v != float64(lost) {
+		t.Errorf("dyflow_worker_span_drops_total = %v, want the %d spans of the lost replies", v, lost)
+	}
+}

@@ -56,13 +56,13 @@ type Event struct {
 	Type Type      `json:"type"`
 	At   time.Time `json:"at"`
 
-	Worker     string      `json:"worker,omitempty"`
-	Reason     string      `json:"reason,omitempty"`
-	Error      string      `json:"error,omitempty"`
-	SimSeconds float64     `json:"sim_seconds,omitempty"`
-	Cached     bool        `json:"cached,omitempty"`
-	Converged  bool        `json:"converged,omitempty"`
-	Span       *trace.Span `json:"span,omitempty"`
+	Worker     string            `json:"worker,omitempty"`
+	Reason     string            `json:"reason,omitempty"`
+	Error      string            `json:"error,omitempty"`
+	SimSeconds float64           `json:"sim_seconds,omitempty"`
+	Cached     bool              `json:"cached,omitempty"`
+	Converged  bool              `json:"converged,omitempty"`
+	Span       *trace.SpanRecord `json:"span,omitempty"`
 }
 
 // DefaultBuffer is the per-run ring capacity when the journal is

@@ -105,29 +105,22 @@ func TestSleepCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestSpanBufferCapsAndCounts: the heartbeat retry buffer drops oldest
-// spans past its cap and counts every drop.
+// TestSpanBufferCapsAndCounts: the span buffer drops oldest spans past
+// its cap and counts every drop.
 func TestSpanBufferCapsAndCounts(t *testing.T) {
 	reg := obs.NewRegistry()
 	drops := reg.Counter("dyflow_worker_span_drops_total", "test").With()
 	sb := &spanBuffer{cap: 4, drops: drops}
-	mk := func(seq int) trace.Span { return trace.Span{Seq: seq} }
-
-	sb.add(mk(1), mk(2), mk(3))
-	sb.restore([]trace.Span{mk(0)}) // failed batch goes back to the front
-	got := sb.take()
-	if len(got) != 4 || got[0].Seq != 0 || got[3].Seq != 3 {
-		t.Fatalf("restore order wrong: %+v", got)
-	}
+	mk := func(seq int) trace.SpanRecord { return trace.Span{Workflow: "W", Policy: "P", Seq: seq}.Record() }
 
 	for i := 0; i < 10; i++ {
 		sb.add(mk(i))
 	}
-	got = sb.take()
+	got := sb.take()
 	if len(got) != 4 {
 		t.Fatalf("buffer holds %d spans, cap 4", len(got))
 	}
-	if got[0].Seq != 6 || got[3].Seq != 9 {
+	if got[0].ID != "W/P#6" || got[3].ID != "W/P#9" {
 		t.Fatalf("expected oldest dropped, newest kept: %+v", got)
 	}
 	if v, _ := reg.Value("dyflow_worker_span_drops_total"); v != 6 {

@@ -47,13 +47,13 @@ type ClaimResponse struct {
 // HeartbeatRequest renews a lease and reports simulated-time progress.
 // Spans carries flight-recorder suggestion spans that completed since
 // the last heartbeat; the coordinator republishes them into the run's
-// live event stream. Forwarding is best-effort — a lost heartbeat loses
-// its batch, never the run.
+// live event stream. Forwarding is best-effort and at most once — a lost
+// heartbeat loses its batch, never the run.
 type HeartbeatRequest struct {
-	RunID   string       `json:"run_id"`
-	LeaseID string       `json:"lease_id"`
-	SimNs   int64        `json:"sim_ns"`
-	Spans   []trace.Span `json:"spans,omitempty"`
+	RunID   string             `json:"run_id"`
+	LeaseID string             `json:"lease_id"`
+	SimNs   int64              `json:"sim_ns"`
+	Spans   []trace.SpanRecord `json:"spans,omitempty"`
 }
 
 // HeartbeatResponse tells the worker whether to keep going: a stale lease
@@ -84,7 +84,7 @@ type ResultRequest struct {
 	Artifacts map[string]string `json:"artifacts,omitempty"`
 	// Spans carries whatever flight-recorder spans had not yet been
 	// drained by a heartbeat when the run finished.
-	Spans []trace.Span `json:"spans,omitempty"`
+	Spans []trace.SpanRecord `json:"spans,omitempty"`
 }
 
 // ResultResponse acknowledges an upload. Accepted=false means the lease

@@ -53,7 +53,8 @@ type WorkerOptions struct {
 
 // maxSpanBuffer caps the flight-recorder spans a worker buffers while the
 // coordinator is unreachable; beyond it the oldest spans are dropped and
-// counted in dyflow_worker_span_drops_total.
+// counted in dyflow_worker_span_drops_total, as is the batch of a failed
+// heartbeat.
 const maxSpanBuffer = 1024
 
 // Worker is one fleet member: it registers with its coordinator, then each
@@ -149,7 +150,7 @@ func Start(c Coordinator, o WorkerOptions) (*Worker, error) {
 	w.metRetries = mreg.Counter("dyflow_worker_rpc_retries_total",
 		"Coordinator RPC attempts retried after a transient failure, by call.", "call")
 	w.metSpanDrops = mreg.Counter("dyflow_worker_span_drops_total",
-		"Flight-recorder spans dropped because the buffer filled while the coordinator was unreachable.").With()
+		"Flight-recorder spans dropped: the buffer filled while the coordinator was unreachable, or their heartbeat failed.").With()
 	w.ctx, w.cancel = context.WithCancel(context.Background())
 	w.claimCtx, w.cancelClaims = context.WithCancel(w.ctx)
 
@@ -298,45 +299,29 @@ func (w *Worker) retry(label string, deadline time.Time, call func() error) erro
 	}
 }
 
-// spanBuffer accumulates completed flight-recorder spans between
-// heartbeats, bounded so a long partition cannot grow it without limit:
-// past cap, the oldest spans are dropped and counted.
+// spanBuffer accumulates the records of completed flight-recorder spans
+// between heartbeats, bounded so a long partition cannot grow it without
+// limit: past cap, the oldest spans are dropped and counted.
 type spanBuffer struct {
 	mu    sync.Mutex
-	buf   []trace.Span
+	buf   []trace.SpanRecord
 	cap   int
 	drops *obs.Counter
 }
 
 // add appends sp, evicting the oldest beyond cap.
-func (s *spanBuffer) add(sp ...trace.Span) {
+func (s *spanBuffer) add(sp ...trace.SpanRecord) {
 	s.mu.Lock()
 	s.buf = append(s.buf, sp...)
-	s.capLocked()
-	s.mu.Unlock()
-}
-
-// restore returns a batch that failed to send to the FRONT (it is older
-// than anything buffered since), still enforcing the cap.
-func (s *spanBuffer) restore(sp []trace.Span) {
-	if len(sp) == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.buf = append(append(make([]trace.Span, 0, len(sp)+len(s.buf)), sp...), s.buf...)
-	s.capLocked()
-	s.mu.Unlock()
-}
-
-func (s *spanBuffer) capLocked() {
 	if over := len(s.buf) - s.cap; over > 0 {
 		s.buf = append(s.buf[:0:0], s.buf[over:]...)
 		s.drops.Add(int64(over))
 	}
+	s.mu.Unlock()
 }
 
 // take drains the buffer.
-func (s *spanBuffer) take() []trace.Span {
+func (s *spanBuffer) take() []trace.SpanRecord {
 	s.mu.Lock()
 	out := s.buf
 	s.buf = nil
@@ -371,7 +356,7 @@ func (w *Worker) execute(claim ClaimResponse) {
 	out, err := exp.RunJob(claim.Job, func(world *exp.World) error {
 		if world.Orch != nil {
 			world.Orch.Trace.SetOnComplete(func(sp trace.Span) {
-				spans.add(sp)
+				spans.add(sp.Record())
 			})
 		}
 		world.OnProgress = func(now sim.Time) error {
@@ -385,7 +370,9 @@ func (w *Worker) execute(claim ClaimResponse) {
 			hb, err := w.c.Heartbeat(w.ctx, w.id, HeartbeatRequest{RunID: claim.RunID,
 				LeaseID: claim.LeaseID, SimNs: int64(now), Spans: batch})
 			if err != nil {
-				spans.restore(batch) // retry the batch with the next heartbeat
+				// The coordinator may have published the batch before the
+				// reply was lost: it is dropped, never sent twice.
+				w.metSpanDrops.Add(int64(len(batch)))
 				// Coordinator slow, partitioned, or restarting: survivable
 				// inside the TTL. Retry sooner than the normal cadence and
 				// give up only once the lease must have lapsed.

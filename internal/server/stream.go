@@ -156,7 +156,7 @@ func (s *Server) ensureTerminalEvent(id string) {
 // appendWorkerSpans publishes the flight-recorder spans a worker forwarded
 // (in a heartbeat or with its result) into the run's stream. The events
 // point into spans: a forwarded batch is the coordinator's to keep.
-func (s *Server) appendWorkerSpans(runID, workerID string, spans []trace.Span) {
+func (s *Server) appendWorkerSpans(runID, workerID string, spans []trace.SpanRecord) {
 	for i := range spans {
 		s.events.Append(runID, events.Event{Type: events.TypeSpan, Worker: workerID, Span: &spans[i]})
 	}

@@ -258,9 +258,9 @@ func TestStreamSlowConsumerDrops(t *testing.T) {
 	}
 	// The subscriber never polled; overflow the 4-slot ring on top of the
 	// lifecycle events through the worker-span ingestion path.
-	spans := make([]trace.Span, 8)
+	spans := make([]trace.SpanRecord, 8)
 	for i := range spans {
-		spans[i] = trace.Span{Workflow: "W", Policy: "P", Seq: i + 1}
+		spans[i] = trace.Span{Workflow: "W", Policy: "P", Seq: i + 1}.Record()
 	}
 	s.appendWorkerSpans(st.ID, "w-test", spans)
 

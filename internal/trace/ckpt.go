@@ -1,6 +1,9 @@
 package trace
 
-import "dyflow/internal/obs"
+import (
+	"dyflow/internal/ckpt"
+	"dyflow/internal/obs"
+)
 
 // QueueState is one endpoint's checkpointed queue-depth accumulator.
 type QueueState struct {
@@ -17,7 +20,7 @@ type QueueState struct {
 // (shared storage) and survive a restore with the same registry; without a
 // registry the distributions restart empty.
 type State struct {
-	Spans      []Span         `json:"spans,omitempty"`
+	Spans      []SpanRecord   `json:"spans,omitempty"`
 	Counters   []CounterValue `json:"counters,omitempty"`
 	Queues     []QueueState   `json:"queues,omitempty"`
 	LagSensors []string       `json:"lag_sensors,omitempty"`
@@ -29,7 +32,7 @@ func (r *Recorder) State() State {
 	if r == nil {
 		return State{}
 	}
-	st := State{Spans: r.Spans()}
+	st := State{Spans: ckpt.Map(r.Spans(), Span.Record)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, name := range sortedKeys(r.counters) {
@@ -52,16 +55,17 @@ func (r *Recorder) State() State {
 // name on each one's next sample, so a restore creates no series the
 // recorder has not since written. Latency histograms are re-resolved by
 // key so registry-backed distributions keep their samples. Spans are
-// found by Seq again (a decoded span takes it from its ID), in whatever
-// order the log holds them, so they are stamped as before.
-func (r *Recorder) Restore(st State) {
-	if r == nil {
-		return
+// found by Seq again, in whatever order the log holds them, so they are
+// stamped as before. A record that is no span's is an error.
+func (r *Recorder) Restore(st State) error {
+	spans, err := ckpt.TryMap(st.Spans, SpanRecord.Live)
+	if err != nil || r == nil {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.spans = spanLog{}
-	for _, sp := range st.Spans {
+	for _, sp := range spans {
 		r.spans.add(sp)
 	}
 	r.counters = make(map[string]*counterAcc, len(st.Counters))
@@ -80,4 +84,5 @@ func (r *Recorder) Restore(st State) {
 	for _, k := range st.OpKinds {
 		hist(r.opLats, r.opVec, k)
 	}
+	return nil
 }

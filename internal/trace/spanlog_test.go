@@ -57,7 +57,10 @@ func TestSpanLogKeepsSpansInPlace(t *testing.T) {
 // repeated one still opens none.
 func TestSpanLogFindsSpansOutOfOrder(t *testing.T) {
 	r := New()
-	r.Restore(State{Spans: []Span{{Seq: 7, Workflow: "W", Policy: "P"}, {Workflow: "W", Policy: "P", id: "odd"}, {Seq: 9, Workflow: "W", Policy: "P"}}})
+	err := r.Restore(State{Spans: []SpanRecord{{ID: "W/P#7", Workflow: "W", Policy: "P"}, {Workflow: "W", Policy: "P"}, {ID: "W/P#9", Workflow: "W", Policy: "P"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	order := []int{8, 20, 10, 3, 21, 1, 22}
 	for _, seq := range order {
 		r.Suggested(seq, "W", "P", "ADDCPU", "PACE", 1, 2, 3)

@@ -30,7 +30,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -41,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"dyflow/internal/ckpt"
 	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 	"dyflow/internal/stats"
@@ -48,42 +48,30 @@ import (
 
 // Span is one suggestion's lifecycle across the four stages. Zero
 // timestamps mean the span never reached that stage; Dropped names the
-// reason when Arbitration discarded it. Its JSON (MarshalJSON) carries
-// the ID in place of Seq.
+// reason when Arbitration discarded it. Its encoded form is SpanRecord.
 type Span struct {
 	// Seq is the number Decision gave the suggestion; the recorder finds
-	// the span by it. A span decoded from JSON takes it from its ID
-	// (ParseSeq).
-	Seq      int    `json:"-"`
-	Workflow string `json:"workflow"`
-	Policy   string `json:"policy"`
-	Action   string `json:"action"`
-	Sensor   string `json:"sensor,omitempty"`
+	// the span by it.
+	Seq      int
+	Workflow string
+	Policy   string
+	Action   string
+	Sensor   string
 
-	GeneratedAt sim.Time `json:"generated_at"`
-	ObservedAt  sim.Time `json:"observed_at"`
-	DecidedAt   sim.Time `json:"decided_at"`
-	ReceivedAt  sim.Time `json:"received_at,omitempty"`
-	PlannedAt   sim.Time `json:"planned_at,omitempty"`
-	ExecutedAt  sim.Time `json:"executed_at,omitempty"`
+	GeneratedAt sim.Time
+	ObservedAt  sim.Time
+	DecidedAt   sim.Time
+	ReceivedAt  sim.Time
+	PlannedAt   sim.Time
+	ExecutedAt  sim.Time
 
 	// Dropped is the discard reason ("warmup", "settle", "stale",
 	// "empty-plan") when the suggestion never reached actuation.
-	Dropped string `json:"dropped,omitempty"`
-
-	// id is the ID a decoded span carried when it is not the one its
-	// Workflow, Policy and Seq format to; "" otherwise.
-	id string
+	Dropped string
 }
 
-// ID returns the span's ID: SpanID(Workflow, Policy, Seq), or the ID it
-// was decoded with when that differs.
-func (sp Span) ID() string {
-	if sp.id != "" {
-		return sp.id
-	}
-	return SpanID(sp.Workflow, sp.Policy, sp.Seq)
-}
+// ID returns the span's ID, SpanID(Workflow, Policy, Seq).
+func (sp Span) ID() string { return SpanID(sp.Workflow, sp.Policy, sp.Seq) }
 
 // SpanID formats the ID of suggestion seq of a workflow's policy,
 // "workflow/policy#seq"; seq 0 numbers no suggestion and has the empty
@@ -110,34 +98,44 @@ func ParseSeq(id string) int {
 	return n
 }
 
-// spanFields is Span without its methods, so its fields encode as
-// encoding/json encodes a struct.
-type spanFields Span
+// SpanRecord is a span as it is encoded: in a checkpoint, on the fleet
+// wire, in a run's event stream and in the JSON report. It carries the
+// span's ID in place of its number. The coordinator relays a worker's
+// records as they came, so only a checkpoint's records are turned back
+// into spans (Live).
+type SpanRecord struct {
+	ID       string `json:"id"`
+	Workflow string `json:"workflow"`
+	Policy   string `json:"policy"`
+	Action   string `json:"action"`
+	Sensor   string `json:"sensor,omitempty"`
 
-// MarshalJSON encodes the span with its ID first.
-func (sp Span) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		ID string `json:"id"`
-		spanFields
-	}{sp.ID(), spanFields(sp)})
+	GeneratedAt sim.Time `json:"generated_at"`
+	ObservedAt  sim.Time `json:"observed_at"`
+	DecidedAt   sim.Time `json:"decided_at"`
+	ReceivedAt  sim.Time `json:"received_at,omitempty"`
+	PlannedAt   sim.Time `json:"planned_at,omitempty"`
+	ExecutedAt  sim.Time `json:"executed_at,omitempty"`
+
+	Dropped string `json:"dropped,omitempty"`
 }
 
-// UnmarshalJSON decodes a span as into a zero value: Seq is its ID's
-// number, and an ID SpanID would not format is kept as it was.
-func (sp *Span) UnmarshalJSON(data []byte) error {
-	var w struct {
-		ID string `json:"id"`
-		spanFields
+// Record returns the span's record.
+func (sp Span) Record() SpanRecord {
+	return SpanRecord{sp.ID(), sp.Workflow, sp.Policy, sp.Action, sp.Sensor,
+		sp.GeneratedAt, sp.ObservedAt, sp.DecidedAt, sp.ReceivedAt, sp.PlannedAt, sp.ExecutedAt, sp.Dropped}
+}
+
+// Live returns the span a record holds, numbered by its ID. A record whose
+// ID is not the one its workflow, policy and that number format to
+// (SpanID) is no span's and is an error.
+func (rec SpanRecord) Live() (Span, error) {
+	seq := ParseSeq(rec.ID)
+	if id := SpanID(rec.Workflow, rec.Policy, seq); id != rec.ID {
+		return Span{}, fmt.Errorf("trace: span ID %q is not %q", rec.ID, id)
 	}
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*sp = Span(w.spanFields)
-	sp.Seq = ParseSeq(w.ID)
-	if w.ID != sp.ID() {
-		sp.id = w.ID
-	}
-	return nil
+	return Span{seq, rec.Workflow, rec.Policy, rec.Action, rec.Sensor,
+		rec.GeneratedAt, rec.ObservedAt, rec.DecidedAt, rec.ReceivedAt, rec.PlannedAt, rec.ExecutedAt, rec.Dropped}, nil
 }
 
 // Complete reports whether the span traversed every stage.
@@ -640,7 +638,7 @@ type QueueStat struct {
 // latency breakdown plus counters, sensor lags, op latencies, and queue
 // depths. It is JSON-marshalable for export.
 type Report struct {
-	Spans      []Span         `json:"spans"`
+	Spans      []SpanRecord   `json:"spans"`
 	Stages     []StageLatency `json:"stages"`
 	SensorLags []LatencyStat  `json:"sensor_lags"`
 	Ops        []LatencyStat  `json:"ops"`
@@ -719,13 +717,14 @@ func (r *Recorder) Report() *Report {
 	if r == nil {
 		return &Report{}
 	}
-	rep := &Report{Spans: r.Spans()}
+	spans := r.Spans()
+	rep := &Report{Spans: ckpt.Map(spans, Span.Record)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
 	// Per-policy per-stage latencies over completed spans.
 	byPolicy := map[string][]Span{}
-	for _, sp := range rep.Spans {
+	for _, sp := range spans {
 		if sp.Complete() {
 			byPolicy[sp.Policy] = append(byPolicy[sp.Policy], sp)
 		}
@@ -868,7 +867,7 @@ func (rep *Report) Write(w io.Writer) {
 
 	completed, dropped := 0, 0
 	for _, sp := range rep.Spans {
-		if sp.Complete() {
+		if sp.ExecutedAt > 0 { // Span.Complete
 			completed++
 		}
 		if sp.Dropped != "" {

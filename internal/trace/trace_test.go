@@ -378,7 +378,9 @@ func TestRecorderRestoreResolvesHandles(t *testing.T) {
 
 	same := New()
 	same.SetMetrics(reg)
-	same.Restore(st)
+	if err := same.Restore(st); err != nil {
+		t.Fatal(err)
+	}
 	same.Inc("a", 1)
 	same.QueueDepth("ep", 5)
 	if v, _ := reg.Value("dyflow_stage_events_total"); v != 3 {
@@ -397,7 +399,9 @@ func TestRecorderRestoreResolvesHandles(t *testing.T) {
 	fresh := obs.NewRegistry()
 	cold := New()
 	cold.SetMetrics(fresh)
-	cold.Restore(st)
+	if err := cold.Restore(st); err != nil {
+		t.Fatal(err)
+	}
 	if text := prom(fresh); strings.Contains(text, "event=") || strings.Contains(text, "endpoint=") {
 		t.Errorf("a restore alone wrote series to a fresh registry:\n%s", text)
 	}

@@ -53,45 +53,53 @@ func genParentSpan(rng *rand.Rand) parentSpan {
 	return p
 }
 
-// TestProperty_SpanWire_EqualsParentJSON: a span the recorder opens
-// encodes to the parent's bytes for the same lifecycle, and a parent
-// encoding — empty, canonical or odd ID — decodes into a span whose ID is
-// the parent's and that encodes back to the parent decode's bytes.
+// checkRecord holds one parent span to the record properties: the record
+// of the same fields encodes to the parent's bytes; Live accepts it
+// exactly when its ID is SpanID of its own fields and number, and then
+// the span's record is the record again.
+func checkRecord(t *testing.T, p parentSpan) (accepted bool) {
+	t.Helper()
+	rec := SpanRecord(p)
+	want, werr := json.Marshal(p)
+	got, err := json.Marshal(rec)
+	if (err == nil) != (werr == nil) || !bytes.Equal(got, want) {
+		t.Fatalf("%+v encodes to %s (%v), the parent to %s (%v)", rec, got, err, want, werr)
+	}
+	sp, err := rec.Live()
+	canonical := SpanID(p.Workflow, p.Policy, ParseSeq(p.ID)) == p.ID
+	if (err == nil) != canonical {
+		t.Fatalf("%+v: Live err = %v, yet its ID canonical = %v", rec, err, canonical)
+	}
+	if err == nil && (sp.Record() != rec || sp.Seq != ParseSeq(p.ID)) {
+		t.Fatalf("%+v: Live gives %+v, whose record is %+v", rec, sp, sp.Record())
+	}
+	return canonical
+}
+
+// TestProperty_SpanWire_EqualsParentJSON: over seeded spans — empty,
+// canonical and odd IDs, random strings and times — a span record
+// encodes to the parent's bytes; a span the recorder opens turns into
+// the record of its lifecycle and back into itself; and a record turns
+// into a span and back into itself exactly when restore accepts it (its
+// ID is its own), the rest being rejected.
 func TestProperty_SpanWire_EqualsParentJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	var opened, odd int
 	for i := 0; i < 3000; i++ {
 		p := genParentSpan(rng)
-		want, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq := ParseSeq(p.ID); SpanID(p.Workflow, p.Policy, seq) == p.ID {
-			opened++
-			sp := Span{Seq: seq, Workflow: p.Workflow, Policy: p.Policy, Action: p.Action, Sensor: p.Sensor,
-				GeneratedAt: p.GeneratedAt, ObservedAt: p.ObservedAt, DecidedAt: p.DecidedAt,
-				ReceivedAt: p.ReceivedAt, PlannedAt: p.PlannedAt, ExecutedAt: p.ExecutedAt, Dropped: p.Dropped}
-			if got, err := json.Marshal(sp); err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("%+v encodes to %s (%v), the parent's to %s", sp, got, err, want)
-			}
-		} else {
+		if !checkRecord(t, p) {
 			odd++
+			continue
 		}
-		var d Span
-		if err := json.Unmarshal(want, &d); err != nil {
-			t.Fatal(err)
+		opened++
+		sp := Span{Seq: ParseSeq(p.ID), Workflow: p.Workflow, Policy: p.Policy, Action: p.Action, Sensor: p.Sensor,
+			GeneratedAt: p.GeneratedAt, ObservedAt: p.ObservedAt, DecidedAt: p.DecidedAt,
+			ReceivedAt: p.ReceivedAt, PlannedAt: p.PlannedAt, ExecutedAt: p.ExecutedAt, Dropped: p.Dropped}
+		if rec := sp.Record(); rec != SpanRecord(p) {
+			t.Fatalf("%+v has record %+v, want %+v", sp, rec, p)
 		}
-		var back parentSpan
-		if err := json.Unmarshal(want, &back); err != nil {
-			t.Fatal(err)
-		}
-		if d.ID() != back.ID || d.Seq != ParseSeq(back.ID) || d.Workflow != back.Workflow || d.Dropped != back.Dropped || d.ExecutedAt != back.ExecutedAt {
-			t.Fatalf("%s decodes to %+v, the parent's decode is %+v", want, d, back)
-		}
-		got, err := json.Marshal(d)
-		parentAgain, _ := json.Marshal(back)
-		if err != nil || !bytes.Equal(got, parentAgain) {
-			t.Fatalf("%s decodes and encodes back to %s (%v), the parent's to %s", want, got, err, parentAgain)
+		if back, err := sp.Record().Live(); err != nil || back != sp {
+			t.Fatalf("%+v turns into its record and back into %+v (%v)", sp, back, err)
 		}
 	}
 	if opened < 1000 || odd < 500 {
@@ -99,9 +107,8 @@ func TestProperty_SpanWire_EqualsParentJSON(t *testing.T) {
 	}
 }
 
-// FuzzSpanWireJSON: any JSON document decodes into a Span exactly when it
-// decodes into the parent's, and then encodes to the parent decode's
-// bytes.
+// FuzzSpanWireJSON: any JSON document decodes into a SpanRecord exactly
+// when it decodes into the parent's, and then holds to checkRecord.
 func FuzzSpanWireJSON(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10; i++ {
@@ -113,17 +120,17 @@ func FuzzSpanWireJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p parentSpan
 		perr := json.Unmarshal(data, &p)
-		var sp Span
-		serr := json.Unmarshal(data, &sp)
-		if (perr == nil) != (serr == nil) {
-			t.Fatalf("%q: the parent's decode fails with %v, the span's with %v", data, perr, serr)
+		var rec SpanRecord
+		rerr := json.Unmarshal(data, &rec)
+		if (perr == nil) != (rerr == nil) {
+			t.Fatalf("%q: the parent's decode fails with %v, the record's with %v", data, perr, rerr)
 		}
 		if perr != nil {
 			return
 		}
-		want, _ := json.Marshal(p)
-		if got, err := json.Marshal(sp); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%q encodes to %s (%v), the parent's decode to %s", data, got, err, want)
+		if rec != SpanRecord(p) {
+			t.Fatalf("%q decodes to %+v, the parent's to %+v", data, rec, p)
 		}
+		checkRecord(t, p)
 	})
 }
