@@ -392,7 +392,7 @@ func workerBinding(t testing.TB, cfg *spec.Config, name string) (spec.MonitorTar
 
 // TestProperty_PollShipment_EqualsRebuild: over seeded event sequences, every
 // batch a poll worker sends — re-sent for an unchanged extraction or built
-// afresh — JSON-encodes exactly as the batch the rebuild-every-poll
+// afresh — has the same record JSON as the batch the rebuild-every-poll
 // reference builds from the same shipment, and the dropped-sample counters
 // read what the reference drops. Most polls are stale, so most DISKSCAN
 // batches are re-sends.
