@@ -24,6 +24,7 @@ var exportedForTests = map[string]string{
 	"internal/msg.UniformJitterLatency":           "feeds seeded jitter into the bus's delivery path",
 	"internal/sim.Sim.Dispatched":                 "the goldens pin the kernel's event count",
 	"internal/sim.Sim.Handoffs":                   "the goldens pin the kernel's goroutine handoffs",
+	"internal/sim.Sim.RunUntilIdle":               "steps the kernel's event loop until no event is left; the run loops step to a horizon with Run",
 
 	// Kept for now: deleting each takes a whole test with it.
 	"internal/fsim.FS.Glob":                 "TestProperty_WorldClose_IsInert's view of the filesystem",

@@ -157,10 +157,18 @@ func TestTraceDumpRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost records: %d/%d intervals, %d/%d plans",
 			len(loaded.Intervals), len(dump.Intervals), len(loaded.Plans), len(dump.Plans))
 	}
-	var buf bytes.Buffer
+	if len(loaded.Plans) == 0 {
+		t.Fatal("the run recorded no arbitration round")
+	}
+	var buf, live bytes.Buffer
 	loaded.Gantt(&buf, 80)
 	if !strings.Contains(buf.String(), "Ana") {
 		t.Fatalf("rendered dump missing task row:\n%s", buf.String())
+	}
+	// The dump draws the chart the live run draws, DYFLOW row included.
+	sys.WriteGantt(&live, 80)
+	if !strings.Contains(live.String(), "(DYFLOW adjustment windows)") || !strings.HasPrefix(buf.String(), live.String()) {
+		t.Fatalf("rendered dump:\n%s\nwant the live chart first:\n%s", buf.String(), live.String())
 	}
 }
 

@@ -3,6 +3,7 @@ package dyflow
 import (
 	"go/ast"
 	"go/token"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"dyflow/internal/core/decision"
 	"dyflow/internal/core/sensor"
 	"dyflow/internal/msg"
+	"dyflow/internal/obs"
 	"dyflow/internal/trace"
 )
 
@@ -66,4 +68,26 @@ func TestHotTypesHaveNoCodecs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestInstrumentationIsWiredAtConstruction keeps instrumentation to one
+// mode: a component gets its metrics registry or flight recorder as a
+// constructor argument, so no package under internal/ declares a
+// SetMetrics or SetTracer method, and trace.New takes the registry its
+// recorder publishes into.
+func TestInstrumentationIsWiredAtConstruction(t *testing.T) {
+	walkSources(t, token.NewFileSet(), func(path, dir string, f *ast.File) {
+		if !strings.HasPrefix(dir, "internal/") {
+			return
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil &&
+				(fn.Name.Name == "SetMetrics" || fn.Name.Name == "SetTracer") {
+				t.Errorf("%s: %s.%s attaches instrumentation after construction", path, recvName(fn.Recv.List[0].Type), fn.Name.Name)
+			}
+		}
+	})
+	if ft := reflect.TypeOf(trace.New); ft.NumIn() != 1 || ft.In(0) != reflect.TypeOf((*obs.Registry)(nil)) {
+		t.Errorf("trace.New is %v, want it to take the *obs.Registry", ft)
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"dyflow/internal/cluster"
 	"dyflow/internal/fsim"
+	"dyflow/internal/obs"
 	"dyflow/internal/resmgr"
 	"dyflow/internal/sim"
 	"dyflow/internal/stream"
@@ -22,12 +23,13 @@ func launchWorld(t *testing.T, m Machine, nodes int, wf *wms.WorkflowSpec) (*sim
 	} else {
 		c = cluster.Deepthought2(s, nodes)
 	}
-	rm := resmgr.New(c)
+	reg := obs.NewRegistry()
+	rm := resmgr.New(c, reg)
 	if _, err := rm.Allocate(nodes); err != nil {
 		t.Fatal(err)
 	}
-	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s)}
-	sv := wms.New(env, rm)
+	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg)}
+	sv := wms.New(env, rm, reg)
 	if err := sv.Compose(wf); err != nil {
 		t.Fatal(err)
 	}

@@ -55,18 +55,11 @@ type Campaign struct {
 	mEvents *obs.CounterVec // dyflow_chaos_events_total{kind}
 }
 
-// NewCampaign builds a campaign over c. Call Schedule to arm it.
-func NewCampaign(c *Cluster, cfg CampaignConfig) *Campaign {
-	return &Campaign{c: c, cfg: cfg}
-}
-
-// SetMetrics attaches a metrics registry: fired kill/heal events count
-// into dyflow_chaos_events_total{kind}.
-func (cp *Campaign) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	cp.mEvents = reg.Counter("dyflow_chaos_events_total", "Fault-injection events that fired, by kind.", "kind")
+// NewCampaign builds a campaign over c whose fired kill/heal events count
+// into reg's dyflow_chaos_events_total{kind}. Call Schedule to arm it.
+func NewCampaign(c *Cluster, cfg CampaignConfig, reg *obs.Registry) *Campaign {
+	return &Campaign{c: c, cfg: cfg,
+		mEvents: reg.Counter("dyflow_chaos_events_total", "Fault-injection events that fired, by kind.", "kind")}
 }
 
 // Schedule precomputes the kill schedule from the seed and registers the

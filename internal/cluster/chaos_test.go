@@ -13,7 +13,7 @@ func runCampaign(t *testing.T, cfg CampaignConfig, horizon time.Duration) *Campa
 	t.Helper()
 	s := sim.New(1)
 	c := Deepthought2(s, 4)
-	cp := NewCampaign(c, cfg)
+	cp := NewCampaign(c, cfg, obs.NewRegistry())
 	if cp.Schedule() == 0 {
 		t.Fatal("no kills scheduled")
 	}
@@ -55,7 +55,7 @@ func TestCampaignHealsKilledNodes(t *testing.T) {
 	cp := NewCampaign(c, CampaignConfig{
 		Seed: 1, Start: time.Minute, HealAfter: 5 * time.Minute,
 		Targets: []NodeID{"node001"},
-	})
+	}, obs.NewRegistry())
 	cp.Schedule() // MeanBetween 0: exactly one kill at Start
 	s.At(2*time.Minute, func() {
 		if c.Node("node001").Healthy() {
@@ -106,15 +106,14 @@ func TestCampaignMaxDownCap(t *testing.T) {
 func TestCampaignMetrics(t *testing.T) {
 	s := sim.New(1)
 	c := Deepthought2(s, 4)
+	reg := obs.NewRegistry()
 	cp := NewCampaign(c, CampaignConfig{
 		Seed:        7,
 		Start:       time.Minute,
 		End:         30 * time.Minute,
 		MeanBetween: 5 * time.Minute,
 		HealAfter:   2 * time.Minute,
-	})
-	reg := obs.NewRegistry()
-	cp.SetMetrics(reg)
+	}, reg)
 	if cp.Schedule() == 0 {
 		t.Fatal("no kills scheduled")
 	}

@@ -137,9 +137,9 @@ type Executor struct {
 }
 
 // NewExecutor creates an Executor over the plugin with the default retry
-// policy.
-func NewExecutor(plugin Plugin) *Executor {
-	return &Executor{plugin: plugin, retry: DefaultRetryPolicy()}
+// policy, recording per-operation latency on tr.
+func NewExecutor(plugin Plugin, tr *trace.Recorder) *Executor {
+	return &Executor{plugin: plugin, retry: DefaultRetryPolicy(), tr: tr}
 }
 
 // SetRetryPolicy overrides the transient-failure retry budget.
@@ -149,9 +149,6 @@ func (ex *Executor) SetRetryPolicy(p RetryPolicy) {
 	}
 	ex.retry = p
 }
-
-// SetTracer attaches the flight recorder for per-operation latency.
-func (ex *Executor) SetTracer(tr *trace.Recorder) { ex.tr = tr }
 
 // Records returns all executed operations.
 func (ex *Executor) Records() []OpRecord { return ex.records }

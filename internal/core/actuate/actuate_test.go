@@ -8,6 +8,7 @@ import (
 	"dyflow/internal/cluster"
 	"dyflow/internal/core/arbiter"
 	"dyflow/internal/fsim"
+	"dyflow/internal/obs"
 	"dyflow/internal/resmgr"
 	"dyflow/internal/sim"
 	"dyflow/internal/stream"
@@ -21,18 +22,20 @@ type rig struct {
 	rm *resmgr.Manager
 	sv *wms.Savanna
 	ex *Executor
+	tr *trace.Recorder // the executor's flight recorder
 }
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	s := sim.New(1)
 	c := cluster.Deepthought2(s, 3)
-	rm := resmgr.New(c)
+	reg := obs.NewRegistry()
+	rm := resmgr.New(c, reg)
 	if _, err := rm.Allocate(3); err != nil {
 		t.Fatal(err)
 	}
-	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s)}
-	sv := wms.New(env, rm)
+	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg)}
+	sv := wms.New(env, rm, reg)
 	sv.Compose(&wms.WorkflowSpec{
 		ID: "WF",
 		Tasks: []wms.TaskConfig{
@@ -48,7 +51,8 @@ func newRig(t *testing.T) *rig {
 			},
 		},
 	})
-	return &rig{s: s, rm: rm, sv: sv, ex: NewExecutor(&SavannaPlugin{SV: sv})}
+	tr := trace.New(reg)
+	return &rig{s: s, rm: rm, sv: sv, ex: NewExecutor(&SavannaPlugin{SV: sv}, tr), tr: tr}
 }
 
 func TestExecutePlanInOrder(t *testing.T) {
@@ -139,8 +143,7 @@ func TestExecuteAbortsOnInfeasibleStart(t *testing.T) {
 
 func TestStartRetriesInjectedCarveFaultAndRecovers(t *testing.T) {
 	r := newRig(t)
-	tr := trace.New()
-	r.ex.SetTracer(tr)
+	tr := r.tr
 	r.ex.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, Backoff: 2 * time.Second})
 	faults := resmgr.NewFaults(1, 1.0)
 	r.rm.InjectFaults(faults)
@@ -184,8 +187,7 @@ func TestStartRetriesInjectedCarveFaultAndRecovers(t *testing.T) {
 
 func TestStartRetryUntilExhausted(t *testing.T) {
 	r := newRig(t)
-	tr := trace.New()
-	r.ex.SetTracer(tr)
+	tr := r.tr
 	r.rm.InjectFaults(resmgr.NewFaults(1, 1.0)) // every carve fails
 	r.s.Spawn("driver", func(p *sim.Proc) {
 		plan := arbiter.Plan{Workflow: "WF", Ops: []arbiter.Op{
@@ -223,12 +225,13 @@ func TestStartRetryUntilExhausted(t *testing.T) {
 func TestStartRecarvesAroundLostNode(t *testing.T) {
 	s := sim.New(1)
 	c := cluster.Deepthought2(s, 3)
-	rm := resmgr.New(c)
+	reg := obs.NewRegistry()
+	rm := resmgr.New(c, reg)
 	if _, err := rm.Allocate(3); err != nil {
 		t.Fatal(err)
 	}
-	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s)}
-	sv := wms.New(env, rm)
+	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg)}
+	sv := wms.New(env, rm, reg)
 	sv.Compose(&wms.WorkflowSpec{
 		ID: "WF",
 		Tasks: []wms.TaskConfig{{
@@ -238,10 +241,9 @@ func TestStartRecarvesAroundLostNode(t *testing.T) {
 		}},
 	})
 	sv.RegisterScript("boot.sh", 10*time.Second)
-	ex := NewExecutor(&SavannaPlugin{SV: sv})
+	tr := trace.New(reg)
+	ex := NewExecutor(&SavannaPlugin{SV: sv}, tr)
 	ex.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Backoff: 2 * time.Second})
-	tr := trace.New()
-	ex.SetTracer(tr)
 
 	// The first carve fills node000; it dies mid-script and heals before
 	// the retry, so a naive re-carve would land right back on it.

@@ -8,7 +8,9 @@ import (
 	"dyflow/internal/core/decision"
 	"dyflow/internal/core/spec"
 	"dyflow/internal/msg"
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
+	"dyflow/internal/trace"
 )
 
 // BenchmarkBuildPlan measures Algorithm 1's planning cost on a workflow
@@ -87,7 +89,7 @@ func BenchmarkArbitrateRound(b *testing.B) {
 			tasks["idle"] = TaskState{Procs: 4}
 			s := sim.New(1)
 			view := &fakeView{tasks: map[string]map[string]TaskState{"W": tasks}, free: n * 5}
-			eng := New(s, msg.NewBus(s), "arbiter", DefaultConfig(), map[string]*spec.WorkflowRules{"W": rules}, view, &fakeExec{s: s, failAfter: -1})
+			eng := New(s, msg.NewBus(s), "arbiter", DefaultConfig(), map[string]*spec.WorkflowRules{"W": rules}, view, &fakeExec{s: s, failAfter: -1}, trace.New(obs.NewRegistry()))
 			batch := []decision.Suggestion{{Rule: decision.NewRule("W", "STOP_IDLE", "STOP", "idle", []string{"idle"}, nil), DecidedAt: int64(2 * time.Second)}}
 			s.Spawn("driver", func(p *sim.Proc) {
 				eng.Arbitrate(p, batch)

@@ -81,8 +81,7 @@ func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 		}
 		snap := r.eng.Snapshot()
 		r.eng.Stop()
-		eng2 := New(r.s, r.bus, "arbiter", r.cfg, r.rules, r.view, r.exec)
-		eng2.SetTracer(r.tr) // the orchestrator's recorder outlives the engine
+		eng2 := New(r.s, r.bus, "arbiter", r.cfg, r.rules, r.view, r.exec, r.tr) // the orchestrator's recorder outlives the engine
 		eng2.Restore(snap)
 		eng2.Start()
 		r.eng = eng2

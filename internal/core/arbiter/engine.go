@@ -167,8 +167,8 @@ type Engine struct {
 }
 
 // New creates the Arbitration engine reading suggestion batches from its
-// endpoint.
-func New(s *sim.Sim, bus *msg.Bus, name string, cfg Config, rules map[string]*spec.WorkflowRules, view View, exec Executor) *Engine {
+// endpoint. It stamps suggestion spans and stage counters on tr.
+func New(s *sim.Sim, bus *msg.Bus, name string, cfg Config, rules map[string]*spec.WorkflowRules, view View, exec Executor, tr *trace.Recorder) *Engine {
 	if rules == nil {
 		rules = map[string]*spec.WorkflowRules{}
 	}
@@ -178,6 +178,7 @@ func New(s *sim.Sim, bus *msg.Bus, name string, cfg Config, rules map[string]*sp
 		cfg:     cfg,
 		view:    view,
 		exec:    exec,
+		tr:      tr,
 		rules:   rules,
 		waiting: make(map[string][]WaitingTask),
 		tasks:   make(map[string]map[string]TaskState),
@@ -193,10 +194,6 @@ func (e *Engine) SetSpawner(spawn func(name string, fn func(*sim.Proc)) *sim.Pro
 // Busy reports whether a round is in flight (gathering or executing a
 // plan). Checkpoints are only coherent while not busy.
 func (e *Engine) Busy() bool { return e.busy }
-
-// SetTracer attaches the flight recorder for suggestion-span stamping and
-// stage counters.
-func (e *Engine) SetTracer(tr *trace.Recorder) { e.tr = tr }
 
 // Records returns all executed arbitration rounds so far.
 func (e *Engine) Records() []Record { return e.records }

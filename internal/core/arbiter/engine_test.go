@@ -9,6 +9,7 @@ import (
 	"dyflow/internal/core/decision"
 	"dyflow/internal/core/spec"
 	"dyflow/internal/msg"
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 	"dyflow/internal/trace"
 )
@@ -95,9 +96,8 @@ func newEngineRig(t *testing.T, cfg Config) *engineRig {
 		"W": {Workflow: "W", TaskPriorities: map[string]int{"A": 0, "B": 1}},
 		"V": {Workflow: "V", TaskPriorities: map[string]int{"X": 0}},
 	}
-	eng := New(s, bus, "arbiter", cfg, rules, view, exec)
-	tr := trace.New()
-	eng.SetTracer(tr)
+	tr := trace.New(obs.NewRegistry())
+	eng := New(s, bus, "arbiter", cfg, rules, view, exec, tr)
 	eng.Start()
 	return &engineRig{s: s, bus: bus, dec: dec, view: view, exec: exec, eng: eng, tr: tr, cfg: cfg, rules: rules}
 }

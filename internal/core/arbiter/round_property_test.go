@@ -12,6 +12,7 @@ import (
 	"dyflow/internal/core/decision"
 	"dyflow/internal/core/spec"
 	"dyflow/internal/msg"
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 	"dyflow/internal/trace"
 )
@@ -280,9 +281,8 @@ func runRounds(t *testing.T, sc roundScenario, arbitrate func(*Engine, *sim.Proc
 	}
 	rules["W"].Deps = []spec.TaskDep{{Task: "C", Parent: "B", Type: spec.DepTight}}
 	cfg := Config{PlanCost: 100 * time.Millisecond, SettleDelay: time.Minute, FailureCooldown: 10 * time.Second}
-	eng := New(s, msg.NewBus(s), "arbiter", cfg, rules, view, exec)
-	tr := trace.New()
-	eng.SetTracer(tr)
+	tr := trace.New(obs.NewRegistry())
+	eng := New(s, msg.NewBus(s), "arbiter", cfg, rules, view, exec, tr)
 	for _, w := range sc.waiting {
 		eng.EnqueueWaiting(w)
 	}

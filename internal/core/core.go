@@ -97,16 +97,15 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orches
 		Config:  cfg,
 		Savanna: sv,
 		Bus:     bus,
-		Trace:   trace.New(),
+		Trace:   trace.New(opts.Metrics),
 		Metrics: opts.Metrics,
 		env:     env,
 	}
-	o.Trace.SetMetrics(o.Metrics)
 	bus.OnDepth = o.Trace.QueueDepth
 	bus.Encode, bus.Decode = encodePayload, decodePayload
 
 	// Monitor: server plus sharded clients.
-	o.Server = sensor.NewServer(env.Sim, bus, EndpointMonitorServer, EndpointDecision, cfg)
+	o.Server = sensor.NewServer(env.Sim, bus, EndpointMonitorServer, EndpointDecision, cfg, o.Trace)
 	workload := &savannaWorkload{sv: sv}
 	for i := 0; i < opts.MonitorClients; i++ {
 		var shard []spec.MonitorTarget
@@ -116,30 +115,23 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orches
 			}
 		}
 		name := fmt.Sprintf("monitor-client-%d", i)
-		cl := sensor.NewClient(name, env, bus, EndpointMonitorServer, cfg, shard, workload, opts.SensorCosts)
+		cl := sensor.NewClient(name, env, bus, EndpointMonitorServer, cfg, shard, workload, opts.SensorCosts, opts.Metrics)
 		cl.SetSelfSource(&selfSource{o: o})
-		cl.SetMetrics(opts.Metrics)
 		o.Clients = append(o.Clients, cl)
 	}
 
 	// Decision.
-	o.Decision = decision.New(env.Sim, bus, EndpointDecision, EndpointArbiter, cfg)
+	o.Decision = decision.New(env.Sim, bus, EndpointDecision, EndpointArbiter, cfg, o.Trace)
 
 	// Actuation: the Savanna plugin.
-	o.Executor = actuate.NewExecutor(&actuate.SavannaPlugin{SV: sv})
+	o.Executor = actuate.NewExecutor(&actuate.SavannaPlugin{SV: sv}, o.Trace)
 	if opts.Retry != nil {
 		o.Executor.SetRetryPolicy(*opts.Retry)
 	}
 
 	// Arbitration.
 	view := &savannaView{sv: sv}
-	o.Arbiter = arbiter.New(env.Sim, bus, EndpointArbiter, opts.Arbiter, cfg.Rules, view, o.Executor)
-
-	// Thread the flight recorder through all four stages.
-	o.Server.SetTracer(o.Trace)
-	o.Decision.SetTracer(o.Trace)
-	o.Arbiter.SetTracer(o.Trace)
-	o.Executor.SetTracer(o.Trace)
+	o.Arbiter = arbiter.New(env.Sim, bus, EndpointArbiter, opts.Arbiter, cfg.Rules, view, o.Executor, o.Trace)
 
 	// Stage supervision: every stage process runs panic-guarded so a stage
 	// crash is absorbed and restarted instead of failing the simulation.

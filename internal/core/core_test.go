@@ -9,6 +9,7 @@ import (
 	"dyflow/internal/core/spec"
 	"dyflow/internal/fsim"
 	"dyflow/internal/msg"
+	"dyflow/internal/obs"
 	"dyflow/internal/resmgr"
 	"dyflow/internal/sim"
 	"dyflow/internal/stream"
@@ -28,12 +29,13 @@ func newWorld(t *testing.T, nodes int) *world {
 	t.Helper()
 	s := sim.New(1)
 	c := cluster.Deepthought2(s, nodes)
-	rm := resmgr.New(c)
+	reg := obs.NewRegistry()
+	rm := resmgr.New(c, reg)
 	if _, err := rm.Allocate(nodes); err != nil {
 		t.Fatal(err)
 	}
-	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s)}
-	return &world{s: s, c: c, rm: rm, env: env, sv: wms.New(env, rm)}
+	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg)}
+	return &world{s: s, c: c, rm: rm, env: env, sv: wms.New(env, rm, reg)}
 }
 
 // TestEndToEndPaceAdaptation drives the complete loop: a coupled workflow

@@ -8,6 +8,7 @@ import (
 	"dyflow/internal/core/spec"
 	"dyflow/internal/fsim"
 	"dyflow/internal/msg"
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 	"dyflow/internal/task"
 	"dyflow/internal/trace"
@@ -63,15 +64,14 @@ func BenchmarkMonitorRepoll(b *testing.B) {
 	}
 	bus := msg.NewBus(s)
 	bus.Endpoint("arbiter")
-	tr := trace.New()
-	server := sensor.NewServer(s, bus, "monitor-server", "decision", cfg)
-	server.SetTracer(tr)
+	reg := obs.NewRegistry()
+	tr := trace.New(reg)
+	server := sensor.NewServer(s, bus, "monitor-server", "decision", cfg, tr)
 	server.Start()
-	e := New(s, bus, "decision", "arbiter", cfg)
-	e.SetTracer(tr)
+	e := New(s, bus, "decision", "arbiter", cfg, tr)
 	e.Start()
 	costs := sensor.DefaultCosts()
-	client := sensor.NewClient("client0", &task.Env{Sim: s, FS: fs}, bus, "monitor-server", cfg, cfg.Targets, idleWorkload{}, costs)
+	client := sensor.NewClient("client0", &task.Env{Sim: s, FS: fs}, bus, "monitor-server", cfg, cfg.Targets, idleWorkload{}, costs, reg)
 	client.Start()
 	period := costs.PollInterval + costs.DiskRead
 	if err := s.Run(5 * period); err != nil {

@@ -202,12 +202,16 @@ type Engine struct {
 
 // New creates the Decision engine reading metrics from its endpoint and
 // sending suggestion batches to the out endpoint (the Arbitration stage).
-func New(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config) *Engine {
+// Every suggestion it emits opens a lifecycle span on tr, which also owns
+// the stage's counters: decision.evaluations, decision.suggestions and
+// decision.metrics_ingested.
+func New(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config, tr *trace.Recorder) *Engine {
 	e := &Engine{
 		s:      s,
 		ep:     bus.Endpoint(name),
 		out:    out,
 		cfg:    cfg,
+		tr:     tr,
 		filter: msg.NewOrderFilter(),
 	}
 	for _, pb := range cfg.Bindings {
@@ -220,12 +224,6 @@ func New(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config) *Engine {
 	}
 	return e
 }
-
-// SetTracer attaches the flight recorder; suggestions emitted afterwards
-// open lifecycle spans on it. The recorder owns the stage's counters:
-// decision.evaluations, decision.suggestions and
-// decision.metrics_ingested.
-func (e *Engine) SetTracer(tr *trace.Recorder) { e.tr = tr }
 
 // SetSpawner overrides how the engine spawns its processes (the supervisor
 // injects a panic-guarded spawner here). Call before Start.

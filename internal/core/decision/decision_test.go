@@ -8,6 +8,7 @@ import (
 	"dyflow/internal/core/sensor"
 	"dyflow/internal/core/spec"
 	"dyflow/internal/msg"
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 	"dyflow/internal/trace"
 )
@@ -80,7 +81,7 @@ func newEngine(t *testing.T) (*sim.Sim, *Engine) {
 	s := sim.New(1)
 	bus := msg.NewBus(s)
 	bus.Endpoint("arbiter")
-	return s, New(s, bus, "decision", "arbiter", cfg)
+	return s, New(s, bus, "decision", "arbiter", cfg, trace.New(obs.NewRegistry()))
 }
 
 // filterPolicy keeps only one policy's suggestions (other bindings may
@@ -150,8 +151,7 @@ func TestFrequencyGating(t *testing.T) {
 
 func TestNoEvaluationWithoutData(t *testing.T) {
 	_, e := newEngine(t)
-	tr := trace.New()
-	e.SetTracer(tr)
+	tr := e.tr
 	if got := e.EvaluateDue(); len(got) != 0 {
 		t.Fatalf("suggestions with no data = %+v", got)
 	}
@@ -237,9 +237,8 @@ func TestEndToEndOverBus(t *testing.T) {
 	s := sim.New(1)
 	bus := msg.NewBus(s)
 	arb := bus.Endpoint("arbiter")
-	e := New(s, bus, "decision", "arbiter", cfg)
-	tr := trace.New()
-	e.SetTracer(tr)
+	tr := trace.New(obs.NewRegistry())
+	e := New(s, bus, "decision", "arbiter", cfg, tr)
 	e.Start()
 
 	mon := bus.Endpoint("monitor-server")
@@ -310,7 +309,7 @@ func TestPredictiveSlopePolicy(t *testing.T) {
 	s := sim.New(1)
 	bus := msg.NewBus(s)
 	bus.Endpoint("arbiter")
-	e := New(s, bus, "decision", "arbiter", cfg)
+	e := New(s, bus, "decision", "arbiter", cfg, trace.New(obs.NewRegistry()))
 
 	feed := func(v float64) []Suggestion {
 		e.Ingest(metric("W", "Sim", "MEM", spec.GranTask, v, s.Now()))
@@ -387,7 +386,7 @@ func TestNodeTaskGranularityBinding(t *testing.T) {
 	s := sim.New(1)
 	bus := msg.NewBus(s)
 	bus.Endpoint("arbiter")
-	e := New(s, bus, "decision", "arbiter", cfg)
+	e := New(s, bus, "decision", "arbiter", cfg, trace.New(obs.NewRegistry()))
 
 	mk := func(node string, v float64) sensor.Metric {
 		k := sensor.Key{Workflow: "W", Task: "Sim", Sensor: "MEM", Granularity: spec.GranNodeTask, Node: node}

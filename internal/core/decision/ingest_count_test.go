@@ -24,11 +24,9 @@ func TestMetricsIngestedCountsMetrics(t *testing.T) {
 	s := sim.New(1)
 	bus := msg.NewBus(s)
 	bus.Endpoint("arbiter")
-	e := New(s, bus, "decision", "arbiter", cfg)
-	tr := trace.New()
 	reg := obs.NewRegistry()
-	tr.SetMetrics(reg)
-	e.SetTracer(tr)
+	tr := trace.New(reg)
+	e := New(s, bus, "decision", "arbiter", cfg, tr)
 
 	good := metric("GS", "Iso", "PACE", spec.GranTask, 30, 0).ToMsg()
 	// An envelope restored from a checkpoint is ingested as a live one.

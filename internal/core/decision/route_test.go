@@ -8,7 +8,9 @@ import (
 	"dyflow/internal/core/sensor"
 	"dyflow/internal/core/spec"
 	"dyflow/internal/msg"
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
+	"dyflow/internal/trace"
 )
 
 // TestIngestRoutesByDescriptor: a series' metrics reach the same binding
@@ -83,8 +85,9 @@ func TestKnownSeriesIngestAllocatesNothing(t *testing.T) {
 // due binding fires names the binding's rule and allocates only the batch
 // it sends — one 56-byte suggestion in a 64-byte object — and the
 // interface box the bus carries it in: no ID, no copy of the act-on tasks
-// or the parameters. (The flight recorder's span log, which a traced
-// round appends to, is trace's test.)
+// or the parameters. Beside those it opens the suggestion's span, which
+// costs what opening one on a bare recorder holding as many spans costs
+// (a chunk of the span log now and then; its growth is trace's test).
 func TestFiringRoundAllocatesOnlyItsBatch(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -96,7 +99,8 @@ func TestFiringRoundAllocatesOnlyItsBatch(t *testing.T) {
 	s := sim.New(1)
 	bus := msg.NewBus(s)
 	in := bus.Endpoint("arbiter")
-	e := New(s, bus, "decision", "arbiter", cfg)
+	tr := trace.New(obs.NewRegistry())
+	e := New(s, bus, "decision", "arbiter", cfg, tr)
 	var buf []msg.Envelope
 	var got []Suggestion
 	s.Spawn("arbiter", func(p *sim.Proc) {
@@ -127,6 +131,17 @@ func TestFiringRoundAllocatesOnlyItsBatch(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, round)
 	const runs = 100
 	var before, after runtime.MemStats
+	ref := trace.New(obs.NewRegistry())
+	held := tr.NumSpans()
+	for seq := 1; seq <= held; seq++ {
+		ref.Suggested(seq, "GS", "P", "A", "PACE", 1, 2, 3)
+	}
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= runs; i++ {
+		ref.Suggested(held+i, "GS", "P", "A", "PACE", 1, 2, 3)
+	}
+	runtime.ReadMemStats(&after)
+	spanBytes := after.TotalAlloc - before.TotalAlloc
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		round()
@@ -135,7 +150,8 @@ func TestFiringRoundAllocatesOnlyItsBatch(t *testing.T) {
 	if len(got) != 1 || got[0].Rule != e.bindings[0].rule || got[0].Seq != e.seq {
 		t.Fatalf("the round sent %+v, want one suggestion #%d of the binding's rule", got, e.seq)
 	}
-	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; allocs != 2 || bytes != 64+24 {
-		t.Errorf("a warm firing round allocates %v times, %d bytes; want the 64-byte batch and its 24-byte box", allocs, bytes)
+	if bytes := after.TotalAlloc - before.TotalAlloc - spanBytes; allocs != 2 || bytes != runs*(64+24) {
+		t.Errorf("a warm firing round allocates %v times, %d bytes beside its spans' %d; want the 64-byte batch and its 24-byte box",
+			allocs, bytes/runs, spanBytes/runs)
 	}
 }

@@ -127,3 +127,36 @@ func TestSelfMonitoringSensorFiresPolicy(t *testing.T) {
 	}
 	o.Stop()
 }
+
+// TestSelfSourceArms reads one name of each kind a dyflow-source sensor
+// can poll: a sensor's detection-lag quantiles (0 before its first
+// detection), a bus endpoint's deepest queue, a registry family and a
+// flight-recorder counter, which is also the fallback for unknown names.
+func TestSelfSourceArms(t *testing.T) {
+	w := newWorld(t, 1)
+	o := New(w.env, w.sv, &spec.Config{}, Options{})
+	o.Trace.SensorLag("PACE", time.Second)
+	o.Trace.SensorLag("PACE", 2*time.Second)
+	o.Trace.QueueDepth(EndpointDecision, 5)
+	o.Trace.QueueDepth(EndpointDecision, 2)
+	o.Trace.Inc("monitor.forwarded", 7)
+	src := &selfSource{o: o}
+	for _, tc := range []struct {
+		name string
+		want float64
+	}{
+		{"sensor.lag_p50:PACE", 1},   // rank 1 of 2 lands in the 1s bucket
+		{"sensor.lag_p99:PACE", 2.5}, // rank 2 lands in the 2.5s bucket
+		{"sensor.lag_p50:IDLE", 0},   // no detection yet
+		{"sensor.lag_p99:IDLE", 0},
+		{"queue.max:" + EndpointDecision, 5},
+		{"queue.max:nowhere", 0},
+		{"dyflow_stage_events_total", 7},
+		{"monitor.forwarded", 7},
+		{"monitor.never_counted", 0},
+	} {
+		if got, ok := src.MetricValue(tc.name); !ok || got != tc.want {
+			t.Errorf("MetricValue(%q) = %v, %v; want %v, true", tc.name, got, ok, tc.want)
+		}
+	}
+}

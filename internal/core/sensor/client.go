@@ -158,8 +158,10 @@ type shipment struct {
 func (c *Client) SetSelfSource(src SelfSource) { c.self = src }
 
 // NewClient creates a monitor client named name, shipping updates to the
-// server endpoint, executing the given targets.
-func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spec.Config, targets []spec.MonitorTarget, workload Workload, costs Costs) *Client {
+// server endpoint, executing the given targets. Invalid (NaN/±Inf) sensor
+// readings are counted in reg's dyflow_sensor_dropped_samples_total by
+// reason.
+func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spec.Config, targets []spec.MonitorTarget, workload Workload, costs Costs, reg *obs.Registry) *Client {
 	return &Client{
 		name:     name,
 		env:      env,
@@ -170,6 +172,8 @@ func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spe
 		workload: workload,
 		costs:    costs.withDefaults(),
 		scans:    make(map[scanKey]*diskScan),
+		mDropped: reg.Counter("dyflow_sensor_dropped_samples_total",
+			"Sensor readings discarded before metric formulation.", "reason"),
 	}
 }
 
@@ -177,16 +181,6 @@ func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spe
 // supervisor injects a panic-guarded spawner here). Call before Start.
 func (c *Client) SetSpawner(spawn func(name string, fn func(*sim.Proc)) *sim.Proc) {
 	c.spawn = spawn
-}
-
-// SetMetrics attaches the metrics registry: invalid (NaN/±Inf) sensor
-// readings are counted in dyflow_sensor_dropped_samples_total by reason.
-func (c *Client) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	c.mDropped = reg.Counter("dyflow_sensor_dropped_samples_total",
-		"Sensor readings discarded before metric formulation.", "reason")
 }
 
 func (c *Client) spawnProc(name string, fn func(*sim.Proc)) *sim.Proc {

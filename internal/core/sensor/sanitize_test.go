@@ -14,21 +14,20 @@ import (
 	"dyflow/internal/task"
 )
 
-func newSanitizeClient(t *testing.T) *Client {
+func newSanitizeClient(t *testing.T, reg *obs.Registry) *Client {
 	t.Helper()
 	s := sim.New(1)
-	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s)}
+	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg)}
 	bus := msg.NewBus(s)
 	wl := &fakeWorkload{placements: map[string]task.Placement{}, running: map[string]bool{}}
-	return NewClient("mc", env, bus, "monitor-server", &spec.Config{}, nil, wl, Costs{})
+	return NewClient("mc", env, bus, "monitor-server", &spec.Config{}, nil, wl, Costs{}, reg)
 }
 
 // Non-finite readings must be dropped before they reach history windows,
 // counted per reason in dyflow_sensor_dropped_samples_total.
 func TestSanitizeDropsNonFiniteReadings(t *testing.T) {
-	c := newSanitizeClient(t)
 	reg := obs.NewRegistry()
-	c.SetMetrics(reg)
+	c := newSanitizeClient(t, reg)
 
 	in := []float64{1, math.NaN(), 2, math.Inf(1), math.Inf(-1), 3}
 	out, nan, inf := c.sanitize(in)
@@ -51,17 +50,16 @@ func TestSanitizeDropsNonFiniteReadings(t *testing.T) {
 	}
 }
 
-// A clean batch passes through untouched, and a client without a metrics
-// registry still sanitizes without panicking (nil-safe counters).
-func TestSanitizeCleanAndUnmetered(t *testing.T) {
-	c := newSanitizeClient(t)
+// A clean batch passes through untouched and counts no drop.
+func TestSanitizeKeepsCleanBatch(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := newSanitizeClient(t, reg)
 	clean := []float64{4, 5}
-	if out, _, _ := c.sanitize(clean); len(out) != 2 || out[0] != 4 || out[1] != 5 {
-		t.Fatalf("sanitize(%v) = %v", clean, out)
+	if out, nan, inf := c.sanitize(clean); len(out) != 2 || &out[0] != &clean[0] || nan != 0 || inf != 0 {
+		t.Fatalf("sanitize(%v) = %v (nan %d, inf %d), want the batch itself", clean, out, nan, inf)
 	}
-	// No SetMetrics: the drop counter is nil and must be a no-op.
-	if out, _, _ := c.sanitize([]float64{math.NaN(), 7}); len(out) != 1 || out[0] != 7 {
-		t.Fatalf("unmetered sanitize = %v, want [7]", out)
+	if got, _ := reg.Value("dyflow_sensor_dropped_samples_total"); got != 0 {
+		t.Fatalf("dyflow_sensor_dropped_samples_total = %v, want 0", got)
 	}
 }
 
@@ -119,7 +117,7 @@ func TestClientSnapshotEncodesNonFiniteBacklog(t *testing.T) {
 		{Index: 4, Vars: map[string]float64{"step": 4, "a<b": 0.25}, Array: []float64{2, 1e300}, Produced: 6},
 		{Index: 5},
 	}
-	c := newSanitizeClient(t)
+	c := newSanitizeClient(t, obs.NewRegistry())
 	c.Restore(ClientSnapshot{Name: "mc", Workers: []WorkerSnap{{Name: "mc/wf.task.tau", State: WorkerState{Phase: phaseRecv, Buffered: backlog}}}})
 	data, err := json.Marshal(c.Snapshot())
 	if err != nil {
@@ -129,7 +127,7 @@ func TestClientSnapshotEncodesNonFiniteBacklog(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("%s: %v", data, err)
 	}
-	restored := newSanitizeClient(t)
+	restored := newSanitizeClient(t, obs.NewRegistry())
 	restored.Restore(snap)
 	again, err := json.Marshal(restored.Snapshot())
 	if err != nil || string(again) != string(data) {

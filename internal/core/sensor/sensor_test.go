@@ -8,6 +8,7 @@ import (
 	"dyflow/internal/db"
 	"dyflow/internal/fsim"
 	"dyflow/internal/msg"
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 	"dyflow/internal/stream"
 	"dyflow/internal/task"
@@ -28,6 +29,7 @@ type rig struct {
 	bus    *msg.Bus
 	server *Server
 	tr     *trace.Recorder // the server's flight recorder: its counters
+	reg    *obs.Registry   // the recorder's and the clients' registry
 	dec    *msg.Endpoint   // decision endpoint capturing metrics
 	wl     *fakeWorkload
 }
@@ -35,15 +37,15 @@ type rig struct {
 func newRig(t *testing.T, cfg *spec.Config) *rig {
 	t.Helper()
 	s := sim.New(1)
-	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s)}
+	reg := obs.NewRegistry()
+	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg)}
 	bus := msg.NewBus(s)
 	dec := bus.Endpoint("decision")
-	server := NewServer(s, bus, "monitor-server", "decision", cfg)
-	tr := trace.New()
-	server.SetTracer(tr)
+	tr := trace.New(reg)
+	server := NewServer(s, bus, "monitor-server", "decision", cfg, tr)
 	server.Start()
 	wl := &fakeWorkload{placements: map[string]task.Placement{}, running: map[string]bool{}}
-	return &rig{s: s, env: env, bus: bus, server: server, tr: tr, dec: dec, wl: wl}
+	return &rig{s: s, env: env, bus: bus, server: server, tr: tr, reg: reg, dec: dec, wl: wl}
 }
 
 // drainMetrics collects all metrics delivered to the decision endpoint.
@@ -108,7 +110,7 @@ func TestTAUStreamSensorPipeline(t *testing.T) {
 	r.wl.placements["GS/Iso"] = task.Placement{"node000": 2, "node001": 2}
 	r.wl.running["GS/Iso"] = true
 
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{})
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{}, r.reg)
 	client.Start()
 
 	// Emit two profile records on the TAU stream.
@@ -192,7 +194,7 @@ func TestDiskScanAndWorkflowDerivation(t *testing.T) {
 	r.wl.placements["FUSION/XGC1"] = task.Placement{"node000": 2}
 	r.wl.placements["FUSION/XGCA"] = task.Placement{"node001": 2}
 
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{})
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{}, r.reg)
 	client.Start()
 
 	// XGC1 writes outputs for steps 100, 200; XGCa for step 300.
@@ -263,7 +265,7 @@ func TestErrorStatusSensor(t *testing.T) {
 	r := newRig(t, cfg)
 	r.wl.placements["MD/LAMMPS"] = task.Placement{"node000": 4}
 
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{})
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{}, r.reg)
 	client.Start()
 
 	// The scheduler writes the failure exit code at t=5s.
@@ -327,7 +329,7 @@ func TestJoinComputesDerivedMetric(t *testing.T) {
 	r.wl.placements["W/T"] = task.Placement{"node000": 1}
 	r.wl.running["W/T"] = true
 
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{})
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{}, r.reg)
 	client.Start()
 
 	perf := r.env.Streams.Open("perf.T")
@@ -386,7 +388,7 @@ func TestPreprocessDistillsArray(t *testing.T) {
 	r := newRig(t, cfg)
 	r.wl.placements["W/T"] = task.Placement{"node000": 4}
 	r.wl.running["W/T"] = true
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{})
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{}, r.reg)
 	client.Start()
 
 	st := r.env.Streams.Open("mem.T")
@@ -442,7 +444,7 @@ func TestClientReattachesAfterStreamRestart(t *testing.T) {
 	r := newRig(t, cfg)
 	r.wl.placements["GS/Iso"] = task.Placement{"node000": 1}
 	r.wl.running["GS/Iso"] = true
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{})
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{}, r.reg)
 	client.Start()
 
 	r.s.Spawn("emitter", func(p *sim.Proc) {
@@ -514,7 +516,7 @@ func TestNodeWorkflowDerivation(t *testing.T) {
 	r.wl.placements["W/B"] = task.Placement{"node000": 2}
 	r.wl.running["W/A"] = true
 	r.wl.running["W/B"] = true
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{})
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{}, r.reg)
 	client.Start()
 
 	sa := r.env.Streams.Open("tau.A")
@@ -584,7 +586,7 @@ func TestJoinAtWorkflowGranularity(t *testing.T) {
   </decision>
 </dyflow>`)
 	r := newRig(t, cfg)
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{})
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{}, r.reg)
 	client.Start()
 
 	r.env.FS.Write("out/a.100", 1, map[string]float64{"step": 100})
@@ -638,7 +640,7 @@ func TestFileSourceSensor(t *testing.T) {
 </dyflow>`)
 	r := newRig(t, cfg)
 	r.wl.placements["W/Sim"] = task.Placement{"node000": 2}
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{})
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{}, r.reg)
 	client.Start()
 
 	r.s.At(2*time.Second, func() { r.env.FS.WriteVar("progress/sim", "step", 42) })
@@ -683,7 +685,7 @@ func TestDBSourceSensor(t *testing.T) {
 	r := newRig(t, cfg)
 	r.env.DB = db.New(r.s, 0)
 	r.wl.placements["W/Sim"] = task.Placement{"node000": 2}
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{})
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, Costs{}, r.reg)
 	client.Start()
 
 	r.s.At(2*time.Second, func() { r.env.DB.Put("pace/sim", 3, 12.5) })

@@ -80,27 +80,25 @@ type group struct {
 }
 
 // NewServer creates the Monitor server reading from its own endpoint and
-// forwarding metric batches to the out endpoint.
-func NewServer(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config) *Server {
+// forwarding metric batches to the out endpoint. It records stage
+// counters and per-sensor lag samples on tr, the counters' only owner:
+// monitor.forwarded counts fresh detections (metrics carrying a new
+// generation time), monitor.repolled the stale re-polls of unchanged data
+// that still travel on the wire, and monitor.dropped_batches the batches
+// the out-of-order filter discarded.
+func NewServer(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config, tr *trace.Recorder) *Server {
 	return &Server{
 		env:    s,
 		ep:     bus.Endpoint(name),
 		out:    out,
 		cfg:    cfg,
+		tr:     tr,
 		filter: msg.NewOrderFilter(),
 		series: make(map[Key]*series),
 		groups: make(map[groupKey]*group),
 		lags:   make(map[string]*stats.Welford),
 	}
 }
-
-// SetTracer attaches the flight recorder for stage counters and
-// per-sensor lag samples. The recorder is the counters' only owner:
-// monitor.forwarded counts fresh detections (metrics carrying a new
-// generation time), monitor.repolled the stale re-polls of unchanged data
-// that still travel on the wire, and monitor.dropped_batches the batches
-// the out-of-order filter discarded.
-func (sv *Server) SetTracer(tr *trace.Recorder) { sv.tr = tr }
 
 // OnForward registers an observer for every metric batch forwarded to the
 // Decision stage (the experiment harness records metric series from here —

@@ -12,6 +12,7 @@ import (
 
 	"dyflow/internal/core/spec"
 	"dyflow/internal/msg"
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 	"dyflow/internal/stats"
 	"dyflow/internal/trace"
@@ -352,9 +353,8 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 		dec := bus.Endpoint("decision")
 		// The recorder outlives the server swap below, as the
 		// orchestrator's does: the counters are its.
-		tr := trace.New()
-		sv := NewServer(s, bus, "monitor-server", "decision", cfg)
-		sv.SetTracer(tr)
+		tr := trace.New(obs.NewRegistry())
+		sv := NewServer(s, bus, "monitor-server", "decision", cfg, tr)
 		var got []Metric
 		sv.OnForward(func(ms []Metric) { got = append(got, ms...) })
 		ref := newRefServer(cfg)
@@ -383,8 +383,7 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 				if err := json.Unmarshal(before, &snap); err != nil {
 					t.Fatal(err)
 				}
-				sv = NewServer(s, bus, "monitor-server", "decision", cfg)
-				sv.SetTracer(tr)
+				sv = NewServer(s, bus, "monitor-server", "decision", cfg, tr)
 				sv.OnForward(func(ms []Metric) { got = append(got, ms...) })
 				sv.Restore(snap)
 				if after, _ := json.Marshal(sv.Snapshot()); string(after) != string(before) {
@@ -495,8 +494,7 @@ func TestStaleForwardAllocatesNothing(t *testing.T) {
 			buf = batch
 		}
 	})
-	sv := NewServer(s, bus, "monitor-server", "decision", cfg)
-	sv.SetTracer(trace.New())
+	sv := NewServer(s, bus, "monitor-server", "decision", cfg, trace.New(obs.NewRegistry()))
 	batch := Batch{Client: "client0", Updates: []Update{{
 		Series: &Series{Key: Key{Workflow: "FUSION", Task: "XGC1", Sensor: "NSTEPS", Granularity: spec.GranTask}},
 		Value:  374, Step: 374, GeneratedAt: time.Second,
@@ -572,8 +570,7 @@ func TestChangedForwardAllocatesOnlyItsList(t *testing.T) {
 				buf = batch
 			}
 		})
-		sv := NewServer(s, bus, "monitor-server", "decision", cfg)
-		sv.SetTracer(trace.New())
+		sv := NewServer(s, bus, "monitor-server", "decision", cfg, trace.New(obs.NewRegistry()))
 		batch := Batch{Client: "client0", Updates: []Update{{Series: &Series{Key: k}}}}
 		forward := func() {
 			u := &batch.Updates[0]

@@ -204,9 +204,7 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 	reg := obs.NewRegistry()
 	wl := &fakeWorkload{placements: map[string]task.Placement{}, running: map[string]bool{}}
 	newClient := func() *Client {
-		c := NewClient("mc", env, bus, "monitor-server", cfg, cfg.Targets, wl, Costs{})
-		c.SetMetrics(reg)
-		return c
+		return NewClient("mc", env, bus, "monitor-server", cfg, cfg.Targets, wl, Costs{}, reg)
 	}
 	c := newClient()
 	c.Start()

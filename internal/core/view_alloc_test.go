@@ -8,8 +8,10 @@ import (
 	"dyflow/internal/core/arbiter"
 	"dyflow/internal/core/decision"
 	"dyflow/internal/msg"
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 	"dyflow/internal/task"
+	"dyflow/internal/trace"
 	"dyflow/internal/wms"
 )
 
@@ -29,7 +31,7 @@ func warmRoundAllocs(t *testing.T, n int, action string, params map[string]strin
 	if err := w.sv.Compose(&wms.WorkflowSpec{ID: "WF", Tasks: tasks}); err != nil {
 		t.Fatal(err)
 	}
-	eng := arbiter.New(w.s, msg.NewBus(w.s), "arbiter", arbiter.DefaultConfig(), nil, NewArbiterView(w.sv), nil)
+	eng := arbiter.New(w.s, msg.NewBus(w.s), "arbiter", arbiter.DefaultConfig(), nil, NewArbiterView(w.sv), nil, trace.New(obs.NewRegistry()))
 	var allocs float64
 	w.s.Spawn("driver", func(p *sim.Proc) {
 		if err := w.sv.Launch(p, "WF"); err != nil {

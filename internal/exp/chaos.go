@@ -154,8 +154,7 @@ func RunChaosVariant(seed int64, m apps.Machine, opts ChaosOptions, v Variant) (
 		MeanBetween: opts.KillEvery,
 		HealAfter:   opts.HealAfter,
 		MaxDown:     opts.MaxDown,
-	})
-	w.campaign.SetMetrics(w.Metrics)
+	}, w.Metrics)
 	res := &ChaosResult{Seed: seed, Machine: m, Opts: opts, ScheduledKills: w.campaign.Schedule(), W: w}
 
 	// Orchestrator kills: evenly spread deadlines (deterministic for a fixed

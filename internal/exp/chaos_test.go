@@ -152,15 +152,13 @@ func newChaosBench(t *testing.T, nodes int) *chaosBench {
 	}
 	w.SV.RegisterScript("warm.sh", 8*time.Second)
 
-	tr := trace.New()
-	ex := actuate.NewExecutor(&actuate.SavannaPlugin{SV: w.SV})
+	tr := trace.New(w.Metrics)
+	ex := actuate.NewExecutor(&actuate.SavannaPlugin{SV: w.SV}, tr)
 	ex.SetRetryPolicy(actuate.RetryPolicy{MaxAttempts: 3, Backoff: 2 * time.Second, MaxBackoff: 30 * time.Second})
-	ex.SetTracer(tr)
 	eng := arbiter.New(w.Sim, msg.NewBus(w.Sim), "arbiter", arbiter.Config{
 		PlanCost:        100 * time.Millisecond,
 		FailureCooldown: 20 * time.Second,
-	}, nil, core.NewArbiterView(w.SV), ex)
-	eng.SetTracer(tr)
+	}, nil, core.NewArbiterView(w.SV), ex, tr)
 
 	w.Launch("CH")
 	b := &chaosBench{w: w, ex: ex, eng: eng, tr: tr}

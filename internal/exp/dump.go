@@ -112,20 +112,16 @@ func LoadTraceDump(path string) (*TraceDump, error) {
 	return &d, nil
 }
 
-// Gantt renders the dump as an ASCII chart, standalone (no live recorder
-// needed).
+// Gantt renders the dump as the chart Recorder.Gantt draws of the live
+// run, followed by its arbitration rounds.
 func (d *TraceDump) Gantt(w io.Writer, width int) {
-	// Rebuild a recorder-shaped view and reuse its renderer.
-	s := sim.New(0)
-	s.At(sim.Time(d.End), func() {})
-	s.RunUntilIdle()
-	rec := NewRecorder(s)
-	for _, iv := range d.Intervals {
+	ivs := make([]Interval, len(d.Intervals))
+	for i, iv := range d.Intervals {
 		final := task.Completed
 		if iv.Final == task.Failed.String() {
 			final = task.Failed
 		}
-		rec.Intervals = append(rec.Intervals, Interval{
+		ivs[i] = Interval{
 			Workflow:    iv.Workflow,
 			Task:        iv.Task,
 			Incarnation: iv.Incarnation,
@@ -134,9 +130,13 @@ func (d *TraceDump) Gantt(w io.Writer, width int) {
 			End:         sim.Time(iv.EndNS),
 			Final:       final,
 			ExitCode:    iv.ExitCode,
-		})
+		}
 	}
-	rec.Gantt(w, width)
+	windows := make([][2]sim.Time, len(d.Plans))
+	for i, p := range d.Plans {
+		windows[i] = [2]sim.Time{sim.Time(p.ReceivedNS), sim.Time(p.ExecutedNS)}
+	}
+	gantt(w, width, sim.Time(d.End), ivs, windows)
 	if len(d.Plans) > 0 {
 		fmt.Fprintln(w)
 		fmt.Fprintf(w, "%-4s %-12s %-12s %s\n", "#", "received", "executed", "ops")

@@ -64,7 +64,7 @@ type Recorder struct {
 	open      map[string]int // instance key -> index into Intervals
 	// arb is the attached orchestrator's arbiter, which keeps the run's
 	// executed rounds (World.Plans reads the same log); nil for a baseline
-	// run or a recorder rebuilt from a dump.
+	// run.
 	arb *arbiter.Engine
 
 	// The forwarded metrics in arrival order, read through EachMetric. They
@@ -160,8 +160,12 @@ func (r *Recorder) CloseOpen() {
 
 // TaskIntervals returns the intervals of one task, in start order.
 func (r *Recorder) TaskIntervals(workflow, taskName string) []Interval {
+	return taskIntervals(r.Intervals, workflow, taskName)
+}
+
+func taskIntervals(ivs []Interval, workflow, taskName string) []Interval {
 	var out []Interval
-	for _, iv := range r.Intervals {
+	for _, iv := range ivs {
 		if iv.Workflow == workflow && iv.Task == taskName {
 			out = append(out, iv)
 		}
@@ -184,10 +188,12 @@ func (r *Recorder) Series(workflow, taskName, sensorID string) []MetricPoint {
 
 // Tasks lists the distinct (workflow, task) pairs seen, in first-start
 // order.
-func (r *Recorder) Tasks() [][2]string {
+func (r *Recorder) Tasks() [][2]string { return tasks(r.Intervals) }
+
+func tasks(ivs []Interval) [][2]string {
 	var out [][2]string
 	seen := map[[2]string]bool{}
-	for _, iv := range r.Intervals {
+	for _, iv := range ivs {
 		k := [2]string{iv.Workflow, iv.Task}
 		if !seen[k] {
 			seen[k] = true
@@ -197,14 +203,24 @@ func (r *Recorder) Tasks() [][2]string {
 	return out
 }
 
-// Gantt renders an ASCII Gantt chart of the run: one row per task, '█' for
-// running time (with the process count annotated per segment), '·' for
-// idle, and a bottom row marking DYFLOW's plan-execution windows with '▼'.
+// Gantt renders the run's ASCII Gantt chart (see gantt) up to now.
 func (r *Recorder) Gantt(w io.Writer, width int) {
+	rounds := r.rounds()
+	windows := make([][2]sim.Time, len(rounds))
+	for i, p := range rounds {
+		windows[i] = [2]sim.Time{p.ReceivedAt, p.ExecutedAt}
+	}
+	gantt(w, width, r.s.Now(), r.Intervals, windows)
+}
+
+// gantt renders an ASCII Gantt chart of a run that ended at end: one row
+// per task, '█' for running time (with the process count annotated per
+// segment), '·' for idle, and a bottom row marking DYFLOW's plan-execution
+// windows, each a round's (received, executed) instants, with '▼'.
+func gantt(w io.Writer, width int, end sim.Time, ivs []Interval, windows [][2]sim.Time) {
 	if width < 20 {
 		width = 80
 	}
-	end := r.s.Now()
 	if end == 0 {
 		fmt.Fprintln(w, "(empty trace)")
 		return
@@ -219,17 +235,18 @@ func (r *Recorder) Gantt(w io.Writer, width int) {
 		}
 		return c
 	}
+	rows := tasks(ivs)
 	nameW := 0
-	for _, k := range r.Tasks() {
+	for _, k := range rows {
 		if len(k[1]) > nameW {
 			nameW = len(k[1])
 		}
 	}
 	fmt.Fprintf(w, "%*s  0%s%v\n", nameW, "", strings.Repeat(" ", width-len(fmt.Sprint(end))-1), end.Round(time.Second))
-	for _, k := range r.Tasks() {
+	for _, k := range rows {
 		row := []rune(strings.Repeat("·", width))
 		var notes []string
-		for _, iv := range r.TaskIntervals(k[0], k[1]) {
+		for _, iv := range taskIntervals(ivs, k[0], k[1]) {
 			e := iv.End
 			if e == 0 {
 				e = end
@@ -249,10 +266,10 @@ func (r *Recorder) Gantt(w io.Writer, width int) {
 		}
 		fmt.Fprintf(w, "%*s  %s  %s\n", nameW, k[1], string(row), strings.Join(notes, ", "))
 	}
-	if plans := r.rounds(); len(plans) > 0 {
+	if len(windows) > 0 {
 		row := []rune(strings.Repeat(" ", width))
-		for _, p := range plans {
-			for c := col(p.ReceivedAt); c <= col(p.ExecutedAt); c++ {
+		for _, win := range windows {
+			for c := col(win[0]); c <= col(win[1]); c++ {
 				row[c] = '▼'
 			}
 		}

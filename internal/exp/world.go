@@ -79,23 +79,21 @@ func NewWorld(seed int64, m apps.Machine, nodes int) (*World, error) {
 	} else {
 		c = cluster.Deepthought2(s, nodes)
 	}
-	rm := resmgr.New(c)
+	reg := obs.NewRegistry()
+	rm := resmgr.New(c, reg)
 	if _, err := rm.Allocate(nodes); err != nil {
 		return nil, err
 	}
-	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s), DB: db.New(s, 0)}
+	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg), DB: db.New(s, 0)}
 	w := &World{
 		Sim:     s,
 		Cluster: c,
 		RM:      rm,
 		Env:     env,
-		SV:      wms.New(env, rm),
+		SV:      wms.New(env, rm, reg),
 		Rec:     NewRecorder(s),
-		Metrics: obs.NewRegistry(),
+		Metrics: reg,
 	}
-	w.RM.SetMetrics(w.Metrics)
-	w.SV.SetMetrics(w.Metrics)
-	env.Streams.SetMetrics(w.Metrics)
 	w.Rec.AttachWMS(w.SV)
 	return w, nil
 }

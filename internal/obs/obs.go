@@ -12,9 +12,10 @@
 // metric safe to read from an HTTP goroutine while the single-threaded
 // simulation mutates it — the property `dyflow-exp serve` relies on.
 //
-// All constructors and methods are nil-receiver safe, mirroring
-// trace.Recorder: instrumented packages call them unconditionally and a
-// nil registry records nothing.
+// Every instrumented component (resmgr, wms, stream, cluster, the Monitor
+// clients and the flight recorder) takes its registry as a constructor
+// argument, so it publishes from the moment it exists. core.New and
+// exp.NewWorld create the registry and pass it on.
 package obs
 
 import (
@@ -95,26 +96,17 @@ func (r *Registry) family(name, help string, typ MetricType, buckets []float64, 
 
 // Counter registers (or resolves) a counter family.
 func (r *Registry) Counter(name, help string, labels ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
 	return &CounterVec{f: r.family(name, help, TypeCounter, nil, labels)}
 }
 
 // Gauge registers (or resolves) a gauge family.
 func (r *Registry) Gauge(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
 	return &GaugeVec{f: r.family(name, help, TypeGauge, nil, labels)}
 }
 
 // Histogram registers (or resolves) a histogram family with fixed bucket
 // upper bounds (ascending; an implicit +Inf bucket is appended).
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
 	if len(buckets) == 0 {
 		buckets = DefaultLatencyBuckets()
 	}
@@ -143,9 +135,6 @@ type CounterVec struct{ f *family }
 
 // With resolves the counter for one label-value tuple.
 func (v *CounterVec) With(values ...string) *Counter {
-	if v == nil {
-		return nil
-	}
 	return v.f.with(values, func() any { return &Counter{} }).(*Counter)
 }
 
@@ -154,9 +143,6 @@ type GaugeVec struct{ f *family }
 
 // With resolves the gauge for one label-value tuple.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
 	return v.f.with(values, func() any { return &Gauge{} }).(*Gauge)
 }
 
@@ -165,11 +151,8 @@ type HistogramVec struct{ f *family }
 
 // With resolves the histogram for one label-value tuple.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
 	f := v.f
-	return f.with(values, func() any { return NewHistogram(f.buckets) }).(*Histogram)
+	return f.with(values, func() any { return newHistogram(f.buckets) }).(*Histogram)
 }
 
 // Counter is a monotonically increasing integer metric.
@@ -180,7 +163,7 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds delta (negative deltas are ignored — counters only go up).
 func (c *Counter) Add(delta int64) {
-	if c == nil || delta < 0 {
+	if delta < 0 {
 		return
 	}
 	c.v.Add(delta)
@@ -188,9 +171,6 @@ func (c *Counter) Add(delta int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
 	return c.v.Load()
 }
 
@@ -199,17 +179,11 @@ type Gauge struct{ bits atomic.Uint64 }
 
 // Set replaces the value.
 func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
 	g.bits.Store(math.Float64bits(v))
 }
 
 // Add adjusts the value by delta.
 func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
 	for {
 		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + delta)
@@ -221,9 +195,6 @@ func (g *Gauge) Add(delta float64) {
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
 	return math.Float64frombits(g.bits.Load())
 }
 
@@ -240,13 +211,8 @@ type Histogram struct {
 	maxBits atomic.Uint64 // float64 bits, CAS-updated
 }
 
-// NewHistogram creates a standalone (unregistered) histogram with the
-// given ascending upper bounds — the storage type trace.Recorder uses for
-// its latency distributions. Passing nil uses DefaultLatencyBuckets.
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets()
-	}
+// newHistogram creates a histogram with the given ascending upper bounds.
+func newHistogram(bounds []float64) *Histogram {
 	if !sort.Float64sAreSorted(bounds) {
 		panic("obs: histogram bounds must be ascending")
 	}
@@ -267,9 +233,6 @@ func DefaultLatencyBuckets() []float64 {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	idx := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.buckets[idx].Add(1)
 	h.count.Add(1)
@@ -293,25 +256,16 @@ func (h *Histogram) Observe(v float64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
 	return h.count.Load()
 }
 
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
 	return math.Float64frombits(h.sumBits.Load())
 }
 
 // Max returns the largest observation (0 with no observations).
 func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
 	return math.Float64frombits(h.maxBits.Load())
 }
 
@@ -326,18 +280,12 @@ func (h *Histogram) Mean() float64 {
 
 // Bounds returns the bucket upper bounds (without the implicit +Inf).
 func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
 	return append([]float64(nil), h.bounds...)
 }
 
 // BucketCounts returns the per-bucket (non-cumulative) counts; the last
 // entry is the +Inf overflow bucket.
 func (h *Histogram) BucketCounts() []uint64 {
-	if h == nil {
-		return nil
-	}
 	out := make([]uint64, len(h.buckets))
 	for i := range h.buckets {
 		out[i] = h.buckets[i].Load()
@@ -401,9 +349,6 @@ type Snapshot struct {
 // snapshotLocked walks families in sorted name order, series in sorted
 // label order, so equal states render byte-identical snapshots.
 func (r *Registry) snapshot() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
 	r.mu.Lock()
 	names := append([]string(nil), r.order...)
 	fams := make(map[string]*family, len(names))
@@ -470,9 +415,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // ok is false for unregistered names. This is the lookup the dyflow
 // self-monitoring sensor source resolves metric names through.
 func (r *Registry) Value(name string) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
 	r.mu.Lock()
 	f, ok := r.families[name]
 	r.mu.Unlock()

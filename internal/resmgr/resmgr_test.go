@@ -16,7 +16,7 @@ func newDT2(t *testing.T, nodes int) (*sim.Sim, *cluster.Cluster, *Manager) {
 	t.Helper()
 	s := sim.New(1)
 	c := cluster.Deepthought2(s, nodes)
-	return s, c, New(c)
+	return s, c, New(c, obs.NewRegistry())
 }
 
 func TestAllocateAndFree(t *testing.T) {
@@ -205,7 +205,7 @@ func TestConservationProperty(t *testing.T) {
 	f := func(seed int64, opsRaw []uint8) bool {
 		s := sim.New(seed)
 		c := cluster.Deepthought2(s, 4)
-		m := New(c)
+		m := New(c, obs.NewRegistry())
 		m.Allocate(4)
 		owners := []string{"a", "b", "c"}
 		rng := rand.New(rand.NewSource(seed))
@@ -356,7 +356,6 @@ func TestLedgerAllocationsIndependentOfAllocationSize(t *testing.T) {
 	}
 	for _, nodes := range []int{8, 256} {
 		_, _, m := newDT2(t, nodes)
-		m.SetMetrics(obs.NewRegistry())
 		if _, err := m.Allocate(nodes); err != nil {
 			t.Fatal(err)
 		}

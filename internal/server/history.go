@@ -60,18 +60,7 @@ func (s *Server) retainRingLocked(d doneRing) {
 }
 
 // RunQuery filters GET /v1/runs; zero fields match everything.
-type RunQuery struct {
-	Tenant   string
-	Scenario string
-	State    string
-	// Since/Until bound SubmittedAt (inclusive; zero = unbounded).
-	Since time.Time
-	Until time.Time
-	// Limit caps the page size (<= 0: unlimited, internal callers).
-	Limit int
-	// PageToken resumes after a previous page's NextPageToken.
-	PageToken string
-}
+type RunQuery = runstore.Query
 
 // RunPage is one page of runs plus the cursor for the next.
 type RunPage struct {
@@ -107,11 +96,7 @@ func (s *Server) viewLocked(id string, indexed *runstore.Meta) (m *runstore.Meta
 // lookups only — never across the store's query or the rendering — so a
 // page costs its items and delays no submit.
 func (s *Server) QueryRuns(q RunQuery) (RunPage, error) {
-	page, err := s.history.Query(runstore.Query{
-		Tenant: q.Tenant, Scenario: q.Scenario, State: q.State,
-		Since: q.Since, Until: q.Until,
-		Limit: q.Limit, PageToken: q.PageToken,
-	})
+	page, err := s.history.Query(q)
 	if err != nil {
 		return RunPage{}, &APIError{Code: http.StatusBadRequest, Msg: err.Error()}
 	}

@@ -3,6 +3,7 @@ package stream
 import (
 	"testing"
 
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 )
 
@@ -10,7 +11,7 @@ import (
 // consumers that keep up.
 func BenchmarkFanOutPut(b *testing.B) {
 	s := sim.New(1)
-	reg := NewRegistry(s)
+	reg := NewRegistry(s, obs.NewRegistry())
 	st := reg.Open("out")
 	const consumers = 4
 	for i := 0; i < consumers; i++ {
@@ -41,7 +42,7 @@ func BenchmarkFanOutPut(b *testing.B) {
 // producer against a slow DropOldest reader.
 func BenchmarkDropOldestPut(b *testing.B) {
 	s := sim.New(1)
-	reg := NewRegistry(s)
+	reg := NewRegistry(s, obs.NewRegistry())
 	st := reg.Open("tau")
 	st.Attach(4, DropOldest)
 	s.Spawn("producer", func(p *sim.Proc) {

@@ -13,9 +13,8 @@ import (
 // EOF attach.
 func TestStreamMetrics(t *testing.T) {
 	s := sim.New(1)
-	r := NewRegistry(s)
 	reg := obs.NewRegistry()
-	r.SetMetrics(reg)
+	r := NewRegistry(s, reg)
 	val := func(name string) float64 {
 		v, _ := reg.Value(name)
 		return v
@@ -53,7 +52,7 @@ func TestStreamMetrics(t *testing.T) {
 		t.Fatalf("eof attaches = %v, want 1", val("dyflow_stream_eof_attaches_total"))
 	}
 
-	// Streams opened after SetMetrics are instrumented too.
+	// Streams opened later are instrumented too.
 	st2 := r.Open("tau.sim")
 	st2.Attach(1, DropOldest)
 	s.Spawn("producer2", func(p *sim.Proc) {
@@ -73,9 +72,8 @@ func TestStreamMetrics(t *testing.T) {
 // stopped simulation must read as it did the instant before.
 func TestStoppedPutPublishesNothing(t *testing.T) {
 	s := sim.New(1)
-	r := NewRegistry(s)
 	reg := obs.NewRegistry()
-	r.SetMetrics(reg)
+	r := NewRegistry(s, reg)
 	st := r.Open("gs.out")
 	st.Attach(2, Block) // room for both records
 	st.Attach(1, Block) // full after the first

@@ -120,8 +120,7 @@ type Stream struct {
 	sorted   []*Reader
 	sortedOK bool
 
-	// Per-stream metric handles, resolved by Registry.SetMetrics (nil and
-	// inert otherwise).
+	// Per-stream metric handles, resolved when the Registry creates it.
 	mProduced  *obs.Counter
 	mDropped   *obs.Counter
 	mEOFAttach *obs.Counter
@@ -131,9 +130,6 @@ type Stream struct {
 // backlogChanged re-publishes the total records buffered across attached
 // readers — the staging depth a policy watches for coupling backpressure.
 func (st *Stream) backlogChanged() {
-	if st.mBacklog == nil {
-		return
-	}
 	total := 0
 	for _, r := range st.readers {
 		total += r.buf.Len()
@@ -281,33 +277,23 @@ type Registry struct {
 	mBacklog   *obs.GaugeVec
 }
 
-// NewRegistry creates an empty stream registry.
-func NewRegistry(s *sim.Sim) *Registry {
-	return &Registry{sim: s, streams: make(map[string]*Stream)}
-}
-
-// SetMetrics attaches a metrics registry: every stream (existing and
-// future) publishes produced/dropped/EOF-attach counters and a backlog
+// NewRegistry creates an empty stream registry publishing into reg: every
+// stream publishes produced/dropped/EOF-attach counters and a backlog
 // gauge labeled by stream name.
-func (r *Registry) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	r.mProduced = reg.Counter("dyflow_stream_produced_total", "Records staged by the producer.", "stream")
-	r.mDropped = reg.Counter("dyflow_stream_dropped_total", "Records discarded by DropOldest readers.", "stream")
-	r.mEOFAttach = reg.Counter("dyflow_stream_eof_attaches_total",
-		"Reader attaches to an already-closed stream (restarted-consumer recovery).", "stream")
-	r.mBacklog = reg.Gauge("dyflow_stream_backlog_records", "Records buffered across attached readers.", "stream")
-	for _, st := range r.streams {
-		r.instrument(st)
+func NewRegistry(s *sim.Sim, reg *obs.Registry) *Registry {
+	return &Registry{
+		sim:       s,
+		streams:   make(map[string]*Stream),
+		mProduced: reg.Counter("dyflow_stream_produced_total", "Records staged by the producer.", "stream"),
+		mDropped:  reg.Counter("dyflow_stream_dropped_total", "Records discarded by DropOldest readers.", "stream"),
+		mEOFAttach: reg.Counter("dyflow_stream_eof_attaches_total",
+			"Reader attaches to an already-closed stream (restarted-consumer recovery).", "stream"),
+		mBacklog: reg.Gauge("dyflow_stream_backlog_records", "Records buffered across attached readers.", "stream"),
 	}
 }
 
 // instrument resolves a stream's per-name metric handles.
 func (r *Registry) instrument(st *Stream) {
-	if r.mProduced == nil {
-		return
-	}
 	st.mProduced = r.mProduced.With(st.name)
 	st.mDropped = r.mDropped.With(st.name)
 	st.mEOFAttach = r.mEOFAttach.With(st.name)

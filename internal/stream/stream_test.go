@@ -12,7 +12,7 @@ import (
 
 func TestFanOutDeliversAll(t *testing.T) {
 	s := sim.New(1)
-	reg := NewRegistry(s)
+	reg := NewRegistry(s, obs.NewRegistry())
 	st := reg.Open("out")
 	r1 := st.Attach(10, Block)
 	r2 := st.Attach(10, Block)
@@ -59,7 +59,7 @@ func TestFanOutDeliversAll(t *testing.T) {
 
 func TestBlockBackpressureThrottlesProducer(t *testing.T) {
 	s := sim.New(1)
-	reg := NewRegistry(s)
+	reg := NewRegistry(s, obs.NewRegistry())
 	st := reg.Open("out")
 	r := st.Attach(2, Block)
 
@@ -102,10 +102,9 @@ func TestBlockBackpressureThrottlesProducer(t *testing.T) {
 
 func TestDropOldestNeverBlocks(t *testing.T) {
 	s := sim.New(1)
-	reg := NewRegistry(s)
-	st := reg.Open("tau")
 	met := obs.NewRegistry()
-	reg.SetMetrics(met)
+	reg := NewRegistry(s, met)
+	st := reg.Open("tau")
 	r := st.Attach(3, DropOldest)
 
 	s.Spawn("producer", func(p *sim.Proc) {
@@ -141,7 +140,7 @@ func TestDropOldestNeverBlocks(t *testing.T) {
 
 func TestReaderDetachUnblocksProducer(t *testing.T) {
 	s := sim.New(1)
-	reg := NewRegistry(s)
+	reg := NewRegistry(s, obs.NewRegistry())
 	st := reg.Open("out")
 	r := st.Attach(1, Block)
 
@@ -162,7 +161,7 @@ func TestReaderDetachUnblocksProducer(t *testing.T) {
 
 func TestCloseDrainsThenDetaches(t *testing.T) {
 	s := sim.New(1)
-	reg := NewRegistry(s)
+	reg := NewRegistry(s, obs.NewRegistry())
 	st := reg.Open("out")
 	r := st.Attach(5, Block)
 
@@ -196,7 +195,7 @@ func TestCloseDrainsThenDetaches(t *testing.T) {
 
 func TestRegistryReopenAfterClose(t *testing.T) {
 	s := sim.New(1)
-	reg := NewRegistry(s)
+	reg := NewRegistry(s, obs.NewRegistry())
 	st := reg.Open("out")
 	st.Close()
 	st2 := reg.Open("out")
@@ -213,7 +212,7 @@ func TestRegistryReopenAfterClose(t *testing.T) {
 
 func TestInterruptWhileBlockedOnPut(t *testing.T) {
 	s := sim.New(1)
-	reg := NewRegistry(s)
+	reg := NewRegistry(s, obs.NewRegistry())
 	st := reg.Open("out")
 	st.Attach(1, Block)
 
@@ -238,7 +237,7 @@ func TestConservationProperty(t *testing.T) {
 		n := int(nSteps%50) + 1
 		capacity := int(capRaw%5) + 1
 		s := sim.New(7)
-		reg := NewRegistry(s)
+		reg := NewRegistry(s, obs.NewRegistry())
 		st := reg.Open("out")
 		r1 := st.Attach(capacity, Block)
 		r2 := st.Attach(capacity, Block)
@@ -283,7 +282,7 @@ func TestConservationProperty(t *testing.T) {
 
 func TestAccessorsAndReopen(t *testing.T) {
 	s := sim.New(1)
-	reg := NewRegistry(s)
+	reg := NewRegistry(s, obs.NewRegistry())
 	st := reg.Open("a")
 	reg.Open("b")
 	if names := reg.Names(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
@@ -331,7 +330,7 @@ func TestAccessorsAndReopen(t *testing.T) {
 
 func TestReaderDoubleCloseAndZeroCapacity(t *testing.T) {
 	s := sim.New(1)
-	reg := NewRegistry(s)
+	reg := NewRegistry(s, obs.NewRegistry())
 	st := reg.Open("x")
 	r := st.Attach(0, Block) // clamps to 1
 	if !r.buf.TryPut(Step{}) || r.buf.TryPut(Step{}) {
@@ -349,7 +348,7 @@ func TestReaderDoubleCloseAndZeroCapacity(t *testing.T) {
 // recovery path of an analysis task restarted after its producer finished.
 func TestAttachAfterCloseSeesEOF(t *testing.T) {
 	s := sim.New(1)
-	reg := NewRegistry(s)
+	reg := NewRegistry(s, obs.NewRegistry())
 	st := reg.Open("gs.out")
 	st.Close()
 

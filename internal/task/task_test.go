@@ -6,13 +6,14 @@ import (
 
 	"dyflow/internal/db"
 	"dyflow/internal/fsim"
+	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 	"dyflow/internal/stream"
 )
 
 func newEnv(seed int64) *Env {
 	s := sim.New(seed)
-	return &Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s)}
+	return &Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, obs.NewRegistry())}
 }
 
 func TestCostAmdahlScaling(t *testing.T) {

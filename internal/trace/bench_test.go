@@ -13,8 +13,7 @@ var benchCounters = []string{"monitor.forwarded", "monitor.repolled", "decision.
 // registry attached, as every orchestrated world runs: the recorder's
 // value and its dyflow_stage_events_total mirror.
 func BenchmarkRecorderInc(b *testing.B) {
-	r := New()
-	r.SetMetrics(obs.NewRegistry())
+	r := New(obs.NewRegistry())
 	for _, name := range benchCounters {
 		r.Inc(name, 1)
 	}
@@ -30,8 +29,7 @@ func BenchmarkRecorderInc(b *testing.B) {
 // dyflow_bus_queue_depth gauge.
 func BenchmarkRecorderQueueDepth(b *testing.B) {
 	endpoints := []string{"monitor-server", "decision", "arbiter"}
-	r := New()
-	r.SetMetrics(obs.NewRegistry())
+	r := New(obs.NewRegistry())
 	for _, ep := range endpoints {
 		r.QueueDepth(ep, 1)
 	}

@@ -16,9 +16,9 @@ type QueueState struct {
 // State is the recorder's checkpointable state: suggestion-lifecycle spans
 // in creation order, stage counters, queue-depth accumulators, and the
 // sensor/op keys whose latency histograms must be re-resolved on restore.
-// Histogram contents themselves live in the attached metrics registry
-// (shared storage) and survive a restore with the same registry; without a
-// registry the distributions restart empty.
+// Histogram contents themselves live in the recorder's metrics registry
+// (shared storage) and survive a restore into a recorder built with the
+// same registry; one built with a fresh registry restarts them empty.
 type State struct {
 	Spans      []SpanRecord   `json:"spans,omitempty"`
 	Counters   []CounterValue `json:"counters,omitempty"`
@@ -29,9 +29,6 @@ type State struct {
 
 // State exports the recorder for checkpointing.
 func (r *Recorder) State() State {
-	if r == nil {
-		return State{}
-	}
 	st := State{Spans: ckpt.Map(r.Spans(), Span.Record)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -59,7 +56,7 @@ func (r *Recorder) State() State {
 // stamped as before. A record that is no span's is an error.
 func (r *Recorder) Restore(st State) error {
 	spans, err := ckpt.TryMap(st.Spans, SpanRecord.Live)
-	if err != nil || r == nil {
+	if err != nil {
 		return err
 	}
 	r.mu.Lock()

@@ -3,6 +3,8 @@ package trace
 import (
 	"runtime"
 	"testing"
+
+	"dyflow/internal/obs"
 )
 
 // TestSpanLogKeepsSpansInPlace: the recorder holds spans as values in
@@ -10,7 +12,7 @@ import (
 // first is at the same address after a thousand more; every span is found
 // by its number with one index; a repeated number opens none.
 func TestSpanLogKeepsSpansInPlace(t *testing.T) {
-	r := New()
+	r := New(obs.NewRegistry())
 	r.Suggested(1, "W", "P", "ADDCPU", "PACE", 1, 2, 3)
 	first := r.spans.at(0)
 	for seq := 2; seq <= 1000; seq++ {
@@ -56,7 +58,7 @@ func TestSpanLogKeepsSpansInPlace(t *testing.T) {
 // holds a span with no number — are all opened and stamped, and a
 // repeated one still opens none.
 func TestSpanLogFindsSpansOutOfOrder(t *testing.T) {
-	r := New()
+	r := New(obs.NewRegistry())
 	err := r.Restore(State{Spans: []SpanRecord{{ID: "W/P#7", Workflow: "W", Policy: "P"}, {Workflow: "W", Policy: "P"}, {ID: "W/P#9", Workflow: "W", Policy: "P"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +94,7 @@ func TestSpanLogAllocatesPerChunk(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	r := New()
+	r := New(obs.NewRegistry())
 	const spans = 1000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

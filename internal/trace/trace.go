@@ -25,8 +25,8 @@
 // empty-plan rounds, actuation ops), per-operation actuation latency, and
 // bus queue-depth samples.
 //
-// All methods are nil-receiver safe so stages can call them
-// unconditionally; an untraced engine simply records nothing.
+// The recorder publishes into the metrics registry it is built with, and
+// every stage is built with the recorder, so there is no untraced stage.
 package trace
 
 import (
@@ -178,10 +178,10 @@ type counterAcc struct {
 // The simulation substrate runs processes one at a time, but `dyflow-exp
 // serve` reads the recorder from HTTP goroutines while a run is in
 // flight, so all state is mutex-guarded. Latency distributions are stored
-// in bounded obs.Histogram buckets rather than unbounded sample slices;
-// when a metrics registry is attached with SetMetrics, those histograms
-// ARE the registry's labeled series (shared storage, no double counting)
-// and counters/queue depths mirror into registry families.
+// in bounded obs.Histogram buckets rather than unbounded sample slices:
+// those histograms ARE the registry's labeled series (shared storage, no
+// double counting), and counters and queue depths mirror into registry
+// families.
 type Recorder struct {
 	mu sync.Mutex
 
@@ -203,56 +203,30 @@ type Recorder struct {
 	onComplete func(Span) // invoked (without r.mu held) when a span completes
 }
 
-// New creates an empty recorder.
-func New() *Recorder {
+// New creates an empty recorder publishing into reg: stage counters
+// mirror into dyflow_stage_events_total{event}, sensor lags and op
+// latencies are stored in the registry's dyflow_sensor_lag_seconds{sensor}
+// / dyflow_actuation_op_seconds{op} histogram series, and queue depths set
+// dyflow_bus_queue_depth{endpoint}.
+func New(reg *obs.Registry) *Recorder {
 	return &Recorder{
 		counters:   make(map[string]*counterAcc),
 		sensorLags: make(map[string]*obs.Histogram),
 		opLats:     make(map[string]*obs.Histogram),
 		queues:     make(map[string]*queueAcc),
-	}
-}
-
-// SetMetrics attaches a metrics registry: stage counters mirror into
-// dyflow_stage_events_total{event}, sensor lags and op latencies are
-// stored in the registry's dyflow_sensor_lag_seconds{sensor} /
-// dyflow_actuation_op_seconds{op} histogram series, and queue depths set
-// dyflow_bus_queue_depth{endpoint}. Attach before recording: histograms
-// resolved earlier stay standalone and do not appear in the registry.
-func (r *Recorder) SetMetrics(reg *obs.Registry) {
-	if r == nil || reg == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = reg.Counter("dyflow_stage_events_total",
-		"Flight-recorder stage counter events by name.", "event")
-	r.lagVec = reg.Histogram("dyflow_sensor_lag_seconds",
-		"Sensor detection lag (data generation to metric forwarded).", nil, "sensor")
-	r.opVec = reg.Histogram("dyflow_actuation_op_seconds",
-		"Actuation operation execution latency.", nil, "op")
-	r.queueVec = reg.Gauge("dyflow_bus_queue_depth",
-		"Bus queue depth sampled at enqueue.", "endpoint")
-	r.dropHandles()
-}
-
-// dropHandles forgets every resolved registry handle, so the next sample
-// of each name resolves it from the families attached now. Caller holds
-// r.mu.
-func (r *Recorder) dropHandles() {
-	for _, a := range r.counters {
-		a.c = nil
-	}
-	for _, q := range r.queues {
-		q.g = nil
+		events: reg.Counter("dyflow_stage_events_total",
+			"Flight-recorder stage counter events by name.", "event"),
+		lagVec: reg.Histogram("dyflow_sensor_lag_seconds",
+			"Sensor detection lag (data generation to metric forwarded).", nil, "sensor"),
+		opVec: reg.Histogram("dyflow_actuation_op_seconds",
+			"Actuation operation execution latency.", nil, "op"),
+		queueVec: reg.Gauge("dyflow_bus_queue_depth",
+			"Bus queue depth sampled at enqueue.", "endpoint"),
 	}
 }
 
 // Inc adds delta to a named stage counter.
 func (r *Recorder) Inc(name string, delta int64) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	a := r.counters[name]
@@ -271,9 +245,6 @@ func (r *Recorder) Inc(name string, delta int64) {
 
 // Counter returns a named counter's value (0 if never incremented).
 func (r *Recorder) Counter(name string) int64 {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if a := r.counters[name]; a != nil {
@@ -360,7 +331,7 @@ func (l *spanLog) find(seq int) *Span {
 // Suggested opens the span of suggestion seq: Decision emitted it. A seq
 // below 1, or one that already has a span, opens none.
 func (r *Recorder) Suggested(seq int, workflow, policy, action, sensorID string, generatedAt, observedAt, decidedAt sim.Time) {
-	if r == nil || seq < 1 {
+	if seq < 1 {
 		return
 	}
 	r.mu.Lock()
@@ -382,9 +353,6 @@ func (r *Recorder) Suggested(seq int, workflow, policy, action, sensorID string,
 
 // Received stamps the span's arrival at Arbitration.
 func (r *Recorder) Received(seq int, at sim.Time) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if sp := r.spans.find(seq); sp != nil {
@@ -394,9 +362,6 @@ func (r *Recorder) Received(seq int, at sim.Time) {
 
 // Planned stamps the plan-finalization instant.
 func (r *Recorder) Planned(seq int, at sim.Time) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if sp := r.spans.find(seq); sp != nil {
@@ -411,9 +376,6 @@ func (r *Recorder) Planned(seq int, at sim.Time) {
 // on the actuation path). The campaign service uses it to forward
 // completed spans into a run's live event stream.
 func (r *Recorder) SetOnComplete(fn func(Span)) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	r.onComplete = fn
 	r.mu.Unlock()
@@ -421,9 +383,6 @@ func (r *Recorder) SetOnComplete(fn func(Span)) {
 
 // Executed stamps the actuation-complete instant.
 func (r *Recorder) Executed(seq int, at sim.Time) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	var done Span
 	fn := r.onComplete
@@ -441,9 +400,6 @@ func (r *Recorder) Executed(seq int, at sim.Time) {
 
 // Drop marks the span discarded at Arbitration with a reason.
 func (r *Recorder) Drop(seq int, reason string, at sim.Time) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if sp := r.spans.find(seq); sp != nil {
@@ -454,18 +410,12 @@ func (r *Recorder) Drop(seq int, reason string, at sim.Time) {
 	}
 }
 
-// hist resolves the histogram for one key in a distribution map, creating
-// it on first use: from the attached registry family (shared storage with
-// the exposed series) when one is set, standalone otherwise. Caller holds
-// r.mu.
+// hist resolves the histogram for one key in a distribution map from its
+// registry family, creating the series on first use. Caller holds r.mu.
 func hist(m map[string]*obs.Histogram, vec *obs.HistogramVec, key string) *obs.Histogram {
 	h, ok := m[key]
 	if !ok {
-		if vec != nil {
-			h = vec.With(key)
-		} else {
-			h = obs.NewHistogram(nil)
-		}
+		h = vec.With(key)
 		m[key] = h
 	}
 	return h
@@ -474,9 +424,6 @@ func hist(m map[string]*obs.Histogram, vec *obs.HistogramVec, key string) *obs.H
 // SensorLag records one detection-lag sample (data generation to metric
 // forwarded) for a sensor.
 func (r *Recorder) SensorLag(sensorID string, lag sim.Time) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	hist(r.sensorLags, r.lagVec, sensorID).Observe(lag.Seconds())
@@ -486,20 +433,17 @@ func (r *Recorder) SensorLag(sensorID string, lag sim.Time) {
 // detection lags at histogram-bucket resolution (0 with no samples) — the
 // value the dyflow self-monitoring sensor source exposes.
 func (r *Recorder) SensorLagQuantile(sensorID string, q float64) sim.Time {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
-	h := r.sensorLags[sensorID]
+	h, ok := r.sensorLags[sensorID]
 	r.mu.Unlock()
+	if !ok {
+		return 0 // no detection yet
+	}
 	return secondsToDuration(h.Quantile(q))
 }
 
 // OpExecuted records one actuation operation's execution latency.
 func (r *Recorder) OpExecuted(kind string, started, ended sim.Time) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	hist(r.opLats, r.opVec, kind).Observe((ended - started).Seconds())
@@ -509,9 +453,6 @@ func (r *Recorder) OpExecuted(kind string, started, ended sim.Time) {
 // depths (a miscounting producer) clamp to zero and the running sum
 // saturates instead of wrapping, so MeanDepth stays a depth.
 func (r *Recorder) QueueDepth(endpoint string, depth int) {
-	if r == nil {
-		return
-	}
 	if depth < 0 {
 		depth = 0
 	}
@@ -540,9 +481,6 @@ func (r *Recorder) QueueDepth(endpoint string, depth int) {
 // QueueMaxDepth returns the largest depth sampled for an endpoint (0 if
 // never sampled) — exposed through the dyflow self-monitoring source.
 func (r *Recorder) QueueMaxDepth(endpoint string) int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if q, ok := r.queues[endpoint]; ok {
@@ -553,9 +491,6 @@ func (r *Recorder) QueueMaxDepth(endpoint string) int {
 
 // Spans returns a copy of every span, in creation order.
 func (r *Recorder) Spans() []Span {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Span, r.spans.n)
@@ -567,9 +502,6 @@ func (r *Recorder) Spans() []Span {
 
 // NumSpans returns how many spans the recorder holds.
 func (r *Recorder) NumSpans() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.spans.n
@@ -579,9 +511,6 @@ func (r *Recorder) NumSpans() int {
 // recorder's lock: fn reads the span in place, so it must not keep or
 // change it, nor call the recorder.
 func (r *Recorder) VisitSpans(fn func(sp *Span)) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i := 0; i < r.spans.n; i++ {
@@ -591,9 +520,6 @@ func (r *Recorder) VisitSpans(fn func(sp *Span)) {
 
 // Span returns the span of suggestion seq.
 func (r *Recorder) Span(seq int) (Span, bool) {
-	if r == nil {
-		return Span{}, false
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	sp := r.spans.find(seq)
@@ -714,9 +640,6 @@ func summarizeHist(label string, h *obs.Histogram) LatencyStat {
 // Report builds the current report. All groupings iterate in sorted order
 // so equal runs render byte-identical reports.
 func (r *Recorder) Report() *Report {
-	if r == nil {
-		return &Report{}
-	}
 	spans := r.Spans()
 	rep := &Report{Spans: ckpt.Map(spans, Span.Record)}
 	r.mu.Lock()

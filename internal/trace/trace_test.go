@@ -42,7 +42,7 @@ func fill(r *Recorder) {
 }
 
 func TestSpanLifecycle(t *testing.T) {
-	r := New()
+	r := New(obs.NewRegistry())
 	fill(r)
 
 	spans := r.Spans()
@@ -83,7 +83,7 @@ func TestMonotoneDetectsRegression(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	r := New()
+	r := New(obs.NewRegistry())
 	r.Inc("a", 2)
 	r.Inc("a", 3)
 	if got := r.Counter("a"); got != 5 {
@@ -91,29 +91,6 @@ func TestCounters(t *testing.T) {
 	}
 	if got := r.Counter("missing"); got != 0 {
 		t.Fatalf("missing counter = %d, want 0", got)
-	}
-}
-
-func TestNilRecorderIsSafe(t *testing.T) {
-	var r *Recorder
-	r.Inc("x", 1)
-	r.Suggested(1, "w", "p", "a", "s", 0, 0, 0)
-	r.Received(1, 0)
-	r.Planned(1, 0)
-	r.Executed(1, 0)
-	r.Drop(1, "warmup", 0)
-	r.SensorLag("s", 0)
-	r.OpExecuted("stop", 0, 0)
-	r.QueueDepth("ep", 0)
-	if r.Counter("x") != 0 || r.Spans() != nil {
-		t.Fatal("nil recorder retained state")
-	}
-	if _, ok := r.Span(1); ok {
-		t.Fatal("nil recorder returned a span")
-	}
-	rep := r.Report()
-	if len(rep.Spans) != 0 || len(rep.Counters) != 0 {
-		t.Fatalf("nil recorder report = %+v, want empty", rep)
 	}
 }
 
@@ -180,7 +157,7 @@ func TestFmtLatAdaptive(t *testing.T) {
 // depth) and the running sum saturates at MaxInt64 instead of wrapping
 // negative.
 func TestQueueDepthGuards(t *testing.T) {
-	r := New()
+	r := New(obs.NewRegistry())
 	r.QueueDepth("ep", -5)
 	r.QueueDepth("ep", 3)
 	rep := r.Report()
@@ -208,9 +185,8 @@ func TestQueueDepthGuards(t *testing.T) {
 // goroutines while readers render reports — the `dyflow-exp serve`
 // pattern. Run under -race (make verify does) to make this meaningful.
 func TestRecorderConcurrentAccess(t *testing.T) {
-	r := New()
 	reg := obs.NewRegistry()
-	r.SetMetrics(reg)
+	r := New(reg)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -259,13 +235,12 @@ func TestRecorderConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestSetMetricsMirrors: with a registry attached, counters, lags, ops,
-// and queue depths surface as registry families — and the recorder's own
+// TestRecorderMirrorsIntoRegistry: counters, lags, ops, and queue depths
+// surface as families of the recorder's registry — and the recorder's own
 // report reads the same shared histogram storage (no double counting).
-func TestSetMetricsMirrors(t *testing.T) {
-	r := New()
+func TestRecorderMirrorsIntoRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	r.SetMetrics(reg)
+	r := New(reg)
 	fill(r)
 
 	if v, ok := reg.Value("dyflow_stage_events_total"); !ok || v != 5 {
@@ -292,7 +267,7 @@ func TestSetMetricsMirrors(t *testing.T) {
 }
 
 func TestReportAggregation(t *testing.T) {
-	r := New()
+	r := New(obs.NewRegistry())
 	fill(r)
 	rep := r.Report()
 
@@ -328,7 +303,7 @@ func TestReportAggregation(t *testing.T) {
 
 func TestReportDeterministicAndJSON(t *testing.T) {
 	render := func() []byte {
-		r := New()
+		r := New(obs.NewRegistry())
 		fill(r)
 		var buf bytes.Buffer
 		r.Report().Write(&buf)
@@ -339,7 +314,7 @@ func TestReportDeterministicAndJSON(t *testing.T) {
 		t.Fatalf("equal recorders rendered different reports:\n%s\n---\n%s", a, b)
 	}
 
-	r := New()
+	r := New(obs.NewRegistry())
 	fill(r)
 	data, err := json.Marshal(r.Report())
 	if err != nil {
@@ -355,11 +330,11 @@ func TestReportDeterministicAndJSON(t *testing.T) {
 }
 
 // TestRecorderRestoreResolvesHandles: the registry handles a recorder keeps
-// beside its counters and queue accumulators follow the registry attached
-// now. A restore onto the pre-crash registry continues its series; one onto
-// a fresh registry creates none until the recorder writes again, and then
-// only the deltas since; a registry attached after the first samples gets
-// the samples after it; a counter only ever bumped by zero has no series.
+// beside its counters and queue accumulators follow the registry it was
+// built with. A restore into a recorder on the pre-crash registry continues
+// its series; one on a fresh registry creates none until the recorder
+// writes again, and then only the deltas since; a counter only ever bumped
+// by zero has no series.
 func TestRecorderRestoreResolvesHandles(t *testing.T) {
 	prom := func(reg *obs.Registry) string {
 		var buf bytes.Buffer
@@ -369,15 +344,13 @@ func TestRecorderRestoreResolvesHandles(t *testing.T) {
 		return buf.String()
 	}
 	reg := obs.NewRegistry()
-	r := New()
-	r.SetMetrics(reg)
+	r := New(reg)
 	r.Inc("a", 2)
 	r.Inc("z", 0)
 	r.QueueDepth("ep", 3)
 	st := r.State()
 
-	same := New()
-	same.SetMetrics(reg)
+	same := New(reg)
 	if err := same.Restore(st); err != nil {
 		t.Fatal(err)
 	}
@@ -397,8 +370,7 @@ func TestRecorderRestoreResolvesHandles(t *testing.T) {
 	}
 
 	fresh := obs.NewRegistry()
-	cold := New()
-	cold.SetMetrics(fresh)
+	cold := New(fresh)
 	if err := cold.Restore(st); err != nil {
 		t.Fatal(err)
 	}
@@ -408,19 +380,5 @@ func TestRecorderRestoreResolvesHandles(t *testing.T) {
 	cold.Inc("a", 4)
 	if v, _ := fresh.Value("dyflow_stage_events_total"); v != 4 {
 		t.Errorf("restored onto a fresh registry: stage events = %v, want the 4 since", v)
-	}
-
-	late := New()
-	late.Inc("a", 1)
-	late.QueueDepth("ep", 1)
-	lateReg := obs.NewRegistry()
-	late.SetMetrics(lateReg)
-	late.Inc("a", 2)
-	late.QueueDepth("ep", 7)
-	if v, _ := lateReg.Value("dyflow_stage_events_total"); v != 2 {
-		t.Errorf("registry attached late: stage events = %v, want 2", v)
-	}
-	if v, _ := lateReg.Value("dyflow_bus_queue_depth"); v != 7 {
-		t.Errorf("registry attached late: queue depth = %v, want 7", v)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"dyflow/internal/obs"
 	"dyflow/internal/sim"
 )
 
@@ -12,8 +11,7 @@ import (
 // the lifecycle, including a restart.
 func TestSavannaMetrics(t *testing.T) {
 	b := newBench(t, 2)
-	reg := obs.NewRegistry()
-	b.sv.SetMetrics(reg)
+	reg := b.reg
 	b.sv.Compose(simpleWF(1000))
 	val := func(name string) float64 {
 		v, _ := reg.Value(name)

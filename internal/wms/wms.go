@@ -116,23 +116,11 @@ type Savanna struct {
 	mRunning         *obs.Gauge      // dyflow_wms_running_tasks
 }
 
-// SetMetrics attaches a metrics registry, registering the WMS task
-// lifecycle families.
-func (sv *Savanna) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	sv.mStarts = reg.Counter("dyflow_wms_task_starts_total", "Task incarnations launched.", "task")
-	sv.mStops = reg.Counter("dyflow_wms_task_stops_total", "Task incarnations ended (any reason).", "task")
-	sv.mPlacementLosses = reg.Counter("dyflow_wms_placement_losses_total",
-		"Starts whose placement was lost to node failure during the user script.").With()
-	sv.mRunning = reg.Gauge("dyflow_wms_running_tasks", "Live task incarnations.").With()
-}
-
-// New creates a Savanna runtime over env and rm. Node failures reported by
-// the resource manager crash the affected incarnations with exit code 137,
-// which is how the ERRORSTATUS sensor learns about them.
-func New(env *task.Env, rm *resmgr.Manager) *Savanna {
+// New creates a Savanna runtime over env and rm, registering the WMS task
+// lifecycle families in reg. Node failures reported by the resource
+// manager crash the affected incarnations with exit code 137, which is how
+// the ERRORSTATUS sensor learns about them.
+func New(env *task.Env, rm *resmgr.Manager, reg *obs.Registry) *Savanna {
 	sv := &Savanna{
 		env:       env,
 		rm:        rm,
@@ -140,6 +128,12 @@ func New(env *task.Env, rm *resmgr.Manager) *Savanna {
 		tasks:     make(map[string]*taskRT),
 		wfTasks:   make(map[string][]*taskRT),
 		scripts:   make(map[string]time.Duration),
+
+		mStarts: reg.Counter("dyflow_wms_task_starts_total", "Task incarnations launched.", "task"),
+		mStops:  reg.Counter("dyflow_wms_task_stops_total", "Task incarnations ended (any reason).", "task"),
+		mPlacementLosses: reg.Counter("dyflow_wms_placement_losses_total",
+			"Starts whose placement was lost to node failure during the user script.").With(),
+		mRunning: reg.Gauge("dyflow_wms_running_tasks", "Live task incarnations.").With(),
 	}
 	rm.OnResourceLoss(sv.resourceLost)
 	return sv

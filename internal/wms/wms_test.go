@@ -7,6 +7,7 @@ import (
 
 	"dyflow/internal/cluster"
 	"dyflow/internal/fsim"
+	"dyflow/internal/obs"
 	"dyflow/internal/resmgr"
 	"dyflow/internal/sim"
 	"dyflow/internal/stream"
@@ -19,18 +20,20 @@ type bench struct {
 	rm  *resmgr.Manager
 	env *task.Env
 	sv  *Savanna
+	reg *obs.Registry // the runtime's and its manager's metrics
 }
 
 func newBench(t *testing.T, nodes int) *bench {
 	t.Helper()
 	s := sim.New(1)
 	c := cluster.Deepthought2(s, nodes)
-	rm := resmgr.New(c)
+	reg := obs.NewRegistry()
+	rm := resmgr.New(c, reg)
 	if _, err := rm.Allocate(nodes); err != nil {
 		t.Fatal(err)
 	}
-	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s)}
-	return &bench{s: s, c: c, rm: rm, env: env, sv: New(env, rm)}
+	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg)}
+	return &bench{s: s, c: c, rm: rm, env: env, sv: New(env, rm, reg), reg: reg}
 }
 
 func simpleWF(total int) *WorkflowSpec {
@@ -380,12 +383,13 @@ func TestAccessorsAndResourcePassthrough(t *testing.T) {
 	// requested on demand.
 	s := sim.New(1)
 	c := cluster.Deepthought2(s, 5)
-	rm := resmgr.New(c)
+	reg := obs.NewRegistry()
+	rm := resmgr.New(c, reg)
 	if _, err := rm.Allocate(3); err != nil {
 		t.Fatal(err)
 	}
-	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s)}
-	b := &bench{s: s, c: c, rm: rm, env: env, sv: New(env, rm)}
+	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg)}
+	b := &bench{s: s, c: c, rm: rm, env: env, sv: New(env, rm, reg), reg: reg}
 	wf := simpleWF(10)
 	b.sv.Compose(wf)
 	if b.sv.Env() != b.env || b.sv.Manager() != b.rm {
