@@ -74,7 +74,7 @@ func TestExportedFuncsHaveNonTestCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	var decls []decl
 	uses := map[string][]token.Pos{} // identifier -> where it appears, declaration names excluded
-	walkSources(t, fset, func(path, dir string, f *ast.File) {
+	walkSources(t, fset, parser.SkipObjectResolution, func(path, dir string, f *ast.File) {
 		declNames := map[*ast.Ident]bool{}
 		for _, fd := range f.Decls {
 			fn, ok := fd.(*ast.FuncDecl)
@@ -130,9 +130,10 @@ func TestExportedFuncsHaveNonTestCallers(t *testing.T) {
 }
 
 // walkSources parses every non-test Go file of the repository — bench/
-// and cmd/ included, testdata and dot directories not — and calls fn with
-// its path, its directory relative to the module root and its syntax.
-func walkSources(t *testing.T, fset *token.FileSet, fn func(path, dir string, f *ast.File)) {
+// and cmd/ included, testdata and dot directories not — in mode and calls
+// fn with its path, its directory relative to the module root and its
+// syntax.
+func walkSources(t *testing.T, fset *token.FileSet, mode parser.Mode, fn func(path, dir string, f *ast.File)) {
 	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -148,7 +149,7 @@ func walkSources(t *testing.T, fset *token.FileSet, fn func(path, dir string, f 
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, mode)
 		if err != nil {
 			return err
 		}

@@ -102,12 +102,14 @@ type System struct {
 
 // NewSystem builds a system on the given machine with nodes allocated to
 // the job. The seed fixes every stochastic choice; equal seeds give
-// identical runs.
+// identical runs. A system keeps every metric series its Monitor forwards,
+// for MetricSeries and DumpTrace.
 func NewSystem(seed int64, m Machine, nodes int) (*System, error) {
 	w, err := exp.NewWorld(seed, m, nodes)
 	if err != nil {
 		return nil, err
 	}
+	w.Rec.Keep(func(sensor.Key) bool { return true })
 	return &System{w: w}, nil
 }
 

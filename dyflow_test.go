@@ -122,6 +122,21 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSystemKeepsEveryForwardedPoint: a System declares every series, so
+// its trace dump holds each metric its Monitor server forwarded.
+func TestSystemKeepsEveryForwardedPoint(t *testing.T) {
+	sys := quickSystem(t, 42)
+	defer sys.Close()
+	if _, err := sys.RunUntilWorkflowDone("WF", time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	tr := sys.World().Orch.Trace
+	forwarded := tr.Counter("monitor.forwarded") + tr.Counter("monitor.repolled")
+	if got := len(sys.DumpTrace().Metrics); forwarded == 0 || int64(got) != forwarded {
+		t.Fatalf("the trace dump holds %d points, want all %d forwarded", got, forwarded)
+	}
+}
+
 // TestSystemDeterminism: identical seeds give byte-identical traces.
 func TestSystemDeterminism(t *testing.T) {
 	run := func() string {

@@ -2,6 +2,7 @@ package dyflow
 
 import (
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"reflect"
 	"strconv"
@@ -49,7 +50,7 @@ func TestHotTypesHaveNoCodecs(t *testing.T) {
 		return dir == "internal/core" || strings.HasPrefix(dir, "internal/core/") ||
 			dir == "internal/msg" || dir == "internal/trace"
 	}
-	walkSources(t, token.NewFileSet(), func(path, dir string, f *ast.File) {
+	walkSources(t, token.NewFileSet(), parser.SkipObjectResolution, func(path, dir string, f *ast.File) {
 		if !hot(dir) {
 			return
 		}
@@ -76,7 +77,7 @@ func TestHotTypesHaveNoCodecs(t *testing.T) {
 // SetMetrics or SetTracer method, and trace.New takes the registry its
 // recorder publishes into.
 func TestInstrumentationIsWiredAtConstruction(t *testing.T) {
-	walkSources(t, token.NewFileSet(), func(path, dir string, f *ast.File) {
+	walkSources(t, token.NewFileSet(), parser.SkipObjectResolution, func(path, dir string, f *ast.File) {
 		if !strings.HasPrefix(dir, "internal/") {
 			return
 		}

@@ -101,9 +101,11 @@ func NewServer(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config, tr 
 }
 
 // OnForward registers an observer for every metric batch forwarded to the
-// Decision stage (the experiment harness records metric series from here —
-// "as Decision receives them", Figure 9). The slice is the server's scratch:
-// it is valid only during the call, so fn copies what it keeps.
+// Decision stage. The experiment harness's recorder registers here once a
+// reader has declared a series it will read ("as Decision receives them",
+// Figure 9), and keeps only those; a world with no such reader registers
+// nothing. The slice is the server's scratch: it is valid only during the
+// call, so fn copies what it keeps.
 func (sv *Server) OnForward(fn func([]Metric)) { sv.onForward = fn }
 
 // Lag returns the accumulated detection-lag statistics for a sensor: the

@@ -41,10 +41,13 @@ func BenchmarkXGCJob(b *testing.B) { benchmarkJob(b, ScenarioXGC) }
 func BenchmarkGrayScottJob(b *testing.B) { benchmarkJob(b, ScenarioGrayScott) }
 
 // benchmarkJob runs one scenario through RunJob b.N times, a seed each, and
-// reads the kernel counts off the worlds RunJob has already closed.
+// reads the kernel counts off the worlds RunJob has already closed, with
+// what each world kept of itself: points/op is the metric points its
+// recorder holds, spans/op the flight recorder's spans.
 func benchmarkJob(b *testing.B, scenario string) {
 	var dispatched, handoffs uint64
 	var simTime time.Duration
+	var points, spans int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var w *World
@@ -54,8 +57,12 @@ func benchmarkJob(b *testing.B, scenario string) {
 		dispatched += w.Sim.Dispatched()
 		handoffs += w.Sim.Handoffs()
 		simTime += time.Duration(w.Sim.Now())
+		w.Rec.EachMetric(func(MetricPoint) { points++ })
+		spans += w.Orch.Trace.NumSpans()
 	}
 	reportWorldRates(b, dispatched, handoffs, simTime)
+	b.ReportMetric(float64(points)/float64(b.N), "points/op")
+	b.ReportMetric(float64(spans)/float64(b.N), "spans/op")
 }
 
 // reportWorldRates reports a whole-world benchmark's kernel-level rates

@@ -7,6 +7,7 @@ import (
 	"dyflow/internal/apps"
 	"dyflow/internal/core"
 	"dyflow/internal/core/arbiter"
+	"dyflow/internal/core/sensor"
 	"dyflow/internal/sim"
 	"dyflow/internal/task"
 )
@@ -138,6 +139,7 @@ func RunGrayScottVariant(seed int64, m apps.Machine, withDyflow bool, v Variant)
 	if err != nil {
 		return nil, err
 	}
+	w.Rec.Keep(paceSeries(apps.GrayScottWorkflowID))
 	if err := w.SV.Compose(apps.GrayScottWorkflow(m)); err != nil {
 		return nil, err
 	}
@@ -181,6 +183,13 @@ func RunGrayScottVariant(seed int64, m apps.Machine, withDyflow bool, v Variant)
 	return res, nil
 }
 
+// paceSeries selects a workflow's PACE series, every task and granularity:
+// what paceBeforeAfter reads, and so what the Gray-Scott runners declare to
+// their recorder (Figure 9 and the root benchmarks read the same series).
+func paceSeries(workflow string) func(sensor.Key) bool {
+	return func(k sensor.Key) bool { return k.Workflow == workflow && k.Sensor == "PACE" }
+}
+
 // paceBeforeAfter summarizes the PACE series across tasks: "before" is the
 // steady state immediately preceding the first adaptation (the last few
 // values, skipping pipeline warm-up), "after" the average once the last
@@ -193,8 +202,9 @@ func paceBeforeAfter(rec *Recorder, plans []arbiter.Record, workflow string) (be
 	}
 	var pre []float64
 	var na int
+	pace := paceSeries(workflow)
 	rec.EachMetric(func(m MetricPoint) {
-		if m.Key.Workflow != workflow || m.Key.Sensor != "PACE" {
+		if !pace(m.Key) {
 			return
 		}
 		switch {
@@ -235,6 +245,7 @@ func runOverProvisioned(seed int64, m apps.Machine, v Variant) (*GSResult, error
 	if err != nil {
 		return nil, err
 	}
+	w.Rec.Keep(paceSeries(apps.GrayScottWorkflowID))
 	wf := apps.GrayScottWorkflow(m)
 	// Re-shape for over-provisioning: a faster simulation (its own pace
 	// sits just below the release floor) and an oversized Isosurface. The

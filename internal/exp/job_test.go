@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -120,5 +121,64 @@ func TestJobNormalizeAndKey(t *testing.T) {
 			}
 		}
 		keys[name] = k
+	}
+}
+
+// TestWorldKeepsOnlyReadSeries: a job world records the metric points some
+// reader declared and no other. xgc, lammps, quickstart and chaos have no
+// reader of a point and hold none; grayscott and overprov hold exactly
+// their workflow's PACE points, which their reports read — the same points
+// a world that declared every series holds of that series, in the same
+// order.
+func TestWorldKeepsOnlyReadSeries(t *testing.T) {
+	kept := func(w *World) []MetricPoint {
+		var out []MetricPoint
+		w.Rec.EachMetric(func(m MetricPoint) { out = append(out, m) })
+		return out
+	}
+	forwarded := func(w *World) int64 {
+		return w.Orch.Trace.Counter("monitor.forwarded") + w.Orch.Trace.Counter("monitor.repolled")
+	}
+	for _, tc := range []struct {
+		scenario string
+		points   int
+	}{
+		{ScenarioQuickstart, 0},
+		{ScenarioGrayScott, 105},
+		{ScenarioOverprov, 198},
+		{ScenarioXGC, 0},
+		{ScenarioLAMMPS, 0},
+		{ScenarioChaos, 0},
+	} {
+		var w, all *World
+		if _, err := RunJob(Job{Scenario: tc.scenario, Seed: 1}, func(x *World) error { w = x; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunJob(Job{Scenario: tc.scenario, Seed: 1}, func(x *World) error {
+			all = x
+			x.Rec.Keep(everySeries)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got, every := kept(w), kept(all)
+		if len(got) != tc.points {
+			t.Errorf("%s: the world holds %d points, want %d", tc.scenario, len(got), tc.points)
+		}
+		if n := forwarded(all); int64(len(every)) != n || n == 0 {
+			t.Errorf("%s: a world that declared every series holds %d of %d forwarded points", tc.scenario, len(every), n)
+		}
+		var want []MetricPoint
+		if tc.points > 0 {
+			pace := paceSeries(apps.GrayScottWorkflowID)
+			for _, m := range every {
+				if pace(m.Key) {
+					want = append(want, m)
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the world holds %d points, not the %d of its readers' series", tc.scenario, len(got), len(want))
+		}
 	}
 }

@@ -122,6 +122,7 @@ func closeAt(t *testing.T, scenario string, seed int64, at time.Duration) {
 	}
 	configure := func(built *World) error {
 		w = built
+		w.Rec.Keep(everySeries) // so observe fingerprints the point store
 		w.Sim.At(at, closeNow)
 		w.OnProgress = func(sim.Time) error {
 			if closed {

@@ -111,11 +111,21 @@ func genKey(rng *rand.Rand) sensor.Key {
 	}
 }
 
+// everySeries is the declaration of a reader that reads every series.
+func everySeries(sensor.Key) bool { return true }
+
 // checkRecorder forwards the same generated batches — points in all — to a
-// Recorder and to the reference and compares every way of reading them.
+// Recorder that declared every series and to the reference and compares
+// every way of reading them. A second Recorder declares only the first
+// workflow's PACE series, as the Gray-Scott runners do, and must read that
+// series and paceBeforeAfter as the reference does.
 func checkRecorder(t *testing.T, rng *rand.Rand, points int) {
 	t.Helper()
 	rec, ref := NewRecorder(sim.New(0)), &refRecorder{}
+	rec.Keep(everySeries)
+	paceWF := genWorkflows[0]
+	pace := NewRecorder(sim.New(0))
+	pace.Keep(paceSeries(paceWF))
 	now := sim.Time(0)
 	for n := 0; n < points; {
 		now += time.Duration(rng.Intn(3)) * time.Second // same-instant batches happen
@@ -129,6 +139,7 @@ func checkRecorder(t *testing.T, rng *rand.Rand, points int) {
 		}
 		n += len(batch)
 		rec.forwarded(batch)
+		pace.forwarded(batch)
 		ref.forwarded(batch)
 	}
 	for at := sim.Time(0); rng.Intn(3) > 0; { // zero or more plans, in order
@@ -144,6 +155,20 @@ func checkRecorder(t *testing.T, rng *rand.Rand, points int) {
 	if got, want := rec.Dump().Metrics, ref.dumpMetrics(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%d points: Dump().Metrics differs from the reference", points)
 	}
+	gb, ga := paceBeforeAfter(pace, ref.Plans, paceWF)
+	if wb, wa := ref.paceBeforeAfter(paceWF); gb != wb || ga != wa {
+		t.Fatalf("%d points: PACE-only paceBeforeAfter(%s) = %v, %v; reference %v, %v", points, paceWF, gb, ga, wb, wa)
+	}
+	for _, task := range genTasks {
+		if got, want := pace.Series(paceWF, task, "PACE"), ref.series(paceWF, task, "PACE"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d points: PACE-only Series(%s, %q, PACE) differs from the reference", points, paceWF, task)
+		}
+	}
+	pace.EachMetric(func(m MetricPoint) {
+		if !paceSeries(paceWF)(m.Key) {
+			t.Fatalf("%d points: a PACE-only recorder kept %v", points, m.Key)
+		}
+	})
 	for _, wf := range genWorkflows {
 		gb, ga := paceBeforeAfter(rec, ref.Plans, wf)
 		if wb, wa := ref.paceBeforeAfter(wf); gb != wb || ga != wa {
@@ -161,8 +186,15 @@ func checkRecorder(t *testing.T, rng *rand.Rand, points int) {
 
 func TestProperty_RecorderSeries_EqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5E21E5))
-	// Around every way a chunk can end, then sizes at large.
-	for _, points := range []int{0, 1, pointChunk - 1, pointChunk, pointChunk + 1, 2 * pointChunk, 2*pointChunk + 1} {
+	// Around every way a chunk can end — each head chunk's, then the first
+	// two full chunks' — then sizes at large.
+	sizes := []int{0, 1}
+	end := 0
+	for n := 0; n < headChunks+2; n++ {
+		end += chunkCap(n)
+		sizes = append(sizes, end-1, end, end+1)
+	}
+	for _, points := range sizes {
 		checkRecorder(t, rng, points)
 	}
 	for i := 0; i < 150; i++ {
@@ -170,17 +202,26 @@ func TestProperty_RecorderSeries_EqualsReference(t *testing.T) {
 	}
 }
 
-// TestRecorderPointSize pins the layout the series' memory cost rests on.
+// TestRecorderPointSize pins the layout the series' memory cost rests on:
+// the point's size and the chunk lengths a series grows through.
 func TestRecorderPointSize(t *testing.T) {
 	if size := reflect.TypeOf(point{}).Size(); size != 32 {
 		t.Fatalf("a recorded point is %d bytes, want 32", size)
 	}
+	for n, want := range []int{31, 63, 127, 255, 511, 511, 511} {
+		if got := chunkCap(n); got != want {
+			t.Fatalf("chunk %d holds %d points, want %d", n, got, want)
+		}
+	}
 }
 
-// TestRecorderChunkAllocation: a chunk of points is one allocation that
-// fits the 16 KB size class — 16 KB of heap per chunk, not the 18 KB class
-// a header-carrying 512-point chunk lands in. It is measured as bytes
-// allocated by a run of full chunks.
+// TestRecorderChunkAllocation: each chunk of points is one allocation
+// that fills its size class. A head chunk of 31, 63, 127 or 255 points
+// lands in the 1, 2, 4 or 8 KB class, and a full chunk in the 16 KB class,
+// not the 18 KB class a header-carrying 512-point chunk lands in. Each head
+// chunk is measured alone (its bytes include the chunk list's growth, under
+// 128 bytes, less than the step to the next class); the full chunks as
+// bytes allocated by a run of them, after the heads.
 func TestRecorderChunkAllocation(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("allocation accounting")
@@ -190,9 +231,23 @@ func TestRecorderChunkAllocation(t *testing.T) {
 	for i := range batch {
 		batch[i] = sensor.Metric{Series: s}
 	}
-	const chunks = 64
 	var before, after runtime.MemStats
 	rec := NewRecorder(sim.New(0))
+	rec.Keep(everySeries)
+	for n, class := range []uint64{1024, 2048, 4096, 8192} {
+		size := chunkCap(n)
+		// The chunk's points fill the class: one point more would not fit.
+		if fill := uint64(size)*32 + 8; fill > class || fill+32 <= class {
+			t.Fatalf("head chunk %d: %d points take %d bytes with the header, want the last point of the %d-byte class", n, size, fill, class)
+		}
+		runtime.ReadMemStats(&before)
+		rec.forwarded(batch[:size])
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got < class || got >= class+128 {
+			t.Fatalf("head chunk %d of %d points allocates %d bytes, want the %d-byte size class", n, size, got, class)
+		}
+	}
+	const chunks = 64
 	runtime.ReadMemStats(&before)
 	for i := 0; i < chunks; i++ {
 		rec.forwarded(batch)

@@ -45,8 +45,7 @@ type MetricPoint struct {
 
 // point is a MetricPoint as the recorder stores it: 32 bytes, the series
 // key replaced by the series' descriptor, which the Monitor server made
-// and never changes. An xgc run forwards eleven thousand points over six
-// series, and a sensor.Key is five fields.
+// and never changes. A sensor.Key is five fields.
 type point struct {
 	at     sim.Time
 	value  float64
@@ -55,28 +54,45 @@ type point struct {
 }
 
 // Recorder accumulates the observable history of a run: task incarnation
-// intervals and the metric series the Decision stage received. With the
-// arbitration rounds, which the arbiter keeps (World.Plans), that is
-// everything the Gantt charts and experiment reports print.
+// intervals and the metric series a reader declared through Keep, as the
+// Decision stage received them. With the arbitration rounds, which the
+// arbiter keeps (World.Plans), that is everything the Gantt charts and
+// experiment reports print.
 type Recorder struct {
 	s         *sim.Sim
 	Intervals []Interval
 	open      map[string]int // instance key -> index into Intervals
 	// arb is the attached orchestrator's arbiter, which keeps the run's
 	// executed rounds (World.Plans reads the same log); nil for a baseline
-	// run.
-	arb *arbiter.Engine
+	// run. monitor is that orchestrator's Monitor server.
+	arb     *arbiter.Engine
+	monitor *sensor.Server
 
-	// The forwarded metrics in arrival order, read through EachMetric. They
-	// are held in chunks of pointChunk so that recording one more never
-	// copies the ones already held.
+	// keep selects the series some reader declared (Keep); nil when no
+	// reader did, and then the recorder does not observe the Monitor
+	// server at all.
+	keep func(sensor.Key) bool
+	// The kept metrics in arrival order, read through EachMetric. They are
+	// held in chunks (chunkCap) so that recording one more never copies
+	// the ones already held.
 	points [][]point
 }
 
 // pointChunk fills a 16 KB size class: a point holds a pointer, and the
 // runtime heads such an object of more than 512 bytes with an 8-byte
 // header, which would push 512 points (16 384 bytes) into the 18 KB class.
-const pointChunk = 511
+// headChunks is how many smaller chunks come before the first of them.
+const (
+	pointChunk = 511
+	headChunks = 4
+)
+
+// chunkCap is the length of a series' nth chunk: 31, 63, 127, 255, then
+// pointChunk from there on. Each fills its size class exactly, header
+// included, so grayscott's 105 PACE points take 7 KB rather than 16.
+func chunkCap(n int) int {
+	return (pointChunk+1)>>(headChunks-min(n, headChunks)) - 1
+}
 
 // NewRecorder creates an empty recorder.
 func NewRecorder(s *sim.Sim) *Recorder {
@@ -113,11 +129,30 @@ func (r *Recorder) AttachWMS(sv *wms.Savanna) {
 	})
 }
 
-// AttachOrchestrator subscribes to the metrics the orchestrator's Monitor
-// server forwards and reads executed rounds from its arbiter from now on.
+// AttachOrchestrator reads executed rounds from the orchestrator's arbiter
+// from now on and, once a reader has declared a series, records what its
+// Monitor server forwards.
 func (r *Recorder) AttachOrchestrator(o *core.Orchestrator) {
-	o.Server.OnForward(r.forwarded)
-	r.arb = o.Arbiter
+	r.arb, r.monitor = o.Arbiter, o.Server
+	if r.keep != nil {
+		r.monitor.OnForward(r.forwarded)
+	}
+}
+
+// Keep declares a reader's series: from now on the recorder keeps every
+// forwarded metric whose key series accepts, beside those earlier readers
+// declared. A reader declares before the world runs — a Variant.Configure
+// hook is early enough — and EachMetric, Series and Dump visit only what
+// was declared.
+func (r *Recorder) Keep(series func(sensor.Key) bool) {
+	if prev := r.keep; prev != nil {
+		r.keep = func(k sensor.Key) bool { return prev(k) || series(k) }
+		return
+	}
+	r.keep = series
+	if r.monitor != nil {
+		r.monitor.OnForward(r.forwarded)
+	}
 }
 
 // rounds returns the run's executed arbitration rounds.
@@ -128,19 +163,23 @@ func (r *Recorder) rounds() []arbiter.Record {
 	return r.arb.Records()
 }
 
-// forwarded records one batch the Monitor server sent to Decision.
+// forwarded records the declared metrics of one batch the Monitor server
+// sent to Decision.
 func (r *Recorder) forwarded(ms []sensor.Metric) {
 	for _, m := range ms {
+		if !r.keep(m.Key) {
+			continue
+		}
 		last := len(r.points) - 1
-		if last < 0 || len(r.points[last]) == pointChunk {
-			r.points = append(r.points, make([]point, 0, pointChunk))
+		if last < 0 || len(r.points[last]) == cap(r.points[last]) {
+			r.points = append(r.points, make([]point, 0, chunkCap(len(r.points))))
 			last++
 		}
 		r.points[last] = append(r.points[last], point{at: m.ObservedAt, value: m.Value, step: m.Step, series: m.Series})
 	}
 }
 
-// EachMetric calls fn with every forwarded metric, in arrival order.
+// EachMetric calls fn with every kept metric, in arrival order.
 func (r *Recorder) EachMetric(fn func(MetricPoint)) {
 	for _, chunk := range r.points {
 		for _, pt := range chunk {

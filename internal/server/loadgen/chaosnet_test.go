@@ -71,6 +71,11 @@ func TestChaosNetSweep(t *testing.T) {
 			if got := total(srv, "dyflow_server_runs_total"); got != float64(res.Jobs) {
 				t.Fatalf("runs_total = %v for %d jobs (terminal transitions must be exactly one per run)", got, res.Jobs)
 			}
+			// A run executed twice — a lost claim reply, a lapsed lease —
+			// must upload the bytes its first execution did.
+			if got := total(srv, "dyflow_server_result_mismatch_total"); got != 0 {
+				t.Fatalf("result_mismatch_total = %v: a re-execution produced other artifacts", got)
+			}
 			if rate := float64(res.Completed) / wall.Seconds(); rate < minJobsPerSec {
 				t.Fatalf("%.2f jobs/s under the %.2f floor", rate, minJobsPerSec)
 			}
@@ -133,5 +138,8 @@ func TestChaosNetPartition(t *testing.T) {
 	}
 	if got := total(srv, "dyflow_server_runs_total"); got != 1 {
 		t.Fatalf("runs_total = %v, want exactly 1", got)
+	}
+	if got := total(srv, "dyflow_server_result_mismatch_total"); got != 0 {
+		t.Fatalf("result_mismatch_total = %v", got)
 	}
 }

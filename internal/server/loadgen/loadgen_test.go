@@ -165,6 +165,11 @@ func TestLoadFleetWithWorkerKill(t *testing.T) {
 	if got := total(srv, "dyflow_server_fleet_claims_total"); got < 1 {
 		t.Fatalf("no fleet claims recorded (%v)", got)
 	}
+	// The victim's run was executed again by a survivor: any result that
+	// reached the coordinator for it after that named the same bytes.
+	if got := total(srv, "dyflow_server_result_mismatch_total"); got != 0 {
+		t.Fatalf("result_mismatch_total = %v: a re-execution produced other artifacts", got)
+	}
 }
 
 // TestLoadStream is the fleet closed loop observed live: two joined workers

@@ -19,6 +19,7 @@ type metrics struct {
 	requeued     *obs.Counter    // pending runs resumed after a restart
 	httpReqs     *obs.CounterVec // {route}
 	dupResults   *obs.Counter    // retransmitted results deduplicated by lease ID
+	mismatches   *obs.Counter    // late results whose digests differ from the applied ones
 	gcBlobs      *obs.Counter    // blobs swept by retention GC
 	illegal      *obs.CounterVec // {from,to} transitions the lifecycle table refused
 	// The lease's own counters.
@@ -53,6 +54,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"API requests by route.", "route"),
 		dupResults: reg.Counter("dyflow_server_fleet_duplicate_results_total",
 			"Result uploads retransmitted after a lost acknowledgement, deduplicated by lease ID.").With(),
+		mismatches: reg.Counter("dyflow_server_result_mismatch_total",
+			"Late results for a done run whose artifact digests differ from the applied ones: each one is a run whose bytes depend on more than its job key.").With(),
 		gcBlobs: reg.Counter("dyflow_runstore_gc_blobs_total",
 			"Artifact blobs swept because no live history record references them.").With(),
 		illegal: reg.Counter("dyflow_server_illegal_transitions_total",

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"log"
+	"maps"
 	"reflect"
 	"strings"
 	"sync"
@@ -448,6 +450,75 @@ func TestLifecycle(t *testing.T) {
 			return []observed{observe(t, s, st.ID)}
 		})
 	})
+
+	// A late result for a done run is checked against the one applied: a
+	// retransmission naming the applied digests is a plain duplicate, and
+	// one naming other digests — a duplicate or the upload of a lapsed
+	// lease — is counted as a mismatch and logged with both digests, while
+	// the run keeps the artifacts it has.
+	t.Run("MismatchedResult", func(t *testing.T) {
+		forEachTransport(t, func(t *testing.T, tr transport) []observed {
+			sink := &syncBuf{}
+			s := newCoordinator(t, Config{Logger: log.New(sink, "", 0)})
+			w := tr.start(t, s, quickWorker())
+			st, err := s.Submit("alice", quick(95))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st = await(t, s, st.ID); st.State != StateDone {
+				t.Fatalf("run ended %s: %s", st.State, st.Error)
+			}
+			s.mu.Lock()
+			lease := s.doneRings[len(s.doneRings)-1].lease
+			s.mu.Unlock()
+			applied := appliedArtifacts(t, s, st.ID)
+			forged := maps.Clone(applied)
+			forged[exp.ArtifactGantt] = fleet.Digest([]byte("another execution's chart"))
+			c := tr.dial(t, s)
+			for _, up := range []struct {
+				lease     string
+				artifacts map[string]string
+				accepted  bool
+				mismatch  float64
+			}{
+				{lease, applied, true, 0},
+				{lease, forged, true, 1},
+				{"lapsed-lease", forged, false, 2},
+				{"lapsed-lease", applied, false, 2},
+			} {
+				res, err := c.Result(ctx, w.ID(), fleet.ResultRequest{RunID: st.ID, LeaseID: up.lease, Converged: true, Artifacts: up.artifacts})
+				if err != nil || res.Accepted != up.accepted {
+					t.Fatalf("late result under %s: %v %+v, want accepted %v", up.lease, err, res, up.accepted)
+				}
+				if v := counter(t, s, "dyflow_server_result_mismatch_total"); v != up.mismatch {
+					t.Fatalf("after a late result under %s: result_mismatch_total = %v, want %v", up.lease, v, up.mismatch)
+				}
+			}
+			for _, want := range []string{st.ID, applied[exp.ArtifactGantt], forged[exp.ArtifactGantt]} {
+				if !strings.Contains(sink.String(), want) {
+					t.Fatalf("the mismatch log does not name %s:\n%s", want, sink)
+				}
+			}
+			if !maps.Equal(appliedArtifacts(t, s, st.ID), applied) {
+				t.Fatal("a mismatched late result replaced the applied artifacts")
+			}
+			requireDirectArtifacts(t, s, st.ID, quick(95))
+			return []observed{observe(t, s, st.ID)}
+		})
+	})
+}
+
+// appliedArtifacts returns the artifact digests the coordinator applied
+// to a done run.
+func appliedArtifacts(t *testing.T, s *Server, id string) map[string]string {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, _, ok := s.viewLocked(id, nil)
+	if !ok || len(m.Artifacts) == 0 {
+		t.Fatalf("run %s has no applied artifacts", id)
+	}
+	return maps.Clone(m.Artifacts)
 }
 
 // TestShutdownRequeuesRunningRun: a graceful Shutdown with a run

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"strconv"
 	"time"
@@ -185,12 +186,15 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // retransmits a completion whose acknowledgement was lost in flight, the
 // run is already terminal under that very lease — the retry is acknowledged
 // Accepted (Reason "duplicate") and counted in
-// dyflow_server_fleet_duplicate_results_total instead of stale.
+// dyflow_server_fleet_duplicate_results_total instead of stale. Either
+// way, a late result for a run that is done is first checked against the
+// applied one (checkLateResultLocked).
 func (s *Server) Result(_ context.Context, workerID string, req fleet.ResultRequest) (fleet.ResultResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	run := s.runs[req.RunID]
 	if !run.leasedTo(workerID, req.LeaseID) {
+		s.checkLateResultLocked(workerID, &req)
 		if s.duplicateResultLocked(run, &req) {
 			s.met.dupResults.Inc()
 			return fleet.ResultResponse{Accepted: true, Reason: "duplicate"}, nil
@@ -275,6 +279,27 @@ func (s *Server) duplicateResultLocked(run *Run, req *fleet.ResultRequest) bool 
 		}
 	}
 	return false
+}
+
+// checkLateResultLocked compares the artifacts of a result that arrives
+// for a done run — a retransmission, or the upload of an execution whose
+// lease lapsed — with the ones applied, read as every reader reads a run
+// (viewLocked: resident first, then the history index, since a done run is
+// evicted once recorded). A run's bytes depend on its job key alone, which
+// is what lets the result cache serve them to other runs, so a successful
+// late result must name the same digests. One that does not is counted in
+// dyflow_server_result_mismatch_total and logged with both digest sets;
+// the upload is then answered as it would be otherwise.
+func (s *Server) checkLateResultLocked(workerID string, req *fleet.ResultRequest) {
+	if len(req.Artifacts) == 0 || req.Canceled || req.Requeue || req.Error != "" {
+		return
+	}
+	applied, _, ok := s.viewLocked(req.RunID, nil)
+	if !ok || RunState(applied.State) != StateDone || maps.Equal(req.Artifacts, applied.Artifacts) {
+		return
+	}
+	s.met.mismatches.Inc()
+	s.logf("server: result for %s from worker %s differs from the applied one: artifacts %v, applied %v", req.RunID, workerID, req.Artifacts, applied.Artifacts)
 }
 
 // HasBlob is the probe a worker makes before uploading an artifact.
