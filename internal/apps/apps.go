@@ -20,6 +20,7 @@ package apps
 import (
 	"time"
 
+	"dyflow/internal/fsim"
 	"dyflow/internal/task"
 	"dyflow/internal/wms"
 )
@@ -126,10 +127,10 @@ func XGCWorkflow(m Machine) *wms.WorkflowSpec {
 			StartupDelay:  time.Second,
 		}
 		if name == "XGCA" {
-			spec.OutputVars = func(globalStep int) map[string]float64 {
+			spec.OutputVars = func(globalStep int) []fsim.Var {
 				// Synthetic error accumulation: grows with simulated time
 				// since the last XGC1 (full-physics) segment.
-				return map[string]float64{"errnorm": 0.002 * float64(globalStep%500)}
+				return []fsim.Var{{Name: "errnorm", Value: 0.002 * float64(globalStep%500)}}
 			}
 		}
 		return wms.TaskConfig{

@@ -60,7 +60,7 @@ func BenchmarkMonitorRepoll(b *testing.B) {
 	s := sim.New(1)
 	fs := fsim.New(s)
 	for i := 0; i < 10; i++ {
-		fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", i), 1, map[string]float64{"step": float64(i)})
+		fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", i), 1, fsim.Var{Name: "step", Value: float64(i)})
 	}
 	bus := msg.NewBus(s)
 	bus.Endpoint("arbiter")

@@ -463,11 +463,12 @@ func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.S
 		if f == nil {
 			return PendingShip{}, false
 		}
-		v, found := f.Vars[info]
+		v, found := f.Var(info)
 		if !found {
 			return PendingShip{}, false
 		}
-		return PendingShip{Readings: []float64{v}, Step: int(f.Vars["step"]), GenAt: f.MTime}, true
+		step, _ := f.Var("step")
+		return PendingShip{Readings: []float64{v}, Step: int(step), GenAt: f.MTime}, true
 	case spec.SourceDB:
 		if c.env.DB == nil {
 			return PendingShip{}, false
@@ -493,7 +494,7 @@ func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.S
 		if f == nil {
 			return PendingShip{}, false
 		}
-		v, found := f.Vars[info]
+		v, found := f.Var(info)
 		if !found {
 			return PendingShip{}, false
 		}
@@ -560,7 +561,7 @@ func (sc *diskScan) refresh() {
 		sc.buf, sc.seen, sc.step, sc.genAt = make([]float64, 0, len(sc.buf)+1), 0, 0, 0
 	}
 	w.Visit(sc.seen, func(f *fsim.File) {
-		v, found := f.Vars[sc.info]
+		v, found := f.Var(sc.info)
 		if !found {
 			return
 		}
@@ -568,8 +569,8 @@ func (sc *diskScan) refresh() {
 		if f.MTime > sc.genAt {
 			sc.genAt = f.MTime
 		}
-		if s := int(f.Vars["step"]); s > sc.step {
-			sc.step = s
+		if s, _ := f.Var("step"); int(s) > sc.step {
+			sc.step = int(s)
 		}
 	})
 	n := len(sc.buf)

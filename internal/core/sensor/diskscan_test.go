@@ -46,9 +46,10 @@ func newScanRig(tb testing.TB) *scanRig {
 // populate writes n files the scan matches among 2n it does not.
 func (r *scanRig) populate(n int) {
 	for i := 0; i < n; i++ {
-		r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", i), 1, map[string]float64{"step": float64(i)})
-		r.fs.Write(fmt.Sprintf("out/xgca.%05d.bp", i), 1, map[string]float64{"step": float64(i)})
-		r.fs.Write(fmt.Sprintf("ckpt/xgc1.%05d", i), 1, map[string]float64{"step": float64(i)})
+		step := fsim.Var{Name: "step", Value: float64(i)}
+		r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", i), 1, step)
+		r.fs.Write(fmt.Sprintf("out/xgca.%05d.bp", i), 1, step)
+		r.fs.Write(fmt.Sprintf("ckpt/xgc1.%05d", i), 1, step)
 	}
 }
 
@@ -65,13 +66,13 @@ func (r *scanRig) pollUse(use spec.SensorUse) ([]float64, int, sim.Time, bool) {
 // everything, copy it, read one variable per file.
 func fullScanPoll(fs *fsim.FS, pattern, info string) (readings []float64, step int, genAt sim.Time, ok bool) {
 	for _, f := range fs.Glob(pattern) {
-		if v, found := f.Vars[info]; found {
+		if v, found := f.Var(info); found {
 			readings = append(readings, v)
 			if f.MTime > genAt {
 				genAt = f.MTime
 			}
-			if int(f.Vars["step"]) > step {
-				step = int(f.Vars["step"])
+			if s, _ := f.Var("step"); int(s) > step {
+				step = int(s)
 			}
 		}
 	}
@@ -99,24 +100,24 @@ func diskScanDrive(t testing.TB, ops int, next func(n int) int) {
 		p := paths[next(len(paths))]
 		switch next(12) {
 		case 0:
-			r.fs.Write(p, 1, map[string]float64{"step": float64(next(500))})
+			r.fs.Write(p, 1, fsim.Var{Name: "step", Value: float64(next(500))})
 		case 1:
-			r.fs.Write(p, 1, map[string]float64{"errnorm": float64(next(1000)) / 1000})
+			r.fs.Write(p, 1, fsim.Var{Name: "errnorm", Value: float64(next(1000)) / 1000})
 		case 2:
 			r.fs.WriteVar(p, "step", float64(op))
 		case 3:
 			r.fs.Remove(p)
 		case 4, 5:
-			vars := []map[string]float64{
-				{"step": float64(tail)},
-				{"step": float64(tail), "errnorm": float64(next(1000)) / 1000},
-				{"errnorm": float64(next(1000)) / 1000},
-				{"size": 1},
+			vars := [][]fsim.Var{
+				{{Name: "step", Value: float64(tail)}},
+				{{Name: "step", Value: float64(tail)}, {Name: "errnorm", Value: float64(next(1000)) / 1000}},
+				{{Name: "errnorm", Value: float64(next(1000)) / 1000}},
+				{{Name: "size", Value: 1}},
 			}[next(4)]
-			r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", tail), 1, vars)
+			r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", tail), 1, vars...)
 			tail += 1 + next(3)
 		case 6:
-			r.fs.Write(fmt.Sprintf("out/xgca.%05d.bp", tail), 1, map[string]float64{"step": float64(tail)})
+			r.fs.Write(fmt.Sprintf("out/xgca.%05d.bp", tail), 1, fsim.Var{Name: "step", Value: float64(tail)})
 		default: // nothing changed: the poll answers from the cache
 		}
 		for _, use := range []spec.SensorUse{r.use, errUse} {
@@ -224,7 +225,7 @@ func TestDiskScanPollAllocations(t *testing.T) {
 		var ms runtime.MemStats
 		var bytes uint64
 		for i := 0; i < appends; i++ {
-			r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", files+i), 1, map[string]float64{"step": float64(files + i)})
+			r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", files+i), 1, fsim.Var{Name: "step", Value: float64(files + i)})
 			runtime.ReadMemStats(&ms)
 			before := ms.TotalAlloc
 			if readings, _, _, _ := r.poll(); len(readings) != files+i+1 {
@@ -267,7 +268,7 @@ func BenchmarkDiskScanPoll(b *testing.B) {
 						r.fs.WriteVar("out/xgc1.00000.bp", "step", float64(i))
 					case "appended":
 						// "x" sorts after every populated "%05d" step.
-						r.fs.Write(fmt.Sprintf("out/xgc1.x%09d.bp", i), 1, map[string]float64{"step": float64(files + i)})
+						r.fs.Write(fmt.Sprintf("out/xgc1.x%09d.bp", i), 1, fsim.Var{Name: "step", Value: float64(files + i)})
 						want = files + i + 1
 					}
 					if readings, _, _, ok := r.poll(); !ok || len(readings) != want {

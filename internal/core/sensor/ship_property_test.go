@@ -323,14 +323,14 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 			p := paths[next(len(paths))]
 			switch next(64) {
 			case 0:
-				vars := map[string]float64{"step": float64(next(500)), "err": value(), "mem": value()}
-				s.At(at, func() { fs.Write(p, 1, vars) })
+				vars := []fsim.Var{{Name: "step", Value: float64(next(500))}, {Name: "err", Value: value()}, {Name: "mem", Value: value()}}
+				s.At(at, func() { fs.Write(p, 1, vars...) })
 			case 1:
 				name, v := []string{"step", "err", "mem"}[next(3)], value()
 				s.At(at, func() { fs.WriteVar(p, name, v) })
 			case 2:
-				vars := map[string]float64{"step": float64(next(500))}
-				s.At(at, func() { fs.Write(p, 1, vars) })
+				step := fsim.Var{Name: "step", Value: float64(next(500))}
+				s.At(at, func() { fs.Write(p, 1, step) })
 			case 3:
 				s.At(at, func() { fs.Remove(p) })
 			}

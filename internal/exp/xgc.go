@@ -7,6 +7,7 @@ import (
 	"dyflow/internal/apps"
 	"dyflow/internal/core"
 	"dyflow/internal/core/arbiter"
+	"dyflow/internal/fsim"
 	"dyflow/internal/sim"
 	"dyflow/internal/task"
 )
@@ -185,7 +186,7 @@ func runXGC(seed int64, m apps.Machine, v Variant) (*XGCResult, error) {
 	w.SV.RegisterScript(apps.XGCRestartScript, apps.XGCRestartScriptCost)
 	// The initial-condition file primes XGCa's NSTEPS/LAG series (the
 	// restart chain always has a step-0 state on disk).
-	w.Env.FS.Write("out/xgca.00000.bp", 0, map[string]float64{"step": 0, "errnorm": 0})
+	w.Env.FS.Write("out/xgca.00000.bp", 0, fsim.Var{Name: "step"}, fsim.Var{Name: "errnorm"})
 
 	// The science-driven scenario uses a short settle window: the guard
 	// exists to damp performance-feedback oscillation, and a 2-minute

@@ -6,9 +6,10 @@
 // stage's DISKSCAN and FILE source types poll it with glob patterns, exactly
 // as the paper's NSTEPS and STATUS sensors do.
 //
-// Ordering: the filesystem keeps its entries in an index sorted by path,
-// maintained by Write and Remove. Glob, Count and RemoveGlob walk that
-// index, so results always come out in ascending path order, and a
+// Ordering: the filesystem keeps its entries in one index sorted by path,
+// maintained by Write and Remove; it is the only store, and an operation on
+// one path finds its entry by binary search. Glob, Count and RemoveGlob walk
+// that index, so results always come out in ascending path order, and a
 // pattern's literal prefix ("out/xgc1." of "out/xgc1.*.bp") selects its
 // index range by binary search instead of a walk over every file. A Watch
 // keeps its own path-sorted list of the entries its pattern matches,
@@ -21,10 +22,13 @@
 // at the second, unchanged, so a poller that extracted them once reads only
 // the new ones (Watch.Rewritten, Watch.Visit's from).
 //
-// Copies: Stat and Glob return defensive copies the caller owns. Lookup and
-// the scan visitor hand out the live entry instead: it is read-only, must
-// not be retained, and is valid only until the next Write, WriteVar or
-// Remove — a visitor callback must not modify the filesystem.
+// Copies: Stat and Glob return defensive copies the caller owns, variables
+// included. Lookup and the scan visitor hand out the live entry instead: it
+// is read-only, must not be retained, and is valid only until the next
+// Write, WriteVar or Remove — a visitor callback must not modify the
+// filesystem. A rewrite of an existing file overwrites its variables in
+// place when their array is large enough, so a copy taken before it keeps
+// the old values and the live entry shows the new ones.
 package fsim
 
 import (
@@ -36,6 +40,13 @@ import (
 	"dyflow/internal/sim"
 )
 
+// Var is one named numeric variable of a file (e.g. "step" = 374,
+// "exitcode" = 137).
+type Var struct {
+	Name  string
+	Value float64
+}
+
 // File is one entry in the filesystem. Scientific output is modelled as a
 // set of named numeric variables plus an opaque size — the pieces sensors
 // actually consume.
@@ -43,26 +54,59 @@ type File struct {
 	Path  string
 	Size  int64
 	MTime sim.Time
-	// Vars holds named numeric variables readable by file-based sensors
-	// (e.g. "step" -> 374, "exitcode" -> 137).
-	Vars map[string]float64
+	// Vars holds the variables readable by file-based sensors, each name
+	// once, in the order the names were first written.
+	Vars []Var
+}
+
+// Var returns the value of the named variable and whether the file has it.
+func (f *File) Var(name string) (float64, bool) {
+	if i := varIndex(f.Vars, name); i >= 0 {
+		return f.Vars[i].Value, true
+	}
+	return 0, false
+}
+
+// varIndex returns the position of the named variable in vars, or -1.
+func varIndex(vars []Var, name string) int {
+	for i := range vars {
+		if vars[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // clone returns a defensive copy.
 func (f *File) clone() *File {
-	vars := make(map[string]float64, len(f.Vars))
-	for k, v := range f.Vars {
-		vars[k] = v
+	c := *f
+	c.Vars = slices.Clone(f.Vars)
+	return &c
+}
+
+// assign sets dst to vars with each name once: a repeated name keeps its
+// first position and its last value, as a map would. dst's array is reused
+// when it holds len(vars); otherwise the new one holds exactly len(vars).
+func assign(dst, vars []Var) []Var {
+	if cap(dst) < len(vars) {
+		dst = make([]Var, 0, len(vars))
 	}
-	return &File{Path: f.Path, Size: f.Size, MTime: f.MTime, Vars: vars}
+	out := dst[:0]
+	for _, v := range vars {
+		if i := varIndex(out, v.Name); i >= 0 {
+			out[i].Value = v.Value
+		} else {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // FS is a flat-namespace virtual filesystem on the simulation clock. Paths
 // are slash-separated; globbing matches with path.Match per segment.
 type FS struct {
-	sim   *sim.Sim
-	files map[string]*File
-	// index holds the same entries as files, sorted by path.
+	sim *sim.Sim
+	// index holds every entry, sorted by path.
 	index []*File
 	// watches are the registered scan patterns whose generation every
 	// mutation of a matching path advances.
@@ -71,14 +115,13 @@ type FS struct {
 
 // New creates an empty filesystem bound to s.
 func New(s *sim.Sim) *FS {
-	return &FS{sim: s, files: make(map[string]*File)}
+	return &FS{sim: s}
 }
 
 // search returns the position of the first entry of the path-sorted list
-// whose path is >= p.
-func search(list []*File, p string) int {
-	i, _ := slices.BinarySearchFunc(list, p, func(f *File, p string) int { return strings.Compare(f.Path, p) })
-	return i
+// whose path is >= p, and whether that entry's path is p.
+func search(list []*File, p string) (int, bool) {
+	return slices.BinarySearchFunc(list, p, func(f *File, p string) int { return strings.Compare(f.Path, p) })
 }
 
 // change is what a mutation did to the entry it names.
@@ -101,13 +144,13 @@ func (fs *FS) touch(f *File, c change) {
 		w.gen++
 		switch c {
 		case created:
-			i := search(w.files, f.Path)
+			i, _ := search(w.files, f.Path)
 			if i < len(w.files) {
 				w.rewritten = w.gen
 			}
 			w.files = slices.Insert(w.files, i, f)
 		case removed:
-			i := search(w.files, f.Path)
+			i, _ := search(w.files, f.Path)
 			w.files = slices.Delete(w.files, i, i+1)
 			w.rewritten = w.gen
 		default:
@@ -117,48 +160,46 @@ func (fs *FS) touch(f *File, c change) {
 }
 
 // Write creates or replaces the file at p with the given size and
-// variables, stamping the current virtual time.
-func (fs *FS) Write(p string, size int64, vars map[string]float64) {
-	f, ok := fs.files[p]
-	if !ok {
-		f = &File{Path: p}
-		fs.files[p] = f
-		fs.index = slices.Insert(fs.index, search(fs.index, p), f)
-	}
-	f.Size = size
-	f.MTime = fs.sim.Now()
-	f.Vars = make(map[string]float64, len(vars))
-	for k, v := range vars {
-		f.Vars[k] = v
-	}
+// variables, stamping the current virtual time. A repeated name keeps its
+// last value; vars is not retained.
+func (fs *FS) Write(p string, size int64, vars ...Var) {
+	i, ok := search(fs.index, p)
 	c := updated
 	if !ok {
+		fs.index = slices.Insert(fs.index, i, &File{Path: p})
 		c = created
 	}
+	f := fs.index[i]
+	f.Size = size
+	f.MTime = fs.sim.Now()
+	f.Vars = assign(f.Vars, vars)
 	fs.touch(f, c)
 }
 
 // WriteVar creates or updates the file at p, setting a single variable and
 // refreshing the mtime.
 func (fs *FS) WriteVar(p, name string, value float64) {
-	f, ok := fs.files[p]
-	if !ok {
-		fs.Write(p, 0, map[string]float64{name: value})
+	f := fs.Lookup(p)
+	if f == nil {
+		fs.Write(p, 0, Var{name, value})
 		return
 	}
-	f.Vars[name] = value
+	if i := varIndex(f.Vars, name); i >= 0 {
+		f.Vars[i].Value = value
+	} else {
+		f.Vars = append(f.Vars, Var{name, value})
+	}
 	f.MTime = fs.sim.Now()
 	fs.touch(f, updated)
 }
 
 // Remove deletes the file at p (no-op if absent).
 func (fs *FS) Remove(p string) {
-	f, ok := fs.files[p]
+	i, ok := search(fs.index, p)
 	if !ok {
 		return
 	}
-	delete(fs.files, p)
-	i := search(fs.index, p)
+	f := fs.index[i]
 	fs.index = slices.Delete(fs.index, i, i+1)
 	fs.touch(f, removed)
 }
@@ -176,12 +217,17 @@ func (fs *FS) RemoveGlob(pattern string) int {
 // Lookup returns the live entry at p, or nil if it does not exist. The
 // entry is read-only and valid until the next mutation of the filesystem;
 // use Stat for a copy to keep.
-func (fs *FS) Lookup(p string) *File { return fs.files[p] }
+func (fs *FS) Lookup(p string) *File {
+	if i, ok := search(fs.index, p); ok {
+		return fs.index[i]
+	}
+	return nil
+}
 
 // Stat returns a copy of the file at p, or nil if it does not exist.
 func (fs *FS) Stat(p string) *File {
-	f, ok := fs.files[p]
-	if !ok {
+	f := fs.Lookup(p)
+	if f == nil {
 		return nil
 	}
 	return f.clone()
@@ -189,11 +235,11 @@ func (fs *FS) Stat(p string) *File {
 
 // ReadVar reads one numeric variable from the file at p.
 func (fs *FS) ReadVar(p, name string) (float64, error) {
-	f, ok := fs.files[p]
-	if !ok {
+	f := fs.Lookup(p)
+	if f == nil {
 		return 0, fmt.Errorf("fsim: %s: no such file", p)
 	}
-	v, ok := f.Vars[name]
+	v, ok := f.Var(name)
 	if !ok {
 		return 0, fmt.Errorf("fsim: %s: no variable %q", p, name)
 	}
@@ -218,7 +264,7 @@ func (fs *FS) Count(pattern string) int {
 }
 
 // Len returns the total number of files.
-func (fs *FS) Len() int { return len(fs.files) }
+func (fs *FS) Len() int { return len(fs.index) }
 
 // visit compiles pattern and scans it; a malformed pattern matches nothing.
 func (fs *FS) visit(pattern string, fn func(*File)) {
@@ -231,7 +277,8 @@ func (fs *FS) visit(pattern string, fn func(*File)) {
 // matching pat, in ascending path order. Only the index range sharing the
 // pattern's literal prefix is walked.
 func (fs *FS) scan(pat *Pattern, fn func(*File)) {
-	for i := search(fs.index, pat.prefix); i < len(fs.index); i++ {
+	i, _ := search(fs.index, pat.prefix)
+	for ; i < len(fs.index); i++ {
 		f := fs.index[i]
 		if !strings.HasPrefix(f.Path, pat.prefix) {
 			return

@@ -3,6 +3,7 @@ package fsim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"path"
 	"reflect"
@@ -16,8 +17,9 @@ import (
 
 // The reference implementations: Match and Glob exactly as they stood
 // before the sorted index and the compiled pattern — split both strings,
-// walk the whole file map, copy, sort. Everything the package does now must
-// be indistinguishable from these.
+// walk the whole file map, copy, sort — over files whose variables are a
+// map, as they were before the flat list. Everything the package does now
+// must be indistinguishable from these.
 
 func refMatch(pattern, name string) (bool, error) {
 	ps := strings.Split(pattern, "/")
@@ -40,13 +42,50 @@ func refMatch(pattern, name string) (bool, error) {
 	return len(ps) == len(ns), nil
 }
 
-// refFS is the reference filesystem: a bare map.
-type refFS map[string]*File
+// refFile is a reference entry: its variables are a name -> value map.
+type refFile struct {
+	Path  string
+	Size  int64
+	MTime sim.Time
+	Vars  map[string]float64
+}
 
-func (r refFS) write(p string, size int64, mtime sim.Time, vars map[string]float64) {
-	f := &File{Path: p, Size: size, MTime: mtime, Vars: map[string]float64{}}
-	for k, v := range vars {
-		f.Vars[k] = v
+func (f *refFile) clone() refFile {
+	c := *f
+	c.Vars = maps.Clone(f.Vars)
+	return c
+}
+
+// refOf is f as the reference holds it. It fails the test if f holds a
+// name twice, which the map cannot express.
+func refOf(t *testing.T, f *File) refFile {
+	t.Helper()
+	vars := make(map[string]float64, len(f.Vars))
+	for _, v := range f.Vars {
+		vars[v.Name] = v.Value
+	}
+	if len(vars) != len(f.Vars) {
+		t.Fatalf("%q holds a variable name twice: %v", f.Path, f.Vars)
+	}
+	return refFile{Path: f.Path, Size: f.Size, MTime: f.MTime, Vars: vars}
+}
+
+func refsOf(t *testing.T, files []*File) []refFile {
+	t.Helper()
+	var out []refFile
+	for _, f := range files {
+		out = append(out, refOf(t, f))
+	}
+	return out
+}
+
+// refFS is the reference filesystem: a bare map.
+type refFS map[string]*refFile
+
+func (r refFS) write(p string, size int64, mtime sim.Time, vars []Var) {
+	f := &refFile{Path: p, Size: size, MTime: mtime, Vars: map[string]float64{}}
+	for _, v := range vars {
+		f.Vars[v.Name] = v.Value
 	}
 	r[p] = f
 }
@@ -54,15 +93,15 @@ func (r refFS) write(p string, size int64, mtime sim.Time, vars map[string]float
 func (r refFS) writeVar(p, name string, value float64, mtime sim.Time) {
 	f, ok := r[p]
 	if !ok {
-		r.write(p, 0, mtime, map[string]float64{name: value})
+		r.write(p, 0, mtime, []Var{{name, value}})
 		return
 	}
 	f.Vars[name] = value
 	f.MTime = mtime
 }
 
-func (r refFS) glob(pattern string) []*File {
-	var out []*File
+func (r refFS) glob(pattern string) []refFile {
+	var out []refFile
 	for p, f := range r {
 		ok, err := refMatch(pattern, p)
 		if err == nil && ok {
@@ -70,6 +109,17 @@ func (r refFS) glob(pattern string) []*File {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
+}
+
+// paths returns the sorted reference paths, so a draw among them is
+// seeded, not left to map order.
+func (r refFS) paths() []string {
+	out := make([]string, 0, len(r))
+	for p := range r {
+		out = append(out, p)
+	}
+	sort.Strings(out)
 	return out
 }
 
@@ -210,18 +260,24 @@ func checkAgainstReference(t *testing.T, step string, fs *FS, ref refFS, pattern
 		if i > 0 && fs.index[i-1].Path >= f.Path {
 			t.Fatalf("%s: index out of order at %d: %q then %q", step, i, fs.index[i-1].Path, f.Path)
 		}
-		if fs.files[f.Path] != f {
-			t.Fatalf("%s: index entry %q is not the map's entry", step, f.Path)
+		if fs.Lookup(f.Path) != f {
+			t.Fatalf("%s: Lookup(%q) is not the index's entry", step, f.Path)
 		}
 	}
 	for p, want := range ref {
-		if got := fs.Stat(p); !reflect.DeepEqual(got, want) {
+		got := fs.Stat(p)
+		if got == nil || !reflect.DeepEqual(refOf(t, got), *want) {
 			t.Fatalf("%s: Stat(%q) = %+v, reference %+v", step, p, got, want)
+		}
+		for name, v := range want.Vars {
+			if got, err := fs.ReadVar(p, name); err != nil || got != v {
+				t.Fatalf("%s: ReadVar(%q, %q) = %v, %v; reference %v", step, p, name, got, err, v)
+			}
 		}
 	}
 	for _, pattern := range patterns {
 		want := ref.glob(pattern)
-		if got := fs.Glob(pattern); !reflect.DeepEqual(got, want) {
+		if got := refsOf(t, fs.Glob(pattern)); !sameFiles(got, want) {
 			t.Fatalf("%s: Glob(%q) = %v, reference %v", step, pattern, paths(got), paths(want))
 		}
 		if got := fs.Count(pattern); got != len(want) {
@@ -231,11 +287,11 @@ func checkAgainstReference(t *testing.T, step string, fs *FS, ref refFS, pattern
 }
 
 // sameFiles is reflect.DeepEqual that takes a nil list for an empty one.
-func sameFiles(a, b []*File) bool {
+func sameFiles(a, b []refFile) bool {
 	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
 }
 
-func paths(files []*File) []string {
+func paths(files []refFile) []string {
 	out := make([]string, len(files))
 	for i, f := range files {
 		out[i] = f.Path
@@ -245,6 +301,8 @@ func paths(files []*File) []string {
 
 func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 	appends := 0 // tail appends a watch saw
+	// Writes and variable updates, by whether the path existed.
+	writes, writeVars := map[bool]int{}, map[bool]int{}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := sim.New(seed)
@@ -264,7 +322,7 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 			w         *Watch
 			gen       uint64
 			rewritten uint64
-			view      []*File
+			view      []refFile
 		}
 		var watches []*watched
 		register := func(pattern string) {
@@ -290,6 +348,7 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 		}
 		late := []string{"*", "*/**", "out/*", "a/*/**", "a/**"}
 
+		varNames := []string{"step", "errnorm", "exitcode"}
 		for op := 0; op < 300; op++ {
 			if op%50 == 25 {
 				register(late[op/50%len(late)])
@@ -303,23 +362,34 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 			var step string
 			var touched func(p string) bool // did the operation name path p?
 			p := genPath(rng)
+			kind := rng.Intn(6)
+			if kind == 3 && len(ref) > 0 {
+				// Half the variable updates name an existing file.
+				existing := ref.paths()
+				p = existing[rng.Intn(len(existing))]
+			}
 			_, existed := ref[p]
 			created := !existed // a Write or WriteVar creates p
-			switch rng.Intn(6) {
+			switch kind {
 			case 0, 1:
-				vars := map[string]float64{"step": float64(rng.Intn(9))}
-				if rng.Intn(2) == 0 {
-					vars["errnorm"] = rng.Float64()
+				// 0-3 variables from three names, so repeats are common,
+				// and a rewrite often holds fewer than the file did.
+				var vars []Var
+				for n := rng.Intn(4); n > 0; n-- {
+					vars = append(vars, Var{varNames[rng.Intn(len(varNames))], float64(rng.Intn(9))})
 				}
-				step = fmt.Sprintf("seed %d op %d: Write(%q)", seed, op, p)
-				fs.Write(p, int64(op), vars)
+				step = fmt.Sprintf("seed %d op %d: Write(%q, %v)", seed, op, p, vars)
+				fs.Write(p, int64(op), vars...)
 				ref.write(p, int64(op), now, vars)
 				touched = func(q string) bool { return q == p }
+				writes[existed]++
 			case 2, 3:
-				step = fmt.Sprintf("seed %d op %d: WriteVar(%q)", seed, op, p)
-				fs.WriteVar(p, "step", float64(op))
-				ref.writeVar(p, "step", float64(op), now)
+				name := varNames[rng.Intn(len(varNames))]
+				step = fmt.Sprintf("seed %d op %d: WriteVar(%q, %q)", seed, op, p, name)
+				fs.WriteVar(p, name, float64(op))
+				ref.writeVar(p, name, float64(op), now)
 				touched = func(q string) bool { return q == p }
+				writeVars[existed]++
 			case 4:
 				created = false
 				step = fmt.Sprintf("seed %d op %d: Remove(%q)", seed, op, p)
@@ -346,9 +416,9 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 			for _, wd := range watches {
 				pattern := wd.w.pat.src
 				view := ref.glob(pattern)
-				var visited []*File
-				wd.w.Visit(0, func(f *File) { visited = append(visited, f.clone()) })
-				if !reflect.DeepEqual(visited, view) {
+				var visited []refFile
+				wd.w.Visit(0, func(f *File) { visited = append(visited, refOf(t, f)) })
+				if !sameFiles(visited, view) {
 					t.Fatalf("%s: Visit(%q) = %v, reference %v", step, pattern, paths(visited), paths(view))
 				}
 				if wd.w.Len() != len(view) {
@@ -390,8 +460,8 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 					if len(view) < len(wd.view) || !sameFiles(view[:len(wd.view)], wd.view) {
 						t.Fatalf("%s: %q rewritten at %d <= %d, but the files read then changed: %v, were %v", step, pattern, rewritten, wd.gen, paths(view), paths(wd.view))
 					}
-					var added []*File
-					wd.w.Visit(len(wd.view), func(f *File) { added = append(added, f.clone()) })
+					var added []refFile
+					wd.w.Visit(len(wd.view), func(f *File) { added = append(added, refOf(t, f)) })
 					if !sameFiles(added, view[len(wd.view):]) {
 						t.Fatalf("%s: Visit(%q) from %d = %v, reference %v", step, pattern, len(wd.view), paths(added), paths(view[len(wd.view):]))
 					}
@@ -403,5 +473,75 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 	if appends == 0 {
 		t.Fatal("no operation appended at a watch's tail; the drive must exercise it")
 	}
-	t.Logf("%d tail appends", appends)
+	for _, existed := range []bool{false, true} {
+		if writes[existed] == 0 || writeVars[existed] == 0 {
+			t.Fatalf("writes %v, variable updates %v by whether the path existed: the drive must exercise both", writes, writeVars)
+		}
+	}
+	t.Logf("%d tail appends; writes %v, variable updates %v by whether the path existed", appends, writes, writeVars)
+}
+
+// FuzzFS_EqualsReference decodes a sequence of mutations from the input —
+// two bytes an operation, plus one a variable for a write — applies each to
+// a filesystem and to the reference, and after each compares every read
+// surface and a watch's view.
+func FuzzFS_EqualsReference(f *testing.F) {
+	f.Add([]byte{0x0c, 0, 1, 2, 3, 0x04, 0, 7, 1, 0, 0x05, 0, 2, 0})
+	f.Add([]byte{0x08, 1, 0, 0x09, 1, 1, 2, 0x01, 1, 0x02, 2, 0x03, 3})
+	f.Add([]byte{0x0c, 2, 0, 0, 0, 0x04, 2, 5, 0x0c, 3, 1, 4, 1, 0x06, 3})
+	files := []string{"out/a.bp", "out/b.bp", "out/c", "a", "a/b", "b/out"}
+	patterns := []string{"**", "out/*.bp", "a/**", "*", "out/["}
+	names := []string{"step", "errnorm", "exitcode"}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := sim.New(1)
+		fs := New(s)
+		ref := refFS{}
+		pat, _ := Compile("out/*")
+		w := fs.Watch(pat)
+		for op := 0; len(ops) >= 2; op++ {
+			code, p := ops[0], files[int(ops[1])%len(files)]
+			ops = ops[2:]
+			now := sim.Time(op+1) * time.Second
+			if err := s.Run(now); err != nil {
+				t.Fatal(err)
+			}
+			var step string
+			switch code % 4 {
+			case 0: // Write with code/4 % 4 variables, one byte each
+				var vars []Var
+				for n := int(code/4) % 4; n > 0 && len(ops) > 0; n-- {
+					vars = append(vars, Var{names[int(ops[0])%len(names)], float64(ops[0] / 3)})
+					ops = ops[1:]
+				}
+				step = fmt.Sprintf("op %d: Write(%q, %v)", op, p, vars)
+				fs.Write(p, int64(op), vars...)
+				ref.write(p, int64(op), now, vars)
+			case 1:
+				name := names[int(code/4)%len(names)]
+				step = fmt.Sprintf("op %d: WriteVar(%q, %q)", op, p, name)
+				fs.WriteVar(p, name, float64(op))
+				ref.writeVar(p, name, float64(op), now)
+			case 2:
+				step = fmt.Sprintf("op %d: Remove(%q)", op, p)
+				fs.Remove(p)
+				delete(ref, p)
+			case 3:
+				pattern := patterns[int(code/4)%len(patterns)]
+				step = fmt.Sprintf("op %d: RemoveGlob(%q)", op, pattern)
+				doomed := ref.glob(pattern)
+				if got := fs.RemoveGlob(pattern); got != len(doomed) {
+					t.Fatalf("%s = %d, reference %d", step, got, len(doomed))
+				}
+				for _, f := range doomed {
+					delete(ref, f.Path)
+				}
+			}
+			checkAgainstReference(t, step, fs, ref, patterns)
+			var visited []refFile
+			w.Visit(0, func(f *File) { visited = append(visited, refOf(t, f)) })
+			if want := ref.glob("out/*"); !sameFiles(visited, want) {
+				t.Fatalf("%s: Visit(out/*) = %v, reference %v", step, paths(visited), paths(want))
+			}
+		}
+	})
 }

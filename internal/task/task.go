@@ -140,17 +140,16 @@ type Spec struct {
 	ProduceEvery int
 	// ProduceSize is the staged payload size in bytes per record.
 	ProduceSize int64
-	// ProduceVars, if non-nil, computes the staged variables for a step
-	// (e.g. XGCa's synthetic error norm).
-	ProduceVars func(globalStep int) map[string]float64
 
 	// OutputEvery writes an output file every N completed steps (0 = none).
 	OutputEvery int
 	// OutputPattern is the fs path pattern for outputs; it receives the
 	// global step number (e.g. "out/xgc1.%05d.bp").
 	OutputPattern string
-	// OutputVars, if non-nil, computes additional output-file variables.
-	OutputVars func(globalStep int) map[string]float64
+	// OutputVars, if non-nil, computes additional output-file variables
+	// (e.g. XGCa's synthetic error norm). The returned slice is copied
+	// into the file, not retained.
+	OutputVars func(globalStep int) []fsim.Var
 
 	// CheckpointEvery writes a checkpoint every N completed steps (0 =
 	// none); CheckpointKey is the fs path holding the last checkpointed
@@ -425,9 +424,6 @@ func (in *Instance) steps(p *sim.Proc) {
 		globalStep := offset + step + 1
 		if in.producer != nil && (in.Spec.ProduceEvery <= 1 || (step+1)%in.Spec.ProduceEvery == 0) {
 			rec := stream.Step{Index: globalStep, Size: in.Spec.ProduceSize}
-			if in.Spec.ProduceVars != nil {
-				rec.Vars = in.Spec.ProduceVars(globalStep)
-			}
 			if err := in.producer.Put(p, rec); err != nil {
 				if sim.Interrupted(err) {
 					if in.crashSignaled {
@@ -492,13 +488,13 @@ func (in *Instance) noteStep(globalStep int, loopTime time.Duration, p *sim.Proc
 	}
 	if in.Spec.OutputEvery > 0 && in.stepsDone%in.Spec.OutputEvery == 0 && in.Spec.OutputPattern != "" {
 		path := fmt.Sprintf(in.Spec.OutputPattern, globalStep)
-		vars := map[string]float64{"step": float64(globalStep)}
+		// Write copies vars and keeps none, so buf stays on the stack.
+		var buf [4]fsim.Var
+		vars := append(buf[:0], fsim.Var{Name: "step", Value: float64(globalStep)})
 		if in.Spec.OutputVars != nil {
-			for k, v := range in.Spec.OutputVars(globalStep) {
-				vars[k] = v
-			}
+			vars = append(vars, in.Spec.OutputVars(globalStep)...)
 		}
-		in.env.FS.Write(path, in.Spec.ProduceSize, vars)
+		in.env.FS.Write(path, in.Spec.ProduceSize, vars...)
 	}
 	if in.Spec.CheckpointEvery > 0 && in.Spec.CheckpointKey != "" && in.stepsDone%in.Spec.CheckpointEvery == 0 {
 		in.env.FS.WriteVar(in.Spec.CheckpointKey, "step", float64(globalStep))
@@ -516,8 +512,7 @@ func (in *Instance) finish() {
 		in.exitCode = 0
 		in.state = Completed
 	}
-	in.env.FS.Write(StatusPath(in.Spec.Workflow, in.Spec.Name), 0, map[string]float64{
-		"exitcode":    float64(in.exitCode),
-		"incarnation": float64(in.Incarnation),
-	})
+	in.env.FS.Write(StatusPath(in.Spec.Workflow, in.Spec.Name), 0,
+		fsim.Var{Name: "exitcode", Value: float64(in.exitCode)},
+		fsim.Var{Name: "incarnation", Value: float64(in.Incarnation)})
 }

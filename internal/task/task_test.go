@@ -1,6 +1,7 @@
 package task
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -362,7 +363,7 @@ func TestStateTransitionsObserved(t *testing.T) {
 	}
 }
 
-func TestProduceVarsAndStride(t *testing.T) {
+func TestProduceStride(t *testing.T) {
 	env := newEnv(1)
 	spec := Spec{
 		Name: "XGCA", Workflow: "F",
@@ -370,9 +371,6 @@ func TestProduceVarsAndStride(t *testing.T) {
 		TotalSteps:   20,
 		ProducesTo:   "f.out",
 		ProduceEvery: 5,
-		ProduceVars: func(g int) map[string]float64 {
-			return map[string]float64{"errnorm": 0.01 * float64(g)}
-		},
 	}
 	st := env.Streams.Open("f.out")
 	r := st.Attach(16, stream.DropOldest)
@@ -387,9 +385,6 @@ func TestProduceVarsAndStride(t *testing.T) {
 			break
 		}
 		idx = append(idx, rec.Index)
-		if rec.Vars["errnorm"] != 0.01*float64(rec.Index) {
-			t.Fatalf("errnorm = %v at step %d", rec.Vars["errnorm"], rec.Index)
-		}
 	}
 	want := []int{5, 10, 15, 20}
 	if len(idx) != len(want) {
@@ -410,8 +405,8 @@ func TestOutputVarsMergeIntoFiles(t *testing.T) {
 		TotalSteps:    4,
 		OutputEvery:   2,
 		OutputPattern: "out/t.%03d",
-		OutputVars: func(g int) map[string]float64 {
-			return map[string]float64{"extra": float64(g * 10)}
+		OutputVars: func(g int) []fsim.Var {
+			return []fsim.Var{{Name: "extra", Value: float64(g * 10)}}
 		},
 	}
 	Launch(env, spec, Placement{"n": 2}, 0)
@@ -423,6 +418,40 @@ func TestOutputVarsMergeIntoFiles(t *testing.T) {
 	}
 	if v, _ := env.FS.ReadVar("out/t.004", "step"); v != 4 {
 		t.Fatalf("step = %v", v)
+	}
+}
+
+// TestOutputWriteAllocations: an output step allocates its path, the File
+// and one array for its variables — merging the hook's variables into the
+// step's costs nothing beyond what the hook itself allocates.
+func TestOutputWriteAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, extra := range [][]fsim.Var{nil, {{Name: "errnorm", Value: 0.5}}} {
+		spec := Spec{Name: "T", Workflow: "W", OutputEvery: 1, OutputPattern: "out/t.%05d"}
+		if extra != nil {
+			spec.OutputVars = func(int) []fsim.Var { return extra }
+		}
+		in := &Instance{env: newEnv(1), Spec: spec}
+		g := 1000
+		path := testing.AllocsPerRun(1000, func() {
+			_ = fmt.Sprintf(spec.OutputPattern, g)
+			g++
+		})
+		// The index's amortized growth is under one allocation per
+		// thousand creations, which AllocsPerRun's average rounds away.
+		step := testing.AllocsPerRun(1000, func() {
+			in.noteStep(g, 0, nil)
+			g++
+		})
+		if step != path+2 {
+			t.Errorf("%d hook vars: an output step allocates %v times, want %v (path) + 2 (File, vars)", len(extra), step, path)
+		}
+		f := in.env.FS.Lookup(fmt.Sprintf(spec.OutputPattern, g-1))
+		if want := 1 + len(extra); len(f.Vars) != want || cap(f.Vars) != want {
+			t.Errorf("%d hook vars: file vars %v (cap %d), want exactly %d", len(extra), f.Vars, cap(f.Vars), want)
+		}
 	}
 }
 
