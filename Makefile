@@ -116,7 +116,8 @@ fuzz-smoke:
 # byte: `make exp-diff REV=<rev>` builds cmd/dyflow-exp at REV from the
 # local git objects (`git archive`, no network) and from the working tree,
 # runs the default set, `chaos` and `-orch-kills 2 chaos` for seeds 1-3 on
-# summit and dt2 with both, and fails on the first output that differs. A
+# summit and dt2 with both, and fails on the first output, or -perfetto
+# timeline of the last experiment run, that differs. A
 # change that must not move any result (a refactor, a perf change) runs it
 # against its parent. About a minute on a 2-vCPU host; not a CI step.
 exp-diff:
@@ -127,12 +128,15 @@ exp-diff:
 	$(GO) build -o "$$dir/exp-tree" ./cmd/dyflow-exp; \
 	for m in summit dt2; do for seed in 1 2 3; do \
 		for run in "" "chaos" "-orch-kills 2 chaos"; do \
-			"$$dir/exp-rev" -machine $$m -seed $$seed $$run > "$$dir/rev.out"; \
-			"$$dir/exp-tree" -machine $$m -seed $$seed $$run > "$$dir/tree.out"; \
+			"$$dir/exp-rev" -machine $$m -seed $$seed -perfetto "$$dir/trace.json" $$run > "$$dir/rev.out"; \
+			mv "$$dir/trace.json" "$$dir/rev.json"; \
+			"$$dir/exp-tree" -machine $$m -seed $$seed -perfetto "$$dir/trace.json" $$run > "$$dir/tree.out"; \
 			cmp -s "$$dir/rev.out" "$$dir/tree.out" || { \
 				echo "exp-diff: -machine $$m -seed $$seed $${run:-all} differs from $(REV):"; \
 				diff "$$dir/rev.out" "$$dir/tree.out" | head -n 40; exit 1; }; \
-			echo "exp-diff: -machine $$m -seed $$seed $${run:-all}: identical ($$(wc -c < "$$dir/tree.out") bytes)"; \
+			cmp -s "$$dir/rev.json" "$$dir/trace.json" || { \
+				echo "exp-diff: -machine $$m -seed $$seed $${run:-all}: the -perfetto timeline differs from $(REV)"; exit 1; }; \
+			echo "exp-diff: -machine $$m -seed $$seed $${run:-all}: identical ($$(wc -c < "$$dir/tree.out") bytes, timeline $$(wc -c < "$$dir/trace.json") bytes)"; \
 		done; \
 	done; done
 

@@ -132,7 +132,7 @@ func TestFiringRoundAllocatesOnlyItsBatch(t *testing.T) {
 	const runs = 100
 	var before, after runtime.MemStats
 	ref := trace.New(obs.NewRegistry())
-	held := tr.NumSpans()
+	held := len(tr.Spans())
 	for seq := 1; seq <= held; seq++ {
 		ref.Suggested(seq, "GS", "P", "A", "PACE", 1, 2, 3)
 	}

@@ -4,35 +4,22 @@ import (
 	"testing"
 	"time"
 
-	"dyflow/internal/apps"
+	"dyflow/internal/trace"
 )
 
 // BenchmarkQuickstartJob runs the campaign service's cheap quickstart
-// scenario end to end — the same world the service's load drills hammer —
-// and reports the kernel-level rates: steps/s is event
-// dispatches per wall-clock second across the whole pipeline (tasks,
-// sensors, decision, arbitration), handoffs/op is baton transfers per job.
-func BenchmarkQuickstartJob(b *testing.B) {
-	var dispatched, handoffs uint64
-	var simTime time.Duration
-	for i := 0; i < b.N; i++ {
-		var w *World
-		if _, _, err := runQuickstart(int64(i), apps.Summit, Variant{Configure: func(x *World) error { w = x; return nil }}); err != nil {
-			b.Fatal(err)
-		}
-		dispatched += w.Sim.Dispatched()
-		handoffs += w.Sim.Handoffs()
-		simTime += time.Duration(w.Sim.Now())
-		w.Close()
-	}
-	reportWorldRates(b, dispatched, handoffs, simTime)
-}
+// job end to end, artifacts included — the world behind the svc-light
+// benchmark workload, which the service's load drills hammer too. It
+// reports the kernel-level rates: steps/s is event dispatches per
+// wall-clock second across the whole pipeline (tasks, sensors, decision,
+// arbitration), handoffs/op is baton transfers per job, and -benchmem's
+// B/op is the per-run allocation the service pays.
+func BenchmarkQuickstartJob(b *testing.B) { benchmarkJob(b, ScenarioQuickstart) }
 
 // BenchmarkXGCJob runs the xgc campaign job end to end, artifacts included
 // — the world behind the des-heavy benchmark workload, whose five DISKSCAN
 // poll workers make it the one scenario dominated by sensor polling rather
-// than task work. Same units as BenchmarkQuickstartJob; -benchmem's B/op is
-// the per-run allocation the service pays.
+// than task work. Same units as BenchmarkQuickstartJob.
 func BenchmarkXGCJob(b *testing.B) { benchmarkJob(b, ScenarioXGC) }
 
 // BenchmarkGrayScottJob is the same for the grayscott job — the world
@@ -58,7 +45,7 @@ func benchmarkJob(b *testing.B, scenario string) {
 		handoffs += w.Sim.Handoffs()
 		simTime += time.Duration(w.Sim.Now())
 		w.Rec.EachMetric(func(MetricPoint) { points++ })
-		spans += w.Orch.Trace.NumSpans()
+		w.Orch.Trace.VisitSpans(func(*trace.Span) { spans++ })
 	}
 	reportWorldRates(b, dispatched, handoffs, simTime)
 	b.ReportMetric(float64(points)/float64(b.N), "points/op")

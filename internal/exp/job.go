@@ -227,20 +227,21 @@ func jobArtifacts(w *World, rep *Report) (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var gantt, metrics bytes.Buffer
+	var gantt bytes.Buffer
 	w.Rec.Gantt(&gantt, 100)
 	perfetto, err := perfettoJSON(w)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.Metrics.WriteJSON(&metrics); err != nil {
+	metrics, err := w.Metrics.JSON()
+	if err != nil {
 		return nil, err
 	}
 	return map[string][]byte{
 		ArtifactReport:   append(report, '\n'),
 		ArtifactGantt:    gantt.Bytes(),
 		ArtifactPerfetto: perfetto,
-		ArtifactMetrics:  metrics.Bytes(),
+		ArtifactMetrics:  metrics,
 	}, nil
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"dyflow/internal/cluster"
 	"dyflow/internal/core/actuate"
+	"dyflow/internal/core/arbiter"
 	"dyflow/internal/sim"
 	"dyflow/internal/task"
 	"dyflow/internal/trace"
@@ -81,13 +82,6 @@ func dur(start, end sim.Time) int64 {
 	return max(usec(end)-usec(start), 1) // zero-width spans render invisible; clamp to one tick
 }
 
-func meta(pid, tid int, kind, name string) perfettoEvent {
-	return perfettoEvent{
-		Name: kind, Ph: "M", Pid: pid, Tid: tid,
-		Args: &metaArgs{Name: name},
-	}
-}
-
 // WritePerfetto renders the world's recorded run as a Chrome trace-event
 // JSON timeline, with the chaos campaign's kill/heal events where the world
 // ran one. Still-open intervals are drawn to the current simulation
@@ -113,158 +107,203 @@ func WritePerfetto(out io.Writer, w *World) error {
 // vary by ≈ 0.25 MB. An event's buffer is a few hundred bytes, and with
 // struct args an event encodes without allocating.
 //
-// The event list is sized exactly before it is filled, and the suggestion
-// spans are read in place in the flight recorder, not copied out of it.
+// No event list is built: both passes walk the world's records and emit
+// each event into the same perfettoEvent, so the render allocates the
+// document, the node tracks and the names it joins once each.
 func perfettoJSON(w *World) ([]byte, error) {
-	now := w.Sim.Now()
-	var chaos []cluster.CampaignEvent
-	if w.campaign != nil {
-		chaos = w.campaign.Events()
+	r := newPerfettoRender(w)
+	const head, tail = `{"traceEvents":[`, "],\"displayTimeUnit\":\"ms\"}\n"
+	var size byteCount
+	if err := r.emit(json.NewEncoder(&size)); err != nil {
+		return nil, err
 	}
-	plans := w.Plans()
-	var tr *trace.Recorder
-	var acts []actuate.OpRecord
+	doc := joinWriter(make([]byte, 0, len(head)+int(size)-1+len(tail))) // n events: n newlines, n-1 commas
+	doc = append(doc, head...)
+	if err := r.emit(json.NewEncoder(&doc)); err != nil {
+		return nil, err
+	}
+	return append(doc[:len(doc)-1], tail...), nil // the last event's comma
+}
+
+// perfettoRender is one render's sources, what it derives from them once,
+// and the values each event is emitted into: one event, and one args value
+// per kind.
+type perfettoRender struct {
+	now   sim.Time
+	ivs   []Interval
+	chaos []cluster.CampaignEvent
+	plans []arbiter.Record
+	acts  []actuate.OpRecord
+	tr    *trace.Recorder
+
+	nodes   []string       // the node tracks, tid i+1 for nodes[i]
+	nodeTid map[string]int // and back
+	names   map[[3]string]string
+
+	enc      *json.Encoder
+	err      error
+	ev       perfettoEvent
+	meta     metaArgs
+	task     taskArgs
+	exitCode int
+	plan     planArgs
+	ops      []string
+	act      actuationArgs
+	sugg     suggestionArgs
+}
+
+func newPerfettoRender(w *World) *perfettoRender {
+	r := &perfettoRender{now: w.Sim.Now(), ivs: w.Rec.Intervals, plans: w.Plans(),
+		nodeTid: map[string]int{}, names: map[[3]string]string{}}
+	if w.campaign != nil {
+		r.chaos = w.campaign.Events()
+	}
 	if w.Orch != nil {
-		tr, acts = w.Orch.Trace, w.Orch.Executor.Records()
+		r.tr, r.acts = w.Orch.Trace, w.Orch.Executor.Records()
 	}
 
 	// Node tracks: deterministic tid assignment in sorted node order over
 	// every node that appears in the run (placements and chaos events).
-	nodeSet := map[string]bool{}
-	for _, iv := range w.Rec.Intervals {
+	for _, iv := range r.ivs {
 		for _, n := range iv.Nodes {
-			nodeSet[n] = true
+			r.nodeTid[n] = 0
 		}
 	}
-	for _, ev := range chaos {
-		nodeSet[string(ev.Node)] = true
+	for _, ev := range r.chaos {
+		r.nodeTid[string(ev.Node)] = 0
 	}
-	var nodes []string
-	for n := range nodeSet {
-		nodes = append(nodes, n)
+	r.nodes = make([]string, 0, len(r.nodeTid))
+	for n := range r.nodeTid {
+		r.nodes = append(r.nodes, n)
 	}
-	sort.Strings(nodes)
-	nodeTid := make(map[string]int, len(nodes))
-	placed := 0
-	for _, iv := range w.Rec.Intervals {
-		placed += len(iv.Nodes)
+	sort.Strings(r.nodes)
+	for i, n := range r.nodes {
+		r.nodeTid[n] = i + 1
 	}
-	nspans := tr.NumSpans()
-	evs := make([]perfettoEvent, 0, 1+len(nodes)+4+placed+len(chaos)+len(plans)+len(acts)+nspans)
-	evs = append(evs, meta(pidCluster, 0, "process_name", "cluster"))
-	for i, n := range nodes {
-		nodeTid[n] = i + 1
-		evs = append(evs, meta(pidCluster, i+1, "thread_name", n))
-	}
+	return r
+}
 
-	evs = append(evs,
-		meta(pidOrchestrator, 0, "process_name", "dyflow"),
-		meta(pidOrchestrator, tidPlans, "thread_name", "plans"),
-		meta(pidOrchestrator, tidActuation, "thread_name", "actuation"),
-		meta(pidOrchestrator, tidSuggestions, "thread_name", "suggestions"),
-	)
+// name is a+sep+b, joined once per render.
+func (r *perfettoRender) name(a, sep, b string) string {
+	key := [3]string{a, sep, b}
+	s, ok := r.names[key]
+	if !ok {
+		s = a + sep + b
+		r.names[key] = s
+	}
+	return s
+}
+
+// put encodes the event in r.ev, unless an earlier one failed.
+func (r *perfettoRender) put() {
+	if r.err == nil {
+		r.err = r.enc.Encode(&r.ev)
+	}
+}
+
+func (r *perfettoRender) putMeta(pid, tid int, kind, name string) {
+	r.meta.Name = name
+	r.ev = perfettoEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid, Args: &r.meta}
+	r.put()
+}
+
+// emit encodes every event of the document with enc, in document order.
+func (r *perfettoRender) emit(enc *json.Encoder) error {
+	r.enc, r.err = enc, nil
+	r.putMeta(pidCluster, 0, "process_name", "cluster")
+	for i, n := range r.nodes {
+		r.putMeta(pidCluster, i+1, "thread_name", n)
+	}
+	r.putMeta(pidOrchestrator, 0, "process_name", "dyflow")
+	r.putMeta(pidOrchestrator, tidPlans, "thread_name", "plans")
+	r.putMeta(pidOrchestrator, tidActuation, "thread_name", "actuation")
+	r.putMeta(pidOrchestrator, tidSuggestions, "thread_name", "suggestions")
 
 	// Task incarnations, one span per occupied node.
-	for _, iv := range w.Rec.Intervals {
+	for i := range r.ivs {
+		iv := &r.ivs[i]
 		end := iv.End
 		if end == 0 {
-			end = now
+			end = r.now
 		}
-		name := iv.Task
-		args := &taskArgs{Workflow: iv.Workflow, Incarnation: iv.Incarnation,
+		r.task = taskArgs{Workflow: iv.Workflow, Incarnation: iv.Incarnation,
 			Procs: iv.Procs, Final: iv.Final.String()}
 		if iv.Final == task.Failed {
-			code := iv.ExitCode
-			args.ExitCode = &code
+			r.exitCode = iv.ExitCode
+			r.task.ExitCode = &r.exitCode
 		}
 		for _, n := range iv.Nodes {
-			evs = append(evs, perfettoEvent{
-				Name: name, Cat: "task", Ph: "X",
+			r.ev = perfettoEvent{
+				Name: iv.Task, Cat: "task", Ph: "X",
 				Ts: usec(iv.Start), Dur: dur(iv.Start, end),
-				Pid: pidCluster, Tid: nodeTid[n], Args: args,
-			})
+				Pid: pidCluster, Tid: r.nodeTid[n], Args: &r.task,
+			}
+			r.put()
 		}
 	}
 
 	// Chaos kill/heal instants on the victim node's track.
-	for _, ev := range chaos {
-		evs = append(evs, perfettoEvent{
-			Name: ev.Kind + " " + string(ev.Node), Cat: "chaos", Ph: "i",
-			Ts: usec(ev.At), Pid: pidCluster, Tid: nodeTid[string(ev.Node)],
+	for _, c := range r.chaos {
+		r.ev = perfettoEvent{
+			Name: r.name(c.Kind, " ", string(c.Node)), Cat: "chaos", Ph: "i",
+			Ts: usec(c.At), Pid: pidCluster, Tid: r.nodeTid[string(c.Node)],
 			S: "p",
-		})
+		}
+		r.put()
 	}
 
 	// Plan windows: suggestion-batch arrival to actuation completion.
-	for _, p := range plans {
-		var ops []string
-		for _, op := range p.Plan.Ops {
-			ops = append(ops, op.String())
+	for i := range r.plans {
+		p := &r.plans[i]
+		r.plan = planArgs{Workflow: p.Workflow, Applied: p.AppliedOps, Aborted: p.AbortedOps, Error: p.Err}
+		if len(p.Plan.Ops) > 0 { // no ops encode as null
+			r.ops = r.ops[:0]
+			for _, op := range p.Plan.Ops {
+				r.ops = append(r.ops, op.String())
+			}
+			r.plan.Ops = r.ops
 		}
-		evs = append(evs, perfettoEvent{
-			Name: p.Workflow + " plan", Cat: "plan", Ph: "X",
+		r.ev = perfettoEvent{
+			Name: r.name(p.Workflow, " plan", ""), Cat: "plan", Ph: "X",
 			Ts: usec(p.ReceivedAt), Dur: dur(p.ReceivedAt, p.ExecutedAt),
-			Pid: pidOrchestrator, Tid: tidPlans,
-			Args: &planArgs{Workflow: p.Workflow, Ops: ops,
-				Applied: p.AppliedOps, Aborted: p.AbortedOps, Error: p.Err},
-		})
+			Pid: pidOrchestrator, Tid: tidPlans, Args: &r.plan,
+		}
+		r.put()
 	}
 
 	// Actuation operation spans (the stop/start decomposition of §4.6).
-	for _, rec := range acts {
-		evs = append(evs, perfettoEvent{
-			Name: rec.Op.Kind.String() + " " + rec.Op.Task, Cat: "actuation", Ph: "X",
+	for i := range r.acts {
+		rec := &r.acts[i]
+		r.act = actuationArgs{Workflow: rec.Op.Workflow, Attempts: rec.Attempts, Error: rec.Err}
+		r.ev = perfettoEvent{
+			Name: r.name(rec.Op.Kind.String(), " ", rec.Op.Task), Cat: "actuation", Ph: "X",
 			Ts: usec(rec.StartedAt), Dur: dur(rec.StartedAt, rec.EndedAt),
-			Pid: pidOrchestrator, Tid: tidActuation,
-			Args: &actuationArgs{Workflow: rec.Op.Workflow, Attempts: rec.Attempts, Error: rec.Err},
-		})
+			Pid: pidOrchestrator, Tid: tidActuation, Args: &r.act,
+		}
+		r.put()
 	}
 
 	// Suggestion lifecycle spans: data generation to actuation (or to the
-	// last stamped stage for dropped/incomplete suggestions). A span's
-	// args live in one slice, and its name is joined once per policy and
-	// action.
-	args := make([]suggestionArgs, 0, nspans)
-	names := map[[2]string]string{}
-	tr.VisitSpans(func(sp *trace.Span) {
-		start := sp.GeneratedAt
-		if start == 0 {
-			start = sp.DecidedAt
-		}
-		end := max(sp.DecidedAt, sp.ReceivedAt, sp.PlannedAt, sp.ExecutedAt)
-		key := [2]string{sp.Policy, sp.Action}
-		name, ok := names[key]
-		if !ok {
-			name = sp.Policy + ":" + sp.Action
-			names[key] = name
-		}
-		args = append(args, suggestionArgs{Workflow: sp.Workflow, Sensor: sp.Sensor,
-			Complete: sp.Complete(), Dropped: sp.Dropped})
-		evs = append(evs, perfettoEvent{
-			Name: name, Cat: "suggestion", Ph: "X",
-			Ts: usec(start), Dur: dur(start, end),
-			Pid: pidOrchestrator, Tid: tidSuggestions,
-			Args: &args[len(args)-1],
+	// last stamped stage for dropped/incomplete suggestions), read in place
+	// in the flight recorder.
+	if r.tr != nil {
+		r.tr.VisitSpans(func(sp *trace.Span) {
+			start := sp.GeneratedAt
+			if start == 0 {
+				start = sp.DecidedAt
+			}
+			end := max(sp.DecidedAt, sp.ReceivedAt, sp.PlannedAt, sp.ExecutedAt)
+			r.sugg = suggestionArgs{Workflow: sp.Workflow, Sensor: sp.Sensor,
+				Complete: sp.Complete(), Dropped: sp.Dropped}
+			r.ev = perfettoEvent{
+				Name: r.name(sp.Policy, ":", sp.Action), Cat: "suggestion", Ph: "X",
+				Ts: usec(start), Dur: dur(start, end),
+				Pid: pidOrchestrator, Tid: tidSuggestions, Args: &r.sugg,
+			}
+			r.put()
 		})
-	})
-
-	const head, tail = `{"traceEvents":[`, "],\"displayTimeUnit\":\"ms\"}\n"
-	var size byteCount
-	enc := json.NewEncoder(&size)
-	for i := range evs {
-		if err := enc.Encode(&evs[i]); err != nil {
-			return nil, err
-		}
 	}
-	doc := joinWriter(make([]byte, 0, len(head)+int(size)-1+len(tail))) // n events: n newlines, n-1 commas
-	doc = append(doc, head...)
-	enc = json.NewEncoder(&doc)
-	for i := range evs {
-		if err := enc.Encode(&evs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return append(doc[:len(doc)-1], tail...), nil // the last event's comma
+	return r.err
 }
 
 // byteCount counts what is written to it.

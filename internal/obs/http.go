@@ -11,11 +11,17 @@ func MetricsHandler(r *Registry) http.Handler {
 	})
 }
 
-// JSONHandler serves the registry's JSON snapshot — the /metrics.json
-// endpoint of `dyflow-exp serve`.
+// JSONHandler serves the registry's JSON document — the /metrics.json
+// endpoint of `dyflow-exp serve`. A registry that cannot be encoded (a NaN
+// gauge) is a 500 with the error's text.
 func JSONHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		doc, err := r.JSON()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteJSON(w)
+		_, _ = w.Write(doc)
 	})
 }

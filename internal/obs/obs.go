@@ -19,10 +19,10 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,12 +44,11 @@ const (
 // label value that survives escaping (0xff is invalid UTF-8).
 const labelSep = "\xff"
 
-// Registry holds metric families keyed by name. One registry serves one
+// Registry holds metric families in name order. One registry serves one
 // orchestrated world.
 type Registry struct {
 	mu       sync.Mutex
-	families map[string]*family
-	order    []string // registration order (exposition sorts anyway)
+	families []*family // sorted by name
 }
 
 type family struct {
@@ -60,13 +59,18 @@ type family struct {
 	buckets []float64 // histogram upper bounds (ascending)
 
 	mu     sync.Mutex
-	series map[string]any // labelKey -> *Counter | *Gauge | *Histogram
-	keys   []string       // series keys in creation order
+	series []series // sorted by key
+}
+
+// series is one label-value tuple's metric in a family.
+type series struct {
+	key    string // the label values joined by labelSep
+	metric any    // *Counter | *Gauge | *Histogram
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{}
 }
 
 // family resolves or creates a metric family, enforcing that re-registering
@@ -74,7 +78,9 @@ func NewRegistry() *Registry {
 func (r *Registry) family(name, help string, typ MetricType, buckets []float64, labels []string) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
+	i, ok := r.find(name)
+	if ok {
+		f := r.families[i]
 		if f.typ != typ || len(f.labels) != len(labels) {
 			panic(fmt.Sprintf("obs: metric %q re-registered as %s(%d labels), was %s(%d labels)",
 				name, typ, len(labels), f.typ, len(f.labels)))
@@ -87,11 +93,15 @@ func (r *Registry) family(name, help string, typ MetricType, buckets []float64, 
 		typ:     typ,
 		labels:  append([]string(nil), labels...),
 		buckets: append([]float64(nil), buckets...),
-		series:  make(map[string]any),
 	}
-	r.families[name] = f
-	r.order = append(r.order, name)
+	r.families = slices.Insert(r.families, i, f)
 	return f
+}
+
+// find is where the family called name is in r.families, or would be;
+// the caller holds r.mu.
+func (r *Registry) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(r.families, name, func(f *family, name string) int { return strings.Compare(f.name, name) })
 }
 
 // Counter registers (or resolves) a counter family.
@@ -121,13 +131,20 @@ func (f *family) with(values []string, mk func() any) any {
 	key := strings.Join(values, labelSep)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[key]
-	if !ok {
-		s = mk()
-		f.series[key] = s
-		f.keys = append(f.keys, key)
+	// The first series whose key is not below key, searched by hand: with
+	// slices.BinarySearchFunc's callback a With costs ≈ 25 % more.
+	i, j := 0, len(f.series)
+	for i < j {
+		if h := int(uint(i+j) >> 1); f.series[h].key < key {
+			i = h + 1
+		} else {
+			j = h
+		}
 	}
-	return s
+	if i == len(f.series) || f.series[i].key != key {
+		f.series = slices.Insert(f.series, i, series{key: key, metric: mk()})
+	}
+	return f.series[i].metric
 }
 
 // CounterVec is a labeled counter family handle.
@@ -346,69 +363,50 @@ type Snapshot struct {
 	Metrics []MetricSnapshot `json:"metrics"`
 }
 
-// snapshotLocked walks families in sorted name order, series in sorted
-// label order, so equal states render byte-identical snapshots.
+// snapshot walks families in name order, series in label order, so equal
+// states render byte-identical snapshots. It holds the registry's lock
+// throughout and each family's while it reads that family.
 func (r *Registry) snapshot() Snapshot {
 	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	fams := make(map[string]*family, len(names))
-	for _, n := range names {
-		fams[n] = r.families[n]
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-
+	defer r.mu.Unlock()
 	var snap Snapshot
-	for _, name := range names {
-		f := fams[name]
-		ms := MetricSnapshot{Name: f.name, Type: f.typ, Help: f.help}
-		f.mu.Lock()
-		keys := append([]string(nil), f.keys...)
-		srs := make(map[string]any, len(keys))
-		for _, k := range keys {
-			srs[k] = f.series[k]
-		}
-		f.mu.Unlock()
-		sort.Strings(keys)
-		for _, k := range keys {
-			ss := SeriesSnapshot{}
-			if len(f.labels) > 0 {
-				ss.Labels = make(map[string]string, len(f.labels))
-				for i, v := range splitKey(k, len(f.labels)) {
-					ss.Labels[f.labels[i]] = v
-				}
-			}
-			switch s := srs[k].(type) {
-			case *Counter:
-				ss.Value = float64(s.Value())
-			case *Gauge:
-				ss.Value = s.Value()
-			case *Histogram:
-				ss.Count = s.Count()
-				ss.Sum = s.Sum()
-				ss.Max = s.Max()
-				ss.Bounds = s.Bounds()
-				ss.Buckets = s.BucketCounts()
-			}
-			ms.Series = append(ms.Series, ss)
-		}
-		snap.Metrics = append(snap.Metrics, ms)
+	for _, f := range r.families {
+		snap.Metrics = append(snap.Metrics, f.snapshot())
 	}
 	return snap
 }
 
+func (f *family) snapshot() MetricSnapshot {
+	ms := MetricSnapshot{Name: f.name, Type: f.typ, Help: f.help}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, s := range f.series {
+		ss := SeriesSnapshot{}
+		if len(f.labels) > 0 {
+			ss.Labels = make(map[string]string, len(f.labels))
+			for i, v := range splitKey(s.key, len(f.labels)) {
+				ss.Labels[f.labels[i]] = v
+			}
+		}
+		switch m := s.metric.(type) {
+		case *Counter:
+			ss.Value = float64(m.Value())
+		case *Gauge:
+			ss.Value = m.Value()
+		case *Histogram:
+			ss.Count = m.Count()
+			ss.Sum = m.Sum()
+			ss.Max = m.Max()
+			ss.Bounds = m.Bounds()
+			ss.Buckets = m.BucketCounts()
+		}
+		ms.Series = append(ms.Series, ss)
+	}
+	return ms
+}
+
 // Snapshot returns the registry's current state for programmatic use.
 func (r *Registry) Snapshot() Snapshot { return r.snapshot() }
-
-// WriteJSON renders the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(r.snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
-}
 
 // Value returns the sum of a family's series values: counter and gauge
 // families sum the per-series values, histogram families sum the counts.
@@ -416,20 +414,20 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // self-monitoring sensor source resolves metric names through.
 func (r *Registry) Value(name string) (float64, bool) {
 	r.mu.Lock()
-	f, ok := r.families[name]
+	i, ok := r.find(name)
+	var f *family
+	if ok {
+		f = r.families[i]
+	}
 	r.mu.Unlock()
 	if !ok {
 		return 0, false
 	}
 	f.mu.Lock()
-	srs := make([]any, 0, len(f.series))
-	for _, s := range f.series {
-		srs = append(srs, s)
-	}
-	f.mu.Unlock()
+	defer f.mu.Unlock()
 	var total float64
-	for _, s := range srs {
-		switch s := s.(type) {
+	for _, s := range f.series {
+		switch s := s.metric.(type) {
 		case *Counter:
 			total += float64(s.Value())
 		case *Gauge:

@@ -36,7 +36,7 @@ func TestSpanLogKeepsSpansInPlace(t *testing.T) {
 	for _, seq := range []int{0, -1, 5, 1000} {
 		r.Suggested(seq, "W", "P", "ADDCPU", "PACE", 0, 0, 0)
 	}
-	if n := r.NumSpans(); n != 1000 {
+	if n := r.spans.n; n != 1000 {
 		t.Fatalf("%d spans after repeated numbers, want 1000", n)
 	}
 	if _, ok := r.Span(1001); ok {
@@ -70,7 +70,7 @@ func TestSpanLogFindsSpansOutOfOrder(t *testing.T) {
 	for _, seq := range append([]int{7, 9, 20, 3}, order...) {
 		r.Suggested(seq, "W", "P", "ADDCPU", "PACE", 0, 0, 0)
 	}
-	if n := r.NumSpans(); n != 3+len(order) {
+	if n := r.spans.n; n != 3+len(order) {
 		t.Fatalf("%d spans, want %d", n, 3+len(order))
 	}
 	for _, seq := range append([]int{7, 9}, order...) {

@@ -500,13 +500,6 @@ func (r *Recorder) Spans() []Span {
 	return out
 }
 
-// NumSpans returns how many spans the recorder holds.
-func (r *Recorder) NumSpans() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.spans.n
-}
-
 // VisitSpans calls fn with every span, in creation order, under the
 // recorder's lock: fn reads the span in place, so it must not keep or
 // change it, nor call the recorder.
