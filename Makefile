@@ -146,8 +146,10 @@ exp-diff:
 # profiler, writes both profiles and the test binary into
 # .bench_build/prof/, and prints the top 15 sites by alloc_space and by
 # flat CPU time. The passes are separate so
-# the allocation sampling does not weigh on the CPU profile. About 5 s for
-# xgc on a 2-vCPU host; not a CI step.
+# the allocation sampling does not weigh on the CPU profile. Last it runs
+# the scenario's TestWorldBudget row, which prints the row measured on this
+# tree and fails when it is off the committed internal/exp/testdata/budget.json.
+# About 7 s for xgc on a 2-vCPU host; not a CI step.
 SCENARIO ?= xgc
 prof:
 	@set -e; case "$(SCENARIO)" in \
@@ -160,7 +162,8 @@ prof:
 	$$out/exp.test -test.run '^$$' -test.bench "^Benchmark$${b}Job$$" -test.benchtime 20x \
 		-test.cpuprofile $$out/$(SCENARIO).cpu.pprof; \
 	$(GO) tool pprof -top -nodecount 15 -sample_index alloc_space $$out/exp.test $$out/$(SCENARIO).mem.pprof; \
-	$(GO) tool pprof -top -nodecount 15 $$out/exp.test $$out/$(SCENARIO).cpu.pprof
+	$(GO) tool pprof -top -nodecount 15 $$out/exp.test $$out/$(SCENARIO).cpu.pprof; \
+	cd internal/exp && ../../$$out/exp.test -test.run "^TestWorldBudget$$/^$(SCENARIO)$$" -test.v
 
 # Every micro-benchmark in the tree, as plain `go test -bench` output: the
 # observability hot paths, the DES kernel (DESIGN.md §14), the bus, the

@@ -1,0 +1,174 @@
+package exp
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"dyflow/internal/trace"
+)
+
+var updateBudget = flag.Bool("update-budget", false, "re-record testdata/budget.json from this tree")
+
+// budgetPath is the committed allocation budget: one row per job
+// scenario, summit, seed 1. `git log -p` on it is the in-world ledger.
+var budgetPath = filepath.Join("testdata", "budget.json")
+
+// budgetRuns is the number of measured jobs a row averages over, after
+// one warm-up job. With 25, each row's B/op spread over ten test runs
+// on a 2-vCPU Xeon is at most 0.34 % (overprov), inside budgetTolerance;
+// with 10 it reached 0.67 %.
+const budgetRuns = 25
+
+// budgetTolerance is how far B/op and allocs/op may move, either way,
+// before the row must be re-recorded.
+const budgetTolerance = 0.01
+
+// A budgetRow is what one job of a scenario costs on the RunJob path:
+// allocation per job, and the world's exact counts.
+type budgetRow struct {
+	Scenario      string `json:"scenario"`
+	BytesPerOp    int64  `json:"b_per_op"`
+	AllocsPerOp   int64  `json:"allocs_per_op"`
+	Handoffs      uint64 `json:"handoffs"`
+	Events        uint64 `json:"events"`
+	Spans         int    `json:"spans"`
+	Points        int    `json:"points"`
+	ArtifactBytes int    `json:"artifact_bytes"`
+}
+
+// budgetJob runs scenario's job (summit, seed 1) through RunJob and
+// returns its counts; the allocation fields are left zero.
+func budgetJob(t *testing.T, scenario string) budgetRow {
+	row := budgetRow{Scenario: scenario}
+	var w *World
+	out, err := RunJob(Job{Scenario: scenario, Machine: "summit", Seed: 1}, func(x *World) error { w = x; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	row.Handoffs = w.Sim.Handoffs()
+	row.Events = w.Sim.Dispatched()
+	w.Orch.Trace.VisitSpans(func(*trace.Span) { row.Spans++ })
+	w.Rec.EachMetric(func(MetricPoint) { row.Points++ })
+	for _, a := range out.Artifacts {
+		row.ArtifactBytes += len(a)
+	}
+	return row
+}
+
+// measureBudget runs one warm-up job, then budgetRuns measured ones, and
+// returns the row with B/op and allocs/op averaged over the measured
+// jobs. Every job must repeat the warm-up's counts.
+func measureBudget(t *testing.T, scenario string) budgetRow {
+	want := budgetJob(t, scenario)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < budgetRuns; i++ {
+		if got := budgetJob(t, scenario); got != want {
+			t.Fatalf("%s is not deterministic: run %d counted %+v, the warm-up %+v", scenario, i, got, want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	want.BytesPerOp = int64(math.Round(float64(after.TotalAlloc-before.TotalAlloc) / budgetRuns))
+	want.AllocsPerOp = int64(math.Round(float64(after.Mallocs-before.Mallocs) / budgetRuns))
+	return want
+}
+
+// encodeBudget writes rows one to a line, so a re-recorded row is a
+// one-line diff.
+func encodeBudget(rows []budgetRow) ([]byte, error) {
+	var b bytes.Buffer
+	b.WriteString("[\n")
+	for i, r := range rows {
+		line, err := json.Marshal(r)
+		if err != nil {
+			return nil, err
+		}
+		b.Write(line)
+		if i < len(rows)-1 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteString("]\n")
+	return b.Bytes(), nil
+}
+
+// TestWorldBudget holds every job scenario to its committed row in
+// testdata/budget.json: handoffs, events, spans, points and artifact
+// bytes must match exactly, and B/op and allocs/op may move by at most
+// budgetTolerance either way. A change that moves a row on purpose
+// re-records the table with
+//
+//	go test ./internal/exp -run TestWorldBudget -args -update-budget
+//
+// and the table's diff is the change's measurement. Allocation counts
+// mean nothing under the race detector or coverage, so the test skips
+// there.
+func TestWorldBudget(t *testing.T) {
+	if raceDetector || testing.CoverMode() != "" {
+		t.Skip("allocation counts are not comparable under -race or -cover")
+	}
+	committed := map[string]budgetRow{}
+	if !*updateBudget {
+		raw, err := os.ReadFile(budgetPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []budgetRow
+		if err := json.Unmarshal(raw, &rows); err != nil {
+			t.Fatalf("%s: %v", budgetPath, err)
+		}
+		for _, r := range rows {
+			committed[r.Scenario] = r
+		}
+	}
+	var measured []budgetRow
+	for _, sc := range Scenarios() {
+		t.Run(sc, func(t *testing.T) {
+			got := measureBudget(t, sc)
+			measured = append(measured, got)
+			line, _ := json.Marshal(got)
+			t.Logf("measured %s", line)
+			if *updateBudget {
+				return
+			}
+			want, ok := committed[sc]
+			if !ok {
+				t.Fatalf("%s has no row in %s; re-record with -args -update-budget", sc, budgetPath)
+			}
+			line, _ = json.Marshal(want)
+			t.Logf("budget   %s", line)
+			counts, wantCounts := got, want
+			counts.BytesPerOp, counts.AllocsPerOp = 0, 0
+			wantCounts.BytesPerOp, wantCounts.AllocsPerOp = 0, 0
+			if counts != wantCounts {
+				t.Errorf("counts moved:\n got  %+v\n want %+v", counts, wantCounts)
+			}
+			for _, m := range []struct {
+				name      string
+				got, want int64
+			}{{"B/op", got.BytesPerOp, want.BytesPerOp}, {"allocs/op", got.AllocsPerOp, want.AllocsPerOp}} {
+				if d := float64(m.got-m.want) / float64(m.want); math.Abs(d) > budgetTolerance {
+					t.Errorf("%s %d is %+.2f%% off the budget's %d (tolerance ±%.0f%%); if the change meant it, re-record with -args -update-budget",
+						m.name, m.got, 100*d, m.want, 100*budgetTolerance)
+				}
+			}
+		})
+	}
+	if *updateBudget && !t.Failed() {
+		raw, err := encodeBudget(measured)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(budgetPath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
