@@ -142,14 +142,6 @@ func NewExecutor(plugin Plugin, tr *trace.Recorder) *Executor {
 	return &Executor{plugin: plugin, retry: DefaultRetryPolicy(), tr: tr}
 }
 
-// SetRetryPolicy overrides the transient-failure retry budget.
-func (ex *Executor) SetRetryPolicy(p RetryPolicy) {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	ex.retry = p
-}
-
 // Records returns all executed operations.
 func (ex *Executor) Records() []OpRecord { return ex.records }
 

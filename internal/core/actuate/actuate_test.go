@@ -144,7 +144,7 @@ func TestExecuteAbortsOnInfeasibleStart(t *testing.T) {
 func TestStartRetriesInjectedCarveFaultAndRecovers(t *testing.T) {
 	r := newRig(t)
 	tr := r.tr
-	r.ex.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, Backoff: 2 * time.Second})
+	r.ex.retry = RetryPolicy{MaxAttempts: 4, Backoff: 2 * time.Second}
 	faults := resmgr.NewFaults(1, 1.0)
 	r.rm.InjectFaults(faults)
 	// Attempts land at t=1s, 3s, 7s; the fault clears at 5s, so the third
@@ -243,7 +243,7 @@ func TestStartRecarvesAroundLostNode(t *testing.T) {
 	sv.RegisterScript("boot.sh", 10*time.Second)
 	tr := trace.New(reg)
 	ex := NewExecutor(&SavannaPlugin{SV: sv}, tr)
-	ex.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Backoff: 2 * time.Second})
+	ex.retry = RetryPolicy{MaxAttempts: 3, Backoff: 2 * time.Second}
 
 	// The first carve fills node000; it dies mid-script and heals before
 	// the retry, so a naive re-carve would land right back on it.
@@ -281,7 +281,7 @@ func TestStartRecarvesAroundLostNode(t *testing.T) {
 // stop applied and the start aborted so the engine can requeue the task.
 func TestExecuteReportsStopAppliedStartAborted(t *testing.T) {
 	r := newRig(t)
-	r.ex.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
+	r.ex.retry = RetryPolicy{MaxAttempts: 1}
 	r.s.Spawn("driver", func(p *sim.Proc) {
 		if err := r.sv.Launch(p, "WF"); err != nil {
 			t.Errorf("launch: %v", err)

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"dyflow/internal/core/actuate"
 	"dyflow/internal/core/arbiter"
@@ -36,17 +35,9 @@ type Options struct {
 	// are sharded across (the paper launches clients per scaling needs).
 	// Default 1.
 	MonitorClients int
-	// SensorCosts calibrates sensor acquisition costs; zero fields take
-	// the defaults.
-	SensorCosts sensor.Costs
 	// Arbiter configures warm-up/settle guards and plan cost; a zero value
 	// takes DefaultConfig.
 	Arbiter arbiter.Config
-	// Retry overrides Actuation's transient-failure retry budget; nil
-	// keeps actuate.DefaultRetryPolicy.
-	Retry *actuate.RetryPolicy
-	// BusLatency, if non-nil, models message transport latency.
-	BusLatency func(from, to string) time.Duration
 	// Metrics is the unified metrics registry the orchestrator publishes
 	// into; nil creates a private one (always available on the
 	// Orchestrator).
@@ -88,7 +79,6 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orches
 		opts.Arbiter = arbiter.DefaultConfig()
 	}
 	bus := msg.NewBus(env.Sim)
-	bus.Latency = opts.BusLatency
 
 	if opts.Metrics == nil {
 		opts.Metrics = obs.NewRegistry()
@@ -115,7 +105,7 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orches
 			}
 		}
 		name := fmt.Sprintf("monitor-client-%d", i)
-		cl := sensor.NewClient(name, env, bus, EndpointMonitorServer, cfg, shard, workload, opts.SensorCosts, opts.Metrics)
+		cl := sensor.NewClient(name, env, bus, EndpointMonitorServer, cfg, shard, workload, opts.Metrics)
 		cl.SetSelfSource(&selfSource{o: o})
 		o.Clients = append(o.Clients, cl)
 	}
@@ -125,9 +115,6 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orches
 
 	// Actuation: the Savanna plugin.
 	o.Executor = actuate.NewExecutor(&actuate.SavannaPlugin{SV: sv}, o.Trace)
-	if opts.Retry != nil {
-		o.Executor.SetRetryPolicy(*opts.Retry)
-	}
 
 	// Arbitration.
 	view := &savannaView{sv: sv}

@@ -538,7 +538,9 @@ func TestMultiWorkflowOrchestration(t *testing.T) {
 
 // TestAdaptationUnderBusJitter: with randomized message latency (causing
 // out-of-order arrivals that the Monitor server's sequence filter screens),
-// the adaptation still lands correctly.
+// the adaptation still lands correctly. The jitter has to outlast the gap
+// between two client batches to invert them: up to 2 s inverted none at
+// seed 1, up to 10 s inverts 14.
 func TestAdaptationUnderBusJitter(t *testing.T) {
 	w := newWorld(t, 2)
 	w.sv.Compose(&wms.WorkflowSpec{
@@ -602,20 +604,22 @@ func TestAdaptationUnderBusJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := New(w.env, w.sv, cfg, Options{
-		BusLatency: msg.UniformJitterLatency(w.s, 50*time.Millisecond, 2*time.Second),
 		Arbiter: arbiter.Config{
 			WarmupDelay: 30 * time.Second, SettleDelay: 30 * time.Second,
 			PlanCost: 100 * time.Millisecond, GatherWindow: 5 * time.Second,
 		},
 	})
+	o.Bus.Latency = msg.UniformJitterLatency(w.s, 50*time.Millisecond, 10*time.Second)
 	o.Start()
 	w.s.Spawn("driver", func(p *sim.Proc) { w.sv.Launch(p, "WF") })
 	if err := w.s.Run(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	// Jitter caused at least some reordering, which the filter screened.
-	if o.Trace.Counter("monitor.dropped_batches") == 0 {
-		t.Log("note: no out-of-order batches this seed (jitter may not have inverted any pair)")
+	// Jitter put batches out of order, and the filter screened them.
+	dropped := o.Trace.Counter("monitor.dropped_batches")
+	t.Logf("dropped %d out-of-order batches", dropped)
+	if dropped == 0 {
+		t.Fatal("no out-of-order batches: the jitter inverted no pair, so the filter went untested")
 	}
 	if got := w.sv.Instance("WF", "Ana").Placement.Procs(); got < 8 {
 		t.Fatalf("Ana procs = %d, want grown despite jitter", got)

@@ -70,10 +70,9 @@ func BenchmarkMonitorRepoll(b *testing.B) {
 	server.Start()
 	e := New(s, bus, "decision", "arbiter", cfg, tr)
 	e.Start()
-	costs := sensor.DefaultCosts()
-	client := sensor.NewClient("client0", &task.Env{Sim: s, FS: fs}, bus, "monitor-server", cfg, cfg.Targets, idleWorkload{}, costs, reg)
+	client := sensor.NewClient("client0", &task.Env{Sim: s, FS: fs}, bus, "monitor-server", cfg, cfg.Targets, idleWorkload{}, reg)
 	client.Start()
-	period := costs.PollInterval + costs.DiskRead
+	period := sensor.PollInterval + sensor.DiskRead
 	if err := s.Run(5 * period); err != nil {
 		b.Fatal(err)
 	}

@@ -49,7 +49,6 @@ type Client struct {
 	cfg      *spec.Config
 	targets  []spec.MonitorTarget
 	workload Workload
-	costs    Costs
 	self     SelfSource
 	procs    []*sim.Proc
 	// stopping marks a deliberate Stop so interrupted workers exit instead
@@ -161,7 +160,7 @@ func (c *Client) SetSelfSource(src SelfSource) { c.self = src }
 // server endpoint, executing the given targets. Invalid (NaN/±Inf) sensor
 // readings are counted in reg's dyflow_sensor_dropped_samples_total by
 // reason.
-func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spec.Config, targets []spec.MonitorTarget, workload Workload, costs Costs, reg *obs.Registry) *Client {
+func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spec.Config, targets []spec.MonitorTarget, workload Workload, reg *obs.Registry) *Client {
 	return &Client{
 		name:     name,
 		env:      env,
@@ -170,7 +169,6 @@ func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spe
 		cfg:      cfg,
 		targets:  targets,
 		workload: workload,
-		costs:    costs.withDefaults(),
 		scans:    make(map[scanKey]*diskScan),
 		mDropped: reg.Counter("dyflow_sensor_dropped_samples_total",
 			"Sensor readings discarded before metric formulation.", "reason"),
@@ -294,7 +292,7 @@ func (c *Client) streamWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.Senso
 			if !c.consume(p, st, tg, use, def) {
 				return
 			}
-			if err := c.sleepPhase(p, st, phaseProbe, c.env.Sim.Now()+c.costs.PollInterval); err != nil {
+			if err := c.sleepPhase(p, st, phaseProbe, c.env.Sim.Now()+PollInterval); err != nil {
 				return
 			}
 		}
@@ -308,7 +306,7 @@ func (c *Client) streamWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.Senso
 		}
 		stm := c.env.Streams.Lookup(name)
 		if stm == nil || stm.Closed() {
-			if err := c.sleepPhase(p, st, phaseProbe, c.env.Sim.Now()+c.costs.PollInterval); err != nil {
+			if err := c.sleepPhase(p, st, phaseProbe, c.env.Sim.Now()+PollInterval); err != nil {
 				return
 			}
 			continue
@@ -318,7 +316,7 @@ func (c *Client) streamWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.Senso
 			return
 		}
 		// Wait before probing for the task's next incarnation.
-		if err := c.sleepPhase(p, st, phaseProbe, c.env.Sim.Now()+c.costs.PollInterval); err != nil {
+		if err := c.sleepPhase(p, st, phaseProbe, c.env.Sim.Now()+PollInterval); err != nil {
 			return
 		}
 	}
@@ -355,7 +353,7 @@ func (c *Client) consume(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, us
 // pending shipment) and ships the formulated readings.
 func (c *Client) decodeShip(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef, rec stream.Step) error {
 	// Decoding cost scales with the record's per-rank payload.
-	cost := c.costs.StreamBase + time.Duration(len(rec.Array))*c.costs.StreamPerValue
+	cost := StreamBase + time.Duration(len(rec.Array))*StreamPerValue
 	readings, step, genAt := recordReadings(rec, use)
 	st.pend = PendingShip{Readings: readings, Step: step, GenAt: genAt}
 	st.Pending = &st.pend
@@ -391,7 +389,7 @@ func (c *Client) pollWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorU
 		c.shipPending(st, tg, def)
 	}
 	for {
-		wake := c.env.Sim.Now() + c.costs.PollInterval
+		wake := c.env.Sim.Now() + PollInterval
 		if st.Phase == phaseInterval && st.WakeAt > c.env.Sim.Now() {
 			wake = st.WakeAt // resume the checkpointed interval
 		}
@@ -405,7 +403,7 @@ func (c *Client) pollWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorU
 		// Reading from disk costs real time before the update can ship.
 		st.pend = pend
 		st.Pending = &st.pend
-		if err := c.sleepPhase(p, st, phaseRead, c.env.Sim.Now()+c.costs.DiskRead); err != nil {
+		if err := c.sleepPhase(p, st, phaseRead, c.env.Sim.Now()+DiskRead); err != nil {
 			return
 		}
 		c.shipPending(st, tg, def)
@@ -430,7 +428,7 @@ func (c *Client) selfWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorU
 		return
 	}
 	for {
-		wake := c.env.Sim.Now() + c.costs.PollInterval
+		wake := c.env.Sim.Now() + PollInterval
 		if st.Phase == phaseInterval && st.WakeAt > c.env.Sim.Now() {
 			wake = st.WakeAt // resume the checkpointed interval
 		}

@@ -20,7 +20,7 @@ func newSanitizeClient(t *testing.T, reg *obs.Registry) *Client {
 	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg)}
 	bus := msg.NewBus(s)
 	wl := &fakeWorkload{placements: map[string]task.Placement{}, running: map[string]bool{}}
-	return NewClient("mc", env, bus, "monitor-server", &spec.Config{}, nil, wl, Costs{}, reg)
+	return NewClient("mc", env, bus, "monitor-server", &spec.Config{}, nil, wl, reg)
 }
 
 // Non-finite readings must be dropped before they reach history windows,

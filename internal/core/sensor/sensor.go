@@ -134,50 +134,22 @@ func FromMsg(w MetricMsg, sentAt sim.Time) Metric {
 	}
 }
 
-// Costs models the client-side cost of acquiring and distilling one sensor
-// update, which is what produces the paper's §4.6 lag numbers (~0.2 s for a
-// single variable read from disk, ~0.5 s for TAU data actively streamed
-// via ADIOS2).
-type Costs struct {
+// The client-side cost of acquiring and distilling one sensor update,
+// which is what produces the paper's §4.6 lag numbers (~0.2 s for a single
+// variable read from disk, ~0.5 s for TAU data actively streamed via
+// ADIOS2). They are this reproduction's calibration, not a setting.
+const (
 	// PollInterval is the scan period for polling sources (disk/file/
-	// status). Default 1s.
-	PollInterval time.Duration
+	// status).
+	PollInterval = time.Second
 	// DiskRead is the cost of scanning and reading files for one update.
-	// Default 200ms.
-	DiskRead time.Duration
+	DiskRead = 200 * time.Millisecond
 	// StreamBase is the fixed cost of decoding one streamed record (TAU
 	// ships the value inside a two-dimensional variable, which makes the
 	// streamed read ~2.5x the flat disk read — §4.6 reports ~0.5 s vs
-	// ~0.2 s). Default 450ms.
-	StreamBase time.Duration
+	// ~0.2 s).
+	StreamBase = 450 * time.Millisecond
 	// StreamPerValue is the additional cost per per-rank value in a
-	// streamed record (TAU ships one value per process). Default 1ms.
-	StreamPerValue time.Duration
-}
-
-// DefaultCosts returns the calibrated defaults.
-func DefaultCosts() Costs {
-	return Costs{
-		PollInterval:   time.Second,
-		DiskRead:       200 * time.Millisecond,
-		StreamBase:     450 * time.Millisecond,
-		StreamPerValue: time.Millisecond,
-	}
-}
-
-func (c Costs) withDefaults() Costs {
-	d := DefaultCosts()
-	if c.PollInterval <= 0 {
-		c.PollInterval = d.PollInterval
-	}
-	if c.DiskRead <= 0 {
-		c.DiskRead = d.DiskRead
-	}
-	if c.StreamBase <= 0 {
-		c.StreamBase = d.StreamBase
-	}
-	if c.StreamPerValue <= 0 {
-		c.StreamPerValue = d.StreamPerValue
-	}
-	return c
-}
+	// streamed record (TAU ships one value per process).
+	StreamPerValue = time.Millisecond
+)

@@ -154,7 +154,6 @@ func newChaosBench(t *testing.T, nodes int) *chaosBench {
 
 	tr := trace.New(w.Metrics)
 	ex := actuate.NewExecutor(&actuate.SavannaPlugin{SV: w.SV}, tr)
-	ex.SetRetryPolicy(actuate.RetryPolicy{MaxAttempts: 3, Backoff: 2 * time.Second, MaxBackoff: 30 * time.Second})
 	eng := arbiter.New(w.Sim, msg.NewBus(w.Sim), "arbiter", arbiter.Config{
 		PlanCost:        100 * time.Millisecond,
 		FailureCooldown: 20 * time.Second,
