@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"dyflow/internal/obs"
@@ -70,13 +69,6 @@ func newSupervisor(o *Orchestrator) *Supervisor {
 	}
 }
 
-// logf writes to the simulation's debug log (inert without one).
-func (s *Supervisor) logf(format string, args ...any) {
-	if s.o.env.Sim.Logf != nil {
-		s.o.env.Sim.Logf("[%12s] supervisor: %s", s.o.env.Sim.Now(), fmt.Sprintf(format, args...))
-	}
-}
-
 // spawner returns the guarded spawner injected into a stage: a panic in
 // the stage process is absorbed and triggers a supervised restart.
 func (s *Supervisor) spawner(stage string) func(name string, fn func(*sim.Proc)) *sim.Proc {
@@ -106,7 +98,6 @@ func (s *Supervisor) scheduleRestart(stage, reason string) {
 		if !g.gaveUp {
 			g.gaveUp = true
 			g.down = true
-			s.logf("stage %q exceeded %d restarts, giving up", stage, maxRestarts)
 		}
 		return
 	}
@@ -118,7 +109,6 @@ func (s *Supervisor) scheduleRestart(stage, reason string) {
 	g.restarts++
 	s.restarts.With(stage, reason).Inc()
 	s.o.Trace.Inc("supervisor.restarts", 1)
-	s.logf("restarting stage %q in %s (reason: %s, restart #%d)", stage, delay, reason, g.restarts)
 	s.o.env.Sim.After(delay, func() {
 		if s.stopped {
 			return

@@ -116,7 +116,6 @@ func (p *Proc) run() {
 			defer func() {
 				if r := recover(); r != nil {
 					if p.guard != nil {
-						p.sim.logf("proc %q panicked (guarded): %v", p.name, r)
 						p.guard(r)
 						return
 					}
@@ -130,7 +129,6 @@ func (p *Proc) run() {
 	if p.err != nil {
 		p.sim.fail(p.err)
 	}
-	p.sim.logf("proc %q exits", p.name)
 	delete(p.sim.procs, p.pid)
 	p.doneSig.Broadcast()
 }

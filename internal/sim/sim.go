@@ -32,7 +32,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 )
@@ -129,10 +128,6 @@ type Sim struct {
 
 	dispatched uint64 // events executed by step
 	handoffs   uint64 // kernel→process baton transfers
-
-	// Logf, when non-nil, receives a human-readable trace of kernel
-	// activity. Intended for debugging; experiments leave it nil.
-	Logf func(format string, args ...any)
 }
 
 // New creates a simulation whose random source is seeded with seed. Two
@@ -161,13 +156,6 @@ func (s *Sim) Dispatched() uint64 { return s.dispatched }
 // The resumes Stop uses to unwind blocked processes are teardown, not
 // schedule, and are not counted.
 func (s *Sim) Handoffs() uint64 { return s.handoffs }
-
-// logf emits a kernel trace line if tracing is enabled.
-func (s *Sim) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf("[%12s] %s", s.now, fmt.Sprintf(format, args...))
-	}
-}
 
 // ---- event heap (hand-rolled: inlined comparisons, eager removal) ----
 
