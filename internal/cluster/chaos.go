@@ -30,8 +30,6 @@ type CampaignConfig struct {
 	// MaxDown caps concurrently dead campaign nodes; kills that would
 	// exceed it are skipped at fire time. <= 0 means no cap.
 	MaxDown int
-	// Targets restricts victims to these nodes; empty targets all nodes.
-	Targets []NodeID
 }
 
 // CampaignEvent is one fault-injection event that actually fired.
@@ -69,20 +67,14 @@ func NewCampaign(c *Cluster, cfg CampaignConfig, reg *obs.Registry) *Campaign {
 // deterministic for a fixed simulation seed.
 func (cp *Campaign) Schedule() int {
 	rng := rand.New(rand.NewSource(cp.cfg.Seed))
-	candidates := cp.cfg.Targets
-	if len(candidates) == 0 {
-		for _, n := range cp.c.Nodes() {
-			candidates = append(candidates, n.ID)
-		}
-	}
+	candidates := cp.c.Nodes()
 	if len(candidates) == 0 {
 		return 0
 	}
 	scheduled := 0
 	at := sim.Time(cp.cfg.Start)
 	for {
-		victim := candidates[rng.Intn(len(candidates))]
-		cp.scheduleKill(at, victim)
+		cp.scheduleKill(at, candidates[rng.Intn(len(candidates))].ID)
 		scheduled++
 		if cp.cfg.MeanBetween <= 0 {
 			break

@@ -49,24 +49,24 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// A one-node cluster makes node000 the only victim the campaign can pick.
 func TestCampaignHealsKilledNodes(t *testing.T) {
 	s := sim.New(1)
-	c := Deepthought2(s, 2)
+	c := Deepthought2(s, 1)
 	cp := NewCampaign(c, CampaignConfig{
 		Seed: 1, Start: time.Minute, HealAfter: 5 * time.Minute,
-		Targets: []NodeID{"node001"},
 	}, obs.NewRegistry())
 	cp.Schedule() // MeanBetween 0: exactly one kill at Start
 	s.At(2*time.Minute, func() {
-		if c.Node("node001").Healthy() {
-			t.Error("node001 should be down between kill and heal")
+		if c.Node("node000").Healthy() {
+			t.Error("node000 should be down between kill and heal")
 		}
 	})
 	if err := s.Run(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Node("node001").Healthy() {
-		t.Fatal("node001 not healed")
+	if !c.Node("node000").Healthy() {
+		t.Fatal("node000 not healed")
 	}
 	if fired(cp, "kill") != 1 || fired(cp, "heal") != 1 {
 		t.Fatalf("kills=%d heals=%d, want 1/1", fired(cp, "kill"), fired(cp, "heal"))

@@ -683,7 +683,7 @@ func TestDBSourceSensor(t *testing.T) {
   </decision>
 </dyflow>`)
 	r := newRig(t, cfg)
-	r.env.DB = db.New(r.s, 0)
+	r.env.DB = db.New(r.s)
 	r.wl.placements["W/Sim"] = task.Placement{"node000": 2}
 	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.reg)
 	client.Start()

@@ -2,12 +2,11 @@
 // of the Monitor stage's source media ("the desired data ... is available
 // through a database service, a streaming service, or files"). Workflow
 // tasks publish per-step records under string keys; the DB source type
-// polls the latest record per key, paying a simulated query latency.
+// polls the latest record per key.
 package db
 
 import (
 	"sort"
-	"time"
 
 	"dyflow/internal/sim"
 )
@@ -26,33 +25,26 @@ type Record struct {
 // are in-memory appends; reads return the latest record or a bounded
 // history window.
 type Service struct {
-	sim *sim.Sim
-	// QueryLatency is the simulated cost a polling client pays per query
-	// (the paper's lag analysis distinguishes source media by exactly this
-	// kind of cost). Zero means free.
-	QueryLatency time.Duration
-
+	sim     *sim.Sim
 	series  map[string][]Record
-	keep    int
 	queries int
 	writes  int
 }
 
-// New creates a service keeping at most keep records per key (<= 0 keeps
-// 256).
-func New(s *sim.Sim, keep int) *Service {
-	if keep <= 0 {
-		keep = 256
-	}
-	return &Service{sim: s, series: make(map[string][]Record), keep: keep}
+// keep is how many records the service holds per key.
+const keep = 256
+
+// New creates a service keeping at most keep records per key.
+func New(s *sim.Sim) *Service {
+	return &Service{sim: s, series: make(map[string][]Record)}
 }
 
 // Put appends a record under key, stamped with the current virtual time.
 func (svc *Service) Put(key string, step int, value float64) {
 	svc.writes++
 	recs := append(svc.series[key], Record{Step: step, Value: value, At: svc.sim.Now()})
-	if len(recs) > svc.keep {
-		recs = recs[len(recs)-svc.keep:]
+	if len(recs) > keep {
+		recs = recs[len(recs)-keep:]
 	}
 	svc.series[key] = recs
 }

@@ -9,7 +9,7 @@ import (
 
 func TestPutLatest(t *testing.T) {
 	s := sim.New(1)
-	svc := New(s, 0)
+	svc := New(s)
 	if _, ok := svc.Latest("pace"); ok {
 		t.Fatal("empty key should have no record")
 	}
@@ -24,7 +24,7 @@ func TestPutLatest(t *testing.T) {
 
 func TestSince(t *testing.T) {
 	s := sim.New(1)
-	svc := New(s, 0)
+	svc := New(s)
 	for i := 1; i <= 10; i++ {
 		svc.Put("k", i, float64(i))
 	}
@@ -42,19 +42,19 @@ func TestSince(t *testing.T) {
 
 func TestRetentionBound(t *testing.T) {
 	s := sim.New(1)
-	svc := New(s, 4)
-	for i := 1; i <= 10; i++ {
+	svc := New(s)
+	for i := 1; i <= keep+6; i++ {
 		svc.Put("k", i, float64(i))
 	}
 	got := svc.Since("k", 0)
-	if len(got) != 4 || got[0].Step != 7 {
-		t.Fatalf("retained = %+v, want the newest 4", got)
+	if len(got) != keep || got[0].Step != 7 {
+		t.Fatalf("retained %d records, want the newest %d from step 7", len(got), keep)
 	}
 }
 
 func TestKeysAndStats(t *testing.T) {
 	s := sim.New(1)
-	svc := New(s, 0)
+	svc := New(s)
 	svc.Put("b", 1, 1)
 	svc.Put("a", 1, 1)
 	if len(svc.series) != 2 || svc.series["a"] == nil || svc.series["b"] == nil {

@@ -84,7 +84,7 @@ func NewWorld(seed int64, m apps.Machine, nodes int) (*World, error) {
 	if _, err := rm.Allocate(nodes); err != nil {
 		return nil, err
 	}
-	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg), DB: db.New(s, 0)}
+	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg), DB: db.New(s)}
 	w := &World{
 		Sim:     s,
 		Cluster: c,

@@ -468,7 +468,7 @@ func TestCostNoiseBounded(t *testing.T) {
 
 func TestPublishDBKey(t *testing.T) {
 	env := newEnv(1)
-	env.DB = db.New(env.Sim, 0)
+	env.DB = db.New(env.Sim)
 	spec := Spec{
 		Name: "Sim", Workflow: "W",
 		Cost:         Cost{Work: 10 * time.Second}, // 10 procs -> 1s/step
