@@ -47,9 +47,9 @@ func newScanRig(tb testing.TB) *scanRig {
 func (r *scanRig) populate(n int) {
 	for i := 0; i < n; i++ {
 		step := fsim.Var{Name: "step", Value: float64(i)}
-		r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", i), 1, step)
-		r.fs.Write(fmt.Sprintf("out/xgca.%05d.bp", i), 1, step)
-		r.fs.Write(fmt.Sprintf("ckpt/xgc1.%05d", i), 1, step)
+		r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", i), step)
+		r.fs.Write(fmt.Sprintf("out/xgca.%05d.bp", i), step)
+		r.fs.Write(fmt.Sprintf("ckpt/xgc1.%05d", i), step)
 	}
 }
 
@@ -100,9 +100,9 @@ func diskScanDrive(t testing.TB, ops int, next func(n int) int) {
 		p := paths[next(len(paths))]
 		switch next(12) {
 		case 0:
-			r.fs.Write(p, 1, fsim.Var{Name: "step", Value: float64(next(500))})
+			r.fs.Write(p, fsim.Var{Name: "step", Value: float64(next(500))})
 		case 1:
-			r.fs.Write(p, 1, fsim.Var{Name: "errnorm", Value: float64(next(1000)) / 1000})
+			r.fs.Write(p, fsim.Var{Name: "errnorm", Value: float64(next(1000)) / 1000})
 		case 2:
 			r.fs.WriteVar(p, "step", float64(op))
 		case 3:
@@ -114,10 +114,10 @@ func diskScanDrive(t testing.TB, ops int, next func(n int) int) {
 				{{Name: "errnorm", Value: float64(next(1000)) / 1000}},
 				{{Name: "size", Value: 1}},
 			}[next(4)]
-			r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", tail), 1, vars...)
+			r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", tail), vars...)
 			tail += 1 + next(3)
 		case 6:
-			r.fs.Write(fmt.Sprintf("out/xgca.%05d.bp", tail), 1, fsim.Var{Name: "step", Value: float64(tail)})
+			r.fs.Write(fmt.Sprintf("out/xgca.%05d.bp", tail), fsim.Var{Name: "step", Value: float64(tail)})
 		default: // nothing changed: the poll answers from the cache
 		}
 		for _, use := range []spec.SensorUse{r.use, errUse} {
@@ -225,7 +225,7 @@ func TestDiskScanPollAllocations(t *testing.T) {
 		var ms runtime.MemStats
 		var bytes uint64
 		for i := 0; i < appends; i++ {
-			r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", files+i), 1, fsim.Var{Name: "step", Value: float64(files + i)})
+			r.fs.Write(fmt.Sprintf("out/xgc1.%05d.bp", files+i), fsim.Var{Name: "step", Value: float64(files + i)})
 			runtime.ReadMemStats(&ms)
 			before := ms.TotalAlloc
 			if readings, _, _, _ := r.poll(); len(readings) != files+i+1 {
@@ -268,7 +268,7 @@ func BenchmarkDiskScanPoll(b *testing.B) {
 						r.fs.WriteVar("out/xgc1.00000.bp", "step", float64(i))
 					case "appended":
 						// "x" sorts after every populated "%05d" step.
-						r.fs.Write(fmt.Sprintf("out/xgc1.x%09d.bp", i), 1, fsim.Var{Name: "step", Value: float64(files + i)})
+						r.fs.Write(fmt.Sprintf("out/xgc1.x%09d.bp", i), fsim.Var{Name: "step", Value: float64(files + i)})
 						want = files + i + 1
 					}
 					if readings, _, _, ok := r.poll(); !ok || len(readings) != want {

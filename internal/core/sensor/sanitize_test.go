@@ -112,7 +112,7 @@ func TestPendingShipEncodesNonFiniteReadings(t *testing.T) {
 // values encode exactly as a []float64 and a map[string]float64 do.
 func TestClientSnapshotEncodesNonFiniteBacklog(t *testing.T) {
 	backlog := []stream.Step{
-		{Index: 3, Size: 64, Vars: map[string]float64{"step": 3, "err": math.NaN(), "mem": math.Inf(1)},
+		{Index: 3, Vars: map[string]float64{"step": 3, "err": math.NaN(), "mem": math.Inf(1)},
 			Array: []float64{1, math.NaN(), math.Inf(-1), -0.0}, Produced: 5},
 		{Index: 4, Vars: map[string]float64{"step": 4, "a<b": 0.25}, Array: []float64{2, 1e300}, Produced: 6},
 		{Index: 5},
@@ -139,7 +139,7 @@ func TestClientSnapshotEncodesNonFiniteBacklog(t *testing.T) {
 	got := snap.Workers[0].State.Buffered
 	for i, want := range backlog {
 		g := got[i]
-		if g.Index != want.Index || g.Size != want.Size || g.Produced != want.Produced ||
+		if g.Index != want.Index || g.Produced != want.Produced ||
 			len(g.Array) != len(want.Array) || len(g.Vars) != len(want.Vars) || (g.Vars == nil) != (want.Vars == nil) {
 			t.Fatalf("record %d restored as %+v, want %+v", i, g, want)
 		}
@@ -158,11 +158,10 @@ func TestClientSnapshotEncodesNonFiniteBacklog(t *testing.T) {
 	finite := backlog[1]
 	plain, _ := json.Marshal(struct {
 		Index    int
-		Size     int64
 		Vars     map[string]float64
 		Array    []float64
 		Produced sim.Time
-	}{finite.Index, finite.Size, finite.Vars, finite.Array, finite.Produced})
+	}{finite.Index, finite.Vars, finite.Array, finite.Produced})
 	if enc, _ := json.Marshal(finite); string(enc) != string(plain) {
 		t.Errorf("a finite record encodes as %s, with plain types as %s", enc, plain)
 	}

@@ -198,10 +198,10 @@ func TestDiskScanAndWorkflowDerivation(t *testing.T) {
 	client.Start()
 
 	// XGC1 writes outputs for steps 100, 200; XGCa for step 300.
-	r.env.FS.Write("out/xgc1.100.bp", 1, fsim.Var{Name: "step", Value: 100})
+	r.env.FS.Write("out/xgc1.100.bp", fsim.Var{Name: "step", Value: 100})
 	r.s.At(3*time.Second, func() {
-		r.env.FS.Write("out/xgc1.200.bp", 1, fsim.Var{Name: "step", Value: 200})
-		r.env.FS.Write("out/xgca.300.bp", 1, fsim.Var{Name: "step", Value: 300})
+		r.env.FS.Write("out/xgc1.200.bp", fsim.Var{Name: "step", Value: 200})
+		r.env.FS.Write("out/xgca.300.bp", fsim.Var{Name: "step", Value: 300})
 	})
 	if err := r.s.Run(6 * time.Second); err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestErrorStatusSensor(t *testing.T) {
 
 	// The scheduler writes the failure exit code at t=5s.
 	r.s.At(5*time.Second, func() {
-		r.env.FS.Write(task.StatusPath("MD", "LAMMPS"), 0, fsim.Var{Name: "exitcode", Value: 137})
+		r.env.FS.Write(task.StatusPath("MD", "LAMMPS"), fsim.Var{Name: "exitcode", Value: 137})
 	})
 	if err := r.s.Run(8 * time.Second); err != nil {
 		t.Fatal(err)
@@ -589,8 +589,8 @@ func TestJoinAtWorkflowGranularity(t *testing.T) {
 	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.reg)
 	client.Start()
 
-	r.env.FS.Write("out/a.100", 1, fsim.Var{Name: "step", Value: 100})
-	r.env.FS.Write("out/b.40", 1, fsim.Var{Name: "step", Value: 40})
+	r.env.FS.Write("out/a.100", fsim.Var{Name: "step", Value: 100})
+	r.env.FS.Write("out/b.40", fsim.Var{Name: "step", Value: 40})
 	if err := r.s.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}

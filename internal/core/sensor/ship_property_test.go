@@ -324,13 +324,13 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 			switch next(64) {
 			case 0:
 				vars := []fsim.Var{{Name: "step", Value: float64(next(500))}, {Name: "err", Value: value()}, {Name: "mem", Value: value()}}
-				s.At(at, func() { fs.Write(p, 1, vars...) })
+				s.At(at, func() { fs.Write(p, vars...) })
 			case 1:
 				name, v := []string{"step", "err", "mem"}[next(3)], value()
 				s.At(at, func() { fs.WriteVar(p, name, v) })
 			case 2:
 				step := fsim.Var{Name: "step", Value: float64(next(500))}
-				s.At(at, func() { fs.Write(p, 1, step) })
+				s.At(at, func() { fs.Write(p, step) })
 			case 3:
 				s.At(at, func() { fs.Remove(p) })
 			}

@@ -164,7 +164,7 @@ func observe(t *testing.T, w *World) string {
 	}
 	for _, f := range w.Env.FS.Glob("**") {
 		vars, _ := json.Marshal(f.Vars)
-		fmt.Fprintf(&b, "file %s size %d mtime %v %s\n", f.Path, f.Size, f.MTime, vars)
+		fmt.Fprintf(&b, "file %s mtime %v %s\n", f.Path, f.MTime, vars)
 	}
 	for _, name := range w.Env.Streams.Names() {
 		st := w.Env.Streams.Lookup(name)

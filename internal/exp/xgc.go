@@ -186,7 +186,7 @@ func runXGC(seed int64, m apps.Machine, v Variant) (*XGCResult, error) {
 	w.SV.RegisterScript(apps.XGCRestartScript, apps.XGCRestartScriptCost)
 	// The initial-condition file primes XGCa's NSTEPS/LAG series (the
 	// restart chain always has a step-0 state on disk).
-	w.Env.FS.Write("out/xgca.00000.bp", 0, fsim.Var{Name: "step"}, fsim.Var{Name: "errnorm"})
+	w.Env.FS.Write("out/xgca.00000.bp", fsim.Var{Name: "step"}, fsim.Var{Name: "errnorm"})
 
 	// The science-driven scenario uses a short settle window: the guard
 	// exists to damp performance-feedback oscillation, and a 2-minute

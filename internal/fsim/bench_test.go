@@ -24,20 +24,20 @@ func BenchmarkFSWrite(b *testing.B) {
 			paths[i] = fmt.Sprintf("out/xgca.%05d.bp", i)
 		}
 		for _, p := range paths[:n] {
-			fs.Write(p, 1, Var{"step", 1}, Var{"errnorm", 0.5})
+			fs.Write(p, Var{"step", 1}, Var{"errnorm", 0.5})
 		}
 		mid, tail := paths[n/2], paths[n]
 		b.Run(fmt.Sprintf("create-at-tail/files=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fs.Write(tail, 1, Var{"step", float64(i)}, Var{"errnorm", 0.5})
+				fs.Write(tail, Var{"step", float64(i)}, Var{"errnorm", 0.5})
 				fs.Remove(tail)
 			}
 		})
 		b.Run(fmt.Sprintf("rewrite/files=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fs.Write(mid, 1, Var{"step", float64(i)}, Var{"errnorm", 0.5})
+				fs.Write(mid, Var{"step", float64(i)}, Var{"errnorm", 0.5})
 			}
 		})
 		b.Run(fmt.Sprintf("writevar/files=%d", n), func(b *testing.B) {

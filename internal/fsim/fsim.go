@@ -48,11 +48,9 @@ type Var struct {
 }
 
 // File is one entry in the filesystem. Scientific output is modelled as a
-// set of named numeric variables plus an opaque size — the pieces sensors
-// actually consume.
+// set of named numeric variables — the piece sensors actually consume.
 type File struct {
 	Path  string
-	Size  int64
 	MTime sim.Time
 	// Vars holds the variables readable by file-based sensors, each name
 	// once, in the order the names were first written.
@@ -159,10 +157,10 @@ func (fs *FS) touch(f *File, c change) {
 	}
 }
 
-// Write creates or replaces the file at p with the given size and
-// variables, stamping the current virtual time. A repeated name keeps its
-// last value; vars is not retained.
-func (fs *FS) Write(p string, size int64, vars ...Var) {
+// Write creates or replaces the file at p with the given variables,
+// stamping the current virtual time. A repeated name keeps its last value;
+// vars is not retained.
+func (fs *FS) Write(p string, vars ...Var) {
 	i, ok := search(fs.index, p)
 	c := updated
 	if !ok {
@@ -170,7 +168,6 @@ func (fs *FS) Write(p string, size int64, vars ...Var) {
 		c = created
 	}
 	f := fs.index[i]
-	f.Size = size
 	f.MTime = fs.sim.Now()
 	f.Vars = assign(f.Vars, vars)
 	fs.touch(f, c)
@@ -181,7 +178,7 @@ func (fs *FS) Write(p string, size int64, vars ...Var) {
 func (fs *FS) WriteVar(p, name string, value float64) {
 	f := fs.Lookup(p)
 	if f == nil {
-		fs.Write(p, 0, Var{name, value})
+		fs.Write(p, Var{name, value})
 		return
 	}
 	if i := varIndex(f.Vars, name); i >= 0 {

@@ -45,7 +45,6 @@ func refMatch(pattern, name string) (bool, error) {
 // refFile is a reference entry: its variables are a name -> value map.
 type refFile struct {
 	Path  string
-	Size  int64
 	MTime sim.Time
 	Vars  map[string]float64
 }
@@ -67,7 +66,7 @@ func refOf(t *testing.T, f *File) refFile {
 	if len(vars) != len(f.Vars) {
 		t.Fatalf("%q holds a variable name twice: %v", f.Path, f.Vars)
 	}
-	return refFile{Path: f.Path, Size: f.Size, MTime: f.MTime, Vars: vars}
+	return refFile{Path: f.Path, MTime: f.MTime, Vars: vars}
 }
 
 func refsOf(t *testing.T, files []*File) []refFile {
@@ -82,8 +81,8 @@ func refsOf(t *testing.T, files []*File) []refFile {
 // refFS is the reference filesystem: a bare map.
 type refFS map[string]*refFile
 
-func (r refFS) write(p string, size int64, mtime sim.Time, vars []Var) {
-	f := &refFile{Path: p, Size: size, MTime: mtime, Vars: map[string]float64{}}
+func (r refFS) write(p string, mtime sim.Time, vars []Var) {
+	f := &refFile{Path: p, MTime: mtime, Vars: map[string]float64{}}
 	for _, v := range vars {
 		f.Vars[v.Name] = v.Value
 	}
@@ -93,7 +92,7 @@ func (r refFS) write(p string, size int64, mtime sim.Time, vars []Var) {
 func (r refFS) writeVar(p, name string, value float64, mtime sim.Time) {
 	f, ok := r[p]
 	if !ok {
-		r.write(p, 0, mtime, []Var{{name, value}})
+		r.write(p, mtime, []Var{{name, value}})
 		return
 	}
 	f.Vars[name] = value
@@ -379,8 +378,8 @@ func TestProperty_Glob_EqualsReferenceUnderMutation(t *testing.T) {
 					vars = append(vars, Var{varNames[rng.Intn(len(varNames))], float64(rng.Intn(9))})
 				}
 				step = fmt.Sprintf("seed %d op %d: Write(%q, %v)", seed, op, p, vars)
-				fs.Write(p, int64(op), vars...)
-				ref.write(p, int64(op), now, vars)
+				fs.Write(p, vars...)
+				ref.write(p, now, vars)
 				touched = func(q string) bool { return q == p }
 				writes[existed]++
 			case 2, 3:
@@ -514,8 +513,8 @@ func FuzzFS_EqualsReference(f *testing.F) {
 					ops = ops[1:]
 				}
 				step = fmt.Sprintf("op %d: Write(%q, %v)", op, p, vars)
-				fs.Write(p, int64(op), vars...)
-				ref.write(p, int64(op), now, vars)
+				fs.Write(p, vars...)
+				ref.write(p, now, vars)
 			case 1:
 				name := names[int(code/4)%len(names)]
 				step = fmt.Sprintf("op %d: WriteVar(%q, %q)", op, p, name)

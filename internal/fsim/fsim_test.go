@@ -13,7 +13,7 @@ func TestWriteStatReadVar(t *testing.T) {
 	s := sim.New(1)
 	fs := New(s)
 	s.After(5*time.Second, func() {
-		fs.Write("out/xgc1.0001.bp", 1024, Var{"step", 100})
+		fs.Write("out/xgc1.0001.bp", Var{"step", 100})
 	})
 	s.RunUntilIdle()
 
@@ -21,7 +21,7 @@ func TestWriteStatReadVar(t *testing.T) {
 	if f == nil {
 		t.Fatal("file missing")
 	}
-	if f.MTime != 5*time.Second || f.Size != 1024 {
+	if f.MTime != 5*time.Second {
 		t.Fatalf("file = %+v", f)
 	}
 	v, err := fs.ReadVar("out/xgc1.0001.bp", "step")
@@ -54,10 +54,10 @@ func TestWriteVarUpdatesMTime(t *testing.T) {
 func TestGlobSortedAndIsolated(t *testing.T) {
 	s := sim.New(1)
 	fs := New(s)
-	fs.Write("out/tau-iso.bp.2", 1, Var{"v", 2})
-	fs.Write("out/tau-iso.bp.0", 1, Var{"v", 0})
-	fs.Write("out/tau-iso.bp.1", 1, Var{"v", 1})
-	fs.Write("out/other.bp", 1)
+	fs.Write("out/tau-iso.bp.2", Var{"v", 2})
+	fs.Write("out/tau-iso.bp.0", Var{"v", 0})
+	fs.Write("out/tau-iso.bp.1", Var{"v", 1})
+	fs.Write("out/other.bp")
 
 	got := fs.Glob("out/tau-iso.bp.*")
 	if len(got) != 3 {
@@ -78,9 +78,9 @@ func TestGlobSortedAndIsolated(t *testing.T) {
 func TestGlobSegments(t *testing.T) {
 	s := sim.New(1)
 	fs := New(s)
-	fs.Write("a/b/c.txt", 1)
-	fs.Write("a/x/c.txt", 1)
-	fs.Write("a/b/d/e.txt", 1)
+	fs.Write("a/b/c.txt")
+	fs.Write("a/x/c.txt")
+	fs.Write("a/b/d/e.txt")
 
 	if n := fs.Count("a/*/c.txt"); n != 2 {
 		t.Fatalf("a/*/c.txt matches = %d, want 2", n)
@@ -101,9 +101,9 @@ func TestGlobSegments(t *testing.T) {
 func TestRemoveGlob(t *testing.T) {
 	s := sim.New(1)
 	fs := New(s)
-	fs.Write("ckpt/l.100", 1)
-	fs.Write("ckpt/l.200", 1)
-	fs.Write("out/keep", 1)
+	fs.Write("ckpt/l.100")
+	fs.Write("ckpt/l.200")
+	fs.Write("out/keep")
 	if n := fs.RemoveGlob("ckpt/*"); n != 2 {
 		t.Fatalf("removed %d, want 2", n)
 	}
@@ -128,13 +128,13 @@ func TestMatchErrors(t *testing.T) {
 
 func TestWriteRepeatedNameLastValueFirstPosition(t *testing.T) {
 	fs := New(sim.New(1))
-	fs.Write("out/a", 1, Var{"step", 1}, Var{"errnorm", 0.5}, Var{"step", 2})
+	fs.Write("out/a", Var{"step", 1}, Var{"errnorm", 0.5}, Var{"step", 2})
 	want := []Var{{"step", 2}, {"errnorm", 0.5}}
 	if got := fs.Lookup("out/a").Vars; !slices.Equal(got, want) {
 		t.Fatalf("vars = %v, want %v", got, want)
 	}
 	// A rewrite replaces the whole list; WriteVar adds a new name at the end.
-	fs.Write("out/a", 1, Var{"errnorm", 0.25})
+	fs.Write("out/a", Var{"errnorm", 0.25})
 	fs.WriteVar("out/a", "step", 3)
 	want = []Var{{"errnorm", 0.25}, {"step", 3}}
 	if got := fs.Lookup("out/a").Vars; !slices.Equal(got, want) {
@@ -147,13 +147,13 @@ func TestWriteAllocations(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	fs := New(sim.New(1))
-	fs.Write("out/a", 1, Var{"step", 1}, Var{"errnorm", 0.5})
+	fs.Write("out/a", Var{"step", 1}, Var{"errnorm", 0.5})
 	for _, c := range []struct {
 		name string
 		fn   func()
 	}{
-		{"a rewrite with as many vars", func() { fs.Write("out/a", 2, Var{"errnorm", 0.25}, Var{"step", 2}) }},
-		{"a rewrite with fewer vars", func() { fs.Write("out/a", 3, Var{"step", 3}) }},
+		{"a rewrite with as many vars", func() { fs.Write("out/a", Var{"errnorm", 0.25}, Var{"step", 2}) }},
+		{"a rewrite with fewer vars", func() { fs.Write("out/a", Var{"step", 3}) }},
 		{"WriteVar of an existing name", func() { fs.WriteVar("out/a", "step", 4) }},
 		{"Lookup", func() { _ = fs.Lookup("out/a") }},
 		{"ReadVar", func() { _, _ = fs.ReadVar("out/a", "step") }},
@@ -173,7 +173,7 @@ func TestWriteAllocations(t *testing.T) {
 	}
 	i := 0
 	if n := testing.AllocsPerRun(creations, func() {
-		fs.Write(paths[i], 1, Var{"step", float64(i)}, Var{"errnorm", 0}, Var{"step", float64(i)})
+		fs.Write(paths[i], Var{"step", float64(i)}, Var{"errnorm", 0}, Var{"step", float64(i)})
 		i++
 	}); n != 2 {
 		t.Errorf("a creation allocates %v times, want 2 (File, vars)", n)
@@ -183,7 +183,7 @@ func TestWriteAllocations(t *testing.T) {
 	}
 	// A rewrite with more vars than the array holds allocates exactly
 	// their count.
-	fs.Write(paths[0], 1, Var{"a", 1}, Var{"b", 2}, Var{"c", 3}, Var{"d", 4})
+	fs.Write(paths[0], Var{"a", 1}, Var{"b", 2}, Var{"c", 3}, Var{"d", 4})
 	if f := fs.Lookup(paths[0]); len(f.Vars) != 4 || cap(f.Vars) != 4 {
 		t.Errorf("regrown vars %v with cap %d, want exactly 4", f.Vars, cap(f.Vars))
 	}
@@ -196,13 +196,13 @@ func TestRewriteInPlaceKeepsCopies(t *testing.T) {
 	fs := New(sim.New(1))
 	pat, _ := Compile("out/*")
 	w := fs.Watch(pat)
-	fs.Write("out/a", 1, Var{"step", 1}, Var{"errnorm", 0.5})
+	fs.Write("out/a", Var{"step", 1}, Var{"errnorm", 0.5})
 	live := fs.Lookup("out/a")
 	array := &live.Vars[0]
 	stat := fs.Stat("out/a")
 	glob := fs.Glob("out/*")
 
-	fs.Write("out/a", 2, Var{"step", 2})
+	fs.Write("out/a", Var{"step", 2})
 	fs.WriteVar("out/a", "errnorm", 0.25)
 	if &fs.Lookup("out/a").Vars[0] != array {
 		t.Fatal("the rewrite did not reuse the vars array")

@@ -15,21 +15,19 @@ import (
 // StreamName returns the monitoring stream name for a task ("tau.<task>").
 func StreamName(taskName string) string { return "tau." + taskName }
 
+// rankSpread is the relative dispersion of per-rank loop times below the
+// slowest rank.
+const rankSpread = 0.05
+
 // Probe publishes per-timestep instrumentation for one task incarnation.
 type Probe struct {
-	st     *stream.Stream
-	spread float64
-	rng    *rand.Rand
+	st  *stream.Stream
+	rng *rand.Rand
 }
 
-// Attach opens (or reopens) the task's monitoring stream. spread is the
-// relative dispersion of per-rank loop times below the slowest rank
-// (default 0.05 when <= 0).
-func Attach(reg *stream.Registry, taskName string, spread float64, rng *rand.Rand) *Probe {
-	if spread <= 0 {
-		spread = 0.05
-	}
-	return &Probe{st: reg.Open(StreamName(taskName)), spread: spread, rng: rng}
+// Attach opens (or reopens) the task's monitoring stream.
+func Attach(reg *stream.Registry, taskName string, rng *rand.Rand) *Probe {
+	return &Probe{st: reg.Open(StreamName(taskName)), rng: rng}
 }
 
 // Stream exposes the underlying monitoring stream (the task closes it when
@@ -38,13 +36,13 @@ func (pr *Probe) Stream() *stream.Stream { return pr.st }
 
 // EmitStep publishes one timestep record: Vars carries the loop time (the
 // wall time of the step, set by its slowest rank) and the step number;
-// Array carries per-rank loop times, each within spread below the maximum,
+// Array carries per-rank loop times, each within rankSpread below the maximum,
 // so MAX reductions recover the loop time exactly.
 func (pr *Probe) EmitStep(p *sim.Proc, globalStep, procs int, loopTime time.Duration) {
 	base := loopTime.Seconds()
 	ranks := make([]float64, procs)
 	for i := range ranks {
-		ranks[i] = base * (1 - pr.spread*pr.rng.Float64())
+		ranks[i] = base * (1 - rankSpread*pr.rng.Float64())
 	}
 	if procs > 0 {
 		ranks[pr.rng.Intn(procs)] = base

@@ -15,7 +15,7 @@ func TestEmitStepShape(t *testing.T) {
 	r := reg.Open(StreamName("Iso")).Attach(8, stream.DropOldest)
 
 	s.Spawn("task", func(p *sim.Proc) {
-		pr := Attach(reg, "Iso", 0, s.Rand())
+		pr := Attach(reg, "Iso", s.Rand())
 		pr.EmitStep(p, 7, 5, 12*time.Second)
 		pr.Close()
 	})
@@ -59,10 +59,10 @@ func TestReattachAfterClose(t *testing.T) {
 	s := sim.New(1)
 	reg := stream.NewRegistry(s, obs.NewRegistry())
 	s.Spawn("incarnations", func(p *sim.Proc) {
-		pr := Attach(reg, "T", 0.1, s.Rand())
+		pr := Attach(reg, "T", s.Rand())
 		pr.EmitStep(p, 1, 2, time.Second)
 		pr.Close()
-		pr2 := Attach(reg, "T", 0.1, s.Rand())
+		pr2 := Attach(reg, "T", s.Rand())
 		if pr2.Stream().Closed() {
 			t.Error("reattach should reopen the stream")
 		}

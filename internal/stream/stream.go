@@ -27,8 +27,6 @@ import (
 type Step struct {
 	// Index is the producer's timestep number.
 	Index int
-	// Size is the staged payload size in bytes (informational).
-	Size int64
 	// Vars carries named numeric variables for sensors and analyses.
 	Vars FloatMap
 	// Array carries one value per producer rank (e.g. TAU's per-process

@@ -138,8 +138,6 @@ type Spec struct {
 	// ProduceEvery stages only every Nth step (LAMMPS analyses consume
 	// every 10th simulation step); 0 or 1 stages every step.
 	ProduceEvery int
-	// ProduceSize is the staged payload size in bytes per record.
-	ProduceSize int64
 
 	// OutputEvery writes an output file every N completed steps (0 = none).
 	OutputEvery int
@@ -177,9 +175,6 @@ type Spec struct {
 	// Profile enables TAU-style instrumentation: per-rank loop times are
 	// published on stream "tau.<Name>" after every step.
 	Profile bool
-	// ProfileRankSpread is the relative spread of per-rank loop times
-	// around the step time (default 0.05).
-	ProfileRankSpread float64
 }
 
 // ProfileStreamName returns the monitoring stream name used when
@@ -388,7 +383,7 @@ func (in *Instance) steps(p *sim.Proc) {
 		in.producer = in.env.Streams.Open(in.Spec.ProducesTo)
 	}
 	if in.Spec.Profile {
-		in.probe = profiler.Attach(in.env.Streams, in.Spec.Name, in.Spec.ProfileRankSpread, in.env.Sim.Rand())
+		in.probe = profiler.Attach(in.env.Streams, in.Spec.Name, in.env.Sim.Rand())
 	}
 
 	in.state = Running
@@ -423,7 +418,7 @@ func (in *Instance) steps(p *sim.Proc) {
 		// 3. Stage the step's output, blocking on coupled backpressure.
 		globalStep := offset + step + 1
 		if in.producer != nil && (in.Spec.ProduceEvery <= 1 || (step+1)%in.Spec.ProduceEvery == 0) {
-			rec := stream.Step{Index: globalStep, Size: in.Spec.ProduceSize}
+			rec := stream.Step{Index: globalStep}
 			if err := in.producer.Put(p, rec); err != nil {
 				if sim.Interrupted(err) {
 					if in.crashSignaled {
@@ -494,7 +489,7 @@ func (in *Instance) noteStep(globalStep int, loopTime time.Duration, p *sim.Proc
 		if in.Spec.OutputVars != nil {
 			vars = append(vars, in.Spec.OutputVars(globalStep)...)
 		}
-		in.env.FS.Write(path, in.Spec.ProduceSize, vars...)
+		in.env.FS.Write(path, vars...)
 	}
 	if in.Spec.CheckpointEvery > 0 && in.Spec.CheckpointKey != "" && in.stepsDone%in.Spec.CheckpointEvery == 0 {
 		in.env.FS.WriteVar(in.Spec.CheckpointKey, "step", float64(globalStep))
@@ -512,7 +507,7 @@ func (in *Instance) finish() {
 		in.exitCode = 0
 		in.state = Completed
 	}
-	in.env.FS.Write(StatusPath(in.Spec.Workflow, in.Spec.Name), 0,
+	in.env.FS.Write(StatusPath(in.Spec.Workflow, in.Spec.Name),
 		fsim.Var{Name: "exitcode", Value: float64(in.exitCode)},
 		fsim.Var{Name: "incarnation", Value: float64(in.Incarnation)})
 }
