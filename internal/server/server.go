@@ -60,9 +60,6 @@ type Config struct {
 	// Logger receives operational messages — history append failures,
 	// HTTP serve errors. Nil means a stderr logger.
 	Logger *log.Logger
-	// Metrics receives the dyflow_server_* families. Nil means a private
-	// registry (reachable via Registry()).
-	Metrics *obs.Registry
 	// RunstoreSegmentBytes is the run-history store's segment rotation
 	// threshold (0 = runstore.DefaultSegmentBytes).
 	RunstoreSegmentBytes int64
@@ -152,10 +149,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 10 * time.Second
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	logger := cfg.Logger
 	if logger == nil {
 		logger = log.New(os.Stderr, "dyflow-serve: ", log.LstdFlags)
