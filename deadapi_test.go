@@ -2,10 +2,13 @@ package dyflow
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -175,4 +178,293 @@ func recvName(e ast.Expr) string {
 		return x.Name
 	}
 	return ""
+}
+
+// knobSeams lists the struct fields that non-test code reads and only
+// tests write, as "dir.Type.Field", each with the reason it stays.
+var knobSeams = map[string]string{
+	"internal/msg.Bus.Latency":                        "the reordering tests delay deliveries through it to put batches out of order",
+	"internal/server/fleet.WorkerOptions.CallTimeout": "the fleet tests shorten the per-RPC deadline to see a hung coordinator time out",
+	"internal/server/fleet.WorkerOptions.OnClaim":     "the fleet and chaos tests kill or partition a worker at the moment it claims",
+	"internal/core/arbiter.Config.NoVictims":          "the root ablation benchmarks switch victim selection off",
+	"internal/core/arbiter.Config.ImmediateKill":      "the root ablation benchmarks switch the drain wait off",
+	"internal/exp.Variant.Arbiter":                    "the root ablation benchmarks hand a world their arbiter config",
+	"internal/task.Spec.PublishDBKey":                 "the only producer for the spec language's DB sensor source; no shipped scenario declares a DB sensor yet",
+}
+
+// TestKnobsHaveNonTestWriters keeps every setting the program reads
+// settable by the program: a struct field that non-test code reads but
+// only _test.go files (or nothing) write is a knob no scenario, command
+// or service path can turn, so it is a constant in disguise. The scan
+// type-checks every non-test file of the repository — bench/ and cmd/
+// included — and counts as a write an assignment, ++/--, a composite
+// literal key (or an unkeyed literal), taking the address, and calling
+// a pointer method on the field. Fields with a struct tag (written by a
+// decoder), sync or sync/atomic fields and the exemptDirs packages are
+// not knobs.
+func TestKnobsHaveNonTestWriters(t *testing.T) {
+	fset := token.NewFileSet()
+	dirs := map[string][]*ast.File{}
+	walkSources(t, fset, parser.SkipObjectResolution, func(path, dir string, f *ast.File) {
+		dirs[dir] = append(dirs[dir], f)
+	})
+	found, err := testOnlyFields(fset, "dyflow", dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range sortedKeys(found) {
+		if knobSeams[key] == "" {
+			t.Errorf("read, but only tests write it: %s (%s)", key, fset.Position(found[key]))
+		}
+	}
+	for key := range knobSeams {
+		if !found[key].IsValid() {
+			t.Errorf("knobSeams names %s, which is gone or has a non-test writer now", key)
+		}
+	}
+}
+
+// TestTestOnlyFieldsCatchesPlants runs the scan on a planted package:
+// each field read but never written is found, and each kind of write
+// clears its field.
+func TestTestOnlyFieldsCatchesPlants(t *testing.T) {
+	const src = `package p
+import "sync"
+type Opts struct {
+	Knob, Set, Lit, Ptr, Inc, Meth, Sub int
+	Pos  [2]int
+	Arr  [4]byte
+	Buf  buf
+	Tag  int ` + "`json:\"tag\"`" + `
+	mu   sync.Mutex
+	Unread int
+}
+type buf struct{ n int }
+func (b *buf) grow()        { b.n++ }
+type pair struct{ A, B int }
+func f(o *Opts) int {
+	o.Set = 1
+	_ = Opts{Lit: 2}
+	p := &o.Ptr
+	o.Inc++
+	o.Buf.grow()
+	o.Pos[0] = 3
+	_ = o.Arr[:0]
+	q := pair{1, 2}
+	o.mu.Lock()
+	return o.Knob + o.Set + o.Lit + *p + o.Inc + o.Meth + o.Sub + o.Pos[1] + o.Buf.n + o.Tag + q.A
+}`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, err := testOnlyFields(fset, "m", map[string][]*ast.File{"p": {f}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sortedKeys(found)
+	if want := []string{"p.Opts.Knob", "p.Opts.Meth", "p.Opts.Sub"}; !slices.Equal(got, want) {
+		t.Errorf("found %v, want %v", got, want)
+	}
+}
+
+// testOnlyFields type-checks the packages in dirs (module-relative
+// directory → its non-test files, under module path mod; every other
+// import comes from the standard library's export data) and returns the
+// fields some file reads and none writes, keyed "dir.Type.Field" with
+// their declarations.
+func testOnlyFields(fset *token.FileSet, mod string, dirs map[string][]*ast.File) (map[string]token.Pos, error) {
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	im := &moduleImporter{fset: fset, mod: mod, dirs: dirs, info: info,
+		std: importer.ForCompiler(fset, "gc", nil), pkgs: map[string]*types.Package{}}
+	for _, dir := range sortedKeys(dirs) {
+		if _, err := im.Import(im.path(dir)); err != nil {
+			return nil, err
+		}
+	}
+
+	// Name every field of a struct type the module declares; a field with
+	// a tag is written by a decoder.
+	keys, tagged := map[*types.Var]string{}, map[*types.Var]bool{}
+	var name func(prefix string, st *types.Struct)
+	name = func(prefix string, st *types.Struct) {
+		for i := 0; i < st.NumFields(); i++ {
+			fv := st.Field(i)
+			keys[fv], tagged[fv] = prefix+"."+fv.Name(), st.Tag(i) != ""
+			if inner, ok := fv.Type().(*types.Struct); ok {
+				name(keys[fv], inner)
+			}
+		}
+	}
+	for id, obj := range info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				name(im.dir(tn.Pkg().Path())+"."+id.Name, st)
+			}
+		}
+	}
+
+	read, written := map[*types.Var]bool{}, map[*types.Var]bool{}
+	field := func(e ast.Expr) *types.Var {
+		if se, ok := e.(*ast.SelectorExpr); ok {
+			if sel := info.Selections[se]; sel != nil && sel.Kind() == types.FieldVal {
+				return sel.Obj().(*types.Var).Origin()
+			}
+		}
+		return nil
+	}
+	// write marks the fields along an lvalue's selector chain written:
+	// assigning o.A.B[i] changes B and the A that holds it.
+	write := func(e ast.Expr) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				if fv := field(x); fv != nil {
+					written[fv] = true
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, files := range dirs {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range x.Lhs {
+						write(l)
+					}
+				case *ast.IncDecStmt:
+					write(x.X)
+				case *ast.RangeStmt:
+					if x.Tok == token.ASSIGN {
+						write(x.Key)
+						if x.Value != nil {
+							write(x.Value)
+						}
+					}
+				case *ast.UnaryExpr:
+					if x.Op == token.AND {
+						write(x.X)
+					}
+				case *ast.SliceExpr:
+					if _, ok := info.Types[x.X].Type.Underlying().(*types.Array); ok {
+						write(x.X) // slicing an array takes its address
+					}
+				case *ast.CompositeLit:
+					t := info.Types[x].Type
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, el := range x.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							written[info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+						} else {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					if fv := field(x); fv != nil {
+						read[fv] = true
+						break
+					}
+					// A pointer method on an addressable operand takes its
+					// address.
+					if sel := info.Selections[x]; sel != nil && sel.Kind() == types.MethodVal {
+						_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+						_, ptrOperand := sel.Recv().Underlying().(*types.Pointer)
+						if ptrRecv && !ptrOperand {
+							write(x.X)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	found := map[string]token.Pos{}
+	for fv := range read {
+		key, ok := keys[fv]
+		if !ok || written[fv] || tagged[fv] || exemptDirs[im.dir(fv.Pkg().Path())] {
+			continue
+		}
+		if n, ok := types.Unalias(fv.Type()).(*types.Named); ok && n.Obj().Pkg() != nil {
+			if p := n.Obj().Pkg().Path(); p == "sync" || p == "sync/atomic" {
+				continue
+			}
+		}
+		found[key] = fv.Pos()
+	}
+	return found, nil
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// moduleImporter type-checks the module's packages from their parsed
+// files, each once, so that a field has one object however many packages
+// use it, and imports everything else from export data.
+type moduleImporter struct {
+	fset *token.FileSet
+	mod  string
+	dirs map[string][]*ast.File
+	info *types.Info
+	std  types.Importer
+	pkgs map[string]*types.Package
+}
+
+// path is dir's import path; dir is its inverse.
+func (m *moduleImporter) path(dir string) string {
+	if dir == "." {
+		return m.mod
+	}
+	return m.mod + "/" + dir
+}
+
+func (m *moduleImporter) dir(path string) string {
+	if path == m.mod {
+		return "."
+	}
+	return strings.TrimPrefix(path, m.mod+"/")
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if p := m.pkgs[path]; p != nil {
+		return p, nil
+	}
+	files, ok := m.dirs[m.dir(path)]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = p
+	return p, nil
 }
