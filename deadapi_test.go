@@ -225,8 +225,8 @@ func TestKnobsHaveNonTestWriters(t *testing.T) {
 }
 
 // TestTestOnlyFieldsCatchesPlants runs the scan on a planted package:
-// each field read but never written is found, and each kind of write
-// clears its field.
+// each field read but never written is found, each kind of write clears
+// its field, and a tagged, a sync or an unread field is not reported.
 func TestTestOnlyFieldsCatchesPlants(t *testing.T) {
 	const src = `package p
 import "sync"
@@ -251,7 +251,7 @@ func f(o *Opts) int {
 	o.Pos[0] = 3
 	_ = o.Arr[:0]
 	q := pair{1, 2}
-	o.mu.Lock()
+	_ = o.mu
 	return o.Knob + o.Set + o.Lit + *p + o.Inc + o.Meth + o.Sub + o.Pos[1] + o.Buf.n + o.Tag + q.A
 }`
 	fset := token.NewFileSet()

@@ -95,10 +95,7 @@ func (s *Supervisor) scheduleRestart(stage, reason string) {
 		return
 	}
 	if g.restarts >= maxRestarts {
-		if !g.gaveUp {
-			g.gaveUp = true
-			g.down = true
-		}
+		g.gaveUp, g.down = true, true
 		return
 	}
 	delay := backoffBase << g.restarts
