@@ -1,7 +1,8 @@
 // Package msg is the messaging layer DYFLOW's stages communicate over — the
-// stand-in for the paper's PyZMQ sockets and shared queues. Delivery latency
-// can be configured (with jitter) so the Monitor server's out-of-order
-// filtering has something to filter.
+// stand-in for the paper's PyZMQ sockets and shared queues. Every world
+// delivers a message within the instant it is sent; only tests give the
+// bus a latency, with jitter, to put messages out of order for the
+// Monitor server's filter.
 //
 // The paper's services exchange JSON-formatted messages; this reproduction
 // delivers typed payloads instead. The payload value crosses the simulated
@@ -123,13 +124,14 @@ func deliverCB(arg any) {
 	}
 }
 
-// Bus connects endpoints with latency-modelled typed delivery.
+// Bus connects endpoints with typed delivery.
 type Bus struct {
 	sim       *sim.Sim
 	endpoints map[string]*Endpoint
 	pool      []*delivery // recycled in-flight records
-	// Latency returns the delivery delay for a message from -> to. The
-	// default is zero. Jitter here is what produces out-of-order arrivals.
+	// Latency, when set, returns the delivery delay for a message from ->
+	// to. It is a test seam: nothing outside tests sets it, and the
+	// reordering tests give it jitter to deliver messages out of order.
 	Latency func(from, to string) time.Duration
 	// OnDepth, if set, observes the destination queue depth after each
 	// delivery (the flight recorder's queue-depth sampling hook).
@@ -195,6 +197,8 @@ func (b *Bus) send(from *Endpoint, to string, payload any) error {
 		SentAt:  b.sim.Now(),
 		payload: payload,
 	}
+	// Even at zero latency the delivery is an event of its own, so
+	// same-instant sends and wakes keep the order the kernel gives them.
 	b.sim.AfterCall(latency, deliverCB, d)
 	return nil
 }
@@ -268,10 +272,9 @@ type BusSnapshot struct {
 // Snapshot captures every endpoint's sequence counter and queued
 // envelopes, each payload encoded by Encode. A payload Encode fails on is
 // a stage bug and panics. In-flight deliveries (scheduled but not yet
-// enqueued) are not captured; with zero bus latency none exist at an
-// event-boundary instant, and with modeled latency a crash loses at most
-// the messages on the wire — which the retry/repoll layers above already
-// tolerate.
+// enqueued) are not captured. A world's bus has no latency, so between two
+// instants none exist; a test that sets Latency loses at most the messages
+// on the wire, which the retry/repoll layers above already tolerate.
 func (b *Bus) Snapshot() BusSnapshot {
 	var snap BusSnapshot
 	for name, ep := range b.endpoints {
