@@ -14,12 +14,14 @@ import (
 	"dyflow/internal/core/sensor"
 	"dyflow/internal/msg"
 	"dyflow/internal/obs"
+	"dyflow/internal/sim"
 	"dyflow/internal/trace"
 )
 
 // TestHotTypeSizes pins the size of each value the stages hand each other
-// on every message or span, on a 64-bit platform: a field added to one is
-// copied on every send, so adding it is a decision, made here.
+// on every message or span, and of the kernel's pooled event, on a 64-bit
+// platform: a field added to one is copied on every send or scheduled
+// with every event, so adding it is a decision, made here.
 func TestHotTypeSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the sizes are a 64-bit platform's")
@@ -33,6 +35,7 @@ func TestHotTypeSizes(t *testing.T) {
 		{"sensor.MetricMsg", unsafe.Sizeof(sensor.MetricMsg{}), 32},
 		{"decision.Suggestion", unsafe.Sizeof(decision.Suggestion{}), 56},
 		{"trace.Span", unsafe.Sizeof(trace.Span{}), 136},
+		{"sim.Event", unsafe.Sizeof(sim.Event{}), 96},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)

@@ -179,9 +179,9 @@ func (c *Cluster) RestoreNode(id NodeID) {
 // FailNodeAt schedules a node failure at absolute virtual time at. It is
 // the failure-injection entry point used by the resilience experiments
 // (paper §4.5: "10 mins into the experiment one of the allocated nodes was
-// taken out of service"). The returned handle can cancel the injection.
-func (c *Cluster) FailNodeAt(at sim.Time, id NodeID) sim.EventID {
-	return c.sim.At(at, func() { c.FailNode(id) })
+// taken out of service").
+func (c *Cluster) FailNodeAt(at sim.Time, id NodeID) {
+	c.sim.At(at, func() { c.FailNode(id) })
 }
 
 // SortNodeIDs sorts a slice of node IDs lexically in place and returns it;

@@ -31,8 +31,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 func BenchmarkCancelHeavy(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
-		e := s.After(time.Hour, func() {})
-		e.Cancel()
+		s.cancelInternal(s.newEvent(s.now + time.Hour))
 	}
 	if s.Pending() != 0 {
 		b.Fatalf("heap not empty: %d", s.Pending())

@@ -1,9 +1,8 @@
 package sim
 
 // Regression tests for the kernel hot-path work: the Run(until) drain-stall
-// fix, eager cancel removal (bounded heap, O(1) Pending), pooled-event
-// handle safety, at-most-one pending interrupt, and batched queue
-// draining.
+// fix, eager cancel removal (bounded heap, O(1) Pending), at-most-one
+// pending interrupt, and batched queue draining.
 
 import (
 	"errors"
@@ -86,42 +85,14 @@ func TestCancelHeavyHeapBounded(t *testing.T) {
 // canceled event disappears from it immediately.
 func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	s := New(1)
-	e1 := s.After(time.Second, func() {})
+	e1 := s.newEvent(time.Second) // a process's timer, as Sleep arms it
 	s.After(2*time.Second, func() {})
 	if got := s.Pending(); got != 2 {
 		t.Fatalf("Pending() = %d, want 2", got)
 	}
-	e1.Cancel()
+	s.cancelInternal(e1)
 	if got := s.Pending(); got != 1 {
 		t.Fatalf("Pending() = %d after cancel, want 1", got)
-	}
-}
-
-// TestStaleEventIDCancelIsInert: after an event fires, its pooled struct is
-// recycled for a new event; the old handle's Cancel must not touch the new
-// incarnation.
-func TestStaleEventIDCancelIsInert(t *testing.T) {
-	s := New(1)
-	var stale EventID
-	stale = s.After(time.Millisecond, func() {})
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	// The freed struct is recycled by the next scheduling call.
-	fired := false
-	fresh := s.After(time.Millisecond, func() { fired = true })
-	if stale.Active() {
-		t.Fatal("stale handle reports active")
-	}
-	stale.Cancel() // must not cancel the recycled event
-	if !fresh.Active() {
-		t.Fatal("stale Cancel killed the recycled event")
-	}
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("recycled event did not fire")
 	}
 }
 

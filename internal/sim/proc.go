@@ -21,7 +21,7 @@ import (
 // baton transfer is a direct coroutine switch: the running goroutine hands
 // its thread to the other one without going through the scheduler.
 //
-// All Proc methods except Interrupt, Done, Err and Name must be called from
+// All Proc methods except Interrupt, Done and Err must be called from
 // the process's own goroutine (i.e. from inside the function passed to
 // Spawn). Interrupt may be called from kernel context or from another
 // running process.
@@ -256,9 +256,6 @@ func (p *Proc) block(sig *Signal, d time.Duration) error {
 	p.yield(struct{}{}) // give the baton back; returns at the next wake
 	return p.wake
 }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }

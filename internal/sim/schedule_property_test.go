@@ -160,7 +160,7 @@ func runSchedule(prog *schedProgram, seed int64) string {
 	var spawn func(name string, guarded bool, ops []schedOp) *Proc
 	body := func(ops []schedOp) func(*Proc) {
 		return func(p *Proc) {
-			rec(p.Name(), "start", nil)
+			rec(p.name, "start", nil)
 			for i, o := range ops {
 				var err error
 				var op string
@@ -190,14 +190,14 @@ func runSchedule(prog *schedProgram, seed int64) string {
 					op = fmt.Sprintf("getall q%d -> %v", o.idx, vs)
 				case opInterrupt:
 					target := procs[o.idx]
-					ok := target.Interrupt(errors.New("by " + p.Name()))
-					op = fmt.Sprintf("interrupt %s %t", target.Name(), ok)
+					ok := target.Interrupt(errors.New("by " + p.name))
+					op = fmt.Sprintf("interrupt %s %t", target.name, ok)
 				case opJoin:
-					op = "join " + procs[o.idx].Name()
+					op = "join " + procs[o.idx].name
 					err = p.Join(procs[o.idx])
 				case opSpawn:
-					child := spawn(fmt.Sprintf("%s.%d", p.Name(), i), o.guarded, o.child)
-					op = "spawn " + child.Name()
+					child := spawn(fmt.Sprintf("%s.%d", p.name, i), o.guarded, o.child)
+					op = "spawn " + child.name
 					if o.join {
 						op += " joined"
 						err = p.Join(child)
@@ -205,12 +205,12 @@ func runSchedule(prog *schedProgram, seed int64) string {
 				case opPanic:
 					panic(fmt.Sprintf("op %d", i))
 				}
-				rec(p.Name(), op, err)
+				rec(p.name, op, err)
 				if errors.Is(err, ErrStopped) {
 					return
 				}
 			}
-			rec(p.Name(), "exit", nil)
+			rec(p.name, "exit", nil)
 		}
 	}
 	spawn = func(name string, guarded bool, ops []schedOp) *Proc {
@@ -227,7 +227,7 @@ func runSchedule(prog *schedProgram, seed int64) string {
 		s.At(a.at, func() {
 			if a.proc >= 0 {
 				ok := procs[a.proc].Interrupt(errors.New("by kernel"))
-				rec("kernel", fmt.Sprintf("interrupt %s %t", procs[a.proc].Name(), ok), nil)
+				rec("kernel", fmt.Sprintf("interrupt %s %t", procs[a.proc].name, ok), nil)
 				return
 			}
 			sigs[a.sig].Broadcast()

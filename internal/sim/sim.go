@@ -21,6 +21,10 @@
 // sequence number breaks ties), so a run is a pure function of its inputs
 // and seed.
 //
+// Scheduling returns no handle: only the kernel cancels an event, when an
+// interrupt or Stop cuts a process's timer short or a new claim supersedes
+// a scheduled wake.
+//
 // The event loop is the hot path of every experiment, so it avoids
 // per-event allocation and indirection: Event structs are recycled through
 // a free-list, the heap is a hand-rolled binary heap with inlined
@@ -62,14 +66,13 @@ const (
 
 // Event is a pooled, scheduled kernel event. Events are owned by the kernel
 // and recycled through a free-list after they fire or are canceled; user
-// code never holds a *Event directly — At/After return an EventID handle
-// whose generation counter makes stale cancels provably inert.
+// code never holds one — At/After return nothing, and only the kernel
+// cancels an event (a process's timer or a superseded wake).
 type Event struct {
 	sim   *Sim
 	at    Time
 	seq   uint64
-	gen   uint64 // bumped on release; EventIDs with an older gen are stale
-	index int    // heap index, -1 when not scheduled
+	index int // heap index, -1 when not scheduled
 
 	kind uint8
 	fn   func()
@@ -77,36 +80,6 @@ type Event struct {
 	arg  any
 	proc *Proc // evWake / evTimer target
 	werr error // evWake value
-}
-
-// EventID is a cancelable handle to a scheduled event. The zero value is a
-// valid no-op handle. Copies are cheap; Cancel on a handle whose event has
-// already fired, been canceled, or been recycled for a different event is a
-// no-op (the generation check makes this safe even though the underlying
-// Event struct is pooled).
-type EventID struct {
-	e   *Event
-	gen uint64
-}
-
-// Active reports whether the event is still scheduled to fire.
-func (id EventID) Active() bool {
-	return id.e != nil && id.e.gen == id.gen && id.e.index >= 0
-}
-
-// Cancel removes the event from the schedule. Canceling an event that
-// already fired (or was already canceled) is a no-op. Unlike a lazy
-// tombstone, cancellation removes the event from the heap immediately, so
-// cancel-heavy workloads (timers armed and canceled over and over) keep the
-// heap bounded.
-func (id EventID) Cancel() {
-	e := id.e
-	if e == nil || e.gen != id.gen || e.index < 0 {
-		return
-	}
-	s := e.sim
-	s.heapRemove(e.index)
-	s.release(e)
 }
 
 // Sim is a discrete-event simulation instance. The zero value is not usable;
@@ -271,10 +244,8 @@ func (s *Sim) newEvent(at Time) *Event {
 	return e
 }
 
-// release clears an event and returns it to the free-list. The generation
-// bump invalidates every EventID handed out for the previous incarnation.
+// release clears an event and returns it to the free-list.
 func (s *Sim) release(e *Event) {
-	e.gen++
 	e.kind = 0
 	e.fn = nil
 	e.fn1 = nil
@@ -286,7 +257,7 @@ func (s *Sim) release(e *Event) {
 }
 
 // cancelInternal eagerly removes a scheduled event held by kernel-internal
-// code (no generation check: the caller owns the pointer).
+// code (the caller owns the pointer).
 func (s *Sim) cancelInternal(e *Event) {
 	if e.index >= 0 {
 		s.heapRemove(e.index)
@@ -299,34 +270,32 @@ func (s *Sim) cancelInternal(e *Event) {
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // (at < Now) fires the event at the current instant instead; same-instant
 // events run in scheduling order.
-func (s *Sim) At(at Time, fn func()) EventID {
+func (s *Sim) At(at Time, fn func()) {
 	e := s.newEvent(at)
 	e.kind = evFunc
 	e.fn = fn
-	return EventID{e: e, gen: e.gen}
 }
 
 // After schedules fn to run d after the current instant. Negative delays
 // are treated as zero.
-func (s *Sim) After(d time.Duration, fn func()) EventID {
-	return s.At(s.now+d, fn)
+func (s *Sim) After(d time.Duration, fn func()) {
+	s.At(s.now+d, fn)
 }
 
 // AtCall schedules fn(arg) at absolute virtual time at. Unlike At, the
 // callback and its argument are stored separately, so hot paths that reuse
 // one function value (e.g. message delivery) schedule without allocating a
 // closure per event.
-func (s *Sim) AtCall(at Time, fn func(any), arg any) EventID {
+func (s *Sim) AtCall(at Time, fn func(any), arg any) {
 	e := s.newEvent(at)
 	e.kind = evCall
 	e.fn1 = fn
 	e.arg = arg
-	return EventID{e: e, gen: e.gen}
 }
 
 // AfterCall schedules fn(arg) to run d after the current instant.
-func (s *Sim) AfterCall(d time.Duration, fn func(any), arg any) EventID {
-	return s.AtCall(s.now+d, fn, arg)
+func (s *Sim) AfterCall(d time.Duration, fn func(any), arg any) {
+	s.AtCall(s.now+d, fn, arg)
 }
 
 // Pending reports the number of scheduled events. Canceled events are

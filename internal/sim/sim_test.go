@@ -47,19 +47,6 @@ func TestSameInstantFIFO(t *testing.T) {
 	}
 }
 
-func TestEventCancel(t *testing.T) {
-	s := New(1)
-	ran := false
-	e := s.After(time.Second, func() { ran = true })
-	e.Cancel()
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Fatal("canceled event ran")
-	}
-}
-
 func TestRunHorizon(t *testing.T) {
 	s := New(1)
 	ran := false
@@ -593,7 +580,7 @@ func TestStopIsTeardownNotSchedule(t *testing.T) {
 	}
 	for _, p := range procs {
 		if !p.Done() {
-			t.Errorf("%s still alive after Stop", p.Name())
+			t.Errorf("%s still alive after Stop", p.name)
 		}
 	}
 }
