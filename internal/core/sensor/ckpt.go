@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"dyflow/internal/sim"
-	"dyflow/internal/stats"
 	"dyflow/internal/stream"
 )
 
@@ -21,23 +20,16 @@ type GenEntry struct {
 	At  sim.Time `json:"at"`
 }
 
-// LagEntry is one sensor's accumulated detection-lag statistics.
-type LagEntry struct {
-	Sensor string             `json:"sensor"`
-	Lag    stats.WelfordState `json:"lag"`
-}
-
 // ServerSnapshot is the Monitor server's checkpointable state: the
 // out-of-order filter marks, the latest value per series (the join and
-// group-by working set), the per-series generation cursors and per-sensor
-// lag accumulators. Map-keyed state is exported as sorted slices so
-// snapshots are byte-stable. The forwarding counters are the flight
-// recorder's, checkpointed with it.
+// group-by working set) and the per-series generation cursors. Map-keyed
+// state is exported as sorted slices so snapshots are byte-stable. The
+// forwarding counters and the detection lags are the flight recorder's,
+// checkpointed with it.
 type ServerSnapshot struct {
 	Filter  map[string]uint64 `json:"filter,omitempty"`
 	Last    []SeriesEntry     `json:"last,omitempty"`
 	LastGen []GenEntry        `json:"last_gen,omitempty"`
-	Lags    []LagEntry        `json:"lags,omitempty"`
 }
 
 func keyLess(a, b Key) bool {
@@ -69,10 +61,6 @@ func (sv *Server) Snapshot() ServerSnapshot {
 	}
 	sort.Slice(snap.Last, func(i, j int) bool { return keyLess(snap.Last[i].Key, snap.Last[j].Key) })
 	sort.Slice(snap.LastGen, func(i, j int) bool { return keyLess(snap.LastGen[i].Key, snap.LastGen[j].Key) })
-	for id, w := range sv.lags {
-		snap.Lags = append(snap.Lags, LagEntry{Sensor: id, Lag: w.State()})
-	}
-	sort.Slice(snap.Lags, func(i, j int) bool { return snap.Lags[i].Sensor < snap.Lags[j].Sensor })
 	return snap
 }
 
@@ -90,10 +78,6 @@ func (sv *Server) Restore(snap ServerSnapshot) {
 	for _, e := range snap.LastGen {
 		s := sv.lookup(e.Key)
 		s.gen, s.hasGen = e.At, true
-	}
-	sv.lags = make(map[string]*stats.Welford, len(snap.Lags))
-	for _, e := range snap.Lags {
-		sv.lags[e.Sensor] = stats.RestoreWelford(e.Lag)
 	}
 }
 

@@ -151,9 +151,8 @@ func TestTAUStreamSensorPipeline(t *testing.T) {
 		t.Fatalf("node001 = %v, want [39 40]", got)
 	}
 	// Lag: stream base cost (150ms) + 4 values (4ms) + zero bus latency.
-	lag := r.server.Lag("PACE")
-	if lag.N() == 0 || lag.Mean() < 0.1 || lag.Mean() > 1.0 {
-		t.Fatalf("lag mean = %v s (n=%d), want sub-second", lag.Mean(), lag.N())
+	if lag := r.tr.SensorLagMean("PACE"); lag < 100*time.Millisecond || lag > time.Second {
+		t.Fatalf("lag mean = %v, want sub-second", lag)
 	}
 }
 
@@ -727,8 +726,8 @@ func TestForwardedCountsDetectionsNotRepolls(t *testing.T) {
 	if got := len(r.drainMetrics(t)); got != 4 {
 		t.Fatalf("metrics delivered = %d, want 4", got)
 	}
-	if lag := r.server.Lag("PACE"); lag.N() != 2 {
-		t.Fatalf("lag samples = %d, want 2 (one per detection)", lag.N())
+	if lags := r.tr.Report().SensorLags; len(lags) != 1 || lags[0].Label != "PACE" || lags[0].Count != 2 {
+		t.Fatalf("lag samples = %+v, want 2 for PACE (one per detection)", lags)
 	}
 	if fw, rp := r.tr.Counter("monitor.forwarded"), r.tr.Counter("monitor.repolled"); fw != 2 || rp != 2 {
 		t.Fatalf("counters = forwarded %d repolled %d, want 2 detections and 2 re-polls", fw, rp)

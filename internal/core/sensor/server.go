@@ -30,12 +30,6 @@ type Server struct {
 	series map[Key]*series
 	groups map[groupKey]*group
 
-	// lag accounting per sensor (paper §4.6 cost analysis). Lag samples
-	// are taken only when a series' underlying data is fresh (a new
-	// generation time): periodic re-polls of unchanged files measure
-	// nothing.
-	lags map[string]*stats.Welford
-
 	// Scratch reused by every process call: the metrics forwarded, their
 	// series, and a derivation's values.
 	fwd     []Metric
@@ -57,8 +51,7 @@ type series struct {
 	// hasGen): a metric carrying it again is a stale re-poll.
 	gen    sim.Time
 	hasGen bool
-	lag    *stats.Welford // the sensor's lag accumulator, once it detected
-	group  *group         // a task or node-task series' derivation group
+	group  *group // a task or node-task series' derivation group
 	// sent is the []MetricMsg process last sent for a forward list headed
 	// by this series, boxed for the bus.
 	sent any
@@ -96,7 +89,6 @@ func NewServer(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config, tr 
 		filter: msg.NewOrderFilter(),
 		series: make(map[Key]*series),
 		groups: make(map[groupKey]*group),
-		lags:   make(map[string]*stats.Welford),
 	}
 }
 
@@ -107,15 +99,6 @@ func NewServer(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config, tr 
 // nothing. The slice is the server's scratch: it is valid only during the
 // call, so fn copies what it keeps.
 func (sv *Server) OnForward(fn func([]Metric)) { sv.onForward = fn }
-
-// Lag returns the accumulated detection-lag statistics for a sensor: the
-// time between data generation and the metric being forwarded to Decision.
-func (sv *Server) Lag(sensorID string) *stats.Welford {
-	if w, ok := sv.lags[sensorID]; ok {
-		return w
-	}
-	return &stats.Welford{}
-}
 
 // Latest returns the most recent metric for a series (ok=false if none).
 func (sv *Server) Latest(k Key) (Metric, bool) {
@@ -224,14 +207,7 @@ func (sv *Server) process(batch Batch) {
 		}
 		detections++
 		s.gen, s.hasGen = m.GeneratedAt, true
-		if s.lag == nil {
-			if s.lag = sv.lags[m.Key.Sensor]; s.lag == nil {
-				s.lag = &stats.Welford{}
-				sv.lags[m.Key.Sensor] = s.lag
-			}
-		}
 		if m.ObservedAt >= m.GeneratedAt {
-			s.lag.Add((m.ObservedAt - m.GeneratedAt).Seconds())
 			sv.tr.SensorLag(m.Key.Sensor, m.ObservedAt-m.GeneratedAt)
 		}
 	}

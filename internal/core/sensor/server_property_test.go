@@ -3,6 +3,7 @@ package sensor
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -26,13 +27,20 @@ type refServer struct {
 	cfg       *spec.Config
 	last      map[Key]Metric
 	lastGen   map[Key]sim.Time
-	lags      map[string]*stats.Welford
+	lags      map[string]*lagSum
 	forwarded int
 	repolled  int
 }
 
 func newRefServer(cfg *spec.Config) *refServer {
-	return &refServer{cfg: cfg, last: map[Key]Metric{}, lastGen: map[Key]sim.Time{}, lags: map[string]*stats.Welford{}}
+	return &refServer{cfg: cfg, last: map[Key]Metric{}, lastGen: map[Key]sim.Time{}, lags: map[string]*lagSum{}}
+}
+
+// lagSum is a sensor's detection lags as the flight recorder's histogram
+// folds them: a count and a sum of seconds in arrival order.
+type lagSum struct {
+	n   int
+	sum float64
 }
 
 // process returns the metrics the batch forwards and the wire messages.
@@ -91,13 +99,14 @@ func (sv *refServer) process(batch parentBatch, now sim.Time) ([]Metric, []paren
 		}
 		sv.forwarded++
 		sv.lastGen[m.Key] = m.GeneratedAt
-		w, ok := sv.lags[m.Key.Sensor]
-		if !ok {
-			w = &stats.Welford{}
-			sv.lags[m.Key.Sensor] = w
-		}
 		if m.ObservedAt >= m.GeneratedAt {
-			w.Add((m.ObservedAt - m.GeneratedAt).Seconds())
+			a := sv.lags[m.Key.Sensor]
+			if a == nil {
+				a = &lagSum{}
+				sv.lags[m.Key.Sensor] = a
+			}
+			a.n++
+			a.sum += (m.ObservedAt - m.GeneratedAt).Seconds()
 		}
 	}
 	return out, msgs
@@ -195,10 +204,6 @@ func (sv *refServer) snapshot() ServerSnapshot {
 		snap.LastGen = append(snap.LastGen, GenEntry{Key: k, At: at})
 	}
 	sort.Slice(snap.LastGen, func(i, j int) bool { return keyLess(snap.LastGen[i].Key, snap.LastGen[j].Key) })
-	for id, w := range sv.lags {
-		snap.Lags = append(snap.Lags, LagEntry{Sensor: id, Lag: w.State()})
-	}
-	sort.Slice(snap.Lags, func(i, j int) bool { return snap.Lags[i].Sensor < snap.Lags[j].Sensor })
 	return snap
 }
 
@@ -444,13 +449,18 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 		if fw, rp := tr.Counter("monitor.forwarded"), tr.Counter("monitor.repolled"); fw != int64(ref.forwarded) || rp != int64(ref.repolled) {
 			t.Fatalf("seed %d: forwarded/repolled = %d/%d, reference %d/%d", seed, fw, rp, ref.forwarded, ref.repolled)
 		}
+		counts := map[string]int{}
+		for _, st := range tr.Report().SensorLags {
+			counts[st.Label] = st.Count
+		}
 		for _, id := range []string{"A", "B", "C", "D", "E", "X"} {
-			want := (&stats.Welford{}).State()
-			if w, ok := ref.lags[id]; ok {
-				want = w.State()
+			var want lagSum
+			var wantMean time.Duration
+			if a := ref.lags[id]; a != nil {
+				want, wantMean = *a, time.Duration(math.Round(a.sum/float64(a.n)*float64(time.Second)))
 			}
-			if got := sv.Lag(id).State(); got != want {
-				t.Fatalf("seed %d: Lag(%s) = %+v, reference %+v", seed, id, got, want)
+			if n, mean := counts[id], tr.SensorLagMean(id); n != want.n || mean != wantMean {
+				t.Fatalf("seed %d: %s lags = %d, mean %v; reference %d, mean %v", seed, id, n, mean, want.n, wantMean)
 			}
 		}
 		gotSnap, err := json.Marshal(sv.Snapshot())

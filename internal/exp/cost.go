@@ -39,8 +39,8 @@ func RunCostAnalysis(seed int64, m apps.Machine) (*CostResult, error) {
 	}
 	defer xgc.W.Close()
 	res := &CostResult{
-		StreamLagMean: time.Duration(gs.W.Orch.Server.Lag("PACE").Mean() * float64(time.Second)),
-		DiskLagMean:   time.Duration(xgc.W.Orch.Server.Lag("NSTEPS").Mean() * float64(time.Second)),
+		StreamLagMean: gs.W.Orch.Trace.SensorLagMean("PACE"),
+		DiskLagMean:   xgc.W.Orch.Trace.SensorLagMean("NSTEPS"),
 		StopShare:     gs.W.Orch.Executor.StopShare(),
 	}
 	plans := append(append([]arbiter.Record(nil), gs.W.Plans()...), xgc.W.Plans()...)

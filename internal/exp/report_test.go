@@ -58,8 +58,8 @@ func TestAllPaperReportsHold(t *testing.T) {
 		t.Fatal(err)
 	}
 	cost := &CostResult{
-		StreamLagMean: time.Duration(gs.W.Orch.Server.Lag("PACE").Mean() * float64(time.Second)),
-		DiskLagMean:   time.Duration(xgc.W.Orch.Server.Lag("NSTEPS").Mean() * float64(time.Second)),
+		StreamLagMean: gs.W.Orch.Trace.SensorLagMean("PACE"),
+		DiskLagMean:   xgc.W.Orch.Trace.SensorLagMean("NSTEPS"),
 		StopShare:     gs.W.Orch.Executor.StopShare(),
 		MeanPlanTime:  100 * time.Millisecond,
 	}

@@ -335,39 +335,18 @@ type Welford struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds v into the accumulator.
 func (a *Welford) Add(v float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = v, v
-	} else {
-		if v < a.min {
-			a.min = v
-		}
-		if v > a.max {
-			a.max = v
-		}
-	}
 	d := v - a.mean
 	a.mean += d / float64(a.n)
 	a.m2 += d * (v - a.mean)
 }
 
-// N returns the number of samples added.
-func (a *Welford) N() int { return a.n }
-
 // Mean returns the running mean (0 with no samples).
 func (a *Welford) Mean() float64 { return a.mean }
-
-// Min returns the smallest sample (0 with no samples).
-func (a *Welford) Min() float64 { return a.min }
-
-// Max returns the largest sample (0 with no samples).
-func (a *Welford) Max() float64 { return a.max }
 
 // StdDev returns the population standard deviation (0 with < 2 samples).
 func (a *Welford) StdDev() float64 {
@@ -375,23 +354,4 @@ func (a *Welford) StdDev() float64 {
 		return 0
 	}
 	return math.Sqrt(a.m2 / float64(a.n))
-}
-
-// WelfordState is the accumulator's checkpointable state.
-type WelfordState struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-}
-
-// State exports the accumulator for checkpointing.
-func (a *Welford) State() WelfordState {
-	return WelfordState{N: a.n, Mean: a.mean, M2: a.m2, Min: a.min, Max: a.max}
-}
-
-// RestoreWelford rebuilds an accumulator from exported state.
-func RestoreWelford(st WelfordState) *Welford {
-	return &Welford{n: st.N, mean: st.Mean, m2: st.M2, min: st.Min, max: st.Max}
 }

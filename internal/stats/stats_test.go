@@ -145,7 +145,7 @@ func TestWindowMatchesNaive(t *testing.T) {
 	}
 }
 
-// Property: Welford matches naive mean/min/max/stddev.
+// Property: Welford matches naive mean/stddev.
 func TestWelfordMatchesNaive(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {
@@ -159,11 +159,8 @@ func TestWelfordMatchesNaive(t *testing.T) {
 			vals = append(vals, v)
 		}
 		mean, _ := Reduce(OpAvg, vals)
-		min, _ := Reduce(OpMin, vals)
-		max, _ := Reduce(OpMax, vals)
 		sd, _ := Reduce(OpStdDev, vals)
 		return almostEqTol(a.Mean(), mean, 1e-6) &&
-			a.Min() == min && a.Max() == max &&
 			(len(vals) < 2 || almostEqTol(a.StdDev(), sd, 1e-6))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

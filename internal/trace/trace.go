@@ -442,6 +442,18 @@ func (r *Recorder) SensorLagQuantile(sensorID string, q float64) sim.Time {
 	return secondsToDuration(h.Quantile(q))
 }
 
+// SensorLagMean returns the mean of a sensor's recorded detection lags (0
+// with no samples) — the §4.6 cost table's lag.
+func (r *Recorder) SensorLagMean(sensorID string) sim.Time {
+	r.mu.Lock()
+	h, ok := r.sensorLags[sensorID]
+	r.mu.Unlock()
+	if !ok {
+		return 0 // no detection yet
+	}
+	return secondsToDuration(h.Mean())
+}
+
 // OpExecuted records one actuation operation's execution latency.
 func (r *Recorder) OpExecuted(kind string, started, ended sim.Time) {
 	r.mu.Lock()
