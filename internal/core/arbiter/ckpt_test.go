@@ -81,7 +81,7 @@ func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 		}
 		snap := r.eng.Snapshot()
 		r.eng.Stop()
-		eng2 := New(r.s, r.bus, "arbiter", r.cfg, r.rules, r.view, r.exec, r.tr) // the orchestrator's recorder outlives the engine
+		eng2 := New(r.s, r.s.Spawn, r.bus, "arbiter", r.cfg, r.rules, r.view, r.exec, r.tr) // the orchestrator's recorder outlives the engine
 		eng2.Restore(snap)
 		eng2.Start()
 		r.eng = eng2
@@ -119,7 +119,7 @@ func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 	if st := r.view.tasks["W"]["A"]; !st.Running {
 		t.Fatal("A still stranded: the restored engine never honored the recovery entry")
 	}
-	if w := r.eng.Waiting("W"); len(w) != 0 {
+	if w := r.eng.waiting["W"]; len(w) != 0 {
 		t.Fatalf("waiting = %+v, want the recovery entry consumed", w)
 	}
 }

@@ -167,13 +167,16 @@ type Engine struct {
 }
 
 // New creates the Arbitration engine reading suggestion batches from its
-// endpoint. It stamps suggestion spans and stage counters on tr.
-func New(s *sim.Sim, bus *msg.Bus, name string, cfg Config, rules map[string]*spec.WorkflowRules, view View, exec Executor, tr *trace.Recorder) *Engine {
+// endpoint; spawn starts its process (the orchestrator's supervisor hands
+// in a panic-guarded spawner). It stamps suggestion spans and stage
+// counters on tr.
+func New(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, bus *msg.Bus, name string, cfg Config, rules map[string]*spec.WorkflowRules, view View, exec Executor, tr *trace.Recorder) *Engine {
 	if rules == nil {
 		rules = map[string]*spec.WorkflowRules{}
 	}
 	return &Engine{
 		s:       s,
+		spawn:   spawn,
 		ep:      bus.Endpoint(name),
 		cfg:     cfg,
 		view:    view,
@@ -185,21 +188,12 @@ func New(s *sim.Sim, bus *msg.Bus, name string, cfg Config, rules map[string]*sp
 	}
 }
 
-// SetSpawner overrides how the engine spawns its process (the supervisor
-// injects a panic-guarded spawner here). Call before Start.
-func (e *Engine) SetSpawner(spawn func(name string, fn func(*sim.Proc)) *sim.Proc) {
-	e.spawn = spawn
-}
-
 // Busy reports whether a round is in flight (gathering or executing a
 // plan). Checkpoints are only coherent while not busy.
 func (e *Engine) Busy() bool { return e.busy }
 
 // Records returns all executed arbitration rounds so far.
 func (e *Engine) Records() []Record { return e.records }
-
-// Waiting returns the current T_waiting queue for a workflow.
-func (e *Engine) Waiting(workflow string) []WaitingTask { return e.waiting[workflow] }
 
 // EnqueueWaiting seeds T_waiting (e.g. a task composed to wait for
 // resources initially).
@@ -217,11 +211,7 @@ func (e *Engine) Start() {
 		e.started = true
 	}
 	e.busy = false
-	if e.spawn != nil {
-		e.proc = e.spawn("arbiter", e.run)
-	} else {
-		e.proc = e.s.Spawn("arbiter", e.run)
-	}
+	e.proc = e.spawn("arbiter", e.run)
 }
 
 // Stop interrupts the engine process.

@@ -97,7 +97,7 @@ func newEngineRig(t *testing.T, cfg Config) *engineRig {
 		"V": {Workflow: "V", TaskPriorities: map[string]int{"X": 0}},
 	}
 	tr := trace.New(obs.NewRegistry())
-	eng := New(s, bus, "arbiter", cfg, rules, view, exec, tr)
+	eng := New(s, s.Spawn, bus, "arbiter", cfg, rules, view, exec, tr)
 	eng.Start()
 	return &engineRig{s: s, bus: bus, dec: dec, view: view, exec: exec, eng: eng, tr: tr, cfg: cfg, rules: rules}
 }
@@ -240,7 +240,7 @@ func TestEngineStaleSuggestionScreened(t *testing.T) {
 func TestEngineSeededWaitingStartsOnPlanSurplus(t *testing.T) {
 	r := newEngineRig(t, Config{WarmupDelay: time.Second, SettleDelay: time.Minute, GatherWindow: time.Second})
 	r.eng.EnqueueWaiting(WaitingTask{Workflow: "W", Task: "B", Procs: 8})
-	if got := r.eng.Waiting("W"); len(got) != 1 {
+	if got := r.eng.waiting["W"]; len(got) != 1 {
 		t.Fatalf("waiting = %v", got)
 	}
 	// Stopping A frees 10 cores; B (8) starts from the plan's surplus.
@@ -261,7 +261,7 @@ func TestEngineSeededWaitingStartsOnPlanSurplus(t *testing.T) {
 	if !startsB {
 		t.Fatalf("plan = %v, want waiting B started", r.exec.plans[0].Ops)
 	}
-	if got := r.eng.Waiting("W"); len(got) != 0 {
+	if got := r.eng.waiting["W"]; len(got) != 0 {
 		t.Fatalf("waiting after start = %v", got)
 	}
 }
@@ -367,7 +367,7 @@ func TestEmptyPlanRoundRecordedAndWaitingResolved(t *testing.T) {
 	if sp, _ := r.tr.Span(sg.Seq); sp.Dropped != "empty-plan" || sp.ReceivedAt == 0 || sp.PlannedAt != 0 || sp.ExecutedAt != 0 {
 		t.Fatalf("span = %+v, want received and then dropped as empty-plan", sp)
 	}
-	if w := r.eng.Waiting("W"); len(w) != 0 {
+	if w := r.eng.waiting["W"]; len(w) != 0 {
 		t.Fatalf("waiting = %+v, want the stale entry resolved on the empty round", w)
 	}
 }
@@ -461,7 +461,7 @@ func TestEngineRequeuesUnappliedStartsAndRecoversNextRound(t *testing.T) {
 	if st := r.view.tasks["W"]["A"]; !st.Running {
 		t.Fatal("A still stranded after the recovery round")
 	}
-	if w := r.eng.Waiting("W"); len(w) != 0 {
+	if w := r.eng.waiting["W"]; len(w) != 0 {
 		t.Fatalf("waiting = %+v, want recovery entry consumed", w)
 	}
 	if got := tr.Counter("arbiter.discarded_batches"); got != 1 {
@@ -487,7 +487,7 @@ func TestEngineRequeueDedupesWaiting(t *testing.T) {
 	if err := r.s.Run(2 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if w := r.eng.Waiting("W"); len(w) != 1 || w[0].Task != "B" || !w[0].Recovery {
+	if w := r.eng.waiting["W"]; len(w) != 1 || w[0].Task != "B" || !w[0].Recovery {
 		t.Fatalf("waiting = %+v, want exactly one recovery entry for B", w)
 	}
 }

@@ -282,7 +282,7 @@ func runRounds(t *testing.T, sc roundScenario, arbitrate func(*Engine, *sim.Proc
 	rules["W"].Deps = []spec.TaskDep{{Task: "C", Parent: "B", Type: spec.DepTight}}
 	cfg := Config{PlanCost: 100 * time.Millisecond, SettleDelay: time.Minute, FailureCooldown: 10 * time.Second}
 	tr := trace.New(obs.NewRegistry())
-	eng := New(s, msg.NewBus(s), "arbiter", cfg, rules, view, exec, tr)
+	eng := New(s, s.Spawn, msg.NewBus(s), "arbiter", cfg, rules, view, exec, tr)
 	for _, w := range sc.waiting {
 		eng.EnqueueWaiting(w)
 	}
@@ -311,7 +311,7 @@ func runRounds(t *testing.T, sc roundScenario, arbitrate func(*Engine, *sim.Proc
 	}
 	out.Records = eng.Records()
 	for wf := range roundWorkflows {
-		out.Waiting[wf] = eng.Waiting(wf)
+		out.Waiting[wf] = eng.waiting[wf]
 	}
 	out.Spans = tr.Spans()
 	for _, c := range []string{"arbiter.stale_suggestions", "arbiter.empty_rounds", "arbiter.rounds", "arbiter.failed_rounds", "arbiter.requeued_tasks"} {

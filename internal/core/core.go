@@ -94,8 +94,12 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orches
 	bus.OnDepth = o.Trace.QueueDepth
 	bus.Encode, bus.Decode = encodePayload, decodePayload
 
+	// Stage supervision: every stage process runs panic-guarded so a stage
+	// crash is absorbed and restarted instead of failing the simulation.
+	o.Supervisor = newSupervisor(o)
+
 	// Monitor: server plus sharded clients.
-	o.Server = sensor.NewServer(env.Sim, bus, EndpointMonitorServer, EndpointDecision, cfg, o.Trace)
+	o.Server = sensor.NewServer(env.Sim, o.Supervisor.spawner(StageMonitorServer), bus, EndpointMonitorServer, EndpointDecision, cfg, o.Trace)
 	workload := &savannaWorkload{sv: sv}
 	for i := 0; i < opts.MonitorClients; i++ {
 		var shard []spec.MonitorTarget
@@ -105,30 +109,19 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orches
 			}
 		}
 		name := fmt.Sprintf("monitor-client-%d", i)
-		cl := sensor.NewClient(name, env, bus, EndpointMonitorServer, cfg, shard, workload, opts.Metrics)
-		cl.SetSelfSource(&selfSource{o: o})
-		o.Clients = append(o.Clients, cl)
+		o.Clients = append(o.Clients, sensor.NewClient(name, env, bus, EndpointMonitorServer, cfg, shard, workload,
+			&selfSource{o: o}, o.Supervisor.spawner(StageMonitorClient), opts.Metrics))
 	}
 
 	// Decision.
-	o.Decision = decision.New(env.Sim, bus, EndpointDecision, EndpointArbiter, cfg, o.Trace)
+	o.Decision = decision.New(env.Sim, o.Supervisor.spawner(StageDecision), bus, EndpointDecision, EndpointArbiter, cfg, o.Trace)
 
 	// Actuation: the Savanna plugin.
 	o.Executor = actuate.NewExecutor(&actuate.SavannaPlugin{SV: sv}, o.Trace)
 
 	// Arbitration.
 	view := &savannaView{sv: sv}
-	o.Arbiter = arbiter.New(env.Sim, bus, EndpointArbiter, opts.Arbiter, cfg.Rules, view, o.Executor, o.Trace)
-
-	// Stage supervision: every stage process runs panic-guarded so a stage
-	// crash is absorbed and restarted instead of failing the simulation.
-	o.Supervisor = newSupervisor(o)
-	o.Server.SetSpawner(o.Supervisor.spawner(StageMonitorServer))
-	for _, cl := range o.Clients {
-		cl.SetSpawner(o.Supervisor.spawner(StageMonitorClient))
-	}
-	o.Decision.SetSpawner(o.Supervisor.spawner(StageDecision))
-	o.Arbiter.SetSpawner(o.Supervisor.spawner(StageArbiter))
+	o.Arbiter = arbiter.New(env.Sim, o.Supervisor.spawner(StageArbiter), bus, EndpointArbiter, opts.Arbiter, cfg.Rules, view, o.Executor, o.Trace)
 
 	// Keep Decision consistent with runtime changes: a (re)started task's
 	// stale history must not immediately re-trigger policies. Detached

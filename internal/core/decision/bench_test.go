@@ -66,11 +66,11 @@ func BenchmarkMonitorRepoll(b *testing.B) {
 	bus.Endpoint("arbiter")
 	reg := obs.NewRegistry()
 	tr := trace.New(reg)
-	server := sensor.NewServer(s, bus, "monitor-server", "decision", cfg, tr)
+	server := sensor.NewServer(s, s.Spawn, bus, "monitor-server", "decision", cfg, tr)
 	server.Start()
-	e := New(s, bus, "decision", "arbiter", cfg, tr)
+	e := New(s, s.Spawn, bus, "decision", "arbiter", cfg, tr)
 	e.Start()
-	client := sensor.NewClient("client0", &task.Env{Sim: s, FS: fs}, bus, "monitor-server", cfg, cfg.Targets, idleWorkload{}, reg)
+	client := sensor.NewClient("client0", &task.Env{Sim: s, FS: fs}, bus, "monitor-server", cfg, cfg.Targets, idleWorkload{}, nil, s.Spawn, reg)
 	client.Start()
 	period := sensor.PollInterval + sensor.DiskRead
 	if err := s.Run(5 * period); err != nil {

@@ -201,13 +201,16 @@ type Engine struct {
 }
 
 // New creates the Decision engine reading metrics from its endpoint and
-// sending suggestion batches to the out endpoint (the Arbitration stage).
+// sending suggestion batches to the out endpoint (the Arbitration stage);
+// spawn starts its processes (the orchestrator's supervisor hands in a
+// panic-guarded spawner).
 // Every suggestion it emits opens a lifecycle span on tr, which also owns
 // the stage's counters: decision.evaluations, decision.suggestions and
 // decision.metrics_ingested.
-func New(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config, tr *trace.Recorder) *Engine {
+func New(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, bus *msg.Bus, name, out string, cfg *spec.Config, tr *trace.Recorder) *Engine {
 	e := &Engine{
 		s:      s,
+		spawn:  spawn,
 		ep:     bus.Endpoint(name),
 		out:    out,
 		cfg:    cfg,
@@ -225,23 +228,10 @@ func New(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config, tr *trace
 	return e
 }
 
-// SetSpawner overrides how the engine spawns its processes (the supervisor
-// injects a panic-guarded spawner here). Call before Start.
-func (e *Engine) SetSpawner(spawn func(name string, fn func(*sim.Proc)) *sim.Proc) {
-	e.spawn = spawn
-}
-
-func (e *Engine) spawnProc(name string, fn func(*sim.Proc)) *sim.Proc {
-	if e.spawn != nil {
-		return e.spawn(name, fn)
-	}
-	return e.s.Spawn(name, fn)
-}
-
 // Start spawns the engine processes.
 func (e *Engine) Start() {
-	e.recvProc = e.spawnProc("decision-recv", e.run)
-	e.evalProc = e.spawnProc("decision-eval", e.evalLoop)
+	e.recvProc = e.spawn("decision-recv", e.run)
+	e.evalProc = e.spawn("decision-eval", e.evalLoop)
 }
 
 // Stop interrupts the engine processes.

@@ -81,7 +81,7 @@ func newEngine(t *testing.T) (*sim.Sim, *Engine) {
 	s := sim.New(1)
 	bus := msg.NewBus(s)
 	bus.Endpoint("arbiter")
-	return s, New(s, bus, "decision", "arbiter", cfg, trace.New(obs.NewRegistry()))
+	return s, New(s, s.Spawn, bus, "decision", "arbiter", cfg, trace.New(obs.NewRegistry()))
 }
 
 // filterPolicy keeps only one policy's suggestions (other bindings may
@@ -238,7 +238,7 @@ func TestEndToEndOverBus(t *testing.T) {
 	bus := msg.NewBus(s)
 	arb := bus.Endpoint("arbiter")
 	tr := trace.New(obs.NewRegistry())
-	e := New(s, bus, "decision", "arbiter", cfg, tr)
+	e := New(s, s.Spawn, bus, "decision", "arbiter", cfg, tr)
 	e.Start()
 
 	mon := bus.Endpoint("monitor-server")
@@ -309,7 +309,7 @@ func TestPredictiveSlopePolicy(t *testing.T) {
 	s := sim.New(1)
 	bus := msg.NewBus(s)
 	bus.Endpoint("arbiter")
-	e := New(s, bus, "decision", "arbiter", cfg, trace.New(obs.NewRegistry()))
+	e := New(s, s.Spawn, bus, "decision", "arbiter", cfg, trace.New(obs.NewRegistry()))
 
 	feed := func(v float64) []Suggestion {
 		e.Ingest(metric("W", "Sim", "MEM", spec.GranTask, v, s.Now()))
@@ -386,7 +386,7 @@ func TestNodeTaskGranularityBinding(t *testing.T) {
 	s := sim.New(1)
 	bus := msg.NewBus(s)
 	bus.Endpoint("arbiter")
-	e := New(s, bus, "decision", "arbiter", cfg, trace.New(obs.NewRegistry()))
+	e := New(s, s.Spawn, bus, "decision", "arbiter", cfg, trace.New(obs.NewRegistry()))
 
 	mk := func(node string, v float64) sensor.Metric {
 		k := sensor.Key{Workflow: "W", Task: "Sim", Sensor: "MEM", Granularity: spec.GranNodeTask, Node: node}

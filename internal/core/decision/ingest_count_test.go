@@ -26,7 +26,7 @@ func TestMetricsIngestedCountsMetrics(t *testing.T) {
 	bus.Endpoint("arbiter")
 	reg := obs.NewRegistry()
 	tr := trace.New(reg)
-	e := New(s, bus, "decision", "arbiter", cfg, tr)
+	e := New(s, s.Spawn, bus, "decision", "arbiter", cfg, tr)
 
 	good := metric("GS", "Iso", "PACE", spec.GranTask, 30, 0).ToMsg()
 	// An envelope restored from a checkpoint is ingested as a live one.

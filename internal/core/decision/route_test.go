@@ -100,7 +100,7 @@ func TestFiringRoundAllocatesOnlyItsBatch(t *testing.T) {
 	bus := msg.NewBus(s)
 	in := bus.Endpoint("arbiter")
 	tr := trace.New(obs.NewRegistry())
-	e := New(s, bus, "decision", "arbiter", cfg, tr)
+	e := New(s, s.Spawn, bus, "decision", "arbiter", cfg, tr)
 	var buf []msg.Envelope
 	var got []Suggestion
 	s.Spawn("arbiter", func(p *sim.Proc) {

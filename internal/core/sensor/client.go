@@ -151,16 +151,13 @@ type shipment struct {
 	nan, inf int64
 }
 
-// SetSelfSource attaches the orchestrator self-metric resolver used by
-// dyflow-source sensors. Call before Start; without one those sensors stay
-// inert.
-func (c *Client) SetSelfSource(src SelfSource) { c.self = src }
-
 // NewClient creates a monitor client named name, shipping updates to the
-// server endpoint, executing the given targets. Invalid (NaN/±Inf) sensor
-// readings are counted in reg's dyflow_sensor_dropped_samples_total by
-// reason.
-func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spec.Config, targets []spec.MonitorTarget, workload Workload, reg *obs.Registry) *Client {
+// server endpoint, executing the given targets. self resolves the
+// dyflow-source sensors' orchestrator metrics, and spawn starts the worker
+// processes (the orchestrator's supervisor hands in a panic-guarded
+// spawner). Invalid (NaN/±Inf) sensor readings are counted in reg's
+// dyflow_sensor_dropped_samples_total by reason.
+func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spec.Config, targets []spec.MonitorTarget, workload Workload, self SelfSource, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, reg *obs.Registry) *Client {
 	return &Client{
 		name:     name,
 		env:      env,
@@ -169,23 +166,12 @@ func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spe
 		cfg:      cfg,
 		targets:  targets,
 		workload: workload,
+		self:     self,
+		spawn:    spawn,
 		scans:    make(map[scanKey]*diskScan),
 		mDropped: reg.Counter("dyflow_sensor_dropped_samples_total",
 			"Sensor readings discarded before metric formulation.", "reason"),
 	}
-}
-
-// SetSpawner overrides how the client spawns worker processes (the
-// supervisor injects a panic-guarded spawner here). Call before Start.
-func (c *Client) SetSpawner(spawn func(name string, fn func(*sim.Proc)) *sim.Proc) {
-	c.spawn = spawn
-}
-
-func (c *Client) spawnProc(name string, fn func(*sim.Proc)) *sim.Proc {
-	if c.spawn != nil {
-		return c.spawn(name, fn)
-	}
-	return c.env.Sim.Spawn(name, fn)
 }
 
 // Start spawns one worker process per (target, sensor-use) binding. Start
@@ -221,7 +207,7 @@ func (c *Client) Start() {
 			default:
 				continue
 			}
-			c.procs = append(c.procs, c.spawnProc(pname, body))
+			c.procs = append(c.procs, c.spawn(pname, body))
 		}
 	}
 }
@@ -424,7 +410,7 @@ func (c *Client) shipPending(st *WorkerState, tg spec.MonitorTarget, def *spec.S
 // data of interest, so there is no detection lag to model — which also
 // means the Monitor server counts every poll as a fresh detection.
 func (c *Client) selfWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef, st *WorkerState) {
-	if c.self == nil || use.Info == "" {
+	if use.Info == "" {
 		return
 	}
 	for {

@@ -42,7 +42,7 @@ func newRig(t *testing.T, cfg *spec.Config) *rig {
 	bus := msg.NewBus(s)
 	dec := bus.Endpoint("decision")
 	tr := trace.New(reg)
-	server := NewServer(s, bus, "monitor-server", "decision", cfg, tr)
+	server := NewServer(s, s.Spawn, bus, "monitor-server", "decision", cfg, tr)
 	server.Start()
 	wl := &fakeWorkload{placements: map[string]task.Placement{}, running: map[string]bool{}}
 	return &rig{s: s, env: env, bus: bus, server: server, tr: tr, reg: reg, dec: dec, wl: wl}
@@ -110,7 +110,7 @@ func TestTAUStreamSensorPipeline(t *testing.T) {
 	r.wl.placements["GS/Iso"] = task.Placement{"node000": 2, "node001": 2}
 	r.wl.running["GS/Iso"] = true
 
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	// Emit two profile records on the TAU stream.
@@ -193,7 +193,7 @@ func TestDiskScanAndWorkflowDerivation(t *testing.T) {
 	r.wl.placements["FUSION/XGC1"] = task.Placement{"node000": 2}
 	r.wl.placements["FUSION/XGCA"] = task.Placement{"node001": 2}
 
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	// XGC1 writes outputs for steps 100, 200; XGCa for step 300.
@@ -264,7 +264,7 @@ func TestErrorStatusSensor(t *testing.T) {
 	r := newRig(t, cfg)
 	r.wl.placements["MD/LAMMPS"] = task.Placement{"node000": 4}
 
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	// The scheduler writes the failure exit code at t=5s.
@@ -328,7 +328,7 @@ func TestJoinComputesDerivedMetric(t *testing.T) {
 	r.wl.placements["W/T"] = task.Placement{"node000": 1}
 	r.wl.running["W/T"] = true
 
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	perf := r.env.Streams.Open("perf.T")
@@ -387,7 +387,7 @@ func TestPreprocessDistillsArray(t *testing.T) {
 	r := newRig(t, cfg)
 	r.wl.placements["W/T"] = task.Placement{"node000": 4}
 	r.wl.running["W/T"] = true
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	st := r.env.Streams.Open("mem.T")
@@ -443,7 +443,7 @@ func TestClientReattachesAfterStreamRestart(t *testing.T) {
 	r := newRig(t, cfg)
 	r.wl.placements["GS/Iso"] = task.Placement{"node000": 1}
 	r.wl.running["GS/Iso"] = true
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	r.s.Spawn("emitter", func(p *sim.Proc) {
@@ -515,7 +515,7 @@ func TestNodeWorkflowDerivation(t *testing.T) {
 	r.wl.placements["W/B"] = task.Placement{"node000": 2}
 	r.wl.running["W/A"] = true
 	r.wl.running["W/B"] = true
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	sa := r.env.Streams.Open("tau.A")
@@ -585,7 +585,7 @@ func TestJoinAtWorkflowGranularity(t *testing.T) {
   </decision>
 </dyflow>`)
 	r := newRig(t, cfg)
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	r.env.FS.Write("out/a.100", fsim.Var{Name: "step", Value: 100})
@@ -639,7 +639,7 @@ func TestFileSourceSensor(t *testing.T) {
 </dyflow>`)
 	r := newRig(t, cfg)
 	r.wl.placements["W/Sim"] = task.Placement{"node000": 2}
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	r.s.At(2*time.Second, func() { r.env.FS.WriteVar("progress/sim", "step", 42) })
@@ -684,7 +684,7 @@ func TestDBSourceSensor(t *testing.T) {
 	r := newRig(t, cfg)
 	r.env.DB = db.New(r.s)
 	r.wl.placements["W/Sim"] = task.Placement{"node000": 2}
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	r.s.At(2*time.Second, func() { r.env.DB.Put("pace/sim", 3, 12.5) })

@@ -73,15 +73,18 @@ type group struct {
 }
 
 // NewServer creates the Monitor server reading from its own endpoint and
-// forwarding metric batches to the out endpoint. It records stage
+// forwarding metric batches to the out endpoint; spawn starts its process
+// (the orchestrator's supervisor hands in a panic-guarded spawner). It
+// records stage
 // counters and per-sensor lag samples on tr, the counters' only owner:
 // monitor.forwarded counts fresh detections (metrics carrying a new
 // generation time), monitor.repolled the stale re-polls of unchanged data
 // that still travel on the wire, and monitor.dropped_batches the batches
 // the out-of-order filter discarded.
-func NewServer(s *sim.Sim, bus *msg.Bus, name, out string, cfg *spec.Config, tr *trace.Recorder) *Server {
+func NewServer(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, bus *msg.Bus, name, out string, cfg *spec.Config, tr *trace.Recorder) *Server {
 	return &Server{
 		env:    s,
+		spawn:  spawn,
 		ep:     bus.Endpoint(name),
 		out:    out,
 		cfg:    cfg,
@@ -108,19 +111,9 @@ func (sv *Server) Latest(k Key) (Metric, bool) {
 	return Metric{}, false
 }
 
-// SetSpawner overrides how the server spawns its process (the supervisor
-// injects a panic-guarded spawner here). Call before Start.
-func (sv *Server) SetSpawner(spawn func(name string, fn func(*sim.Proc)) *sim.Proc) {
-	sv.spawn = spawn
-}
-
 // Start spawns the server process.
 func (sv *Server) Start() {
-	if sv.spawn != nil {
-		sv.proc = sv.spawn("monitor-server", sv.run)
-	} else {
-		sv.proc = sv.env.Spawn("monitor-server", sv.run)
-	}
+	sv.proc = sv.spawn("monitor-server", sv.run)
 }
 
 // Stop interrupts the server process.

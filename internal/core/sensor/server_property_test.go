@@ -359,7 +359,7 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 		// The recorder outlives the server swap below, as the
 		// orchestrator's does: the counters are its.
 		tr := trace.New(obs.NewRegistry())
-		sv := NewServer(s, bus, "monitor-server", "decision", cfg, tr)
+		sv := NewServer(s, s.Spawn, bus, "monitor-server", "decision", cfg, tr)
 		var got []Metric
 		sv.OnForward(func(ms []Metric) { got = append(got, ms...) })
 		ref := newRefServer(cfg)
@@ -388,7 +388,7 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 				if err := json.Unmarshal(before, &snap); err != nil {
 					t.Fatal(err)
 				}
-				sv = NewServer(s, bus, "monitor-server", "decision", cfg, tr)
+				sv = NewServer(s, s.Spawn, bus, "monitor-server", "decision", cfg, tr)
 				sv.OnForward(func(ms []Metric) { got = append(got, ms...) })
 				sv.Restore(snap)
 				if after, _ := json.Marshal(sv.Snapshot()); string(after) != string(before) {
@@ -504,7 +504,7 @@ func TestStaleForwardAllocatesNothing(t *testing.T) {
 			buf = batch
 		}
 	})
-	sv := NewServer(s, bus, "monitor-server", "decision", cfg, trace.New(obs.NewRegistry()))
+	sv := NewServer(s, s.Spawn, bus, "monitor-server", "decision", cfg, trace.New(obs.NewRegistry()))
 	batch := Batch{Client: "client0", Updates: []Update{{
 		Series: &Series{Key: Key{Workflow: "FUSION", Task: "XGC1", Sensor: "NSTEPS", Granularity: spec.GranTask}},
 		Value:  374, Step: 374, GeneratedAt: time.Second,
@@ -580,7 +580,7 @@ func TestChangedForwardAllocatesOnlyItsList(t *testing.T) {
 				buf = batch
 			}
 		})
-		sv := NewServer(s, bus, "monitor-server", "decision", cfg, trace.New(obs.NewRegistry()))
+		sv := NewServer(s, s.Spawn, bus, "monitor-server", "decision", cfg, trace.New(obs.NewRegistry()))
 		batch := Batch{Client: "client0", Updates: []Update{{Series: &Series{Key: k}}}}
 		forward := func() {
 			u := &batch.Updates[0]

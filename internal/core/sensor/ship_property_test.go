@@ -204,7 +204,7 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 	reg := obs.NewRegistry()
 	wl := &fakeWorkload{placements: map[string]task.Placement{}, running: map[string]bool{}}
 	newClient := func() *Client {
-		return NewClient("mc", env, bus, "monitor-server", cfg, cfg.Targets, wl, reg)
+		return NewClient("mc", env, bus, "monitor-server", cfg, cfg.Targets, wl, nil, env.Sim.Spawn, reg)
 	}
 	c := newClient()
 	c.Start()

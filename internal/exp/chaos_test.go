@@ -154,7 +154,7 @@ func newChaosBench(t *testing.T, nodes int) *chaosBench {
 
 	tr := trace.New(w.Metrics)
 	ex := actuate.NewExecutor(&actuate.SavannaPlugin{SV: w.SV}, tr)
-	eng := arbiter.New(w.Sim, msg.NewBus(w.Sim), "arbiter", arbiter.Config{
+	eng := arbiter.New(w.Sim, w.Sim.Spawn, msg.NewBus(w.Sim), "arbiter", arbiter.Config{
 		PlanCost:        100 * time.Millisecond,
 		FailureCooldown: 20 * time.Second,
 	}, nil, core.NewArbiterView(w.SV), ex, tr)
@@ -185,6 +185,17 @@ func restartB(now sim.Time) []decision.Suggestion {
 // the never-started C), so a round picks up only the recovery queue.
 func noop(now sim.Time) []decision.Suggestion {
 	return []decision.Suggestion{{Rule: decision.NewRule("CH", "P", "STOP", "C", []string{"C"}, nil), DecidedAt: int64(now)}}
+}
+
+// waitingOf is an arbiter's T_waiting queue for workflow, read off its
+// snapshot.
+func waitingOf(eng *arbiter.Engine, workflow string) []arbiter.WaitingTask {
+	for _, ws := range eng.Snapshot().Waiting {
+		if ws.Workflow == workflow {
+			return ws.Tasks
+		}
+	}
+	return nil
 }
 
 // TestChaosMidScriptNodeDeathRetriesOntoSpareNode: the node carrying B's
@@ -246,7 +257,7 @@ func TestChaosMidPlanNodeDeathRequeuesAndConverges(t *testing.T) {
 		if recs[0].AppliedOps != 1 || recs[0].AbortedOps != 1 {
 			t.Errorf("ops accounting = %+v, want stop applied, start aborted", recs[0])
 		}
-		if wt := b.eng.Waiting("CH"); len(wt) != 1 || wt[0].Task != "B" || !wt[0].Recovery {
+		if wt := waitingOf(b.eng, "CH"); len(wt) != 1 || wt[0].Task != "B" || !wt[0].Recovery {
 			t.Errorf("waiting = %+v, want B requeued for recovery", wt)
 		}
 		// B is stranded until capacity returns; heal the node, then run a
@@ -274,7 +285,7 @@ func TestChaosMidPlanNodeDeathRequeuesAndConverges(t *testing.T) {
 	if got := b.tr.Counter("actuate.retries"); got < 1 {
 		t.Fatalf("actuate.retries = %d, want >= 1", got)
 	}
-	if wt := b.eng.Waiting("CH"); len(wt) != 0 {
+	if wt := waitingOf(b.eng, "CH"); len(wt) != 0 {
 		t.Fatalf("waiting = %+v, want drained", wt)
 	}
 	if leaked := LeakedOwners(b.w); len(leaked) != 0 {
