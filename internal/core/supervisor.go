@@ -105,7 +105,6 @@ func (s *Supervisor) scheduleRestart(stage, reason string) {
 	g.down = true
 	g.restarts++
 	s.restarts.With(stage, reason).Inc()
-	s.o.Trace.Inc("supervisor.restarts", 1)
 	s.o.env.Sim.After(delay, func() {
 		if s.stopped {
 			return
