@@ -11,31 +11,32 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// exportedForTests lists the exported functions and methods that may have
-// no caller outside _test.go files, as "dir.Func" or "dir.Recv.Method" with
+// exportedForTests lists the functions and methods that no program in the
+// repository reaches and that stay, as "dir.Func" or "dir.Recv.Method" with
 // dir relative to the module root, each with the reason it stays.
 var exportedForTests = map[string]string{
-	// Exempt: test drivers that feed a production code path, and the
-	// kernel counts the goldens pin.
+	// Exempt: test drivers that feed a production code path.
 	"internal/core/arbiter.Engine.Arbitrate":      "runs one round on the production path without the engine process",
 	"internal/core/arbiter.Engine.EnqueueWaiting": "seeds T_waiting the way a composed waiting task would",
 	"internal/core/arbiter.BuildPlan":             "runs the engine's planner code on a fresh planner, one plan at a time",
 	"internal/core.NewArbiterView":                "builds the orchestrator's arbiter view over a bare WMS",
 	"internal/msg.UniformJitterLatency":           "feeds seeded jitter into the bus's delivery path",
-	"internal/sim.Sim.Dispatched":                 "the goldens pin the kernel's event count",
-	"internal/sim.Sim.Handoffs":                   "the goldens pin the kernel's goroutine handoffs",
 	"internal/sim.Sim.RunUntilIdle":               "steps the kernel's event loop until no event is left; the run loops step to a horizon with Run",
 
-	// Kept for now: deleting each takes a whole test with it.
-	"internal/fsim.FS.Glob":                 "TestProperty_WorldClose_IsInert's view of the filesystem",
-	"internal/stream.Registry.Names":        "TestProperty_WorldClose_IsInert's view of the staging streams",
-	"internal/fsim.FS.RemoveGlob":           "TestRemoveGlob",
-	"internal/trace.Span.Monotone":          "TestMonotoneDetectsRegression",
+	// The paper's signal and release low-level operations (§3.4), which
+	// no shipped plugin issues yet.
 	"internal/wms.Savanna.SignalTask":       "TestSignalTask",
 	"internal/wms.Savanna.ReleaseResources": "resmgr.ReleaseNodes, TestReleaseNodesGuard and TestReleaseNodesRejectsForeignNode",
+
+	// Kept for now: deleting each takes a whole test with it.
+	"internal/fsim.FS.Glob":          "TestProperty_WorldClose_IsInert's view of the filesystem",
+	"internal/stream.Registry.Names": "TestProperty_WorldClose_IsInert's view of the staging streams",
+	"internal/fsim.FS.RemoveGlob":    "TestRemoveGlob",
+	"internal/trace.Span.Monotone":   "TestMonotoneDetectsRegression",
 }
 
 // exemptDirs and exemptFiles are exempt as a whole: the fault-injecting
@@ -62,74 +63,256 @@ var stdMethods = map[string]bool{
 	"Read": true, "Write": true, "Close": true,
 }
 
-// TestExportedFuncsHaveNonTestCallers keeps production code free of API
-// that only tests call. Every exported function or method declared in a
-// non-test file of the repository — bench/ and cmd/ included — must have
-// its name appear in some non-test file outside its own declaration: as a
-// call, a method value or an interface method. The scan goes by name, so
-// a method shares the callers of every other method of that name; it
-// still catches a name that nothing but a test uses.
-func TestExportedFuncsHaveNonTestCallers(t *testing.T) {
-	type decl struct {
-		key        string
-		start, end token.Pos
+// TestEveryFuncHasAProductionCaller keeps production code free of code
+// that only tests run: every function and method declared in a non-test
+// file of the repository — bench/, cmd/ and examples/ included — must be
+// reachable from a program's main or init, from the public facade in
+// exemptFiles, or from exportedForTests. The scan goes by type, so a
+// method is reached by a call or method value on its own receiver type,
+// not by any method that shares its name.
+func TestEveryFuncHasAProductionCaller(t *testing.T) {
+	m := checkSources(t)
+	found, stale := unreachableFuncs(m, exportedForTests)
+	for _, key := range sortedKeys(found) {
+		t.Errorf("no program reaches it: %s (%s)", key, m.fset.Position(found[key]))
 	}
+	for _, s := range stale {
+		t.Errorf("exportedForTests names %s", s)
+	}
+}
+
+// TestUnreachableFuncsCatchesPlants runs the reachability scan on planted
+// packages: what main reaches through a call, a method value, a var
+// initializer or an interface is live, and so are a String method and an
+// allow-listed seam; a func that only calls itself and a method that
+// only shares its name with a live one are found, and an allow-list entry
+// that is reached or undeclared is stale.
+func TestUnreachableFuncsCatchesPlants(t *testing.T) {
+	const lib = `package p
+type Runner interface{ Run() }
+type T struct{}
+func (T) M()             {}
+func (T) Run()           {}
+func (T) Bound()         {}
+func (T) String() string { return "t" }
+type U struct{}
+func (U) M() {}
+func (U) Run() {}
+var handlers = map[string]func(){"x": viaVar}
+func viaVar() {}
+func A(r Runner) { b(); r.Run(); f := T{}.Bound; f(); handlers["x"]() }
+func b()         { T{}.M() }
+func loop(n int) int { return loop(n - 1) }
+func Seam() {}`
+	const prog = `package main
+import "m/p"
+func main() { p.A(p.T{}) }`
 	fset := token.NewFileSet()
-	var decls []decl
-	uses := map[string][]token.Pos{} // identifier -> where it appears, declaration names excluded
-	walkSources(t, fset, parser.SkipObjectResolution, func(path, dir string, f *ast.File) {
-		declNames := map[*ast.Ident]bool{}
-		for _, fd := range f.Decls {
-			fn, ok := fd.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declNames[fn.Name] = true
-			if !fn.Name.IsExported() || exemptDirs[dir] || exemptFiles[path] {
-				continue
-			}
-			key := dir + "." + fn.Name.Name
-			if fn.Recv != nil {
-				if stdMethods[fn.Name.Name] {
-					continue
-				}
-				key = dir + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-			}
-			decls = append(decls, decl{key: key, start: fn.Pos(), end: fn.End()})
+	dirs := map[string][]*ast.File{}
+	for dir, src := range map[string]string{"p": lib, "cmd": prog} {
+		f, err := parser.ParseFile(fset, dir+".go", src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
-				uses[id.Name] = append(uses[id.Name], id.Pos())
+		dirs[dir] = []*ast.File{f}
+	}
+	m, err := checkModule(fset, "m", dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, stale := unreachableFuncs(m, map[string]string{"p.Seam": "a seam", "p.A": "reached", "p.Gone": "undeclared"})
+	if got, want := sortedKeys(found), []string{"p.U.M", "p.loop"}; !slices.Equal(got, want) {
+		t.Errorf("found %v, want %v", got, want)
+	}
+	if want := []string{"p.A, which a program reaches", "p.Gone, which is not declared"}; !slices.Equal(stale, want) {
+		t.Errorf("stale %v, want %v", stale, want)
+	}
+}
+
+// unreachableFuncs returns the functions and methods of m outside
+// exemptDirs that no root reaches, keyed as in exportedForTests with their
+// declarations, and the allow entries that are undeclared or reached
+// without being roots. A function, method or package-level var reaches
+// every object its declaration uses; the roots are every program's main
+// and init, the declarations in exemptFiles, the allow entries, a method
+// named in stdMethods and a method whose receiver implements a
+// module-declared interface that has it.
+func unreachableFuncs(m *moduleImporter, allow map[string]string) (map[string]token.Pos, []string) {
+	uses := func(n ast.Node) (out []types.Object) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				switch o := m.info.Uses[id].(type) {
+				case *types.Func:
+					out = append(out, o.Origin())
+				case *types.Var:
+					if o.Pkg() != nil && o.Parent() == o.Pkg().Scope() {
+						out = append(out, o)
+					}
+				}
 			}
 			return true
 		})
-	})
-
-	declared := map[string]bool{}
-	var unused []string
-	for _, d := range decls {
-		declared[d.key] = true
-		name := d.key[strings.LastIndex(d.key, ".")+1:]
-		used := false
-		for _, p := range uses[name] {
-			if p < d.start || p >= d.end {
-				used = true
-				break
+		return out
+	}
+	edges := map[types.Object][]types.Object{}
+	keys := map[string]*types.Func{}
+	var roots []types.Object
+	var methods []*types.Func
+	var ifaces []*types.Interface
+	for _, dir := range sortedKeys(m.dirs) {
+		for _, f := range m.dirs[dir] {
+			facade := exemptFiles[m.fset.File(f.Pos()).Name()]
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := m.info.Defs[d.Name].(*types.Func)
+					edges[fn] = uses(d)
+					if facade || d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && f.Name.Name == "main") {
+						roots = append(roots, fn)
+					}
+					if d.Recv != nil {
+						methods = append(methods, fn)
+					}
+					if !exemptDirs[dir] {
+						keys[funcKey(dir, fn)] = fn
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.ValueSpec:
+							used := uses(s)
+							for _, id := range s.Names {
+								if id.Name == "_" {
+									roots = append(roots, used...)
+									continue
+								}
+								v := m.info.Defs[id]
+								edges[v] = used
+								if facade {
+									roots = append(roots, v)
+								}
+							}
+						case *ast.TypeSpec:
+							if it, ok := m.info.Defs[s.Name].Type().Underlying().(*types.Interface); ok && it.IsMethodSet() {
+								ifaces = append(ifaces, it)
+							}
+						}
+					}
+				}
 			}
 		}
-		if !used && exportedForTests[d.key] == "" {
-			unused = append(unused, d.key+" ("+fset.Position(d.start).String()+")")
+	}
+	for _, fn := range methods {
+		if stdMethods[fn.Name()] || implementsWith(fn, ifaces) {
+			roots = append(roots, fn)
 		}
 	}
-	sort.Strings(unused)
-	for _, u := range unused {
-		t.Errorf("exported, but only tests call it: %s", u)
-	}
-	for key := range exportedForTests {
-		if !declared[key] {
-			t.Errorf("exportedForTests names %s, which is not declared", key)
+
+	reached := map[types.Object]bool{}
+	reach := func(stack []types.Object) {
+		for len(stack) > 0 {
+			o := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !reached[o] {
+				reached[o] = true
+				stack = append(stack, edges[o]...)
+			}
 		}
 	}
+	reach(roots)
+	var stale []string
+	var seams []types.Object
+	for _, key := range sortedKeys(allow) {
+		switch fn := keys[key]; {
+		case fn == nil:
+			stale = append(stale, key+", which is not declared")
+		case reached[fn]:
+			stale = append(stale, key+", which a program reaches")
+		default:
+			seams = append(seams, fn)
+		}
+	}
+	reach(seams)
+	found := map[string]token.Pos{}
+	for key, fn := range keys {
+		if !reached[fn] {
+			found[key] = fn.Pos()
+		}
+	}
+	return found, stale
+}
+
+// implementsWith reports whether method fn's receiver type implements one
+// of ifaces that has a method of fn's name. A generic receiver is checked
+// as instantiated with its own type parameters.
+func implementsWith(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok {
+		return false
+	}
+	var t types.Type = named
+	if tps := named.TypeParams(); tps.Len() > 0 {
+		args := make([]types.Type, tps.Len())
+		for i := range args {
+			args[i] = tps.At(i)
+		}
+		var err error
+		if t, err = types.Instantiate(nil, named, args, false); err != nil {
+			return false
+		}
+	}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() && types.Implements(types.NewPointer(t), it) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// funcKey is fn's exportedForTests key: "dir.Func" or "dir.Recv.Method".
+func funcKey(dir string, fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return dir + "." + fn.Name()
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return dir + "." + t.(*types.Named).Obj().Name() + "." + fn.Name()
+}
+
+// sources is the one type-check of the repository's non-test files that
+// the knob and reachability scans share.
+var sources struct {
+	once sync.Once
+	m    *moduleImporter
+	err  error
+}
+
+// checkSources type-checks every file walkSources reads, once per test
+// binary, under module path dyflow.
+func checkSources(t *testing.T) *moduleImporter {
+	t.Helper()
+	sources.once.Do(func() {
+		fset := token.NewFileSet()
+		dirs := map[string][]*ast.File{}
+		if sources.err = parseSources(fset, parser.SkipObjectResolution, func(path, dir string, f *ast.File) {
+			dirs[dir] = append(dirs[dir], f)
+		}); sources.err == nil {
+			sources.m, sources.err = checkModule(fset, "dyflow", dirs)
+		}
+	})
+	if sources.err != nil {
+		t.Fatal(sources.err)
+	}
+	return sources.m
 }
 
 // walkSources parses every non-test Go file of the repository — bench/
@@ -138,7 +321,14 @@ func TestExportedFuncsHaveNonTestCallers(t *testing.T) {
 // syntax.
 func walkSources(t *testing.T, fset *token.FileSet, mode parser.Mode, fn func(path, dir string, f *ast.File)) {
 	t.Helper()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	if err := parseSources(fset, mode, fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// parseSources is walkSources returning the first error.
+func parseSources(fset *token.FileSet, mode parser.Mode, fn func(path, dir string, f *ast.File)) error {
+	return filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -159,9 +349,6 @@ func walkSources(t *testing.T, fset *token.FileSet, mode parser.Mode, fn func(pa
 		fn(path, filepath.ToSlash(filepath.Dir(path)), f)
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // recvName returns a method receiver's type name without pointer or type
@@ -203,18 +390,11 @@ var knobSeams = map[string]string{
 // decoder), sync or sync/atomic fields and the exemptDirs packages are
 // not knobs.
 func TestKnobsHaveNonTestWriters(t *testing.T) {
-	fset := token.NewFileSet()
-	dirs := map[string][]*ast.File{}
-	walkSources(t, fset, parser.SkipObjectResolution, func(path, dir string, f *ast.File) {
-		dirs[dir] = append(dirs[dir], f)
-	})
-	found, err := testOnlyFields(fset, "dyflow", dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := checkSources(t)
+	found := testOnlyFields(m)
 	for _, key := range sortedKeys(found) {
 		if knobSeams[key] == "" {
-			t.Errorf("read, but only tests write it: %s (%s)", key, fset.Position(found[key]))
+			t.Errorf("read, but only tests write it: %s (%s)", key, m.fset.Position(found[key]))
 		}
 	}
 	for key := range knobSeams {
@@ -259,36 +439,40 @@ func f(o *Opts) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err := testOnlyFields(fset, "m", map[string][]*ast.File{"p": {f}})
+	m, err := checkModule(fset, "m", map[string][]*ast.File{"p": {f}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sortedKeys(found)
+	got := sortedKeys(testOnlyFields(m))
 	if want := []string{"p.Opts.Knob", "p.Opts.Meth", "p.Opts.Sub"}; !slices.Equal(got, want) {
 		t.Errorf("found %v, want %v", got, want)
 	}
 }
 
-// testOnlyFields type-checks the packages in dirs (module-relative
-// directory → its non-test files, under module path mod; every other
-// import comes from the standard library's export data) and returns the
-// fields some file reads and none writes, keyed "dir.Type.Field" with
-// their declarations.
-func testOnlyFields(fset *token.FileSet, mod string, dirs map[string][]*ast.File) (map[string]token.Pos, error) {
+// checkModule type-checks the packages in dirs (module-relative directory
+// → its non-test files, under module path mod; every other import comes
+// from the standard library's export data).
+func checkModule(fset *token.FileSet, mod string, dirs map[string][]*ast.File) (*moduleImporter, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	im := &moduleImporter{fset: fset, mod: mod, dirs: dirs, info: info,
+	m := &moduleImporter{fset: fset, mod: mod, dirs: dirs, info: info,
 		std: importer.ForCompiler(fset, "gc", nil), pkgs: map[string]*types.Package{}}
 	for _, dir := range sortedKeys(dirs) {
-		if _, err := im.Import(im.path(dir)); err != nil {
+		if _, err := m.Import(m.path(dir)); err != nil {
 			return nil, err
 		}
 	}
+	return m, nil
+}
 
+// testOnlyFields returns the fields of m that some file reads and none
+// writes, keyed "dir.Type.Field" with their declarations.
+func testOnlyFields(m *moduleImporter) map[string]token.Pos {
+	info := m.info
 	// Name every field of a struct type the module declares; a field with
 	// a tag is written by a decoder.
 	keys, tagged := map[*types.Var]string{}, map[*types.Var]bool{}
@@ -305,7 +489,7 @@ func testOnlyFields(fset *token.FileSet, mod string, dirs map[string][]*ast.File
 	for id, obj := range info.Defs {
 		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
 			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
-				name(im.dir(tn.Pkg().Path())+"."+id.Name, st)
+				name(m.dir(tn.Pkg().Path())+"."+id.Name, st)
 			}
 		}
 	}
@@ -338,7 +522,7 @@ func testOnlyFields(fset *token.FileSet, mod string, dirs map[string][]*ast.File
 			}
 		}
 	}
-	for _, files := range dirs {
+	for _, files := range m.dirs {
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch x := n.(type) {
@@ -402,7 +586,7 @@ func testOnlyFields(fset *token.FileSet, mod string, dirs map[string][]*ast.File
 	found := map[string]token.Pos{}
 	for fv := range read {
 		key, ok := keys[fv]
-		if !ok || written[fv] || tagged[fv] || exemptDirs[im.dir(fv.Pkg().Path())] {
+		if !ok || written[fv] || tagged[fv] || exemptDirs[m.dir(fv.Pkg().Path())] {
 			continue
 		}
 		if n, ok := types.Unalias(fv.Type()).(*types.Named); ok && n.Obj().Pkg() != nil {
@@ -412,7 +596,7 @@ func testOnlyFields(fset *token.FileSet, mod string, dirs map[string][]*ast.File
 		}
 		found[key] = fv.Pos()
 	}
-	return found, nil
+	return found
 }
 
 // sortedKeys returns m's keys in order.

@@ -66,6 +66,12 @@ func TestXGCWorkflowRuns(t *testing.T) {
 	cfg := XGCConfigFor(Summit)
 	wf := XGCWorkflow(Summit)
 	s, sv := launchWorld(t, Summit, cfg.Nodes, wf)
+	var ended time.Duration
+	sv.OnEvent(func(ev wms.Event) {
+		if ev.Kind == wms.TaskEnded && ev.Task == "XGC1" {
+			ended = ev.At
+		}
+	})
 	if err := s.Run(15 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +80,8 @@ func TestXGCWorkflowRuns(t *testing.T) {
 		t.Fatalf("XGC1 = %v after %d steps", inst.State(), inst.StepsDone())
 	}
 	// One run of 100 steps at ~5s/step completes in ~8.5 min.
-	if inst.EndedAt() < 8*time.Minute || inst.EndedAt() > 9*time.Minute {
-		t.Fatalf("XGC1 run length = %v, want ~8.5 min", inst.EndedAt())
+	if ended < 8*time.Minute || ended > 9*time.Minute {
+		t.Fatalf("XGC1 run length = %v, want ~8.5 min", ended)
 	}
 	// XGCA is not auto-started.
 	if sv.Instance(XGCWorkflowID, "XGCA") != nil {

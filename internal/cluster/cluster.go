@@ -119,12 +119,6 @@ func Deepthought2(s *sim.Sim, n int) *Cluster {
 	})
 }
 
-// Sim returns the simulation the cluster is bound to.
-func (c *Cluster) Sim() *sim.Sim { return c.sim }
-
-// Size returns the number of nodes.
-func (c *Cluster) Size() int { return len(c.nodes) }
-
 // Node returns the node with the given ID, or nil.
 func (c *Cluster) Node(id NodeID) *Node { return c.nodes[id] }
 

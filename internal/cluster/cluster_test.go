@@ -10,8 +10,8 @@ import (
 func TestPresets(t *testing.T) {
 	s := sim.New(1)
 	summit := Summit(s, 10)
-	if summit.Size() != 10 {
-		t.Fatalf("Summit size = %d", summit.Size())
+	if len(summit.nodes) != 10 {
+		t.Fatalf("Summit size = %d", len(summit.nodes))
 	}
 	n := summit.Node("node000")
 	if n.Cores != 42 || n.ThreadsPerCore != 4 || n.MemGB != 512 || n.GPUs != 6 {
@@ -83,7 +83,7 @@ func TestFailUnknownNode(t *testing.T) {
 	c := Deepthought2(s, 1)
 	c.FailNode("nope") // must not panic
 	c.RestoreNode("nope")
-	if c.Size() != 1 {
+	if len(c.nodes) != 1 {
 		t.Fatal("size changed")
 	}
 }

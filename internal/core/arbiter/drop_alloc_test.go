@@ -38,7 +38,7 @@ func TestWarmDropAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(100, drop); n != 0 {
 			t.Errorf("a warm %s drop allocates %v times, want 0", guard, n)
 		}
-		if sp, _ := r.tr.Span(1); sp.Dropped != guard {
+		if sp, _ := spanOf(r.tr, 1); sp.Dropped != guard {
 			t.Errorf("span = %+v, want dropped as %s", sp, guard)
 		}
 		if got := r.tr.Counter("arbiter.discarded_batches"); got != 102 {
@@ -77,7 +77,7 @@ func TestWarmDropAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("a warm %s drop allocates %v times, want 0", c.reason, allocs)
 		}
-		if sp, _ := r.tr.Span(1); sp.Dropped != c.reason || sp.ReceivedAt == 0 {
+		if sp, _ := spanOf(r.tr, 1); sp.Dropped != c.reason || sp.ReceivedAt == 0 {
 			t.Errorf("span = %+v, want received and dropped as %s", sp, c.reason)
 		}
 	}

@@ -14,6 +14,22 @@ import (
 	"dyflow/internal/trace"
 )
 
+// actionOf is r's typed action.
+func actionOf(r *decision.Rule) spec.Action {
+	a, _ := r.ParsedAction()
+	return a
+}
+
+// spanOf returns a copy of suggestion seq's span on tr.
+func spanOf(tr *trace.Recorder, seq int) (trace.Span, bool) {
+	for _, sp := range tr.Spans() {
+		if sp.Seq == seq {
+			return sp, true
+		}
+	}
+	return trace.Span{}, false
+}
+
 // fakeView serves snapshots from a mutable map.
 type fakeView struct {
 	tasks map[string]map[string]TaskState // workflow -> task -> state
@@ -364,7 +380,7 @@ func TestEmptyPlanRoundRecordedAndWaitingResolved(t *testing.T) {
 	}
 	// The round arbitrated the suggestion and planned nothing: its span was
 	// received and dropped, never planned or executed.
-	if sp, _ := r.tr.Span(sg.Seq); sp.Dropped != "empty-plan" || sp.ReceivedAt == 0 || sp.PlannedAt != 0 || sp.ExecutedAt != 0 {
+	if sp, _ := spanOf(r.tr, sg.Seq); sp.Dropped != "empty-plan" || sp.ReceivedAt == 0 || sp.PlannedAt != 0 || sp.ExecutedAt != 0 {
 		t.Fatalf("span = %+v, want received and then dropped as empty-plan", sp)
 	}
 	if w := r.eng.waiting["W"]; len(w) != 0 {
@@ -387,11 +403,11 @@ func TestEngineStampsTraceSpans(t *testing.T) {
 	if err := r.s.Run(2 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	dropped, ok := tr.Span(1)
+	dropped, ok := spanOf(tr, 1)
 	if !ok || dropped.Dropped != "warmup" {
 		t.Fatalf("warm-up span = %+v, want dropped with reason warmup", dropped)
 	}
-	done, ok := tr.Span(2)
+	done, ok := spanOf(tr, 2)
 	if !ok || !done.Complete() {
 		t.Fatalf("executed span = %+v, want complete", done)
 	}

@@ -720,7 +720,7 @@ func TestProperty_BuildPlan_EqualsParent(t *testing.T) {
 	for _, in := range inputs {
 		plan, waiting := BuildPlan(in)
 		for _, sg := range in.Suggestions {
-			if sg.Rule.Action() == "SWITCH" {
+			if actionOf(sg.Rule) == spec.ActionSwitch {
 				switches++
 				break
 			}

@@ -300,7 +300,7 @@ func runRounds(t *testing.T, sc roundScenario, arbitrate func(*Engine, *sim.Proc
 			b := make([]decision.Suggestion, len(batch), len(batch)+4)
 			copy(b, batch)
 			for _, sg := range b {
-				tr.Suggested(sg.Seq, sg.Rule.Workflow(), sg.Rule.PolicyID(), sg.Rule.Action(), "", sim.Time(sg.GeneratedAt), sim.Time(sg.GeneratedAt), sim.Time(sg.DecidedAt))
+				tr.Suggested(sg.Seq, sg.Rule.Workflow(), sg.Rule.PolicyID(), actionOf(sg.Rule).String(), "", sim.Time(sg.GeneratedAt), sim.Time(sg.GeneratedAt), sim.Time(sg.DecidedAt))
 			}
 			out.Returned = append(out.Returned, arbitrate(eng, p, b))
 			out.Batches = append(out.Batches, b[:cap(b)])

@@ -117,7 +117,7 @@ func TestHistoryAveragedEvaluation(t *testing.T) {
 		t.Fatalf("suggestions = %+v, want exactly 1", got)
 	}
 	sg := got[0]
-	if sg.Rule.PolicyID() != "INC_ON_PACE" || sg.Rule.Action() != "ADDCPU" {
+	if sg.Rule.PolicyID() != "INC_ON_PACE" || sg.Rule.action != "ADDCPU" {
 		t.Fatalf("suggestion = %+v", sg)
 	}
 	if sg.MetricValue != 40 {
@@ -257,7 +257,7 @@ func TestEndToEndOverBus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != 1 || batch[0].Rule.Action() != "ADDCPU" {
+	if len(batch) != 1 || batch[0].Rule.action != "ADDCPU" {
 		t.Fatalf("batch = %+v", batch)
 	}
 	if got := tr.Counter("decision.suggestions"); got < 1 {
@@ -342,7 +342,7 @@ func TestPredictiveSlopePolicy(t *testing.T) {
 	if len(fired) == 0 {
 		t.Fatal("growing memory never fired the predictive policy")
 	}
-	if fired[0].Rule.Action() != "RESTART" {
+	if fired[0].Rule.action != "RESTART" {
 		t.Fatalf("suggestion = %+v", fired[0])
 	}
 }

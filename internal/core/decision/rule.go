@@ -51,9 +51,6 @@ func (r *Rule) Workflow() string { return r.workflow }
 // PolicyID returns the bound policy's ID.
 func (r *Rule) PolicyID() string { return r.policyID }
 
-// Action returns the policy's action, as the spec writes it.
-func (r *Rule) Action() string { return r.action }
-
 // AssessTask returns the task whose metrics the policy assesses.
 func (r *Rule) AssessTask() string { return r.assessTask }
 

@@ -5,11 +5,7 @@
 // polls the latest record per key.
 package db
 
-import (
-	"sort"
-
-	"dyflow/internal/sim"
-)
+import "dyflow/internal/sim"
 
 // Record is one published data point.
 type Record struct {
@@ -21,53 +17,25 @@ type Record struct {
 	At sim.Time
 }
 
-// Service is a key/value time-series store on the simulation clock. Writes
-// are in-memory appends; reads return the latest record or a bounded
-// history window.
+// Service is a key/value store on the simulation clock holding each key's
+// latest record.
 type Service struct {
-	sim     *sim.Sim
-	series  map[string][]Record
-	queries int
-	writes  int
+	sim    *sim.Sim
+	latest map[string]Record
 }
 
-// keep is how many records the service holds per key.
-const keep = 256
-
-// New creates a service keeping at most keep records per key.
+// New creates an empty service.
 func New(s *sim.Sim) *Service {
-	return &Service{sim: s, series: make(map[string][]Record)}
+	return &Service{sim: s, latest: make(map[string]Record)}
 }
 
-// Put appends a record under key, stamped with the current virtual time.
+// Put records value under key, stamped with the current virtual time.
 func (svc *Service) Put(key string, step int, value float64) {
-	svc.writes++
-	recs := append(svc.series[key], Record{Step: step, Value: value, At: svc.sim.Now()})
-	if len(recs) > keep {
-		recs = recs[len(recs)-keep:]
-	}
-	svc.series[key] = recs
+	svc.latest[key] = Record{Step: step, Value: value, At: svc.sim.Now()}
 }
 
 // Latest returns the newest record for key.
 func (svc *Service) Latest(key string) (Record, bool) {
-	svc.queries++
-	recs := svc.series[key]
-	if len(recs) == 0 {
-		return Record{}, false
-	}
-	return recs[len(recs)-1], true
+	rec, ok := svc.latest[key]
+	return rec, ok
 }
-
-// Since returns the records for key with Step > afterStep, oldest first.
-func (svc *Service) Since(key string, afterStep int) []Record {
-	svc.queries++
-	recs := svc.series[key]
-	i := sort.Search(len(recs), func(i int) bool { return recs[i].Step > afterStep })
-	out := make([]Record, len(recs)-i)
-	copy(out, recs[i:])
-	return out
-}
-
-// Stats reports lifetime write and query counts.
-func (svc *Service) Stats() (writes, queries int) { return svc.writes, svc.queries }

@@ -22,47 +22,25 @@ func TestPutLatest(t *testing.T) {
 	}
 }
 
-func TestSince(t *testing.T) {
-	s := sim.New(1)
-	svc := New(s)
-	for i := 1; i <= 10; i++ {
-		svc.Put("k", i, float64(i))
-	}
-	got := svc.Since("k", 7)
-	if len(got) != 3 || got[0].Step != 8 || got[2].Step != 10 {
-		t.Fatalf("since = %+v", got)
-	}
-	if len(svc.Since("k", 100)) != 0 {
-		t.Fatal("since beyond end should be empty")
-	}
-	if len(svc.Since("nope", 0)) != 0 {
-		t.Fatal("unknown key should be empty")
-	}
-}
-
+// TestRetentionBound: a key holds only its newest record.
 func TestRetentionBound(t *testing.T) {
 	s := sim.New(1)
 	svc := New(s)
-	for i := 1; i <= keep+6; i++ {
+	for i := 1; i <= 300; i++ {
 		svc.Put("k", i, float64(i))
 	}
-	got := svc.Since("k", 0)
-	if len(got) != keep || got[0].Step != 7 {
-		t.Fatalf("retained %d records, want the newest %d from step 7", len(got), keep)
+	if rec, ok := svc.Latest("k"); !ok || rec.Step != 300 || len(svc.latest) != 1 {
+		t.Fatalf("latest = %+v, %v over %d keys; want step 300 under one key", rec, ok, len(svc.latest))
 	}
 }
 
-func TestKeysAndStats(t *testing.T) {
+func TestKeys(t *testing.T) {
 	s := sim.New(1)
 	svc := New(s)
 	svc.Put("b", 1, 1)
 	svc.Put("a", 1, 1)
-	if len(svc.series) != 2 || svc.series["a"] == nil || svc.series["b"] == nil {
-		t.Fatalf("series = %v", svc.series)
-	}
-	svc.Latest("a")
-	w, q := svc.Stats()
-	if w != 2 || q != 1 {
-		t.Fatalf("stats = %d writes, %d queries", w, q)
+	svc.Put("a", 2, 5)
+	if len(svc.latest) != 2 || svc.latest["a"].Step != 2 || svc.latest["b"].Step != 1 {
+		t.Fatalf("latest = %v", svc.latest)
 	}
 }

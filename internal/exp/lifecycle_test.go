@@ -170,10 +170,10 @@ func observe(t *testing.T, w *World) string {
 		st := w.Env.Streams.Lookup(name)
 		fmt.Fprintf(&b, "%v closed %v\n", st, st.Closed())
 	}
-	for _, k := range w.Rec.Tasks() {
+	for _, k := range tasks(w.Rec.Intervals) {
 		in := w.SV.Instance(k[0], k[1])
-		fmt.Fprintf(&b, "task %s/%s#%d %v steps %d global %d exit %d ended %v\n", k[0], k[1],
-			in.Incarnation, in.State(), in.StepsDone(), in.GlobalStep(), in.ExitCode(), in.EndedAt())
+		fmt.Fprintf(&b, "task %s/%s#%d %v steps %d global %d exit %d\n", k[0], k[1],
+			in.Incarnation, in.State(), in.StepsDone(), in.GlobalStep(), in.ExitCode())
 	}
 
 	for _, iv := range w.Rec.Intervals {

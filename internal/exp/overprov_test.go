@@ -17,7 +17,7 @@ func TestOverProvisioningShrinks(t *testing.T) {
 		res.W.Rec.PlanSummary(os.Stderr)
 	}
 	rep := OverProvisionReport(res)
-	if !rep.Holds() {
+	if !holds(rep) {
 		rep.Write(os.Stderr)
 		t.Fatal("over-provisioning report does not hold")
 	}
@@ -29,7 +29,7 @@ func TestCostAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := CostReport(res)
-	if !rep.Holds() {
+	if !holds(rep) {
 		rep.Write(os.Stderr)
 		t.Fatal("cost report does not hold")
 	}

@@ -29,16 +29,6 @@ func (r *Report) Add(metric, paper, measured string, holds bool) {
 	r.Rows = append(r.Rows, Row{Metric: metric, Paper: paper, Measured: measured, Holds: holds})
 }
 
-// Holds reports whether every row holds.
-func (r *Report) Holds() bool {
-	for _, row := range r.Rows {
-		if !row.Holds {
-			return false
-		}
-	}
-	return true
-}
-
 // Write renders the report as an aligned text table.
 func (r *Report) Write(w io.Writer) {
 	fmt.Fprintf(w, "== %s — %s ==\n", r.ID, r.Title)

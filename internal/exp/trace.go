@@ -30,11 +30,6 @@ type Interval struct {
 	ExitCode int
 }
 
-// Open reports whether the incarnation is still running.
-func (iv Interval) Open() bool {
-	return iv.End == 0 && iv.Final != task.Completed && iv.Final != task.Failed
-}
-
 // MetricPoint is one sensor metric value as Decision received it.
 type MetricPoint struct {
 	At    sim.Time
@@ -225,10 +220,8 @@ func (r *Recorder) Series(workflow, taskName, sensorID string) []MetricPoint {
 	return out
 }
 
-// Tasks lists the distinct (workflow, task) pairs seen, in first-start
+// tasks lists the distinct (workflow, task) pairs of ivs, in first-start
 // order.
-func (r *Recorder) Tasks() [][2]string { return tasks(r.Intervals) }
-
 func tasks(ivs []Interval) [][2]string {
 	var out [][2]string
 	seen := map[[2]string]bool{}

@@ -43,12 +43,16 @@ func TestTraceSpansCorrelateAcrossStages(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no arbitration rounds executed")
 	}
+	spans := map[int]trace.Span{}
+	for _, sp := range tr.Spans() {
+		spans[sp.Seq] = sp
+	}
 	for _, rec := range recs {
 		if len(rec.SuggestionIDs) == 0 {
 			t.Fatalf("record %+v carries no suggestion IDs", rec)
 		}
 		for _, id := range rec.SuggestionIDs {
-			sp, ok := tr.Span(trace.ParseSeq(id))
+			sp, ok := spans[trace.ParseSeq(id)]
 			if !ok {
 				t.Fatalf("record references unknown span %q", id)
 			}

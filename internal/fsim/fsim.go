@@ -8,7 +8,7 @@
 //
 // Ordering: the filesystem keeps its entries in one index sorted by path,
 // maintained by Write and Remove; it is the only store, and an operation on
-// one path finds its entry by binary search. Glob, Count and RemoveGlob walk
+// one path finds its entry by binary search. Glob and RemoveGlob walk
 // that index, so results always come out in ascending path order, and a
 // pattern's literal prefix ("out/xgc1." of "out/xgc1.*.bp") selects its
 // index range by binary search instead of a walk over every file. A Watch
@@ -22,7 +22,7 @@
 // at the second, unchanged, so a poller that extracted them once reads only
 // the new ones (Watch.Rewritten, Watch.Visit's from).
 //
-// Copies: Stat and Glob return defensive copies the caller owns, variables
+// Copies: Glob returns defensive copies the caller owns, variables
 // included. Lookup and the scan visitor hand out the live entry instead: it
 // is read-only, must not be retained, and is valid only until the next
 // Write, WriteVar or Remove — a visitor callback must not modify the
@@ -212,22 +212,12 @@ func (fs *FS) RemoveGlob(pattern string) int {
 }
 
 // Lookup returns the live entry at p, or nil if it does not exist. The
-// entry is read-only and valid until the next mutation of the filesystem;
-// use Stat for a copy to keep.
+// entry is read-only and valid until the next mutation of the filesystem.
 func (fs *FS) Lookup(p string) *File {
 	if i, ok := search(fs.index, p); ok {
 		return fs.index[i]
 	}
 	return nil
-}
-
-// Stat returns a copy of the file at p, or nil if it does not exist.
-func (fs *FS) Stat(p string) *File {
-	f := fs.Lookup(p)
-	if f == nil {
-		return nil
-	}
-	return f.clone()
 }
 
 // ReadVar reads one numeric variable from the file at p.
@@ -251,13 +241,6 @@ func (fs *FS) Glob(pattern string) []*File {
 	var out []*File
 	fs.visit(pattern, func(f *File) { out = append(out, f.clone()) })
 	return out
-}
-
-// Count returns the number of files matching pattern.
-func (fs *FS) Count(pattern string) int {
-	n := 0
-	fs.visit(pattern, func(*File) { n++ })
-	return n
 }
 
 // Len returns the total number of files.
@@ -329,15 +312,10 @@ func (pat *Pattern) Match(name string) bool {
 	return ok
 }
 
-// Match reports whether name matches the glob pattern, comparing path
-// segments with path.Match. A final "**" pattern segment matches any
-// remaining (possibly empty) suffix of name.
-func Match(pattern, name string) (bool, error) {
-	return matchSegs(strings.Split(pattern, "/"), name)
-}
-
 // matchSegs matches name's slash-separated segments against the pattern
-// segments one by one, without splitting name.
+// segments one by one, without splitting name, comparing each with
+// path.Match. A final "**" pattern segment matches any remaining (possibly
+// empty) suffix of name.
 func matchSegs(segs []string, name string) (bool, error) {
 	more := true // name has a segment left (an empty name is one empty segment)
 	for i, seg := range segs {

@@ -17,7 +17,7 @@ func TestWriteStatReadVar(t *testing.T) {
 	})
 	s.RunUntilIdle()
 
-	f := fs.Stat("out/xgc1.0001.bp")
+	f := fs.Lookup("out/xgc1.0001.bp")
 	if f == nil {
 		t.Fatal("file missing")
 	}
@@ -42,7 +42,7 @@ func TestWriteVarUpdatesMTime(t *testing.T) {
 	fs.WriteVar("status/sim.exit", "exitcode", 0)
 	s.After(time.Minute, func() { fs.WriteVar("status/sim.exit", "exitcode", 137) })
 	s.RunUntilIdle()
-	f := fs.Stat("status/sim.exit")
+	f := fs.Lookup("status/sim.exit")
 	if f.MTime != time.Minute {
 		t.Fatalf("mtime = %v, want 1m", f.MTime)
 	}
@@ -82,18 +82,18 @@ func TestGlobSegments(t *testing.T) {
 	fs.Write("a/x/c.txt")
 	fs.Write("a/b/d/e.txt")
 
-	if n := fs.Count("a/*/c.txt"); n != 2 {
+	if n := len(fs.Glob("a/*/c.txt")); n != 2 {
 		t.Fatalf("a/*/c.txt matches = %d, want 2", n)
 	}
 	// Single * does not cross segments.
-	if n := fs.Count("a/*"); n != 0 {
+	if n := len(fs.Glob("a/*")); n != 0 {
 		t.Fatalf("a/* matches = %d, want 0", n)
 	}
 	// Trailing ** matches any suffix.
-	if n := fs.Count("a/**"); n != 3 {
+	if n := len(fs.Glob("a/**")); n != 3 {
 		t.Fatalf("a/** matches = %d, want 3", n)
 	}
-	if n := fs.Count("a/b/**"); n != 2 {
+	if n := len(fs.Glob("a/b/**")); n != 2 {
 		t.Fatalf("a/b/** matches = %d, want 2", n)
 	}
 }
@@ -113,14 +113,14 @@ func TestRemoveGlob(t *testing.T) {
 }
 
 func TestMatchErrors(t *testing.T) {
-	if _, err := Match("[", "x"); err == nil {
+	if _, err := match("[", "x"); err == nil {
 		t.Fatal("bad pattern should error")
 	}
-	ok, err := Match("a/b", "a/b/c")
+	ok, err := match("a/b", "a/b/c")
 	if err != nil || ok {
 		t.Fatal("shorter pattern must not match longer path")
 	}
-	ok, _ = Match("a/b/c", "a/b")
+	ok, _ = match("a/b/c", "a/b")
 	if ok {
 		t.Fatal("longer pattern must not match shorter path")
 	}
@@ -199,7 +199,7 @@ func TestRewriteInPlaceKeepsCopies(t *testing.T) {
 	fs.Write("out/a", Var{"step", 1}, Var{"errnorm", 0.5})
 	live := fs.Lookup("out/a")
 	array := &live.Vars[0]
-	stat := fs.Stat("out/a")
+	stat := fs.Lookup("out/a").clone()
 	glob := fs.Glob("out/*")
 
 	fs.Write("out/a", Var{"step", 2})
@@ -209,7 +209,7 @@ func TestRewriteInPlaceKeepsCopies(t *testing.T) {
 	}
 	old := []Var{{"step", 1}, {"errnorm", 0.5}}
 	if !slices.Equal(stat.Vars, old) || !slices.Equal(glob[0].Vars, old) {
-		t.Fatalf("copies taken before the rewrite read Stat %v, Glob %v; want %v", stat.Vars, glob[0].Vars, old)
+		t.Fatalf("copies taken before the rewrite read Lookup+clone %v, Glob %v; want %v", stat.Vars, glob[0].Vars, old)
 	}
 	now := []Var{{"step", 2}, {"errnorm", 0.25}}
 	var visited []Var

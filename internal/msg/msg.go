@@ -71,9 +71,6 @@ type Endpoint struct {
 	seq  uint64 // outgoing sequence counter
 }
 
-// Name returns the endpoint name.
-func (e *Endpoint) Name() string { return e.name }
-
 // Recv blocks the calling process until a message arrives.
 func (e *Endpoint) Recv(p *sim.Proc) (Envelope, error) { return e.in.Get(p) }
 
@@ -222,10 +219,6 @@ func (f *OrderFilter) Admit(env Envelope) bool {
 	f.last[env.From] = env.Seq
 	return true
 }
-
-// Reset forgets a sender's high-water mark (used when a monitor client is
-// restarted and its sequence numbers start over).
-func (f *OrderFilter) Reset(sender string) { delete(f.last, sender) }
 
 // State returns the per-sender high-water marks (a copy) for
 // checkpointing. Restoring them alongside the bus endpoint sequence

@@ -155,21 +155,6 @@ func TestOutOfOrderDeliveryAndFilter(t *testing.T) {
 	}
 }
 
-func TestOrderFilterReset(t *testing.T) {
-	f := NewOrderFilter()
-	if !f.Admit(Envelope{From: "c", Seq: 5}) {
-		t.Fatal("first admit")
-	}
-	if f.Admit(Envelope{From: "c", Seq: 5}) {
-		t.Fatal("duplicate admitted")
-	}
-	// Client restarts: sequence numbers start over.
-	f.Reset("c")
-	if !f.Admit(Envelope{From: "c", Seq: 1}) {
-		t.Fatal("post-reset seq 1 should be admitted")
-	}
-}
-
 func TestUniformJitterLatencyDeterministic(t *testing.T) {
 	s1 := sim.New(42)
 	s2 := sim.New(42)

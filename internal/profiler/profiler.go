@@ -30,10 +30,6 @@ func Attach(reg *stream.Registry, taskName string, rng *rand.Rand) *Probe {
 	return &Probe{st: reg.Open(StreamName(taskName)), rng: rng}
 }
 
-// Stream exposes the underlying monitoring stream (the task closes it when
-// the incarnation ends, detaching monitor clients).
-func (pr *Probe) Stream() *stream.Stream { return pr.st }
-
 // EmitStep publishes one timestep record: Vars carries the loop time (the
 // wall time of the step, set by its slowest rank) and the step number;
 // Array carries per-rank loop times, each within rankSpread below the maximum,

@@ -22,10 +22,11 @@ func TestEmitStepShape(t *testing.T) {
 	if err := s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	rec, ok := r.TryGet()
-	if !ok {
+	recs := r.Buffered()
+	if len(recs) == 0 {
 		t.Fatal("no record")
 	}
+	rec := recs[0]
 	if rec.Index != 7 || rec.Vars["step"] != 7 {
 		t.Fatalf("record = %+v", rec)
 	}
@@ -63,7 +64,7 @@ func TestReattachAfterClose(t *testing.T) {
 		pr.EmitStep(p, 1, 2, time.Second)
 		pr.Close()
 		pr2 := Attach(reg, "T", s.Rand())
-		if pr2.Stream().Closed() {
+		if pr2.st.Closed() {
 			t.Error("reattach should reopen the stream")
 		}
 		pr2.EmitStep(p, 2, 2, time.Second)

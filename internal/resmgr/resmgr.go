@@ -50,14 +50,6 @@ func (rs ResourceSet) Clone() ResourceSet {
 	return out
 }
 
-// Add folds other into rs (rs += other) and returns rs.
-func (rs ResourceSet) Add(other ResourceSet) ResourceSet {
-	for k, v := range other {
-		rs[k] += v
-	}
-	return rs
-}
-
 // Nodes returns the node IDs in sorted order.
 func (rs ResourceSet) Nodes() []cluster.NodeID {
 	ids := make([]cluster.NodeID, 0, len(rs))
@@ -181,9 +173,6 @@ func New(c *cluster.Cluster, reg *obs.Registry) *Manager {
 	c.OnHealthChange(m.healthChanged)
 	return m
 }
-
-// Cluster returns the underlying cluster.
-func (m *Manager) Cluster() *cluster.Cluster { return m.cluster }
 
 // OnResourceLoss registers the callback invoked when an allocated node
 // fails while owners hold cores on it.

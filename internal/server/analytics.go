@@ -88,11 +88,6 @@ type runSample struct {
 	qw, ex           float64 // seconds; -1 when the phase never happened
 }
 
-// Analytics computes the cross-campaign aggregate view without trends.
-func (s *Server) Analytics() Analytics {
-	return s.AnalyticsWithTrends(0, 0)
-}
-
 // AnalyticsWithTrends additionally buckets submissions into bucket-wide
 // trend windows (bucket <= 0 disables trends; buckets caps how many of
 // the most recent windows are returned, maxTrendBuckets when <= 0).

@@ -60,7 +60,7 @@ func TestAnalyticsAggregates(t *testing.T) {
 		t.Fatalf("cached run carries queue/claim timestamps: %+v (%v)", dupSt, err)
 	}
 
-	a := s.Analytics()
+	a := s.AnalyticsWithTrends(0, 0)
 	if a.Runs != 5 || a.ByState[StateDone] != 5 {
 		t.Fatalf("analytics counts %+v", a)
 	}
@@ -127,7 +127,7 @@ func TestAnalyticsCountsRequeues(t *testing.T) {
 	}
 	defer s2.Close()
 	await(t, s2, st.ID)
-	if a := s2.Analytics(); a.RestoreRequeues != 1 {
+	if a := s2.AnalyticsWithTrends(0, 0); a.RestoreRequeues != 1 {
 		t.Fatalf("RestoreRequeues = %d, want 1", a.RestoreRequeues)
 	}
 }

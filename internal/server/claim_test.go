@@ -149,7 +149,7 @@ func TestClaimNoLostWakeup(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d runs claimed, %d still queued under parked claimers", n, runs, s.QueueDepth())
+			t.Fatalf("%d of %d runs claimed, %d still queued under parked claimers", n, runs, queued(s))
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -62,13 +62,6 @@ func (b *backoff) reset() {
 	b.mu.Unlock()
 }
 
-// ceiling reports the next attempt's maximum delay (tests).
-func (b *backoff) ceiling() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cur
-}
-
 // sleepCtx sleeps for d or until ctx is done, reporting whether the
 // full duration elapsed (false = canceled).
 func sleepCtx(ctx context.Context, d time.Duration) bool {

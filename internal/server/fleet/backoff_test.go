@@ -16,7 +16,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 	b := newBackoff(base, max, 42)
 	wantCeil := base
 	for i := 0; i < 12; i++ {
-		ceil := b.ceiling()
+		ceil := b.cur
 		if ceil != wantCeil {
 			t.Fatalf("attempt %d: ceiling = %v, want %v", i, ceil, wantCeil)
 		}
@@ -31,8 +31,8 @@ func TestBackoffJitterBounds(t *testing.T) {
 			}
 		}
 	}
-	if b.ceiling() != max {
-		t.Fatalf("ceiling did not saturate at cap: %v != %v", b.ceiling(), max)
+	if b.cur != max {
+		t.Fatalf("ceiling did not saturate at cap: %v != %v", b.cur, max)
 	}
 }
 
@@ -43,12 +43,12 @@ func TestBackoffResetOnSuccess(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b.next()
 	}
-	if b.ceiling() != time.Second {
-		t.Fatalf("ceiling before reset = %v, want 1s", b.ceiling())
+	if b.cur != time.Second {
+		t.Fatalf("ceiling before reset = %v, want 1s", b.cur)
 	}
 	b.reset()
-	if b.ceiling() != 10*time.Millisecond {
-		t.Fatalf("ceiling after reset = %v, want base", b.ceiling())
+	if b.cur != 10*time.Millisecond {
+		t.Fatalf("ceiling after reset = %v, want base", b.cur)
 	}
 	if d := b.next(); d <= 0 || d > 10*time.Millisecond {
 		t.Fatalf("post-reset delay %v outside (0, base]", d)

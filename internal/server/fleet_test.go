@@ -37,7 +37,7 @@ func startFleetCoordinator(t *testing.T, ttl time.Duration) (*Server, string) {
 // counter reads one summed metric value from the coordinator registry.
 func counter(t *testing.T, s *Server, name string) float64 {
 	t.Helper()
-	v, _ := s.Registry().Value(name)
+	v, _ := s.reg.Value(name)
 	return v
 }
 

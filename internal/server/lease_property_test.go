@@ -407,7 +407,7 @@ func driveLeaseSequence(t *testing.T, tr transport, seed int64) {
 		}
 
 		for _, name := range leaseSeries {
-			got, _ := s.Registry().Value(name)
+			got, _ := s.reg.Value(name)
 			if want, _ := refReg.Value(name); got != want {
 				fail("%s = %v, the reference counts %v", name, got, want)
 			}

@@ -407,7 +407,7 @@ func (d *lifeDriver) illegalAttempt() {
 func (d *lifeDriver) check() {
 	d.t.Helper()
 	s, m := d.s, d.m
-	value := func(name string) float64 { v, _ := s.Registry().Value(name); return v }
+	value := func(name string) float64 { v, _ := s.reg.Value(name); return v }
 
 	// This process counted exactly the endings the model saw in it.
 	if got := value("dyflow_server_runs_total"); got != float64(m.finishedHere) {
@@ -416,7 +416,7 @@ func (d *lifeDriver) check() {
 	if got := value("dyflow_server_illegal_transitions_total"); got != float64(m.illegal) {
 		d.fail("illegal_transitions_total = %v beside the %d edges tried on purpose", got, m.illegal)
 	}
-	if got := s.QueueDepth(); got != len(m.queue) {
+	if got := queued(s); got != len(m.queue) {
 		d.fail("%d runs are queued, the model queues %v", got, m.queue)
 	}
 

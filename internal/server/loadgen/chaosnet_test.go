@@ -46,7 +46,7 @@ func TestChaosNetSweep(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			t.Parallel() // a round is mostly waiting: backoffs, and a lease TTL per lost claim reply
-			srv, addr := startCoordinator(t, server.Config{Workers: -1, QueueDepth: 512, TenantQuota: -1, LeaseTTL: leaseTTL})
+			addr := startCoordinator(t, server.Config{Workers: -1, QueueDepth: 512, TenantQuota: -1, LeaseTTL: leaseTTL})
 			var fleetWorkers []*fleet.Worker
 			var transports []*faultnet.Transport
 			for i := 0; i < workers; i++ {
@@ -68,12 +68,12 @@ func TestChaosNetSweep(t *testing.T) {
 
 			// With distinct seeds (no cache hits) the terminal transitions
 			// must number exactly the jobs: no double completions.
-			if got := total(srv, "dyflow_server_runs_total"); got != float64(res.Jobs) {
+			if got := total(t, addr, "dyflow_server_runs_total"); got != float64(res.Jobs) {
 				t.Fatalf("runs_total = %v for %d jobs (terminal transitions must be exactly one per run)", got, res.Jobs)
 			}
 			// A run executed twice — a lost claim reply, a lapsed lease —
 			// must upload the bytes its first execution did.
-			if got := total(srv, "dyflow_server_result_mismatch_total"); got != 0 {
+			if got := total(t, addr, "dyflow_server_result_mismatch_total"); got != 0 {
 				t.Fatalf("result_mismatch_total = %v: a re-execution produced other artifacts", got)
 			}
 			if rate := float64(res.Completed) / wall.Seconds(); rate < minJobsPerSec {
@@ -97,9 +97,9 @@ func TestChaosNetSweep(t *testing.T) {
 			}
 			t.Logf("%d jobs in %.2fs — %d faults, %v rpc retries, %v lease expiries, %v stale and %v duplicate results",
 				res.Jobs, wall.Seconds(), faults, retries,
-				total(srv, "dyflow_server_fleet_lease_expiries_total"),
-				total(srv, "dyflow_server_fleet_stale_results_total"),
-				total(srv, "dyflow_server_fleet_duplicate_results_total"))
+				total(t, addr, "dyflow_server_fleet_lease_expiries_total"),
+				total(t, addr, "dyflow_server_fleet_stale_results_total"),
+				total(t, addr, "dyflow_server_fleet_duplicate_results_total"))
 		})
 	}
 }
@@ -115,7 +115,7 @@ func TestChaosNetPartition(t *testing.T) {
 		partition = time.Second
 		leaseTTL  = 5 * time.Second
 	)
-	srv, addr := startCoordinator(t, server.Config{Workers: -1, LeaseTTL: leaseTTL})
+	addr := startCoordinator(t, server.Config{Workers: -1, LeaseTTL: leaseTTL})
 	tr := faultnet.New(faultnet.Plan{Seed: 1}, nil) // clean until the partition opens
 	var once sync.Once
 	w := faultedWorker(t, addr, "chaos-partition", tr, fleet.WorkerOptions{
@@ -133,13 +133,13 @@ func TestChaosNetPartition(t *testing.T) {
 	if wall < partition {
 		t.Fatalf("completed in %s, inside the %s partition — the fault never bit", wall, partition)
 	}
-	if got := total(srv, "dyflow_server_fleet_lease_expiries_total"); got != 0 {
+	if got := total(t, addr, "dyflow_server_fleet_lease_expiries_total"); got != 0 {
 		t.Fatalf("%v lease expiries across a %s partition under a %s TTL (run must survive without requeue)", got, partition, leaseTTL)
 	}
-	if got := total(srv, "dyflow_server_runs_total"); got != 1 {
+	if got := total(t, addr, "dyflow_server_runs_total"); got != 1 {
 		t.Fatalf("runs_total = %v, want exactly 1", got)
 	}
-	if got := total(srv, "dyflow_server_result_mismatch_total"); got != 0 {
+	if got := total(t, addr, "dyflow_server_result_mismatch_total"); got != 0 {
 		t.Fatalf("result_mismatch_total = %v", got)
 	}
 }

@@ -1,8 +1,12 @@
 package loadgen
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +17,7 @@ import (
 
 // startCoordinator serves a coordinator on a loopback port until the test
 // ends.
-func startCoordinator(t *testing.T, cfg server.Config) (*server.Server, string) {
+func startCoordinator(t *testing.T, cfg server.Config) string {
 	t.Helper()
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -28,7 +32,7 @@ func startCoordinator(t *testing.T, cfg server.Config) (*server.Server, string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, addr
+	return addr
 }
 
 // join adds one worker to the fleet at o.Coordinator.
@@ -41,10 +45,32 @@ func join(t *testing.T, o fleet.WorkerOptions) *fleet.Worker {
 	return w
 }
 
-// total is a coordinator family's value summed over its series.
-func total(srv *server.Server, family string) float64 {
-	v, _ := srv.Registry().Value(family)
-	return v
+// total is a coordinator family's value summed over its series, read off
+// the /metrics page of the coordinator at addr.
+func total(t *testing.T, addr, family string) float64 {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sum float64
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if !strings.HasPrefix(line, family+"{") && !strings.HasPrefix(line, family+" ") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		sum += v
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return sum
 }
 
 // requireAllDone fails unless every job was driven to done and the run
@@ -68,7 +94,7 @@ func requireAllDone(t *testing.T, res Result, err error) {
 // produces cache hits, and the quota enforcement is observable both as
 // absorbed 429s and in the server's metrics.
 func TestLoadAcceptance(t *testing.T) {
-	srv, addr := startCoordinator(t, server.Config{Workers: 4, TenantQuota: 1, QueueDepth: 16})
+	addr := startCoordinator(t, server.Config{Workers: 4, TenantQuota: 1, QueueDepth: 16})
 	res, err := Run(Options{
 		Addr:      addr,
 		Clients:   8,
@@ -85,10 +111,10 @@ func TestLoadAcceptance(t *testing.T) {
 	if res.Rejected429 == 0 {
 		t.Fatal("no backpressure observed despite tenant quota 1 and 2 clients per tenant")
 	}
-	if got := total(srv, "dyflow_server_quota_rejections_total"); got != float64(res.Rejected429) {
+	if got := total(t, addr, "dyflow_server_quota_rejections_total"); got != float64(res.Rejected429) {
 		t.Fatalf("the server counted %v quota rejections, the clients absorbed %d", got, res.Rejected429)
 	}
-	if got := total(srv, "dyflow_server_cache_hits_total"); got != float64(res.Cached) {
+	if got := total(t, addr, "dyflow_server_cache_hits_total"); got != float64(res.Cached) {
 		t.Fatalf("the server counted %v cache hits, the clients saw %d", got, res.Cached)
 	}
 }
@@ -98,7 +124,7 @@ func TestLoadAcceptance(t *testing.T) {
 // everything, and one of them is hard-killed while holding a lease. Every
 // job still completes, the victim's run by lease expiry on a survivor.
 func TestLoadFleetWithWorkerKill(t *testing.T) {
-	srv, addr := startCoordinator(t, server.Config{
+	addr := startCoordinator(t, server.Config{
 		Workers:     -1,
 		TenantQuota: -1,
 		QueueDepth:  64,
@@ -139,7 +165,7 @@ func TestLoadFleetWithWorkerKill(t *testing.T) {
 			workers[0].Kill() // returns once the held claim is released
 			close(dead)
 		}()
-		for deadline := time.Now().Add(20 * time.Second); total(srv, "dyflow_server_fleet_lease_expiries_total") < 1; {
+		for deadline := time.Now().Add(20 * time.Second); total(t, addr, "dyflow_server_fleet_lease_expiries_total") < 1; {
 			if time.Now().After(deadline) {
 				t.Error("the killed worker's lease never lapsed")
 				break
@@ -159,15 +185,15 @@ func TestLoadFleetWithWorkerKill(t *testing.T) {
 	close(drained)
 	<-killed
 	requireAllDone(t, res, err)
-	if got := total(srv, "dyflow_server_fleet_lease_expiries_total"); got < 1 {
+	if got := total(t, addr, "dyflow_server_fleet_lease_expiries_total"); got < 1 {
 		t.Fatalf("killed worker produced no lease expiry (%v)", got)
 	}
-	if got := total(srv, "dyflow_server_fleet_claims_total"); got < 1 {
+	if got := total(t, addr, "dyflow_server_fleet_claims_total"); got < 1 {
 		t.Fatalf("no fleet claims recorded (%v)", got)
 	}
 	// The victim's run was executed again by a survivor: any result that
 	// reached the coordinator for it after that named the same bytes.
-	if got := total(srv, "dyflow_server_result_mismatch_total"); got != 0 {
+	if got := total(t, addr, "dyflow_server_result_mismatch_total"); got != 0 {
 		t.Fatalf("result_mismatch_total = %v: a re-execution produced other artifacts", got)
 	}
 }
@@ -178,7 +204,7 @@ func TestLoadFleetWithWorkerKill(t *testing.T) {
 // ended in exactly one terminal event — cached runs included, whose stream
 // is pure replay.
 func TestLoadStream(t *testing.T) {
-	_, addr := startCoordinator(t, server.Config{Workers: -1, TenantQuota: -1})
+	addr := startCoordinator(t, server.Config{Workers: -1, TenantQuota: -1})
 	for i := 0; i < 2; i++ {
 		defer join(t, fleet.WorkerOptions{Coordinator: addr, Name: fmt.Sprint("stream-", i), Slots: 2,
 			ClaimWait: 100 * time.Millisecond}).Stop()

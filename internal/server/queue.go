@@ -98,10 +98,3 @@ func (q *runQueue) remove(id string) bool {
 	}
 	return false
 }
-
-// depthTotal returns the number of queued runs.
-func (q *runQueue) depthTotal() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.ids)
-}

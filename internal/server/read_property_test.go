@@ -742,9 +742,9 @@ func TestProperty_StatusFromMeta_EqualsDocPath(t *testing.T) {
 			}
 			ao, an := residents(a)
 			bo, bn := residents(b)
-			if !reflect.DeepEqual(ao, bo) || an != bn || a.QueueDepth() != b.QueueDepth() {
+			if !reflect.DeepEqual(ao, bo) || an != bn || queued(a) != queued(b) {
 				t.Fatalf("%s: resident %d / nextID %d / queue %d vs resident %d / nextID %d / queue %d",
-					what, len(ao), an, a.QueueDepth(), len(bo), bn, b.QueueDepth())
+					what, len(ao), an, queued(a), len(bo), bn, queued(b))
 			}
 			blank := func(sts []Status) []Status {
 				presence := func(p *time.Time) *time.Time {
@@ -792,7 +792,7 @@ func TestProperty_StatusFromMeta_EqualsDocPath(t *testing.T) {
 					t.Fatalf("%s: %s would re-execute %+v vs %+v", what, st.ID, ar.job(), br.job())
 				}
 			}
-			if aa, ba := a.Analytics(), b.Analytics(); !reflect.DeepEqual(aa, ba) {
+			if aa, ba := a.AnalyticsWithTrends(0, 0), b.AnalyticsWithTrends(0, 0); !reflect.DeepEqual(aa, ba) {
 				t.Fatalf("%s: analytics differ:\n %+v\n %+v", what, aa, ba)
 			}
 		}
@@ -819,8 +819,8 @@ func TestProperty_StatusFromMeta_EqualsDocPath(t *testing.T) {
 				t.Fatalf("%s (%s, xml=%v): restored as %+v", g.p.ID, g.p.State, g.p.Job.XML != "", r)
 			}
 		}
-		if a.QueueDepth() != wantResident {
-			t.Fatalf("restore queued %d runs, want %d", a.QueueDepth(), wantResident)
+		if queued(a) != wantResident {
+			t.Fatalf("restore queued %d runs, want %d", queued(a), wantResident)
 		}
 
 		// New-format records behind the old ones: the restore's own queued
@@ -833,8 +833,8 @@ func TestProperty_StatusFromMeta_EqualsDocPath(t *testing.T) {
 			}
 		}
 		compare("appended behind", a, b)
-		if hits := a.Analytics().CacheHits - b.Analytics().CacheHits; hits != 0 || a.Analytics().CacheHits == 0 {
-			t.Fatalf("cache hits on restored results: %d vs %d", a.Analytics().CacheHits, b.Analytics().CacheHits)
+		if hits := a.AnalyticsWithTrends(0, 0).CacheHits - b.AnalyticsWithTrends(0, 0).CacheHits; hits != 0 || a.AnalyticsWithTrends(0, 0).CacheHits == 0 {
+			t.Fatalf("cache hits on restored results: %d vs %d", a.AnalyticsWithTrends(0, 0).CacheHits, b.AnalyticsWithTrends(0, 0).CacheHits)
 		}
 
 		before, _ := walk(t, a.Handler(), RunQuery{Limit: 100})

@@ -68,7 +68,7 @@ func TestRestoreOverCapacityQueue(t *testing.T) {
 		}
 		ids = append(ids, st.ID)
 	}
-	if depth := s1.QueueDepth(); depth != 2 {
+	if depth := queued(s1); depth != 2 {
 		t.Fatalf("queue depth %d with 2 runs held running", depth)
 	}
 	// Kill: Close flags the worker killed before it waits for the slots, so
@@ -318,7 +318,7 @@ func TestRestoreAppendFailuresObservable(t *testing.T) {
 	if n := len(listRuns(t, s)); n != 1 {
 		t.Fatalf("%d runs listed after two refused submissions, want 1", n)
 	}
-	if s.QueueDepth() != 0 {
+	if queued(s) != 0 {
 		t.Fatal("refused submission left on the queue")
 	}
 	if text := sink.String(); !strings.Contains(text, "history append "+st.ID+" (done)") {

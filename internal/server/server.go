@@ -233,9 +233,6 @@ func (s *Server) logf(format string, args ...any) {
 	s.logger.Printf(format, args...)
 }
 
-// Registry returns the registry holding the dyflow_server_* families.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // History returns the run-history store (tests and diagnostics).
 func (s *Server) History() *runstore.Store { return s.history }
 
@@ -368,9 +365,6 @@ func (s *Server) Artifact(id, name string) ([]byte, error) {
 	}
 	return data, nil
 }
-
-// QueueDepth returns the number of queued runs (tests and the drain loop).
-func (s *Server) QueueDepth() int { return s.queue.depthTotal() }
 
 // Start begins serving the API on addr ("host:0" picks a free port) and
 // returns the bound address.

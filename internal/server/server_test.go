@@ -16,6 +16,13 @@ import (
 	"dyflow/internal/server/fleet"
 )
 
+// queued is the number of runs in s's queue.
+func queued(s *Server) int {
+	s.queue.mu.Lock()
+	defer s.queue.mu.Unlock()
+	return len(s.queue.ids)
+}
+
 // quick is the cheap deterministic job the tests submit.
 func quick(seed int64) exp.Job {
 	return exp.Job{Scenario: exp.ScenarioQuickstart, Machine: "dt2", Seed: seed}
@@ -44,7 +51,7 @@ func await(t *testing.T, s *Server, id string) Status {
 func metricsText(t *testing.T, s *Server) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.Registry().WritePrometheus(&buf); err != nil {
+	if err := s.reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -181,8 +188,8 @@ func TestQueueBackpressure(t *testing.T) {
 	if !errors.As(err, &api) || api.Code != http.StatusTooManyRequests || api.RetryAfter <= 0 {
 		t.Fatalf("queue-full submit returned %v", err)
 	}
-	if s.QueueDepth() != 2 {
-		t.Fatalf("queue depth %d after rejection", s.QueueDepth())
+	if queued(s) != 2 {
+		t.Fatalf("queue depth %d after rejection", queued(s))
 	}
 	if !strings.Contains(metricsText(t, s), "dyflow_server_queue_rejections_total 1") {
 		t.Fatal("queue rejection not recorded in metrics")

@@ -276,7 +276,7 @@ func TestStreamSlowConsumerDrops(t *testing.T) {
 			t.Fatalf("retained suffix not contiguous: %+v", evs)
 		}
 	}
-	if v, _ := s.Registry().Value("dyflow_server_event_drops_total"); v < float64(missed) {
+	if v, _ := s.reg.Value("dyflow_server_event_drops_total"); v < float64(missed) {
 		t.Fatalf("dyflow_server_event_drops_total = %v, want >= %d", v, missed)
 	}
 }

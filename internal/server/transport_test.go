@@ -620,7 +620,7 @@ func TestShutdownAbortIsNotACancel(t *testing.T) {
 				t.Fatalf("run %d is %s, want %s", i, st.State, want)
 			}
 		}
-		if s.QueueDepth() != 0 {
+		if queued(s) != 0 {
 			t.Fatal("the aborted run was pushed back for a stopping coordinator to lease again")
 		}
 		aborted := observe(t, s, ids[0])

@@ -47,6 +47,22 @@ func TestSameInstantFIFO(t *testing.T) {
 	}
 }
 
+// TestEventCancel: an event the kernel cancels (a timer an interrupt cut
+// short) never runs.
+func TestEventCancel(t *testing.T) {
+	s := New(1)
+	ran := false
+	e := s.newEvent(time.Second)
+	e.fn = func() { ran = true }
+	s.cancelInternal(e)
+	if err := s.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if ran {
+		t.Fatal("canceled event ran")
+	}
+}
+
 func TestRunHorizon(t *testing.T) {
 	s := New(1)
 	ran := false

@@ -251,9 +251,6 @@ func (w *Window) Push(v float64) {
 // Len returns the number of readings currently held.
 func (w *Window) Len() int { return w.count }
 
-// Size returns the window capacity.
-func (w *Window) Size() int { return w.size }
-
 // Values returns the readings in arrival order (oldest first).
 func (w *Window) Values() []float64 {
 	out := make([]float64, w.count)

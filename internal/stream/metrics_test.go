@@ -39,8 +39,13 @@ func TestStreamMetrics(t *testing.T) {
 	if val("dyflow_stream_backlog_records") != 2 {
 		t.Fatalf("backlog = %v, want 2", val("dyflow_stream_backlog_records"))
 	}
-	if _, ok := rd.TryGet(); !ok {
-		t.Fatal("TryGet failed on buffered stream")
+	s.Spawn("consumer", func(p *sim.Proc) {
+		if _, err := rd.Get(p); err != nil {
+			t.Errorf("Get: %v", err)
+		}
+	})
+	if err := s.RunUntilIdle(); err != nil {
+		t.Fatal(err)
 	}
 	if val("dyflow_stream_backlog_records") != 1 {
 		t.Fatalf("backlog after get = %v, want 1", val("dyflow_stream_backlog_records"))

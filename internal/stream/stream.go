@@ -75,15 +75,6 @@ func (r *Reader) Get(p *sim.Proc) (Step, error) {
 	return st, nil
 }
 
-// TryGet returns the next staged record without blocking.
-func (r *Reader) TryGet() (Step, bool) {
-	st, ok := r.buf.TryGet()
-	if ok {
-		r.stream.backlogChanged()
-	}
-	return st, ok
-}
-
 // Len returns the number of buffered records.
 func (r *Reader) Len() int { return r.buf.Len() }
 
@@ -139,12 +130,6 @@ func (st *Stream) backlogChanged() {
 func newStream(s *sim.Sim, name string) *Stream {
 	return &Stream{sim: s, name: name, readers: make(map[int]*Reader)}
 }
-
-// Name returns the stream name.
-func (st *Stream) Name() string { return st.name }
-
-// Produced returns the number of records written so far.
-func (st *Stream) Produced() int { return st.produced }
 
 // Closed reports whether the producer closed the stream.
 func (st *Stream) Closed() bool { return st.closed }

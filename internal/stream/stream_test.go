@@ -123,11 +123,7 @@ func TestDropOldestNeverBlocks(t *testing.T) {
 	}
 	// The survivors are the newest three, in order.
 	var got []int
-	for {
-		step, ok := r.TryGet()
-		if !ok {
-			break
-		}
+	for _, step := range r.Buffered() {
 		got = append(got, step.Index)
 	}
 	want := []int{7, 8, 9}
@@ -289,7 +285,7 @@ func TestAccessorsAndReopen(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 	r := st.Attach(2, Block)
-	if len(st.readers) != 1 || st.Name() != "a" {
+	if len(st.readers) != 1 || st.name != "a" {
 		t.Fatalf("stream = %v", st)
 	}
 	s.Spawn("p", func(p *sim.Proc) {
@@ -299,8 +295,8 @@ func TestAccessorsAndReopen(t *testing.T) {
 	if err := s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Produced() != 2 || r.Len() != 2 {
-		t.Fatalf("produced=%d len=%d", st.Produced(), r.Len())
+	if st.produced != 2 || r.Len() != 2 {
+		t.Fatalf("produced=%d len=%d", st.produced, r.Len())
 	}
 	if got := st.String(); got != "stream(a, 1 readers, 2 produced)" {
 		t.Fatalf("String = %q", got)

@@ -281,9 +281,6 @@ func (in *Instance) GlobalStep() int { return in.globalStep }
 // StartedAt and EndedAt bound the incarnation's lifetime.
 func (in *Instance) StartedAt() sim.Time { return in.startedAt }
 
-// EndedAt returns the termination time (valid after termination).
-func (in *Instance) EndedAt() sim.Time { return in.endedAt }
-
 // Proc exposes the underlying simulated process (for Join).
 func (in *Instance) Proc() *sim.Proc { return in.proc }
 

@@ -12,7 +12,7 @@ func TestOnCompleteHookFiresOnExecuted(t *testing.T) {
 	var got []Span
 	r.SetOnComplete(func(sp Span) {
 		// Re-entrancy must be safe: the hook runs unlocked.
-		_, _ = r.Span(sp.Seq)
+		_, _ = r.span(sp.Seq)
 		got = append(got, sp)
 	})
 

@@ -26,7 +26,7 @@ func TestSpanLogKeepsSpansInPlace(t *testing.T) {
 		t.Fatalf("span 1 = %+v, want it stamped in place", *first)
 	}
 	for seq := 1; seq <= 1000; seq++ {
-		if sp, ok := r.Span(seq); !ok || sp.Seq != seq || sp.ID() != SpanID("W", "P", seq) {
+		if sp, ok := r.span(seq); !ok || sp.Seq != seq || sp.ID() != SpanID("W", "P", seq) {
 			t.Fatalf("Span(%d) = %+v, %v", seq, sp, ok)
 		}
 	}
@@ -39,7 +39,7 @@ func TestSpanLogKeepsSpansInPlace(t *testing.T) {
 	if n := r.spans.n; n != 1000 {
 		t.Fatalf("%d spans after repeated numbers, want 1000", n)
 	}
-	if _, ok := r.Span(1001); ok {
+	if _, ok := r.span(1001); ok {
 		t.Fatal("found a span no suggestion opened")
 	}
 	n := 0
@@ -76,12 +76,12 @@ func TestSpanLogFindsSpansOutOfOrder(t *testing.T) {
 	for _, seq := range append([]int{7, 9}, order...) {
 		r.Received(seq, 4)
 		r.Executed(seq, 6)
-		if sp, ok := r.Span(seq); !ok || sp.Seq != seq || sp.ReceivedAt != 4 || !sp.Complete() {
+		if sp, ok := r.span(seq); !ok || sp.Seq != seq || sp.ReceivedAt != 4 || !sp.Complete() {
 			t.Fatalf("Span(%d) = %+v, %v, want it found and stamped", seq, sp, ok)
 		}
 	}
 	for _, seq := range []int{0, 2, 11, 23} {
-		if sp, ok := r.Span(seq); ok {
+		if sp, ok := r.span(seq); ok {
 			t.Fatalf("Span(%d) found %+v, which no suggestion opened", seq, sp)
 		}
 	}

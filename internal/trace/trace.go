@@ -523,17 +523,6 @@ func (r *Recorder) VisitSpans(fn func(sp *Span)) {
 	}
 }
 
-// Span returns the span of suggestion seq.
-func (r *Recorder) Span(seq int) (Span, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sp := r.spans.find(seq)
-	if sp == nil {
-		return Span{}, false
-	}
-	return *sp, true
-}
-
 // LatencyStat summarizes one latency distribution.
 type LatencyStat struct {
 	Label string        `json:"label"`

@@ -13,6 +13,17 @@ import (
 	"dyflow/internal/sim"
 )
 
+// span returns a copy of suggestion seq's span, read under the recorder's
+// lock.
+func (r *Recorder) span(seq int) (Span, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if sp := r.spans.find(seq); sp != nil {
+		return *sp, true
+	}
+	return Span{}, false
+}
+
 func sec(n int) sim.Time { return sim.Time(n) * sim.Time(time.Second) }
 
 // fill records a small but fully populated run: two completed spans, one
@@ -53,14 +64,14 @@ func TestSpanLifecycle(t *testing.T) {
 	if spans[0].ID() != "W/P1#1" || spans[1].ID() != "W/P2#2" || spans[2].ID() != "W/P1#3" {
 		t.Fatalf("span order = %v %v %v", spans[0].ID(), spans[1].ID(), spans[2].ID())
 	}
-	sp, ok := r.Span(1)
+	sp, ok := r.span(1)
 	if !ok || !sp.Complete() || !sp.Monotone() {
 		t.Fatalf("span = %+v, want complete and monotone", sp)
 	}
 	if sp.ExecutedAt != sec(9) {
 		t.Fatalf("ExecutedAt = %v, want 9s", sp.ExecutedAt)
 	}
-	dropped, ok := r.Span(2)
+	dropped, ok := r.span(2)
 	if !ok || dropped.Dropped != "warmup" || dropped.Complete() {
 		t.Fatalf("dropped span = %+v", dropped)
 	}

@@ -139,9 +139,6 @@ func New(env *task.Env, rm *resmgr.Manager, reg *obs.Registry) *Savanna {
 	return sv
 }
 
-// Env returns the task environment.
-func (sv *Savanna) Env() *task.Env { return sv.env }
-
 // Manager returns the resource manager (Arbitration consults it directly
 // for resource bookkeeping).
 func (sv *Savanna) Manager() *resmgr.Manager { return sv.rm }
@@ -243,11 +240,6 @@ func (sv *Savanna) AnyRunning(workflowID string) bool {
 		}
 	}
 	return false
-}
-
-// Assigned returns the task's current resource assignment.
-func (sv *Savanna) Assigned(workflowID, taskName string) resmgr.ResourceSet {
-	return sv.rm.Assigned(key(workflowID, taskName))
 }
 
 // StartTask implements start_task_with_resources: assign rs to the task,

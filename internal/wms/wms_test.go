@@ -65,7 +65,7 @@ func TestLaunchAssignsAndRuns(t *testing.T) {
 	})
 	// Mid-run, the task holds 10 cores shaped 5 per node.
 	b.s.After(2*time.Second, func() {
-		rs := b.sv.Assigned("WF", "Sim")
+		rs := b.sv.rm.Assigned(key("WF", "Sim"))
 		if rs.Total() != 10 || rs["node000"] != 5 || rs["node001"] != 5 {
 			t.Errorf("assignment = %v", rs)
 		}
@@ -392,7 +392,7 @@ func TestAccessorsAndResourcePassthrough(t *testing.T) {
 	b := &bench{s: s, c: c, rm: rm, env: env, sv: New(env, rm, reg), reg: reg}
 	wf := simpleWF(10)
 	b.sv.Compose(wf)
-	if b.sv.Env() != b.env || b.sv.Manager() != b.rm {
+	if b.sv.env != b.env || b.sv.Manager() != b.rm {
 		t.Fatal("accessors broken")
 	}
 	if got := b.sv.Workflow("WF"); got != wf {
