@@ -75,9 +75,8 @@ type group struct {
 // NewServer creates the Monitor server reading from its own endpoint and
 // forwarding metric batches to the out endpoint; spawn starts its process
 // (the orchestrator's supervisor hands in a panic-guarded spawner). It
-// records stage
-// counters and per-sensor lag samples on tr, the counters' only owner:
-// monitor.forwarded counts fresh detections (metrics carrying a new
+// records stage counters and per-sensor lag samples on tr, the only store
+// of both: monitor.forwarded counts fresh detections (metrics carrying a new
 // generation time), monitor.repolled the stale re-polls of unchanged data
 // that still travel on the wire, and monitor.dropped_batches the batches
 // the out-of-order filter discarded.
