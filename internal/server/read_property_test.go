@@ -833,8 +833,8 @@ func TestProperty_StatusFromMeta_EqualsDocPath(t *testing.T) {
 			}
 		}
 		compare("appended behind", a, b)
-		if hits := a.AnalyticsWithTrends(0, 0).CacheHits - b.AnalyticsWithTrends(0, 0).CacheHits; hits != 0 || a.AnalyticsWithTrends(0, 0).CacheHits == 0 {
-			t.Fatalf("cache hits on restored results: %d vs %d", a.AnalyticsWithTrends(0, 0).CacheHits, b.AnalyticsWithTrends(0, 0).CacheHits)
+		if ah, bh := a.AnalyticsWithTrends(0, 0).CacheHits, b.AnalyticsWithTrends(0, 0).CacheHits; ah != bh || ah == 0 {
+			t.Fatalf("cache hits on restored results: %d vs %d", ah, bh)
 		}
 
 		before, _ := walk(t, a.Handler(), RunQuery{Limit: 100})
