@@ -29,13 +29,13 @@ const SnapshotKind = "dyflow-core"
 
 // Snapshot is the orchestrator's full checkpointable state.
 type Snapshot struct {
-	At       sim.Time                `json:"at"`
-	Decision decision.Snapshot       `json:"decision"`
-	Arbiter  arbiter.Snapshot        `json:"arbiter"`
-	Server   sensor.ServerSnapshot   `json:"server"`
-	Clients  []sensor.ClientSnapshot `json:"clients,omitempty"`
-	Trace    trace.State             `json:"trace"`
-	Bus      msg.BusSnapshot         `json:"bus"`
+	At       sim.Time              `json:"at"`
+	Decision decision.Snapshot     `json:"decision"`
+	Arbiter  arbiter.Snapshot      `json:"arbiter"`
+	Server   sensor.ServerSnapshot `json:"server"`
+	Client   sensor.ClientSnapshot `json:"client"`
+	Trace    trace.State           `json:"trace"`
+	Bus      msg.BusSnapshot       `json:"bus"`
 }
 
 // Snapshot captures the orchestrator's state. Take it from driver context
@@ -44,18 +44,15 @@ type Snapshot struct {
 // process stack. The chaos harness defers kills to the next quiescent
 // boundary for exactly this reason.
 func (o *Orchestrator) Snapshot() Snapshot {
-	snap := Snapshot{
+	return Snapshot{
 		At:       o.env.Sim.Now(),
 		Decision: o.Decision.Snapshot(),
 		Arbiter:  o.Arbiter.Snapshot(),
 		Server:   o.Server.Snapshot(),
+		Client:   o.Client.Snapshot(),
 		Trace:    o.Trace.State(),
 		Bus:      o.Bus.Snapshot(),
 	}
-	for _, c := range o.Clients {
-		snap.Clients = append(snap.Clients, c.Snapshot())
-	}
-	return snap
 }
 
 // Checkpoint encodes the orchestrator's Snapshot as a checkpoint blob. The
@@ -86,11 +83,7 @@ func (o *Orchestrator) Restore(blob []byte) error {
 	o.Decision.Restore(snap.Decision)
 	o.Arbiter.Restore(snap.Arbiter)
 	o.Server.Restore(snap.Server)
-	for i, cs := range snap.Clients {
-		if i < len(o.Clients) {
-			o.Clients[i].Restore(cs)
-		}
-	}
+	o.Client.Restore(snap.Client)
 	return nil
 }
 

@@ -157,9 +157,7 @@ func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator) []byte {
 	arb["discarded"] = n("arbiter.discarded_batches")
 	arb["empty"] = []any{map[string]any{"Workflow": "WF", "ReceivedAt": int64(time.Minute),
 		"PlannedAt": int64(time.Minute), "SuggestionIDs": []string{"WF/INC_ON_PACE#1"}}}
-	for _, c := range snap["clients"].([]any) {
-		c.(map[string]any)["sent"] = 42
-	}
+	slice("client")["sent"] = 42
 	out, err := ckpt.Encode(SnapshotKind, snap)
 	if err != nil {
 		t.Fatal(err)

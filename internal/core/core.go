@@ -7,7 +7,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"dyflow/internal/core/actuate"
@@ -31,10 +30,6 @@ const (
 
 // Options tunes the orchestrator.
 type Options struct {
-	// MonitorClients is the number of monitor client services the targets
-	// are sharded across (the paper launches clients per scaling needs).
-	// Default 1.
-	MonitorClients int
 	// Arbiter configures warm-up/settle guards and plan cost; a zero value
 	// takes DefaultConfig.
 	Arbiter arbiter.Config
@@ -50,7 +45,7 @@ type Orchestrator struct {
 	Savanna  *wms.Savanna
 	Bus      *msg.Bus
 	Server   *sensor.Server
-	Clients  []*sensor.Client
+	Client   *sensor.Client
 	Decision *decision.Engine
 	Arbiter  *arbiter.Engine
 	Executor *actuate.Executor
@@ -71,9 +66,6 @@ type Orchestrator struct {
 // New builds (but does not start) an orchestrator for the compiled user
 // specification over the given Savanna runtime.
 func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orchestrator {
-	if opts.MonitorClients <= 0 {
-		opts.MonitorClients = 1
-	}
 	zero := arbiter.Config{}
 	if opts.Arbiter == zero {
 		opts.Arbiter = arbiter.DefaultConfig()
@@ -98,20 +90,10 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orches
 	// crash is absorbed and restarted instead of failing the simulation.
 	o.Supervisor = newSupervisor(o)
 
-	// Monitor: server plus sharded clients.
+	// Monitor: the server and one client over every target.
 	o.Server = sensor.NewServer(env.Sim, o.Supervisor.spawner(StageMonitorServer), bus, EndpointMonitorServer, EndpointDecision, cfg, o.Trace)
-	workload := &savannaWorkload{sv: sv}
-	for i := 0; i < opts.MonitorClients; i++ {
-		var shard []spec.MonitorTarget
-		for j, tg := range cfg.Targets {
-			if j%opts.MonitorClients == i {
-				shard = append(shard, tg)
-			}
-		}
-		name := fmt.Sprintf("monitor-client-%d", i)
-		o.Clients = append(o.Clients, sensor.NewClient(name, env, bus, EndpointMonitorServer, cfg, shard, workload,
-			&selfSource{o: o}, o.Supervisor.spawner(StageMonitorClient), opts.Metrics))
-	}
+	o.Client = sensor.NewClient("monitor-client-0", env, bus, EndpointMonitorServer, cfg, cfg.Targets, &savannaWorkload{sv: sv},
+		&selfSource{o: o}, o.Supervisor.spawner(StageMonitorClient), opts.Metrics)
 
 	// Decision.
 	o.Decision = decision.New(env.Sim, o.Supervisor.spawner(StageDecision), bus, EndpointDecision, EndpointArbiter, cfg, o.Trace)
@@ -143,9 +125,7 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orches
 func (o *Orchestrator) Start() {
 	o.stopped = false
 	o.Server.Start()
-	for _, c := range o.Clients {
-		c.Start()
-	}
+	o.Client.Start()
 	o.Decision.Start()
 	o.Arbiter.Start()
 	o.Supervisor.Start()
@@ -160,9 +140,7 @@ func (o *Orchestrator) Stop() {
 	o.stopped = true
 	// Supervisor first, so stage teardown is not mistaken for a crash.
 	o.Supervisor.Stop()
-	for _, c := range o.Clients {
-		c.Stop()
-	}
+	o.Client.Stop()
 	o.Server.Stop()
 	o.Decision.Stop()
 	o.Arbiter.Stop()

@@ -274,129 +274,6 @@ func TestEndToEndFailureRestart(t *testing.T) {
 	o.Stop()
 }
 
-// TestMonitorClientSharding: the monitor targets shard across multiple
-// clients (the paper's "flexibility to launch multiple clients ... to
-// address requisite scaling needs") and the pipeline still adapts.
-func TestMonitorClientSharding(t *testing.T) {
-	w := newWorld(t, 2)
-	w.sv.Compose(&wms.WorkflowSpec{
-		ID: "WF",
-		Tasks: []wms.TaskConfig{
-			{
-				Spec: task.Spec{
-					Name: "Sim", Workflow: "WF",
-					Cost: task.Cost{Work: 10 * time.Second}, TotalSteps: 2000,
-					ProducesTo: "wf.out",
-				},
-				Procs: 10, ProcsPerNode: 5, AutoStart: true,
-			},
-			{
-				Spec: task.Spec{
-					Name: "Ana", Workflow: "WF",
-					Cost:         task.Cost{Work: 40 * time.Second},
-					ConsumesFrom: "wf.out", ConsumeBuf: 1,
-					Profile: true,
-				},
-				Procs: 2, ProcsPerNode: 1, AutoStart: true,
-			},
-			{
-				Spec: task.Spec{
-					Name: "Ana2", Workflow: "WF",
-					Cost:         task.Cost{Work: 8 * time.Second},
-					ConsumesFrom: "wf.out", ConsumeBuf: 1,
-					Profile: true,
-				},
-				Procs: 4, ProcsPerNode: 2, AutoStart: true,
-			},
-		},
-	})
-	cfg, err := spec.CompileString(`
-<dyflow>
-  <monitor>
-    <sensors>
-      <sensor id="PACE" type="TAUADIOS2">
-        <group-by><group granularity="task" reduction-operation="MAX"/></group-by>
-      </sensor>
-    </sensors>
-    <monitor-tasks>
-      <monitor-task name="Ana" workflowId="WF" info-source="tau.Ana">
-        <use-sensor sensor-id="PACE" info="looptime"/>
-      </monitor-task>
-      <monitor-task name="Ana2" workflowId="WF" info-source="tau.Ana2">
-        <use-sensor sensor-id="PACE" info="looptime"/>
-      </monitor-task>
-    </monitor-tasks>
-  </monitor>
-  <decision>
-    <policies>
-      <policy id="INC">
-        <eval operation="GT" threshold="10"/>
-        <sensors-to-use><use-sensor id="PACE" granularity="task"/></sensors-to-use>
-        <action>ADDCPU</action>
-        <history window="3" operation="AVG"/>
-        <frequency seconds="5"/>
-      </policy>
-    </policies>
-    <apply-on workflowId="WF">
-      <apply-policy policyId="INC" assess-task="Ana">
-        <act-on-tasks>Ana</act-on-tasks>
-        <action-params><param key="adjust-by" value="6"/></action-params>
-      </apply-policy>
-      <apply-policy policyId="INC" assess-task="Ana2">
-        <act-on-tasks>Ana2</act-on-tasks>
-        <action-params><param key="adjust-by" value="6"/></action-params>
-      </apply-policy>
-    </apply-on>
-  </decision>
-  <arbitration>
-    <rules>
-      <rule-for workflowId="WF">
-        <task-priorities>
-          <task-priority name="Sim" priority="0"/>
-          <task-priority name="Ana" priority="1"/>
-          <task-priority name="Ana2" priority="2"/>
-        </task-priorities>
-      </rule-for>
-    </rules>
-  </arbitration>
-</dyflow>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := New(w.env, w.sv, cfg, Options{
-		MonitorClients: 3, // more clients than targets: one stays idle
-		Arbiter: arbiter.Config{
-			WarmupDelay: 30 * time.Second, SettleDelay: 30 * time.Second,
-			PlanCost: 100 * time.Millisecond, GatherWindow: 5 * time.Second,
-		},
-	})
-	if len(o.Clients) != 3 {
-		t.Fatalf("clients = %d", len(o.Clients))
-	}
-	o.Start()
-	w.s.Spawn("driver", func(p *sim.Proc) { w.sv.Launch(p, "WF") })
-	if err := w.s.Run(8 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	// Both shards shipped updates: a client endpoint's sequence number
-	// counts the batches it sent.
-	sent := map[string]uint64{}
-	for _, ep := range o.Bus.Snapshot().Endpoints {
-		sent[ep.Name] = ep.Seq
-	}
-	if sent["monitor-client-0"] == 0 || sent["monitor-client-1"] == 0 {
-		t.Fatalf("shard sends = %d, %d", sent["monitor-client-0"], sent["monitor-client-1"])
-	}
-	if sent["monitor-client-2"] != 0 {
-		t.Fatalf("idle client sent %d", sent["monitor-client-2"])
-	}
-	// The adaptation still happened for the bottleneck analysis.
-	if got := w.sv.Instance("WF", "Ana").Placement.Procs(); got < 8 {
-		t.Fatalf("Ana procs = %d, want grown", got)
-	}
-	o.Stop()
-}
-
 // TestMultiWorkflowOrchestration: one DYFLOW instance orchestrates two
 // independent workflows — a pace-adapted coupled pipeline and a
 // failure-restarted solo task — with per-workflow rules and plans.

@@ -172,10 +172,8 @@ func (o *Orchestrator) restartStage(stage string) {
 		o.Server.Stop()
 		o.Server.Start()
 	case StageMonitorClient:
-		for _, c := range o.Clients {
-			c.Stop()
-			c.Start()
-		}
+		o.Client.Stop()
+		o.Client.Start()
 	case StageDecision:
 		o.Decision.Stop()
 		o.Decision.Start()
