@@ -367,7 +367,7 @@ func traceExp() error {
 		return err
 	}
 	defer res.W.Close()
-	rep := res.W.Orch.Trace.Report()
+	rep := res.W.Trace.Report()
 	fmt.Printf("== Flight recorder — Gray-Scott per-stage latency (%v, seed %d) ==\n", machine(), *seedFlag)
 	rep.Write(os.Stdout)
 	fmt.Println()

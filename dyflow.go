@@ -177,7 +177,7 @@ func (s *System) TraceReport() *StageReport {
 	if s.w.Orch == nil {
 		return &StageReport{}
 	}
-	return s.w.Orch.Trace.Report()
+	return s.w.Trace.Report()
 }
 
 // TaskRunning reports whether a task currently has a live incarnation.

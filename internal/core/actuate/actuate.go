@@ -111,39 +111,20 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, Backoff: 2 * time.Second, MaxBackoff: 30 * time.Second}
 }
 
-// OpRecord times one executed low-level operation; the stop/start split is
-// what shows ~97% of response time being graceful-termination wait (§4.6).
-type OpRecord struct {
-	Op        arbiter.Op
-	StartedAt sim.Time
-	EndedAt   sim.Time
-	Err       string
-	// Attempts counts the tries this op took (1 = applied first try);
-	// attempts beyond the first are transient-failure retries.
-	Attempts int
-}
-
-// Duration returns the operation's execution time.
-func (r OpRecord) Duration() sim.Time { return r.EndedAt - r.StartedAt }
-
 // Executor applies plans through a plugin, sequentially and in order — the
 // ordering produced by Arbitration guarantees operations that release
 // resources precede those that acquire them.
 type Executor struct {
-	plugin  Plugin
-	retry   RetryPolicy
-	records []OpRecord
-	tr      *trace.Recorder
+	plugin Plugin
+	retry  RetryPolicy
+	tr     *trace.Recorder
 }
 
 // NewExecutor creates an Executor over the plugin with the default retry
-// policy, recording per-operation latency on tr.
+// policy, recording every executed operation on tr.
 func NewExecutor(plugin Plugin, tr *trace.Recorder) *Executor {
 	return &Executor{plugin: plugin, retry: DefaultRetryPolicy(), tr: tr}
 }
-
-// Records returns all executed operations.
-func (ex *Executor) Records() []OpRecord { return ex.records }
 
 // startWithRetry applies one START op, retrying transient failures with
 // capped exponential backoff. Every attempt excludes the nodes earlier
@@ -199,7 +180,7 @@ func (ex *Executor) startWithRetry(p *sim.Proc, op arbiter.Op) (attempts int, er
 func (ex *Executor) Execute(p *sim.Proc, plan arbiter.Plan) (arbiter.ExecReport, error) {
 	var rep arbiter.ExecReport
 	for i, op := range plan.Ops {
-		rec := OpRecord{Op: op, StartedAt: p.Now(), Attempts: 1}
+		rec := trace.Op{Kind: op.Kind.String(), Workflow: op.Workflow, Task: op.Task, Attempts: 1, StartedAt: p.Now()}
 		var err error
 		switch op.Kind {
 		case arbiter.OpStop:
@@ -217,9 +198,8 @@ func (ex *Executor) Execute(p *sim.Proc, plan arbiter.Plan) (arbiter.ExecReport,
 			rec.Err = err.Error()
 			ex.tr.Inc("actuate.failed_ops", 1)
 		}
-		ex.tr.OpExecuted(op.Kind.String(), rec.StartedAt, rec.EndedAt)
+		ex.tr.OpExecuted(rec)
 		ex.tr.Inc("actuate.ops", 1)
-		ex.records = append(ex.records, rec)
 		if err != nil {
 			// The failed op and everything after it never applied; collect
 			// the START ops among them for the engine's recovery queue.
@@ -234,21 +214,4 @@ func (ex *Executor) Execute(p *sim.Proc, plan arbiter.Plan) (arbiter.ExecReport,
 		rep.Applied++
 	}
 	return rep, nil
-}
-
-// StopShare computes the fraction of total execution time spent in stop
-// operations (graceful-termination waits) across all records.
-func (ex *Executor) StopShare() float64 {
-	var stop, total sim.Time
-	for _, r := range ex.records {
-		d := r.Duration()
-		total += d
-		if r.Op.Kind == arbiter.OpStop {
-			stop += d
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(stop) / float64(total)
 }

@@ -55,6 +55,13 @@ func newRig(t *testing.T) *rig {
 	return &rig{s: s, rm: rm, sv: sv, ex: NewExecutor(&SavannaPlugin{SV: sv}, tr), tr: tr}
 }
 
+// ops returns the actuation ops tr recorded, in execution order.
+func ops(tr *trace.Recorder) []trace.Op {
+	var out []trace.Op
+	tr.VisitOps(func(op *trace.Op) { out = append(out, *op) })
+	return out
+}
+
 func TestExecutePlanInOrder(t *testing.T) {
 	r := newRig(t)
 
@@ -83,17 +90,21 @@ func TestExecutePlanInOrder(t *testing.T) {
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	ops := r.ex.Records()
-	if len(ops) != 3 {
-		t.Fatalf("ops = %d, want 3", len(ops))
+	recs := ops(r.tr)
+	if len(recs) != 3 {
+		t.Fatalf("ops = %d, want 3", len(recs))
 	}
+	took := func(op trace.Op) sim.Time { return op.EndedAt - op.StartedAt }
 	// The graceful stop took the remainder of A's current step (~5s).
-	if d := ops[0].Duration(); d < 4*time.Second || d > 6*time.Second {
-		t.Fatalf("stop duration = %v, want ~5s drain", d)
+	if d := took(recs[0]); recs[0].Kind != "stop" || d < 4*time.Second || d > 6*time.Second {
+		t.Fatalf("stop = %+v, took %v, want a ~5s drain", recs[0], d)
 	}
 	// Starts are quick (no scripts).
-	if ops[1].Duration() > time.Second || ops[2].Duration() > time.Second {
-		t.Fatalf("start durations = %v, %v", ops[1].Duration(), ops[2].Duration())
+	if took(recs[1]) > time.Second || took(recs[2]) > time.Second {
+		t.Fatalf("start durations = %v, %v", took(recs[1]), took(recs[2]))
+	}
+	if recs[2].Kind != "start" || recs[2].Workflow != "WF" || recs[2].Task != "B" || recs[2].Attempts != 1 {
+		t.Fatalf("last op = %+v, want B's start, applied first try", recs[2])
 	}
 	if r.sv.Instance("WF", "A").Placement.Procs() != 20 {
 		t.Fatal("A not resized")
@@ -101,7 +112,7 @@ func TestExecutePlanInOrder(t *testing.T) {
 	if !r.sv.TaskRunning("WF", "B") {
 		t.Fatal("B not started")
 	}
-	if share := r.ex.StopShare(); share < 0.8 {
+	if share := r.tr.OpShare(arbiter.OpStop.String()); share < 0.8 {
 		t.Fatalf("stop share = %v, want graceful stop to dominate", share)
 	}
 }
@@ -135,7 +146,7 @@ func TestExecuteAbortsOnInfeasibleStart(t *testing.T) {
 	if r.sv.TaskRunning("WF", "B") {
 		t.Fatal("ops after the failing one must not execute")
 	}
-	recs := r.ex.Records()
+	recs := ops(r.tr)
 	if len(recs) != 1 || recs[0].Err == "" {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -170,7 +181,7 @@ func TestStartRetriesInjectedCarveFaultAndRecovers(t *testing.T) {
 	if !r.sv.TaskRunning("WF", "B") {
 		t.Fatal("B not started")
 	}
-	recs := r.ex.Records()
+	recs := ops(r.tr)
 	if len(recs) != 1 || recs[0].Attempts != 3 || recs[0].Err != "" {
 		t.Fatalf("records = %+v, want one op applied on attempt 3", recs)
 	}
@@ -204,7 +215,7 @@ func TestStartRetryUntilExhausted(t *testing.T) {
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	recs := r.ex.Records()
+	recs := ops(r.tr)
 	if len(recs) != 1 || recs[0].Attempts != DefaultRetryPolicy().MaxAttempts {
 		t.Fatalf("records = %+v, want retry budget exhausted", recs)
 	}
@@ -268,7 +279,7 @@ func TestStartRecarvesAroundLostNode(t *testing.T) {
 	if _, onDead := pl["node000"]; onDead {
 		t.Fatalf("retry landed back on the just-failed node: %v", pl)
 	}
-	recs := ex.Records()
+	recs := ops(tr)
 	if len(recs) != 1 || recs[0].Attempts != 2 {
 		t.Fatalf("records = %+v, want success on attempt 2", recs)
 	}
@@ -306,7 +317,7 @@ func TestExecuteReportsStopAppliedStartAborted(t *testing.T) {
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	recs := r.ex.Records()
+	recs := ops(r.tr)
 	if len(recs) != 2 || recs[0].Err != "" || recs[1].Err == "" {
 		t.Fatalf("records = %+v", recs)
 	}

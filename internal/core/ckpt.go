@@ -1,14 +1,16 @@
-// Checkpoint/restore for the orchestrator: a deterministic snapshot of the
-// full orchestration state — Decision history windows and gates, T_waiting
-// with Recovery flags and cooldown deadlines, open suggestion lifecycle
-// records, sensor worker cursors, and the bus's in-flight queues — encoded
-// as one checkpoint blob. A kill at a round boundary is lossless: the killed
-// orchestrator's blob, restored into a rebuilt orchestrator, continues the
-// campaign as if never killed.
+// Checkpoint/restore for the orchestrator: a deterministic snapshot of what
+// the orchestrator steers by — Decision history windows and gates, T_waiting
+// with Recovery flags and cooldown deadlines, the arbiter's round log,
+// sensor worker cursors, and the bus's in-flight queues — encoded as one
+// checkpoint blob. A kill at a round boundary is lossless: the killed
+// orchestrator's blob, restored into an orchestrator rebuilt over the same
+// flight recorder, continues the campaign as if never killed. The recorder
+// is not in the blob: like the metrics registry it belongs to the world and
+// outlives every orchestrator built over it.
 //
 // This file owns the blob's schema: what lives as a descriptor — a queued
-// message's series or rule, a span's number — is held as its record type,
-// turned back into a live value on Restore, or rejected.
+// message's series or rule — is held as its record type, turned back into a
+// live value on Restore, or rejected.
 package core
 
 import (
@@ -21,20 +23,21 @@ import (
 	"dyflow/internal/core/sensor"
 	"dyflow/internal/msg"
 	"dyflow/internal/sim"
-	"dyflow/internal/trace"
 )
 
 // SnapshotKind tags the full-orchestrator checkpoint record.
 const SnapshotKind = "dyflow-core"
 
-// Snapshot is the orchestrator's full checkpointable state.
+// Snapshot is the orchestrator's checkpointable state: every stage's, and
+// the bus's in-flight queues. Spans, stage counters, queue depths, latency
+// histograms and the actuation op log are the flight recorder's, which the
+// restored orchestrator is built with, so no snapshot holds them.
 type Snapshot struct {
 	At       sim.Time              `json:"at"`
 	Decision decision.Snapshot     `json:"decision"`
 	Arbiter  arbiter.Snapshot      `json:"arbiter"`
 	Server   sensor.ServerSnapshot `json:"server"`
 	Client   sensor.ClientSnapshot `json:"client"`
-	Trace    trace.State           `json:"trace"`
 	Bus      msg.BusSnapshot       `json:"bus"`
 }
 
@@ -50,7 +53,6 @@ func (o *Orchestrator) Snapshot() Snapshot {
 		Arbiter:  o.Arbiter.Snapshot(),
 		Server:   o.Server.Snapshot(),
 		Client:   o.Client.Snapshot(),
-		Trace:    o.Trace.State(),
 		Bus:      o.Bus.Snapshot(),
 	}
 }
@@ -67,17 +69,14 @@ func (o *Orchestrator) Checkpoint() ([]byte, error) {
 // the checkpoint left it — including mid-sleep sensor workers and the
 // arbiter's warm-up origin. A blob holding a record no live value can
 // represent — a queued message whose granularity does not parse, a
-// suggestion or span whose ID is not its own — is an error; the
-// orchestrator must then not be started.
+// suggestion whose ID is not its own — is an error; the orchestrator must
+// then not be started.
 func (o *Orchestrator) Restore(blob []byte) error {
 	var snap Snapshot
 	if err := ckpt.Decode(blob, SnapshotKind, &snap); err != nil {
 		return err
 	}
 	if err := o.Bus.Restore(snap.Bus); err != nil {
-		return err
-	}
-	if err := o.Trace.Restore(snap.Trace); err != nil {
 		return err
 	}
 	o.Decision.Restore(snap.Decision)

@@ -8,11 +8,13 @@ import (
 	"dyflow/internal/ckpt"
 	"dyflow/internal/core/decision"
 	"dyflow/internal/sim"
+	"dyflow/internal/trace"
 )
 
 // runPace drives the pace-adaptation world to the horizon, killing the
-// orchestrator at killAt (0 = never) and restoring a fresh instance from
-// its checkpoint blob in place; rewrite, when set, replaces the blob before
+// orchestrator at killAt (0 = never) and restoring a fresh instance, built
+// over the world's flight recorder, from its checkpoint blob in place;
+// rewrite, when set, replaces the blob before
 // the restore reads it, and started, when set, sees every orchestrator the
 // run starts — the first and a restored one. Returns the orchestrator that
 // finished the run.
@@ -93,13 +95,27 @@ func TestCheckpointRestoreDeterminism(t *testing.T) {
 		t.Fatalf("plan records diverged after kill+restore:\nbase:   %s\nkilled: %s", wantRecs, gotRecs)
 	}
 
-	// The suggestion lifecycle converges too (spans restored from the
-	// snapshot and continued live).
-	wantSpans, _ := json.Marshal(base.Trace.State().Spans)
-	gotSpans, _ := json.Marshal(killed.Trace.State().Spans)
-	if string(wantSpans) != string(gotSpans) {
-		t.Fatalf("trace spans diverged after kill+restore:\nbase:   %s\nkilled: %s", wantSpans, gotSpans)
+	// The flight recorder is the world's, handed to the restored
+	// orchestrator: its report — spans, stage latencies, sensor lags, op
+	// latencies, counters and queue depths — and its op log are the
+	// uninterrupted run's.
+	wantRep, _ := json.Marshal(base.Trace.Report())
+	gotRep, _ := json.Marshal(killed.Trace.Report())
+	if string(wantRep) != string(gotRep) {
+		t.Fatalf("flight-recorder report diverged after kill+restore:\nbase:   %s\nkilled: %s", wantRep, gotRep)
 	}
+	wantOps, _ := json.Marshal(recordedOps(base.Trace))
+	gotOps, _ := json.Marshal(recordedOps(killed.Trace))
+	if string(wantOps) != string(gotOps) || string(wantOps) == "null" {
+		t.Fatalf("actuation op log diverged after kill+restore:\nbase:   %s\nkilled: %s", wantOps, gotOps)
+	}
+}
+
+// recordedOps returns the actuation ops tr recorded, in execution order.
+func recordedOps(tr *trace.Recorder) []trace.Op {
+	var out []trace.Op
+	tr.VisitOps(func(op *trace.Op) { out = append(out, *op) })
+	return out
 }
 
 // The versioned snapshot blob itself must be deterministic: two snapshots
@@ -136,7 +152,8 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 
 // withDeletedCounters rewrites a snapshot blob the way earlier versions
 // wrote it: every stage kept its own copy of its counters (and the arbiter
-// its empty rounds) inside its slice of the snapshot.
+// its empty rounds) inside its slice of the snapshot, and the flight
+// recorder's state rode along as "trace".
 func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator) []byte {
 	t.Helper()
 	var snap map[string]any
@@ -158,6 +175,11 @@ func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator) []byte {
 	arb["empty"] = []any{map[string]any{"Workflow": "WF", "ReceivedAt": int64(time.Minute),
 		"PlannedAt": int64(time.Minute), "SuggestionIDs": []string{"WF/INC_ON_PACE#1"}}}
 	slice("client")["sent"] = 42
+	snap["trace"] = map[string]any{
+		"spans":    []any{map[string]any{"id": "WF/INC_ON_PACE#1", "workflow": "WF", "policy": "INC_ON_PACE"}},
+		"counters": []any{map[string]any{"name": "decision.suggestions", "value": 2 * n("decision.suggestions")}},
+		"queues":   []any{map[string]any{"endpoint": EndpointArbiter, "samples": 1, "sum": 99, "max": 99}},
+	}
 	out, err := ckpt.Encode(SnapshotKind, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +188,10 @@ func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator) []byte {
 }
 
 // A snapshot written before the stage counters had one owner still carries
-// them in every stage's slice; it must restore, and the run must end with
-// the counters, spans and plan records of a run that was never
-// interrupted. (Latency histograms are not checkpointed, so the report's
-// sensor-lag and op rows restart empty either way.)
+// them in every stage's slice, and one written before the flight recorder
+// left the checkpoint carries the recorder's state; it must restore without
+// touching the recorder, and the run must end with the flight-recorder
+// report and plan records of a run that was never interrupted.
 func TestRestoreSnapshotCarryingDeletedCounters(t *testing.T) {
 	const horizon = 10 * time.Minute
 	base := runPace(t, 0, horizon, nil, nil)
@@ -184,9 +206,7 @@ func TestRestoreSnapshotCarryingDeletedCounters(t *testing.T) {
 		name      string
 		base, got any
 	}{
-		{"counters", want.Counters, got.Counters},
-		{"spans", want.Spans, got.Spans},
-		{"stage latencies", want.Stages, got.Stages},
+		{"flight-recorder report", want, got},
 		{"plan records", base.Arbiter.Records(), killed.Arbiter.Records()},
 	} {
 		want, err := json.Marshal(c.base)
@@ -250,7 +270,7 @@ func TestStageRestartAfterRestoreKeepsRounds(t *testing.T) {
 		if n := len(o.Arbiter.Records()); n != 2 {
 			t.Fatalf("arbiter records = %d, want the policy's round and the one at 4m", n)
 		}
-		if v, _ := o.Metrics.Value("dyflow_stage_restarts_total"); v != 1 {
+		if v, _ := o.Trace.Registry().Value("dyflow_stage_restarts_total"); v != 1 {
 			t.Fatalf("dyflow_stage_restarts_total = %v, want 1", v)
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"dyflow/internal/core/sensor"
 	"dyflow/internal/core/spec"
 	"dyflow/internal/msg"
-	"dyflow/internal/obs"
 	"dyflow/internal/task"
 	"dyflow/internal/trace"
 	"dyflow/internal/wms"
@@ -33,10 +32,6 @@ type Options struct {
 	// Arbiter configures warm-up/settle guards and plan cost; a zero value
 	// takes DefaultConfig.
 	Arbiter arbiter.Config
-	// Metrics is the unified metrics registry the orchestrator publishes
-	// into; nil creates a private one (always available on the
-	// Orchestrator).
-	Metrics *obs.Registry
 }
 
 // Orchestrator is a running DYFLOW service bound to one Savanna runtime.
@@ -50,11 +45,10 @@ type Orchestrator struct {
 	Arbiter  *arbiter.Engine
 	Executor *actuate.Executor
 	// Trace is the flight recorder threaded through all four stages; its
-	// Report() is the §4.6 per-stage latency decomposition.
+	// Report() is the §4.6 per-stage latency decomposition. It is the
+	// world's, handed to every orchestrator built over that world, and the
+	// stages publish into its registry.
 	Trace *trace.Recorder
-	// Metrics is the unified metrics registry: flight-recorder mirrors plus
-	// whatever substrate packages the harness wired in. Serves /metrics.
-	Metrics *obs.Registry
 	// Supervisor guards the stage processes.
 	Supervisor *Supervisor
 
@@ -64,23 +58,18 @@ type Orchestrator struct {
 }
 
 // New builds (but does not start) an orchestrator for the compiled user
-// specification over the given Savanna runtime.
-func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orchestrator {
+// specification over the given Savanna runtime, recording on tr.
+func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options, tr *trace.Recorder) *Orchestrator {
 	zero := arbiter.Config{}
 	if opts.Arbiter == zero {
 		opts.Arbiter = arbiter.DefaultConfig()
 	}
 	bus := msg.NewBus(env.Sim)
-
-	if opts.Metrics == nil {
-		opts.Metrics = obs.NewRegistry()
-	}
 	o := &Orchestrator{
 		Config:  cfg,
 		Savanna: sv,
 		Bus:     bus,
-		Trace:   trace.New(opts.Metrics),
-		Metrics: opts.Metrics,
+		Trace:   tr,
 		env:     env,
 	}
 	bus.OnDepth = o.Trace.QueueDepth
@@ -93,7 +82,7 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options) *Orches
 	// Monitor: the server and one client over every target.
 	o.Server = sensor.NewServer(env.Sim, o.Supervisor.spawner(StageMonitorServer), bus, EndpointMonitorServer, EndpointDecision, cfg, o.Trace)
 	o.Client = sensor.NewClient("monitor-client-0", env, bus, EndpointMonitorServer, cfg, cfg.Targets, &savannaWorkload{sv: sv},
-		&selfSource{o: o}, o.Supervisor.spawner(StageMonitorClient), opts.Metrics)
+		&selfSource{o: o}, o.Supervisor.spawner(StageMonitorClient), tr.Registry())
 
 	// Decision.
 	o.Decision = decision.New(env.Sim, o.Supervisor.spawner(StageDecision), bus, EndpointDecision, EndpointArbiter, cfg, o.Trace)
@@ -181,7 +170,7 @@ func (s *selfSource) MetricValue(name string) (float64, bool) {
 	case strings.HasPrefix(name, "queue.max:"):
 		return float64(s.o.Trace.QueueMaxDepth(strings.TrimPrefix(name, "queue.max:"))), true
 	}
-	if v, ok := s.o.Metrics.Value(name); ok {
+	if v, ok := s.o.Trace.Registry().Value(name); ok {
 		return v, true
 	}
 	return float64(s.o.Trace.Counter(name)), true

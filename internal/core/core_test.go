@@ -14,6 +14,7 @@ import (
 	"dyflow/internal/sim"
 	"dyflow/internal/stream"
 	"dyflow/internal/task"
+	"dyflow/internal/trace"
 	"dyflow/internal/wms"
 )
 
@@ -23,6 +24,7 @@ type world struct {
 	rm  *resmgr.Manager
 	env *task.Env
 	sv  *wms.Savanna
+	tr  *trace.Recorder // the world's flight recorder, handed to each orchestrator
 }
 
 func newWorld(t *testing.T, nodes int) *world {
@@ -35,7 +37,7 @@ func newWorld(t *testing.T, nodes int) *world {
 		t.Fatal(err)
 	}
 	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg)}
-	return &world{s: s, c: c, rm: rm, env: env, sv: wms.New(env, rm, reg)}
+	return &world{s: s, c: c, rm: rm, env: env, sv: wms.New(env, rm, reg), tr: trace.New(reg)}
 }
 
 // TestEndToEndPaceAdaptation drives the complete loop: a coupled workflow
@@ -121,7 +123,7 @@ func TestEndToEndPaceAdaptation(t *testing.T) {
 			SettleDelay: 60 * time.Second,
 			PlanCost:    100 * time.Millisecond,
 		},
-	})
+	}, w.tr)
 	o.Start()
 	w.s.Spawn("driver", func(p *sim.Proc) {
 		if err := w.sv.Launch(p, "WF"); err != nil {
@@ -165,8 +167,8 @@ func TestEndToEndPaceAdaptation(t *testing.T) {
 		t.Fatalf("record times inconsistent: %+v", first)
 	}
 	// Actuation time is dominated by the graceful stop (Ana mid-step).
-	if o.Executor.StopShare() < 0.5 {
-		t.Fatalf("stop share = %v, want graceful termination to dominate", o.Executor.StopShare())
+	if o.Trace.OpShare(arbiter.OpStop.String()) < 0.5 {
+		t.Fatalf("stop share = %v, want graceful termination to dominate", o.Trace.OpShare(arbiter.OpStop.String()))
 	}
 	o.Stop()
 }
@@ -229,7 +231,7 @@ func TestEndToEndFailureRestart(t *testing.T) {
 			SettleDelay: 2 * time.Minute,
 			PlanCost:    100 * time.Millisecond,
 		},
-	})
+	}, w.tr)
 	o.Start()
 	w.s.Spawn("driver", func(p *sim.Proc) { w.sv.Launch(p, "MD") })
 	w.c.FailNodeAt(5*time.Minute, "node000")
@@ -377,7 +379,7 @@ func TestMultiWorkflowOrchestration(t *testing.T) {
 	o := New(w.env, w.sv, cfg, Options{Arbiter: arbiter.Config{
 		WarmupDelay: 30 * time.Second, SettleDelay: 30 * time.Second,
 		PlanCost: 100 * time.Millisecond, GatherWindow: 5 * time.Second,
-	}})
+	}}, w.tr)
 	o.Start()
 	w.s.Spawn("driver", func(p *sim.Proc) {
 		w.sv.Launch(p, "PIPE")
@@ -485,7 +487,7 @@ func TestAdaptationUnderBusJitter(t *testing.T) {
 			WarmupDelay: 30 * time.Second, SettleDelay: 30 * time.Second,
 			PlanCost: 100 * time.Millisecond, GatherWindow: 5 * time.Second,
 		},
-	})
+	}, w.tr)
 	o.Bus.Latency = msg.UniformJitterLatency(w.s, 50*time.Millisecond, 10*time.Second)
 	o.Start()
 	w.s.Spawn("driver", func(p *sim.Proc) { w.sv.Launch(p, "WF") })

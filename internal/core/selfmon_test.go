@@ -82,7 +82,7 @@ func TestSelfMonitoringSensorFiresPolicy(t *testing.T) {
 			SettleDelay: 30 * time.Second,
 			PlanCost:    100 * time.Millisecond,
 		},
-	})
+	}, w.tr)
 	o.Start()
 	w.s.Spawn("driver", func(p *sim.Proc) {
 		if err := w.sv.Launch(p, "WF"); err != nil {
@@ -134,7 +134,7 @@ func TestSelfMonitoringSensorFiresPolicy(t *testing.T) {
 // flight-recorder counter, which is also the fallback for unknown names.
 func TestSelfSourceArms(t *testing.T) {
 	w := newWorld(t, 1)
-	o := New(w.env, w.sv, &spec.Config{}, Options{})
+	o := New(w.env, w.sv, &spec.Config{}, Options{}, w.tr)
 	o.Trace.SensorLag("PACE", time.Second)
 	o.Trace.SensorLag("PACE", 2*time.Second)
 	o.Trace.QueueDepth(EndpointDecision, 5)

@@ -64,7 +64,7 @@ func newSupervisor(o *Orchestrator) *Supervisor {
 			StageDecision:      {},
 			StageArbiter:       {},
 		},
-		restarts: o.Metrics.Counter("dyflow_stage_restarts_total",
+		restarts: o.Trace.Registry().Counter("dyflow_stage_restarts_total",
 			"Supervised stage restarts by stage and reason (panic, stall).", "stage", "reason"),
 	}
 }

@@ -100,7 +100,7 @@ func newPaceOrchestrator(t *testing.T, w *world, opts Options) *Orchestrator {
 			PlanCost:    100 * time.Millisecond,
 		}
 	}
-	return New(w.env, w.sv, cfg, opts)
+	return New(w.env, w.sv, cfg, opts, w.tr)
 }
 
 // A panic inside a supervised stage process must not fail the simulation:
@@ -132,7 +132,7 @@ func TestSupervisorAbsorbsStagePanic(t *testing.T) {
 	if err := w.s.Run(10 * time.Minute); err != nil {
 		t.Fatalf("panic escaped the supervisor: %v", err)
 	}
-	if v, ok := o.Metrics.Value("dyflow_stage_restarts_total"); !ok || v != 1 {
+	if v, ok := o.Trace.Registry().Value("dyflow_stage_restarts_total"); !ok || v != 1 {
 		t.Fatalf("dyflow_stage_restarts_total = %v (ok=%v), want 1", v, ok)
 	}
 	// The restarted pipeline still did its job: the under-provisioned Ana
@@ -179,7 +179,7 @@ func TestSupervisorGivesUpAfterMaxRestarts(t *testing.T) {
 	if err := w.s.Run(15 * time.Minute); err != nil {
 		t.Fatalf("panic escaped the supervisor: %v", err)
 	}
-	if v, _ := o.Metrics.Value("dyflow_stage_restarts_total"); v != maxRestarts {
+	if v, _ := o.Trace.Registry().Value("dyflow_stage_restarts_total"); v != maxRestarts {
 		t.Fatalf("dyflow_stage_restarts_total = %v, want capped at %d", v, maxRestarts)
 	}
 	if !o.Supervisor.stages[StageDecision].gaveUp {

@@ -200,7 +200,7 @@ func RunChaosVariant(seed int64, m apps.Machine, opts ChaosOptions, v Variant) (
 		res.End = w.Sim.Now()
 	}
 
-	tr := w.Orch.Trace
+	tr := w.Trace
 	res.Events = w.campaign.Events()
 	res.InjectedCarves = faults.Injected()
 	res.Rounds = tr.Counter("arbiter.rounds")

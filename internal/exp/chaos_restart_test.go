@@ -71,3 +71,38 @@ func TestOrchestratorKillRestoreDeterminism(t *testing.T) {
 			base.End, base.Rounds, base.RequeuedTasks, kres.End, kres.Rounds, kres.RequeuedTasks)
 	}
 }
+
+// TestOrchestratorKillKeepsTimeline: the flight recorder is the world's,
+// so a chaos campaign whose orchestrator is killed twice and restored from
+// its checkpoint each time ends with the uninterrupted run's Perfetto
+// timeline, byte for byte — every suggestion span and every actuation op,
+// those from before each kill included — on both machines and seeds 1-3,
+// as `dyflow-exp -orch-kills 2 chaos` runs them.
+func TestOrchestratorKillKeepsTimeline(t *testing.T) {
+	for _, m := range []apps.Machine{apps.Summit, apps.Deepthought2} {
+		for seed := int64(1); seed <= 3; seed++ {
+			timeline := func(kills int) []byte {
+				opts := DefaultChaosOptions()
+				opts.OrchKills = kills
+				res, err := RunChaos(seed, m, opts)
+				if err != nil {
+					t.Fatalf("%v seed %d, %d kills: %v", m, seed, kills, err)
+				}
+				defer res.W.Close()
+				if res.OrchKills != kills {
+					t.Fatalf("%v seed %d: %d orchestrator kills fired, want %d", m, seed, res.OrchKills, kills)
+				}
+				doc, err := perfettoJSON(res.W)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return doc
+			}
+			want, got := timeline(0), timeline(2)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%v seed %d: the timeline of a run killed twice (%d bytes) differs from the uninterrupted run's (%d bytes)",
+					m, seed, len(got), len(want))
+			}
+		}
+	}
+}

@@ -152,7 +152,7 @@ func newChaosBench(t *testing.T, nodes int) *chaosBench {
 	}
 	w.SV.RegisterScript("warm.sh", 8*time.Second)
 
-	tr := trace.New(w.Metrics)
+	tr := w.Trace
 	ex := actuate.NewExecutor(&actuate.SavannaPlugin{SV: w.SV}, tr)
 	eng := arbiter.New(w.Sim, w.Sim.Spawn, msg.NewBus(w.Sim), "arbiter", arbiter.Config{
 		PlanCost:        100 * time.Millisecond,

@@ -50,12 +50,12 @@ func ckptGolden(t *testing.T, name string, got []byte) []byte {
 // its receiver's wake — the bus's OnDepth hook runs there. The test takes
 // one at the first delivery onto each Monitor endpoint and onto the
 // Arbiter while it is between rounds, so the client's update batch, the
-// server's metric messages and Decision's suggestion batch (with the span
-// log its suggestions opened) are pinned in their checkpoint encoding,
-// and restores each into a fresh orchestrator:
-// the restored one must checkpoint to the same bytes, and each queued
-// envelope's record must turn into the payload its receiver reads and back
-// into a record that encodes to the bytes it was restored from.
+// server's metric messages and Decision's suggestion batch are pinned in
+// their checkpoint encoding, and restores each into a fresh orchestrator
+// built over the world's flight recorder: the restored one must checkpoint
+// to the same bytes, and each queued envelope's record must turn into the
+// payload its receiver reads and back into a record that encodes to the
+// bytes it was restored from.
 //
 // A restore inside an instant does not resume the run exactly (a timer due
 // at that instant is re-armed a period later), so the run-level check is
@@ -126,7 +126,7 @@ func TestXGCCheckpointBytesGolden(t *testing.T) {
 		// The world has run on, so the restored orchestrator's clock is
 		// not the checkpoint's: its snapshot is compared at the
 		// checkpoint's instant.
-		o := core.New(world.Env, world.SV, world.orchCfg, world.orchOpts)
+		o := core.New(world.Env, world.SV, world.orchCfg, world.orchOpts, world.Trace)
 		if err := o.Restore(want); err != nil {
 			t.Fatalf("%s: %v", link, err)
 		}

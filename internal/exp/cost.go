@@ -39,9 +39,9 @@ func RunCostAnalysis(seed int64, m apps.Machine) (*CostResult, error) {
 	}
 	defer xgc.W.Close()
 	res := &CostResult{
-		StreamLagMean: gs.W.Orch.Trace.SensorLagMean("PACE"),
-		DiskLagMean:   xgc.W.Orch.Trace.SensorLagMean("NSTEPS"),
-		StopShare:     gs.W.Orch.Executor.StopShare(),
+		StreamLagMean: gs.W.Trace.SensorLagMean("PACE"),
+		DiskLagMean:   xgc.W.Trace.SensorLagMean("NSTEPS"),
+		StopShare:     gs.W.Trace.OpShare(arbiter.OpStop.String()),
 	}
 	plans := append(append([]arbiter.Record(nil), gs.W.Plans()...), xgc.W.Plans()...)
 	if len(plans) > 0 {

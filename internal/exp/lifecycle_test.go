@@ -198,15 +198,22 @@ func observe(t *testing.T, w *World) string {
 		}
 		// The checkpoint form covers what the stages hold privately:
 		// Decision's windows, T_waiting, sensor worker cursors and reader
-		// backlogs, flight-recorder counters and open spans.
+		// backlogs.
 		snap, err := json.Marshal(w.Orch.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "orchestrator %s\n", snap)
-		for _, op := range w.Orch.Executor.Records() {
-			fmt.Fprintf(&b, "op %+v\n", op)
-		}
+	}
+	// The flight recorder's report covers its counters, spans, latency
+	// histograms and queue depths; its op log follows.
+	rep, err := json.Marshal(w.Trace.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "trace %s\n", rep)
+	for _, op := range recordedOps(w.Trace) {
+		fmt.Fprintf(&b, "op %+v\n", op)
 	}
 	return b.String()
 }
@@ -261,7 +268,7 @@ func TestProperty_WorldClose_IsInert(t *testing.T) {
 			}
 		}
 		retried := 0
-		for _, op := range ran.Orch.Executor.Records() {
+		for _, op := range recordedOps(ran.Trace) {
 			if op.Attempts > 1 && retried < 2 {
 				retried++
 				stops = append(stops, stop{1, op.StartedAt + time.Second})

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dyflow/internal/cluster"
-	"dyflow/internal/core/actuate"
 	"dyflow/internal/core/arbiter"
 	"dyflow/internal/sim"
 	"dyflow/internal/task"
@@ -133,7 +132,6 @@ type perfettoRender struct {
 	ivs   []Interval
 	chaos []cluster.CampaignEvent
 	plans []arbiter.Record
-	acts  []actuate.OpRecord
 	tr    *trace.Recorder
 
 	nodes   []string       // the node tracks, tid i+1 for nodes[i]
@@ -153,13 +151,10 @@ type perfettoRender struct {
 }
 
 func newPerfettoRender(w *World) *perfettoRender {
-	r := &perfettoRender{now: w.Sim.Now(), ivs: w.Rec.Intervals, plans: w.Plans(),
+	r := &perfettoRender{now: w.Sim.Now(), ivs: w.Rec.Intervals, plans: w.Plans(), tr: w.Trace,
 		nodeTid: map[string]int{}, names: map[[3]string]string{}}
 	if w.campaign != nil {
 		r.chaos = w.campaign.Events()
-	}
-	if w.Orch != nil {
-		r.tr, r.acts = w.Orch.Trace, w.Orch.Executor.Records()
 	}
 
 	// Node tracks: deterministic tid assignment in sorted node order over
@@ -271,38 +266,36 @@ func (r *perfettoRender) emit(enc *json.Encoder) error {
 		r.put()
 	}
 
-	// Actuation operation spans (the stop/start decomposition of §4.6).
-	for i := range r.acts {
-		rec := &r.acts[i]
-		r.act = actuationArgs{Workflow: rec.Op.Workflow, Attempts: rec.Attempts, Error: rec.Err}
+	// Actuation operation spans (the stop/start decomposition of §4.6),
+	// read in place in the flight recorder.
+	r.tr.VisitOps(func(op *trace.Op) {
+		r.act = actuationArgs{Workflow: op.Workflow, Attempts: op.Attempts, Error: op.Err}
 		r.ev = perfettoEvent{
-			Name: r.name(rec.Op.Kind.String(), " ", rec.Op.Task), Cat: "actuation", Ph: "X",
-			Ts: usec(rec.StartedAt), Dur: dur(rec.StartedAt, rec.EndedAt),
+			Name: r.name(op.Kind, " ", op.Task), Cat: "actuation", Ph: "X",
+			Ts: usec(op.StartedAt), Dur: dur(op.StartedAt, op.EndedAt),
 			Pid: pidOrchestrator, Tid: tidActuation, Args: &r.act,
 		}
 		r.put()
-	}
+	})
 
 	// Suggestion lifecycle spans: data generation to actuation (or to the
 	// last stamped stage for dropped/incomplete suggestions), read in place
 	// in the flight recorder.
-	if r.tr != nil {
-		r.tr.VisitSpans(func(sp *trace.Span) {
-			start := sp.GeneratedAt
-			if start == 0 {
-				start = sp.DecidedAt
-			}
-			end := max(sp.DecidedAt, sp.ReceivedAt, sp.PlannedAt, sp.ExecutedAt)
-			r.sugg = suggestionArgs{Workflow: sp.Workflow, Sensor: sp.Sensor,
-				Complete: sp.Complete(), Dropped: sp.Dropped}
-			r.ev = perfettoEvent{
-				Name: r.name(sp.Policy, ":", sp.Action), Cat: "suggestion", Ph: "X",
-				Ts: usec(start), Dur: dur(start, end),
-				Pid: pidOrchestrator, Tid: tidSuggestions, Args: &r.sugg,
-			}
-			r.put()
-		})
-	}
+	r.tr.VisitSpans(func(sp *trace.Span) {
+		start := sp.GeneratedAt
+		if start == 0 {
+			start = sp.DecidedAt
+		}
+		end := max(sp.DecidedAt, sp.ReceivedAt, sp.PlannedAt, sp.ExecutedAt)
+		r.sugg = suggestionArgs{Workflow: sp.Workflow, Sensor: sp.Sensor,
+			Complete: sp.Complete(), Dropped: sp.Dropped}
+		r.ev = perfettoEvent{
+			Name: r.name(sp.Policy, ":", sp.Action), Cat: "suggestion", Ph: "X",
+			Ts: usec(start), Dur: dur(start, end),
+			Pid: pidOrchestrator, Tid: tidSuggestions, Args: &r.sugg,
+		}
+		r.put()
+	})
 	return r.err
 }
 

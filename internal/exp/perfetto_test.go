@@ -10,7 +10,6 @@ import (
 
 	"dyflow/internal/apps"
 	"dyflow/internal/cluster"
-	"dyflow/internal/core/actuate"
 	"dyflow/internal/task"
 	"dyflow/internal/trace"
 )
@@ -90,7 +89,7 @@ func TestPerfettoChaosTrace(t *testing.T) {
 		wantTask += len(iv.Nodes)
 	}
 	wantPlans := len(res.W.Plans())
-	wantOps := len(res.W.Orch.Executor.Records())
+	wantOps := len(recordedOps(res.W.Trace))
 	wantSugg := len(res.W.Orch.Trace.Spans())
 	if got := counts["span:plans"]; got != wantPlans {
 		t.Fatalf("plan spans = %d, want %d", got, wantPlans)
@@ -182,6 +181,13 @@ func checkRenderAllocation(t *testing.T, render func(*World) ([]byte, error), sl
 	}
 }
 
+// recordedOps returns the actuation ops tr recorded, in execution order.
+func recordedOps(tr *trace.Recorder) []trace.Op {
+	var out []trace.Op
+	tr.VisitOps(func(op *trace.Op) { out = append(out, *op) })
+	return out
+}
+
 // perfettoReference is the Perfetto document as the exporter rendered it
 // before it emitted events straight into the document: every event built
 // into one list first, then encoded with one json.Encoder. It is the
@@ -193,11 +199,8 @@ func perfettoReference(w *World) ([]byte, error) {
 		chaos = w.campaign.Events()
 	}
 	plans := w.Plans()
-	var tr *trace.Recorder
-	var acts []actuate.OpRecord
-	if w.Orch != nil {
-		tr, acts = w.Orch.Trace, w.Orch.Executor.Records()
-	}
+	tr := w.Trace
+	acts := recordedOps(tr)
 
 	// Node tracks: deterministic tid assignment in sorted node order over
 	// every node that appears in the run (placements and chaos events).
@@ -282,12 +285,12 @@ func perfettoReference(w *World) ([]byte, error) {
 	}
 
 	// Actuation operation spans (the stop/start decomposition of §4.6).
-	for _, rec := range acts {
+	for _, op := range acts {
 		evs = append(evs, perfettoEvent{
-			Name: rec.Op.Kind.String() + " " + rec.Op.Task, Cat: "actuation", Ph: "X",
-			Ts: usec(rec.StartedAt), Dur: dur(rec.StartedAt, rec.EndedAt),
+			Name: op.Kind + " " + op.Task, Cat: "actuation", Ph: "X",
+			Ts: usec(op.StartedAt), Dur: dur(op.StartedAt, op.EndedAt),
 			Pid: pidOrchestrator, Tid: tidActuation,
-			Args: &actuationArgs{Workflow: rec.Op.Workflow, Attempts: rec.Attempts, Error: rec.Err},
+			Args: &actuationArgs{Workflow: op.Workflow, Attempts: op.Attempts, Error: op.Err},
 		})
 	}
 

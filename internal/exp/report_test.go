@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dyflow/internal/apps"
+	"dyflow/internal/core/arbiter"
 )
 
 // holds reports whether every row of r holds.
@@ -66,7 +67,7 @@ func TestAllPaperReportsHold(t *testing.T) {
 	cost := &CostResult{
 		StreamLagMean: gs.W.Orch.Trace.SensorLagMean("PACE"),
 		DiskLagMean:   xgc.W.Orch.Trace.SensorLagMean("NSTEPS"),
-		StopShare:     gs.W.Orch.Executor.StopShare(),
+		StopShare:     gs.W.Trace.OpShare(arbiter.OpStop.String()),
 		MeanPlanTime:  100 * time.Millisecond,
 	}
 	reports := []*Report{

@@ -21,6 +21,7 @@ import (
 	"dyflow/internal/sim"
 	"dyflow/internal/stream"
 	"dyflow/internal/task"
+	"dyflow/internal/trace"
 	"dyflow/internal/wms"
 )
 
@@ -37,6 +38,12 @@ type World struct {
 	// the stream registry, and (once started) the orchestrator all publish
 	// into it. Serves `dyflow-exp serve`'s /metrics.
 	Metrics *obs.Registry
+	// Trace is the world's flight recorder, publishing into Metrics. Every
+	// orchestrator the world builds records on it — the first one and each
+	// successor a kill restores — so, like Metrics, it holds the whole
+	// run's spans, stage counters, queue depths, latency histograms and
+	// actuation ops across kills.
+	Trace *trace.Recorder
 
 	// OnProgress, when set, is called after every tick of the driver loop
 	// that advances the world, with the current virtual time, and is the
@@ -93,6 +100,7 @@ func NewWorld(seed int64, m apps.Machine, nodes int) (*World, error) {
 		SV:      wms.New(env, rm, reg),
 		Rec:     NewRecorder(s),
 		Metrics: reg,
+		Trace:   trace.New(reg),
 	}
 	w.Rec.AttachWMS(w.SV)
 	return w, nil
@@ -105,12 +113,9 @@ func (w *World) StartOrchestration(xml string, opts core.Options) error {
 	if err != nil {
 		return err
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = w.Metrics
-	}
 	w.orchCfg = cfg
 	w.orchOpts = opts
-	w.Orch = core.New(w.Env, w.SV, cfg, opts)
+	w.Orch = core.New(w.Env, w.SV, cfg, opts, w.Trace)
 	w.Rec.AttachOrchestrator(w.Orch)
 	w.Orch.Start()
 	return nil
@@ -121,10 +126,11 @@ func (w *World) StartOrchestration(xml string, opts core.Options) error {
 // shared substrate callbacks and stopped — the checkpoint is taken before
 // Stop, because teardown closes stream readers and their buffered backlog
 // must make it into the snapshot. A fresh orchestrator over the same
-// compiled spec is restored from that blob and started; it takes over the
-// recorder's plan/metric feeds, and the shared metrics registry keeps its
-// accumulated series. Call from driver context (between Sim.Run calls)
-// while the arbiter is not mid-round.
+// compiled spec, built over the world's flight recorder, is restored from
+// that blob and started; it takes over the recorder's plan/metric feeds,
+// and the flight recorder and metrics registry carry on as if no kill had
+// happened. Call from driver context (between Sim.Run calls) while the
+// arbiter is not mid-round.
 func (w *World) RestartOrchestrator() error {
 	blob, err := w.Orch.Checkpoint()
 	if err != nil {
@@ -139,7 +145,7 @@ func (w *World) RestartOrchestrator() error {
 func (w *World) restartFrom(blob []byte) error {
 	w.Orch.Detach()
 	w.Orch.Stop()
-	o := core.New(w.Env, w.SV, w.orchCfg, w.orchOpts)
+	o := core.New(w.Env, w.SV, w.orchCfg, w.orchOpts, w.Trace)
 	if err := o.Restore(blob); err != nil {
 		return err
 	}

@@ -355,7 +355,7 @@ func (w *Worker) execute(claim ClaimResponse) {
 
 	out, err := exp.RunJob(claim.Job, func(world *exp.World) error {
 		if world.Orch != nil {
-			world.Orch.Trace.SetOnComplete(func(sp trace.Span) {
+			world.Trace.SetOnComplete(func(sp trace.Span) {
 				spans.add(sp.Record())
 			})
 		}

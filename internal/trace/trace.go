@@ -22,11 +22,15 @@
 //
 // Alongside spans the recorder collects per-stage counters (metrics
 // forwarded/re-polled/dropped, evaluations, suggestions, guard discards,
-// empty-plan rounds, actuation ops), per-operation actuation latency, and
-// bus queue-depth samples.
+// empty-plan rounds, actuation ops), the log of executed actuation
+// operations with their latency, and bus queue-depth samples.
 //
 // The recorder publishes into the metrics registry it is built with, and
 // every stage is built with the recorder, so there is no untraced stage.
+// A world builds one recorder beside its registry and hands it to every
+// orchestrator it builds, a successor restored after a kill included, so
+// the recorder, like the registry, outlives each of them; no checkpoint
+// carries it.
 package trace
 
 import (
@@ -98,11 +102,10 @@ func ParseSeq(id string) int {
 	return n
 }
 
-// SpanRecord is a span as it is encoded: in a checkpoint, on the fleet
-// wire, in a run's event stream and in the JSON report. It carries the
-// span's ID in place of its number. The coordinator relays a worker's
-// records as they came, so only a checkpoint's records are turned back
-// into spans (Live).
+// SpanRecord is a span as it is encoded: on the fleet wire, in a run's
+// event stream and in the JSON report. It carries the span's ID in place
+// of its number. The coordinator relays a worker's records as they came,
+// so no record is turned back into a span.
 type SpanRecord struct {
 	ID       string `json:"id"`
 	Workflow string `json:"workflow"`
@@ -124,18 +127,6 @@ type SpanRecord struct {
 func (sp Span) Record() SpanRecord {
 	return SpanRecord{sp.ID(), sp.Workflow, sp.Policy, sp.Action, sp.Sensor,
 		sp.GeneratedAt, sp.ObservedAt, sp.DecidedAt, sp.ReceivedAt, sp.PlannedAt, sp.ExecutedAt, sp.Dropped}
-}
-
-// Live returns the span a record holds, numbered by its ID. A record whose
-// ID is not the one its workflow, policy and that number format to
-// (SpanID) is no span's and is an error.
-func (rec SpanRecord) Live() (Span, error) {
-	seq := ParseSeq(rec.ID)
-	if id := SpanID(rec.Workflow, rec.Policy, seq); id != rec.ID {
-		return Span{}, fmt.Errorf("trace: span ID %q is not %q", rec.ID, id)
-	}
-	return Span{seq, rec.Workflow, rec.Policy, rec.Action, rec.Sensor,
-		rec.GeneratedAt, rec.ObservedAt, rec.DecidedAt, rec.ReceivedAt, rec.PlannedAt, rec.ExecutedAt, rec.Dropped}, nil
 }
 
 // Complete reports whether the span traversed every stage.
@@ -174,10 +165,25 @@ type counterAcc struct {
 	c *obs.Counter
 }
 
-// Recorder is the flight recorder shared by one orchestrator's stages.
-// The simulation substrate runs processes one at a time, but `dyflow-exp
-// serve` reads the recorder from HTTP goroutines while a run is in
-// flight, so all state is mutex-guarded. Latency distributions are stored
+// Op is one executed actuation operation: its kind ("stop", "start"),
+// the task it acted on, the tries it took (1 = applied first try; more
+// are transient-failure retries), its error if it failed, and when it ran.
+// The stop/start split is what shows ~97% of response time being
+// graceful-termination wait (§4.6).
+type Op struct {
+	Kind      string
+	Workflow  string
+	Task      string
+	Attempts  int
+	Err       string
+	StartedAt sim.Time
+	EndedAt   sim.Time
+}
+
+// Recorder is the flight recorder shared by the stages of every
+// orchestrator a world builds. The simulation substrate runs processes
+// one at a time, but `dyflow-exp serve` reads the recorder from HTTP
+// goroutines while a run is in flight, so all state is mutex-guarded. Latency distributions are stored
 // in bounded obs.Histogram buckets rather than unbounded sample slices:
 // those histograms ARE the registry's labeled series (shared storage, no
 // double counting), and counters and queue depths mirror into registry
@@ -194,7 +200,9 @@ type Recorder struct {
 	sensorLags map[string]*obs.Histogram // sensor ID -> detection-lag histogram (seconds)
 	opLats     map[string]*obs.Histogram // op kind -> execution-latency histogram (seconds)
 	queues     map[string]*queueAcc      // endpoint -> depth accumulator
+	ops        []Op                      // executed actuation operations, in execution order
 
+	reg      *obs.Registry
 	events   *obs.CounterVec   // dyflow_stage_events_total{event}
 	lagVec   *obs.HistogramVec // dyflow_sensor_lag_seconds{sensor}
 	opVec    *obs.HistogramVec // dyflow_actuation_op_seconds{op}
@@ -214,6 +222,7 @@ func New(reg *obs.Registry) *Recorder {
 		sensorLags: make(map[string]*obs.Histogram),
 		opLats:     make(map[string]*obs.Histogram),
 		queues:     make(map[string]*queueAcc),
+		reg:        reg,
 		events: reg.Counter("dyflow_stage_events_total",
 			"Flight-recorder stage counter events by name.", "event"),
 		lagVec: reg.Histogram("dyflow_sensor_lag_seconds",
@@ -224,6 +233,9 @@ func New(reg *obs.Registry) *Recorder {
 			"Bus queue depth sampled at enqueue.", "endpoint"),
 	}
 }
+
+// Registry returns the metrics registry the recorder publishes into.
+func (r *Recorder) Registry() *obs.Registry { return r.reg }
 
 // Inc adds delta to a named stage counter.
 func (r *Recorder) Inc(name string, delta int64) {
@@ -261,9 +273,8 @@ func (r *Recorder) Counter(name string) int64 {
 // A span is found by its Seq. Decision numbers its suggestions
 // consecutively, so span i is normally the one numbered i past span 0 and
 // find reads it with one index. A span that is not where that rule puts
-// it (opened out of order, after a gap, or restored from a log that was)
-// is indexed in moved instead, which stays nil while spans arrive in
-// order.
+// it (opened out of order or after a gap) is indexed in moved instead,
+// which stays nil while spans arrive in order.
 type spanLog struct {
 	chunks [][]Span
 	n      int
@@ -295,10 +306,9 @@ func (l *spanLog) at(i int) *Span {
 	return &l.chunks[c][off]
 }
 
-// add appends a span. A numbered span the log already finds by its Seq is
-// still held, but find keeps returning the first one.
+// add appends a span, whose Seq is positive and not yet in the log.
 func (l *spanLog) add(sp Span) {
-	if sp.Seq >= 1 && l.n > 0 && sp.Seq-l.at(0).Seq != l.n && l.find(sp.Seq) == nil {
+	if l.n > 0 && sp.Seq-l.at(0).Seq != l.n {
 		if l.moved == nil {
 			l.moved = make(map[int]int)
 		}
@@ -454,11 +464,44 @@ func (r *Recorder) SensorLagMean(sensorID string) sim.Time {
 	return secondsToDuration(h.Mean())
 }
 
-// OpExecuted records one actuation operation's execution latency.
-func (r *Recorder) OpExecuted(kind string, started, ended sim.Time) {
+// OpExecuted records one executed actuation operation: it joins the op
+// log, and its latency joins its kind's histogram.
+func (r *Recorder) OpExecuted(op Op) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	hist(r.opLats, r.opVec, kind).Observe((ended - started).Seconds())
+	r.ops = append(r.ops, op)
+	hist(r.opLats, r.opVec, op.Kind).Observe((op.EndedAt - op.StartedAt).Seconds())
+}
+
+// VisitOps calls fn with every executed actuation operation, in execution
+// order, under the recorder's lock: fn reads the op in place, so it must
+// not keep or change it, nor call the recorder.
+func (r *Recorder) VisitOps(fn func(op *Op)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.ops {
+		fn(&r.ops[i])
+	}
+}
+
+// OpShare returns the fraction of all actuation execution time spent in
+// ops of the kind (0 before any op took time) — for "stop", the §4.6
+// graceful-termination share.
+func (r *Recorder) OpShare(kind string) float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var in, total sim.Time
+	for _, op := range r.ops {
+		d := op.EndedAt - op.StartedAt
+		total += d
+		if op.Kind == kind {
+			in += d
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(in) / float64(total)
 }
 
 // QueueDepth records one bus queue-depth sample for an endpoint. Negative

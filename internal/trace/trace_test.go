@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -44,8 +44,8 @@ func fill(r *Recorder) {
 
 	r.SensorLag("PACE", sec(1))
 	r.SensorLag("PACE", sec(2))
-	r.OpExecuted("stop", sec(5), sec(8))
-	r.OpExecuted("start", sec(8), sec(9))
+	r.OpExecuted(Op{Kind: "stop", Workflow: "W", Task: "T", Attempts: 1, StartedAt: sec(5), EndedAt: sec(8)})
+	r.OpExecuted(Op{Kind: "start", Workflow: "W", Task: "T", Attempts: 2, StartedAt: sec(8), EndedAt: sec(9)})
 	r.Inc("arbiter.rounds", 2)
 	r.Inc("decision.suggestions", 3)
 	r.QueueDepth("arbiter", 1)
@@ -212,7 +212,7 @@ func TestRecorderConcurrentAccess(t *testing.T) {
 				r.Executed(seq, sec(6))
 				r.Inc("decision.suggestions", 1)
 				r.SensorLag("PACE", sec(i%5))
-				r.OpExecuted("start", sec(0), sec(i%3))
+				r.OpExecuted(Op{Kind: "start", EndedAt: sec(i % 3)})
 				r.QueueDepth("arbiter", i%7)
 			}
 		}(w)
@@ -228,6 +228,7 @@ func TestRecorderConcurrentAccess(t *testing.T) {
 				_ = r.Counter("decision.suggestions")
 				_ = r.SensorLagQuantile("PACE", 0.99)
 				_ = r.QueueMaxDepth("arbiter")
+				_ = r.OpShare("start")
 				_ = reg.WritePrometheus(&buf)
 			}
 		}()
@@ -248,11 +249,20 @@ func TestRecorderConcurrentAccess(t *testing.T) {
 
 // TestRecorderMirrorsIntoRegistry: counters, lags, ops, and queue depths
 // surface as families of the recorder's registry — and the recorder's own
-// report reads the same shared histogram storage (no double counting).
+// report reads the same shared histogram storage (no double counting). A
+// counter only ever bumped by zero has no series.
 func TestRecorderMirrorsIntoRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := New(reg)
 	fill(r)
+	r.Inc("z", 0)
+	var prom bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(prom.Bytes(), []byte(`event="z"`)) {
+		t.Error("a counter only bumped by zero has a dyflow_stage_events_total series")
+	}
 
 	if v, ok := reg.Value("dyflow_stage_events_total"); !ok || v != 5 {
 		t.Fatalf("stage events = %v (ok=%v), want 5", v, ok)
@@ -340,56 +350,26 @@ func TestReportDeterministicAndJSON(t *testing.T) {
 	}
 }
 
-// TestRecorderRestoreResolvesHandles: the registry handles a recorder keeps
-// beside its counters and queue accumulators follow the registry it was
-// built with. A restore into a recorder on the pre-crash registry continues
-// its series; one on a fresh registry creates none until the recorder
-// writes again, and then only the deltas since; a counter only ever bumped
-// by zero has no series.
-func TestRecorderRestoreResolvesHandles(t *testing.T) {
-	prom := func(reg *obs.Registry) string {
-		var buf bytes.Buffer
-		if err := reg.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+// TestOpLog: the recorder keeps every executed op in execution order,
+// and OpShare splits the ops' time by kind.
+func TestOpLog(t *testing.T) {
+	r := New(obs.NewRegistry())
+	if share := r.OpShare("stop"); share != 0 {
+		t.Fatalf("share with no ops = %v, want 0", share)
 	}
-	reg := obs.NewRegistry()
-	r := New(reg)
-	r.Inc("a", 2)
-	r.Inc("z", 0)
-	r.QueueDepth("ep", 3)
-	st := r.State()
-
-	same := New(reg)
-	if err := same.Restore(st); err != nil {
-		t.Fatal(err)
+	fill(r)
+	r.OpExecuted(Op{Kind: "start", Workflow: "W", Task: "U", Attempts: 3, Err: "no cores", StartedAt: sec(9), EndedAt: sec(9)})
+	var got []Op
+	r.VisitOps(func(op *Op) { got = append(got, *op) })
+	want := []Op{
+		{Kind: "stop", Workflow: "W", Task: "T", Attempts: 1, StartedAt: sec(5), EndedAt: sec(8)},
+		{Kind: "start", Workflow: "W", Task: "T", Attempts: 2, StartedAt: sec(8), EndedAt: sec(9)},
+		{Kind: "start", Workflow: "W", Task: "U", Attempts: 3, Err: "no cores", StartedAt: sec(9), EndedAt: sec(9)},
 	}
-	same.Inc("a", 1)
-	same.QueueDepth("ep", 5)
-	if v, _ := reg.Value("dyflow_stage_events_total"); v != 3 {
-		t.Errorf("restored onto the same registry: stage events = %v, want 3", v)
+	if !slices.Equal(got, want) {
+		t.Fatalf("ops = %+v, want %+v", got, want)
 	}
-	if v, _ := reg.Value("dyflow_bus_queue_depth"); v != 5 {
-		t.Errorf("restored onto the same registry: queue depth = %v, want 5", v)
-	}
-	if got := same.Report().Counters; len(got) != 2 || got[0] != (CounterValue{"a", 3}) || got[1] != (CounterValue{"z", 0}) {
-		t.Errorf("restored counters = %+v, want a=3 z=0", got)
-	}
-	if strings.Contains(prom(reg), `event="z"`) {
-		t.Error("a counter only bumped by zero has a dyflow_stage_events_total series")
-	}
-
-	fresh := obs.NewRegistry()
-	cold := New(fresh)
-	if err := cold.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	if text := prom(fresh); strings.Contains(text, "event=") || strings.Contains(text, "endpoint=") {
-		t.Errorf("a restore alone wrote series to a fresh registry:\n%s", text)
-	}
-	cold.Inc("a", 4)
-	if v, _ := fresh.Value("dyflow_stage_events_total"); v != 4 {
-		t.Errorf("restored onto a fresh registry: stage events = %v, want the 4 since", v)
+	if stop, start := r.OpShare("stop"), r.OpShare("start"); stop != 0.75 || start != 0.25 {
+		t.Fatalf("shares stop %v, start %v, want 0.75 and 0.25", stop, start)
 	}
 }

@@ -53,11 +53,10 @@ func genParentSpan(rng *rand.Rand) parentSpan {
 	return p
 }
 
-// checkRecord holds one parent span to the record properties: the record
-// of the same fields encodes to the parent's bytes; Live accepts it
-// exactly when its ID is SpanID of its own fields and number, and then
-// the span's record is the record again.
-func checkRecord(t *testing.T, p parentSpan) (accepted bool) {
+// checkRecord holds one parent span to the record property — the record
+// of the same fields encodes to the parent's bytes — and reports whether
+// its ID is SpanID of its own fields and number, as a span's record's is.
+func checkRecord(t *testing.T, p parentSpan) (canonical bool) {
 	t.Helper()
 	rec := SpanRecord(p)
 	want, werr := json.Marshal(p)
@@ -65,23 +64,13 @@ func checkRecord(t *testing.T, p parentSpan) (accepted bool) {
 	if (err == nil) != (werr == nil) || !bytes.Equal(got, want) {
 		t.Fatalf("%+v encodes to %s (%v), the parent to %s (%v)", rec, got, err, want, werr)
 	}
-	sp, err := rec.Live()
-	canonical := SpanID(p.Workflow, p.Policy, ParseSeq(p.ID)) == p.ID
-	if (err == nil) != canonical {
-		t.Fatalf("%+v: Live err = %v, yet its ID canonical = %v", rec, err, canonical)
-	}
-	if err == nil && (sp.Record() != rec || sp.Seq != ParseSeq(p.ID)) {
-		t.Fatalf("%+v: Live gives %+v, whose record is %+v", rec, sp, sp.Record())
-	}
-	return canonical
+	return SpanID(p.Workflow, p.Policy, ParseSeq(p.ID)) == p.ID
 }
 
 // TestProperty_SpanWire_EqualsParentJSON: over seeded spans — empty,
 // canonical and odd IDs, random strings and times — a span record
-// encodes to the parent's bytes; a span the recorder opens turns into
-// the record of its lifecycle and back into itself; and a record turns
-// into a span and back into itself exactly when restore accepts it (its
-// ID is its own), the rest being rejected.
+// encodes to the parent's bytes, and a span the recorder opens turns into
+// the record of its lifecycle, whose ID is canonical.
 func TestProperty_SpanWire_EqualsParentJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	var opened, odd int
@@ -97,9 +86,6 @@ func TestProperty_SpanWire_EqualsParentJSON(t *testing.T) {
 			ReceivedAt: p.ReceivedAt, PlannedAt: p.PlannedAt, ExecutedAt: p.ExecutedAt, Dropped: p.Dropped}
 		if rec := sp.Record(); rec != SpanRecord(p) {
 			t.Fatalf("%+v has record %+v, want %+v", sp, rec, p)
-		}
-		if back, err := sp.Record().Live(); err != nil || back != sp {
-			t.Fatalf("%+v turns into its record and back into %+v (%v)", sp, back, err)
 		}
 	}
 	if opened < 1000 || odd < 500 {
