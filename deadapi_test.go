@@ -370,13 +370,14 @@ func recvName(e ast.Expr) string {
 // knobSeams lists the struct fields that non-test code reads and only
 // tests write, as "dir.Type.Field", each with the reason it stays.
 var knobSeams = map[string]string{
-	"internal/msg.Bus.Latency":                        "the reordering tests delay deliveries through it to put batches out of order",
-	"internal/server/fleet.WorkerOptions.CallTimeout": "the fleet tests shorten the per-RPC deadline to see a hung coordinator time out",
-	"internal/server/fleet.WorkerOptions.OnClaim":     "the fleet and chaos tests kill or partition a worker at the moment it claims",
-	"internal/core/arbiter.Config.NoVictims":          "the root ablation benchmarks switch victim selection off",
-	"internal/core/arbiter.Config.ImmediateKill":      "the root ablation benchmarks switch the drain wait off",
-	"internal/exp.Variant.Arbiter":                    "the root ablation benchmarks hand a world their arbiter config",
-	"internal/task.Spec.PublishDBKey":                 "the only producer for the spec language's DB sensor source; no shipped scenario declares a DB sensor yet",
+	"internal/msg.Bus.Latency":                         "the reordering tests delay deliveries through it to put batches out of order",
+	"internal/server/fleet.WorkerOptions.CallTimeout":  "the fleet tests shorten the per-RPC deadline to see a hung coordinator time out",
+	"internal/server/fleet.WorkerOptions.OnClaim":      "the fleet and chaos tests kill or partition a worker at the moment it claims",
+	"internal/server/fleet.WorkerOptions.RegisterWait": "the network-fault drills give registration longer than its 10-second default to ride out injected faults",
+	"internal/core/arbiter.Config.NoVictims":           "the root ablation benchmarks switch victim selection off",
+	"internal/core/arbiter.Config.ImmediateKill":       "the root ablation benchmarks switch the drain wait off",
+	"internal/exp.Variant.Arbiter":                     "the root ablation benchmarks hand a world their arbiter config",
+	"internal/task.Spec.PublishDBKey":                  "the only producer for the spec language's DB sensor source; no shipped scenario declares a DB sensor yet",
 }
 
 // TestKnobsHaveNonTestWriters keeps every setting the program reads
@@ -386,9 +387,11 @@ var knobSeams = map[string]string{
 // type-checks every non-test file of the repository — bench/ and cmd/
 // included — and counts as a write an assignment, ++/--, a composite
 // literal key (or an unkeyed literal), taking the address, and calling
-// a pointer method on the field. Fields with a struct tag (written by a
-// decoder), sync or sync/atomic fields and the exemptDirs packages are
-// not knobs.
+// a pointer method on the field. An assignment to an exported field
+// inside an if whose condition reads that field (if o.X <= 0 { o.X = d })
+// fills in a default and is not a write. Fields with a struct tag
+// (written by a decoder), sync or sync/atomic fields and the exemptDirs
+// packages are not knobs.
 func TestKnobsHaveNonTestWriters(t *testing.T) {
 	m := checkSources(t)
 	found := testOnlyFields(m)
@@ -405,13 +408,17 @@ func TestKnobsHaveNonTestWriters(t *testing.T) {
 }
 
 // TestTestOnlyFieldsCatchesPlants runs the scan on a planted package:
-// each field read but never written is found, each kind of write clears
-// its field, and a tagged, a sync or an unread field is not reported.
+// each field read but never written is found, and so is an exported field
+// only ever defaulted (assigned inside an if that reads it); each kind of
+// write clears its field, an unexported field's default among them, and a
+// tagged, a sync or an unread field is not reported.
 func TestTestOnlyFieldsCatchesPlants(t *testing.T) {
 	const src = `package p
 import "sync"
 type Opts struct {
 	Knob, Set, Lit, Ptr, Inc, Meth, Sub int
+	Def, Cond                           int
+	def                                 int
 	Pos  [2]int
 	Arr  [4]byte
 	Buf  buf
@@ -432,7 +439,16 @@ func f(o *Opts) int {
 	_ = o.Arr[:0]
 	q := pair{1, 2}
 	_ = o.mu
-	return o.Knob + o.Set + o.Lit + *p + o.Inc + o.Meth + o.Sub + o.Pos[1] + o.Buf.n + o.Tag + q.A
+	if o.Def <= 0 {
+		o.Def = 5
+	}
+	if o.def == 0 {
+		o.def = 6
+	}
+	if o.Knob > 0 {
+		o.Cond = o.Knob
+	}
+	return o.Knob + o.Set + o.Lit + *p + o.Inc + o.Meth + o.Sub + o.Pos[1] + o.Buf.n + o.Tag + q.A + o.Def + o.def + o.Cond
 }`
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
@@ -444,7 +460,7 @@ func f(o *Opts) int {
 		t.Fatal(err)
 	}
 	got := sortedKeys(testOnlyFields(m))
-	if want := []string{"p.Opts.Knob", "p.Opts.Meth", "p.Opts.Sub"}; !slices.Equal(got, want) {
+	if want := []string{"p.Opts.Def", "p.Opts.Knob", "p.Opts.Meth", "p.Opts.Sub"}; !slices.Equal(got, want) {
 		t.Errorf("found %v, want %v", got, want)
 	}
 }
@@ -522,12 +538,43 @@ func testOnlyFields(m *moduleImporter) map[string]token.Pos {
 			}
 		}
 	}
+	// defaults holds the left-hand sides that fill in a default: an
+	// exported field assigned inside an if whose condition reads it. The
+	// if is visited before its body, so each is marked before it is seen.
+	defaults := map[ast.Expr]bool{}
+	markDefaults := func(x *ast.IfStmt) {
+		cond := map[*types.Var]bool{}
+		ast.Inspect(x.Cond, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok {
+				if fv := field(e); fv != nil && fv.Exported() {
+					cond[fv] = true
+				}
+			}
+			return true
+		})
+		ast.Inspect(x.Body, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok {
+				for _, l := range as.Lhs {
+					if cond[field(ast.Unparen(l))] {
+						defaults[l] = true
+					}
+				}
+			}
+			return true
+		})
+	}
 	for _, files := range m.dirs {
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch x := n.(type) {
+				case *ast.IfStmt:
+					markDefaults(x)
 				case *ast.AssignStmt:
 					for _, l := range x.Lhs {
+						if defaults[l] {
+							write(ast.Unparen(l).(*ast.SelectorExpr).X) // what holds the field is written
+							continue
+						}
 						write(l)
 					}
 				case *ast.IncDecStmt:
