@@ -35,7 +35,7 @@ func TestHotTypeSizes(t *testing.T) {
 		{"sensor.MetricMsg", unsafe.Sizeof(sensor.MetricMsg{}), 32},
 		{"decision.Suggestion", unsafe.Sizeof(decision.Suggestion{}), 56},
 		{"trace.Span", unsafe.Sizeof(trace.Span{}), 136},
-		{"sim.Event", unsafe.Sizeof(sim.Event{}), 96},
+		{"sim.Event", unsafe.Sizeof(sim.Event{}), 88},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)

@@ -183,7 +183,6 @@ type Engine struct {
 	s        *sim.Sim
 	ep       *msg.Endpoint
 	out      string
-	cfg      *spec.Config
 	filter   *msg.OrderFilter
 	bindings []*binding
 	// routes is indexed by Series.ID (see Ingest).
@@ -213,7 +212,6 @@ func New(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, bus 
 		spawn:  spawn,
 		ep:     bus.Endpoint(name),
 		out:    out,
-		cfg:    cfg,
 		tr:     tr,
 		filter: msg.NewOrderFilter(),
 	}

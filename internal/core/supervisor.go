@@ -38,7 +38,6 @@ type stageGuard struct {
 	lastProgress sim.Time
 	lastPending  int
 	down         bool // a restart is scheduled (or the stage was given up on)
-	gaveUp       bool
 }
 
 // Supervisor wraps the orchestrator's stage processes with panic recovery
@@ -95,7 +94,7 @@ func (s *Supervisor) scheduleRestart(stage, reason string) {
 		return
 	}
 	if g.restarts >= maxRestarts {
-		g.gaveUp, g.down = true, true
+		g.down = true
 		return
 	}
 	delay := backoffBase << g.restarts

@@ -182,8 +182,8 @@ func TestSupervisorGivesUpAfterMaxRestarts(t *testing.T) {
 	if v, _ := o.Trace.Registry().Value("dyflow_stage_restarts_total"); v != maxRestarts {
 		t.Fatalf("dyflow_stage_restarts_total = %v, want capped at %d", v, maxRestarts)
 	}
-	if !o.Supervisor.stages[StageDecision].gaveUp {
-		t.Fatal("the supervisor never gave up on the crash-looping stage")
+	if g := o.Supervisor.stages[StageDecision]; !g.down || g.restarts != maxRestarts {
+		t.Fatalf("crash-looping stage: down = %v after %d restarts, want given up (down) after %d", g.down, g.restarts, maxRestarts)
 	}
 	o.Stop()
 }

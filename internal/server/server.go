@@ -131,7 +131,6 @@ type Server struct {
 
 	bg      sync.WaitGroup // the lease-expiry and retention loops
 	httpSrv *http.Server
-	ln      net.Listener
 }
 
 // New builds the service, restores any persisted state from cfg.CkptDir,
@@ -373,7 +372,6 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.ln = ln
 	s.httpSrv = &http.Server{Handler: s.Handler()}
 	go func() {
 		if err := s.httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -37,13 +37,21 @@ type transport struct {
 // listen serves s on a loopback port once and returns the address.
 func listen(t *testing.T, s *Server) string {
 	t.Helper()
-	if s.ln == nil {
-		if _, err := s.Start("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
+	if addr, ok := listening[s]; ok {
+		return addr
 	}
-	return s.ln.Addr().String()
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listening[s] = addr
+	t.Cleanup(func() { delete(listening, s) })
+	return addr
 }
+
+// listening holds the address listen served each server of the running
+// test on (the package's tests do not run in parallel).
+var listening = map[*Server]string{}
 
 var transports = []transport{
 	{

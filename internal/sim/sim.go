@@ -69,7 +69,6 @@ const (
 // code never holds one — At/After return nothing, and only the kernel
 // cancels an event (a process's timer or a superseded wake).
 type Event struct {
-	sim   *Sim
 	at    Time
 	seq   uint64
 	index int // heap index, -1 when not scheduled
@@ -235,7 +234,7 @@ func (s *Sim) newEvent(at Time) *Event {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		e = &Event{sim: s}
+		e = &Event{}
 	}
 	s.seq++
 	e.at = at

@@ -232,7 +232,6 @@ type Instance struct {
 	deliberate    bool // the stop came from the WMS, not a failure
 
 	startedAt  sim.Time
-	endedAt    sim.Time
 	stepsDone  int
 	globalStep int // last completed global step number
 	exitCode   int
@@ -495,7 +494,6 @@ func (in *Instance) noteStep(globalStep int, loopTime time.Duration, p *sim.Proc
 
 // finish records the terminal state and exit-status file.
 func (in *Instance) finish() {
-	in.endedAt = in.env.Sim.Now()
 	switch {
 	case in.crashSignaled && !in.deliberate:
 		in.exitCode = in.crashCode

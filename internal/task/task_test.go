@@ -63,6 +63,19 @@ func TestPlacementRankNode(t *testing.T) {
 	}
 }
 
+// endOf returns where the instant in's incarnation ends will be: a
+// process joins it and notes the instant, as Savanna's watcher does before
+// it emits TaskEnded. It stays -1 until then.
+func endOf(env *Env, in *Instance) *sim.Time {
+	end := sim.Time(-1)
+	env.Sim.Spawn("end-of/"+in.Spec.Name, func(p *sim.Proc) {
+		if p.Join(in.Proc()) == nil {
+			end = p.Now()
+		}
+	})
+	return &end
+}
+
 func TestInstanceRunsToCompletion(t *testing.T) {
 	env := newEnv(1)
 	spec := Spec{
@@ -74,6 +87,7 @@ func TestInstanceRunsToCompletion(t *testing.T) {
 		StartupDelay: 2 * time.Second,
 	}
 	in := Launch(env, spec, Placement{"node000": 10}, 0)
+	ended := endOf(env, in)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +97,7 @@ func TestInstanceRunsToCompletion(t *testing.T) {
 	if in.StepsDone() != 5 {
 		t.Fatalf("steps = %d, want 5", in.StepsDone())
 	}
-	if got := in.endedAt; got != 7*time.Second {
+	if got := *ended; got != 7*time.Second {
 		t.Fatalf("ended at %v, want 7s (2s startup + 5x1s)", got)
 	}
 	// Exit status file written with code 0.
@@ -100,6 +114,7 @@ func TestGracefulStopFinishesCurrentStep(t *testing.T) {
 		TotalSteps: 100,
 	}
 	in := Launch(env, spec, Placement{"node000": 1}, 0)
+	ended := endOf(env, in)
 	// SIGTERM mid-step 3 (t=25s): the task must finish step 3 (t=30s).
 	env.Sim.At(25*time.Second, func() { in.Stop(true) })
 	if err := env.Sim.RunUntilIdle(); err != nil {
@@ -111,8 +126,8 @@ func TestGracefulStopFinishesCurrentStep(t *testing.T) {
 	if in.StepsDone() != 3 {
 		t.Fatalf("steps = %d, want 3", in.StepsDone())
 	}
-	if in.endedAt != 30*time.Second {
-		t.Fatalf("ended at %v, want 30s (graceful drain)", in.endedAt)
+	if *ended != 30*time.Second {
+		t.Fatalf("ended at %v, want 30s (graceful drain)", *ended)
 	}
 	if in.ExitCode() != 0 {
 		t.Fatalf("deliberate stop exit code = %d, want 0", in.ExitCode())
@@ -127,6 +142,7 @@ func TestCrashAbortsImmediately(t *testing.T) {
 		TotalSteps: 100,
 	}
 	in := Launch(env, spec, Placement{"node000": 1}, 0)
+	ended := endOf(env, in)
 	env.Sim.At(25*time.Second, func() { in.Crash(137) })
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -134,8 +150,8 @@ func TestCrashAbortsImmediately(t *testing.T) {
 	if in.State() != Failed {
 		t.Fatalf("state = %v, want Failed", in.State())
 	}
-	if in.endedAt != 25*time.Second {
-		t.Fatalf("ended at %v, want 25s (immediate abort)", in.endedAt)
+	if *ended != 25*time.Second {
+		t.Fatalf("ended at %v, want 25s (immediate abort)", *ended)
 	}
 	if v, _ := env.FS.ReadVar(StatusPath("WF", "Sim"), "exitcode"); v != 137 {
 		t.Fatalf("status exitcode = %v, want 137", v)
@@ -158,6 +174,7 @@ func TestCouplingBackpressureThrottlesProducer(t *testing.T) {
 	}
 	p := Launch(env, producer, Placement{"node000": 10}, 0)
 	c := Launch(env, consumer, Placement{"node001": 10}, 0)
+	pEnded, cEnded := endOf(env, p), endOf(env, c)
 	if err := env.Sim.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +188,11 @@ func TestCouplingBackpressureThrottlesProducer(t *testing.T) {
 	// in 10s, but the 1-deep buffer limits it to roughly one step per
 	// consumer step (last put completes when the consumer takes step 8 at
 	// t=41s).
-	if p.endedAt != 41*time.Second {
-		t.Fatalf("producer ended at %v; backpressure should throttle it to 41s", p.endedAt)
+	if *pEnded != 41*time.Second {
+		t.Fatalf("producer ended at %v; backpressure should throttle it to 41s", *pEnded)
 	}
 	// Consumer completes when the producer's stream closes and drains.
-	if c.endedAt < p.endedAt {
+	if *cEnded < *pEnded {
 		t.Fatal("consumer cannot finish before producer closes the stream")
 	}
 }
