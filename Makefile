@@ -120,6 +120,13 @@ fuzz-smoke:
 # timeline of the last experiment run, that differs. A
 # change that must not move any result (a refactor, a perf change) runs it
 # against its parent. About a minute on a 2-vCPU host; not a CI step.
+#
+# It also checks that an orchestrator kill is invisible in the tree's own
+# build: each -orch-kills 2 chaos timeline must equal the chaos timeline of
+# the same machine and seed, which is itself held to REV's. A kill timeline
+# that differs from REV's is reported and passes only through that check
+# (REV may predate kill-transparent timelines); one that passes it equals
+# REV's wherever REV's was transparent too.
 exp-diff:
 	@[ -n "$(REV)" ] || { echo "exp-diff: set REV, e.g. make exp-diff REV=HEAD~1"; exit 1; }
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
@@ -134,9 +141,18 @@ exp-diff:
 			cmp -s "$$dir/rev.out" "$$dir/tree.out" || { \
 				echo "exp-diff: -machine $$m -seed $$seed $${run:-all} differs from $(REV):"; \
 				diff "$$dir/rev.out" "$$dir/tree.out" | head -n 40; exit 1; }; \
+			timeline="identical"; \
 			cmp -s "$$dir/rev.json" "$$dir/trace.json" || { \
-				echo "exp-diff: -machine $$m -seed $$seed $${run:-all}: the -perfetto timeline differs from $(REV)"; exit 1; }; \
-			echo "exp-diff: -machine $$m -seed $$seed $${run:-all}: identical ($$(wc -c < "$$dir/tree.out") bytes, timeline $$(wc -c < "$$dir/trace.json") bytes)"; \
+				[ "$$run" = "-orch-kills 2 chaos" ] || { \
+					echo "exp-diff: -machine $$m -seed $$seed $${run:-all}: the -perfetto timeline differs from $(REV)"; exit 1; }; \
+				timeline="differs from $(REV)"; }; \
+			[ "$$run" != "chaos" ] || cp "$$dir/trace.json" "$$dir/chaos.json"; \
+			if [ "$$run" = "-orch-kills 2 chaos" ]; then \
+				cmp -s "$$dir/chaos.json" "$$dir/trace.json" || { \
+					echo "exp-diff: -machine $$m -seed $$seed: the -orch-kills 2 chaos timeline differs from this tree's chaos timeline"; exit 1; }; \
+				timeline="$$timeline, equals this tree's chaos timeline"; \
+			fi; \
+			echo "exp-diff: -machine $$m -seed $$seed $${run:-all}: output identical ($$(wc -c < "$$dir/tree.out") bytes), timeline $$timeline ($$(wc -c < "$$dir/trace.json") bytes)"; \
 		done; \
 	done; done
 
