@@ -63,8 +63,7 @@ type (
 	TaskSpec = task.Spec
 	// Cost is the per-timestep cost model (serial + work/procs).
 	Cost = task.Cost
-	// Options tunes the orchestrator (monitor sharding, sensor costs,
-	// arbitration guards, bus latency).
+	// Options tunes the orchestrator: its arbitration guards.
 	Options = core.Options
 	// ArbiterConfig tunes Arbitration's warm-up/settle/gather guards.
 	ArbiterConfig = arbiter.Config
