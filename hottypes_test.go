@@ -19,8 +19,8 @@ import (
 )
 
 // TestHotTypeSizes pins the size of each value the stages hand each other
-// on every message or span, and of the kernel's pooled event, on a 64-bit
-// platform: a field added to one is copied on every send or scheduled
+// on every message or span — the two recycled Monitor payloads among them —
+// and of the kernel's pooled event, on a 64-bit platform: a field added to one is copied on every send or scheduled
 // with every event, so adding it is a decision, made here.
 func TestHotTypeSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -33,6 +33,8 @@ func TestHotTypeSizes(t *testing.T) {
 		{"msg.Envelope", unsafe.Sizeof(msg.Envelope{}), 64},
 		{"sensor.Update", unsafe.Sizeof(sensor.Update{}), 32},
 		{"sensor.MetricMsg", unsafe.Sizeof(sensor.MetricMsg{}), 32},
+		{"sensor.Batch", unsafe.Sizeof(sensor.Batch{}), 56},
+		{"sensor.MetricList", unsafe.Sizeof(sensor.MetricList{}), 40},
 		{"decision.Suggestion", unsafe.Sizeof(decision.Suggestion{}), 56},
 		{"trace.Span", unsafe.Sizeof(trace.Span{}), 136},
 		{"sim.Event", unsafe.Sizeof(sim.Event{}), 88},

@@ -118,12 +118,19 @@ type Executor struct {
 	plugin Plugin
 	retry  RetryPolicy
 	tr     *trace.Recorder
+	// The stage counters on tr, resolved once.
+	nOps, nFailed, nRetries, nRecovered *trace.StageCounter
 }
 
 // NewExecutor creates an Executor over the plugin with the default retry
 // policy, recording every executed operation on tr.
 func NewExecutor(plugin Plugin, tr *trace.Recorder) *Executor {
-	return &Executor{plugin: plugin, retry: DefaultRetryPolicy(), tr: tr}
+	return &Executor{plugin: plugin, retry: DefaultRetryPolicy(), tr: tr,
+		nOps:       tr.StageCounter("actuate.ops"),
+		nFailed:    tr.StageCounter("actuate.failed_ops"),
+		nRetries:   tr.StageCounter("actuate.retries"),
+		nRecovered: tr.StageCounter("actuate.recovered_ops"),
+	}
 }
 
 // startWithRetry applies one START op, retrying transient failures with
@@ -148,7 +155,7 @@ func (ex *Executor) startWithRetry(p *sim.Proc, op arbiter.Op) (attempts int, er
 		err = ex.plugin.StartTaskWithResources(p, op.Workflow, op.Task, op.Procs, op.PerNode, op.Script, cluster.SortNodeIDs(exclude))
 		if err == nil {
 			if attempt > 1 {
-				ex.tr.Inc("actuate.recovered_ops", 1)
+				ex.nRecovered.Add(1)
 			}
 			return attempt, nil
 		}
@@ -156,7 +163,7 @@ func (ex *Executor) startWithRetry(p *sim.Proc, op arbiter.Op) (attempts int, er
 		if attempt >= ex.retry.MaxAttempts || !Retryable(err) {
 			return attempt, err
 		}
-		ex.tr.Inc("actuate.retries", 1)
+		ex.nRetries.Add(1)
 		if backoff > 0 {
 			if serr := p.SleepUninterruptible(backoff); serr != nil {
 				if errors.Is(serr, sim.ErrStopped) {
@@ -196,10 +203,10 @@ func (ex *Executor) Execute(p *sim.Proc, plan arbiter.Plan) (arbiter.ExecReport,
 		rec.EndedAt = p.Now()
 		if err != nil {
 			rec.Err = err.Error()
-			ex.tr.Inc("actuate.failed_ops", 1)
+			ex.nFailed.Add(1)
 		}
 		ex.tr.OpExecuted(rec)
-		ex.tr.Inc("actuate.ops", 1)
+		ex.nOps.Add(1)
 		if err != nil {
 			// The failed op and everything after it never applied; collect
 			// the START ops among them for the engine's recovery queue.

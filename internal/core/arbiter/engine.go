@@ -146,6 +146,8 @@ type Engine struct {
 	proc    *sim.Proc
 	tr      *trace.Recorder
 	spawn   func(name string, fn func(*sim.Proc)) *sim.Proc
+	// The stage counters on tr, resolved once.
+	nDiscarded, nStale, nEmpty, nRounds, nFailed, nRequeued *trace.StageCounter
 	// busy is true from the moment a suggestion batch passes the guards
 	// until its round completes. Checkpoints must not be taken while busy:
 	// the gather window and the executing plan live on the proc stack and
@@ -185,6 +187,13 @@ func New(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, bus 
 		rules:   rules,
 		waiting: make(map[string][]WaitingTask),
 		tasks:   make(map[string]map[string]TaskState),
+
+		nDiscarded: tr.StageCounter("arbiter.discarded_batches"),
+		nStale:     tr.StageCounter("arbiter.stale_suggestions"),
+		nEmpty:     tr.StageCounter("arbiter.empty_rounds"),
+		nRounds:    tr.StageCounter("arbiter.rounds"),
+		nFailed:    tr.StageCounter("arbiter.failed_rounds"),
+		nRequeued:  tr.StageCounter("arbiter.requeued_tasks"),
 	}
 }
 
@@ -238,7 +247,7 @@ func (e *Engine) run(p *sim.Proc) {
 			if now-e.startedAt < e.cfg.WarmupDelay {
 				reason = "warmup"
 			}
-			e.tr.Inc("arbiter.discarded_batches", 1)
+			e.nDiscarded.Add(1)
 			for i := range batch {
 				e.tr.Drop(batch[i].Seq, reason, now)
 			}
@@ -335,7 +344,7 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			}
 			if st, ok := tasks[sg.Rule.AssessTask()]; ok && st.StartedAt > 0 && sim.Time(sg.DecidedAt) < st.StartedAt {
 				e.tr.Drop(sg.Seq, "stale", received)
-				e.tr.Inc("arbiter.stale_suggestions", 1)
+				e.nStale.Add(1)
 				continue
 			}
 			sgs = append(sgs, *sg)
@@ -367,7 +376,7 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			// Nothing feasible or nothing to do: no settle window, but the
 			// round must stay visible to the accounting.
 			plannedAt := e.s.Now()
-			e.tr.Inc("arbiter.empty_rounds", 1)
+			e.nEmpty.Add(1)
 			for i := range sgs {
 				e.tr.Drop(sgs[i].Seq, "empty-plan", plannedAt)
 			}
@@ -411,10 +420,10 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 		for i := range sgs {
 			e.tr.Executed(sgs[i].Seq, rec.ExecutedAt)
 		}
-		e.tr.Inc("arbiter.rounds", 1)
+		e.nRounds.Add(1)
 		if err != nil {
 			rec.Err = err.Error()
-			e.tr.Inc("arbiter.failed_rounds", 1)
+			e.nFailed.Add(1)
 			// Mid-plan recovery: a START that never applied may belong to a
 			// task an earlier op of this very plan stopped — abandoning it
 			// strands the task forever (a gracefully stopped task exits 0,
@@ -457,7 +466,7 @@ func (e *Engine) requeue(wf string, tasks map[string]TaskState, starts []Op) {
 			Script:       op.Script,
 			Recovery:     true,
 		})
-		e.tr.Inc("arbiter.requeued_tasks", 1)
+		e.nRequeued.Add(1)
 	}
 }
 

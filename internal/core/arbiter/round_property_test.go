@@ -45,7 +45,7 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 		for _, sg := range sgs {
 			if st, ok := tasks[sg.Rule.AssessTask()]; ok && st.StartedAt > 0 && sim.Time(sg.DecidedAt) < st.StartedAt {
 				e.tr.Drop(trace.ParseSeq(sg.ID()), "stale", received)
-				e.tr.Inc("arbiter.stale_suggestions", 1)
+				e.nStale.Add(1)
 				continue
 			}
 			fresh = append(fresh, sg)
@@ -82,7 +82,7 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 		}
 		if plan.Empty() {
 			rec.PlannedAt = e.s.Now()
-			e.tr.Inc("arbiter.empty_rounds", 1)
+			e.nEmpty.Add(1)
 			for _, id := range ids {
 				e.tr.Drop(trace.ParseSeq(id), "empty-plan", rec.PlannedAt)
 			}
@@ -109,10 +109,10 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 		for _, id := range ids {
 			e.tr.Executed(trace.ParseSeq(id), rec.ExecutedAt)
 		}
-		e.tr.Inc("arbiter.rounds", 1)
+		e.nRounds.Add(1)
 		if err != nil {
 			rec.Err = err.Error()
-			e.tr.Inc("arbiter.failed_rounds", 1)
+			e.nFailed.Add(1)
 			e.requeue(wf, tasks, rep.UnappliedStarts)
 			if e.cfg.FailureCooldown > 0 {
 				e.settleUntil = e.s.Now() + e.cfg.FailureCooldown

@@ -90,10 +90,10 @@ func (o *Orchestrator) Restore(blob []byte) error {
 // JSON. The stages send three payload types, one to each receiver.
 func encodePayload(to string, payload any) ([]byte, error) {
 	switch p := payload.(type) {
-	case sensor.Batch:
+	case *sensor.Batch:
 		return json.Marshal(p.Record())
-	case []sensor.MetricMsg:
-		return json.Marshal(ckpt.Map(p, sensor.MetricMsg.Record))
+	case *sensor.MetricList:
+		return json.Marshal(ckpt.Map(p.Msgs, sensor.MetricMsg.Record))
 	case []decision.Suggestion:
 		return json.Marshal(ckpt.Map(p, decision.Suggestion.Record))
 	}
@@ -101,14 +101,19 @@ func encodePayload(to string, payload any) ([]byte, error) {
 }
 
 // decodePayload decodes a payload queued on endpoint to from its record's
-// JSON into the type its receiver reads.
+// JSON into the type its receiver reads. A Monitor payload it returns has
+// no sender to go back to, so its release does nothing.
 func decodePayload(to string, data []byte) (any, error) {
 	switch to {
 	case EndpointMonitorServer:
-		return decode(data, sensor.BatchRecord.Live)
+		return decode(data, func(r sensor.BatchRecord) (*sensor.Batch, error) {
+			b, err := r.Live()
+			return &b, err
+		})
 	case EndpointDecision:
-		return decode(data, func(rs []sensor.MetricMsgRecord) ([]sensor.MetricMsg, error) {
-			return ckpt.TryMap(rs, sensor.MetricMsgRecord.Live)
+		return decode(data, func(rs []sensor.MetricMsgRecord) (*sensor.MetricList, error) {
+			msgs, err := ckpt.TryMap(rs, sensor.MetricMsgRecord.Live)
+			return &sensor.MetricList{Msgs: msgs}, err
 		})
 	case EndpointArbiter:
 		return decode(data, func(rs []decision.SuggestionRecord) ([]decision.Suggestion, error) {

@@ -191,6 +191,8 @@ type Engine struct {
 	evalProc *sim.Proc
 	tr       *trace.Recorder
 	spawn    func(name string, fn func(*sim.Proc)) *sim.Proc
+	// The stage counters on tr, resolved once.
+	nIngested, nSuggestions, nEvaluations *trace.StageCounter
 
 	seq int // the last suggestion's Seq
 	// nextEval is the evaluator's next scheduled tick; checkpointed so a
@@ -214,6 +216,10 @@ func New(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, bus 
 		out:    out,
 		tr:     tr,
 		filter: msg.NewOrderFilter(),
+
+		nIngested:    tr.StageCounter("decision.metrics_ingested"),
+		nSuggestions: tr.StageCounter("decision.suggestions"),
+		nEvaluations: tr.StageCounter("decision.evaluations"),
 	}
 	for _, pb := range cfg.Bindings {
 		def := cfg.Policies[pb.PolicyID]
@@ -276,23 +282,30 @@ func (e *Engine) run(p *sim.Proc) {
 		buf = batch
 		for i := range batch {
 			env := &batch[i]
-			if !e.filter.Admit(*env) {
-				continue
-			}
-			msgs, err := msg.Payload[[]sensor.MetricMsg](env)
+			admit := e.filter.Admit(env.From, env.Seq)
+			l, err := msg.Payload[*sensor.MetricList](env)
 			if err != nil {
 				continue
 			}
-			for _, w := range msgs {
-				e.Ingest(sensor.FromMsg(w, env.SentAt))
+			if admit {
+				e.ingestList(l, env.SentAt)
 			}
-			// One count per envelope, not per metric: each Inc takes the
-			// recorder's lock. An envelope that ingests nothing records
-			// nothing, as no per-metric Inc did.
-			if len(msgs) > 0 {
-				e.tr.Inc("decision.metrics_ingested", int64(len(msgs)))
-			}
+			l.Release()
 		}
+	}
+}
+
+// ingestList ingests every message of an admitted list, observed at
+// sentAt.
+func (e *Engine) ingestList(l *sensor.MetricList, sentAt sim.Time) {
+	for _, w := range l.Msgs {
+		e.Ingest(sensor.FromMsg(w, sentAt))
+	}
+	// One count per envelope, not per metric: each Add takes the
+	// recorder's lock. An envelope that ingests nothing records nothing,
+	// as no per-metric count did.
+	if len(l.Msgs) > 0 {
+		e.nIngested.Add(int64(len(l.Msgs)))
 	}
 }
 
@@ -314,7 +327,7 @@ func (e *Engine) evalLoop(p *sim.Proc) {
 		e.nextEval = 0
 		round := e.EvaluateDue()
 		if len(round) > 0 {
-			e.tr.Inc("decision.suggestions", int64(len(round)))
+			e.nSuggestions.Add(int64(len(round)))
 			e.ep.Send(e.out, round)
 		}
 	}
@@ -387,7 +400,7 @@ func (e *Engine) EvaluateDue() []Suggestion {
 		}
 		b.lastEval = now
 		b.everEval = true
-		e.tr.Inc("decision.evaluations", 1)
+		e.nEvaluations.Add(1)
 		sg, ok := e.evaluate(b, now)
 		// The round consumed the binding's pending data; liveness now rests
 		// on the arrival cadence until the next value lands.

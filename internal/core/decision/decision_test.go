@@ -244,7 +244,7 @@ func TestEndToEndOverBus(t *testing.T) {
 	mon := bus.Endpoint("monitor-server")
 	s.Spawn("feeder", func(p *sim.Proc) {
 		m := metric("GS", "Iso", "PACE", spec.GranTask, 100, p.Now())
-		mon.Send("decision", []sensor.MetricMsg{m.ToMsg()})
+		mon.Send("decision", &sensor.MetricList{Msgs: []sensor.MetricMsg{m.ToMsg()}})
 	})
 	if err := s.Run(3 * time.Second); err != nil {
 		t.Fatal(err)

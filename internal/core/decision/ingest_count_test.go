@@ -30,7 +30,9 @@ func TestMetricsIngestedCountsMetrics(t *testing.T) {
 
 	good := metric("GS", "Iso", "PACE", spec.GranTask, 30, 0).ToMsg()
 	// An envelope restored from a checkpoint is ingested as a live one.
-	bus.Decode = func(string, []byte) (any, error) { return []sensor.MetricMsg{good, good}, nil }
+	bus.Decode = func(string, []byte) (any, error) {
+		return &sensor.MetricList{Msgs: []sensor.MetricMsg{good, good}}, nil
+	}
 	err = bus.Restore(msg.BusSnapshot{Endpoints: []msg.EndpointSnapshot{
 		{Name: "monitor-server", Seq: 1},
 		{Name: "decision", Queue: []msg.QueuedEnvelope{{From: "monitor-server", To: "decision", Seq: 1}}},
@@ -42,10 +44,10 @@ func TestMetricsIngestedCountsMetrics(t *testing.T) {
 
 	mon := bus.Endpoint("monitor-server")
 	s.Spawn("monitor-server", func(p *sim.Proc) {
-		mon.Send("decision", []sensor.MetricMsg{good, good, good})
-		mon.Send("decision", []sensor.MetricMsg{})
+		mon.Send("decision", &sensor.MetricList{Msgs: []sensor.MetricMsg{good, good, good}})
+		mon.Send("decision", &sensor.MetricList{})
 		p.Sleep(time.Second)
-		mon.Send("decision", []sensor.MetricMsg{good})
+		mon.Send("decision", &sensor.MetricList{Msgs: []sensor.MetricMsg{good}})
 	})
 	if err := s.Run(3 * time.Second); err != nil {
 		t.Fatal(err)

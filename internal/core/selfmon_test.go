@@ -139,7 +139,7 @@ func TestSelfSourceArms(t *testing.T) {
 	o.Trace.SensorLag("PACE", 2*time.Second)
 	o.Trace.QueueDepth(EndpointDecision, 5)
 	o.Trace.QueueDepth(EndpointDecision, 2)
-	o.Trace.Inc("monitor.forwarded", 7)
+	o.Trace.StageCounter("monitor.forwarded").Add(7)
 	src := &selfSource{o: o}
 	for _, tc := range []struct {
 		name string

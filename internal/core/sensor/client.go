@@ -62,6 +62,8 @@ type Client struct {
 	// filesystem on first use, never part of a snapshot.
 	scans map[scanKey]*diskScan
 	spawn func(name string, fn func(*sim.Proc)) *sim.Proc
+	// batches are the released batches build reuses (payload.go).
+	batches []*Batch
 
 	mDropped *obs.CounterVec
 }
@@ -140,14 +142,15 @@ func (st *WorkerState) seriesFor(tg spec.MonitorTarget, def *spec.SensorDef, g s
 
 // shipment is the batch a poll worker last sent for a DISKSCAN extraction:
 // the extraction (scan, watch generation, step, generation instant), the
-// boxed Batch, nil when the readings formulated nothing, and the NaN and
-// Inf readings sanitize dropped building it.
+// batch, nil when the readings formulated nothing, which the shipment
+// holds as its re-send cache, and the NaN and Inf readings sanitize
+// dropped building it.
 type shipment struct {
 	scan     *diskScan
 	gen      uint64
 	step     int
 	genAt    sim.Time
-	batch    any
+	batch    *Batch
 	nan, inf int64
 }
 
@@ -568,37 +571,50 @@ func (sc *diskScan) refresh() {
 // A DISKSCAN poll of unchanged files — most polls: the files change once
 // per output step, the poll runs every second — re-sends the batch the
 // worker built from the same extraction instead of building an equal one.
-// The bus lets one payload ride in several envelopes, and the sanitize
-// drops it counted are counted again, so the server and the metrics see
-// exactly what a rebuild would give them. Every other reading is built
-// afresh: streamed, self and FILE/DB/ERRORSTATUS readings carry no
-// extraction to compare.
+// The worker's shipment caches that batch, so it is not recycled while
+// cached, and the sanitize drops it counted are counted again, so the
+// server and the metrics see exactly what a rebuild would give them.
+// Every other reading is built afresh: streamed, self and
+// FILE/DB/ERRORSTATUS readings carry no extraction to compare.
 func (c *Client) ship(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDef, pend PendingShip) {
 	last := &st.last
 	if pend.scan != nil && pend.scan == last.scan && pend.gen == last.gen &&
 		pend.Step == last.step && pend.GenAt == last.genAt {
 		c.countDropped(last.nan, last.inf)
-		if last.batch != nil {
-			c.ep.Send(c.server, last.batch)
-		}
+		c.send(last.batch)
 		return
 	}
-	batch, nan, inf := c.build(st, tg, def, pend.Readings, pend.Step, pend.GenAt)
 	// A node-task or node-workflow group reads Workload.Placement, which
 	// moves with the task (a restart, an added CPU) while the files — and
 	// so the watch generation — stay put: such a batch is never reused.
-	if pend.scan != nil && !def.HasGranularity(spec.GranNodeTask) && !def.HasGranularity(spec.GranNodeWorkflow) {
-		*last = shipment{scan: pend.scan, gen: pend.gen, step: pend.Step, genAt: pend.GenAt, batch: batch, nan: nan, inf: inf}
+	cache := pend.scan != nil && !def.HasGranularity(spec.GranNodeTask) && !def.HasGranularity(spec.GranNodeWorkflow)
+	if cache && last.batch != nil {
+		last.batch.cached = false
+		last.batch.recycle()
 	}
-	if batch != nil {
-		c.ep.Send(c.server, batch)
+	batch, nan, inf := c.build(st, tg, def, pend.Readings, pend.Step, pend.GenAt)
+	if cache {
+		*last = shipment{scan: pend.scan, gen: pend.gen, step: pend.Step, genAt: pend.GenAt, batch: batch, nan: nan, inf: inf}
+		if batch != nil {
+			batch.cached = true
+		}
+	}
+	c.send(batch)
+}
+
+// send sends a batch, if there is one, to the server, counting the
+// envelope it rides in.
+func (c *Client) send(b *Batch) {
+	if b != nil && c.ep.Send(c.server, b) == nil {
+		b.refs++
 	}
 }
 
-// build formulates the batch ship sends for worker st, boxed for the bus,
-// or nil when the readings formulate no update. nan and inf count the
-// readings sanitize dropped.
-func (c *Client) build(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDef, readings []float64, step int, genAt sim.Time) (batch any, nan, inf int64) {
+// build formulates the batch ship sends for worker st, or nil when the
+// readings formulate no update. A batch comes off the client's free list,
+// or is allocated when the list is empty. nan and inf count the readings
+// sanitize dropped.
+func (c *Client) build(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDef, readings []float64, step int, genAt sim.Time) (batch *Batch, nan, inf int64) {
 	readings, nan, inf = c.sanitize(readings)
 	if len(readings) == 0 {
 		return nil, nan, inf
@@ -610,7 +626,12 @@ func (c *Client) build(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorD
 			readings = []float64{v}
 		}
 	}
-	updates := make([]Update, 0, len(def.Groups))
+	var updates []Update
+	if batch = take(&c.batches); batch != nil {
+		updates = batch.Updates[:0]
+	} else {
+		updates = make([]Update, 0, len(def.Groups))
+	}
 	for _, g := range def.Groups {
 		switch g.Granularity {
 		case spec.GranTask, spec.GranWorkflow:
@@ -644,11 +665,17 @@ func (c *Client) build(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorD
 			}
 		}
 	}
-	updates = dedupUpdates(updates)
 	if len(updates) == 0 {
+		if batch != nil {
+			batch.recycle() // back to the list it was taken from
+		}
 		return nil, nan, inf
 	}
-	return Batch{Client: c.name, Updates: updates}, nan, inf
+	if batch == nil {
+		batch = &Batch{lease: lease[Batch]{home: &c.batches}}
+	}
+	batch.Client, batch.Updates = c.name, dedupUpdates(updates)
+	return batch, nan, inf
 }
 
 // sanitize drops NaN and ±Inf readings before preprocessing: one poisoned

@@ -70,7 +70,7 @@ func (b Batch) Record() BatchRecord {
 // Live returns the batch a record holds.
 func (r BatchRecord) Live() (Batch, error) {
 	updates, err := ckpt.TryMap(r.Updates, UpdateRecord.Live)
-	return Batch{r.Client, updates}, err
+	return Batch{Client: r.Client, Updates: updates}, err
 }
 
 // Record returns the message's record.

@@ -86,10 +86,12 @@ type Update struct {
 	GeneratedAt time.Duration
 }
 
-// Batch is the client->server wire message; its encoded form is BatchRecord.
+// Batch is the client->server wire message, sent as a *Batch and
+// recycled (payload.go); its encoded form is BatchRecord.
 type Batch struct {
 	Client  string
 	Updates []Update
+	lease[Batch]
 }
 
 // Metric is a server-side metric value forwarded to the Decision stage.
@@ -113,6 +115,14 @@ type MetricMsg struct {
 	Value       float64
 	Step        int
 	GeneratedAt int64
+}
+
+// MetricList is the server->decision wire message, sent as a *MetricList
+// and recycled (payload.go); its encoded form is a list of
+// MetricMsgRecord.
+type MetricList struct {
+	Msgs []MetricMsg
+	lease[MetricList]
 }
 
 // ToMsg converts a Metric for the wire, naming its series by its

@@ -57,13 +57,14 @@ func (r *rig) drainMetrics(t *testing.T) []Metric {
 		if !ok {
 			return out
 		}
-		msgs, err := msg.Payload[[]MetricMsg](&env)
+		l, err := msg.Payload[*MetricList](&env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range msgs {
+		for _, w := range l.Msgs {
 			out = append(out, FromMsg(w, env.SentAt))
 		}
+		l.Release()
 	}
 }
 
@@ -423,8 +424,8 @@ func TestServerDropsStaleBatches(t *testing.T) {
 	client := r.bus.Endpoint("client0")
 	pace := &Series{Key: Key{Workflow: "GS", Task: "Iso", Sensor: "PACE", Granularity: spec.GranTask}}
 	r.s.Spawn("sender", func(p *sim.Proc) {
-		client.Send("monitor-server", Batch{Client: "client0", Updates: []Update{{Series: pace, Value: 1}}})
-		client.Send("monitor-server", Batch{Client: "client0", Updates: []Update{{Series: pace, Value: 2}}})
+		client.Send("monitor-server", &Batch{Client: "client0", Updates: []Update{{Series: pace, Value: 1}}})
+		client.Send("monitor-server", &Batch{Client: "client0", Updates: []Update{{Series: pace, Value: 2}}})
 	})
 	if err := r.s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -709,7 +710,7 @@ func TestForwardedCountsDetectionsNotRepolls(t *testing.T) {
 	client := r.bus.Endpoint("client0")
 	pace := &Series{Key: Key{Workflow: "GS", Task: "Iso", Sensor: "PACE", Granularity: spec.GranTask}}
 	send := func(genAt time.Duration, v float64) {
-		client.Send("monitor-server", Batch{Client: "client0", Updates: []Update{
+		client.Send("monitor-server", &Batch{Client: "client0", Updates: []Update{
 			{Series: pace, Value: v, GeneratedAt: sim.Time(genAt)},
 		}})
 	}

@@ -36,10 +36,15 @@ type Server struct {
 	fwdS    []*series
 	scratch []float64
 
+	// lists are the released forward lists payload reuses (payload.go).
+	lists []*MetricList
+
 	proc      *sim.Proc
 	onForward func([]Metric)
 	tr        *trace.Recorder
 	spawn     func(name string, fn func(*sim.Proc)) *sim.Proc
+	// The stage counters on tr, resolved once.
+	nForwarded, nRepolled, nDropped *trace.StageCounter
 }
 
 // series is one metric series' server-side state.
@@ -52,9 +57,9 @@ type series struct {
 	gen    sim.Time
 	hasGen bool
 	group  *group // a task or node-task series' derivation group
-	// sent is the []MetricMsg process last sent for a forward list headed
-	// by this series, boxed for the bus.
-	sent any
+	// sent is the list process last sent for a forward list headed by
+	// this series: its re-send cache.
+	sent *MetricList
 }
 
 // groupKey names the series one derivation reduces: a workflow's task
@@ -91,6 +96,10 @@ func NewServer(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc
 		filter: msg.NewOrderFilter(),
 		series: make(map[Key]*series),
 		groups: make(map[groupKey]*group),
+
+		nForwarded: tr.StageCounter("monitor.forwarded"),
+		nRepolled:  tr.StageCounter("monitor.repolled"),
+		nDropped:   tr.StageCounter("monitor.dropped_batches"),
 	}
 }
 
@@ -134,21 +143,24 @@ func (sv *Server) run(p *sim.Proc) {
 		buf = batch
 		for i := range batch {
 			env := &batch[i]
-			if !sv.filter.Admit(*env) {
-				sv.tr.Inc("monitor.dropped_batches", 1)
-				continue
+			admit := sv.filter.Admit(env.From, env.Seq)
+			if !admit {
+				sv.nDropped.Add(1)
 			}
-			b, err := msg.Payload[Batch](env)
+			b, err := msg.Payload[*Batch](env)
 			if err != nil {
 				continue
 			}
-			sv.process(b)
+			if admit {
+				sv.process(b)
+			}
+			b.Release()
 		}
 	}
 }
 
 // process ingests one admitted batch and forwards the resulting metrics.
-func (sv *Server) process(batch Batch) {
+func (sv *Server) process(batch *Batch) {
 	now := sv.env.Now()
 	out, outS := sv.fwd[:0], sv.fwdS[:0]
 
@@ -203,42 +215,55 @@ func (sv *Server) process(batch Batch) {
 			sv.tr.SensorLag(m.Key.Sensor, m.ObservedAt-m.GeneratedAt)
 		}
 	}
-	sv.tr.Inc("monitor.forwarded", int64(detections))
-	sv.tr.Inc("monitor.repolled", int64(len(out)-detections))
+	sv.nForwarded.Add(int64(detections))
+	sv.nRepolled.Add(int64(len(out) - detections))
 	if sv.onForward != nil {
 		sv.onForward(out)
 	}
-	sv.ep.Send(sv.out, sv.payload(out, outS[0]))
+	if l := sv.payload(out, outS[0]); sv.ep.Send(sv.out, l) == nil {
+		l.refs++
+	}
 }
 
-// payload returns the wire form of a forward list. The payload the list's
-// first series last headed is sent again when every message of it equals
-// the list element by element — a stale re-poll of unchanged data, most
-// forwards of a disk-scanned world — and a changed list gets a fresh
-// []MetricMsg, which the bus hands to Decision by reference. A message
-// names its series by the server's descriptor, so equal series are equal
-// pointers. The wire carries no ObservedAt: Decision takes it from the
-// envelope's SentAt, which is the instant the server stamps every metric
-// with.
-func (sv *Server) payload(out []Metric, head *series) any {
-	if prev, _ := head.sent.([]MetricMsg); len(prev) == len(out) {
-		same := true
-		for i := range out {
-			if !sameMsg(&out[i], &prev[i]) {
-				same = false
-				break
+// payload returns the wire form of a forward list. The list the forward's
+// first series last headed — its re-send cache — is sent again when every
+// message of it equals the forward element by element: a stale re-poll of
+// unchanged data, most forwards of a disk-scanned world. A changed forward
+// fills a list off the server's free list, or a new one when the list is
+// empty, and it replaces the cached one, which is recycled once Decision
+// has released it. A message names its series by the server's descriptor,
+// so equal series are equal pointers. The wire carries no ObservedAt:
+// Decision takes it from the envelope's SentAt, which is the instant the
+// server stamps every metric with.
+func (sv *Server) payload(out []Metric, head *series) *MetricList {
+	prev := head.sent
+	if prev != nil {
+		if len(prev.Msgs) == len(out) {
+			same := true
+			for i := range out {
+				if !sameMsg(&out[i], &prev.Msgs[i]) {
+					same = false
+					break
+				}
+			}
+			if same {
+				return prev
 			}
 		}
-		if same {
-			return head.sent
-		}
+		prev.cached = false
+		prev.recycle()
 	}
-	msgs := make([]MetricMsg, len(out))
+	l := take(&sv.lists)
+	if l == nil {
+		l = &MetricList{lease: lease[MetricList]{home: &sv.lists}}
+	}
+	l.Msgs = slices.Grow(l.Msgs[:0], len(out))
 	for i := range out {
-		msgs[i] = out[i].ToMsg()
+		l.Msgs = append(l.Msgs, out[i].ToMsg())
 	}
-	head.sent = msgs
-	return head.sent
+	l.cached = true
+	head.sent = l
+	return l
 }
 
 // sameMsg reports whether m would go on the wire as w: the same series,

@@ -343,7 +343,8 @@ func decodeJSON[T any](t testing.TB, v any) T {
 // ends with the same counters, lag statistics and snapshot bytes. Decision
 // is drained only every few batches, so messages sent earlier are still in
 // its queue when the server builds the next ones — and when it re-sends
-// one of them. The server reads each batch decoded from the reference
+// one of them. Decision releases each list once it has read it, so the
+// server recycles them. The server reads each batch decoded from the reference
 // batch's JSON, a bad granularity among its updates.
 func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 	cfg, err := spec.CompileString(deriveCfg)
@@ -367,8 +368,8 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 		var wantMetrics []Metric
 		prevGen := map[string]time.Duration{}
 		var batch parentBatch
-		var live Batch                // batch as the server receives it, from its record
-		sent := map[*MetricMsg]bool{} // the payloads Decision received
+		var live Batch                 // batch as the server receives it, from its record
+		sent := map[*MetricList]bool{} // the cached payloads Decision received
 
 		const batches = 80
 		for i := 0; i < batches; i++ {
@@ -402,7 +403,7 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 					t.Fatal(err)
 				}
 			} // else the client re-sends its last batch, unchanged
-			sv.process(live)
+			sv.process(&live)
 			out, msgs := ref.process(batch, s.Now())
 			wantMsgs = append(wantMsgs, msgs...)
 			wantMetrics = append(wantMetrics, out...)
@@ -423,18 +424,23 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 				if !ok {
 					break
 				}
-				ms, err := msg.Payload[[]MetricMsg](&env)
+				l, err := msg.Payload[*MetricList](&env)
 				if err != nil {
 					t.Fatal(err)
 				}
 				envelopes++
-				if sent[&ms[0]] {
+				if sent[l] {
 					resent++
 				}
-				sent[&ms[0]] = true
-				wire = append(wire, ms...)
-				for _, w := range ms {
+				sent[l] = true
+				wire = append(wire, l.Msgs...)
+				for _, w := range l.Msgs {
 					metrics = append(metrics, FromMsg(w, env.SentAt))
+				}
+				l.Release()
+				if l.Msgs[0].Series == nil {
+					// Recycled, so poisoned: its next send is a new list.
+					delete(sent, l)
 				}
 			}
 			if (len(wire) > 0 || len(wantMsgs) > 0) && jsonOf(t, msgRecords(wire)) != jsonOf(t, wantMsgs) {
@@ -484,7 +490,7 @@ func TestProperty_ServerDerive_EqualsScan(t *testing.T) {
 // TestStaleForwardAllocatesNothing: the server side of a stale re-poll —
 // a client re-sending the batch of an unchanged disk scan, whose task
 // series and derived workflow series both forward the values they last
-// did — re-sends the payload it built then: processing the batch, the
+// did — re-sends the list it built then: processing the batch, the
 // counters and the delivery to Decision make no allocation.
 func TestStaleForwardAllocatesNothing(t *testing.T) {
 	cfg, err := spec.CompileString(nstepsCfg)
@@ -493,19 +499,9 @@ func TestStaleForwardAllocatesNothing(t *testing.T) {
 	}
 	s := sim.New(1)
 	bus := msg.NewBus(s)
-	dec := bus.Endpoint("decision")
-	var buf []msg.Envelope
-	s.Spawn("decision", func(p *sim.Proc) {
-		for {
-			batch, err := dec.RecvBatch(p, buf[:0])
-			if err != nil {
-				return
-			}
-			buf = batch
-		}
-	})
+	last := decisionSink(t, s, bus)
 	sv := NewServer(s, s.Spawn, bus, "monitor-server", "decision", cfg, trace.New(obs.NewRegistry()))
-	batch := Batch{Client: "client0", Updates: []Update{{
+	batch := &Batch{Client: "client0", Updates: []Update{{
 		Series: &Series{Key: Key{Workflow: "FUSION", Task: "XGC1", Sensor: "NSTEPS", Granularity: spec.GranTask}},
 		Value:  374, Step: 374, GeneratedAt: time.Second,
 	}}}
@@ -520,23 +516,46 @@ func TestStaleForwardAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, forward); n != 0 {
 		t.Errorf("a stale forward allocates %v times, want 0", n)
 	}
-	if got := len(buf); got != 1 {
-		t.Fatalf("Decision drained %d envelopes in the last wake, want 1", got)
-	}
-	ms, err := msg.Payload[[]MetricMsg](&buf[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 || ms[0].Series.Key.Granularity != spec.GranTask || ms[1].Series.Key.Granularity != spec.GranWorkflow || ms[1].Value != 374 {
+	if ms := *last; len(ms) != 2 || ms[0].Series.Key.Granularity != spec.GranTask || ms[1].Series.Key.Granularity != spec.GranWorkflow || ms[1].Value != 374 {
 		t.Fatalf("the stale forward carried %+v, want the task and the workflow series at 374", ms)
 	}
 }
 
-// TestChangedForwardAllocatesOnlyItsList: a warm forward of one metric
-// whose value changed builds the one-message list it sends — 32 bytes —
-// and the interface box the bus carries it in, and nothing else; neither
-// count grows with the lengths of the series' key strings.
-func TestChangedForwardAllocatesOnlyItsList(t *testing.T) {
+// decisionSink spawns a stand-in for Decision's receive loop on bus's
+// "decision" endpoint: it copies the messages of the last list it drained
+// to the slice it returns a pointer to, and releases every list, as
+// Decision does.
+func decisionSink(t testing.TB, s *sim.Sim, bus *msg.Bus) *[]MetricMsg {
+	dec := bus.Endpoint("decision")
+	var buf []msg.Envelope
+	last := new([]MetricMsg)
+	s.Spawn("decision", func(p *sim.Proc) {
+		for {
+			batch, err := dec.RecvBatch(p, buf[:0])
+			if err != nil {
+				return
+			}
+			buf = batch
+			for i := range batch {
+				l, err := msg.Payload[*MetricList](&batch[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				*last = append((*last)[:0], l.Msgs...)
+				l.Release()
+			}
+		}
+	})
+	return last
+}
+
+// TestChangedForwardAllocatesNothing: a warm forward of one metric whose
+// value changed fills the list it sends off the server's free list, which
+// the list it replaced went back to once Decision released it: in steady
+// state it allocates nothing, whatever the lengths of the series' key
+// strings.
+func TestChangedForwardAllocatesNothing(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
@@ -569,19 +588,9 @@ func TestChangedForwardAllocatesOnlyItsList(t *testing.T) {
 	forwardCost := func(k Key) (allocs float64, bytes uint64) {
 		s := sim.New(1)
 		bus := msg.NewBus(s)
-		dec := bus.Endpoint("decision")
-		var buf []msg.Envelope
-		s.Spawn("decision", func(p *sim.Proc) {
-			for {
-				batch, err := dec.RecvBatch(p, buf[:0])
-				if err != nil {
-					return
-				}
-				buf = batch
-			}
-		})
+		last := decisionSink(t, s, bus)
 		sv := NewServer(s, s.Spawn, bus, "monitor-server", "decision", cfg, trace.New(obs.NewRegistry()))
-		batch := Batch{Client: "client0", Updates: []Update{{Series: &Series{Key: k}}}}
+		batch := &Batch{Client: "client0", Updates: []Update{{Series: &Series{Key: k}}}}
 		forward := func() {
 			u := &batch.Updates[0]
 			u.Value++
@@ -602,8 +611,8 @@ func TestChangedForwardAllocatesOnlyItsList(t *testing.T) {
 			forward()
 		}
 		runtime.ReadMemStats(&after)
-		if ms, err := msg.Payload[[]MetricMsg](&buf[len(buf)-1]); err != nil || len(ms) != 1 || ms[0].Series.Key != k {
-			t.Fatalf("the forward carried %+v (%v), want one message of %v", ms, err, k)
+		if ms := *last; len(ms) != 1 || ms[0].Series.Key != k || ms[0].Value != batch.Updates[0].Value {
+			t.Fatalf("the forward carried %+v, want one message of %v at %v", ms, k, batch.Updates[0].Value)
 		}
 		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
 	}
@@ -611,12 +620,7 @@ func TestChangedForwardAllocatesOnlyItsList(t *testing.T) {
 	longKey := Key{Workflow: strings.Repeat("W", 300), Task: strings.Repeat("t", 300), Sensor: long, Granularity: spec.GranTask}
 	a1, b1 := forwardCost(short)
 	a2, b2 := forwardCost(longKey)
-	// The list is one 32-byte message; its box a 24-byte slice header.
-	if a1 > 2 || b1 > 32+24 {
-		t.Errorf("a changed one-metric forward allocates %v times, %d bytes; want at most the 32-byte list and its box", a1, b1)
+	if a1 != 0 || b1 != 0 || a2 != 0 || b2 != 0 {
+		t.Errorf("a changed one-metric forward allocates %v times, %d bytes (%v, %d with long key strings); want none", a1, b1, a2, b2)
 	}
-	if a2 != a1 || b2 != b1 {
-		t.Errorf("with long key strings a changed forward allocates %v times, %d bytes; with short ones %v, %d", a2, b2, a1, b1)
-	}
-	t.Logf("a changed one-metric forward: %v allocations, %d bytes", a1, b1)
 }

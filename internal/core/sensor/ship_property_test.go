@@ -214,7 +214,7 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 	want := map[string][]string{} // worker → reference batches not yet seen
 	owed := map[string]sim.Time{} // worker → WakeAt of the shipment last recorded
 	var refNaN, refInf int64
-	seen := map[*Update]bool{} // the update arrays sent so far
+	cached := map[string]shipment{} // worker → its cache when its last envelope arrived
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("at %v: %s", s.Now(), fmt.Sprintf(format, args...))
@@ -246,7 +246,7 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 			if !ok {
 				return
 			}
-			b, err := msg.Payload[Batch](&e)
+			b, err := msg.Payload[*Batch](&e)
 			if err != nil {
 				fail("%v", err)
 			}
@@ -260,13 +260,19 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 			}
 			want[name] = want[name][1:]
 			st.envelopes++
-			if seen[&b.Updates[0]] {
-				st.resent++
-				if u.Sensor == "MEM" || u.Sensor == "PROG" {
-					fail("%s re-sent a batch; node-grouped and FILE batches are rebuilt", name)
+			// A re-send is the batch the worker caches, its cache as it
+			// was when the worker's last envelope arrived. A rebuild may
+			// reuse a recycled batch, but it caches a newer extraction.
+			if ws := c.states[name]; ws != nil {
+				if (u.Sensor == "MEM" || u.Sensor == "PROG") && ws.last.batch != nil {
+					fail("%s caches a batch; node-grouped and FILE batches are rebuilt", name)
 				}
+				if b == ws.last.batch && ws.last == cached[name] {
+					st.resent++
+				}
+				cached[name] = ws.last
 			}
-			seen[&b.Updates[0]] = true
+			b.Release()
 		}
 	}
 	value := func() float64 {
@@ -464,5 +470,57 @@ func TestStalePollAllocatesNothing(t *testing.T) {
 	poll()
 	if n := testing.AllocsPerRun(100, poll); n != 0 {
 		t.Errorf("a stale DISKSCAN poll allocates %v times on the client side, want 0", n)
+	}
+}
+
+// TestChangedPollAllocatesNothing: the client side of a DISKSCAN poll
+// whose extraction changed — a new step, a new value — builds its batch
+// off the client's free list, which the batch it replaces in the worker's
+// re-send cache went back to once the server released it: the build, the
+// send and its delivery make no allocation in steady state.
+func TestChangedPollAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	r := newScanRig(t)
+	server := r.bus.Endpoint("monitor-server")
+	var buf []msg.Envelope
+	var got Update
+	r.s.Spawn("server", func(p *sim.Proc) {
+		for {
+			batch, err := server.RecvBatch(p, buf[:0])
+			if err != nil {
+				return
+			}
+			buf = batch
+			for i := range batch {
+				b, err := msg.Payload[*Batch](&batch[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got = b.Updates[0]
+				b.Release()
+			}
+		}
+	})
+	ws := &WorkerState{}
+	sc := &diskScan{}
+	readings := []float64{1, 2, 3}
+	poll := func() {
+		readings[2]++
+		pend := PendingShip{Readings: readings, Step: int(readings[2]), GenAt: r.s.Now(), scan: sc, gen: uint64(readings[2])}
+		r.c.ship(ws, r.tg, r.def, pend)
+		if err := r.s.Run(r.s.Now() + time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poll()
+	poll()
+	if n := testing.AllocsPerRun(100, poll); n != 0 {
+		t.Errorf("a changed DISKSCAN poll allocates %v times on the client side, want 0", n)
+	}
+	if got.Series == nil || got.Series.Key.Granularity != spec.GranTask || got.Value != readings[2] {
+		t.Fatalf("the server read %+v, want the task series at %v", got, readings[2])
 	}
 }

@@ -188,7 +188,7 @@ func TestDecodeTypedMismatchIsError(t *testing.T) {
 // brings back the bus's send sequences with the filter marks.
 func TestOrderFilterRestoreAfterReset(t *testing.T) {
 	f := NewOrderFilter()
-	if !f.Admit(Envelope{From: "client", Seq: 5}) {
+	if !f.Admit("client", 5) {
 		t.Fatal("fresh seq 5 should pass")
 	}
 	marks := f.State()
@@ -197,18 +197,18 @@ func TestOrderFilterRestoreAfterReset(t *testing.T) {
 	f2 := NewOrderFilter()
 	f2.RestoreState(marks)
 	// A stale duplicate from before the crash is still rejected.
-	if f2.Admit(Envelope{From: "client", Seq: 4}) {
+	if f2.Admit("client", 4) {
 		t.Fatal("stale seq 4 must be dropped after restore")
 	}
 	// A sender restarted at Seq 1 is rejected by the restored mark; one
 	// whose sequence continues passes once, and not twice.
-	if f2.Admit(Envelope{From: "client", Seq: 1}) {
+	if f2.Admit("client", 1) {
 		t.Fatal("restored mark should reject the restarted sender's seq 1")
 	}
-	if !f2.Admit(Envelope{From: "client", Seq: 6}) {
+	if !f2.Admit("client", 6) {
 		t.Fatal("seq 6 should pass")
 	}
-	if f2.Admit(Envelope{From: "client", Seq: 6}) {
+	if f2.Admit("client", 6) {
 		t.Fatal("duplicate seq 6 must be dropped")
 	}
 
@@ -216,7 +216,7 @@ func TestOrderFilterRestoreAfterReset(t *testing.T) {
 	// into the live filter.
 	st := f2.State()
 	st["client"] = 999
-	if !f2.Admit(Envelope{From: "client", Seq: 7}) {
+	if !f2.Admit("client", 7) {
 		t.Fatal("mutated State() copy leaked into the filter")
 	}
 }

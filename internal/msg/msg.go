@@ -14,13 +14,22 @@
 // its receiver reads before re-queuing it, so a restored envelope is a
 // live one.
 //
-// A payload is immutable once sent, so a sender may send one payload value
-// in several envelopes; each receiver gets the same value. Both Monitor
-// halves do: the client re-sends the batch it built for an unchanged disk
-// scan, and the server re-sends the metrics it forwarded last when a batch
-// forwards them again unchanged. What a re-sent payload cannot carry is
-// the instant it was sent, so that travels on the envelope: SentAt is the
-// Monitor server's ObservedAt, which its metric messages no longer hold.
+// A payload belongs to its receiver from delivery until the receiver's
+// receive loop is done with it, and then goes back to its sender: the
+// receiver releases it on every receive path, an envelope its order filter
+// drops included, and no one reads it after that. Both Monitor links send
+// their payloads by pointer this way, and each sender recycles what comes
+// back instead of allocating (sensor's payload.go). A sender may send one
+// payload in several envelopes; the one exception to handing it back is a
+// payload a re-send cache holds, which the sender does not reuse until the
+// cache lets go of it and every envelope carrying it has been released.
+// Both Monitor halves re-send: the client the batch it built for an
+// unchanged disk scan, the server the metrics it forwarded last when a
+// batch forwards them again unchanged. A payload a restore decoded has no
+// sender to go back to, and releasing it does nothing. What a re-sent
+// payload cannot carry is the instant it was sent, so that travels on the
+// envelope: SentAt is the Monitor server's ObservedAt, which its metric
+// messages no longer hold.
 //
 // A live payload may also point at values the receiver keeps: a Monitor
 // update or metric message names its series by a *sensor.Series
@@ -90,9 +99,10 @@ func (e *Endpoint) TryRecv() (Envelope, bool) { return e.in.TryGet() }
 func (e *Endpoint) Pending() int { return e.in.Len() }
 
 // Send delivers payload to the named endpoint after the bus's configured
-// latency. The payload travels typed and unserialized: neither the sender nor
-// any receiver may mutate it after Send (a sender may send the same value
-// again), and the bus's Encode must encode it by the time a checkpoint
+// latency. The payload travels typed and unserialized: no one may mutate it
+// while an envelope carries it (a sender may send the same value again, and
+// takes it back only once its receivers released it — see the package
+// doc), and the bus's Encode must encode it by the time a checkpoint
 // snapshot is taken (one it cannot is a stage bug and surfaces as a panic
 // at Snapshot). Sending to an unknown endpoint returns an error.
 func (e *Endpoint) Send(to string, payload any) error {
@@ -211,12 +221,14 @@ type OrderFilter struct {
 // NewOrderFilter creates an empty filter.
 func NewOrderFilter() *OrderFilter { return &OrderFilter{last: make(map[string]uint64)} }
 
-// Admit reports whether env is fresh, updating the high-water mark.
-func (f *OrderFilter) Admit(env Envelope) bool {
-	if env.Seq <= f.last[env.From] {
+// Admit reports whether the envelope numbered seq from sender from is
+// fresh, updating the high-water mark. It takes the two fields it reads,
+// not the envelope, so a receiver copies no envelope to ask.
+func (f *OrderFilter) Admit(from string, seq uint64) bool {
+	if seq <= f.last[from] {
 		return false
 	}
-	f.last[env.From] = env.Seq
+	f.last[from] = seq
 	return true
 }
 

@@ -138,7 +138,7 @@ func TestOutOfOrderDeliveryAndFilter(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if !filter.Admit(env) {
+			if !filter.Admit(env.From, env.Seq) {
 				continue
 			}
 			r, _ := Payload[reading](&env)

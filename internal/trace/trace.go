@@ -194,7 +194,8 @@ type Recorder struct {
 	spans spanLog
 
 	// counters and queues keep each name's registry handle beside its
-	// value, so a sample takes one lock and one map lookup.
+	// value, so a queue-depth sample takes one lock and one map lookup; a
+	// StageCounter holds its entry, so an Add looks nothing up.
 	counters map[string]*counterAcc
 
 	sensorLags map[string]*obs.Histogram // sensor ID -> detection-lag histogram (seconds)
@@ -237,19 +238,39 @@ func New(reg *obs.Registry) *Recorder {
 // Registry returns the metrics registry the recorder publishes into.
 func (r *Recorder) Registry() *obs.Registry { return r.reg }
 
-// Inc adds delta to a named stage counter.
-func (r *Recorder) Inc(name string, delta int64) {
+// StageCounter is one named stage counter, resolved once by the stage
+// that counts it: Add takes the recorder's lock but hashes no name. The
+// counter's entry appears at its first Add, and its
+// dyflow_stage_events_total series at its first positive one.
+type StageCounter struct {
+	r    *Recorder
+	name string
+	a    *counterAcc // nil until the first Add
+}
+
+// StageCounter returns the handle of the named stage counter. Handles of
+// one name share its value.
+func (r *Recorder) StageCounter(name string) *StageCounter {
+	return &StageCounter{r: r, name: name}
+}
+
+// Add adds delta to the counter.
+func (c *StageCounter) Add(delta int64) {
+	r := c.r
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	a := r.counters[name]
+	a := c.a
 	if a == nil {
-		a = &counterAcc{}
-		r.counters[name] = a
+		if a = r.counters[c.name]; a == nil {
+			a = &counterAcc{}
+			r.counters[c.name] = a
+		}
+		c.a = a
 	}
 	a.v += delta
 	if delta > 0 {
 		if a.c == nil {
-			a.c = r.events.With(name)
+			a.c = r.events.With(c.name)
 		}
 		a.c.Add(delta)
 	}

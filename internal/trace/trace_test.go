@@ -46,8 +46,8 @@ func fill(r *Recorder) {
 	r.SensorLag("PACE", sec(2))
 	r.OpExecuted(Op{Kind: "stop", Workflow: "W", Task: "T", Attempts: 1, StartedAt: sec(5), EndedAt: sec(8)})
 	r.OpExecuted(Op{Kind: "start", Workflow: "W", Task: "T", Attempts: 2, StartedAt: sec(8), EndedAt: sec(9)})
-	r.Inc("arbiter.rounds", 2)
-	r.Inc("decision.suggestions", 3)
+	r.StageCounter("arbiter.rounds").Add(2)
+	r.StageCounter("decision.suggestions").Add(3)
 	r.QueueDepth("arbiter", 1)
 	r.QueueDepth("arbiter", 3)
 }
@@ -95,13 +95,21 @@ func TestMonotoneDetectsRegression(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	r := New(obs.NewRegistry())
-	r.Inc("a", 2)
-	r.Inc("a", 3)
+	a := r.StageCounter("a")
+	a.Add(2)
+	r.StageCounter("a").Add(3) // a second handle of the name shares its value
+	a.Add(0)
 	if got := r.Counter("a"); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	if got := r.Counter("missing"); got != 0 {
 		t.Fatalf("missing counter = %d, want 0", got)
+	}
+	// A handle that never counted has no entry: the entry appears at the
+	// first Add, as the report shows.
+	r.StageCounter("unused")
+	if cs := r.Report().Counters; len(cs) != 1 || cs[0] != (CounterValue{Name: "a", Value: 5}) {
+		t.Fatalf("report counters = %+v, want only a = 5", cs)
 	}
 }
 
@@ -204,13 +212,14 @@ func TestRecorderConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			suggestions := r.StageCounter("decision.suggestions")
 			for i := 0; i < 200; i++ {
 				seq := w*1000 + i + 1
 				r.Suggested(seq, "W", "P", "ADDCPU", "PACE", sec(1), sec(2), sec(3))
 				r.Received(seq, sec(4))
 				r.Planned(seq, sec(5))
 				r.Executed(seq, sec(6))
-				r.Inc("decision.suggestions", 1)
+				suggestions.Add(1)
 				r.SensorLag("PACE", sec(i%5))
 				r.OpExecuted(Op{Kind: "start", EndedAt: sec(i % 3)})
 				r.QueueDepth("arbiter", i%7)
@@ -255,7 +264,7 @@ func TestRecorderMirrorsIntoRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := New(reg)
 	fill(r)
-	r.Inc("z", 0)
+	r.StageCounter("z").Add(0)
 	var prom bytes.Buffer
 	if err := reg.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
