@@ -160,7 +160,8 @@ exp-diff:
 # quickstart) runs Benchmark<Scenario>Job twice, 20 iterations each, once
 # with every allocation sampled (-memprofilerate 1) and once under the CPU
 # profiler, writes both profiles and the test binary into
-# .bench_build/prof/, and prints the top 15 sites by alloc_space and by
+# .bench_build/prof/, and prints the top 15 sites by alloc_space, by
+# alloc_objects (a recycled payload saves objects more than bytes) and by
 # flat CPU time. The passes are separate so
 # the allocation sampling does not weigh on the CPU profile. Last it runs
 # the scenario's TestWorldBudget row, which prints the row measured on this
@@ -178,6 +179,7 @@ prof:
 	$$out/exp.test -test.run '^$$' -test.bench "^Benchmark$${b}Job$$" -test.benchtime 20x \
 		-test.cpuprofile $$out/$(SCENARIO).cpu.pprof; \
 	$(GO) tool pprof -top -nodecount 15 -sample_index alloc_space $$out/exp.test $$out/$(SCENARIO).mem.pprof; \
+	$(GO) tool pprof -top -nodecount 15 -sample_index alloc_objects $$out/exp.test $$out/$(SCENARIO).mem.pprof; \
 	$(GO) tool pprof -top -nodecount 15 $$out/exp.test $$out/$(SCENARIO).cpu.pprof; \
 	cd internal/exp && ../../$$out/exp.test -test.run "^TestWorldBudget$$/^$(SCENARIO)$$" -test.v
 
