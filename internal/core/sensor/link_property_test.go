@@ -1,7 +1,6 @@
 package sensor
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -214,7 +213,9 @@ func monitorLink(t testing.TB, steps int, next func(n int) int) linkStats {
 		t.Fatal(err)
 	}
 
-	if g, w := metricsJSON(t, got), metricsJSON(t, want); g != w {
+	// Compared as JSON, by key: the two sides' servers number their
+	// series apart.
+	if g, w := jsonOf(t, got), jsonOf(t, want); g != w {
 		t.Fatalf("Decision read\n%s\nfrom the recycling senders, and\n%s\nfrom the allocate-fresh ones", g, w)
 	}
 	if refDrops != st.decisionDrops {
@@ -256,17 +257,6 @@ func idle[P any](t testing.TB, what string, sent map[*P]bool, free []*P, cached 
 	if len(onList) != len(free) {
 		t.Fatalf("the %s free list holds %d payloads, %d of them distinct", what, len(free), len(onList))
 	}
-}
-
-// metricsJSON renders metrics by key, not descriptor: the two sides' servers
-// number their series apart.
-func metricsJSON(t testing.TB, ms []Metric) string {
-	t.Helper()
-	data, err := json.Marshal(ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
 }
 
 // TestProperty_MonitorLink_EqualsFresh: over seeded drives, Decision reads
