@@ -20,7 +20,6 @@ import (
 // dir relative to the module root, each with the reason it stays.
 var exportedForTests = map[string]string{
 	// Exempt: test drivers that feed a production code path.
-	"internal/core/arbiter.Engine.Arbitrate":      "runs one round on the production path without the engine process",
 	"internal/core/arbiter.Engine.EnqueueWaiting": "seeds T_waiting the way a composed waiting task would",
 	"internal/core/arbiter.BuildPlan":             "runs the engine's planner code on a fresh planner, one plan at a time",
 	"internal/core.NewArbiterView":                "builds the orchestrator's arbiter view over a bare WMS",

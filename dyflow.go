@@ -159,12 +159,7 @@ func (s *System) RunUntilWorkflowDone(workflowID string, horizon time.Duration) 
 func (s *System) Now() time.Duration { return time.Duration(s.w.Sim.Now()) }
 
 // Plans returns the arbitration rounds executed so far.
-func (s *System) Plans() []PlanRecord {
-	if s.w.Orch == nil {
-		return nil
-	}
-	return s.w.Orch.Arbiter.Records()
-}
+func (s *System) Plans() []PlanRecord { return s.w.Plans() }
 
 // TraceReport builds the flight recorder's per-stage latency breakdown:
 // suggestion lifecycle spans (GeneratedAt → ObservedAt → DecidedAt →

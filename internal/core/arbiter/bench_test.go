@@ -89,7 +89,7 @@ func BenchmarkArbitrateRound(b *testing.B) {
 			tasks["idle"] = TaskState{Procs: 4}
 			s := sim.New(1)
 			view := &fakeView{tasks: map[string]map[string]TaskState{"W": tasks}, free: n * 5}
-			eng := New(s, s.Spawn, msg.NewBus(s), "arbiter", DefaultConfig(), map[string]*spec.WorkflowRules{"W": rules}, view, &fakeExec{s: s, failAfter: -1}, trace.New(obs.NewRegistry()))
+			eng := New(s, s.Spawn, msg.NewBus(s), "arbiter", DefaultConfig(), map[string]*spec.WorkflowRules{"W": rules}, view, &fakeExec{s: s, failAfter: -1}, trace.New(obs.NewRegistry()), new(Rounds))
 			batch := []decision.Suggestion{{Rule: decision.NewRule("W", "STOP_IDLE", "STOP", "idle", []string{"idle"}, nil), DecidedAt: int64(2 * time.Second)}}
 			s.Spawn("driver", func(p *sim.Proc) {
 				eng.Arbitrate(p, batch)

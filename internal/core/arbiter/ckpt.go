@@ -12,15 +12,16 @@ type WaitingSnap struct {
 	Tasks    []WaitingTask `json:"tasks"`
 }
 
-// Snapshot is the Arbitration stage's checkpointable state: T_waiting (with
-// Recovery flags), the warm-up origin, the settle/FailureCooldown deadline,
-// and the executed rounds. Take it only while the engine is not Busy().
+// Snapshot is the Arbitration stage's checkpointable state, what the
+// engine steers by: T_waiting (with Recovery flags), the warm-up origin and
+// the settle/FailureCooldown deadline. The executed rounds are not in it:
+// they are the world's round log (Rounds), which the restored engine is
+// built with. Take it only while the engine is not Busy().
 type Snapshot struct {
 	StartedAt   sim.Time      `json:"started_at"`
 	SettleUntil sim.Time      `json:"settle_until"`
 	Started     bool          `json:"started"`
 	Waiting     []WaitingSnap `json:"waiting,omitempty"`
-	Records     []Record      `json:"records,omitempty"`
 }
 
 // Snapshot exports the engine state, workflows sorted by name.
@@ -29,7 +30,6 @@ func (e *Engine) Snapshot() Snapshot {
 		StartedAt:   e.startedAt,
 		SettleUntil: e.settleUntil,
 		Started:     e.started,
-		Records:     append([]Record(nil), e.records...),
 	}
 	wfs := make([]string, 0, len(e.waiting))
 	for wf := range e.waiting {
@@ -52,7 +52,6 @@ func (e *Engine) Restore(snap Snapshot) {
 	e.startedAt = snap.StartedAt
 	e.settleUntil = snap.SettleUntil
 	e.started = snap.Started
-	e.records = append([]Record(nil), snap.Records...)
 	e.waiting = make(map[string][]WaitingTask, len(snap.Waiting))
 	for _, ws := range snap.Waiting {
 		e.waiting[ws.Workflow] = append([]WaitingTask(nil), ws.Tasks...)

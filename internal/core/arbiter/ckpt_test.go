@@ -76,12 +76,12 @@ func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 	// Crash at 20s: snapshot the engine, kill it and restore a replacement
 	// from that snapshot.
 	r.s.At(20*time.Second, func() {
-		if recs := r.eng.Records(); len(recs) != 1 {
+		if recs := *r.rounds; len(recs) != 1 {
 			t.Fatalf("records = %+v, want the one failed round", recs)
 		}
 		snap := r.eng.Snapshot()
 		r.eng.Stop()
-		eng2 := New(r.s, r.s.Spawn, r.bus, "arbiter", r.cfg, r.rules, r.view, r.exec, r.tr) // the orchestrator's recorder outlives the engine
+		eng2 := New(r.s, r.s.Spawn, r.bus, "arbiter", r.cfg, r.rules, r.view, r.exec, r.tr, r.rounds) // the orchestrator's recorder and round log outlive the engine
 		eng2.Restore(snap)
 		eng2.Start()
 		r.eng = eng2
@@ -102,7 +102,7 @@ func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 	if got := r.tr.Counter("arbiter.discarded_batches"); got != 1 {
 		t.Fatalf("discarded = %d, want 1 (the in-cooldown batch, honoring the restored deadline)", got)
 	}
-	recs := r.eng.Records()
+	recs := *r.rounds
 	if len(recs) != 2 {
 		t.Fatalf("records = %+v, want the restored failed round + live recovery round", recs)
 	}

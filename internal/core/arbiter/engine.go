@@ -49,18 +49,18 @@ type Executor interface {
 	Execute(p *sim.Proc, plan Plan) (ExecReport, error)
 }
 
-// Record documents one arbitration round for the experiment harness.
+// Record documents one executed arbitration round for the experiment
+// harness. The engine appends it to the world's Rounds; no checkpoint
+// holds it.
 type Record struct {
 	Workflow string
 	// ReceivedAt is when the suggestion batch arrived; PlannedAt when the
 	// plan was finalized; ExecutedAt when Actuation finished applying it.
+	// ExecutedAt - ReceivedAt is the arbitration+actuation response time;
+	// the detection lag is on the suggestions' spans.
 	ReceivedAt sim.Time
 	PlannedAt  sim.Time
 	ExecutedAt sim.Time
-	// EventAt is the earliest data-generation time among the triggering
-	// suggestions; ReceivedAt - EventAt is the detection lag and
-	// ExecutedAt - ReceivedAt the arbitration+actuation response time.
-	EventAt sim.Time
 	// SuggestionIDs are the lifecycle-span IDs of the suggestions this
 	// round arbitrated (after stale screening), for trace correlation.
 	SuggestionIDs []string
@@ -68,11 +68,16 @@ type Record struct {
 	Err           string
 	// AppliedOps and AbortedOps split the plan's operations into those
 	// Actuation applied and those it never finished; on successful rounds
-	// AbortedOps is zero. Failed rounds previously reported nothing here,
-	// undercounting the work half-applied plans actually did.
+	// AbortedOps is zero.
 	AppliedOps int
 	AbortedOps int
 }
+
+// Rounds is a run's round log: every executed arbitration round, in
+// execution order. The world owns it and hands it to each orchestrator it
+// builds — the first one and every successor a kill restores — whose
+// arbiter appends to it, so the log spans the whole run without a copy.
+type Rounds []Record
 
 // ResponseTime is the arbitration-to-actuation-complete duration (the
 // paper's "time to finalize the plan and wait for Actuation").
@@ -139,13 +144,13 @@ type Engine struct {
 	settleUntil sim.Time
 	started     bool
 
-	// records lists executed rounds only, which is what the experiment
-	// reports count; an empty round reaches the arbiter.empty_rounds
-	// counter and its spans' "empty-plan" drop.
-	records []Record
-	proc    *sim.Proc
-	tr      *trace.Recorder
-	spawn   func(name string, fn func(*sim.Proc)) *sim.Proc
+	// rounds is the world's round log, which gets executed rounds only;
+	// an empty round reaches the arbiter.empty_rounds counter and its
+	// spans' "empty-plan" drop.
+	rounds *Rounds
+	proc   *sim.Proc
+	tr     *trace.Recorder
+	spawn  func(name string, fn func(*sim.Proc)) *sim.Proc
 	// The stage counters on tr, resolved once.
 	nDiscarded, nStale, nEmpty, nRounds, nFailed, nRequeued *trace.StageCounter
 	// busy is true from the moment a suggestion batch passes the guards
@@ -171,8 +176,8 @@ type Engine struct {
 // New creates the Arbitration engine reading suggestion batches from its
 // endpoint; spawn starts its process (the orchestrator's supervisor hands
 // in a panic-guarded spawner). It stamps suggestion spans and stage
-// counters on tr.
-func New(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, bus *msg.Bus, name string, cfg Config, rules map[string]*spec.WorkflowRules, view View, exec Executor, tr *trace.Recorder) *Engine {
+// counters on tr and appends each executed round to rounds.
+func New(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, bus *msg.Bus, name string, cfg Config, rules map[string]*spec.WorkflowRules, view View, exec Executor, tr *trace.Recorder, rounds *Rounds) *Engine {
 	if rules == nil {
 		rules = map[string]*spec.WorkflowRules{}
 	}
@@ -184,6 +189,7 @@ func New(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, bus 
 		view:    view,
 		exec:    exec,
 		tr:      tr,
+		rounds:  rounds,
 		rules:   rules,
 		waiting: make(map[string][]WaitingTask),
 		tasks:   make(map[string]map[string]TaskState),
@@ -200,9 +206,6 @@ func New(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, bus 
 // Busy reports whether a round is in flight (gathering or executing a
 // plan). Checkpoints are only coherent while not busy.
 func (e *Engine) Busy() bool { return e.busy }
-
-// Records returns all executed arbitration rounds so far.
-func (e *Engine) Records() []Record { return e.records }
 
 // EnqueueWaiting seeds T_waiting (e.g. a task composed to wait for
 // resources initially).
@@ -258,7 +261,7 @@ func (e *Engine) run(p *sim.Proc) {
 		if e.s.Stopped() {
 			return // sim.Stop cut the gather short: no round happens
 		}
-		e.arbitrate(p, batch)
+		e.Arbitrate(p, batch)
 		if e.s.Stopped() {
 			return
 		}
@@ -305,16 +308,14 @@ func (e *Engine) gather(p *sim.Proc, batch []decision.Suggestion) []decision.Sug
 	}
 }
 
-// Arbitrate runs one round synchronously for the given suggestions; used by
-// the engine loop and directly by tests. Rounds share the engine's scratch
-// buffers, so at most one may be in flight per engine.
+// Arbitrate runs one round synchronously for the given suggestions; the
+// engine loop calls it, and tests call it directly. It returns the rows
+// the round appended to the round log, as a subslice of the log that an
+// append cannot write through. Rounds share the engine's scratch buffers,
+// so at most one may be in flight per engine.
 func (e *Engine) Arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
-	return e.arbitrate(p, batch)
-}
-
-func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 	received := e.s.Now()
-	var out []Record
+	first := len(*e.rounds)
 
 	// Each workflow plans independently, in first-seen order. The batch is
 	// the sender's payload: screening copies into e.sgBuf, never into it.
@@ -382,15 +383,14 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			}
 			continue
 		}
-		// The round executes, so its Record is kept (and checkpointed):
-		// its suggestions' IDs are formatted into it. An ID-less batch
+		// The round executes, so its Record goes into the round log: its
+		// suggestions' IDs are formatted into it. An ID-less batch
 		// keeps a non-nil, empty SuggestionIDs. sgs stays the round's own
 		// across the yields below: e.sgBuf is only refilled by the next
 		// round.
 		rec := Record{
 			Workflow:      wf,
 			ReceivedAt:    received,
-			EventAt:       earliestEvent(sgs),
 			SuggestionIDs: make([]string, 0, len(sgs)),
 		}
 		for i := range sgs {
@@ -401,7 +401,7 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 		// Protocol computation cost.
 		if e.cfg.PlanCost > 0 {
 			if err := p.SleepUninterruptible(e.cfg.PlanCost); err != nil {
-				return out
+				return e.roundsSince(first)
 			}
 		}
 		rec.PlannedAt = e.s.Now()
@@ -411,7 +411,7 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 
 		rep, err := e.exec.Execute(p, plan)
 		if errors.Is(err, sim.ErrStopped) {
-			return out // sim.Stop mid-plan: the round never finished, so it leaves no record
+			return e.roundsSince(first) // sim.Stop mid-plan: the round never finished, so it leaves no record
 		}
 		rec.ExecutedAt = e.s.Now()
 		rec.Plan = plan
@@ -440,10 +440,20 @@ func (e *Engine) arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 			// Let the workflow settle before considering new suggestions.
 			e.settleUntil = e.s.Now() + e.cfg.SettleDelay
 		}
-		e.records = append(e.records, rec)
-		out = append(out, rec)
+		*e.rounds = append(*e.rounds, rec)
 	}
-	return out
+	return e.roundsSince(first)
+}
+
+// roundsSince returns the round log's rows from first on, with no spare
+// capacity, so an append to them cannot write into the log; nil when there
+// are none.
+func (e *Engine) roundsSince(first int) []Record {
+	log := *e.rounds
+	if len(log) == first {
+		return nil
+	}
+	return log[first:len(log):len(log)]
 }
 
 // requeue converts the unapplied START operations of a failed round into
@@ -468,15 +478,4 @@ func (e *Engine) requeue(wf string, tasks map[string]TaskState, starts []Op) {
 		})
 		e.nRequeued.Add(1)
 	}
-}
-
-func earliestEvent(sgs []decision.Suggestion) sim.Time {
-	var min sim.Time
-	for i, sg := range sgs {
-		t := sim.Time(sg.GeneratedAt)
-		if i == 0 || t < min {
-			min = t
-		}
-	}
-	return min
 }

@@ -79,15 +79,18 @@ func (e *fakeExec) Execute(p *sim.Proc, plan Plan) (ExecReport, error) {
 }
 
 type engineRig struct {
-	s     *sim.Sim
-	bus   *msg.Bus
-	dec   *msg.Endpoint
-	view  *fakeView
-	exec  *fakeExec
-	eng   *Engine
-	tr    *trace.Recorder // the engine's flight recorder: its counters
-	cfg   Config
-	rules map[string]*spec.WorkflowRules
+	s    *sim.Sim
+	bus  *msg.Bus
+	dec  *msg.Endpoint
+	view *fakeView
+	exec *fakeExec
+	eng  *Engine
+	tr   *trace.Recorder // the engine's flight recorder: its counters
+	// rounds is the round log the engine appends to, the world's in an
+	// orchestrator; a replacement engine is built over the same one.
+	rounds *Rounds
+	cfg    Config
+	rules  map[string]*spec.WorkflowRules
 }
 
 func newEngineRig(t *testing.T, cfg Config) *engineRig {
@@ -112,10 +115,10 @@ func newEngineRig(t *testing.T, cfg Config) *engineRig {
 		"W": {Workflow: "W", TaskPriorities: map[string]int{"A": 0, "B": 1}},
 		"V": {Workflow: "V", TaskPriorities: map[string]int{"X": 0}},
 	}
-	tr := trace.New(obs.NewRegistry())
-	eng := New(s, s.Spawn, bus, "arbiter", cfg, rules, view, exec, tr)
+	tr, rounds := trace.New(obs.NewRegistry()), new(Rounds)
+	eng := New(s, s.Spawn, bus, "arbiter", cfg, rules, view, exec, tr, rounds)
 	eng.Start()
-	return &engineRig{s: s, bus: bus, dec: dec, view: view, exec: exec, eng: eng, tr: tr, cfg: cfg, rules: rules}
+	return &engineRig{s: s, bus: bus, dec: dec, view: view, exec: exec, eng: eng, tr: tr, rounds: rounds, cfg: cfg, rules: rules}
 }
 
 func sendSuggestions(r *engineRig, at time.Duration, sgs ...decision.Suggestion) {
@@ -143,7 +146,7 @@ func TestEngineWarmupDiscards(t *testing.T) {
 	if len(r.exec.plans) != 1 {
 		t.Fatalf("executed plans = %d, want 1", len(r.exec.plans))
 	}
-	recs := r.eng.Records()
+	recs := *r.rounds
 	if len(recs) != 1 || recs[0].Workflow != "W" {
 		t.Fatalf("records = %+v", recs)
 	}
@@ -213,7 +216,7 @@ func TestEngineGatherLeavesPayloadUntouched(t *testing.T) {
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	recs := r.eng.Records()
+	recs := *r.rounds
 	if len(r.exec.plans) != 1 || len(recs) != 1 || !slices.Equal(recs[0].SuggestionIDs, []string{"W/P1#1", "W/P2#2"}) {
 		t.Fatalf("plans = %+v, records %+v, want one plan triggered by both batches", r.exec.plans, recs)
 	}
@@ -290,7 +293,7 @@ func TestEngineRecordsResponseDecomposition(t *testing.T) {
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	recs := r.eng.Records()
+	recs := *r.rounds
 	if len(recs) != 1 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -318,7 +321,7 @@ func TestEngineDirectArbitrateAndStop(t *testing.T) {
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	recs := r.eng.Records()
+	recs := *r.rounds
 	if len(returned) != 1 || len(recs) != 1 || recs[0].Plan.Empty() {
 		t.Fatalf("returned = %+v, records = %+v, want one executed round", returned, recs)
 	}
@@ -370,10 +373,10 @@ func TestEmptyPlanRoundRecordedAndWaitingResolved(t *testing.T) {
 	if len(r.exec.plans) != 0 {
 		t.Fatalf("plans executed = %d, want 0", len(r.exec.plans))
 	}
-	// The empty round is visible to accounting but not to Records(),
+	// The empty round is visible to accounting but not to the round log,
 	// which lists executed rounds only.
-	if len(r.eng.Records()) != 0 {
-		t.Fatalf("records = %+v, want none (round was empty)", r.eng.Records())
+	if len(*r.rounds) != 0 {
+		t.Fatalf("records = %+v, want none (round was empty)", *r.rounds)
 	}
 	if got := r.tr.Counter("arbiter.empty_rounds"); got != 1 {
 		t.Fatalf("empty rounds = %d, want 1", got)
@@ -418,7 +421,7 @@ func TestEngineStampsTraceSpans(t *testing.T) {
 		t.Fatalf("counters = discarded %d rounds %d, want 1 and 1",
 			tr.Counter("arbiter.discarded_batches"), tr.Counter("arbiter.rounds"))
 	}
-	recs := r.eng.Records()
+	recs := *r.rounds
 	if len(recs) != 1 || len(recs[0].SuggestionIDs) != 1 || recs[0].SuggestionIDs[0] != "W/P#2" {
 		t.Fatalf("records = %+v, want one round correlated to W/P#2", recs)
 	}
@@ -460,7 +463,7 @@ func TestEngineRequeuesUnappliedStartsAndRecoversNextRound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs := r.eng.Records()
+	recs := *r.rounds
 	if len(recs) != 2 {
 		t.Fatalf("records = %+v, want failed round + recovery round", recs)
 	}

@@ -17,7 +17,7 @@ import (
 	"dyflow/internal/trace"
 )
 
-// parentArbitrate is Engine.arbitrate as it was before a round reused its
+// parentArbitrate is Engine.Arbitrate as it was before a round reused its
 // buffers: the batch grouped per workflow through a map of appended
 // copies, a fresh task map per snapshot, and a Record that takes the
 // round's slices as they are. It is the reference TestProperty_ArbiterRound
@@ -77,7 +77,6 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 		rec := Record{
 			Workflow:      wf,
 			ReceivedAt:    received,
-			EventAt:       earliestEvent(sgs),
 			SuggestionIDs: ids,
 		}
 		if plan.Empty() {
@@ -120,7 +119,7 @@ func parentArbitrate(e *Engine, p *sim.Proc, batch []decision.Suggestion) []Reco
 		} else if e.cfg.SettleDelay > 0 {
 			e.settleUntil = e.s.Now() + e.cfg.SettleDelay
 		}
-		e.records = append(e.records, rec)
+		*e.rounds = append(*e.rounds, rec)
 		out = append(out, rec)
 	}
 	return out
@@ -282,7 +281,8 @@ func runRounds(t *testing.T, sc roundScenario, arbitrate func(*Engine, *sim.Proc
 	rules["W"].Deps = []spec.TaskDep{{Task: "C", Parent: "B", Type: spec.DepTight}}
 	cfg := Config{PlanCost: 100 * time.Millisecond, SettleDelay: time.Minute, FailureCooldown: 10 * time.Second}
 	tr := trace.New(obs.NewRegistry())
-	eng := New(s, s.Spawn, msg.NewBus(s), "arbiter", cfg, rules, view, exec, tr)
+	var rounds Rounds
+	eng := New(s, s.Spawn, msg.NewBus(s), "arbiter", cfg, rules, view, exec, tr, &rounds)
 	for _, w := range sc.waiting {
 		eng.EnqueueWaiting(w)
 	}
@@ -309,7 +309,7 @@ func runRounds(t *testing.T, sc roundScenario, arbitrate func(*Engine, *sim.Proc
 	if err := s.Run(24 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	out.Records = eng.Records()
+	out.Records = rounds
 	for wf := range roundWorkflows {
 		out.Waiting[wf] = eng.waiting[wf]
 	}

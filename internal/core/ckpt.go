@@ -1,12 +1,12 @@
 // Checkpoint/restore for the orchestrator: a deterministic snapshot of what
 // the orchestrator steers by — Decision history windows and gates, T_waiting
-// with Recovery flags and cooldown deadlines, the arbiter's round log,
-// sensor worker cursors, and the bus's in-flight queues — encoded as one
-// checkpoint blob. A kill at a round boundary is lossless: the killed
-// orchestrator's blob, restored into an orchestrator rebuilt over the same
-// flight recorder, continues the campaign as if never killed. The recorder
-// is not in the blob: like the metrics registry it belongs to the world and
-// outlives every orchestrator built over it.
+// with Recovery flags and cooldown deadlines, sensor worker cursors, and the
+// bus's in-flight queues — encoded as one checkpoint blob. A kill at a round
+// boundary is lossless: the killed orchestrator's blob, restored into an
+// orchestrator rebuilt over the same flight recorder and round log,
+// continues the campaign as if never killed. Neither is in the blob: like
+// the metrics registry they belong to the world and outlive every
+// orchestrator built over it.
 //
 // This file owns the blob's schema: what lives as a descriptor — a queued
 // message's series or rule — is held as its record type, turned back into a
@@ -30,8 +30,9 @@ const SnapshotKind = "dyflow-core"
 
 // Snapshot is the orchestrator's checkpointable state: every stage's, and
 // the bus's in-flight queues. Spans, stage counters, queue depths, latency
-// histograms and the actuation op log are the flight recorder's, which the
-// restored orchestrator is built with, so no snapshot holds them.
+// histograms and the actuation op log are the flight recorder's, and the
+// executed arbitration rounds are the round log's; the restored
+// orchestrator is built with both, so no snapshot holds them.
 type Snapshot struct {
 	At       sim.Time              `json:"at"`
 	Decision decision.Snapshot     `json:"decision"`

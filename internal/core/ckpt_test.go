@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dyflow/internal/ckpt"
+	"dyflow/internal/core/arbiter"
 	"dyflow/internal/core/decision"
 	"dyflow/internal/sim"
 	"dyflow/internal/trace"
@@ -13,12 +14,12 @@ import (
 
 // runPace drives the pace-adaptation world to the horizon, killing the
 // orchestrator at killAt (0 = never) and restoring a fresh instance, built
-// over the world's flight recorder, from its checkpoint blob in place;
-// rewrite, when set, replaces the blob before
-// the restore reads it, and started, when set, sees every orchestrator the
-// run starts — the first and a restored one. Returns the orchestrator that
-// finished the run.
-func runPace(t *testing.T, killAt, horizon time.Duration, rewrite func(blob []byte, o *Orchestrator) []byte, started func(w *world, o *Orchestrator)) *Orchestrator {
+// over the world's flight recorder and round log, from its checkpoint blob
+// in place; rewrite, when set, replaces the blob before the restore reads
+// it, and started, when set, sees every orchestrator the run starts — the
+// first and a restored one. Returns the orchestrator that finished the run
+// and the world's round log.
+func runPace(t *testing.T, killAt, horizon time.Duration, rewrite func(blob []byte, w *world, o *Orchestrator) []byte, started func(w *world, o *Orchestrator)) (*Orchestrator, arbiter.Rounds) {
 	t.Helper()
 	w := newWorld(t, 2)
 	composePaceWorkflow(t, w)
@@ -51,7 +52,7 @@ func runPace(t *testing.T, killAt, horizon time.Duration, rewrite func(blob []by
 			t.Fatal(err)
 		}
 		if rewrite != nil {
-			blob = rewrite(blob, o)
+			blob = rewrite(blob, w, o)
 		}
 		o.Detach()
 		o.Stop()
@@ -69,7 +70,7 @@ func runPace(t *testing.T, killAt, horizon time.Duration, rewrite func(blob []by
 		t.Fatal(err)
 	}
 	o.Stop()
-	return o
+	return o, *w.rounds
 }
 
 // An orchestrator killed mid-campaign and restored from its checkpoint must
@@ -77,18 +78,18 @@ func runPace(t *testing.T, killAt, horizon time.Duration, rewrite func(blob []by
 // seed: the checkpoint captures everything decision-relevant.
 func TestCheckpointRestoreDeterminism(t *testing.T) {
 	const horizon = 10 * time.Minute
-	base := runPace(t, 0, horizon, nil, nil)
-	killed := runPace(t, 3*time.Minute, horizon, nil, nil)
+	base, baseRounds := runPace(t, 0, horizon, nil, nil)
+	killed, killedRounds := runPace(t, 3*time.Minute, horizon, nil, nil)
 
-	wantRecs, err := json.Marshal(base.Arbiter.Records())
+	wantRecs, err := json.Marshal(baseRounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRecs, err := json.Marshal(killed.Arbiter.Records())
+	gotRecs, err := json.Marshal(killedRounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base.Arbiter.Records()) == 0 {
+	if len(baseRounds) == 0 {
 		t.Fatal("base run produced no plans; the comparison is vacuous")
 	}
 	if string(wantRecs) != string(gotRecs) {
@@ -152,9 +153,10 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 
 // withDeletedCounters rewrites a snapshot blob the way earlier versions
 // wrote it: every stage kept its own copy of its counters (and the arbiter
-// its empty rounds) inside its slice of the snapshot, and the flight
-// recorder's state rode along as "trace".
-func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator) []byte {
+// its empty rounds and, as "records", the rounds executed before the kill)
+// inside its slice of the snapshot, and the flight recorder's state rode
+// along as "trace".
+func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator, rounds arbiter.Rounds) []byte {
 	t.Helper()
 	var snap map[string]any
 	if err := ckpt.Decode(blob, SnapshotKind, &snap); err != nil {
@@ -174,6 +176,21 @@ func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator) []byte {
 	arb["discarded"] = n("arbiter.discarded_batches")
 	arb["empty"] = []any{map[string]any{"Workflow": "WF", "ReceivedAt": int64(time.Minute),
 		"PlannedAt": int64(time.Minute), "SuggestionIDs": []string{"WF/INC_ON_PACE#1"}}}
+	if len(rounds) == 0 {
+		t.Fatal("no round executed before the kill; the records member would be empty")
+	}
+	b, err := json.Marshal(rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []map[string]any
+	if err := json.Unmarshal(b, &records); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range records {
+		rec["EventAt"] = rec["ReceivedAt"] // a field of the old record, never read back
+	}
+	arb["records"] = records
 	slice("client")["sent"] = 42
 	snap["trace"] = map[string]any{
 		"spans":    []any{map[string]any{"id": "WF/INC_ON_PACE#1", "workflow": "WF", "policy": "INC_ON_PACE"}},
@@ -194,12 +211,12 @@ func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator) []byte {
 // report and plan records of a run that was never interrupted.
 func TestRestoreSnapshotCarryingDeletedCounters(t *testing.T) {
 	const horizon = 10 * time.Minute
-	base := runPace(t, 0, horizon, nil, nil)
-	killed := runPace(t, 3*time.Minute, horizon, func(blob []byte, o *Orchestrator) []byte {
-		return withDeletedCounters(t, blob, o)
+	base, baseRounds := runPace(t, 0, horizon, nil, nil)
+	killed, killedRounds := runPace(t, 3*time.Minute, horizon, func(blob []byte, w *world, o *Orchestrator) []byte {
+		return withDeletedCounters(t, blob, o, *w.rounds)
 	}, nil)
 	want, got := base.Trace.Report(), killed.Trace.Report()
-	if len(base.Arbiter.Records()) == 0 || len(want.Counters) == 0 {
+	if len(baseRounds) == 0 || len(want.Counters) == 0 {
 		t.Fatal("base run produced no plans or counters; the comparison is vacuous")
 	}
 	for _, c := range []struct {
@@ -207,7 +224,7 @@ func TestRestoreSnapshotCarryingDeletedCounters(t *testing.T) {
 		base, got any
 	}{
 		{"flight-recorder report", want, got},
-		{"plan records", base.Arbiter.Records(), killed.Arbiter.Records()},
+		{"plan records", baseRounds, killedRounds},
 	} {
 		want, err := json.Marshal(c.base)
 		if err != nil {
@@ -229,16 +246,16 @@ func TestRestoreSnapshotCarryingDeletedCounters(t *testing.T) {
 // the run ends with the plan records of the same run without the kill.
 func TestStageRestartAfterRestoreKeepsRounds(t *testing.T) {
 	const horizon = 10 * time.Minute
-	run := func(killAt time.Duration) *Orchestrator {
+	run := func(killAt time.Duration) (*Orchestrator, arbiter.Rounds) {
 		var live *Orchestrator
 		seen := 0
 		return runPace(t, killAt, horizon, nil, func(w *world, o *Orchestrator) {
 			if live == nil {
-				// Once a second, Records() of whichever orchestrator is live
-				// must hold at least what it held the second before.
+				// Once a second, the world's round log must hold at least
+				// what it held the second before.
 				var watch func()
 				watch = func() {
-					n := len(live.Arbiter.Records())
+					n := len(*w.rounds)
 					if n < seen {
 						t.Errorf("kill at %v: arbiter records shrank from %d to %d at %v", killAt, seen, n, w.s.Now())
 					}
@@ -265,20 +282,23 @@ func TestStageRestartAfterRestoreKeepsRounds(t *testing.T) {
 			live = o
 		})
 	}
-	base, killed := run(0), run(3*time.Minute)
-	for _, o := range []*Orchestrator{base, killed} {
-		if n := len(o.Arbiter.Records()); n != 2 {
+	base, baseRounds := run(0)
+	killed, killedRounds := run(3 * time.Minute)
+	for _, n := range []int{len(baseRounds), len(killedRounds)} {
+		if n != 2 {
 			t.Fatalf("arbiter records = %d, want the policy's round and the one at 4m", n)
 		}
+	}
+	for _, o := range []*Orchestrator{base, killed} {
 		if v, _ := o.Trace.Registry().Value("dyflow_stage_restarts_total"); v != 1 {
 			t.Fatalf("dyflow_stage_restarts_total = %v, want 1", v)
 		}
 	}
-	want, err := json.Marshal(base.Arbiter.Records())
+	want, err := json.Marshal(baseRounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := json.Marshal(killed.Arbiter.Records())
+	got, err := json.Marshal(killedRounds)
 	if err != nil {
 		t.Fatal(err)
 	}

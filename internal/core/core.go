@@ -58,8 +58,10 @@ type Orchestrator struct {
 }
 
 // New builds (but does not start) an orchestrator for the compiled user
-// specification over the given Savanna runtime, recording on tr.
-func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options, tr *trace.Recorder) *Orchestrator {
+// specification over the given Savanna runtime, recording on tr; its
+// arbiter appends each executed round to rounds. Both are the world's,
+// handed to every orchestrator built over that world.
+func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options, tr *trace.Recorder, rounds *arbiter.Rounds) *Orchestrator {
 	zero := arbiter.Config{}
 	if opts.Arbiter == zero {
 		opts.Arbiter = arbiter.DefaultConfig()
@@ -92,7 +94,7 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options, tr *tra
 
 	// Arbitration.
 	view := &savannaView{sv: sv}
-	o.Arbiter = arbiter.New(env.Sim, o.Supervisor.spawner(StageArbiter), bus, EndpointArbiter, opts.Arbiter, cfg.Rules, view, o.Executor, o.Trace)
+	o.Arbiter = arbiter.New(env.Sim, o.Supervisor.spawner(StageArbiter), bus, EndpointArbiter, opts.Arbiter, cfg.Rules, view, o.Executor, o.Trace, rounds)
 
 	// Keep Decision consistent with runtime changes: a (re)started task's
 	// stale history must not immediately re-trigger policies. Detached

@@ -25,6 +25,8 @@ type world struct {
 	env *task.Env
 	sv  *wms.Savanna
 	tr  *trace.Recorder // the world's flight recorder, handed to each orchestrator
+	// rounds is the world's round log, handed to each orchestrator too.
+	rounds *arbiter.Rounds
 }
 
 func newWorld(t *testing.T, nodes int) *world {
@@ -37,7 +39,7 @@ func newWorld(t *testing.T, nodes int) *world {
 		t.Fatal(err)
 	}
 	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg)}
-	return &world{s: s, c: c, rm: rm, env: env, sv: wms.New(env, rm, reg), tr: trace.New(reg)}
+	return &world{s: s, c: c, rm: rm, env: env, sv: wms.New(env, rm, reg), tr: trace.New(reg), rounds: new(arbiter.Rounds)}
 }
 
 // TestEndToEndPaceAdaptation drives the complete loop: a coupled workflow
@@ -123,7 +125,7 @@ func TestEndToEndPaceAdaptation(t *testing.T) {
 			SettleDelay: 60 * time.Second,
 			PlanCost:    100 * time.Millisecond,
 		},
-	}, w.tr)
+	}, w.tr, w.rounds)
 	o.Start()
 	w.s.Spawn("driver", func(p *sim.Proc) {
 		if err := w.sv.Launch(p, "WF"); err != nil {
@@ -134,7 +136,7 @@ func TestEndToEndPaceAdaptation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs := o.Arbiter.Records()
+	recs := *w.rounds
 	if len(recs) == 0 {
 		t.Fatal("no arbitration rounds happened")
 	}
@@ -231,7 +233,7 @@ func TestEndToEndFailureRestart(t *testing.T) {
 			SettleDelay: 2 * time.Minute,
 			PlanCost:    100 * time.Millisecond,
 		},
-	}, w.tr)
+	}, w.tr, w.rounds)
 	o.Start()
 	w.s.Spawn("driver", func(p *sim.Proc) { w.sv.Launch(p, "MD") })
 	w.c.FailNodeAt(5*time.Minute, "node000")
@@ -239,7 +241,7 @@ func TestEndToEndFailureRestart(t *testing.T) {
 	if err := w.s.Run(20 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	recs := o.Arbiter.Records()
+	recs := *w.rounds
 	if len(recs) == 0 {
 		t.Fatal("no recovery plan executed")
 	}
@@ -379,7 +381,7 @@ func TestMultiWorkflowOrchestration(t *testing.T) {
 	o := New(w.env, w.sv, cfg, Options{Arbiter: arbiter.Config{
 		WarmupDelay: 30 * time.Second, SettleDelay: 30 * time.Second,
 		PlanCost: 100 * time.Millisecond, GatherWindow: 5 * time.Second,
-	}}, w.tr)
+	}}, w.tr, w.rounds)
 	o.Start()
 	w.s.Spawn("driver", func(p *sim.Proc) {
 		w.sv.Launch(p, "PIPE")
@@ -395,7 +397,7 @@ func TestMultiWorkflowOrchestration(t *testing.T) {
 
 	// PIPE's analysis grew; SOLO's job restarted — independent plans.
 	byWF := map[string]int{}
-	for _, rec := range o.Arbiter.Records() {
+	for _, rec := range *w.rounds {
 		byWF[rec.Workflow]++
 	}
 	if byWF["PIPE"] != 1 || byWF["SOLO"] != 1 {
@@ -487,7 +489,7 @@ func TestAdaptationUnderBusJitter(t *testing.T) {
 			WarmupDelay: 30 * time.Second, SettleDelay: 30 * time.Second,
 			PlanCost: 100 * time.Millisecond, GatherWindow: 5 * time.Second,
 		},
-	}, w.tr)
+	}, w.tr, w.rounds)
 	o.Bus.Latency = msg.UniformJitterLatency(w.s, 50*time.Millisecond, 10*time.Second)
 	o.Start()
 	w.s.Spawn("driver", func(p *sim.Proc) { w.sv.Launch(p, "WF") })

@@ -82,7 +82,7 @@ func TestSelfMonitoringSensorFiresPolicy(t *testing.T) {
 			SettleDelay: 30 * time.Second,
 			PlanCost:    100 * time.Millisecond,
 		},
-	}, w.tr)
+	}, w.tr, w.rounds)
 	o.Start()
 	w.s.Spawn("driver", func(p *sim.Proc) {
 		if err := w.sv.Launch(p, "WF"); err != nil {
@@ -93,7 +93,7 @@ func TestSelfMonitoringSensorFiresPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs := o.Arbiter.Records()
+	recs := *w.rounds
 	if len(recs) == 0 {
 		t.Fatal("self-monitoring policy never reached arbitration")
 	}
@@ -134,7 +134,7 @@ func TestSelfMonitoringSensorFiresPolicy(t *testing.T) {
 // flight-recorder counter, which is also the fallback for unknown names.
 func TestSelfSourceArms(t *testing.T) {
 	w := newWorld(t, 1)
-	o := New(w.env, w.sv, &spec.Config{}, Options{}, w.tr)
+	o := New(w.env, w.sv, &spec.Config{}, Options{}, w.tr, w.rounds)
 	o.Trace.SensorLag("PACE", time.Second)
 	o.Trace.SensorLag("PACE", 2*time.Second)
 	o.Trace.QueueDepth(EndpointDecision, 5)

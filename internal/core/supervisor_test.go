@@ -100,7 +100,7 @@ func newPaceOrchestrator(t *testing.T, w *world, opts Options) *Orchestrator {
 			PlanCost:    100 * time.Millisecond,
 		}
 	}
-	return New(w.env, w.sv, cfg, opts, w.tr)
+	return New(w.env, w.sv, cfg, opts, w.tr, w.rounds)
 }
 
 // A panic inside a supervised stage process must not fail the simulation:
@@ -137,7 +137,7 @@ func TestSupervisorAbsorbsStagePanic(t *testing.T) {
 	}
 	// The restarted pipeline still did its job: the under-provisioned Ana
 	// got resized.
-	if len(o.Arbiter.Records()) == 0 {
+	if len(*w.rounds) == 0 {
 		t.Fatal("no arbitration rounds after the stage restart")
 	}
 	inst := w.sv.Instance("WF", "Ana")

@@ -31,7 +31,7 @@ func warmRoundAllocs(t *testing.T, n int, action string, params map[string]strin
 	if err := w.sv.Compose(&wms.WorkflowSpec{ID: "WF", Tasks: tasks}); err != nil {
 		t.Fatal(err)
 	}
-	eng := arbiter.New(w.s, w.s.Spawn, msg.NewBus(w.s), "arbiter", arbiter.DefaultConfig(), nil, NewArbiterView(w.sv), nil, trace.New(obs.NewRegistry()))
+	eng := arbiter.New(w.s, w.s.Spawn, msg.NewBus(w.s), "arbiter", arbiter.DefaultConfig(), nil, NewArbiterView(w.sv), nil, trace.New(obs.NewRegistry()), new(arbiter.Rounds))
 	var allocs float64
 	w.s.Spawn("driver", func(p *sim.Proc) {
 		if err := w.sv.Launch(p, "WF"); err != nil {

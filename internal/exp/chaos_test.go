@@ -157,7 +157,7 @@ func newChaosBench(t *testing.T, nodes int) *chaosBench {
 	eng := arbiter.New(w.Sim, w.Sim.Spawn, msg.NewBus(w.Sim), "arbiter", arbiter.Config{
 		PlanCost:        100 * time.Millisecond,
 		FailureCooldown: 20 * time.Second,
-	}, nil, core.NewArbiterView(w.SV), ex, tr)
+	}, nil, core.NewArbiterView(w.SV), ex, tr, w.rounds)
 
 	w.Launch("CH")
 	b := &chaosBench{w: w, ex: ex, eng: eng, tr: tr}

@@ -126,7 +126,7 @@ func TestXGCCheckpointBytesGolden(t *testing.T) {
 		// The world has run on, so the restored orchestrator's clock is
 		// not the checkpoint's: its snapshot is compared at the
 		// checkpoint's instant.
-		o := core.New(world.Env, world.SV, world.orchCfg, world.orchOpts, world.Trace)
+		o := core.New(world.Env, world.SV, world.orchCfg, world.orchOpts, world.Trace, world.rounds)
 		if err := o.Restore(want); err != nil {
 			t.Fatalf("%s: %v", link, err)
 		}

@@ -65,7 +65,7 @@ func (r *Recorder) Dump() *TraceDump {
 			ExitCode:    iv.ExitCode,
 		})
 	}
-	for _, p := range r.rounds() {
+	for _, p := range *r.rounds {
 		pd := PlanDump{
 			Workflow:   p.Workflow,
 			ReceivedNS: int64(p.ReceivedAt),

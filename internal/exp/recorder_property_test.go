@@ -121,10 +121,10 @@ func everySeries(sensor.Key) bool { return true }
 // series and paceBeforeAfter as the reference does.
 func checkRecorder(t *testing.T, rng *rand.Rand, points int) {
 	t.Helper()
-	rec, ref := NewRecorder(sim.New(0)), &refRecorder{}
+	rec, ref := NewRecorder(sim.New(0), new(arbiter.Rounds)), &refRecorder{}
 	rec.Keep(everySeries)
 	paceWF := genWorkflows[0]
-	pace := NewRecorder(sim.New(0))
+	pace := NewRecorder(sim.New(0), new(arbiter.Rounds))
 	pace.Keep(paceSeries(paceWF))
 	now := sim.Time(0)
 	for n := 0; n < points; {
@@ -232,7 +232,7 @@ func TestRecorderChunkAllocation(t *testing.T) {
 		batch[i] = sensor.Metric{Series: s}
 	}
 	var before, after runtime.MemStats
-	rec := NewRecorder(sim.New(0))
+	rec := NewRecorder(sim.New(0), new(arbiter.Rounds))
 	rec.Keep(everySeries)
 	for n, class := range []uint64{1024, 2048, 4096, 8192} {
 		size := chunkCap(n)

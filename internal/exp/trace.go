@@ -50,17 +50,17 @@ type point struct {
 
 // Recorder accumulates the observable history of a run: task incarnation
 // intervals and the metric series a reader declared through Keep, as the
-// Decision stage received them. With the arbitration rounds, which the
-// arbiter keeps (World.Plans), that is everything the Gantt charts and
-// experiment reports print.
+// Decision stage received them. With the world's round log, which it reads
+// but does not own, that is everything the Gantt charts and experiment
+// reports print.
 type Recorder struct {
 	s         *sim.Sim
 	Intervals []Interval
 	open      map[string]int // instance key -> index into Intervals
-	// arb is the attached orchestrator's arbiter, which keeps the run's
-	// executed rounds (World.Plans reads the same log); nil for a baseline
-	// run. monitor is that orchestrator's Monitor server.
-	arb     *arbiter.Engine
+	// rounds is the world's round log (World.Plans reads the same one).
+	rounds *arbiter.Rounds
+	// monitor is the attached orchestrator's Monitor server; nil for a
+	// baseline run.
 	monitor *sensor.Server
 
 	// keep selects the series some reader declared (Keep); nil when no
@@ -89,9 +89,9 @@ func chunkCap(n int) int {
 	return (pointChunk+1)>>(headChunks-min(n, headChunks)) - 1
 }
 
-// NewRecorder creates an empty recorder.
-func NewRecorder(s *sim.Sim) *Recorder {
-	return &Recorder{s: s, open: make(map[string]int)}
+// NewRecorder creates an empty recorder over the world's round log.
+func NewRecorder(s *sim.Sim, rounds *arbiter.Rounds) *Recorder {
+	return &Recorder{s: s, open: make(map[string]int), rounds: rounds}
 }
 
 // AttachWMS subscribes to Savanna lifecycle events.
@@ -124,11 +124,10 @@ func (r *Recorder) AttachWMS(sv *wms.Savanna) {
 	})
 }
 
-// AttachOrchestrator reads executed rounds from the orchestrator's arbiter
-// from now on and, once a reader has declared a series, records what its
-// Monitor server forwards.
+// AttachOrchestrator records, once a reader has declared a series, what
+// the orchestrator's Monitor server forwards from now on.
 func (r *Recorder) AttachOrchestrator(o *core.Orchestrator) {
-	r.arb, r.monitor = o.Arbiter, o.Server
+	r.monitor = o.Server
 	if r.keep != nil {
 		r.monitor.OnForward(r.forwarded)
 	}
@@ -148,14 +147,6 @@ func (r *Recorder) Keep(series func(sensor.Key) bool) {
 	if r.monitor != nil {
 		r.monitor.OnForward(r.forwarded)
 	}
-}
-
-// rounds returns the run's executed arbitration rounds.
-func (r *Recorder) rounds() []arbiter.Record {
-	if r.arb == nil {
-		return nil
-	}
-	return r.arb.Records()
 }
 
 // forwarded records the declared metrics of one batch the Monitor server
@@ -237,7 +228,7 @@ func tasks(ivs []Interval) [][2]string {
 
 // Gantt renders the run's ASCII Gantt chart (see gantt) up to now.
 func (r *Recorder) Gantt(w io.Writer, width int) {
-	rounds := r.rounds()
+	rounds := *r.rounds
 	windows := make([][2]sim.Time, len(rounds))
 	for i, p := range rounds {
 		windows[i] = [2]sim.Time{p.ReceivedAt, p.ExecutedAt}
@@ -311,7 +302,7 @@ func gantt(w io.Writer, width int, end sim.Time, ivs []Interval, windows [][2]si
 
 // PlanSummary formats the arbitration rounds as a table.
 func (r *Recorder) PlanSummary(w io.Writer) {
-	plans := r.rounds()
+	plans := *r.rounds
 	if len(plans) == 0 {
 		fmt.Fprintln(w, "(no arbitration rounds)")
 		return

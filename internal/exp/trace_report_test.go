@@ -39,7 +39,7 @@ func TestTraceSpansCorrelateAcrossStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.W.Orch.Trace
-	recs := res.W.Orch.Arbiter.Records()
+	recs := res.W.Plans()
 	if len(recs) == 0 {
 		t.Fatal("no arbitration rounds executed")
 	}

@@ -44,6 +44,11 @@ type World struct {
 	// run's spans, stage counters, queue depths, latency histograms and
 	// actuation ops across kills.
 	Trace *trace.Recorder
+	// rounds is the world's round log, read through Plans. Like Trace it
+	// is handed to every orchestrator the world builds, whose arbiter
+	// appends each executed round to it, so it holds the whole run's
+	// rounds across kills; a baseline world's stays empty.
+	rounds *arbiter.Rounds
 
 	// OnProgress, when set, is called after every tick of the driver loop
 	// that advances the world, with the current virtual time, and is the
@@ -92,15 +97,17 @@ func NewWorld(seed int64, m apps.Machine, nodes int) (*World, error) {
 		return nil, err
 	}
 	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg), DB: db.New(s)}
+	rounds := new(arbiter.Rounds)
 	w := &World{
 		Sim:     s,
 		Cluster: c,
 		RM:      rm,
 		Env:     env,
 		SV:      wms.New(env, rm, reg),
-		Rec:     NewRecorder(s),
+		Rec:     NewRecorder(s, rounds),
 		Metrics: reg,
 		Trace:   trace.New(reg),
+		rounds:  rounds,
 	}
 	w.Rec.AttachWMS(w.SV)
 	return w, nil
@@ -115,7 +122,7 @@ func (w *World) StartOrchestration(xml string, opts core.Options) error {
 	}
 	w.orchCfg = cfg
 	w.orchOpts = opts
-	w.Orch = core.New(w.Env, w.SV, cfg, opts, w.Trace)
+	w.Orch = core.New(w.Env, w.SV, cfg, opts, w.Trace, w.rounds)
 	w.Rec.AttachOrchestrator(w.Orch)
 	w.Orch.Start()
 	return nil
@@ -126,10 +133,10 @@ func (w *World) StartOrchestration(xml string, opts core.Options) error {
 // shared substrate callbacks and stopped — the checkpoint is taken before
 // Stop, because teardown closes stream readers and their buffered backlog
 // must make it into the snapshot. A fresh orchestrator over the same
-// compiled spec, built over the world's flight recorder, is restored from
-// that blob and started; it takes over the recorder's plan/metric feeds,
-// and the flight recorder and metrics registry carry on as if no kill had
-// happened. Call from driver context (between Sim.Run calls) while the
+// compiled spec, built over the world's flight recorder and round log, is
+// restored from that blob and started; it takes over the recorder's metric
+// feed, and the flight recorder, round log and metrics registry carry on as
+// if no kill had happened. Call from driver context (between Sim.Run calls) while the
 // arbiter is not mid-round.
 func (w *World) RestartOrchestrator() error {
 	blob, err := w.Orch.Checkpoint()
@@ -145,7 +152,7 @@ func (w *World) RestartOrchestrator() error {
 func (w *World) restartFrom(blob []byte) error {
 	w.Orch.Detach()
 	w.Orch.Stop()
-	o := core.New(w.Env, w.SV, w.orchCfg, w.orchOpts, w.Trace)
+	o := core.New(w.Env, w.SV, w.orchCfg, w.orchOpts, w.Trace, w.rounds)
 	if err := o.Restore(blob); err != nil {
 		return err
 	}
@@ -232,15 +239,10 @@ func (w *World) drive(horizon, tick time.Duration, check func() (done bool, err 
 	return nil
 }
 
-// Plans returns the arbitration rounds the world's orchestrator has
-// executed, those it inherited through a checkpoint restore included, in
-// execution order; nil for a baseline world that runs no orchestrator.
-func (w *World) Plans() []arbiter.Record {
-	if w.Orch == nil {
-		return nil
-	}
-	return w.Orch.Arbiter.Records()
-}
+// Plans returns the world's round log: the arbitration rounds every
+// orchestrator the world built has executed, before and after each kill,
+// in execution order. A baseline world that runs no orchestrator has none.
+func (w *World) Plans() []arbiter.Record { return *w.rounds }
 
 // WorkflowDone reports whether every composed task of the workflow has
 // terminated (none running).
