@@ -179,6 +179,12 @@ func (sv *Savanna) Compose(spec *WorkflowSpec) error {
 // Workflow returns a composed workflow spec, or nil.
 func (sv *Savanna) Workflow(id string) *WorkflowSpec { return sv.workflows[id] }
 
+// launchAttempts bounds Launch's carves per task. A carve short on
+// resources is tried again at once: a chaos campaign's injected carve
+// faults are transient (each try draws anew), while a real shortage fails
+// every try the same way.
+const launchAttempts = 3
+
 // Launch starts every AutoStart task of the workflow with its configured
 // shape, in composition order. It must be called from a simulated process.
 func (sv *Savanna) Launch(p *sim.Proc, workflowID string) error {
@@ -195,6 +201,9 @@ func (sv *Savanna) Launch(p *sim.Proc, workflowID string) error {
 			cpp = 1
 		}
 		rs, err := sv.rm.Carve(cfg.Procs*cpp, cfg.ProcsPerNode*cpp, nil)
+		for try := 1; try < launchAttempts && errors.Is(err, resmgr.ErrInsufficient); try++ {
+			rs, err = sv.rm.Carve(cfg.Procs*cpp, cfg.ProcsPerNode*cpp, nil)
+		}
 		if err != nil {
 			return fmt.Errorf("wms: launch %s/%s: %w", workflowID, cfg.Spec.Name, err)
 		}

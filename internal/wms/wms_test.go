@@ -52,6 +52,27 @@ func simpleWF(total int) *WorkflowSpec {
 	}
 }
 
+// TestLaunchBoundsCarveRetries: Launch tries a carve that comes back short
+// on resources launchAttempts times, then fails the launch with the
+// carve's error.
+func TestLaunchBoundsCarveRetries(t *testing.T) {
+	b := newBench(t, 2)
+	b.sv.Compose(simpleWF(5))
+	faults := resmgr.NewFaults(1, 1) // every carve fails
+	b.rm.InjectFaults(faults)
+	var err error
+	b.s.Spawn("driver", func(p *sim.Proc) { err = b.sv.Launch(p, "WF") })
+	if rerr := b.s.Run(time.Minute); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if !errors.Is(err, resmgr.ErrInsufficient) {
+		t.Fatalf("Launch = %v, want ErrInsufficient", err)
+	}
+	if got := faults.Injected(); got != launchAttempts {
+		t.Fatalf("carves tried = %d, want %d", got, launchAttempts)
+	}
+}
+
 func TestLaunchAssignsAndRuns(t *testing.T) {
 	b := newBench(t, 2)
 	b.sv.Compose(simpleWF(5))
