@@ -156,8 +156,9 @@ exp-diff:
 		done; \
 	done; done
 
-# Where a job's bytes and CPU go: `make prof SCENARIO=xgc` (or grayscott,
-# quickstart) runs Benchmark<Scenario>Job twice, 20 iterations each, once
+# Where a job's bytes and CPU go: `make prof SCENARIO=xgc` (or any other
+# scenario of the job table: quickstart, grayscott, overprov, lammps, chaos)
+# runs BenchmarkJob/<scenario> twice, 20 iterations each, once
 # with every allocation sampled (-memprofilerate 1) and once under the CPU
 # profiler, writes both profiles and the test binary into
 # .bench_build/prof/, and prints the top 15 sites by alloc_space, by
@@ -169,14 +170,15 @@ exp-diff:
 # About 7 s for xgc on a 2-vCPU host; not a CI step.
 SCENARIO ?= xgc
 prof:
-	@set -e; case "$(SCENARIO)" in \
-		xgc) b=XGC;; grayscott) b=GrayScott;; quickstart) b=Quickstart;; \
-		*) echo "prof: SCENARIO is xgc, grayscott or quickstart, not $(SCENARIO)"; exit 1;; esac; \
-	out=.bench_build/prof; mkdir -p $$out; \
+	@set -e; out=.bench_build/prof; mkdir -p $$out; \
 	$(GO) test -c -o $$out/exp.test ./internal/exp; \
-	$$out/exp.test -test.run '^$$' -test.bench "^Benchmark$${b}Job$$" -test.benchtime 20x -test.benchmem \
-		-test.memprofilerate 1 -test.memprofile $$out/$(SCENARIO).mem.pprof; \
-	$$out/exp.test -test.run '^$$' -test.bench "^Benchmark$${b}Job$$" -test.benchtime 20x \
+	$$out/exp.test -test.run '^$$' -test.bench "^BenchmarkJob$$/^$(SCENARIO)$$" -test.benchtime 20x -test.benchmem \
+		-test.memprofilerate 1 -test.memprofile $$out/$(SCENARIO).mem.pprof > $$out/$(SCENARIO).bench.txt \
+		|| { cat $$out/$(SCENARIO).bench.txt; exit 1; }; \
+	cat $$out/$(SCENARIO).bench.txt; \
+	grep -Eq "^BenchmarkJob/$(SCENARIO)(-[0-9]+)?[[:space:]]" $$out/$(SCENARIO).bench.txt || { \
+		echo "prof: no job scenario $(SCENARIO); SCENARIO names an entry of the scenario table in internal/exp/job.go"; exit 1; }; \
+	$$out/exp.test -test.run '^$$' -test.bench "^BenchmarkJob$$/^$(SCENARIO)$$" -test.benchtime 20x \
 		-test.cpuprofile $$out/$(SCENARIO).cpu.pprof; \
 	$(GO) tool pprof -top -nodecount 15 -sample_index alloc_space $$out/exp.test $$out/$(SCENARIO).mem.pprof; \
 	$(GO) tool pprof -top -nodecount 15 -sample_index alloc_objects $$out/exp.test $$out/$(SCENARIO).mem.pprof; \
