@@ -42,6 +42,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dyflow/internal/ckpt"
@@ -157,11 +158,12 @@ type queueAcc struct {
 	g       *obs.Gauge
 }
 
-// counterAcc is one stage counter. c is its dyflow_stage_events_total
-// series, resolved on its first positive increment: a counter only ever
-// incremented by zero has none.
+// counterAcc is one stage counter. v is added to and read atomically; c
+// is its dyflow_stage_events_total series, resolved under the recorder's
+// lock on its first positive increment: a counter only ever incremented by
+// zero has none.
 type counterAcc struct {
-	v int64
+	v atomic.Int64
 	c *obs.Counter
 }
 
@@ -183,7 +185,8 @@ type Op struct {
 // Recorder is the flight recorder shared by the stages of every
 // orchestrator a world builds. The simulation substrate runs processes
 // one at a time, but `dyflow-exp serve` reads the recorder from HTTP
-// goroutines while a run is in flight, so all state is mutex-guarded. Latency distributions are stored
+// goroutines while a run is in flight, so all state is mutex-guarded but
+// the stage counters' values, which are atomic. Latency distributions are stored
 // in bounded obs.Histogram buckets rather than unbounded sample slices:
 // those histograms ARE the registry's labeled series (shared storage, no
 // double counting), and counters and queue depths mirror into registry
@@ -239,13 +242,15 @@ func New(reg *obs.Registry) *Recorder {
 func (r *Recorder) Registry() *obs.Registry { return r.reg }
 
 // StageCounter is one named stage counter, resolved once by the stage
-// that counts it: Add takes the recorder's lock but hashes no name. The
-// counter's entry appears at its first Add, and its
-// dyflow_stage_events_total series at its first positive one.
+// that counts it, which is the only one to use the handle. The counter's
+// entry appears at its first Add, and its dyflow_stage_events_total series
+// at its first positive one; those two take the recorder's lock, and every
+// other Add is two atomic adds.
 type StageCounter struct {
 	r    *Recorder
 	name string
-	a    *counterAcc // nil until the first Add
+	a    *counterAcc  // nil until the first Add
+	c    *obs.Counter // nil until the first positive Add
 }
 
 // StageCounter returns the handle of the named stage counter. Handles of
@@ -256,24 +261,32 @@ func (r *Recorder) StageCounter(name string) *StageCounter {
 
 // Add adds delta to the counter.
 func (c *StageCounter) Add(delta int64) {
+	if c.a == nil || delta > 0 && c.c == nil {
+		c.resolve(delta > 0)
+	}
+	c.a.v.Add(delta)
+	if delta > 0 {
+		c.c.Add(delta)
+	}
+}
+
+// resolve finds or creates the counter's entry and, when series is set,
+// the entry's dyflow_stage_events_total series, both shared with the
+// name's other handles.
+func (c *StageCounter) resolve(series bool) {
 	r := c.r
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	a := c.a
-	if a == nil {
-		if a = r.counters[c.name]; a == nil {
-			a = &counterAcc{}
-			r.counters[c.name] = a
+	if c.a == nil {
+		if c.a = r.counters[c.name]; c.a == nil {
+			c.a = &counterAcc{}
+			r.counters[c.name] = c.a
 		}
-		c.a = a
 	}
-	a.v += delta
-	if delta > 0 {
-		if a.c == nil {
-			a.c = r.events.With(c.name)
-		}
-		a.c.Add(delta)
+	if series && c.a.c == nil {
+		c.a.c = r.events.With(c.name)
 	}
+	c.c = c.a.c
 }
 
 // Counter returns a named counter's value (0 if never incremented).
@@ -281,7 +294,7 @@ func (r *Recorder) Counter(name string) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if a := r.counters[name]; a != nil {
-		return a.v
+		return a.v.Load()
 	}
 	return 0
 }
@@ -736,7 +749,7 @@ func (r *Recorder) Report() *Report {
 		rep.Ops = append(rep.Ops, summarizeHist(k, r.opLats[k]))
 	}
 	for _, name := range sortedKeys(r.counters) {
-		rep.Counters = append(rep.Counters, CounterValue{Name: name, Value: r.counters[name].v})
+		rep.Counters = append(rep.Counters, CounterValue{Name: name, Value: r.counters[name].v.Load()})
 	}
 	for _, ep := range sortedKeys(r.queues) {
 		q := r.queues[ep]
