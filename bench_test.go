@@ -271,7 +271,7 @@ func BenchmarkAblationSettleGuard(b *testing.B) {
 // instantaneous values: noise makes single-step readings cross thresholds
 // spuriously.
 func BenchmarkAblationHistoryWindow(b *testing.B) {
-	noHistory := strings.ReplaceAll(exp.GrayScottXML(benchMachine), `
+	noHistory := strings.ReplaceAll(GrayScottXML(benchMachine), `
         <history window="10" operation="AVG"/>`, "")
 	if strings.Contains(noHistory, "<history") {
 		b.Fatal("the Gray-Scott document's <history> elements changed shape")

@@ -276,16 +276,9 @@ func TestPaperWorkflowBuilders(t *testing.T) {
 	}
 }
 
-// TestShippedArtifactsCompile: the CLI example's JSON/XML artifacts and the
-// generated paper orchestration documents all parse and validate.
+// TestShippedArtifactsCompile: the CLI example's JSON/XML artifacts and
+// every orchestration document under specs/ parse and validate.
 func TestShippedArtifactsCompile(t *testing.T) {
-	data, err := os.ReadFile("examples/cli/orchestration.xml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CompileSpec(string(data)); err != nil {
-		t.Fatalf("examples/cli/orchestration.xml: %v", err)
-	}
 	cfg, err := LoadSystemConfig("examples/cli/system.json")
 	if err != nil {
 		t.Fatal(err)
@@ -293,40 +286,20 @@ func TestShippedArtifactsCompile(t *testing.T) {
 	if _, err := cfg.Build(); err != nil {
 		t.Fatalf("examples/cli/system.json: %v", err)
 	}
-	for _, m := range []Machine{Summit, Deepthought2} {
-		for name, xml := range map[string]string{
-			"XGCXML":       XGCXML(m),
-			"GrayScottXML": GrayScottXML(m),
-			"LAMMPSXML":    LAMMPSXML(m),
-		} {
-			if _, err := CompileSpec(xml); err != nil {
-				t.Errorf("%s(%v): %v", name, m, err)
-			}
-		}
+	docs, err := filepath.Glob("specs/*.xml")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestSpecArtifactsInSync: the checked-in specs/ documents match what the
-// generators produce (regenerate them if a generator changes).
-func TestSpecArtifactsInSync(t *testing.T) {
-	files := map[string]string{
-		"specs/xgc-summit.xml":       XGCXML(Summit),
-		"specs/xgc-dt2.xml":          XGCXML(Deepthought2),
-		"specs/grayscott-summit.xml": GrayScottXML(Summit),
-		"specs/grayscott-dt2.xml":    GrayScottXML(Deepthought2),
-		"specs/lammps-summit.xml":    LAMMPSXML(Summit),
-		"specs/lammps-dt2.xml":       LAMMPSXML(Deepthought2),
+	if len(docs) == 0 {
+		t.Fatal("specs/ holds no orchestration document")
 	}
-	for path, want := range files {
+	for _, path := range append(docs, "examples/cli/orchestration.xml") {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if strings.TrimSpace(string(data)) != strings.TrimSpace(want) {
-			t.Errorf("%s is out of sync with its generator", path)
+			t.Fatal(err)
 		}
 		if _, err := CompileSpec(string(data)); err != nil {
-			t.Errorf("%s does not compile: %v", path, err)
+			t.Errorf("%s: %v", path, err)
 		}
 	}
 }

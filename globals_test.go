@@ -16,6 +16,7 @@ import (
 var worldDirs = []string{
 	"internal/sim", "internal/core", "internal/task", "internal/stream", "internal/wms", "internal/resmgr",
 	"internal/apps", "internal/fsim", "internal/db", "internal/exp", "internal/msg", "internal/trace",
+	"specs",
 }
 
 // TestWorldPackagesHoldNoMutableGlobals: no non-test file of a world

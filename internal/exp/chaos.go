@@ -12,6 +12,7 @@ import (
 	"dyflow/internal/resmgr"
 	"dyflow/internal/sim"
 	"dyflow/internal/task"
+	"dyflow/specs"
 )
 
 // ChaosOptions tunes the seeded fault-injection campaign RunChaos drives
@@ -138,7 +139,7 @@ func RunChaosVariant(seed int64, m apps.Machine, opts ChaosOptions, v Variant) (
 	if err := w.SV.Compose(apps.GrayScottWorkflow(m)); err != nil {
 		return nil, err
 	}
-	if err := w.orchestrate(v, spliceRecovery(GrayScottXML(m)), core.Options{}); err != nil {
+	if err := w.orchestrate(v, spliceRecovery(specs.GrayScott(m)), core.Options{}); err != nil {
 		return nil, err
 	}
 
@@ -232,7 +233,7 @@ func LeakedOwners(w *World) []string {
 }
 
 // spliceRecovery inserts a STATUS sensor, monitors, and restart policies
-// into a generated Gray-Scott orchestration document, giving the chaos
+// into the shipped Gray-Scott orchestration document, giving the chaos
 // scenarios a failure-recovery path (tasks killed by node death exit 137
 // and trip RESTART_ON_FAILURE).
 func spliceRecovery(xml string) string {

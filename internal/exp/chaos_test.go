@@ -18,6 +18,7 @@ import (
 	"dyflow/internal/task"
 	"dyflow/internal/trace"
 	"dyflow/internal/wms"
+	"dyflow/specs"
 )
 
 // conservationHolds checks the resource-manager invariant: free + assigned
@@ -54,7 +55,7 @@ func TestChaosNodeFailureDuringAdaptation(t *testing.T) {
 	if err := w.SV.Compose(apps.GrayScottWorkflow(apps.Summit)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.StartOrchestration(GrayScottXML(apps.Summit), core.Options{}); err != nil {
+	if err := w.StartOrchestration(specs.GrayScott(apps.Summit), core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	w.Launch(apps.GrayScottWorkflowID)
@@ -96,7 +97,7 @@ func TestChaosNodeFailureDuringAdaptationWithRecoveryPolicy(t *testing.T) {
 	if err := w.SV.Compose(apps.GrayScottWorkflow(apps.Summit)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.StartOrchestration(spliceRecovery(GrayScottXML(apps.Summit)), core.Options{}); err != nil {
+	if err := w.StartOrchestration(spliceRecovery(specs.GrayScott(apps.Summit)), core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	w.Launch(apps.GrayScottWorkflowID)
@@ -327,5 +328,15 @@ func TestChaosCampaignConverges(t *testing.T) {
 	if !reflect.DeepEqual(first.Events, replay.Events) || first.End != replay.End ||
 		first.Retries != replay.Retries || first.RequeuedTasks != replay.RequeuedTasks {
 		t.Fatalf("seed 1 replay diverged:\n%+v\n%+v", first, replay)
+	}
+}
+
+// TestChaosLaunchSurvivesInjectedCarveFault: a chaos job whose campaign
+// injects a carve fault into the workflow's launch (seed 7 trips
+// GrayScott's first carve) retries the carve and runs, as the other seeds
+// do.
+func TestChaosLaunchSurvivesInjectedCarveFault(t *testing.T) {
+	if _, err := RunJob(Job{Scenario: ScenarioChaos, Machine: "summit", Seed: 7}, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"time"
 
 	"dyflow/internal/apps"
@@ -10,97 +9,19 @@ import (
 	"dyflow/internal/core/sensor"
 	"dyflow/internal/sim"
 	"dyflow/internal/task"
+	"dyflow/specs"
 )
 
-// gsThresholds returns the INC/DEC pace thresholds and the resize step for
-// the machine. Summit follows the paper exactly: 50 steps in 30 minutes =>
-// 36 s/step ceiling, two-thirds of it (24 s) as the release floor, resize
-// by 20 processes. Deepthought2's 35-minute limit gives 42 s and 28 s; the
-// single adaptation there moves 40 processes (resources from PDF_Calc and
-// FFT together, as the paper reports).
-func gsThresholds(m apps.Machine) (inc, dec float64, adjust int) {
+// gsThresholds returns the INC/DEC pace thresholds of the machine's
+// Gray-Scott document, which the Figure 8/9 and §4.4 reports judge pace by.
+// Summit follows the paper exactly: 50 steps in 30 minutes => 36 s/step
+// ceiling, two-thirds of it (24 s) as the release floor. Deepthought2's
+// 35-minute limit gives 42 s and 28 s.
+func gsThresholds(m apps.Machine) (inc, dec float64) {
 	if m == apps.Summit {
-		return 36, 24, 20
+		return 36, 24
 	}
-	return 42, 28, 40
-}
-
-// GrayScottXML is the orchestration document for the Gray-Scott workflow —
-// the complete version of paper Figures 3, 4, and 5.
-func GrayScottXML(m apps.Machine) string {
-	inc, dec, adjust := gsThresholds(m)
-	monitor := ""
-	applies := ""
-	for _, name := range []string{"Isosurface", "Rendering", "FFT", "PDF_Calc"} {
-		monitor += fmt.Sprintf(`
-      <monitor-task name="%s" workflowId="GS-WORKFLOW" info-source="tau.%s">
-        <use-sensor sensor-id="PACE" info="looptime">
-          <parameter key="info-type" value="double"/>
-        </use-sensor>
-      </monitor-task>`, name, name)
-		applies += fmt.Sprintf(`
-      <apply-policy policyId="INC_ON_PACE" assess-task="%s">
-        <act-on-tasks>%s</act-on-tasks>
-        <action-params><param key="adjust-by" value="%d"/></action-params>
-      </apply-policy>
-      <apply-policy policyId="DEC_ON_PACE" assess-task="%s">
-        <act-on-tasks>%s</act-on-tasks>
-        <action-params><param key="adjust-by" value="%d"/></action-params>
-      </apply-policy>`, name, name, adjust, name, name, adjust)
-	}
-	return fmt.Sprintf(`
-<dyflow>
-  <monitor>
-    <sensors>
-      <sensor id="PACE" type="TAUADIOS2">
-        <group-by>
-          <group granularity="task" reduction-operation="MAX"/>
-        </group-by>
-      </sensor>
-    </sensors>
-    <monitor-tasks>%s
-    </monitor-tasks>
-  </monitor>
-  <decision>
-    <policies>
-      <policy id="INC_ON_PACE">
-        <eval operation="GT" threshold="%g"/>
-        <sensors-to-use><use-sensor id="PACE" granularity="task"/></sensors-to-use>
-        <action>ADDCPU</action>
-        <history window="10" operation="AVG"/>
-        <frequency seconds="5"/>
-      </policy>
-      <policy id="DEC_ON_PACE">
-        <eval operation="LT" threshold="%g"/>
-        <sensors-to-use><use-sensor id="PACE" granularity="task"/></sensors-to-use>
-        <action>RMCPU</action>
-        <history window="10" operation="AVG"/>
-        <frequency seconds="5"/>
-      </policy>
-    </policies>
-    <apply-on workflowId="GS-WORKFLOW">%s
-    </apply-on>
-  </decision>
-  <arbitration>
-    <rules>
-      <rule-for workflowId="GS-WORKFLOW">
-        <task-priorities>
-          <task-priority name="GrayScott" priority="0"/>
-          <task-priority name="Isosurface" priority="1"/>
-          <task-priority name="Rendering" priority="2"/>
-          <task-priority name="FFT" priority="3"/>
-          <task-priority name="PDF_Calc" priority="4"/>
-        </task-priorities>
-        <task-dependencies>
-          <task-dep name="Isosurface" type="TIGHT" parent="GrayScott"/>
-          <task-dep name="FFT" type="TIGHT" parent="GrayScott"/>
-          <task-dep name="PDF_Calc" type="TIGHT" parent="GrayScott"/>
-          <task-dep name="Rendering" type="TIGHT" parent="Isosurface"/>
-        </task-dependencies>
-      </rule-for>
-    </rules>
-  </arbitration>
-</dyflow>`, monitor, inc, dec, applies)
+	return 42, 28
 }
 
 // GSResult is the outcome of a Gray-Scott run.
@@ -144,7 +65,7 @@ func RunGrayScottVariant(seed int64, m apps.Machine, withDyflow bool, v Variant)
 		return nil, err
 	}
 	if withDyflow {
-		if err := w.orchestrate(v, GrayScottXML(m), core.Options{}); err != nil {
+		if err := w.orchestrate(v, specs.GrayScott(m), core.Options{}); err != nil {
 			return nil, err
 		}
 	}
@@ -279,7 +200,7 @@ func runOverProvisioned(seed int64, m apps.Machine, v Variant) (*GSResult, error
 	// before evaluation resumes.
 	acfg := arbiter.DefaultConfig()
 	acfg.SettleDelay = 4 * time.Minute
-	if err := w.orchestrate(v, GrayScottXML(m), core.Options{Arbiter: acfg}); err != nil {
+	if err := w.orchestrate(v, specs.GrayScott(m), core.Options{Arbiter: acfg}); err != nil {
 		return nil, err
 	}
 	if err := w.launch(v, apps.GrayScottWorkflowID); err != nil {

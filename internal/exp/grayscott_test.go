@@ -5,7 +5,31 @@ import (
 	"testing"
 
 	"dyflow/internal/apps"
+	"dyflow/internal/core/spec"
+	"dyflow/specs"
 )
+
+// TestGrayScottDocumentsMatchThresholds: the INC_ON_PACE and DEC_ON_PACE
+// thresholds of each machine's Gray-Scott document are gsThresholds, the
+// numbers the Figure 8/9 and §4.4 reports judge pace by.
+func TestGrayScottDocumentsMatchThresholds(t *testing.T) {
+	for _, m := range []apps.Machine{apps.Summit, apps.Deepthought2} {
+		cfg, err := spec.CompileString(specs.GrayScott(m))
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		inc, dec := gsThresholds(m)
+		for id, want := range map[string]float64{"INC_ON_PACE": inc, "DEC_ON_PACE": dec} {
+			p := cfg.Policies[id]
+			if p == nil {
+				t.Fatalf("%v: the Gray-Scott document has no %s policy", m, id)
+			}
+			if p.Threshold != want {
+				t.Errorf("%v: %s threshold = %g, gsThresholds says %g", m, id, p.Threshold, want)
+			}
+		}
+	}
+}
 
 // TestGrayScottSummitReproducesFigure8 checks the headline shape of the
 // paper's under-provisioning experiment: two adaptations growing

@@ -11,6 +11,7 @@ import (
 
 	"dyflow/internal/apps"
 	"dyflow/internal/sim"
+	"dyflow/specs"
 )
 
 // TestRunJobQuickstartDeterministic is the foundation the campaign
@@ -100,7 +101,7 @@ func TestJobNormalizeAndKey(t *testing.T) {
 	}
 	// A disk-scan glob that can never match is a submission error (the
 	// service answers 400), not a policy that silently never fires.
-	badGlob := strings.Replace(XGCXML(apps.Summit), `info-source="out/xgc1.*.bp"`, `info-source="out/[.bp"`, 1)
+	badGlob := strings.Replace(specs.XGC(apps.Summit), `info-source="out/xgc1.*.bp"`, `info-source="out/[.bp"`, 1)
 	if _, err := (Job{Scenario: ScenarioXGC, XML: badGlob}).Normalized(); err == nil || !strings.Contains(err.Error(), `monitor-task "XGC1"`) {
 		t.Fatalf("malformed disk-scan glob: err = %v, want one naming monitor-task XGC1", err)
 	}

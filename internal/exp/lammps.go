@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"time"
 
 	"dyflow/internal/apps"
@@ -9,67 +8,8 @@ import (
 	"dyflow/internal/core"
 	"dyflow/internal/sim"
 	"dyflow/internal/task"
+	"dyflow/specs"
 )
-
-// LAMMPSXML is the orchestration document for the failure-resilience
-// experiment — the complete version of paper Figure 10: a STATUS sensor
-// over the scheduler-written exit files and a RESTART_ON_FAILURE policy
-// per task firing on exit codes above 128 (signal deaths).
-func LAMMPSXML(m apps.Machine) string {
-	monitor := ""
-	applies := ""
-	for _, name := range []string{"LAMMPS", "CS_Calc", "CNA_Calc", "RDF_Calc"} {
-		monitor += fmt.Sprintf(`
-      <monitor-task name="%s" workflowId="MD-WORKFLOW">
-        <use-sensor sensor-id="STATUS" info="exitcode"/>
-      </monitor-task>`, name)
-		applies += fmt.Sprintf(`
-      <apply-policy policyId="RESTART_ON_FAILURE" assess-task="%s">
-        <act-on-tasks>%s</act-on-tasks>
-      </apply-policy>`, name, name)
-	}
-	return fmt.Sprintf(`
-<dyflow>
-  <monitor>
-    <sensors>
-      <sensor id="STATUS" type="ERRORSTATUS">
-        <group-by><group granularity="task" reduction-operation="FIRST"/></group-by>
-      </sensor>
-    </sensors>
-    <monitor-tasks>%s
-    </monitor-tasks>
-  </monitor>
-  <decision>
-    <policies>
-      <policy id="RESTART_ON_FAILURE">
-        <eval operation="GT" threshold="128"/>
-        <sensors-to-use><use-sensor id="STATUS" granularity="task"/></sensors-to-use>
-        <action>RESTART</action>
-        <frequency seconds="5"/>
-      </policy>
-    </policies>
-    <apply-on workflowId="MD-WORKFLOW">%s
-    </apply-on>
-  </decision>
-  <arbitration>
-    <rules>
-      <rule-for workflowId="MD-WORKFLOW">
-        <task-priorities>
-          <task-priority name="LAMMPS" priority="0"/>
-          <task-priority name="CS_Calc" priority="1"/>
-          <task-priority name="CNA_Calc" priority="2"/>
-          <task-priority name="RDF_Calc" priority="3"/>
-        </task-priorities>
-        <task-dependencies>
-          <task-dep name="CS_Calc" type="TIGHT" parent="LAMMPS"/>
-          <task-dep name="CNA_Calc" type="TIGHT" parent="LAMMPS"/>
-          <task-dep name="RDF_Calc" type="TIGHT" parent="LAMMPS"/>
-        </task-dependencies>
-      </rule-for>
-    </rules>
-  </arbitration>
-</dyflow>`, monitor, applies)
-}
 
 // LAMMPSResult is the outcome of a failure-resilience run.
 type LAMMPSResult struct {
@@ -108,7 +48,7 @@ func runLAMMPS(seed int64, m apps.Machine, withDyflow bool, v Variant) (*LAMMPSR
 		return nil, err
 	}
 	if withDyflow {
-		if err := w.orchestrate(v, LAMMPSXML(m), core.Options{}); err != nil {
+		if err := w.orchestrate(v, specs.LAMMPS(m), core.Options{}); err != nil {
 			return nil, err
 		}
 	}

@@ -105,7 +105,7 @@ func XGCReport(res *XGCResult, baseline time.Duration) *Report {
 // GrayScottReport builds the Figure 8/9 paper-vs-measured table.
 func GrayScottReport(res *GSResult, baseline *GSResult) *Report {
 	r := &Report{ID: "Figure 8/9", Title: fmt.Sprintf("Gray-Scott under-provisioning (%s)", res.Machine)}
-	inc, dec, _ := gsThresholds(res.Machine)
+	inc, dec := gsThresholds(res.Machine)
 
 	if res.Machine == apps.Summit {
 		sizes := fmt.Sprint(res.IsoSizes)
@@ -206,7 +206,7 @@ func OverProvisionReport(res *GSResult) *Report {
 	r.Add("Isosurface shrinks", "RMCPU fires while pace below floor",
 		fmt.Sprint(res.IsoSizes), len(res.IsoSizes) >= 2 && res.IsoSizes[len(res.IsoSizes)-1] < res.IsoSizes[0])
 	r.Add("cores released", "> 0", fmt.Sprint(res.FreedCores()), res.FreedCores() > 0)
-	_, dec, _ := gsThresholds(res.Machine)
+	_, dec := gsThresholds(res.Machine)
 	r.Add("final pace at/above release floor", fmt.Sprintf(">= ~%.0f s", dec),
 		fmt.Sprintf("%.1f s", res.PaceAfter), res.PaceAfter >= dec*0.8)
 	r.Add("workflow still completes", "yes", fmt.Sprint(res.Completed), res.Completed)

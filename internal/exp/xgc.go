@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"time"
 
 	"dyflow/internal/apps"
@@ -10,113 +9,8 @@ import (
 	"dyflow/internal/fsim"
 	"dyflow/internal/sim"
 	"dyflow/internal/task"
+	"dyflow/specs"
 )
-
-// XGCXML is the orchestration document for the XGC1/XGCa alternation — the
-// complete version of paper Figure 7. The paper's RESTART_UNTIL_COND is
-// expressed with a derived LAG metric (a sensor join of the task-level
-// NSTEPS against the workflow-level front): a code whose own output is
-// strictly behind the workflow front is the one whose turn is next, which
-// is exactly the alternation the prose describes. SWITCH_ON_COND uses the
-// paper's proxy error condition (global step 374); STOP_ON_COND ends the
-// experiment past step 500.
-func XGCXML(m apps.Machine) string {
-	return fmt.Sprintf(`
-<dyflow>
-  <monitor>
-    <sensors>
-      <sensor id="NSTEPS" type="DISKSCAN">
-        <group-by>
-          <group granularity="task" reduction-operation="MAX"/>
-          <group granularity="workflow" reduction-operation="MAX"/>
-        </group-by>
-      </sensor>
-      <sensor id="LAG" type="DISKSCAN">
-        <group-by>
-          <group granularity="task" reduction-operation="MAX"/>
-        </group-by>
-        <join sensor-id="NSTEPS" granularity="workflow" operation="SUB"/>
-      </sensor>
-      <sensor id="ERROR" type="DISKSCAN">
-        <group-by>
-          <group granularity="task" reduction-operation="MAX"/>
-        </group-by>
-      </sensor>
-    </sensors>
-    <monitor-tasks>
-      <monitor-task name="XGC1" workflowId="FUSION-WORKFLOW" info-source="out/xgc1.*.bp">
-        <use-sensor sensor-id="NSTEPS" info="step"/>
-        <use-sensor sensor-id="LAG" info="step"/>
-      </monitor-task>
-      <monitor-task name="XGCA" workflowId="FUSION-WORKFLOW" info-source="out/xgca.*.bp">
-        <use-sensor sensor-id="NSTEPS" info="step"/>
-        <use-sensor sensor-id="LAG" info="step"/>
-        <use-sensor sensor-id="ERROR" info="errnorm"/>
-      </monitor-task>
-    </monitor-tasks>
-  </monitor>
-  <decision>
-    <policies>
-      <policy id="STOP_ON_COND">
-        <eval operation="GT" threshold="500"/>
-        <sensors-to-use><use-sensor id="NSTEPS" granularity="workflow"/></sensors-to-use>
-        <action>STOP</action>
-        <frequency seconds="5"/>
-      </policy>
-      <policy id="SWITCH_ON_COND">
-        <eval operation="EQ" threshold="374"/>
-        <sensors-to-use><use-sensor id="NSTEPS" granularity="workflow"/></sensors-to-use>
-        <action>SWITCH</action>
-        <frequency seconds="1"/>
-      </policy>
-      <policy id="RESTART_XGC1_UNTIL_COND">
-        <eval operation="LT" threshold="0"/>
-        <sensors-to-use><use-sensor id="LAG" granularity="task"/></sensors-to-use>
-        <action>START</action>
-        <frequency seconds="5"/>
-      </policy>
-      <policy id="RESTART_XGCA_UNTIL_COND">
-        <eval operation="LT" threshold="0"/>
-        <sensors-to-use><use-sensor id="LAG" granularity="task"/></sensors-to-use>
-        <action>START</action>
-        <frequency seconds="5"/>
-      </policy>
-    </policies>
-    <apply-on workflowId="FUSION-WORKFLOW">
-      <apply-policy policyId="STOP_ON_COND" assess-task="XGCA">
-        <act-on-tasks>XGC1 XGCA</act-on-tasks>
-      </apply-policy>
-      <apply-policy policyId="SWITCH_ON_COND" assess-task="XGCA">
-        <act-on-tasks>XGC1</act-on-tasks>
-        <action-params><param key="restart-script" value="%s"/></action-params>
-      </apply-policy>
-      <apply-policy policyId="RESTART_XGC1_UNTIL_COND" assess-task="XGC1">
-        <act-on-tasks>XGC1</act-on-tasks>
-        <action-params><param key="restart-script" value="%s"/></action-params>
-      </apply-policy>
-      <apply-policy policyId="RESTART_XGCA_UNTIL_COND" assess-task="XGCA">
-        <act-on-tasks>XGCA</act-on-tasks>
-      </apply-policy>
-    </apply-on>
-  </decision>
-  <arbitration>
-    <rules>
-      <rule-for workflowId="FUSION-WORKFLOW">
-        <task-priorities>
-          <task-priority name="XGC1" priority="0"/>
-          <task-priority name="XGCA" priority="0"/>
-        </task-priorities>
-        <policy-priorities>
-          <policy-priority name="STOP_ON_COND" priority="0"/>
-          <policy-priority name="SWITCH_ON_COND" priority="1"/>
-          <policy-priority name="RESTART_XGC1_UNTIL_COND" priority="2"/>
-          <policy-priority name="RESTART_XGCA_UNTIL_COND" priority="3"/>
-        </policy-priorities>
-      </rule-for>
-    </rules>
-  </arbitration>
-</dyflow>`, apps.XGCRestartScript, apps.XGCRestartScript)
-}
 
 // XGCEvent classifies one dynamic event of the XGC experiment.
 type XGCEvent struct {
@@ -198,7 +92,7 @@ func runXGC(seed int64, m apps.Machine, v Variant) (*XGCResult, error) {
 		PlanCost:     100 * time.Millisecond,
 		GatherWindow: 5 * time.Second,
 	}}
-	if err := w.orchestrate(v, XGCXML(m), opts); err != nil {
+	if err := w.orchestrate(v, specs.XGC(m), opts); err != nil {
 		return nil, err
 	}
 	if err := w.launch(v, apps.XGCWorkflowID); err != nil {
