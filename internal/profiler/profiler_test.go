@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -72,5 +73,39 @@ func TestReattachAfterClose(t *testing.T) {
 	})
 	if err := s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEmitStepDrawParity: a probe draws from the world's shared generator
+// the same values whether or not a reader is attached to its stream, so
+// attaching a sensor (or not) moves no other task's step times. Both
+// streams count every step.
+func TestEmitStepDrawParity(t *testing.T) {
+	s := sim.New(1)
+	reg := stream.NewRegistry(s, obs.NewRegistry())
+	reg.Open(StreamName("read")).Attach(4, stream.DropOldest)
+	readRng, unreadRng := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
+	read := Attach(reg, "read", readRng)
+	unread := Attach(reg, "unread", unreadRng)
+	s.Spawn("task", func(p *sim.Proc) {
+		for i, procs := range []int{0, 1, 5, 64, 3, 0, 128} {
+			d := time.Duration(i+1) * time.Second
+			read.EmitStep(p, i+1, procs, d)
+			unread.EmitStep(p, i+1, procs, d)
+		}
+	})
+	if err := s.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if a, b := readRng.Int63(), unreadRng.Int63(); a != b {
+			t.Fatalf("draw %d after the steps: %d with a reader, %d without", i, a, b)
+		}
+	}
+	if got := read.st.String(); got != "stream(tau.read, 1 readers, 7 produced)" {
+		t.Errorf("read stream = %s", got)
+	}
+	if got := unread.st.String(); got != "stream(tau.unread, 0 readers, 7 produced)" {
+		t.Errorf("unread stream = %s", got)
 	}
 }

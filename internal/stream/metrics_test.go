@@ -100,3 +100,37 @@ func TestStoppedPutPublishesNothing(t *testing.T) {
 		t.Fatalf("backlog gauge %v before Stop, %v after; want 2 both times", before, after)
 	}
 }
+
+// TestProducedCountsUnreadPuts: produced and dyflow_stream_produced_total
+// count every Put, whether or not a reader is attached to take it, and a
+// stream with no reader publishes an empty backlog.
+func TestProducedCountsUnreadPuts(t *testing.T) {
+	s := sim.New(1)
+	reg := obs.NewRegistry()
+	r := NewRegistry(s, reg)
+	unread, read := r.Open("tau.unread"), r.Open("tau.read")
+	read.Attach(2, DropOldest)
+	s.Spawn("producer", func(p *sim.Proc) {
+		for i := 0; i < 5; i++ {
+			unread.Put(p, Step{Index: i})
+			read.Put(p, Step{Index: i})
+		}
+	})
+	if err := s.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if unread.produced != 5 || read.produced != 5 {
+		t.Fatalf("produced = %d unread, %d read; want 5 each", unread.produced, read.produced)
+	}
+	for _, st := range []*Stream{unread, read} {
+		if v := st.mProduced.Value(); v != 5 {
+			t.Errorf("dyflow_stream_produced_total{stream=%q} = %v, want 5", st.name, v)
+		}
+	}
+	if v := unread.mBacklog.Value(); v != 0 {
+		t.Errorf("unread backlog = %v, want 0", v)
+	}
+	if v := unread.mDropped.Value(); v != 0 {
+		t.Errorf("unread dropped = %v, want 0: no reader, nothing to drop", v)
+	}
+}

@@ -366,3 +366,55 @@ func TestAttachAfterCloseSeesEOF(t *testing.T) {
 		t.Fatal("Open must reopen for a new producer incarnation")
 	}
 }
+
+// TestLateReaderSeesOnlyLaterPuts: Put buffers nothing for a reader that
+// is not attached yet, so a reader attached after N puts receives exactly
+// the records put after it attached. A producer may therefore skip
+// building a record nobody is attached to read: no later reader can tell.
+func TestLateReaderSeesOnlyLaterPuts(t *testing.T) {
+	s := sim.New(1)
+	reg := NewRegistry(s, obs.NewRegistry())
+	st := reg.Open("tau.T")
+	var late, later *Reader
+	s.Spawn("producer", func(p *sim.Proc) {
+		for i := 0; i < 7; i++ {
+			switch i {
+			case 3:
+				late = st.Attach(16, DropOldest)
+			case 5:
+				later = st.Attach(16, Block)
+			}
+			if err := st.Put(p, Step{Index: i}); err != nil {
+				t.Errorf("Put %d: %v", i, err)
+			}
+		}
+	})
+	if err := s.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	indexes := func(r *Reader) []int {
+		var out []int
+		for _, rec := range r.Buffered() {
+			out = append(out, rec.Index)
+		}
+		return out
+	}
+	if got, want := indexes(late), []int{3, 4, 5, 6}; !equalInts(got, want) {
+		t.Errorf("reader attached after 3 puts holds %v, want %v", got, want)
+	}
+	if got, want := indexes(later), []int{5, 6}; !equalInts(got, want) {
+		t.Errorf("reader attached after 5 puts holds %v, want %v", got, want)
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
