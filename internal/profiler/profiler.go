@@ -2,6 +2,13 @@
 // completed timestep of an instrumented task publishes a record with the
 // task-level loop time and one value per MPI rank onto a monitoring
 // stream, which DYFLOW's TAUADIOS2 sensor source consumes in real time.
+//
+// A step nobody reads costs nothing: when no sensor is attached to the
+// stream, the probe builds no record and puts a bare Step{Index}, which
+// the stream still counts as produced. It still draws the rank spread,
+// one value per rank and one slowest rank, because the probe shares the
+// world's generator with every task's step loop: a skipped draw would
+// move every later step of every task.
 package profiler
 
 import (
@@ -33,8 +40,20 @@ func Attach(reg *stream.Registry, taskName string, rng *rand.Rand) *Probe {
 // EmitStep publishes one timestep record: Vars carries the loop time (the
 // wall time of the step, set by its slowest rank) and the step number;
 // Array carries per-rank loop times, each within rankSpread below the maximum,
-// so MAX reductions recover the loop time exactly.
+// so MAX reductions recover the loop time exactly. With no reader attached
+// the step is counted but not built; its draws are made all the same (see
+// the package doc).
 func (pr *Probe) EmitStep(p *sim.Proc, globalStep, procs int, loopTime time.Duration) {
+	if !pr.st.HasReaders() {
+		for i := 0; i < procs; i++ {
+			pr.rng.Float64()
+		}
+		if procs > 0 {
+			pr.rng.Intn(procs)
+		}
+		pr.st.Put(p, stream.Step{Index: globalStep})
+		return
+	}
 	base := loopTime.Seconds()
 	ranks := make([]float64, procs)
 	for i := range ranks {

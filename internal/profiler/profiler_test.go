@@ -109,3 +109,20 @@ func TestEmitStepDrawParity(t *testing.T) {
 		t.Errorf("unread stream = %s", got)
 	}
 }
+
+// TestEmitStepUnreadAllocatesNothing: a step with no reader attached
+// builds no record, so it allocates nothing.
+func TestEmitStepUnreadAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := sim.New(1)
+	pr := Attach(stream.NewRegistry(s, obs.NewRegistry()), "T", s.Rand())
+	step := 0
+	if n := testing.AllocsPerRun(100, func() {
+		step++
+		pr.EmitStep(nil, step, 64, time.Second)
+	}); n != 0 {
+		t.Fatalf("an unread EmitStep allocates %v times, want 0", n)
+	}
+}

@@ -134,6 +134,11 @@ func newStream(s *sim.Sim, name string) *Stream {
 // Closed reports whether the producer closed the stream.
 func (st *Stream) Closed() bool { return st.closed }
 
+// HasReaders reports whether any reader is attached. A record put while
+// none is reaches no one (a reader attached later sees only later puts),
+// so a producer may put a bare Step{Index} instead of building one.
+func (st *Stream) HasReaders() bool { return len(st.readers) > 0 }
+
 // Attach connects a new reader with the given buffer capacity (in steps;
 // must be positive for Block mode so backpressure is well-defined) and
 // overflow mode. Readers attach and detach freely at runtime — the paper's
