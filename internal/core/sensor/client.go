@@ -377,6 +377,7 @@ func (c *Client) pollWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorU
 		}
 		c.shipPending(st, tg, def)
 	}
+	path := pollPath(tg, def)
 	for {
 		wake := c.env.Sim.Now() + PollInterval
 		if st.Phase == phaseInterval && st.WakeAt > c.env.Sim.Now() {
@@ -385,7 +386,7 @@ func (c *Client) pollWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorU
 		if err := c.sleepPhase(p, st, phaseInterval, wake); err != nil {
 			return
 		}
-		pend, ok := c.pollOnce(tg, use, def)
+		pend, ok := c.pollOnce(tg, use, def, path)
 		if !ok {
 			continue
 		}
@@ -433,9 +434,19 @@ func (c *Client) selfWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorU
 	}
 }
 
-// pollOnce reads the current state of a disk-based source. A DISKSCAN
-// reading names the extraction it is.
-func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef) (PendingShip, bool) {
+// pollPath is the file a FILE or ERRORSTATUS target reads, resolved once
+// per target: an ERRORSTATUS target without an InfoSource reads its task's
+// exit-status file.
+func pollPath(tg spec.MonitorTarget, def *spec.SensorDef) string {
+	if def.Source == spec.SourceErrorStatus && tg.InfoSource == "" {
+		return task.StatusPath(tg.Workflow, tg.Task)
+	}
+	return tg.InfoSource
+}
+
+// pollOnce reads the current state of a disk-based source; path is the
+// target's pollPath. A DISKSCAN reading names the extraction it is.
+func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef, path string) (PendingShip, bool) {
 	info := use.Info
 	switch def.Source {
 	case spec.SourceDiskScan:
@@ -446,7 +457,7 @@ func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.S
 		sc.refresh()
 		return PendingShip{Readings: sc.readings, Step: sc.step, GenAt: sc.genAt, scan: sc, gen: sc.gen}, len(sc.readings) > 0
 	case spec.SourceFile:
-		f := c.env.FS.Lookup(tg.InfoSource)
+		f := c.env.FS.Lookup(path)
 		if f == nil {
 			return PendingShip{}, false
 		}
@@ -470,10 +481,6 @@ func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.S
 		}
 		return PendingShip{Readings: []float64{rec.Value}, Step: rec.Step, GenAt: rec.At}, true
 	case spec.SourceErrorStatus:
-		path := tg.InfoSource
-		if path == "" {
-			path = task.StatusPath(tg.Workflow, tg.Task)
-		}
 		if info == "" {
 			info = "exitcode"
 		}

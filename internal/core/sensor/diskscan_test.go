@@ -58,7 +58,7 @@ func (r *scanRig) poll() ([]float64, int, sim.Time, bool) {
 }
 
 func (r *scanRig) pollUse(use spec.SensorUse) ([]float64, int, sim.Time, bool) {
-	pend, ok := r.c.pollOnce(r.tg, use, r.def)
+	pend, ok := r.c.pollOnce(r.tg, use, r.def, pollPath(r.tg, r.def))
 	return pend.Readings, pend.Step, pend.GenAt, ok
 }
 

@@ -142,7 +142,8 @@ type Spec struct {
 	// OutputEvery writes an output file every N completed steps (0 = none).
 	OutputEvery int
 	// OutputPattern is the fs path pattern for outputs; it receives the
-	// global step number (e.g. "out/xgc1.%05d.bp").
+	// global step number (e.g. "out/xgc1.%05d.bp") through its one %d or
+	// %0Nd verb (see CheckOutputPattern).
 	OutputPattern string
 	// OutputVars, if non-nil, computes additional output-file variables
 	// (e.g. XGCa's synthetic error norm). The returned slice is copied
@@ -183,7 +184,7 @@ func ProfileStreamName(task string) string { return profiler.StreamName(task) }
 
 // StatusPath returns the fs path of the Savanna-style exit-status file.
 func StatusPath(workflow, task string) string {
-	return fmt.Sprintf("status/%s/%s.exit", workflow, task)
+	return "status/" + workflow + "/" + task + ".exit"
 }
 
 // State is an instance's lifecycle state.
@@ -238,15 +239,23 @@ type Instance struct {
 	consumer   *stream.Reader
 	producer   *stream.Stream
 	probe      *profiler.Probe
+	out        outputPath // Spec.OutputPattern, split once
 }
 
 // errAbort terminates the step loop immediately (crash path).
 var errAbort = errors.New("task: aborted")
 
 // Launch starts a new incarnation of spec on placement. incarnation numbers
-// restarts of the same task (0 for the first launch).
+// restarts of the same task (0 for the first launch). It panics on an
+// OutputPattern that CheckOutputPattern rejects; wms.Savanna.Compose
+// rejects such a spec first.
 func Launch(env *Env, spec Spec, placement Placement, incarnation int) *Instance {
+	out, err := parseOutputPattern(spec.OutputPattern)
+	if err != nil {
+		panic(err)
+	}
 	in := &Instance{
+		out:         out,
 		Spec:        spec,
 		Placement:   placement,
 		Incarnation: incarnation,
@@ -478,7 +487,8 @@ func (in *Instance) noteStep(globalStep int, loopTime time.Duration, p *sim.Proc
 		in.env.DB.Put(in.Spec.PublishDBKey, globalStep, loopTime.Seconds())
 	}
 	if in.Spec.OutputEvery > 0 && in.stepsDone%in.Spec.OutputEvery == 0 && in.Spec.OutputPattern != "" {
-		path := fmt.Sprintf(in.Spec.OutputPattern, globalStep)
+		var name [64]byte
+		path := string(in.out.append(name[:0], globalStep))
 		// Write copies vars and keeps none, so buf stays on the stack.
 		var buf [4]fsim.Var
 		vars := append(buf[:0], fsim.Var{Name: "step", Value: float64(globalStep)})

@@ -428,9 +428,11 @@ func TestOutputVarsMergeIntoFiles(t *testing.T) {
 	}
 }
 
-// TestOutputWriteAllocations: an output step allocates its path, the File
-// and one array for its variables — merging the hook's variables into the
-// step's costs nothing beyond what the hook itself allocates.
+// TestOutputWriteAllocations: an output step allocates its path string,
+// the File and one array for its variables — building the path from the
+// pattern split at launch costs nothing beyond the string, and merging the
+// hook's variables into the step's costs nothing beyond what the hook
+// itself allocates.
 func TestOutputWriteAllocations(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -440,20 +442,20 @@ func TestOutputWriteAllocations(t *testing.T) {
 		if extra != nil {
 			spec.OutputVars = func(int) []fsim.Var { return extra }
 		}
-		in := &Instance{env: newEnv(1), Spec: spec}
+		out, err := parseOutputPattern(spec.OutputPattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := &Instance{env: newEnv(1), Spec: spec, out: out}
 		g := 1000
-		path := testing.AllocsPerRun(1000, func() {
-			_ = fmt.Sprintf(spec.OutputPattern, g)
-			g++
-		})
 		// The index's amortized growth is under one allocation per
 		// thousand creations, which AllocsPerRun's average rounds away.
 		step := testing.AllocsPerRun(1000, func() {
 			in.noteStep(g, 0, nil)
 			g++
 		})
-		if step != path+2 {
-			t.Errorf("%d hook vars: an output step allocates %v times, want %v (path) + 2 (File, vars)", len(extra), step, path)
+		if step != 3 {
+			t.Errorf("%d hook vars: an output step allocates %v times, want 3 (path, File, vars)", len(extra), step)
 		}
 		f := in.env.FS.Lookup(fmt.Sprintf(spec.OutputPattern, g-1))
 		if want := 1 + len(extra); len(f.Vars) != want || cap(f.Vars) != want {

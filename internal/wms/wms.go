@@ -162,10 +162,16 @@ func (sv *Savanna) emit(ev Event) {
 
 func key(workflow, taskName string) string { return workflow + "/" + taskName }
 
-// Compose registers a workflow specification.
+// Compose registers a workflow specification. It rejects a task whose
+// OutputPattern task.Launch would not accept, registering nothing.
 func (sv *Savanna) Compose(spec *WorkflowSpec) error {
 	if _, ok := sv.workflows[spec.ID]; ok {
 		return fmt.Errorf("wms: workflow %q already composed", spec.ID)
+	}
+	for _, cfg := range spec.Tasks {
+		if err := task.CheckOutputPattern(cfg.Spec.OutputPattern); err != nil {
+			return fmt.Errorf("wms: workflow %q task %q: %w", spec.ID, cfg.Spec.Name, err)
+		}
 	}
 	sv.workflows[spec.ID] = spec
 	for _, cfg := range spec.Tasks {

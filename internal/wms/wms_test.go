@@ -439,3 +439,22 @@ func TestAccessorsAndResourcePassthrough(t *testing.T) {
 		t.Fatal("double compose should fail")
 	}
 }
+
+// TestComposeRejectsOutputPattern: a task whose OutputPattern is not one
+// %d or %0Nd verb fails Compose, and the workflow stays uncomposed.
+func TestComposeRejectsOutputPattern(t *testing.T) {
+	b := newBench(t, 2)
+	wf := simpleWF(1)
+	wf.Tasks[0].Spec.OutputEvery = 1
+	wf.Tasks[0].Spec.OutputPattern = "out/sim.%s.bp"
+	if err := b.sv.Compose(wf); err == nil {
+		t.Fatal("Compose accepted an output pattern with a string verb")
+	}
+	if b.sv.Workflow("WF") != nil || b.sv.Instance("WF", "Sim") != nil {
+		t.Fatal("a rejected workflow was registered")
+	}
+	wf.Tasks[0].Spec.OutputPattern = "out/sim.%05d.bp"
+	if err := b.sv.Compose(wf); err != nil {
+		t.Fatalf("Compose after the fix: %v", err)
+	}
+}
