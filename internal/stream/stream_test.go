@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -399,22 +400,10 @@ func TestLateReaderSeesOnlyLaterPuts(t *testing.T) {
 		}
 		return out
 	}
-	if got, want := indexes(late), []int{3, 4, 5, 6}; !equalInts(got, want) {
+	if got, want := indexes(late), []int{3, 4, 5, 6}; !slices.Equal(got, want) {
 		t.Errorf("reader attached after 3 puts holds %v, want %v", got, want)
 	}
-	if got, want := indexes(later), []int{5, 6}; !equalInts(got, want) {
+	if got, want := indexes(later), []int{5, 6}; !slices.Equal(got, want) {
 		t.Errorf("reader attached after 5 puts holds %v, want %v", got, want)
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
