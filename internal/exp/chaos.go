@@ -139,7 +139,7 @@ func RunChaosVariant(seed int64, m apps.Machine, opts ChaosOptions, v Variant) (
 	if err := w.SV.Compose(apps.GrayScottWorkflow(m)); err != nil {
 		return nil, err
 	}
-	if err := w.orchestrate(v, spliceRecovery(specs.GrayScott(m)), core.Options{}); err != nil {
+	if err := w.orchestrate(v, specs.GrayScott(m), true, core.Options{}); err != nil {
 		return nil, err
 	}
 

@@ -2,11 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"dyflow/internal/apps"
+	"dyflow/specs"
 )
 
 // renderChaos reduces a campaign to its golden surface: the full Gantt
@@ -103,6 +105,45 @@ func TestOrchestratorKillKeepsTimeline(t *testing.T) {
 				t.Errorf("%v seed %d: the timeline of a run killed twice (%d bytes) differs from the uninterrupted run's (%d bytes)",
 					m, seed, len(got), len(want))
 			}
+		}
+	}
+}
+
+// TestOrchestratorKillOverSharedDocs: a chaos run whose orchestrator is
+// killed twice, its successors built over the compiled document the
+// run's Docs shares with every other job, ends with the uninterrupted
+// run's timeline, and the shared document still equals a fresh compile.
+func TestOrchestratorKillOverSharedDocs(t *testing.T) {
+	var d Docs
+	for _, m := range []apps.Machine{apps.Summit, apps.Deepthought2} {
+		timeline := func(kills int) []byte {
+			opts := DefaultChaosOptions()
+			opts.OrchKills = kills
+			res, err := RunChaosVariant(1, m, opts, Variant{docs: &d})
+			if err != nil {
+				t.Fatalf("%v, %d kills: %v", m, kills, err)
+			}
+			defer res.W.Close()
+			if res.OrchKills != kills {
+				t.Fatalf("%v: %d orchestrator kills fired, want %d", m, res.OrchKills, kills)
+			}
+			if want, _ := d.compile(specs.GrayScott(m), true); res.W.orchCfg != want {
+				t.Fatalf("%v: the last orchestrator runs on its own compile, not the shared document", m)
+			}
+			doc, err := perfettoJSON(res.W)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return doc
+		}
+		want, got := timeline(0), timeline(2)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v: the timeline of a run killed twice over the shared document (%d bytes) differs from the uninterrupted run's (%d bytes)",
+				m, len(got), len(want))
+		}
+		shared, _ := d.compile(specs.GrayScott(m), true)
+		if fresh, err := compileDoc(docKey{specs.GrayScott(m), true}); err != nil || !reflect.DeepEqual(shared, fresh) {
+			t.Errorf("%v: the shared chaos document no longer equals a fresh compile (%v)", m, err)
 		}
 	}
 }

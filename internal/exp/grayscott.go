@@ -65,7 +65,7 @@ func RunGrayScottVariant(seed int64, m apps.Machine, withDyflow bool, v Variant)
 		return nil, err
 	}
 	if withDyflow {
-		if err := w.orchestrate(v, specs.GrayScott(m), core.Options{}); err != nil {
+		if err := w.orchestrate(v, specs.GrayScott(m), false, core.Options{}); err != nil {
 			return nil, err
 		}
 	}
@@ -200,7 +200,7 @@ func runOverProvisioned(seed int64, m apps.Machine, v Variant) (*GSResult, error
 	// before evaluation resumes.
 	acfg := arbiter.DefaultConfig()
 	acfg.SettleDelay = 4 * time.Minute
-	if err := w.orchestrate(v, specs.GrayScott(m), core.Options{Arbiter: acfg}); err != nil {
+	if err := w.orchestrate(v, specs.GrayScott(m), false, core.Options{Arbiter: acfg}); err != nil {
 		return nil, err
 	}
 	if err := w.launch(v, apps.GrayScottWorkflowID); err != nil {

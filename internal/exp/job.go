@@ -117,6 +117,13 @@ func lookup(name string) *scenario {
 // validates it, compiling a supplied XML document so malformed submissions
 // fail fast instead of burning a worker slot.
 func (j Job) Normalized() (Job, error) {
+	j, _, err := j.normalize()
+	return j, err
+}
+
+// normalize is Normalized that also returns the job's own document as it
+// compiled it, nil when the job runs its scenario's shipped one.
+func (j Job) normalize() (Job, *spec.Config, error) {
 	j.Scenario = strings.ToLower(strings.TrimSpace(j.Scenario))
 	j.Machine = strings.ToLower(strings.TrimSpace(j.Machine))
 	switch j.Machine {
@@ -125,17 +132,19 @@ func (j Job) Normalized() (Job, error) {
 	case "dt2", "deepthought2":
 		j.Machine = "dt2"
 	default:
-		return j, fmt.Errorf("exp: unknown machine %q (want summit or dt2)", j.Machine)
+		return j, nil, fmt.Errorf("exp: unknown machine %q (want summit or dt2)", j.Machine)
 	}
 	if lookup(j.Scenario) == nil {
-		return j, fmt.Errorf("exp: unknown scenario %q (want one of %s)", j.Scenario, strings.Join(Scenarios(), ", "))
+		return j, nil, fmt.Errorf("exp: unknown scenario %q (want one of %s)", j.Scenario, strings.Join(Scenarios(), ", "))
 	}
-	if j.XML != "" {
-		if _, err := spec.CompileString(j.XML); err != nil {
-			return j, fmt.Errorf("exp: job spec: %w", err)
-		}
+	if j.XML == "" {
+		return j, nil, nil
 	}
-	return j, nil
+	cfg, err := spec.CompileString(j.XML)
+	if err != nil {
+		return j, nil, fmt.Errorf("exp: job spec: %w", err)
+	}
+	return j, cfg, nil
 }
 
 // machine maps the job's machine name to the apps constant.
@@ -182,14 +191,18 @@ type JobOutcome struct {
 // RunJob owns the world it builds and closes it on every return — finished,
 // cancelled through OnProgress, or failed — so a caller that kept the
 // pointer from configure may read the world afterwards but never has to
-// release it.
+// release it. It compiles the scenario's document afresh and keeps
+// nothing; a worker that runs many jobs keeps a Docs and calls its RunJob.
 func RunJob(j Job, configure func(*World) error) (*JobOutcome, error) {
-	j, err := j.Normalized()
-	if err != nil {
-		return nil, err
-	}
+	var fresh *Docs
+	return fresh.RunJob(j, configure)
+}
+
+// run executes the normalized job j, whose own document, if it has one,
+// compiled to cfg; the shipped documents compile through d.
+func (d *Docs) run(j Job, cfg *spec.Config, configure func(*World) error) (*JobOutcome, error) {
 	// Every runner hands its world to the configure hook before anything
-	// runs. RunJob takes the world from there and not from the runner's
+	// runs. run takes the world from there and not from the runner's
 	// result, because a runner that fails returns none.
 	var w *World
 	defer func() {
@@ -197,13 +210,14 @@ func RunJob(j Job, configure func(*World) error) (*JobOutcome, error) {
 			w.Close()
 		}
 	}()
-	rep, conv, err := lookup(j.Scenario).run(j.Seed, j.machine(), Variant{XML: j.XML, Configure: func(built *World) error {
+	v := Variant{XML: j.XML, cfg: cfg, docs: d, Configure: func(built *World) error {
 		w = built
 		if configure == nil {
 			return nil
 		}
 		return configure(built)
-	}})
+	}}
+	rep, conv, err := lookup(j.Scenario).run(j.Seed, j.machine(), v)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +361,7 @@ func runQuickstart(seed int64, m apps.Machine, v Variant) (*Report, bool, error)
 		PlanCost:     100 * time.Millisecond,
 		GatherWindow: 5 * time.Second,
 	}}
-	if err := w.orchestrate(v, quickstartXML, opts); err != nil {
+	if err := w.orchestrate(v, quickstartXML, false, opts); err != nil {
 		return nil, false, err
 	}
 	if err := w.launch(v, quickstartWorkflowID); err != nil {

@@ -48,7 +48,7 @@ func runLAMMPS(seed int64, m apps.Machine, withDyflow bool, v Variant) (*LAMMPSR
 		return nil, err
 	}
 	if withDyflow {
-		if err := w.orchestrate(v, specs.LAMMPS(m), core.Options{}); err != nil {
+		if err := w.orchestrate(v, specs.LAMMPS(m), false, core.Options{}); err != nil {
 			return nil, err
 		}
 	}

@@ -79,6 +79,13 @@ type Variant struct {
 	// Configure, when set, is called on the freshly built world before
 	// anything runs in it; the campaign service attaches OnProgress here.
 	Configure func(*World) error
+
+	// cfg is XML as RunJob's validation compiled it, so the job's own
+	// document is compiled once; nil when the runner is to compile XML.
+	cfg *spec.Config
+	// docs compiles the scenario's shipped document, once per worker;
+	// nil compiles it afresh for this run.
+	docs *Docs
 }
 
 // NewWorld builds a world on the given machine with nodes allocated to the
@@ -120,12 +127,19 @@ func (w *World) StartOrchestration(xml string, opts core.Options) error {
 	if err != nil {
 		return err
 	}
+	w.startOrchestration(cfg, opts)
+	return nil
+}
+
+// startOrchestration builds the orchestrator over the compiled document
+// and starts its stage services. cfg may be shared with other worlds:
+// nothing writes it.
+func (w *World) startOrchestration(cfg *spec.Config, opts core.Options) {
 	w.orchCfg = cfg
 	w.orchOpts = opts
 	w.Orch = core.New(w.Env, w.SV, cfg, opts, w.Trace, w.rounds)
 	w.Rec.AttachOrchestrator(w.Orch)
 	w.Orch.Start()
-	return nil
 }
 
 // RestartOrchestrator kills the orchestrator and restores its successor
@@ -162,17 +176,33 @@ func (w *World) restartFrom(blob []byte) error {
 	return nil
 }
 
-// orchestrate starts DYFLOW on the world with the scenario's document and
-// orchestrator options, or the variant's document and guards where it sets
-// them.
-func (w *World) orchestrate(v Variant, xml string, opts core.Options) error {
-	if v.XML != "" {
-		xml = v.XML
-	}
+// orchestrate starts DYFLOW on the world with the scenario's shipped
+// document (with the chaos recovery policies spliced in when recovery is
+// set) and orchestrator options, or the variant's document and guards
+// where it sets them. The shipped document compiles through the variant's
+// Docs; the variant's own document is never kept.
+func (w *World) orchestrate(v Variant, xml string, recovery bool, opts core.Options) error {
 	if v.Arbiter != nil {
 		opts.Arbiter = *v.Arbiter
 	}
-	return w.StartOrchestration(xml, opts)
+	cfg, err := v.config(xml, recovery)
+	if err != nil {
+		return err
+	}
+	w.startOrchestration(cfg, opts)
+	return nil
+}
+
+// config returns the compiled document a run orchestrates with: the
+// variant's own, or else the shipped xml through the variant's Docs.
+func (v Variant) config(xml string, recovery bool) (*spec.Config, error) {
+	switch {
+	case v.cfg != nil:
+		return v.cfg, nil
+	case v.XML != "":
+		return spec.CompileString(v.XML)
+	}
+	return v.docs.compile(xml, recovery)
 }
 
 // launch hands the world to the variant's Configure hook and then launches

@@ -92,7 +92,7 @@ func runXGC(seed int64, m apps.Machine, v Variant) (*XGCResult, error) {
 		PlanCost:     100 * time.Millisecond,
 		GatherWindow: 5 * time.Second,
 	}}
-	if err := w.orchestrate(v, specs.XGC(m), opts); err != nil {
+	if err := w.orchestrate(v, specs.XGC(m), false, opts); err != nil {
 		return nil, err
 	}
 	if err := w.launch(v, apps.XGCWorkflowID); err != nil {

@@ -58,7 +58,7 @@ type WorkerOptions struct {
 const maxSpanBuffer = 1024
 
 // Worker is one fleet member: it registers with its coordinator, then each
-// slot loops claim → execute (exp.RunJob, heartbeating the lease on
+// slot loops claim → execute (exp.Docs.RunJob, heartbeating the lease on
 // wall-clock cadence) → upload blobs → report the result. Determinism
 // makes abandoning work safe at any point: the coordinator's lease expiry
 // requeues the run and its re-execution is byte-identical.
@@ -91,6 +91,11 @@ type Worker struct {
 	killed atomic.Bool
 
 	completed atomic.Int64
+
+	// docs compiles each shipped orchestration document once for the
+	// worker's whole life, shared by every slot; a job's own XML is
+	// compiled for that job and not kept.
+	docs exp.Docs
 
 	// reg holds the worker's dyflow_worker_* families; its snapshots are
 	// pushed to the coordinator once per third of the lease TTL, and once
@@ -353,7 +358,7 @@ func (w *Worker) execute(claim ClaimResponse) {
 
 	spans := &spanBuffer{cap: maxSpanBuffer, drops: w.metSpanDrops}
 
-	out, err := exp.RunJob(claim.Job, func(world *exp.World) error {
+	out, err := w.docs.RunJob(claim.Job, func(world *exp.World) error {
 		if world.Orch != nil {
 			world.Trace.SetOnComplete(func(sp trace.Span) {
 				spans.add(sp.Record())
