@@ -41,8 +41,9 @@ type Plugin interface {
 	// StopTask signals the task and waits for it to terminate and release
 	// its resources. Graceful stops wait for the current timestep.
 	StopTask(p *sim.Proc, workflow, task string, graceful bool) error
-	// ResourceStatus reports allocation health (get_resource_status).
-	ResourceStatus() resmgr.Status
+	// UnhealthyNodes lists the allocated nodes out of service
+	// (get_resource_status).
+	UnhealthyNodes() []cluster.NodeID
 }
 
 // SavannaPlugin adapts the Savanna runtime to the Plugin interface.
@@ -67,8 +68,8 @@ func (sp *SavannaPlugin) StopTask(p *sim.Proc, workflow, taskName string, gracef
 	return sp.SV.StopTask(p, workflow, taskName, graceful)
 }
 
-// ResourceStatus reports the current allocation status.
-func (sp *SavannaPlugin) ResourceStatus() resmgr.Status { return sp.SV.ResourceStatus() }
+// UnhealthyNodes lists the allocated nodes currently out of service.
+func (sp *SavannaPlugin) UnhealthyNodes() []cluster.NodeID { return sp.SV.UnhealthyNodes() }
 
 // Retryable classifies an op failure: transient failures — a carve or
 // assignment short on resources (a node may have died between planning and
@@ -151,7 +152,7 @@ func (ex *Executor) startWithRetry(p *sim.Proc, op arbiter.Op) (attempts int, er
 	}
 	backoff := ex.retry.Backoff
 	for attempt := 1; ; attempt++ {
-		addExclude(ex.plugin.ResourceStatus().UnhealthyNodes)
+		addExclude(ex.plugin.UnhealthyNodes())
 		err = ex.plugin.StartTaskWithResources(p, op.Workflow, op.Task, op.Procs, op.PerNode, op.Script, cluster.SortNodeIDs(exclude))
 		if err == nil {
 			if attempt > 1 {

@@ -2,6 +2,7 @@ package actuate
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 
 type rig struct {
 	s  *sim.Sim
+	c  *cluster.Cluster
 	rm *resmgr.Manager
 	sv *wms.Savanna
 	ex *Executor
@@ -52,7 +54,7 @@ func newRig(t *testing.T) *rig {
 		},
 	})
 	tr := trace.New(reg)
-	return &rig{s: s, rm: rm, sv: sv, ex: NewExecutor(&SavannaPlugin{SV: sv}, tr), tr: tr}
+	return &rig{s: s, c: c, rm: rm, sv: sv, ex: NewExecutor(&SavannaPlugin{SV: sv}, tr), tr: tr}
 }
 
 // ops returns the actuation ops tr recorded, in execution order.
@@ -326,13 +328,21 @@ func TestExecuteReportsStopAppliedStartAborted(t *testing.T) {
 	}
 }
 
-func TestResourceStatusPassThrough(t *testing.T) {
+// TestUnhealthyNodesPassThrough: the plugin reports the allocation's
+// failed nodes, in node order, and nothing once every node is back.
+func TestUnhealthyNodesPassThrough(t *testing.T) {
 	r := newRig(t)
-	st := r.ex.plugin.ResourceStatus()
-	if len(st.AllocatedNodes) != 3 {
-		t.Fatalf("allocated = %v", st.AllocatedNodes)
+	if got := r.ex.plugin.UnhealthyNodes(); got != nil {
+		t.Fatalf("unhealthy = %v on a healthy allocation", got)
 	}
-	if st.FreeCores.Total() != 60 {
-		t.Fatalf("free = %d", st.FreeCores.Total())
+	r.c.FailNode("node002")
+	r.c.FailNode("node000")
+	if got := r.ex.plugin.UnhealthyNodes(); !slices.Equal(got, []cluster.NodeID{"node000", "node002"}) {
+		t.Fatalf("unhealthy = %v, want [node000 node002]", got)
+	}
+	r.c.RestoreNode("node000")
+	r.c.RestoreNode("node002")
+	if got := r.ex.plugin.UnhealthyNodes(); got != nil {
+		t.Fatalf("unhealthy = %v after every node healed", got)
 	}
 }

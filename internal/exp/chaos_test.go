@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,16 +26,15 @@ import (
 // healthy cores equals the healthy allocated capacity.
 func conservationHolds(t *testing.T, rm *resmgr.Manager, c *cluster.Cluster) {
 	t.Helper()
-	st := rm.Status()
 	healthyCap := 0
-	for _, id := range st.AllocatedNodes {
+	for _, id := range rm.AllocatedNodes() {
 		if n := c.Node(id); n != nil && n.Healthy() {
 			healthyCap += n.Cores
 		}
 	}
-	total := st.FreeCores.Total()
-	for _, rs := range st.AssignedCores {
-		total += rs.Total()
+	total := rm.Free().Total()
+	for _, owner := range rm.Owners() {
+		total += rm.Assigned(owner).Total()
 	}
 	if total != healthyCap {
 		t.Fatalf("conservation violated: free+assigned=%d, healthy capacity=%d", total, healthyCap)
@@ -77,9 +77,8 @@ func TestChaosNodeFailureDuringAdaptation(t *testing.T) {
 		}
 	}
 	// The failed node carries no assignments.
-	st := w.RM.Status()
-	for owner, rs := range st.AssignedCores {
-		if rs["node004"] != 0 {
+	for _, owner := range w.RM.Owners() {
+		if rs := w.RM.Assigned(owner); rs["node004"] != 0 {
 			t.Fatalf("%s still assigned on the failed node: %v", owner, rs)
 		}
 	}
@@ -338,5 +337,56 @@ func TestChaosCampaignConverges(t *testing.T) {
 func TestChaosLaunchSurvivesInjectedCarveFault(t *testing.T) {
 	if _, err := RunJob(Job{Scenario: ScenarioChaos, Machine: "summit", Seed: 7}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// statusUnhealthy is the extraction Actuation used to make of the
+// resource manager's whole status: the allocated nodes, in order, that are
+// out of service.
+func statusUnhealthy(w *World) []cluster.NodeID {
+	var out []cluster.NodeID
+	for _, id := range w.RM.AllocatedNodes() {
+		if n := w.Cluster.Node(id); n != nil && !n.Healthy() {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TestProperty_UnhealthyNodes_EqualsStatus: what Actuation asks before
+// each start attempt, Savanna's UnhealthyNodes, equals the unhealthy
+// nodes the full status reported, at every node kill and heal and every
+// tick of chaos campaigns on both machines.
+func TestProperty_UnhealthyNodes_EqualsStatus(t *testing.T) {
+	seen := 0
+	for _, m := range []apps.Machine{apps.Summit, apps.Deepthought2} {
+		for seed := int64(1); seed <= 4; seed++ {
+			check := func(w *World, at string) {
+				got, want := w.SV.UnhealthyNodes(), statusUnhealthy(w)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v seed %d %s: UnhealthyNodes() = %v, the status reported %v", m, seed, at, got, want)
+				}
+				if len(want) > 0 {
+					seen++
+				}
+			}
+			res, err := RunChaosVariant(seed, m, DefaultChaosOptions(), Variant{Configure: func(w *World) error {
+				w.Cluster.OnHealthChange(func(n *cluster.Node, healthy bool) {
+					check(w, fmt.Sprintf("%s healthy=%v at %v", n.ID, healthy, w.Sim.Now()))
+				})
+				w.OnProgress = func(now sim.Time) error {
+					check(w, fmt.Sprintf("tick %v", now))
+					return nil
+				}
+				return nil
+			}})
+			if err != nil {
+				t.Fatalf("%v seed %d: %v", m, seed, err)
+			}
+			res.W.Close()
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no check saw an unhealthy node; the campaigns must kill some")
 	}
 }

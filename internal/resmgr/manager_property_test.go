@@ -307,21 +307,15 @@ func (m *parentManager) Carve(total, perNode int, exclude []cluster.NodeID) (Res
 	return nil, fmt.Errorf("%w: carve %d cores (per-node %d), %d short", ErrInsufficient, total, perNode, remaining)
 }
 
-func (m *parentManager) Status() Status {
-	st := Status{
-		AllocatedNodes: m.AllocatedNodes(),
-		FreeCores:      m.Free(),
-		AssignedCores:  make(map[string]ResourceSet),
-	}
-	for _, id := range st.AllocatedNodes {
+// UnhealthyNodes is what the parent's Status reported as unhealthy.
+func (m *parentManager) UnhealthyNodes() []cluster.NodeID {
+	var out []cluster.NodeID
+	for _, id := range m.AllocatedNodes() {
 		if n := m.cluster.Node(id); n != nil && !n.Healthy() {
-			st.UnhealthyNodes = append(st.UnhealthyNodes, id)
+			out = append(out, id)
 		}
 	}
-	for owner, rs := range m.assigned {
-		st.AssignedCores[owner] = rs.Clone()
-	}
-	return st
+	return out
 }
 
 // chooser is the randomness a generated manager program draws from:
@@ -499,8 +493,8 @@ func sameManager(m *Manager, ref *parentManager) error {
 			return fmt.Errorf("Assigned(%s) = %v, reference %v", o, got, want)
 		}
 	}
-	if got, want := m.Status(), ref.Status(); !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("Status() = %+v, reference %+v", got, want)
+	if got, want := m.UnhealthyNodes(), ref.UnhealthyNodes(); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("UnhealthyNodes() = %v, reference %v", got, want)
 	}
 	return nil
 }

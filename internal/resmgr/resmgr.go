@@ -472,33 +472,15 @@ func (m *Manager) Carve(total, perNode int, exclude []cluster.NodeID) (ResourceS
 	return out, nil
 }
 
-// Status summarizes resource health for Arbitration's bookkeeping — the
-// backend of the `get_resource_status` low-level operation.
-type Status struct {
-	// AllocatedNodes is every node in the job allocation, sorted.
-	AllocatedNodes []cluster.NodeID
-	// UnhealthyNodes lists allocated nodes currently out of service.
-	UnhealthyNodes []cluster.NodeID
-	// FreeCores is the healthy unassigned capacity.
-	FreeCores ResourceSet
-	// AssignedCores maps each owner to its healthy assignment.
-	AssignedCores map[string]ResourceSet
-}
-
-// Status captures a point-in-time snapshot.
-func (m *Manager) Status() Status {
-	st := Status{
-		AllocatedNodes: m.AllocatedNodes(),
-		FreeCores:      m.Free(),
-		AssignedCores:  make(map[string]ResourceSet, len(m.assigned)),
-	}
+// UnhealthyNodes lists the allocated nodes currently out of service, in
+// node order, or nil when every node is healthy — the part of the
+// `get_resource_status` low-level operation Actuation steers by.
+func (m *Manager) UnhealthyNodes() []cluster.NodeID {
+	var out []cluster.NodeID
 	for _, id := range m.nodes {
 		if n := m.cluster.Node(id); n != nil && !n.Healthy() {
-			st.UnhealthyNodes = append(st.UnhealthyNodes, id)
+			out = append(out, id)
 		}
 	}
-	for owner, rs := range m.assigned {
-		st.AssignedCores[owner] = rs.Clone()
-	}
-	return st
+	return out
 }

@@ -177,9 +177,8 @@ func TestNodeFailureTrimsAssignments(t *testing.T) {
 	if free := m.Free(); free["node000"] != 0 {
 		t.Fatalf("free on failed node = %d, want 0", free["node000"])
 	}
-	st := m.Status()
-	if len(st.UnhealthyNodes) != 1 || st.UnhealthyNodes[0] != "node000" {
-		t.Fatalf("status unhealthy = %v", st.UnhealthyNodes)
+	if got := m.UnhealthyNodes(); len(got) != 1 || got[0] != "node000" {
+		t.Fatalf("unhealthy = %v", got)
 	}
 }
 

@@ -382,8 +382,9 @@ func (sv *Savanna) ReleaseResources(ids []cluster.NodeID) error {
 	return sv.rm.ReleaseNodes(ids)
 }
 
-// ResourceStatus implements get_resource_status.
-func (sv *Savanna) ResourceStatus() resmgr.Status { return sv.rm.Status() }
+// UnhealthyNodes implements get_resource_status: the allocated nodes
+// currently out of service.
+func (sv *Savanna) UnhealthyNodes() []cluster.NodeID { return sv.rm.UnhealthyNodes() }
 
 // resourceLost crashes the incarnation owning cores on a failed node. An
 // MPI job losing any of its ranks aborts entirely, so the whole instance

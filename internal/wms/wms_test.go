@@ -430,9 +430,8 @@ func TestAccessorsAndResourcePassthrough(t *testing.T) {
 	if err := b.sv.ReleaseResources(ids[:1]); err != nil {
 		t.Fatal(err)
 	}
-	st := b.sv.ResourceStatus()
-	if len(st.AllocatedNodes) != 4 { // 3 initial + 2 requested - 1 released
-		t.Fatalf("allocated = %v", st.AllocatedNodes)
+	if got := b.rm.AllocatedNodes(); len(got) != 4 { // 3 initial + 2 requested - 1 released
+		t.Fatalf("allocated = %v", got)
 	}
 	// Composing twice is rejected.
 	if err := b.sv.Compose(wf); err == nil {
