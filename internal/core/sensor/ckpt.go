@@ -1,6 +1,7 @@
 package sensor
 
 import (
+	"slices"
 	"sort"
 
 	"dyflow/internal/sim"
@@ -120,8 +121,9 @@ func (c *Client) Snapshot() ClientSnapshot {
 			Step:   st.Step,
 		}
 		if st.Pending != nil {
-			// A copy: the live one is the worker's reused pend.
-			ws.Pending = &PendingShip{Readings: st.Pending.Readings, Step: st.Pending.Step, GenAt: st.Pending.GenAt}
+			// A copy: the live one is the worker's reused pend, and a
+			// single reading is its reused one slot.
+			ws.Pending = &PendingShip{Readings: slices.Clone(st.Pending.Readings), Step: st.Pending.Step, GenAt: st.Pending.GenAt}
 		}
 		ws.Buffered = append(ws.Buffered, st.Buffered...)
 		if st.reader != nil {

@@ -118,6 +118,10 @@ type WorkerState struct {
 	// pend is the worker's one pending shipment, reused by every poll and
 	// decode instead of allocated by each.
 	pend PendingShip
+	// one holds the single reading of a FILE, DB, ERRORSTATUS or self
+	// poll: pend.Readings is one[:] until the shipment is built, and build
+	// keeps none of it, so the next poll may overwrite it.
+	one [1]float64
 	// last is what ship last sent for a DISKSCAN extraction.
 	last shipment
 	// series are the descriptors the worker's updates name, interned the
@@ -386,7 +390,7 @@ func (c *Client) pollWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorU
 		if err := c.sleepPhase(p, st, phaseInterval, wake); err != nil {
 			return
 		}
-		pend, ok := c.pollOnce(tg, use, def, path)
+		pend, ok := c.pollOnce(st, tg, use, def, path)
 		if !ok {
 			continue
 		}
@@ -430,7 +434,8 @@ func (c *Client) selfWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorU
 			continue
 		}
 		st.Step++
-		c.ship(st, tg, def, PendingShip{Readings: []float64{v}, Step: st.Step, GenAt: c.env.Sim.Now()})
+		st.one[0] = v
+		c.ship(st, tg, def, PendingShip{Readings: st.one[:], Step: st.Step, GenAt: c.env.Sim.Now()})
 	}
 }
 
@@ -444,9 +449,10 @@ func pollPath(tg spec.MonitorTarget, def *spec.SensorDef) string {
 	return tg.InfoSource
 }
 
-// pollOnce reads the current state of a disk-based source; path is the
-// target's pollPath. A DISKSCAN reading names the extraction it is.
-func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef, path string) (PendingShip, bool) {
+// pollOnce reads the current state of a disk-based source for worker st;
+// path is the target's pollPath. A DISKSCAN reading names the extraction
+// it is; a single reading is st's one slot.
+func (c *Client) pollOnce(st *WorkerState, tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef, path string) (PendingShip, bool) {
 	info := use.Info
 	switch def.Source {
 	case spec.SourceDiskScan:
@@ -466,7 +472,8 @@ func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.S
 			return PendingShip{}, false
 		}
 		step, _ := f.Var("step")
-		return PendingShip{Readings: []float64{v}, Step: int(step), GenAt: f.MTime}, true
+		st.one[0] = v
+		return PendingShip{Readings: st.one[:], Step: int(step), GenAt: f.MTime}, true
 	case spec.SourceDB:
 		if c.env.DB == nil {
 			return PendingShip{}, false
@@ -479,7 +486,8 @@ func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.S
 		if !found {
 			return PendingShip{}, false
 		}
-		return PendingShip{Readings: []float64{rec.Value}, Step: rec.Step, GenAt: rec.At}, true
+		st.one[0] = rec.Value
+		return PendingShip{Readings: st.one[:], Step: rec.Step, GenAt: rec.At}, true
 	case spec.SourceErrorStatus:
 		if info == "" {
 			info = "exitcode"
@@ -492,7 +500,8 @@ func (c *Client) pollOnce(tg spec.MonitorTarget, use spec.SensorUse, def *spec.S
 		if !found {
 			return PendingShip{}, false
 		}
-		return PendingShip{Readings: []float64{v}, GenAt: f.MTime}, true
+		st.one[0] = v
+		return PendingShip{Readings: st.one[:], GenAt: f.MTime}, true
 	}
 	return PendingShip{}, false
 }

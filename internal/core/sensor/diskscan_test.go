@@ -26,6 +26,7 @@ type scanRig struct {
 	tg  spec.MonitorTarget
 	use spec.SensorUse
 	def *spec.SensorDef
+	ws  WorkerState // the polling worker's state
 }
 
 func newScanRig(tb testing.TB) *scanRig {
@@ -58,7 +59,7 @@ func (r *scanRig) poll() ([]float64, int, sim.Time, bool) {
 }
 
 func (r *scanRig) pollUse(use spec.SensorUse) ([]float64, int, sim.Time, bool) {
-	pend, ok := r.c.pollOnce(r.tg, use, r.def, pollPath(r.tg, r.def))
+	pend, ok := r.c.pollOnce(&r.ws, r.tg, use, r.def, pollPath(r.tg, r.def))
 	return pend.Readings, pend.Step, pend.GenAt, ok
 }
 

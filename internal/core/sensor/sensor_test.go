@@ -293,6 +293,33 @@ func TestErrorStatusSensor(t *testing.T) {
 	}
 }
 
+// TestErrorStatusPollAllocatesNothing: an ERRORSTATUS poll that finds
+// its exit-status file holds the reading in the worker's one slot, so
+// the poll makes no allocation.
+func TestErrorStatusPollAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	cfg := compile(t, statusCfg)
+	r := newRig(t, cfg)
+	c := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	tg := cfg.Targets[0]
+	use := tg.Sensors[0]
+	def := cfg.Sensors[use.SensorID]
+	path := pollPath(tg, def)
+	r.env.FS.Write(path, fsim.Var{Name: "exitcode", Value: 137})
+	st := &WorkerState{}
+	poll := func() {
+		pend, ok := c.pollOnce(st, tg, use, def, path)
+		if !ok || len(pend.Readings) != 1 || pend.Readings[0] != 137 {
+			t.Fatalf("poll = %+v, %v; want one reading of 137", pend, ok)
+		}
+	}
+	if n := testing.AllocsPerRun(100, poll); n != 0 {
+		t.Errorf("an ERRORSTATUS poll allocates %v times, want 0", n)
+	}
+}
+
 const joinCfg = `
 <dyflow>
   <monitor>

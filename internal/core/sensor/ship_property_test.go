@@ -457,7 +457,7 @@ func TestStalePollAllocatesNothing(t *testing.T) {
 	})
 	ws := &WorkerState{}
 	poll := func() {
-		pend, ok := r.c.pollOnce(r.tg, r.use, r.def, pollPath(r.tg, r.def))
+		pend, ok := r.c.pollOnce(ws, r.tg, r.use, r.def, pollPath(r.tg, r.def))
 		if !ok {
 			t.Fatal("the poll read nothing")
 		}
