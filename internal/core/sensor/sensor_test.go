@@ -293,6 +293,29 @@ func TestErrorStatusSensor(t *testing.T) {
 	}
 }
 
+// statusPoll is an unstarted client over statusCfg's one ERRORSTATUS
+// target, whose exit-status file holds 137: poll drives pollOnce as the
+// target's poll worker would, for worker st.
+func statusPoll(t *testing.T) (c *Client, poll func(st *WorkerState) PendingShip, write func(exit float64)) {
+	cfg := compile(t, statusCfg)
+	r := newRig(t, cfg)
+	c = NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	tg := cfg.Targets[0]
+	use := tg.Sensors[0]
+	def := cfg.Sensors[use.SensorID]
+	path := pollPath(tg, def)
+	write = func(exit float64) { r.env.FS.Write(path, fsim.Var{Name: "exitcode", Value: exit}) }
+	write(137)
+	poll = func(st *WorkerState) PendingShip {
+		pend, ok := c.pollOnce(st, tg, use, def, path)
+		if !ok || len(pend.Readings) != 1 {
+			t.Fatalf("poll = %+v, %v; want one reading", pend, ok)
+		}
+		return pend
+	}
+	return c, poll, write
+}
+
 // TestErrorStatusPollAllocatesNothing: an ERRORSTATUS poll that finds
 // its exit-status file holds the reading in the worker's one slot, so
 // the poll makes no allocation.
@@ -300,23 +323,29 @@ func TestErrorStatusPollAllocatesNothing(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	cfg := compile(t, statusCfg)
-	r := newRig(t, cfg)
-	c := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
-	tg := cfg.Targets[0]
-	use := tg.Sensors[0]
-	def := cfg.Sensors[use.SensorID]
-	path := pollPath(tg, def)
-	r.env.FS.Write(path, fsim.Var{Name: "exitcode", Value: 137})
+	_, poll, _ := statusPoll(t)
 	st := &WorkerState{}
-	poll := func() {
-		pend, ok := c.pollOnce(st, tg, use, def, path)
-		if !ok || len(pend.Readings) != 1 || pend.Readings[0] != 137 {
-			t.Fatalf("poll = %+v, %v; want one reading of 137", pend, ok)
-		}
-	}
-	if n := testing.AllocsPerRun(100, poll); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { poll(st) }); n != 0 {
 		t.Errorf("an ERRORSTATUS poll allocates %v times, want 0", n)
+	}
+}
+
+// TestCheckpointKeepsPendingReading: a checkpoint taken while a worker
+// owes an ERRORSTATUS shipment holds the reading it polled, after the
+// worker's one slot has taken the next poll's.
+func TestCheckpointKeepsPendingReading(t *testing.T) {
+	c, poll, write := statusPoll(t)
+	st := &WorkerState{Phase: phaseRead}
+	st.pend = poll(st)
+	st.Pending = &st.pend
+	c.states = map[string]*WorkerState{"client0/MD.LAMMPS.STATUS": st}
+	snap := c.Snapshot()
+	write(0)
+	if pend := poll(st); pend.Readings[0] != 0 {
+		t.Fatalf("the next poll read %v, want 0", pend.Readings)
+	}
+	if got := snap.Workers[0].State.Pending.Readings; len(got) != 1 || got[0] != 137 {
+		t.Errorf("the checkpoint's pending readings are %v after the next poll, want [137]", got)
 	}
 }
 
