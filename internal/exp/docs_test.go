@@ -26,47 +26,40 @@ func TestProperty_SharedDocs_ArtifactsEqualFresh(t *testing.T) {
 		}
 	}
 	var d Docs
-	shared := make([]*JobOutcome, len(jobs))
-	next := make(chan int)
+	next := make(chan Job)
 	var wg sync.WaitGroup
 	for slot := 0; slot < 3; slot++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				out, err := d.RunJob(jobs[i], nil)
+			for j := range next {
+				shared, err := d.RunJob(j, nil)
 				if err != nil {
-					t.Errorf("%+v: %v", jobs[i], err)
+					t.Errorf("%+v: %v", j, err)
 					continue
 				}
-				shared[i] = out
+				fresh, err := RunJob(j, nil)
+				if err != nil {
+					t.Errorf("%+v: %v", j, err)
+					continue
+				}
+				if fresh.Converged != shared.Converged || fresh.SimEnd != shared.SimEnd {
+					t.Errorf("%+v: shared run converged=%v end=%v, fresh converged=%v end=%v",
+						j, shared.Converged, shared.SimEnd, fresh.Converged, fresh.SimEnd)
+				}
+				for _, name := range []string{ArtifactReport, ArtifactGantt, ArtifactPerfetto, ArtifactMetrics} {
+					if !bytes.Equal(shared.Artifacts[name], fresh.Artifacts[name]) {
+						t.Errorf("%+v: artifact %s over the shared documents differs from a fresh compile's", j, name)
+					}
+				}
 			}
 		}()
 	}
-	for i := range jobs {
-		next <- i
+	for _, j := range jobs {
+		next <- j
 	}
 	close(next)
 	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	for i, j := range jobs {
-		fresh, err := RunJob(j, nil)
-		if err != nil {
-			t.Fatalf("%+v: %v", j, err)
-		}
-		if fresh.Converged != shared[i].Converged || fresh.SimEnd != shared[i].SimEnd {
-			t.Errorf("%+v: shared run converged=%v end=%v, fresh converged=%v end=%v",
-				j, shared[i].Converged, shared[i].SimEnd, fresh.Converged, fresh.SimEnd)
-		}
-		for _, name := range []string{ArtifactReport, ArtifactGantt, ArtifactPerfetto, ArtifactMetrics} {
-			if !bytes.Equal(shared[i].Artifacts[name], fresh.Artifacts[name]) {
-				t.Errorf("%+v: artifact %s over the shared documents differs from a fresh compile's", j, name)
-			}
-		}
-	}
 
 	if len(d.cfgs) != 7 {
 		t.Errorf("the Docs holds %d documents, want the seven shipped ones", len(d.cfgs))
