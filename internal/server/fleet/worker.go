@@ -58,10 +58,12 @@ type WorkerOptions struct {
 const maxSpanBuffer = 1024
 
 // Worker is one fleet member: it registers with its coordinator, then each
-// slot loops claim → execute (exp.Docs.RunJob, heartbeating the lease on
-// wall-clock cadence) → upload blobs → report the result. Determinism
-// makes abandoning work safe at any point: the coordinator's lease expiry
-// requeues the run and its re-execution is byte-identical.
+// slot loops claim → execute (RunJob on the worker's exp.Docs, heartbeating
+// the lease on wall-clock cadence) → upload blobs → report the result.
+// Determinism makes abandoning work safe at any point: the coordinator's
+// lease expiry requeues the run and its re-execution is byte-identical.
+// Across runs a worker keeps only its Docs: each shipped orchestration
+// document, compiled once and shared by every slot.
 //
 // It is the service's only executor and reaches the coordinator through a
 // Coordinator: over HTTP when it joined a fleet (JoinFleet), by plain method
