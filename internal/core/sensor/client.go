@@ -343,7 +343,8 @@ func (c *Client) consume(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, us
 }
 
 // decodeShip sleeps out a record's decode cost (checkpointable as a
-// pending shipment) and ships the formulated readings.
+// pending shipment), ships the formulated readings and releases the
+// record. An interrupted decode keeps it: the pending readings alias it.
 func (c *Client) decodeShip(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef, rec stream.Step) error {
 	// Decoding cost scales with the record's per-rank payload.
 	cost := StreamBase + time.Duration(len(rec.Array))*StreamPerValue
@@ -354,6 +355,7 @@ func (c *Client) decodeShip(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget,
 		return err
 	}
 	c.shipPending(st, tg, def)
+	rec.Release()
 	return nil
 }
 

@@ -1,7 +1,11 @@
 // Package profiler models TAU-style application instrumentation: each
-// completed timestep of an instrumented task publishes a record with the
-// task-level loop time and one value per MPI rank onto a monitoring
-// stream, which DYFLOW's TAUADIOS2 sensor source consumes in real time.
+// completed timestep of an instrumented task publishes a record with one
+// loop time per MPI rank onto a monitoring stream, which DYFLOW's
+// TAUADIOS2 sensor source consumes in real time. The record holds the
+// ranks only: the task-level loop time is the step's wall time, set by
+// its slowest rank, so it is their MAX. The rank array is leased from the
+// stream (stream.Stream.Lease), so a step a sensor reads and releases
+// allocates nothing once the stream's free list holds a buffer.
 //
 // A step nobody reads costs nothing: when no sensor is attached to the
 // stream, the probe builds no record and puts a bare Step{Index}, which
@@ -37,10 +41,10 @@ func Attach(reg *stream.Registry, taskName string, rng *rand.Rand) *Probe {
 	return &Probe{st: reg.Open(StreamName(taskName)), rng: rng}
 }
 
-// EmitStep publishes one timestep record: Vars carries the loop time (the
-// wall time of the step, set by its slowest rank) and the step number;
-// Array carries per-rank loop times, each within rankSpread below the maximum,
-// so MAX reductions recover the loop time exactly. With no reader attached
+// EmitStep publishes one timestep record: Array carries per-rank loop
+// times, each within rankSpread below the loop time (the wall time of the
+// step, set by its slowest rank), and the slowest rank's is the loop time
+// itself, so MAX reductions recover it exactly. With no reader attached
 // the step is counted but not built; its draws are made all the same (see
 // the package doc).
 func (pr *Probe) EmitStep(p *sim.Proc, globalStep, procs int, loopTime time.Duration) {
@@ -55,18 +59,16 @@ func (pr *Probe) EmitStep(p *sim.Proc, globalStep, procs int, loopTime time.Dura
 		return
 	}
 	base := loopTime.Seconds()
-	ranks := make([]float64, procs)
+	rec := pr.st.Lease(procs)
+	ranks := rec.Array
 	for i := range ranks {
 		ranks[i] = base * (1 - rankSpread*pr.rng.Float64())
 	}
 	if procs > 0 {
 		ranks[pr.rng.Intn(procs)] = base
 	}
-	pr.st.Put(p, stream.Step{
-		Index: globalStep,
-		Vars:  map[string]float64{"looptime": base, "step": float64(globalStep)},
-		Array: ranks,
-	})
+	rec.Index = globalStep
+	pr.st.Put(p, rec)
 }
 
 // Close ends the incarnation's instrumentation stream.

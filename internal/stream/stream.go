@@ -12,11 +12,30 @@
 //   - DropOldest: the producer never blocks; the oldest buffered record is
 //     discarded instead. This is the monitoring mode — a slow monitor must
 //     never slow down science.
+//
+// A record's Array may be leased from its stream (Stream.Lease): the
+// producer fills it and puts the record, and each reader the record
+// reaches owns a share of it from delivery until it calls Step.Release,
+// after which it reads the Array no more. The array goes back to the
+// stream's free list when every reader that received it has released it,
+// a DropOldest overflow releasing the record it discards and a record
+// that reaches no reader going straight back, and the next Lease reuses
+// it instead of allocating. A reader that never releases costs an
+// allocation, never a wrong value; releasing one record more often than
+// it was delivered panics. Reader.Buffered returns deep copies that hold
+// no lease, so a checkpoint aliases no live array, and a record restored
+// from one, or built by hand, has no home: releasing it does nothing. A
+// released array is filled with NaN, so a read after release shows. The
+// free list belongs to the stream, which belongs to one world, and takes
+// no lock: a world is single-threaded.
 package stream
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"sort"
 
 	"dyflow/internal/obs"
@@ -35,6 +54,47 @@ type Step struct {
 	Array Floats
 	// Produced is the virtual time the record was staged.
 	Produced sim.Time
+
+	// lease owns Array when the stream leased it; nil otherwise.
+	lease *arrayLease
+}
+
+// Release hands the record's Array back: the reader holding it is done
+// with it. It does nothing for a record whose Array is not leased.
+func (s Step) Release() { s.lease.release() }
+
+// arrayLease is a leased Array's ownership: the buffer, the readers still
+// holding it (and the producer, while its Put delivers it), and the stream
+// whose free list it returns to.
+type arrayLease struct {
+	vals Floats
+	refs int32
+	home *Stream
+}
+
+// hold counts one more holder.
+func (l *arrayLease) hold() {
+	if l != nil {
+		l.refs++
+	}
+}
+
+// release counts one holder done and sends the buffer home, poisoned,
+// when it was the last.
+func (l *arrayLease) release() {
+	if l == nil {
+		return
+	}
+	if l.refs--; l.refs < 0 {
+		panic("stream: record released more often than delivered")
+	}
+	if l.refs > 0 {
+		return
+	}
+	for i := range l.vals {
+		l.vals[i] = math.NaN()
+	}
+	l.home.free = append(l.home.free, l)
 }
 
 // Mode selects a reader's overflow behaviour.
@@ -78,9 +138,19 @@ func (r *Reader) Get(p *sim.Proc) (Step, error) {
 // Len returns the number of buffered records.
 func (r *Reader) Len() int { return r.buf.Len() }
 
-// Buffered returns a copy of the records currently buffered, in delivery
-// order, without consuming them (checkpoint inspection).
-func (r *Reader) Buffered() []Step { return r.buf.Items() }
+// Buffered returns deep copies of the records currently buffered, in
+// delivery order, without consuming them (checkpoint inspection). The
+// copies hold no lease: they stay valid after the live records are
+// released, and releasing one does nothing.
+func (r *Reader) Buffered() []Step {
+	out := r.buf.Items()
+	for i := range out {
+		out[i].Vars = maps.Clone(out[i].Vars)
+		out[i].Array = slices.Clone(out[i].Array)
+		out[i].lease = nil
+	}
+	return out
+}
 
 // Close detaches the reader: the producer stops delivering to (and stops
 // blocking on) this reader. Pending Gets fail after the buffer drains.
@@ -108,6 +178,9 @@ type Stream struct {
 	// per-Put fan-out loop allocates nothing in steady state.
 	sorted   []*Reader
 	sortedOK bool
+
+	// free holds the leased arrays every holder has released.
+	free []*arrayLease
 
 	// Per-stream metric handles, resolved when the Registry creates it.
 	mProduced  *obs.Counter
@@ -189,13 +262,40 @@ func (st *Stream) sortedReaders() []*Reader {
 	return out
 }
 
+// Lease returns a record whose Array is n values long and leased from the
+// stream's free list (see the package doc); the values are the producer's
+// to set before it puts the record. A buffer shorter than n is replaced.
+func (st *Stream) Lease(n int) Step {
+	var l *arrayLease
+	if k := len(st.free); k > 0 {
+		l = st.free[k-1]
+		st.free = st.free[:k-1]
+	} else {
+		l = &arrayLease{home: st}
+	}
+	if cap(l.vals) < n {
+		l.vals = make(Floats, n)
+	}
+	l.vals = l.vals[:n]
+	return Step{Array: l.vals, lease: l}
+}
+
 // Put stages one record to every attached reader. For Block-mode readers
 // the calling process waits until buffer space is available (SST writer
 // semantics: the slowest coupled consumer gates the producer). For
 // DropOldest readers the oldest buffered record is discarded on overflow.
 // Put returns the interrupt/stop error delivered while blocked, or
-// ErrDetached if the stream was closed.
+// ErrDetached if the stream was closed. A leased record gains one holder
+// per reader it reaches; the producer holds it while Put delivers, so a
+// reader that releases it meanwhile cannot send it home early.
 func (st *Stream) Put(p *sim.Proc, step Step) error {
+	step.lease.hold()
+	err := st.put(p, step)
+	step.Release()
+	return err
+}
+
+func (st *Stream) put(p *sim.Proc, step Step) error {
 	if st.closed {
 		return ErrDetached
 	}
@@ -214,16 +314,23 @@ func (st *Stream) Put(p *sim.Proc, step Step) error {
 				}
 				return err
 			}
+			// Queue.Put returns without yielding once it has appended.
+			step.lease.hold()
 		case DropOldest:
-			for !r.buf.TryPut(step) {
+			for {
+				if r.buf.TryPut(step) {
+					step.lease.hold()
+					break
+				}
 				if r.closed {
 					break
 				}
-				if _, ok := r.buf.TryGet(); ok {
-					st.mDropped.Inc()
-				} else {
+				old, ok := r.buf.TryGet()
+				if !ok {
 					break
 				}
+				st.mDropped.Inc()
+				old.Release()
 			}
 		}
 	}
