@@ -2,6 +2,7 @@ package arbiter
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -508,5 +509,31 @@ func TestEngineRequeueDedupesWaiting(t *testing.T) {
 	}
 	if w := r.eng.waiting["W"]; len(w) != 1 || w[0].Task != "B" || !w[0].Recovery {
 		t.Fatalf("waiting = %+v, want exactly one recovery entry for B", w)
+	}
+}
+
+// TestProperty_OpLabel_EqualsString: over seeded ops of both kinds, with
+// and without the victim and dep flags, with odd task names and any
+// procs, AppendLabel appends exactly what String returns.
+func TestProperty_OpLabel_EqualsString(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	tasks := []string{"", "T", "Analysis", "a(b), c", "ü"}
+	seen := map[[3]bool]bool{}
+	var buf []byte
+	for i := 0; i < 5000; i++ {
+		op := Op{
+			Kind: OpKind(rng.Intn(2)), Task: tasks[rng.Intn(len(tasks))],
+			Procs: rng.Intn(2000) - 1000, Victim: rng.Intn(2) == 0, Dependent: rng.Intn(2) == 0,
+		}
+		seen[[3]bool{op.Kind == OpStart, op.Victim, op.Dependent}] = true
+		prefix := rng.Intn(8) // what the buffer already holds stays
+		buf = append(buf[:0], "earlier!"[:prefix]...)
+		buf = op.AppendLabel(buf)
+		if got, want := string(buf), "earlier!"[:prefix]+op.String(); got != want {
+			t.Fatalf("%+v: AppendLabel gives %q, String %q", op, got, want)
+		}
+	}
+	if len(seen) != 8 {
+		t.Fatalf("generator covered %d of 8 kind and flag combinations", len(seen))
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"dyflow/internal/core/decision"
@@ -62,6 +63,22 @@ type Op struct {
 	Victim bool
 	// Dependent marks an operation added through task inter-dependencies.
 	Dependent bool
+}
+
+// AppendLabel appends o's String form to b without formatting through
+// fmt, for a caller that labels many operations.
+func (o Op) AppendLabel(b []byte) []byte {
+	b = append(append(append(b, o.Kind.String()...), '('), o.Task...)
+	if o.Kind == OpStart {
+		b = append(strconv.AppendInt(append(b, ", "...), int64(o.Procs), 10), " procs"...)
+	}
+	if o.Victim {
+		b = append(b, ", victim"...)
+	}
+	if o.Dependent {
+		b = append(b, ", dep"...)
+	}
+	return append(b, ')')
 }
 
 func (o Op) String() string {

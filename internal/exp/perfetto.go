@@ -145,9 +145,11 @@ type perfettoRender struct {
 	task     taskArgs
 	exitCode int
 	plan     planArgs
-	ops      []string
-	act      actuationArgs
-	sugg     suggestionArgs
+	// labels holds every plan op's label in plan order, built once per
+	// render for both passes.
+	labels []string
+	act    actuationArgs
+	sugg   suggestionArgs
 }
 
 func newPerfettoRender(w *World) *perfettoRender {
@@ -174,6 +176,22 @@ func newPerfettoRender(w *World) *perfettoRender {
 	sort.Strings(r.nodes)
 	for i, n := range r.nodes {
 		r.nodeTid[n] = i + 1
+	}
+
+	// Op labels: appended into one buffer, made one string, and cut.
+	var buf []byte
+	var ends []int
+	for i := range r.plans {
+		for _, op := range r.plans[i].Plan.Ops {
+			buf = op.AppendLabel(buf)
+			ends = append(ends, len(buf))
+		}
+	}
+	all := string(buf)
+	r.labels = make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		r.labels[i], start = all[start:end], end
 	}
 	return r
 }
@@ -248,15 +266,12 @@ func (r *perfettoRender) emit(enc *json.Encoder) error {
 	}
 
 	// Plan windows: suggestion-batch arrival to actuation completion.
+	labels := r.labels
 	for i := range r.plans {
 		p := &r.plans[i]
 		r.plan = planArgs{Workflow: p.Workflow, Applied: p.AppliedOps, Aborted: p.AbortedOps, Error: p.Err}
-		if len(p.Plan.Ops) > 0 { // no ops encode as null
-			r.ops = r.ops[:0]
-			for _, op := range p.Plan.Ops {
-				r.ops = append(r.ops, op.String())
-			}
-			r.plan.Ops = r.ops
+		if n := len(p.Plan.Ops); n > 0 { // no ops encode as null
+			r.plan.Ops, labels = labels[:n:n], labels[n:]
 		}
 		r.ev = perfettoEvent{
 			Name: r.name(p.Workflow, " plan", ""), Cat: "plan", Ph: "X",
