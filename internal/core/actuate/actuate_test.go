@@ -134,8 +134,11 @@ func TestExecuteAbortsOnInfeasibleStart(t *testing.T) {
 		if err == nil {
 			t.Error("expected carve failure")
 		}
-		if !errors.Is(err, resmgr.ErrInsufficient) {
-			t.Errorf("err = %v, want ErrInsufficient", err)
+		if !errors.Is(err, resmgr.ErrInsufficient) || !Retryable(err) {
+			t.Errorf("err = %v, want a retryable ErrInsufficient", err)
+		}
+		if want := "actuate: start WF/A: actuate: start WF/A: resmgr: insufficient resources: carve 100 cores (per-node 0), 40 short"; err == nil || err.Error() != want {
+			t.Errorf("err = %q, want %q", err, want)
 		}
 		// Both START ops never applied and must be reported for recovery.
 		if rep.Applied != 0 || rep.Aborted != 2 || len(rep.UnappliedStarts) != 2 {

@@ -429,6 +429,9 @@ func runManagerProgram(c chooser, steps int) error {
 			if !reflect.DeepEqual(rs, refRS) {
 				return fmt.Errorf("step %d %s: carved %v, reference %v", step, op, rs, refRS)
 			}
+			if err != nil && refErr != nil && err.Error() != refErr.Error() {
+				return fmt.Errorf("step %d %s: error %q, reference %q", step, op, err, refErr)
+			}
 			if got, want = err, refErr; err == nil && refErr == nil {
 				got, want = m.Assign(owner, rs), ref.Assign(owner, refRS)
 			}

@@ -75,6 +75,26 @@ func (rs ResourceSet) String() string {
 // from the available resources.
 var ErrInsufficient = errors.New("resmgr: insufficient resources")
 
+// CarveError is a failed Carve: Short of Total cores (PerNode per node)
+// could not be carved, or an injected carve fault. It is ErrInsufficient
+// and formats its text only when Error is called, so a caller that
+// retries a carve and drops the error formats nothing.
+type CarveError struct {
+	Total, PerNode, Short int
+	// Injected marks a fault a chaos schedule injected.
+	Injected bool
+}
+
+func (e *CarveError) Error() string {
+	if e.Injected {
+		return ErrInsufficient.Error() + ": injected carve fault"
+	}
+	return fmt.Sprintf("%v: carve %d cores (per-node %d), %d short", ErrInsufficient, e.Total, e.PerNode, e.Short)
+}
+
+// Unwrap makes a CarveError ErrInsufficient to errors.Is.
+func (e *CarveError) Unwrap() error { return ErrInsufficient }
+
 // Manager tracks one job allocation on a cluster and the core-level
 // assignment of that allocation to named owners (workflow task instances).
 type Manager struct {
@@ -434,7 +454,7 @@ func (m *Manager) Carve(total, perNode int, exclude []cluster.NodeID) (ResourceS
 	if m.faults.tripCarve() {
 		m.metrics.injected.Inc()
 		m.metrics.carveFailures.Inc()
-		return nil, fmt.Errorf("%w: injected carve fault", ErrInsufficient)
+		return nil, &CarveError{Injected: true}
 	}
 	out := make(ResourceSet)
 	remaining := total
@@ -466,7 +486,7 @@ func (m *Manager) Carve(total, perNode int, exclude []cluster.NodeID) (ResourceS
 	}
 	if remaining > 0 {
 		m.metrics.carveFailures.Inc()
-		return nil, fmt.Errorf("%w: carve %d cores (per-node %d), %d short", ErrInsufficient, total, perNode, remaining)
+		return nil, &CarveError{Total: total, PerNode: perNode, Short: remaining}
 	}
 	m.metrics.carves.Inc()
 	return out, nil

@@ -2,6 +2,7 @@ package resmgr
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -305,6 +306,8 @@ func TestFaultsInjectCarveFailures(t *testing.T) {
 	m.InjectFaults(f)
 	if _, err := m.Carve(10, 0, nil); !errors.Is(err, ErrInsufficient) {
 		t.Fatalf("err = %v, want injected ErrInsufficient", err)
+	} else if want := fmt.Errorf("%w: injected carve fault", ErrInsufficient).Error(); err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 	if f.Injected() != 1 {
 		t.Fatalf("injected = %d, want 1", f.Injected())
