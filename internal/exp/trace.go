@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"dyflow/internal/core"
 	"dyflow/internal/core/arbiter"
@@ -266,8 +267,12 @@ func gantt(w io.Writer, width int, end sim.Time, ivs []Interval, windows [][2]si
 		}
 	}
 	fmt.Fprintf(w, "%*s  0%s%v\n", nameW, "", strings.Repeat(" ", width-len(fmt.Sprint(end))-1), end.Round(time.Second))
+	// Every row is drawn into row and encoded into line, both reused: no
+	// rune is wider than three bytes.
+	row := make([]rune, width)
+	line := make([]byte, 0, 3*width)
 	for _, k := range rows {
-		row := []rune(strings.Repeat("·", width))
+		fill(row, '·')
 		var notes []string
 		for _, iv := range taskIntervals(ivs, k[0], k[1]) {
 			e := iv.End
@@ -287,17 +292,34 @@ func gantt(w io.Writer, width int, end sim.Time, ivs []Interval, windows [][2]si
 			}
 			notes = append(notes, fmt.Sprintf("#%d@%dp %v-%v%s", iv.Incarnation, iv.Procs, iv.Start.Round(time.Second), e.Round(time.Second), state))
 		}
-		fmt.Fprintf(w, "%*s  %s  %s\n", nameW, k[1], string(row), strings.Join(notes, ", "))
+		line = appendRunes(line[:0], row)
+		fmt.Fprintf(w, "%*s  %s  %s\n", nameW, k[1], line, strings.Join(notes, ", "))
 	}
 	if len(windows) > 0 {
-		row := []rune(strings.Repeat(" ", width))
+		fill(row, ' ')
 		for _, win := range windows {
 			for c := col(win[0]); c <= col(win[1]); c++ {
 				row[c] = '▼'
 			}
 		}
-		fmt.Fprintf(w, "%*s  %s  (DYFLOW adjustment windows)\n", nameW, "DYFLOW", string(row))
+		line = appendRunes(line[:0], row)
+		fmt.Fprintf(w, "%*s  %s  (DYFLOW adjustment windows)\n", nameW, "DYFLOW", line)
 	}
+}
+
+// fill sets every cell of row to r.
+func fill(row []rune, r rune) {
+	for i := range row {
+		row[i] = r
+	}
+}
+
+// appendRunes appends row's UTF-8 encoding to line.
+func appendRunes(line []byte, row []rune) []byte {
+	for _, r := range row {
+		line = utf8.AppendRune(line, r)
+	}
+	return line
 }
 
 // PlanSummary formats the arbitration rounds as a table.
