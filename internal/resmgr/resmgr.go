@@ -75,25 +75,24 @@ func (rs ResourceSet) String() string {
 // from the available resources.
 var ErrInsufficient = errors.New("resmgr: insufficient resources")
 
-// CarveError is a failed Carve: Short of Total cores (PerNode per node)
+// carveError is a failed Carve: short of total cores (perNode per node)
 // could not be carved, or an injected carve fault. It is ErrInsufficient
 // and formats its text only when Error is called, so a caller that
 // retries a carve and drops the error formats nothing.
-type CarveError struct {
-	Total, PerNode, Short int
-	// Injected marks a fault a chaos schedule injected.
-	Injected bool
+type carveError struct {
+	total, perNode, short int
+	injected              bool
 }
 
-func (e *CarveError) Error() string {
-	if e.Injected {
+func (e *carveError) Error() string {
+	if e.injected {
 		return ErrInsufficient.Error() + ": injected carve fault"
 	}
-	return fmt.Sprintf("%v: carve %d cores (per-node %d), %d short", ErrInsufficient, e.Total, e.PerNode, e.Short)
+	return fmt.Sprintf("%v: carve %d cores (per-node %d), %d short", ErrInsufficient, e.total, e.perNode, e.short)
 }
 
-// Unwrap makes a CarveError ErrInsufficient to errors.Is.
-func (e *CarveError) Unwrap() error { return ErrInsufficient }
+// Unwrap makes a carveError ErrInsufficient to errors.Is.
+func (e *carveError) Unwrap() error { return ErrInsufficient }
 
 // Manager tracks one job allocation on a cluster and the core-level
 // assignment of that allocation to named owners (workflow task instances).
@@ -454,7 +453,7 @@ func (m *Manager) Carve(total, perNode int, exclude []cluster.NodeID) (ResourceS
 	if m.faults.tripCarve() {
 		m.metrics.injected.Inc()
 		m.metrics.carveFailures.Inc()
-		return nil, &CarveError{Injected: true}
+		return nil, &carveError{injected: true}
 	}
 	out := make(ResourceSet)
 	remaining := total
@@ -486,7 +485,7 @@ func (m *Manager) Carve(total, perNode int, exclude []cluster.NodeID) (ResourceS
 	}
 	if remaining > 0 {
 		m.metrics.carveFailures.Inc()
-		return nil, &CarveError{Total: total, PerNode: perNode, Short: remaining}
+		return nil, &carveError{total: total, perNode: perNode, short: remaining}
 	}
 	m.metrics.carves.Inc()
 	return out, nil
