@@ -210,7 +210,7 @@ func (ex *Executor) Execute(p *sim.Proc, plan arbiter.Plan) (arbiter.ExecReport,
 		case arbiter.OpStart:
 			rec.Attempts, err = ex.startWithRetry(p, op)
 		default:
-			err = fmt.Errorf("actuate: unknown op kind %v", op.Kind)
+			err = fmt.Errorf("actuate: unknown op kind %d", op.Kind)
 		}
 		if errors.Is(err, sim.ErrStopped) {
 			return rep, err // sim.Stop mid-op: it neither applied nor failed

@@ -35,12 +35,15 @@ const (
 	OpStart
 )
 
-// String returns a short name.
+// opKindNames is indexed by OpKind.
+var opKindNames = [...]string{OpStop: "stop", OpStart: "start"}
+
+// String returns a short name, or "" for an unknown kind.
 func (k OpKind) String() string {
-	if k == OpStop {
-		return "stop"
+	if k < 0 || int(k) >= len(opKindNames) {
+		return ""
 	}
-	return "start"
+	return opKindNames[k]
 }
 
 // Op is one low-level operation in a plan.

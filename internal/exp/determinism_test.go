@@ -288,6 +288,7 @@ func checkGoldens(t *testing.T, scenario string, goldens []jobGolden) {
 		if got := artifactSums(out.Artifacts); !reflect.DeepEqual(got, g.sha) {
 			t.Errorf("%s seed %d: artifact sha256 = %v, golden %v", g.machine, g.seed, got, g.sha)
 		}
+		recordOps(scenario, w)
 	}
 }
 
@@ -337,6 +338,7 @@ func TestXGCGoldenArtifacts(t *testing.T) {
 		if got := artifactSums(out.Artifacts); !reflect.DeepEqual(got, g.sha) {
 			t.Errorf("%s seed %d: artifact sha256 = %v, golden %v", g.machine, g.seed, got, g.sha)
 		}
+		recordOps(ScenarioXGC, w)
 	}
 }
 
