@@ -7,7 +7,6 @@
 package core
 
 import (
-	"strings"
 
 	"dyflow/internal/core/actuate"
 	"dyflow/internal/core/arbiter"
@@ -84,7 +83,7 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options, tr *tra
 	// Monitor: the server and one client over every target.
 	o.Server = sensor.NewServer(env.Sim, o.Supervisor.spawner(StageMonitorServer), bus, EndpointMonitorServer, EndpointDecision, cfg, o.Trace)
 	o.Client = sensor.NewClient("monitor-client-0", env, bus, EndpointMonitorServer, cfg, cfg.Targets, &savannaWorkload{sv: sv},
-		&selfSource{o: o}, o.Supervisor.spawner(StageMonitorClient), tr.Registry())
+		o.Supervisor.spawner(StageMonitorClient), tr.Registry())
 
 	// Decision.
 	o.Decision = decision.New(env.Sim, o.Supervisor.spawner(StageDecision), bus, EndpointDecision, EndpointArbiter, cfg, o.Trace)
@@ -148,35 +147,6 @@ func (o *Orchestrator) Detach() {
 // that drive the Arbitration engine directly (e.g. the chaos tests, which
 // need precisely timed rounds instead of the policy pipeline).
 func NewArbiterView(sv *wms.Savanna) arbiter.View { return &savannaView{sv: sv} }
-
-// selfSource resolves dyflow-source sensor metric names against the
-// orchestrator's own observability state, in precedence order:
-//
-//	sensor.lag_p50:<id> / sensor.lag_p99:<id> — a sensor's detection-lag
-//	    quantile in seconds (histogram-bucket resolution)
-//	queue.max:<endpoint> — the endpoint's high-water bus queue depth
-//	<registry family name> — the summed value of a registry family
-//	    (e.g. dyflow_wms_placement_losses_total)
-//	<flight-recorder counter> — any stage counter (arbiter.requeued_tasks,
-//	    actuate.retries, ...); unknown counters read 0, so this arm always
-//	    resolves — policies on not-yet-incremented counters see 0, not a
-//	    dead sensor.
-type selfSource struct{ o *Orchestrator }
-
-func (s *selfSource) MetricValue(name string) (float64, bool) {
-	switch {
-	case strings.HasPrefix(name, "sensor.lag_p50:"):
-		return s.o.Trace.SensorLagQuantile(strings.TrimPrefix(name, "sensor.lag_p50:"), 0.50).Seconds(), true
-	case strings.HasPrefix(name, "sensor.lag_p99:"):
-		return s.o.Trace.SensorLagQuantile(strings.TrimPrefix(name, "sensor.lag_p99:"), 0.99).Seconds(), true
-	case strings.HasPrefix(name, "queue.max:"):
-		return float64(s.o.Trace.QueueMaxDepth(strings.TrimPrefix(name, "queue.max:"))), true
-	}
-	if v, ok := s.o.Trace.Registry().Value(name); ok {
-		return v, true
-	}
-	return float64(s.o.Trace.Counter(name)), true
-}
 
 // savannaWorkload adapts Savanna to the monitor clients' Workload view.
 type savannaWorkload struct{ sv *wms.Savanna }

@@ -70,7 +70,7 @@ func BenchmarkMonitorRepoll(b *testing.B) {
 	server.Start()
 	e := New(s, s.Spawn, bus, "decision", "arbiter", cfg, tr)
 	e.Start()
-	client := sensor.NewClient("client0", &task.Env{Sim: s, FS: fs}, bus, "monitor-server", cfg, cfg.Targets, idleWorkload{}, nil, s.Spawn, reg)
+	client := sensor.NewClient("client0", &task.Env{Sim: s, FS: fs}, bus, "monitor-server", cfg, cfg.Targets, idleWorkload{}, s.Spawn, reg)
 	client.Start()
 	period := sensor.PollInterval + sensor.DiskRead
 	if err := s.Run(5 * period); err != nil {

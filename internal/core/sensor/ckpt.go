@@ -115,11 +115,7 @@ func (c *Client) Snapshot() ClientSnapshot {
 	sort.Strings(names)
 	for _, n := range names {
 		st := c.states[n]
-		ws := WorkerState{
-			Phase:  st.Phase,
-			WakeAt: st.WakeAt,
-			Step:   st.Step,
-		}
+		ws := WorkerState{Phase: st.Phase, WakeAt: st.WakeAt}
 		if st.Pending != nil {
 			// A copy: the live one is the worker's reused pend, and a
 			// single reading is its reused one slot.

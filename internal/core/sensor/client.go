@@ -27,16 +27,6 @@ type Workload interface {
 	TaskRunning(workflow, taskName string) bool
 }
 
-// SelfSource resolves orchestrator self-monitoring metric names for
-// dyflow-source sensors — the Monitor stage pointed back at the
-// orchestrator itself. Implemented by the core orchestrator over its
-// metrics registry and flight recorder.
-type SelfSource interface {
-	// MetricValue returns the metric's current value. ok is false when the
-	// name resolves to nothing at all (the sensor then skips the poll).
-	MetricValue(name string) (float64, bool)
-}
-
 // Client executes the sensors bound to its share of monitored tasks and
 // ships updates to the Monitor server. One client can run per compute node
 // or a single client can cover the whole workflow; experiments use one by
@@ -49,7 +39,6 @@ type Client struct {
 	cfg      *spec.Config
 	targets  []spec.MonitorTarget
 	workload Workload
-	self     SelfSource
 	procs    []*sim.Proc
 	// stopping marks a deliberate Stop so interrupted workers exit instead
 	// of treating the interrupt as a detached stream and re-probing.
@@ -71,7 +60,7 @@ type Client struct {
 // Worker phases. Each names the sleep (or blocking receive) a worker parks
 // in, so a checkpoint can record exactly where to resume.
 const (
-	// phaseInterval: sleeping out a poll interval (poll and self workers).
+	// phaseInterval: sleeping out a poll interval.
 	phaseInterval = "interval"
 	// phaseRead: sleeping out the disk-read cost with a pending shipment.
 	phaseRead = "read"
@@ -100,15 +89,13 @@ type PendingShip struct {
 }
 
 // WorkerState is one worker's resumable position: which phase it is parked
-// in, the absolute wake instant of its current sleep, the self-poll step
-// counter, a mid-read/mid-decode pending shipment, and — for stream
-// workers — the reader backlog captured at checkpoint, replayed before
-// reattaching. Only the exported fields are checkpointed: a restored
+// in, the absolute wake instant of its current sleep, a mid-read/mid-decode
+// pending shipment, and — for stream workers — the reader backlog captured
+// at checkpoint, replayed before reattaching. Only the exported fields are checkpointed: a restored
 // worker starts without a reader and without a last shipment.
 type WorkerState struct {
 	Phase  string   `json:"phase,omitempty"`
 	WakeAt sim.Time `json:"wake_at,omitempty"`
-	Step   int      `json:"step,omitempty"`
 	// Pending is nil or, while a shipment is owed, points at pend (or, on a
 	// restored worker, at the checkpoint's copy).
 	Pending  *PendingShip  `json:"pending,omitempty"`
@@ -118,9 +105,9 @@ type WorkerState struct {
 	// pend is the worker's one pending shipment, reused by every poll and
 	// decode instead of allocated by each.
 	pend PendingShip
-	// one holds the single reading of a FILE, DB, ERRORSTATUS or self
-	// poll: pend.Readings is one[:] until the shipment is built, and build
-	// keeps none of it, so the next poll may overwrite it.
+	// one holds the single reading of a FILE, DB or ERRORSTATUS poll:
+	// pend.Readings is one[:] until the shipment is built, and build keeps
+	// none of it, so the next poll may overwrite it.
 	one [1]float64
 	// last is what ship last sent for a DISKSCAN extraction.
 	last shipment
@@ -159,12 +146,11 @@ type shipment struct {
 }
 
 // NewClient creates a monitor client named name, shipping updates to the
-// server endpoint, executing the given targets. self resolves the
-// dyflow-source sensors' orchestrator metrics, and spawn starts the worker
+// server endpoint, executing the given targets. spawn starts the worker
 // processes (the orchestrator's supervisor hands in a panic-guarded
 // spawner). Invalid (NaN/±Inf) sensor readings are counted in reg's
 // dyflow_sensor_dropped_samples_total by reason.
-func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spec.Config, targets []spec.MonitorTarget, workload Workload, self SelfSource, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, reg *obs.Registry) *Client {
+func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spec.Config, targets []spec.MonitorTarget, workload Workload, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, reg *obs.Registry) *Client {
 	return &Client{
 		name:     name,
 		env:      env,
@@ -173,7 +159,6 @@ func NewClient(name string, env *task.Env, bus *msg.Bus, server string, cfg *spe
 		cfg:      cfg,
 		targets:  targets,
 		workload: workload,
-		self:     self,
 		spawn:    spawn,
 		scans:    make(map[scanKey]*diskScan),
 		mDropped: reg.Counter("dyflow_sensor_dropped_samples_total",
@@ -209,8 +194,6 @@ func (c *Client) Start() {
 				body = func(p *sim.Proc) { c.streamWorker(p, tg, use, def, st) }
 			case spec.SourceDiskScan, spec.SourceFile, spec.SourceErrorStatus, spec.SourceDB:
 				body = func(p *sim.Proc) { c.pollWorker(p, tg, use, def, st) }
-			case spec.SourceDYFLOW:
-				body = func(p *sim.Proc) { c.selfWorker(p, tg, use, def, st) }
 			default:
 				continue
 			}
@@ -414,33 +397,6 @@ func (c *Client) shipPending(st *WorkerState, tg spec.MonitorTarget, def *spec.S
 	c.ship(st, tg, def, pend)
 }
 
-// selfWorker polls an orchestrator self-metric (sensor lag, queue depth,
-// stage counters) and ships it like any other sensor reading. The
-// generation instant is the poll instant: the orchestrator's state IS the
-// data of interest, so there is no detection lag to model — which also
-// means the Monitor server counts every poll as a fresh detection.
-func (c *Client) selfWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef, st *WorkerState) {
-	if use.Info == "" {
-		return
-	}
-	for {
-		wake := c.env.Sim.Now() + PollInterval
-		if st.Phase == phaseInterval && st.WakeAt > c.env.Sim.Now() {
-			wake = st.WakeAt // resume the checkpointed interval
-		}
-		if err := c.sleepPhase(p, st, phaseInterval, wake); err != nil {
-			return
-		}
-		v, ok := c.self.MetricValue(use.Info)
-		if !ok {
-			continue
-		}
-		st.Step++
-		st.one[0] = v
-		c.ship(st, tg, def, PendingShip{Readings: st.one[:], Step: st.Step, GenAt: c.env.Sim.Now()})
-	}
-}
-
 // pollPath is the file a FILE or ERRORSTATUS target reads, resolved once
 // per target: an ERRORSTATUS target without an InfoSource reads its task's
 // exit-status file.
@@ -592,8 +548,8 @@ func (sc *diskScan) refresh() {
 // The worker's shipment caches that batch, so it is not recycled while
 // cached, and the sanitize drops it counted are counted again, so the
 // server and the metrics see exactly what a rebuild would give them.
-// Every other reading is built afresh: streamed, self and
-// FILE/DB/ERRORSTATUS readings carry no extraction to compare.
+// Every other reading is built afresh: streamed and FILE/DB/ERRORSTATUS
+// readings carry no extraction to compare.
 func (c *Client) ship(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDef, pend PendingShip) {
 	last := &st.last
 	if pend.scan != nil && pend.scan == last.scan && pend.gen == last.gen &&

@@ -39,7 +39,7 @@ func newScanRig(tb testing.TB) *scanRig {
 	fs := fsim.New(s)
 	env := &task.Env{Sim: s, FS: fs}
 	bus := msg.NewBus(s)
-	c := NewClient("client0", env, bus, "monitor-server", cfg, cfg.Targets, &fakeWorkload{}, nil, s.Spawn, obs.NewRegistry())
+	c := NewClient("client0", env, bus, "monitor-server", cfg, cfg.Targets, &fakeWorkload{}, s.Spawn, obs.NewRegistry())
 	tg := cfg.Targets[0] // XGC1 over out/xgc1.*.bp
 	return &scanRig{s: s, fs: fs, bus: bus, c: c, tg: tg, use: tg.Sensors[0], def: cfg.Sensors[tg.Sensors[0].SensorID]}
 }

@@ -148,7 +148,7 @@ func monitorLink(t testing.TB, steps int, next func(n int) int) linkStats {
 	// One node hosts every rank a drive reads, so a node-task build holds
 	// one update: groupByNode's map order cannot reorder a batch.
 	wl := &fakeWorkload{placements: map[string]task.Placement{"W/A": {"n0": 3}}}
-	c := NewClient("mc", &task.Env{Sim: s}, bus, "monitor-server", cfg, cfg.Targets, wl, nil, s.Spawn, reg)
+	c := NewClient("mc", &task.Env{Sim: s}, bus, "monitor-server", cfg, cfg.Targets, wl, s.Spawn, reg)
 	sv := NewServer(s, s.Spawn, bus, "monitor-server", "decision", cfg, tr)
 	sv.Start()
 	var got, want []Metric

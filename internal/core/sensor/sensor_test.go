@@ -111,7 +111,7 @@ func TestTAUStreamSensorPipeline(t *testing.T) {
 	r.wl.placements["GS/Iso"] = task.Placement{"node000": 2, "node001": 2}
 	r.wl.running["GS/Iso"] = true
 
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	// Emit two profile records on the TAU stream.
@@ -194,7 +194,7 @@ func TestDiskScanAndWorkflowDerivation(t *testing.T) {
 	r.wl.placements["FUSION/XGC1"] = task.Placement{"node000": 2}
 	r.wl.placements["FUSION/XGCA"] = task.Placement{"node001": 2}
 
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	// XGC1 writes outputs for steps 100, 200; XGCa for step 300.
@@ -265,7 +265,7 @@ func TestErrorStatusSensor(t *testing.T) {
 	r := newRig(t, cfg)
 	r.wl.placements["MD/LAMMPS"] = task.Placement{"node000": 4}
 
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	// The scheduler writes the failure exit code at t=5s.
@@ -299,7 +299,7 @@ func TestErrorStatusSensor(t *testing.T) {
 func statusPoll(t *testing.T) (c *Client, poll func(st *WorkerState) PendingShip, write func(exit float64)) {
 	cfg := compile(t, statusCfg)
 	r := newRig(t, cfg)
-	c = NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	c = NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	tg := cfg.Targets[0]
 	use := tg.Sensors[0]
 	def := cfg.Sensors[use.SensorID]
@@ -385,7 +385,7 @@ func TestJoinComputesDerivedMetric(t *testing.T) {
 	r.wl.placements["W/T"] = task.Placement{"node000": 1}
 	r.wl.running["W/T"] = true
 
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	perf := r.env.Streams.Open("perf.T")
@@ -444,7 +444,7 @@ func TestPreprocessDistillsArray(t *testing.T) {
 	r := newRig(t, cfg)
 	r.wl.placements["W/T"] = task.Placement{"node000": 4}
 	r.wl.running["W/T"] = true
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	st := r.env.Streams.Open("mem.T")
@@ -500,7 +500,7 @@ func TestClientReattachesAfterStreamRestart(t *testing.T) {
 	r := newRig(t, cfg)
 	r.wl.placements["GS/Iso"] = task.Placement{"node000": 1}
 	r.wl.running["GS/Iso"] = true
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	r.s.Spawn("emitter", func(p *sim.Proc) {
@@ -572,7 +572,7 @@ func TestNodeWorkflowDerivation(t *testing.T) {
 	r.wl.placements["W/B"] = task.Placement{"node000": 2}
 	r.wl.running["W/A"] = true
 	r.wl.running["W/B"] = true
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	sa := r.env.Streams.Open("tau.A")
@@ -642,7 +642,7 @@ func TestJoinAtWorkflowGranularity(t *testing.T) {
   </decision>
 </dyflow>`)
 	r := newRig(t, cfg)
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	r.env.FS.Write("out/a.100", fsim.Var{Name: "step", Value: 100})
@@ -696,7 +696,7 @@ func TestFileSourceSensor(t *testing.T) {
 </dyflow>`)
 	r := newRig(t, cfg)
 	r.wl.placements["W/Sim"] = task.Placement{"node000": 2}
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	r.s.At(2*time.Second, func() { r.env.FS.WriteVar("progress/sim", "step", 42) })
@@ -741,7 +741,7 @@ func TestDBSourceSensor(t *testing.T) {
 	r := newRig(t, cfg)
 	r.env.DB = db.New(r.s)
 	r.wl.placements["W/Sim"] = task.Placement{"node000": 2}
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, nil, r.env.Sim.Spawn, r.reg)
+	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	r.s.At(2*time.Second, func() { r.env.DB.Put("pace/sim", 3, 12.5) })

@@ -313,12 +313,6 @@ func compileTargets(m *MonitorX, cfg *Config, errs *errorList) {
 				errs.addf("monitor-task %q uses unknown sensor %q", mt.Name, us.SensorID)
 				continue
 			}
-			// A dyflow self-monitoring sensor reads the orchestrator metric
-			// named by info; without it there is nothing to poll.
-			if sd.Source == SourceDYFLOW && strings.TrimSpace(us.Info) == "" {
-				errs.addf("monitor-task %q: dyflow-source sensor %q requires info naming an orchestrator metric", mt.Name, us.SensorID)
-				continue
-			}
 			// A disk scan globs its info-source; a malformed pattern would
 			// match nothing forever and the policy would silently never fire.
 			if sd.Source == SourceDiskScan {

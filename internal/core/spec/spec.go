@@ -33,11 +33,6 @@ const (
 	// SourceDB polls the latest record for a key in the in-cluster
 	// database service (the third source medium of §2.1).
 	SourceDB
-	// SourceDYFLOW reads the orchestrator's own metrics (sensor lag,
-	// queue depth, stage counters) — the self-monitoring source that lets
-	// policies react to orchestrator health. The sensor's info attribute
-	// names the metric.
-	SourceDYFLOW
 )
 
 var sourceNames = map[SourceType]string{
@@ -47,7 +42,6 @@ var sourceNames = map[SourceType]string{
 	SourceFile:        "FILE",
 	SourceErrorStatus: "ERRORSTATUS",
 	SourceDB:          "DB",
-	SourceDYFLOW:      "DYFLOW",
 }
 
 // String returns the XML name.

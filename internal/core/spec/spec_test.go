@@ -166,6 +166,9 @@ func TestCompileCollectsAllErrors(t *testing.T) {
       <sensor id="SCAN" type="DISKSCAN">
         <group-by><group granularity="task" reduction-operation="MAX"/></group-by>
       </sensor>
+      <sensor id="SELF" type="DYFLOW">
+        <group-by><group granularity="task" reduction-operation="LAST"/></group-by>
+      </sensor>
     </sensors>
     <monitor-tasks>
       <monitor-task name="T" workflowId="W">
@@ -206,6 +209,7 @@ func TestCompileCollectsAllErrors(t *testing.T) {
 	msg := err.Error()
 	for _, want := range []string{
 		"unknown sensor source type",
+		`sensor "SELF": spec: unknown sensor source type "DYFLOW"`,
 		"unknown granularity",
 		"duplicate sensor id",
 		"unknown sensor \"UNKNOWN\"",

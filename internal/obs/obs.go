@@ -410,8 +410,7 @@ func (r *Registry) Snapshot() Snapshot { return r.snapshot() }
 
 // Value returns the sum of a family's series values: counter and gauge
 // families sum the per-series values, histogram families sum the counts.
-// ok is false for unregistered names. This is the lookup the dyflow
-// self-monitoring sensor source resolves metric names through.
+// ok is false for unregistered names.
 func (r *Registry) Value(name string) (float64, bool) {
 	r.mu.Lock()
 	i, ok := r.find(name)

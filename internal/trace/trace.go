@@ -473,19 +473,6 @@ func (r *Recorder) SensorLag(sensorID string, lag sim.Time) {
 	hist(r.sensorLags, r.lagVec, sensorID).Observe(lag.Seconds())
 }
 
-// SensorLagQuantile returns the q-quantile of a sensor's recorded
-// detection lags at histogram-bucket resolution (0 with no samples) — the
-// value the dyflow self-monitoring sensor source exposes.
-func (r *Recorder) SensorLagQuantile(sensorID string, q float64) sim.Time {
-	r.mu.Lock()
-	h, ok := r.sensorLags[sensorID]
-	r.mu.Unlock()
-	if !ok {
-		return 0 // no detection yet
-	}
-	return secondsToDuration(h.Quantile(q))
-}
-
 // SensorLagMean returns the mean of a sensor's recorded detection lags (0
 // with no samples) — the §4.6 cost table's lag.
 func (r *Recorder) SensorLagMean(sensorID string) sim.Time {
@@ -565,17 +552,6 @@ func (r *Recorder) QueueDepth(endpoint string, depth int) {
 		q.g = r.queueVec.With(endpoint)
 	}
 	q.g.Set(float64(depth))
-}
-
-// QueueMaxDepth returns the largest depth sampled for an endpoint (0 if
-// never sampled) — exposed through the dyflow self-monitoring source.
-func (r *Recorder) QueueMaxDepth(endpoint string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if q, ok := r.queues[endpoint]; ok {
-		return q.max
-	}
-	return 0
 }
 
 // Spans returns a copy of every span, in creation order.

@@ -235,8 +235,7 @@ func TestRecorderConcurrentAccess(t *testing.T) {
 				r.Report().Write(&buf)
 				_ = r.Spans()
 				_ = r.Counter("decision.suggestions")
-				_ = r.SensorLagQuantile("PACE", 0.99)
-				_ = r.QueueMaxDepth("arbiter")
+				_ = r.SensorLagMean("PACE")
 				_ = r.OpShare("start")
 				_ = reg.WritePrometheus(&buf)
 			}
