@@ -105,7 +105,7 @@ type WorkerState struct {
 	// pend is the worker's one pending shipment, reused by every poll and
 	// decode instead of allocated by each.
 	pend PendingShip
-	// one holds the single reading of a FILE, DB or ERRORSTATUS poll:
+	// one holds the single reading of a DB or ERRORSTATUS poll:
 	// pend.Readings is one[:] until the shipment is built, and build keeps
 	// none of it, so the next poll may overwrite it.
 	one [1]float64
@@ -192,7 +192,7 @@ func (c *Client) Start() {
 			switch def.Source {
 			case spec.SourceTAUADIOS2, spec.SourceADIOS2:
 				body = func(p *sim.Proc) { c.streamWorker(p, tg, use, def, st) }
-			case spec.SourceDiskScan, spec.SourceFile, spec.SourceErrorStatus, spec.SourceDB:
+			case spec.SourceDiskScan, spec.SourceErrorStatus, spec.SourceDB:
 				body = func(p *sim.Proc) { c.pollWorker(p, tg, use, def, st) }
 			default:
 				continue
@@ -397,9 +397,8 @@ func (c *Client) shipPending(st *WorkerState, tg spec.MonitorTarget, def *spec.S
 	c.ship(st, tg, def, pend)
 }
 
-// pollPath is the file a FILE or ERRORSTATUS target reads, resolved once
-// per target: an ERRORSTATUS target without an InfoSource reads its task's
-// exit-status file.
+// pollPath is the file an ERRORSTATUS target reads, resolved once per
+// target: its InfoSource, or without one its task's exit-status file.
 func pollPath(tg spec.MonitorTarget, def *spec.SensorDef) string {
 	if def.Source == spec.SourceErrorStatus && tg.InfoSource == "" {
 		return task.StatusPath(tg.Workflow, tg.Task)
@@ -420,18 +419,6 @@ func (c *Client) pollOnce(st *WorkerState, tg spec.MonitorTarget, use spec.Senso
 		}
 		sc.refresh()
 		return PendingShip{Readings: sc.readings, Step: sc.step, GenAt: sc.genAt, scan: sc, gen: sc.gen}, len(sc.readings) > 0
-	case spec.SourceFile:
-		f := c.env.FS.Lookup(path)
-		if f == nil {
-			return PendingShip{}, false
-		}
-		v, found := f.Var(info)
-		if !found {
-			return PendingShip{}, false
-		}
-		step, _ := f.Var("step")
-		st.one[0] = v
-		return PendingShip{Readings: st.one[:], Step: int(step), GenAt: f.MTime}, true
 	case spec.SourceDB:
 		if c.env.DB == nil {
 			return PendingShip{}, false
@@ -548,7 +535,7 @@ func (sc *diskScan) refresh() {
 // The worker's shipment caches that batch, so it is not recycled while
 // cached, and the sanitize drops it counted are counted again, so the
 // server and the metrics see exactly what a rebuild would give them.
-// Every other reading is built afresh: streamed and FILE/DB/ERRORSTATUS
+// Every other reading is built afresh: streamed, DB and ERRORSTATUS
 // readings carry no extraction to compare.
 func (c *Client) ship(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDef, pend PendingShip) {
 	last := &st.last

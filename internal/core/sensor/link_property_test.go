@@ -101,8 +101,8 @@ type linkStats struct {
 // senders — refShip for batches and freshPayload, fed by a second
 // server's forwards, for lists — whose payloads no release recycles. Each
 // step ships a same-instant burst of shipments: unchanged re-polls of a
-// worker's last extraction, changed readings (NaN among them) and FILE
-// polls that never re-send. The bus jitters every send on the two links,
+// worker's last extraction, changed readings (NaN among them) and
+// ERRORSTATUS polls that never re-send. The bus jitters every send on the two links,
 // the same way on both sides, so both servers and both Decisions drop the
 // same stale envelopes. Both Decisions must read the same metrics, and at
 // the end every payload the recycling side sent is idle: on its sender's

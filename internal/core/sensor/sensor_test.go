@@ -667,50 +667,6 @@ func TestJoinAtWorkflowGranularity(t *testing.T) {
 	}
 }
 
-// TestFileSourceSensor covers the FILE source type: a single file polled
-// for a named variable.
-func TestFileSourceSensor(t *testing.T) {
-	cfg := compile(t, `
-<dyflow>
-  <monitor>
-    <sensors>
-      <sensor id="PROGRESS" type="FILE">
-        <group-by><group granularity="task" reduction-operation="LAST"/></group-by>
-      </sensor>
-    </sensors>
-    <monitor-tasks>
-      <monitor-task name="Sim" workflowId="W" info-source="progress/sim">
-        <use-sensor sensor-id="PROGRESS" info="step"/>
-      </monitor-task>
-    </monitor-tasks>
-  </monitor>
-  <decision>
-    <policies>
-      <policy id="P"><eval operation="GT" threshold="100"/>
-        <sensors-to-use><use-sensor id="PROGRESS" granularity="task"/></sensors-to-use>
-        <action>STOP</action>
-      </policy>
-    </policies>
-    <apply-on workflowId="W"><apply-policy policyId="P"><act-on-tasks>Sim</act-on-tasks></apply-policy></apply-on>
-  </decision>
-</dyflow>`)
-	r := newRig(t, cfg)
-	r.wl.placements["W/Sim"] = task.Placement{"node000": 2}
-	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
-	client.Start()
-
-	r.s.At(2*time.Second, func() { r.env.FS.WriteVar("progress/sim", "step", 42) })
-	r.s.At(5*time.Second, func() { r.env.FS.WriteVar("progress/sim", "step", 57) })
-	if err := r.s.Run(8 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	client.Stop()
-	m, ok := r.server.Latest(Key{Workflow: "W", Task: "Sim", Sensor: "PROGRESS", Granularity: spec.GranTask})
-	if !ok || m.Value != 57 {
-		t.Fatalf("PROGRESS = %v, %v, want 57", m.Value, ok)
-	}
-}
-
 // TestDBSourceSensor covers the DB source type: the sensor polls the
 // latest record published under a key in the in-cluster database service.
 func TestDBSourceSensor(t *testing.T) {

@@ -100,7 +100,8 @@ next:
 // shipCfg polls two file sets: task A's variables through four DISKSCAN
 // sensors — two of which read the same variable and so share one
 // extraction, one preprocessed, one grouped by node — task B's through one,
-// and task C's progress file through a FILE sensor.
+// and task C's progress file through an ERRORSTATUS sensor whose explicit
+// info-source names that one path.
 const shipCfg = `
 <dyflow>
   <monitor>
@@ -124,7 +125,7 @@ const shipCfg = `
           <group granularity="task" reduction-operation="SUM"/>
         </group-by>
       </sensor>
-      <sensor id="PROG" type="FILE">
+      <sensor id="PROG" type="ERRORSTATUS">
         <group-by><group granularity="task" reduction-operation="LAST"/></group-by>
       </sensor>
     </sensors>
@@ -265,7 +266,7 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 			// reuse a recycled batch, but it caches a newer extraction.
 			if ws := c.states[name]; ws != nil {
 				if (u.Sensor == "MEM" || u.Sensor == "PROG") && ws.last.batch != nil {
-					fail("%s caches a batch; node-grouped and FILE batches are rebuilt", name)
+					fail("%s caches a batch; node-grouped and ERRORSTATUS batches are rebuilt", name)
 				}
 				if b == ws.last.batch && ws.last == cached[name] {
 					st.resent++

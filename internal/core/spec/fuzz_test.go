@@ -14,7 +14,7 @@ func FuzzCompileString(f *testing.F) {
 	f.Add(paceXML)
 	f.Add("<dyflow/>")
 	f.Add("<dyflow><monitor><sensors><sensor id=\"A\" type=\"DB\"><group-by><group granularity=\"task\" reduction-operation=\"MAX\"/></group-by></sensor></sensors></monitor><decision><policies><policy id=\"P\"><eval operation=\"GT\" threshold=\"1\"/><sensors-to-use><use-sensor id=\"A\" granularity=\"task\"/></sensors-to-use><action>STOP</action></policy></policies><apply-on workflowId=\"W\"><apply-policy policyId=\"P\"><act-on-tasks>T</act-on-tasks></apply-policy></apply-on></decision></dyflow>")
-	f.Add("<dyflow><monitor><sensors><sensor id='X' type='FILE'><join sensor-id='X' operation='DIV' granularity='workflow'/></sensor></sensors></monitor></dyflow>")
+	f.Add("<dyflow><monitor><sensors><sensor id='X' type='DISKSCAN'><join sensor-id='X' operation='DIV' granularity='workflow'/></sensor></sensors></monitor></dyflow>")
 	f.Add(strings.Repeat("<dyflow>", 50))
 	f.Add("<dyflow><monitor><sensors><sensor id='S' type='DISKSCAN'><group-by><group granularity='task' reduction-operation='MAX'/></group-by></sensor></sensors><monitor-tasks><monitor-task name='T' workflowId='W' info-source='out/[.bp'><use-sensor sensor-id='S' info='step'/></monitor-task></monitor-tasks></monitor></dyflow>")
 

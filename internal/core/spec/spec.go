@@ -25,8 +25,6 @@ const (
 	// SourceDiskScan scans the filesystem with a glob pattern and reads a
 	// variable from matching files (the NSTEPS sensor in Figure 7).
 	SourceDiskScan
-	// SourceFile reads a variable from a single file.
-	SourceFile
 	// SourceErrorStatus reads the scheduler-written exit-status file of a
 	// task (the STATUS sensor in Figure 10).
 	SourceErrorStatus
@@ -39,7 +37,6 @@ var sourceNames = map[SourceType]string{
 	SourceTAUADIOS2:   "TAUADIOS2",
 	SourceADIOS2:      "ADIOS2",
 	SourceDiskScan:    "DISKSCAN",
-	SourceFile:        "FILE",
 	SourceErrorStatus: "ERRORSTATUS",
 	SourceDB:          "DB",
 }

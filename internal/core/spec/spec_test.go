@@ -169,6 +169,9 @@ func TestCompileCollectsAllErrors(t *testing.T) {
       <sensor id="SELF" type="DYFLOW">
         <group-by><group granularity="task" reduction-operation="LAST"/></group-by>
       </sensor>
+      <sensor id="PROGRESS" type="FILE">
+        <group-by><group granularity="task" reduction-operation="LAST"/></group-by>
+      </sensor>
     </sensors>
     <monitor-tasks>
       <monitor-task name="T" workflowId="W">
@@ -210,6 +213,7 @@ func TestCompileCollectsAllErrors(t *testing.T) {
 	for _, want := range []string{
 		"unknown sensor source type",
 		`sensor "SELF": spec: unknown sensor source type "DYFLOW"`,
+		`sensor "PROGRESS": spec: unknown sensor source type "FILE"`,
 		"unknown granularity",
 		"duplicate sensor id",
 		"unknown sensor \"UNKNOWN\"",
@@ -322,7 +326,7 @@ func TestJoinOps(t *testing.T) {
 }
 
 func TestEnumRoundTrips(t *testing.T) {
-	for _, st := range []SourceType{SourceTAUADIOS2, SourceADIOS2, SourceDiskScan, SourceFile, SourceErrorStatus, SourceDB} {
+	for _, st := range []SourceType{SourceTAUADIOS2, SourceADIOS2, SourceDiskScan, SourceErrorStatus, SourceDB} {
 		got, err := ParseSourceType(st.String())
 		if err != nil || got != st {
 			t.Errorf("source %v: %v %v", st, got, err)

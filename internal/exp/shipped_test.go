@@ -41,7 +41,6 @@ var unshippedConstructs = map[string]string{
 	"join DIV":             "the paper's §2.1 join example, IPC = instructions DIV cycles",
 
 	// Named by neither; deleted in the commits that follow.
-	"source FILE": "a single-file poll, which the paper does not name",
 
 	// The rest of a vocabulary whose other members are reached: one
 	// parser and one evaluator serve each, so a member costs a name.

@@ -15,7 +15,7 @@ import (
 //   - rewrite: an existing file written again with its two variables;
 //   - writevar: one variable of an existing file updated (the progress and
 //     checkpoint counters);
-//   - lookup: a FILE or ERRORSTATUS poll finding its path.
+//   - lookup: an ERRORSTATUS poll finding its path.
 func BenchmarkFSWrite(b *testing.B) {
 	for _, n := range []int{10, 1000} {
 		fs := New(sim.New(1))

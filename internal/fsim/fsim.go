@@ -3,8 +3,9 @@
 //
 // Tasks deposit output files (e.g. XGC1's per-interval restart dumps),
 // checkpoints, and scheduler-style exit-status files here; the Monitor
-// stage's DISKSCAN and FILE source types poll it with glob patterns, exactly
-// as the paper's NSTEPS and STATUS sensors do.
+// stage's DISKSCAN source polls it with glob patterns and its ERRORSTATUS
+// source looks up one path, exactly as the paper's NSTEPS and STATUS
+// sensors do.
 //
 // Ordering: the filesystem keeps its entries in one index sorted by path,
 // maintained by Write and Remove; it is the only store, and an operation on
