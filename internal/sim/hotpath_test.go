@@ -6,6 +6,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -133,6 +134,46 @@ func TestDoubleInterruptRunnable(t *testing.T) {
 	}
 	if errors.Is(second, causeC) {
 		t.Fatal("dropped cause must not be delivered")
+	}
+}
+
+// causeError is a typed interrupt cause for errors.As.
+type causeError struct{ code int }
+
+func (e *causeError) Error() string { return fmt.Sprintf("cause %d", e.code) }
+
+// TestInterruptErrorEqualsErrorf: an interrupt with a cause reads as
+// fmt.Errorf("%w: %w", ErrInterrupted, cause) does — the same text, and
+// errors.Is and errors.As find the same errors in it — and one without a
+// cause is ErrInterrupted itself.
+func TestInterruptErrorEqualsErrorf(t *testing.T) {
+	s := New(1)
+	cause := &causeError{code: 137}
+	var got, bare error
+	target := s.Spawn("target", func(p *Proc) {
+		got = p.Sleep(time.Hour)
+		bare = p.Sleep(time.Hour)
+	})
+	s.At(time.Second, func() { target.Interrupt(cause) })
+	s.At(2*time.Second, func() { target.Interrupt(nil) })
+	if err := s.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Errorf("%w: %w", ErrInterrupted, cause)
+	if got.Error() != want.Error() {
+		t.Errorf("text %q, want %q", got, want)
+	}
+	for _, target := range []error{ErrInterrupted, cause, ErrStopped, errors.New("sim: interrupted")} {
+		if errors.Is(got, target) != errors.Is(want, target) {
+			t.Errorf("errors.Is(%v) = %v, want %v", target, errors.Is(got, target), errors.Is(want, target))
+		}
+	}
+	var ce *causeError
+	if !errors.As(got, &ce) || ce != cause {
+		t.Errorf("errors.As found %v, want the cause", ce)
+	}
+	if bare != ErrInterrupted {
+		t.Errorf("an interrupt without a cause = %v, want ErrInterrupted", bare)
 	}
 }
 

@@ -319,7 +319,7 @@ func (p *Proc) Interrupt(cause error) bool {
 	}
 	err := ErrInterrupted
 	if cause != nil {
-		err = fmt.Errorf("%w: %w", ErrInterrupted, cause)
+		err = &interruptError{errs: [2]error{ErrInterrupted, cause}}
 	}
 	if p.parked {
 		p.scheduleWake(err)
@@ -331,6 +331,17 @@ func (p *Proc) Interrupt(cause error) bool {
 	}
 	return false
 }
+
+// interruptError is an interrupt with a cause: fmt.Errorf("%w: %w",
+// ErrInterrupted, cause) formatted only when Error is called, since most
+// interrupts are matched with errors.Is and dropped unread.
+type interruptError struct{ errs [2]error }
+
+func (e *interruptError) Error() string {
+	return e.errs[0].Error() + ": " + e.errs[1].Error()
+}
+
+func (e *interruptError) Unwrap() []error { return e.errs[:] }
 
 // Join blocks until other terminates. It returns nil once other has
 // terminated, or the interrupt/stop error delivered while waiting.
