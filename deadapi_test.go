@@ -40,7 +40,6 @@ var exportedForTests = map[string]string{
 	// Kept for now: deleting each takes a whole test with it.
 	"internal/fsim.FS.Glob":          "TestProperty_WorldClose_IsInert's view of the filesystem",
 	"internal/stream.Registry.Names": "TestProperty_WorldClose_IsInert's view of the staging streams",
-	"internal/fsim.FS.RemoveGlob":    "TestRemoveGlob",
 	"internal/trace.Span.Monotone":   "TestMonotoneDetectsRegression",
 }
 

@@ -9,12 +9,12 @@
 //
 // Ordering: the filesystem keeps its entries in one index sorted by path,
 // maintained by Write and Remove; it is the only store, and an operation on
-// one path finds its entry by binary search. Glob and RemoveGlob walk
-// that index, so results always come out in ascending path order, and a
-// pattern's literal prefix ("out/xgc1." of "out/xgc1.*.bp") selects its
-// index range by binary search instead of a walk over every file. A Watch
-// keeps its own path-sorted list of the entries its pattern matches,
-// maintained by the same mutations, so Watch.Visit matches no path at all.
+// one path finds its entry by binary search. Glob walks that index, so
+// results always come out in ascending path order, and a pattern's literal
+// prefix ("out/xgc1." of "out/xgc1.*.bp") selects its index range by
+// binary search instead of a walk over every file. A Watch keeps its own
+// path-sorted list of the entries its pattern matches, maintained by the
+// same mutations, so Watch.Visit matches no path at all.
 //
 // Appends: a watch also tells a tail append — a created file that sorts
 // after every file it already holds, as rising "%05d" output steps do —
@@ -202,16 +202,6 @@ func (fs *FS) Remove(p string) {
 	fs.touch(f, removed)
 }
 
-// RemoveGlob deletes every file matching pattern and returns the count.
-func (fs *FS) RemoveGlob(pattern string) int {
-	var doomed []string
-	fs.visit(pattern, func(f *File) { doomed = append(doomed, f.Path) })
-	for _, p := range doomed {
-		fs.Remove(p)
-	}
-	return len(doomed)
-}
-
 // Lookup returns the live entry at p, or nil if it does not exist. The
 // entry is read-only and valid until the next mutation of the filesystem.
 func (fs *FS) Lookup(p string) *File {
@@ -240,19 +230,14 @@ func (fs *FS) ReadVar(p, name string) (float64, error) {
 // pattern matches nothing.
 func (fs *FS) Glob(pattern string) []*File {
 	var out []*File
-	fs.visit(pattern, func(f *File) { out = append(out, f.clone()) })
+	if pat, err := Compile(pattern); err == nil {
+		fs.scan(pat, func(f *File) { out = append(out, f.clone()) })
+	}
 	return out
 }
 
 // Len returns the total number of files.
 func (fs *FS) Len() int { return len(fs.index) }
-
-// visit compiles pattern and scans it; a malformed pattern matches nothing.
-func (fs *FS) visit(pattern string, fn func(*File)) {
-	if pat, err := Compile(pattern); err == nil {
-		fs.scan(pat, fn)
-	}
-}
 
 // scan is the one scan path: it calls fn with the live entry of every file
 // matching pat, in ascending path order. Only the index range sharing the

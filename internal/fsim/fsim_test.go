@@ -98,20 +98,6 @@ func TestGlobSegments(t *testing.T) {
 	}
 }
 
-func TestRemoveGlob(t *testing.T) {
-	s := sim.New(1)
-	fs := New(s)
-	fs.Write("ckpt/l.100")
-	fs.Write("ckpt/l.200")
-	fs.Write("out/keep")
-	if n := fs.RemoveGlob("ckpt/*"); n != 2 {
-		t.Fatalf("removed %d, want 2", n)
-	}
-	if fs.Len() != 1 {
-		t.Fatalf("len = %d, want 1", fs.Len())
-	}
-}
-
 func TestMatchErrors(t *testing.T) {
 	if _, err := match("[", "x"); err == nil {
 		t.Fatal("bad pattern should error")
