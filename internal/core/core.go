@@ -7,7 +7,6 @@
 package core
 
 import (
-
 	"dyflow/internal/core/actuate"
 	"dyflow/internal/core/arbiter"
 	"dyflow/internal/core/decision"

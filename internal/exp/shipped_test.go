@@ -32,15 +32,13 @@ const moduleRoot = "../.."
 // unshippedConstructs lists the constructs that no shipped document
 // reaches, as "kind NAME", each with the reason it stays.
 var unshippedConstructs = map[string]string{
-	// Named by the paper; their shipped examples are still to come.
+	// Named by the paper; each waits for a shipped example.
 	"source ADIOS2":        "the paper's Figure 7 ERROR sensor streams application data over ADIOS2",
 	"source DB":            "the paper's §2.1 names the database service as the third source medium",
 	"op signal_*_task":     "a low-level operation of the paper's §3.4 that wms.Savanna.SignalTask implements and no plan issues",
 	"op release_resources": "a low-level operation of the paper's §3.4 that wms.Savanna.ReleaseResources implements and no plan issues",
 	"dependency LOOSE":     "the paper's §2.3 names the disk-coupled dependency beside TIGHT",
 	"join DIV":             "the paper's §2.1 join example, IPC = instructions DIV cycles",
-
-	// Named by neither; deleted in the commits that follow.
 
 	// The rest of a vocabulary whose other members are reached: one
 	// parser and one evaluator serve each, so a member costs a name.
