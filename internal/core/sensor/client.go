@@ -91,8 +91,9 @@ type PendingShip struct {
 // WorkerState is one worker's resumable position: which phase it is parked
 // in, the absolute wake instant of its current sleep, a mid-read/mid-decode
 // pending shipment, and — for stream workers — the reader backlog captured
-// at checkpoint, replayed before reattaching. Only the exported fields are checkpointed: a restored
-// worker starts without a reader and without a last shipment.
+// at checkpoint, replayed before reattaching. Only the exported fields are
+// checkpointed: a restored worker starts without a reader and without a
+// last shipment.
 type WorkerState struct {
 	Phase  string   `json:"phase,omitempty"`
 	WakeAt sim.Time `json:"wake_at,omitempty"`

@@ -284,8 +284,7 @@ var docLists = map[string]*regexp.Regexp{
 
 // undocumented compares the lists md gives of each kind in docLists with
 // the constructs of all, reporting a name a list gives that the language
-// does not have and a construct the lists miss. A kind md gives no list of
-// is not checked, so the plant test can give one kind alone.
+// does not have and a construct the lists miss.
 func undocumented(all []string, md string) []string {
 	var out []string
 	for _, kind := range sortedKeys(docLists) {
@@ -294,9 +293,6 @@ func undocumented(all []string, md string) []string {
 			for _, name := range strings.FieldsFunc(m[1], func(r rune) bool { return strings.ContainsRune(" \n,|`", r) }) {
 				listed[name] = true
 			}
-		}
-		if len(listed) == 0 {
-			continue
 		}
 		for _, name := range sortedKeys(listed) {
 			if !slices.Contains(all, kind+" "+name) {
