@@ -102,8 +102,6 @@ func (o Op) String() string {
 type Plan struct {
 	Workflow string
 	Ops      []Op
-	// Denied lists suggested actions discarded for infeasibility.
-	Denied []string
 }
 
 // Empty reports whether the plan contains no operations.
@@ -217,8 +215,8 @@ func (e *taskOps) startOp(wf string) Op {
 }
 
 // planner is BuildPlan's scratch space. The engine keeps one and reuses it
-// every round, so a warm round allocates only its plan's outputs: Ops,
-// Denied and the returned waiting queue. Those are always fresh slices;
+// every round, so a warm round allocates only its plan's outputs: Ops
+// and the returned waiting queue. Those are always fresh slices;
 // nothing the planner returns is a view of these buffers, and nothing in
 // them is read before the round that fills it has reset it.
 type planner struct {
@@ -245,7 +243,7 @@ func (p *planner) build(in PlanInput) (Plan, []WaitingTask) {
 	plan := Plan{Workflow: in.Workflow}
 
 	// --- Line 2: resolve conflicts in A_sugg using policy priorities. ---
-	p.resolveConflicts(in, &plan)
+	p.resolveConflicts(in)
 
 	// --- Line 3: add dependent actions via task dependencies. ---
 	p.addDependents(in)
@@ -394,7 +392,6 @@ func (p *planner) build(in PlanInput) (Plan, []WaitingTask) {
 			break // nothing acquires; should not happen with balance > 0
 		}
 		dropped := p.entries[dropIdx].task
-		plan.Denied = append(plan.Denied, dropped+" (policy "+p.entries[dropIdx].policy+"): insufficient resources")
 		// Dependency-derived entries of the dropped operation are
 		// pointless without it.
 		kept := p.entries[:0]
@@ -628,7 +625,7 @@ func (p *planner) stopsInPlan(task string) bool {
 // resolveConflicts expands suggestions into per-task intents, resolving
 // STOP-START, STOP-RESTART, and RMCPU-ADDCPU style conflicts with policy
 // priorities (lower value wins; first seen wins ties).
-func (p *planner) resolveConflicts(in PlanInput, plan *Plan) {
+func (p *planner) resolveConflicts(in PlanInput) {
 	if p.index == nil {
 		p.index = make(map[string]int)
 	}
@@ -643,18 +640,18 @@ func (p *planner) resolveConflicts(in PlanInput, plan *Plan) {
 		pri := in.Rules.PolicyPriority(r.PolicyID())
 		if act == spec.ActionSwitch {
 			// SWITCH = stop the assessed task, start the act-on tasks.
-			p.consider(in, plan, intent{action: spec.ActionStop, task: r.AssessTask(), policy: r.PolicyID(), policyPri: pri, rule: r})
+			p.consider(in, intent{action: spec.ActionStop, task: r.AssessTask(), policy: r.PolicyID(), policyPri: pri, rule: r})
 			act = spec.ActionStart
 		}
 		for j := 0; j < r.NumActOnTasks(); j++ {
-			p.consider(in, plan, intent{action: act, task: r.ActOnTask(j), policy: r.PolicyID(), policyPri: pri, rule: r})
+			p.consider(in, intent{action: act, task: r.ActOnTask(j), policy: r.PolicyID(), policyPri: pri, rule: r})
 		}
 	}
 }
 
 // consider adds it as its task's intent, or resolves it against the
 // task's current one.
-func (p *planner) consider(in PlanInput, plan *Plan, it intent) {
+func (p *planner) consider(in PlanInput, it intent) {
 	it.pri = taskPri(in, it.task)
 	i, ok := p.index[it.task]
 	if !ok {
@@ -667,10 +664,7 @@ func (p *planner) consider(in PlanInput, plan *Plan, it intent) {
 		return // duplicate suggestion
 	}
 	if it.policyPri < cur.policyPri {
-		plan.Denied = append(plan.Denied, fmt.Sprintf("%s on %s (policy %s): conflicts with higher-priority %s", cur.action, cur.task, cur.policy, it.action))
 		*cur = it
-	} else {
-		plan.Denied = append(plan.Denied, fmt.Sprintf("%s on %s (policy %s): conflicts with higher-priority %s", it.action, it.task, it.policy, cur.action))
 	}
 }
 

@@ -1,7 +1,6 @@
 package arbiter
 
 import (
-	"strings"
 	"testing"
 
 	"dyflow/internal/core/decision"
@@ -134,7 +133,9 @@ func TestFigure8SecondAdaptation(t *testing.T) {
 
 // TestConflictResolutionStopBeatsStart: STOP (priority 0) vs START
 // (priority 1) on the same task keeps the STOP, as in the XGC experiment's
-// STOP_ON_COND > RESTART_UNTIL_COND prioritization.
+// STOP_ON_COND > RESTART_UNTIL_COND prioritization, whichever of the two
+// is suggested first: the plan is the STOP_ON_COND stop alone, and the
+// denied START leaves nothing waiting.
 func TestConflictResolutionStopBeatsStart(t *testing.T) {
 	rules := &spec.WorkflowRules{
 		Workflow: "FUSION",
@@ -148,25 +149,26 @@ func TestConflictResolutionStopBeatsStart(t *testing.T) {
 		"XGC1": {Running: false, Procs: 192, PerNode: 14},
 		"XGCA": {Running: true, Procs: 192, PerNode: 14},
 	}
-	in := PlanInput{
-		Workflow: "FUSION",
-		Suggestions: []decision.Suggestion{
-			{Rule: decision.NewRule("FUSION", "RESTART_UNTIL_COND", "START", "XGC1", []string{"XGCA"}, nil)},
-			{Rule: decision.NewRule("FUSION", "STOP_ON_COND", "STOP", "XGCA", []string{"XGCA"}, nil)},
-		},
-		Tasks:     tasks,
-		FreeCores: 0,
-		Rules:     rules,
-	}
-	plan, _ := BuildPlan(in)
-	if len(findOps(plan, OpStop, "XGCA")) != 1 {
-		t.Fatalf("plan = %v, want STOP XGCA", plan.Ops)
-	}
-	if len(findOps(plan, OpStart, "XGCA")) != 0 {
-		t.Fatal("conflicting START must be filtered")
-	}
-	if len(plan.Denied) == 0 || !strings.Contains(plan.Denied[0], "conflicts") {
-		t.Fatalf("denied = %v", plan.Denied)
+	start := decision.Suggestion{Rule: decision.NewRule("FUSION", "RESTART_UNTIL_COND", "START", "XGC1", []string{"XGCA"}, nil)}
+	stop := decision.Suggestion{Rule: decision.NewRule("FUSION", "STOP_ON_COND", "STOP", "XGCA", []string{"XGCA"}, nil)}
+	for _, suggestions := range [][]decision.Suggestion{{start, stop}, {stop, start}} {
+		in := PlanInput{
+			Workflow:    "FUSION",
+			Suggestions: suggestions,
+			Tasks:       tasks,
+			FreeCores:   0,
+			Rules:       rules,
+		}
+		plan, waiting := BuildPlan(in)
+		if got := findOps(plan, OpStop, "XGCA"); len(got) != 1 || got[0].Policy != "STOP_ON_COND" {
+			t.Fatalf("plan = %v, want STOP XGCA by STOP_ON_COND", plan.Ops)
+		}
+		if len(findOps(plan, OpStart, "XGCA")) != 0 || len(plan.Ops) != 1 {
+			t.Fatalf("plan = %v, want the conflicting START filtered", plan.Ops)
+		}
+		if len(waiting) != 0 {
+			t.Fatalf("waiting = %+v, want none", waiting)
+		}
 	}
 }
 
@@ -226,11 +228,11 @@ func TestDenyWhenNoVictim(t *testing.T) {
 	if got := findOps(plan, OpStart, "A"); len(got) != 1 || got[0].Procs != 15 {
 		t.Fatalf("A start = %+v", got)
 	}
+	if len(findOps(plan, OpStop, "A")) != 1 || len(plan.Ops) != 2 {
+		t.Fatalf("plan = %v, want A's stop and start only", plan.Ops)
+	}
 	if len(findOps(plan, OpStart, "B")) != 0 {
 		t.Fatal("B must be denied")
-	}
-	if len(plan.Denied) == 0 {
-		t.Fatal("denial must be recorded")
 	}
 	if len(waiting) != 0 {
 		t.Fatalf("denied ops do not join the waiting queue: %v", waiting)
@@ -559,12 +561,13 @@ func TestFigure8AllAnalysesSuggest(t *testing.T) {
 	if len(findOps(plan, OpStop, "GrayScott")) != 0 {
 		t.Fatal("the simulation must never be preempted")
 	}
-	if len(waiting) != 1 || waiting[0].Task != "PDF_Calc" {
-		t.Fatalf("waiting = %+v", waiting)
+	// FFT's and PDF's own increases were denied: PDF_Calc only stops, and
+	// waits at its current size, not the 40 its ADDCPU asked for.
+	if got := findOps(plan, OpStart, "PDF_Calc"); len(got) != 0 {
+		t.Fatalf("PDF_Calc start = %+v, want its increase denied", got)
 	}
-	// FFT's and PDF's own increases were denied.
-	if len(plan.Denied) < 2 {
-		t.Fatalf("denied = %v", plan.Denied)
+	if len(waiting) != 1 || waiting[0].Task != "PDF_Calc" || waiting[0].Procs != 20 {
+		t.Fatalf("waiting = %+v, want PDF_Calc at 20", waiting)
 	}
 }
 
