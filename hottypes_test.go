@@ -20,7 +20,8 @@ import (
 
 // TestHotTypeSizes pins the size of each value the stages hand each other
 // on every message or span — the two recycled Monitor payloads among them —
-// and of the kernel's pooled event, on a 64-bit platform: a field added to one is copied on every send or scheduled
+// of the record the flight recorder keeps per span, and of the kernel's
+// pooled event, on a 64-bit platform: a field added to one is copied on every send or scheduled
 // with every event, so adding it is a decision, made here.
 func TestHotTypeSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -37,12 +38,30 @@ func TestHotTypeSizes(t *testing.T) {
 		{"sensor.MetricList", unsafe.Sizeof(sensor.MetricList{}), 40},
 		{"decision.Suggestion", unsafe.Sizeof(decision.Suggestion{}), 56},
 		{"trace.Span", unsafe.Sizeof(trace.Span{}), 136},
+		{"trace.spanRec", spanRecordType(t).Size(), 64},
 		{"sim.Event", unsafe.Sizeof(sim.Event{}), 88},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
 		}
 	}
+}
+
+// spanRecordType is the type of the records the flight recorder's span
+// log stores, one per suggestion: the element of its chunks. It is
+// unexported, and a test-only export in internal/trace is visible to that
+// package's tests alone, so it is reached by reflection.
+func spanRecordType(t *testing.T) reflect.Type {
+	t.Helper()
+	log, ok := reflect.TypeOf((*trace.Recorder)(nil)).Elem().FieldByName("spans")
+	if !ok {
+		t.Fatal("trace.Recorder has no spans field")
+	}
+	chunks, ok := log.Type.FieldByName("chunks")
+	if !ok || chunks.Type.Kind() != reflect.Slice || chunks.Type.Elem().Kind() != reflect.Slice {
+		t.Fatal("the span log has no chunks field of slices")
+	}
+	return chunks.Type.Elem().Elem()
 }
 
 // TestHotTypesHaveNoCodecs keeps the live types codec-free: what a value

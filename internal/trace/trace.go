@@ -299,10 +299,19 @@ func (r *Recorder) Counter(name string) int64 {
 	return 0
 }
 
-// spanLog holds spans as values in creation order, in chunks that are
-// never reallocated — the first holds spanChunkMin spans, each next one
-// twice the last, up to spanChunkMax — so recording a span never copies
-// the ones already held.
+// spanLog holds spans in creation order as compact records, in chunks
+// that are never reallocated — the first holds spanChunkMin records,
+// each next one twice the last, up to spanChunkMax — so recording a span
+// never copies the ones already held.
+//
+// A record keeps a span's number and timestamps; the strings a Span
+// repeats in every span are interned in the log: the rule (workflow,
+// policy, action, sensor) once per distinct tuple, the drop reason once
+// per distinct reason, and a record holds their indices. A record is
+// therefore 64 bytes against a Span's 136, and holds no pointer, so a
+// chunk of a power-of-two length fills its size class exactly and the
+// garbage collector never scans it. Readers get Spans built from a
+// record (expand).
 //
 // A span is found by its Seq. Decision numbers its suggestions
 // consecutively, so span i is normally the one numbered i past span 0 and
@@ -310,9 +319,33 @@ func (r *Recorder) Counter(name string) int64 {
 // it (opened out of order or after a gap) is indexed in moved instead,
 // which stays nil while spans arrive in order.
 type spanLog struct {
-	chunks [][]Span
+	chunks [][]spanRec
 	n      int
 	moved  map[int]int // Seq → index, for spans not at Seq − span 0's Seq
+
+	rules   []spanRule          // interned rules, in first-use order
+	ruleIdx map[spanRule]uint32 // rule → its index in rules
+	reasons []string            // interned drop reasons, in first-use order
+}
+
+// spanRule is what names a span's suggestion beside its number.
+type spanRule struct {
+	workflow, policy, action, sensor string
+}
+
+// spanRec is a span as the log stores it.
+type spanRec struct {
+	seq int
+
+	generatedAt sim.Time
+	observedAt  sim.Time
+	decidedAt   sim.Time
+	receivedAt  sim.Time
+	plannedAt   sim.Time
+	executedAt  sim.Time
+
+	rule    uint32 // index into the log's rules
+	dropped uint32 // 0 when not dropped, else 1 + index into the log's reasons
 }
 
 const (
@@ -334,42 +367,96 @@ func locate(i int) (chunk, off int) {
 	return chunk, i - spanChunkMin*(1<<chunk-1)
 }
 
-// at returns span i, which must be held.
-func (l *spanLog) at(i int) *Span {
+// at returns the record of span i, which must be held.
+func (l *spanLog) at(i int) *spanRec {
 	c, off := locate(i)
 	return &l.chunks[c][off]
 }
 
-// add appends a span, whose Seq is positive and not yet in the log.
-func (l *spanLog) add(sp Span) {
-	if l.n > 0 && sp.Seq-l.at(0).Seq != l.n {
+// add appends the record of a span whose Seq is positive and not yet in
+// the log.
+func (l *spanLog) add(rec spanRec) {
+	if l.n > 0 && rec.seq-l.at(0).seq != l.n {
 		if l.moved == nil {
 			l.moved = make(map[int]int)
 		}
-		l.moved[sp.Seq] = l.n
+		l.moved[rec.seq] = l.n
 	}
 	c, off := locate(l.n)
 	if c == len(l.chunks) {
-		l.chunks = append(l.chunks, make([]Span, min(spanChunkMin<<c, spanChunkMax)))
+		l.chunks = append(l.chunks, make([]spanRec, min(spanChunkMin<<c, spanChunkMax)))
 	}
-	l.chunks[c][off] = sp
+	l.chunks[c][off] = rec
 	l.n++
 }
 
-// find returns the span of suggestion seq, or nil.
-func (l *spanLog) find(seq int) *Span {
+// find returns the record of suggestion seq's span, or nil.
+func (l *spanLog) find(seq int) *spanRec {
 	if seq < 1 || l.n == 0 {
 		return nil
 	}
-	if i := seq - l.at(0).Seq; i >= 0 && i < l.n {
-		if sp := l.at(i); sp.Seq == seq {
-			return sp
+	if i := seq - l.at(0).seq; i >= 0 && i < l.n {
+		if rec := l.at(i); rec.seq == seq {
+			return rec
 		}
 	}
 	if i, ok := l.moved[seq]; ok {
 		return l.at(i)
 	}
 	return nil
+}
+
+// intern returns rule's index in l.rules, adding the rule on its first
+// use.
+func (l *spanLog) intern(rule spanRule) uint32 {
+	if i, ok := l.ruleIdx[rule]; ok {
+		return i
+	}
+	if l.ruleIdx == nil {
+		l.ruleIdx = make(map[spanRule]uint32)
+	}
+	i := uint32(len(l.rules))
+	l.rules = append(l.rules, rule)
+	l.ruleIdx[rule] = i
+	return i
+}
+
+// reason returns a drop reason's value for spanRec.dropped, adding the
+// reason on its first use. The reasons are Arbitration's few constants,
+// so a scan finds one.
+func (l *spanLog) reason(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	for i, r := range l.reasons {
+		if r == s {
+			return uint32(i + 1)
+		}
+	}
+	l.reasons = append(l.reasons, s)
+	return uint32(len(l.reasons))
+}
+
+// expand returns the Span a record stores.
+func (l *spanLog) expand(rec *spanRec) Span {
+	rule := &l.rules[rec.rule]
+	sp := Span{
+		Seq:         rec.seq,
+		Workflow:    rule.workflow,
+		Policy:      rule.policy,
+		Action:      rule.action,
+		Sensor:      rule.sensor,
+		GeneratedAt: rec.generatedAt,
+		ObservedAt:  rec.observedAt,
+		DecidedAt:   rec.decidedAt,
+		ReceivedAt:  rec.receivedAt,
+		PlannedAt:   rec.plannedAt,
+		ExecutedAt:  rec.executedAt,
+	}
+	if rec.dropped > 0 {
+		sp.Dropped = l.reasons[rec.dropped-1]
+	}
+	return sp
 }
 
 // Suggested opens the span of suggestion seq: Decision emitted it. A seq
@@ -383,15 +470,12 @@ func (r *Recorder) Suggested(seq int, workflow, policy, action, sensorID string,
 	if r.spans.find(seq) != nil {
 		return
 	}
-	r.spans.add(Span{
-		Seq:         seq,
-		Workflow:    workflow,
-		Policy:      policy,
-		Action:      action,
-		Sensor:      sensorID,
-		GeneratedAt: generatedAt,
-		ObservedAt:  observedAt,
-		DecidedAt:   decidedAt,
+	r.spans.add(spanRec{
+		seq:         seq,
+		rule:        r.spans.intern(spanRule{workflow, policy, action, sensorID}),
+		generatedAt: generatedAt,
+		observedAt:  observedAt,
+		decidedAt:   decidedAt,
 	})
 }
 
@@ -399,8 +483,8 @@ func (r *Recorder) Suggested(seq int, workflow, policy, action, sensorID string,
 func (r *Recorder) Received(seq int, at sim.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sp := r.spans.find(seq); sp != nil {
-		sp.ReceivedAt = at
+	if rec := r.spans.find(seq); rec != nil {
+		rec.receivedAt = at
 	}
 }
 
@@ -408,8 +492,8 @@ func (r *Recorder) Received(seq int, at sim.Time) {
 func (r *Recorder) Planned(seq int, at sim.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sp := r.spans.find(seq); sp != nil {
-		sp.PlannedAt = at
+	if rec := r.spans.find(seq); rec != nil {
+		rec.plannedAt = at
 	}
 }
 
@@ -430,9 +514,11 @@ func (r *Recorder) Executed(seq int, at sim.Time) {
 	r.mu.Lock()
 	var done Span
 	fn := r.onComplete
-	if sp := r.spans.find(seq); sp != nil {
-		sp.ExecutedAt = at
-		done = *sp
+	if rec := r.spans.find(seq); rec != nil {
+		rec.executedAt = at
+		if fn != nil {
+			done = r.spans.expand(rec)
+		}
 	} else {
 		fn = nil
 	}
@@ -446,10 +532,10 @@ func (r *Recorder) Executed(seq int, at sim.Time) {
 func (r *Recorder) Drop(seq int, reason string, at sim.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sp := r.spans.find(seq); sp != nil {
-		sp.Dropped = reason
-		if sp.ReceivedAt == 0 {
-			sp.ReceivedAt = at
+	if rec := r.spans.find(seq); rec != nil {
+		rec.dropped = r.spans.reason(reason)
+		if rec.receivedAt == 0 {
+			rec.receivedAt = at
 		}
 	}
 }
@@ -560,19 +646,21 @@ func (r *Recorder) Spans() []Span {
 	defer r.mu.Unlock()
 	out := make([]Span, r.spans.n)
 	for i := range out {
-		out[i] = *r.spans.at(i)
+		out[i] = r.spans.expand(r.spans.at(i))
 	}
 	return out
 }
 
 // VisitSpans calls fn with every span, in creation order, under the
-// recorder's lock: fn reads the span in place, so it must not keep or
-// change it, nor call the recorder.
+// recorder's lock. Each call gets one Span the visit reuses for the next,
+// so fn must not keep or change it, nor call the recorder.
 func (r *Recorder) VisitSpans(fn func(sp *Span)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	var sp Span // one for the whole visit: fn's argument escapes
 	for i := 0; i < r.spans.n; i++ {
-		fn(r.spans.at(i))
+		sp = r.spans.expand(r.spans.at(i))
+		fn(&sp)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 func (r *Recorder) span(seq int) (Span, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sp := r.spans.find(seq); sp != nil {
-		return *sp, true
+	if rec := r.spans.find(seq); rec != nil {
+		return r.spans.expand(rec), true
 	}
 	return Span{}, false
 }
