@@ -127,10 +127,10 @@ func XGCWorkflow(m Machine) *wms.WorkflowSpec {
 			StartupDelay:  time.Second,
 		}
 		if name == "XGCA" {
-			spec.OutputVars = func(globalStep int) []fsim.Var {
+			spec.OutputVars = func(dst []fsim.Var, globalStep int) []fsim.Var {
 				// Synthetic error accumulation: grows with simulated time
 				// since the last XGC1 (full-physics) segment.
-				return []fsim.Var{{Name: "errnorm", Value: 0.002 * float64(globalStep%500)}}
+				return append(dst, fsim.Var{Name: "errnorm", Value: 0.002 * float64(globalStep%500)})
 			}
 		}
 		return wms.TaskConfig{

@@ -145,10 +145,10 @@ type Spec struct {
 	// global step number (e.g. "out/xgc1.%05d.bp") through its one %d or
 	// %0Nd verb (see CheckOutputPattern).
 	OutputPattern string
-	// OutputVars, if non-nil, computes additional output-file variables
-	// (e.g. XGCa's synthetic error norm). The returned slice is copied
-	// into the file, not retained.
-	OutputVars func(globalStep int) []fsim.Var
+	// OutputVars, if non-nil, appends additional output-file variables
+	// (e.g. XGCa's synthetic error norm) to dst and returns the extended
+	// slice. The result is copied into the file, not retained.
+	OutputVars func(dst []fsim.Var, globalStep int) []fsim.Var
 
 	// CheckpointEvery writes a checkpoint every N completed steps (0 =
 	// none); CheckpointKey is the fs path holding the last checkpointed
@@ -240,6 +240,7 @@ type Instance struct {
 	producer   *stream.Stream
 	probe      *profiler.Probe
 	out        outputPath // Spec.OutputPattern, split once
+	outVars    []fsim.Var // Spec.OutputVars' buffer, reused every output step
 }
 
 // errAbort terminates the step loop immediately (crash path).
@@ -489,11 +490,14 @@ func (in *Instance) noteStep(globalStep int, loopTime time.Duration, p *sim.Proc
 	if in.Spec.OutputEvery > 0 && in.stepsDone%in.Spec.OutputEvery == 0 && in.Spec.OutputPattern != "" {
 		var name [64]byte
 		path := string(in.out.append(name[:0], globalStep))
-		// Write copies vars and keeps none, so buf stays on the stack.
+		// Write copies vars and keeps none, so buf stays on the stack. A
+		// slice handed to a func value escapes, so the hook appends into
+		// the instance's buffer instead.
 		var buf [4]fsim.Var
 		vars := append(buf[:0], fsim.Var{Name: "step", Value: float64(globalStep)})
 		if in.Spec.OutputVars != nil {
-			vars = append(vars, in.Spec.OutputVars(globalStep)...)
+			in.outVars = in.Spec.OutputVars(append(in.outVars[:0], vars...), globalStep)
+			vars = in.outVars
 		}
 		in.env.FS.Write(path, vars...)
 	}
