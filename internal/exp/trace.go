@@ -57,7 +57,7 @@ type point struct {
 type Recorder struct {
 	s         *sim.Sim
 	Intervals []Interval
-	open      map[string]int // instance key -> index into Intervals
+	open      map[instanceKey]int // the open intervals' indices into Intervals
 	// rounds is the world's round log (World.Plans reads the same one).
 	rounds *arbiter.Rounds
 	// monitor is the attached orchestrator's Monitor server; nil for a
@@ -90,20 +90,27 @@ func chunkCap(n int) int {
 	return (pointChunk+1)>>(headChunks-min(n, headChunks)) - 1
 }
 
+// instanceKey names one incarnation of a task.
+type instanceKey struct {
+	workflow, task string
+	incarnation    int
+}
+
 // NewRecorder creates an empty recorder over the world's round log.
 func NewRecorder(s *sim.Sim, rounds *arbiter.Rounds) *Recorder {
-	return &Recorder{s: s, open: make(map[string]int), rounds: rounds}
+	return &Recorder{s: s, open: make(map[instanceKey]int), rounds: rounds}
 }
 
 // AttachWMS subscribes to Savanna lifecycle events.
 func (r *Recorder) AttachWMS(sv *wms.Savanna) {
 	sv.OnEvent(func(ev wms.Event) {
-		key := fmt.Sprintf("%s/%s#%d", ev.Workflow, ev.Task, ev.Instance.Incarnation)
+		key := instanceKey{ev.Workflow, ev.Task, ev.Instance.Incarnation}
 		switch ev.Kind {
 		case wms.TaskStarted:
-			var nodes []string
-			for _, id := range ev.Instance.Placement.Nodes() {
-				nodes = append(nodes, string(id))
+			ids := ev.Instance.Placement.Nodes()
+			nodes := make([]string, len(ids))
+			for i, id := range ids {
+				nodes[i] = string(id)
 			}
 			r.open[key] = len(r.Intervals)
 			r.Intervals = append(r.Intervals, Interval{
