@@ -231,9 +231,26 @@ func (ex *Executor) Execute(p *sim.Proc, plan arbiter.Plan) (arbiter.ExecReport,
 					rep.UnappliedStarts = append(rep.UnappliedStarts, rest)
 				}
 			}
-			return rep, fmt.Errorf("actuate: %s %s/%s: %w", op.Kind, op.Workflow, op.Task, err)
+			return rep, &opError{kind: op.Kind, workflow: op.Workflow, task: op.Task, text: rec.Err, cause: err}
 		}
 		rep.Applied++
 	}
 	return rep, nil
 }
+
+// opError is a failed op's error: fmt.Errorf("actuate: %s %s/%s: %w",
+// op.Kind, op.Workflow, op.Task, cause) formatted only when Error is
+// called, from the cause's text the op's record already holds, so a
+// failure formats its cause's chain once.
+type opError struct {
+	kind           arbiter.OpKind
+	workflow, task string
+	text           string // cause.Error()
+	cause          error
+}
+
+func (e *opError) Error() string {
+	return "actuate: " + e.kind.String() + " " + e.workflow + "/" + e.task + ": " + e.text
+}
+
+func (e *opError) Unwrap() error { return e.cause }
