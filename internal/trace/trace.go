@@ -516,9 +516,7 @@ func (r *Recorder) Executed(seq int, at sim.Time) {
 	fn := r.onComplete
 	if rec := r.spans.find(seq); rec != nil {
 		rec.executedAt = at
-		if fn != nil {
-			done = r.spans.expand(rec)
-		}
+		done = r.spans.expand(rec)
 	} else {
 		fn = nil
 	}
