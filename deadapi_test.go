@@ -23,7 +23,6 @@ var exportedForTests = map[string]string{
 	"internal/core/arbiter.Engine.EnqueueWaiting": "seeds T_waiting the way a composed waiting task would",
 	"internal/core/arbiter.BuildPlan":             "runs the engine's planner code on a fresh planner, one plan at a time",
 	"internal/core.NewArbiterView":                "builds the orchestrator's arbiter view over a bare WMS",
-	"internal/msg.UniformJitterLatency":           "feeds seeded jitter into the bus's delivery path",
 	"internal/sim.Sim.RunUntilIdle":               "steps the kernel's event loop until no event is left; the run loops step to a horizon with Run",
 
 	// The paper's signal and release low-level operations (§3.4), which
@@ -374,7 +373,6 @@ func recvName(e ast.Expr) string {
 // knobSeams lists the struct fields that non-test code reads and only
 // tests write, as "dir.Type.Field", each with the reason it stays.
 var knobSeams = map[string]string{
-	"internal/msg.Bus.Latency":                         "the reordering tests delay deliveries through it to put batches out of order",
 	"internal/server/fleet.WorkerOptions.CallTimeout":  "the fleet tests shorten the per-RPC deadline to see a hung coordinator time out",
 	"internal/server/fleet.WorkerOptions.OnClaim":      "the fleet and chaos tests kill or partition a worker at the moment it claims",
 	"internal/server/fleet.WorkerOptions.RegisterWait": "the network-fault drills give registration longer than its 10-second default to ride out injected faults",

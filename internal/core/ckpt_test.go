@@ -154,8 +154,9 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 // withDeletedCounters rewrites a snapshot blob the way earlier versions
 // wrote it: every stage kept its own copy of its counters (and the arbiter
 // its empty rounds and, as "records", the rounds executed before the kill)
-// inside its slice of the snapshot, and the flight recorder's state rode
-// along as "trace".
+// inside its slice of the snapshot, the flight recorder's state rode along
+// as "trace", and the Monitor server and Decision held the marks of their
+// out-of-order filters.
 func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator, rounds arbiter.Rounds) []byte {
 	t.Helper()
 	var snap map[string]any
@@ -165,10 +166,16 @@ func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator, rounds arbi
 	slice := func(name string) map[string]any { return snap[name].(map[string]any) }
 	n := func(counter string) int64 { return o.Trace.Counter(counter) }
 	server := slice("server")
+	// No world ever dropped a batch: the out-of-order filter that counted
+	// them admitted every one.
 	server["forwarded"], server["repolled"], server["dropped"] =
-		n("monitor.forwarded"), n("monitor.repolled"), n("monitor.dropped_batches")
+		n("monitor.forwarded"), n("monitor.repolled"), 0
 	dec := slice("decision")
 	dec["evaluations"], dec["suggestions"] = n("decision.evaluations"), n("decision.suggestions")
+	// Both receivers' out-of-order filter marks, as the checkpoint held
+	// them until the filters went.
+	server["filter"] = map[string]any{"monitor-client-0": 7}
+	dec["filter"] = map[string]any{EndpointMonitorServer: 5}
 	for _, b := range dec["bindings"].([]any) {
 		b.(map[string]any)["fired"] = 1
 	}
@@ -205,8 +212,9 @@ func withDeletedCounters(t *testing.T, blob []byte, o *Orchestrator, rounds arbi
 }
 
 // A snapshot written before the stage counters had one owner still carries
-// them in every stage's slice, and one written before the flight recorder
-// left the checkpoint carries the recorder's state; it must restore without
+// them in every stage's slice, one written before the flight recorder left
+// the checkpoint carries the recorder's state, and one written before the
+// out-of-order filters went carries their marks; it must restore without
 // touching the recorder, and the run must end with the flight-recorder
 // report and plan records of a run that was never interrupted.
 func TestRestoreSnapshotCarryingDeletedCounters(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"dyflow/internal/core/arbiter"
 	"dyflow/internal/core/spec"
 	"dyflow/internal/fsim"
-	"dyflow/internal/msg"
 	"dyflow/internal/obs"
 	"dyflow/internal/resmgr"
 	"dyflow/internal/sim"
@@ -413,97 +412,6 @@ func TestMultiWorkflowOrchestration(t *testing.T) {
 	// The restart resumed from a checkpoint.
 	if job.GlobalStep() <= job.StepsDone() {
 		t.Fatalf("no checkpoint resume: global=%d steps=%d", job.GlobalStep(), job.StepsDone())
-	}
-	o.Stop()
-}
-
-// TestAdaptationUnderBusJitter: with randomized message latency (causing
-// out-of-order arrivals that the Monitor server's sequence filter screens),
-// the adaptation still lands correctly. The jitter has to outlast the gap
-// between two client batches to invert them: up to 2 s inverted none at
-// seed 1, up to 10 s inverts 14.
-func TestAdaptationUnderBusJitter(t *testing.T) {
-	w := newWorld(t, 2)
-	w.sv.Compose(&wms.WorkflowSpec{
-		ID: "WF",
-		Tasks: []wms.TaskConfig{
-			{
-				Spec: task.Spec{Name: "Sim", Workflow: "WF",
-					Cost: task.Cost{Work: 10 * time.Second}, TotalSteps: 2000, ProducesTo: "wf.out"},
-				Procs: 10, ProcsPerNode: 5, AutoStart: true,
-			},
-			{
-				Spec: task.Spec{Name: "Ana", Workflow: "WF",
-					Cost: task.Cost{Work: 40 * time.Second}, ConsumesFrom: "wf.out", ConsumeBuf: 1, Profile: true},
-				Procs: 2, ProcsPerNode: 1, AutoStart: true,
-			},
-		},
-	})
-	cfg, err := spec.CompileString(`
-<dyflow>
-  <monitor>
-    <sensors>
-      <sensor id="PACE" type="TAUADIOS2">
-        <group-by><group granularity="task" reduction-operation="MAX"/></group-by>
-      </sensor>
-    </sensors>
-    <monitor-tasks>
-      <monitor-task name="Ana" workflowId="WF" info-source="tau.Ana">
-        <use-sensor sensor-id="PACE" info="looptime"/>
-      </monitor-task>
-    </monitor-tasks>
-  </monitor>
-  <decision>
-    <policies>
-      <policy id="INC">
-        <eval operation="GT" threshold="10"/>
-        <sensors-to-use><use-sensor id="PACE" granularity="task"/></sensors-to-use>
-        <action>ADDCPU</action>
-        <history window="3" operation="AVG"/>
-        <frequency seconds="5"/>
-      </policy>
-    </policies>
-    <apply-on workflowId="WF">
-      <apply-policy policyId="INC" assess-task="Ana">
-        <act-on-tasks>Ana</act-on-tasks>
-        <action-params><param key="adjust-by" value="6"/></action-params>
-      </apply-policy>
-    </apply-on>
-  </decision>
-  <arbitration>
-    <rules>
-      <rule-for workflowId="WF">
-        <task-priorities>
-          <task-priority name="Sim" priority="0"/>
-          <task-priority name="Ana" priority="1"/>
-        </task-priorities>
-      </rule-for>
-    </rules>
-  </arbitration>
-</dyflow>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := New(w.env, w.sv, cfg, Options{
-		Arbiter: arbiter.Config{
-			WarmupDelay: 30 * time.Second, SettleDelay: 30 * time.Second,
-			PlanCost: 100 * time.Millisecond, GatherWindow: 5 * time.Second,
-		},
-	}, w.tr, w.rounds)
-	o.Bus.Latency = msg.UniformJitterLatency(w.s, 50*time.Millisecond, 10*time.Second)
-	o.Start()
-	w.s.Spawn("driver", func(p *sim.Proc) { w.sv.Launch(p, "WF") })
-	if err := w.s.Run(10 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	// Jitter put batches out of order, and the filter screened them.
-	dropped := o.Trace.Counter("monitor.dropped_batches")
-	t.Logf("dropped %d out-of-order batches", dropped)
-	if dropped == 0 {
-		t.Fatal("no out-of-order batches: the jitter inverted no pair, so the filter went untested")
-	}
-	if got := w.sv.Instance("WF", "Ana").Placement.Procs(); got < 8 {
-		t.Fatalf("Ana procs = %d, want grown despite jitter", got)
 	}
 	o.Stop()
 }

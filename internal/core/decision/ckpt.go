@@ -32,13 +32,12 @@ type BindingSnap struct {
 }
 
 // Snapshot is the Decision stage's full checkpointable state: history
-// windows, staleness/everEval gates, the suggestion counter, the
-// evaluator's tick grid, and the receiver's out-of-order filter.
+// windows, staleness/everEval gates, the suggestion counter and the
+// evaluator's tick grid.
 type Snapshot struct {
-	Seq      int               `json:"seq"`
-	NextEval sim.Time          `json:"next_eval"`
-	Filter   map[string]uint64 `json:"filter,omitempty"`
-	Bindings []BindingSnap     `json:"bindings"`
+	Seq      int           `json:"seq"`
+	NextEval sim.Time      `json:"next_eval"`
+	Bindings []BindingSnap `json:"bindings"`
 }
 
 // Snapshot exports the engine state. Call while the engine is quiescent
@@ -48,7 +47,6 @@ func (e *Engine) Snapshot() Snapshot {
 	snap := Snapshot{
 		Seq:      e.seq,
 		NextEval: e.nextEval,
-		Filter:   e.filter.State(),
 	}
 	for _, b := range e.bindings {
 		bs := BindingSnap{
@@ -86,7 +84,6 @@ func (e *Engine) Snapshot() Snapshot {
 func (e *Engine) Restore(snap Snapshot) {
 	e.seq = snap.Seq
 	e.nextEval = snap.NextEval
-	e.filter.RestoreState(snap.Filter)
 	// The routes hold the states being replaced: each is rebuilt on its
 	// series' next metric.
 	e.routes = nil

@@ -183,7 +183,6 @@ type Engine struct {
 	s        *sim.Sim
 	ep       *msg.Endpoint
 	out      string
-	filter   *msg.OrderFilter
 	bindings []*binding
 	// routes is indexed by Series.ID (see Ingest).
 	routes   []route
@@ -210,12 +209,11 @@ type Engine struct {
 // decision.metrics_ingested.
 func New(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, bus *msg.Bus, name, out string, cfg *spec.Config, tr *trace.Recorder) *Engine {
 	e := &Engine{
-		s:      s,
-		spawn:  spawn,
-		ep:     bus.Endpoint(name),
-		out:    out,
-		tr:     tr,
-		filter: msg.NewOrderFilter(),
+		s:     s,
+		spawn: spawn,
+		ep:    bus.Endpoint(name),
+		out:   out,
+		tr:    tr,
 
 		nIngested:    tr.StageCounter("decision.metrics_ingested"),
 		nSuggestions: tr.StageCounter("decision.suggestions"),
@@ -282,21 +280,17 @@ func (e *Engine) run(p *sim.Proc) {
 		buf = batch
 		for i := range batch {
 			env := &batch[i]
-			admit := e.filter.Admit(env.From, env.Seq)
 			l, err := msg.Payload[*sensor.MetricList](env)
 			if err != nil {
 				continue
 			}
-			if admit {
-				e.ingestList(l, env.SentAt)
-			}
+			e.ingestList(l, env.SentAt)
 			l.Release()
 		}
 	}
 }
 
-// ingestList ingests every message of an admitted list, observed at
-// sentAt.
+// ingestList ingests every message of a list, observed at sentAt.
 func (e *Engine) ingestList(l *sensor.MetricList, sentAt sim.Time) {
 	for _, w := range l.Msgs {
 		e.Ingest(sensor.FromMsg(w, sentAt))

@@ -21,16 +21,15 @@ type GenEntry struct {
 	At  sim.Time `json:"at"`
 }
 
-// ServerSnapshot is the Monitor server's checkpointable state: the
-// out-of-order filter marks, the latest value per series (the join and
-// group-by working set) and the per-series generation cursors. Map-keyed
+// ServerSnapshot is the Monitor server's checkpointable state: the latest
+// value per series (the join and group-by working set) and the per-series
+// generation cursors. Map-keyed
 // state is exported as sorted slices so snapshots are byte-stable. The
 // forwarding counters and the detection lags are the flight recorder's,
 // checkpointed with it.
 type ServerSnapshot struct {
-	Filter  map[string]uint64 `json:"filter,omitempty"`
-	Last    []SeriesEntry     `json:"last,omitempty"`
-	LastGen []GenEntry        `json:"last_gen,omitempty"`
+	Last    []SeriesEntry `json:"last,omitempty"`
+	LastGen []GenEntry    `json:"last_gen,omitempty"`
 }
 
 func keyLess(a, b Key) bool {
@@ -51,7 +50,7 @@ func keyLess(a, b Key) bool {
 
 // Snapshot exports the server state.
 func (sv *Server) Snapshot() ServerSnapshot {
-	snap := ServerSnapshot{Filter: sv.filter.State()}
+	var snap ServerSnapshot
 	for k, s := range sv.series {
 		if s.hasM {
 			snap.Last = append(snap.Last, SeriesEntry{Key: k, Metric: s.m})
@@ -68,7 +67,6 @@ func (sv *Server) Snapshot() ServerSnapshot {
 // Restore replaces the server state with the snapshot, rebuilding the
 // series and derivation-group indexes from it. Call before Start.
 func (sv *Server) Restore(snap ServerSnapshot) {
-	sv.filter.RestoreState(snap.Filter)
 	sv.series = make(map[Key]*series, len(snap.Last))
 	sv.groups = make(map[groupKey]*group)
 	for _, e := range snap.Last {

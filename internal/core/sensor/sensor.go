@@ -7,10 +7,11 @@
 // operation, apply the group-by/reduction pipeline at task and node-task
 // granularity, and ship sensor updates to the server in batches.
 //
-// The server manages the clients: it filters out-of-order updates, derives
-// the cross-task granularities (workflow and node-workflow) from the
-// task-level updates, computes joined metrics, and forwards the resulting
-// metric values to the Decision stage.
+// The server manages the clients: it derives the cross-task granularities
+// (workflow and node-workflow) from the task-level updates, computes joined
+// metrics, and forwards the resulting metric values to the Decision stage.
+// It takes the updates in the order they were sent, which is the order the
+// bus delivers them in.
 //
 // Every message names its series by reference, a *Series descriptor, not
 // by its five-field key: an update is 32 bytes on the client->server link

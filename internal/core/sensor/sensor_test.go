@@ -462,39 +462,6 @@ func TestPreprocessDistillsArray(t *testing.T) {
 	}
 }
 
-func TestServerDropsStaleBatches(t *testing.T) {
-	cfg := compile(t, paceCfg)
-	r := newRig(t, cfg)
-
-	// Deliver batches with inverted latency so seq 2 arrives before seq 1.
-	latencies := []time.Duration{400 * time.Millisecond, 10 * time.Millisecond}
-	i := 0
-	r.bus.Latency = func(from, to string) time.Duration {
-		if from != "client0" {
-			return 0
-		}
-		d := latencies[i%2]
-		i++
-		return d
-	}
-	client := r.bus.Endpoint("client0")
-	pace := &Series{Key: Key{Workflow: "GS", Task: "Iso", Sensor: "PACE", Granularity: spec.GranTask}}
-	r.s.Spawn("sender", func(p *sim.Proc) {
-		client.Send("monitor-server", &Batch{Client: "client0", Updates: []Update{{Series: pace, Value: 1}}})
-		client.Send("monitor-server", &Batch{Client: "client0", Updates: []Update{{Series: pace, Value: 2}}})
-	})
-	if err := r.s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.tr.Counter("monitor.dropped_batches"); got != 1 {
-		t.Fatalf("dropped = %d, want 1", got)
-	}
-	metrics := r.drainMetrics(t)
-	if len(metrics) != 1 || metrics[0].Value != 2 {
-		t.Fatalf("metrics = %+v, want only the fresh value 2", metrics)
-	}
-}
-
 func TestClientReattachesAfterStreamRestart(t *testing.T) {
 	cfg := compile(t, paceCfg)
 	r := newRig(t, cfg)

@@ -13,16 +13,16 @@ import (
 )
 
 // Server is the Monitor stage's server half. It runs "on the launch node":
-// it receives update batches from the clients, filters out-of-order
-// messages, derives the cross-task granularities (workflow and
-// node-workflow), applies sensor joins, and forwards metric values to the
-// Decision stage endpoint.
+// it receives update batches from the clients, derives the cross-task
+// granularities (workflow and node-workflow), applies sensor joins, and
+// forwards metric values to the Decision stage endpoint. The paper's server
+// also filters out-of-order messages; the bus delivers in send order, so
+// this one takes every batch as it comes.
 type Server struct {
-	env    *sim.Sim
-	ep     *msg.Endpoint
-	out    string // decision endpoint name
-	cfg    *spec.Config
-	filter *msg.OrderFilter
+	env *sim.Sim
+	ep  *msg.Endpoint
+	out string // decision endpoint name
+	cfg *spec.Config
 
 	// series holds every metric series' state; groups indexes the task and
 	// node-task series the cross-task granularities reduce, so a derivation
@@ -44,7 +44,7 @@ type Server struct {
 	tr        *trace.Recorder
 	spawn     func(name string, fn func(*sim.Proc)) *sim.Proc
 	// The stage counters on tr, resolved once.
-	nForwarded, nRepolled, nDropped *trace.StageCounter
+	nForwarded, nRepolled *trace.StageCounter
 }
 
 // series is one metric series' server-side state.
@@ -82,9 +82,8 @@ type group struct {
 // (the orchestrator's supervisor hands in a panic-guarded spawner). It
 // records stage counters and per-sensor lag samples on tr, the only store
 // of both: monitor.forwarded counts fresh detections (metrics carrying a new
-// generation time), monitor.repolled the stale re-polls of unchanged data
-// that still travel on the wire, and monitor.dropped_batches the batches
-// the out-of-order filter discarded.
+// generation time) and monitor.repolled the stale re-polls of unchanged
+// data that still travel on the wire.
 func NewServer(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc, bus *msg.Bus, name, out string, cfg *spec.Config, tr *trace.Recorder) *Server {
 	return &Server{
 		env:    s,
@@ -93,13 +92,11 @@ func NewServer(s *sim.Sim, spawn func(name string, fn func(*sim.Proc)) *sim.Proc
 		out:    out,
 		cfg:    cfg,
 		tr:     tr,
-		filter: msg.NewOrderFilter(),
 		series: make(map[Key]*series),
 		groups: make(map[groupKey]*group),
 
 		nForwarded: tr.StageCounter("monitor.forwarded"),
 		nRepolled:  tr.StageCounter("monitor.repolled"),
-		nDropped:   tr.StageCounter("monitor.dropped_batches"),
 	}
 }
 
@@ -142,24 +139,17 @@ func (sv *Server) run(p *sim.Proc) {
 		}
 		buf = batch
 		for i := range batch {
-			env := &batch[i]
-			admit := sv.filter.Admit(env.From, env.Seq)
-			if !admit {
-				sv.nDropped.Add(1)
-			}
-			b, err := msg.Payload[*Batch](env)
+			b, err := msg.Payload[*Batch](&batch[i])
 			if err != nil {
 				continue
 			}
-			if admit {
-				sv.process(b)
-			}
+			sv.process(b)
 			b.Release()
 		}
 	}
 }
 
-// process ingests one admitted batch and forwards the resulting metrics.
+// process ingests one batch and forwards the resulting metrics.
 func (sv *Server) process(batch *Batch) {
 	now := sv.env.Now()
 	out, outS := sv.fwd[:0], sv.fwdS[:0]

@@ -1,8 +1,9 @@
 // Package msg is the messaging layer DYFLOW's stages communicate over — the
-// stand-in for the paper's PyZMQ sockets and shared queues. Every world
-// delivers a message within the instant it is sent; only tests give the
-// bus a latency, with jitter, to put messages out of order for the
-// Monitor server's filter.
+// stand-in for the paper's PyZMQ sockets and shared queues. The bus
+// delivers every message within the instant it is sent, in send order, so
+// no receiver re-checks the order: the paper's Monitor server filters
+// out-of-order messages because its sockets can reorder, and this bus
+// cannot (TestProperty_Bus_DeliversInSendOrder).
 //
 // The paper's services exchange JSON-formatted messages; this reproduction
 // delivers typed payloads instead. The payload value crosses the simulated
@@ -16,8 +17,8 @@
 //
 // A payload belongs to its receiver from delivery until the receiver's
 // receive loop is done with it, and then goes back to its sender: the
-// receiver releases it on every receive path, an envelope its order filter
-// drops included, and no one reads it after that. Both Monitor links send
+// receiver releases it on every receive path, and no one reads it after
+// that. Both Monitor links send
 // their payloads by pointer this way, and each sender recycles what comes
 // back instead of allocating (sensor's payload.go). A sender may send one
 // payload in several envelopes; the one exception to handing it back is a
@@ -41,7 +42,6 @@ package msg
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"dyflow/internal/sim"
 )
@@ -50,9 +50,6 @@ import (
 type Envelope struct {
 	// From and To are endpoint names.
 	From, To string
-	// Seq is the per-sender sequence number (1, 2, ...). Receivers use it
-	// to detect stale or duplicated traffic.
-	Seq uint64
 	// SentAt is the virtual send time. Decision reads a forwarded metric's
 	// ObservedAt from it.
 	SentAt sim.Time
@@ -77,7 +74,7 @@ type Endpoint struct {
 	bus  *Bus
 	name string
 	in   *sim.Queue[Envelope]
-	seq  uint64 // outgoing sequence counter
+	sent uint64 // messages sent, EndpointSnapshot.Seq
 }
 
 // Recv blocks the calling process until a message arrives.
@@ -98,8 +95,8 @@ func (e *Endpoint) TryRecv() (Envelope, bool) { return e.in.TryGet() }
 // Pending returns the number of queued messages.
 func (e *Endpoint) Pending() int { return e.in.Len() }
 
-// Send delivers payload to the named endpoint after the bus's configured
-// latency. The payload travels typed and unserialized: no one may mutate it
+// Send delivers payload to the named endpoint within the current instant,
+// after every message sent before it. The payload travels typed and unserialized: no one may mutate it
 // while an envelope carries it (a sender may send the same value again, and
 // takes it back only once its receivers released it — see the package
 // doc), and the bus's Encode must encode it by the time a checkpoint
@@ -118,7 +115,7 @@ type delivery struct {
 	env Envelope
 }
 
-// deliverCB runs in kernel context when a message's latency elapses.
+// deliverCB runs in kernel context, as the event of a message's delivery.
 func deliverCB(arg any) {
 	d := arg.(*delivery)
 	b, dst, env := d.bus, d.dst, d.env
@@ -136,10 +133,6 @@ type Bus struct {
 	sim       *sim.Sim
 	endpoints map[string]*Endpoint
 	pool      []*delivery // recycled in-flight records
-	// Latency, when set, returns the delivery delay for a message from ->
-	// to. It is a test seam: nothing outside tests sets it, and the
-	// reordering tests give it jitter to deliver messages out of order.
-	Latency func(from, to string) time.Duration
 	// OnDepth, if set, observes the destination queue depth after each
 	// delivery (the flight recorder's queue-depth sampling hook).
 	OnDepth func(to string, depth int)
@@ -153,19 +146,6 @@ type Bus struct {
 // NewBus creates an empty bus.
 func NewBus(s *sim.Sim) *Bus {
 	return &Bus{sim: s, endpoints: make(map[string]*Endpoint)}
-}
-
-// UniformJitterLatency returns a latency function: base plus a uniformly
-// random jitter in [0, jitter), drawn from the simulation's deterministic
-// RNG.
-func UniformJitterLatency(s *sim.Sim, base, jitter time.Duration) func(from, to string) time.Duration {
-	return func(from, to string) time.Duration {
-		d := base
-		if jitter > 0 {
-			d += time.Duration(s.Rand().Int63n(int64(jitter)))
-		}
-		return d
-	}
 }
 
 // Endpoint creates (or returns) the endpoint with the given name.
@@ -183,11 +163,7 @@ func (b *Bus) send(from *Endpoint, to string, payload any) error {
 	if !ok {
 		return fmt.Errorf("msg: no endpoint %q", to)
 	}
-	from.seq++
-	var latency time.Duration
-	if b.Latency != nil {
-		latency = b.Latency(from.name, to)
-	}
+	from.sent++
 	var d *delivery
 	if n := len(b.pool); n > 0 {
 		d = b.pool[n-1]
@@ -200,71 +176,30 @@ func (b *Bus) send(from *Endpoint, to string, payload any) error {
 	d.env = Envelope{
 		From:    from.name,
 		To:      to,
-		Seq:     from.seq,
 		SentAt:  b.sim.Now(),
 		payload: payload,
 	}
-	// Even at zero latency the delivery is an event of its own, so
-	// same-instant sends and wakes keep the order the kernel gives them.
-	b.sim.AfterCall(latency, deliverCB, d)
+	// The delivery is an event of its own, so same-instant sends and wakes
+	// keep the order the kernel gives them.
+	b.sim.AfterCall(0, deliverCB, d)
 	return nil
-}
-
-// OrderFilter drops stale messages: per sender, only envelopes with a
-// sequence number above the highest seen so far pass. This mirrors the
-// Monitor server, which "filters the out of order messages from the
-// client(s)".
-type OrderFilter struct {
-	last map[string]uint64
-}
-
-// NewOrderFilter creates an empty filter.
-func NewOrderFilter() *OrderFilter { return &OrderFilter{last: make(map[string]uint64)} }
-
-// Admit reports whether the envelope numbered seq from sender from is
-// fresh, updating the high-water mark. It takes the two fields it reads,
-// not the envelope, so a receiver copies no envelope to ask.
-func (f *OrderFilter) Admit(from string, seq uint64) bool {
-	if seq <= f.last[from] {
-		return false
-	}
-	f.last[from] = seq
-	return true
-}
-
-// State returns the per-sender high-water marks (a copy) for
-// checkpointing. Restoring them alongside the bus endpoint sequence
-// counters keeps the filter consistent: restored filters with fresh
-// (restarted-at-zero) senders would drop every new message.
-func (f *OrderFilter) State() map[string]uint64 {
-	out := make(map[string]uint64, len(f.last))
-	for k, v := range f.last {
-		out[k] = v
-	}
-	return out
-}
-
-// RestoreState replaces the filter's high-water marks.
-func (f *OrderFilter) RestoreState(marks map[string]uint64) {
-	f.last = make(map[string]uint64, len(marks))
-	for k, v := range marks {
-		f.last[k] = v
-	}
 }
 
 // QueuedEnvelope is an envelope as a checkpoint holds it: Data is its
 // payload, as the bus's Encode gave it.
 type QueuedEnvelope struct {
 	From, To string
-	Seq      uint64
 	SentAt   sim.Time
 	Data     []byte
 }
 
-// EndpointSnapshot is one endpoint's checkpointable state: its outgoing
-// sequence counter and the envelopes delivered but not yet consumed.
+// EndpointSnapshot is one endpoint's checkpointable state: how many
+// messages it has sent and the envelopes delivered to it but not yet
+// consumed.
 type EndpointSnapshot struct {
-	Name  string
+	Name string
+	// Seq counts the messages the endpoint has sent; a restored endpoint
+	// counts on from it. No receiver reads it: it measures the traffic.
 	Seq   uint64
 	Queue []QueuedEnvelope
 }
@@ -274,22 +209,19 @@ type BusSnapshot struct {
 	Endpoints []EndpointSnapshot
 }
 
-// Snapshot captures every endpoint's sequence counter and queued
-// envelopes, each payload encoded by Encode. A payload Encode fails on is
-// a stage bug and panics. In-flight deliveries (scheduled but not yet
-// enqueued) are not captured. A world's bus has no latency, so between two
-// instants none exist; a test that sets Latency loses at most the messages
-// on the wire, which the retry/repoll layers above already tolerate.
+// Snapshot captures every endpoint's send count and queued envelopes, each
+// payload encoded by Encode. A payload Encode fails on is a stage bug and panics.
+// Take it between two instants: every message sent by then is delivered.
 func (b *Bus) Snapshot() BusSnapshot {
 	var snap BusSnapshot
 	for name, ep := range b.endpoints {
-		es := EndpointSnapshot{Name: name, Seq: ep.seq}
+		es := EndpointSnapshot{Name: name, Seq: ep.sent}
 		for _, env := range ep.in.Items() {
 			data, err := b.Encode(name, env.payload)
 			if err != nil {
-				panic(fmt.Errorf("msg: payload %s->%s seq %d: %w", env.From, env.To, env.Seq, err))
+				panic(fmt.Errorf("msg: payload %s->%s: %w", env.From, env.To, err))
 			}
-			es.Queue = append(es.Queue, QueuedEnvelope{env.From, env.To, env.Seq, env.SentAt, data})
+			es.Queue = append(es.Queue, QueuedEnvelope{env.From, env.To, env.SentAt, data})
 		}
 		snap.Endpoints = append(snap.Endpoints, es)
 	}
@@ -299,21 +231,21 @@ func (b *Bus) Snapshot() BusSnapshot {
 	return snap
 }
 
-// Restore re-creates the snapshot's endpoints on this bus: sequence
-// counters continue where they left off and undelivered envelopes are
-// re-queued in order, each carrying the payload Decode returns for it, as
+// Restore re-creates the snapshot's endpoints on this bus, their send
+// counts continuing where they left off, and re-queues their undelivered
+// envelopes in order, each carrying the payload Decode returns for it, as
 // a live one does. A payload Decode fails on is an error. Call before
 // starting the stage processes.
 func (b *Bus) Restore(snap BusSnapshot) error {
 	for _, es := range snap.Endpoints {
 		ep := b.Endpoint(es.Name)
-		ep.seq = es.Seq
+		ep.sent = es.Seq
 		for _, q := range es.Queue {
 			payload, err := b.Decode(es.Name, q.Data)
 			if err != nil {
-				return fmt.Errorf("msg: payload %s->%s seq %d: %w", q.From, q.To, q.Seq, err)
+				return fmt.Errorf("msg: payload %s->%s: %w", q.From, q.To, err)
 			}
-			ep.in.TryPut(Envelope{q.From, q.To, q.Seq, q.SentAt, payload}) // endpoint queues are unbounded
+			ep.in.TryPut(Envelope{q.From, q.To, q.SentAt, payload}) // endpoint queues are unbounded
 		}
 	}
 	return nil

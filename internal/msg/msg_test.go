@@ -30,12 +30,14 @@ func TestSendRecvJSONRoundTrip(t *testing.T) {
 			t.Errorf("Payload: %v", err)
 		}
 		at = p.Now()
-		if env.From != "client0" || env.Seq != 1 {
+		if env.From != "client0" || env.SentAt != 100*time.Millisecond {
 			t.Errorf("envelope = %+v", env)
 		}
 	})
-	bus.Latency = func(from, to string) time.Duration { return 100 * time.Millisecond }
 	s.Spawn("client", func(p *sim.Proc) {
+		if p.Sleep(100*time.Millisecond) != nil {
+			return
+		}
 		if err := client.Send("server", reading{Sensor: "PACE", Value: 36.5}); err != nil {
 			t.Errorf("Send: %v", err)
 		}
@@ -82,6 +84,8 @@ func TestUnmarshalablePayloadSurfacesAtSnapshot(t *testing.T) {
 	bus.Snapshot()
 }
 
+// TestSequenceNumbersPerSender: each endpoint counts the messages it has
+// sent, and a snapshot holds the count as its Seq.
 func TestSequenceNumbersPerSender(t *testing.T) {
 	s := sim.New(1)
 	bus := NewBus(s)
@@ -96,77 +100,25 @@ func TestSequenceNumbersPerSender(t *testing.T) {
 	if err := s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	seqs := map[string][]uint64{}
+	var got []int
 	for {
 		env, ok := dst.TryRecv()
 		if !ok {
 			break
 		}
-		seqs[env.From] = append(seqs[env.From], env.Seq)
-	}
-	if len(seqs["a"]) != 2 || seqs["a"][0] != 1 || seqs["a"][1] != 2 {
-		t.Fatalf("a seqs = %v", seqs["a"])
-	}
-	if len(seqs["b"]) != 1 || seqs["b"][0] != 1 {
-		t.Fatalf("b seqs = %v", seqs["b"])
-	}
-}
-
-func TestOutOfOrderDeliveryAndFilter(t *testing.T) {
-	s := sim.New(1)
-	bus := NewBus(s)
-	client := bus.Endpoint("client")
-	server := bus.Endpoint("server")
-
-	// First message gets high latency, second low: they arrive inverted.
-	latencies := []time.Duration{500 * time.Millisecond, 10 * time.Millisecond}
-	i := 0
-	bus.Latency = func(from, to string) time.Duration {
-		d := latencies[i%len(latencies)]
-		i++
-		return d
-	}
-	s.Spawn("client", func(p *sim.Proc) {
-		client.Send("server", reading{Value: 1})
-		client.Send("server", reading{Value: 2})
-	})
-	var admitted []float64
-	filter := NewOrderFilter()
-	s.Spawn("server", func(p *sim.Proc) {
-		for n := 0; n < 2; n++ {
-			env, err := server.Recv(p)
-			if err != nil {
-				return
-			}
-			if !filter.Admit(env.From, env.Seq) {
-				continue
-			}
-			r, _ := Payload[reading](&env)
-			admitted = append(admitted, r.Value)
+		v, err := Payload[int](&env)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err := s.RunUntilIdle(); err != nil {
-		t.Fatal(err)
+		got = append(got, v)
 	}
-	// Message 2 (seq 2) arrives first and is admitted; message 1 (seq 1)
-	// arrives late and is dropped as stale.
-	if len(admitted) != 1 || admitted[0] != 2 {
-		t.Fatalf("admitted = %v, want [2]", admitted)
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("dst received %v, want [1 2 3]", got)
 	}
-}
-
-func TestUniformJitterLatencyDeterministic(t *testing.T) {
-	s1 := sim.New(42)
-	s2 := sim.New(42)
-	l1 := UniformJitterLatency(s1, time.Millisecond, 10*time.Millisecond)
-	l2 := UniformJitterLatency(s2, time.Millisecond, 10*time.Millisecond)
-	for i := 0; i < 20; i++ {
-		a, b := l1("x", "y"), l2("x", "y")
-		if a != b {
-			t.Fatalf("jitter diverged at %d: %v vs %v", i, a, b)
-		}
-		if a < time.Millisecond || a >= 11*time.Millisecond {
-			t.Fatalf("latency %v out of range", a)
+	want := map[string]uint64{"a": 2, "b": 1, "dst": 0}
+	for _, es := range bus.Snapshot().Endpoints {
+		if es.Seq != want[es.Name] {
+			t.Fatalf("%s sent %d messages, its snapshot counts %d", es.Name, want[es.Name], es.Seq)
 		}
 	}
 }

@@ -21,7 +21,7 @@
 //	ExecutedAt   — Actuation finished applying the plan
 //
 // Alongside spans the recorder collects per-stage counters (metrics
-// forwarded/re-polled/dropped, evaluations, suggestions, guard discards,
+// forwarded/re-polled, evaluations, suggestions, guard discards,
 // empty-plan rounds, actuation ops), the log of executed actuation
 // operations with their latency, and bus queue-depth samples.
 //
