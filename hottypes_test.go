@@ -31,7 +31,7 @@ func TestHotTypeSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"msg.Envelope", unsafe.Sizeof(msg.Envelope{}), 56},
+		{"msg.Envelope", unsafe.Sizeof(msg.Envelope{}), 24},
 		{"sensor.Update", unsafe.Sizeof(sensor.Update{}), 32},
 		{"sensor.MetricMsg", unsafe.Sizeof(sensor.MetricMsg{}), 32},
 		{"sensor.Batch", unsafe.Sizeof(sensor.Batch{}), 56},

@@ -35,7 +35,7 @@ func TestMetricsIngestedCountsMetrics(t *testing.T) {
 	}
 	err = bus.Restore(msg.BusSnapshot{Endpoints: []msg.EndpointSnapshot{
 		{Name: "monitor-server", Seq: 1},
-		{Name: "decision", Queue: []msg.QueuedEnvelope{{From: "monitor-server", To: "decision"}}},
+		{Name: "decision", Queue: []msg.QueuedEnvelope{{}}},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -85,7 +85,7 @@ func TestSnapshotByteDeterminism(t *testing.T) {
 	}
 	for i, env := range server.Queue {
 		want, _ := json.Marshal(hotPayload{Sensor: "PACE", Step: i, Values: []float64{1.5, 2.5}})
-		if env.From != "client" || env.To != "server" || !bytes.Equal(env.Data, want) {
+		if !bytes.Equal(env.Data, want) {
 			t.Fatalf("envelope %d = %+v (Data %s), want Data %s", i, env, env.Data, want)
 		}
 	}
@@ -283,8 +283,8 @@ func TestTypedPayloadRaceGuard(t *testing.T) {
 // TestPayloadTypedPathAllocatesNothing: handing a live payload to its
 // receiver is a type assertion — no reflect, no copy to the heap.
 func TestPayloadTypedPathAllocatesNothing(t *testing.T) {
-	env := Envelope{From: "a", payload: hotPayload{Sensor: "PACE", Step: 3, Values: []float64{1, 2}}}
-	slice := Envelope{From: "a", payload: []hotPayload{{Step: 1}, {Step: 2}}}
+	env := Envelope{payload: hotPayload{Sensor: "PACE", Step: 3, Values: []float64{1, 2}}}
+	slice := Envelope{payload: []hotPayload{{Step: 1}, {Step: 2}}}
 	n := testing.AllocsPerRun(100, func() {
 		if p, err := Payload[hotPayload](&env); err != nil || p.Step != 3 {
 			t.Fatalf("Payload = %+v, %v", p, err)

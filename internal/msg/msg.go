@@ -46,10 +46,9 @@ import (
 	"dyflow/internal/sim"
 )
 
-// Envelope is one delivered message.
+// Envelope is one delivered message. It names no endpoint: the receiver
+// knows its own, and no receiver asks who sent a message.
 type Envelope struct {
-	// From and To are endpoint names.
-	From, To string
 	// SentAt is the virtual send time. Decision reads a forwarded metric's
 	// ObservedAt from it.
 	SentAt sim.Time
@@ -64,7 +63,7 @@ type Envelope struct {
 func Payload[T any](e *Envelope) (T, error) {
 	v, ok := e.payload.(T)
 	if !ok {
-		return v, fmt.Errorf("msg: payload from %q is %T, not %T", e.From, e.payload, v)
+		return v, fmt.Errorf("msg: payload is %T, not %T", e.payload, v)
 	}
 	return v, nil
 }
@@ -173,12 +172,7 @@ func (b *Bus) send(from *Endpoint, to string, payload any) error {
 		d = &delivery{bus: b}
 	}
 	d.dst = dst
-	d.env = Envelope{
-		From:    from.name,
-		To:      to,
-		SentAt:  b.sim.Now(),
-		payload: payload,
-	}
+	d.env = Envelope{SentAt: b.sim.Now(), payload: payload}
 	// The delivery is an event of its own, so same-instant sends and wakes
 	// keep the order the kernel gives them.
 	b.sim.AfterCall(0, deliverCB, d)
@@ -188,9 +182,8 @@ func (b *Bus) send(from *Endpoint, to string, payload any) error {
 // QueuedEnvelope is an envelope as a checkpoint holds it: Data is its
 // payload, as the bus's Encode gave it.
 type QueuedEnvelope struct {
-	From, To string
-	SentAt   sim.Time
-	Data     []byte
+	SentAt sim.Time
+	Data   []byte
 }
 
 // EndpointSnapshot is one endpoint's checkpointable state: how many
@@ -219,9 +212,9 @@ func (b *Bus) Snapshot() BusSnapshot {
 		for _, env := range ep.in.Items() {
 			data, err := b.Encode(name, env.payload)
 			if err != nil {
-				panic(fmt.Errorf("msg: payload %s->%s: %w", env.From, env.To, err))
+				panic(fmt.Errorf("msg: payload queued on %q: %w", name, err))
 			}
-			es.Queue = append(es.Queue, QueuedEnvelope{env.From, env.To, env.SentAt, data})
+			es.Queue = append(es.Queue, QueuedEnvelope{env.SentAt, data})
 		}
 		snap.Endpoints = append(snap.Endpoints, es)
 	}
@@ -243,9 +236,9 @@ func (b *Bus) Restore(snap BusSnapshot) error {
 		for _, q := range es.Queue {
 			payload, err := b.Decode(es.Name, q.Data)
 			if err != nil {
-				return fmt.Errorf("msg: payload %s->%s: %w", q.From, q.To, err)
+				return fmt.Errorf("msg: payload queued on %q: %w", es.Name, err)
 			}
-			ep.in.TryPut(Envelope{q.From, q.To, q.SentAt, payload}) // endpoint queues are unbounded
+			ep.in.TryPut(Envelope{q.SentAt, payload}) // endpoint queues are unbounded
 		}
 	}
 	return nil
