@@ -34,7 +34,7 @@ func TestHotTypeSizes(t *testing.T) {
 		{"msg.Envelope", unsafe.Sizeof(msg.Envelope{}), 24},
 		{"sensor.Update", unsafe.Sizeof(sensor.Update{}), 32},
 		{"sensor.MetricMsg", unsafe.Sizeof(sensor.MetricMsg{}), 32},
-		{"sensor.Batch", unsafe.Sizeof(sensor.Batch{}), 56},
+		{"sensor.Batch", unsafe.Sizeof(sensor.Batch{}), 40},
 		{"sensor.MetricList", unsafe.Sizeof(sensor.MetricList{}), 40},
 		{"decision.Suggestion", unsafe.Sizeof(decision.Suggestion{}), 56},
 		{"trace.Span", unsafe.Sizeof(trace.Span{}), 136},

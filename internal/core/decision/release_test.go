@@ -51,7 +51,7 @@ func TestDecisionReleasesEveryList(t *testing.T) {
 	pace := &sensor.Series{Key: sensor.Key{Workflow: "GS", Task: "Iso", Sensor: "PACE", Granularity: spec.GranTask}}
 	s.Spawn("client0", func(p *sim.Proc) {
 		for i := 1; i <= forwards; i++ {
-			client.Send("monitor-server", &sensor.Batch{Client: "client0", Updates: []sensor.Update{
+			client.Send("monitor-server", &sensor.Batch{Updates: []sensor.Update{
 				{Series: pace, Value: float64(i), Step: i, GeneratedAt: p.Now()},
 			}})
 			if err := p.Sleep(100 * time.Millisecond); err != nil {

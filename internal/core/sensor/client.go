@@ -636,7 +636,7 @@ func (c *Client) build(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorD
 	if batch == nil {
 		batch = &Batch{lease: lease[Batch]{home: &c.batches}}
 	}
-	batch.Client, batch.Updates = c.name, dedupUpdates(updates)
+	batch.Updates = dedupUpdates(updates)
 	return batch, nan, inf
 }
 

@@ -62,7 +62,6 @@ func (b *Batch) recycle() {
 	if !b.idle() {
 		return
 	}
-	b.Client = ""
 	for i := range b.Updates {
 		b.Updates[i] = Update{Value: math.NaN()}
 	}

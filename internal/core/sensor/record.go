@@ -23,7 +23,6 @@ type UpdateRecord struct {
 
 // BatchRecord is a Batch's encoded form.
 type BatchRecord struct {
-	Client  string         `json:"client"`
 	Updates []UpdateRecord `json:"updates"`
 }
 
@@ -64,13 +63,13 @@ func (r UpdateRecord) Live() (Update, error) {
 
 // Record returns the batch's record.
 func (b Batch) Record() BatchRecord {
-	return BatchRecord{b.Client, ckpt.Map(b.Updates, Update.Record)}
+	return BatchRecord{ckpt.Map(b.Updates, Update.Record)}
 }
 
 // Live returns the batch a record holds.
 func (r BatchRecord) Live() (Batch, error) {
 	updates, err := ckpt.TryMap(r.Updates, UpdateRecord.Live)
-	return Batch{Client: r.Client, Updates: updates}, err
+	return Batch{Updates: updates}, err
 }
 
 // Record returns the message's record.

@@ -90,7 +90,6 @@ type Update struct {
 // Batch is the client->server wire message, sent as a *Batch and
 // recycled (payload.go); its encoded form is BatchRecord.
 type Batch struct {
-	Client  string
 	Updates []Update
 	lease[Batch]
 }

@@ -689,7 +689,7 @@ func TestForwardedCountsDetectionsNotRepolls(t *testing.T) {
 	client := r.bus.Endpoint("client0")
 	pace := &Series{Key: Key{Workflow: "GS", Task: "Iso", Sensor: "PACE", Granularity: spec.GranTask}}
 	send := func(genAt time.Duration, v float64) {
-		client.Send("monitor-server", &Batch{Client: "client0", Updates: []Update{
+		client.Send("monitor-server", &Batch{Updates: []Update{
 			{Series: pace, Value: v, GeneratedAt: sim.Time(genAt)},
 		}})
 	}

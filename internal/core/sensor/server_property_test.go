@@ -273,7 +273,7 @@ const deriveCfg = `
 // stale re-polls of the series' previous data. A granularity that does not
 // parse never reaches a server: restoring a message naming one fails.
 func genBatch(rng *rand.Rand, now sim.Time, prevGen map[string]time.Duration) parentBatch {
-	b := parentBatch{Client: "c0"}
+	var b parentBatch
 	for n := 1 + rng.Intn(6); n > 0; n-- {
 		u := parentUpdate{
 			Workflow: []string{"W1", "W2"}[rng.Intn(2)],
@@ -501,7 +501,7 @@ func TestStaleForwardAllocatesNothing(t *testing.T) {
 	bus := msg.NewBus(s)
 	last := decisionSink(t, s, bus)
 	sv := NewServer(s, s.Spawn, bus, "monitor-server", "decision", cfg, trace.New(obs.NewRegistry()))
-	batch := &Batch{Client: "client0", Updates: []Update{{
+	batch := &Batch{Updates: []Update{{
 		Series: &Series{Key: Key{Workflow: "FUSION", Task: "XGC1", Sensor: "NSTEPS", Granularity: spec.GranTask}},
 		Value:  374, Step: 374, GeneratedAt: time.Second,
 	}}}
@@ -590,7 +590,7 @@ func TestChangedForwardAllocatesNothing(t *testing.T) {
 		bus := msg.NewBus(s)
 		last := decisionSink(t, s, bus)
 		sv := NewServer(s, s.Spawn, bus, "monitor-server", "decision", cfg, trace.New(obs.NewRegistry()))
-		batch := &Batch{Client: "client0", Updates: []Update{{Series: &Series{Key: k}}}}
+		batch := &Batch{Updates: []Update{{Series: &Series{Key: k}}}}
 		forward := func() {
 			u := &batch.Updates[0]
 			u.Value++

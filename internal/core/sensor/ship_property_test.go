@@ -94,7 +94,7 @@ next:
 	if len(dedup) == 0 {
 		return nil, nan, inf
 	}
-	return &parentBatch{Client: c.name, Updates: dedup}, nan, inf
+	return &parentBatch{Updates: dedup}, nan, inf
 }
 
 // shipCfg polls two file sets: task A's variables through four DISKSCAN
@@ -252,7 +252,7 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 				fail("%v", err)
 			}
 			u := b.Updates[0].Series.Key
-			name := fmt.Sprintf("%s/%s.%s.%s", b.Client, u.Workflow, u.Task, u.Sensor)
+			name := fmt.Sprintf("%s/%s.%s.%s", c.name, u.Workflow, u.Task, u.Sensor)
 			if len(want[name]) == 0 {
 				fail("%s sent %s, the reference owes nothing", name, canonicalJSON(t, b.Record()))
 			}

@@ -14,8 +14,9 @@ import (
 
 // parentUpdate, parentBatch and parentMetricMsg are the two Monitor wire
 // types as they stood when each message spelled its series out as five
-// strings. The descriptor-carrying types must encode exactly as these do,
-// and decode what these encode.
+// strings, less the batch's client name, which nothing read and which a
+// batch no longer carries. The descriptor-carrying types must encode
+// exactly as these do, and decode what these encode.
 type parentUpdate struct {
 	Workflow    string        `json:"workflow"`
 	Task        string        `json:"task"`
@@ -28,7 +29,6 @@ type parentUpdate struct {
 }
 
 type parentBatch struct {
-	Client  string         `json:"client"`
 	Updates []parentUpdate `json:"updates"`
 }
 
@@ -176,8 +176,9 @@ func genWireString(rng *rand.Rand) string {
 // both message records encode byte for byte as their parents did, turn
 // into messages and back into themselves exactly when restore accepts
 // them, and a message turns into its record and back into itself. A
-// whole batch does too, its nil and empty update lists kept apart, and a
-// batch holding an update whose granularity does not parse is rejected.
+// whole batch does too, its nil and empty update lists kept apart, one
+// that still names its client restores, and a batch holding an update
+// whose granularity does not parse is rejected.
 func TestProperty_MonitorWire_EqualsParentJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x3217E))
 	values := []float64{0, math.Copysign(0, -1), 1, -2.5, 1e300, 5e-324, math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -201,7 +202,7 @@ func TestProperty_MonitorWire_EqualsParentJSON(t *testing.T) {
 		checkWire(t, c)
 	}
 
-	ref := parentBatch{Client: "monitor-client-0", Updates: []parentUpdate{
+	ref := parentBatch{Updates: []parentUpdate{
 		{Workflow: "W", Task: "A", Sensor: "S", Granularity: "task", Value: 1, Step: 2, GeneratedAt: 3},
 		{Workflow: "W", Task: "A", Sensor: "S", Granularity: "node-task", Node: "n1", Value: math.Copysign(0, -1)},
 	}}
@@ -216,7 +217,7 @@ func TestProperty_MonitorWire_EqualsParentJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		b, err := rec.Live()
-		if err != nil || b.Client != ref.Client || len(b.Updates) != len(updates) || (b.Updates == nil) != (updates == nil) {
+		if err != nil || len(b.Updates) != len(updates) || (b.Updates == nil) != (updates == nil) {
 			t.Fatalf("%s restores to %+v (%v)", data, b, err)
 		}
 		for i, u := range b.Updates {
@@ -229,7 +230,16 @@ func TestProperty_MonitorWire_EqualsParentJSON(t *testing.T) {
 			t.Fatalf("batch %s restores and encodes back to %s (%v)", data, got, err)
 		}
 	}
-	bad := BatchRecord{Client: "c", Updates: []UpdateRecord{
+	// A batch recorded while batches named their client restores, the
+	// name dropped.
+	var old BatchRecord
+	if err := json.Unmarshal([]byte(`{"client":"monitor-client-0","updates":[{"workflow":"W","task":"A","sensor":"S","granularity":"task","value":1,"generated_at":3}]}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := old.Live(); err != nil || len(b.Updates) != 1 || b.Updates[0].Series.Key.Task != "A" {
+		t.Fatalf("a batch naming its client restores to %+v (%v)", b, err)
+	}
+	bad := BatchRecord{Updates: []UpdateRecord{
 		{Workflow: "W", Task: "A", Sensor: "S", Granularity: "task"},
 		{Workflow: "W", Task: "A", Sensor: "S", Granularity: "bogus"},
 	}}
