@@ -494,8 +494,12 @@ func (p *planner) build(in PlanInput) (Plan, []WaitingTask) {
 		}
 		still = append(still, w)
 	}
-	var stillWaiting []WaitingTask
-	if len(still) > 0 {
+	// The queue the round leaves: none, the caller's own when the round
+	// left it as it was, or else a copy of the planner's scratch.
+	stillWaiting := in.Waiting
+	if len(still) == 0 {
+		stillWaiting = nil
+	} else if !slices.Equal(still, in.Waiting) {
 		stillWaiting = slices.Clone(still)
 	}
 
