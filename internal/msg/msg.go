@@ -18,9 +18,9 @@
 // A payload belongs to its receiver from delivery until the receiver's
 // receive loop is done with it, and then goes back to its sender: the
 // receiver releases it on every receive path, and no one reads it after
-// that. Both Monitor links send
-// their payloads by pointer this way, and each sender recycles what comes
-// back instead of allocating (sensor's payload.go). A sender may send one
+// that. Both Monitor links send their payloads by pointer this way, and
+// each sender recycles what comes back instead of allocating (sensor's
+// payload.go). A sender may send one
 // payload in several envelopes; the one exception to handing it back is a
 // payload a re-send cache holds, which the sender does not reuse until the
 // cache lets go of it and every envelope carrying it has been released.
