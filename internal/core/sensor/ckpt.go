@@ -23,10 +23,9 @@ type GenEntry struct {
 
 // ServerSnapshot is the Monitor server's checkpointable state: the latest
 // value per series (the join and group-by working set) and the per-series
-// generation cursors. Map-keyed
-// state is exported as sorted slices so snapshots are byte-stable. The
-// forwarding counters and the detection lags are the flight recorder's,
-// checkpointed with it.
+// generation cursors. Map-keyed state is exported as sorted slices so
+// snapshots are byte-stable. The forwarding counters and the detection
+// lags are the flight recorder's, checkpointed with it.
 type ServerSnapshot struct {
 	Last    []SeriesEntry `json:"last,omitempty"`
 	LastGen []GenEntry    `json:"last_gen,omitempty"`

@@ -20,10 +20,10 @@
 // receiver releases it on every receive path, and no one reads it after
 // that. Both Monitor links send their payloads by pointer this way, and
 // each sender recycles what comes back instead of allocating (sensor's
-// payload.go). A sender may send one
-// payload in several envelopes; the one exception to handing it back is a
-// payload a re-send cache holds, which the sender does not reuse until the
-// cache lets go of it and every envelope carrying it has been released.
+// payload.go). A sender may send one payload in several envelopes; the one
+// exception to handing it back is a payload a re-send cache holds, which
+// the sender does not reuse until the cache lets go of it and every
+// envelope carrying it has been released.
 // Both Monitor halves re-send: the client the batch it built for an
 // unchanged disk scan, the server the metrics it forwarded last when a
 // batch forwards them again unchanged. A payload a restore decoded has no
