@@ -158,10 +158,6 @@ func (w *savannaWorkload) Placement(workflow, taskName string) task.Placement {
 	return in.Placement
 }
 
-func (w *savannaWorkload) TaskRunning(workflow, taskName string) bool {
-	return w.sv.TaskRunning(workflow, taskName)
-}
-
 // savannaView adapts Savanna to the arbiter's View: the snapshot of every
 // composed task plus free healthy cores. It keeps no state of its own; the
 // engine owns the map it fills.

@@ -46,7 +46,6 @@ const repollCfg = `
 type idleWorkload struct{}
 
 func (idleWorkload) Placement(string, string) task.Placement { return nil }
-func (idleWorkload) TaskRunning(string, string) bool         { return true }
 
 // BenchmarkMonitorRepoll measures one DISKSCAN poll of unchanged files end to
 // end — the Monitor client's poll and re-sent batch, the bus, the Monitor

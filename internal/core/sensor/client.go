@@ -17,14 +17,12 @@ import (
 )
 
 // Workload is the client's view of the running workflow, provided by the
-// orchestrator from the WMS: where a task's processes are placed and
-// whether it is currently running. The Monitor server keeps clients
-// consistent with runtime changes through this indirection.
+// orchestrator from the WMS: where a task's processes are placed. The
+// Monitor server keeps clients consistent with runtime changes through
+// this indirection.
 type Workload interface {
 	// Placement returns the task's current placement (nil if not running).
 	Placement(workflow, taskName string) task.Placement
-	// TaskRunning reports whether the task has a live incarnation.
-	TaskRunning(workflow, taskName string) bool
 }
 
 // Client executes the sensors bound to its share of monitored tasks and
@@ -192,7 +190,7 @@ func (c *Client) Start() {
 			var body func(p *sim.Proc)
 			switch def.Source {
 			case spec.SourceTAUADIOS2, spec.SourceADIOS2:
-				body = func(p *sim.Proc) { c.streamWorker(p, tg, use, def, st) }
+				body = func(p *sim.Proc) { c.streamWorker(p, tg, def, st) }
 			case spec.SourceDiskScan, spec.SourceErrorStatus, spec.SourceDB:
 				body = func(p *sim.Proc) { c.pollWorker(p, tg, use, def, st) }
 			default:
@@ -239,7 +237,7 @@ func streamName(tg spec.MonitorTarget, def *spec.SensorDef) string {
 // streamWorker consumes a staging stream, re-attaching across task
 // restarts — the Monitor stage "sets (or resets) connections to input
 // streams ... when the workflow tasks start (or restart)".
-func (c *Client) streamWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef, st *WorkerState) {
+func (c *Client) streamWorker(p *sim.Proc, tg spec.MonitorTarget, def *spec.SensorDef, st *WorkerState) {
 	name := streamName(tg, def)
 	if name == "" {
 		return
@@ -261,12 +259,12 @@ func (c *Client) streamWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.Senso
 		for len(st.Buffered) > 0 {
 			rec := st.Buffered[0]
 			st.Buffered = st.Buffered[1:]
-			if err := c.decodeShip(p, st, tg, use, def, rec); err != nil {
+			if err := c.decodeShip(p, st, tg, def, rec); err != nil {
 				return
 			}
 		}
 		if st.reader != nil {
-			if !c.consume(p, st, tg, use, def) {
+			if !c.consume(p, st, tg, def) {
 				return
 			}
 			if err := c.sleepPhase(p, st, phaseProbe, c.env.Sim.Now()+PollInterval); err != nil {
@@ -289,7 +287,7 @@ func (c *Client) streamWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.Senso
 			continue
 		}
 		st.reader = stm.Attach(4, stream.DropOldest)
-		if !c.consume(p, st, tg, use, def) {
+		if !c.consume(p, st, tg, def) {
 			return
 		}
 		// Wait before probing for the task's next incarnation.
@@ -301,7 +299,7 @@ func (c *Client) streamWorker(p *sim.Proc, tg spec.MonitorTarget, use spec.Senso
 
 // consume drains the attached reader until it detaches. A false return
 // means the worker must exit (stopped or interrupted).
-func (c *Client) consume(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef) bool {
+func (c *Client) consume(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDef) bool {
 	r := st.reader
 	for {
 		st.Phase = phaseRecv
@@ -313,7 +311,7 @@ func (c *Client) consume(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, us
 		if err != nil {
 			break // detached (task ended) or interrupted
 		}
-		if err := c.decodeShip(p, st, tg, use, def, rec); err != nil {
+		if err := c.decodeShip(p, st, tg, def, rec); err != nil {
 			if !errors.Is(err, sim.ErrStopped) {
 				r.Close()
 				st.reader = nil
@@ -329,10 +327,10 @@ func (c *Client) consume(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, us
 // decodeShip sleeps out a record's decode cost (checkpointable as a
 // pending shipment), ships the formulated readings and releases the
 // record. An interrupted decode keeps it: the pending readings alias it.
-func (c *Client) decodeShip(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, use spec.SensorUse, def *spec.SensorDef, rec stream.Step) error {
+func (c *Client) decodeShip(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDef, rec stream.Step) error {
 	// Decoding cost scales with the record's per-rank payload.
 	cost := StreamBase + time.Duration(len(rec.Array))*StreamPerValue
-	readings, step, genAt := recordReadings(rec, use)
+	readings, step, genAt := recordReadings(rec)
 	st.pend = PendingShip{Readings: readings, Step: step, GenAt: genAt}
 	st.Pending = &st.pend
 	if err := c.sleepPhase(p, st, phaseDecode, c.env.Sim.Now()+cost); err != nil {
@@ -343,18 +341,10 @@ func (c *Client) decodeShip(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget,
 	return nil
 }
 
-// recordReadings extracts the per-process readings from a staged record.
-func recordReadings(rec stream.Step, use spec.SensorUse) (readings []float64, step int, genAt sim.Time) {
-	if len(rec.Array) > 0 {
-		readings = rec.Array
-	} else if v, ok := rec.Vars[use.Info]; ok {
-		readings = []float64{v}
-	} else if use.Info == "" && len(rec.Vars) == 1 {
-		for _, v := range rec.Vars {
-			readings = []float64{v}
-		}
-	}
-	return readings, rec.Index, rec.Produced
+// recordReadings extracts the per-process readings from a staged record:
+// its per-rank Array.
+func recordReadings(rec stream.Step) (readings []float64, step int, genAt sim.Time) {
+	return rec.Array, rec.Index, rec.Produced
 }
 
 // pollWorker periodically scans disk-based sources.

@@ -15,15 +15,9 @@ func (c *Client) PayloadCensus(visit func(p any, cached bool)) {
 }
 
 // PayloadCensus calls visit with every forward list the server holds
-// between sends: each one on its free list, and each one a series' re-send
-// cache holds.
+// between sends: each one on its free list.
 func (sv *Server) PayloadCensus(visit func(p any, cached bool)) {
 	for _, l := range sv.lists {
 		visit(l, false)
-	}
-	for _, s := range sv.series {
-		if s.sent != nil {
-			visit(s.sent, true)
-		}
 	}
 }

@@ -93,8 +93,8 @@ type linkWorker struct {
 // worker's last extraction, changed readings (NaN among them) and
 // ERRORSTATUS polls that never re-send. Both Decisions must read the same
 // metrics, and at the end every payload the recycling side sent is idle:
-// on its sender's free list once, or in a re-send cache. It returns how
-// many metrics Decision read.
+// on its sender's free list once, or, a batch, in its worker's re-send
+// cache. It returns how many metrics Decision read.
 func monitorLink(t testing.TB, steps int, next func(n int) int) int {
 	t.Helper()
 	cfg, err := spec.CompileString(shipCfg)
@@ -185,25 +185,20 @@ func monitorLink(t testing.TB, steps int, next func(n int) int) int {
 	if g, w := jsonOf(t, got), jsonOf(t, want); g != w {
 		t.Fatalf("Decision read\n%s\nfrom the recycling senders, and\n%s\nfrom the allocate-fresh ones", g, w)
 	}
-	cachedBatches, cachedLists := map[*Batch]bool{}, map[*MetricList]bool{}
+	cachedBatches := map[*Batch]bool{}
 	for _, w := range workers {
 		if b := w.st.last.batch; b != nil {
 			cachedBatches[b] = true
 		}
 	}
-	for _, sr := range sv.series {
-		if sr.sent != nil {
-			cachedLists[sr.sent] = true
-		}
-	}
 	idle(t, "batch", batches, c.batches, cachedBatches, func(b *Batch) *lease[Batch] { return &b.lease })
-	idle(t, "list", lists, sv.lists, cachedLists, func(l *MetricList) *lease[MetricList] { return &l.lease })
+	idle(t, "list", lists, sv.lists, nil, func(l *MetricList) *lease[MetricList] { return &l.lease })
 	return len(got)
 }
 
 // idle checks that every payload in sent is idle: no envelope carries it,
-// and it is either on the free list, once, or in a re-send cache, which
-// is what its lease says.
+// and it is either on the free list, once, or in cached, which is what
+// its lease says.
 func idle[P any](t testing.TB, what string, sent map[*P]bool, free []*P, cached map[*P]bool, lease func(*P) *lease[P]) {
 	t.Helper()
 	onList := map[*P]int{}

@@ -19,7 +19,7 @@ func newSanitizeClient(t *testing.T, reg *obs.Registry) *Client {
 	s := sim.New(1)
 	env := &task.Env{Sim: s, FS: fsim.New(s), Streams: stream.NewRegistry(s, reg)}
 	bus := msg.NewBus(s)
-	wl := &fakeWorkload{placements: map[string]task.Placement{}, running: map[string]bool{}}
+	wl := &fakeWorkload{placements: map[string]task.Placement{}}
 	return NewClient("mc", env, bus, "monitor-server", &spec.Config{}, nil, wl, env.Sim.Spawn, reg)
 }
 
@@ -108,13 +108,13 @@ func TestPendingShipEncodesNonFiniteReadings(t *testing.T) {
 
 // TestClientSnapshotEncodesNonFiniteBacklog: a stream worker's buffered
 // records are raw staged values too. A backlog holding NaN or ±Inf in a
-// record's Array or Vars checkpoints and restores bit for bit, and finite
-// values encode exactly as a []float64 and a map[string]float64 do.
+// record's Array checkpoints and restores bit for bit, and finite values
+// encode exactly as a []float64 does. A record that still carries the
+// named-variable key records once had restores with it ignored.
 func TestClientSnapshotEncodesNonFiniteBacklog(t *testing.T) {
 	backlog := []stream.Step{
-		{Index: 3, Vars: map[string]float64{"step": 3, "err": math.NaN(), "mem": math.Inf(1)},
-			Array: []float64{1, math.NaN(), math.Inf(-1), -0.0}, Produced: 5},
-		{Index: 4, Vars: map[string]float64{"step": 4, "a<b": 0.25}, Array: []float64{2, 1e300}, Produced: 6},
+		{Index: 3, Array: []float64{1, math.NaN(), math.Inf(-1), -0.0}, Produced: 5},
+		{Index: 4, Array: []float64{2, 1e300}, Produced: 6},
 		{Index: 5},
 	}
 	c := newSanitizeClient(t, obs.NewRegistry())
@@ -139,8 +139,7 @@ func TestClientSnapshotEncodesNonFiniteBacklog(t *testing.T) {
 	got := snap.Workers[0].State.Buffered
 	for i, want := range backlog {
 		g := got[i]
-		if g.Index != want.Index || g.Produced != want.Produced ||
-			len(g.Array) != len(want.Array) || len(g.Vars) != len(want.Vars) || (g.Vars == nil) != (want.Vars == nil) {
+		if g.Index != want.Index || g.Produced != want.Produced || len(g.Array) != len(want.Array) {
 			t.Fatalf("record %d restored as %+v, want %+v", i, g, want)
 		}
 		for j := range want.Array {
@@ -148,25 +147,24 @@ func TestClientSnapshotEncodesNonFiniteBacklog(t *testing.T) {
 				t.Fatalf("record %d Array restored as %v, want %v", i, g.Array, want.Array)
 			}
 		}
-		for k, v := range want.Vars {
-			if w, ok := g.Vars[k]; !ok || !same(w, v) {
-				t.Fatalf("record %d Vars restored as %v, want %v", i, g.Vars, want.Vars)
-			}
-		}
 	}
 
 	finite := backlog[1]
 	plain, _ := json.Marshal(struct {
 		Index    int
-		Vars     map[string]float64
 		Array    []float64
 		Produced sim.Time
-	}{finite.Index, finite.Vars, finite.Array, finite.Produced})
+	}{finite.Index, finite.Array, finite.Produced})
 	if enc, _ := json.Marshal(finite); string(enc) != string(plain) {
 		t.Errorf("a finite record encodes as %s, with plain types as %s", enc, plain)
 	}
 	var bad stream.Step
 	if err := json.Unmarshal([]byte(`{"Array":[1,"inf"]}`), &bad); err == nil {
 		t.Errorf(`a value "inf" decoded to %v, want an error`, bad.Array)
+	}
+	var old stream.Step
+	if err := json.Unmarshal([]byte(`{"Index":2,"Vars":{"err":"NaN"},"Array":[1],"Produced":7}`), &old); err != nil ||
+		old.Index != 2 || len(old.Array) != 1 || old.Array[0] != 1 || old.Produced != 7 {
+		t.Errorf("a record with a Vars key decoded to %+v (%v), want it ignored", old, err)
 	}
 }

@@ -17,11 +17,9 @@ import (
 
 type fakeWorkload struct {
 	placements map[string]task.Placement
-	running    map[string]bool
 }
 
 func (f *fakeWorkload) Placement(wf, t string) task.Placement { return f.placements[wf+"/"+t] }
-func (f *fakeWorkload) TaskRunning(wf, t string) bool         { return f.running[wf+"/"+t] }
 
 type rig struct {
 	s      *sim.Sim
@@ -44,7 +42,7 @@ func newRig(t *testing.T, cfg *spec.Config) *rig {
 	tr := trace.New(reg)
 	server := NewServer(s, s.Spawn, bus, "monitor-server", "decision", cfg, tr)
 	server.Start()
-	wl := &fakeWorkload{placements: map[string]task.Placement{}, running: map[string]bool{}}
+	wl := &fakeWorkload{placements: map[string]task.Placement{}}
 	return &rig{s: s, env: env, bus: bus, server: server, tr: tr, reg: reg, dec: dec, wl: wl}
 }
 
@@ -109,7 +107,6 @@ func TestTAUStreamSensorPipeline(t *testing.T) {
 	cfg := compile(t, paceCfg)
 	r := newRig(t, cfg)
 	r.wl.placements["GS/Iso"] = task.Placement{"node000": 2, "node001": 2}
-	r.wl.running["GS/Iso"] = true
 
 	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
@@ -118,9 +115,9 @@ func TestTAUStreamSensorPipeline(t *testing.T) {
 	tau := r.env.Streams.Open("tau.Iso")
 	r.s.Spawn("emitter", func(p *sim.Proc) {
 		p.Sleep(2 * time.Second)
-		tau.Put(p, stream.Step{Index: 1, Vars: map[string]float64{"looptime": 40}, Array: []float64{38, 40, 36, 39}})
+		tau.Put(p, stream.Step{Index: 1, Array: []float64{38, 40, 36, 39}})
 		p.Sleep(2 * time.Second)
-		tau.Put(p, stream.Step{Index: 2, Vars: map[string]float64{"looptime": 42}, Array: []float64{41, 42, 40, 39}})
+		tau.Put(p, stream.Step{Index: 2, Array: []float64{41, 42, 40, 39}})
 	})
 	if err := r.s.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -353,16 +350,16 @@ const joinCfg = `
 <dyflow>
   <monitor>
     <sensors>
-      <sensor id="CYCLES" type="ADIOS2">
+      <sensor id="CYCLES" type="DISKSCAN">
         <group-by><group granularity="task" reduction-operation="LAST"/></group-by>
       </sensor>
-      <sensor id="IPC" type="ADIOS2">
+      <sensor id="IPC" type="DISKSCAN">
         <group-by><group granularity="task" reduction-operation="LAST"/></group-by>
         <join sensor-id="CYCLES" operation="DIV"/>
       </sensor>
     </sensors>
     <monitor-tasks>
-      <monitor-task name="T" workflowId="W" info-source="perf.T">
+      <monitor-task name="T" workflowId="W" info-source="perf/T.*">
         <use-sensor sensor-id="CYCLES" info="cycles"/>
         <use-sensor sensor-id="IPC" info="instructions"/>
       </monitor-task>
@@ -383,28 +380,28 @@ func TestJoinComputesDerivedMetric(t *testing.T) {
 	cfg := compile(t, joinCfg)
 	r := newRig(t, cfg)
 	r.wl.placements["W/T"] = task.Placement{"node000": 1}
-	r.wl.running["W/T"] = true
 
 	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
-	perf := r.env.Streams.Open("perf.T")
-	r.s.Spawn("emitter", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		// One record carrying both variables; each sensor reads its own.
-		perf.Put(p, stream.Step{Index: 1, Vars: map[string]float64{"cycles": 1000, "instructions": 800}})
-		p.Sleep(2 * time.Second)
-		perf.Put(p, stream.Step{Index: 2, Vars: map[string]float64{"cycles": 1000, "instructions": 400}})
+	// One file per output step carrying both variables; each sensor reads
+	// its own.
+	r.env.FS.Write("perf/T.1", fsim.Var{Name: "cycles", Value: 1000}, fsim.Var{Name: "instructions", Value: 800})
+	r.s.At(3*time.Second, func() {
+		r.env.FS.Write("perf/T.2", fsim.Var{Name: "cycles", Value: 1000}, fsim.Var{Name: "instructions", Value: 400})
 	})
 	if err := r.s.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	client.Stop()
 	metrics := r.drainMetrics(t)
+	// Every poll re-ships its last reading; a detection is one with a new
+	// generation time.
 	var ipc []float64
+	var gen sim.Time = -1
 	for _, m := range metrics {
-		if m.Key.Sensor == "IPC" {
-			ipc = append(ipc, m.Value)
+		if m.Key.Sensor == "IPC" && m.GeneratedAt != gen {
+			ipc, gen = append(ipc, m.Value), m.GeneratedAt
 		}
 	}
 	if len(ipc) != 2 {
@@ -443,7 +440,6 @@ func TestPreprocessDistillsArray(t *testing.T) {
 </dyflow>`)
 	r := newRig(t, cfg)
 	r.wl.placements["W/T"] = task.Placement{"node000": 4}
-	r.wl.running["W/T"] = true
 	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
@@ -466,19 +462,18 @@ func TestClientReattachesAfterStreamRestart(t *testing.T) {
 	cfg := compile(t, paceCfg)
 	r := newRig(t, cfg)
 	r.wl.placements["GS/Iso"] = task.Placement{"node000": 1}
-	r.wl.running["GS/Iso"] = true
 	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 
 	r.s.Spawn("emitter", func(p *sim.Proc) {
 		st := r.env.Streams.Open("tau.Iso")
 		p.Sleep(time.Second)
-		st.Put(p, stream.Step{Index: 1, Vars: map[string]float64{"looptime": 10}})
+		st.Put(p, stream.Step{Index: 1, Array: []float64{10}})
 		st.Close() // task ends
 		p.Sleep(3 * time.Second)
 		st2 := r.env.Streams.Open("tau.Iso") // restart reopens
 		p.Sleep(2 * time.Second)
-		st2.Put(p, stream.Step{Index: 2, Vars: map[string]float64{"looptime": 20}})
+		st2.Put(p, stream.Step{Index: 2, Array: []float64{20}})
 		st2.Close()
 	})
 	if err := r.s.Run(15 * time.Second); err != nil {
@@ -537,8 +532,6 @@ func TestNodeWorkflowDerivation(t *testing.T) {
 	// Both tasks share node000; task A also spans node001.
 	r.wl.placements["W/A"] = task.Placement{"node000": 1, "node001": 1}
 	r.wl.placements["W/B"] = task.Placement{"node000": 2}
-	r.wl.running["W/A"] = true
-	r.wl.running["W/B"] = true
 	client := NewClient("client0", r.env, r.bus, "monitor-server", cfg, cfg.Targets, r.wl, r.env.Sim.Spawn, r.reg)
 	client.Start()
 

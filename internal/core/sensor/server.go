@@ -1,7 +1,6 @@
 package sensor
 
 import (
-	"math"
 	"slices"
 	"strings"
 
@@ -57,9 +56,6 @@ type series struct {
 	gen    sim.Time
 	hasGen bool
 	group  *group // a task or node-task series' derivation group
-	// sent is the list process last sent for a forward list headed by
-	// this series: its re-send cache.
-	sent *MetricList
 }
 
 // groupKey names the series one derivation reduces: a workflow's task
@@ -210,39 +206,17 @@ func (sv *Server) process(batch *Batch) {
 	if sv.onForward != nil {
 		sv.onForward(out)
 	}
-	if l := sv.payload(out, outS[0]); sv.ep.Send(sv.out, l) == nil {
+	if l := sv.payload(out); sv.ep.Send(sv.out, l) == nil {
 		l.refs++
 	}
 }
 
-// payload returns the wire form of a forward list. The list the forward's
-// first series last headed — its re-send cache — is sent again when every
-// message of it equals the forward element by element: a stale re-poll of
-// unchanged data, most forwards of a disk-scanned world. A changed forward
-// fills a list off the server's free list, or a new one when the list is
-// empty, and it replaces the cached one, which is recycled once Decision
-// has released it. A message names its series by the server's descriptor,
-// so equal series are equal pointers. The wire carries no ObservedAt:
-// Decision takes it from the envelope's SentAt, which is the instant the
-// server stamps every metric with.
-func (sv *Server) payload(out []Metric, head *series) *MetricList {
-	prev := head.sent
-	if prev != nil {
-		if len(prev.Msgs) == len(out) {
-			same := true
-			for i := range out {
-				if !sameMsg(&out[i], &prev.Msgs[i]) {
-					same = false
-					break
-				}
-			}
-			if same {
-				return prev
-			}
-		}
-		prev.cached = false
-		prev.recycle()
-	}
+// payload returns the wire form of a forward list: a list off the
+// server's free list, or a new one when the list is empty, filled with
+// out. A message names its series by the server's descriptor. The wire
+// carries no ObservedAt: Decision takes it from the envelope's SentAt,
+// which is the instant the server stamps every metric with.
+func (sv *Server) payload(out []Metric) *MetricList {
 	l := take(&sv.lists)
 	if l == nil {
 		l = &MetricList{lease: lease[MetricList]{home: &sv.lists}}
@@ -251,17 +225,7 @@ func (sv *Server) payload(out []Metric, head *series) *MetricList {
 	for i := range out {
 		l.Msgs = append(l.Msgs, out[i].ToMsg())
 	}
-	l.cached = true
-	head.sent = l
 	return l
-}
-
-// sameMsg reports whether m would go on the wire as w: the same series,
-// step and generation time, and a value of equal bits (a -0 is not a 0 on
-// the wire).
-func sameMsg(m *Metric, w *MetricMsg) bool {
-	return m.Series == w.Series && m.Step == w.Step && int64(m.GeneratedAt) == w.GeneratedAt &&
-		math.Float64bits(m.Value) == math.Float64bits(w.Value)
 }
 
 // lookup returns the series for k, creating an empty one, with the next

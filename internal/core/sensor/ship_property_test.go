@@ -203,7 +203,7 @@ func pollShipment(t testing.TB, steps int, next func(n int) int) shipStats {
 	bus := msg.NewBus(s)
 	server := bus.Endpoint("monitor-server")
 	reg := obs.NewRegistry()
-	wl := &fakeWorkload{placements: map[string]task.Placement{}, running: map[string]bool{}}
+	wl := &fakeWorkload{placements: map[string]task.Placement{}}
 	newClient := func() *Client {
 		return NewClient("mc", env, bus, "monitor-server", cfg, cfg.Targets, wl, env.Sim.Spawn, reg)
 	}

@@ -31,9 +31,6 @@ func TestEmitStepShape(t *testing.T) {
 	if rec.Index != 7 {
 		t.Fatalf("record = %+v", rec)
 	}
-	if rec.Vars != nil {
-		t.Fatalf("record carries Vars %v, want the ranks only", rec.Vars)
-	}
 	if len(rec.Array) != 5 {
 		t.Fatalf("ranks = %d", len(rec.Array))
 	}

@@ -4,20 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // A staged record's values are raw: NaN and ±Inf are legal until a sensor
-// sanitizes them, and JSON has no number for them. Floats and FloatMap
-// encode them as the strings "NaN", "+Inf" and "-Inf", so a checkpoint
-// holding a buffered record with one still encodes; finite values encode
-// exactly as a []float64 or map[string]float64 does.
+// sanitizes them, and JSON has no number for them. Floats encodes them
+// as the strings "NaN", "+Inf" and "-Inf", so a checkpoint holding a
+// buffered record with one still encodes; finite values encode exactly as
+// a []float64 does.
 
 // Floats is a []float64 whose JSON form holds any float64.
 type Floats []float64
-
-// FloatMap is a map[string]float64 whose JSON form holds any float64.
-type FloatMap map[string]float64
 
 // MarshalJSON implements json.Marshaler.
 func (f Floats) MarshalJSON() ([]byte, error) {
@@ -55,56 +51,6 @@ func (f *Floats) UnmarshalJSON(data []byte) error {
 		}
 	}
 	*f = out
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler: keys sorted, as encoding/json
-// writes a map.
-func (m FloatMap) MarshalJSON() ([]byte, error) {
-	if m == nil {
-		return []byte("null"), nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := []byte{'{'}
-	for i, k := range keys {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		key, err := json.Marshal(k)
-		if err != nil {
-			return nil, err
-		}
-		out = append(append(out, key...), ':')
-		if out, err = appendFloat(out, m[k]); err != nil {
-			return nil, err
-		}
-	}
-	return append(out, '}'), nil
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (m *FloatMap) UnmarshalJSON(data []byte) error {
-	var elems map[string]json.RawMessage
-	if err := json.Unmarshal(data, &elems); err != nil {
-		return err
-	}
-	if elems == nil {
-		*m = nil
-		return nil
-	}
-	out := make(FloatMap, len(elems))
-	for k, e := range elems {
-		v, err := parseFloat(e)
-		if err != nil {
-			return err
-		}
-		out[k] = v
-	}
-	*m = out
 	return nil
 }
 

@@ -32,7 +32,7 @@ type leaseStats struct {
 // same index and values.
 func sameRecord(t *testing.T, what string, a, b Step) {
 	t.Helper()
-	if a.Index != b.Index || !slices.Equal(a.Array, b.Array) || a.Vars != nil || b.Vars != nil {
+	if a.Index != b.Index || !slices.Equal(a.Array, b.Array) {
 		t.Fatalf("%s: leased record %d %v, fresh record %d %v", what, a.Index, a.Array, b.Index, b.Array)
 	}
 }

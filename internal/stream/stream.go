@@ -33,7 +33,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -46,8 +45,6 @@ import (
 type Step struct {
 	// Index is the producer's timestep number.
 	Index int
-	// Vars carries named numeric variables for sensors and analyses.
-	Vars FloatMap
 	// Array carries one value per producer rank (e.g. TAU's per-process
 	// loop times, or a staged output vector). Sensor preprocessing reduces
 	// it before metric formulation.
@@ -145,7 +142,6 @@ func (r *Reader) Len() int { return r.buf.Len() }
 func (r *Reader) Buffered() []Step {
 	out := r.buf.Items()
 	for i := range out {
-		out[i].Vars = maps.Clone(out[i].Vars)
 		out[i].Array = slices.Clone(out[i].Array)
 		out[i].lease = nil
 	}
