@@ -58,24 +58,10 @@ func (sp *SavannaPlugin) StartTaskWithResources(p *sim.Proc, workflow, taskName 
 	cpp := sp.SV.CoresPerProc(workflow, taskName)
 	rs, err := sp.SV.Manager().Carve(procs*cpp, perNode*cpp, exclude)
 	if err != nil {
-		return &startError{workflow: workflow, task: taskName, err: err}
+		return err
 	}
 	return sp.SV.StartTask(p, workflow, taskName, rs, script)
 }
-
-// startError is a start whose carve failed. Its text is formatted only
-// when Error is called: the Executor retries a failed carve and drops all
-// but the last attempt's error.
-type startError struct {
-	workflow, task string
-	err            error
-}
-
-func (e *startError) Error() string {
-	return "actuate: start " + e.workflow + "/" + e.task + ": " + e.err.Error()
-}
-
-func (e *startError) Unwrap() error { return e.err }
 
 // StopTask stops the task and waits for termination.
 func (sp *SavannaPlugin) StopTask(p *sim.Proc, workflow, taskName string, graceful bool) error {

@@ -137,7 +137,7 @@ func TestExecuteAbortsOnInfeasibleStart(t *testing.T) {
 		if !errors.Is(err, resmgr.ErrInsufficient) || !Retryable(err) {
 			t.Errorf("err = %v, want a retryable ErrInsufficient", err)
 		}
-		if want := "actuate: start WF/A: actuate: start WF/A: resmgr: insufficient resources: carve 100 cores (per-node 0), 40 short"; err == nil || err.Error() != want {
+		if want := "actuate: start WF/A: resmgr: insufficient resources: carve 100 cores (per-node 0), 40 short"; err == nil || err.Error() != want {
 			t.Errorf("err = %q, want %q", err, want)
 		}
 		// Both START ops never applied and must be reported for recovery.

@@ -249,13 +249,13 @@ var chaosGolden = []jobGolden{
 	{"summit", 1, 48707, 37361, map[string]string{
 		ArtifactReport:   "b9e11d8265c69fcf4377b9f57815fe5a8227cb265cfb2d44a517e97026676f3b",
 		ArtifactGantt:    "dbc189abcc2f9d96117a054e9f419f07b9fe1fb7f4416a442ed1a6364e5ee3eb",
-		ArtifactPerfetto: "1b32b1c7c78d89505e00d98f7ebc85f3fbe0ffe4eb33977a0026c5d8d7ed804c",
+		ArtifactPerfetto: "eeb83820e9953ac99d92428a25d29da313a8a6bb1ec1bf35342f82b72db8e6ac",
 		ArtifactMetrics:  "056a00e2a2494dd8f7324d45590d30f408848a4ac51543431e991c4010bfc4bb",
 	}},
 	{"summit", 2, 57081, 42897, map[string]string{
 		ArtifactReport:   "88b84f888d71a8ecea1636cf4b3368f9c75efc8dc6ebca8f9e2ba5ee5874b5b0",
 		ArtifactGantt:    "6bd2fb3cec1fb1f6ff8f0cddb20374217408e05b3997a44ee07fb9c79324bd79",
-		ArtifactPerfetto: "ab61a0ee3a5dd2a9ad556d32bda0bd04d3b5b02f5e057e38db3c6e9fd56e378b",
+		ArtifactPerfetto: "911c38cb5d60385f56d8bb48c26604acd1aba6ce71ad3ab3da733127cd339e75",
 		ArtifactMetrics:  "4a43f32ce35bd050932ff05d659d81c4f0f096d8cb4110cbe4fa21f852c8627e",
 	}},
 	{"dt2", 1, 66546, 50856, map[string]string{
@@ -267,7 +267,7 @@ var chaosGolden = []jobGolden{
 	{"dt2", 2, 61024, 48096, map[string]string{
 		ArtifactReport:   "6c0226a33807b32cde4da537485be6b8d07ca9223b2bfc14385e105869304815",
 		ArtifactGantt:    "3b24ab0d34d0c4383c1aeeac7d14e43b4480bb5b958e6ebdccac193b3dc11d07",
-		ArtifactPerfetto: "4255f2288d70f1f5f86ea30a5707406abe02d8f71a6f248eb17b51778c8d8976",
+		ArtifactPerfetto: "72b22e3ae80a70e0ed797ce3dee26827d2c156252c212be603fa61a6725043b8",
 		ArtifactMetrics:  "5350713e5286021f6313f3a2e37c820c3d40526aca68ed7519d5f65e67288063",
 	}},
 }
