@@ -512,9 +512,26 @@ func TestEngineRequeueDedupesWaiting(t *testing.T) {
 	}
 }
 
+// refOpString is an op's label as String formatted it through fmt before
+// it became AppendLabel's string: the reference AppendLabel must equal.
+func refOpString(o Op) string {
+	s := fmt.Sprintf("%s(%s", o.Kind, o.Task)
+	if o.Kind == OpStart {
+		s += fmt.Sprintf(", %d procs", o.Procs)
+	}
+	if o.Victim {
+		s += ", victim"
+	}
+	if o.Dependent {
+		s += ", dep"
+	}
+	return s + ")"
+}
+
 // TestProperty_OpLabel_EqualsString: over seeded ops of both kinds, with
 // and without the victim and dep flags, with odd task names and any
-// procs, AppendLabel appends exactly what String returns.
+// procs, AppendLabel appends exactly the fmt-built reference label, and
+// String returns it.
 func TestProperty_OpLabel_EqualsString(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	tasks := []string{"", "T", "Analysis", "a(b), c", "ü"}
@@ -529,8 +546,12 @@ func TestProperty_OpLabel_EqualsString(t *testing.T) {
 		prefix := rng.Intn(8) // what the buffer already holds stays
 		buf = append(buf[:0], "earlier!"[:prefix]...)
 		buf = op.AppendLabel(buf)
-		if got, want := string(buf), "earlier!"[:prefix]+op.String(); got != want {
-			t.Fatalf("%+v: AppendLabel gives %q, String %q", op, got, want)
+		want := refOpString(op)
+		if got := string(buf); got != "earlier!"[:prefix]+want {
+			t.Fatalf("%+v: AppendLabel gives %q, the reference %q", op, got, want)
+		}
+		if got := op.String(); got != want {
+			t.Fatalf("%+v: String gives %q, the reference %q", op, got, want)
 		}
 	}
 	if len(seen) != 8 {

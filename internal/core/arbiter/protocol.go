@@ -14,7 +14,6 @@ package arbiter
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -68,8 +67,9 @@ type Op struct {
 	Dependent bool
 }
 
-// AppendLabel appends o's String form to b without formatting through
-// fmt, for a caller that labels many operations.
+// AppendLabel appends o's label to b — its kind, then the task and its
+// start size and flags in parentheses, as "start(T, 8 procs, dep)" — for
+// a caller that labels many operations.
 func (o Op) AppendLabel(b []byte) []byte {
 	b = append(append(append(b, o.Kind.String()...), '('), o.Task...)
 	if o.Kind == OpStart {
@@ -84,19 +84,8 @@ func (o Op) AppendLabel(b []byte) []byte {
 	return append(b, ')')
 }
 
-func (o Op) String() string {
-	s := fmt.Sprintf("%s(%s", o.Kind, o.Task)
-	if o.Kind == OpStart {
-		s += fmt.Sprintf(", %d procs", o.Procs)
-	}
-	if o.Victim {
-		s += ", victim"
-	}
-	if o.Dependent {
-		s += ", dep"
-	}
-	return s + ")"
-}
+// String returns o's label (AppendLabel).
+func (o Op) String() string { return string(o.AppendLabel(nil)) }
 
 // Plan is an ordered, feasible set of low-level operations.
 type Plan struct {
