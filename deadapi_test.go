@@ -467,6 +467,160 @@ func f(o *Opts) int {
 	}
 }
 
+// readOnlyByTests lists the struct fields that non-test code writes and
+// only tests read, as "dir.Type.Field", each with the reason it stays.
+var readOnlyByTests = map[string]string{
+	"internal/core/arbiter.Op.Policy":    "the plan property tests tell policy starts from T_waiting starts by it",
+	"internal/runstore.Stats.Segments":   "the rotation tests count segments by it",
+	"internal/exp.LAMMPSResult.Makespan": "the LAMMPS test pins EXPERIMENTS.md's makespan quote by it",
+}
+
+// TestEveryFieldHasAReader keeps production code free of state that only
+// tests look at: every struct field declared in a non-test file outside
+// exemptDirs and exemptFiles — bench/ and cmd/ included — must be read by
+// some non-test file, or be in readOnlyByTests. A read is any selector use
+// of the field except as the whole left side of = or :=; a composite
+// literal key is a write. A tagged field (a codec reads it), an embedded
+// field, and every field of a struct type used as a map key or compared
+// with == or != count as read.
+func TestEveryFieldHasAReader(t *testing.T) {
+	m := checkSources(t)
+	found := writeOnlyFields(m)
+	for _, key := range sortedKeys(found) {
+		if readOnlyByTests[key] == "" {
+			t.Errorf("no non-test file reads it: %s (%s)", key, m.fset.Position(found[key]))
+		}
+	}
+	for key := range readOnlyByTests {
+		if !found[key].IsValid() {
+			t.Errorf("readOnlyByTests names %s, which is gone or has a non-test reader now", key)
+		}
+	}
+}
+
+// TestWriteOnlyFieldsCatchesPlants runs the scan on a planted package: a
+// field only ever assigned and a field only ever set by a composite
+// literal are found; a field read through a selector, a compound
+// assignment or an increment, a tagged field, an embedded field, and the
+// fields of a map-key struct and of a struct compared with == are not.
+func TestWriteOnlyFieldsCatchesPlants(t *testing.T) {
+	const src = `package p
+type Inner struct{ N int }
+type Opts struct {
+	Inner
+	Set, Lit, Read, Add, Inc int
+	Tag                      int ` + "`json:\"tag\"`" + `
+	sub                      struct{ a, b int }
+}
+type key struct{ A, B int }
+type pair struct{ X, Y int }
+var seen = map[key]bool{}
+func f(o *Opts, p, q pair) (int, bool) {
+	o.Set = 1
+	_ = Opts{Lit: 2, Tag: 3}
+	o.Add += 4
+	o.Inc++
+	o.sub.a = 5
+	seen[key{1, 2}] = true
+	return o.Read + o.sub.b, p == q
+}`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := checkModule(fset, "m", map[string][]*ast.File{"p": {f}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sortedKeys(writeOnlyFields(m))
+	if want := []string{"p.Inner.N", "p.Opts.Lit", "p.Opts.Set", "p.Opts.sub.a"}; !slices.Equal(got, want) {
+		t.Errorf("found %v, want %v", got, want)
+	}
+}
+
+// writeOnlyFields returns the fields of m, outside exemptDirs and
+// exemptFiles, that no file of m reads, keyed "dir.Type.Field" with their
+// declarations.
+func writeOnlyFields(m *moduleImporter) map[string]token.Pos {
+	info := m.info
+	keys, read := map[*types.Var]string{}, map[*types.Var]bool{}
+	// readAll marks every field of a value of type t read: it is compared
+	// as a whole, as a map key or by == and !=.
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				fv := u.Field(i).Origin()
+				read[fv] = true
+				readAll(fv.Type())
+			}
+		case *types.Array:
+			readAll(u.Elem())
+		}
+	}
+	var name func(prefix string, st *types.Struct)
+	name = func(prefix string, st *types.Struct) {
+		for i := 0; i < st.NumFields(); i++ {
+			fv := st.Field(i)
+			keys[fv] = prefix + "." + fv.Name()
+			if st.Tag(i) != "" || fv.Embedded() {
+				read[fv] = true
+			}
+			if inner, ok := fv.Type().(*types.Struct); ok {
+				name(keys[fv], inner)
+			}
+		}
+	}
+	for id, obj := range info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				name(m.dir(tn.Pkg().Path())+"."+id.Name, st)
+			}
+		}
+	}
+	for _, tv := range info.Types {
+		if mt, ok := tv.Type.Underlying().(*types.Map); ok {
+			readAll(mt.Key())
+		}
+	}
+	lhs := map[ast.Expr]bool{}
+	for _, files := range m.dirs {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					if x.Tok == token.ASSIGN || x.Tok == token.DEFINE {
+						for _, l := range x.Lhs {
+							lhs[ast.Unparen(l)] = true
+						}
+					}
+				case *ast.BinaryExpr:
+					if x.Op == token.EQL || x.Op == token.NEQ {
+						readAll(info.Types[x.X].Type)
+						readAll(info.Types[x.Y].Type)
+					}
+				case *ast.SelectorExpr:
+					if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal && !lhs[x] {
+						read[sel.Obj().(*types.Var).Origin()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	found := map[string]token.Pos{}
+	for fv, key := range keys {
+		if read[fv] || fv.Name() == "_" || exemptDirs[m.dir(fv.Pkg().Path())] || exemptFiles[m.fset.File(fv.Pos()).Name()] {
+			continue
+		}
+		found[key] = fv.Pos()
+	}
+	return found
+}
+
 // checkModule type-checks the packages in dirs (module-relative directory
 // → its non-test files, under module path mod; every other import comes
 // from the standard library's export data).

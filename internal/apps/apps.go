@@ -112,9 +112,8 @@ func XGCWorkflow(m Machine) *wms.WorkflowSpec {
 	cfg := XGCConfigFor(m)
 	mk := func(name string, step time.Duration, autoStart bool, script string) wms.TaskConfig {
 		spec := task.Spec{
-			Name:           name,
-			Workflow:       XGCWorkflowID,
-			ThreadsPerProc: cfg.Threads,
+			Name:     name,
+			Workflow: XGCWorkflowID,
 			Cost: task.Cost{
 				Serial: step / 10,
 				Work:   time.Duration(cfg.Procs) * (step - step/10),

@@ -1,5 +1,5 @@
 // Package cluster models the parallel machines DYFLOW's evaluation ran on.
-// A Cluster is a set of nodes with per-node core/memory/GPU inventories and
+// A Cluster is a set of nodes with per-node core and memory inventories and
 // a health flag; experiments inject node failures through it. Presets for
 // the paper's two machines — ORNL Summit and UMD Deepthought2 — reproduce
 // the per-node shapes the paper reports (§4.1).
@@ -20,14 +20,8 @@ type Node struct {
 	ID NodeID
 	// Cores is the number of physical cores schedulable for task processes.
 	Cores int
-	// ThreadsPerCore is the hardware SMT width (4 on Summit's Power9, 2 on
-	// Deepthought2's Ivy Bridge).
-	ThreadsPerCore int
 	// MemGB is DRAM capacity in GiB.
 	MemGB int
-	// GPUs is the number of attached accelerators (6 on Summit). Tracked
-	// for inventory completeness; the paper's experiments schedule CPUs.
-	GPUs int
 
 	healthy bool
 }
@@ -49,9 +43,8 @@ func (n *Node) String() string {
 // resources unhealthy, which in turn surfaces as task failures.
 type HealthListener func(node *Node, healthy bool)
 
-// Cluster is a named collection of nodes sharing one machine description.
+// Cluster is a collection of nodes sharing one machine description.
 type Cluster struct {
-	Name  string
 	sim   *sim.Sim
 	nodes map[NodeID]*Node
 	order []NodeID // deterministic iteration order
@@ -60,31 +53,25 @@ type Cluster struct {
 
 // Config describes a homogeneous machine for New.
 type Config struct {
-	Name           string
-	Nodes          int
-	CoresPerNode   int
-	ThreadsPerCore int
-	MemGBPerNode   int
-	GPUsPerNode    int
+	Nodes        int
+	CoresPerNode int
+	MemGBPerNode int
 }
 
 // New builds a homogeneous cluster of cfg.Nodes identical nodes named
 // node000, node001, ...
 func New(s *sim.Sim, cfg Config) *Cluster {
 	c := &Cluster{
-		Name:  cfg.Name,
 		sim:   s,
 		nodes: make(map[NodeID]*Node, cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		id := NodeID(fmt.Sprintf("node%03d", i))
 		c.nodes[id] = &Node{
-			ID:             id,
-			Cores:          cfg.CoresPerNode,
-			ThreadsPerCore: cfg.ThreadsPerCore,
-			MemGB:          cfg.MemGBPerNode,
-			GPUs:           cfg.GPUsPerNode,
-			healthy:        true,
+			ID:      id,
+			Cores:   cfg.CoresPerNode,
+			MemGB:   cfg.MemGBPerNode,
+			healthy: true,
 		}
 		c.order = append(c.order, id)
 	}
@@ -94,29 +81,17 @@ func New(s *sim.Sim, cfg Config) *Cluster {
 // Summit builds an n-node slice of the ORNL Summit machine: 2× IBM Power9
 // per node (42 schedulable cores, 4-way SMT), 512 GB DDR4, 6 Volta GPUs.
 // The real machine has 4,608 nodes; experiments allocate a small slice.
+// The model keeps the cores and the memory: the paper's experiments
+// schedule CPUs.
 func Summit(s *sim.Sim, n int) *Cluster {
-	return New(s, Config{
-		Name:           "Summit",
-		Nodes:          n,
-		CoresPerNode:   42,
-		ThreadsPerCore: 4,
-		MemGBPerNode:   512,
-		GPUsPerNode:    6,
-	})
+	return New(s, Config{Nodes: n, CoresPerNode: 42, MemGBPerNode: 512})
 }
 
 // Deepthought2 builds an n-node slice of UMD Deepthought2: dual Intel Ivy
 // Bridge E5-2680v2 per node (20 cores, 2 hardware threads/core), 128 GB
 // DDR3. The real machine has 448 nodes.
 func Deepthought2(s *sim.Sim, n int) *Cluster {
-	return New(s, Config{
-		Name:           "Deepthought2",
-		Nodes:          n,
-		CoresPerNode:   20,
-		ThreadsPerCore: 2,
-		MemGBPerNode:   128,
-		GPUsPerNode:    0,
-	})
+	return New(s, Config{Nodes: n, CoresPerNode: 20, MemGBPerNode: 128})
 }
 
 // Node returns the node with the given ID, or nil.

@@ -14,12 +14,12 @@ func TestPresets(t *testing.T) {
 		t.Fatalf("Summit size = %d", len(summit.nodes))
 	}
 	n := summit.Node("node000")
-	if n.Cores != 42 || n.ThreadsPerCore != 4 || n.MemGB != 512 || n.GPUs != 6 {
+	if n.Cores != 42 || n.MemGB != 512 {
 		t.Fatalf("Summit node = %+v", n)
 	}
 	dt2 := Deepthought2(s, 5)
 	n2 := dt2.Node("node004")
-	if n2.Cores != 20 || n2.ThreadsPerCore != 2 || n2.MemGB != 128 || n2.GPUs != 0 {
+	if n2.Cores != 20 || n2.MemGB != 128 {
 		t.Fatalf("Deepthought2 node = %+v", n2)
 	}
 	if healthyCores(dt2) != 100 {

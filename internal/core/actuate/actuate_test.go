@@ -74,7 +74,6 @@ func TestExecutePlanInOrder(t *testing.T) {
 		}
 		p.Sleep(5 * time.Second)
 		plan := arbiter.Plan{
-			Workflow: "WF",
 			Ops: []arbiter.Op{
 				{Kind: arbiter.OpStop, Workflow: "WF", Task: "A", Graceful: true},
 				{Kind: arbiter.OpStart, Workflow: "WF", Task: "A", Procs: 20, PerNode: 0},
@@ -124,7 +123,6 @@ func TestExecuteAbortsOnInfeasibleStart(t *testing.T) {
 	r.s.Spawn("driver", func(p *sim.Proc) {
 		// 60 cores total; asking for 100 must fail and abort the rest.
 		plan := arbiter.Plan{
-			Workflow: "WF",
 			Ops: []arbiter.Op{
 				{Kind: arbiter.OpStart, Workflow: "WF", Task: "A", Procs: 100},
 				{Kind: arbiter.OpStart, Workflow: "WF", Task: "B", Procs: 10},
@@ -169,7 +167,7 @@ func TestStartRetriesInjectedCarveFaultAndRecovers(t *testing.T) {
 
 	r.s.Spawn("driver", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		plan := arbiter.Plan{Workflow: "WF", Ops: []arbiter.Op{
+		plan := arbiter.Plan{Ops: []arbiter.Op{
 			{Kind: arbiter.OpStart, Workflow: "WF", Task: "B", Procs: 10, PerNode: 5},
 		}}
 		rep, err := r.ex.Execute(p, plan)
@@ -206,7 +204,7 @@ func TestStartRetryUntilExhausted(t *testing.T) {
 	tr := r.tr
 	r.rm.InjectFaults(resmgr.NewFaults(1, 1.0)) // every carve fails
 	r.s.Spawn("driver", func(p *sim.Proc) {
-		plan := arbiter.Plan{Workflow: "WF", Ops: []arbiter.Op{
+		plan := arbiter.Plan{Ops: []arbiter.Op{
 			{Kind: arbiter.OpStart, Workflow: "WF", Task: "B", Procs: 10, PerNode: 5},
 		}}
 		rep, err := r.ex.Execute(p, plan)
@@ -267,7 +265,7 @@ func TestStartRecarvesAroundLostNode(t *testing.T) {
 	s.At(6*time.Second, func() { c.RestoreNode("node000") })
 
 	s.Spawn("driver", func(p *sim.Proc) {
-		plan := arbiter.Plan{Workflow: "WF", Ops: []arbiter.Op{
+		plan := arbiter.Plan{Ops: []arbiter.Op{
 			{Kind: arbiter.OpStart, Workflow: "WF", Task: "B", Procs: 20, PerNode: 20, Script: "boot.sh"},
 		}}
 		if _, err := ex.Execute(p, plan); err != nil {
@@ -304,7 +302,7 @@ func TestExecuteReportsStopAppliedStartAborted(t *testing.T) {
 			return
 		}
 		p.Sleep(5 * time.Second)
-		plan := arbiter.Plan{Workflow: "WF", Ops: []arbiter.Op{
+		plan := arbiter.Plan{Ops: []arbiter.Op{
 			{Kind: arbiter.OpStop, Workflow: "WF", Task: "A", Graceful: true},
 			{Kind: arbiter.OpStart, Workflow: "WF", Task: "A", Procs: 100},
 		}}

@@ -23,7 +23,6 @@ func BenchmarkBuildPlan(b *testing.B) {
 	for _, n := range []int{5, 20, 100} {
 		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
 			rules := &spec.WorkflowRules{
-				Workflow:         "W",
 				TaskPriorities:   map[string]int{},
 				PolicyPriorities: map[string]int{},
 			}
@@ -80,7 +79,7 @@ func BenchmarkArbitrateRound(b *testing.B) {
 	for _, n := range []int{5, 20, 100} {
 		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
 			tasks := make(map[string]TaskState, n)
-			rules := &spec.WorkflowRules{Workflow: "W", TaskPriorities: map[string]int{}}
+			rules := &spec.WorkflowRules{TaskPriorities: map[string]int{}}
 			for i := 0; i < n; i++ {
 				name := fmt.Sprintf("task%03d", i)
 				rules.TaskPriorities[name] = i

@@ -59,12 +59,12 @@ func TestRestoredEngineHonorsRecoveryWaitingAndCooldown(t *testing.T) {
 			if r.exec.failAfter >= 0 && i >= r.exec.failAfter {
 				break
 			}
-			st := r.view.tasks[p.Workflow][op.Task]
+			st := r.view.tasks[op.Workflow][op.Task]
 			st.Running = op.Kind == OpStart
 			if op.Kind == OpStart {
 				st.Procs = op.Procs
 			}
-			r.view.tasks[p.Workflow][op.Task] = st
+			r.view.tasks[op.Workflow][op.Task] = st
 		}
 	}
 

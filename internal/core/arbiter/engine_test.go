@@ -113,8 +113,8 @@ func newEngineRig(t *testing.T, cfg Config) *engineRig {
 	}
 	exec := &fakeExec{s: s, failAfter: -1}
 	rules := map[string]*spec.WorkflowRules{
-		"W": {Workflow: "W", TaskPriorities: map[string]int{"A": 0, "B": 1}},
-		"V": {Workflow: "V", TaskPriorities: map[string]int{"X": 0}},
+		"W": {TaskPriorities: map[string]int{"A": 0, "B": 1}},
+		"V": {TaskPriorities: map[string]int{"X": 0}},
 	}
 	tr, rounds := trace.New(obs.NewRegistry()), new(Rounds)
 	eng := New(s, s.Spawn, bus, "arbiter", cfg, rules, view, exec, tr, rounds)
@@ -238,8 +238,17 @@ func TestEnginePlansPerWorkflow(t *testing.T) {
 	if len(r.exec.plans) != 2 {
 		t.Fatalf("plans = %d, want one per workflow", len(r.exec.plans))
 	}
-	if r.exec.plans[0].Workflow != "W" || r.exec.plans[1].Workflow != "V" {
-		t.Fatalf("workflows = %s, %s", r.exec.plans[0].Workflow, r.exec.plans[1].Workflow)
+	var wfs []string
+	for _, pl := range r.exec.plans {
+		for _, op := range pl.Ops {
+			if op.Workflow != pl.Ops[0].Workflow {
+				t.Fatalf("a plan mixes workflows: %v", pl.Ops)
+			}
+		}
+		wfs = append(wfs, pl.Ops[0].Workflow)
+	}
+	if !slices.Equal(wfs, []string{"W", "V"}) {
+		t.Fatalf("workflows = %v, want [W V]", wfs)
 	}
 }
 
@@ -442,12 +451,12 @@ func TestEngineRequeuesUnappliedStartsAndRecoversNextRound(t *testing.T) {
 			if r.exec.failAfter >= 0 && i >= r.exec.failAfter {
 				break // unapplied ops must not mutate the view
 			}
-			st := r.view.tasks[p.Workflow][op.Task]
+			st := r.view.tasks[op.Workflow][op.Task]
 			st.Running = op.Kind == OpStart
 			if op.Kind == OpStart {
 				st.Procs = op.Procs
 			}
-			r.view.tasks[p.Workflow][op.Task] = st
+			r.view.tasks[op.Workflow][op.Task] = st
 		}
 	}
 	sendSuggestions(r, 10*time.Second,

@@ -33,7 +33,7 @@ type parentIntent struct {
 // parentBuildPlan runs the arbitration protocol and returns the ordered plan,
 // the updated waiting queue and how many suggested actions it denied.
 func parentBuildPlan(in PlanInput) (Plan, []WaitingTask, int) {
-	plan := Plan{Workflow: in.Workflow}
+	var plan Plan
 	denied := 0
 
 	// --- Line 2: resolve conflicts in A_sugg using policy priorities. ---
@@ -587,7 +587,7 @@ func genPlanRound(rng *rand.Rand) PlanInput {
 	}
 	in := PlanInput{Workflow: wf, Tasks: tasks, FreeCores: rng.Intn(61), NoVictims: rng.Intn(8) == 0, ImmediateKill: rng.Intn(8) == 0}
 	if rng.Intn(8) > 0 {
-		r := &spec.WorkflowRules{Workflow: wf, TaskPriorities: map[string]int{}, PolicyPriorities: map[string]int{}}
+		r := &spec.WorkflowRules{TaskPriorities: map[string]int{}, PolicyPriorities: map[string]int{}}
 		for _, name := range names {
 			if rng.Intn(6) > 0 {
 				r.TaskPriorities[name] = rng.Intn(6)

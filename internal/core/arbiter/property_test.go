@@ -15,7 +15,6 @@ func genInput(seed int64) PlanInput {
 	names := []string{"A", "B", "C", "D", "E"}
 	tasks := make(map[string]TaskState, len(names))
 	rules := &spec.WorkflowRules{
-		Workflow:         "W",
 		TaskPriorities:   map[string]int{},
 		PolicyPriorities: map[string]int{},
 	}

@@ -89,8 +89,7 @@ func (o Op) String() string { return string(o.AppendLabel(nil)) }
 
 // Plan is an ordered, feasible set of low-level operations.
 type Plan struct {
-	Workflow string
-	Ops      []Op
+	Ops []Op
 }
 
 // Empty reports whether the plan contains no operations.
@@ -229,7 +228,7 @@ func BuildPlan(in PlanInput) (Plan, []WaitingTask) {
 
 // build runs the arbitration protocol on the planner's scratch space.
 func (p *planner) build(in PlanInput) (Plan, []WaitingTask) {
-	plan := Plan{Workflow: in.Workflow}
+	var plan Plan
 
 	// --- Line 2: resolve conflicts in A_sugg using policy priorities. ---
 	p.resolveConflicts(in)

@@ -13,7 +13,6 @@ import (
 // dependent on GrayScott.
 func gsRules() *spec.WorkflowRules {
 	return &spec.WorkflowRules{
-		Workflow: "GS",
 		TaskPriorities: map[string]int{
 			"GrayScott": 0, "Isosurface": 1, "Rendering": 2, "FFT": 3, "PDF_Calc": 4,
 		},
@@ -138,7 +137,6 @@ func TestFigure8SecondAdaptation(t *testing.T) {
 // denied START leaves nothing waiting.
 func TestConflictResolutionStopBeatsStart(t *testing.T) {
 	rules := &spec.WorkflowRules{
-		Workflow: "FUSION",
 		PolicyPriorities: map[string]int{
 			"STOP_ON_COND":       0,
 			"RESTART_UNTIL_COND": 1,
@@ -175,7 +173,7 @@ func TestConflictResolutionStopBeatsStart(t *testing.T) {
 // TestSwitchExpandsToStopAndStart mirrors SWITCH_ON_COND: stop the assessed
 // XGCa and start XGC1 with its restart script.
 func TestSwitchExpandsToStopAndStart(t *testing.T) {
-	rules := &spec.WorkflowRules{Workflow: "FUSION", TaskPriorities: map[string]int{"XGC1": 0, "XGCA": 0}}
+	rules := &spec.WorkflowRules{TaskPriorities: map[string]int{"XGC1": 0, "XGCA": 0}}
 	tasks := map[string]TaskState{
 		"XGC1": {Running: false, Procs: 192, PerNode: 14, Script: "restart-xgc1.sh"},
 		"XGCA": {Running: true, Procs: 192, PerNode: 14},
@@ -207,7 +205,7 @@ func TestSwitchExpandsToStopAndStart(t *testing.T) {
 // eligible victim is discarded (paper: "the lowest priority operation
 // requesting additional resources gets discarded").
 func TestDenyWhenNoVictim(t *testing.T) {
-	rules := &spec.WorkflowRules{Workflow: "W", TaskPriorities: map[string]int{"A": 0, "B": 1}}
+	rules := &spec.WorkflowRules{TaskPriorities: map[string]int{"A": 0, "B": 1}}
 	tasks := map[string]TaskState{
 		"A": {Running: true, Procs: 10, PerNode: 0},
 		"B": {Running: false, Procs: 10, PerNode: 0},
@@ -242,7 +240,7 @@ func TestDenyWhenNoVictim(t *testing.T) {
 // TestWaitingTaskRestartsOnSurplus: a STOP frees resources; a waiting task
 // that fits is started in the same plan (Algorithm 1 lines 16-18).
 func TestWaitingTaskRestartsOnSurplus(t *testing.T) {
-	rules := &spec.WorkflowRules{Workflow: "W", TaskPriorities: map[string]int{"A": 0, "B": 1, "C": 2}}
+	rules := &spec.WorkflowRules{TaskPriorities: map[string]int{"A": 0, "B": 1, "C": 2}}
 	tasks := map[string]TaskState{
 		"A": {Running: true, Procs: 20, PerNode: 0},
 		"B": {Running: false, Procs: 15, PerNode: 0},
@@ -278,7 +276,7 @@ func TestWaitingTaskRestartsOnSurplus(t *testing.T) {
 // TestRestartOfFailedTask: RESTART on a dead task emits only a start with
 // the last-known size (the Figure 11 recovery path).
 func TestRestartOfFailedTask(t *testing.T) {
-	rules := &spec.WorkflowRules{Workflow: "MD", TaskPriorities: map[string]int{"LAMMPS": 0}}
+	rules := &spec.WorkflowRules{TaskPriorities: map[string]int{"LAMMPS": 0}}
 	tasks := map[string]TaskState{
 		"LAMMPS": {Running: false, Procs: 1500, PerNode: 30},
 	}
@@ -322,7 +320,7 @@ func TestDuplicateSuggestionsCollapse(t *testing.T) {
 // TestRmCPUFreesResources: RMCPU shrinks a task and the freed cores start a
 // waiting task.
 func TestRmCPUFreesResources(t *testing.T) {
-	rules := &spec.WorkflowRules{Workflow: "W", TaskPriorities: map[string]int{"A": 0, "B": 1}}
+	rules := &spec.WorkflowRules{TaskPriorities: map[string]int{"A": 0, "B": 1}}
 	tasks := map[string]TaskState{
 		"A": {Running: true, Procs: 30, PerNode: 0},
 		"B": {Running: false, Procs: 10, PerNode: 0},
@@ -352,7 +350,7 @@ func TestRmCPUFreesResources(t *testing.T) {
 // TestRmCPUSkipsWhenItWouldZeroTask: an RMCPU that would shrink a task
 // below one process is dropped rather than producing a degenerate restart.
 func TestRmCPUSkipsWhenItWouldZeroTask(t *testing.T) {
-	rules := &spec.WorkflowRules{Workflow: "W", TaskPriorities: map[string]int{"A": 0}}
+	rules := &spec.WorkflowRules{TaskPriorities: map[string]int{"A": 0}}
 	in := PlanInput{
 		Workflow: "W",
 		Suggestions: []decision.Suggestion{
@@ -381,7 +379,7 @@ func TestNoopSuggestionsYieldEmptyPlan(t *testing.T) {
 			"B": {Running: false, Procs: 4},
 		},
 		FreeCores: 0,
-		Rules:     &spec.WorkflowRules{Workflow: "W", TaskPriorities: map[string]int{}},
+		Rules:     &spec.WorkflowRules{TaskPriorities: map[string]int{}},
 	}
 	plan, _ := BuildPlan(in)
 	if !plan.Empty() {
@@ -393,7 +391,6 @@ func TestNoopSuggestionsYieldEmptyPlan(t *testing.T) {
 // running tight dependents and queues both.
 func TestVictimTakesTightDependentsAlong(t *testing.T) {
 	rules := &spec.WorkflowRules{
-		Workflow:       "W",
 		TaskPriorities: map[string]int{"Sim": 0, "AnaParent": 3, "AnaChild": 4, "New": 1},
 		Deps: []spec.TaskDep{
 			{Task: "AnaChild", Parent: "AnaParent", Type: spec.DepTight},
@@ -445,7 +442,6 @@ func TestVictimTakesTightDependentsAlong(t *testing.T) {
 // its own would leave it running on a stopped parent.
 func TestVictimRetractionKeepsTightGroup(t *testing.T) {
 	rules := &spec.WorkflowRules{
-		Workflow:       "W",
 		TaskPriorities: map[string]int{"A": 0, "B": 2, "C": 1},
 		Deps:           []spec.TaskDep{{Task: "C", Parent: "B", Type: spec.DepTight}},
 	}
@@ -485,7 +481,6 @@ func TestVictimRetractionKeepsTightGroup(t *testing.T) {
 // stopped parent. D's group absorbs E's, and the two stay stopped together.
 func TestVictimGroupAbsorbsEarlierDependentVictim(t *testing.T) {
 	rules := &spec.WorkflowRules{
-		Workflow:       "W",
 		TaskPriorities: map[string]int{"A": 0, "D": 2, "E": 3},
 		Deps:           []spec.TaskDep{{Task: "E", Parent: "D", Type: spec.DepTight}},
 	}
@@ -616,7 +611,6 @@ func TestFigure8SecondRoundWithFFTVictim(t *testing.T) {
 // execution) are left alone.
 func TestLooseDependentsUndisturbed(t *testing.T) {
 	rules := &spec.WorkflowRules{
-		Workflow:       "W",
 		TaskPriorities: map[string]int{"Parent": 0, "TightKid": 1, "LooseKid": 2},
 		Deps: []spec.TaskDep{
 			{Task: "TightKid", Parent: "Parent", Type: spec.DepTight},
@@ -650,7 +644,6 @@ func TestLooseDependentsUndisturbed(t *testing.T) {
 // => B restarts => C restarts).
 func TestTransitiveDependentRestart(t *testing.T) {
 	rules := &spec.WorkflowRules{
-		Workflow:       "W",
 		TaskPriorities: map[string]int{"A": 0, "B": 1, "C": 2},
 		Deps: []spec.TaskDep{
 			{Task: "B", Parent: "A", Type: spec.DepTight},

@@ -227,7 +227,7 @@ func (x *roundExec) Execute(p *sim.Proc, plan Plan) (ExecReport, error) {
 				return rep, err
 			}
 		}
-		tasks := x.view.tasks[plan.Workflow]
+		tasks := x.view.tasks[op.Workflow]
 		st := tasks[op.Task]
 		if op.Kind == OpStop {
 			if st.Running {
@@ -272,7 +272,7 @@ func runRounds(t *testing.T, sc roundScenario, arbitrate func(*Engine, *sim.Proc
 	exec := &roundExec{s: s, view: view, fails: sc.fails, opDur: sc.opDur}
 	rules := map[string]*spec.WorkflowRules{}
 	for _, wf := range []string{"W", "V", "U"} {
-		r := &spec.WorkflowRules{Workflow: wf, TaskPriorities: map[string]int{}}
+		r := &spec.WorkflowRules{TaskPriorities: map[string]int{}}
 		for i, name := range roundWorkflows[wf] {
 			r.TaskPriorities[name] = i
 		}

@@ -34,8 +34,6 @@ type Options struct {
 
 // Orchestrator is a running DYFLOW service bound to one Savanna runtime.
 type Orchestrator struct {
-	Config   *spec.Config
-	Savanna  *wms.Savanna
 	Bus      *msg.Bus
 	Server   *sensor.Server
 	Client   *sensor.Client
@@ -66,11 +64,9 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options, tr *tra
 	}
 	bus := msg.NewBus(env.Sim)
 	o := &Orchestrator{
-		Config:  cfg,
-		Savanna: sv,
-		Bus:     bus,
-		Trace:   tr,
-		env:     env,
+		Bus:   bus,
+		Trace: tr,
+		env:   env,
 	}
 	bus.OnDepth = o.Trace.QueueDepth
 	bus.Encode, bus.Decode = encodePayload, decodePayload

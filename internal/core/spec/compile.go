@@ -51,8 +51,10 @@ func (sd *SensorDef) HasGranularity(g Granularity) bool {
 // SensorUse configures a sensor for one monitored task.
 type SensorUse struct {
 	SensorID string
-	Info     string // variable name to read (e.g. "looptime", "step")
-	Params   map[string]string
+	// Info names the variable a DISKSCAN, ERRORSTATUS or DB source reads
+	// (e.g. "step", "exitcode"); a streamed source reads the record's
+	// per-rank array and ignores it.
+	Info string
 }
 
 // MonitorTarget binds sensors to one monitored workflow task.
@@ -114,7 +116,6 @@ type TaskDep struct {
 
 // WorkflowRules holds one workflow's arbitration rules.
 type WorkflowRules struct {
-	Workflow         string
 	TaskPriorities   map[string]int // 0 = highest; missing = lowest
 	PolicyPriorities map[string]int
 	Deps             []TaskDep
@@ -321,15 +322,7 @@ func compileTargets(m *MonitorX, cfg *Config, errs *errorList) {
 					continue
 				}
 			}
-			params := make(map[string]string, len(us.Params))
-			for _, p := range us.Params {
-				params[p.Key] = p.Value
-			}
-			target.Sensors = append(target.Sensors, SensorUse{
-				SensorID: us.SensorID,
-				Info:     us.Info,
-				Params:   params,
-			})
+			target.Sensors = append(target.Sensors, SensorUse{SensorID: us.SensorID, Info: us.Info})
 		}
 		cfg.Targets = append(cfg.Targets, target)
 	}
@@ -461,7 +454,6 @@ func compileRules(a *ArbitrateX, cfg *Config, errs *errorList) {
 			continue
 		}
 		r := &WorkflowRules{
-			Workflow:         rf.WorkflowID,
 			TaskPriorities:   make(map[string]int),
 			PolicyPriorities: make(map[string]int),
 		}

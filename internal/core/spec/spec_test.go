@@ -92,7 +92,7 @@ func TestCompilePaperExample(t *testing.T) {
 	if tg.Task != "Isosurface" || tg.Workflow != "GS-WORKFLOW" || tg.InfoSource != "tau.Isosurface" {
 		t.Fatalf("target = %+v", tg)
 	}
-	if tg.Sensors[0].Info != "looptime" || tg.Sensors[0].Params["info-type"] != "double" {
+	if tg.Sensors[0].Info != "looptime" {
 		t.Fatalf("sensor use = %+v", tg.Sensors[0])
 	}
 

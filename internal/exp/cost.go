@@ -19,8 +19,6 @@ type CostResult struct {
 	// StopShare is the fraction of total actuation time spent waiting for
 	// tasks to terminate gracefully; paper ~97%.
 	StopShare float64
-	// MeanResponse is the mean plan+actuation response across plans.
-	MeanResponse time.Duration
 	// MeanPlanTime is the mean planning-only share.
 	MeanPlanTime time.Duration
 }
@@ -45,12 +43,10 @@ func RunCostAnalysis(seed int64, m apps.Machine) (*CostResult, error) {
 	}
 	plans := append(append([]arbiter.Record(nil), gs.W.Plans()...), xgc.W.Plans()...)
 	if len(plans) > 0 {
-		var resp, plan time.Duration
+		var plan time.Duration
 		for _, p := range plans {
-			resp += p.ResponseTime()
 			plan += p.PlannedAt - p.ReceivedAt
 		}
-		res.MeanResponse = resp / time.Duration(len(plans))
 		res.MeanPlanTime = plan / time.Duration(len(plans))
 	}
 	return res, nil

@@ -28,7 +28,6 @@ func gsThresholds(m apps.Machine) (inc, dec float64) {
 type GSResult struct {
 	W        *World
 	Machine  apps.Machine
-	WithDY   bool
 	Makespan sim.Time
 	// Completed reports whether GrayScott finished all 50 steps within the
 	// horizon.
@@ -81,7 +80,6 @@ func RunGrayScottVariant(seed int64, m apps.Machine, withDyflow bool, v Variant)
 	res := &GSResult{
 		W:         w,
 		Machine:   m,
-		WithDY:    withDyflow,
 		Makespan:  end,
 		TimeLimit: cfg.TimeLimit,
 	}
@@ -211,7 +209,7 @@ func runOverProvisioned(seed int64, m apps.Machine, v Variant) (*GSResult, error
 		return nil, err
 	}
 	w.Rec.CloseOpen()
-	res := &GSResult{W: w, Machine: m, WithDY: true, Makespan: end, TimeLimit: cfg.TimeLimit}
+	res := &GSResult{W: w, Machine: m, Makespan: end, TimeLimit: cfg.TimeLimit}
 	gs := w.SV.Instance(apps.GrayScottWorkflowID, "GrayScott")
 	res.Completed = gs != nil && gs.State() == task.Completed
 	for _, iv := range w.Rec.TaskIntervals(apps.GrayScottWorkflowID, "Isosurface") {

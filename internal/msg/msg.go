@@ -152,7 +152,7 @@ func (b *Bus) Endpoint(name string) *Endpoint {
 	if ep, ok := b.endpoints[name]; ok {
 		return ep
 	}
-	ep := &Endpoint{bus: b, name: name, in: sim.NewQueue[Envelope](b.sim, 0)}
+	ep := &Endpoint{bus: b, name: name, in: sim.NewQueue[Envelope](0)}
 	b.endpoints[name] = ep
 	return ep
 }

@@ -74,7 +74,7 @@ func BenchmarkSpawn(b *testing.B) {
 // bounded queue.
 func BenchmarkQueueHandoff(b *testing.B) {
 	s := New(1)
-	q := NewQueue[int](s, 4)
+	q := NewQueue[int](4)
 	s.Spawn("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			if q.Put(p, i) != nil {
@@ -104,7 +104,7 @@ func BenchmarkQueueHandoff(b *testing.B) {
 func BenchmarkQueueBurstDrain(b *testing.B) {
 	const burst = 32
 	s := New(1)
-	q := NewQueue[int](s, 0)
+	q := NewQueue[int](0)
 	rounds := (b.N + burst - 1) / burst
 	s.Spawn("producer", func(p *Proc) {
 		for r := 0; r < rounds; r++ {

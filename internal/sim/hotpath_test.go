@@ -206,7 +206,7 @@ func TestInterruptBeforeFirstWakeAbortsStart(t *testing.T) {
 // by a single GetAll wake — one kernel→proc handoff for the whole burst.
 func TestQueueGetAllDrainsBurstInOneHandoff(t *testing.T) {
 	s := New(1)
-	q := NewQueue[int](s, 0)
+	q := NewQueue[int](0)
 	const burst = 64
 	s.At(time.Second, func() {
 		for i := 0; i < burst; i++ {
@@ -289,7 +289,7 @@ func TestDispatchHandoffCounters(t *testing.T) {
 // trip — what every blocking Queue.Get/GetAll pays — allocates nothing.
 func TestWaitBroadcastAllocatesNothing(t *testing.T) {
 	s := New(1)
-	sig := NewSignal(s)
+	sig := NewSignal()
 	wakes := 0
 	s.Spawn("waiter", func(p *Proc) {
 		for p.Wait(sig) == nil {
@@ -319,7 +319,7 @@ func TestWaitBroadcastAllocatesNothing(t *testing.T) {
 // so the next put does not grow a fresh array.
 func TestDrainedQueueReusesArray(t *testing.T) {
 	s := New(1)
-	q := NewQueue[int](s, 0)
+	q := NewQueue[int](0)
 	got := 0
 	s.Spawn("reader", func(p *Proc) {
 		for {

@@ -8,13 +8,12 @@ package sim
 // woken by the next Broadcast. There is no memory — a Broadcast with no
 // waiters is lost (latch on top of it if needed).
 type Signal struct {
-	sim     *Sim
 	waiters []*Proc
 	scratch []*Proc // recycled backing array for the next waiters list
 }
 
-// NewSignal creates a Signal bound to s.
-func NewSignal(s *Sim) *Signal { return &Signal{sim: s} }
+// NewSignal creates a Signal with no waiters.
+func NewSignal() *Signal { return &Signal{} }
 
 func (sig *Signal) enqueue(p *Proc) { sig.waiters = append(sig.waiters, p) }
 
@@ -54,7 +53,6 @@ func (sig *Signal) Broadcast() {
 // less means unbounded. Put blocks while the queue is full; Get blocks while
 // it is empty. Items are delivered in insertion order.
 type Queue[T any] struct {
-	sim      *Sim
 	cap      int
 	items    []T
 	notEmpty *Signal
@@ -63,12 +61,11 @@ type Queue[T any] struct {
 }
 
 // NewQueue creates a queue with the given capacity (<= 0 for unbounded).
-func NewQueue[T any](s *Sim, capacity int) *Queue[T] {
+func NewQueue[T any](capacity int) *Queue[T] {
 	return &Queue[T]{
-		sim:      s,
 		cap:      capacity,
-		notEmpty: NewSignal(s),
-		notFull:  NewSignal(s),
+		notEmpty: NewSignal(),
+		notFull:  NewSignal(),
 	}
 }
 

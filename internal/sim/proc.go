@@ -70,7 +70,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 		name: name,
 		body: fn,
 	}
-	p.doneSig = NewSignal(s)
+	p.doneSig = NewSignal()
 	s.nextPID++
 	s.procs[p.pid] = p
 

@@ -149,11 +149,11 @@ func runSchedule(prog *schedProgram, seed int64) string {
 	}
 	sigs := make([]*Signal, prog.signals)
 	for i := range sigs {
-		sigs[i] = NewSignal(s)
+		sigs[i] = NewSignal()
 	}
 	qs := make([]*Queue[int], len(prog.queues))
 	for i, capacity := range prog.queues {
-		qs[i] = NewQueue[int](s, capacity)
+		qs[i] = NewQueue[int](capacity)
 	}
 	procs := make([]*Proc, len(prog.procs))
 

@@ -277,7 +277,7 @@ func TestJoinAlreadyDone(t *testing.T) {
 
 func TestSignalBroadcastWakesAll(t *testing.T) {
 	s := New(1)
-	sig := NewSignal(s)
+	sig := NewSignal()
 	woke := 0
 	for i := 0; i < 5; i++ {
 		s.Spawn("w", func(p *Proc) {
@@ -297,7 +297,7 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 
 func TestQueueFIFO(t *testing.T) {
 	s := New(1)
-	q := NewQueue[int](s, 0)
+	q := NewQueue[int](0)
 	var got []int
 	s.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
@@ -327,7 +327,7 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueueBackpressure(t *testing.T) {
 	s := New(1)
-	q := NewQueue[int](s, 2)
+	q := NewQueue[int](2)
 	var putTimes []Time
 	s.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 4; i++ {
@@ -362,7 +362,7 @@ func TestQueueBackpressure(t *testing.T) {
 
 func TestQueueClose(t *testing.T) {
 	s := New(1)
-	q := NewQueue[int](s, 0)
+	q := NewQueue[int](0)
 	q.TryPut(1)
 	q.TryPut(2)
 	var drained []int
@@ -445,8 +445,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestTryPutTryGetDrain(t *testing.T) {
-	s := New(1)
-	q := NewQueue[int](s, 2)
+	q := NewQueue[int](2)
 	if !q.TryPut(1) || !q.TryPut(2) {
 		t.Fatal("TryPut within capacity should succeed")
 	}
@@ -532,7 +531,7 @@ func TestQueuePopReleasesItem(t *testing.T) {
 	type payload struct{ buf [64]byte }
 	for _, name := range []string{"Get", "TryGet"} {
 		s := New(1)
-		q := NewQueue[*payload](s, 0)
+		q := NewQueue[*payload](0)
 		freed := make(chan struct{})
 		v := &payload{}
 		runtime.SetFinalizer(v, func(*payload) { close(freed) })
@@ -571,8 +570,8 @@ func TestQueuePopReleasesItem(t *testing.T) {
 // where the schedule left them, and every process is gone afterwards.
 func TestStopIsTeardownNotSchedule(t *testing.T) {
 	s := New(1)
-	sig := NewSignal(s)
-	q := NewQueue[int](s, 0)
+	sig := NewSignal()
+	q := NewQueue[int](0)
 	procs := []*Proc{
 		s.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Hour) }),
 		s.Spawn("waiter", func(p *Proc) { p.Wait(sig) }),

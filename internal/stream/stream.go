@@ -220,7 +220,7 @@ func (st *Stream) Attach(capacity int, mode Mode) *Reader {
 		stream: st,
 		id:     st.nextID,
 		mode:   mode,
-		buf:    sim.NewQueue[Step](st.sim, capacity),
+		buf:    sim.NewQueue[Step](capacity),
 	}
 	st.nextID++
 	st.readers[r.id] = r

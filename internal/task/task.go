@@ -118,9 +118,6 @@ type Spec struct {
 	Name string
 	// Workflow is the owning workflow ID (e.g. "GS-WORKFLOW").
 	Workflow string
-	// ThreadsPerProc is informational (Table 1's "threads per process").
-	ThreadsPerProc int
-
 	// Cost is the per-timestep cost model.
 	Cost Cost
 	// TotalSteps is the number of timesteps per incarnation; 0 means run
