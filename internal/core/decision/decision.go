@@ -295,9 +295,9 @@ func (e *Engine) ingestList(l *sensor.MetricList, sentAt sim.Time) {
 	for _, w := range l.Msgs {
 		e.Ingest(sensor.FromMsg(w, sentAt))
 	}
-	// One count per envelope, not per metric: each Add takes the
-	// recorder's lock. An envelope that ingests nothing records nothing,
-	// as no per-metric count did.
+	// One count per envelope, not per metric: each Add is an atomic add
+	// on a counter the recorder shares. An envelope that ingests nothing
+	// records nothing, as no per-metric count did.
 	if len(l.Msgs) > 0 {
 		e.nIngested.Add(int64(len(l.Msgs)))
 	}

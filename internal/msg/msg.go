@@ -20,17 +20,14 @@
 // receiver releases it on every receive path, and no one reads it after
 // that. Both Monitor links send their payloads by pointer this way, and
 // each sender recycles what comes back instead of allocating (sensor's
-// payload.go). A sender may send one payload in several envelopes; the one
-// exception to handing it back is a payload a re-send cache holds, which
-// the sender does not reuse until the cache lets go of it and every
-// envelope carrying it has been released.
-// Both Monitor halves re-send: the client the batch it built for an
-// unchanged disk scan, the server the metrics it forwarded last when a
-// batch forwards them again unchanged. A payload a restore decoded has no
-// sender to go back to, and releasing it does nothing. What a re-sent
-// payload cannot carry is the instant it was sent, so that travels on the
-// envelope: SentAt is the Monitor server's ObservedAt, which its metric
-// messages no longer hold.
+// payload.go). Only the Monitor client re-sends: a worker sends the batch
+// it built for an unchanged disk scan again, in several envelopes, and
+// that last batch is the one exception to handing a payload back — the
+// client does not reuse it until the worker's re-send cache lets go of it
+// and every envelope carrying it has been released. A payload a restore
+// decoded has no sender to go back to, and releasing it does nothing. The
+// instant a payload was sent travels on the envelope: SentAt is the
+// Monitor server's ObservedAt, which its metric messages do not hold.
 //
 // A live payload may also point at values the receiver keeps: a Monitor
 // update or metric message names its series by a *sensor.Series
