@@ -330,8 +330,7 @@ func (c *Client) consume(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, de
 func (c *Client) decodeShip(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDef, rec stream.Step) error {
 	// Decoding cost scales with the record's per-rank payload.
 	cost := StreamBase + time.Duration(len(rec.Array))*StreamPerValue
-	readings, step, genAt := recordReadings(rec)
-	st.pend = PendingShip{Readings: readings, Step: step, GenAt: genAt}
+	st.pend = PendingShip{Readings: rec.Array, Step: rec.Index, GenAt: rec.Produced}
 	st.Pending = &st.pend
 	if err := c.sleepPhase(p, st, phaseDecode, c.env.Sim.Now()+cost); err != nil {
 		return err
@@ -339,12 +338,6 @@ func (c *Client) decodeShip(p *sim.Proc, st *WorkerState, tg spec.MonitorTarget,
 	c.shipPending(st, tg, def)
 	rec.Release()
 	return nil
-}
-
-// recordReadings extracts the per-process readings from a staged record:
-// its per-rank Array.
-func recordReadings(rec stream.Step) (readings []float64, step int, genAt sim.Time) {
-	return rec.Array, rec.Index, rec.Produced
 }
 
 // pollWorker periodically scans disk-based sources.

@@ -11,14 +11,14 @@ import (
 // dropped envelopes included. A payload goes back to its sender's free
 // list when no envelope carries it and no re-send cache holds it (only a
 // batch is cached: a worker's last), and the sender allocates only when
-// that list is empty. The lists belong to one Client
-// or Server and take no lock: a world is single-threaded.
+// that list is empty. The lists belong to one Client or Server and take
+// no lock: a world is single-threaded.
 
 // lease is a recycled payload's ownership: the envelopes still carrying
 // it, whether a re-send cache holds it (a worker's last batch; a forward
-// list never is), and the free list it returns to.
-// A payload with no home — restored from a checkpoint, or built by hand —
-// is never recycled, and releasing it does nothing.
+// list never is), and the free list it returns to. A payload with no
+// home — restored from a checkpoint, or built by hand — is never
+// recycled, and releasing it does nothing.
 type lease[P any] struct {
 	home   *[]*P
 	refs   int32
