@@ -534,14 +534,14 @@ func (c *Client) ship(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDe
 	// so the watch generation — stay put: such a batch is never reused.
 	cache := pend.scan != nil && !def.HasGranularity(spec.GranNodeTask) && !def.HasGranularity(spec.GranNodeWorkflow)
 	if cache && last.batch != nil {
-		last.batch.cached = false
+		last.batch.lease.Cache(false)
 		last.batch.recycle()
 	}
 	batch, nan, inf := c.build(st, tg, def, pend.Readings, pend.Step, pend.GenAt)
 	if cache {
 		*last = shipment{scan: pend.scan, gen: pend.gen, step: pend.Step, genAt: pend.GenAt, batch: batch, nan: nan, inf: inf}
 		if batch != nil {
-			batch.cached = true
+			batch.lease.Cache(true)
 		}
 	}
 	c.send(batch)
@@ -551,7 +551,7 @@ func (c *Client) ship(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorDe
 // envelope it rides in.
 func (c *Client) send(b *Batch) {
 	if b != nil && c.ep.Send(c.server, b) == nil {
-		b.refs++
+		b.lease.Hold()
 	}
 }
 
@@ -572,7 +572,7 @@ func (c *Client) build(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorD
 		}
 	}
 	var updates []Update
-	if batch = take(&c.batches); batch != nil {
+	if batch = msg.Take(&c.batches); batch != nil {
 		updates = batch.Updates[:0]
 	} else {
 		updates = make([]Update, 0, len(def.Groups))
@@ -617,7 +617,7 @@ func (c *Client) build(st *WorkerState, tg spec.MonitorTarget, def *spec.SensorD
 		return nil, nan, inf
 	}
 	if batch == nil {
-		batch = &Batch{lease: lease[Batch]{home: &c.batches}}
+		batch = &Batch{lease: msg.NewLease(&c.batches)}
 	}
 	batch.Updates = dedupUpdates(updates)
 	return batch, nan, inf

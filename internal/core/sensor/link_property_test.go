@@ -3,6 +3,7 @@ package sensor
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -191,28 +192,47 @@ func monitorLink(t testing.TB, steps int, next func(n int) int) int {
 			cachedBatches[b] = true
 		}
 	}
-	idle(t, "batch", batches, c.batches, cachedBatches, func(b *Batch) *lease[Batch] { return &b.lease })
-	idle(t, "list", lists, sv.lists, nil, func(l *MetricList) *lease[MetricList] { return &l.lease })
+	idle(t, "batch", batches, c.batches, cachedBatches, func(b *Batch) *msg.Lease[Batch] { return &b.lease })
+	idle(t, "list", lists, sv.lists, nil, func(l *MetricList) *msg.Lease[MetricList] { return &l.lease })
 	return len(got)
 }
 
 // idle checks that every payload in sent is idle: no envelope carries it,
 // and it is either on the free list, once, or in cached, which is what
 // its lease says.
-func idle[P any](t testing.TB, what string, sent map[*P]bool, free []*P, cached map[*P]bool, lease func(*P) *lease[P]) {
+func idle[P any](t testing.TB, what string, sent map[*P]bool, free []*P, cached map[*P]bool, lease func(*P) *msg.Lease[P]) {
 	t.Helper()
 	onList := map[*P]int{}
 	for _, p := range free {
 		onList[p]++
 	}
 	for p := range sent {
-		l := lease(p)
+		l := leaseOf(lease(p))
 		if l.refs != 0 || l.home == nil || l.cached != cached[p] || cached[p] == (onList[p] == 1) || onList[p] > 1 {
 			t.Fatalf("a %s sent is not idle after its release: refs %d, cached %v (lease %v), %d times on the free list", what, l.refs, cached[p], l.cached, onList[p])
 		}
 	}
 	if len(onList) != len(free) {
 		t.Fatalf("the %s free list holds %d payloads, %d of them distinct", what, len(free), len(onList))
+	}
+}
+
+// leaseState is a msg.Lease's state: the holders its payload has, its
+// home and whether a re-send cache holds it.
+type leaseState[P any] struct {
+	refs   int64
+	home   *[]*P
+	cached bool
+}
+
+// leaseOf reads l's state. msg keeps it unexported and a test-only export
+// there is visible to msg's own tests alone, so it is read by reflection.
+func leaseOf[P any](l *msg.Lease[P]) leaseState[P] {
+	v := reflect.ValueOf(l).Elem()
+	return leaseState[P]{
+		refs:   v.FieldByName("refs").Int(),
+		home:   (*[]*P)(v.FieldByName("home").UnsafePointer()),
+		cached: v.FieldByName("cached").Bool(),
 	}
 }
 

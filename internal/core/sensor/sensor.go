@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"dyflow/internal/core/spec"
+	"dyflow/internal/msg"
 	"dyflow/internal/sim"
 )
 
@@ -91,7 +92,7 @@ type Update struct {
 // recycled (payload.go); its encoded form is BatchRecord.
 type Batch struct {
 	Updates []Update
-	lease[Batch]
+	lease   msg.Lease[Batch]
 }
 
 // Metric is a server-side metric value forwarded to the Decision stage.
@@ -121,8 +122,8 @@ type MetricMsg struct {
 // and recycled (payload.go); its encoded form is a list of
 // MetricMsgRecord.
 type MetricList struct {
-	Msgs []MetricMsg
-	lease[MetricList]
+	Msgs  []MetricMsg
+	lease msg.Lease[MetricList]
 }
 
 // ToMsg converts a Metric for the wire, naming its series by its

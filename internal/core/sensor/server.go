@@ -207,7 +207,7 @@ func (sv *Server) process(batch *Batch) {
 		sv.onForward(out)
 	}
 	if l := sv.payload(out); sv.ep.Send(sv.out, l) == nil {
-		l.refs++
+		l.lease.Hold()
 	}
 }
 
@@ -217,9 +217,9 @@ func (sv *Server) process(batch *Batch) {
 // carries no ObservedAt: Decision takes it from the envelope's SentAt,
 // which is the instant the server stamps every metric with.
 func (sv *Server) payload(out []Metric) *MetricList {
-	l := take(&sv.lists)
+	l := msg.Take(&sv.lists)
 	if l == nil {
-		l = &MetricList{lease: lease[MetricList]{home: &sv.lists}}
+		l = &MetricList{lease: msg.NewLease(&sv.lists)}
 	}
 	l.Msgs = slices.Grow(l.Msgs[:0], len(out))
 	for i := range out {

@@ -19,8 +19,8 @@
 // receive loop is done with it, and then goes back to its sender: the
 // receiver releases it on every receive path, and no one reads it after
 // that. Both Monitor links send their payloads by pointer this way, and
-// each sender recycles what comes back instead of allocating (sensor's
-// payload.go). Only the Monitor client re-sends: a worker sends the batch
+// each sender recycles what comes back instead of allocating, through
+// Lease. Only the Monitor client re-sends: a worker sends the batch
 // it built for an unchanged disk scan again, in several envelopes, and
 // that last batch is the one exception to handing a payload back — the
 // client does not reuse it until the worker's re-send cache lets go of it
@@ -63,6 +63,62 @@ func Payload[T any](e *Envelope) (T, error) {
 		return v, fmt.Errorf("msg: payload is %T, not %T", e.payload, v)
 	}
 	return v, nil
+}
+
+// Lease is a recycled payload's ownership, the rule of the package doc:
+// the holders the payload still has — each envelope carrying it, or its
+// taker before the send — whether its sender's re-send cache holds it,
+// and the free list it goes back to. The zero Lease has no home: its
+// payload, restored from a checkpoint or built by hand, is never
+// recycled, and releasing it does nothing. A free list belongs to one
+// sender and takes no lock: a world is single-threaded.
+type Lease[P any] struct {
+	home   *[]*P
+	refs   int32
+	cached bool
+}
+
+// NewLease returns the lease of a payload whose free list is home.
+func NewLease[P any](home *[]*P) Lease[P] { return Lease[P]{home: home} }
+
+// Hold counts one more holder of the payload.
+func (l *Lease[P]) Hold() { l.refs++ }
+
+// Cache marks whether the sender's re-send cache holds the payload.
+func (l *Lease[P]) Cache(held bool) { l.cached = held }
+
+// Release counts one holder done with the payload; releasing it more
+// often than it was held is a receiver bug and panics.
+func (l *Lease[P]) Release() {
+	if l.home == nil {
+		return
+	}
+	if l.refs--; l.refs < 0 {
+		panic(fmt.Sprintf("msg: %T released more often than held", (*P)(nil)))
+	}
+}
+
+// Home puts p, the payload l is the lease of, on its free list when it is
+// idle — it has a home, no one holds it and no cache does — and reports
+// whether it did. The caller poisons a payload sent home, so a read after
+// release shows.
+func (l *Lease[P]) Home(p *P) bool {
+	if l.home == nil || l.refs != 0 || l.cached {
+		return false
+	}
+	*l.home = append(*l.home, p)
+	return true
+}
+
+// Take returns a payload off free, or nil when the list is empty.
+func Take[P any](free *[]*P) *P {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	p := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return p
 }
 
 // Endpoint is a named mailbox on the bus.
