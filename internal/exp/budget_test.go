@@ -3,10 +3,13 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -104,6 +107,65 @@ func encodeBudget(rows []budgetRow) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
+// moved reports whether measured row got must replace committed row want:
+// a count changed, or B/op or allocs/op moved past budgetTolerance either
+// way.
+func moved(got, want budgetRow) bool {
+	return got.counts() != want.counts() || offBudget(got.BytesPerOp, want.BytesPerOp) || offBudget(got.AllocsPerOp, want.AllocsPerOp)
+}
+
+// counts is r without its allocation fields: the counts that must match
+// exactly.
+func (r budgetRow) counts() budgetRow {
+	r.BytesPerOp, r.AllocsPerOp = 0, 0
+	return r
+}
+
+// offBudget reports whether got is more than budgetTolerance off want.
+func offBudget(got, want int64) bool {
+	return math.Abs(float64(got-want)/float64(want)) > budgetTolerance
+}
+
+// mergeBudget returns the table -update-budget writes: one row per
+// scenario in order, each the committed row unless the scenario was
+// measured and its row moved, and then the measured one. A scenario that
+// did not run keeps its committed row, and one with neither row has none.
+func mergeBudget(order []string, committed, measured map[string]budgetRow) []budgetRow {
+	var rows []budgetRow
+	for _, sc := range order {
+		want, haveWant := committed[sc]
+		got, haveGot := measured[sc]
+		switch {
+		case haveGot && (!haveWant || moved(got, want)):
+			rows = append(rows, got)
+		case haveWant:
+			rows = append(rows, want)
+		}
+	}
+	return rows
+}
+
+// readBudget returns the committed table by scenario; a missing table is
+// an empty one.
+func readBudget(t *testing.T) map[string]budgetRow {
+	committed := map[string]budgetRow{}
+	raw, err := os.ReadFile(budgetPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		return committed
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []budgetRow
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatalf("%s: %v", budgetPath, err)
+	}
+	for _, r := range rows {
+		committed[r.Scenario] = r
+	}
+	return committed
+}
+
 // TestWorldBudget holds every job scenario to its committed row in
 // testdata/budget.json: handoffs, events, spans, points and artifact
 // bytes must match exactly, and B/op and allocs/op may move by at most
@@ -112,32 +174,21 @@ func encodeBudget(rows []budgetRow) ([]byte, error) {
 //
 //	go test ./internal/exp -run TestWorldBudget -args -update-budget
 //
-// and the table's diff is the change's measurement. Allocation counts
+// which rewrites only the rows that moved (mergeBudget): a scenario the
+// -run pattern skipped, or one inside the tolerance, keeps its committed
+// row. The table's diff is the change's measurement. Allocation counts
 // mean nothing under the race detector or coverage, so the test skips
 // there.
 func TestWorldBudget(t *testing.T) {
 	if raceDetector || testing.CoverMode() != "" {
 		t.Skip("allocation counts are not comparable under -race or -cover")
 	}
-	committed := map[string]budgetRow{}
-	if !*updateBudget {
-		raw, err := os.ReadFile(budgetPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rows []budgetRow
-		if err := json.Unmarshal(raw, &rows); err != nil {
-			t.Fatalf("%s: %v", budgetPath, err)
-		}
-		for _, r := range rows {
-			committed[r.Scenario] = r
-		}
-	}
-	var measured []budgetRow
+	committed := readBudget(t)
+	measured := map[string]budgetRow{}
 	for _, sc := range Scenarios() {
 		t.Run(sc, func(t *testing.T) {
 			got := measureBudget(t, sc)
-			measured = append(measured, got)
+			measured[sc] = got
 			line, _ := json.Marshal(got)
 			t.Logf("measured %s", line)
 			if *updateBudget {
@@ -149,17 +200,15 @@ func TestWorldBudget(t *testing.T) {
 			}
 			line, _ = json.Marshal(want)
 			t.Logf("budget   %s", line)
-			counts, wantCounts := got, want
-			counts.BytesPerOp, counts.AllocsPerOp = 0, 0
-			wantCounts.BytesPerOp, wantCounts.AllocsPerOp = 0, 0
-			if counts != wantCounts {
-				t.Errorf("counts moved:\n got  %+v\n want %+v", counts, wantCounts)
+			if got.counts() != want.counts() {
+				t.Errorf("counts moved:\n got  %+v\n want %+v", got.counts(), want.counts())
 			}
 			for _, m := range []struct {
 				name      string
 				got, want int64
 			}{{"B/op", got.BytesPerOp, want.BytesPerOp}, {"allocs/op", got.AllocsPerOp, want.AllocsPerOp}} {
-				if d := float64(m.got-m.want) / float64(m.want); math.Abs(d) > budgetTolerance {
+				if offBudget(m.got, m.want) {
+					d := float64(m.got-m.want) / float64(m.want)
 					t.Errorf("%s %d is %+.2f%% off the budget's %d (tolerance ±%.0f%%); if the change meant it, re-record with -args -update-budget",
 						m.name, m.got, 100*d, m.want, 100*budgetTolerance)
 				}
@@ -167,12 +216,51 @@ func TestWorldBudget(t *testing.T) {
 		})
 	}
 	if *updateBudget && !t.Failed() {
-		raw, err := encodeBudget(measured)
+		raw, err := encodeBudget(mergeBudget(Scenarios(), committed, measured))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(budgetPath, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestMergeBudget: on planted tables, -update-budget's merge rewrites a
+// measured row only when a count changed or B/op or allocs/op moved past
+// the tolerance, keeps the committed row of a scenario that did not run,
+// adds a new scenario's row, and writes the rows in scenario order.
+func TestMergeBudget(t *testing.T) {
+	row := func(sc string, b, allocs int64, events uint64) budgetRow {
+		return budgetRow{Scenario: sc, BytesPerOp: b, AllocsPerOp: allocs, Handoffs: 7, Events: events, Spans: 3}
+	}
+	committed := map[string]budgetRow{}
+	for _, r := range []budgetRow{
+		row("still", 100000, 1000, 50),
+		row("count", 100000, 1000, 50),
+		row("bytes", 100000, 1000, 50),
+		row("allocs", 100000, 1000, 50),
+		row("skipped", 100000, 1000, 50),
+		row("gone", 100000, 1000, 50),
+	} {
+		committed[r.Scenario] = r
+	}
+	measured := map[string]budgetRow{}
+	for _, r := range []budgetRow{
+		row("still", 100900, 991, 50),   // inside the tolerance both ways
+		row("count", 100000, 1000, 51),  // one event more
+		row("bytes", 98900, 1000, 50),   // -1.1 %
+		row("allocs", 100000, 1011, 50), // +1.1 %
+		row("new", 5, 1, 1),
+	} {
+		measured[r.Scenario] = r
+	}
+	order := []string{"new", "skipped", "allocs", "bytes", "count", "still", "absent"}
+	want := []budgetRow{measured["new"], committed["skipped"], measured["allocs"], measured["bytes"], measured["count"], committed["still"]}
+	if got := mergeBudget(order, committed, measured); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged\n%+v\nwant\n%+v", got, want)
+	}
+	if got := mergeBudget(order, committed, nil); !reflect.DeepEqual(got, []budgetRow{committed["skipped"], committed["allocs"], committed["bytes"], committed["count"], committed["still"]}) {
+		t.Fatalf("a run that measured nothing rewrote %+v", got)
 	}
 }
