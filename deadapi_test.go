@@ -32,9 +32,11 @@ var exportedForTests = map[string]string{
 
 	// The allocation views the resource-conservation checks read; the
 	// full get_resource_status view, their last production reader, went
-	// once Actuation asked only for the unhealthy nodes.
+	// once Actuation asked only for the unhealthy nodes, and a launch's
+	// placement check reads the assignment in place (Manager.Short).
 	"internal/resmgr.Manager.AllocatedNodes": "the allocation the resmgr, wms and chaos conservation checks sum over",
 	"internal/resmgr.Manager.Free":           "the per-node free cores the resmgr property test compares with its reference manager",
+	"internal/resmgr.Manager.Assigned":       "the per-owner copy the resmgr, wms and chaos checks read, and the clone-based placement check TestProperty_PlacementShort_EqualsClone holds Short to",
 
 	// Kept for now: deleting each takes a whole test with it.
 	"internal/fsim.FS.Glob":          "TestProperty_WorldClose_IsInert's view of the filesystem",

@@ -390,3 +390,80 @@ func TestProperty_UnhealthyNodes_EqualsStatus(t *testing.T) {
 		t.Fatal("no check saw an unhealthy node; the campaigns must kill some")
 	}
 }
+
+// cloneShort is the check Savanna's StartTask made after a launch's
+// script before resmgr.Short: it cloned the owner's assignment and
+// compared totals.
+func cloneShort(rm *resmgr.Manager, owner string, carve resmgr.ResourceSet) ([]cluster.NodeID, bool) {
+	if held := rm.Assigned(owner); held.Total() != carve.Total() {
+		var lost []cluster.NodeID
+		for id, n := range carve {
+			if held[id] < n {
+				lost = append(lost, id)
+			}
+		}
+		return cluster.SortNodeIDs(lost), false
+	}
+	return nil, true
+}
+
+// TestProperty_PlacementShort_EqualsClone: the placement check StartTask
+// makes, resmgr.Short, equals the clone-based check it replaced — the
+// lost nodes, whether the carve is whole and the PlacementLostError text —
+// for every task's launch carve at every launch, task end, node kill and
+// heal and every tick of chaos campaigns on both machines.
+func TestProperty_PlacementShort_EqualsClone(t *testing.T) {
+	short := 0
+	for _, m := range []apps.Machine{apps.Summit, apps.Deepthought2} {
+		for seed := int64(1); seed <= 4; seed++ {
+			carves := map[string]resmgr.ResourceSet{}
+			var owners []string
+			check := func(w *World, at string) {
+				for _, o := range owners {
+					lost, whole := w.RM.Short(o, carves[o])
+					wantLost, wantWhole := cloneShort(w.RM, o, carves[o])
+					if !reflect.DeepEqual(lost, wantLost) || whole != wantWhole {
+						t.Fatalf("%v seed %d %s: Short(%s, %v) = %v, %v; the clone-based check %v, %v", m, seed, at, o, carves[o], lost, whole, wantLost, wantWhole)
+					}
+					if whole {
+						continue
+					}
+					short++
+					wf, task, _ := strings.Cut(o, "/")
+					got := (&wms.PlacementLostError{Workflow: wf, Task: task, Nodes: lost}).Error()
+					if want := (&wms.PlacementLostError{Workflow: wf, Task: task, Nodes: wantLost}).Error(); got != want {
+						t.Fatalf("%v seed %d %s: %q, the clone-based check %q", m, seed, at, got, want)
+					}
+				}
+			}
+			res, err := RunChaosVariant(seed, m, DefaultChaosOptions(), Variant{Configure: func(w *World) error {
+				w.SV.OnEvent(func(ev wms.Event) {
+					o := ev.Workflow + "/" + ev.Task
+					if ev.Kind == wms.TaskStarted {
+						if _, ok := carves[o]; !ok {
+							owners = append(owners, o)
+						}
+						carves[o] = w.RM.Assigned(o)
+					}
+					check(w, fmt.Sprintf("%s event %d at %v", o, ev.Kind, w.Sim.Now()))
+				})
+				w.Cluster.OnHealthChange(func(n *cluster.Node, healthy bool) {
+					check(w, fmt.Sprintf("%s healthy=%v at %v", n.ID, healthy, w.Sim.Now()))
+				})
+				w.OnProgress = func(now sim.Time) error {
+					check(w, fmt.Sprintf("tick %v", now))
+					return nil
+				}
+				return nil
+			}})
+			if err != nil {
+				t.Fatalf("%v seed %d: %v", m, seed, err)
+			}
+			res.W.Close()
+		}
+	}
+	if short == 0 {
+		t.Fatal("no check saw a carve short of its launch; the campaigns must trim or end some")
+	}
+	t.Logf("%d checks found a carve short", short)
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -196,7 +197,7 @@ func (m *parentManager) Assigned(owner string) ResourceSet {
 	if !ok {
 		return nil
 	}
-	return rs.Clone()
+	return maps.Clone(rs)
 }
 
 func (m *parentManager) Owners() []string {

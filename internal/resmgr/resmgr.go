@@ -19,6 +19,7 @@ package resmgr
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -39,15 +40,6 @@ func (rs ResourceSet) Total() int {
 		t += n
 	}
 	return t
-}
-
-// Clone returns a deep copy.
-func (rs ResourceSet) Clone() ResourceSet {
-	out := make(ResourceSet, len(rs))
-	for k, v := range rs {
-		out[k] = v
-	}
-	return out
 }
 
 // Nodes returns the node IDs in sorted order.
@@ -340,7 +332,24 @@ func (m *Manager) Assigned(owner string) ResourceSet {
 	if !ok {
 		return nil
 	}
-	return rs.Clone()
+	return maps.Clone(rs)
+}
+
+// Short reports whether owner holds as many cores as carve gives it, and
+// when it does not, the nodes of carve on which it holds fewer, sorted:
+// the nodes a launch on carve lost while it was assigned. It reads the
+// assignment in place.
+func (m *Manager) Short(owner string, carve ResourceSet) (lost []cluster.NodeID, whole bool) {
+	held := m.assigned[owner]
+	if held.Total() == carve.Total() {
+		return nil, true
+	}
+	for id, n := range carve {
+		if held[id] < n {
+			lost = append(lost, id)
+		}
+	}
+	return cluster.SortNodeIDs(lost), false
 }
 
 // Owners returns all owners with non-empty assignments, sorted.

@@ -295,16 +295,10 @@ func (sv *Savanna) StartTask(p *sim.Proc, workflowID, taskName string, rs resmgr
 	// launching on the partial carve would run fewer ranks than planned.
 	// Release the remnant and report which nodes were lost so the caller
 	// can re-carve around them.
-	if held := sv.rm.Assigned(k); held.Total() != rs.Total() {
-		var lost []cluster.NodeID
-		for id, n := range rs {
-			if held[id] < n {
-				lost = append(lost, id)
-			}
-		}
+	if lost, whole := sv.rm.Short(k, rs); !whole {
 		sv.rm.Release(k)
 		sv.mPlacementLosses.Inc()
-		return &PlacementLostError{Workflow: workflowID, Task: taskName, Nodes: cluster.SortNodeIDs(lost)}
+		return &PlacementLostError{Workflow: workflowID, Task: taskName, Nodes: lost}
 	}
 	cpp := rt.cfg.CoresPerProc
 	if cpp <= 0 {
