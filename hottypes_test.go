@@ -19,7 +19,7 @@ import (
 )
 
 // TestHotTypeSizes pins the size of each value the stages hand each other
-// on every message or span — the two recycled Monitor payloads among them —
+// on every message or span — the three recycled payloads among them —
 // of the record the flight recorder keeps per span, and of the kernel's
 // pooled event, on a 64-bit platform: a field added to one is copied on every send or scheduled
 // with every event, so adding it is a decision, made here.
@@ -37,6 +37,7 @@ func TestHotTypeSizes(t *testing.T) {
 		{"sensor.Batch", unsafe.Sizeof(sensor.Batch{}), 40},
 		{"sensor.MetricList", unsafe.Sizeof(sensor.MetricList{}), 40},
 		{"decision.Suggestion", unsafe.Sizeof(decision.Suggestion{}), 56},
+		{"decision.Round", unsafe.Sizeof(decision.Round{}), 40},
 		{"trace.Span", unsafe.Sizeof(trace.Span{}), 136},
 		{"trace.spanRec", spanRecordType(t).Size(), 64},
 		{"sim.Event", unsafe.Sizeof(sim.Event{}), 88},

@@ -26,8 +26,9 @@ func TestWarmDropAllocatesNothing(t *testing.T) {
 		r := newEngineRig(t, cfg)
 		r.eng.settleUntil = 2 * time.Hour
 		r.tr.Suggested(1, "W", "P", "START", "PACE", 0, 0, 0)
-		// The batch is boxed once: the box is the sender's allocation.
-		var batch any = []decision.Suggestion{{Rule: rule, Seq: 1}}
+		// The round has no home, so its release does nothing and it is
+		// sent again as it is.
+		batch := &decision.Round{Sugs: []decision.Suggestion{{Rule: rule, Seq: 1}}}
 		drop := func() {
 			r.dec.Send("arbiter", batch)
 			if err := r.s.Run(r.s.Now() + time.Second); err != nil {

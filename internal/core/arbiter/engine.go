@@ -162,7 +162,8 @@ type Engine struct {
 
 	// tasks holds each workflow's task view, filled in place by the View
 	// every round. The buffers below are a round's scratch space: the
-	// gathered batches, the batch's distinct workflows in first-seen
+	// gathered rounds' suggestions, copied out of the rounds before they
+	// are released, the batch's distinct workflows in first-seen
 	// order, one workflow's screened suggestions, and the planner's. None
 	// of them outlives its round; an executed round copies what its Record
 	// keeps.
@@ -173,7 +174,7 @@ type Engine struct {
 	planner  planner
 }
 
-// New creates the Arbitration engine reading suggestion batches from its
+// New creates the Arbitration engine reading suggestion rounds from its
 // endpoint; spawn starts its process (the orchestrator's supervisor hands
 // in a panic-guarded spawner). It stamps suggestion spans and stage
 // counters on tr and appends each executed round to rounds.
@@ -239,8 +240,12 @@ func (e *Engine) run(p *sim.Proc) {
 		if err != nil {
 			return
 		}
-		batch, err := msg.Payload[[]decision.Suggestion](&env)
-		if err != nil || len(batch) == 0 {
+		r, err := msg.Payload[*decision.Round](&env)
+		if err != nil {
+			continue
+		}
+		if len(r.Sugs) == 0 {
+			r.Release()
 			continue
 		}
 		now := e.s.Now()
@@ -251,13 +256,14 @@ func (e *Engine) run(p *sim.Proc) {
 				reason = "warmup"
 			}
 			e.nDiscarded.Add(1)
-			for i := range batch {
-				e.tr.Drop(batch[i].Seq, reason, now)
+			for i := range r.Sugs {
+				e.tr.Drop(r.Sugs[i].Seq, reason, now)
 			}
+			r.Release()
 			continue
 		}
 		e.busy = true
-		batch = e.gather(p, batch)
+		batch := e.gather(p, r)
 		if e.s.Stopped() {
 			return // sim.Stop cut the gather short: no round happens
 		}
@@ -269,40 +275,37 @@ func (e *Engine) run(p *sim.Proc) {
 	}
 }
 
-// gather collects further suggestion batches for the configured window, so
-// same-period policy responses are arbitrated jointly. The received
-// payloads are the senders' slices and are never written: once a second
-// batch arrives, the batches are combined in e.gathered.
-func (e *Engine) gather(p *sim.Proc, batch []decision.Suggestion) []decision.Suggestion {
+// gather copies round r into e.gathered and releases it, then collects
+// further rounds the same way for the configured window, so same-period
+// policy responses are arbitrated jointly. It returns e.gathered: the
+// engine's own copy, which no sender writes while the round yields.
+func (e *Engine) gather(p *sim.Proc, r *decision.Round) []decision.Suggestion {
+	e.gathered = append(e.gathered[:0], r.Sugs...)
+	r.Release()
 	if e.cfg.GatherWindow <= 0 {
-		return batch
+		return e.gathered
 	}
-	owned := false
 	deadline := e.s.Now() + e.cfg.GatherWindow
 	for {
 		remaining := deadline - e.s.Now()
 		if remaining <= 0 {
-			return batch
+			return e.gathered
 		}
 		step := 500 * time.Millisecond
 		if remaining < step {
 			step = remaining
 		}
 		if err := p.Sleep(step); err != nil {
-			return batch
+			return e.gathered
 		}
 		for {
 			env, ok := e.ep.TryRecv()
 			if !ok {
 				break
 			}
-			if more, err := msg.Payload[[]decision.Suggestion](&env); err == nil && len(more) > 0 {
-				if !owned {
-					batch = append(e.gathered[:0], batch...)
-					owned = true
-				}
-				batch = append(batch, more...)
-				e.gathered = batch
+			if more, err := msg.Payload[*decision.Round](&env); err == nil {
+				e.gathered = append(e.gathered, more.Sugs...)
+				more.Release()
 			}
 		}
 	}
@@ -318,7 +321,8 @@ func (e *Engine) Arbitrate(p *sim.Proc, batch []decision.Suggestion) []Record {
 	first := len(*e.rounds)
 
 	// Each workflow plans independently, in first-seen order. The batch is
-	// the sender's payload: screening copies into e.sgBuf, never into it.
+	// never written, and in the engine loop it is e.gathered, which holds
+	// still across the round's yields: screening copies into e.sgBuf.
 	e.wfs = e.wfs[:0]
 	for i := range batch {
 		if wf := batch[i].Rule.Workflow(); !slices.Contains(e.wfs, wf) {

@@ -129,7 +129,7 @@ func sendSuggestions(r *engineRig, at time.Duration, sgs ...decision.Suggestion)
 				sgs[i].DecidedAt = int64(r.s.Now())
 			}
 		}
-		r.dec.Send("arbiter", sgs)
+		r.dec.Send("arbiter", &decision.Round{Sugs: sgs})
 	})
 }
 
@@ -202,9 +202,10 @@ func TestEngineGatherCombinesBatches(t *testing.T) {
 }
 
 // TestEngineGatherLeavesPayloadUntouched: the gather window combines the
-// batches it receives in an engine-owned buffer. The first payload has
-// spare capacity with a sentinel past its length; appending the second
-// batch onto it would overwrite the sentinel in the sender's array.
+// rounds it receives in an engine-owned buffer. The first round's
+// suggestions have spare capacity with a sentinel past their length;
+// appending the second round onto them would overwrite the sentinel in
+// the sender's array.
 func TestEngineGatherLeavesPayloadUntouched(t *testing.T) {
 	r := newEngineRig(t, Config{WarmupDelay: time.Second, SettleDelay: time.Minute, GatherWindow: 5 * time.Second})
 	sgB := decision.Suggestion{Rule: decision.NewRule("W", "P1", "START", "B", []string{"B"}, nil), Seq: 1, DecidedAt: int64(10 * time.Second)}
@@ -212,8 +213,8 @@ func TestEngineGatherLeavesPayloadUntouched(t *testing.T) {
 	sentinel := decision.Suggestion{Rule: decision.NewRule("sentinel", "sentinel", "", "", nil, nil)}
 	first := make([]decision.Suggestion, 2)
 	first[0], first[1] = sgB, sentinel
-	r.s.At(10*time.Second, func() { r.dec.Send("arbiter", first[:1]) })
-	r.s.At(12*time.Second, func() { r.dec.Send("arbiter", []decision.Suggestion{sgA}) })
+	r.s.At(10*time.Second, func() { r.dec.Send("arbiter", &decision.Round{Sugs: first[:1]}) })
+	r.s.At(12*time.Second, func() { r.dec.Send("arbiter", &decision.Round{Sugs: []decision.Suggestion{sgA}}) })
 	if err := r.s.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}

@@ -95,15 +95,15 @@ func encodePayload(to string, payload any) ([]byte, error) {
 		return json.Marshal(p.Record())
 	case *sensor.MetricList:
 		return json.Marshal(ckpt.Map(p.Msgs, sensor.MetricMsg.Record))
-	case []decision.Suggestion:
-		return json.Marshal(ckpt.Map(p, decision.Suggestion.Record))
+	case *decision.Round:
+		return json.Marshal(ckpt.Map(p.Sugs, decision.Suggestion.Record))
 	}
 	return nil, fmt.Errorf("core: no record holds a %T queued on %q", payload, to)
 }
 
 // decodePayload decodes a payload queued on endpoint to from its record's
-// JSON into the type its receiver reads. A Monitor payload it returns has
-// no sender to go back to, so its release does nothing.
+// JSON into the type its receiver reads. A payload it returns has no
+// sender to go back to, so its release does nothing.
 func decodePayload(to string, data []byte) (any, error) {
 	switch to {
 	case EndpointMonitorServer:
@@ -117,8 +117,9 @@ func decodePayload(to string, data []byte) (any, error) {
 			return &sensor.MetricList{Msgs: msgs}, err
 		})
 	case EndpointArbiter:
-		return decode(data, func(rs []decision.SuggestionRecord) ([]decision.Suggestion, error) {
-			return ckpt.TryMap(rs, decision.SuggestionRecord.Live)
+		return decode(data, func(rs []decision.SuggestionRecord) (*decision.Round, error) {
+			sugs, err := ckpt.TryMap(rs, decision.SuggestionRecord.Live)
+			return &decision.Round{Sugs: sugs}, err
 		})
 	}
 	return nil, fmt.Errorf("core: nothing is sent to endpoint %q", to)

@@ -2,12 +2,14 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
 	"dyflow/internal/ckpt"
 	"dyflow/internal/core/arbiter"
 	"dyflow/internal/core/decision"
+	"dyflow/internal/msg"
 	"dyflow/internal/sim"
 	"dyflow/internal/trace"
 )
@@ -275,7 +277,7 @@ func TestStageRestartAfterRestoreKeepsRounds(t *testing.T) {
 				// Decision asks for more analysis cores once more.
 				w.s.At(4*time.Minute, func() {
 					now := int64(w.s.Now())
-					live.Bus.Endpoint(EndpointDecision).Send(EndpointArbiter, []decision.Suggestion{{Rule: decision.NewRule("WF", "INC_ON_PACE", "ADDCPU", "Ana", []string{"Ana"}, map[string]string{"adjust-by": "6"}), GeneratedAt: now, DecidedAt: now}})
+					live.Bus.Endpoint(EndpointDecision).Send(EndpointArbiter, &decision.Round{Sugs: []decision.Suggestion{{Rule: decision.NewRule("WF", "INC_ON_PACE", "ADDCPU", "Ana", []string{"Ana"}, map[string]string{"adjust-by": "6"}), GeneratedAt: now, DecidedAt: now}}})
 				})
 				// Detonate inside the arbiter's process slot after that round.
 				w.s.At(6*time.Minute, func() {
@@ -312,5 +314,64 @@ func TestStageRestartAfterRestoreKeepsRounds(t *testing.T) {
 	}
 	if string(want) != string(got) {
 		t.Fatalf("plan records diverged after kill+restore and a stage restart:\nbase:   %s\nkilled: %s", want, got)
+	}
+}
+
+// TestQueuedRoundRestoresHomeless: a suggestion round queued on the
+// Arbiter's endpoint at a snapshot is held as the JSON of its suggestions'
+// records, and restores to a round of equal suggestions that has no home:
+// releasing it, even twice, sends nothing to the free list the live round
+// came off.
+func TestQueuedRoundRestoresHomeless(t *testing.T) {
+	s := sim.New(1)
+	bus := msg.NewBus(s)
+	bus.Encode, bus.Decode = encodePayload, decodePayload
+	dec := bus.Endpoint(EndpointDecision)
+	bus.Endpoint(EndpointArbiter)
+	var free []*decision.Round
+	live := decision.TakeRound(&free)
+	live.Sugs = append(live.Sugs,
+		decision.Suggestion{Rule: decision.NewRule("WF", "INC_ON_PACE", "ADDCPU", "Ana", []string{"Ana"}, map[string]string{"adjust-by": "6"}), Seq: 3, MetricValue: 1.5, Step: 7, GeneratedAt: 10, ObservedAt: 11, DecidedAt: 12},
+		decision.Suggestion{Rule: decision.NewRule("WF", "STOP_IDLE", "STOP", "Sim", nil, nil), Seq: 4, DecidedAt: 12},
+	)
+	want := ckpt.Map(live.Sugs, decision.Suggestion.Record)
+	if err := dec.Send(EndpointArbiter, live); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(s.Now()); err != nil {
+		t.Fatal(err)
+	}
+	snap := bus.Snapshot()
+	wantData, _ := json.Marshal(want)
+	for _, es := range snap.Endpoints {
+		if es.Name == EndpointArbiter && (len(es.Queue) != 1 || string(es.Queue[0].Data) != string(wantData)) {
+			t.Fatalf("the queued round is held as %+v, want one envelope of %s", es.Queue, wantData)
+		}
+	}
+
+	restored := msg.NewBus(sim.New(1))
+	restored.Encode, restored.Decode = encodePayload, decodePayload
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	env, ok := restored.Endpoint(EndpointArbiter).TryRecv()
+	if !ok {
+		t.Fatal("the restored Arbiter endpoint holds no round")
+	}
+	r, err := msg.Payload[*decision.Round](&env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ckpt.Map(r.Sugs, decision.Suggestion.Record); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored round holds %+v, want %+v", got, want)
+	}
+	r.Release()
+	r.Release()
+	if got := ckpt.Map(r.Sugs, decision.Suggestion.Record); !reflect.DeepEqual(got, want) || len(free) != 0 {
+		t.Fatalf("releasing the restored round changed it to %+v or sent it home (%d on the free list)", got, len(free))
+	}
+	live.Release()
+	if len(free) != 1 || free[0] != live {
+		t.Fatalf("the live round's release left the free list %v, want the round on it", free)
 	}
 }

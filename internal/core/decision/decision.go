@@ -178,7 +178,8 @@ func (st *seriesState) value(def *spec.PolicyDef) (float64, bool) {
 // that screens and stores incoming metrics, and an evaluator that triggers
 // each policy's condition at its configured frequency ("every policy has a
 // defined frequency to decide when to trigger the evaluation condition")
-// and ships the round's suggestions as a single message to Arbitration.
+// and ships the round's suggestions as a single message to Arbitration: a
+// recycled *Round.
 type Engine struct {
 	s        *sim.Sim
 	ep       *msg.Endpoint
@@ -193,6 +194,9 @@ type Engine struct {
 	// The stage counters on tr, resolved once.
 	nIngested, nSuggestions, nEvaluations *trace.StageCounter
 
+	// rounds are the released rounds the evaluator reuses (round.go).
+	rounds []*Round
+
 	seq int // the last suggestion's Seq
 	// nextEval is the evaluator's next scheduled tick; checkpointed so a
 	// restored engine keeps the same evaluation grid (a shifted grid changes
@@ -201,7 +205,7 @@ type Engine struct {
 }
 
 // New creates the Decision engine reading metrics from its endpoint and
-// sending suggestion batches to the out endpoint (the Arbitration stage);
+// sending suggestion rounds to the out endpoint (the Arbitration stage);
 // spawn starts its processes (the orchestrator's supervisor hands in a
 // panic-guarded spawner).
 // Every suggestion it emits opens a lifecycle span on tr, which also owns
@@ -319,11 +323,23 @@ func (e *Engine) evalLoop(p *sim.Proc) {
 			return
 		}
 		e.nextEval = 0
-		round := e.EvaluateDue()
-		if len(round) > 0 {
-			e.nSuggestions.Add(int64(len(round)))
-			e.ep.Send(e.out, round)
-		}
+		e.tick()
+	}
+}
+
+// tick evaluates the due bindings into a round off the engine's free list
+// and sends it to Arbitration, or releases it when nothing fired or it
+// cannot be sent.
+func (e *Engine) tick() {
+	r := TakeRound(&e.rounds)
+	r.Sugs = e.EvaluateDue(r.Sugs)
+	if len(r.Sugs) == 0 {
+		r.Release()
+		return
+	}
+	e.nSuggestions.Add(int64(len(r.Sugs)))
+	if e.ep.Send(e.out, r) != nil {
+		r.Release()
 	}
 }
 
@@ -376,15 +392,15 @@ func (e *Engine) route(s *sensor.Series) *route {
 }
 
 // EvaluateDue runs the evaluation condition of every binding whose
-// frequency period has elapsed and returns the suggestions of this round.
+// frequency period has elapsed and appends the suggestions of this round
+// to out, returning the extended slice.
 // A binding only evaluates while at least one of its series is live —
 // fresh, or within the staleness horizon of its arrival cadence: re-firing
 // every frequency period on the same frozen window long after the assessed
 // task stopped producing data would suggest actions about a state that no
 // longer updates.
-func (e *Engine) EvaluateDue() []Suggestion {
+func (e *Engine) EvaluateDue(out []Suggestion) []Suggestion {
 	now := e.s.Now()
-	var out []Suggestion
 	for _, b := range e.bindings {
 		if b.everEval && now-b.lastEval < b.def.Frequency {
 			continue

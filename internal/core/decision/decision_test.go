@@ -105,7 +105,7 @@ func TestHistoryAveragedEvaluation(t *testing.T) {
 	var got []Suggestion
 	step := func(v float64) {
 		e.Ingest(metric("GS", "Iso", "PACE", spec.GranTask, v, s.Now()))
-		got = append(got, filterPolicy(e.EvaluateDue(), "INC_ON_PACE")...)
+		got = append(got, filterPolicy(e.EvaluateDue(nil), "INC_ON_PACE")...)
 	}
 	step(30)
 	s.After(6*time.Second, func() { step(40) })
@@ -138,7 +138,7 @@ func TestFrequencyGating(t *testing.T) {
 		at := time.Duration(i) * time.Second
 		s.At(at, func() {
 			e.Ingest(metric("GS", "Iso", "PACE", spec.GranTask, 100, s.Now()))
-			count += len(filterPolicy(e.EvaluateDue(), "INC_ON_PACE"))
+			count += len(filterPolicy(e.EvaluateDue(nil), "INC_ON_PACE"))
 		})
 	}
 	if err := s.RunUntilIdle(); err != nil {
@@ -152,7 +152,7 @@ func TestFrequencyGating(t *testing.T) {
 func TestNoEvaluationWithoutData(t *testing.T) {
 	_, e := newEngine(t)
 	tr := e.tr
-	if got := e.EvaluateDue(); len(got) != 0 {
+	if got := e.EvaluateDue(nil); len(got) != 0 {
 		t.Fatalf("suggestions with no data = %+v", got)
 	}
 	if got := tr.Counter("decision.evaluations"); got != 0 {
@@ -169,7 +169,7 @@ func TestEQConditionOnWorkflowMetric(t *testing.T) {
 		v := v
 		s.At(at, func() {
 			e.Ingest(metric("GS", "", "NSTEPS", spec.GranWorkflow, v, s.Now()))
-			got = append(got, filterPolicy(e.EvaluateDue(), "SWITCH_ON_COND")...)
+			got = append(got, filterPolicy(e.EvaluateDue(nil), "SWITCH_ON_COND")...)
 		})
 	}
 	if err := s.RunUntilIdle(); err != nil {
@@ -190,7 +190,7 @@ func TestMetricForWrongTaskIgnored(t *testing.T) {
 	_, e := newEngine(t)
 	e.Ingest(metric("GS", "FFT", "PACE", spec.GranTask, 100, 0))
 	e.Ingest(metric("OTHER", "Iso", "PACE", spec.GranTask, 100, 0))
-	if got := e.EvaluateDue(); len(got) != 0 {
+	if got := e.EvaluateDue(nil); len(got) != 0 {
 		t.Fatalf("suggestions for unmatched metrics = %+v", got)
 	}
 }
@@ -198,7 +198,7 @@ func TestMetricForWrongTaskIgnored(t *testing.T) {
 func TestResetTaskClearsHistory(t *testing.T) {
 	s, e := newEngine(t)
 	e.Ingest(metric("GS", "Iso", "PACE", spec.GranTask, 100, 0))
-	if got := filterPolicy(e.EvaluateDue(), "INC_ON_PACE"); len(got) != 1 {
+	if got := filterPolicy(e.EvaluateDue(nil), "INC_ON_PACE"); len(got) != 1 {
 		t.Fatalf("priming suggestion count = %d", len(got))
 	}
 	e.ResetTask("GS", "Iso")
@@ -206,7 +206,7 @@ func TestResetTaskClearsHistory(t *testing.T) {
 	// though the pre-reset history was far above threshold.
 	var got []Suggestion
 	s.After(10*time.Second, func() {
-		got = filterPolicy(e.EvaluateDue(), "INC_ON_PACE")
+		got = filterPolicy(e.EvaluateDue(nil), "INC_ON_PACE")
 	})
 	if err := s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestSameRoundBatchesAcrossBindings(t *testing.T) {
 	s, e := newEngine(t)
 	e.Ingest(metric("GS", "Iso", "PACE", spec.GranTask, 100, 0))
 	e.Ingest(metric("GS", "", "NSTEPS", spec.GranWorkflow, 374, 0))
-	got := e.EvaluateDue()
+	got := e.EvaluateDue(nil)
 	if len(got) != 2 {
 		t.Fatalf("round = %+v, want both policies' suggestions together", got)
 	}
@@ -253,13 +253,14 @@ func TestEndToEndOverBus(t *testing.T) {
 	if !ok {
 		t.Fatal("no suggestion batch delivered to arbiter")
 	}
-	batch, err := msg.Payload[[]Suggestion](&env)
+	r, err := msg.Payload[*Round](&env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != 1 || batch[0].Rule.action != "ADDCPU" {
+	if batch := r.Sugs; len(batch) != 1 || batch[0].Rule.action != "ADDCPU" {
 		t.Fatalf("batch = %+v", batch)
 	}
+	r.Release()
 	if got := tr.Counter("decision.suggestions"); got < 1 {
 		t.Fatalf("decision.suggestions = %d", got)
 	}
@@ -313,7 +314,7 @@ func TestPredictiveSlopePolicy(t *testing.T) {
 
 	feed := func(v float64) []Suggestion {
 		e.Ingest(metric("W", "Sim", "MEM", spec.GranTask, v, s.Now()))
-		return e.EvaluateDue()
+		return e.EvaluateDue(nil)
 	}
 	// Stable memory: high absolute value, zero slope — must not fire.
 	var fired []Suggestion
@@ -394,14 +395,14 @@ func TestNodeTaskGranularityBinding(t *testing.T) {
 	}
 	e.Ingest(mk("node000", 50))
 	e.Ingest(mk("node001", 60))
-	if got := e.EvaluateDue(); len(got) != 0 {
+	if got := e.EvaluateDue(nil); len(got) != 0 {
 		t.Fatalf("below-threshold nodes fired %v", got)
 	}
 	s.After(6*time.Second, func() {
 		e.Ingest(mk("node001", 95)) // one hot node suffices
 	})
 	var fired []Suggestion
-	s.After(7*time.Second, func() { fired = e.EvaluateDue() })
+	s.After(7*time.Second, func() { fired = e.EvaluateDue(nil) })
 	if err := s.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +428,7 @@ func TestParamsNotAliasedIntoSuggestion(t *testing.T) {
 	}
 	s, e := newEngine(t)
 	e.Ingest(metric("GS", "Iso", "PACE", spec.GranTask, 100, s.Now()))
-	got := filterPolicy(e.EvaluateDue(), "INC_ON_PACE")
+	got := filterPolicy(e.EvaluateDue(nil), "INC_ON_PACE")
 	if len(got) != 1 {
 		t.Fatalf("priming round = %+v, want 1 suggestion", got)
 	}
@@ -437,7 +438,7 @@ func TestParamsNotAliasedIntoSuggestion(t *testing.T) {
 
 	s.At(6*time.Second, func() {
 		e.Ingest(metric("GS", "Iso", "PACE", spec.GranTask, 100, s.Now()))
-		next := filterPolicy(e.EvaluateDue(), "INC_ON_PACE")
+		next := filterPolicy(e.EvaluateDue(nil), "INC_ON_PACE")
 		if len(next) != 1 {
 			t.Fatalf("second round = %+v, want 1 suggestion", next)
 		}
@@ -496,7 +497,7 @@ func TestStaleSeriesStopsFiring(t *testing.T) {
 	for _, at := range []time.Duration{5, 10, 15, 30, 60} {
 		at := at * time.Second
 		s.At(at, func() {
-			fires[at] = len(filterPolicy(e.EvaluateDue(), "INC_ON_PACE"))
+			fires[at] = len(filterPolicy(e.EvaluateDue(nil), "INC_ON_PACE"))
 		})
 	}
 	if err := s.RunUntilIdle(); err != nil {
@@ -525,7 +526,7 @@ func TestSingleArrivalStaysLive(t *testing.T) {
 	for _, at := range []time.Duration{1, 6, 11} {
 		at := at * time.Second
 		s.At(at, func() {
-			count += len(filterPolicy(e.EvaluateDue(), "INC_ON_PACE"))
+			count += len(filterPolicy(e.EvaluateDue(nil), "INC_ON_PACE"))
 		})
 	}
 	if err := s.RunUntilIdle(); err != nil {
@@ -541,14 +542,14 @@ func TestNoRefireEveryTickAfterTimeZeroEval(t *testing.T) {
 	// A binding first evaluated at t=0 has lastEval==0; that must still
 	// count as "evaluated" so the frequency gate holds on later ticks.
 	e.Ingest(metric("GS", "Iso", "PACE", spec.GranTask, 100, 0))
-	count := len(filterPolicy(e.EvaluateDue(), "INC_ON_PACE"))
+	count := len(filterPolicy(e.EvaluateDue(nil), "INC_ON_PACE"))
 	if count != 1 {
 		t.Fatalf("fires at t=0 = %d, want 1", count)
 	}
 	for i := 1; i <= 4; i++ {
 		at := time.Duration(i) * time.Second
 		s.At(at, func() {
-			count += len(filterPolicy(e.EvaluateDue(), "INC_ON_PACE"))
+			count += len(filterPolicy(e.EvaluateDue(nil), "INC_ON_PACE"))
 		})
 	}
 	if err := s.RunUntilIdle(); err != nil {
@@ -565,13 +566,13 @@ func TestResetTaskKillsInstantaneousValue(t *testing.T) {
 	// value. After a reset, the retained last value must not re-fire.
 	s.At(time.Second, func() {
 		e.Ingest(metric("GS", "", "NSTEPS", spec.GranWorkflow, 374, s.Now()))
-		if got := filterPolicy(e.EvaluateDue(), "SWITCH_ON_COND"); len(got) != 1 {
+		if got := filterPolicy(e.EvaluateDue(nil), "SWITCH_ON_COND"); len(got) != 1 {
 			t.Fatalf("priming fire = %+v, want 1", got)
 		}
 		e.ResetTask("GS", "XGCA")
 	})
 	s.At(7*time.Second, func() {
-		if got := filterPolicy(e.EvaluateDue(), "SWITCH_ON_COND"); len(got) != 0 {
+		if got := filterPolicy(e.EvaluateDue(nil), "SWITCH_ON_COND"); len(got) != 0 {
 			t.Fatalf("post-reset fire on retained value = %+v", got)
 		}
 	})

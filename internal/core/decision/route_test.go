@@ -81,14 +81,15 @@ func TestKnownSeriesIngestAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestFiringRoundAllocatesOnlyItsBatch: a warm evaluation round whose one
-// due binding fires names the binding's rule and allocates only the batch
-// it sends — one 56-byte suggestion in a 64-byte object — and the
-// interface box the bus carries it in: no ID, no copy of the act-on tasks
-// or the parameters. Beside those it opens the suggestion's span, which
+// TestEvalRoundAllocatesNothing: once warm, an evaluation tick whose one
+// due binding fires, and the Arbiter's receive of its round — copy the
+// suggestions out, release the round — allocate nothing: the round comes
+// off Decision's free list, names the binding's rule, copies nothing of
+// its act-on tasks or parameters, rides the bus by pointer and goes back
+// to the list. Beside that the tick opens the suggestion's span, which
 // costs what opening one on a bare recorder holding as many spans costs
 // (a chunk of the span log now and then; its growth is trace's test).
-func TestFiringRoundAllocatesOnlyItsBatch(t *testing.T) {
+func TestEvalRoundAllocatesNothing(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
@@ -101,16 +102,20 @@ func TestFiringRoundAllocatesOnlyItsBatch(t *testing.T) {
 	in := bus.Endpoint("arbiter")
 	tr := trace.New(obs.NewRegistry())
 	e := New(s, s.Spawn, bus, "decision", "arbiter", cfg, tr)
-	var buf []msg.Envelope
 	var got []Suggestion
 	s.Spawn("arbiter", func(p *sim.Proc) {
 		for {
-			batch, err := in.RecvBatch(p, buf[:0])
+			env, err := in.Recv(p)
 			if err != nil {
 				return
 			}
-			buf = batch
-			got, _ = msg.Payload[[]Suggestion](&batch[len(batch)-1])
+			r, err := msg.Payload[*Round](&env)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got = append(got[:0], r.Sugs...)
+			r.Release()
 		}
 	})
 	// One arrival, at a nonzero instant: the series stays live.
@@ -119,9 +124,7 @@ func TestFiringRoundAllocatesOnlyItsBatch(t *testing.T) {
 		for _, b := range e.bindings {
 			b.everEval = false // due again, on the same live series
 		}
-		if sgs := e.EvaluateDue(); len(sgs) > 0 {
-			e.ep.Send(e.out, sgs)
-		}
+		e.tick()
 		if err := s.Run(s.Now()); err != nil {
 			t.Fatal(err)
 		}
@@ -150,8 +153,11 @@ func TestFiringRoundAllocatesOnlyItsBatch(t *testing.T) {
 	if len(got) != 1 || got[0].Rule != e.bindings[0].rule || got[0].Seq != e.seq {
 		t.Fatalf("the round sent %+v, want one suggestion #%d of the binding's rule", got, e.seq)
 	}
-	if bytes := after.TotalAlloc - before.TotalAlloc - spanBytes; allocs != 2 || bytes != runs*(64+24) {
-		t.Errorf("a warm firing round allocates %v times, %d bytes beside its spans' %d; want the 64-byte batch and its 24-byte box",
+	if len(e.rounds) != 1 {
+		t.Fatalf("Decision's free list holds %d rounds after the ticks, want the one they reuse", len(e.rounds))
+	}
+	if bytes := after.TotalAlloc - before.TotalAlloc - spanBytes; allocs != 0 || bytes != 0 {
+		t.Errorf("a warm firing tick and its receive allocate %v times, %d bytes beside its spans' %d; want nothing",
 			allocs, bytes/runs, spanBytes/runs)
 	}
 }

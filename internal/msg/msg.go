@@ -18,16 +18,18 @@
 // A payload belongs to its receiver from delivery until the receiver's
 // receive loop is done with it, and then goes back to its sender: the
 // receiver releases it on every receive path, and no one reads it after
-// that. Both Monitor links send their payloads by pointer this way, and
-// each sender recycles what comes back instead of allocating, through
-// Lease. Only the Monitor client re-sends: a worker sends the batch
-// it built for an unchanged disk scan again, in several envelopes, and
-// that last batch is the one exception to handing a payload back — the
-// client does not reuse it until the worker's re-send cache lets go of it
-// and every envelope carrying it has been released. A payload a restore
-// decoded has no sender to go back to, and releasing it does nothing. The
-// instant a payload was sent travels on the envelope: SentAt is the
-// Monitor server's ObservedAt, which its metric messages do not hold.
+// that. All three links send their payloads by pointer this way — the
+// Monitor client's batches, the Monitor server's metric lists and
+// Decision's suggestion rounds — and each sender recycles what comes back
+// instead of allocating, through one Lease type. Only the Monitor client
+// re-sends: a worker sends the batch it built for an unchanged disk scan
+// again, in several envelopes, and that last batch is the one exception
+// to handing a payload back — the client does not reuse it until the
+// worker's re-send cache lets go of it and every envelope carrying it has
+// been released. A payload a restore decoded has no sender to go back
+// to, and releasing it does nothing. The instant a payload was sent
+// travels on the envelope: SentAt is the Monitor server's ObservedAt,
+// which its metric messages do not hold.
 //
 // A live payload may also point at values the receiver keeps: a Monitor
 // update or metric message names its series by a *sensor.Series
