@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"dyflow/internal/exp"
+	"dyflow/internal/server/fleet"
 )
 
 // The read path's benchmarks (ISSUE 19): a durable coordinator holding
@@ -119,3 +121,32 @@ func benchLocalRun(b *testing.B, scenario string) {
 func BenchmarkLocalRunQuickstart(b *testing.B) { benchLocalRun(b, exp.ScenarioQuickstart) }
 
 func BenchmarkLocalRunXGC(b *testing.B) { benchLocalRun(b, exp.ScenarioXGC) }
+
+// The upload path's benchmark: one worker PUT /v1/blobs/{digest} through
+// Handler(), per size in blobSizes. Every PUT after the first is answered by
+// the store's dedup, so the store stays one blob large however long it
+// runs; the read and the hash are the same as for a new blob.
+func BenchmarkBlobPut(b *testing.B) {
+	for _, size := range blobSizes {
+		b.Run(size.name, func(b *testing.B) {
+			s, err := New(Config{Workers: -1, TenantQuota: -1, Logger: log.New(io.Discard, "", 0)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(s.Close)
+			h := s.Handler()
+			blob := bytes.Repeat([]byte("blob"), size.n/4)
+			target := "/v1/blobs/" + fleet.Digest(blob)
+			b.SetBytes(int64(size.n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, target, bytes.NewReader(blob)))
+				if rec.Code != http.StatusCreated {
+					b.Fatalf("PUT %s: %d %s", target, rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}

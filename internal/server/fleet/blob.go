@@ -77,11 +77,12 @@ func NewBlobStore(dir string, reg *obs.Registry) (*BlobStore, error) {
 	}, nil
 }
 
-// validDigest reports whether digest is a content address: 64 lowercase
+// ValidDigest reports whether digest is a content address: 64 lowercase
 // hex characters. Get, Has and Size answer "absent" for anything else
 // before touching the disk, so a digest taken from a request path (where
-// the mux has already unescaped %2F) can never name a file outside dir.
-func validDigest(digest string) bool {
+// the mux has already unescaped %2F) can never name a file outside dir;
+// the coordinator refuses an upload to anything else before reading it.
+func ValidDigest(digest string) bool {
 	if len(digest) != 2*sha256.Size {
 		return false
 	}
@@ -166,7 +167,7 @@ func (b *BlobStore) Get(digest string) ([]byte, bool) {
 	if ok {
 		return data, true
 	}
-	if b.dir == "" || !validDigest(digest) {
+	if b.dir == "" || !ValidDigest(digest) {
 		return nil, false
 	}
 	data, err := os.ReadFile(b.path(digest))
@@ -190,7 +191,7 @@ func (b *BlobStore) Has(digest string) bool {
 	b.mu.Lock()
 	_, ok := b.mem[digest]
 	b.mu.Unlock()
-	if ok || b.dir == "" || !validDigest(digest) {
+	if ok || b.dir == "" || !ValidDigest(digest) {
 		return ok
 	}
 	_, err := os.Stat(b.path(digest))
@@ -206,7 +207,7 @@ func (b *BlobStore) Size(digest string) int64 {
 	if ok {
 		return int64(len(data))
 	}
-	if b.dir == "" || !validDigest(digest) {
+	if b.dir == "" || !ValidDigest(digest) {
 		return 0
 	}
 	fi, err := os.Stat(b.path(digest))

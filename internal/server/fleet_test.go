@@ -370,8 +370,9 @@ func TestBlobHeadLeavesDurableBlobOnDisk(t *testing.T) {
 
 // TestBlobDigestOutsideStoreIsNotFound: a digest that is not 64 lowercase
 // hex characters names no blob. A path-escaping one (`..%2F`, unescaped by
-// the mux into the path value) gets 404 on HEAD and GET alike, even though
-// the file it would reach outside the blob directory exists.
+// the mux into the path value) gets 404 on HEAD, GET and PUT alike, even
+// though the file it would reach outside the blob directory exists, and a
+// PUT to one writes nothing there.
 func TestBlobDigestOutsideStoreIsNotFound(t *testing.T) {
 	root := t.TempDir()
 	if err := os.WriteFile(filepath.Join(root, "secret"), []byte("not a blob"), 0o644); err != nil {
@@ -388,13 +389,16 @@ func TestBlobDigestOutsideStoreIsNotFound(t *testing.T) {
 		strings.ToUpper(fleet.Digest([]byte("x"))),
 		fleet.Digest([]byte("x"))[:63],
 	} {
-		for _, method := range []string{http.MethodHead, http.MethodGet} {
+		for _, method := range []string{http.MethodHead, http.MethodGet, http.MethodPut} {
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(method, "/v1/blobs/"+digest, nil))
+			h.ServeHTTP(rec, httptest.NewRequest(method, "/v1/blobs/"+digest, strings.NewReader("x")))
 			if rec.Code != http.StatusNotFound {
 				t.Errorf("%s /v1/blobs/%s answered %d with Content-Length %q, want 404",
 					method, digest, rec.Code, rec.Header().Get("Content-Length"))
 			}
 		}
+	}
+	if got, err := os.ReadFile(filepath.Join(root, "secret")); err != nil || string(got) != "not a blob" {
+		t.Fatalf("the file outside the blob directory reads %q (%v) after the PUTs", got, err)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"maps"
 	"net/http"
@@ -313,13 +314,31 @@ func (s *Server) PutBlob(_ context.Context, digest string, data []byte) error {
 	return nil
 }
 
+// handleBlobPut reads an upload into one buffer of its declared length,
+// which the store then keeps as is. Every refusal but a wrong digest is
+// decided before a body byte is read: a digest that is not a content
+// address (404, as on GET), no Content-Length (411), a length over
+// maxBlobBytes (413). A body shorter than it declared is a 400.
 func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBlobBytes))
-	if err != nil {
-		httpError(w, &APIError{Code: http.StatusRequestEntityTooLarge, Msg: err.Error()})
+	digest := r.PathValue("digest")
+	switch {
+	case !fleet.ValidDigest(digest):
+		httpError(w, &APIError{Code: http.StatusNotFound, Msg: "no such blob"})
+		return
+	case r.ContentLength < 0:
+		httpError(w, &APIError{Code: http.StatusLengthRequired, Msg: "a blob upload needs a Content-Length"})
+		return
+	case r.ContentLength > maxBlobBytes:
+		httpError(w, &APIError{Code: http.StatusRequestEntityTooLarge,
+			Msg: fmt.Sprintf("a blob is at most %d bytes, this one declares %d", maxBlobBytes, r.ContentLength)})
 		return
 	}
-	if err := s.PutBlob(r.Context(), r.PathValue("digest"), data); err != nil {
+	data := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(r.Body, data); err != nil {
+		httpError(w, &APIError{Code: http.StatusBadRequest, Msg: "blob body shorter than its Content-Length: " + err.Error()})
+		return
+	}
+	if err := s.PutBlob(r.Context(), digest, data); err != nil {
 		httpError(w, err)
 		return
 	}
