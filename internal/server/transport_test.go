@@ -24,11 +24,10 @@ import (
 // transport is one of them.
 type transport struct {
 	name string
-	// startVia gives s a worker: the in-process one New starts for
-	// Workers: N (Shutdown and Close own it), or one joined over loopback
-	// HTTP (stopped at the end of the test). A non-nil h stands between the
-	// worker and s.
-	startVia func(t *testing.T, s *Server, o fleet.WorkerOptions, h *beatHold) *fleet.Worker
+	// start gives s a worker: the in-process one New starts for Workers: N
+	// (Shutdown and Close own it), or one joined over loopback HTTP (stopped
+	// at the end of the test).
+	start func(t *testing.T, s *Server, o fleet.WorkerOptions) *fleet.Worker
 	// dial is the worker API itself, for a test that plays the worker by hand.
 	dial func(t *testing.T, s *Server) fleet.Coordinator
 	// heartbeat is how often a worker started under a lease TTL heartbeats.
@@ -57,32 +56,22 @@ var listening = map[*Server]string{}
 var transports = []transport{
 	{
 		name: "inproc",
-		startVia: func(t *testing.T, s *Server, o fleet.WorkerOptions, h *beatHold) *fleet.Worker {
+		start: func(t *testing.T, s *Server, o fleet.WorkerOptions) *fleet.Worker {
 			t.Helper()
-			if h == nil {
-				if err := s.startLocal(o); err != nil {
-					t.Fatal(err)
-				}
-				return s.local
-			}
-			// startLocal's worker, calling s through h.
-			o.Name = localWorkerID
-			w, err := fleet.Start(h.between(s), o)
-			if err != nil {
+			if err := s.startLocal(o); err != nil {
 				t.Fatal(err)
 			}
-			s.local = w
-			return w
+			return s.local
 		},
 		dial:      func(_ *testing.T, s *Server) fleet.Coordinator { return s },
 		heartbeat: func(ttl time.Duration) time.Duration { return min(progressEventEvery, ttl/3) },
 	},
 	{
 		name: "http",
-		startVia: func(t *testing.T, s *Server, o fleet.WorkerOptions, h *beatHold) *fleet.Worker {
+		start: func(t *testing.T, s *Server, o fleet.WorkerOptions) *fleet.Worker {
 			t.Helper()
 			o.Coordinator = listen(t, s)
-			w, err := fleet.Start(h.between(fleet.Dial(o)), o)
+			w, err := fleet.JoinFleet(o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,74 +83,6 @@ var transports = []transport{
 		},
 		heartbeat: func(ttl time.Duration) time.Duration { return ttl / 3 },
 	},
-}
-
-// start gives s a worker that calls it directly.
-func (tr transport) start(t *testing.T, s *Server, o fleet.WorkerOptions) *fleet.Worker {
-	t.Helper()
-	return tr.startVia(t, s, o, nil)
-}
-
-// beatHold holds one run mid-execution, however short its world. Put
-// between a worker and its coordinator, it asks the worker for a heartbeat
-// at every progress step (a 1 ms cadence), lets the first pass heartbeats
-// of the runs that runs picks (nil: every run) through, and keeps the next
-// one from the coordinator until release is closed. A worker heartbeats
-// from inside its world's progress callback, so the world stands still
-// while that heartbeat is held, and the coordinator answers it with what
-// the test arranged meanwhile.
-type beatHold struct {
-	pass    int
-	runs    func(runID string) bool
-	held    chan string   // receives the run's ID once its heartbeat is held
-	release chan struct{} // closed by the test to let the heartbeat through
-
-	mu    sync.Mutex
-	beats int
-}
-
-func newBeatHold(pass int, runs func(runID string) bool) *beatHold {
-	return &beatHold{pass: pass, runs: runs, held: make(chan string, 1), release: make(chan struct{})}
-}
-
-// between puts h between a worker and c; a nil h leaves c as it is.
-func (h *beatHold) between(c fleet.Coordinator) fleet.Coordinator {
-	if h == nil {
-		return c
-	}
-	return heldCoordinator{c, h}
-}
-
-// wait holds the heartbeat h is waiting for until the test releases it.
-func (h *beatHold) wait(runID string) {
-	if h.runs != nil && !h.runs(runID) {
-		return
-	}
-	h.mu.Lock()
-	h.beats++
-	hold := h.beats == h.pass+1
-	h.mu.Unlock()
-	if hold {
-		h.held <- runID
-		<-h.release
-	}
-}
-
-// heldCoordinator is a worker's coordinator with a beatHold in front.
-type heldCoordinator struct {
-	fleet.Coordinator
-	h *beatHold
-}
-
-func (c heldCoordinator) Register(ctx context.Context, req fleet.RegisterRequest) (fleet.RegisterResponse, error) {
-	reg, err := c.Coordinator.Register(ctx, req)
-	reg.HeartbeatMs = 1
-	return reg, err
-}
-
-func (c heldCoordinator) Heartbeat(ctx context.Context, workerID string, req fleet.HeartbeatRequest) (fleet.HeartbeatResponse, error) {
-	c.h.wait(req.RunID)
-	return c.Coordinator.Heartbeat(ctx, workerID, req)
 }
 
 // observed is what a client can see of one run.
@@ -319,25 +240,24 @@ func TestLifecycle(t *testing.T) {
 
 	// Cancel while running: the worker hears of it at its next heartbeat —
 	// 10 ms away in-process, a third of the TTL over HTTP — and the run is
-	// canceled within 100 ms of that. The run is held at its first
-	// heartbeat, so it is still running whatever its world's length, and
-	// that heartbeat carries the cancel.
+	// canceled within 100 ms of that.
 	t.Run("CancelRunning", func(t *testing.T) {
 		forEachTransport(t, func(t *testing.T, tr transport) []observed {
 			const ttl = 150 * time.Millisecond
 			s := newCoordinator(t, Config{LeaseTTL: ttl})
-			h := newBeatHold(0, nil)
-			tr.startVia(t, s, quickWorker(), h)
+			claimed := make(chan string, 1)
+			o := quickWorker()
+			o.OnClaim = func(id string) { claimed <- id }
+			tr.start(t, s, o)
 			st, err := s.Submit("alice", xgc(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			<-h.held
+			<-claimed
 			asked := time.Now()
 			if _, err := s.Cancel(st.ID); err != nil {
 				t.Fatal(err)
 			}
-			close(h.release)
 			if st = await(t, s, st.ID); st.State != StateCanceled {
 				t.Fatalf("canceled run ended %s: %s", st.State, st.Error)
 			}
@@ -616,33 +536,21 @@ func TestShutdownRequeuesRunningRun(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, tr transport) []observed {
 		dir := t.TempDir()
 		s := newCoordinator(t, Config{CkptDir: dir, LeaseTTL: 150 * time.Millisecond})
-		// The run is held at its second heartbeat until the coordinator is
-		// stopping, so it is mid-execution whatever its world's length.
-		h := newBeatHold(1, nil)
-		tr.startVia(t, s, quickWorker(), h)
+		claimed := make(chan string, 1)
+		o := quickWorker()
+		o.OnClaim = func(id string) { claimed <- id }
+		tr.start(t, s, o)
 		st, err := s.Submit("alice", xgc(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sub := s.events.Subscribe(st.ID, 0)
 		defer sub.Close()
-		<-h.held
+		<-claimed
 		// Into the run: its first heartbeat has been and gone.
 		progress := s.events.Subscribe(st.ID, 0)
 		awaitRunEvent(t, progress, events.TypeProgress, "")
 		progress.Close()
-		go func() {
-			for {
-				s.mu.Lock()
-				stopping := s.stopping
-				s.mu.Unlock()
-				if stopping {
-					close(h.release)
-					return
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}()
 
 		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
