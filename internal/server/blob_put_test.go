@@ -27,7 +27,10 @@ func (c *readCounter) Read(p []byte) (int, error) {
 // TestBlobPut_Answers: every answer of PUT /v1/blobs/{digest} through
 // Handler(). A refusal that does not need the bytes (a digest that is no
 // content address, no Content-Length, a length over maxBlobBytes) reads
-// none of them; only a stored upload moves dyflow_server_fleet_blobs.
+// none of them; only a stored upload moves dyflow_server_fleet_blobs. No
+// answer allocates anywhere near what a body declares: an upload that
+// declares maxBlobBytes and sends a few bytes costs at most the first
+// read step, not 128 MiB.
 func TestBlobPut_Answers(t *testing.T) {
 	s, err := New(Config{Workers: -1, TenantQuota: -1, Logger: quietLogger})
 	if err != nil {
@@ -50,6 +53,7 @@ func TestBlobPut_Answers(t *testing.T) {
 		{"no length", fleet.Digest(blob), -1, http.StatusLengthRequired, false, false},
 		{"too long", fleet.Digest(blob), maxBlobBytes + 1, http.StatusRequestEntityTooLarge, false, false},
 		{"short body", fleet.Digest(blob), int64(len(blob)) + 1, http.StatusBadRequest, false, true},
+		{"declares the most", fleet.Digest(blob), maxBlobBytes, http.StatusBadRequest, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			blobs := counter(t, s, "dyflow_server_fleet_blobs")
@@ -57,7 +61,13 @@ func TestBlobPut_Answers(t *testing.T) {
 			req := httptest.NewRequest(http.MethodPut, "/v1/blobs/"+tc.digest, body)
 			req.ContentLength = tc.length
 			rec := httptest.NewRecorder()
+			before := heapAllocated()
 			h.ServeHTTP(rec, req)
+			// Far under maxBlobBytes, so leftover goroutines of other
+			// tests cannot reach it.
+			if alloc := heapAllocated() - before; alloc > 8*blobReadStep {
+				t.Errorf("the answer allocated %d bytes, want at most %d", alloc, 8*blobReadStep)
+			}
 			if rec.Code != tc.want {
 				t.Fatalf("answered %d (%s), want %d", rec.Code, bytes.TrimSpace(rec.Body.Bytes()), tc.want)
 			}
@@ -75,6 +85,28 @@ func TestBlobPut_Answers(t *testing.T) {
 	}
 	if got, ok := s.blobs.Get(fleet.Digest(blob)); !ok || !bytes.Equal(got, blob) {
 		t.Fatalf("the stored blob reads back as %q (%v), want %q", got, ok, blob)
+	}
+}
+
+// TestBlobPut_GrowsToItsLength: an upload longer than blobReadStep grows
+// its buffer as its bytes arrive and is still stored at exactly its
+// length, with no spare capacity.
+func TestBlobPut_GrowsToItsLength(t *testing.T) {
+	s, err := New(Config{Workers: -1, TenantQuota: -1, Logger: quietLogger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	blob := bytes.Repeat([]byte("0123456789"), (5*blobReadStep/2)/10)
+	digest := fleet.Digest(blob)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/blobs/"+digest, bytes.NewReader(blob)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("PUT answered %d: %s", rec.Code, rec.Body)
+	}
+	got, ok := s.blobs.Get(digest)
+	if !ok || !bytes.Equal(got, blob) || cap(got) != len(blob) {
+		t.Fatalf("stored blob has len %d cap %d (found %v), want the %d uploaded bytes at cap %d", len(got), cap(got), ok, len(blob), len(blob))
 	}
 }
 

@@ -40,6 +40,13 @@ const localWorkerID = "local"
 // maxBlobBytes bounds one artifact upload.
 const maxBlobBytes = 128 << 20
 
+// blobReadStep is the most an upload's buffer holds before its bytes
+// arrive. It is more than all of any job scenario's artifacts together
+// (artifact_bytes in internal/exp/testdata/budget.json), so such an upload
+// is one allocation of its length; a longer one doubles its buffer as
+// bytes come in, never past the declared length.
+const blobReadStep = 1 << 20
+
 // maxClaimWait bounds one claim's wait for a run to be enqueued.
 const maxClaimWait = 30 * time.Second
 
@@ -314,11 +321,12 @@ func (s *Server) PutBlob(_ context.Context, digest string, data []byte) error {
 	return nil
 }
 
-// handleBlobPut reads an upload into one buffer of its declared length,
-// which the store then keeps as is. Every refusal but a wrong digest is
-// decided before a body byte is read: a digest that is not a content
-// address (404, as on GET), no Content-Length (411), a length over
-// maxBlobBytes (413). A body shorter than it declared is a 400.
+// handleBlobPut reads an upload into a buffer that ends exactly its
+// declared length, which the store then keeps as is (readDeclared). Every
+// refusal but a wrong digest is decided before a body byte is read: a
+// digest that is not a content address (404, as on GET), no
+// Content-Length (411), a length over maxBlobBytes (413). A body shorter
+// than it declared is a 400.
 func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	switch {
@@ -333,8 +341,8 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 			Msg: fmt.Sprintf("a blob is at most %d bytes, this one declares %d", maxBlobBytes, r.ContentLength)})
 		return
 	}
-	data := make([]byte, r.ContentLength)
-	if _, err := io.ReadFull(r.Body, data); err != nil {
+	data, err := readDeclared(r.Body, r.ContentLength)
+	if err != nil {
 		httpError(w, &APIError{Code: http.StatusBadRequest, Msg: "blob body shorter than its Content-Length: " + err.Error()})
 		return
 	}
@@ -343,6 +351,29 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusCreated)
+}
+
+// readDeclared reads n bytes from body into a slice whose capacity is n.
+// What it allocates follows the bytes that arrive, not the length a client
+// declares: the buffer starts at blobReadStep at most and doubles, capped
+// at n, each time it fills, so a client that declares 128 MiB and then
+// stalls holds no more than the first step.
+func readDeclared(body io.Reader, n int64) ([]byte, error) {
+	data := make([]byte, min(n, blobReadStep))
+	read := 0
+	for {
+		m, err := io.ReadFull(body, data[read:])
+		read += m
+		if err != nil {
+			return nil, err
+		}
+		if int64(read) == n {
+			return data, nil
+		}
+		grown := make([]byte, min(2*int64(read), n))
+		copy(grown, data)
+		data = grown
+	}
 }
 
 // handleBlobGet serves a blob. Go's mux routes HEAD here too, which is
