@@ -65,7 +65,7 @@ var stdMethods = map[string]bool{
 	"Len": true, "Less": true, "Swap": true,
 	"ServeHTTP": true, "RoundTrip": true,
 	"MarshalJSON": true, "UnmarshalJSON": true,
-	"Read": true, "Write": true, "Close": true,
+	"Read": true, "Write": true, "Close": true, "ReadFrom": true,
 }
 
 // TestEveryFuncHasAProductionCaller keeps production code free of code

@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkJob runs each job scenario end to end, artifacts included,
-// through one Docs's RunJob as a worker's slots do, one sub-benchmark per
+// through one Slot's RunJob as a worker slot does, one sub-benchmark per
 // entry of the scenario table, named by the scenario
 // (BenchmarkJob/xgc): the worlds TestWorldBudget records and
 // `make prof` profiles. quickstart is the world behind the svc-light
@@ -24,7 +24,7 @@ import (
 // spans/op the flight recorder's spans.
 func BenchmarkJob(b *testing.B) {
 	for _, scenario := range Scenarios() {
-		var d Docs // compiles the scenario's document on its first job
+		s := NewSlot(new(Docs)) // compiles the scenario's document on its first job
 		b.Run(scenario, func(b *testing.B) {
 			var dispatched, handoffs uint64
 			var simTime time.Duration
@@ -32,7 +32,7 @@ func BenchmarkJob(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var w *World
-				if _, err := d.RunJob(Job{Scenario: scenario, Seed: int64(i)}, func(x *World) error { w = x; return nil }); err != nil {
+				if _, err := s.RunJob(Job{Scenario: scenario, Seed: int64(i)}, func(x *World) error { w = x; return nil }); err != nil {
 					b.Fatal(err)
 				}
 				dispatched += w.Sim.Dispatched()

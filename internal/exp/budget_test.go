@@ -32,8 +32,8 @@ const budgetRuns = 25
 // before the row must be re-recorded.
 const budgetTolerance = 0.01
 
-// A budgetRow is what one job of a scenario costs on a worker's RunJob
-// path: allocation per job, and the world's exact counts.
+// A budgetRow is what one job of a scenario costs on a worker slot's
+// RunJob path: allocation per job, and the world's exact counts.
 type budgetRow struct {
 	Scenario      string `json:"scenario"`
 	BytesPerOp    int64  `json:"b_per_op"`
@@ -45,13 +45,13 @@ type budgetRow struct {
 	ArtifactBytes int    `json:"artifact_bytes"`
 }
 
-// budgetJob runs scenario's job (summit, seed 1) through d's RunJob, as a
-// worker runs it, and returns its counts; the allocation fields are left
-// zero.
-func budgetJob(t *testing.T, d *Docs, scenario string) budgetRow {
+// budgetJob runs scenario's job (summit, seed 1) through s's RunJob, as a
+// worker slot runs it, and returns its counts; the allocation fields are
+// left zero.
+func budgetJob(t *testing.T, s *Slot, scenario string) budgetRow {
 	row := budgetRow{Scenario: scenario}
 	var w *World
-	out, err := d.RunJob(Job{Scenario: scenario, Machine: "summit", Seed: 1}, func(x *World) error { w = x; return nil })
+	out, err := s.RunJob(Job{Scenario: scenario, Machine: "summit", Seed: 1}, func(x *World) error { w = x; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,18 +66,20 @@ func budgetJob(t *testing.T, d *Docs, scenario string) budgetRow {
 }
 
 // measureBudget runs one warm-up job, then budgetRuns measured ones, all
-// through one Docs as a worker's jobs are, and returns the row with B/op
-// and allocs/op averaged over the measured jobs: the warm-up compiles the
-// scenario's document, and the measured jobs pay what a worker pays for
-// each job after its first. Every job must repeat the warm-up's counts.
+// through one Slot as a worker slot's jobs are, and returns the row with
+// B/op and allocs/op averaged over the measured jobs: the warm-up compiles
+// the scenario's document and sizes the slot's render buffers, and the
+// measured jobs pay what a slot pays for each job after its first, when
+// the coordinator kept none of its artifacts. Every job must repeat the
+// warm-up's counts.
 func measureBudget(t *testing.T, scenario string) budgetRow {
-	var d Docs
-	want := budgetJob(t, &d, scenario)
+	s := NewSlot(new(Docs))
+	want := budgetJob(t, s, scenario)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < budgetRuns; i++ {
-		if got := budgetJob(t, &d, scenario); got != want {
+		if got := budgetJob(t, s, scenario); got != want {
 			t.Fatalf("%s is not deterministic: run %d counted %+v, the warm-up %+v", scenario, i, got, want)
 		}
 	}

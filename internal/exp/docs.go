@@ -31,13 +31,10 @@ type docKey struct {
 }
 
 // RunJob is the package-level RunJob with the shipped documents compiled
-// through d.
+// through d: one job through a fresh Slot on d, so its artifacts are
+// fresh slices.
 func (d *Docs) RunJob(j Job, configure func(*World) error) (*JobOutcome, error) {
-	j, cfg, err := j.normalize()
-	if err != nil {
-		return nil, err
-	}
-	return d.run(j, cfg, configure)
+	return NewSlot(d).RunJob(j, configure)
 }
 
 // compile returns the compiled shipped document xml, with the recovery

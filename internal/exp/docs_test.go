@@ -88,7 +88,7 @@ func TestJobXMLCompiledOnce(t *testing.T) {
 		t.Fatal("normalize returned no compiled document for a job with XML")
 	}
 	var w *World
-	if _, err := d.run(j, cfg, func(x *World) error { w = x; return nil }); err != nil {
+	if _, err := NewSlot(&d).run(j, cfg, func(x *World) error { w = x; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if w.orchCfg != cfg {

@@ -1,10 +1,8 @@
 package exp
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -191,16 +189,17 @@ type JobOutcome struct {
 // RunJob owns the world it builds and closes it on every return — finished,
 // cancelled through OnProgress, or failed — so a caller that kept the
 // pointer from configure may read the world afterwards but never has to
-// release it. It compiles the scenario's document afresh and keeps
-// nothing; a worker that runs many jobs keeps a Docs and calls its RunJob.
+// release it. It compiles the scenario's document afresh and renders into
+// fresh slices, keeping nothing; a worker that runs many jobs runs each
+// slot's through a Slot on the worker's Docs.
 func RunJob(j Job, configure func(*World) error) (*JobOutcome, error) {
 	var fresh *Docs
 	return fresh.RunJob(j, configure)
 }
 
 // run executes the normalized job j, whose own document, if it has one,
-// compiled to cfg; the shipped documents compile through d.
-func (d *Docs) run(j Job, cfg *spec.Config, configure func(*World) error) (*JobOutcome, error) {
+// compiled to cfg; the shipped documents compile through s's Docs.
+func (s *Slot) run(j Job, cfg *spec.Config, configure func(*World) error) (*JobOutcome, error) {
 	// Every runner hands its world to the configure hook before anything
 	// runs. run takes the world from there and not from the runner's
 	// result, because a runner that fails returns none.
@@ -210,7 +209,7 @@ func (d *Docs) run(j Job, cfg *spec.Config, configure func(*World) error) (*JobO
 			w.Close()
 		}
 	}()
-	v := Variant{XML: j.XML, cfg: cfg, docs: d, Configure: func(built *World) error {
+	v := Variant{XML: j.XML, cfg: cfg, docs: s.docs, Configure: func(built *World) error {
 		w = built
 		if configure == nil {
 			return nil
@@ -221,7 +220,7 @@ func (d *Docs) run(j Job, cfg *spec.Config, configure func(*World) error) (*JobO
 	if err != nil {
 		return nil, err
 	}
-	arts, err := jobArtifacts(w, rep)
+	arts, err := s.render(w, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -231,31 +230,6 @@ func (d *Docs) run(j Job, cfg *spec.Config, configure func(*World) error) (*JobO
 		SimEnd:    time.Duration(w.Sim.Now()),
 		Report:    rep,
 		Artifacts: arts,
-	}, nil
-}
-
-// jobArtifacts renders the outcome's artifact set from the finished world.
-func jobArtifacts(w *World, rep *Report) (map[string][]byte, error) {
-	w.Rec.CloseOpen()
-	report, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	var gantt bytes.Buffer
-	w.Rec.Gantt(&gantt, 100)
-	perfetto, err := perfettoJSON(w)
-	if err != nil {
-		return nil, err
-	}
-	metrics, err := w.Metrics.JSON()
-	if err != nil {
-		return nil, err
-	}
-	return map[string][]byte{
-		ArtifactReport:   append(report, '\n'),
-		ArtifactGantt:    gantt.Bytes(),
-		ArtifactPerfetto: perfetto,
-		ArtifactMetrics:  metrics,
 	}, nil
 }
 

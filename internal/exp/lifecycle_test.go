@@ -148,7 +148,7 @@ func observe(t *testing.T, w *World) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "now %v dispatched %d handoffs %d\n", w.Sim.Now(), w.Sim.Dispatched(), w.Sim.Handoffs())
 
-	arts, err := jobArtifacts(w, &Report{ID: "observe"})
+	arts, err := NewSlot(nil).render(w, &Report{ID: "observe"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,29 +94,38 @@ func WritePerfetto(out io.Writer, w *World) error {
 	return err
 }
 
-// perfettoJSON is WritePerfetto's document, the trace-event object form
-// {"traceEvents":[...],"displayTimeUnit":"ms"} and a newline, as
-// json.Encoder writes it.
+// perfettoJSON is WritePerfetto's document in a slice of its own.
+func perfettoJSON(w *World) ([]byte, error) {
+	var r perfettoRender
+	return r.append(nil, w)
+}
+
+// append appends WritePerfetto's document to dst: the trace-event object
+// form {"traceEvents":[...],"displayTimeUnit":"ms"} and a newline, as
+// json.Encoder writes it. When dst lacks the room, the document goes into
+// a copy of dst of exactly the size it needs.
 //
 // The events are encoded one at a time, twice: once to count the bytes,
-// once into a slice of exactly that size. One call for the whole document
-// (≈ 100 KB for an xgc run) would grow one of encoding/json's pooled
-// buffers to its size, and whether the next run found that buffer again
-// would be up to the scheduler and the GC, so a run's allocation would
-// vary by ≈ 0.25 MB. An event's buffer is a few hundred bytes, and with
-// struct args an event encodes without allocating.
+// once into dst. One call for the whole document (≈ 100 KB for an xgc
+// run) would grow one of encoding/json's pooled buffers to its size, and
+// whether the next run found that buffer again would be up to the
+// scheduler and the GC, so a run's allocation would vary by ≈ 0.25 MB.
+// An event's buffer is a few hundred bytes, and with struct args an event
+// encodes without allocating.
 //
 // No event list is built: both passes walk the world's records and emit
-// each event into the same perfettoEvent, so the render allocates the
-// document, the node tracks and the names it joins once each.
-func perfettoJSON(w *World) ([]byte, error) {
-	r := newPerfettoRender(w)
+// each event into the same perfettoEvent. The node tracks, the names it
+// joins and the op labels go into r's maps and slices, which a later
+// render reuses; r keeps nothing of w once append returns.
+func (r *perfettoRender) append(dst []byte, w *World) ([]byte, error) {
+	r.reset(w)
+	defer r.reset(nil)
 	const head, tail = `{"traceEvents":[`, "],\"displayTimeUnit\":\"ms\"}\n"
 	var size byteCount
 	if err := r.emit(json.NewEncoder(&size)); err != nil {
 		return nil, err
 	}
-	doc := joinWriter(make([]byte, 0, len(head)+int(size)-1+len(tail))) // n events: n newlines, n-1 commas
+	doc := joinWriter(growExact(dst, len(head)+int(size)-1+len(tail))) // n events: n newlines, n-1 commas
 	doc = append(doc, head...)
 	if err := r.emit(json.NewEncoder(&doc)); err != nil {
 		return nil, err
@@ -146,15 +155,30 @@ type perfettoRender struct {
 	exitCode int
 	plan     planArgs
 	// labels holds every plan op's label in plan order, built once per
-	// render for both passes.
-	labels []string
-	act    actuationArgs
-	sugg   suggestionArgs
+	// render for both passes, out of the bytes in labelBuf, which end at
+	// labelEnds.
+	labels    []string
+	labelBuf  []byte
+	labelEnds []int
+	act       actuationArgs
+	sugg      suggestionArgs
 }
 
-func newPerfettoRender(w *World) *perfettoRender {
-	r := &perfettoRender{now: w.Sim.Now(), ivs: w.Rec.Intervals, plans: w.Plans(), tr: w.Trace,
-		nodeTid: map[string]int{}, names: map[[3]string]string{}}
+// reset empties r, keeping its maps' and slices' storage, and derives
+// what both passes over w share; a nil w leaves r empty.
+func (r *perfettoRender) reset(w *World) {
+	clear(r.nodeTid)
+	clear(r.names)
+	clear(r.labels)
+	*r = perfettoRender{nodes: r.nodes[:0], nodeTid: r.nodeTid, names: r.names,
+		labels: r.labels[:0], labelBuf: r.labelBuf[:0], labelEnds: r.labelEnds[:0]}
+	if w == nil {
+		return
+	}
+	if r.nodeTid == nil {
+		r.nodeTid, r.names = map[string]int{}, map[[3]string]string{}
+	}
+	r.now, r.ivs, r.plans, r.tr = w.Sim.Now(), w.Rec.Intervals, w.Plans(), w.Trace
 	if w.campaign != nil {
 		r.chaos = w.campaign.Events()
 	}
@@ -169,7 +193,6 @@ func newPerfettoRender(w *World) *perfettoRender {
 	for _, ev := range r.chaos {
 		r.nodeTid[string(ev.Node)] = 0
 	}
-	r.nodes = make([]string, 0, len(r.nodeTid))
 	for n := range r.nodeTid {
 		r.nodes = append(r.nodes, n)
 	}
@@ -179,21 +202,18 @@ func newPerfettoRender(w *World) *perfettoRender {
 	}
 
 	// Op labels: appended into one buffer, made one string, and cut.
-	var buf []byte
-	var ends []int
 	for i := range r.plans {
 		for _, op := range r.plans[i].Plan.Ops {
-			buf = op.AppendLabel(buf)
-			ends = append(ends, len(buf))
+			r.labelBuf = op.AppendLabel(r.labelBuf)
+			r.labelEnds = append(r.labelEnds, len(r.labelBuf))
 		}
 	}
-	all := string(buf)
-	r.labels = make([]string, len(ends))
+	all := string(r.labelBuf)
 	start := 0
-	for i, end := range ends {
-		r.labels[i], start = all[start:end], end
+	for _, end := range r.labelEnds {
+		r.labels = append(r.labels, all[start:end])
+		start = end
 	}
-	return r
 }
 
 // name is a+sep+b, joined once per render.
@@ -312,6 +332,15 @@ func (r *perfettoRender) emit(enc *json.Encoder) error {
 		r.put()
 	})
 	return r.err
+}
+
+// growExact returns dst with room for n more bytes: dst itself when it has
+// the room, else a copy of it in a slice of exactly len(dst)+n.
+func growExact(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
 }
 
 // byteCount counts what is written to it.

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -220,14 +221,12 @@ func (r *Recorder) Series(workflow, taskName, sensorID string) []MetricPoint {
 }
 
 // tasks lists the distinct (workflow, task) pairs of ivs, in first-start
-// order.
+// order. A world has a handful of tasks, so a scan of the list finds a
+// pair sooner than a map would be built.
 func tasks(ivs []Interval) [][2]string {
 	var out [][2]string
-	seen := map[[2]string]bool{}
 	for _, iv := range ivs {
-		k := [2]string{iv.Workflow, iv.Task}
-		if !seen[k] {
-			seen[k] = true
+		if k := [2]string{iv.Workflow, iv.Task}; !slices.Contains(out, k) {
 			out = append(out, k)
 		}
 	}
@@ -274,33 +273,44 @@ func gantt(w io.Writer, width int, end sim.Time, ivs []Interval, windows [][2]si
 		}
 	}
 	fmt.Fprintf(w, "%*s  0%s%v\n", nameW, "", strings.Repeat(" ", width-len(fmt.Sprint(end))-1), end.Round(time.Second))
-	// Every row is drawn into row and encoded into line, both reused: no
-	// rune is wider than three bytes.
+	// Every row is drawn into row and encoded into line, and its task's
+	// intervals are indexed in sel in start order, as taskIntervals would
+	// list them; all three are reused. No rune is wider than three bytes.
 	row := make([]rune, width)
 	line := make([]byte, 0, 3*width)
+	var sel []int
 	for _, k := range rows {
 		fill(row, '·')
-		var notes []string
-		for _, iv := range taskIntervals(ivs, k[0], k[1]) {
-			e := iv.End
-			if e == 0 {
-				e = end
+		sel = sel[:0]
+		for i := range ivs {
+			if ivs[i].Workflow == k[0] && ivs[i].Task == k[1] {
+				sel = append(sel, i)
 			}
-			c0, c1 := col(iv.Start), col(e)
+		}
+		sort.Slice(sel, func(a, b int) bool { return ivs[sel[a]].Start < ivs[sel[b]].Start })
+		for _, i := range sel {
+			iv := &ivs[i]
+			c0, c1 := col(iv.Start), col(iv.endOr(end))
 			for c := c0; c <= c1; c++ {
 				row[c] = '█'
 			}
 			if iv.Incarnation > 0 && c0 > 0 {
 				row[c0] = '▐'
 			}
-			state := ""
-			if iv.Final == task.Failed {
-				state = fmt.Sprintf(" FAILED(%d)", iv.ExitCode)
-			}
-			notes = append(notes, fmt.Sprintf("#%d@%dp %v-%v%s", iv.Incarnation, iv.Procs, iv.Start.Round(time.Second), e.Round(time.Second), state))
 		}
 		line = appendRunes(line[:0], row)
-		fmt.Fprintf(w, "%*s  %s  %s\n", nameW, k[1], line, strings.Join(notes, ", "))
+		fmt.Fprintf(w, "%*s  %s  ", nameW, k[1], line)
+		for n, i := range sel {
+			iv := &ivs[i]
+			if n > 0 {
+				io.WriteString(w, ", ")
+			}
+			fmt.Fprintf(w, "#%d@%dp %v-%v", iv.Incarnation, iv.Procs, iv.Start.Round(time.Second), iv.endOr(end).Round(time.Second))
+			if iv.Final == task.Failed {
+				fmt.Fprintf(w, " FAILED(%d)", iv.ExitCode)
+			}
+		}
+		io.WriteString(w, "\n")
 	}
 	if len(windows) > 0 {
 		fill(row, ' ')
@@ -312,6 +322,14 @@ func gantt(w io.Writer, width int, end sim.Time, ivs []Interval, windows [][2]si
 		line = appendRunes(line[:0], row)
 		fmt.Fprintf(w, "%*s  %s  (DYFLOW adjustment windows)\n", nameW, "DYFLOW", line)
 	}
+}
+
+// endOr is the interval's end, or end while it is still running.
+func (iv *Interval) endOr(end sim.Time) sim.Time {
+	if iv.End == 0 {
+		return end
+	}
+	return iv.End
 }
 
 // fill sets every cell of row to r.

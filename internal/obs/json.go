@@ -11,17 +11,24 @@ import (
 
 // JSON renders the registry as indented JSON and a newline: byte for byte
 // what json.MarshalIndent(r.Snapshot(), "", "  ") and a newline would be,
-// written straight from the families into a slice of exactly its size.
-// One pass counts the bytes, a second writes them; only the second pass's
-// bytes are returned, so a registry that grows between the passes only
+// in a slice of exactly its size. It is AppendJSON(nil).
+func (r *Registry) JSON() ([]byte, error) { return r.AppendJSON(nil) }
+
+// AppendJSON appends JSON's document to dst, written straight from the
+// families. One pass counts the bytes, a second writes them; when dst
+// lacks the room, the document goes into a copy of dst of exactly the size
+// the count asks for, so a registry that grows between the passes only
 // grows the slice. A NaN or infinite value is an error, as it is to
 // encoding/json.
-func (r *Registry) JSON() ([]byte, error) {
+func (r *Registry) AppendJSON(dst []byte) ([]byte, error) {
 	size := jsonDoc{count: true}
 	if err := r.writeJSON(&size); err != nil {
 		return nil, err
 	}
-	doc := jsonDoc{buf: make([]byte, 0, size.n)}
+	if cap(dst)-len(dst) < size.n {
+		dst = append(make([]byte, 0, len(dst)+size.n), dst...)
+	}
+	doc := jsonDoc{buf: dst}
 	if err := r.writeJSON(&doc); err != nil {
 		return nil, err
 	}

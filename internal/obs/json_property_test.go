@@ -46,6 +46,14 @@ func checkJSON(t *testing.T, r *Registry) (failed bool) {
 	if cap(got) != len(got) {
 		t.Fatalf("document has capacity %d for %d bytes, want it exactly sized", cap(got), len(got))
 	}
+	// Appended after a prefix, into a buffer short of room and into one
+	// with room to spare: the prefix and then the same bytes.
+	for _, dst := range [][]byte{[]byte("prefix"), append(make([]byte, 0, 6+len(want)+3), "prefix"...)} {
+		got, err := r.AppendJSON(dst)
+		if err != nil || string(got[:6]) != "prefix" || !bytes.Equal(got[6:], want) {
+			t.Fatalf("AppendJSON after a %d-byte prefix with room %d: %q, %v", len(dst), cap(dst)-len(dst), got, err)
+		}
+	}
 	return false
 }
 

@@ -193,6 +193,9 @@ type blobOutageTransport struct {
 
 func (tr *blobOutageTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	if !tr.healed.Load() && strings.HasPrefix(r.URL.Path, "/v1/blobs/") {
+		if r.Body != nil {
+			r.Body.Close() // a RoundTripper closes the body it was handed
+		}
 		return nil, fmt.Errorf("blob outage: %s %s refused", r.Method, r.URL.Path)
 	}
 	resp, err := tr.next.RoundTrip(r)

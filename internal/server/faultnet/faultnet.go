@@ -281,6 +281,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		t.note(f)
 		if dir == Outbound {
 			// Severed on the way out: the server never sees it.
+			closeBody(req)
 			return nil, &Error{f}
 		}
 		// Severed on the way back: serve it, then lose the reply.
@@ -301,6 +302,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		f.Mode, f.Delay = ModeLatency, delay
 		t.note(f)
 		if err := sleepReq(req, delay); err != nil {
+			closeBody(req)
 			return nil, err
 		}
 		return t.next.RoundTrip(req)
@@ -357,7 +359,9 @@ func sleepReq(req *http.Request, d time.Duration) error {
 	}
 }
 
-// closeBody releases a request body that will never be forwarded.
+// closeBody releases a request body that will never be forwarded, as a
+// RoundTripper must: its sender may wait for the close before it reuses
+// the bytes (fleet's PutBlob does).
 func closeBody(req *http.Request) {
 	if req.Body != nil {
 		req.Body.Close()

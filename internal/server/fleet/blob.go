@@ -102,11 +102,19 @@ func (b *BlobStore) path(digest string) string {
 // Put stores data under its own digest and returns that digest.
 func (b *BlobStore) Put(data []byte) (string, error) {
 	digest := Digest(data)
-	return digest, b.PutAs(digest, data)
+	_, err := b.PutAs(digest, data)
+	return digest, err
 }
 
 // PutAs stores data under digest, verifying the content actually hashes
 // to it — a worker upload with a wrong address is rejected, not stored.
+//
+// kept reports whether the store took data itself over: it does only on
+// a miss, and only when data has no spare capacity (cap == len); then the
+// caller must not write data again. Otherwise — a dedup, a mismatch, a
+// slice with room to spare — the store holds no reference to data, and a
+// miss stores an exact copy. A stored blob therefore never carries spare
+// capacity and never aliases a buffer its caller goes on writing.
 //
 // A failed *disk* write is not an upload failure: the blob stays
 // memory-resident and fully servable, so the store sheds to a degraded
@@ -115,31 +123,36 @@ func (b *BlobStore) Put(data []byte) (string, error) {
 // artifact references no longer resolve back to queued — losing the
 // durable copy costs a deterministic re-execution after a crash, never
 // a wrong answer. The gauge clears on the next write the disk accepts.
-func (b *BlobStore) PutAs(digest string, data []byte) error {
+func (b *BlobStore) PutAs(digest string, data []byte) (kept bool, err error) {
 	if got := Digest(data); got != digest {
-		return fmt.Errorf("fleet: blob digest mismatch: body is %s, address is %s", got, digest)
+		return false, fmt.Errorf("fleet: blob digest mismatch: body is %s, address is %s", got, digest)
 	}
 	b.mu.Lock()
 	if _, ok := b.mem[digest]; ok {
 		b.mu.Unlock()
 		b.dedup.Inc()
-		return nil
+		return false, nil
 	}
-	b.mem[digest] = data
+	stored := data
+	if kept = cap(data) == len(data); !kept {
+		stored = make([]byte, len(data))
+		copy(stored, data)
+	}
+	b.mem[digest] = stored
 	b.count.Add(1)
-	b.size.Add(float64(len(data)))
+	b.size.Add(float64(len(stored)))
 	b.mu.Unlock()
 
 	if b.dir == "" {
-		return nil
+		return kept, nil
 	}
-	if err := b.writeDisk(digest, data); err != nil {
+	if err := b.writeDisk(digest, stored); err != nil {
 		b.sheds.Inc()
 		b.degraded.Set(1)
-		return nil
+		return kept, nil
 	}
 	b.degraded.Set(0)
-	return nil
+	return kept, nil
 }
 
 // writeDisk persists one blob atomically (tmp + rename).

@@ -33,7 +33,7 @@ func TestFaultBlobDiskWriteShedsToMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := b.PutAs(digest, data); err != nil {
+	if _, err := b.PutAs(digest, data); err != nil {
 		t.Fatalf("PUT failed on a sick disk instead of shedding: %v", err)
 	}
 	if got, ok := b.Get(digest); !ok || !bytes.Equal(got, data) {
@@ -47,7 +47,7 @@ func TestFaultBlobDiskWriteShedsToMemory(t *testing.T) {
 	}
 
 	// Shedding never loosens content addressing.
-	if err := b.PutAs(digest, []byte("not the addressed bytes")); err == nil {
+	if _, err := b.PutAs(digest, []byte("not the addressed bytes")); err == nil {
 		t.Fatal("digest mismatch accepted under degraded mode")
 	}
 
@@ -62,7 +62,7 @@ func TestFaultBlobDiskWriteShedsToMemory(t *testing.T) {
 			break
 		}
 	}
-	if err := b.PutAs(healthyDigest, healthy); err != nil {
+	if _, err := b.PutAs(healthyDigest, healthy); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, healthyDigest[:2], healthyDigest)); err != nil {

@@ -43,7 +43,7 @@ func TestBlobStoreContentAddressing(t *testing.T) {
 	}
 
 	// An upload whose body does not hash to its address is rejected.
-	if err := b.PutAs(digest, []byte("tampered")); err == nil {
+	if _, err := b.PutAs(digest, []byte("tampered")); err == nil {
 		t.Fatal("mismatched blob accepted")
 	}
 }

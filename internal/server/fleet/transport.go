@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"dyflow/internal/obs"
@@ -31,7 +33,11 @@ type Coordinator interface {
 	Claim(ctx context.Context, workerID string, wait time.Duration) (claim ClaimResponse, ok bool, err error)
 	Heartbeat(ctx context.Context, workerID string, req HeartbeatRequest) (HeartbeatResponse, error)
 	HasBlob(ctx context.Context, digest string) bool
-	PutBlob(ctx context.Context, digest string, data []byte) error
+	// PutBlob stores data under digest. kept reports whether the
+	// coordinator took data itself over (BlobStore.PutAs), so the caller
+	// must not write it again; when kept is false, nothing holds data once
+	// PutBlob returns. Over HTTP kept is always false.
+	PutBlob(ctx context.Context, digest string, data []byte) (kept bool, err error)
 	Result(ctx context.Context, workerID string, req ResultRequest) (ResultResponse, error)
 	PushMetrics(ctx context.Context, workerID string, snap obs.Snapshot) error
 }
@@ -65,10 +71,24 @@ type httpCoordinator struct {
 
 // Dial returns the Coordinator at o.Coordinator as a JoinFleet worker calls
 // it (o.Client and o.CallTimeout apply); nothing is sent until a call is.
+// With no o.Client it builds one on a clone of http.DefaultTransport whose
+// connections copy request bodies through a buffer each keeps (copyConn).
 func Dial(o WorkerOptions) Coordinator {
 	c := &httpCoordinator{base: "http://" + o.Coordinator, client: o.Client, callTimeout: o.CallTimeout}
 	if c.client == nil {
-		c.client = &http.Client{Timeout: 30 * time.Second}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		dial := tr.DialContext
+		if dial == nil {
+			dial = (&net.Dialer{}).DialContext
+		}
+		tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			conn, err := dial(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return newCopyConn(conn), nil
+		}
+		c.client = &http.Client{Timeout: 30 * time.Second, Transport: tr}
 	}
 	if c.callTimeout <= 0 {
 		c.callTimeout = 10 * time.Second
@@ -109,13 +129,20 @@ func (c *httpCoordinator) PushMetrics(ctx context.Context, workerID string, snap
 }
 
 func (c *httpCoordinator) HasBlob(ctx context.Context, digest string) bool {
-	code, _, err := c.do(ctx, http.MethodHead, "/v1/blobs/"+digest, "", nil, c.callTimeout)
+	code, _, err := c.do(ctx, http.MethodHead, "/v1/blobs/"+digest, "", nil, c.callTimeout, nil)
 	return err == nil && code == http.StatusOK
 }
 
-func (c *httpCoordinator) PutBlob(ctx context.Context, digest string, data []byte) error {
-	_, _, err := c.do(ctx, http.MethodPut, "/v1/blobs/"+digest, "application/octet-stream", data, c.callTimeout)
-	return err
+// PutBlob returns only once the transport has closed every body it was
+// handed over data: net/http may go on reading a request body after Do
+// returns (a reply that came before the upload was all sent), and the
+// caller writes data again once PutBlob returns. do's deadline is over by
+// then, so a body still being sent is cut short, not waited out.
+func (c *httpCoordinator) PutBlob(ctx context.Context, digest string, data []byte) (bool, error) {
+	var bodies closeWait
+	_, _, err := c.do(ctx, http.MethodPut, "/v1/blobs/"+digest, "application/octet-stream", data, c.callTimeout, &bodies)
+	bodies.wait()
+	return false, err
 }
 
 // post sends one JSON request and decodes the JSON reply into out.
@@ -124,7 +151,7 @@ func (c *httpCoordinator) post(ctx context.Context, path string, body, out any, 
 	if err != nil {
 		return 0, err
 	}
-	code, raw, err := c.do(ctx, http.MethodPost, path, "application/json", data, timeout)
+	code, raw, err := c.do(ctx, http.MethodPost, path, "application/json", data, timeout, nil)
 	if err != nil || code == http.StatusNoContent || out == nil || len(raw) == 0 {
 		return code, err
 	}
@@ -134,13 +161,20 @@ func (c *httpCoordinator) post(ctx context.Context, path string, body, out any, 
 // do is one exchange under a per-call deadline. A reply shorter than its
 // Content-Length — a torn connection, faultnet truncation — surfaces as an
 // unexpected-EOF read error, transient like any transport error and any
-// 5xx; a 3xx/4xx is the coordinator's answer.
-func (c *httpCoordinator) do(ctx context.Context, method, path, contentType string, body []byte, timeout time.Duration) (int, []byte, error) {
+// 5xx; a 3xx/4xx is the coordinator's answer. When bodies is not nil,
+// every request body handed to the transport is counted in it.
+func (c *httpCoordinator) do(ctx context.Context, method, path, contentType string, body []byte, timeout time.Duration, bodies *closeWait) (int, []byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
+	}
+	if bodies != nil {
+		// GetBody stays, so the transport can resend on a fresh
+		// connection; each body it takes is one more to wait for.
+		req.Body = bodies.add(body)
+		req.GetBody = func() (io.ReadCloser, error) { return bodies.add(body), nil }
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -161,4 +195,68 @@ func (c *httpCoordinator) do(ctx context.Context, method, path, contentType stri
 		}
 	}
 	return resp.StatusCode, raw, err
+}
+
+// closeWait counts the request bodies a transport was handed over one
+// slice, so their owner can wait until the transport has closed them all.
+// Bodies are added only on the goroutine that calls Do (the request's own
+// and its GetBody's, which the transport calls before Do returns), so the
+// list needs no lock.
+type closeWait struct {
+	bodies []*sentBody
+}
+
+// add returns a fresh body over data and counts it.
+func (cw *closeWait) add(data []byte) io.ReadCloser {
+	b := &sentBody{closed: make(chan struct{})}
+	b.r.Reset(data)
+	cw.bodies = append(cw.bodies, b)
+	return b
+}
+
+// wait blocks until every counted body has been closed.
+func (cw *closeWait) wait() {
+	for _, b := range cw.bodies {
+		<-b.closed
+	}
+}
+
+// sentBody is a request body that marks when the transport closed it.
+type sentBody struct {
+	r      bytes.Reader
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (b *sentBody) Read(p []byte) (int, error) { return b.r.Read(p) }
+
+func (b *sentBody) Close() error {
+	b.once.Do(func() { close(b.closed) })
+	return nil
+}
+
+// copyBufSize is the buffer io.Copy would allocate for each body.
+const copyBufSize = 32 << 10
+
+// copyConn is a client connection that copies what the transport streams
+// into it through one buffer it keeps. net/http writes a request body
+// longer than its 4 KiB write buffer with io.Copy from an io.LimitedReader,
+// which has no WriteTo; a TCP connection's ReadFrom then allocates a copy
+// buffer of up to 32 KiB for every such request. The transport writes to a
+// connection from one goroutine at a time, so the buffer needs no lock.
+type copyConn struct {
+	net.Conn
+	w   io.Writer // Conn without its ReadFrom, so io.CopyBuffer uses buf
+	buf []byte
+}
+
+func newCopyConn(c net.Conn) *copyConn {
+	return &copyConn{Conn: c, w: struct{ io.Writer }{c}}
+}
+
+func (c *copyConn) ReadFrom(r io.Reader) (int64, error) {
+	if c.buf == nil {
+		c.buf = make([]byte, copyBufSize)
+	}
+	return io.CopyBuffer(c.w, r, c.buf)
 }

@@ -58,12 +58,13 @@ type WorkerOptions struct {
 const maxSpanBuffer = 1024
 
 // Worker is one fleet member: it registers with its coordinator, then each
-// slot loops claim → execute (RunJob on the worker's exp.Docs, heartbeating
+// slot loops claim → execute (RunJob on the slot's exp.Slot, heartbeating
 // the lease on wall-clock cadence) → upload blobs → report the result.
 // Determinism makes abandoning work safe at any point: the coordinator's
 // lease expiry requeues the run and its re-execution is byte-identical.
-// Across runs a worker keeps only its Docs: each shipped orchestration
-// document, compiled once and shared by every slot.
+// Across runs a worker keeps its Docs — each shipped orchestration
+// document, compiled once and shared by every slot — and each slot keeps
+// its exp.Slot's render buffers, but for those the coordinator kept.
 //
 // It is the service's only executor and reaches the coordinator through a
 // Coordinator: over HTTP when it joined a fleet (JoinFleet), by plain method
@@ -95,8 +96,8 @@ type Worker struct {
 	completed atomic.Int64
 
 	// docs compiles each shipped orchestration document once for the
-	// worker's whole life, shared by every slot; a job's own XML is
-	// compiled for that job and not kept.
+	// worker's whole life, shared by every slot's exp.Slot; a job's own
+	// XML is compiled for that job and not kept.
 	docs exp.Docs
 
 	// reg holds the worker's dyflow_worker_* families; its snapshots are
@@ -248,6 +249,7 @@ func (w *Worker) pushMetrics() {
 // the restarted process) and reset on the first success.
 func (w *Worker) slot(n int) {
 	defer w.wg.Done()
+	s := exp.NewSlot(&w.docs)
 	b := newBackoff(10*time.Millisecond, time.Second, mixSeed(w.o.BackoffSeed, int64(n)))
 	for w.claimCtx.Err() == nil {
 		// ok=false: the queue stayed empty for the whole window.
@@ -273,7 +275,7 @@ func (w *Worker) slot(n int) {
 		if w.killed.Load() {
 			return // abandon the lease: no result, expiry requeues it
 		}
-		w.execute(claim)
+		w.execute(s, claim)
 	}
 }
 
@@ -349,7 +351,7 @@ func (s *spanBuffer) take() []trace.SpanRecord {
 // partition instead of abandoning work the lease still protects. Only a
 // coordinator that explicitly reports the lease stale — or a silence
 // longer than the TTL — aborts the run.
-func (w *Worker) execute(claim ClaimResponse) {
+func (w *Worker) execute(s *exp.Slot, claim ClaimResponse) {
 	ttl := time.Duration(claim.LeaseTTLMs) * time.Millisecond
 	lastOK := time.Now() // last heartbeat the coordinator accepted (claim counts)
 	hbNext := lastOK.Add(w.hbEach)
@@ -360,7 +362,7 @@ func (w *Worker) execute(claim ClaimResponse) {
 
 	spans := &spanBuffer{cap: maxSpanBuffer, drops: w.metSpanDrops}
 
-	out, err := w.docs.RunJob(claim.Job, func(world *exp.World) error {
+	out, err := s.RunJob(claim.Job, func(world *exp.World) error {
 		if world.Orch != nil {
 			world.Trace.SetOnComplete(func(sp trace.Span) {
 				spans.add(sp.Record())
@@ -423,7 +425,7 @@ func (w *Worker) execute(claim ClaimResponse) {
 		w.report(ResultRequest{RunID: claim.RunID, LeaseID: claim.LeaseID,
 			Error: err.Error(), Spans: spans.take()}, horizon)
 	default:
-		refs, uerr := w.uploadArtifacts(out.Artifacts, horizon)
+		refs, uerr := w.uploadArtifacts(s, out.Artifacts, horizon)
 		if uerr != nil {
 			if w.ctx.Err() != nil {
 				return
@@ -446,8 +448,9 @@ func (w *Worker) execute(claim ClaimResponse) {
 // hits free) and returns the name → digest reference map. Each blob is
 // retried until the horizon; the digest probe doubles as upload resume — a
 // put whose acknowledgement was lost verifies on the next probe and is
-// never re-sent.
-func (w *Worker) uploadArtifacts(artifacts map[string][]byte, horizon time.Time) (map[string]string, error) {
+// never re-sent. An artifact the coordinator kept is dropped from the slot
+// that rendered it, so the slot's next job does not write over it.
+func (w *Worker) uploadArtifacts(s *exp.Slot, artifacts map[string][]byte, horizon time.Time) (map[string]string, error) {
 	refs := make(map[string]string, len(artifacts))
 	for name, data := range artifacts {
 		digest := Digest(data)
@@ -456,7 +459,10 @@ func (w *Worker) uploadArtifacts(artifacts map[string][]byte, horizon time.Time)
 			if w.c.HasBlob(w.ctx, digest) {
 				return nil
 			}
-			err := w.c.PutBlob(w.ctx, digest, data)
+			kept, err := w.c.PutBlob(w.ctx, digest, data)
+			if kept {
+				s.Drop(name)
+			}
 			if err == nil {
 				w.metArtifacts.Add(int64(len(data)))
 			}

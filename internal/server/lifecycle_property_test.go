@@ -308,7 +308,7 @@ func (d *lifeDriver) run() {
 					data = []byte("report of job " + r.key)
 				}
 				if digest := fleet.Digest(data); !d.c.HasBlob(ctx, digest) {
-					if err := d.c.PutBlob(ctx, digest, data); err != nil {
+					if _, err := d.c.PutBlob(ctx, digest, data); err != nil {
 						d.fail("put blob: %v", err)
 					}
 				}

@@ -55,6 +55,7 @@ type bodyRecorder struct {
 func (b *bodyRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.Body != nil {
 		data, err := io.ReadAll(req.Body)
+		req.Body.Close() // a RoundTripper closes the body it was handed
 		if err != nil {
 			return nil, err
 		}

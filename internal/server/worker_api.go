@@ -313,12 +313,14 @@ func (s *Server) checkLateResultLocked(workerID string, req *fleet.ResultRequest
 // HasBlob is the probe a worker makes before uploading an artifact.
 func (s *Server) HasBlob(_ context.Context, digest string) bool { return s.blobs.Has(digest) }
 
-// PutBlob stores one artifact under the digest its bytes must hash to.
-func (s *Server) PutBlob(_ context.Context, digest string, data []byte) error {
-	if err := s.blobs.PutAs(digest, data); err != nil {
-		return &APIError{Code: http.StatusBadRequest, Msg: err.Error()}
+// PutBlob stores one artifact under the digest its bytes must hash to;
+// kept is BlobStore.PutAs's.
+func (s *Server) PutBlob(_ context.Context, digest string, data []byte) (kept bool, err error) {
+	kept, err = s.blobs.PutAs(digest, data)
+	if err != nil {
+		return false, &APIError{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
-	return nil
+	return kept, nil
 }
 
 // handleBlobPut reads an upload into a buffer that ends exactly its
@@ -346,7 +348,7 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, &APIError{Code: http.StatusBadRequest, Msg: "blob body shorter than its Content-Length: " + err.Error()})
 		return
 	}
-	if err := s.PutBlob(r.Context(), digest, data); err != nil {
+	if _, err := s.PutBlob(r.Context(), digest, data); err != nil {
 		httpError(w, err)
 		return
 	}
