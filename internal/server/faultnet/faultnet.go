@@ -361,7 +361,7 @@ func sleepReq(req *http.Request, d time.Duration) error {
 
 // closeBody releases a request body that will never be forwarded, as a
 // RoundTripper must: its sender may wait for the close before it reuses
-// the bytes (fleet's PutBlob does).
+// the bytes (fleet's PutBlobs does).
 func closeBody(req *http.Request) {
 	if req.Body != nil {
 		req.Body.Close()

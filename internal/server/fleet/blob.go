@@ -114,7 +114,9 @@ func (b *BlobStore) Put(data []byte) (string, error) {
 // caller must not write data again. Otherwise — a dedup, a mismatch, a
 // slice with room to spare — the store holds no reference to data, and a
 // miss stores an exact copy. A stored blob therefore never carries spare
-// capacity and never aliases a buffer its caller goes on writing.
+// capacity and never aliases a buffer its caller goes on writing. A blob
+// that a previous process wrote to disk is a dedup too (Has), so
+// uploading it again does not bring it into memory.
 //
 // A failed *disk* write is not an upload failure: the blob stays
 // memory-resident and fully servable, so the store sheds to a degraded
@@ -124,11 +126,19 @@ func (b *BlobStore) Put(data []byte) (string, error) {
 // durable copy costs a deterministic re-execution after a crash, never
 // a wrong answer. The gauge clears on the next write the disk accepts.
 func (b *BlobStore) PutAs(digest string, data []byte) (kept bool, err error) {
-	if got := Digest(data); got != digest {
-		return false, fmt.Errorf("fleet: blob digest mismatch: body is %s, address is %s", got, digest)
+	// The check hexes the sum on the stack: a dedup allocates nothing.
+	sum := sha256.Sum256(data)
+	var got [2 * sha256.Size]byte
+	hex.Encode(got[:], sum[:])
+	if string(got[:]) != digest {
+		return false, fmt.Errorf("fleet: blob digest mismatch: body is %s, address is %s", string(got[:]), digest)
+	}
+	if b.Has(digest) {
+		b.dedup.Inc()
+		return false, nil
 	}
 	b.mu.Lock()
-	if _, ok := b.mem[digest]; ok {
+	if _, ok := b.mem[digest]; ok { // stored by another upload since Has
 		b.mu.Unlock()
 		b.dedup.Inc()
 		return false, nil
@@ -155,12 +165,10 @@ func (b *BlobStore) PutAs(digest string, data []byte) (kept bool, err error) {
 	return kept, nil
 }
 
-// writeDisk persists one blob atomically (tmp + rename).
+// writeDisk persists one blob atomically (tmp + rename). PutAs calls it
+// only for a blob that Has did not find on disk.
 func (b *BlobStore) writeDisk(digest string, data []byte) error {
 	p := b.path(digest)
-	if _, err := os.Stat(p); err == nil {
-		return nil // already durable (e.g. restored from a prior process)
-	}
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err
 	}

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"dyflow/internal/obs"
 )
 
 // TestPutAs_KeepsOnlyExactMisses: the store takes a caller's slice over
@@ -62,12 +64,43 @@ func TestPutAs_KeepsOnlyExactMisses(t *testing.T) {
 	}
 }
 
-// TestPutBlob_ReturnsAfterBodyClosed: a coordinator answers a blob upload
-// 503 before it reads the body, so net/http hands the reply back while it
-// may still be sending the body. PutBlob must not return before the
-// transport is done with the bytes: the caller overwrites them at once,
-// and under -race a read of them after PutBlob returned is a reported race.
-func TestPutBlob_ReturnsAfterBodyClosed(t *testing.T) {
+// TestPutAs_DiskBlobIsADedup: a blob that a previous process left on disk
+// is answered as stored, and an upload of it again brings no copy into
+// memory — what a HEAD probe found before a worker stopped sending one.
+func TestPutAs_DiskBlobIsADedup(t *testing.T) {
+	dir := t.TempDir()
+	first, err := NewBlobStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("an artifact from the last process")
+	data = data[:len(data):len(data)]
+	if _, err := first.Put(data); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	b, err := NewBlobStore(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept, err := b.PutAs(Digest(data), data); err != nil || kept {
+		t.Fatalf("re-upload of a blob on disk: kept %v, %v; want a dedup", kept, err)
+	}
+	if n, _ := reg.Value("dyflow_server_fleet_blobs"); n != 0 {
+		t.Fatalf("the re-upload made %v blobs resident, want none", n)
+	}
+	if n, _ := reg.Value("dyflow_server_fleet_blob_dedup_total"); n != 1 {
+		t.Fatalf("dedups = %v, want 1", n)
+	}
+}
+
+// TestPutBlobs_ReturnsAfterBodyClosed: a coordinator answers a batch
+// upload 503 before it reads the body, so net/http hands the reply back
+// while it may still be sending the body. PutBlobs must not return before
+// the transport is done with the bytes: the caller overwrites them at
+// once, and under -race a read of them after PutBlobs returned is a
+// reported race.
+func TestPutBlobs_ReturnsAfterBodyClosed(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not now", http.StatusServiceUnavailable)
 	}))
@@ -75,14 +108,19 @@ func TestPutBlob_ReturnsAfterBodyClosed(t *testing.T) {
 	c := Dial(WorkerOptions{Coordinator: strings.TrimPrefix(srv.URL, "http://")})
 	defer c.(*httpCoordinator).client.CloseIdleConnections()
 
-	data := bytes.Repeat([]byte("artifact"), 1<<17) // 1 MiB: far more than a socket buffer
+	// 1.5 MiB in two blobs: far more than a socket buffer.
+	a := bytes.Repeat([]byte("artifact"), 1<<17)
+	b := bytes.Repeat([]byte("gantt"), 1<<16)
 	for i := 0; i < 5; i++ {
-		kept, err := c.PutBlob(context.Background(), Digest(data), data)
-		if err == nil || kept {
-			t.Fatalf("upload %d: kept %v, err %v; want a refusal and nothing kept", i, kept, err)
+		blobs := []Blob{{Name: "a", Digest: Digest(a), Data: a}, {Name: "b", Digest: Digest(b), Data: b}}
+		err := c.PutBlobs(context.Background(), blobs)
+		if err == nil || blobs[0].Kept || blobs[1].Kept {
+			t.Fatalf("upload %d: err %v, kept %v %v; want a refusal and nothing kept", i, err, blobs[0].Kept, blobs[1].Kept)
 		}
-		for j := range data {
-			data[j] = byte(i)
+		for _, data := range [][]byte{a, b} {
+			for j := range data {
+				data[j] = byte(i)
+			}
 		}
 	}
 }
@@ -107,7 +145,7 @@ func TestDial_CopiesBodiesThroughConnBuffer(t *testing.T) {
 	data := bytes.Repeat([]byte("x"), 64<<10)
 	digest := Digest(data)
 	put := func() {
-		if _, err := c.PutBlob(context.Background(), digest, data); err != nil {
+		if err := c.PutBlobs(context.Background(), []Blob{{Digest: digest, Data: data}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,12 +33,12 @@ type Coordinator interface {
 	// be enqueued; ok=false means none was.
 	Claim(ctx context.Context, workerID string, wait time.Duration) (claim ClaimResponse, ok bool, err error)
 	Heartbeat(ctx context.Context, workerID string, req HeartbeatRequest) (HeartbeatResponse, error)
-	HasBlob(ctx context.Context, digest string) bool
-	// PutBlob stores data under digest. kept reports whether the
-	// coordinator took data itself over (BlobStore.PutAs), so the caller
-	// must not write it again; when kept is false, nothing holds data once
-	// PutBlob returns. Over HTTP kept is always false.
-	PutBlob(ctx context.Context, digest string, data []byte) (kept bool, err error)
+	// PutBlobs stores each blob's Data under its Digest, in one request
+	// over HTTP. It sets Kept on each blob whose Data the coordinator took
+	// itself over (BlobStore.PutAs), so the caller must not write it
+	// again, and never clears it; nothing holds the Data of any other
+	// blob once PutBlobs returns. Over HTTP nothing is kept.
+	PutBlobs(ctx context.Context, blobs []Blob) error
 	Result(ctx context.Context, workerID string, req ResultRequest) (ResultResponse, error)
 	PushMetrics(ctx context.Context, workerID string, snap obs.Snapshot) error
 }
@@ -128,21 +129,28 @@ func (c *httpCoordinator) PushMetrics(ctx context.Context, workerID string, snap
 	return err
 }
 
-func (c *httpCoordinator) HasBlob(ctx context.Context, digest string) bool {
-	code, _, err := c.do(ctx, http.MethodHead, "/v1/blobs/"+digest, "", nil, c.callTimeout, nil)
-	return err == nil && code == http.StatusOK
-}
-
-// PutBlob returns only once the transport has closed every body it was
-// handed over data: net/http may go on reading a request body after Do
-// returns (a reply that came before the upload was all sent), and the
-// caller writes data again once PutBlob returns. do's deadline is over by
+// PutBlobs sends the batch as one PUT /v1/blobs/ whose body is the
+// blobs' frames (wire.go), written from a header per blob and the blob's
+// own bytes. It returns only once the transport has closed every body it
+// was handed: net/http may go on reading a request body after Do returns
+// (a reply that came before the upload was all sent), and the caller
+// writes the blobs again once PutBlobs returns. do's deadline is over by
 // then, so a body still being sent is cut short, not waited out.
-func (c *httpCoordinator) PutBlob(ctx context.Context, digest string, data []byte) (bool, error) {
-	var bodies closeWait
-	_, _, err := c.do(ctx, http.MethodPut, "/v1/blobs/"+digest, "application/octet-stream", data, c.callTimeout, &bodies)
+func (c *httpCoordinator) PutBlobs(ctx context.Context, blobs []Blob) error {
+	if len(blobs) == 0 {
+		return nil
+	}
+	heads := make([]byte, 0, len(blobs)*FrameHeaderLen)
+	bodies := closeWait{segs: make(net.Buffers, 0, 2*len(blobs))}
+	for i := range blobs {
+		start := len(heads)
+		heads = AppendFrameHeader(heads, blobs[i].Digest, len(blobs[i].Data))
+		bodies.segs = append(bodies.segs, heads[start:], blobs[i].Data)
+		bodies.size += int64(FrameHeaderLen + len(blobs[i].Data))
+	}
+	_, _, err := c.do(ctx, http.MethodPut, "/v1/blobs/", "application/octet-stream", nil, c.callTimeout, &bodies)
 	bodies.wait()
-	return false, err
+	return err
 }
 
 // post sends one JSON request and decodes the JSON reply into out.
@@ -161,8 +169,9 @@ func (c *httpCoordinator) post(ctx context.Context, path string, body, out any, 
 // do is one exchange under a per-call deadline. A reply shorter than its
 // Content-Length — a torn connection, faultnet truncation — surfaces as an
 // unexpected-EOF read error, transient like any transport error and any
-// 5xx; a 3xx/4xx is the coordinator's answer. When bodies is not nil,
-// every request body handed to the transport is counted in it.
+// 5xx; a 3xx/4xx is the coordinator's answer. When bodies is not nil, the
+// request body is its segments instead of body, and every body handed to
+// the transport is counted in it.
 func (c *httpCoordinator) do(ctx context.Context, method, path, contentType string, body []byte, timeout time.Duration, bodies *closeWait) (int, []byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -173,8 +182,9 @@ func (c *httpCoordinator) do(ctx context.Context, method, path, contentType stri
 	if bodies != nil {
 		// GetBody stays, so the transport can resend on a fresh
 		// connection; each body it takes is one more to wait for.
-		req.Body = bodies.add(body)
-		req.GetBody = func() (io.ReadCloser, error) { return bodies.add(body), nil }
+		req.ContentLength = bodies.size
+		req.Body = bodies.add()
+		req.GetBody = func() (io.ReadCloser, error) { return bodies.add(), nil }
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -198,18 +208,21 @@ func (c *httpCoordinator) do(ctx context.Context, method, path, contentType stri
 }
 
 // closeWait counts the request bodies a transport was handed over one
-// slice, so their owner can wait until the transport has closed them all.
-// Bodies are added only on the goroutine that calls Do (the request's own
-// and its GetBody's, which the transport calls before Do returns), so the
-// list needs no lock.
+// set of segments, so their owner can wait until the transport has closed
+// them all. Bodies are added only on the goroutine that calls Do (the
+// request's own and its GetBody's, which the transport calls before Do
+// returns), so the list needs no lock.
 type closeWait struct {
+	segs   net.Buffers // the body, sent from these slices as they are
+	size   int64       // their total length
 	bodies []*sentBody
 }
 
-// add returns a fresh body over data and counts it.
-func (cw *closeWait) add(data []byte) io.ReadCloser {
-	b := &sentBody{closed: make(chan struct{})}
-	b.r.Reset(data)
+// add returns a fresh body over the segments and counts it.
+func (cw *closeWait) add() io.ReadCloser {
+	// Reading a net.Buffers consumes its slice headers, so each body
+	// reads its own copy of them.
+	b := &sentBody{r: slices.Clone(cw.segs), closed: make(chan struct{})}
 	cw.bodies = append(cw.bodies, b)
 	return b
 }
@@ -223,7 +236,7 @@ func (cw *closeWait) wait() {
 
 // sentBody is a request body that marks when the transport closed it.
 type sentBody struct {
-	r      bytes.Reader
+	r      net.Buffers
 	once   sync.Once
 	closed chan struct{}
 }

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"encoding/binary"
+
 	"dyflow/internal/exp"
 	"dyflow/internal/obs"
 	"dyflow/internal/trace"
@@ -13,9 +15,18 @@ import (
 //	POST /v1/workers/{id}/claim          ClaimRequest → ClaimResponse | 204
 //	POST /v1/workers/{id}/heartbeat      HeartbeatRequest → HeartbeatResponse
 //	POST /v1/workers/{id}/result         ResultRequest → ResultResponse
-//	HEAD /v1/blobs/{digest}              200 | 404
-//	PUT  /v1/blobs/{digest}              raw bytes, digest-verified
+//	PUT  /v1/blobs/                      a run's blobs as frames → 201
+//	HEAD /v1/blobs/{digest}              200 | 404 (older workers)
+//	PUT  /v1/blobs/{digest}              raw bytes → 201 (older workers)
 //	GET  /v1/fleet                       coordinator's fleet view
+//
+// A worker sends all of a run's artifacts in one PUT /v1/blobs/, whose
+// body is one frame per blob: the blob's digest as 64 hex characters, its
+// length as 8 bytes big-endian, then its bytes. The coordinator verifies
+// each frame's bytes against its digest as it stores them; a repeat of a
+// stored blob is a dedup, so a batch whose reply was lost is sent again
+// whole. HEAD and the per-digest PUT are what workers before the batch
+// sent, one pair per artifact, and are still answered.
 
 // RegisterRequest announces a worker to the coordinator.
 type RegisterRequest struct {
@@ -65,7 +76,7 @@ type HeartbeatResponse struct {
 }
 
 // ResultRequest uploads a run's outcome. Artifacts maps artifact names to
-// blob digests the worker has already uploaded via PUT /v1/blobs/{digest}.
+// blob digests the worker has already uploaded via PUT /v1/blobs/.
 //
 // LeaseID doubles as the attempt-stable idempotency key: the coordinator
 // remembers which lease finished each run, so a retried POST after a
@@ -107,4 +118,30 @@ type View struct {
 type MetricsView struct {
 	Workers map[string]obs.Snapshot `json:"workers"`
 	Merged  obs.Snapshot            `json:"merged"`
+}
+
+// Blob is one artifact of a batch upload (Coordinator.PutBlobs).
+type Blob struct {
+	Name   string // the artifact's name; not sent
+	Digest string
+	Data   []byte
+	// Kept is set when the coordinator took Data itself over.
+	Kept bool
+}
+
+// FrameHeaderLen is the length of a blob frame's header: the digest's
+// 64 hex characters and the 8-byte length.
+const FrameHeaderLen = 64 + 8
+
+// AppendFrameHeader appends the header of a frame that carries n bytes
+// under digest.
+func AppendFrameHeader(b []byte, digest string, n int) []byte {
+	return binary.BigEndian.AppendUint64(append(b, digest...), uint64(n))
+}
+
+// ParseFrameHeader splits a frame header into its digest and length; ok
+// is false when the digest is not a content address (ValidDigest).
+func ParseFrameHeader(h []byte) (digest string, n uint64, ok bool) {
+	digest = string(h[:64])
+	return digest, binary.BigEndian.Uint64(h[64:FrameHeaderLen]), ValidDigest(digest)
 }

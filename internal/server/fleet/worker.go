@@ -59,12 +59,14 @@ const maxSpanBuffer = 1024
 
 // Worker is one fleet member: it registers with its coordinator, then each
 // slot loops claim → execute (RunJob on the slot's exp.Slot, heartbeating
-// the lease on wall-clock cadence) → upload blobs → report the result.
+// the lease on wall-clock cadence) → upload the run's blobs in one batch →
+// report the result.
 // Determinism makes abandoning work safe at any point: the coordinator's
 // lease expiry requeues the run and its re-execution is byte-identical.
 // Across runs a worker keeps its Docs — each shipped orchestration
 // document, compiled once and shared by every slot — and each slot keeps
-// its exp.Slot's render buffers, but for those the coordinator kept.
+// its exp.Slot's render buffers, but for those the coordinator kept, and
+// the []Blob its batches go up in.
 //
 // It is the service's only executor and reaches the coordinator through a
 // Coordinator: over HTTP when it joined a fleet (JoinFleet), by plain method
@@ -249,7 +251,7 @@ func (w *Worker) pushMetrics() {
 // the restarted process) and reset on the first success.
 func (w *Worker) slot(n int) {
 	defer w.wg.Done()
-	s := exp.NewSlot(&w.docs)
+	s := &runSlot{Slot: exp.NewSlot(&w.docs)}
 	b := newBackoff(10*time.Millisecond, time.Second, mixSeed(w.o.BackoffSeed, int64(n)))
 	for w.claimCtx.Err() == nil {
 		// ok=false: the queue stayed empty for the whole window.
@@ -277,6 +279,13 @@ func (w *Worker) slot(n int) {
 		}
 		w.execute(s, claim)
 	}
+}
+
+// runSlot is what one slot keeps across its runs: the exp.Slot its jobs
+// render into and the batch its artifacts go up in.
+type runSlot struct {
+	*exp.Slot
+	blobs []Blob
 }
 
 // mixSeed derives a per-slot jitter seed (0 stays 0 = clock-seeded).
@@ -351,7 +360,7 @@ func (s *spanBuffer) take() []trace.SpanRecord {
 // partition instead of abandoning work the lease still protects. Only a
 // coordinator that explicitly reports the lease stale — or a silence
 // longer than the TTL — aborts the run.
-func (w *Worker) execute(s *exp.Slot, claim ClaimResponse) {
+func (w *Worker) execute(s *runSlot, claim ClaimResponse) {
 	ttl := time.Duration(claim.LeaseTTLMs) * time.Millisecond
 	lastOK := time.Now() // last heartbeat the coordinator accepted (claim counts)
 	hbNext := lastOK.Add(w.hbEach)
@@ -443,35 +452,34 @@ func (w *Worker) execute(s *exp.Slot, claim ClaimResponse) {
 	}
 }
 
-// uploadArtifacts pushes each artifact blob the coordinator does not
-// already hold (content addressing makes re-executions and shared cache
-// hits free) and returns the name → digest reference map. Each blob is
-// retried until the horizon; the digest probe doubles as upload resume — a
-// put whose acknowledgement was lost verifies on the next probe and is
-// never re-sent. An artifact the coordinator kept is dropped from the slot
-// that rendered it, so the slot's next job does not write over it.
-func (w *Worker) uploadArtifacts(s *exp.Slot, artifacts map[string][]byte, horizon time.Time) (map[string]string, error) {
+// uploadArtifacts sends all of a run's artifact blobs in one batch and
+// returns the name → digest reference map. The batch is retried whole
+// until the horizon: content addressing makes the blobs a lost reply had
+// already stored, and the coordinator's copies from re-executions and
+// shared cache hits, dedups. An artifact the coordinator kept is dropped
+// from the slot that rendered it, so the slot's next job does not write
+// over it.
+func (w *Worker) uploadArtifacts(s *runSlot, artifacts map[string][]byte, horizon time.Time) (map[string]string, error) {
 	refs := make(map[string]string, len(artifacts))
+	size := 0
 	for name, data := range artifacts {
 		digest := Digest(data)
 		refs[name] = digest
-		err := w.retry("blob", horizon, func() error {
-			if w.c.HasBlob(w.ctx, digest) {
-				return nil
-			}
-			kept, err := w.c.PutBlob(w.ctx, digest, data)
-			if kept {
-				s.Drop(name)
-			}
-			if err == nil {
-				w.metArtifacts.Add(int64(len(data)))
-			}
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+		s.blobs = append(s.blobs, Blob{Name: name, Digest: digest, Data: data})
+		size += len(data)
+	}
+	err := w.retry("blob", horizon, func() error { return w.c.PutBlobs(w.ctx, s.blobs) })
+	for _, b := range s.blobs {
+		if b.Kept {
+			s.Drop(b.Name)
 		}
 	}
+	clear(s.blobs) // hold no artifact past its upload
+	s.blobs = s.blobs[:0]
+	if err != nil {
+		return nil, err
+	}
+	w.metArtifacts.Add(int64(size))
 	return refs, nil
 }
 

@@ -268,7 +268,7 @@ func TestCacheReadsItsSource(t *testing.T) {
 		t.Fatalf("claim: %+v %v %v", claim, ok, err)
 	}
 	report := []byte("report of quick(1)")
-	if _, err := s.PutBlob(ctx, fleet.Digest(report), report); err != nil {
+	if err := s.PutBlobs(ctx, []fleet.Blob{{Digest: fleet.Digest(report), Data: report}}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Result(ctx, worker, fleet.ResultRequest{RunID: claim.RunID, LeaseID: claim.LeaseID, Converged: true,

@@ -307,10 +307,8 @@ func (d *lifeDriver) run() {
 				if r != nil {
 					data = []byte("report of job " + r.key)
 				}
-				if digest := fleet.Digest(data); !d.c.HasBlob(ctx, digest) {
-					if _, err := d.c.PutBlob(ctx, digest, data); err != nil {
-						d.fail("put blob: %v", err)
-					}
+				if err := d.c.PutBlobs(ctx, []fleet.Blob{{Digest: fleet.Digest(data), Data: data}}); err != nil {
+					d.fail("put blobs: %v", err)
 				}
 				req.Converged, req.SimEndNs = true, int64(time.Second)
 				req.Artifacts = map[string]string{exp.ArtifactReport: fleet.Digest(data)}

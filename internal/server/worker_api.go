@@ -27,7 +27,8 @@ import (
 //	POST /v1/workers/{id}/heartbeat     renew a lease, learn of cancellation
 //	POST /v1/workers/{id}/result        upload an outcome (lease-gated)
 //	POST /v1/workers/{id}/metrics       push a registry snapshot
-//	PUT  /v1/blobs/{digest}             upload one artifact blob
+//	PUT  /v1/blobs/                     upload a run's artifact blobs
+//	PUT  /v1/blobs/{digest}             upload one blob (older workers)
 //	GET  /v1/blobs/{digest}             fetch a blob (HEAD probes existence)
 //	GET  /v1/fleet                      workers + leases view
 
@@ -37,7 +38,7 @@ var _ fleet.Coordinator = (*Server)(nil)
 // coordinator's process (cfg.Workers slots).
 const localWorkerID = "local"
 
-// maxBlobBytes bounds one artifact upload.
+// maxBlobBytes bounds one blob upload, a batch's whole body included.
 const maxBlobBytes = 128 << 20
 
 // blobReadStep is the most an upload's buffer holds before its bytes
@@ -58,6 +59,7 @@ func (s *Server) fleetRoutes(route func(pattern, name string, h http.HandlerFunc
 	route("POST /v1/workers/{id}/heartbeat", "worker_heartbeat", s.handleHeartbeat)
 	route("POST /v1/workers/{id}/result", "worker_result", s.handleResult)
 	route("POST /v1/workers/{id}/metrics", "worker_metrics", s.handleWorkerMetrics)
+	route("PUT /v1/blobs/{$}", "blob_batch", s.handleBlobsPut)
 	route("PUT /v1/blobs/{digest}", "blob_put", s.handleBlobPut)
 	route("GET /v1/blobs/{digest}", "blob_get", s.handleBlobGet)
 	route("GET /v1/fleet", "fleet", s.handleFleetView)
@@ -310,49 +312,117 @@ func (s *Server) checkLateResultLocked(workerID string, req *fleet.ResultRequest
 	s.logf("server: result for %s from worker %s differs from the applied one: artifacts %v, applied %v", req.RunID, workerID, req.Artifacts, applied.Artifacts)
 }
 
-// HasBlob is the probe a worker makes before uploading an artifact.
-func (s *Server) HasBlob(_ context.Context, digest string) bool { return s.blobs.Has(digest) }
-
-// PutBlob stores one artifact under the digest its bytes must hash to;
-// kept is BlobStore.PutAs's.
-func (s *Server) PutBlob(_ context.Context, digest string, data []byte) (kept bool, err error) {
-	kept, err = s.blobs.PutAs(digest, data)
-	if err != nil {
-		return false, &APIError{Code: http.StatusBadRequest, Msg: err.Error()}
+// PutBlobs is the upload of the worker that shares this process. It skips
+// each blob the store already holds, unread: that worker hashed the bytes
+// itself, so only a miss is worth hashing again. It stores each other
+// blob under the digest its bytes must hash to and sets Kept when the
+// store took its Data over (BlobStore.PutAs). The first refusal ends the
+// batch; the blobs before it stay stored.
+func (s *Server) PutBlobs(_ context.Context, blobs []fleet.Blob) error {
+	for i := range blobs {
+		b := &blobs[i]
+		if s.blobs.Has(b.Digest) {
+			continue
+		}
+		kept, err := s.blobs.PutAs(b.Digest, b.Data)
+		if err != nil {
+			return &APIError{Code: http.StatusBadRequest, Msg: err.Error()}
+		}
+		b.Kept = b.Kept || kept
 	}
-	return kept, nil
+	return nil
 }
 
-// handleBlobPut reads an upload into a buffer that ends exactly its
-// declared length, which the store then keeps as is (readDeclared). Every
-// refusal but a wrong digest is decided before a body byte is read: a
-// digest that is not a content address (404, as on GET), no
-// Content-Length (411), a length over maxBlobBytes (413). A body shorter
-// than it declared is a 400.
+// handleBlobsPut stores a batch: a body of frames (fleet/wire.go), each
+// read into a buffer that ends exactly its length (putFrame). A body with
+// no Content-Length (411) or one over maxBlobBytes (413) is refused before
+// a byte is read. A frame whose digest is no content address, one longer
+// than what is left of the body, a body that ends short and bytes that do
+// not hash to their digest are each a 400; the frames before it stay
+// stored.
+func (s *Server) handleBlobsPut(w http.ResponseWriter, r *http.Request) {
+	if !declaredLength(w, r) {
+		return
+	}
+	head := make([]byte, fleet.FrameHeaderLen)
+	for left := r.ContentLength; left > 0; {
+		if left < fleet.FrameHeaderLen {
+			httpError(w, &APIError{Code: http.StatusBadRequest, Msg: fmt.Sprintf("a blob frame's header is %d bytes, %d are left", fleet.FrameHeaderLen, left)})
+			return
+		}
+		if _, err := io.ReadFull(r.Body, head); err != nil {
+			httpError(w, &APIError{Code: http.StatusBadRequest, Msg: "blob body shorter than its Content-Length: " + err.Error()})
+			return
+		}
+		left -= fleet.FrameHeaderLen
+		digest, n, ok := fleet.ParseFrameHeader(head)
+		switch {
+		case !ok:
+			httpError(w, &APIError{Code: http.StatusBadRequest, Msg: fmt.Sprintf("blob frame digest %q is not a content address", digest)})
+			return
+		case n > uint64(left):
+			httpError(w, &APIError{Code: http.StatusBadRequest, Msg: fmt.Sprintf("blob frame of %d bytes, %d are left", n, left)})
+			return
+		}
+		if err := s.putFrame(digest, r.Body, int64(n)); err != nil {
+			httpError(w, err)
+			return
+		}
+		left -= int64(n)
+	}
+	w.WriteHeader(http.StatusCreated)
+}
+
+// handleBlobPut stores one blob under the digest its path names, the
+// upload of a worker that predates the batch: one frame, its header in
+// the path and the Content-Length. Every refusal but a wrong digest or a
+// short body is decided before a body byte is read: a digest that is not
+// a content address (404, as on GET), no Content-Length (411), a length
+// over maxBlobBytes (413).
 func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	switch {
-	case !fleet.ValidDigest(digest):
+	if !fleet.ValidDigest(digest) {
 		httpError(w, &APIError{Code: http.StatusNotFound, Msg: "no such blob"})
 		return
-	case r.ContentLength < 0:
-		httpError(w, &APIError{Code: http.StatusLengthRequired, Msg: "a blob upload needs a Content-Length"})
-		return
-	case r.ContentLength > maxBlobBytes:
-		httpError(w, &APIError{Code: http.StatusRequestEntityTooLarge,
-			Msg: fmt.Sprintf("a blob is at most %d bytes, this one declares %d", maxBlobBytes, r.ContentLength)})
+	}
+	if !declaredLength(w, r) {
 		return
 	}
-	data, err := readDeclared(r.Body, r.ContentLength)
-	if err != nil {
-		httpError(w, &APIError{Code: http.StatusBadRequest, Msg: "blob body shorter than its Content-Length: " + err.Error()})
-		return
-	}
-	if _, err := s.PutBlob(r.Context(), digest, data); err != nil {
+	if err := s.putFrame(digest, r.Body, r.ContentLength); err != nil {
 		httpError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusCreated)
+}
+
+// declaredLength answers 411 for an upload with no Content-Length and 413
+// for one over maxBlobBytes, and reports whether it answered neither.
+func declaredLength(w http.ResponseWriter, r *http.Request) bool {
+	switch {
+	case r.ContentLength < 0:
+		httpError(w, &APIError{Code: http.StatusLengthRequired, Msg: "a blob upload needs a Content-Length"})
+		return false
+	case r.ContentLength > maxBlobBytes:
+		httpError(w, &APIError{Code: http.StatusRequestEntityTooLarge,
+			Msg: fmt.Sprintf("a blob is at most %d bytes, this one declares %d", maxBlobBytes, r.ContentLength)})
+		return false
+	}
+	return true
+}
+
+// putFrame reads a frame's n bytes from body into a buffer that ends
+// exactly there, which the store then keeps as is (readDeclared), and
+// stores them under digest. A body that ends short or bytes that do not
+// hash to digest are a 400.
+func (s *Server) putFrame(digest string, body io.Reader, n int64) error {
+	data, err := readDeclared(body, n)
+	if err != nil {
+		return &APIError{Code: http.StatusBadRequest, Msg: "blob body shorter than its Content-Length: " + err.Error()}
+	}
+	if _, err := s.blobs.PutAs(digest, data); err != nil {
+		return &APIError{Code: http.StatusBadRequest, Msg: err.Error()}
+	}
+	return nil
 }
 
 // readDeclared reads n bytes from body into a slice whose capacity is n.
