@@ -105,8 +105,8 @@ func New(env *task.Env, sv *wms.Savanna, cfg *spec.Config, opts Options, tr *tra
 	return o
 }
 
-// Start launches all stage services (the bootstrap step) and the stage
-// supervisor's watchdog.
+// Start launches all stage services (the bootstrap step) and arms the
+// stage supervisor's restarts.
 func (o *Orchestrator) Start() {
 	o.stopped = false
 	o.Server.Start()
@@ -123,7 +123,8 @@ func (o *Orchestrator) Stop() {
 		return
 	}
 	o.stopped = true
-	// Supervisor first, so stage teardown is not mistaken for a crash.
+	// Supervisor first, so a stage that panics during teardown is not
+	// restarted.
 	o.Supervisor.Stop()
 	o.Client.Stop()
 	o.Server.Stop()

@@ -190,7 +190,9 @@ func (e errorList) err() error {
 }
 
 // Compile validates the document and resolves it into a Config. All
-// problems are reported together.
+// problems are reported together. A <use-sensor>'s <parameter> children are
+// accepted and ignored: nothing reads them, and the document compiles to
+// the Config it would without them.
 func Compile(doc *Document) (*Config, error) {
 	var errs errorList
 	cfg := &Config{

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -519,5 +520,27 @@ func TestActOnTasksListParsing(t *testing.T) {
 	got := cfg.Bindings[0].ActOnTasks
 	if len(got) != 3 || got[0] != "Alpha" || got[1] != "Beta" || got[2] != "Gamma" {
 		t.Fatalf("act-on = %v", got)
+	}
+}
+
+// A <use-sensor>'s <parameter> children compile to nothing: the paper's
+// example compiles to the Config it compiles to without them.
+func TestUseSensorParametersCompileToNothing(t *testing.T) {
+	bare := strings.Replace(paceXML, `<use-sensor sensor-id="PACE" info="looptime">
+          <parameter key="info-type" value="double"/>
+        </use-sensor>`, `<use-sensor sensor-id="PACE" info="looptime"/>`, 1)
+	if bare == paceXML {
+		t.Fatal("the example holds no <parameter> child to drop")
+	}
+	with, err := CompileString(paceXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := CompileString(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(with, without) {
+		t.Fatalf("<parameter> children changed the Config:\nwith    %+v\nwithout %+v", with, without)
 	}
 }

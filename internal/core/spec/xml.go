@@ -67,14 +67,13 @@ type MonitorTaskX struct {
 }
 
 // UseSensorX configures one sensor for the monitored task: the variable to
-// read and free-form parameters.
+// read. Its <parameter> children map to no field, so they are skipped.
 type UseSensorX struct {
-	SensorID string   `xml:"sensor-id,attr"`
-	Info     string   `xml:"info,attr"`
-	Params   []ParamX `xml:"parameter"`
+	SensorID string `xml:"sensor-id,attr"`
+	Info     string `xml:"info,attr"`
 }
 
-// ParamX is a key/value parameter.
+// ParamX is an <action-params> key/value parameter.
 type ParamX struct {
 	Key   string `xml:"key,attr"`
 	Value string `xml:"value,attr"`

@@ -146,9 +146,6 @@ func (e *Endpoint) RecvBatch(p *sim.Proc, buf []Envelope) ([]Envelope, error) {
 // TryRecv returns a pending message without blocking.
 func (e *Endpoint) TryRecv() (Envelope, bool) { return e.in.TryGet() }
 
-// Pending returns the number of queued messages.
-func (e *Endpoint) Pending() int { return e.in.Len() }
-
 // Send delivers payload to the named endpoint within the current instant,
 // after every message sent before it. The payload travels typed and unserialized: no one may mutate it
 // while an envelope carries it (a sender may send the same value again, and

@@ -262,7 +262,8 @@ func (sv *Savanna) AnyRunning(workflowID string) bool {
 // count and placement derive from rs (one process per core). It must be
 // called from a simulated process; the script cost is paid inline.
 func (sv *Savanna) StartTask(p *sim.Proc, workflowID, taskName string, rs resmgr.ResourceSet, script string) error {
-	rt, ok := sv.tasks[key(workflowID, taskName)]
+	k := key(workflowID, taskName)
+	rt, ok := sv.tasks[k]
 	if !ok {
 		return fmt.Errorf("wms: unknown task %s/%s", workflowID, taskName)
 	}
@@ -277,7 +278,6 @@ func (sv *Savanna) StartTask(p *sim.Proc, workflowID, taskName string, rs resmgr
 	// script must surface as a placement loss on this launch — not let the
 	// launch proceed onto a carve that no longer exists, or fail with a
 	// confusing ErrInsufficient after resources were available at plan time.
-	k := key(workflowID, taskName)
 	if err := sv.rm.Assign(k, rs); err != nil {
 		return err
 	}
@@ -321,12 +321,12 @@ func (sv *Savanna) StartTask(p *sim.Proc, workflowID, taskName string, rs resmgr
 
 	// Watcher: when the incarnation ends for any reason, return its
 	// resources exactly once and report the end.
-	sv.env.Sim.Spawn(fmt.Sprintf("savanna-watch/%s/%s#%d", workflowID, taskName, inc), func(wp *sim.Proc) {
+	sv.env.Sim.Spawn("savanna-watch", func(wp *sim.Proc) {
 		if err := wp.Join(inst.Proc()); errors.Is(err, sim.ErrStopped) {
 			return // the simulation ended first (sim.Stop): nothing ended, nothing to report
 		}
 		if rt.inst == inst && !rt.released {
-			sv.rm.Release(key(workflowID, taskName))
+			sv.rm.Release(k)
 			rt.released = true
 		}
 		sv.mStops.With(k).Inc()
