@@ -236,9 +236,25 @@ func (f *family) unsupported(v float64) error {
 	return fmt.Errorf("obs: metric %s: unsupported value %s", f.name, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
-// float writes v as encoding/json does: 'f' format, or 'e' below 1e-6 and
-// from 1e21 with a one-digit negative exponent unpadded. It refuses NaN
-// and the infinities.
+// AppendFloat appends v as encoding/json encodes a float64: 'f' format,
+// or 'e' below 1e-6 and from 1e21 with a one-digit negative exponent
+// unpadded. ok is false, and nothing is appended, for NaN and the
+// infinities, which encoding/json refuses.
+func AppendFloat(dst []byte, v float64) (b []byte, ok bool) {
+	d := jsonDoc{buf: dst}
+	ok = d.float(v)
+	return d.buf, ok
+}
+
+// AppendString appends s quoted and escaped as encoding/json encodes a
+// string with HTML escaping on.
+func AppendString(dst []byte, s string) []byte {
+	d := jsonDoc{buf: dst}
+	d.string(s)
+	return d.buf
+}
+
+// float writes v as AppendFloat does.
 func (d *jsonDoc) float(v float64) bool {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return false

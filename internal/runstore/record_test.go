@@ -34,9 +34,8 @@ func FuzzPageToken(f *testing.F) {
 	f.Fuzz(func(t *testing.T, tok string) {
 		ns, id, derr := decodePageToken(tok)
 		if derr == nil {
-			ns2, id2, err := decodePageToken(encodePageToken(ns, id))
-			if err != nil || ns2 != ns || id2 != id {
-				t.Fatalf("token %q decodes to (%d, %q), which re-encodes to (%d, %q, %v)", tok, ns, id, ns2, id2, err)
+			if again := encodePageToken(ns, id); again != tok {
+				t.Fatalf("token %q decodes to (%d, %q), which encodes to %q", tok, ns, id, again)
 			}
 		}
 		page, qerr := s.Query(Query{PageToken: tok, Limit: 7})

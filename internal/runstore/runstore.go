@@ -32,6 +32,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -850,31 +851,41 @@ type Page struct {
 }
 
 // encodePageToken/decodePageToken round-trip the cursor: the last
-// delivered run's (SubmittedAtNs, ID), resumed strictly-after.
+// delivered run's (SubmittedAtNs, ID), resumed strictly-after. A token
+// decodes only if it is what encodePageToken gives for what it decodes to,
+// so a corrupted one ("+12|…", "0x1f|…", stray base64 bits) is refused
+// rather than read as some nearby cursor.
 func encodePageToken(ns int64, id string) string {
 	return base64.RawURLEncoding.EncodeToString([]byte(fmt.Sprintf("%d|%s", ns, id)))
 }
 
+var errBadPageToken = errors.New("runstore: bad page token")
+
 func decodePageToken(tok string) (ns int64, id string, err error) {
-	raw, err := base64.RawURLEncoding.DecodeString(tok)
+	raw, err := base64.RawURLEncoding.Strict().DecodeString(tok)
 	if err != nil {
-		return 0, "", fmt.Errorf("runstore: bad page token")
+		return 0, "", errBadPageToken
 	}
-	parts := strings.SplitN(string(raw), "|", 2)
-	if len(parts) != 2 {
-		return 0, "", fmt.Errorf("runstore: bad page token")
+	num, id, ok := strings.Cut(string(raw), "|")
+	if !ok {
+		return 0, "", errBadPageToken
 	}
-	if _, err := fmt.Sscanf(parts[0], "%d", &ns); err != nil {
-		return 0, "", fmt.Errorf("runstore: bad page token")
+	if ns, err = strconv.ParseInt(num, 10, 64); err != nil || encodePageToken(ns, id) != tok {
+		return 0, "", errBadPageToken
 	}
-	return ns, parts[1], nil
+	return ns, id, nil
 }
 
 // Query runs one indexed, filtered, cursor-paginated query. Results are
 // in (SubmittedAt, ID) order; a page token from any page resumes exactly
 // after its last item, so walking pages yields every match exactly once
 // even as new runs are appended behind the cursor.
-func (s *Store) Query(q Query) (Page, error) {
+func (s *Store) Query(q Query) (Page, error) { return s.AppendQuery(nil, q) }
+
+// AppendQuery is Query with the page's records appended to dst: its Items
+// are dst and the page, so a caller that keeps Items for its next query
+// pays for no page once it has grown to the pages it asks for.
+func (s *Store) AppendQuery(dst []Meta, q Query) (Page, error) {
 	start := time.Now()
 	defer func() { s.met.querySeconds.Observe(time.Since(start).Seconds()) }()
 
@@ -884,7 +895,7 @@ func (s *Store) Query(q Query) (Page, error) {
 	if q.PageToken != "" {
 		var err error
 		if curNs, curID, err = decodePageToken(q.PageToken); err != nil {
-			return Page{}, err
+			return Page{Items: dst}, err
 		}
 		hasCursor = true
 	}
@@ -933,12 +944,11 @@ func (s *Store) Query(q Query) (Page, error) {
 		return true
 	}
 
-	// Select first, render second: the page's items are allocated once, at
-	// their final count, however sparse the filter's matches are.
-	var matched []*runState
+	// With a limit, dst grows at most once, to the most the page can hold.
 	if q.Limit > 0 {
-		matched = make([]*runState, 0, min(q.Limit, len(src)-i))
+		dst = slices.Grow(dst, min(q.Limit, len(src)-i))
 	}
+	base := len(dst)
 	more := false
 	for ; i < len(src); i++ {
 		rs := src[i]
@@ -948,21 +958,15 @@ func (s *Store) Query(q Query) (Page, error) {
 		if !match(rs) {
 			continue
 		}
-		if q.Limit > 0 && len(matched) == q.Limit {
+		if q.Limit > 0 && len(dst)-base == q.Limit {
 			more = true // one more match past the full page: hand out a cursor
 			break
 		}
-		matched = append(matched, rs)
+		dst = append(dst, rs.meta)
 	}
-	var page Page
-	if len(matched) > 0 {
-		page.Items = make([]Meta, len(matched))
-		for i, rs := range matched {
-			page.Items[i] = rs.meta
-		}
-	}
+	page := Page{Items: dst}
 	if more {
-		last := &matched[len(matched)-1].meta
+		last := &dst[len(dst)-1]
 		page.NextPageToken = encodePageToken(last.SubmittedAtNs, last.ID)
 	}
 	return page, nil

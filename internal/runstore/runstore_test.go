@@ -353,9 +353,19 @@ func TestQueryFiltersAndPagination(t *testing.T) {
 		t.Fatalf("time-range query: %d items, want 10", len(p.Items))
 	}
 
-	// Bad page token is an error, not a silent full scan.
-	if _, err := s.Query(Query{PageToken: "not base64!"}); err == nil {
-		t.Fatal("bad page token accepted")
+	// Bad page token is an error, not a silent full scan. Nor is a
+	// corrupted one read as a nearby cursor: base64 of "123abc|run",
+	// "+12|run-000001", " 12|run-000001", "0x1f|run-000001" and
+	// "012|run-000001"; "12|r" with stray bits in its last character, and
+	// split by a newline.
+	for _, tok := range []string{"not base64!", "MTIzYWJjfHJ1bg", "KzEyfHJ1bi0wMDAwMDE", "IDEyfHJ1bi0wMDAwMDE",
+		"MHgxZnxydW4tMDAwMDAx", "MDEyfHJ1bi0wMDAwMDE", "MTJ8ch", "MTJ8\ncg"} {
+		if _, err := s.Query(Query{PageToken: tok}); err == nil {
+			t.Fatalf("bad page token %q accepted", tok)
+		}
+	}
+	if _, err := s.Query(Query{PageToken: "MTJ8cg"}); err != nil {
+		t.Fatalf("the page token of (12, \"r\") refused: %v", err)
 	}
 }
 

@@ -2,8 +2,10 @@ package server
 
 import (
 	"net/http"
+	"sync"
 	"time"
 
+	"dyflow/internal/obs"
 	"dyflow/internal/runstore"
 )
 
@@ -62,7 +64,8 @@ func (s *Server) retainRingLocked(d doneRing) {
 // RunQuery filters GET /v1/runs; zero fields match everything.
 type RunQuery = runstore.Query
 
-// RunPage is one page of runs plus the cursor for the next.
+// RunPage is one page of runs plus the cursor for the next: the body of
+// GET /v1/runs, which serveRunList writes without building one.
 type RunPage struct {
 	Runs          []Status `json:"runs"`
 	NextPageToken string   `json:"next_page_token,omitempty"`
@@ -89,27 +92,64 @@ func (s *Server) viewLocked(id string, indexed *runstore.Meta) (m *runstore.Meta
 	return indexed, indexed.SimEndNs, true
 }
 
-// QueryRuns serves the filtered, paginated run listing from the history
-// store's indexes. Every admitted run has a history record (appended at
-// submission), so the store is the authoritative listing, and viewLocked
-// overlays each item's current state. The server mutex is held for those
-// lookups only — never across the store's query or the rendering — so a
-// page costs its items and delays no submit.
-func (s *Server) QueryRuns(q RunQuery) (RunPage, error) {
-	page, err := s.history.Query(q)
+// listBuf is what one GET /v1/runs reuses across requests: the page's
+// records, their progress and the response body.
+type listBuf struct {
+	metas []runstore.Meta
+	sims  []int64
+	body  []byte
+}
+
+var listBufs = sync.Pool{New: func() any { return new(listBuf) }}
+
+// serveRunList answers GET /v1/runs from the history store's indexes.
+// Every admitted run has a history record (appended at submission), so the
+// store is the authoritative listing, and viewLocked overlays each item's
+// current state. The server mutex is held for those lookups only — never
+// across the store's query or the rendering — so a page costs its items and
+// delays no submit. The body is written straight from the records into a
+// pooled buffer (appendRunPage), so a warm request allocates the same
+// whatever its limit.
+func (s *Server) serveRunList(w http.ResponseWriter, q RunQuery) {
+	lb := listBufs.Get().(*listBuf)
+	defer func() {
+		clear(lb.metas) // a pooled buffer keeps no record alive
+		listBufs.Put(lb)
+	}()
+	page, err := s.history.AppendQuery(lb.metas[:0], q)
+	lb.metas = page.Items
 	if err != nil {
-		return RunPage{}, &APIError{Code: http.StatusBadRequest, Msg: err.Error()}
+		httpError(w, &APIError{Code: http.StatusBadRequest, Msg: err.Error()})
+		return
 	}
-	sims := make([]int64, len(page.Items))
+	metas, sims := page.Items, lb.sims[:0]
 	s.mu.Lock()
-	for i := range page.Items {
-		m, simNs, _ := s.viewLocked(page.Items[i].ID, &page.Items[i])
-		page.Items[i], sims[i] = *m, simNs
+	for i := range metas {
+		m, simNs, _ := s.viewLocked(metas[i].ID, &metas[i])
+		metas[i] = *m
+		sims = append(sims, simNs)
 	}
 	s.mu.Unlock()
-	out := RunPage{Runs: make([]Status, len(page.Items)), NextPageToken: page.NextPageToken}
-	for i := range page.Items {
-		out.Runs[i] = recordStatus(&page.Items[i], sims[i])
+	lb.sims = sims
+	lb.body = appendRunPage(lb.body[:0], metas, sims, page.NextPageToken)
+	s.writeBody(w, http.StatusOK, lb.body)
+}
+
+// appendRunPage appends the RunPage of metas' recordStatus views, each
+// showing its sims entry of progress, and the cursor next, as
+// json.Encoder writes it: compact, ending in a newline.
+func appendRunPage(dst []byte, metas []runstore.Meta, sims []int64, next string) []byte {
+	dst = append(dst, `{"runs":[`...)
+	for i := range metas {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendStatus(dst, &metas[i], sims[i])
 	}
-	return out, nil
+	dst = append(dst, ']')
+	if next != "" {
+		dst = append(dst, `,"next_page_token":`...)
+		dst = obs.AppendString(dst, next)
+	}
+	return append(dst, "}\n"...)
 }

@@ -187,7 +187,7 @@ func TestListPaginationAndFilters(t *testing.T) {
 	}
 
 	// Malformed parameters are 400s, not 500s or empty pages.
-	for _, q := range []string{"?limit=0", "?limit=-3", "?limit=nope", "?since=yesterday", "?page_token=%21%21not-base64"} {
+	for _, q := range []string{"?limit=0", "?limit=-3", "?limit=nope", "?since=yesterday", "?page_token=%21%21not-base64", "?page_token=KzEyfHJ1bi0wMDAwMDE"} {
 		resp, err := http.Get("http://" + addr + "/v1/runs" + q)
 		if err != nil {
 			t.Fatal(err)
@@ -296,12 +296,9 @@ func TestCacheReadsItsSource(t *testing.T) {
 	}
 }
 
-// listRuns lists every run through the read path GET /v1/runs serves.
+// listRuns lists every run through GET /v1/runs, walking its pages.
 func listRuns(t *testing.T, s *Server) []Status {
 	t.Helper()
-	page, err := s.QueryRuns(RunQuery{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return page.Runs
+	all, _ := walk(t, s.Handler(), RunQuery{Limit: maxListLimit})
+	return all
 }

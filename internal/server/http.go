@@ -57,10 +57,15 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
+	s.writeBody(w, code, buf.Bytes())
+}
+
+// writeBody writes an encoded JSON body with its Content-Length.
+func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.logf("server: write json response: %v", err)
 	}
 }
@@ -160,12 +165,7 @@ func (s *Server) Handler() http.Handler {
 			httpError(w, err)
 			return
 		}
-		page, err := s.QueryRuns(q)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, page)
+		s.serveRunList(w, q)
 	})
 	route("GET /v1/runs/{id}", "status", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.RunStatus(r.PathValue("id"))

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"slices"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"dyflow/internal/exp"
+	"dyflow/internal/obs"
 	"dyflow/internal/runstore"
 )
 
@@ -137,6 +140,81 @@ func recordStatus(m *runstore.Meta, simNs int64) Status {
 		sort.Strings(st.Artifacts)
 	}
 	return st
+}
+
+// appendStatus appends the JSON encoding of recordStatus(m, simNs) to dst:
+// byte for byte what encoding/json writes for that Status, without
+// building it.
+func appendStatus(dst []byte, m *runstore.Meta, simNs int64) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = obs.AppendString(dst, m.ID)
+	dst = append(dst, `,"tenant":`...)
+	dst = obs.AppendString(dst, m.Tenant)
+	dst = append(dst, `,"job":{"scenario":`...)
+	dst = obs.AppendString(dst, m.Scenario)
+	if m.Machine != "" {
+		dst = append(dst, `,"machine":`...)
+		dst = obs.AppendString(dst, m.Machine)
+	}
+	dst = append(dst, `,"seed":`...)
+	dst = strconv.AppendInt(dst, m.Seed, 10)
+	if m.XML != "" {
+		dst = append(dst, `,"xml":`...)
+		dst = obs.AppendString(dst, m.XML)
+	}
+	dst = append(dst, `},"state":`...)
+	dst = obs.AppendString(dst, m.State)
+	if m.Cached {
+		dst = append(dst, `,"cached":true`...)
+	}
+	if m.Error != "" {
+		dst = append(dst, `,"error":`...)
+		dst = obs.AppendString(dst, m.Error)
+	}
+	dst = append(dst, `,"sim_seconds":`...)
+	dst, _ = obs.AppendFloat(dst, time.Duration(simNs).Seconds()) // always finite
+	if m.Converged {
+		dst = append(dst, `,"converged":true`...)
+	}
+	if m.Worker != "" {
+		dst = append(dst, `,"worker":`...)
+		dst = obs.AppendString(dst, m.Worker)
+	}
+	dst = append(dst, `,"submitted_at":"`...)
+	dst = nsTime(m.SubmittedAtNs).AppendFormat(dst, time.RFC3339Nano)
+	dst = append(dst, '"')
+	for _, ph := range [...]struct {
+		field string
+		ns    int64
+	}{
+		{`,"queued_at":"`, m.QueuedAtNs},
+		{`,"claimed_at":"`, m.ClaimedAtNs},
+		{`,"started_at":"`, m.StartedAtNs},
+		{`,"finished_at":"`, m.FinishedAtNs},
+	} {
+		if ph.ns != 0 {
+			dst = append(dst, ph.field...)
+			dst = time.Unix(0, ph.ns).AppendFormat(dst, time.RFC3339Nano)
+			dst = append(dst, '"')
+		}
+	}
+	if len(m.Artifacts) > 0 {
+		var stack [8]string
+		names := stack[:0]
+		for name := range m.Artifacts {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		dst = append(dst, `,"artifacts":[`...)
+		for i, name := range names {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = obs.AppendString(dst, name)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
 }
 
 // timePtr renders a phase timestamp for Status: a phase that never
